@@ -13,6 +13,10 @@
 #                        distinct fault on each peer, assert gossip
 #                        convergence, cross-peer diagnosis from the replica,
 #                        and ownership rebalance after killing one peer
+#   make bench-smoke   — vet and short-test the separate bench/ module (the
+#                        end-to-end benchmark harness), so an API removal
+#                        that breaks it fails here, not in the acceptance
+#                        driver: the root build never compiles it
 #   make check         — all tiers: test, race, smokes, bench comparison
 #
 # The race tier exists because the core is concurrent by design (striped
@@ -54,7 +58,7 @@ BENCH_ALLOC_THRESHOLD ?= 0.1
 # figures the sub-linear index exists for.
 BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000
 
-.PHONY: build test vet race check bench bench-compare smoke fleet-smoke fuzz
+.PHONY: build test vet race check bench bench-compare bench-smoke smoke fleet-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -68,13 +72,16 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-check: test race smoke fleet-smoke bench-compare
+check: test race smoke fleet-smoke bench-smoke bench-compare
 
 smoke: build
 	$(GO) run ./cmd/invarnetd -smoke -smoke-seconds 3
 
 fleet-smoke: build
 	$(GO) run ./cmd/invarnetd -fleet-smoke
+
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short coverage-guided run of the binary wire-decoder fuzzer; the seed
 # corpus alone (run by `make test`) only replays known shapes.

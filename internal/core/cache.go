@@ -23,50 +23,53 @@ type CacheStats struct {
 	Entries int
 }
 
-// fingerprintRows hashes the window's shape and raw float64 bit patterns
-// with FNV-1a. Associations are pure functions of the samples, so equal
-// fingerprints (same shape, same bits) mean an equal matrix.
-func fingerprintRows(rows [][]float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(len(rows)))
-	for _, r := range rows {
-		mix(uint64(len(r)))
-		for _, v := range r {
-			mix(math.Float64bits(v))
-		}
+// fnv1a is the package's one FNV-1a (64-bit) accumulator: window
+// fingerprints, the persisted invariant-set fingerprint and the profile
+// registry's shard hash all mix through it. Values are part of the on-disk
+// format (lifecycle-*.xml binds to fingerprintSet), so the byte order —
+// integers little-endian, one byte per round — must never change.
+type fnv1a uint64
+
+const (
+	fnvOffset fnv1a = 14695981039346656037
+	fnvPrime  fnv1a = 1099511628211
+)
+
+func (h fnv1a) b(c byte) fnv1a { return (h ^ fnv1a(c)) * fnvPrime }
+
+func (h fnv1a) u64(v uint64) fnv1a {
+	for s := 0; s < 64; s += 8 {
+		h = h.b(byte(v >> s))
 	}
 	return h
 }
 
-// fingerprintWindow extends fingerprintRows over a window's validity mask,
-// so a masked window and its unmasked twin (same samples, different
-// validity) cannot share a cache entry. A nil mask leaves the rows-only
-// fingerprint untouched.
-func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
-	h := fingerprintRows(rows)
-	if valid == nil {
-		return h
+func (h fnv1a) str(s string) fnv1a {
+	for i := 0; i < len(s); i++ {
+		h = h.b(s[i])
 	}
-	const prime64 = 1099511628211
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
+	return h
+}
+
+// fingerprintWindow hashes a window's shape, raw float64 bit patterns and
+// validity mask. Associations are pure functions of the samples and the
+// mask, so equal fingerprints mean an equal analysis; a masked window and
+// its unmasked twin (same samples, different validity) hash apart, and a
+// nil mask contributes nothing.
+func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
+	h := fnvOffset.u64(uint64(len(rows)))
+	for _, r := range rows {
+		h = h.u64(uint64(len(r)))
+		for _, v := range r {
+			h = h.u64(math.Float64bits(v))
 		}
 	}
-	mix(uint64(len(valid)))
+	if valid == nil {
+		return uint64(h)
+	}
+	h = h.u64(uint64(len(valid)))
 	for _, row := range valid {
-		mix(uint64(len(row)))
+		h = h.u64(uint64(len(row)))
 		var word uint64
 		n := 0
 		for _, ok := range row {
@@ -75,47 +78,45 @@ func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
 				word |= 1
 			}
 			if n++; n == 64 {
-				mix(word)
+				h = h.u64(word)
 				word, n = 0, 0
 			}
 		}
 		if n > 0 {
-			mix(word)
+			h = h.u64(word)
 		}
 	}
-	return h
+	return uint64(h)
 }
 
-// reportSalt separates the sparse path's violation-report keys from the
-// dense path's association-matrix keys inside one assocCache: a report is
-// stored under fp^reportSalt, so the two entry kinds share the map, the
-// FIFO bound and the hit counters without ever colliding on a fingerprint.
-const reportSalt = 0x9e3779b97f4a7c15
+// cacheKey is the one key scheme of a profile's cache. A training matrix
+// depends on the window alone (set nil, epoch 0). A violation report is a
+// verdict of one invariant set at one lifecycle epoch: retraining or
+// promotion installs a fresh *Set and a quarantine bumps the epoch, so
+// either makes every earlier report unreachable without any sweep.
+type cacheKey struct {
+	fp    uint64 // fingerprintWindow of the samples and mask
+	set   *invariant.Set
+	epoch uint64
+}
 
-// cacheEntry is one memoised analysis. Dense entries hold the association
-// matrix plus the pair-knowledge mask (nil for a clean, all-known window);
-// sparse entries hold the finished violation report instead, valid only
-// while repSet is still the profile's current invariant set (pointer
-// identity — retraining installs a fresh *Set, invalidating every cached
-// report at once). All cached state is shared across callers and read-only.
+// cacheEntry is one memoised analysis: the association matrix of a training
+// window, or the finished violation report of a diagnosed one. All cached
+// state is shared across callers and read-only.
 type cacheEntry struct {
-	mat  *invariant.Matrix
-	mask *invariant.PairMask
-
-	rep    *ViolationReport
-	repSet *invariant.Set
+	mat *invariant.Matrix
+	rep *ViolationReport
 }
 
-// assocCache memoises window analyses per content fingerprint with FIFO
-// eviction. Each profile owns its cache, so the key needs no context
-// component and cached state never crosses profiles. Cached matrices and
-// masks are shared across callers and must never be mutated — every
-// consumer (Select, ViolationsMasked) only reads.
+// assocCache memoises window analyses with FIFO eviction; training matrices
+// and diagnosis reports share the one bound. Each profile owns its cache, so
+// the key needs no context component and cached state never crosses
+// profiles.
 type assocCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[uint64]cacheEntry
-	order   []uint64
+	entries map[cacheKey]cacheEntry
+	order   []cacheKey
 	hits    int64
 	misses  int64
 }
@@ -132,14 +133,14 @@ func newAssocCache(size int) *assocCache {
 	}
 	return &assocCache{
 		max:     size,
-		entries: make(map[uint64]cacheEntry),
+		entries: make(map[cacheKey]cacheEntry),
 	}
 }
 
-func (c *assocCache) get(fp uint64) (cacheEntry, bool) {
+func (c *assocCache) get(k cacheKey) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[fp]
+	e, ok := c.entries[k]
 	if ok {
 		c.hits++
 	} else {
@@ -148,11 +149,11 @@ func (c *assocCache) get(fp uint64) (cacheEntry, bool) {
 	return e, ok
 }
 
-func (c *assocCache) put(fp uint64, e cacheEntry) {
+func (c *assocCache) put(k cacheKey, e cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.entries[fp]; exists {
-		c.entries[fp] = e
+	if _, exists := c.entries[k]; exists {
+		c.entries[k] = e
 		return
 	}
 	for len(c.entries) >= c.max && len(c.order) > 0 {
@@ -160,8 +161,8 @@ func (c *assocCache) put(fp uint64, e cacheEntry) {
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
 	}
-	c.entries[fp] = e
-	c.order = append(c.order, fp)
+	c.entries[k] = e
+	c.order = append(c.order, k)
 }
 
 func (c *assocCache) stats() CacheStats {
@@ -195,55 +196,59 @@ func BatchFor(assoc invariant.AssociationFunc) BatchAssociation {
 	return nil
 }
 
-// compute analyses one window uncached: the association matrix plus the
-// pair mask (nil on clean telemetry). Clean windows take the batch path
-// when configured, with structural batch errors (ragged rows, empty window)
-// falling through to the generic path so error reporting stays identical to
-// the unbatched pipeline. Degraded windows run the same masked-first fill,
-// with the batch scorer covering the full-overlap pairs.
-func (p *Profile) compute(rows [][]float64, valid [][]bool, degraded bool) (*invariant.Matrix, *invariant.PairMask, error) {
-	cfg := &p.sys.cfg
-	if !degraded {
-		if cfg.BatchAssoc != nil {
-			if scorer, err := cfg.BatchAssoc(rows); err == nil {
-				mat, err := invariant.ComputeMatrixScored(len(rows), scorer)
-				return mat, nil, err
-			}
-		}
-		mat, err := invariant.ComputeMatrix(rows, cfg.Assoc)
-		return mat, nil, err
-	}
-	var scorer invariant.PairScorer
-	if cfg.BatchAssoc != nil {
-		// Full-overlap pairs score through the batch even on a degraded
-		// window; preparation errors just drop the fast path.
-		if sc, err := cfg.BatchAssoc(rows); err == nil {
-			scorer = sc
+// scorer picks the pair scorer for one window — the one place the policy
+// lives: the caller's lazily built scorer when it yields one (the serving
+// layer's slider snapshots), else the configured batch preparation, else nil,
+// which makes the kernel call Assoc per pair. A preparation error (too few
+// samples, non-finite values, ragged rows) just drops that tier; shape
+// errors are then reported by the kernel's own validation.
+func (p *Profile) scorer(rows [][]float64, lazy func() invariant.PairScorer) invariant.PairScorer {
+	if lazy != nil {
+		if sc := lazy(); sc != nil {
+			return sc
 		}
 	}
-	return invariant.ComputeMaskedMatrixScored(rows, valid, cfg.Assoc, scorer, 0)
+	if batch := p.sys.cfg.BatchAssoc; batch != nil {
+		if sc, err := batch(rows); err == nil {
+			return sc
+		}
+	}
+	return nil
 }
 
-// analyze is compute behind the profile's cache, keyed by the fingerprint
-// of the window's samples and validity mask. Training recomputes every
-// pooled window per call; the cache turns those recomputations into
-// lookups — for degraded windows too, which the pre-profile pipeline never
-// cached.
-func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, *invariant.PairMask, error) {
-	degraded := traceDegraded(tr)
+// memo returns the analysis of window tr cached under the one key scheme,
+// computing and storing it on a miss. set is nil for a training matrix and
+// the judged invariant set for a report. The key — lifecycle epoch included
+// — is captured once, before compute runs: a window whose own diagnosis
+// bumps the epoch is stored under the old key and simply never hit again,
+// which is safe in both directions.
+func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (cacheEntry, error)) (cacheEntry, error) {
 	if p.cache == nil {
-		return p.compute(tr.Rows, tr.Valid, degraded)
+		return compute()
 	}
-	fp := fingerprintWindow(tr.Rows, tr.Valid)
-	if e, ok := p.cache.get(fp); ok {
-		return e.mat, e.mask, nil
+	key := cacheKey{fp: fingerprintWindow(tr.Rows, tr.Valid), set: set}
+	if set != nil && p.lc != nil {
+		key.epoch = p.lc.epoch.Load()
 	}
-	mat, mask, err := p.compute(tr.Rows, tr.Valid, degraded)
-	if err != nil {
-		return nil, nil, err
+	if e, ok := p.cache.get(key); ok {
+		return e, nil
 	}
-	p.cache.put(fp, cacheEntry{mat: mat, mask: mask})
-	return mat, mask, nil
+	e, err := compute()
+	if err == nil {
+		p.cache.put(key, e)
+	}
+	return e, err
+}
+
+// analyze returns a training window's association matrix. Training
+// recomputes every pooled window per call; the cache turns all but the
+// newly added ones into lookups.
+func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, error) {
+	e, err := p.memo(tr, nil, func() (cacheEntry, error) {
+		mat, err := invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, p.sys.cfg.Assoc, p.scorer(tr.Rows, nil), 0)
+		return cacheEntry{mat: mat}, err
+	})
+	return e.mat, err
 }
 
 // CacheStats reports the profile's association-cache counters and current

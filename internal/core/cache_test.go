@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"invarnetx/internal/arx"
@@ -13,17 +14,59 @@ import (
 func TestFingerprintRows(t *testing.T) {
 	a := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	b := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	if fingerprintRows(a) != fingerprintRows(b) {
+	if fingerprintWindow(a, nil) != fingerprintWindow(b, nil) {
 		t.Error("identical windows must fingerprint identically")
 	}
 	c := [][]float64{{1, 2, 3}, {4, 5, 6.0000001}}
-	if fingerprintRows(a) == fingerprintRows(c) {
+	if fingerprintWindow(a, nil) == fingerprintWindow(c, nil) {
 		t.Error("a changed sample must change the fingerprint")
 	}
 	// Shape must matter, not just the flattened content.
 	d := [][]float64{{1, 2}, {3, 4, 5, 6}}
-	if fingerprintRows(a) == fingerprintRows(d) {
+	if fingerprintWindow(a, nil) == fingerprintWindow(d, nil) {
 		t.Error("a reshaped window must change the fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins every FNV-1a fingerprint to the values the
+// hand-rolled loops produced before they were folded into the fnv1a helper.
+// fingerprintSet is persisted in lifecycle-*.xml: a drifted value would make
+// every existing store restore with fresh edge state.
+func TestFingerprintGolden(t *testing.T) {
+	rows := [][]float64{{1, 2, 3}, {4, 5, 6.5}, {-0.25, math.Inf(1), math.NaN()}}
+	valid := [][]bool{{true, false, true}, {true, true, true}, {false, false, true}}
+	long := make([]bool, 70) // crosses the 64-flag word boundary
+	lrow := make([]float64, 70)
+	for i := range long {
+		long[i] = i%3 != 0
+		lrow[i] = float64(i) / 7
+	}
+	set := invariant.NewSet(4, map[invariant.Pair]float64{{I: 0, J: 1}: 0.9, {I: 1, J: 3}: 0.425, {I: 2, J: 3}: 0})
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"rows", fingerprintWindow(rows, nil), 0xc5008ccb8c93b586},
+		{"rows+mask", fingerprintWindow(rows, valid), 0xe2ffdf921e669d45},
+		{"70-tick mask", fingerprintWindow([][]float64{lrow}, [][]bool{long}), 0x42ff38732ac7f164},
+		{"empty", fingerprintWindow(nil, nil), 0xa8c7f832281a39c5},
+		{"set", fingerprintSet(set), 0x530d7d624162ead7},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s fingerprint = %#x, want %#x", c.name, c.got, c.want)
+		}
+	}
+	s := New(DefaultConfig())
+	for key, want := range map[Context]int{
+		{}:                                      14,
+		{Workload: "wordcount", IP: "10.0.0.2"}: 0,
+		{Workload: "ab", IP: "c"}:               4,
+		{Workload: "a", IP: "bc"}:               6,
+		{Workload: "sort", IP: "10.0.0.2~10.0.0.3#reduce"}: 8,
+	} {
+		if got := s.shardFor(key); got != &s.shards[want] {
+			t.Errorf("context %v no longer hashes to shard %d", key, want)
+		}
 	}
 }
 
@@ -119,16 +162,16 @@ func TestAssocCacheDisabledAndBounded(t *testing.T) {
 
 	small := newAssocCache(2)
 	for i := 0; i < 5; i++ {
-		small.put(uint64(i), cacheEntry{mat: invariant.NewMatrix(2)})
+		small.put(cacheKey{fp: uint64(i)}, cacheEntry{mat: invariant.NewMatrix(2)})
 	}
 	if st := small.stats(); st.Entries != 2 {
 		t.Errorf("bounded cache holds %d entries, want 2", st.Entries)
 	}
 	// Oldest evicted first: keys 0..2 gone, 3 and 4 present.
-	if _, ok := small.get(0); ok {
+	if _, ok := small.get(cacheKey{fp: 0}); ok {
 		t.Error("oldest entry should have been evicted")
 	}
-	if _, ok := small.get(4); !ok {
+	if _, ok := small.get(cacheKey{fp: 4}); !ok {
 		t.Error("newest entry should survive eviction")
 	}
 }

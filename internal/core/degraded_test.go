@@ -199,3 +199,45 @@ func TestDiagnoseUnderTelemetryFaults(t *testing.T) {
 		t.Fatalf("outage node health = %v, want down", h.Status)
 	}
 }
+
+// TestTrainingKeepsPairKnownness: a metric that is missing from every
+// training run (agent never reported it) must not seed invariants. Its
+// pairs are unknown in every window; read as a perfectly stable score of 0
+// they used to be selected with baseline 0, and the first healthy window
+// in which the metric came back then violated them all.
+func TestTrainingKeepsPairKnownness(t *testing.T) {
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	s := New(DefaultConfig())
+	rng := stats.NewRNG(730)
+	var runs []*metrics.Trace
+	for i := 0; i < 6; i++ {
+		tr := synthTrace(rng.Fork(int64(i)), traceLen, 8, nil)
+		runs = append(runs, dropMetricTicks(tr, []int{0}, 0, traceLen))
+	}
+	if err := s.TrainInvariants(ctx, runs); err != nil {
+		t.Fatal(err)
+	}
+	set, err := s.Invariants(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Len() < 21 { // the 7 observed coupled rows alone form C(7,2) pairs
+		t.Fatalf("only %d invariants selected from the observed metrics", set.Len())
+	}
+	for _, pr := range set.SortedPairs() {
+		if pr.I == 0 {
+			t.Errorf("invariant %v (baseline %v) selected on a metric no training run observed", pr, set.Base[pr])
+		}
+	}
+	// A normal window with metric 0 healthy again has no baseline of 0 to
+	// violate.
+	rep, err := s.Violations(ctx, synthTrace(rng.Fork(99), traceLen, 8, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range rep.Violated {
+		if pr.I == 0 {
+			t.Errorf("normal window violates %v, an invariant of the never-observed metric", pr)
+		}
+	}
+}

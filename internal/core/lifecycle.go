@@ -27,8 +27,8 @@ import (
 // re-estimated baselines form a *shadow model generation* evaluated
 // side-by-side against the live one on the same windows, and promoted only
 // when its false-positive rate beats the incumbent's. Promotion installs a
-// fresh invariant.Set — the report cache invalidates for free through its
-// set-identity check — and bumps the profile's generation; the whole state
+// fresh invariant.Set — the report cache invalidates for free, set identity
+// being part of its key — and bumps the profile's generation; the whole state
 // machine is persisted through xmlstore so a restart mid-promotion comes
 // back to a consistent generation (see restoreLifecycle).
 
@@ -128,9 +128,9 @@ type shadowEdge struct {
 }
 
 // lifecycle is one profile's drift-lifecycle state. The epoch counter is
-// read on the diagnosis hot path (report-cache salting) and therefore
-// atomic; everything else is guarded by mu, which is never held while
-// taking the profile lock (see Profile.lifecyclePost for the ordering).
+// read on the diagnosis hot path (it is part of the report-cache key) and
+// therefore atomic; everything else is guarded by mu, which is never held
+// while taking the profile lock (see Profile.lifecyclePost for the ordering).
 type lifecycle struct {
 	cfg LifecycleConfig
 
@@ -158,12 +158,6 @@ func (l *lifecycle) healthConfig() invariant.HealthConfig {
 	}
 }
 
-// epochPrime spreads the epoch counter across the cache key space so
-// consecutive epochs never collide with nearby fingerprints.
-const epochPrime = 0xbf58476d1ce4e5b9
-
-func (l *lifecycle) epochSalt() uint64 { return l.epoch.Load() * epochPrime }
-
 // install points the lifecycle at a newly trained or loaded live set:
 // next generation, fresh health, no shadow. Called after the profile lock
 // is released, never under it.
@@ -183,12 +177,12 @@ func (l *lifecycle) install(set *invariant.Set) {
 // is live — and, when this window completed a qualifying evaluation round,
 // the promoted set the caller must install as the live generation.
 //
-// score(k) supplies edge k's exact association score for shadow
-// re-estimation; a nil score (degraded window, no exact scores at hand)
-// observes health only. Windows computed against a set the lifecycle no
-// longer tracks (a promotion or retrain won the race) carry stale verdicts
-// and are discarded entirely.
-func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(k int) (float64, bool), epsilon float64) (qmask []bool, promoted *invariant.Set) {
+// score supplies a pair's exact association score for shadow
+// re-estimation; a nil score (degraded window, no whole-window scores at
+// hand) observes health only. Windows computed against a set the lifecycle
+// no longer tracks (a promotion or retrain won the race) carry stale
+// verdicts and are discarded entirely.
+func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64, epsilon float64) (qmask []bool, promoted *invariant.Set) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.set != set || l.health == nil {
@@ -213,14 +207,9 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(k 
 		l.epoch.Add(1)
 	}
 	if score != nil {
+		pairs := set.SortedPairs()
 		for k, sh := range l.shadow {
-			if known != nil && !known[k] {
-				continue
-			}
-			s, ok := score(k)
-			if !ok {
-				continue
-			}
+			s := score(pairs[k])
 			// Judge the candidate on the new window *before* folding the
 			// window's score into it — an unbiased side-by-side evaluation.
 			if est, warmed := sh.est.Value(); warmed && sh.est.N() >= shadowWarmup {
@@ -294,17 +283,6 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 	return nil
 }
 
-// lifecycleSalt is the report-cache salt of the current lifecycle epoch:
-// any quarantine or promotion bumps the epoch, so reports cached before
-// the verdict surface changed can no longer be served. Zero without a
-// lifecycle — the cache key reduces to the pre-lifecycle one exactly.
-func (p *Profile) lifecycleSalt() uint64 {
-	if p.lc == nil {
-		return 0
-	}
-	return p.lc.epochSalt()
-}
-
 // lifecyclePost runs the lifecycle over one freshly computed window: health
 // observation on the raw verdicts, shadow re-estimation, possibly a
 // generation promotion, then quarantine masking. It returns the tuple and
@@ -312,7 +290,7 @@ func (p *Profile) lifecycleSalt() uint64 {
 // (neither holding nor violated), so no spurious fault report can ever be
 // attributed to them. With the lifecycle disabled it returns its inputs
 // untouched.
-func (p *Profile) lifecyclePost(set *invariant.Set, raw, known []bool, score func(k int) (float64, bool)) ([]bool, []bool) {
+func (p *Profile) lifecyclePost(set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64) ([]bool, []bool) {
 	l := p.lc
 	if l == nil {
 		return raw, known
@@ -449,24 +427,11 @@ func (s *System) LifecycleStats() LifecycleStats {
 // between the two writes leaves a mismatch, and restore falls back to a
 // fresh edge state over the loaded (complete, consistent) invariants.
 func fingerprintSet(set *invariant.Set) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(set.M))
+	h := fnvOffset.u64(uint64(set.M))
 	for _, pr := range set.SortedPairs() {
-		mix(uint64(pr.I))
-		mix(uint64(pr.J))
-		mix(math.Float64bits(set.Base[pr]))
+		h = h.u64(uint64(pr.I)).u64(uint64(pr.J)).u64(math.Float64bits(set.Base[pr]))
 	}
-	return h
+	return uint64(h)
 }
 
 // lifecycleFile snapshots the lifecycle for persistence; ok is false when

@@ -236,9 +236,11 @@ func TestLifecycleFaultBurstDoesNotQuarantine(t *testing.T) {
 	}
 }
 
-// TestLifecycleCacheEpochInvalidation pins the report-cache interaction: a
-// report cached before a quarantine carries the old verdict surface, and
-// the epoch salt must prevent it from ever being served again.
+// TestLifecycleCacheEpochInvalidation pins the report-cache interaction: one
+// key of (window fingerprint, set identity, lifecycle epoch) must retire a
+// cached report on each of the three events that change the verdict surface
+// — a quarantine (epoch bump), a promotion and a retrain (fresh set) — while
+// bit-identical content keeps hitting in between.
 func TestLifecycleCacheEpochInvalidation(t *testing.T) {
 	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
 	cfg := lifecycleConfig(t) // report cache enabled (default size)
@@ -294,6 +296,40 @@ func TestLifecycleCacheEpochInvalidation(t *testing.T) {
 	}
 	if rep3.Known == nil || rep3.Coverage >= 1 {
 		t.Fatalf("post-quarantine repeat did not surface unknowns (coverage %v)", rep3.Coverage)
+	}
+	if again, _ := p.Violations(valueTrace(drifted, 16, 0)); again != rep3 {
+		t.Fatalf("post-quarantine report not cached under the new epoch")
+	}
+
+	// Promotion: the shadow generation re-estimated from the drifted scores
+	// replaces the live set, and the quarantine-era report must go with it.
+	for i := 100; p.LifecycleStats().Promotions == 0; i++ {
+		if i > 120 {
+			t.Fatalf("shadow generation never promoted")
+		}
+		if _, err := p.Violations(valueTrace(drifted, 16, float64(i)*1e-6)); err != nil {
+			t.Fatalf("drifted window %d: %v", i, err)
+		}
+	}
+	rep4, err := p.Violations(valueTrace(drifted, 16, 0))
+	if err != nil {
+		t.Fatalf("post-promotion repeat: %v", err)
+	}
+	if rep4 == rep3 || rep4.Known != nil || len(rep4.Violated) != 0 {
+		t.Fatalf("post-promotion repeat served a stale report: %+v", rep4)
+	}
+
+	// Retrain on the pooled (pre-drift) window: a fresh set with the old
+	// baselines, against which the same content violates again.
+	if err := p.TrainInvariants(nil); err != nil {
+		t.Fatalf("retrain: %v", err)
+	}
+	rep5, err := p.Violations(valueTrace(drifted, 16, 0))
+	if err != nil {
+		t.Fatalf("post-retrain repeat: %v", err)
+	}
+	if rep5 == rep4 || len(rep5.Violated) != 2 {
+		t.Fatalf("post-retrain repeat served a stale report: %+v", rep5)
 	}
 }
 
@@ -479,33 +515,6 @@ func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
 	}
 	if len(repO.Violated) != 2 {
 		t.Fatalf("old-level window violated %v against promoted baselines, want the 2 re-estimated pairs", pairNames(repO.Violated))
-	}
-}
-
-// TestLifecycleDensePathQuarantines runs the same quarantine flow down the
-// dense reference pipeline (ExactDiagnosis): the lifecycle must behave
-// identically there.
-func TestLifecycleDensePathQuarantines(t *testing.T) {
-	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
-	cfg := lifecycleConfig(t)
-	cfg.ExactDiagnosis = true
-	cfg.AssocCacheSize = -1
-	sys := trainValueSystem(t, cfg, ctx)
-	p := sys.Profile(ctx)
-
-	drifted := []float64{0.8, 0.8, 0.2}
-	for i := 0; i < 12 && p.LifecycleStats().Promotions == 0; i++ {
-		rep, err := p.Violations(valueTrace(drifted, 16, float64(i)*1e-6))
-		if err != nil {
-			t.Fatalf("drifted window %d: %v", i, err)
-		}
-		if p.LifecycleStats().Quarantined > 0 && len(rep.Violated) != 0 {
-			t.Fatalf("dense path reported quarantined edges as violated: %v", rep.Violated)
-		}
-	}
-	st := p.LifecycleStats()
-	if st.Promotions != 1 || st.Generation != 2 {
-		t.Fatalf("dense path lifecycle stats %+v, want a promotion", st)
 	}
 }
 

@@ -86,26 +86,17 @@ func (p *Profile) Monitors() *detect.Registry { return p.monitors }
 // CPI traces of N normal runs. Traces pool with (deduplicated against)
 // everything trained before, and the model is refit on the whole pool.
 func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
-	return p.trainPerformanceModel(p.key, cpiTraces)
-}
-
-// trainPerformanceModel is TrainPerformanceModel with the context used in
-// error messages made explicit: System-level calls report the caller's
-// context even when it maps onto the global no-context profile.
-func (p *Profile) trainPerformanceModel(errCtx Context, cpiTraces [][]float64) error {
 	p.mu.Lock()
 	for _, tr := range cpiTraces {
-		p.cpiPool.add(fingerprintRows([][]float64{tr}), tr)
+		p.cpiPool.add(fingerprintWindow([][]float64{tr}, nil), tr)
 	}
 	pool := p.cpiPool.snapshot()
 	p.mu.Unlock()
 	d, err := detect.Train(pool, p.sys.cfg.Detect)
 	if err != nil {
-		return fmt.Errorf("core: training performance model for %v: %w", errCtx, err)
+		return fmt.Errorf("core: training performance model for %v: %w", p.key, err)
 	}
-	p.mu.Lock()
-	p.detector = d
-	p.mu.Unlock()
+	p.setDetector(d)
 	return nil
 }
 
@@ -115,11 +106,11 @@ func (p *Profile) trainPerformanceModel(errCtx Context, cpiTraces [][]float64) e
 // holds on *every* pooled window — which is exactly how the global
 // no-context profile loses most of its invariants on a heterogeneous
 // platform.
+//
+// A pair some window could not compute (masked or missing samples) is
+// judged on the windows that could; Select never sees an unknown score as
+// an observation of 0.
 func (p *Profile) TrainInvariants(runs []*metrics.Trace) error {
-	return p.trainInvariants(p.key, runs)
-}
-
-func (p *Profile) trainInvariants(errCtx Context, runs []*metrics.Trace) error {
 	p.mu.Lock()
 	for _, run := range runs {
 		p.windowPool.add(fingerprintWindow(run.Rows, run.Valid), run)
@@ -130,15 +121,15 @@ func (p *Profile) trainInvariants(errCtx Context, runs []*metrics.Trace) error {
 	// turns all but the newly added windows into lookups.
 	mats := make([]*invariant.Matrix, 0, len(pool))
 	for _, run := range pool {
-		m, _, err := p.analyze(run)
+		m, err := p.analyze(run)
 		if err != nil {
-			return fmt.Errorf("core: association matrix for %v: %w", errCtx, err)
+			return fmt.Errorf("core: association matrix for %v: %w", p.key, err)
 		}
 		mats = append(mats, m)
 	}
 	set, err := invariant.Select(mats, p.sys.cfg.Tau)
 	if err != nil {
-		return fmt.Errorf("core: invariant selection for %v: %w", errCtx, err)
+		return fmt.Errorf("core: invariant selection for %v: %w", p.key, err)
 	}
 	if p.cross != nil {
 		// Cross profiles keep only the edges that span the two nodes:
@@ -147,37 +138,28 @@ func (p *Profile) trainInvariants(errCtx Context, runs []*metrics.Trace) error {
 		// single-node layer already owns.
 		set = filterCrossPairs(set, p.cross.k)
 	}
-	p.mu.Lock()
-	p.invariants = set
-	p.mu.Unlock()
-	if p.lc != nil {
-		p.lc.install(set)
-	}
+	p.setInvariants(set)
 	return nil
 }
 
 // Detector returns the trained CPI detector.
-func (p *Profile) Detector() (*detect.Detector, error) { return p.detectorFor(p.key) }
-
-func (p *Profile) detectorFor(errCtx Context) (*detect.Detector, error) {
+func (p *Profile) Detector() (*detect.Detector, error) {
 	p.mu.RLock()
 	d := p.detector
 	p.mu.RUnlock()
 	if d == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoModel, errCtx)
+		return nil, fmt.Errorf("%w: %v", ErrNoModel, p.key)
 	}
 	return d, nil
 }
 
 // Invariants returns the trained invariant set.
-func (p *Profile) Invariants() (*invariant.Set, error) { return p.invariantsFor(p.key) }
-
-func (p *Profile) invariantsFor(errCtx Context) (*invariant.Set, error) {
+func (p *Profile) Invariants() (*invariant.Set, error) {
 	p.mu.RLock()
 	set := p.invariants
 	p.mu.RUnlock()
 	if set == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, errCtx)
+		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, p.key)
 	}
 	return set, nil
 }
@@ -185,11 +167,7 @@ func (p *Profile) invariantsFor(errCtx Context) (*invariant.Set, error) {
 // NewMonitor starts online anomaly detection for a job running under this
 // profile, seeded with the first CPI samples of the run.
 func (p *Profile) NewMonitor(warmup []float64) (*detect.Monitor, error) {
-	return p.newMonitorFor(p.key, warmup)
-}
-
-func (p *Profile) newMonitorFor(errCtx Context, warmup []float64) (*detect.Monitor, error) {
-	d, err := p.detectorFor(errCtx)
+	d, err := p.Detector()
 	if err != nil {
 		return nil, err
 	}
@@ -227,84 +205,14 @@ type ViolationReport struct {
 // against the profile's invariants. Missing or masked samples make the
 // touched invariants *unknown* rather than violated.
 func (p *Profile) Violations(abnormal *metrics.Trace) (*ViolationReport, error) {
-	return p.violations(p.key, abnormal)
-}
-
-func (p *Profile) violations(errCtx Context, abnormal *metrics.Trace) (*ViolationReport, error) {
-	return p.violationsHinted(errCtx, abnormal, nil)
-}
-
-// violationsHinted dispatches between the sparse hot path (default) and the
-// dense reference pipeline (Config.ExactDiagnosis). Both produce identical
-// reports; the hint only ever accelerates the sparse path.
-func (p *Profile) violationsHinted(errCtx Context, abnormal *metrics.Trace, hint *WindowHint) (*ViolationReport, error) {
-	set, err := p.invariantsFor(errCtx)
-	if err != nil {
-		return nil, err
-	}
-	if p.sys.cfg.ExactDiagnosis {
-		return p.violationsDense(set, abnormal)
-	}
-	return p.violationsSparse(set, abnormal, hint)
-}
-
-// violationsDense is the reference pipeline: full association matrix
-// (through the profile's matrix cache) plus ViolationsMasked over the set.
-func (p *Profile) violationsDense(set *invariant.Set, abnormal *metrics.Trace) (*ViolationReport, error) {
-	mat, mask, err := p.analyze(abnormal)
-	if err != nil {
-		return nil, err
-	}
-	raw, known, err := set.ViolationsMasked(mat, p.sys.cfg.Epsilon, mask)
-	if err != nil {
-		return nil, err
-	}
-	// surface is the known mask the report shows: nil on a clean window
-	// (ViolationsMasked's known is then all-true), possibly materialised by
-	// the lifecycle when quarantined edges must read as unknown.
-	var surface []bool
-	if mask != nil {
-		surface = known
-	}
-	if p.lc != nil {
-		pairs := set.SortedPairs()
-		score := func(k int) (float64, bool) {
-			pr := pairs[k]
-			if mask != nil && !mask.OK(pr.I, pr.J) {
-				return 0, false
-			}
-			return mat.Get(pr.I, pr.J), true
-		}
-		raw, surface = p.lifecyclePost(set, raw, surface, score)
-	}
-	rep := &ViolationReport{Tuple: signature.Tuple(raw), Coverage: 1, set: set}
-	if surface != nil {
-		// Degraded window (or quarantined edges): surface the known mask
-		// and the checkable fraction.
-		rep.Known = surface
-		checkable := 0
-		for _, ok := range surface {
-			if ok {
-				checkable++
-			}
-		}
-		if len(surface) > 0 {
-			rep.Coverage = float64(checkable) / float64(len(surface))
-		}
-	}
-	for k, pr := range set.SortedPairs() {
-		if raw[k] && (surface == nil || surface[k]) {
-			rep.Violated = append(rep.Violated, pr)
-		}
-	}
-	return rep, nil
+	return p.violations(abnormal, nil)
 }
 
 // BuildSignature records the violation tuple of an investigated problem in
 // the profile's signature entries: "Once the performance problem is
 // resolved, a new signature will be added into the signature base."
 func (p *Profile) BuildSignature(problem string, abnormal *metrics.Trace) error {
-	_, _, err := p.buildSignature(p.key, problem, abnormal)
+	_, _, err := p.buildSignature(problem, abnormal)
 	return err
 }
 
@@ -312,16 +220,13 @@ func (p *Profile) BuildSignature(problem string, abnormal *metrics.Trace) error 
 // entry and whether it was new. Storage is idempotent by (context,
 // fingerprint): re-labelling the same investigated problem — a retried POST,
 // a re-run study — must not inflate the database and skew best-match scans.
-func (p *Profile) buildSignature(errCtx Context, problem string, abnormal *metrics.Trace) (signature.Entry, bool, error) {
-	rep, err := p.violations(errCtx, abnormal)
+func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signature.Entry, bool, error) {
+	rep, err := p.Violations(abnormal)
 	if err != nil {
 		return signature.Entry{}, false, err
 	}
 	entry := signature.Entry{Tuple: rep.Tuple, Problem: problem, IP: p.key.IP, Workload: p.key.Workload}
-	p.mu.Lock()
-	added := p.sigs.Merge(entry)
-	p.mu.Unlock()
-	return entry, added, nil
+	return entry, p.mergeSignature(entry), nil
 }
 
 // mergeSignature stores an already-built entry unless an identical one is
@@ -334,14 +239,15 @@ func (p *Profile) mergeSignature(e signature.Entry) bool {
 	return added
 }
 
-// setDetector installs a loaded detector (used by LoadFrom).
+// setDetector installs a trained or loaded detector.
 func (p *Profile) setDetector(d *detect.Detector) {
 	p.mu.Lock()
 	p.detector = d
 	p.mu.Unlock()
 }
 
-// setInvariants installs a loaded invariant set (used by LoadFrom).
+// setInvariants installs a trained or loaded invariant set as the live
+// generation.
 func (p *Profile) setInvariants(set *invariant.Set) {
 	p.mu.Lock()
 	p.invariants = set
@@ -374,26 +280,18 @@ func (p *Profile) SignatureSnapshot() *signature.DB {
 // checkable fraction; a clean window is the all-known case of the same
 // path.
 func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
-	return p.diagnose(p.key, abnormal)
+	return p.DiagnoseHinted(abnormal, nil)
 }
 
-func (p *Profile) diagnose(errCtx Context, abnormal *metrics.Trace) (*Diagnosis, error) {
-	return p.diagnoseHinted(errCtx, abnormal, nil)
-}
-
-// DiagnoseHinted is Diagnose with serving-layer reuse state: a window
-// fingerprint for the report cache and/or a lazily built scorer over
-// incrementally maintained per-metric state. See WindowHint.
-func (p *Profile) DiagnoseHinted(abnormal *metrics.Trace, hint *WindowHint) (*Diagnosis, error) {
-	return p.diagnoseHinted(p.key, abnormal, hint)
-}
-
-func (p *Profile) diagnoseHinted(errCtx Context, abnormal *metrics.Trace, hint *WindowHint) (*Diagnosis, error) {
-	rep, err := p.violationsHinted(errCtx, abnormal, hint)
+// DiagnoseHinted is Diagnose with serving-layer reuse state: scorer, when
+// non-nil, lazily supplies the window's pair scorer from incrementally
+// maintained per-metric state (see Profile.violations for its contract).
+func (p *Profile) DiagnoseHinted(abnormal *metrics.Trace, scorer func() invariant.PairScorer) (*Diagnosis, error) {
+	rep, err := p.violations(abnormal, scorer)
 	if err != nil {
 		return nil, err
 	}
-	diag := &Diagnosis{Context: errCtx, Tuple: rep.Tuple, Known: rep.Known, Coverage: rep.Coverage}
+	diag := &Diagnosis{Context: p.key, Tuple: rep.Tuple, Known: rep.Known, Coverage: rep.Coverage}
 	for _, pr := range rep.Violated {
 		diag.Hints = append(diag.Hints, p.pairLabel(pr))
 	}
@@ -401,15 +299,10 @@ func (p *Profile) diagnoseHinted(errCtx Context, abnormal *metrics.Trace, hint *
 		// Name unknown pairs against the set the report was computed with,
 		// not a re-read of the live one: a retrain or shadow promotion
 		// mid-diagnosis must not mix two generations in one verdict.
-		set := rep.set
-		if set == nil {
-			if set, err = p.invariantsFor(errCtx); err != nil {
-				return nil, err
-			}
-		}
+		pairs := rep.set.SortedPairs()
 		for k, ok := range rep.Known {
 			if !ok {
-				diag.Unknown = append(diag.Unknown, p.pairLabel(set.SortedPairs()[k]))
+				diag.Unknown = append(diag.Unknown, p.pairLabel(pairs[k]))
 			}
 		}
 	}

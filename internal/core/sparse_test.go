@@ -32,38 +32,59 @@ func maskTicks(rng *stats.RNG, tr *metrics.Trace, drop float64, outage int) *met
 	return out
 }
 
+// denseReport is the dense reference the hot path is held to: the full
+// masked association matrix through the per-pair Assoc (no batch scorer, no
+// prescreen, no cache) read out by Set.ViolationsMasked.
+func denseReport(t *testing.T, s *System, ctx Context, tr *metrics.Trace) *ViolationReport {
+	t.Helper()
+	set, err := s.Invariants(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Config()
+	mat, err := invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, cfg.Assoc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple, known, err := set.ViolationsMasked(mat, cfg.Epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &ViolationReport{Tuple: tuple, Known: known, Coverage: 1, set: set}
+	checkable := 0
+	for k, pr := range set.SortedPairs() {
+		if known == nil || known[k] {
+			checkable++
+			if tuple[k] {
+				rep.Violated = append(rep.Violated, pr)
+			}
+		}
+	}
+	if known != nil {
+		rep.Coverage = float64(checkable) / float64(len(known))
+	}
+	return rep
+}
+
 // TestSparseMatchesExactProperty: over random clean, faulted and degraded
-// windows, the default sparse tiered path must produce byte-identical
-// violation reports and diagnoses (tuple, known flags, coverage, causes,
-// confidence) to the ExactDiagnosis dense reference pipeline.
+// windows, the tiered hot path (batch scorer, prescreen, trained edges
+// only) must produce byte-identical violation reports — tuple, known flags,
+// coverage, violated pairs — to the dense reference, and the diagnosis and
+// stored signatures must carry exactly that verdict.
 func TestSparseMatchesExactProperty(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	exactCfg := DefaultConfig()
-	exactCfg.ExactDiagnosis = true
 	sp := trainSystem(t, DefaultConfig(), ctx, 900)
-	ex := trainSystem(t, exactCfg, ctx, 900)
-	spSet, err := sp.Invariants(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exSet, err := ex.Invariants(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spSet.SortedPairs(), exSet.SortedPairs()) {
-		t.Fatal("identical training produced different invariant sets")
-	}
 
 	rng := stats.NewRNG(901)
-	// Seed identical signatures through each system's own pipeline: the
-	// sparse system's stored tuples must already match the dense system's.
+	// Signatures seeded through the hot path must store the dense tuple.
 	for i, prob := range []string{"cpu-hog", "mem-hog", "disk-hog"} {
 		abn := synthTrace(rng.Fork(int64(50+i)), 30, 8, map[int]bool{i: true, i + 1: true})
-		if err := sp.BuildSignature(ctx, prob, abn); err != nil {
+		entry, _, err := sp.BuildSignatureEntry(ctx, prob, abn)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ex.BuildSignature(ctx, prob, abn); err != nil {
-			t.Fatal(err)
+		if want := denseReport(t, sp, ctx, abn).Tuple; !reflect.DeepEqual(entry.Tuple, want) {
+			t.Errorf("%s: stored signature %v != dense tuple %v", prob, entry.Tuple, want)
 		}
 	}
 
@@ -81,36 +102,33 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 		case 2:
 			// A NaN slipping past a nil mask must degrade both paths alike.
 			tr.Rows[rep%metrics.Count][5] = math.NaN()
+		case 3:
+			// A mask that invalidates nothing is a clean window.
+			tr = maskTicks(sub, tr, 0, -1)
 		}
-		vSp, errSp := sp.Violations(ctx, tr)
-		vEx, errEx := ex.Violations(ctx, tr)
-		if (errSp == nil) != (errEx == nil) {
-			t.Fatalf("rep %d: sparse err %v, exact err %v", rep, errSp, errEx)
+		got, err := sp.Violations(ctx, tr)
+		if err != nil {
+			t.Fatalf("rep %d: %v", rep, err)
 		}
-		if errSp != nil {
-			continue
+		want := denseReport(t, sp, ctx, tr)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rep %d: report %+v != dense reference %+v", rep, got, want)
 		}
-		if !reflect.DeepEqual(vSp, vEx) {
-			t.Errorf("rep %d: sparse report %+v != exact %+v", rep, vSp, vEx)
+		if (rep%4 == 0 || rep%4 == 3) && got.Known != nil {
+			t.Errorf("rep %d: clean window surfaced a known mask", rep)
 		}
-		dSp, err := sp.Diagnose(ctx, tr)
+		d, err := sp.Diagnose(ctx, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dEx, err := ex.Diagnose(ctx, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dSp, dEx) {
-			t.Errorf("rep %d: sparse diagnosis %+v != exact %+v", rep, dSp, dEx)
+		if !reflect.DeepEqual(d.Tuple, want.Tuple) || !reflect.DeepEqual(d.Known, want.Known) ||
+			d.Coverage != want.Coverage || len(d.Hints) != len(want.Violated) {
+			t.Errorf("rep %d: diagnosis %+v does not carry the dense verdict %+v", rep, d, want)
 		}
 	}
 
 	if st := sp.SparseStats(); st.Screened == 0 {
 		t.Error("prescreen never certified a pair across the property windows")
-	}
-	if st := ex.SparseStats(); st != (SparseStats{}) {
-		t.Errorf("exact pipeline advanced sparse counters: %+v", st)
 	}
 	if entries, _ := sp.SignatureScanStats(); entries == 0 {
 		t.Error("signature scan counters never advanced")
@@ -160,10 +178,10 @@ func TestSparseReportCacheReuse(t *testing.T) {
 	}
 }
 
-// TestDiagnoseHintedFingerprint: a caller-supplied fingerprint must key the
-// report cache (skipping both the content hash and the scorer on a hit), and
-// a changed fingerprint must yield the same diagnosis the unhinted path
-// computes for the new window.
+// TestDiagnoseHintedFingerprint: the report cache is keyed by the window's
+// content alone, so hinted and unhinted diagnoses of one window share an
+// entry (a hit must not even build the hint's scorer), and a hinted
+// diagnosis of a fresh window equals the unhinted one.
 func TestDiagnoseHintedFingerprint(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 920)
@@ -171,17 +189,21 @@ func TestDiagnoseHintedFingerprint(t *testing.T) {
 	tr1 := synthTrace(rng.Fork(1), 30, 8, map[int]bool{1: true})
 	tr2 := synthTrace(rng.Fork(2), 30, 8, nil)
 
-	d1, err := s.DiagnoseHinted(ctx, tr1, &WindowHint{FP: 42, HasFP: true})
+	d1, err := s.Diagnose(ctx, tr1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := s.AssocCacheStats()
 	scorerCalled := false
-	d2, err := s.DiagnoseHinted(ctx, tr1, &WindowHint{FP: 42, HasFP: true, Scorer: func() invariant.PairScorer {
+	d2, err := s.DiagnoseHinted(ctx, tr1, func() invariant.PairScorer {
 		scorerCalled = true
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := s.AssocCacheStats(); after.Hits != before.Hits+1 || after.Entries != before.Entries {
+		t.Errorf("hinted rediagnosis did not share the unhinted entry: %+v -> %+v", before, after)
 	}
 	if scorerCalled {
 		t.Error("report-cache hit still built the hint scorer")
@@ -190,15 +212,17 @@ func TestDiagnoseHintedFingerprint(t *testing.T) {
 		t.Errorf("hinted rediagnosis %+v != original %+v", d2, d1)
 	}
 
-	d3, err := s.DiagnoseHinted(ctx, tr2, &WindowHint{FP: 43, HasFP: true})
+	d3, err := s.DiagnoseHinted(ctx, tr2, func() invariant.PairScorer {
+		scorerCalled = true
+		return nil // fall back to the configured batch path
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Diagnose(ctx, tr2)
-	if err != nil {
-		t.Fatal(err)
+	if !scorerCalled {
+		t.Error("report-cache miss never consulted the hint scorer")
 	}
-	if !reflect.DeepEqual(d3, want) {
-		t.Errorf("hinted diagnosis %+v != unhinted %+v", d3, want)
+	if want := denseReport(t, s, ctx, tr2); !reflect.DeepEqual(d3.Tuple, want.Tuple) {
+		t.Errorf("hinted diagnosis tuple %v != dense reference %v", d3.Tuple, want.Tuple)
 	}
 }

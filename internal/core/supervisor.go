@@ -205,11 +205,14 @@ func (s *Supervisor) Stop() {
 // Profile.SuperviseMonitor). Alerts report the original ctx even when it
 // maps onto the global no-context profile.
 func (s *System) SuperviseMonitor(sup *Supervisor, name string, ctx Context, warmup []float64, samples <-chan float64, onAlert func(Context)) error {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNoModel, ctx)
+	if onAlert != nil {
+		alert := onAlert
+		onAlert = func(Context) { alert(ctx) }
 	}
-	return p.superviseMonitor(ctx, sup, name, warmup, samples, onAlert)
+	_, err := online(s, ctx, ErrNoModel, func(p *Profile) (struct{}, error) {
+		return struct{}{}, p.SuperviseMonitor(sup, name, warmup, samples, onAlert)
+	})
+	return err
 }
 
 // SuperviseMonitor runs online anomaly detection for this profile under
@@ -219,15 +222,11 @@ func (s *System) SuperviseMonitor(sup *Supervisor, name string, ctx Context, war
 // samples from samples; an alert invokes onAlert. The job ends (and the
 // monitor detaches) when samples closes or the supervisor stops.
 func (p *Profile) SuperviseMonitor(sup *Supervisor, name string, warmup []float64, samples <-chan float64, onAlert func(Context)) error {
-	return p.superviseMonitor(p.key, sup, name, warmup, samples, onAlert)
-}
-
-func (p *Profile) superviseMonitor(errCtx Context, sup *Supervisor, name string, warmup []float64, samples <-chan float64, onAlert func(Context)) error {
-	if _, err := p.detectorFor(errCtx); err != nil {
+	if _, err := p.Detector(); err != nil {
 		return err // fail fast: no point supervising an untrainable job
 	}
 	return sup.Supervise(name, func(stop <-chan struct{}) error {
-		m, err := p.newMonitorFor(errCtx, warmup)
+		m, err := p.NewMonitor(warmup)
 		if err != nil {
 			return err
 		}
@@ -242,7 +241,7 @@ func (p *Profile) superviseMonitor(errCtx Context, sup *Supervisor, name string,
 					return nil
 				}
 				if m.Offer(v) && onAlert != nil {
-					onAlert(errCtx)
+					onAlert(p.key)
 				}
 			}
 		}

@@ -94,15 +94,6 @@ type Config struct {
 	// false, a single global profile and an unscoped signature search are
 	// used — the "InvarNet-X (no operation context)" ablation.
 	UseContext bool
-	// ExactDiagnosis forces Violations/Diagnose down the reference dense
-	// pipeline: full association matrix, no prescreen, no report caching.
-	// The default sparse path evaluates only the trained invariant edges
-	// with a conservative prescreen in front of the exact computation;
-	// it produces identical verdicts (the prescreen certificate is
-	// one-sided, pinned by the equivalence tests), so this switch exists as
-	// an operational escape hatch and as the reference arm of those tests,
-	// not because the answers differ.
-	ExactDiagnosis bool
 	// Lifecycle configures the drift-aware invariant lifecycle (edge
 	// health, quarantine, shadow generations); disabled by default —
 	// train-once behaviour — and enabled explicitly by long-running
@@ -268,24 +259,10 @@ func (s *System) key(ctx Context) Context {
 }
 
 // shardFor picks the registry stripe of a profile key (FNV-1a over the
-// workload and IP).
+// workload and IP; the 0xff separator keeps ("ab","c") and ("a","bc") apart).
 func (s *System) shardFor(key Context) *profileShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key.Workload); i++ {
-		h ^= uint64(key.Workload[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator: ("ab","c") must not collide with ("a","bc")
-	h *= prime64
-	for i := 0; i < len(key.IP); i++ {
-		h ^= uint64(key.IP[i])
-		h *= prime64
-	}
-	return &s.shards[h%profileShards]
+	h := fnvOffset.str(key.Workload).b(0xff).str(key.IP)
+	return &s.shards[uint64(h)%profileShards]
 }
 
 // lookup returns ctx's profile if one exists — the read path: online
@@ -298,6 +275,31 @@ func (s *System) lookup(ctx Context) (*Profile, bool) {
 	p, ok := sh.profiles[key]
 	sh.mu.RUnlock()
 	return p, ok
+}
+
+// forCaller is the one place the caller's context meets the profile's key.
+// A Profile reports errors under its own key; without operation context
+// every ctx answers from the global profile (key Context{}), so an error
+// crossing the System boundary is prefixed with the context the caller
+// actually asked about. errors.Is/As see through the prefix.
+func (s *System) forCaller(ctx Context, err error) error {
+	if err == nil || s.key(ctx) == ctx {
+		return err
+	}
+	return fmt.Errorf("%v: %w", ctx, err)
+}
+
+// online runs one of the System's online operations: op on ctx's existing
+// profile, its error addressed to the caller (forCaller). A context with no
+// profile fails with missing, naming ctx.
+func online[T any](s *System, ctx Context, missing error, op func(*Profile) (T, error)) (T, error) {
+	p, ok := s.lookup(ctx)
+	if !ok {
+		var zero T
+		return zero, fmt.Errorf("%w: %v", missing, ctx)
+	}
+	v, err := op(p)
+	return v, s.forCaller(ctx, err)
 }
 
 // Profile returns ctx's profile, creating it on first use. Without
@@ -347,7 +349,7 @@ func (s *System) Profiles() []*Profile {
 // traces pool with everything trained before, and the single global model
 // is refit on the whole pool.
 func (s *System) TrainPerformanceModel(ctx Context, cpiTraces [][]float64) error {
-	return s.Profile(ctx).trainPerformanceModel(ctx, cpiTraces)
+	return s.forCaller(ctx, s.Profile(ctx).TrainPerformanceModel(cpiTraces))
 }
 
 // TrainInvariants runs Algorithm 1 for ctx over the metric traces of N
@@ -357,63 +359,34 @@ func (s *System) TrainPerformanceModel(ctx Context, cpiTraces [][]float64) error
 // how the global variant loses most of its invariants on a heterogeneous
 // platform.
 func (s *System) TrainInvariants(ctx Context, runs []*metrics.Trace) error {
-	return s.Profile(ctx).trainInvariants(ctx, runs)
+	return s.forCaller(ctx, s.Profile(ctx).TrainInvariants(runs))
 }
 
 // Detector returns the trained detector for ctx.
 func (s *System) Detector(ctx Context) (*detect.Detector, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoModel, ctx)
-	}
-	return p.detectorFor(ctx)
+	return online(s, ctx, ErrNoModel, (*Profile).Detector)
 }
 
 // Invariants returns the trained invariant set for ctx.
 func (s *System) Invariants(ctx Context) (*invariant.Set, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
-	}
-	return p.invariantsFor(ctx)
+	return online(s, ctx, ErrNoInvariants, (*Profile).Invariants)
 }
 
 // NewMonitor starts online anomaly detection for a job running under ctx,
 // seeded with the first CPI samples of the run.
 func (s *System) NewMonitor(ctx Context, warmup []float64) (*detect.Monitor, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoModel, ctx)
-	}
-	return p.newMonitorFor(ctx, warmup)
+	return online(s, ctx, ErrNoModel, func(p *Profile) (*detect.Monitor, error) {
+		return p.NewMonitor(warmup)
+	})
 }
 
 // Violations computes the violation report of an abnormal metric window
 // against ctx's invariants — one masked-first pipeline for clean and
 // degraded telemetry alike (see Profile.Violations).
 func (s *System) Violations(ctx Context, abnormal *metrics.Trace) (*ViolationReport, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
-	}
-	return p.violations(ctx, abnormal)
-}
-
-// traceDegraded reports whether the abnormal window needs pair masking: it
-// carries a validity mask, or raw non-finite samples (telemetry gaps stored
-// as NaN without a mask).
-func traceDegraded(tr *metrics.Trace) bool {
-	if tr.Masked() {
-		return true
-	}
-	for _, row := range tr.Rows {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-	}
-	return false
+	return online(s, ctx, ErrNoInvariants, func(p *Profile) (*ViolationReport, error) {
+		return p.Violations(abnormal)
+	})
 }
 
 // BuildSignature records the violation tuple of an investigated problem in
@@ -429,11 +402,12 @@ func (s *System) BuildSignature(ctx Context, problem string, abnormal *metrics.T
 // (problem, tuple) fingerprint — was already present). The serving layer uses
 // the entry to replicate freshly learned signatures to fleet peers.
 func (s *System) BuildSignatureEntry(ctx Context, problem string, abnormal *metrics.Trace) (signature.Entry, bool, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return signature.Entry{}, false, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
-	}
-	return p.buildSignature(ctx, problem, abnormal)
+	added := false
+	entry, err := online(s, ctx, ErrNoInvariants, func(p *Profile) (e signature.Entry, err error) {
+		e, added, err = p.buildSignature(problem, abnormal)
+		return e, err
+	})
+	return entry, added, err
 }
 
 // MergeSignature routes an already-built entry to the profile its context
@@ -519,24 +493,24 @@ func pairName(p invariant.Pair) string {
 // Diagnose runs cause inference on an abnormal metric window for ctx (see
 // Profile.Diagnose for the pipeline).
 func (s *System) Diagnose(ctx Context, abnormal *metrics.Trace) (*Diagnosis, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
-	}
-	return p.diagnose(ctx, abnormal)
+	return s.DiagnoseHinted(ctx, abnormal, nil)
 }
 
-// DiagnoseHinted is Diagnose with serving-layer reuse state (a window
-// fingerprint and/or an incrementally maintained scorer; see WindowHint).
-func (s *System) DiagnoseHinted(ctx Context, abnormal *metrics.Trace, hint *WindowHint) (*Diagnosis, error) {
-	p, ok := s.lookup(ctx)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
-	}
-	return p.diagnoseHinted(ctx, abnormal, hint)
+// DiagnoseHinted is Diagnose with serving-layer reuse state (a lazily built
+// scorer over incrementally maintained per-metric state; see
+// Profile.DiagnoseHinted). The diagnosis names the caller's ctx even when
+// it was answered by the global no-context profile.
+func (s *System) DiagnoseHinted(ctx Context, abnormal *metrics.Trace, scorer func() invariant.PairScorer) (*Diagnosis, error) {
+	return online(s, ctx, ErrNoInvariants, func(p *Profile) (*Diagnosis, error) {
+		diag, err := p.DiagnoseHinted(abnormal, scorer)
+		if err == nil {
+			diag.Context = ctx
+		}
+		return diag, err
+	})
 }
 
-// SparseStats aggregates the sparse diagnosis path's edge counters across
+// SparseStats aggregates the diagnosis path's edge counters across
 // every profile: pairs certified by the prescreen, pairs that ran the exact
 // association, and pairs reported unknown under degraded telemetry.
 func (s *System) SparseStats() SparseStats {

@@ -210,6 +210,81 @@ func TestNoContextPoolsEverything(t *testing.T) {
 	}
 }
 
+// TestCallerContextAtSystemBoundary: without operation context every ctx is
+// answered by the global profile (key Context{}), but what crosses the
+// System boundary must speak of the context the caller asked about — the
+// sentinel still matches, the message names the caller's ctx, and a
+// diagnosis carries it.
+func TestCallerContextAtSystemBoundary(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseContext = false
+	caller := Context{Workload: "sort", IP: "10.0.0.3"}
+	win := synthTrace(stats.NewRNG(620), 40, 8, map[int]bool{0: true})
+
+	check := func(s *System, stage string) {
+		t.Helper()
+		_, errInv := s.Invariants(caller)
+		_, errDet := s.Detector(caller)
+		_, errMon := s.NewMonitor(caller, nil)
+		_, errVio := s.Violations(caller, win)
+		_, errDia := s.Diagnose(caller, win)
+		errSig := s.BuildSignature(caller, "fault", win)
+		for _, c := range []struct {
+			op   string
+			err  error
+			want error
+		}{
+			{"Invariants", errInv, ErrNoInvariants},
+			{"Detector", errDet, ErrNoModel},
+			{"NewMonitor", errMon, ErrNoModel},
+			{"Violations", errVio, ErrNoInvariants},
+			{"Diagnose", errDia, ErrNoInvariants},
+			{"BuildSignature", errSig, ErrNoInvariants},
+		} {
+			if !errors.Is(c.err, c.want) {
+				t.Errorf("%s, %s: err = %v, want %v", stage, c.op, c.err, c.want)
+			} else if !strings.Contains(c.err.Error(), caller.String()) {
+				t.Errorf("%s, %s: error %q does not name the caller's context %v", stage, c.op, c.err, caller)
+			}
+		}
+	}
+	// No profile at all, then a global profile that exists (a signature
+	// merged from elsewhere) but is untrained: same contract either way.
+	s := New(cfg)
+	check(s, "no profile")
+	s.MergeSignature(signature.Entry{Problem: "seen-elsewhere", Tuple: signature.Tuple{true}})
+	check(s, "untrained profile")
+
+	// Trained under one context, asked under another: answers come from the
+	// global profile and are addressed to the caller.
+	s = trainSystem(t, cfg, Context{Workload: "wordcount", IP: "10.0.0.2"}, 621)
+	if _, err := s.Invariants(caller); err != nil {
+		t.Errorf("Invariants: %v", err)
+	}
+	if _, err := s.Detector(caller); err != nil {
+		t.Errorf("Detector: %v", err)
+	}
+	if _, err := s.NewMonitor(caller, nil); err != nil {
+		t.Errorf("NewMonitor: %v", err)
+	}
+	if _, err := s.Violations(caller, win); err != nil {
+		t.Errorf("Violations: %v", err)
+	}
+	if err := s.BuildSignature(caller, "fault", win); err != nil {
+		t.Errorf("BuildSignature: %v", err)
+	}
+	diag, err := s.Diagnose(caller, win)
+	if err != nil {
+		t.Fatalf("Diagnose: %v", err)
+	}
+	if diag.Context != caller {
+		t.Errorf("Diagnosis.Context = %v, want the caller's %v", diag.Context, caller)
+	}
+	if diag.RootCause() != "fault" {
+		t.Errorf("root cause = %q, want the signature just built", diag.RootCause())
+	}
+}
+
 func TestMonitorIntegration(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 609)

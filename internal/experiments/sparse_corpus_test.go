@@ -5,35 +5,44 @@ import (
 	"testing"
 
 	"invarnetx/internal/core"
+	"invarnetx/internal/invariant"
 	"invarnetx/internal/workload"
 )
 
 // TestSparseCorpusEquivalence: across the simulator corpus — every batch
-// fault kind injected into a wordcount run — the default sparse tiered
-// diagnosis path must produce exactly the violation verdicts and ranked
-// causes of the ExactDiagnosis dense reference pipeline. This is the
-// end-to-end guarantee behind the prescreen: its certificate is one-sided,
-// so no window in the corpus may flip a verdict.
+// fault kind injected into a wordcount run — the tiered diagnosis path
+// (batch scorer, prescreen, trained edges only) must produce exactly the
+// violation verdicts of the dense reference: the full association matrix
+// through the per-pair measure, read out by Set.ViolationsMasked. This is
+// the end-to-end guarantee behind the prescreen: its certificate is
+// one-sided, so no window in the corpus may flip a verdict — neither in a
+// stored signature nor in a diagnosis.
 func TestSparseCorpusEquivalence(t *testing.T) {
 	opts := tinyOptions()
-	exactOpts := opts
-	exactOpts.Config.ExactDiagnosis = true
-
-	rSp := NewRunner(opts)
-	rEx := NewRunner(exactOpts)
-	sysSp, _, err := rSp.TrainSystem(workload.Wordcount)
+	r := NewRunner(opts)
+	sys, _, err := r.TrainSystem(workload.Wordcount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysEx, _, err := rEx.TrainSystem(workload.Wordcount)
-	if err != nil {
-		t.Fatal(err)
+	cfg := sys.Config()
+	dense := func(ctx core.Context, rows [][]float64, valid [][]bool) (tuple, known []bool) {
+		t.Helper()
+		set, err := sys.Invariants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := invariant.ComputeMaskedMatrixScored(rows, valid, cfg.Assoc, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tuple, known, err = set.ViolationsMasked(mat, cfg.Epsilon); err != nil {
+			t.Fatal(err)
+		}
+		return tuple, known
 	}
 
 	for _, kind := range FaultKindsFor(workload.Wordcount) {
-		// Same runner options and seeds on both sides: run the fault once
-		// and diagnose the identical target window through each system.
-		res, err := rSp.Run(workload.Wordcount, kind, 0)
+		res, err := r.Run(workload.Wordcount, kind, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -46,37 +55,35 @@ func TestSparseCorpusEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		ctx := core.Context{Workload: string(workload.Wordcount), IP: res.TargetIP}
-		if err := sysSp.BuildSignature(ctx, string(kind), win); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if err := sysEx.BuildSignature(ctx, string(kind), win); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-
-		probe, err := rSp.Run(workload.Wordcount, kind, 1)
+		entry, _, err := sys.BuildSignatureEntry(ctx, string(kind), win)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		ptr := probe.TargetTrace()
-		pwin, err := AbnormalWindow(ptr, opts.FaultStart, opts.FaultTicks)
+		if want, _ := dense(ctx, win.Rows, win.Valid); !reflect.DeepEqual([]bool(entry.Tuple), want) {
+			t.Errorf("%s: stored signature diverged from the dense tuple:\nsparse %v\ndense  %v", kind, entry.Tuple, want)
+		}
+
+		probe, err := r.Run(workload.Wordcount, kind, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		pwin, err := AbnormalWindow(probe.TargetTrace(), opts.FaultStart, opts.FaultTicks)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		pctx := core.Context{Workload: string(workload.Wordcount), IP: probe.TargetIP}
-		dSp, err := sysSp.Diagnose(pctx, pwin)
+		d, err := sys.Diagnose(pctx, pwin)
 		if err != nil {
-			t.Fatalf("%s: sparse diagnose: %v", kind, err)
+			t.Fatalf("%s: diagnose: %v", kind, err)
 		}
-		dEx, err := sysEx.Diagnose(pctx, pwin)
-		if err != nil {
-			t.Fatalf("%s: exact diagnose: %v", kind, err)
-		}
-		if !reflect.DeepEqual(dSp, dEx) {
-			t.Errorf("%s: sparse diagnosis diverged from exact:\nsparse %+v\nexact  %+v", kind, dSp, dEx)
+		wantTuple, wantKnown := dense(pctx, pwin.Rows, pwin.Valid)
+		if !reflect.DeepEqual([]bool(d.Tuple), wantTuple) || !reflect.DeepEqual(d.Known, wantKnown) {
+			t.Errorf("%s: diagnosis diverged from the dense verdict:\nsparse %v %v\ndense  %v %v",
+				kind, d.Tuple, d.Known, wantTuple, wantKnown)
 		}
 	}
 
-	if st := sysSp.SparseStats(); st.Screened+st.Exact == 0 {
-		t.Error("sparse path evaluated no edges across the corpus")
+	if st := sys.SparseStats(); st.Screened+st.Exact == 0 {
+		t.Error("no edges evaluated across the corpus")
 	}
 }

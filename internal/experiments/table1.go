@@ -9,7 +9,6 @@ import (
 	"invarnetx/internal/core"
 	"invarnetx/internal/detect"
 	"invarnetx/internal/faults"
-	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/workload"
 )
@@ -78,23 +77,6 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 	}
 	row.PerfM = time.Since(start)
 
-	// Invar-C: pairwise MIC matrices over the N windows + selection, on the
-	// batch path when the configured measure has one (stock MIC does).
-	start = time.Now()
-	micSet, err := trainInvariants(windows, r.opts.Config.Tau, r.opts.Config.Assoc, core.BatchFor(r.opts.Config.Assoc))
-	if err != nil {
-		return nil, err
-	}
-	row.InvarC = time.Since(start)
-
-	// Invar-C (ARX): the same construction with the ARX fitness measure,
-	// which has no batch form — every pair pays the full per-call cost.
-	start = time.Now()
-	if _, err := trainInvariants(windows, r.opts.Config.Tau, arx.Association, nil); err != nil {
-		return nil, err
-	}
-	row.InvarARX = time.Since(start)
-
 	// An abnormal window for the signature / inference stages.
 	fres, err := r.Run(w, faults.CPUHog, 7000)
 	if err != nil {
@@ -117,9 +99,13 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 	if err := sys.TrainPerformanceModel(ctx, cpis); err != nil {
 		return nil, err
 	}
+	// Invar-C: pairwise MIC matrices over the N windows + selection, on the
+	// batch path when the configured measure has one (stock MIC does).
+	start = time.Now()
 	if err := sys.TrainInvariants(ctx, windows); err != nil {
 		return nil, err
 	}
+	row.InvarC = time.Since(start)
 	start = time.Now()
 	if err := sys.BuildSignature(ctx, string(faults.CPUHog), win); err != nil {
 		return nil, err
@@ -153,9 +139,13 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 	if err := arxSys.TrainPerformanceModel(ctx, cpis); err != nil {
 		return nil, err
 	}
+	// Invar-C (ARX): the same construction with the ARX fitness measure,
+	// which has no batch form — every pair pays the full per-call cost.
+	start = time.Now()
 	if err := arxSys.TrainInvariants(ctx, windows); err != nil {
 		return nil, err
 	}
+	row.InvarARX = time.Since(start)
 	if err := arxSys.BuildSignature(ctx, string(faults.CPUHog), win); err != nil {
 		return nil, err
 	}
@@ -164,34 +154,7 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 		return nil, err
 	}
 	row.CauseARX = time.Since(start)
-
-	_ = micSet
 	return row, nil
-}
-
-// trainInvariants builds matrices for every window and selects invariants.
-// A non-nil batch scores pairs with shared per-metric preprocessing; a batch
-// that fails structurally falls back to the per-pair assoc, mirroring core.
-func trainInvariants(windows []*metrics.Trace, tau float64, assoc invariant.AssociationFunc, batch core.BatchAssociation) (*invariant.Set, error) {
-	mats := make([]*invariant.Matrix, 0, len(windows))
-	for _, win := range windows {
-		var m *invariant.Matrix
-		var err error
-		if batch != nil {
-			if scorer, berr := batch(win.Rows); berr == nil {
-				m, err = invariant.ComputeMatrixScored(len(win.Rows), scorer)
-			} else {
-				m, err = invariant.ComputeMatrix(win.Rows, assoc)
-			}
-		} else {
-			m, err = invariant.ComputeMatrix(win.Rows, assoc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		mats = append(mats, m)
-	}
-	return invariant.Select(mats, tau)
 }
 
 // Print writes the Table 1 rows.

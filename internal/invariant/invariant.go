@@ -39,13 +39,17 @@ var ErrNoRuns = errors.New("invariant: no training runs")
 type AssociationFunc func(x, y []float64) float64
 
 // Matrix holds the pairwise association scores of M metrics (upper
-// triangle, i < j).
+// triangle, i < j) together with their knownness: a pair whose metrics were
+// unavailable in the window (agent outage, dropped or corrupt samples)
+// carries no computable score and is *unknown* — every consumer must treat
+// it as neither holding nor violated, and Select as not observed at all.
 type Matrix struct {
 	M      int
 	scores []float64
+	known  []bool // parallel to scores; nil = every pair known
 }
 
-// NewMatrix returns a zero matrix over m metrics.
+// NewMatrix returns a zero, all-known matrix over m metrics.
 func NewMatrix(m int) *Matrix {
 	return &Matrix{M: m, scores: make([]float64, m*(m-1)/2)}
 }
@@ -58,11 +62,10 @@ func (a *Matrix) index(i, j int) int {
 	if i == j || j >= a.M || i < 0 {
 		panic(fmt.Sprintf("invariant: bad pair (%d,%d) for M=%d", i, j, a.M))
 	}
-	// Offset of row i plus column distance.
-	return i*(2*a.M-i-1)/2 + (j - i - 1)
+	return rowOffset(a.M, i) + (j - i - 1)
 }
 
-// Get returns the score of pair (i, j).
+// Get returns the score of pair (i, j); 0 for an unknown pair.
 func (a *Matrix) Get(i, j int) float64 { return a.scores[a.index(i, j)] }
 
 // Set stores the score of pair (i, j).
@@ -70,6 +73,9 @@ func (a *Matrix) Set(i, j int, v float64) { a.scores[a.index(i, j)] = v }
 
 // Pairs returns the number of stored pairs, M(M-1)/2.
 func (a *Matrix) Pairs() int { return len(a.scores) }
+
+// Known reports whether pair (i, j) carries a computable score.
+func (a *Matrix) Known(i, j int) bool { return a.known == nil || a.known[a.index(i, j)] }
 
 // PairScorer scores a metric pair by index. It decouples the matrix fill
 // from how scores are produced: mic.Batch satisfies it structurally (shared
@@ -95,7 +101,8 @@ func validateRows(rows [][]float64) (m, n int, err error) {
 }
 
 // rowOffset returns the flat upper-triangle index of pair (i, i+1): row i
-// starts after i*(2m−i−1)/2 earlier pairs. It matches Matrix.index.
+// starts after i*(2m−i−1)/2 earlier pairs. The one copy of the triangle
+// layout: Matrix.index adds the column distance, pairAt inverts it.
 func rowOffset(m, i int) int { return i * (2*m - i - 1) / 2 }
 
 // pairAt inverts the flat upper-triangle index: the pair (i, j) stored at
@@ -141,15 +148,17 @@ func forEachPair(m int, newWorker func() func(i, j int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var sched struct { // one heap object shared with the workers
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		sched.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sched.wg.Done()
 			work := newWorker()
 			for {
-				k := int(next.Add(1)) - 1
+				k := int(sched.next.Add(1)) - 1
 				if k >= pairs {
 					return
 				}
@@ -158,41 +167,7 @@ func forEachPair(m int, newWorker func() func(i, j int)) {
 			}
 		}()
 	}
-	wg.Wait()
-}
-
-// ComputeMatrix builds the association matrix of the given metric rows
-// (rows[m] is the time series of metric m; all rows must share a length)
-// using assoc. This is the paper's "simple but exhaustive pair-wise search".
-// The pairwise computations are independent; at M=26 metrics this is 325
-// MIC dynamic programmes per run — the dominant cost of offline training
-// (Table 1, Invar-C column) — so they are fanned out pair-by-pair.
-func ComputeMatrix(rows [][]float64, assoc AssociationFunc) (*Matrix, error) {
-	m, _, err := validateRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	a := NewMatrix(m)
-	forEachPair(m, func() func(i, j int) {
-		return func(i, j int) { a.Set(i, j, assoc(rows[i], rows[j])) }
-	})
-	return a, nil
-}
-
-// ComputeMatrixScored builds the association matrix from a pair scorer over
-// m metrics — typically a mic.Batch, whose shared per-metric preprocessing
-// makes each Score call skip the sorting and partitioning work that an
-// AssociationFunc repeats on every call. Scheduling is identical to
-// ComputeMatrix: individual pairs over a bounded worker pool.
-func ComputeMatrixScored(m int, scorer PairScorer) (*Matrix, error) {
-	if m < 2 {
-		return nil, fmt.Errorf("invariant: need >= 2 metrics, got %d", m)
-	}
-	a := NewMatrix(m)
-	forEachPair(m, func() func(i, j int) {
-		return func(i, j int) { a.Set(i, j, scorer.Score(i, j)) }
-	})
-	return a, nil
+	sched.wg.Wait()
 }
 
 // Pair identifies a metric pair, I < J.
@@ -205,123 +180,6 @@ type Pair struct {
 // telemetry window (matches mic.MinSamples).
 const DefaultMinSamples = 8
 
-// PairMask records which pairs of an association matrix carry a computable
-// score. Pairs whose metrics were unavailable (agent outage, dropped or
-// corrupt samples) are *unknown*: the diagnosis layer must treat them as
-// neither holding nor violated.
-type PairMask struct {
-	M  int
-	ok []bool // flat upper-triangle indexing, as Matrix
-}
-
-// NewPairMask returns a mask over m metrics with every pair set to allOK.
-func NewPairMask(m int, allOK bool) *PairMask {
-	k := &PairMask{M: m, ok: make([]bool, m*(m-1)/2)}
-	if allOK {
-		for i := range k.ok {
-			k.ok[i] = true
-		}
-	}
-	return k
-}
-
-func (k *PairMask) index(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	if i == j || j >= k.M || i < 0 {
-		panic(fmt.Sprintf("invariant: bad pair (%d,%d) for M=%d", i, j, k.M))
-	}
-	return i*(2*k.M-i-1)/2 + (j - i - 1)
-}
-
-// OK reports whether pair (i, j) has a computable score.
-func (k *PairMask) OK(i, j int) bool { return k.ok[k.index(i, j)] }
-
-// Set marks pair (i, j) computable or not.
-func (k *PairMask) Set(i, j int, v bool) { k.ok[k.index(i, j)] = v }
-
-// KnownCount returns how many pairs are computable.
-func (k *PairMask) KnownCount() int {
-	n := 0
-	for _, v := range k.ok {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// ComputeMaskedMatrix builds the association matrix of metric rows whose
-// samples may be missing or corrupt. valid[m][t] false excludes tick t from
-// every pair involving metric m (nil valid means all samples genuine); any
-// residual non-finite value is excluded defensively as well. A pair is
-// computable only when at least minSamples ticks survive for both metrics
-// (minSamples <= 0 selects DefaultMinSamples); other pairs score 0 and are
-// reported unknown in the returned mask.
-func ComputeMaskedMatrix(rows [][]float64, valid [][]bool, assoc AssociationFunc, minSamples int) (*Matrix, *PairMask, error) {
-	return ComputeMaskedMatrixScored(rows, valid, assoc, nil, minSamples)
-}
-
-// ComputeMaskedMatrixScored is ComputeMaskedMatrix with a batch fast path:
-// a pair whose samples are all usable (full overlap) is scored through
-// scorer — typically a mic.Batch prepared once over the raw rows, sharing
-// each metric's sort/partition work — instead of a per-pair assoc call over
-// a compacted copy. Pairs with partial overlap still compact the surviving
-// ticks and fall back to assoc, since the scorer's preprocessing covers the
-// full rows only. A nil scorer sends every pair down the assoc path,
-// reducing to ComputeMaskedMatrix exactly.
-func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int) (*Matrix, *PairMask, error) {
-	m, n, err := validateRows(rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	if valid != nil && len(valid) != m {
-		return nil, nil, fmt.Errorf("invariant: %d mask rows for %d metrics", len(valid), m)
-	}
-	if minSamples <= 0 {
-		minSamples = DefaultMinSamples
-	}
-	// usable[m][t]: the sample exists and is finite.
-	usable := make([][]bool, m)
-	for i := range rows {
-		u := make([]bool, n)
-		for t, v := range rows[i] {
-			u[t] = !math.IsNaN(v) && !math.IsInf(v, 0) && (valid == nil || valid[i][t])
-		}
-		usable[i] = u
-	}
-	a := NewMatrix(m)
-	mask := NewPairMask(m, false)
-	forEachPair(m, func() func(i, j int) {
-		// Per-worker overlap buffers, reused across the worker's pairs.
-		xs := make([]float64, 0, n)
-		ys := make([]float64, 0, n)
-		return func(i, j int) {
-			xs, ys = xs[:0], ys[:0]
-			for t := 0; t < n; t++ {
-				if usable[i][t] && usable[j][t] {
-					xs = append(xs, rows[i][t])
-					ys = append(ys, rows[j][t])
-				}
-			}
-			if len(xs) < minSamples {
-				return // unknown: mask stays false, score stays 0
-			}
-			if scorer != nil && len(xs) == n {
-				// Full overlap: the compacted series equal the raw rows, so
-				// the batch scorer's answer is the same value without the
-				// per-pair preprocessing.
-				a.Set(i, j, scorer.Score(i, j))
-			} else {
-				a.Set(i, j, assoc(xs, ys))
-			}
-			mask.Set(i, j, true)
-		}
-	})
-	return a, mask, nil
-}
-
 // Set is a selected invariant set: the stable pairs and their baseline
 // association values.
 type Set struct {
@@ -332,7 +190,8 @@ type Set struct {
 
 // Select implements Algorithm 1: keep pair (m,n) when the range of its
 // association scores across the N run matrices is under tau. All matrices
-// must have the same dimension.
+// must have the same dimension. The range is taken over the runs in which
+// the pair was computable; a pair unknown in every run is never selected.
 //
 // Deviation from the paper's pseudocode, documented in DESIGN.md: the
 // stored baseline is the midpoint (Max(V)+Min(V))/2 rather than Max(V).
@@ -358,9 +217,13 @@ func Select(runs []*Matrix, tau float64) (*Set, error) {
 	s := &Set{M: m, Base: make(map[Pair]float64)}
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
+			k := runs[0].index(i, j)
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, r := range runs {
-				v := r.Get(i, j)
+				if r.known != nil && !r.known[k] {
+					continue // unknown in this run: not an observation of 0
+				}
+				v := r.scores[k]
 				if v < lo {
 					lo = v
 				}
@@ -368,7 +231,8 @@ func Select(runs []*Matrix, tau float64) (*Set, error) {
 					hi = v
 				}
 			}
-			if hi-lo < tau {
+			// lo > hi: no run could compute the pair, so nothing certifies it.
+			if lo <= hi && hi-lo < tau {
 				s.Base[Pair{i, j}] = (hi + lo) / 2
 			}
 		}
@@ -413,73 +277,47 @@ func (s *Set) Len() int { return len(s.pairs) }
 
 // Violations returns the binary violation tuple of the abnormal association
 // matrix against the invariant baselines: entry k is true when
-// |base − abnormal| ≥ epsilon for the k-th sorted pair.
+// |base − abnormal| ≥ epsilon for the k-th sorted pair (false for a pair the
+// matrix marks unknown — see ViolationsMasked).
 func (s *Set) Violations(abnormal *Matrix, epsilon float64) ([]bool, error) {
-	if abnormal.M != s.M {
-		return nil, fmt.Errorf("invariant: matrix dimension %d, invariant set dimension %d", abnormal.M, s.M)
-	}
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
-	}
-	out := make([]bool, len(s.pairs))
-	for k, p := range s.pairs {
-		if violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon) {
-			out[k] = true
-		}
-	}
-	return out, nil
+	tuple, _, err := s.ViolationsMasked(abnormal, epsilon)
+	return tuple, err
 }
 
 // violatedVerdict is the single violation test shared by the dense and
 // sparse paths: |base − score| ≥ epsilon, with a small slack making the
 // comparison robust to floating-point representation of differences that
 // are exactly epsilon. Keeping it in one place is what lets the sparse edge
-// path (sparse.go) guarantee verdict-identical results.
+// path (kernel.go) guarantee verdict-identical results.
 func violatedVerdict(base, score, epsilon float64) bool {
 	const slack = 1e-9
 	return math.Abs(base-score) >= epsilon-slack
 }
 
-// ViolationsMasked is Violations under a degraded telemetry window: pairs
-// the mask marks uncomputable are reported as *unknown* — not violated —
-// via the parallel known slice (known[k] false ⇒ tuple[k] false). A nil
-// mask makes every pair known, reducing to Violations.
-func (s *Set) ViolationsMasked(abnormal *Matrix, epsilon float64, mask *PairMask) (tuple []bool, known []bool, err error) {
+// ViolationsMasked is the dense violation read-out, the reference the
+// sparse edge path is tested against: pairs the matrix marks unknown are
+// reported as *unknown* — not violated — via the parallel known slice
+// (known[k] false ⇒ tuple[k] false). An all-known matrix returns a nil
+// known slice.
+func (s *Set) ViolationsMasked(abnormal *Matrix, epsilon float64) (tuple, known []bool, err error) {
 	if abnormal.M != s.M {
 		return nil, nil, fmt.Errorf("invariant: matrix dimension %d, invariant set dimension %d", abnormal.M, s.M)
-	}
-	if mask != nil && mask.M != s.M {
-		return nil, nil, fmt.Errorf("invariant: mask dimension %d, invariant set dimension %d", mask.M, s.M)
 	}
 	if epsilon <= 0 {
 		epsilon = DefaultEpsilon
 	}
 	tuple = make([]bool, len(s.pairs))
-	known = make([]bool, len(s.pairs))
+	if abnormal.known != nil {
+		known = make([]bool, len(s.pairs))
+	}
 	for k, p := range s.pairs {
-		if mask != nil && !mask.OK(p.I, p.J) {
-			continue // unknown: both flags stay false
+		if known != nil {
+			if !abnormal.Known(p.I, p.J) {
+				continue // unknown: both flags stay false
+			}
+			known[k] = true
 		}
-		known[k] = true
-		if violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon) {
-			tuple[k] = true
-		}
+		tuple[k] = violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon)
 	}
 	return tuple, known, nil
-}
-
-// ViolatedPairs returns the pairs whose invariants the abnormal matrix
-// violates — the "hints" InvarNet-X reports for unknown problems.
-func (s *Set) ViolatedPairs(abnormal *Matrix, epsilon float64) ([]Pair, error) {
-	tuple, err := s.Violations(abnormal, epsilon)
-	if err != nil {
-		return nil, err
-	}
-	var out []Pair
-	for k, v := range tuple {
-		if v {
-			out = append(out, s.pairs[k])
-		}
-	}
-	return out, nil
 }

@@ -118,6 +118,42 @@ func TestSelectAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestSelectKnownObservationsOnly: an unknown score is not an observation of
+// 0. The range is taken over the runs that could compute the pair, and a
+// pair no run could compute is never selected (it used to read as a
+// perfectly stable 0 and become an invariant with baseline 0).
+func TestSelectKnownObservationsOnly(t *testing.T) {
+	mk := func(v01, v02, v12 float64, unknown ...Pair) *Matrix {
+		a := NewMatrix(3)
+		a.Set(0, 1, v01)
+		a.Set(0, 2, v02)
+		a.Set(1, 2, v12)
+		for _, p := range unknown {
+			markUnknown(a, p.I, p.J)
+		}
+		return a
+	}
+	runs := []*Matrix{
+		mk(0.90, 0, 0.50, Pair{0, 2}),
+		mk(0, 0, 0.55, Pair{0, 1}, Pair{0, 2}),
+		mk(0.95, 0, 0.52, Pair{0, 2}),
+	}
+	s, err := Select(runs, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Base[Pair{0, 2}]; ok {
+		t.Error("pair (0,2), unknown in every run, was selected")
+	}
+	// (0,1): the unknown run must not stretch the range to [0, 0.95].
+	if got, ok := s.Base[Pair{0, 1}]; !ok || math.Abs(got-0.925) > 1e-12 {
+		t.Errorf("pair (0,1) baseline = %v (selected %v), want 0.925 over its two known runs", got, ok)
+	}
+	if got := s.Base[Pair{1, 2}]; math.Abs(got-0.525) > 1e-12 {
+		t.Errorf("all-known pair (1,2) baseline = %v, want 0.525", got)
+	}
+}
+
 func TestSelectErrors(t *testing.T) {
 	if _, err := Select(nil, 0.2); err != ErrNoRuns {
 		t.Errorf("err = %v, want ErrNoRuns", err)
@@ -145,13 +181,6 @@ func TestViolations(t *testing.T) {
 	}
 	if !tuple[0] || tuple[1] {
 		t.Errorf("tuple = %v, want [true false]", tuple)
-	}
-	violated, err := s.ViolatedPairs(ab, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violated) != 1 || violated[0] != (Pair{0, 1}) {
-		t.Errorf("violated pairs = %v", violated)
 	}
 }
 

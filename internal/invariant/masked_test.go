@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -17,20 +18,46 @@ func testAssoc(x, y []float64) float64 {
 	return s
 }
 
-func TestPairMask(t *testing.T) {
-	k := NewPairMask(4, true)
-	if !k.OK(0, 1) || !k.OK(2, 3) {
-		t.Fatal("allOK mask has false pairs")
+// markUnknown flags pair (i, j) of a hand-built matrix uncomputable, the way
+// the masked fill does: known materialised, score 0.
+func markUnknown(a *Matrix, i, j int) {
+	if a.known == nil {
+		a.known = make([]bool, len(a.scores))
+		for k := range a.known {
+			a.known[k] = true
+		}
 	}
-	if k.KnownCount() != 6 {
-		t.Fatalf("KnownCount = %d, want 6", k.KnownCount())
+	a.known[a.index(i, j)] = false
+	a.scores[a.index(i, j)] = 0
+}
+
+// knownCount counts the pairs of a carrying a computable score.
+func knownCount(a *Matrix) int {
+	n := 0
+	for i := 0; i < a.M; i++ {
+		for j := i + 1; j < a.M; j++ {
+			if a.Known(i, j) {
+				n++
+			}
+		}
 	}
-	k.Set(1, 3, false)
-	if k.OK(3, 1) {
-		t.Fatal("Set(1,3,false) not visible via (3,1)")
+	return n
+}
+
+func TestMatrixKnown(t *testing.T) {
+	a := NewMatrix(4)
+	if !a.Known(0, 1) || !a.Known(2, 3) {
+		t.Fatal("fresh matrix has unknown pairs")
 	}
-	if k.KnownCount() != 5 {
-		t.Fatalf("KnownCount = %d, want 5", k.KnownCount())
+	if knownCount(a) != 6 {
+		t.Fatalf("known pairs = %d, want 6", knownCount(a))
+	}
+	markUnknown(a, 1, 3)
+	if a.Known(3, 1) {
+		t.Fatal("unknown (1,3) not visible via (3,1)")
+	}
+	if knownCount(a) != 5 {
+		t.Fatalf("known pairs = %d, want 5", knownCount(a))
 	}
 }
 
@@ -40,12 +67,12 @@ func TestComputeMaskedMatrixNilMask(t *testing.T) {
 		{2, 4, 6, 8, 10, 12, 14, 16, 18, 20},
 		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
 	}
-	a, mask, err := ComputeMaskedMatrix(rows, nil, testAssoc, 8)
+	a, err := ComputeMaskedMatrixScored(rows, nil, testAssoc, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mask.KnownCount() != 3 {
-		t.Fatalf("all pairs should be known, got %d", mask.KnownCount())
+	if knownCount(a) != 3 {
+		t.Fatalf("all pairs should be known, got %d", knownCount(a))
 	}
 	want, err2 := ComputeMatrix(rows, testAssoc)
 	if err2 != nil {
@@ -76,14 +103,14 @@ func TestComputeMaskedMatrixUnknownPairs(t *testing.T) {
 	for t := 0; t < n-3; t++ {
 		valid[2][t] = false
 	}
-	a, mask, err := ComputeMaskedMatrix(rows, valid, testAssoc, 8)
+	a, err := ComputeMaskedMatrixScored(rows, valid, testAssoc, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mask.OK(0, 1) {
+	if !a.Known(0, 1) {
 		t.Fatal("pair (0,1) should be computable")
 	}
-	if mask.OK(0, 2) || mask.OK(1, 2) {
+	if a.Known(0, 2) || a.Known(1, 2) {
 		t.Fatal("pairs involving the lost metric should be unknown")
 	}
 	if a.Get(0, 2) != 0 || a.Get(1, 2) != 0 {
@@ -101,30 +128,34 @@ func TestComputeMaskedMatrixNaNExcluded(t *testing.T) {
 		}
 	}
 	rows[0][3] = math.NaN() // no mask, but NaN must still be excluded
-	a, mask, err := ComputeMaskedMatrix(rows, nil, func(x, y []float64) float64 {
+	a, err := ComputeMaskedMatrixScored(rows, nil, func(x, y []float64) float64 {
 		for _, v := range append(append([]float64(nil), x...), y...) {
 			if math.IsNaN(v) {
 				t.Fatal("NaN reached the association function")
 			}
 		}
 		return 1
-	}, 8)
+	}, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mask.OK(0, 1) || a.Get(0, 1) != 1 {
+	if !a.Known(0, 1) || a.Get(0, 1) != 1 {
 		t.Fatal("pair with one NaN tick should still be computable from the rest")
 	}
 }
 
-// countingScorer records which pairs it was asked to score.
+// countingScorer records which pairs it was asked to score. The fill calls
+// Score from several workers, so the record is locked.
 type countingScorer struct {
 	rows   [][]float64
+	mu     sync.Mutex
 	scored map[Pair]bool
 }
 
 func (c *countingScorer) Score(i, j int) float64 {
+	c.mu.Lock()
 	c.scored[Pair{i, j}] = true
+	c.mu.Unlock()
 	return testAssoc(c.rows[i], c.rows[j])
 }
 
@@ -142,12 +173,12 @@ func TestComputeMaskedMatrixScored(t *testing.T) {
 	}
 	valid[3][0] = false // metric 3 has partial overlap everywhere
 
-	plainMat, plainMask, err := ComputeMaskedMatrix(rows, valid, testAssoc, 8)
+	plainMat, err := ComputeMaskedMatrixScored(rows, valid, testAssoc, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &countingScorer{rows: rows, scored: make(map[Pair]bool)}
-	scoredMat, scoredMask, err := ComputeMaskedMatrixScored(rows, valid, testAssoc, sc, 8)
+	scoredMat, err := ComputeMaskedMatrixScored(rows, valid, testAssoc, sc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +189,8 @@ func TestComputeMaskedMatrixScored(t *testing.T) {
 			if scoredMat.Get(i, j) != plainMat.Get(i, j) {
 				t.Errorf("pair (%d,%d): scored %v, plain %v", i, j, scoredMat.Get(i, j), plainMat.Get(i, j))
 			}
-			if scoredMask.OK(i, j) != plainMask.OK(i, j) {
-				t.Errorf("pair (%d,%d): scored known=%v, plain known=%v", i, j, scoredMask.OK(i, j), plainMask.OK(i, j))
+			if scoredMat.Known(i, j) != plainMat.Known(i, j) {
+				t.Errorf("pair (%d,%d): scored known=%v, plain known=%v", i, j, scoredMat.Known(i, j), plainMat.Known(i, j))
 			}
 		}
 	}
@@ -184,11 +215,10 @@ func TestViolationsMasked(t *testing.T) {
 	set := NewSet(3, base)
 	ab := NewMatrix(3)
 	ab.Set(0, 1, 0.9) // holds
-	ab.Set(0, 2, 0.1) // violated, but will be masked unknown
+	ab.Set(0, 2, 0.1) // violated, but will be marked unknown
 	ab.Set(1, 2, 0.1) // violated
-	mask := NewPairMask(3, true)
-	mask.Set(0, 2, false)
-	tuple, known, err := set.ViolationsMasked(ab, 0.2, mask)
+	markUnknown(ab, 0, 2)
+	tuple, known, err := set.ViolationsMasked(ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +232,25 @@ func TestViolationsMasked(t *testing.T) {
 	if !tuple[2] || !known[2] {
 		t.Fatalf("pair (1,2): tuple=%v known=%v, want violated/known", tuple[2], known[2])
 	}
-
-	// Nil mask reduces to the plain Violations.
-	tuple2, known2, err := set.ViolationsMasked(ab, 0.2, nil)
+	// Violations is the same read-out minus the known flags.
+	plain, err := set.Violations(ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := set.Violations(ab, 0.2)
 	for k := range plain {
-		if tuple2[k] != plain[k] || !known2[k] {
-			t.Fatalf("nil-mask ViolationsMasked diverges from Violations at %d", k)
+		if plain[k] != tuple[k] {
+			t.Fatalf("Violations diverges from ViolationsMasked at %d", k)
 		}
+	}
+
+	// An all-known matrix needs no known slice.
+	full := NewMatrix(3)
+	full.Set(1, 2, 0.1)
+	tuple2, known2, err := set.ViolationsMasked(full, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if known2 != nil || !tuple2[0] || !tuple2[1] || !tuple2[2] {
+		t.Fatalf("all-known matrix: tuple=%v known=%v, want all violated / nil", tuple2, known2)
 	}
 }

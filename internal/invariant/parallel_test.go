@@ -95,7 +95,7 @@ func TestComputeMaskedMatrixEachPairOnce(t *testing.T) {
 		counts[a.index(i, j)].Add(1)
 		return 0.5
 	}
-	got, mask, err := ComputeMaskedMatrix(rows, valid, assoc, 0)
+	got, err := ComputeMaskedMatrixScored(rows, valid, assoc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,8 @@ func TestComputeMaskedMatrixEachPairOnce(t *testing.T) {
 			if c := counts[a.index(i, j)].Load(); c != want {
 				t.Errorf("pair (%d,%d) scored %d times, want %d", i, j, c, want)
 			}
-			if mask.OK(i, j) != (j != m-1) {
-				t.Errorf("pair (%d,%d) known = %v", i, j, mask.OK(i, j))
+			if got.Known(i, j) != (j != m-1) {
+				t.Errorf("pair (%d,%d) known = %v", i, j, got.Known(i, j))
 			}
 			if j == m-1 && got.Get(i, j) != 0 {
 				t.Errorf("unknown pair (%d,%d) = %v, want 0", i, j, got.Get(i, j))
@@ -140,7 +140,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	type result struct {
 		plain, scored *Matrix
 		masked        *Matrix
-		mask          *PairMask
 	}
 	run := func() result {
 		var r result
@@ -152,7 +151,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.masked, r.mask, err = ComputeMaskedMatrix(rows, valid, mic.MIC, 0)
+		r.masked, err = ComputeMaskedMatrixScored(rows, valid, mic.MIC, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +172,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if par.masked.Get(i, j) != ser.masked.Get(i, j) {
 				t.Errorf("masked (%d,%d): parallel %v != serial %v", i, j, par.masked.Get(i, j), ser.masked.Get(i, j))
 			}
-			if par.mask.OK(i, j) != ser.mask.OK(i, j) {
-				t.Errorf("mask (%d,%d): parallel %v != serial %v", i, j, par.mask.OK(i, j), ser.mask.OK(i, j))
+			if par.masked.Known(i, j) != ser.masked.Known(i, j) {
+				t.Errorf("known (%d,%d): parallel %v != serial %v", i, j, par.masked.Known(i, j), ser.masked.Known(i, j))
 			}
 			if par.plain.Get(i, j) != par.scored.Get(i, j) {
 				t.Errorf("(%d,%d): batch-scored %v != assoc-func %v", i, j, par.scored.Get(i, j), par.plain.Get(i, j))

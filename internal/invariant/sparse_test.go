@@ -101,8 +101,56 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		if broken == nil && st.Screened == 0 {
 			t.Errorf("rep %d: healthy window screened nothing — prescreen has no teeth", rep)
 		}
+
+		// The seam the kernel shares: finite rows under a nil mask are the
+		// clean case, so the masked entry point must resolve every pair
+		// through the same tier as the scorer-only one — same tuple, same
+		// EdgeStats, nil known — whatever the scorer offers.
+		for _, sc := range []struct {
+			name   string
+			scorer PairScorer // handed to ComputeEdgesMasked
+			ref    PairScorer // handed to ComputeEdgesScored
+		}{
+			{"prescreener", b, b},
+			{"plain scorer", scoreOnly{b}, scoreOnly{b}},
+			{"no scorer", nil, assocScorer{rows, mic.MIC}},
+		} {
+			refTuple, refSt, err := set.ComputeEdgesScored(sc.ref, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTuple, gotKnown, gotSt, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, sc.scorer, 0, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTuple, refTuple) || gotKnown != nil || gotSt != refSt {
+				t.Errorf("rep %d, %s: masked entry (%v, known %v, %+v) != scored entry (%v, %+v)",
+					rep, sc.name, gotTuple, gotKnown, gotSt, refTuple, refSt)
+			}
+			if !reflect.DeepEqual(gotTuple, want) {
+				t.Errorf("rep %d, %s: tuple %v != dense %v", rep, sc.name, gotTuple, want)
+			}
+			if sc.name != "prescreener" && gotSt.Screened != 0 {
+				t.Errorf("rep %d, %s: screened %d pairs without a prescreener", rep, sc.name, gotSt.Screened)
+			}
+		}
 	}
 }
+
+// scoreOnly hides a batch's ScreenLow, leaving a PairScorer with no
+// prescreen tier.
+type scoreOnly struct{ b *mic.Batch }
+
+func (s scoreOnly) Score(i, j int) float64 { return s.b.Score(i, j) }
+
+// assocScorer scores pairs by calling assoc on the raw rows — what the
+// kernel does itself when handed rows and no scorer.
+type assocScorer struct {
+	rows  [][]float64
+	assoc AssociationFunc
+}
+
+func (a assocScorer) Score(i, j int) float64 { return a.assoc(a.rows[i], a.rows[j]) }
 
 // TestComputeEdgesMaskedMatchesDense: degraded windows — random validity
 // masks and injected NaNs — must reproduce the dense masked pipeline's
@@ -135,23 +183,30 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat, mask, err := ComputeMaskedMatrixScored(rows, valid, mic.MIC, b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTuple, wantKnown, err := set.ViolationsMasked(mat, eps, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, b, 0, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
-			t.Errorf("rep %d: sparse (%v,%v) != dense (%v,%v)", rep, gotTuple, gotKnown, wantTuple, wantKnown)
-		}
-		if st.Screened+st.Exact+st.Skipped != set.Len() {
-			t.Errorf("rep %d: stats %+v do not cover %d edges", rep, st, set.Len())
+		// Dense masked fill + ViolationsMasked is the reference, with and
+		// without the batch scorer on either side.
+		for _, scorer := range []PairScorer{b, scoreOnly{b}, nil} {
+			mat, err := ComputeMaskedMatrixScored(rows, valid, mic.MIC, scorer, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTuple, wantKnown, err := set.ViolationsMasked(mat, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, scorer, 0, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
+				t.Errorf("rep %d (scorer %T): sparse (%v,%v) != dense (%v,%v)", rep, scorer, gotTuple, gotKnown, wantTuple, wantKnown)
+			}
+			if st.Screened+st.Exact+st.Skipped != set.Len() {
+				t.Errorf("rep %d (scorer %T): stats %+v do not cover %d edges", rep, scorer, st, set.Len())
+			}
+			if _, ok := scorer.(Prescreener); !ok && st.Screened != 0 {
+				t.Errorf("rep %d (scorer %T): screened %d pairs without a prescreener", rep, scorer, st.Screened)
+			}
 		}
 	}
 }
@@ -163,11 +218,11 @@ func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	const m, n, coupled = 6, 30, 4
 	set := trainSet(t, rng, m, n, coupled)
 	rows := synthWindow(rng, m, n, coupled, []int{1})
-	mat, mask, err := ComputeMaskedMatrix(rows, nil, mic.MIC, 0)
+	mat, err := ComputeMatrix(rows, mic.MIC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTuple, wantKnown, err := set.ViolationsMasked(mat, DefaultEpsilon, mask)
+	wantTuple, wantKnown, err := set.ViolationsMasked(mat, DefaultEpsilon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +248,9 @@ func TestComputeEdgesErrors(t *testing.T) {
 	if _, _, _, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, 0.2); err == nil {
 		t.Error("dimension mismatch should error")
 	}
+	if _, _, _, err := set.ComputeEdgesMasked(nil, nil, mic.MIC, pairSum{}, 0, 0.2); err == nil {
+		t.Error("nil rows should error even with a scorer at hand")
+	}
 	bad := [][]float64{{1}, {1, 2}, {1, 2}, {1, 2}}
 	if _, _, _, err := set.ComputeEdgesMasked(bad, nil, mic.MIC, nil, 0, 0.2); err == nil {
 		t.Error("ragged rows should error")
@@ -200,5 +258,9 @@ func TestComputeEdgesErrors(t *testing.T) {
 	ok := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}}
 	if _, _, _, err := set.ComputeEdgesMasked(ok, [][]bool{{true}}, mic.MIC, nil, 0, 0.2); err == nil {
 		t.Error("mask dimension mismatch should error")
+	}
+	short := [][]bool{{true, true}, {true}, {true, true}, {true, true}}
+	if _, _, _, err := set.ComputeEdgesMasked(ok, short, mic.MIC, nil, 0, 0.2); err == nil {
+		t.Error("ragged mask rows should error")
 	}
 }

@@ -20,7 +20,7 @@ import "math"
 // and can cost it a sliver of mutual information. screenMargin absorbs that
 // approximation slop; TestScreenLowIsLowerBound pins the inequality
 // empirically across coupled, noisy, monotone, non-monotone and tie-heavy
-// inputs, and core.Config.ExactDiagnosis bypasses the screen entirely.
+// inputs.
 
 // screenMargin is subtracted from the equipartition bound to cover the
 // superclump approximation in the exact DP (see buildClumpEnds): the DP may

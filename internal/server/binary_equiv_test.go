@@ -92,9 +92,6 @@ func TestBinaryIngestMatchesJSONStreamState(t *testing.T) {
 
 	jst.mu.Lock()
 	bst.mu.Lock()
-	if jst.gen != bst.gen {
-		t.Errorf("generations diverged: json %d, binary %d", jst.gen, bst.gen)
-	}
 	jw, bw := &jst.win, &bst.win
 	if jw.n != bw.n {
 		t.Fatalf("window lengths diverged: %d vs %d", jw.n, bw.n)
@@ -118,9 +115,9 @@ func TestBinaryIngestMatchesJSONStreamState(t *testing.T) {
 	jst.mu.Unlock()
 
 	// Slider state (rebuilt lazily after bulk batches) must agree too:
-	// windowHint forces both sides to catch up.
-	jst.windowHint()
-	bst.windowHint()
+	// windowScorer forces both sides to catch up.
+	jst.windowScorer()
+	bst.windowScorer()
 	if (jst.sliders == nil) != (bst.sliders == nil) {
 		t.Fatalf("slider presence diverged")
 	}

@@ -16,6 +16,7 @@ import (
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/fleet"
+	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/signature"
 )
@@ -142,8 +143,7 @@ func New(cfg Config) (*Server, *core.LoadReport, error) {
 	// A custom Assoc or explicit BatchAssoc must not be silently replaced by
 	// MIC slider snapshots — the same gate core.New applies when auto-wiring
 	// the batch path.
-	s.useSliders = !cfg.Core.ExactDiagnosis &&
-		cfg.Core.BatchAssoc == nil &&
+	s.useSliders = cfg.Core.BatchAssoc == nil &&
 		(cfg.Core.Assoc == nil || core.BatchFor(cfg.Core.Assoc) != nil)
 	var rep *core.LoadReport
 	if cfg.StoreDir != "" {
@@ -484,15 +484,15 @@ func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 		finish(nil, err.Error())
 		return
 	}
-	// Stream-window diagnoses carry the delta-aware reuse hint: the window
-	// generation keys the report cache, and the slider snapshots spare the
-	// per-window sort/partition work on a miss. Explicit-sample diagnoses
-	// have no serving-side state to reuse.
-	var hint *core.WindowHint
+	// Stream-window diagnoses carry the delta-aware scorer: the slider
+	// snapshots spare the per-window sort/partition work on a report-cache
+	// miss. Explicit-sample diagnoses have no serving-side state to reuse;
+	// the cache itself is content-addressed, so both kinds share entries.
+	var scorer func() invariant.PairScorer
 	if samples == nil {
-		hint = st.windowHint()
+		scorer = st.windowScorer()
 	}
-	diag, err := s.sys.DiagnoseHinted(st.ctx, tr, hint)
+	diag, err := s.sys.DiagnoseHinted(st.ctx, tr, scorer)
 	if err != nil {
 		finish(nil, err.Error())
 		return

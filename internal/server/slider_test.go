@@ -99,12 +99,20 @@ func diagnoseWait(t *testing.T, srv *Server, req DiagnoseRequest) *Report {
 }
 
 // TestSliderWindowDiagnosisMatchesExplicit: diagnosing the stream's sliding
-// window (generation fingerprint + slider-snapshot scorer) must produce the
-// identical wire diagnosis as submitting the same window as explicit samples
-// (content fingerprint, fresh batch preparation) — on clean, faulted and
-// partially masked telemetry.
+// window (slider-snapshot scorer) must produce the identical wire diagnosis
+// as submitting the same window as explicit samples (fresh batch
+// preparation) — on clean, faulted and partially masked telemetry. The
+// report cache is content-addressed, so the second of the two is a hit on
+// the first one's entry.
 func TestSliderWindowDiagnosisMatchesExplicit(t *testing.T) {
 	srv, _, err := New(Config{Core: core.DefaultConfig(), Workers: 2, WindowCap: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ref never ingests: it answers the explicit-sample side from a cold
+	// cache, so the comparison below is slider snapshots vs fresh batch
+	// preparation, not a report-cache hit.
+	ref, _, err := New(Config{Core: core.DefaultConfig(), Workers: 2, WindowCap: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +138,7 @@ func TestSliderWindowDiagnosisMatchesExplicit(t *testing.T) {
 			node := string(rune('b' + i)) // distinct stream per case
 			cctx := core.Context{Workload: ctx.Workload, IP: "10.0.0." + node}
 			trainContext(t, srv, cctx, 1300) // same seed: same invariants per context
+			trainContext(t, ref, cctx, 1300)
 			window := coupledSamples(rng.Fork(int64(i)), 46, 8, tc.decouple, tc.maskEvery)
 			// Ingest in two batches so the window slides (46 > cap 40).
 			for _, batch := range [][]Sample{window[:20], window[20:]} {
@@ -147,9 +156,8 @@ func TestSliderWindowDiagnosisMatchesExplicit(t *testing.T) {
 			}
 
 			fromStream := diagnoseWait(t, srv, DiagnoseRequest{Workload: cctx.Workload, Node: cctx.IP})
-			explicit := diagnoseWait(t, srv, DiagnoseRequest{
-				Workload: cctx.Workload, Node: cctx.IP, Samples: window[len(window)-40:],
-			})
+			asSamples := DiagnoseRequest{Workload: cctx.Workload, Node: cctx.IP, Samples: window[len(window)-40:]}
+			explicit := diagnoseWait(t, ref, asSamples)
 			a, b := fromStream.Diagnosis, explicit.Diagnosis
 			if a == nil || b == nil {
 				t.Fatalf("missing diagnosis: stream %+v explicit %+v", fromStream, explicit)
@@ -158,15 +166,20 @@ func TestSliderWindowDiagnosisMatchesExplicit(t *testing.T) {
 				t.Errorf("slider-window diagnosis diverged from explicit samples:\nstream   %+v\nexplicit %+v", a, b)
 			}
 
-			// Re-diagnosing the unchanged window must hit the report cache.
-			before := srv.sys.AssocCacheStats()
-			again := diagnoseWait(t, srv, DiagnoseRequest{Workload: cctx.Workload, Node: cctx.IP})
-			if !reflect.DeepEqual(again.Diagnosis, a) {
-				t.Error("cached re-diagnosis diverged")
-			}
-			after := srv.sys.AssocCacheStats()
-			if after.Hits <= before.Hits {
-				t.Errorf("unchanged window re-diagnosis missed the report cache (hits %d -> %d)", before.Hits, after.Hits)
+			// Re-diagnosing the unchanged window must hit the report cache —
+			// and so must its content submitted as explicit samples: one
+			// entry serves both.
+			for _, req := range []DiagnoseRequest{{Workload: cctx.Workload, Node: cctx.IP}, asSamples} {
+				before := srv.sys.AssocCacheStats()
+				again := diagnoseWait(t, srv, req)
+				if !reflect.DeepEqual(again.Diagnosis, a) {
+					t.Error("cached re-diagnosis diverged")
+				}
+				after := srv.sys.AssocCacheStats()
+				if after.Hits != before.Hits+1 || after.Entries != before.Entries {
+					t.Errorf("re-diagnosis (explicit samples: %v) missed the window's report entry: %+v -> %+v",
+						req.Samples != nil, before, after)
+				}
 			}
 		})
 	}

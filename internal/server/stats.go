@@ -134,7 +134,7 @@ type Stats struct {
 
 	// Sparse diagnosis tiers: trained pairs certified by the prescreen lower
 	// bound, pairs that ran the exact association, and pairs reported
-	// unknown under degraded telemetry. All zero under ExactDiagnosis.
+	// unknown under degraded telemetry.
 	SparseScreenedPairs int64 `json:"sparseScreenedPairs"`
 	SparseExactPairs    int64 `json:"sparseExactPairs"`
 	SparseSkippedPairs  int64 `json:"sparseSkippedPairs"`

@@ -198,10 +198,6 @@ type stream struct {
 
 	mu  sync.Mutex
 	win colWindow // sliding window, newest last, n <= Config.WindowCap
-	// gen counts applied ingest batches: it changes whenever the window
-	// content can have changed, so hash(context, gen) fingerprints the
-	// window for the sparse report cache without hashing the samples.
-	gen uint64
 	// sliders hold per-metric incremental sort state mirroring the window
 	// (delta-aware re-sort on every slide), so a diagnosis can snapshot
 	// ready-made MIC preparations instead of re-sorting the whole window.
@@ -209,7 +205,7 @@ type stream struct {
 	sliders []*mic.Slider
 	// slidersDirty marks sliders that lag the window: a batch that replaces
 	// the window outright makes the incremental state worthless, so apply
-	// skips the per-batch maintenance and the next consumer (windowHint, or
+	// skips the per-batch maintenance and the next consumer (windowScorer, or
 	// a smaller batch) rebuilds from the window in one pass. Bulk ingest
 	// (batch >= window) therefore pays no sort work at all between
 	// diagnoses.
@@ -250,7 +246,6 @@ func (st *stream) apply(srv *Server, b *ingestBatch) {
 			}
 		}
 	}
-	st.gen++
 	st.win.slide(b)
 	winN := st.win.n
 	st.mu.Unlock()
@@ -297,7 +292,7 @@ func (st *stream) apply(srv *Server, b *ingestBatch) {
 
 // rebuildSliders reloads every slider from the current window columns and
 // clears the dirty mark. Caller holds st.mu (or runs serialised on the
-// stream's queue with the mutex taken, as apply and windowHint do).
+// stream's queue with the mutex taken, as apply and windowScorer do).
 func (st *stream) rebuildSliders() {
 	w := &st.win
 	for m, sl := range st.sliders {
@@ -365,66 +360,36 @@ func (st *stream) windowLen() int {
 	return st.win.n
 }
 
-// streamFP fingerprints a stream window by identity and generation (FNV-1a
-// over workload, node and gen). Contexts are unique per stream and gen
-// changes on every applied batch, so the fingerprint identifies the window
-// content without hashing the samples.
-func streamFP(ctx core.Context, gen uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(ctx.Workload); i++ {
-		h ^= uint64(ctx.Workload[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator, as in the profile registry hash
-	h *= prime64
-	for i := 0; i < len(ctx.IP); i++ {
-		h ^= uint64(ctx.IP[i])
-		h *= prime64
-	}
-	for s := 0; s < 64; s += 8 {
-		h ^= (gen >> s) & 0xff
-		h *= prime64
-	}
-	return h
-}
-
-// windowHint builds the sparse-path reuse hint for diagnosing the stream's
-// current window: the generation fingerprint, plus (when sliders are on) a
-// lazy scorer over the incrementally maintained per-metric preparations.
-// Diagnosis tasks are serialised with apply on the stream's queue, so the
-// sliders cannot advance while the hint is alive.
-func (st *stream) windowHint() *core.WindowHint {
+// windowScorer returns the lazy pair scorer for diagnosing the stream's
+// current window — mic.Batch snapshots of the incrementally maintained
+// per-metric preparations — or nil when sliders are off. Diagnosis tasks are
+// serialised with apply on the stream's queue, so the sliders cannot advance
+// while the scorer is alive.
+func (st *stream) windowScorer() func() invariant.PairScorer {
 	st.mu.Lock()
 	if st.sliders != nil && st.slidersDirty {
-		st.rebuildSliders() // deferred by bulk ingest; safe: hint building
-		// is serialised with apply on the stream's queue
+		st.rebuildSliders() // deferred by bulk ingest
 	}
-	gen := st.gen
 	sliders := st.sliders
 	st.mu.Unlock()
-	hint := &core.WindowHint{FP: streamFP(st.ctx, gen), HasFP: true}
-	if sliders != nil {
-		hint.Scorer = func() invariant.PairScorer {
-			preps := make([]*mic.Prepared, len(sliders))
-			for i, sl := range sliders {
-				// Degenerate metrics (masked ticks, too few samples) stay
-				// nil and score 0, exactly as a fresh NewBatch would treat
-				// them; pairs they could mislead never consult the scorer
-				// (partial overlap routes through the per-pair assoc).
-				if p, err := sl.Prepared(); err == nil {
-					preps[i] = p
-				}
-			}
-			b, err := mic.NewBatchPrepared(preps)
-			if err != nil {
-				return nil // fall back to the configured batch path
-			}
-			return b
-		}
+	if sliders == nil {
+		return nil
 	}
-	return hint
+	return func() invariant.PairScorer {
+		preps := make([]*mic.Prepared, len(sliders))
+		for i, sl := range sliders {
+			// Degenerate metrics (masked ticks, too few samples) stay
+			// nil and score 0, exactly as a fresh NewBatch would treat
+			// them; pairs they could mislead never consult the scorer
+			// (partial overlap routes through the per-pair assoc).
+			if p, err := sl.Prepared(); err == nil {
+				preps[i] = p
+			}
+		}
+		b, err := mic.NewBatchPrepared(preps)
+		if err != nil {
+			return nil // fall back to the configured batch path
+		}
+		return b
+	}
 }
