@@ -37,7 +37,7 @@ GO ?= go
 # 2000 fixed iterations keeps scheduler noise on the parallel benches well
 # inside the 20% comparison threshold; 200x was too jittery to gate on.
 BENCH_ITERS ?= 2000x
-BENCH_PATTERN = BenchmarkMIC$$|BenchmarkComputeMatrix|BenchmarkARXAssociation|BenchmarkConcurrentDiagnose|BenchmarkDiagnoseSparse|BenchmarkSignatureMatch
+BENCH_PATTERN = BenchmarkMIC$$|BenchmarkComputeMatrix|BenchmarkARXAssociation|BenchmarkConcurrentDiagnose|BenchmarkDiagnoseSparse|BenchmarkSignatureMatch|BenchmarkSignatureRank
 # The serving bench goes through a real TCP socket (json and binary ingest
 # sub-benchmarks with periodic wait=true diagnoses), so it runs at its own
 # fixed iteration count.
@@ -55,8 +55,9 @@ BENCH_ALLOC_THRESHOLD ?= 0.1
 # the gate only inspects names present in the baseline, so without this a
 # dropped or renamed benchmark would silently lose its regression gate.
 # The fleet-scale signature retrievals are pinned because they are the
-# figures the sub-linear index exists for.
-BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000
+# figures the sub-linear index exists for; the unfiltered rankings because
+# their allocs/op is what shows a per-entry materialisation coming back.
+BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000,BenchmarkSignatureRank/n=1000,BenchmarkSignatureRank/n=20000
 
 .PHONY: build test vet race check bench bench-compare bench-smoke smoke fleet-smoke fuzz
 

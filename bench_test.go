@@ -513,10 +513,11 @@ func BenchmarkDiagnoseSparse(b *testing.B) {
 }
 
 // signatureBenchDB builds the shared signature-retrieval benchmark fixture:
-// an n-entry database of sparse random tuples under one operation context,
-// plus a batch of 32 query tuples. One op is the whole batch: a single
-// retrieval is microseconds, too short for a stable figure to gate on.
-func signatureBenchDB(n int, disableIndex bool) (*signature.DB, []signature.Tuple) {
+// an n-entry database of sparse random tuples for problems distinct problems
+// under one operation context, plus a batch of 32 query tuples. One op is the
+// whole batch: a single retrieval is microseconds, too short for a stable
+// figure to gate on.
+func signatureBenchDB(n, problems int, minScore float64) (*signature.DB, []signature.Tuple) {
 	const tupleLen = 190 // one coordinate per trained pair at 20 metrics dense
 	rng := NewRNG(11)
 	mkTuple := func(ones int) signature.Tuple {
@@ -526,11 +527,11 @@ func signatureBenchDB(n int, disableIndex bool) (*signature.DB, []signature.Tupl
 		}
 		return t
 	}
-	db := &signature.DB{MinScore: 0.3, DisableIndex: disableIndex}
+	db := &signature.DB{MinScore: minScore}
 	for i := 0; i < n; i++ {
 		db.Add(signature.Entry{
 			Tuple:    mkTuple(2 + rng.Intn(20)),
-			Problem:  fmt.Sprintf("fault-%d", i%14),
+			Problem:  fmt.Sprintf("fault-%d", i%problems),
 			IP:       "10.0.0.2",
 			Workload: "wordcount",
 		})
@@ -546,11 +547,12 @@ func signatureBenchDB(n int, disableIndex bool) (*signature.DB, []signature.Tupl
 // growing databases, up to fleet-scale corpora (gossip replicates every
 // peer's signature log, so n=100000 is the regime the index exists for).
 // Queries resolve through the scope-partitioned inverted index; the
-// linear-scan reference lives in BenchmarkSignatureLinearScan.
+// linear-scan reference is BenchmarkSignatureLinearScan in
+// internal/signature.
 func BenchmarkSignatureMatch(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db, queries := signatureBenchDB(n, false)
+			db, queries := signatureBenchDB(n, 14, 0.3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
@@ -563,20 +565,19 @@ func BenchmarkSignatureMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSignatureLinearScan is the DisableIndex reference over the same
-// fixture — the speedup denominator for BenchmarkSignatureMatch. It is not
-// in the tracked baseline (a 100k-entry full scan at fixed 2000x iterations
-// would dominate the bench tier's wall clock); run it manually:
-//
-//	go test -run '^$' -bench 'BenchmarkSignature(Match|LinearScan)/n=100000' -benchtime 20x .
-func BenchmarkSignatureLinearScan(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000, 100000} {
+// BenchmarkSignatureRank measures what a verdict's cause inference costs
+// once the database has grown and nothing is filtered (MinScore 0, the
+// default): every scoped entry is scored by the bucket scan and reduced to
+// one winner per problem. Time is linear in n; allocs/op must not be — the
+// per-entry materialisation this replaced allocated and sorted the scope.
+func BenchmarkSignatureRank(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db, queries := signatureBenchDB(n, true)
+			db, queries := signatureBenchDB(n, 200, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := db.Match(q, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+					if _, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -278,18 +278,24 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
 				continue
 			}
-			db, err := f.Decode()
+			// The whole file parses before anything merges: one bad tuple
+			// skips the file, never half of it.
+			sigs, err := f.ParseEntries()
 			if err != nil {
 				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
 				continue
 			}
-			for _, entry := range db.Entries() {
-				// Merge, not append: a store holding both a legacy combined
-				// signatures.xml and per-profile files must not double-load
-				// the overlap.
-				if s.Profile(loadedCtx(entry.Workload, entry.IP)).mergeSignature(entry) {
-					rep.Signatures++
+			// Merge, not append: a store holding both a legacy combined
+			// signatures.xml and per-profile files must not double-load the
+			// overlap. Each run of same-context entries (a per-profile file
+			// is one run) costs one profile lookup and one lock.
+			for lo := 0; lo < len(sigs); {
+				hi := lo + 1
+				for hi < len(sigs) && sigs[hi].Workload == sigs[lo].Workload && sigs[hi].IP == sigs[lo].IP {
+					hi++
 				}
+				rep.Signatures += s.Profile(loadedCtx(sigs[lo].Workload, sigs[lo].IP)).mergeSignatures(sigs[lo:hi]...)
+				lo = hi
 			}
 		}
 	}

@@ -139,6 +139,46 @@ func TestLoadFromSkipsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestLoadFromSignatureFilesMergeByContextAllOrNothing: a combined
+// signature file routes its entries to their profiles run by run, deduping
+// against what is already loaded, and a file with one malformed tuple is
+// skipped whole — none of its well-formed entries may land.
+func TestLoadFromSignatureFilesMergeByContextAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	a, b := Context{Workload: "wordcount", IP: "10.0.0.2"}, Context{Workload: "sort", IP: "10.0.0.3"}
+	entry := func(ctx Context, problem, tuple string) xmlstore.SignatureEntry {
+		return xmlstore.SignatureEntry{Tuple: tuple, Problem: problem, IP: ctx.IP, Type: ctx.Workload}
+	}
+	combined := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, Entries: []xmlstore.SignatureEntry{
+		entry(a, "cpu-hog", "0110"), entry(a, "mem-hog", "1000"),
+		entry(b, "cpu-hog", "01"),
+		entry(a, "net-drop", "0011"), entry(a, "cpu-hog", "0110"), // the last repeats the first
+	}}
+	if err := xmlstore.SaveFile(filepath.Join(dir, "signatures.xml"), combined); err != nil {
+		t.Fatal(err)
+	}
+	bad := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, Entries: []xmlstore.SignatureEntry{
+		entry(b, "disk-hog", "10"), entry(b, "net-delay", "1x"),
+	}}
+	if err := xmlstore.SaveFile(filepath.Join(dir, "signatures-bad.xml"), bad); err != nil {
+		t.Fatal(err)
+	}
+	s := New(DefaultConfig())
+	rep, err := s.LoadFrom(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Signatures != 4 || len(rep.Skipped) != 1 || rep.Skipped[0].Name != "signatures-bad.xml" {
+		t.Fatalf("report = %+v, want 4 signatures and signatures-bad.xml skipped", rep)
+	}
+	if got := s.Profile(a).SignatureCount(); got != 3 {
+		t.Errorf("%v holds %d signatures, want 3", a, got)
+	}
+	if got := s.Profile(b).SignatureCount(); got != 1 {
+		t.Errorf("%v holds %d signatures, want 1 (nothing from the skipped file)", b, got)
+	}
+}
+
 func TestConcurrentSaveToLeavesParseableStore(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 750)

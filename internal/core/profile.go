@@ -226,16 +226,20 @@ func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signa
 		return signature.Entry{}, false, err
 	}
 	entry := signature.Entry{Tuple: rep.Tuple, Problem: problem, IP: p.key.IP, Workload: p.key.Workload}
-	return entry, p.mergeSignature(entry), nil
+	return entry, p.mergeSignatures(entry) == 1, nil
 }
 
-// mergeSignature stores an already-built entry unless an identical one is
-// present (used by LoadFrom and fleet anti-entropy), reporting whether the
-// entry was added.
-func (p *Profile) mergeSignature(e signature.Entry) bool {
+// mergeSignatures stores already-built entries under one lock, skipping any
+// whose identical twin is present (used by LoadFrom and fleet anti-entropy),
+// and returns how many were added.
+func (p *Profile) mergeSignatures(es ...signature.Entry) (added int) {
 	p.mu.Lock()
-	added := p.sigs.Merge(e)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	for _, e := range es {
+		if p.sigs.Merge(e) {
+			added++
+		}
+	}
 	return added
 }
 
@@ -310,17 +314,13 @@ func (p *Profile) DiagnoseHinted(abnormal *metrics.Trace, scorer func() invarian
 	// profile's own context (empty for the global no-context profile, which
 	// matches any).
 	p.mu.RLock()
-	matches, err := p.sigs.MatchMasked(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, 0)
+	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, p.sys.cfg.TopK)
 	p.mu.RUnlock()
 	if err != nil {
 		if errors.Is(err, signature.ErrEmpty) {
 			return diag, nil // hints only
 		}
 		return nil, err
-	}
-	ranked := signature.BestProblem(matches)
-	if p.sys.cfg.TopK > 0 && len(ranked) > p.sys.cfg.TopK {
-		ranked = ranked[:p.sys.cfg.TopK]
 	}
 	// Weight similarity by the checkable fraction: a perfect match found
 	// while blind to half the invariants is only half the evidence.

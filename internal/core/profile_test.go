@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -104,6 +105,108 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 	}
 	if diag.Confidence != legacyCauses[0].Score {
 		t.Errorf("Confidence = %v, want top legacy score %v", diag.Confidence, legacyCauses[0].Score)
+	}
+}
+
+// referenceCauses is the composition Diagnose's cause inference replaced
+// with signature.DB.Rank: the full ranked match list of the diagnosed tuple,
+// one best match per problem, cut to TopK, weighted by coverage.
+func referenceCauses(t *testing.T, s *System, ctx Context, d *Diagnosis) []signature.Match {
+	t.Helper()
+	cfg := s.Config()
+	matches, err := s.Profile(ctx).SignatureSnapshot().MatchMasked(d.Tuple, d.Known, ctx.IP, ctx.Workload, cfg.Similarity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := signature.BestProblem(matches)
+	if cfg.TopK > 0 && len(ranked) > cfg.TopK {
+		ranked = ranked[:cfg.TopK]
+	}
+	for i := range ranked {
+		if d.Coverage < 1 {
+			ranked[i].Score *= d.Coverage
+		}
+	}
+	return ranked
+}
+
+// maskMetric rebuilds tr with metric m invalid throughout, so every
+// invariant touching it is unknown.
+func maskMetric(t *testing.T, tr *metrics.Trace, m int) *metrics.Trace {
+	t.Helper()
+	out := metrics.NewTrace("10.0.0.2", "wordcount")
+	for tick := range tr.CPI {
+		row := make([]float64, len(tr.Rows))
+		valid := make([]bool, len(tr.Rows))
+		for k := range tr.Rows {
+			row[k] = tr.Rows[k][tick]
+			valid[k] = k != m
+		}
+		if err := out.AddMasked(row, valid, tr.CPI[tick], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestDiagnoseCausesEqualReferenceComposition extends the legacy-composition
+// pin above to a fault corpus: for every held-out window of every fault,
+// clean and masked, across the TopK and SigMinScore regimes, Diagnosis.Causes
+// must be exactly — scores, order and the representative signature of each
+// problem — what BestProblem over the full match list yields.
+func TestDiagnoseCausesEqualReferenceComposition(t *testing.T) {
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	faults := []map[int]bool{
+		{0: true, 1: true},
+		{1: true, 2: true},
+		{5: true, 6: true, 7: true},
+		{3: true},
+		{2: true, 4: true, 6: true},
+		{0: true, 7: true},
+	}
+	for _, tc := range []struct {
+		topK     int
+		minScore float64
+	}{{5, 0}, {0, 0.3}} {
+		cfg := DefaultConfig()
+		cfg.TopK, cfg.SigMinScore = tc.topK, tc.minScore
+		s := trainSystem(t, cfg, ctx, 820)
+		rng := stats.NewRNG(821)
+		for f, fault := range faults {
+			for k := 0; k < 3; k++ { // several signatures per problem: ties and near-ties
+				win := synthTrace(rng.Fork(int64(100*f+k)), 40, 8, fault)
+				if err := s.BuildSignature(ctx, fmt.Sprintf("fault-%d", f), win); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		multi, degraded := 0, 0
+		for f, fault := range faults {
+			for k := 0; k < 4; k++ {
+				clean := synthTrace(rng.Fork(int64(1000+100*f+k)), 40, 8, fault)
+				for _, win := range []*metrics.Trace{clean, maskMetric(t, clean, (f+k)%8)} {
+					diag, err := s.Diagnose(ctx, win)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := referenceCauses(t, s, ctx, diag)
+					if len(diag.Causes) != len(want) || (len(want) > 0 && !reflect.DeepEqual(diag.Causes, want)) {
+						t.Errorf("topK=%d minScore=%v fault %d window %d masked=%v:\n got %+v\nwant %+v",
+							tc.topK, tc.minScore, f, k, diag.Known != nil, diag.Causes, want)
+					}
+					if len(diag.Causes) > 1 {
+						multi++
+					}
+					if diag.Coverage < 1 {
+						degraded++
+					}
+				}
+			}
+		}
+		if multi == 0 || degraded == 0 {
+			t.Errorf("topK=%d minScore=%v: %d windows ranked several causes, %d were degraded; the corpus must exercise both",
+				tc.topK, tc.minScore, multi, degraded)
+		}
 	}
 }
 

@@ -416,7 +416,7 @@ func (s *System) BuildSignatureEntry(ctx Context, problem string, abnormal *metr
 // anti-entropy deltas, offline imports — and it reports whether the entry
 // was new.
 func (s *System) MergeSignature(e signature.Entry) bool {
-	return s.Profile(loadedCtx(e.Workload, e.IP)).mergeSignature(e)
+	return s.Profile(loadedCtx(e.Workload, e.IP)).mergeSignatures(e) == 1
 }
 
 // SignatureCount returns the number of stored signatures across profiles.

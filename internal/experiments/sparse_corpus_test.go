@@ -6,6 +6,7 @@ import (
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/invariant"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/workload"
 )
 
@@ -16,7 +17,9 @@ import (
 // through the per-pair measure, read out by Set.ViolationsMasked. This is
 // the end-to-end guarantee behind the prescreen: its certificate is
 // one-sided, so no window in the corpus may flip a verdict — neither in a
-// stored signature nor in a diagnosis.
+// stored signature nor in a diagnosis. Each held-out window's ranked causes
+// are likewise held to their reference: one best match per problem out of
+// the full ranked match list, cut to TopK.
 func TestSparseCorpusEquivalence(t *testing.T) {
 	opts := tinyOptions()
 	r := NewRunner(opts)
@@ -80,6 +83,22 @@ func TestSparseCorpusEquivalence(t *testing.T) {
 		if !reflect.DeepEqual([]bool(d.Tuple), wantTuple) || !reflect.DeepEqual(d.Known, wantKnown) {
 			t.Errorf("%s: diagnosis diverged from the dense verdict:\nsparse %v %v\ndense  %v %v",
 				kind, d.Tuple, d.Known, wantTuple, wantKnown)
+		}
+		matches, err := sys.Profile(pctx).SignatureSnapshot().MatchMasked(d.Tuple, d.Known, pctx.IP, pctx.Workload, cfg.Similarity, 0)
+		if err != nil {
+			t.Fatalf("%s: reference match: %v", kind, err)
+		}
+		wantCauses := signature.BestProblem(matches)
+		if cfg.TopK > 0 && len(wantCauses) > cfg.TopK {
+			wantCauses = wantCauses[:cfg.TopK]
+		}
+		if d.Coverage < 1 {
+			for i := range wantCauses {
+				wantCauses[i].Score *= d.Coverage
+			}
+		}
+		if !reflect.DeepEqual(d.Causes, wantCauses) {
+			t.Errorf("%s: ranked causes diverged from the reference composition:\n got %+v\nwant %+v", kind, d.Causes, wantCauses)
 		}
 	}
 

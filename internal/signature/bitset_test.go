@@ -51,22 +51,15 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 						make([]bool, n)) // all-unknown
 				}
 				for _, known := range masks {
-					var knownWords []uint64
-					if known != nil {
-						knownWords = packWords(known)
-					}
-					pa, pb := pack(a), pack(b)
+					pb := appendPacked(nil, b)
 					for _, m := range []Measure{Jaccard, Hamming, Cosine} {
 						want, err := MaskedSimilarity(a, b, known, m)
 						if err != nil {
 							t.Fatal(err)
 						}
-						both, either, equal, oa, ob, cmp := bitCounts(pa, pb, knownWords, n)
-						got, err := similarityFromCounts(both, either, equal, oa, ob, cmp, known != nil, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
+						var buf [2 * stackWords]uint64
+						q := newQuery(&buf, a, known, m)
+						if got := q.score(q.overlap(pb, popcount(pb))); got != want {
 							t.Errorf("n=%d m=%v masked=%v: bit %v != bool %v", n, m, known != nil, got, want)
 						}
 					}
@@ -96,33 +89,6 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 				Workload: []string{"wc", "tpcds"}[i%2],
 			})
 		}
-		reference := func(tuple Tuple, known []bool, ip, wl string, m Measure, topK int) []Match {
-			var out []Match
-			for _, e := range db.Entries() {
-				if ip != "" && e.IP != ip {
-					continue
-				}
-				if wl != "" && e.Workload != wl {
-					continue
-				}
-				if len(e.Tuple) != len(tuple) {
-					continue
-				}
-				s, err := MaskedSimilarity(tuple, e.Tuple, known, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s < db.MinScore {
-					continue
-				}
-				out = append(out, Match{Entry: e, Score: s})
-			}
-			sortMatches(out)
-			if topK > 0 && len(out) > topK {
-				out = out[:topK]
-			}
-			return out
-		}
 		for rep := 0; rep < 20; rep++ {
 			tuple := randomTuple(rng, n, []float64{0, 0.1, 0.5}[rep%3])
 			var known []bool
@@ -135,7 +101,10 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := reference(tuple, known, ip, "wc", m, 5)
+			want, err := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, "wc", m, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("minScore=%v rep=%d: packed scan %+v != reference %+v", minScore, rep, got, want)
 			}
@@ -168,7 +137,7 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 }
 
 // TestPruneRebuildsPacks: pruning rewrites the entry list; the packed
-// mirrors must stay in lockstep or later scans would score stale bits.
+// columns must be rebuilt with it or later scans would score stale bits.
 func TestPruneRebuildsPacks(t *testing.T) {
 	rng := stats.NewRNG(2203)
 	db := &DB{}
@@ -180,8 +149,10 @@ func TestPruneRebuildsPacks(t *testing.T) {
 	if removed, err := db.Prune(Jaccard, 0.99); err != nil || removed != 1 {
 		t.Fatalf("Prune = %d, %v; want 1 removed", removed, err)
 	}
-	if len(db.packs) != db.Len() {
-		t.Fatalf("packs %d entries, db %d", len(db.packs), db.Len())
+	b := db.scopes[scopeKey{workload: "w", ip: "n"}].byLen[40]
+	if len(b.ids) != db.Len() || len(b.words) != db.Len()*b.stride || len(b.ones) != db.Len() || len(b.probs) != db.Len() {
+		t.Fatalf("bucket columns ids=%d words=%d ones=%d probs=%d for %d entries at stride %d",
+			len(b.ids), len(b.words), len(b.ones), len(b.probs), db.Len(), b.stride)
 	}
 	got, err := db.Match(distinct, "n", "w", Jaccard, 1)
 	if err != nil {

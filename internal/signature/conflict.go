@@ -25,25 +25,20 @@ func (c Conflict) String() string {
 // or exceeds threshold — sorted by descending similarity. Two signatures of
 // the same problem are expected to be similar and are not conflicts.
 func (db *DB) Conflicts(measure Measure, threshold float64) ([]Conflict, error) {
+	if err := measure.check(); err != nil {
+		return nil, err
+	}
 	var out []Conflict
-	for i := 0; i < len(db.entries); i++ {
-		for j := i + 1; j < len(db.entries); j++ {
-			a, b := db.entries[i], db.entries[j]
-			if a.Problem == b.Problem {
+	for i, a := range db.order {
+		for _, b := range db.order[i+1:] {
+			// Sharing a bucket is sharing the context and the tuple length:
+			// different contexts never compete at match time, and a stale
+			// tuple from an older invariant set is not comparable.
+			if a.b != b.b || a.b.probs[a.pos] == b.b.probs[b.pos] {
 				continue
 			}
-			if a.IP != b.IP || a.Workload != b.Workload {
-				continue // different contexts never compete at match time
-			}
-			if len(a.Tuple) != len(b.Tuple) {
-				continue // stale tuple from an older invariant set
-			}
-			s, err := Similarity(a.Tuple, b.Tuple, measure)
-			if err != nil {
-				return nil, err
-			}
-			if s >= threshold {
-				out = append(out, Conflict{A: a, B: b, Score: s})
+			if s := a.b.pairScore(a.pos, b.pos, measure); s >= threshold {
+				out = append(out, Conflict{A: db.entry(a, nil), B: db.entry(b, nil), Score: s})
 			}
 		}
 	}
@@ -79,46 +74,47 @@ func (s Separability) Margin() float64 { return s.Cohesion - s.WorstExternal }
 // Separabilities computes the per-problem separability report for every
 // (problem, context) group in the database.
 func (db *DB) Separabilities(measure Measure) ([]Separability, error) {
-	type key struct{ problem, ip, workload string }
-	groups := make(map[key][]Tuple)
-	for _, e := range db.entries {
-		k := key{e.Problem, e.IP, e.Workload}
-		groups[k] = append(groups[k], e.Tuple)
+	if err := measure.check(); err != nil {
+		return nil, err
+	}
+	type key struct {
+		pid   int32
+		scope scopeKey
+	}
+	groups := make(map[key][]entryRef)
+	for _, ref := range db.order {
+		k := key{ref.b.probs[ref.pos], ref.b.scope}
+		groups[k] = append(groups[k], ref)
 	}
 	var out []Separability
-	for k, tuples := range groups {
-		s := Separability{Problem: k.problem, IP: k.ip, Workload: k.workload, Cohesion: 1}
-		if len(tuples) > 1 {
+	for k, members := range groups {
+		s := Separability{Problem: db.problems[k.pid], IP: k.scope.ip, Workload: k.scope.workload, Cohesion: 1}
+		if len(members) > 1 {
 			var sum float64
 			n := 0
-			for i := 0; i < len(tuples); i++ {
-				for j := i + 1; j < len(tuples); j++ {
-					v, err := Similarity(tuples[i], tuples[j], measure)
-					if err != nil {
-						return nil, err
+			for i, a := range members {
+				for _, b := range members[i+1:] {
+					if a.b != b.b {
+						return nil, fmt.Errorf("signature: tuple lengths %d and %d differ", a.b.n, b.b.n)
 					}
-					sum += v
+					sum += a.b.pairScore(a.pos, b.pos, measure)
 					n++
 				}
 			}
 			s.Cohesion = sum / float64(n)
 		}
 		for k2, others := range groups {
-			if k2 == k || k2.ip != k.ip || k2.workload != k.workload {
+			if k2 == k || k2.scope != k.scope {
 				continue
 			}
 			var sum float64
 			n := 0
-			for _, a := range tuples {
+			for _, a := range members {
 				for _, b := range others {
-					if len(a) != len(b) {
-						continue
+					if a.b != b.b {
+						continue // different tuple lengths
 					}
-					v, err := Similarity(a, b, measure)
-					if err != nil {
-						return nil, err
-					}
-					sum += v
+					sum += a.b.pairScore(a.pos, b.pos, measure)
 					n++
 				}
 			}
@@ -127,7 +123,7 @@ func (db *DB) Separabilities(measure Measure) ([]Separability, error) {
 			}
 			if mean := sum / float64(n); mean > s.WorstExternal {
 				s.WorstExternal = mean
-				s.WorstProblem = k2.problem
+				s.WorstProblem = db.problems[k2.pid]
 			}
 		}
 		out = append(out, s)

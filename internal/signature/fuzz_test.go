@@ -1,9 +1,7 @@
 package signature
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"invarnetx/internal/stats"
@@ -60,20 +58,13 @@ func buildRandomDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB
 }
 
 // matchBothPaths runs the same query through the production path (index with
-// scan fallbacks) and the DisableIndex linear reference, and fails the test
-// unless both return byte-identical results and errors.
+// bucket-scan fallback) and the linear reference scan (reference_test.go),
+// and fails the test unless both return byte-identical results and errors.
 func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, m Measure, topK int, tag string) {
 	t.Helper()
-	ref := db.Clone()
-	ref.DisableIndex = true
 	got, gotErr := db.MatchMasked(tuple, known, ip, wl, m, topK)
-	want, wantErr := ref.MatchMasked(tuple, known, ip, wl, m, topK)
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%s: index path err %v, linear scan err %v", tag, gotErr, wantErr)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: index path %+v != linear scan %+v", tag, got, want)
-	}
+	want, wantErr := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, wl, m, topK)
+	sameOutcome(t, tag, got, gotErr, want, wantErr)
 }
 
 // TestMatchIndexEquivalence pins the tentpole contract: for random databases,
@@ -124,16 +115,7 @@ func FuzzMatchEquivalence(f *testing.F) {
 		ip := []string{"", "10.0.0.1", "10.0.0.2"}[rng.Intn(3)]
 		wl := []string{"", "wc", "tpcds"}[rng.Intn(3)]
 		m := Measure(rng.Intn(3))
-		ref := db.Clone()
-		ref.DisableIndex = true
-		got, gotErr := db.MatchMasked(tuple, known, ip, wl, m, int(topK))
-		want, wantErr := ref.MatchMasked(tuple, known, ip, wl, m, int(topK))
-		if !errors.Is(gotErr, wantErr) && (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("index path err %v, linear scan err %v", gotErr, wantErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("index path %+v != linear scan %+v", got, want)
-		}
+		matchBothPaths(t, db, tuple, known, ip, wl, m, int(topK), "fuzz")
 	})
 }
 

@@ -29,13 +29,24 @@ func TestIndexStructure(t *testing.T) {
 		t.Fatalf("IndexStats = %+v, want 2 scopes, 3 buckets, 5 indexed, 1 zero", st)
 	}
 
-	sp := db.idx.scopes[scopeKey{workload: "wc", ip: "n1"}]
+	sp := db.scopes[scopeKey{workload: "wc", ip: "n1"}]
 	if sp == nil || sp.total != 4 {
 		t.Fatalf("scope (wc, n1) total = %+v, want 4", sp)
 	}
 	b := sp.byLen[4]
 	if b == nil {
 		t.Fatal("missing length-4 bucket")
+	}
+	// The flat columns: one word per 4-coordinate tuple (LSB-first), its
+	// population count, its interned problem and its global index.
+	if b.stride != 1 || !reflect.DeepEqual(b.words, []uint64{0b1010, 0, 0b0011}) {
+		t.Errorf("bucket words = %b at stride %d, want [1010 0 11] at 1", b.words, b.stride)
+	}
+	if !reflect.DeepEqual(b.ones, []int32{2, 0, 2}) {
+		t.Errorf("bucket ones = %v, want [2 0 2]", b.ones)
+	}
+	if !reflect.DeepEqual(b.probs, []int32{0, 1, 2}) || !reflect.DeepEqual(db.problems, []string{"a", "b", "c", "d"}) {
+		t.Errorf("bucket problem ids = %v of %v, want [0 1 2] of [a b c d]", b.probs, db.problems)
 	}
 	if !reflect.DeepEqual(b.ids, []int32{0, 1, 2}) {
 		t.Errorf("bucket ids = %v, want [0 1 2]", b.ids)
@@ -49,6 +60,10 @@ func TestIndexStructure(t *testing.T) {
 	wantBitmaps := [][]uint64{{1 << 2}, {0b101}, nil, {1}}
 	if !reflect.DeepEqual(b.bitmaps, wantBitmaps) {
 		t.Errorf("bitmaps = %v, want %v", b.bitmaps, wantBitmaps)
+	}
+	// The other scope's entry is global index 4 at local position 0.
+	if o := db.scopes[scopeKey{workload: "wc", ip: "n2"}].byLen[4]; !reflect.DeepEqual(o.ids, []int32{4}) || db.order[4] != (entryRef{b: o, pos: 0}) {
+		t.Errorf("entry 4 located at %+v, bucket ids %v", db.order[4], o.ids)
 	}
 }
 

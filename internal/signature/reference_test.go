@@ -1,0 +1,374 @@
+package signature
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"invarnetx/internal/stats"
+)
+
+// matchLinear is the reference retrieval every production path is pinned
+// against: a full scan over a database's Entries() with per-entry scope
+// filtering, scored by the boolean MaskedSimilarity walk and ranked by a
+// stable sort — nothing of the packed store, the index or the reducers, so
+// the kernel is never checking itself.
+func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	if known != nil && len(known) != len(tuple) {
+		return nil, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(tuple))
+	}
+	scoped := 0
+	var out []Match
+	for _, e := range entries {
+		if ip != "" && e.IP != ip {
+			continue
+		}
+		if workloadType != "" && e.Workload != workloadType {
+			continue
+		}
+		scoped++
+		if len(e.Tuple) != len(tuple) {
+			continue // a stale signature from an older invariant set
+		}
+		s, err := MaskedSimilarity(tuple, e.Tuple, known, measure)
+		if err != nil {
+			return nil, err
+		}
+		if s >= minScore {
+			out = append(out, Match{Entry: e, Score: s})
+		}
+	}
+	if scoped == 0 {
+		return nil, ErrEmpty
+	}
+	sortMatches(out)
+	if topK > 0 && len(out) > topK {
+		out = out[:topK]
+	}
+	return out, nil
+}
+
+// rankReference is the composition Rank replaced: the full ranked match
+// list, one best match per problem, cut to topK.
+func rankReference(db *DB, tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	matches, err := db.MatchMasked(tuple, known, ip, workloadType, measure, 0)
+	if err != nil {
+		return nil, err
+	}
+	ranked := BestProblem(matches)
+	if topK > 0 && len(ranked) > topK {
+		ranked = ranked[:topK]
+	}
+	if len(ranked) == 0 {
+		return nil, nil
+	}
+	return ranked, nil
+}
+
+// sameOutcome fails the test unless two retrievals returned byte-identical
+// matches and the same error.
+func sameOutcome(t *testing.T, tag string, got []Match, gotErr error, want []Match, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: err %v, reference err %v", tag, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s:\n got %+v\nwant %+v", tag, got, want)
+	}
+}
+
+// rankBothPaths pins Rank to rankReference for one query.
+func rankBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, m Measure, topK int, tag string) {
+	t.Helper()
+	got, gotErr := db.Rank(tuple, known, ip, wl, m, topK)
+	want, wantErr := rankReference(db, tuple, known, ip, wl, m, topK)
+	sameOutcome(t, tag, got, gotErr, want, wantErr)
+}
+
+// buildTiedDB populates a DB whose scores collide constantly: short tuples
+// drawn from a handful of patterns, stored repeatedly under the same and
+// under different problems, across several scopes and a stale length.
+func buildTiedDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
+	db := &DB{MinScore: minScore}
+	patterns := make([]Tuple, 6)
+	for i := range patterns {
+		patterns[i] = randomTuple(rng, tupleLen, []float64{0, 0.2, 0.5}[i%3])
+	}
+	for i := 0; i < nEntries; i++ {
+		tu := patterns[rng.Intn(len(patterns))]
+		if rng.Intn(8) == 0 {
+			tu = randomTuple(rng, tupleLen+3, 0.3) // stale length
+		}
+		db.Add(Entry{
+			Tuple:    tu,
+			Problem:  fmt.Sprintf("p%02d", rng.Intn(9)),
+			IP:       []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)],
+			Workload: []string{"wc", "sort"}[rng.Intn(2)],
+		})
+	}
+	return db
+}
+
+// TestRankEqualsBestProblemOfMatch pins the one-pass ranking to the
+// composition it replaced — same scores to the bit, same problem order, same
+// representative entry — across measures, masks, thresholds, exact and
+// wildcard scopes, stale-length buckets, heavy score ties, the all-zero
+// query and every topK regime.
+func TestRankEqualsBestProblemOfMatch(t *testing.T) {
+	rng := stats.NewRNG(1300)
+	for _, tupleLen := range []int{10, 70} {
+		for _, minScore := range []float64{0, 0.3, 1} {
+			for _, build := range []func(*stats.RNG, int, int, float64) *DB{buildRandomDB, buildTiedDB} {
+				db := build(rng.Fork(int64(tupleLen)+int64(minScore*10)), 250, tupleLen, minScore)
+				for rep := 0; rep < 36; rep++ {
+					tuple := randomTuple(rng, tupleLen, []float64{0, 0.1, 0.4, 0.9}[rep%4])
+					if rep%5 == 0 {
+						tuple = db.Entries()[rng.Intn(db.Len())].Tuple // exact hits, score 1
+						if len(tuple) != tupleLen {
+							tuple = make(Tuple, tupleLen)
+						}
+					}
+					var known []bool
+					switch rep % 3 {
+					case 1:
+						known = []bool(randomTuple(rng, tupleLen, 0.8))
+					case 2:
+						if rep%2 == 0 {
+							known = make([]bool, tupleLen) // nothing checkable
+						}
+					}
+					ip := []string{"", "10.0.0.1", "10.0.0.2", "10.0.0.9"}[rep%4]
+					wl := []string{"", "wc", "sort"}[(rep/4)%3]
+					m := []Measure{Jaccard, Hamming, Cosine}[(rep/2)%3]
+					topK := []int{0, 1, 5, 1000}[(rep/3)%4]
+					tag := fmt.Sprintf("len=%d minScore=%v rep=%d ip=%q wl=%q %v topK=%d masked=%v",
+						tupleLen, minScore, rep, ip, wl, m, topK, known != nil)
+					rankBothPaths(t, db, tuple, known, ip, wl, m, topK, tag)
+				}
+			}
+		}
+	}
+	// Error outcomes are the composition's too.
+	db := buildTiedDB(rng, 20, 10, 0)
+	rankBothPaths(t, db, make(Tuple, 10), nil, "nowhere", "wc", Jaccard, 0, "empty scope")
+	rankBothPaths(t, db, make(Tuple, 10), make([]bool, 4), "", "", Jaccard, 0, "bad mask")
+	rankBothPaths(t, &DB{}, make(Tuple, 10), make([]bool, 4), "", "", Jaccard, 0, "bad mask, empty db")
+	if _, err := db.Rank(make(Tuple, 10), nil, "nowhere", "wc", Jaccard, 0); err != ErrEmpty {
+		t.Errorf("Rank on an empty scope: %v, want ErrEmpty", err)
+	}
+}
+
+// FuzzRankEquivalence drives the same equivalence from arbitrary fuzz
+// inputs.
+func FuzzRankEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(30), uint8(3), uint8(5), false, false)
+	f.Add(int64(7), uint8(0), uint8(1), uint8(0), uint8(0), true, false)
+	f.Add(int64(42), uint8(200), uint8(8), uint8(0), uint8(1), false, true)
+	f.Add(int64(9), uint8(120), uint8(65), uint8(10), uint8(3), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nEntries, tupleLen, minScoreTenths, topK uint8, masked, tied bool) {
+		rng := stats.NewRNG(seed)
+		n := int(tupleLen) % 129
+		minScore := float64(minScoreTenths%11) / 10
+		build := buildRandomDB
+		if tied {
+			build = buildTiedDB
+		}
+		db := build(rng, int(nEntries), n, minScore)
+		tuple := randomTuple(rng, n, []float64{0, 0.1, 0.5}[rng.Intn(3)])
+		var known []bool
+		if masked {
+			known = []bool(randomTuple(rng, n, 0.7))
+		}
+		ip := []string{"", "10.0.0.1", "10.0.0.2"}[rng.Intn(3)]
+		wl := []string{"", "wc", "tpcds"}[rng.Intn(3)]
+		rankBothPaths(t, db, tuple, known, ip, wl, Measure(rng.Intn(3)), int(topK), "fuzz")
+	})
+}
+
+// TestEntryFingerprintGolden pins Fingerprint to literal values captured
+// from the boolean-walk implementation it replaced: the fingerprint is the
+// fleet dedup identity between peers of different versions, so hashing from
+// packed words must not move it — at any tuple length around a word
+// boundary.
+func TestEntryFingerprintGolden(t *testing.T) {
+	pattern := func(n int) Tuple {
+		tu := make(Tuple, n)
+		for i := range tu {
+			tu[i] = (i*i+i/7)%5 == 0
+		}
+		return tu
+	}
+	for _, c := range []struct {
+		problem string
+		n       int
+		want    uint64
+	}{
+		{"", 0, 0xaf64724c8602eb6e},
+		{"cpu-hog", 0, 0xc2853f6d06406aff},
+		{"cpu-hog", 1, 0xc8d594419f757c0a},
+		{"mem-hog", 63, 0x33366acd072fd55d},
+		{"net-drop", 64, 0xf5cf76a89f9a3856},
+		{"net-delay", 65, 0xd48609e177cb760d},
+		{"disk-hog", 128, 0x27d3d08033ea019f},
+		{"synth-007", 190, 0x183b51c2636337ab},
+	} {
+		e := Entry{Tuple: pattern(c.n), Problem: c.problem, IP: "10.0.0.2", Workload: "wordcount"}
+		if got := e.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint(%q, %d coordinates) = %#x, want %#x", c.problem, c.n, got, c.want)
+		}
+		// The stored form hashes to the same identity: a round trip through
+		// the packed store dedupes against the original.
+		var db DB
+		db.Add(e)
+		if got := db.Entries()[0].Fingerprint(); got != c.want {
+			t.Errorf("stored Fingerprint(%q, %d coordinates) = %#x, want %#x", c.problem, c.n, got, c.want)
+		}
+		if db.Merge(e) {
+			t.Errorf("Merge(%q, %d coordinates) did not dedupe against the stored entry", c.problem, c.n)
+		}
+	}
+	all := make(Tuple, 190)
+	for i := range all {
+		all[i] = true
+	}
+	if got := (Entry{Tuple: all, Problem: "x"}).Fingerprint(); got != 0xfb23f8fc95b737e2 {
+		t.Errorf("Fingerprint(all ones) = %#x", got)
+	}
+}
+
+// TestMatchResultsDoNotAliasStore: a returned tuple is the caller's copy.
+// Writing through it must leave later queries, Entries(), fingerprints and
+// the dedup identity exactly as they were.
+func TestMatchResultsDoNotAliasStore(t *testing.T) {
+	rng := stats.NewRNG(1301)
+	for _, minScore := range []float64{0, 0.3} { // bucket scan and index arm
+		db := &DB{MinScore: minScore}
+		var stored []Entry
+		for i := 0; i < 12; i++ {
+			e := Entry{Tuple: randomTuple(rng, 70, 0.3), Problem: fmt.Sprintf("p%d", i%4), IP: "n", Workload: "w"}
+			stored = append(stored, e)
+			db.Add(e)
+		}
+		q := stored[3].Tuple
+		fingerprints := func() []uint64 {
+			var out []uint64
+			for _, e := range db.Entries() {
+				out = append(out, e.Fingerprint())
+			}
+			return out
+		}
+		query := func() (matches, ranked []Match) {
+			matches, err := db.Match(q, "n", "w", Jaccard, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranked, err = db.Rank(q, nil, "n", "w", Jaccard, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return matches, ranked
+		}
+		wantMatches, wantRanked := query()
+		wantEntries, wantFPs := db.Entries(), fingerprints()
+
+		scribble, scribbleRanked := query()
+		for _, ms := range [][]Match{scribble, scribbleRanked} {
+			for _, m := range ms {
+				for k := range m.Tuple {
+					m.Tuple[k] = !m.Tuple[k]
+				}
+				_ = append(m.Tuple, true) // must not reach a neighbour either
+			}
+		}
+
+		gotMatches, gotRanked := query()
+		if !reflect.DeepEqual(gotMatches, wantMatches) || !reflect.DeepEqual(gotRanked, wantRanked) {
+			t.Errorf("minScore=%v: query results changed after writing through returned tuples", minScore)
+		}
+		if !reflect.DeepEqual(db.Entries(), wantEntries) {
+			t.Errorf("minScore=%v: Entries() changed after writing through returned tuples", minScore)
+		}
+		if !reflect.DeepEqual(fingerprints(), wantFPs) {
+			t.Errorf("minScore=%v: fingerprints changed after writing through returned tuples", minScore)
+		}
+		for _, e := range stored {
+			if db.Merge(e) {
+				t.Errorf("minScore=%v: Merge no longer dedupes %s after writing through returned tuples", minScore, e.Problem)
+			}
+		}
+	}
+}
+
+// signatureBenchDB is the retrieval benchmark fixture of the root package
+// (bench_test.go): n sparse 190-coordinate signatures of problems problems
+// under one operation context, plus 32 query tuples.
+func signatureBenchDB(n, problems int, minScore float64) (*DB, []Tuple) {
+	const tupleLen = 190
+	rng := stats.NewRNG(11)
+	mkTuple := func(ones int) Tuple {
+		t := make(Tuple, tupleLen)
+		for k := 0; k < ones; k++ {
+			t[rng.Intn(tupleLen)] = true
+		}
+		return t
+	}
+	db := &DB{MinScore: minScore}
+	for i := 0; i < n; i++ {
+		db.Add(Entry{
+			Tuple:    mkTuple(2 + rng.Intn(20)),
+			Problem:  fmt.Sprintf("fault-%d", i%problems),
+			IP:       "10.0.0.2",
+			Workload: "wordcount",
+		})
+	}
+	queries := make([]Tuple, 32)
+	for i := range queries {
+		queries[i] = mkTuple(12)
+	}
+	return db, queries
+}
+
+// TestRankAllocsDoNotScaleWithScope: Rank allocates for the query, the
+// per-problem reducer and the winners it returns — never per scanned entry.
+// The gate that keeps an O(scope) materialisation from coming back.
+func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
+	allocs := func(n int) float64 {
+		db, queries := signatureBenchDB(n, 200, 0)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.Rank(queries[0], nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(20000)
+	if large > small+2 {
+		t.Errorf("Rank allocs/op grew with the scope: %v at n=1000, %v at n=20000", small, large)
+	}
+	if small > 16 {
+		t.Errorf("Rank allocs/op = %v at n=1000, want a handful", small)
+	}
+}
+
+// BenchmarkSignatureLinearScan times the reference retrieval over the
+// BenchmarkSignatureMatch fixture of the root package — the denominator of
+// the index's speedup. Untracked (a 100k-entry reference scan at the bench
+// tier's fixed iteration count would dominate its wall clock); run it
+// manually:
+//
+//	go test -run '^$' -bench SignatureLinearScan -benchtime 20x ./internal/signature
+func BenchmarkSignatureLinearScan(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, queries := signatureBenchDB(n, 14, 0.3)
+			entries := db.Entries()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := matchLinear(entries, db.MinScore, q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

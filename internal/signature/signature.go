@@ -86,6 +86,14 @@ func (m Measure) String() string {
 	}
 }
 
+// check rejects a measure outside the three defined ones.
+func (m Measure) check() error {
+	if m != Jaccard && m != Hamming && m != Cosine {
+		return fmt.Errorf("signature: unknown measure %v", m)
+	}
+	return nil
+}
+
 // Similarity computes the chosen similarity of two equal-length tuples in
 // [0, 1]. Two all-zero tuples are fully similar under every measure.
 func Similarity(a, b Tuple, m Measure) (float64, error) {
@@ -132,9 +140,9 @@ func MaskedSimilarity(a, b Tuple, known []bool, m Measure) (float64, error) {
 }
 
 // similarityFromCounts turns the comparison tallies into the final score.
-// Both the boolean walk above and the packed popcount path (bitset.go)
-// produce identical integer tallies and funnel through here, so the two
-// paths return bit-identical floats.
+// Both the boolean walk above and the packed popcount path (query.score in
+// bitset.go) produce identical integer tallies and funnel through here, so
+// the two paths return bit-identical floats.
 func similarityFromCounts(both, either, equal, onesA, onesB, compared int, masked bool, m Measure) (float64, error) {
 	if masked && compared == 0 {
 		return 0, nil
@@ -159,7 +167,7 @@ func similarityFromCounts(both, either, equal, onesA, onesB, compared int, maske
 		}
 		return float64(both) / sqrtProd(onesA, onesB), nil
 	default:
-		return 0, fmt.Errorf("signature: unknown measure %v", m)
+		return 0, m.check()
 	}
 }
 
@@ -180,39 +188,8 @@ type Entry struct {
 // is the merge key both the wire-labelling path and the fleet anti-entropy
 // layer dedupe on.
 func (e Entry) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(e.Problem); i++ {
-		h ^= uint64(e.Problem[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator: ("ab", tuple "c") must not collide with ("a", "bc")
-	h *= prime64
-	for _, v := range e.Tuple {
-		b := uint64('0')
-		if v {
-			b = '1'
-		}
-		h ^= b
-		h *= prime64
-	}
-	return h
-}
-
-// mergeKey is the full dedup identity of an entry: the operation context plus
-// the payload fingerprint. Fingerprint collisions across different payloads
-// are theoretically possible but would only suppress one redundant store;
-// they can never corrupt existing entries.
-type mergeKey struct {
-	workload, ip string
-	fp           uint64
-}
-
-func (e Entry) key() mergeKey {
-	return mergeKey{workload: e.Workload, ip: e.IP, fp: e.Fingerprint()}
+	var buf [stackWords]uint64
+	return fingerprint(e.Problem, appendPacked(buf[:0], e.Tuple), len(e.Tuple))
 }
 
 // Match is a retrieved signature with its similarity score.
@@ -221,24 +198,14 @@ type Match struct {
 	Score float64
 }
 
-// DB is the signature database. The zero value is ready to use.
+// DB is the signature database. The zero value is ready to use. Stored
+// tuples live only in packed form (see index.go); Entry and Match values
+// handed out are unpacked copies the caller owns.
 type DB struct {
-	entries []Entry
-	packs   []packed // bitset form of each entry's tuple, parallel to entries
-	// dedup indexes entries by (context, fingerprint) for Merge; maintained
-	// by Add and rebuilt by Prune.
-	dedup map[mergeKey]struct{}
-	// idx is the scope-partitioned inverted index over the entries (see
-	// index.go), maintained incrementally by Add and rebuilt by Prune. It
-	// keeps retrieval sub-linear in the fleet-wide corpus.
-	idx invIndex
+	store
 	// MinScore is the minimum similarity for a match to be reported
 	// (default 0: report everything, ranked).
 	MinScore float64
-	// DisableIndex forces every query down the linear reference scan. It
-	// exists for the index-vs-scan equivalence tests and the linear-scan
-	// baseline benchmark; production paths leave it false.
-	DisableIndex bool
 
 	// Scan telemetry: entries considered by best-match scans, and how many
 	// resolved without the per-word similarity loop (precomputed-popcount
@@ -264,19 +231,9 @@ var ErrEmpty = errors.New("signature: no signatures for context")
 // Add stores a signature. "As more performance problems are diagnosed, the
 // number of items in signature database increases gradually."
 func (db *DB) Add(e Entry) {
-	db.entries = append(db.entries, Entry{
-		Tuple:    append(Tuple(nil), e.Tuple...),
-		Problem:  e.Problem,
-		IP:       e.IP,
-		Workload: e.Workload,
-	})
-	p := pack(e.Tuple)
-	db.packs = append(db.packs, p)
-	if db.dedup == nil {
-		db.dedup = make(map[mergeKey]struct{})
-	}
-	db.dedup[e.key()] = struct{}{}
-	db.idx.add(int32(len(db.entries)-1), e, p)
+	var buf [stackWords]uint64
+	words := appendPacked(buf[:0], e.Tuple)
+	db.add(e.key(words), e.Problem, len(e.Tuple), words)
 }
 
 // Merge stores a signature unless an identical one — same operation context,
@@ -286,37 +243,41 @@ func (db *DB) Add(e Entry) {
 // skew best-match scans) and fleet anti-entropy (the same entry arriving via
 // two gossip paths merges to one copy).
 func (db *DB) Merge(e Entry) bool {
-	if _, dup := db.dedup[e.key()]; dup {
+	var buf [stackWords]uint64
+	words := appendPacked(buf[:0], e.Tuple)
+	k := e.key(words)
+	if _, dup := db.dedup[k]; dup {
 		return false
 	}
-	db.Add(e)
+	db.add(k, e.Problem, len(e.Tuple), words)
 	return true
 }
 
-// Len returns the number of stored signatures.
-func (db *DB) Len() int { return len(db.entries) }
+// key is the entry's dedup identity, hashed from its packed tuple.
+func (e Entry) key(words []uint64) mergeKey {
+	return mergeKey{scope: scopeKey{workload: e.Workload, ip: e.IP}, fp: fingerprint(e.Problem, words, len(e.Tuple))}
+}
 
-// Clone returns a deep copy of the database: entries (tuples included) and
-// MinScore. Callers holding a lock around Clone get a snapshot they can
-// read, match and audit without further synchronisation against writers of
-// the original.
+// Len returns the number of stored signatures.
+func (db *DB) Len() int { return len(db.order) }
+
+// Clone returns a deep copy of the database: entries and MinScore. Callers
+// holding a lock around Clone get a snapshot they can read, match and audit
+// without further synchronisation against writers of the original.
 func (db *DB) Clone() *DB {
-	out := &DB{MinScore: db.MinScore, DisableIndex: db.DisableIndex}
-	out.entries = make([]Entry, 0, len(db.entries))
-	for _, e := range db.entries {
-		out.Add(e)
+	out := &DB{MinScore: db.MinScore}
+	for _, ref := range db.order {
+		out.copyFrom(&db.store, ref)
 	}
 	return out
 }
 
-// Entries returns a deep copy of all stored signatures: the entry slice and
-// every tuple. Callers are free to mutate the result without corrupting the
-// stored signatures (or the index built over them) behind the DB's back.
+// Entries returns all stored signatures in insertion order, unpacked into
+// fresh tuples the caller is free to mutate.
 func (db *DB) Entries() []Entry {
-	out := make([]Entry, len(db.entries))
-	for i, e := range db.entries {
-		out[i] = e
-		out[i].Tuple = append(Tuple(nil), e.Tuple...)
+	out := make([]Entry, len(db.order))
+	for i, ref := range db.order {
+		out[i] = db.entry(ref, nil)
 	}
 	return out
 }
@@ -331,164 +292,128 @@ func (db *DB) Match(tuple Tuple, ip, workloadType string, measure Measure, topK 
 
 // MatchMasked is Match under a degraded telemetry window: similarity is
 // computed only over the coordinates whose invariants were checkable
-// (known[i] true). A nil mask compares every coordinate.
+// (known[i] true). A nil mask compares every coordinate. topK <= 0 returns
+// the full ranked list — every scoped entry at or above MinScore — which is
+// what audits and the benchmark's layer replay read; a verdict only needs
+// Rank.
 //
 // Retrieval is sub-linear in the common case: an unmasked Jaccard or Cosine
 // query with MinScore > 0 resolves through the scope-partitioned inverted
 // index (see index.go), touching only entries that share violated bits with
 // the query. Masked windows, Hamming, and MinScore == 0 queries fall back
-// to a bucket scan restricted to the matching scope partitions (or the full
-// linear scan when DisableIndex is set). Every path scores candidates
-// through the same bitCounts → similarityFromCounts funnel, so results are
-// bit-identical across paths, and selection runs under one total order
+// to a bucket scan restricted to the matching scope partitions. Both arms
+// score through query.score → similarityFromCounts, so results are
+// bit-identical across them, and selection runs under one total order
 // (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
 func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
-	n := len(tuple)
-	if known != nil && len(known) != n {
-		// Validated once per query, not per entry — and reported even when
-		// the scope matches zero entries.
-		return nil, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), n)
-	}
-	q := pack(tuple)
-	var knownWords []uint64
-	if known != nil {
-		knownWords = packWords(known)
-	}
-	sel := selector{k: topK}
-	var scoped int
-	var err error
-	switch {
-	case db.DisableIndex:
-		db.idxScanQueries.Add(1)
-		scoped, err = db.matchLinear(q, knownWords, n, ip, workloadType, measure, &sel)
-	case knownWords == nil && db.MinScore > 0 && (measure == Jaccard || measure == Cosine):
-		db.idxQueries.Add(1)
-		scoped, err = db.matchIndexed(q, n, ip, workloadType, measure, &sel)
-	default:
-		db.idxScanQueries.Add(1)
-		scoped, err = db.matchScoped(q, knownWords, n, ip, workloadType, measure, &sel)
-	}
-	if err != nil {
+	sel := selector{st: &db.store, k: topK}
+	if err := db.scan(tuple, known, ip, workloadType, measure, &sel); err != nil {
 		return nil, err
-	}
-	if scoped == 0 {
-		return nil, ErrEmpty
 	}
 	return sel.results(), nil
 }
 
-// scoreEntry computes entry idx's similarity to the packed query exactly as
-// the historical linear scan did — precomputed-count fast paths included —
-// and offers it to the selector. Shared by every retrieval path so scores
-// and selection stay bit-identical.
-func (db *DB) scoreEntry(idx int32, q packed, knownWords []uint64, n int, measure Measure, sel *selector, early *int64) error {
-	ep := db.packs[idx]
-	var s float64
-	resolved := false
-	if knownWords == nil {
-		if q.ones == 0 {
-			if v, ok := zeroQueryScore(ep.ones, n, measure); ok {
-				s, resolved = v, true
-				if early != nil {
-					*early++
-				}
-			}
-		}
-		if !resolved && db.MinScore > 0 {
-			if ub, ok := scoreUpperBound(q.ones, ep.ones, n, measure); ok && ub < db.MinScore {
-				if early != nil {
-					*early++
-				}
-				return nil // provably below threshold; the exact score cannot be reported
-			}
+// Rank is the ranked root-cause list of a diagnosis ("a list of root causes
+// which puts the most probable causes in the top"): each distinct problem
+// in scope represented by its best-scoring signature, problems sorted by
+// descending score (ties by name), truncated to topK when topK > 0. It is
+// exactly BestProblem(MatchMasked(…, 0)) cut to topK — same scores, same
+// order, same representative entry (earliest stored among a problem's
+// equal-best signatures) — computed in one pass: the scan feeds a
+// per-problem best-score reducer, so nothing per entry is allocated,
+// sorted or copied and only the winners are materialised.
+func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	r := newRanker(len(db.problems))
+	if err := db.scan(tuple, known, ip, workloadType, measure, r); err != nil {
+		return nil, err
+	}
+	sel := selector{st: &db.store, k: topK}
+	for pid, w := range r.best {
+		if w.idx >= 0 {
+			sel.add(w.idx, int32(pid), w.score)
 		}
 	}
-	if !resolved {
-		both, either, equal, onesA, onesB, compared := bitCounts(q, ep, knownWords, n)
-		v, err := similarityFromCounts(both, either, equal, onesA, onesB, compared, knownWords != nil, measure)
-		if err != nil {
-			return err
-		}
-		s = v
-	}
-	if s < db.MinScore {
-		return nil
-	}
-	sel.add(Match{Entry: db.entries[idx], Score: s}, idx)
-	return nil
+	return sel.results(), nil
 }
 
-// matchLinear is the reference retrieval: a full scan over every stored
-// entry with per-entry scope filtering. Kept as the DisableIndex path — the
-// baseline the equivalence tests and the linear-scan benchmark pin the
-// index against.
-func (db *DB) matchLinear(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
-	scoped := 0
-	var scanned, early int64
-	defer func() {
-		db.scanEntries.Add(scanned)
-		db.scanEarlyExits.Add(early)
-	}()
-	for idx, e := range db.entries {
-		if ip != "" && e.IP != ip {
-			continue
-		}
-		if workloadType != "" && e.Workload != workloadType {
-			continue
-		}
-		scoped++
-		scanned++
-		if len(e.Tuple) != n {
-			// A stale signature from an older invariant set; skip rather
-			// than fail the whole diagnosis.
-			early++
-			continue
-		}
-		if err := db.scoreEntry(int32(idx), q, knownWords, n, measure, sel, &early); err != nil {
-			return 0, err
-		}
+// scan scores the scoped entries against the observed tuple and feeds every
+// one at or above MinScore to out.
+func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, out sink) error {
+	if known != nil && len(known) != len(tuple) {
+		// Validated once per query, not per entry — and reported even when
+		// the scope matches zero entries.
+		return fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(tuple))
 	}
-	return scoped, nil
+	if err := measure.check(); err != nil {
+		return err
+	}
+	var buf [2 * stackWords]uint64
+	q := newQuery(&buf, tuple, known, measure)
+	var scoped int
+	if q.known == nil && db.MinScore > 0 && (measure == Jaccard || measure == Cosine) {
+		db.idxQueries.Add(1)
+		scoped = db.matchIndexed(&q, ip, workloadType, out)
+	} else {
+		db.idxScanQueries.Add(1)
+		scoped = db.matchScoped(&q, ip, workloadType, out)
+	}
+	if scoped == 0 {
+		return ErrEmpty
+	}
+	return nil
 }
 
 // matchScoped is the bucket scan: the scope partitions prune entries of
 // other operation contexts and the length buckets prune stale tuples, but
-// every entry of the query-length bucket is scored. The fallback for
-// masked windows, Hamming, and MinScore == 0 queries.
-func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
-	scoped := 0
+// every entry of the query-length bucket is scored. The fallback for masked
+// windows, Hamming, and MinScore == 0 queries. It returns the number of
+// entries in scope.
+func (db *DB) matchScoped(q *query, ip, workloadType string, out sink) (scoped int) {
 	var scanned, early int64
-	defer func() {
-		db.scanEntries.Add(scanned)
-		db.scanEarlyExits.Add(early)
-	}()
-	var err error
-	db.idx.forScopes(ip, workloadType, func(sp *scopePartition) {
-		if err != nil {
-			return
-		}
+	db.forScopes(ip, workloadType, func(sp *scopePartition) {
 		scoped += sp.total
-		for ln, b := range sp.byLen {
-			if ln != n {
-				// Stale-length entries count as considered-and-skipped,
-				// mirroring the linear scan's counters.
-				scanned += int64(len(b.ids))
+		for n, b := range sp.byLen {
+			scanned += int64(len(b.ids))
+			if n != q.n {
+				// Stale signatures from an older invariant set: considered
+				// and skipped rather than failing the whole diagnosis.
 				early += int64(len(b.ids))
 				continue
 			}
-			scanned += int64(len(b.ids))
-			for _, idx := range b.ids {
-				if err = db.scoreEntry(idx, q, knownWords, n, measure, sel, &early); err != nil {
-					return
-				}
-			}
+			early += db.scanBucket(b, q, out)
 		}
 	})
-	if err != nil {
-		return 0, err
+	db.scanEntries.Add(scanned)
+	db.scanEarlyExits.Add(early)
+	return scoped
+}
+
+// scanBucket scores every entry of b against q — a linear walk over the
+// bucket's columns — and reports how many resolved from the precomputed
+// population counts alone, without the per-word loop.
+func (db *DB) scanBucket(b *bucket, q *query, out sink) (early int64) {
+	unmasked := q.known == nil
+	off := 0
+	for pos, ones := range b.ones {
+		e := b.words[off : off+b.stride]
+		off += b.stride
+		var s float64
+		switch {
+		case unmasked && q.ones == 0:
+			s = zeroQueryScore(int(ones), q.n, q.measure)
+			early++
+		case unmasked && db.MinScore > 0 && scoreUpperBound(q.ones, int(ones), q.n, q.measure) < db.MinScore:
+			early++
+			continue // provably below threshold; the exact score cannot be reported
+		default:
+			s = q.score(q.overlap(e, int(ones)))
+		}
+		if s >= db.MinScore {
+			out.add(b.ids[pos], b.probs[pos], s)
+		}
 	}
-	return scoped, nil
+	return early
 }
 
 // matchIndexed answers an unmasked Jaccard/Cosine query with MinScore > 0
@@ -496,62 +421,41 @@ func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType
 // minOverlap violated bits with the query (everything else scores exactly
 // 0 < MinScore), and an all-zero query resolves from the precomputed
 // zero-tuple group (every other entry scores 0). The bit-sliced counter
-// hands back each candidate's exact shared-bit count, so every tally
-// similarityFromCounts needs follows by integer arithmetic — the same
-// integers bitCounts would produce — and reported scores stay bit-identical
-// to the scans' without re-touching the candidate's tuple.
-func (db *DB) matchIndexed(q packed, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
-	scoped := 0
-	var scoredN int64
-	defer func() { db.idxCandidates.Add(scoredN) }()
-	var err error
-	threshold := minOverlap(measure, db.MinScore, q.ones)
-	db.idx.forScopes(ip, workloadType, func(sp *scopePartition) {
-		if err != nil {
-			return
-		}
+// hands back each candidate's exact shared-bit count — the same integer
+// query.overlap would produce — so candidates are scored without touching
+// their tuples. It returns the number of entries in scope.
+func (db *DB) matchIndexed(q *query, ip, workloadType string, out sink) (scoped int) {
+	var scored int64
+	threshold := minOverlap(q.measure, db.MinScore, q.ones)
+	db.forScopes(ip, workloadType, func(sp *scopePartition) {
 		scoped += sp.total
-		b := sp.byLen[n]
+		b := sp.byLen[q.n]
 		if b == nil {
 			return
 		}
+		emit := func(pos int32, both int) {
+			scored++
+			if s := q.score(both, int(b.ones[pos])); s >= db.MinScore {
+				out.add(b.ids[pos], b.probs[pos], s)
+			}
+		}
 		if q.ones == 0 {
-			for _, idx := range b.zeros {
-				scoredN++
-				if err = db.scoreEntry(idx, q, nil, n, measure, sel, nil); err != nil {
-					return
-				}
+			for _, pos := range b.zeros {
+				emit(pos, 0)
 			}
 			return
 		}
-		scoredN += b.candidates(q, threshold, func(idx int32, both int) {
-			if err != nil {
-				return
-			}
-			onesB := db.packs[idx].ones
-			either := q.ones + onesB - both
-			equal := n - either + both
-			s, serr := similarityFromCounts(both, either, equal, q.ones, onesB, n, false, measure)
-			if serr != nil {
-				err = serr
-				return
-			}
-			if s < db.MinScore {
-				return
-			}
-			sel.add(Match{Entry: db.entries[idx], Score: s}, idx)
-		})
+		b.candidates(q, threshold, emit)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return scoped, nil
+	db.idxCandidates.Add(scored)
+	return scoped
 }
 
-// BestProblem aggregates Match results into a ranked root-cause list: each
-// distinct problem keeps its best score. It returns problems sorted by
-// descending score ("a list of root causes which puts the most probable
-// causes in the top").
+// BestProblem aggregates a full Match list into a ranked root-cause list:
+// each distinct problem keeps its best score, problems sorted by descending
+// score. Rank computes the same list without materialising the matches;
+// this is the reference it is pinned against, and the aggregation for
+// callers that already hold a match list.
 func BestProblem(matches []Match) []Match {
 	best := make(map[string]Match)
 	for _, m := range matches {
@@ -579,21 +483,22 @@ func BestProblem(matches []Match) []Match {
 // grows ("the number of items in signature database increases gradually"):
 // near-duplicate signatures add matching cost without adding coverage.
 func (db *DB) Prune(measure Measure, threshold float64) (removed int, err error) {
-	type key struct{ problem, ip, workload string }
-	kept := make([]Entry, 0, len(db.entries))
-	byGroup := make(map[key][]Tuple)
-	for _, e := range db.entries {
-		k := key{e.Problem, e.IP, e.Workload}
+	if err := measure.check(); err != nil {
+		return 0, err
+	}
+	// A bucket is one (ip, workload, tuple length), so grouping by bucket
+	// also keeps entries of different lengths from being compared.
+	type group struct {
+		b   *bucket
+		pid int32
+	}
+	var kept store
+	byGroup := make(map[group][]int32) // positions of the group's kept entries
+	for _, ref := range db.order {
+		g := group{b: ref.b, pid: ref.b.probs[ref.pos]}
 		dup := false
-		for _, prev := range byGroup[k] {
-			if len(prev) != len(e.Tuple) {
-				continue
-			}
-			s, serr := Similarity(prev, e.Tuple, measure)
-			if serr != nil {
-				return removed, serr
-			}
-			if s >= threshold {
+		for _, prev := range byGroup[g] {
+			if ref.b.pairScore(prev, ref.pos, measure) >= threshold {
 				dup = true
 				break
 			}
@@ -602,18 +507,9 @@ func (db *DB) Prune(measure Measure, threshold float64) (removed int, err error)
 			removed++
 			continue
 		}
-		byGroup[k] = append(byGroup[k], e.Tuple)
-		kept = append(kept, e)
+		byGroup[g] = append(byGroup[g], ref.pos)
+		kept.copyFrom(&db.store, ref)
 	}
-	db.entries = kept
-	db.packs = db.packs[:0]
-	db.dedup = make(map[mergeKey]struct{}, len(kept))
-	db.idx.reset()
-	for i, e := range kept {
-		p := pack(e.Tuple)
-		db.packs = append(db.packs, p)
-		db.dedup[e.key()] = struct{}{}
-		db.idx.add(int32(i), e, p)
-	}
+	db.store = kept
 	return removed, nil
 }

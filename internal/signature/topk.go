@@ -1,46 +1,66 @@
 package signature
 
-import "sort"
+import "slices"
 
-// Bounded top-k selection for MatchMasked. The old tail sorted every
-// surviving match and truncated; at fleet-scale databases with MinScore 0
-// that holds (and sorts) the whole scope. The selector keeps at most topK
-// candidates in a bounded heap instead, under a total order, so selection
-// cost is O(matches · log topK) and both the index and the scan path
-// produce the same, fully deterministic ranking.
+// The two reducers behind the scan kernel. matchScoped and matchIndexed
+// emit (entry index, problem id, score) for every entry at or above
+// MinScore; a sink folds that stream into what the caller asked for:
+//
+//   - selector keeps the topK best entries (MatchMasked) — a bounded heap,
+//     so selection is O(matches · log topK);
+//   - ranker keeps the single best entry of each problem (Rank), an array
+//     indexed by interned problem id, and hands only those winners to a
+//     selector — O(matches) to reduce, O(problems · log topK) to rank.
+//
+// Both hold 16-byte keys and materialise a Match only for what is returned.
 
-// scored pairs a match with its global entry index. The index is the final
-// tie-break: score descending, then problem ascending (the ordering Match
-// always promised), then insertion order — a total order, so results no
-// longer depend on which code path generated the candidates or on
-// sort.Slice's unstable handling of full ties.
-type scored struct {
-	m   Match
-	idx int32
+// key is one scored entry: its global insertion index and interned problem.
+type key struct {
+	score float64
+	pid   int32
+	idx   int32
 }
 
-// better reports whether a ranks strictly before b.
-func better(a, b scored) bool {
-	if a.m.Score != b.m.Score {
-		return a.m.Score > b.m.Score
-	}
-	if a.m.Problem != b.m.Problem {
-		return a.m.Problem < b.m.Problem
-	}
-	return a.idx < b.idx
+// sink receives every entry the scan scored at or above MinScore.
+type sink interface {
+	add(idx, pid int32, score float64)
 }
 
-// selector accumulates candidate matches and yields the ranked result.
-// The zero value with k set is ready to use.
+// selector accumulates scored entries and yields the ranked result under
+// one total order: score descending, then problem ascending (the ordering
+// Match always promised), then insertion order — so results depend neither
+// on which retrieval arm generated the candidates nor on the partition
+// visit order.
 type selector struct {
-	k    int      // bound; <= 0 keeps everything
-	heap []scored // k > 0: min-heap with the worst kept candidate at the root
-	all  []scored // k <= 0: plain accumulation, sorted at the end
+	st   *store
+	k    int   // bound; <= 0 keeps everything
+	heap []key // k > 0: min-heap with the worst kept candidate at the root
+	all  []key // k <= 0: plain accumulation, sorted at the end
 }
+
+// compare orders a before b (negative) when a ranks earlier.
+func (s *selector) compare(a, b key) int {
+	switch {
+	case a.score != b.score:
+		if a.score > b.score {
+			return -1
+		}
+		return 1
+	case a.pid != b.pid: // interned: distinct ids are distinct names
+		if s.st.problems[a.pid] < s.st.problems[b.pid] {
+			return -1
+		}
+		return 1
+	default:
+		return int(a.idx) - int(b.idx)
+	}
+}
+
+func (s *selector) better(a, b key) bool { return s.compare(a, b) < 0 }
 
 // add offers one candidate.
-func (s *selector) add(m Match, idx int32) {
-	c := scored{m: m, idx: idx}
+func (s *selector) add(idx, pid int32, score float64) {
+	c := key{score: score, pid: pid, idx: idx}
 	if s.k <= 0 {
 		s.all = append(s.all, c)
 		return
@@ -50,7 +70,7 @@ func (s *selector) add(m Match, idx int32) {
 		s.up(len(s.heap) - 1)
 		return
 	}
-	if better(c, s.heap[0]) {
+	if s.better(c, s.heap[0]) {
 		s.heap[0] = c
 		s.down(0, len(s.heap))
 	}
@@ -61,7 +81,7 @@ func (s *selector) add(m Match, idx int32) {
 func (s *selector) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !better(s.heap[parent], s.heap[i]) {
+		if !s.better(s.heap[parent], s.heap[i]) {
 			break // parent ranks no earlier than child: heap order holds
 		}
 		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
@@ -75,10 +95,10 @@ func (s *selector) down(i, n int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
-		if l < n && better(s.heap[worst], s.heap[l]) {
+		if l < n && s.better(s.heap[worst], s.heap[l]) {
 			worst = l
 		}
-		if r < n && better(s.heap[worst], s.heap[r]) {
+		if r < n && s.better(s.heap[worst], s.heap[r]) {
 			worst = r
 		}
 		if worst == i {
@@ -92,31 +112,59 @@ func (s *selector) down(i, n int) {
 // results returns the ranked matches, best first. Nil when nothing was kept
 // (matching the scan's historical nil-slice result for empty outcomes).
 func (s *selector) results() []Match {
-	if s.k <= 0 {
-		if len(s.all) == 0 {
-			return nil
+	ranked := s.all
+	if s.k > 0 {
+		// Heap extraction in place: repeatedly move the worst remaining
+		// candidate behind the shrinking heap, leaving best-first order.
+		ranked = s.heap
+		for j := len(ranked) - 1; j > 0; j-- {
+			ranked[0], ranked[j] = ranked[j], ranked[0]
+			s.down(0, j)
 		}
-		sort.Slice(s.all, func(i, j int) bool { return better(s.all[i], s.all[j]) })
-		out := make([]Match, len(s.all))
-		for i, c := range s.all {
-			out[i] = c.m
-		}
-		return out
+	} else {
+		slices.SortFunc(ranked, s.compare)
 	}
-	if len(s.heap) == 0 {
+	if len(ranked) == 0 {
 		return nil
 	}
-	// Heap extraction: repeatedly remove the worst remaining candidate and
-	// fill the result from the back, leaving best-first order.
-	out := make([]Match, len(s.heap))
-	for j := len(s.heap) - 1; j >= 0; j-- {
-		out[j] = s.heap[0].m
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if last > 1 {
-			s.down(0, last)
+	// Every scored entry comes from a query-length bucket, so the results'
+	// tuples share one length and one backing array — capped per match, so
+	// appending to one never reaches its neighbour.
+	n := s.st.order[ranked[0].idx].b.n
+	tuples := make([]bool, len(ranked)*n)
+	out := make([]Match, len(ranked))
+	for i, c := range ranked {
+		var t Tuple
+		if n > 0 {
+			t = tuples[i*n : (i+1)*n : (i+1)*n]
 		}
+		out[i] = Match{Entry: s.st.entry(s.st.order[c.idx], t), Score: c.score}
 	}
 	return out
+}
+
+// ranker keeps, per problem, the entry a full ranked match list would list
+// first: highest score, then lowest insertion index.
+type ranker struct {
+	best []winner // indexed by interned problem id
+}
+
+type winner struct {
+	score float64
+	idx   int32 // -1: no entry of this problem scored yet
+}
+
+func newRanker(problems int) *ranker {
+	r := &ranker{best: make([]winner, problems)}
+	for i := range r.best {
+		r.best[i].idx = -1
+	}
+	return r
+}
+
+func (r *ranker) add(idx, pid int32, score float64) {
+	w := &r.best[pid]
+	if w.idx < 0 || score > w.score || (score == w.score && idx < w.idx) {
+		*w = winner{score: score, idx: idx}
+	}
 }

@@ -196,18 +196,32 @@ func EncodeSignaturesFor(db *signature.DB, ip, workloadType string) SignatureFil
 	return f
 }
 
-// Decode rebuilds the signature database.
-func (f SignatureFile) Decode() (*signature.DB, error) {
+// ParseEntries validates the file and returns its signatures in file order.
+// Any malformed tuple rejects the whole file.
+func (f SignatureFile) ParseEntries() ([]signature.Entry, error) {
 	if err := checkVersion(f.Version); err != nil {
 		return nil, err
 	}
-	var db signature.DB
+	out := make([]signature.Entry, len(f.Entries))
 	for i, e := range f.Entries {
 		t, err := signature.ParseTuple(e.Tuple)
 		if err != nil {
 			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
 		}
-		db.Add(signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type})
+		out[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
+	}
+	return out, nil
+}
+
+// Decode rebuilds the signature database.
+func (f SignatureFile) Decode() (*signature.DB, error) {
+	entries, err := f.ParseEntries()
+	if err != nil {
+		return nil, err
+	}
+	var db signature.DB
+	for _, e := range entries {
+		db.Add(e)
 	}
 	return &db, nil
 }
