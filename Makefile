@@ -18,6 +18,9 @@
 #                        that breaks it fails here, not in the acceptance
 #                        driver: the root build never compiles it
 #   make check         — all tiers: test, race, smokes, bench comparison
+#   make loc           — non-test Go lines per internal package, counted by
+#                        the one command every simplicity PR quotes in
+#                        CHANGES.md, so before/after figures are comparable
 #
 # The race tier exists because the core is concurrent by design (striped
 # profile registry, supervised monitor goroutines, parallel association
@@ -59,7 +62,7 @@ BENCH_ALLOC_THRESHOLD ?= 0.1
 # their allocs/op is what shows a per-entry materialisation coming back.
 BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000,BenchmarkSignatureRank/n=1000,BenchmarkSignatureRank/n=20000
 
-.PHONY: build test vet race check bench bench-compare bench-smoke smoke fleet-smoke fuzz
+.PHONY: build test vet race check bench bench-compare bench-smoke smoke fleet-smoke fuzz loc
 
 build:
 	$(GO) build ./...
@@ -83,6 +86,12 @@ fleet-smoke: build
 
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Per package: find internal/<pkg> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+loc:
+	@for d in internal/*/; do p=$${d%/}; p=$${p#internal/}; \
+		printf '%-12s %6d\n' $$p $$(find internal/$$p -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+	done
 
 # Short coverage-guided run of the binary wire-decoder fuzzer; the seed
 # corpus alone (run by `make test`) only replays known shapes.

@@ -58,8 +58,8 @@ func main() {
 	record(sys, invarnetx.Wordcount, "mem-hog")
 	record(grepSys, invarnetx.Grep, "disk-hog")
 
-	// Persist both systems into one directory: per-context XML files plus
-	// a merged signatures.xml each.
+	// Persist both systems: per-context XML files (model, invariants and
+	// signatures of each context), the second store in a subdirectory.
 	if err := sys.SaveTo(dir); err != nil {
 		log.Fatal(err)
 	}

@@ -1,18 +1,14 @@
 package arima
 
-// Forecaster is the streaming form of PredictNext: it carries the model's
-// one-step-ahead prediction state — the differencing seeds, the last
-// max(p,q) differenced values and the last max(p,q) innovations — so each
-// observed sample costs O(p+q) instead of re-running the innovation
-// recursion over the whole history. The recursion is a deterministic
-// forward pass from zero-seeded innovations, so feeding a series sample by
-// sample through Observe leaves the Forecaster in exactly the state
-// PredictNext derives from the full history: the two produce bit-identical
-// forecasts.
-//
-// This is what lets a long-lived online monitor run at wire speed with
-// constant memory; the batch PredictNext stays the reference
-// implementation (see TestForecasterMatchesPredictNext).
+// Forecaster is the model's innovation recursion, and the only copy of it:
+// it carries the one-step-ahead prediction state — the differencing seeds,
+// the last max(p,q) differenced values and the last max(p,q) innovations —
+// so each observed sample costs O(p+q). The recursion is a deterministic
+// forward pass from zero-seeded innovations; the batch entry points
+// (PredictNext, PredictSeries, Forecast, the likelihood) replay a series
+// through one, and a long-lived online monitor keeps one and runs at wire
+// speed with constant memory. The whole-history recursion it replaced lives
+// on as the test reference (see TestForecasterMatchesPredictNext).
 //
 // A Forecaster is not safe for concurrent use.
 type Forecaster struct {
@@ -35,7 +31,12 @@ type Forecaster struct {
 
 // NewForecaster returns a streaming one-step forecaster for the model with
 // no history yet; feed it samples with Observe.
-func (m *Model) NewForecaster() *Forecaster {
+func (m *Model) NewForecaster() *Forecaster { return m.newForecaster(m.Order.D) }
+
+// newForecaster is NewForecaster over a series differenced d times by the
+// forecaster itself: the model's d for raw samples, 0 for a series the
+// caller already differenced.
+func (m *Model) newForecaster(d int) *Forecaster {
 	lead := m.Order.P
 	if m.Order.Q > lead {
 		lead = m.Order.Q
@@ -43,24 +44,25 @@ func (m *Model) NewForecaster() *Forecaster {
 	return &Forecaster{
 		m:     m,
 		lead:  lead,
-		seeds: make([]float64, m.Order.D),
+		seeds: make([]float64, d),
 		w:     make([]float64, 0, lead),
 		e:     make([]float64, 0, lead),
 	}
 }
 
 // Observe advances the state with the next observed sample (original
-// scale). Equivalent to appending the sample to the history a batch
-// PredictNext would see.
-func (f *Forecaster) Observe(x float64) {
+// scale) and returns the sample's innovation on the differenced scale — zero
+// while the sample only seeds a differencing level or falls inside the
+// recursion's lead-in.
+func (f *Forecaster) Observe(x float64) float64 {
 	// Stream the d-fold differencing: each level keeps its previous value;
 	// the first sample reaching a level only seeds it.
 	v := x
-	for k := 0; k < f.m.Order.D; k++ {
+	for k := range f.seeds {
 		if f.seeded <= k {
 			f.seeds[k] = v
 			f.seeded = k + 1
-			return
+			return 0
 		}
 		v, f.seeds[k] = v-f.seeds[k], v
 	}
@@ -73,6 +75,7 @@ func (f *Forecaster) Observe(x float64) {
 	f.w = f.push(f.w, v)
 	f.e = f.push(f.e, e)
 	f.wn++
+	return e
 }
 
 // push appends newest-last into a lead-capacity lag slice, shifting when
@@ -91,8 +94,7 @@ func (f *Forecaster) push(ring []float64, v float64) []float64 {
 }
 
 // predictW is the one-step forecast on the differenced scale from the
-// current lag state — the same term order as the batch recursion, so the
-// floating-point result is identical.
+// current lag state. Valid once wn >= lead.
 func (f *Forecaster) predictW() float64 {
 	pred := f.m.Intercept
 	n := len(f.w)
@@ -107,17 +109,22 @@ func (f *Forecaster) predictW() float64 {
 
 // PredictNext returns the one-step-ahead forecast of the sample that would
 // be observed next (original scale), without consuming it. ErrTooShort
-// until the state covers the model's lag depth — the same condition as the
-// batch PredictNext on the equivalent history.
+// until more than d + max(p,q) samples were observed.
 func (f *Forecaster) PredictNext() (float64, error) {
 	if f.wn < f.lead+1 {
 		return 0, ErrTooShort
 	}
+	return f.predict(), nil
+}
+
+// predict is PredictNext without the length gate; valid once wn >= lead
+// (PredictSeries starts one sample before PredictNext is willing to).
+func (f *Forecaster) predict() float64 {
 	next := f.predictW()
 	// Undo the differencing with the seed chain, innermost level first —
 	// the single-step case of timeseries.Integrate.
-	for level := f.m.Order.D - 1; level >= 0; level-- {
+	for level := len(f.seeds) - 1; level >= 0; level-- {
 		next += f.seeds[level]
 	}
-	return next, nil
+	return next
 }

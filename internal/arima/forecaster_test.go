@@ -5,12 +5,96 @@ import (
 	"testing"
 
 	"invarnetx/internal/stats"
+	"invarnetx/internal/timeseries"
 )
 
-// TestForecasterMatchesPredictNext pins the streaming forecaster to the
-// batch reference: at every prefix of a series, across AR/MA/differenced
-// orders, the two must return bit-identical forecasts and agree on when
-// the history is long enough to predict at all.
+// refRecursion is the whole-history innovation recursion the Forecaster
+// replaced, kept as the reference: on the differenced series w it returns the
+// one-step predictions from t = max(p,q) on and the innovations (zero inside
+// the lead-in), building the latter up as e[t] = w[t] - pred(w[t]).
+func refRecursion(m *Model, w []float64) (predsW, errs []float64, lead int) {
+	lead = m.Order.P
+	if m.Order.Q > lead {
+		lead = m.Order.Q
+	}
+	errs = make([]float64, len(w))
+	for t := lead; t < len(w); t++ {
+		pred := m.Intercept
+		for i, a := range m.AR {
+			pred += a * w[t-1-i]
+		}
+		for j, b := range m.MA {
+			pred += b * errs[t-1-j]
+		}
+		errs[t] = w[t] - pred
+		predsW = append(predsW, pred)
+	}
+	return predsW, errs, lead
+}
+
+// refPredictNext is the batch one-step forecast of the sample following
+// history: recursion over the differenced history, one more step, then
+// timeseries.Integrate to undo the differencing.
+func refPredictNext(m *Model, history []float64) (float64, error) {
+	d := m.Order.D
+	w, err := timeseries.Difference(history, d)
+	if err != nil {
+		return 0, err
+	}
+	_, errs, lead := refRecursion(m, w)
+	if len(history) <= d+lead {
+		return 0, ErrTooShort
+	}
+	next := m.Intercept
+	for i, a := range m.AR {
+		next += a * w[len(w)-1-i]
+	}
+	for j, b := range m.MA {
+		next += b * errs[len(errs)-1-j]
+	}
+	if d == 0 {
+		return next, nil
+	}
+	seeds, err := timeseries.DifferenceSeeds(history, d)
+	if err != nil {
+		return 0, err
+	}
+	out, err := timeseries.Integrate([]float64{next}, seeds)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// refPredictSeries is the batch in-sample prediction series, undoing the
+// differencing per prediction with the binomial expansion over the d previous
+// observed values: x̂[t] = ŵ[t] - sum_{k=1..d} (-1)^k C(d,k) x[t-k].
+func refPredictSeries(m *Model, xs []float64) []float64 {
+	d := m.Order.D
+	w, _ := timeseries.Difference(xs, d)
+	predsW, _, lead := refRecursion(m, w)
+	preds := make([]float64, len(predsW))
+	for i := range predsW {
+		t := d + lead + i
+		rec := predsW[i]
+		sign, c := -1.0, float64(d)
+		for k := 1; k <= d; k++ {
+			rec -= sign * c * xs[t-k]
+			c = c * float64(d-k) / float64(k+1)
+			sign = -sign
+		}
+		preds[i] = rec
+	}
+	return preds
+}
+
+// TestForecasterMatchesPredictNext pins the one product recursion to the
+// batch reference across AR/MA/differenced orders: at every prefix of a
+// series the streaming forecaster, Model.PredictNext and the reference
+// return bit-identical forecasts and agree on when the history is long
+// enough to predict at all; PredictSeries equals the reference series
+// (bit-identical for d <= 1, to rounding of the undifferencing for d = 2);
+// and the fitted likelihood equals the reference's sum of squares.
 func TestForecasterMatchesPredictNext(t *testing.T) {
 	rng := stats.NewRNG(610)
 	xs := genAR(rng, 300, 0.3, []float64{0.5, 0.2}, 0.5)
@@ -26,29 +110,49 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 			t.Fatalf("%v: %v", order, err)
 		}
 		f := m.NewForecaster()
-		for i, x := range xs {
-			// Before consuming xs[i], both views share history xs[:i].
-			want, wantErr := m.PredictNext(xs[:i])
+		for i := 0; i <= len(xs); i++ {
+			// Before consuming xs[i], every view shares history xs[:i]; the
+			// last round is one step past the end of the series.
+			want, wantErr := refPredictNext(m, xs[:i])
 			got, gotErr := f.PredictNext()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%v at %d: batch err %v, stream err %v", order, i, wantErr, gotErr)
+			batch, batchErr := m.PredictNext(xs[:i])
+			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (batchErr == nil) {
+				t.Fatalf("%v at %d: reference err %v, stream err %v, batch err %v", order, i, wantErr, gotErr, batchErr)
 			}
-			if wantErr == nil && math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%v at %d: stream %v != batch %v", order, i, got, want)
+			if wantErr == nil && (math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(batch) != math.Float64bits(want)) {
+				t.Fatalf("%v at %d: stream %v, batch %v != reference %v", order, i, got, batch, want)
 			}
-			f.Observe(x)
+			if i < len(xs) {
+				f.Observe(xs[i])
+			}
 		}
-		// And one step past the end of the series.
-		want, err := m.PredictNext(xs)
+
+		preds, err := m.PredictSeries(xs)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
-		got, err := f.PredictNext()
-		if err != nil {
-			t.Fatalf("%v: %v", order, err)
+		ref := refPredictSeries(m, xs)
+		if len(preds) != len(ref) {
+			t.Fatalf("%v: %d predictions, reference %d", order, len(preds), len(ref))
 		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%v final: stream %v != batch %v", order, got, want)
+		for i := range preds {
+			exact := math.Float64bits(preds[i]) == math.Float64bits(ref[i])
+			if order.D <= 1 && !exact || math.Abs(preds[i]-ref[i]) > 1e-9 {
+				t.Fatalf("%v: prediction %d = %v, reference %v", order, i, preds[i], ref[i])
+			}
+		}
+
+		w, err := timeseries.Difference(xs, order.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predsW, errs, _ := refRecursion(m, w)
+		var css float64
+		for _, e := range errs[len(errs)-len(predsW):] {
+			css += e * e
+		}
+		if want := css / float64(len(predsW)); math.Float64bits(m.Sigma2) != math.Float64bits(want) {
+			t.Fatalf("%v: Sigma2 %v, reference %v", order, m.Sigma2, want)
 		}
 	}
 }

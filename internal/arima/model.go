@@ -114,182 +114,67 @@ func (m *Model) Residuals(xs []float64) ([]float64, error) {
 // scale. Prediction i corresponds to xs[skip+i] where
 // skip = d + max(p, q): the earliest sample with a full lag window.
 func (m *Model) PredictSeries(xs []float64) ([]float64, error) {
-	p, d, q := m.Order.P, m.Order.D, m.Order.Q
-	lead := p
-	if q > lead {
-		lead = q
-	}
-	if len(xs) <= d+lead {
+	f := m.NewForecaster()
+	skip := m.Order.D + f.lead
+	if len(xs) <= skip {
 		return nil, ErrTooShort
 	}
-	w, err := timeseries.Difference(xs, d)
-	if err != nil {
-		return nil, err
-	}
-	// Innovations are built up recursively: e[t] = w[t] - pred(w[t]).
-	errs := make([]float64, len(w))
-	predsW := make([]float64, 0, len(w)-lead)
-	for t := lead; t < len(w); t++ {
-		pred := m.Intercept
-		for i, a := range m.AR {
-			pred += a * w[t-1-i]
+	preds := make([]float64, 0, len(xs)-skip)
+	for t, x := range xs {
+		if t >= skip {
+			preds = append(preds, f.predict())
 		}
-		for j, b := range m.MA {
-			pred += b * errs[t-1-j]
-		}
-		errs[t] = w[t] - pred
-		predsW = append(predsW, pred)
-	}
-	if d == 0 {
-		return predsW, nil
-	}
-	// Undo differencing per prediction: the one-step prediction of x[t] is
-	// pred(w[t]) plus the reconstruction from the d previous *observed*
-	// original-scale values. For d==1: x̂[t] = ŵ[t] + x[t-1]. In general,
-	// x̂[t] = ŵ[t] - sum_{k=1..d} (-1)^k C(d,k) x[t-k].
-	preds := make([]float64, len(predsW))
-	for i := range predsW {
-		t := d + lead + i // index into xs
-		rec := predsW[i]
-		sign := -1.0
-		c := float64(d)
-		for k := 1; k <= d; k++ {
-			rec -= sign * c * xs[t-k]
-			// next binomial coefficient and sign
-			c = c * float64(d-k) / float64(k+1)
-			sign = -sign
-		}
-		preds[i] = rec
+		f.Observe(x)
 	}
 	return preds, nil
 }
 
 // PredictNext returns the one-step-ahead forecast of the sample following
-// history (original scale). This is the online detector's workhorse:
-// "M'cpi(t) is the CPI data predicted by ARIMA model using previous CPI
-// data".
+// history (original scale): "M'cpi(t) is the CPI data predicted by ARIMA
+// model using previous CPI data". It replays history through a Forecaster;
+// an online caller keeps the Forecaster instead and pays O(p+q) per sample.
 func (m *Model) PredictNext(history []float64) (float64, error) {
-	p, d, q := m.Order.P, m.Order.D, m.Order.Q
-	lead := p
-	if q > lead {
-		lead = q
+	f := m.NewForecaster()
+	for _, x := range history {
+		f.Observe(x)
 	}
-	if len(history) <= d+lead {
-		return 0, ErrTooShort
-	}
-	w, err := timeseries.Difference(history, d)
-	if err != nil {
-		return 0, err
-	}
-	errs := make([]float64, len(w))
-	for t := lead; t < len(w); t++ {
-		pred := m.Intercept
-		for i, a := range m.AR {
-			pred += a * w[t-1-i]
-		}
-		for j, b := range m.MA {
-			pred += b * errs[t-1-j]
-		}
-		errs[t] = w[t] - pred
-	}
-	// Forecast the next differenced value.
-	next := m.Intercept
-	for i, a := range m.AR {
-		next += a * w[len(w)-1-i]
-	}
-	for j, b := range m.MA {
-		next += b * errs[len(errs)-1-j]
-	}
-	if d == 0 {
-		return next, nil
-	}
-	seeds, err := timeseries.DifferenceSeeds(history, d)
-	if err != nil {
-		return 0, err
-	}
-	out, err := timeseries.Integrate([]float64{next}, seeds)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
+	return f.PredictNext()
 }
 
 // Forecast returns an h-step-ahead forecast on the original scale, holding
-// future innovations at zero.
+// future innovations at zero: each forecast is observed as if it had arrived.
 func (m *Model) Forecast(history []float64, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("arima: non-positive horizon %d", h)
 	}
-	p, d, q := m.Order.P, m.Order.D, m.Order.Q
-	lead := p
-	if q > lead {
-		lead = q
+	f := m.NewForecaster()
+	for _, x := range history {
+		f.Observe(x)
 	}
-	if len(history) <= d+lead {
-		return nil, ErrTooShort
-	}
-	w, err := timeseries.Difference(history, d)
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]float64, len(w))
-	for t := lead; t < len(w); t++ {
-		pred := m.Intercept
-		for i, a := range m.AR {
-			pred += a * w[t-1-i]
+	out := make([]float64, h)
+	for s := range out {
+		next, err := f.PredictNext()
+		if err != nil {
+			return nil, err
 		}
-		for j, b := range m.MA {
-			pred += b * errs[t-1-j]
-		}
-		errs[t] = w[t] - pred
+		out[s] = next
+		f.Observe(next)
 	}
-	// Extend w and errs forward; future innovations are 0.
-	wExt := append(append([]float64(nil), w...), make([]float64, h)...)
-	eExt := append(append([]float64(nil), errs...), make([]float64, h)...)
-	for s := 0; s < h; s++ {
-		t := len(w) + s
-		pred := m.Intercept
-		for i, a := range m.AR {
-			pred += a * wExt[t-1-i]
-		}
-		for j, b := range m.MA {
-			pred += b * eExt[t-1-j]
-		}
-		wExt[t] = pred
-	}
-	fcW := wExt[len(w):]
-	if d == 0 {
-		return fcW, nil
-	}
-	seeds, err := timeseries.DifferenceSeeds(history, d)
-	if err != nil {
-		return nil, err
-	}
-	return timeseries.Integrate(fcW, seeds)
+	return out, nil
 }
 
 // computeLikelihood fills Sigma2, LogLik and AIC from the conditional
 // sum-of-squares residuals on the differenced training series w.
 func (m *Model) computeLikelihood(w []float64) {
-	p, q := m.Order.P, m.Order.Q
-	lead := p
-	if q > lead {
-		lead = q
-	}
-	errs := make([]float64, len(w))
+	f := m.newForecaster(0) // w is already differenced
 	var css float64
 	n := 0
-	for t := lead; t < len(w); t++ {
-		pred := m.Intercept
-		for i, a := range m.AR {
-			pred += a * w[t-1-i]
+	for t, v := range w {
+		e := f.Observe(v)
+		if t >= f.lead {
+			css += e * e
+			n++
 		}
-		for j, b := range m.MA {
-			pred += b * errs[t-1-j]
-		}
-		errs[t] = w[t] - pred
-		css += errs[t] * errs[t]
-		n++
 	}
 	if n == 0 {
 		m.Sigma2 = 0
@@ -302,7 +187,7 @@ func (m *Model) computeLikelihood(w []float64) {
 		m.Sigma2 = 1e-12
 	}
 	m.LogLik = -0.5 * float64(n) * (math.Log(2*math.Pi*m.Sigma2) + 1)
-	k := float64(p + q + 1) // +1 for the intercept
+	k := float64(m.Order.P + m.Order.Q + 1) // +1 for the intercept
 	m.AIC = 2*k - 2*m.LogLik
 }
 

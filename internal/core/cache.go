@@ -171,46 +171,16 @@ func (c *assocCache) stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
 }
 
-// BatchAssociation prepares a whole window of metric rows at once and
-// returns a pair scorer over them. Batch preparation lets an association
-// measure hoist per-metric work (sorting, partitioning for MIC) out of the
-// m(m−1)/2 pair loop.
-type BatchAssociation func(rows [][]float64) (invariant.PairScorer, error)
-
-// MICBatch returns the batch form of the MIC association: metrics are
-// prepared once via mic.NewBatch and pairs scored with pooled scratch
-// buffers. Wired automatically by New when Assoc is the stock mic.MIC.
-func MICBatch(cfg mic.Config) BatchAssociation {
-	return func(rows [][]float64) (invariant.PairScorer, error) {
-		return mic.NewBatch(rows, cfg)
-	}
-}
-
-// BatchFor returns the batch form of assoc when one exists — currently only
-// the stock mic.MIC — or nil when the measure must run per pair. It is the
-// same gate New applies when auto-wiring Config.BatchAssoc.
-func BatchFor(assoc invariant.AssociationFunc) BatchAssociation {
-	if isStockMIC(assoc) {
-		return MICBatch(mic.DefaultConfig())
-	}
-	return nil
-}
-
 // scorer picks the pair scorer for one window — the one place the policy
-// lives: the caller's lazily built scorer when it yields one (the serving
-// layer's slider snapshots), else the configured batch preparation, else nil,
-// which makes the kernel call Assoc per pair. A preparation error (too few
-// samples, non-finite values, ragged rows) just drops that tier; shape
-// errors are then reported by the kernel's own validation.
-func (p *Profile) scorer(rows [][]float64, lazy func() invariant.PairScorer) invariant.PairScorer {
-	if lazy != nil {
-		if sc := lazy(); sc != nil {
-			return sc
-		}
-	}
-	if batch := p.sys.cfg.BatchAssoc; batch != nil {
-		if sc, err := batch(rows); err == nil {
-			return sc
+// lives: one mic.NewBatch preparation when the measure is the stock MIC
+// (per-metric sorting and partitioning hoisted out of the pair loop), else
+// nil, which makes the kernel call Assoc per pair. A preparation error (too
+// few samples, non-finite values, ragged rows) also yields nil; shape errors
+// are then reported by the kernel's own validation.
+func (p *Profile) scorer(rows [][]float64) invariant.PairScorer {
+	if p.sys.batchMIC {
+		if b, err := mic.NewBatch(rows, mic.DefaultConfig()); err == nil {
+			return b
 		}
 	}
 	return nil
@@ -245,7 +215,7 @@ func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (ca
 // newly added ones into lookups.
 func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, error) {
 	e, err := p.memo(tr, nil, func() (cacheEntry, error) {
-		mat, err := invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, p.sys.cfg.Assoc, p.scorer(tr.Rows, nil), 0)
+		mat, err := invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, p.sys.cfg.Assoc, p.scorer(tr.Rows), 0)
 		return cacheEntry{mat: mat}, err
 	})
 	return e.mat, err

@@ -176,19 +176,30 @@ func TestAssocCacheDisabledAndBounded(t *testing.T) {
 	}
 }
 
-func TestBatchAssocAutoWiring(t *testing.T) {
-	if s := New(Config{}); s.cfg.BatchAssoc == nil {
-		t.Error("stock mic.MIC config should auto-wire the batch path")
-	}
-	if s := New(Config{Assoc: mic.MIC}); s.cfg.BatchAssoc == nil {
-		t.Error("explicit mic.MIC should auto-wire the batch path")
-	}
-	if s := New(Config{Assoc: arx.Association}); s.cfg.BatchAssoc != nil {
-		t.Error("a non-MIC measure must not get the MIC batch scorer")
-	}
+// TestStockMICDecision: New prepares windows in batch only for the stock
+// mic.MIC; any other measure — a wrapped MIC included — scores per pair.
+func TestStockMICDecision(t *testing.T) {
 	wrapped := func(x, y []float64) float64 { return mic.MIC(x, y) }
-	if s := New(Config{Assoc: wrapped}); s.cfg.BatchAssoc != nil {
-		t.Error("a wrapped MIC is not the stock function; batch must stay off")
+	for _, tc := range []struct {
+		name  string
+		assoc invariant.AssociationFunc
+		want  bool
+	}{
+		{"nil defaults to stock MIC", nil, true},
+		{"explicit mic.MIC", mic.MIC, true},
+		{"arx.Association", arx.Association, false},
+		{"wrapped MIC", wrapped, false},
+	} {
+		s := New(Config{Assoc: tc.assoc})
+		if s.batchMIC != tc.want {
+			t.Errorf("%s: batchMIC = %v, want %v", tc.name, s.batchMIC, tc.want)
+		}
+		// The decision is what Profile.scorer acts on: a batch scorer for a
+		// well-formed window iff the measure is the stock MIC.
+		rows := synthTrace(stats.NewRNG(5), 30, 4, nil).Rows
+		if got := s.Profile(Context{}).scorer(rows) != nil; got != tc.want {
+			t.Errorf("%s: window scorer present = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -197,7 +208,7 @@ func TestBatchPathMatchesGeneric(t *testing.T) {
 	// as the per-pair Assoc pipeline.
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	batched := trainSystem(t, Config{UseContext: true}, ctx, 707)
-	plain := trainSystem(t, Config{UseContext: true, BatchAssoc: nil, AssocCacheSize: -1, Assoc: func(x, y []float64) float64 { return mic.MIC(x, y) }}, ctx, 707)
+	plain := trainSystem(t, Config{UseContext: true, AssocCacheSize: -1, Assoc: func(x, y []float64) float64 { return mic.MIC(x, y) }}, ctx, 707)
 	sb, err := batched.Invariants(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -23,10 +23,9 @@ import (
 // can never appear in Violated, Hints or signature matching — but keeps
 // being observed. Each quarantined edge re-estimates its baseline through
 // an exponentially-decayed mean of the exact scores of later clean windows
-// (mic.Decayed, the Slider pipeline's re-estimation extension); the
-// re-estimated baselines form a *shadow model generation* evaluated
-// side-by-side against the live one on the same windows, and promoted only
-// when its false-positive rate beats the incumbent's. Promotion installs a
+// (mic.Decayed); the re-estimated baselines form a *shadow model generation*
+// evaluated side-by-side against the live one on the same windows, and
+// promoted only when its false-positive rate beats the incumbent's. Promotion installs a
 // fresh invariant.Set — the report cache invalidates for free, set identity
 // being part of its key — and bumps the profile's generation; the whole state
 // machine is persisted through xmlstore so a restart mid-promotion comes

@@ -55,7 +55,6 @@ func lifecycleConfig(t *testing.T) Config {
 	cfg := DefaultConfig()
 	cfg.Assoc = valueAssoc
 	cfg.AssocName = "value"
-	cfg.BatchAssoc = nil
 	cfg.Lifecycle = fastLifecycle()
 	return cfg
 }

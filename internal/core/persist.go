@@ -20,9 +20,6 @@ import (
 //	<dir>/signatures-<workload>-<ip>.xml
 //	<dir>/lifecycle-<workload>-<ip>.xml   (drift lifecycle, when enabled)
 //
-// Legacy stores with a single combined signatures.xml still load: entries
-// route to profiles by their per-entry context fields either way.
-//
 // The paper stores each model and invariant set "in an XML file"; this
 // mirrors that and makes the offline training results reusable across
 // process restarts.
@@ -202,9 +199,9 @@ func (r *LoadReport) String() string {
 }
 
 // LoadFrom restores models, invariants and signatures previously written by
-// SaveTo (per-profile files, or a legacy combined signatures.xml). Loaded
-// artefacts replace in-memory ones in the profile of the same context; on a
-// no-context system everything lands in the single global profile.
+// SaveTo. Loaded artefacts replace in-memory ones in the profile of the same
+// context; on a no-context system everything lands in the single global
+// profile.
 //
 // Recovery is per-file: a truncated, empty, malformed or newer-versioned
 // file is skipped and reported in the returned LoadReport instead of
@@ -272,31 +269,29 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 				continue
 			}
 			lifecycles = append(lifecycles, pendingLifecycle{name: name, f: f})
-		case strings.HasPrefix(name, "signatures") && strings.HasSuffix(name, ".xml"):
+		case strings.HasPrefix(name, "signatures-") && strings.HasSuffix(name, ".xml"):
 			var f xmlstore.SignatureFile
 			if err := xmlstore.LoadFile(full, &f); err != nil {
 				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
 				continue
 			}
-			// The whole file parses before anything merges: one bad tuple
-			// skips the file, never half of it.
+			// The whole file parses and is checked against its own scope
+			// before anything merges: one bad tuple or one entry of another
+			// context skips the file, never half of it.
 			sigs, err := f.ParseEntries()
+			scope := s.key(loadedCtx(f.Type, f.IP))
+			for i := 0; err == nil && i < len(sigs); i++ {
+				if ctx := loadedCtx(sigs[i].Workload, sigs[i].IP); s.key(ctx) != scope {
+					err = fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
+				}
+			}
 			if err != nil {
 				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
 				continue
 			}
-			// Merge, not append: a store holding both a legacy combined
-			// signatures.xml and per-profile files must not double-load the
-			// overlap. Each run of same-context entries (a per-profile file
-			// is one run) costs one profile lookup and one lock.
-			for lo := 0; lo < len(sigs); {
-				hi := lo + 1
-				for hi < len(sigs) && sigs[hi].Workload == sigs[lo].Workload && sigs[hi].IP == sigs[lo].IP {
-					hi++
-				}
-				rep.Signatures += s.Profile(loadedCtx(sigs[lo].Workload, sigs[lo].IP)).mergeSignatures(sigs[lo:hi]...)
-				lo = hi
-			}
+			// Merge, not append: loading over a live system must not
+			// duplicate what is already there.
+			rep.Signatures += s.Profile(scope).mergeSignatures(sigs...)
 		}
 	}
 	for _, pl := range lifecycles {

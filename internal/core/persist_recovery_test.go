@@ -139,43 +139,46 @@ func TestLoadFromSkipsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestLoadFromSignatureFilesMergeByContextAllOrNothing: a combined
-// signature file routes its entries to their profiles run by run, deduping
-// against what is already loaded, and a file with one malformed tuple is
-// skipped whole — none of its well-formed entries may land.
+// TestLoadFromSignatureFilesMergeByContextAllOrNothing: a signature file
+// routes to the profile its file-level scope names, deduping against what is
+// already loaded, and is all-or-nothing — a file with one malformed tuple, or
+// with one entry of another context than its own scope, is skipped whole and
+// none of its well-formed entries may land. A scope-less combined
+// signatures.xml is not part of the layout and is not read.
 func TestLoadFromSignatureFilesMergeByContextAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
 	a, b := Context{Workload: "wordcount", IP: "10.0.0.2"}, Context{Workload: "sort", IP: "10.0.0.3"}
 	entry := func(ctx Context, problem, tuple string) xmlstore.SignatureEntry {
 		return xmlstore.SignatureEntry{Tuple: tuple, Problem: problem, IP: ctx.IP, Type: ctx.Workload}
 	}
-	combined := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, Entries: []xmlstore.SignatureEntry{
+	save := func(name string, scope Context, entries ...xmlstore.SignatureEntry) {
+		t.Helper()
+		f := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, IP: scope.IP, Type: scope.Workload, Entries: entries}
+		if err := xmlstore.SaveFile(filepath.Join(dir, name), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save("signatures-a.xml", a,
 		entry(a, "cpu-hog", "0110"), entry(a, "mem-hog", "1000"),
-		entry(b, "cpu-hog", "01"),
-		entry(a, "net-drop", "0011"), entry(a, "cpu-hog", "0110"), // the last repeats the first
-	}}
-	if err := xmlstore.SaveFile(filepath.Join(dir, "signatures.xml"), combined); err != nil {
-		t.Fatal(err)
-	}
-	bad := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, Entries: []xmlstore.SignatureEntry{
-		entry(b, "disk-hog", "10"), entry(b, "net-delay", "1x"),
-	}}
-	if err := xmlstore.SaveFile(filepath.Join(dir, "signatures-bad.xml"), bad); err != nil {
-		t.Fatal(err)
-	}
+		entry(a, "net-drop", "0011"), entry(a, "cpu-hog", "0110")) // the last repeats the first
+	save("signatures-b.xml", b, entry(b, "cpu-hog", "01"))
+	save("signatures-bad.xml", b, entry(b, "disk-hog", "10"), entry(b, "net-delay", "1x"))
+	save("signatures-mixed.xml", b, entry(b, "disk-hog", "10"), entry(a, "disk-hog", "1010"))
+	save("signatures.xml", Context{}, entry(a, "legacy", "1111"))
 	s := New(DefaultConfig())
 	rep, err := s.LoadFrom(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Signatures != 4 || len(rep.Skipped) != 1 || rep.Skipped[0].Name != "signatures-bad.xml" {
-		t.Fatalf("report = %+v, want 4 signatures and signatures-bad.xml skipped", rep)
+	if rep.Signatures != 4 || len(rep.Skipped) != 2 ||
+		rep.Skipped[0].Name != "signatures-bad.xml" || rep.Skipped[1].Name != "signatures-mixed.xml" {
+		t.Fatalf("report = %+v, want 4 signatures, signatures-bad.xml and signatures-mixed.xml skipped", rep)
 	}
 	if got := s.Profile(a).SignatureCount(); got != 3 {
 		t.Errorf("%v holds %d signatures, want 3", a, got)
 	}
 	if got := s.Profile(b).SignatureCount(); got != 1 {
-		t.Errorf("%v holds %d signatures, want 1 (nothing from the skipped file)", b, got)
+		t.Errorf("%v holds %d signatures, want 1 (nothing from the skipped files)", b, got)
 	}
 }
 

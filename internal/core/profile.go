@@ -201,13 +201,6 @@ type ViolationReport struct {
 	set *invariant.Set
 }
 
-// Violations computes the violation report of an abnormal metric window
-// against the profile's invariants. Missing or masked samples make the
-// touched invariants *unknown* rather than violated.
-func (p *Profile) Violations(abnormal *metrics.Trace) (*ViolationReport, error) {
-	return p.violations(abnormal, nil)
-}
-
 // BuildSignature records the violation tuple of an investigated problem in
 // the profile's signature entries: "Once the performance problem is
 // resolved, a new signature will be added into the signature base."
@@ -284,14 +277,7 @@ func (p *Profile) SignatureSnapshot() *signature.DB {
 // checkable fraction; a clean window is the all-known case of the same
 // path.
 func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
-	return p.DiagnoseHinted(abnormal, nil)
-}
-
-// DiagnoseHinted is Diagnose with serving-layer reuse state: scorer, when
-// non-nil, lazily supplies the window's pair scorer from incrementally
-// maintained per-metric state (see Profile.violations for its contract).
-func (p *Profile) DiagnoseHinted(abnormal *metrics.Trace, scorer func() invariant.PairScorer) (*Diagnosis, error) {
-	rep, err := p.violations(abnormal, scorer)
+	rep, err := p.Violations(abnormal)
 	if err != nil {
 		return nil, err
 	}

@@ -36,14 +36,14 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 	ab := synthTrace(rng.Fork(3), 40, 8, faultA)
 
 	// Legacy pipeline, inline. The old clean path preferred the batch
-	// scorer (DefaultConfig wires MICBatch) and matched with nil mask.
+	// scorer (stock MIC: one mic.NewBatch per window) and matched with nil mask.
 	set, err := s.Invariants(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
 	legacyMatrix := func(rows [][]float64) *invariant.Matrix {
-		scorer, err := MICBatch(mic.DefaultConfig())(rows)
+		scorer, err := mic.NewBatch(rows, mic.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestTrainingPoolCap(t *testing.T) {
 	// Negative PoolCap disables the bound.
 	unbounded := New(Config{UseContext: true, PoolCap: -1})
 	for i := 0; i < 4; i++ {
-		if err := unbounded.TrainInvariants(ctx, []*metrics.Trace{synthTrace(rng.Fork(100 + int64(i)), 60, 8, nil)}); err != nil {
+		if err := unbounded.TrainInvariants(ctx, []*metrics.Trace{synthTrace(rng.Fork(100+int64(i)), 60, 8, nil)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,14 +24,11 @@ type SparseStats struct {
 	Skipped  int64
 }
 
-// violations is Violations with the serving layer's reuse state: lazy, when
-// non-nil, supplies the window's pair scorer from incrementally maintained
-// per-metric state (mic.Slider) so the per-window sort/partition work is
-// already paid. It is only invoked on a report-cache miss, must compute the
-// profile's configured measure over exactly this window, and may return nil
-// to fall back to the configured batch or per-pair path. The returned report
-// may be shared with the cache and other callers — strictly read-only.
-func (p *Profile) violations(abnormal *metrics.Trace, lazy func() invariant.PairScorer) (*ViolationReport, error) {
+// Violations computes the violation report of an abnormal metric window
+// against the profile's invariants. Missing or masked samples make the
+// touched invariants *unknown* rather than violated. The returned report may
+// be shared with the cache and other callers — strictly read-only.
+func (p *Profile) Violations(abnormal *metrics.Trace) (*ViolationReport, error) {
 	set, err := p.Invariants()
 	if err != nil {
 		return nil, err
@@ -39,16 +36,16 @@ func (p *Profile) violations(abnormal *metrics.Trace, lazy func() invariant.Pair
 	// Cache hits skip health observation entirely: an identical window
 	// re-diagnosed adds no information to the drift series.
 	e, err := p.memo(abnormal, set, func() (cacheEntry, error) {
-		rep, err := p.judge(set, abnormal, lazy)
+		rep, err := p.judge(set, abnormal)
 		return cacheEntry{rep: rep}, err
 	})
 	return e.rep, err
 }
 
 // judge computes the violation report of one window against set, uncached.
-func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace, lazy func() invariant.PairScorer) (*ViolationReport, error) {
+func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace) (*ViolationReport, error) {
 	cfg := &p.sys.cfg
-	scorer := p.scorer(tr.Rows, lazy)
+	scorer := p.scorer(tr.Rows)
 	raw, known, st, err := set.ComputeEdgesMasked(tr.Rows, tr.Valid, cfg.Assoc, scorer, 0, cfg.Epsilon)
 	if err != nil {
 		return nil, err

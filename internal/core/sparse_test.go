@@ -178,11 +178,11 @@ func TestSparseReportCacheReuse(t *testing.T) {
 	}
 }
 
-// TestDiagnoseHintedFingerprint: the report cache is keyed by the window's
-// content alone, so hinted and unhinted diagnoses of one window share an
-// entry (a hit must not even build the hint's scorer), and a hinted
-// diagnosis of a fresh window equals the unhinted one.
-func TestDiagnoseHintedFingerprint(t *testing.T) {
+// TestDiagnoseFingerprint: the report cache is keyed by the window's content
+// alone — a second diagnosis of equal content in a different *Trace is a hit
+// that adds no entry, a fresh window is a miss whose verdict equals the dense
+// reference.
+func TestDiagnoseFingerprint(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 920)
 	rng := stats.NewRNG(921)
@@ -194,35 +194,30 @@ func TestDiagnoseHintedFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.AssocCacheStats()
-	scorerCalled := false
-	d2, err := s.DiagnoseHinted(ctx, tr1, func() invariant.PairScorer {
-		scorerCalled = true
-		return nil
-	})
+	again, err := tr1.Slice(0, tr1.Len()) // same content, different trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := s.AssocCacheStats(); after.Hits != before.Hits+1 || after.Entries != before.Entries {
-		t.Errorf("hinted rediagnosis did not share the unhinted entry: %+v -> %+v", before, after)
+	d2, err := s.Diagnose(ctx, again)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if scorerCalled {
-		t.Error("report-cache hit still built the hint scorer")
+	if after := s.AssocCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Errorf("rediagnosis of equal content was not a pure hit: %+v -> %+v", before, after)
 	}
 	if !reflect.DeepEqual(d1, d2) {
-		t.Errorf("hinted rediagnosis %+v != original %+v", d2, d1)
+		t.Errorf("rediagnosis %+v != original %+v", d2, d1)
 	}
 
-	d3, err := s.DiagnoseHinted(ctx, tr2, func() invariant.PairScorer {
-		scorerCalled = true
-		return nil // fall back to the configured batch path
-	})
+	before = s.AssocCacheStats()
+	d3, err := s.Diagnose(ctx, tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !scorerCalled {
-		t.Error("report-cache miss never consulted the hint scorer")
+	if after := s.AssocCacheStats(); after.Misses != before.Misses+1 || after.Entries != before.Entries+1 {
+		t.Errorf("fresh window was not a miss adding one entry: %+v -> %+v", before, after)
 	}
 	if want := denseReport(t, s, ctx, tr2); !reflect.DeepEqual(d3.Tuple, want.Tuple) {
-		t.Errorf("hinted diagnosis tuple %v != dense reference %v", d3.Tuple, want.Tuple)
+		t.Errorf("diagnosis tuple %v != dense reference %v", d3.Tuple, want.Tuple)
 	}
 }

@@ -61,12 +61,6 @@ type Config struct {
 	Assoc invariant.AssociationFunc
 	// AssocName labels the measure in reports.
 	AssocName string
-	// BatchAssoc, when set, prepares each window once and scores pairs with
-	// shared preprocessing instead of calling Assoc per pair. New wires
-	// MICBatch automatically when Assoc is the stock mic.MIC; set it
-	// explicitly for a custom measure with a batch form, or leave it nil to
-	// force the per-pair path.
-	BatchAssoc BatchAssociation
 	// AssocCacheSize bounds each profile's association-matrix cache: 0
 	// selects DefaultAssocCacheSize, negative disables caching.
 	AssocCacheSize int
@@ -128,8 +122,12 @@ type profileShard struct {
 // System is one InvarNet-X deployment: a configuration plus the striped
 // registry of per-context profiles.
 type System struct {
-	cfg    Config
-	shards [profileShards]profileShard
+	cfg Config
+	// batchMIC is the one scoring decision: Assoc is the stock mic.MIC, so a
+	// window is prepared once (mic.NewBatch) and pairs scored from the shared
+	// preparation; any other measure runs Assoc per pair.
+	batchMIC bool
+	shards   [profileShards]profileShard
 }
 
 // Errors reported by the online path.
@@ -223,13 +221,10 @@ func New(cfg Config) *System {
 		cfg.Assoc = def.Assoc
 		cfg.AssocName = def.AssocName
 	}
-	// Auto-wire the batch MIC path only when Assoc is literally the stock
+	// One mic.NewBatch per window only when Assoc is literally the stock
 	// mic.MIC — a custom Assoc (arx, a wrapped MIC) must not be silently
 	// replaced by a scorer computing a different measure.
-	if cfg.BatchAssoc == nil {
-		cfg.BatchAssoc = BatchFor(cfg.Assoc)
-	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, batchMIC: isStockMIC(cfg.Assoc)}
 	for i := range s.shards {
 		s.shards[i].profiles = make(map[Context]*Profile)
 	}
@@ -491,18 +486,11 @@ func pairName(p invariant.Pair) string {
 }
 
 // Diagnose runs cause inference on an abnormal metric window for ctx (see
-// Profile.Diagnose for the pipeline).
+// Profile.Diagnose for the pipeline). The diagnosis names the caller's ctx
+// even when it was answered by the global no-context profile.
 func (s *System) Diagnose(ctx Context, abnormal *metrics.Trace) (*Diagnosis, error) {
-	return s.DiagnoseHinted(ctx, abnormal, nil)
-}
-
-// DiagnoseHinted is Diagnose with serving-layer reuse state (a lazily built
-// scorer over incrementally maintained per-metric state; see
-// Profile.DiagnoseHinted). The diagnosis names the caller's ctx even when
-// it was answered by the global no-context profile.
-func (s *System) DiagnoseHinted(ctx Context, abnormal *metrics.Trace, scorer func() invariant.PairScorer) (*Diagnosis, error) {
 	return online(s, ctx, ErrNoInvariants, func(p *Profile) (*Diagnosis, error) {
-		diag, err := p.DiagnoseHinted(abnormal, scorer)
+		diag, err := p.Diagnose(abnormal)
 		if err == nil {
 			diag.Context = ctx
 		}

@@ -179,19 +179,6 @@ func splitFiniteSegments(traces [][]float64) [][]float64 {
 	return out
 }
 
-// Residual returns |observed − predicted| for the sample following history.
-func (d *Detector) Residual(history []float64, observed float64) (float64, error) {
-	pred, err := d.Model.PredictNext(history)
-	if err != nil {
-		return 0, err
-	}
-	diff := observed - pred
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff, nil
-}
-
 // Anomalous classifies a single residual magnitude under the rule.
 func (d *Detector) Anomalous(residual float64) bool {
 	switch d.Rule {

@@ -113,6 +113,9 @@ func TestMonitorAlertLatchesUntilReset(t *testing.T) {
 	}
 }
 
+// TestDetectorResidualAgainstKnownValue: the online step's residual is
+// |observed − predicted| — a sample just past Upper on either side of the
+// forecast is anomalous, one just inside is not.
 func TestDetectorResidualAgainstKnownValue(t *testing.T) {
 	d := trainedDetector(t, 527)
 	hist := normalTraces(528, 1, 40)[0]
@@ -120,19 +123,18 @@ func TestDetectorResidualAgainstKnownValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := d.Residual(hist, pred+0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := r - 0.5; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("residual = %v, want exactly 0.5", r)
-	}
-	r, err = d.Residual(hist, pred-0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := r - 0.3; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("|residual| = %v, want 0.3", r)
+	for _, tc := range []struct {
+		offset float64
+		want   bool
+	}{
+		{d.Upper + 1e-6, true},
+		{-(d.Upper + 1e-6), true},
+		{d.Upper - 1e-6, false},
+		{-(d.Upper - 1e-6), false},
+	} {
+		if got := d.NewMonitor(hist).Offer(pred + tc.offset); got != tc.want {
+			t.Errorf("offer forecast%+g (Upper %g): anomalous = %v, want %v", tc.offset, d.Upper, got, tc.want)
+		}
 	}
 }
 

@@ -5,13 +5,11 @@ import (
 	"math"
 )
 
-// This file extends the Slider pipeline from window sliding to baseline
-// *re-estimation*: where a Slider amortises the per-window preprocessing of
-// one metric's sliding window, a Decayed folds the association scores of
-// successive windows into an exponentially-decayed running estimate. The
-// invariant lifecycle uses one per quarantined edge — each new clean window
-// contributes its exact score, recent windows dominate, and the converged
-// value becomes the edge's candidate baseline in the shadow model
+// This file is baseline *re-estimation*: a Decayed folds the association
+// scores of successive windows into an exponentially-decayed running
+// estimate. The invariant lifecycle uses one per quarantined edge — each new
+// clean window contributes its exact score, recent windows dominate, and the
+// converged value becomes the edge's candidate baseline in the shadow model
 // generation.
 
 // Decayed is an exponentially-decayed mean of a stream of scores. The
@@ -84,24 +82,4 @@ func (d *Decayed) Restore(value float64, n int64) {
 		return
 	}
 	d.num, d.den, d.n = value, 1, n
-}
-
-// ReestimatePair scores the pair of two sliders' current windows — the
-// re-estimation step feeding a quarantined edge's Decayed when the serving
-// layer maintains per-metric sliders. Both windows must be clean (no
-// masked samples) and long enough; errors mirror Slider.Prepared.
-func ReestimatePair(a, b *Slider) (float64, error) {
-	pa, err := a.Prepared()
-	if err != nil {
-		return 0, err
-	}
-	pb, err := b.Prepared()
-	if err != nil {
-		return 0, err
-	}
-	res, err := ComputePrepared(pa, pb, NewScratch())
-	if err != nil {
-		return 0, err
-	}
-	return res.MIC, nil
 }

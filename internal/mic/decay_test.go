@@ -76,34 +76,3 @@ func TestDecayedAlphaSanitised(t *testing.T) {
 		}
 	}
 }
-
-func TestReestimatePair(t *testing.T) {
-	const n = 64
-	a := NewSlider(n, Config{})
-	b := NewSlider(n, Config{})
-	for i := 0; i < n; i++ {
-		x := float64(i) / n
-		a.Append(x, true)
-		b.Append(2*x+0.5, true)
-	}
-	score, err := ReestimatePair(a, b)
-	if err != nil {
-		t.Fatalf("ReestimatePair: %v", err)
-	}
-	if score < 0.9 {
-		t.Fatalf("linear pair re-estimated at %v, want ~1", score)
-	}
-	// Degenerate windows surface the slider's own errors.
-	short := NewSlider(4, Config{})
-	short.Append(1, true)
-	if _, err := ReestimatePair(short, b); err == nil {
-		t.Fatalf("short window accepted")
-	}
-	masked := NewSlider(n, Config{})
-	for i := 0; i < n; i++ {
-		masked.Append(float64(i), i != 3)
-	}
-	if _, err := ReestimatePair(masked, b); err == nil {
-		t.Fatalf("masked window accepted")
-	}
-}

@@ -269,9 +269,8 @@ func isFinite(v float64) bool {
 // maskValue applies the telemetry gap semantics to one wire entry: a
 // masked-invalid entry whose placeholder is zero is stored as NaN (the
 // honest Mask policy); any other placeholder (held or interpolated value) is
-// kept as-is and stays flagged invalid by the mask. This is the single
-// definition both the trace builder and the columnar stream window (slider
-// feeds included) go through, so the two can never diverge.
+// kept as-is and stays flagged invalid by the mask. Applied once, where
+// samples become columns (ingestBatch.fromSamples, the frame decoder).
 func maskValue(v float64, valid bool) float64 {
 	if !valid && v == 0 {
 		return math.NaN()
@@ -283,39 +282,17 @@ func maskValue(v float64, valid bool) float64 {
 // the telemetry gap semantics: masked-invalid entries whose placeholder is
 // zero are stored as NaN (the honest Mask policy), non-zero placeholders
 // are kept as-is but stay flagged invalid (the hold/interpolate policies) —
-// in both cases the validity mask is what the masked pipeline trusts.
+// in both cases the validity mask is what the masked pipeline trusts. It is
+// the stream window's own route (samples → columnar batch → trace), so an
+// explicit window and the identical ingested one are the same trace.
 func TraceFromSamples(workloadType, node string, samples []Sample) (*metrics.Trace, error) {
 	if err := validateSamples(samples); err != nil {
 		return nil, err
 	}
-	tr := metrics.NewTrace(node, workloadType)
-	for _, s := range samples {
-		if err := addSample(tr, s); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
-}
-
-// addSample appends one wire sample to tr under the gap semantics above.
-func addSample(tr *metrics.Trace, s Sample) error {
-	if s.Valid == nil && s.CPIValid == nil {
-		return tr.Add(s.Metrics, s.CPI)
-	}
-	valid := s.Valid
-	if valid == nil {
-		valid = make([]bool, metrics.Count)
-		for i := range valid {
-			valid[i] = true
-		}
-	}
-	values := append([]float64(nil), s.Metrics...)
-	for m, ok := range valid {
-		values[m] = maskValue(values[m], ok)
-	}
-	cpiOK := s.CPIValid == nil || *s.CPIValid
-	cpi := maskValue(s.CPI, cpiOK)
-	return tr.AddMasked(values, valid, cpi, cpiOK)
+	b := getBatch()
+	defer putBatch(b)
+	b.fromSamples(samples, nil)
+	return traceFromColumns(core.Context{Workload: workloadType, IP: node}, b.n, b.n, b.cols, b.valid, b.cpi, b.cpiOK, b.stages), nil
 }
 
 // diagnosisWire converts a core.Diagnosis for the wire. Scores are finite

@@ -3,8 +3,7 @@
 // same gap-bearing batches — one over JSON, one as binary frames — must end
 // up with indistinguishable serving state. Both paths converge on the same
 // columnar admission, so this asserts bit-identical window columns and
-// validity, equal generations, identical slider preparations, and the same
-// diagnosis verdict on a trained context.
+// validity and the same diagnosis verdict on a trained context.
 package server
 
 import (
@@ -113,28 +112,6 @@ func TestBinaryIngestMatchesJSONStreamState(t *testing.T) {
 	}
 	bst.mu.Unlock()
 	jst.mu.Unlock()
-
-	// Slider state (rebuilt lazily after bulk batches) must agree too:
-	// windowScorer forces both sides to catch up.
-	jst.windowScorer()
-	bst.windowScorer()
-	if (jst.sliders == nil) != (bst.sliders == nil) {
-		t.Fatalf("slider presence diverged")
-	}
-	for m := range jst.sliders {
-		js, bs := jst.sliders[m], bst.sliders[m]
-		if !js.Equal(bs) {
-			t.Fatalf("slider %d state diverged", m)
-		}
-		jp, jerr := js.Prepared()
-		bp, berr := bs.Prepared()
-		if (jerr == nil) != (berr == nil) {
-			t.Fatalf("slider %d: json err %v, binary err %v", m, jerr, berr)
-		}
-		if jerr == nil && !reflect.DeepEqual(jp, bp) {
-			t.Fatalf("slider %d preparation diverged", m)
-		}
-	}
 
 	// Same verdict from the same trained context over the same window.
 	jrep := diagnoseWait(t, jsonSrv, DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP})

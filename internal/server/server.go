@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"runtime"
 	"sort"
@@ -16,7 +17,6 @@ import (
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/fleet"
-	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/signature"
 )
@@ -108,12 +108,6 @@ type Server struct {
 	fleet *fleet.Fleet // nil when federation is disabled
 	start time.Time
 
-	// useSliders enables per-stream incremental MIC preparation: only when
-	// diagnosis would score pairs through the stock batched MIC (the one
-	// measure whose per-metric state the serving layer knows how to maintain
-	// delta-aware) and the sparse path is active to consume the snapshots.
-	useSliders bool
-
 	draining atomic.Bool
 	shutOnce sync.Once
 	shutErr  error
@@ -126,33 +120,35 @@ type Server struct {
 // is an error here, not a panic deeper in — and StoreDir, when set, is
 // restored immediately so the instance boots with every persisted model,
 // invariant set and signature shard. The returned LoadReport (nil without a
-// StoreDir) tells the operator what came back and what was skipped.
+// StoreDir) tells the operator what came back and what was skipped. A
+// StoreDir that does not exist yet is a cold boot; one that exists but cannot
+// be read is an error — Shutdown would otherwise save an empty system over it.
 func New(cfg Config) (*Server, *core.LoadReport, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("server: refusing to boot: %w", err)
 	}
 	cfg = cfg.withDefaults()
+	sys := core.New(cfg.Core)
+	// The store is restored before any worker starts, so a refusal leaves
+	// nothing running.
+	var rep *core.LoadReport
+	if cfg.StoreDir != "" {
+		var err error
+		rep, err = sys.LoadFrom(cfg.StoreDir)
+		// A missing directory is a cold boot, not a failure: SaveTo will
+		// create it on shutdown. Anything else (unreadable, not a
+		// directory) must not boot empty and then save over the store.
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, fmt.Errorf("server: refusing to boot: restoring store: %w", err)
+		}
+	}
 	s := &Server{
 		cfg:     cfg,
-		sys:     core.New(cfg.Core),
+		sys:     sys,
 		sched:   newScheduler(cfg.Workers),
 		store:   newReportStore(cfg.ReportCap),
 		streams: make(map[core.Context]*stream),
 		start:   time.Now(),
-	}
-	// A custom Assoc or explicit BatchAssoc must not be silently replaced by
-	// MIC slider snapshots — the same gate core.New applies when auto-wiring
-	// the batch path.
-	s.useSliders = cfg.Core.BatchAssoc == nil &&
-		(cfg.Core.Assoc == nil || core.BatchFor(cfg.Core.Assoc) != nil)
-	var rep *core.LoadReport
-	if cfg.StoreDir != "" {
-		r, err := s.sys.LoadFrom(cfg.StoreDir)
-		if err == nil {
-			rep = r
-		}
-		// A missing directory is a cold boot, not a failure: SaveTo will
-		// create it on shutdown.
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
@@ -484,15 +480,7 @@ func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 		finish(nil, err.Error())
 		return
 	}
-	// Stream-window diagnoses carry the delta-aware scorer: the slider
-	// snapshots spare the per-window sort/partition work on a report-cache
-	// miss. Explicit-sample diagnoses have no serving-side state to reuse;
-	// the cache itself is content-addressed, so both kinds share entries.
-	var scorer func() invariant.PairScorer
-	if samples == nil {
-		scorer = st.windowScorer()
-	}
-	diag, err := s.sys.DiagnoseHinted(st.ctx, tr, scorer)
+	diag, err := s.sys.Diagnose(st.ctx, tr)
 	if err != nil {
 		finish(nil, err.Error())
 		return
@@ -511,7 +499,7 @@ func (s *Server) traceFor(st *stream, samples []Sample) (*metrics.Trace, error) 
 	if st.windowLen() == 0 {
 		return nil, fmt.Errorf("server: no ingested window for %s@%s (ingest first or supply samples)", st.ctx.Workload, st.ctx.IP)
 	}
-	return st.windowTrace()
+	return st.windowTrace(), nil
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -205,6 +208,67 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.quantile(1.0); got != latencyBucketsMS[numLatencyBuckets-1] {
 		t.Errorf("overflow quantile = %v, want last bound", got)
 	}
+}
+
+// TestHistogramQuantileNearestRank: quantiles rank by ceil(q·N), so a small
+// sample reports its tail from the tail — with 10 observations p95 and p99
+// are the slowest one, with 3 the median is the middle one, not the fastest.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 100} {
+		// The k-th fastest observation (1-based) lands in bucket (k-1)·10/N,
+		// one observation per bucket up to N = 10.
+		bucketOf := func(k int) int { return (k - 1) * 10 / max(n, 10) }
+		var h histogram
+		for k := 1; k <= n; k++ {
+			h.observe(time.Duration(0.9 * latencyBucketsMS[bucketOf(k)] * float64(time.Millisecond)))
+		}
+		for _, pct := range []int{50, 95, 99, 100} {
+			rank := (pct*n + 99) / 100 // ceil(pct/100 · n)
+			want := latencyBucketsMS[bucketOf(rank)]
+			if got := h.quantile(float64(pct) / 100); got != want {
+				t.Errorf("N=%d p%d = %v ms, want %v (bucket of observation %d)", n, pct, got, want, rank)
+			}
+		}
+	}
+}
+
+// TestNewRefusesBrokenStore: only a StoreDir that does not exist is a cold
+// boot. One that exists but cannot be read — a file in its place, a directory
+// without permissions — refuses to boot instead of starting empty and saving
+// over it on Shutdown.
+func TestNewRefusesBrokenStore(t *testing.T) {
+	dir := t.TempDir()
+	srv, rep, err := New(Config{StoreDir: filepath.Join(dir, "not-yet")})
+	if err != nil || rep != nil {
+		t.Fatalf("missing store: report %v, err %v; want a cold boot", rep, err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := New(Config{StoreDir: file}); err == nil {
+		t.Error("New booted from a file in place of the store directory")
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != "not a directory" {
+		t.Errorf("refused store was touched: %q, %v", got, err)
+	}
+
+	t.Run("unreadable", func(t *testing.T) {
+		if os.Getuid() == 0 {
+			t.Skip("running as root: a 0o000 directory is still readable")
+		}
+		locked := filepath.Join(dir, "locked")
+		if err := os.Mkdir(locked, 0o000); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := New(Config{StoreDir: locked}); err == nil {
+			t.Error("New booted from an unreadable store directory")
+		}
+	})
 }
 
 func TestReportStoreEviction(t *testing.T) {

@@ -81,14 +81,7 @@ func TestStageMarksRoundTrip(t *testing.T) {
 	waitSamples(t, jst, int64(total))
 	waitSamples(t, bst, int64(total))
 
-	jtr, err := jst.windowTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	btr, err := bst.windowTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jtr, btr := jst.windowTrace(), bst.windowTrace()
 	// Batch 2 (ticks 10..17) inherits "map"; batch 3's unmarked prefix
 	// (ticks 18..21) does too; then shuffle covers 22..26 and reduce the rest.
 	want := []metrics.StageWindow{

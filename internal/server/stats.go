@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -47,7 +48,10 @@ func (h *histogram) quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
+	// Nearest rank: the smallest observation with at least q of the sample at
+	// or below it. The epsilon keeps binary rounding of q from pushing an
+	// exact product (0.95 × 100) over the next integer.
+	rank := int64(math.Ceil(q*float64(total) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

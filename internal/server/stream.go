@@ -7,17 +7,15 @@ import (
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/detect"
-	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
-	"invarnetx/internal/mic"
 )
 
 // ingestBatch is the admission-side columnar form of one accepted batch:
 // per-metric value columns with the gap semantics already applied (see
 // maskValue), parallel validity flags, and the CPI column. Both ingest paths
 // converge here — the JSON handler converts decoded samples, the binary
-// handler decodes frames straight into one — so the sliding windows and
-// sliders see bit-identical state regardless of encoding.
+// handler decodes frames straight into one — so the sliding windows see
+// bit-identical state regardless of encoding.
 //
 // Batches are pooled (batchPool) and reused across requests: in the steady
 // state neither decode path allocates per sample.
@@ -166,22 +164,46 @@ func (w *colWindow) slide(b *ingestBatch) {
 	w.n += b.n
 }
 
-// masked reports whether any windowed entry (metric or CPI) is flagged
-// invalid.
-func (w *colWindow) masked() bool {
+// traceFromColumns copies n ticks of column-major state — metric m's tick i
+// at cols[m*stride+i], as both ingestBatch (stride n) and colWindow (stride
+// cap) lay it out — into a metrics.Trace. It is the one columns→trace
+// builder: a validity mask is materialised only when some entry (metric or
+// CPI) is actually invalid, so an explicit window whose samples carry
+// all-true masks and the identical stream window are the same trace and
+// share one report-cache entry.
+func traceFromColumns(ctx core.Context, n, stride int, cols []float64, valid []bool, cpi []float64, cpiOK []bool, stages []string) *metrics.Trace {
+	tr := metrics.NewTrace(ctx.IP, ctx.Workload)
+	masked := false
 	for m := 0; m < metrics.Count; m++ {
-		for _, ok := range w.valid[m*w.cap : m*w.cap+w.n] {
-			if !ok {
-				return true
-			}
-		}
+		tr.Rows[m] = append([]float64(nil), cols[m*stride:m*stride+n]...)
+		masked = masked || !allTrue(valid[m*stride:m*stride+n])
 	}
-	for _, ok := range w.cpiOK[:w.n] {
+	tr.CPI = append([]float64(nil), cpi[:n]...)
+	if masked || !allTrue(cpiOK[:n]) {
+		tr.Valid = make([][]bool, metrics.Count)
+		for m := range tr.Valid {
+			tr.Valid[m] = append([]bool(nil), valid[m*stride:m*stride+n]...)
+		}
+		tr.CPIValid = append([]bool(nil), cpiOK[:n]...)
+	}
+	// Re-emit stage boundaries as trace marks at the tick they cover;
+	// MarkStage ignores "" and dedupes consecutive identical labels, so a
+	// stage spanning many ticks yields one mark.
+	for i, stage := range stages[:n] {
+		tr.Ticks = i
+		tr.MarkStage(stage)
+	}
+	tr.Ticks = n
+	return tr
+}
+
+func allTrue(flags []bool) bool {
+	for _, ok := range flags {
 		if !ok {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // stream is the serving-side state of one operation context: the columnar
@@ -198,18 +220,6 @@ type stream struct {
 
 	mu  sync.Mutex
 	win colWindow // sliding window, newest last, n <= Config.WindowCap
-	// sliders hold per-metric incremental sort state mirroring the window
-	// (delta-aware re-sort on every slide), so a diagnosis can snapshot
-	// ready-made MIC preparations instead of re-sorting the whole window.
-	// Nil when the configured association has no batched-MIC form.
-	sliders []*mic.Slider
-	// slidersDirty marks sliders that lag the window: a batch that replaces
-	// the window outright makes the incremental state worthless, so apply
-	// skips the per-batch maintenance and the next consumer (windowScorer, or
-	// a smaller batch) rebuilds from the window in one pass. Bulk ingest
-	// (batch >= window) therefore pays no sort work at all between
-	// diagnoses.
-	slidersDirty bool
 
 	monitor  *detect.Monitor
 	ingested atomic.Int64
@@ -224,27 +234,6 @@ func (st *stream) apply(srv *Server, b *ingestBatch) {
 	st.mu.Lock()
 	if st.win.cols == nil {
 		st.win.init(srv.cfg.WindowCap)
-	}
-	if srv.useSliders && st.sliders == nil {
-		st.sliders = make([]*mic.Slider, metrics.Count)
-		for i := range st.sliders {
-			st.sliders[i] = mic.NewSlider(srv.cfg.WindowCap, mic.DefaultConfig())
-		}
-	}
-	if st.sliders != nil {
-		// The batch columns already carry the maskValue gap semantics (zero
-		// placeholders of invalid entries are NaN), so a scorer built from
-		// the slider snapshots sees the same window the trace carries.
-		if b.n >= srv.cfg.WindowCap {
-			st.slidersDirty = true
-		} else {
-			if st.slidersDirty {
-				st.rebuildSliders() // catch up from the pre-batch window
-			}
-			for m := 0; m < metrics.Count; m++ {
-				st.sliders[m].AppendBatch(b.cols[m*b.n:(m+1)*b.n], b.valid[m*b.n:(m+1)*b.n])
-			}
-		}
 	}
 	st.win.slide(b)
 	winN := st.win.n
@@ -290,18 +279,6 @@ func (st *stream) apply(srv *Server, b *ingestBatch) {
 	}
 }
 
-// rebuildSliders reloads every slider from the current window columns and
-// clears the dirty mark. Caller holds st.mu (or runs serialised on the
-// stream's queue with the mutex taken, as apply and windowScorer do).
-func (st *stream) rebuildSliders() {
-	w := &st.win
-	for m, sl := range st.sliders {
-		sl.Reset()
-		sl.AppendBatch(w.cols[m*w.cap:m*w.cap+w.n], w.valid[m*w.cap:m*w.cap+w.n])
-	}
-	st.slidersDirty = false
-}
-
 // cpiObserved maps a windowed CPI entry to the value the monitor should see:
 // a masked-invalid reading is a telemetry gap (NaN, whatever the
 // placeholder), which the monitor excludes from its forecast history rather
@@ -313,44 +290,13 @@ func cpiObserved(v float64, valid bool) float64 {
 	return v
 }
 
-// windowTrace snapshots the current sliding window as a metrics.Trace. A
-// window without any masked entry materialises as an unmasked trace —
-// exactly what TraceFromSamples builds from mask-free wire samples.
-func (st *stream) windowTrace() (*metrics.Trace, error) {
+// windowTrace snapshots the current sliding window as a metrics.Trace —
+// exactly the trace TraceFromSamples builds from the same samples.
+func (st *stream) windowTrace() *metrics.Trace {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	w := &st.win
-	tr := metrics.NewTrace(st.ctx.IP, st.ctx.Workload)
-	masked := w.masked()
-	row := make([]float64, metrics.Count)
-	var valid []bool
-	if masked {
-		valid = make([]bool, metrics.Count)
-	}
-	for i := 0; i < w.n; i++ {
-		// Re-emit stage boundaries as trace marks before the covering
-		// sample; MarkStage dedupes consecutive identical labels, so a
-		// stage spanning many ticks yields one mark.
-		if w.stages[i] != "" {
-			tr.MarkStage(w.stages[i])
-		}
-		for m := 0; m < metrics.Count; m++ {
-			row[m] = w.cols[m*w.cap+i]
-		}
-		var err error
-		if masked {
-			for m := 0; m < metrics.Count; m++ {
-				valid[m] = w.valid[m*w.cap+i]
-			}
-			err = tr.AddMasked(row, valid, w.cpi[i], w.cpiOK[i])
-		} else {
-			err = tr.Add(row, w.cpi[i])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
+	return traceFromColumns(st.ctx, w.n, w.cap, w.cols, w.valid, w.cpi, w.cpiOK, w.stages)
 }
 
 // windowLen returns the current window length.
@@ -358,38 +304,4 @@ func (st *stream) windowLen() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.win.n
-}
-
-// windowScorer returns the lazy pair scorer for diagnosing the stream's
-// current window — mic.Batch snapshots of the incrementally maintained
-// per-metric preparations — or nil when sliders are off. Diagnosis tasks are
-// serialised with apply on the stream's queue, so the sliders cannot advance
-// while the scorer is alive.
-func (st *stream) windowScorer() func() invariant.PairScorer {
-	st.mu.Lock()
-	if st.sliders != nil && st.slidersDirty {
-		st.rebuildSliders() // deferred by bulk ingest
-	}
-	sliders := st.sliders
-	st.mu.Unlock()
-	if sliders == nil {
-		return nil
-	}
-	return func() invariant.PairScorer {
-		preps := make([]*mic.Prepared, len(sliders))
-		for i, sl := range sliders {
-			// Degenerate metrics (masked ticks, too few samples) stay
-			// nil and score 0, exactly as a fresh NewBatch would treat
-			// them; pairs they could mislead never consult the scorer
-			// (partial overlap routes through the per-pair assoc).
-			if p, err := sl.Prepared(); err == nil {
-				preps[i] = p
-			}
-		}
-		b, err := mic.NewBatchPrepared(preps)
-		if err != nil {
-			return nil // fall back to the configured batch path
-		}
-		return b
-	}
 }

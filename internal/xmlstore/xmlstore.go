@@ -166,10 +166,9 @@ type SignatureEntry struct {
 	Type    string `xml:"type"`
 }
 
-// SignatureFile is the persisted signature database. IP and Type scope a
-// per-profile file (both empty for the global profile or a legacy combined
-// database); entry routing still goes by the per-entry fields, so legacy
-// combined files and per-profile files decode identically.
+// SignatureFile is the persisted signature database of one profile. IP and
+// Type are the profile's scope (both empty for the global profile) and what
+// LoadFrom routes the file by.
 type SignatureFile struct {
 	XMLName xml.Name         `xml:"signature-database"`
 	Version int              `xml:"version,attr"`
@@ -178,14 +177,9 @@ type SignatureFile struct {
 	Entries []SignatureEntry `xml:"signature"`
 }
 
-// EncodeSignatures converts a signature database into its persistable form.
-func EncodeSignatures(db *signature.DB) SignatureFile {
-	return EncodeSignaturesFor(db, "", "")
-}
-
-// EncodeSignaturesFor is EncodeSignatures with the owning profile's scope
-// stamped at file level, making a per-profile signature file self-describing
-// even when read outside LoadFrom.
+// EncodeSignaturesFor converts a signature database into its persistable
+// form, stamped at file level with the owning profile's scope (both empty for
+// the global profile).
 func EncodeSignaturesFor(db *signature.DB, ip, workloadType string) SignatureFile {
 	f := SignatureFile{Version: FormatVersion, IP: ip, Type: workloadType}
 	for _, e := range db.Entries() {

@@ -129,7 +129,7 @@ func TestSignatureRoundTrip(t *testing.T) {
 	tu2, _ := signature.ParseTuple("11000")
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
-	f := EncodeSignatures(&db)
+	f := EncodeSignaturesFor(&db, "", "")
 	var buf bytes.Buffer
 	if err := Save(&buf, f); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestSignatureDecodeRebuildsIndex(t *testing.T) {
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
 	var buf bytes.Buffer
-	if err := Save(&buf, EncodeSignatures(&db)); err != nil {
+	if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
 		t.Fatal(err)
 	}
 	var back SignatureFile
@@ -274,7 +274,7 @@ func TestSignatureRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := Save(&buf, EncodeSignatures(&db)); err != nil {
+		if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
 			return false
 		}
 		var back SignatureFile
