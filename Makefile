@@ -18,13 +18,13 @@
 #                        that breaks it fails here, not in the acceptance
 #                        driver: the root build never compiles it
 #   make check         — all tiers: test, race, smokes, bench comparison
-#   make loc           — non-test Go lines per internal package, counted by
-#                        the one command every simplicity PR quotes in
+#   make loc           — non-test Go lines per package (internal/*,
+#                        server/client, cmd/*, the root package) and a TOTAL
+#                        row: the one number every simplicity PR quotes in
 #                        CHANGES.md, so before/after figures are comparable
 #
 # The race tier exists because the core is concurrent by design (striped
-# profile registry, supervised monitor goroutines, parallel association
-# workers, concurrent SaveTo): a data race there is a correctness bug, not
+# profile registry, parallel association workers, concurrent SaveTo): a data race there is a correctness bug, not
 # a performance detail.
 #
 # The bench tier pins -benchtime to a fixed iteration count so ns/op and
@@ -87,11 +87,13 @@ fleet-smoke: build
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Per package: find internal/<pkg> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+# Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 loc:
-	@for d in internal/*/; do p=$${d%/}; p=$${p#internal/}; \
-		printf '%-12s %6d\n' $$p $$(find internal/$$p -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
-	done
+	@total=0; for d in internal/*/ internal/server/client/ cmd/*/ ./; do \
+		p=$${d%/}; p=$${p#internal/}; [ "$$p" = . ] && p=root; \
+		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
+	done; printf '%-16s %6d\n' TOTAL $$total
 
 # Short coverage-guided run of the binary wire-decoder fuzzer; the seed
 # corpus alone (run by `make test`) only replays known shapes.

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"invarnetx/internal/core"
+	"invarnetx/internal/cpi"
 	"invarnetx/internal/experiments"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/server/client"
@@ -136,10 +137,7 @@ func cmdSimulate(args []string) error {
 		fmt.Printf("mean query latency: %.1f ticks\n", res.MeanQueryTicks)
 	}
 	for ip, tr := range res.Traces {
-		p95 := 0.0
-		if v, err := percentile95(tr.CPI); err == nil {
-			p95 = v
-		}
+		p95, _ := cpi.RunStatistic(tr.CPI) // 0 for an empty trace
 		fmt.Printf("  node %s: %d samples, 95th-pct CPI %.3f\n", ip, tr.Len(), p95)
 	}
 	return nil
@@ -263,15 +261,8 @@ func signatureStats(models, addr string) error {
 	if err := loadModels(sys, models); err != nil {
 		return fmt.Errorf("loading models: %w", err)
 	}
-	pstats := sys.ProfileStats()
-	sort.Slice(pstats, func(a, b int) bool {
-		if pstats[a].Context.Workload != pstats[b].Context.Workload {
-			return pstats[a].Context.Workload < pstats[b].Context.Workload
-		}
-		return pstats[a].Context.IP < pstats[b].Context.IP
-	})
 	shown := 0
-	for _, st := range pstats {
+	for _, st := range sys.ProfileStats() {
 		if st.Signatures == 0 {
 			continue
 		}
@@ -443,47 +434,38 @@ func cmdProfiles(args []string) error {
 	if err := loadModels(sys, *models); err != nil {
 		return fmt.Errorf("loading models: %w", err)
 	}
-	pstats := sys.ProfileStats()
-	if len(pstats) == 0 {
+	// One snapshot, already sorted by (workload, node). Cross profiles
+	// (workload × node pair × stage) get their own section: the flat listing
+	// keeps the per-node view the command always had.
+	var intra, cross []core.ProfileStats
+	for _, st := range sys.ProfileStats() {
+		if _, ok := core.ParseCrossContext(st.Context); ok {
+			cross = append(cross, st)
+		} else {
+			intra = append(intra, st)
+		}
+	}
+	if len(intra)+len(cross) == 0 {
 		fmt.Println("no profiles in store")
 		return nil
 	}
-	// Deterministic listing: sort by (workload, node) rather than trusting
-	// whatever order the registry snapshot happens to deliver.
-	sort.Slice(pstats, func(a, b int) bool {
-		if pstats[a].Context.Workload != pstats[b].Context.Workload {
-			return pstats[a].Context.Workload < pstats[b].Context.Workload
-		}
-		return pstats[a].Context.IP < pstats[b].Context.IP
-	})
-	// Cross profiles (workload × node pair × stage) get their own section:
-	// the flat listing keeps the per-node view the command always had.
-	intra := 0
-	for _, st := range pstats {
-		if _, ok := core.ParseCrossContext(st.Context); ok {
-			continue
-		}
-		intra++
-	}
-	fmt.Printf("%d profiles:\n", intra)
-	for _, st := range pstats {
-		if _, ok := core.ParseCrossContext(st.Context); ok {
-			continue
-		}
+	fmt.Printf("%d profiles:\n", len(intra))
+	for _, st := range intra {
 		model := "-"
 		if st.HasModel {
 			model = "arima"
 		}
-		fmt.Printf("  %-28s model %-5s  %3d invariants  %3d signatures  %2d monitors  cache %d/%d (%d entries)\n",
-			st.Context, model, st.Invariants, st.Signatures, st.Monitors,
+		fmt.Printf("  %-28s model %-5s  %3d invariants  %3d signatures  cache %d/%d (%d entries)\n",
+			st.Context, model, st.Invariants, st.Signatures,
 			st.Cache.Hits, st.Cache.Misses, st.Cache.Entries)
 	}
-	if cross := sys.CrossProfileStats(); len(cross) > 0 {
+	if len(cross) > 0 {
 		fmt.Printf("%d cross profiles (node pair x stage):\n", len(cross))
-		for _, cs := range cross {
+		for _, st := range cross {
+			key, _ := core.ParseCrossContext(st.Context)
 			fmt.Printf("  %-10s %s ~ %s  stage %-8s  %3d edges (%d quarantined)  %3d signatures\n",
-				cs.Key.Workload, cs.Key.NodeA, cs.Key.NodeB, cs.Key.Stage,
-				cs.Edges, cs.Quarantined, cs.Signatures)
+				key.Workload, key.NodeA, key.NodeB, key.Stage,
+				st.Invariants, st.Lifecycle.Quarantined, st.Signatures)
 		}
 	}
 	return nil
@@ -504,28 +486,20 @@ func cmdLifecycle(args []string) error {
 	if err := loadModels(sys, *models); err != nil {
 		return fmt.Errorf("loading models: %w", err)
 	}
-	profiles := sys.Profiles()
-	sort.Slice(profiles, func(a, b int) bool {
-		ca, cb := profiles[a].Context(), profiles[b].Context()
-		if ca.Workload != cb.Workload {
-			return ca.Workload < cb.Workload
-		}
-		return ca.IP < cb.IP
-	})
 	shown := 0
-	for _, p := range profiles {
-		st := p.LifecycleStats()
+	for _, ps := range sys.ProfileStats() {
+		st := ps.Lifecycle
 		if st.Edges == 0 {
 			continue
 		}
 		shown++
 		fmt.Printf("%-28s gen %-3d  %3d edges (%d quarantined)  shadow age %-3d  observed %-6d  promoted %d / rolled back %d\n",
-			p.Context(), st.Generation, st.Edges, st.Quarantined, st.ShadowAge,
+			ps.Context, st.Generation, st.Edges, st.Quarantined, st.ShadowAge,
 			st.Observed, st.Promotions, st.Rollbacks)
 		if !*edges {
 			continue
 		}
-		for _, e := range p.LifecycleEdges() {
+		for _, e := range sys.Profile(ps.Context).LifecycleEdges() {
 			fmt.Printf("    m%d-m%d  %-11s  %d/%d violations  rate %.3f\n",
 				e.Pair.I, e.Pair.J, e.State, e.Viol, e.Obs, e.Rate)
 		}
@@ -601,25 +575,13 @@ func cmdFaults() error {
 // operators can see how much MIC recomputation training and diagnosis
 // avoided (silent when no matrix work ran).
 func printCacheStats(sys *core.System) {
-	st := sys.AssocCacheStats()
+	var total core.ProfileStats
+	for _, ps := range sys.ProfileStats() {
+		total.Add(ps)
+	}
+	st := total.Cache
 	if st.Hits+st.Misses == 0 {
 		return
 	}
 	fmt.Printf("assoc cache: %d hits / %d misses (%d entries)\n", st.Hits, st.Misses, st.Entries)
-}
-
-// percentile95 avoids importing stats just for one call.
-func percentile95(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("empty")
-	}
-	cp := append([]float64(nil), xs...)
-	// insertion sort is fine at trace scale
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	idx := int(0.95 * float64(len(cp)-1))
-	return cp[idx], nil
 }

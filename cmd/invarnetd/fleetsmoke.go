@@ -158,8 +158,10 @@ func runFleetSmoke(cfg server.Config) error {
 	srvs[2].Fleet().Stop(stopCtx)
 	cancel()
 	hss[2].Close()
-	if err := poll(30*time.Second, func() (bool, error) {
-		peers, err := clients[0].Peers(bg)
+	// Each survivor runs its own failure detector, so wait for both views:
+	// peer 0 declaring the death says nothing about peer 1's ring yet.
+	seesDead := func(i int) (bool, error) {
+		peers, err := clients[i].Peers(bg)
 		if err != nil {
 			return false, err
 		}
@@ -168,7 +170,15 @@ func runFleetSmoke(cfg server.Config) error {
 				return p.State == "dead", nil
 			}
 		}
-		return false, fmt.Errorf("peer 0 lost %s from its peer set", addrs[2])
+		return false, fmt.Errorf("peer %d lost %s from its peer set", i, addrs[2])
+	}
+	if err := poll(30*time.Second, func() (bool, error) {
+		for i := 0; i < 2; i++ {
+			if dead, err := seesDead(i); err != nil || !dead {
+				return false, err
+			}
+		}
+		return true, nil
 	}); err != nil {
 		return fmt.Errorf("peer death not detected: %w", err)
 	}

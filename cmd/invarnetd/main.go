@@ -18,14 +18,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, served only by -pprof
 	"os"
 	"os/signal"
@@ -53,7 +51,6 @@ func main() {
 	readHeaderTimeout := fs.Duration("read-header-timeout", 10*time.Second, "bound on reading one request's headers (slow-loris guard)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "bound on reading one whole request")
 	idleTimeout := fs.Duration("idle-timeout", server.DefaultIngestIdleTimeout, "keep-alive idle bound; also the frame gap deadline on -ingest-tcp connections")
-	drainSecs := fs.Int("drain", 30, "shutdown drain budget in seconds (deprecated: use -drain-timeout)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: queue drain, worker join and persistence start within this budget even if a worker is wedged")
 	lifecycle := fs.Bool("lifecycle", false, "enable the drift-aware invariant lifecycle (edge health, quarantine, shadow-generation promotion)")
 	sigMinScore := fs.Float64("sig-min-score", 0, "minimum signature similarity to report a cause; > 0 enables indexed sub-linear retrieval (0 = rank every signature, the paper default)")
@@ -67,22 +64,6 @@ func main() {
 	smokeSecs := fs.Float64("smoke-seconds", 3, "load duration in -smoke mode")
 	fleetSmoke := fs.Bool("fleet-smoke", false, "run the 3-peer federation self-test and exit")
 	fs.Parse(os.Args[1:])
-
-	// -drain-timeout supersedes the old seconds-valued -drain; the legacy
-	// flag still works when it is the only one given.
-	budget := *drainTimeout
-	var drainSet, drainTimeoutSet bool
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "drain":
-			drainSet = true
-		case "drain-timeout":
-			drainTimeoutSet = true
-		}
-	})
-	if drainSet && !drainTimeoutSet {
-		budget = time.Duration(*drainSecs) * time.Second
-	}
 
 	cfg := server.Config{
 		Core:      core.DefaultConfig(),
@@ -157,7 +138,7 @@ func main() {
 	opts := serveOptions{
 		addr:              *addr,
 		ingestTCP:         *ingestTCP,
-		drainBudget:       budget,
+		drainBudget:       *drainTimeout,
 		readHeaderTimeout: *readHeaderTimeout,
 		readTimeout:       *readTimeout,
 		idleTimeout:       *idleTimeout,
@@ -379,9 +360,8 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	}
 
 	// Every pending report must have resolved during the drain.
-	st2 := statsOf(srv)
-	if st2.ReportsPending != 0 {
-		return fmt.Errorf("%d reports still pending after drain", st2.ReportsPending)
+	if pending := srv.Stats().ReportsPending; pending != 0 {
+		return fmt.Errorf("%d reports still pending after drain", pending)
 	}
 
 	// And the persisted store must boot a second instance with every shard.
@@ -401,17 +381,6 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	defer cancel2()
 	srv2.Shutdown(ctx2)
 	return nil
-}
-
-// statsOf reads the server's counters through an in-process round trip
-// (post-shutdown, the listener is gone but the handler still answers).
-func statsOf(srv *server.Server) server.Stats {
-	req, _ := http.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	var st server.Stats
-	_ = json.Unmarshal(rec.Body.Bytes(), &st)
-	return st
 }
 
 // trainLoadContexts trains a performance model and invariants for each

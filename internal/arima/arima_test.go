@@ -216,6 +216,45 @@ func TestForecastErrors(t *testing.T) {
 	}
 }
 
+func TestDifference(t *testing.T) {
+	squares := []float64{1, 4, 9, 16, 25}
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+		d    int
+		want []float64 // nil = error expected
+	}{
+		{"order 0 copies", squares, 0, squares},
+		{"order 1", squares, 1, []float64{3, 5, 7, 9}},
+		{"order 2 of squares is constant", squares, 2, []float64{2, 2, 2}},
+		{"too short", []float64{1}, 1, nil},
+		{"negative order", squares, -1, nil},
+	} {
+		in := append([]float64(nil), tc.xs...)
+		got, err := difference(in, tc.d)
+		if (err != nil) != (tc.want == nil) {
+			t.Errorf("%s: err = %v", tc.name, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+		for i := range in {
+			if in[i] != tc.xs[i] {
+				t.Errorf("%s: input mutated to %v", tc.name, in)
+				break
+			}
+		}
+	}
+}
+
 func TestChooseD(t *testing.T) {
 	rng := stats.NewRNG(109)
 	// Stationary AR(1): d = 0.

@@ -16,7 +16,7 @@ type Forecaster struct {
 	lead int // max(p, q): lag window of the innovation recursion
 
 	// seeds[k] is the last value of the k-times differenced series seen so
-	// far — exactly timeseries.DifferenceSeeds of the observed history.
+	// far: what undoing the differencing of the next forecast needs.
 	// seeded counts how many levels have their seed yet: level k produces
 	// its first value only at the (k+1)-th raw sample.
 	seeds  []float64
@@ -121,8 +121,7 @@ func (f *Forecaster) PredictNext() (float64, error) {
 // (PredictSeries starts one sample before PredictNext is willing to).
 func (f *Forecaster) predict() float64 {
 	next := f.predictW()
-	// Undo the differencing with the seed chain, innermost level first —
-	// the single-step case of timeseries.Integrate.
+	// Undo the differencing with the seed chain, innermost level first.
 	for level := len(f.seeds) - 1; level >= 0; level-- {
 		next += f.seeds[level]
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"invarnetx/internal/stats"
-	"invarnetx/internal/timeseries"
 )
 
 // refRecursion is the whole-history innovation recursion the Forecaster
@@ -33,11 +32,11 @@ func refRecursion(m *Model, w []float64) (predsW, errs []float64, lead int) {
 }
 
 // refPredictNext is the batch one-step forecast of the sample following
-// history: recursion over the differenced history, one more step, then
-// timeseries.Integrate to undo the differencing.
+// history: recursion over the differenced history, one more step, then the
+// differencing undone level by level from the whole history.
 func refPredictNext(m *Model, history []float64) (float64, error) {
 	d := m.Order.D
-	w, err := timeseries.Difference(history, d)
+	w, err := difference(history, d)
 	if err != nil {
 		return 0, err
 	}
@@ -55,15 +54,16 @@ func refPredictNext(m *Model, history []float64) (float64, error) {
 	if d == 0 {
 		return next, nil
 	}
-	seeds, err := timeseries.DifferenceSeeds(history, d)
-	if err != nil {
-		return 0, err
+	// Integrate one step: add back the last value of each lower-order
+	// difference of the history, innermost level first.
+	for level := d - 1; level >= 0; level-- {
+		wl, err := difference(history, level)
+		if err != nil {
+			return 0, err
+		}
+		next += wl[len(wl)-1]
 	}
-	out, err := timeseries.Integrate([]float64{next}, seeds)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
+	return next, nil
 }
 
 // refPredictSeries is the batch in-sample prediction series, undoing the
@@ -71,7 +71,7 @@ func refPredictNext(m *Model, history []float64) (float64, error) {
 // observed values: x̂[t] = ŵ[t] - sum_{k=1..d} (-1)^k C(d,k) x[t-k].
 func refPredictSeries(m *Model, xs []float64) []float64 {
 	d := m.Order.D
-	w, _ := timeseries.Difference(xs, d)
+	w, _ := difference(xs, d)
 	predsW, _, lead := refRecursion(m, w)
 	preds := make([]float64, len(predsW))
 	for i := range predsW {
@@ -142,7 +142,7 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 			}
 		}
 
-		w, err := timeseries.Difference(xs, order.D)
+		w, err := difference(xs, order.D)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"invarnetx/internal/stats"
-	"invarnetx/internal/timeseries"
 )
 
 // ErrTooShort is returned when a training series cannot identify the
@@ -73,7 +72,7 @@ func Fit(xs []float64, order Order) (*Model, error) {
 	if len(xs) < minTrain || len(xs) <= order.D+order.P+order.Q+2 {
 		return nil, ErrTooShort
 	}
-	w, err := timeseries.Difference(xs, order.D)
+	w, err := difference(xs, order.D)
 	if err != nil {
 		return nil, err
 	}
@@ -91,6 +90,27 @@ func Fit(xs []float64, order Order) (*Model, error) {
 	}
 	m.computeLikelihood(w)
 	return m, nil
+}
+
+// difference returns the d-th order difference of xs — the "I" in ARIMA:
+// diff^1(x)[t] = x[t] - x[t-1], applied d times, leaving len(xs) - d samples.
+// xs is not modified.
+func difference(xs []float64, d int) ([]float64, error) {
+	if d < 0 {
+		return nil, fmt.Errorf("arima: negative differencing order %d", d)
+	}
+	if len(xs) <= d {
+		return nil, fmt.Errorf("arima: cannot difference %d samples %d times", len(xs), d)
+	}
+	cur := append([]float64(nil), xs...)
+	for i := 0; i < d; i++ {
+		next := make([]float64, len(cur)-1)
+		for t := 1; t < len(cur); t++ {
+			next[t-1] = cur[t] - cur[t-1]
+		}
+		cur = next
+	}
+	return cur, nil
 }
 
 // Residuals returns the one-step-ahead in-sample residuals of the model on

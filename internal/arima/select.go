@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"invarnetx/internal/stats"
-	"invarnetx/internal/timeseries"
 )
 
 // SelectConfig bounds the automatic order search.
@@ -37,7 +36,7 @@ func ChooseD(xs []float64, maxD int) int {
 	}
 	cur := xs
 	for d := 1; d <= maxD; d++ {
-		next, err := timeseries.Difference(cur, 1)
+		next, err := difference(cur, 1)
 		if err != nil || len(next) < 3 {
 			break
 		}

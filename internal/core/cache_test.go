@@ -81,7 +81,7 @@ func TestAssocCacheHitsOnRetrain(t *testing.T) {
 	if err := s.TrainInvariants(ctx, runs[:2]); err != nil {
 		t.Fatal(err)
 	}
-	st := s.AssocCacheStats()
+	st := totals(s).Cache
 	if st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after first training: %+v, want 0 hits / 2 misses / 2 entries", st)
 	}
@@ -90,7 +90,7 @@ func TestAssocCacheHitsOnRetrain(t *testing.T) {
 	if err := s.TrainInvariants(ctx, runs[2:]); err != nil {
 		t.Fatal(err)
 	}
-	st = s.AssocCacheStats()
+	st = totals(s).Cache
 	if st.Hits != 2 || st.Misses != 4 || st.Entries != 4 {
 		t.Fatalf("after pooled retraining: %+v, want 2 hits / 4 misses / 4 entries", st)
 	}
@@ -99,12 +99,12 @@ func TestAssocCacheHitsOnRetrain(t *testing.T) {
 func TestAssocCacheInvalidatesOnWindowChange(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, Config{UseContext: true}, ctx, 701)
-	before := s.AssocCacheStats()
+	before := totals(s).Cache
 	ab := synthTrace(stats.NewRNG(702), 40, 8, map[int]bool{0: true})
 	if _, err := s.Violations(ctx, ab); err != nil {
 		t.Fatal(err)
 	}
-	st := s.AssocCacheStats()
+	st := totals(s).Cache
 	if st.Misses != before.Misses+1 {
 		t.Fatalf("fresh abnormal window should miss: before %+v, after %+v", before, st)
 	}
@@ -112,7 +112,7 @@ func TestAssocCacheInvalidatesOnWindowChange(t *testing.T) {
 	if _, err := s.Violations(ctx, ab); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AssocCacheStats(); got.Hits != st.Hits+1 {
+	if got := totals(s).Cache; got.Hits != st.Hits+1 {
 		t.Fatalf("repeat window should hit: %+v -> %+v", st, got)
 	}
 	// ...until any sample changes.
@@ -120,7 +120,7 @@ func TestAssocCacheInvalidatesOnWindowChange(t *testing.T) {
 	if _, err := s.Violations(ctx, ab); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AssocCacheStats(); got.Misses != st.Misses+1 {
+	if got := totals(s).Cache; got.Misses != st.Misses+1 {
 		t.Fatalf("mutated window should miss: %+v -> %+v", st, got)
 	}
 }
@@ -138,7 +138,7 @@ func TestAssocCacheKeysByContext(t *testing.T) {
 	if err := s.TrainInvariants(ctxB, runs); err != nil {
 		t.Fatal(err)
 	}
-	st := s.AssocCacheStats()
+	st := totals(s).Cache
 	if st.Hits != 0 || st.Entries != 4 {
 		t.Fatalf("contexts must not share cache entries: %+v", st)
 	}
@@ -156,7 +156,7 @@ func TestAssocCacheDisabledAndBounded(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if st := off.AssocCacheStats(); st != (CacheStats{}) {
+	if st := totals(off).Cache; st != (CacheStats{}) {
 		t.Errorf("disabled cache stats = %+v, want zero", st)
 	}
 

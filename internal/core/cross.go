@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"invarnetx/internal/invariant"
@@ -298,51 +297,4 @@ func MergeCrossDiagnoses(diags []*Diagnosis) *SpatialVerdict {
 		Source:  key,
 		Diag:    top,
 	}
-}
-
-// CrossProfileStats is the operator-facing snapshot of one cross profile.
-type CrossProfileStats struct {
-	Key         CrossKey
-	Edges       int // trained cross edges
-	Quarantined int // of them, drift-quarantined
-	Signatures  int
-}
-
-// CrossProfileStats snapshots every cross profile, sorted by key.
-func (s *System) CrossProfileStats() []CrossProfileStats {
-	var out []CrossProfileStats
-	for _, p := range s.Profiles() {
-		if p.cross == nil {
-			continue
-		}
-		st := p.Stats()
-		out = append(out, CrossProfileStats{
-			Key:         p.cross.key,
-			Edges:       st.Invariants,
-			Quarantined: st.Lifecycle.Quarantined,
-			Signatures:  st.Signatures,
-		})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key.String() < out[b].Key.String() })
-	return out
-}
-
-// CrossStats aggregates the spatio-temporal layer across profiles.
-type CrossStats struct {
-	Profiles    int `json:"profiles"`
-	Edges       int `json:"edges"`
-	Quarantined int `json:"quarantined"`
-	Signatures  int `json:"signatures"`
-}
-
-// CrossStats totals the cross-profile layer for /v1/stats.
-func (s *System) CrossStats() CrossStats {
-	var st CrossStats
-	for _, ps := range s.CrossProfileStats() {
-		st.Profiles++
-		st.Edges += ps.Edges
-		st.Quarantined += ps.Quarantined
-		st.Signatures += ps.Signatures
-	}
-	return st
 }

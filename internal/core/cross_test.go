@@ -45,8 +45,8 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	// 11x11 spanning pairs survive the cross filter; the 2*55 within-node
 	// pairs of the joint space belong to the intra-node layer.
 	wantEdges := len(CrossMetricIdx) * len(CrossMetricIdx)
-	cps := sys.CrossProfileStats()
-	if len(cps) != 1 || cps[0].Key != key || cps[0].Edges != wantEdges || cps[0].Quarantined != 0 {
+	cps := crossRows(sys)
+	if len(cps) != 1 || cps[0].Context != key.Context() || cps[0].Invariants != wantEdges || cps[0].Lifecycle.Quarantined != 0 {
 		t.Fatalf("trained cross stats %+v, want 1 profile with %d edges", cps, wantEdges)
 	}
 
@@ -65,8 +65,8 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	if rep, err := sys2.LoadFrom(dir); err != nil || rep.Partial() {
 		t.Fatalf("LoadFrom: %v (report %v)", err, rep)
 	}
-	cps = sys2.CrossProfileStats()
-	if len(cps) != 1 || cps[0].Edges != wantEdges || cps[0].Signatures != 1 {
+	cps = crossRows(sys2)
+	if len(cps) != 1 || cps[0].Invariants != wantEdges || cps[0].Signatures != 1 {
 		t.Fatalf("restored cross stats %+v, want %d edges and 1 signature", cps, wantEdges)
 	}
 	diag, err := sys2.DiagnoseCross(key, fault(1e-3))
@@ -88,13 +88,15 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 		if _, err := sys2.Violations(key.Context(), fault(float64(2+i)*1e-6)); err != nil {
 			t.Fatalf("drift window %d: %v", i, err)
 		}
-		quarantined = sys2.CrossProfileStats()[0].Quarantined
+		quarantined = crossRows(sys2)[0].Lifecycle.Quarantined
 	}
 	if quarantined != len(CrossMetricIdx) {
 		t.Fatalf("quarantined %d cross edges, want %d", quarantined, len(CrossMetricIdx))
 	}
-	if st := sys2.CrossStats(); st.Profiles != 1 || st.Quarantined != quarantined || st.Edges != wantEdges {
-		t.Fatalf("CrossStats totals %+v diverge from the profile snapshot", st)
+	// A system holding only the cross profile: the reducer's total is the
+	// cross layer's total.
+	if st := totals(sys2); st.Lifecycle.Quarantined != quarantined || st.Invariants != wantEdges || st.Signatures != 1 {
+		t.Fatalf("cross totals %+v diverge from the profile snapshot", st)
 	}
 
 	// Second restart, mid-quarantine: the quarantine map comes back, and the
@@ -107,7 +109,7 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	if rep, err := sys3.LoadFrom(dir2); err != nil || rep.Partial() {
 		t.Fatalf("LoadFrom mid-quarantine: %v (report %v)", err, rep)
 	}
-	if got := sys3.CrossProfileStats()[0].Quarantined; got != quarantined {
+	if got := crossRows(sys3)[0].Lifecycle.Quarantined; got != quarantined {
 		t.Fatalf("restored %d quarantined cross edges, want %d", got, quarantined)
 	}
 	diag3, err := sys3.DiagnoseCross(key, fault(0.5))

@@ -334,13 +334,13 @@ func (p *Profile) Generation() uint64 {
 	return p.lc.gen
 }
 
-// LifecycleStats is an operator-facing snapshot of one profile's (or an
-// aggregated system's) drift-lifecycle state.
+// LifecycleStats is an operator-facing snapshot of one profile's drift-
+// lifecycle state (or, inside a ProfileStats sum, of a group's).
 type LifecycleStats struct {
 	// Enabled reports whether the lifecycle is active.
 	Enabled bool
 	// Generation is the live model generation (the max across profiles in
-	// the system aggregate).
+	// a sum).
 	Generation uint64
 	// Edges is the tracked edge count; Quarantined of them are drifted.
 	Edges, Quarantined int
@@ -397,27 +397,6 @@ func (p *Profile) LifecycleEdges() []invariant.EdgeHealth {
 		return nil
 	}
 	return l.health.Snapshot()
-}
-
-// LifecycleStats aggregates the drift-lifecycle counters across every
-// profile: summed counts, max generation and shadow age.
-func (s *System) LifecycleStats() LifecycleStats {
-	st := LifecycleStats{Enabled: s.cfg.Lifecycle.Enabled}
-	for _, p := range s.Profiles() {
-		ps := p.LifecycleStats()
-		st.Edges += ps.Edges
-		st.Quarantined += ps.Quarantined
-		st.Observed += ps.Observed
-		st.Promotions += ps.Promotions
-		st.Rollbacks += ps.Rollbacks
-		if ps.ShadowAge > st.ShadowAge {
-			st.ShadowAge = ps.ShadowAge
-		}
-		if ps.Generation > st.Generation {
-			st.Generation = ps.Generation
-		}
-	}
-	return st
 }
 
 // fingerprintSet hashes a set's identity — dimension, pairs and baselines

@@ -47,45 +47,12 @@ func ctxFileToken(s string) string {
 	return b.String()
 }
 
-// decodeCtxFileToken inverts ctxFileToken.
-func decodeCtxFileToken(tok string) (string, error) {
-	if tok == "global" {
-		return "", nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(tok); i++ {
-		c := tok[i]
-		if c != '%' {
-			b.WriteByte(c)
-			continue
-		}
-		if i+2 >= len(tok) {
-			return "", fmt.Errorf("core: truncated escape in token %q", tok)
-		}
-		var v byte
-		if _, err := fmt.Sscanf(tok[i+1:i+3], "%02X", &v); err != nil {
-			return "", fmt.Errorf("core: bad escape in token %q: %w", tok, err)
-		}
-		b.WriteByte(v)
-		i += 2
-	}
-	return b.String(), nil
-}
-
-func modelPath(dir string, ctx Context) string {
-	return filepath.Join(dir, fmt.Sprintf("model-%s-%s.xml", ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
-}
-
-func invariantPath(dir string, ctx Context) string {
-	return filepath.Join(dir, fmt.Sprintf("invariants-%s-%s.xml", ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
-}
-
-func signaturePath(dir string, ctx Context) string {
-	return filepath.Join(dir, fmt.Sprintf("signatures-%s-%s.xml", ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
-}
-
-func lifecyclePath(dir string, ctx Context) string {
-	return filepath.Join(dir, fmt.Sprintf("lifecycle-%s-%s.xml", ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
+// storePath names the store file of one artefact kind ("model",
+// "invariants", "signatures", "lifecycle") for ctx. LoadFrom routes by each
+// file's own <type>/<ip>, never by this name, so the encoding only has to be
+// safe and collision-free, not invertible.
+func storePath(dir, kind string, ctx Context) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-%s-%s.xml", kind, ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
 }
 
 // SaveTo writes the profile's trained model, invariant set and signatures
@@ -108,18 +75,18 @@ func (p *Profile) SaveTo(dir string) error {
 	p.mu.RUnlock()
 	if d != nil {
 		f := xmlstore.EncodeModel(d, p.key.IP, p.key.Workload)
-		if err := xmlstore.SaveFile(modelPath(dir, p.key), f); err != nil {
+		if err := xmlstore.SaveFile(storePath(dir, "model", p.key), f); err != nil {
 			return fmt.Errorf("core: saving model %v: %w", p.key, err)
 		}
 	}
 	if set != nil {
 		f := xmlstore.EncodeInvariants(set, p.key.IP, p.key.Workload)
-		if err := xmlstore.SaveFile(invariantPath(dir, p.key), f); err != nil {
+		if err := xmlstore.SaveFile(storePath(dir, "invariants", p.key), f); err != nil {
 			return fmt.Errorf("core: saving invariants %v: %w", p.key, err)
 		}
 	}
 	if sigFile != nil {
-		if err := xmlstore.SaveFile(signaturePath(dir, p.key), *sigFile); err != nil {
+		if err := xmlstore.SaveFile(storePath(dir, "signatures", p.key), *sigFile); err != nil {
 			return fmt.Errorf("core: saving signatures %v: %w", p.key, err)
 		}
 	}
@@ -129,7 +96,7 @@ func (p *Profile) SaveTo(dir string) error {
 	// and resolves toward the invariants file — always a complete,
 	// consistent generation.
 	if lf, ok := p.lifecycleFile(); ok {
-		if err := xmlstore.SaveFile(lifecyclePath(dir, p.key), lf); err != nil {
+		if err := xmlstore.SaveFile(storePath(dir, "lifecycle", p.key), lf); err != nil {
 			return fmt.Errorf("core: saving lifecycle %v: %w", p.key, err)
 		}
 	}

@@ -14,8 +14,7 @@ import (
 
 // Profile is the self-contained diagnosis state of one operation context:
 // its trained CPI detector, invariant set, signature entries, training
-// pools and association-matrix cache, plus the registry of live monitors
-// watching jobs under this context. Each profile synchronises itself, so
+// pools and association-matrix cache. Each profile synchronises itself, so
 // training or diagnosing one context never contends with another; the
 // no-context ablation is simply the degenerate deployment with a single
 // global profile (key Context{}), not a separate code path.
@@ -34,8 +33,6 @@ type Profile struct {
 	sigs       signature.DB
 	cpiPool    trainingPool[[]float64]
 	windowPool trainingPool[*metrics.Trace]
-
-	monitors *detect.Registry
 
 	// lc is the drift-aware invariant lifecycle (nil when disabled): edge
 	// health, quarantine and shadow generations. See lifecycle.go.
@@ -62,7 +59,6 @@ func newProfile(s *System, key Context) *Profile {
 		cache:      newAssocCache(s.cfg.AssocCacheSize),
 		cpiPool:    newTrainingPool[[]float64](s.cfg.PoolCap),
 		windowPool: newTrainingPool[*metrics.Trace](s.cfg.PoolCap),
-		monitors:   detect.NewRegistry(),
 	}
 	p.sigs.MinScore = s.cfg.SigMinScore
 	if s.cfg.Lifecycle.Enabled {
@@ -77,10 +73,6 @@ func newProfile(s *System, key Context) *Profile {
 // Context returns the profile's operation context (the zero Context for the
 // global no-context profile).
 func (p *Profile) Context() Context { return p.key }
-
-// Monitors returns the registry of live monitors attached to this profile
-// (populated by supervised monitor jobs; see SuperviseMonitor).
-func (p *Profile) Monitors() *detect.Registry { return p.monitors }
 
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds from the
 // CPI traces of N normal runs. Traces pool with (deduplicated against)
@@ -322,9 +314,13 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 	return diag, nil
 }
 
-// ProfileStats is an operator-facing snapshot of one profile.
+// ProfileStats is an operator-facing snapshot of one profile — and, summed
+// with Add, of any group of profiles. It is the only statistics type that
+// leaves the package: every system-wide figure is a reduction of
+// System.ProfileStats(), so a new counter is one field here and one line in
+// Add.
 type ProfileStats struct {
-	// Context is the profile's operation context.
+	// Context is the profile's operation context (zero in a sum).
 	Context Context
 	// HasModel reports whether a CPI performance model is trained.
 	HasModel bool
@@ -335,13 +331,15 @@ type ProfileStats struct {
 	// CPIRuns and Windows are the training-pool sizes (after dedupe and
 	// capping).
 	CPIRuns, Windows int
-	// Monitors is the number of live attached monitors.
-	Monitors int
 	// Cache reports the profile's association-matrix cache counters
 	// (shared with the sparse path's report cache).
 	Cache CacheStats
 	// Sparse reports the sparse diagnosis path's edge counters.
 	Sparse SparseStats
+	// SigScanned and SigEarlyExits are the signature best-match scan
+	// counters: entries considered, and of them entries resolved by an early
+	// exit (popcount fast paths, stale-length skips, MinScore pruning).
+	SigScanned, SigEarlyExits int64
 	// SigIndex reports the signature retrieval index: structure (scopes,
 	// buckets, zero-tuple groups) and index-vs-scan query counters.
 	SigIndex signature.IndexStats
@@ -350,7 +348,9 @@ type ProfileStats struct {
 	Lifecycle LifecycleStats
 }
 
-// Stats snapshots the profile for reporting (invarctl profiles).
+// Stats snapshots the profile for reporting. Everything p.mu guards —
+// including the signature count and the index structure that must agree
+// with it — is read under one hold of the lock.
 func (p *Profile) Stats() ProfileStats {
 	p.mu.RLock()
 	st := ProfileStats{
@@ -359,23 +359,45 @@ func (p *Profile) Stats() ProfileStats {
 		Signatures: p.sigs.Len(),
 		CPIRuns:    p.cpiPool.size(),
 		Windows:    p.windowPool.size(),
+		SigIndex:   p.sigs.IndexStats(),
 	}
+	st.SigScanned, st.SigEarlyExits = p.sigs.ScanStats()
 	if p.invariants != nil {
 		st.Invariants = p.invariants.Len()
 	}
 	p.mu.RUnlock()
-	st.Monitors = p.monitors.Len()
 	st.Cache = p.CacheStats()
 	st.Sparse = p.SparseStats()
-	st.SigIndex = p.SignatureIndexStats()
 	st.Lifecycle = p.LifecycleStats()
 	return st
 }
 
-// SignatureIndexStats snapshots the profile's signature retrieval index:
-// partition structure plus the cumulative index-vs-scan query counters.
-func (p *Profile) SignatureIndexStats() signature.IndexStats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.sigs.IndexStats()
+// Add accumulates ps into t — the one reducer behind every system-wide
+// total. Counts sum; Lifecycle.Enabled holds if it holds for any part;
+// Lifecycle.Generation and ShadowAge take the maximum (the newest live model,
+// the shadow candidate closest to a verdict). Context and HasModel describe
+// one profile and are left alone.
+func (t *ProfileStats) Add(ps ProfileStats) {
+	t.Invariants += ps.Invariants
+	t.Signatures += ps.Signatures
+	t.CPIRuns += ps.CPIRuns
+	t.Windows += ps.Windows
+	t.Cache.Hits += ps.Cache.Hits
+	t.Cache.Misses += ps.Cache.Misses
+	t.Cache.Entries += ps.Cache.Entries
+	t.Sparse.Screened += ps.Sparse.Screened
+	t.Sparse.Exact += ps.Sparse.Exact
+	t.Sparse.Skipped += ps.Sparse.Skipped
+	t.SigScanned += ps.SigScanned
+	t.SigEarlyExits += ps.SigEarlyExits
+	t.SigIndex.Add(ps.SigIndex)
+	lc, pl := &t.Lifecycle, ps.Lifecycle
+	lc.Enabled = lc.Enabled || pl.Enabled
+	lc.Edges += pl.Edges
+	lc.Quarantined += pl.Quarantined
+	lc.Observed += pl.Observed
+	lc.Promotions += pl.Promotions
+	lc.Rollbacks += pl.Rollbacks
+	lc.Generation = max(lc.Generation, pl.Generation)
+	lc.ShadowAge = max(lc.ShadowAge, pl.ShadowAge)
 }

@@ -465,25 +465,25 @@ func TestDegradedPathUsesBatchAndCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.AssocCacheStats()
+	before := totals(s).Cache
 	if _, err := s.Diagnose(ctx, maskedCopy); err != nil {
 		t.Fatal(err)
 	}
-	st := s.AssocCacheStats()
+	st := totals(s).Cache
 	if st.Misses != before.Misses+1 {
 		t.Fatalf("degraded window must be cached as a miss: %+v -> %+v", before, st)
 	}
 	if _, err := s.Diagnose(ctx, maskedCopy); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AssocCacheStats(); got.Hits != st.Hits+1 {
+	if got := totals(s).Cache; got.Hits != st.Hits+1 {
 		t.Errorf("repeat degraded window must hit: %+v -> %+v", st, got)
 	}
 	// The unmasked twin has identical rows but no mask: distinct entry.
 	if _, err := s.Diagnose(ctx, ab); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AssocCacheStats(); got.Misses != st.Misses+1 {
+	if got := totals(s).Cache; got.Misses != st.Misses+1 {
 		t.Errorf("unmasked twin must not share the masked entry: %+v -> %+v", st, got)
 	}
 }

@@ -127,10 +127,11 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 		}
 	}
 
-	if st := sp.SparseStats(); st.Screened == 0 {
+	st := totals(sp)
+	if st.Sparse.Screened == 0 {
 		t.Error("prescreen never certified a pair across the property windows")
 	}
-	if entries, _ := sp.SignatureScanStats(); entries == 0 {
+	if st.SigScanned == 0 {
 		t.Error("signature scan counters never advanced")
 	}
 }
@@ -142,7 +143,7 @@ func TestSparseReportCacheReuse(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 910)
 	tr := synthTrace(stats.NewRNG(911), 30, 8, map[int]bool{2: true})
-	before := s.AssocCacheStats()
+	before := totals(s).Cache
 	v1, err := s.Violations(ctx, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestSparseReportCacheReuse(t *testing.T) {
 	if v1 != v2 {
 		t.Error("second diagnosis of an identical window did not return the cached report")
 	}
-	after := s.AssocCacheStats()
+	after := totals(s).Cache
 	if after.Hits != before.Hits+1 {
 		t.Errorf("cache hits %d -> %d, want one new hit", before.Hits, after.Hits)
 	}
@@ -193,7 +194,7 @@ func TestDiagnoseFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.AssocCacheStats()
+	before := totals(s).Cache
 	again, err := tr1.Slice(0, tr1.Len()) // same content, different trace
 	if err != nil {
 		t.Fatal(err)
@@ -202,19 +203,19 @@ func TestDiagnoseFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := s.AssocCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Entries != before.Entries {
+	if after := totals(s).Cache; after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Entries != before.Entries {
 		t.Errorf("rediagnosis of equal content was not a pure hit: %+v -> %+v", before, after)
 	}
 	if !reflect.DeepEqual(d1, d2) {
 		t.Errorf("rediagnosis %+v != original %+v", d2, d1)
 	}
 
-	before = s.AssocCacheStats()
+	before = totals(s).Cache
 	d3, err := s.Diagnose(ctx, tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := s.AssocCacheStats(); after.Misses != before.Misses+1 || after.Entries != before.Entries+1 {
+	if after := totals(s).Cache; after.Misses != before.Misses+1 || after.Entries != before.Entries+1 {
 		t.Errorf("fresh window was not a miss adding one entry: %+v -> %+v", before, after)
 	}
 	if want := denseReport(t, s, ctx, tr2); !reflect.DeepEqual(d3.Tuple, want.Tuple) {

@@ -498,44 +498,6 @@ func (s *System) Diagnose(ctx Context, abnormal *metrics.Trace) (*Diagnosis, err
 	})
 }
 
-// SparseStats aggregates the diagnosis path's edge counters across
-// every profile: pairs certified by the prescreen, pairs that ran the exact
-// association, and pairs reported unknown under degraded telemetry.
-func (s *System) SparseStats() SparseStats {
-	var st SparseStats
-	for _, p := range s.Profiles() {
-		ps := p.SparseStats()
-		st.Screened += ps.Screened
-		st.Exact += ps.Exact
-		st.Skipped += ps.Skipped
-	}
-	return st
-}
-
-// SignatureScanStats aggregates the signature best-match scan counters
-// across every profile: entries considered and entries resolved by an early
-// exit (precomputed-popcount fast paths, stale-length skips, MinScore
-// pruning).
-func (s *System) SignatureScanStats() (entries, earlyExits int64) {
-	for _, p := range s.Profiles() {
-		e, x := p.sigs.ScanStats()
-		entries += e
-		earlyExits += x
-	}
-	return entries, earlyExits
-}
-
-// SignatureIndexStats aggregates the signature retrieval-index counters
-// across every profile: index structure totals plus the index-vs-scan query
-// split (see signature.IndexStats).
-func (s *System) SignatureIndexStats() signature.IndexStats {
-	var st signature.IndexStats
-	for _, p := range s.Profiles() {
-		st.Add(p.SignatureIndexStats())
-	}
-	return st
-}
-
 // ProfileStats snapshots every registered profile for reporting, in
 // deterministic context order.
 func (s *System) ProfileStats() []ProfileStats {
@@ -545,17 +507,4 @@ func (s *System) ProfileStats() []ProfileStats {
 		out[i] = p.Stats()
 	}
 	return out
-}
-
-// AssocCacheStats aggregates the association-cache counters of every
-// profile. Zero-valued when caching is disabled.
-func (s *System) AssocCacheStats() CacheStats {
-	var st CacheStats
-	for _, p := range s.Profiles() {
-		ps := p.CacheStats()
-		st.Hits += ps.Hits
-		st.Misses += ps.Misses
-		st.Entries += ps.Entries
-	}
-	return st
 }

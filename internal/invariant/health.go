@@ -209,21 +209,6 @@ func (h *Health) Quarantined() []bool {
 	return mask
 }
 
-// QuarantinedIndices returns the quarantined edge indices in ascending
-// order (empty when none).
-func (h *Health) QuarantinedIndices() []int {
-	if h.quar == 0 {
-		return nil
-	}
-	out := make([]int, 0, h.quar)
-	for k, st := range h.state {
-		if st == EdgeQuarantined {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // Snapshot returns the per-edge health series for reporting and
 // persistence, in sorted-pair order.
 func (h *Health) Snapshot() []EdgeHealth {

@@ -47,9 +47,6 @@ func TestHealthQuarantinesPersistentViolator(t *testing.T) {
 			t.Fatalf("Quarantined mask = %v, want %v", mask, want)
 		}
 	}
-	if got := h.QuarantinedIndices(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("QuarantinedIndices = %v, want [1]", got)
-	}
 }
 
 func TestHealthMinObservationsDelaysVerdict(t *testing.T) {

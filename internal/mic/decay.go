@@ -60,12 +60,6 @@ func (d *Decayed) Value() (float64, bool) {
 	return d.num / d.den, true
 }
 
-// Estimate is Value for callers that have already checked N.
-func (d *Decayed) Estimate() float64 {
-	v, _ := d.Value()
-	return v
-}
-
 // N returns how many scores have been absorbed.
 func (d *Decayed) N() int64 { return d.n }
 

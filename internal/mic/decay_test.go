@@ -28,7 +28,7 @@ func TestDecayedTracksShiftedLevel(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d.Add(0.3)
 	}
-	v := d.Estimate()
+	v, _ := d.Value()
 	if math.Abs(v-0.3) > 0.001 {
 		t.Fatalf("estimate %v after level shift, want ~0.3 (recent windows dominate)", v)
 	}
@@ -39,7 +39,7 @@ func TestDecayedIgnoresNonFinite(t *testing.T) {
 	d.Add(0.6)
 	d.Add(math.NaN())
 	d.Add(math.Inf(-1))
-	if v := d.Estimate(); v != 0.6 {
+	if v, _ := d.Value(); v != 0.6 {
 		t.Fatalf("non-finite scores moved the estimate to %v", v)
 	}
 	if d.N() != 1 {
@@ -55,7 +55,7 @@ func TestDecayedResetRestore(t *testing.T) {
 		t.Fatalf("Reset left state: N=%d", d.N())
 	}
 	d.Restore(0.42, 7)
-	if v := d.Estimate(); v != 0.42 {
+	if v, _ := d.Value(); v != 0.42 {
 		t.Fatalf("restored estimate %v, want 0.42", v)
 	}
 	if d.N() != 7 {
@@ -71,7 +71,7 @@ func TestDecayedAlphaSanitised(t *testing.T) {
 	for _, alpha := range []float64{0, -1, 2, math.NaN()} {
 		d := NewDecayed(alpha)
 		d.Add(1)
-		if v := d.Estimate(); v != 1 {
+		if v, _ := d.Value(); v != 1 {
 			t.Fatalf("alpha %v: first estimate %v, want 1", alpha, v)
 		}
 	}

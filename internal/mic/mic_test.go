@@ -266,48 +266,3 @@ func TestMICLargeSampleStability(t *testing.T) {
 		t.Errorf("MIC sqrt: n=100 → %v, n=1000 → %v, want both high", s1, s2)
 	}
 }
-
-func TestAnalyzeCompanions(t *testing.T) {
-	rng := stats.NewRNG(210)
-	n := 300
-	xs := make([]float64, n)
-	lin := make([]float64, n)
-	sine := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Uniform(0, 1)
-		lin[i] = xs[i]
-		sine[i] = math.Sin(4 * math.Pi * xs[i])
-	}
-	aLin, err := Analyze(xs, lin, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	aSine, err := Analyze(xs, sine, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MAS separates monotone from periodic relationships.
-	if aLin.MAS > 0.15 {
-		t.Errorf("linear MAS = %v, want near 0", aLin.MAS)
-	}
-	if aSine.MAS < aLin.MAS {
-		t.Errorf("periodic MAS %v not above linear %v", aSine.MAS, aLin.MAS)
-	}
-	// Both are functions of x: MEV stays high for the linear case.
-	if aLin.MEV < 0.9 {
-		t.Errorf("linear MEV = %v, want high", aLin.MEV)
-	}
-	// Complexity: the sine needs a finer grid than the line.
-	if aSine.MCN < aLin.MCN {
-		t.Errorf("sine MCN %v below linear MCN %v", aSine.MCN, aLin.MCN)
-	}
-	if aLin.MIC < 0.95 {
-		t.Errorf("linear MIC = %v", aLin.MIC)
-	}
-}
-
-func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze([]float64{1}, []float64{1}, DefaultConfig()); err == nil {
-		t.Error("tiny sample should error")
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the MIC computation engine. The public entry points
-// (Compute, MIC, Analyze, Batch) all funnel into computePair, which works
+// (Compute, MIC, Batch) all funnel into computePair, which works
 // over Prepared metrics and a Scratch:
 //
 //   - Prepared holds everything about one metric that is independent of its

@@ -380,29 +380,41 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 	s.admitBatch(w, string(wb), string(nb), b)
 }
 
-// admitBatch enqueues one columnar batch onto its stream's queue — shared
-// admission for both encodings, so 429 backpressure and the counters behave
-// identically. Ownership of b passes here: it returns to the pool after the
-// task applies it, or immediately when admission sheds it.
-func (s *Server) admitBatch(w http.ResponseWriter, workload, node string, b *ingestBatch) {
+// admit is the transport-free admission step all three ingest transports
+// share (HTTP JSON, HTTP frame, TCP frame): enqueue one columnar batch onto
+// its stream's queue and count the outcome, so backpressure and the counters
+// cannot drift apart between encodings. Ownership of b passes here: it
+// returns to the pool after the task applies it, or immediately when
+// admission refuses it (ErrQueueFull = shed, anything else = draining).
+func (s *Server) admit(workload, node string, b *ingestBatch) (int, error) {
 	st := s.stream(core.Context{Workload: workload, IP: node})
-	n := b.n
+	n := b.n // read before enqueue: the task may recycle b at once
 	if err := s.sched.enqueue(st.queue, func() { st.apply(s, b); putBatch(b) }); err != nil {
 		putBatch(b)
 		if errors.Is(err, ErrQueueFull) {
 			s.ctr.ingestShed.Add(1)
-			s.shed(w, "ingest")
-			return
 		}
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return 0, err
 	}
 	s.ctr.ingestBatches.Add(1)
 	s.ctr.ingestSamples.Add(int64(n))
-	writeJSON(w, http.StatusAccepted, IngestResponse{
-		Accepted:   n,
-		QueueDepth: s.sched.depth.Load(),
-	})
+	return n, nil
+}
+
+// admitBatch maps an admission outcome onto HTTP: 202, 429 or 503.
+func (s *Server) admitBatch(w http.ResponseWriter, workload, node string, b *ingestBatch) {
+	n, err := s.admit(workload, node, b)
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		s.shed(w, "ingest")
+	case err != nil:
+		s.fail(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		writeJSON(w, http.StatusAccepted, IngestResponse{
+			Accepted:   n,
+			QueueDepth: s.sched.depth.Load(),
+		})
+	}
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
@@ -664,33 +676,46 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// ratio is part/whole, 0 when nothing was counted yet.
+func ratio(part, whole int64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
+}
+
+// Stats snapshots the daemon: the serving layer's own counters plus every
+// core figure, all of the latter reduced (core.ProfileStats.Add) from one
+// System.ProfileStats() walk of the registry — the same snapshot
+// GET /v1/profiles lists row by row, so the totals here are the sums of
+// those rows by construction.
+func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	nstreams := len(s.streams)
 	s.mu.RUnlock()
-	cache := s.sys.AssocCacheStats()
-	hitRate := 0.0
-	if lookups := cache.Hits + cache.Misses; lookups > 0 {
-		hitRate = float64(cache.Hits) / float64(lookups)
+	snap := s.sys.ProfileStats()
+	var all, cross core.ProfileStats
+	ncross := 0
+	for _, ps := range snap {
+		all.Add(ps)
+		if _, ok := core.ParseCrossContext(ps.Context); ok {
+			cross.Add(ps)
+			ncross++
+		}
 	}
-	sparse := s.sys.SparseStats()
-	sigScanned, sigEarly := s.sys.SignatureScanStats()
-	sigEarlyRate := 0.0
-	if sigScanned > 0 {
-		sigEarlyRate = float64(sigEarly) / float64(sigScanned)
-	}
-	sigIdx := s.sys.SignatureIndexStats()
-	lc := s.sys.LifecycleStats()
-	cross := s.sys.CrossStats()
 	var fleetStats *fleet.Stats
 	if s.fleet != nil {
 		fs := s.fleet.Stats()
 		fleetStats = &fs
 	}
 	h := &s.ctr.diagnoseLatency
-	writeJSON(w, http.StatusOK, Stats{
+	return Stats{
 		UptimeSec:     time.Since(s.start).Seconds(),
 		Streams:       nstreams,
-		Profiles:      len(s.sys.Profiles()),
+		Profiles:      len(snap),
 		Workers:       s.cfg.Workers,
 		QueueDepth:    s.sched.depth.Load(),
 		QueueCapacity: s.cfg.QueueCap,
@@ -709,40 +734,42 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ReportsFailed:  s.ctr.reportsFailed.Load(),
 		SignaturesPost: s.ctr.signaturesPost.Load(),
 
-		AssocCacheHits:    cache.Hits,
-		AssocCacheMisses:  cache.Misses,
-		AssocCacheEntries: cache.Entries,
-		AssocCacheHitRate: hitRate,
+		AssocCacheHits:    all.Cache.Hits,
+		AssocCacheMisses:  all.Cache.Misses,
+		AssocCacheEntries: all.Cache.Entries,
+		AssocCacheHitRate: ratio(all.Cache.Hits, all.Cache.Hits+all.Cache.Misses),
 
-		SparseScreenedPairs: sparse.Screened,
-		SparseExactPairs:    sparse.Exact,
-		SparseSkippedPairs:  sparse.Skipped,
+		SparseScreenedPairs: all.Sparse.Screened,
+		SparseExactPairs:    all.Sparse.Exact,
+		SparseSkippedPairs:  all.Sparse.Skipped,
 
-		SigScanEntries:       sigScanned,
-		SigScanEarlyExits:    sigEarly,
-		SigScanEarlyExitRate: sigEarlyRate,
+		SigScanEntries:       all.SigScanned,
+		SigScanEarlyExits:    all.SigEarlyExits,
+		SigScanEarlyExitRate: ratio(all.SigEarlyExits, all.SigScanned),
 
-		SigIndexScopes:      sigIdx.Scopes,
-		SigIndexBuckets:     sigIdx.Buckets,
-		SigIndexEntries:     sigIdx.Indexed,
-		SigIndexZeroEntries: sigIdx.ZeroEntries,
-		SigIndexQueries:     sigIdx.IndexQueries,
-		SigIndexScanQueries: sigIdx.ScanQueries,
-		SigIndexCandidates:  sigIdx.Candidates,
-		SigIndexHitRate:     sigIdx.HitRate(),
+		SigIndexScopes:      all.SigIndex.Scopes,
+		SigIndexBuckets:     all.SigIndex.Buckets,
+		SigIndexEntries:     all.SigIndex.Indexed,
+		SigIndexZeroEntries: all.SigIndex.ZeroEntries,
+		SigIndexQueries:     all.SigIndex.IndexQueries,
+		SigIndexScanQueries: all.SigIndex.ScanQueries,
+		SigIndexCandidates:  all.SigIndex.Candidates,
+		SigIndexHitRate:     all.SigIndex.HitRate(),
 
-		LifecycleEnabled:  lc.Enabled,
-		ModelGeneration:   lc.Generation,
-		LifecycleEdges:    lc.Edges,
-		QuarantinedEdges:  lc.Quarantined,
-		ShadowAge:         lc.ShadowAge,
-		LifecycleObserved: lc.Observed,
-		Promotions:        lc.Promotions,
-		Rollbacks:         lc.Rollbacks,
+		// Enabled is a configuration fact, so it reads the same on a daemon
+		// that holds no profile yet.
+		LifecycleEnabled:  s.cfg.Core.Lifecycle.Enabled,
+		ModelGeneration:   all.Lifecycle.Generation,
+		LifecycleEdges:    all.Lifecycle.Edges,
+		QuarantinedEdges:  all.Lifecycle.Quarantined,
+		ShadowAge:         all.Lifecycle.ShadowAge,
+		LifecycleObserved: all.Lifecycle.Observed,
+		Promotions:        all.Lifecycle.Promotions,
+		Rollbacks:         all.Lifecycle.Rollbacks,
 
-		CrossProfiles:   cross.Profiles,
-		CrossEdges:      cross.Edges,
-		CrossQuarantine: cross.Quarantined,
+		CrossProfiles:   ncross,
+		CrossEdges:      cross.Invariants,
+		CrossQuarantine: cross.Lifecycle.Quarantined,
 		CrossSignatures: cross.Signatures,
 
 		DiagnoseForwarded: s.ctr.diagnoseForwarded.Load(),
@@ -755,7 +782,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			P95MS:  h.quantile(0.95),
 			P99MS:  h.quantile(0.99),
 		},
-	})
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

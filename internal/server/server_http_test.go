@@ -307,7 +307,7 @@ func TestRestartRestoresSignatures(t *testing.T) {
 
 	// The XML restore rebuilt the retrieval index: every restored signature
 	// is indexed, not just stored.
-	if ix := srv2.System().SignatureIndexStats(); ix.Indexed != wantSigs {
-		t.Errorf("restart indexed %d signatures, want %d", ix.Indexed, wantSigs)
+	if got := srv2.Stats().SigIndexEntries; got != wantSigs {
+		t.Errorf("restart indexed %d signatures, want %d", got, wantSigs)
 	}
 }

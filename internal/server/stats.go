@@ -78,8 +78,8 @@ func (h *histogram) meanMS() float64 {
 }
 
 // counters is the server's own operational bookkeeping. Everything here is
-// maintained by the serving layer itself — the core System contributes only
-// the association-cache numbers, merged in at snapshot time.
+// maintained by the serving layer itself; the core figures are reduced from
+// one profile snapshot at read time (see Server.Stats).
 type counters struct {
 	ingestBatches  atomic.Int64 // accepted POST /v1/ingest requests
 	ingestSamples  atomic.Int64 // accepted samples across those batches
@@ -107,8 +107,10 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99MS"`
 }
 
-// Stats is the GET /v1/stats payload: the serving layer's own counters plus
-// the aggregated core association-cache numbers.
+// Stats is the GET /v1/stats payload (built by Server.Stats): the serving
+// layer's own counters plus the core figures summed over every profile.
+// Field names and JSON keys are a wire contract — bench/ and invarctl decode
+// them — pinned by TestStatsAndProfilesWireKeys.
 type Stats struct {
 	UptimeSec     float64 `json:"uptimeSec"`
 	Streams       int     `json:"streams"`
@@ -165,7 +167,7 @@ type Stats struct {
 	SigIndexCandidates  int64   `json:"sigIndexCandidates"`
 	SigIndexHitRate     float64 `json:"sigIndexHitRate"`
 
-	// Drift-lifecycle aggregates (see core.LifecycleStats): edges under
+	// Drift-lifecycle totals (see core.LifecycleStats): edges under
 	// health tracking, currently quarantined edges, the oldest shadow
 	// candidate's evaluation age, and how many shadow generations were
 	// promoted or rolled back. All zero when the lifecycle is disabled.

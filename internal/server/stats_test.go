@@ -1,0 +1,155 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"testing"
+
+	"invarnetx/internal/core"
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/stats"
+)
+
+// The operator wire contract: bench/ and invarctl decode these keys, so a
+// rename or a dropped field is a breaking change however the payload is
+// built. A non-federated daemon omits "fleet"; an intra-node profile row
+// omits the cross scope keys.
+var (
+	statsKeys = []string{
+		"alerts", "assocCacheEntries", "assocCacheHitRate", "assocCacheHits", "assocCacheMisses",
+		"badRequests", "crossEdges", "crossProfiles", "crossQuarantinedEdges", "crossSignatures",
+		"detectTasks", "diagnoseForwarded", "diagnoseLatency", "diagnoseShed",
+		"ingestBatches", "ingestSamples", "ingestShed",
+		"lifecycleEdges", "lifecycleEnabled", "lifecycleObserved", "modelGeneration",
+		"profiles", "promotions", "quarantinedEdges", "queueCapacity", "queueDepth",
+		"reportsDone", "reportsFailed", "reportsPending", "rollbacks", "shadowAge",
+		"sigIndexBuckets", "sigIndexCandidates", "sigIndexEntries", "sigIndexHitRate",
+		"sigIndexQueries", "sigIndexScanQueries", "sigIndexScopes", "sigIndexZeroEntries",
+		"sigScanEarlyExitRate", "sigScanEarlyExits", "sigScanEntries", "signaturesPosted",
+		"sparseExactPairs", "sparseScreenedPairs", "sparseSkippedPairs",
+		"streams", "uptimeSec", "workers",
+	}
+	latencyKeys = []string{"count", "meanMS", "p50MS", "p95MS", "p99MS"}
+	profileKeys = []string{
+		"alerting", "alerts", "cacheHits", "cacheMisses", "cpiRuns", "generation", "hasModel",
+		"ingested", "invariants", "node", "promotions", "quarantinedEdges", "rollbacks",
+		"shadowAge", "signatures", "windowLen", "windows", "workload",
+	}
+	crossProfileKeys = []string{"cross", "nodeA", "nodeB", "stage"}
+)
+
+// getObject GETs path off the handler and decodes the top-level JSON object.
+func getObject(t *testing.T, h http.Handler, path string) map[string]json.RawMessage {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d, body %s", path, rec.Code, rec.Body)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &obj); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return obj
+}
+
+func sortedKeys(obj map[string]json.RawMessage) []string {
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats
+// and of one GET /v1/profiles row, and that both endpoints are views of one
+// profile snapshot: the cross totals on /v1/stats are the sums of the cross
+// rows on /v1/profiles.
+func TestStatsAndProfilesWireKeys(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Lifecycle.Enabled = true
+	srv, _, err := New(Config{Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intra := core.Context{Workload: "sort", IP: "10.0.0.2"}
+	trainContext(t, srv, intra, 31)
+
+	// One cross profile over joint windows of two nodes sharing a latent.
+	key := core.NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
+	joint := func(seed int64, decouple map[int]bool) *metrics.Trace {
+		a := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, decouple, 0))
+		b := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, nil, 0))
+		j, err := metrics.JoinTraces(a, b, core.CrossMetricIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	if err := srv.sys.TrainCrossInvariants(key, []*metrics.Trace{joint(41, nil), joint(42, nil), joint(43, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.sys.BuildCrossSignature(key, "xlink@10.0.0.3", joint(44, map[int]bool{0: true})); err != nil {
+		t.Fatal(err)
+	}
+
+	statsObj := getObject(t, srv.Handler(), "/v1/stats")
+	if got := sortedKeys(statsObj); !reflect.DeepEqual(got, statsKeys) {
+		t.Errorf("/v1/stats keys\n got %q\nwant %q", got, statsKeys)
+	}
+	var latency map[string]json.RawMessage
+	if err := json.Unmarshal(statsObj["diagnoseLatency"], &latency); err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedKeys(latency); !reflect.DeepEqual(got, latencyKeys) {
+		t.Errorf("diagnoseLatency keys\n got %q\nwant %q", got, latencyKeys)
+	}
+
+	// One /v1/profiles response, read raw for the keys and typed for the sums.
+	profilesRaw := getObject(t, srv.Handler(), "/v1/profiles")["profiles"]
+	var rows []map[string]json.RawMessage
+	var typed []ProfileInfo
+	if err := json.Unmarshal(profilesRaw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(profilesRaw, &typed); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d profile rows, want the intra and the cross profile", len(rows))
+	}
+	wantCrossRow := append(append([]string(nil), profileKeys...), crossProfileKeys...)
+	sort.Strings(wantCrossRow)
+	if got := sortedKeys(rows[0]); !reflect.DeepEqual(got, profileKeys) {
+		t.Errorf("intra profile row keys\n got %q\nwant %q", got, profileKeys)
+	}
+	if got := sortedKeys(rows[1]); !reflect.DeepEqual(got, wantCrossRow) {
+		t.Errorf("cross profile row keys\n got %q\nwant %q", got, wantCrossRow)
+	}
+
+	// Totals against rows.
+	st := srv.Stats()
+	var cross Stats
+	for _, p := range typed {
+		if p.Cross {
+			cross.CrossProfiles++
+			cross.CrossEdges += p.Invariants
+			cross.CrossQuarantine += p.QuarantinedEdges
+			cross.CrossSignatures += p.Signatures
+		}
+	}
+	if st.Profiles != len(typed) || st.CrossProfiles != cross.CrossProfiles || st.CrossEdges != cross.CrossEdges ||
+		st.CrossQuarantine != cross.CrossQuarantine || st.CrossSignatures != cross.CrossSignatures {
+		t.Errorf("/v1/stats totals %d profiles, cross %d/%d/%d/%d; /v1/profiles rows give %d profiles, cross %d/%d/%d/%d",
+			st.Profiles, st.CrossProfiles, st.CrossEdges, st.CrossQuarantine, st.CrossSignatures,
+			len(typed), cross.CrossProfiles, cross.CrossEdges, cross.CrossQuarantine, cross.CrossSignatures)
+	}
+	if st.CrossProfiles != 1 || st.CrossEdges == 0 || st.CrossSignatures != 1 || !st.LifecycleEnabled {
+		t.Errorf("cross layer not exercised: %d profiles, %d edges, %d signatures, lifecycle %v",
+			st.CrossProfiles, st.CrossEdges, st.CrossSignatures, st.LifecycleEnabled)
+	}
+}

@@ -9,8 +9,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"invarnetx/internal/core"
 )
 
 // TCP ingest wire protocol: the client writes length-prefixed binary frames
@@ -106,6 +104,7 @@ func (s *Server) serveIngestConn(c net.Conn, idle time.Duration) {
 		}
 		n := int(binary.LittleEndian.Uint32(prefix[:]))
 		if n < frameHeaderLen || n > maxFrameBytes {
+			s.ctr.badRequests.Add(1)
 			reply(FrameBad, 0)
 			return
 		}
@@ -136,24 +135,19 @@ func (s *Server) serveIngestConn(c net.Conn, idle time.Duration) {
 			lastNB = append(lastNB[:0], nb...)
 			node = string(nb)
 		}
-		st := s.stream(core.Context{Workload: workload, IP: node})
-		samples := b.n
-		if err := s.sched.enqueue(st.queue, func() { st.apply(s, b); putBatch(b) }); err != nil {
-			putBatch(b)
-			if errors.Is(err, ErrQueueFull) {
-				s.ctr.ingestShed.Add(1)
-				if !reply(FrameShed, 0) {
-					return
-				}
-				continue
+		accepted, err := s.admit(workload, node, b)
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			if !reply(FrameShed, 0) {
+				return
 			}
+		case err != nil:
 			reply(FrameDraining, 0)
 			return
-		}
-		s.ctr.ingestBatches.Add(1)
-		s.ctr.ingestSamples.Add(int64(samples))
-		if !reply(FrameAccepted, uint32(samples)) {
-			return
+		default:
+			if !reply(FrameAccepted, uint32(accepted)) {
+				return
+			}
 		}
 	}
 }

@@ -101,8 +101,8 @@ func TestIngestTCPBadFrameCloses(t *testing.T) {
 	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("connection still open after bad frame: %v", err)
 	}
-	if srv.ctr.badRequests.Load() == 0 {
-		t.Error("bad frame not counted")
+	if got := srv.ctr.badRequests.Load(); got != 1 {
+		t.Errorf("bad frame body moved badRequests to %d, want 1", got)
 	}
 
 	// An insane length prefix is refused without reading the body.
@@ -118,6 +118,11 @@ func TestIngestTCPBadFrameCloses(t *testing.T) {
 	}
 	if status, _ := readStatus(t, c2); status != FrameBad {
 		t.Fatalf("huge prefix: status %d, want FrameBad", status)
+	}
+	// ...and counted like the bad body, and like the same oversize body
+	// over HTTP.
+	if got := srv.ctr.badRequests.Load(); got != 2 {
+		t.Errorf("bad length prefix moved badRequests to %d, want 2", got)
 	}
 }
 

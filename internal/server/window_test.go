@@ -216,14 +216,15 @@ func TestStreamWindowDiagnosisMatchesExplicit(t *testing.T) {
 				"explicit samples":        asSamples,
 				"explicit all-true masks": spelled,
 			} {
-				before := srv.sys.AssocCacheStats()
+				before := srv.Stats()
 				again := diagnoseWait(t, srv, req)
 				if !reflect.DeepEqual(again.Diagnosis, a) {
 					t.Errorf("%s: cached re-diagnosis diverged", name)
 				}
-				after := srv.sys.AssocCacheStats()
-				if after.Hits != before.Hits+1 || after.Entries != before.Entries {
-					t.Errorf("%s: re-diagnosis missed the window's report entry: %+v -> %+v", name, before, after)
+				after := srv.Stats()
+				if after.AssocCacheHits != before.AssocCacheHits+1 || after.AssocCacheEntries != before.AssocCacheEntries {
+					t.Errorf("%s: re-diagnosis missed the window's report entry: hits %d -> %d, entries %d -> %d", name,
+						before.AssocCacheHits, after.AssocCacheHits, before.AssocCacheEntries, after.AssocCacheEntries)
 				}
 			}
 		})

@@ -2,10 +2,10 @@ package stats
 
 import "math"
 
-// This file holds the streaming change-point detectors behind the invariant
-// lifecycle: tiny constant-state tests that decide, one observation at a
+// This file holds the streaming change-point detector behind the invariant
+// lifecycle: a tiny constant-state test that decides, one observation at a
 // time, whether the mean of a series has shifted upward. The invariant
-// layer feeds them per-edge violation indicators (0/1 per diagnosed
+// layer feeds it per-edge violation indicators (0/1 per diagnosed
 // window); a persistent upward shift of the violation rate over its
 // training-time expectation is the signature of a drifted invariant, as
 // opposed to the short bursts a genuine fault produces.
@@ -70,57 +70,4 @@ func (c *CUSUM) Restore(sum float64) {
 		sum = 0
 	}
 	c.sum = sum
-}
-
-// PageHinkley is the Page-Hinkley test for an upward mean shift: it tracks
-// the running mean of the series and accumulates the deviations of each
-// observation above (mean + delta); an alarm fires when the accumulated
-// deviation rises more than lambda above its historical minimum. Unlike
-// CUSUM it needs no a-priori baseline — the running mean is the baseline —
-// which suits series whose normal level is nonzero but unknown.
-//
-// The zero value is unusable; construct with NewPageHinkley. Not safe for
-// concurrent use.
-type PageHinkley struct {
-	delta  float64
-	lambda float64
-	n      int64
-	mean   float64
-	acc    float64
-	min    float64
-}
-
-// NewPageHinkley returns a Page-Hinkley test with magnitude tolerance
-// delta and alarm threshold lambda (lambda must be positive).
-func NewPageHinkley(delta, lambda float64) *PageHinkley {
-	if math.IsNaN(delta) || math.IsInf(delta, 0) || delta < 0 {
-		delta = 0
-	}
-	if !(lambda > 0) || math.IsInf(lambda, 0) {
-		lambda = 1
-	}
-	return &PageHinkley{delta: delta, lambda: lambda}
-}
-
-// Offer feeds one observation and reports whether the test is in alarm
-// after it. Non-finite observations are ignored.
-func (p *PageHinkley) Offer(x float64) bool {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return p.acc-p.min > p.lambda
-	}
-	p.n++
-	p.mean += (x - p.mean) / float64(p.n)
-	p.acc += x - p.mean - p.delta
-	if p.acc < p.min {
-		p.min = p.acc
-	}
-	return p.acc-p.min > p.lambda
-}
-
-// Value returns the current test statistic (accumulator minus its minimum).
-func (p *PageHinkley) Value() float64 { return p.acc - p.min }
-
-// Reset clears all state, forgetting the learned mean.
-func (p *PageHinkley) Reset() {
-	p.n, p.mean, p.acc, p.min = 0, 0, 0, 0
 }

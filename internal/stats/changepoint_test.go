@@ -80,42 +80,11 @@ func TestCUSUMIgnoresNonFinite(t *testing.T) {
 	}
 }
 
-func TestPageHinkleyDetectsMeanShift(t *testing.T) {
-	ph := NewPageHinkley(0.05, 1)
-	rng := NewRNG(7)
-	// A long stable stretch around 0.1 must not alarm.
-	for i := 0; i < 200; i++ {
-		if ph.Offer(0.1 + rng.Normal(0, 0.01)) {
-			t.Fatalf("false alarm on stable series at observation %d", i)
-		}
-	}
-	// After the mean jumps to 0.9, the alarm must arrive quickly.
-	alarmed := false
-	for i := 0; i < 30; i++ {
-		if ph.Offer(0.9 + rng.Normal(0, 0.01)) {
-			alarmed = true
-			break
-		}
-	}
-	if !alarmed {
-		t.Fatalf("no alarm within 30 observations of a 0.1→0.9 mean shift")
-	}
-	ph.Reset()
-	if ph.Value() != 0 {
-		t.Fatalf("Reset left statistic %v", ph.Value())
-	}
-}
-
 func TestDetectorConstructorsSanitise(t *testing.T) {
 	// Broken parameters must yield a usable (if conservative) detector, not
 	// one that alarms always or never due to NaN poisoning.
 	c := NewCUSUM(math.NaN(), math.Inf(1))
 	if c.Offer(1) {
 		t.Fatalf("sanitised CUSUM alarmed on first observation")
-	}
-	ph := NewPageHinkley(-1, 0)
-	ph.Offer(0)
-	if v := ph.Value(); math.IsNaN(v) {
-		t.Fatalf("sanitised PageHinkley produced NaN statistic")
 	}
 }

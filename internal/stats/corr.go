@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson product-moment correlation coefficient of the
@@ -34,46 +33,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient: the Pearson
-// correlation of the rank-transformed samples, with ties assigned their
-// average rank.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: spearman needs >= 2 samples, got %d", len(xs))
-	}
-	if !AllFinite(xs) || !AllFinite(ys) {
-		return 0, ErrNonFinite
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the fractional ranks of xs (1-based, ties averaged).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }
 
 // Autocovariance returns the sample autocovariance of xs at lags 0..maxLag,
@@ -117,65 +76,4 @@ func Autocorrelation(xs []float64, maxLag int) ([]float64, error) {
 		acf[i] = c / acov[0]
 	}
 	return acf, nil
-}
-
-// PACF returns the partial autocorrelation function at lags 1..maxLag,
-// computed via the Levinson-Durbin recursion. It is used by the ARIMA order
-// search to bound the AR order.
-func PACF(xs []float64, maxLag int) ([]float64, error) {
-	acf, err := Autocorrelation(xs, maxLag)
-	if err != nil {
-		return nil, err
-	}
-	if maxLag == 0 {
-		return nil, nil
-	}
-	pacf := make([]float64, maxLag)
-	phi := make([][]float64, maxLag+1)
-	for i := range phi {
-		phi[i] = make([]float64, maxLag+1)
-	}
-	phi[1][1] = acf[1]
-	pacf[0] = acf[1]
-	for k := 2; k <= maxLag; k++ {
-		var num, den float64
-		num = acf[k]
-		for j := 1; j < k; j++ {
-			num -= phi[k-1][j] * acf[k-j]
-			den += phi[k-1][j] * acf[j]
-		}
-		den = 1 - den
-		if den == 0 {
-			phi[k][k] = 0
-		} else {
-			phi[k][k] = num / den
-		}
-		for j := 1; j < k; j++ {
-			phi[k][j] = phi[k-1][j] - phi[k][k]*phi[k-1][k-j]
-		}
-		pacf[k-1] = phi[k][k]
-	}
-	return pacf, nil
-}
-
-// CrossCorrelation returns the cross-correlation of xs (input) against ys
-// (output) at lags 0..maxLag: corr(xs[t-lag], ys[t]). Used by the ARX
-// baseline to pre-screen candidate metric pairs.
-func CrossCorrelation(xs, ys []float64, maxLag int) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, ErrLengthMismatch
-	}
-	n := len(xs)
-	if maxLag < 0 || maxLag >= n {
-		return nil, fmt.Errorf("stats: maxLag %d out of range for %d samples", maxLag, n)
-	}
-	out := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		r, err := Pearson(xs[:n-lag], ys[lag:])
-		if err != nil {
-			return nil, err
-		}
-		out[lag] = r
-	}
-	return out, nil
 }

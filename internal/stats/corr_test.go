@@ -42,32 +42,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone but highly non-linear: Spearman must be exactly 1.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", r)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Ranks[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// White noise should have near-zero ACF beyond lag 0.
 	rng := NewRNG(1)
@@ -118,54 +92,6 @@ func TestAutocorrelationConstant(t *testing.T) {
 	}
 }
 
-func TestPACFAR1(t *testing.T) {
-	// For an AR(1) process the PACF cuts off after lag 1.
-	rng := NewRNG(3)
-	xs := make([]float64, 20000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 0.7*xs[i-1] + rng.Normal(0, 1)
-	}
-	pacf, err := PACF(xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pacf[0]-0.7) > 0.05 {
-		t.Errorf("PACF(1) = %v, want ~0.7", pacf[0])
-	}
-	for lag := 2; lag <= 4; lag++ {
-		if math.Abs(pacf[lag-1]) > 0.05 {
-			t.Errorf("AR(1) PACF(%d) = %v, want ~0", lag, pacf[lag-1])
-		}
-	}
-}
-
-func TestCrossCorrelation(t *testing.T) {
-	// y is x delayed by 2 ticks: peak cross-correlation at lag 2.
-	rng := NewRNG(4)
-	n := 5000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Normal(0, 1)
-	}
-	y := make([]float64, n)
-	for i := 2; i < n; i++ {
-		y[i] = x[i-2]
-	}
-	cc, err := CrossCorrelation(x, y, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := 0
-	for lag := 1; lag <= 4; lag++ {
-		if math.Abs(cc[lag]) > math.Abs(cc[best]) {
-			best = lag
-		}
-	}
-	if best != 2 {
-		t.Errorf("peak cross-correlation at lag %d (%v), want 2", best, cc)
-	}
-}
-
 func TestAutocovarianceErrors(t *testing.T) {
 	if _, err := Autocovariance(nil, 0); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
@@ -196,39 +122,6 @@ func TestPearsonProperties(t *testing.T) {
 		return almostEq(r1, r2, 1e-9) && r1 >= -1-1e-9 && r1 <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Spearman is invariant under strictly monotone transforms of
-// either variable.
-func TestSpearmanMonotoneInvarianceProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 6 {
-			return true
-		}
-		half := len(raw) / 2
-		xs, ys := raw[:half], raw[half:2*half]
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 20 {
-				return true
-			}
-		}
-		r1, err := Spearman(xs, ys)
-		if err != nil {
-			return false
-		}
-		exp := make([]float64, len(xs))
-		for i, x := range xs {
-			exp[i] = math.Exp(x) // strictly monotone
-		}
-		r2, err := Spearman(exp, ys)
-		if err != nil {
-			return false
-		}
-		return almostEq(r1, r2, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -152,26 +152,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Range returns Max(xs) - Min(xs). It is the stability criterion used by the
-// invariant-selection algorithm (Algorithm 1 of the paper):
-// an association pair is an invariant when the range of its MIC scores over
-// N training runs stays under the threshold tau.
-func Range(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return hi - lo, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks (the "exclusive" R-7 definition used
 // by most statistics packages). The paper uses the 95th percentile of CPI
@@ -204,18 +184,6 @@ func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)
 }
 
-// MeanAbs returns the mean of |x| over xs. Used for residual magnitudes.
-func MeanAbs(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Abs(x)
-	}
-	return sum / float64(len(xs)), nil
-}
-
 // Abs returns a new slice holding |x| for every x in xs.
 func Abs(xs []float64) []float64 {
 	out := make([]float64, len(xs))
@@ -240,27 +208,6 @@ func NormalizeToMin(xs []float64) ([]float64, error) {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = x / m
-	}
-	return out, nil
-}
-
-// ZScore standardises xs to zero mean and unit variance. Constant series
-// (zero variance) are returned as all zeros.
-func ZScore(xs []float64) ([]float64, error) {
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("stats: zscore needs >= 2 samples, got %d", len(xs))
-	}
-	m := MustMean(xs)
-	sd, err := StdDev(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	if sd == 0 {
-		return out, nil
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / sd
 	}
 	return out, nil
 }

@@ -60,12 +60,11 @@ func TestMinMaxRange(t *testing.T) {
 	xs := []float64{3, -1, 4, 1, 5, -9, 2, 6}
 	mn, _ := Min(xs)
 	mx, _ := Max(xs)
-	rg, _ := Range(xs)
-	if mn != -9 || mx != 6 || rg != 15 {
-		t.Errorf("min/max/range = %v/%v/%v, want -9/6/15", mn, mx, rg)
+	if mn != -9 || mx != 6 {
+		t.Errorf("min/max = %v/%v, want -9/6", mn, mx)
 	}
-	if _, err := Range(nil); err != ErrEmpty {
-		t.Errorf("Range(nil) err = %v, want ErrEmpty", err)
+	if _, err := Max(nil); err != ErrEmpty {
+		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -131,30 +130,6 @@ func TestNormalizeToMin(t *testing.T) {
 	}
 }
 
-func TestZScore(t *testing.T) {
-	out, err := ZScore([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := MustMean(out)
-	if !almostEq(m, 0, 1e-12) {
-		t.Errorf("mean of z-scores = %v, want 0", m)
-	}
-	sd, _ := StdDev(out)
-	if !almostEq(sd, 1, 1e-12) {
-		t.Errorf("sd of z-scores = %v, want 1", sd)
-	}
-	flat, err := ZScore([]float64{5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range flat {
-		if v != 0 {
-			t.Errorf("ZScore of constant series produced %v, want 0", v)
-		}
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	s, err := Describe([]float64{1, 2, 3, 4, 5})
 	if err != nil {
@@ -169,13 +144,6 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestMeanAbsAndAbs(t *testing.T) {
-	got, err := MeanAbs([]float64{-1, 2, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 2, 1e-12) {
-		t.Errorf("MeanAbs = %v, want 2", got)
-	}
 	abs := Abs([]float64{-1, 2, -3})
 	if abs[0] != 1 || abs[1] != 2 || abs[2] != 3 {
 		t.Errorf("Abs = %v", abs)

@@ -54,18 +54,6 @@ func TestPearsonNonFinite(t *testing.T) {
 	}
 }
 
-func TestSpearmanNonFinite(t *testing.T) {
-	xs := []float64{1, 2, math.Inf(1), 4}
-	ys := []float64{1, 2, 3, 4}
-	r, err := Spearman(xs, ys)
-	if !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-	if r != 0 {
-		t.Fatalf("sentinel = %v, want 0", r)
-	}
-}
-
 func TestDescribeNonFinite(t *testing.T) {
 	if _, err := Describe([]float64{1, 2, math.NaN()}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)

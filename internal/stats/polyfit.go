@@ -82,29 +82,6 @@ func (p Polynomial) MonotoneIncreasingOn(lo, hi float64) bool {
 	return true
 }
 
-// RSquared returns the coefficient of determination of the fit against the
-// points (xs, ys).
-func (p Polynomial) RSquared(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(ys) < 2 {
-		return 0, fmt.Errorf("stats: r-squared needs >= 2 points, got %d", len(ys))
-	}
-	my := MustMean(ys)
-	var ssRes, ssTot float64
-	for i := range xs {
-		r := ys[i] - p.Eval(xs[i])
-		ssRes += r * r
-		d := ys[i] - my
-		ssTot += d * d
-	}
-	if ssTot == 0 {
-		return 0, nil
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
 // String renders the polynomial in increasing-power form, e.g.
 // "0.98 + 0.12*x + 0.034*x^2".
 func (p Polynomial) String() string {

@@ -46,17 +46,6 @@ func (g *RNG) Normal(mean, sd float64) float64 {
 	return mean + sd*g.r.NormFloat64()
 }
 
-// LogNormal returns exp(Normal(mu, sigma)); used for heavy-tailed service
-// times in the interactive workload mix.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
-// Exponential returns an exponential draw with the given mean.
-func (g *RNG) Exponential(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
 

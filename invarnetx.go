@@ -74,16 +74,7 @@ type (
 	// LoadReport summarises a LoadFrom: artefacts recovered and corrupt
 	// store files skipped.
 	LoadReport = core.LoadReport
-	// Supervisor keeps online monitor jobs alive across panics,
-	// restarting them with exponential backoff.
-	Supervisor = core.Supervisor
-	// SupervisorConfig tunes panic recovery (restart budget, backoff).
-	SupervisorConfig = core.SupervisorConfig
 )
-
-// NewSupervisor builds a monitor supervisor; zero-valued fields take the
-// defaults (5 restarts, 100 ms base backoff doubling to 5 s).
-func NewSupervisor(cfg SupervisorConfig) *Supervisor { return core.NewSupervisor(cfg) }
 
 // New builds an InvarNet-X system; zero-valued Config fields take the paper
 // defaults (epsilon=0.2, tau=0.2, beta-max with beta=1.2, MIC associations,
