@@ -135,7 +135,7 @@ func BenchmarkFig7DiagnosisTPCDS(b *testing.B) {
 	r := experiments.NewRunner(benchOptions())
 	var p, rec float64
 	for i := 0; i < b.N; i++ {
-		st, err := r.RunFig7()
+		st, err := r.RunDiagnosisStudy(workload.TPCDS, string(experiments.VariantInvarNetX))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkFig8DiagnosisWordcount(b *testing.B) {
 	r := experiments.NewRunner(benchOptions())
 	var p, rec float64
 	for i := 0; i < b.N; i++ {
-		st, err := r.RunFig8()
+		st, err := r.RunDiagnosisStudy(workload.Wordcount, string(experiments.VariantInvarNetX))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,6 +583,49 @@ func BenchmarkSignatureRank(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSignatureRetrievalAllocs pins the per-query allocation counts of the two
+// retrieval entry points on the benchmark fixture. Rank's count is independent
+// of the database size, so a per-entry materialisation coming back (what Rank
+// replaced) fails here on any machine, where a time budget would need a quiet
+// one: 8 per query — the packed query, the per-problem reducer and the ranked
+// result. An indexed Match allocates only its result while the pooled counter
+// planes fit (they grow past n=1000, and the race detector makes sync.Pool
+// drop Puts on purpose, so that pin is skipped under it).
+func TestSignatureRetrievalAllocs(t *testing.T) {
+	perBatch := func(db *signature.DB, queries []signature.Tuple, retrieve func(*signature.DB, signature.Tuple) error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			for _, q := range queries {
+				if err := retrieve(db, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{1000, 20000} {
+		db, queries := signatureBenchDB(n, 200, 0)
+		got := perBatch(db, queries, func(db *signature.DB, q signature.Tuple) error {
+			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
+			return err
+		})
+		if want := float64(8 * len(queries)); got != want {
+			t.Errorf("Rank over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	for _, n := range []int{100, 1000} {
+		db, queries := signatureBenchDB(n, 14, 0.3)
+		got := perBatch(db, queries, func(db *signature.DB, q signature.Tuple) error {
+			_, err := db.Match(q, "10.0.0.2", "wordcount", Jaccard, 5)
+			return err
+		})
+		if want := float64(len(queries)); got != want {
+			t.Errorf("Match over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"invarnetx/internal/core"
@@ -26,63 +25,56 @@ import (
 	"invarnetx/internal/experiments"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/server/client"
-	"invarnetx/internal/stats"
 	"invarnetx/internal/telemetry"
 	"invarnetx/internal/workload"
 )
+
+// commands lists the subcommands in usage order.
+var commands = []struct {
+	name, help string
+	run        func(args []string) error
+}{
+	{"simulate", "run one normal job and report per-node statistics", cmdSimulate},
+	{"train", "train performance models and invariants; save XML to -models", cmdTrain},
+	{"signatures", "build the signature database for every fault; save to -models\n" +
+		"              (-stats: report DB sizes, index buckets and scan-vs-index hit rates)", cmdSignatures},
+	{"diagnose", "inject a fault, detect it online and infer the root cause", cmdDiagnose},
+	{"audit", "report signature conflicts and per-problem separability", cmdAudit},
+	{"profiles", "list per-context profiles with model/invariant/signature stats", cmdProfiles},
+	{"lifecycle", "show per-profile drift-lifecycle state (generation, quarantine, shadow)", cmdLifecycle},
+	{"peers", "show a running daemon's fleet membership and replication state", cmdPeers},
+	{"faults", "list the injectable faults", cmdFaults},
+}
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
 	switch os.Args[1] {
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "train":
-		err = cmdTrain(os.Args[2:])
-	case "signatures":
-		err = cmdSignatures(os.Args[2:])
-	case "diagnose":
-		err = cmdDiagnose(os.Args[2:])
-	case "audit":
-		err = cmdAudit(os.Args[2:])
-	case "profiles":
-		err = cmdProfiles(os.Args[2:])
-	case "lifecycle":
-		err = cmdLifecycle(os.Args[2:])
-	case "peers":
-		err = cmdPeers(os.Args[2:])
-	case "faults":
-		err = cmdFaults()
 	case "-h", "--help", "help":
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name == os.Args[1] {
+			if err := c.run(os.Args[2:]); err != nil {
+				fmt.Fprintln(os.Stderr, "error:", err)
+				os.Exit(1)
+			}
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "unknown command %q\n", os.Args[1])
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: invarctl <command> [flags]
-
-commands:
-  simulate    run one normal job and report per-node statistics
-  train       train performance models and invariants; save XML to -models
-  signatures  build the signature database for every fault; save to -models
-              (-stats: report DB sizes, index buckets and scan-vs-index hit rates)
-  diagnose    inject a fault, detect it online and infer the root cause
-  audit       report signature conflicts and per-problem separability
-  profiles    list per-context profiles with model/invariant/signature stats
-  lifecycle   show per-profile drift-lifecycle state (generation, quarantine, shadow)
-  peers       show a running daemon's fleet membership and replication state
-  faults      list the injectable faults`)
+	fmt.Fprint(os.Stderr, "usage: invarctl <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", c.name, c.help)
+	}
 }
 
 // common returns the shared flag set and accessors.
@@ -99,17 +91,19 @@ func runner(seed int64) *experiments.Runner {
 	return experiments.NewRunner(opts)
 }
 
-// loadModels restores persisted artefacts, surfacing (but not failing on)
-// files the crash-safe loader had to skip.
-func loadModels(sys *core.System, dir string) error {
+// openStore restores the persisted artefacts in dir into a fresh system,
+// surfacing (but not failing on) files the crash-safe loader had to skip. hint
+// says what to run first when the store cannot be read.
+func openStore(cfg core.Config, dir, hint string) (*core.System, error) {
+	sys := core.New(cfg)
 	rep, err := sys.LoadFrom(dir)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("loading models%s: %w", hint, err)
 	}
 	if rep.Partial() {
 		fmt.Fprintf(os.Stderr, "warning: partial model store: %s\n", rep)
 	}
-	return nil
+	return sys, nil
 }
 
 func parseWorkload(s string) (workload.Type, error) {
@@ -160,15 +154,9 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	fmt.Printf("trained %s on %d normal runs; models saved to %s\n", t, len(runs), *models)
-	// Sorted node order: ranging the map directly would shuffle the report
-	// between runs of the same training.
-	ips := make([]string, 0, len(runs[0].Traces))
-	for ip := range runs[0].Traces {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
-	for _, ip := range ips {
-		ctx := core.Context{Workload: string(t), IP: ip}
+	// One row per trained context, in the snapshot's (workload, node) order.
+	for _, ps := range sys.ProfileStats() {
+		ctx := ps.Context
 		set, err := sys.Invariants(ctx)
 		if err != nil {
 			return err
@@ -180,7 +168,7 @@ func cmdTrain(args []string) error {
 		// Residual diagnostics on one training trace: a model whose
 		// residuals are not white has miscalibrated thresholds.
 		white := "residuals white"
-		if diag, err := d.Model.Diagnose(runs[0].Traces[ip].CPI); err == nil && !diag.White {
+		if diag, err := d.Model.Diagnose(runs[0].Traces[ctx.IP].CPI); err == nil && !diag.White {
 			white = fmt.Sprintf("WARNING: residuals not white (Ljung-Box p=%.3f)", diag.PValue)
 		}
 		fmt.Printf("  %s: %s, threshold %.4f, %d invariants, %s\n", ctx, d.Model.Order, d.Upper, set.Len(), white)
@@ -205,25 +193,13 @@ func cmdSignatures(args []string) error {
 		return err
 	}
 	r := runner(*seed)
-	sys := core.New(r.Options().Config)
-	if err := loadModels(sys, *models); err != nil {
-		return fmt.Errorf("loading models (run `invarctl train` first): %w", err)
+	sys, err := openStore(r.Options().Config, *models, " (run `invarctl train` first)")
+	if err != nil {
+		return err
 	}
-	opts := r.Options()
 	for _, kind := range experiments.FaultKindsFor(t) {
-		for i := 0; i < opts.SignatureRuns; i++ {
-			res, err := r.Run(t, kind, 100000+i)
-			if err != nil {
-				return err
-			}
-			win, err := experiments.AbnormalWindow(res.TargetTrace(), res.Window.Start, opts.FaultTicks)
-			if err != nil {
-				return err
-			}
-			ctx := core.Context{Workload: string(t), IP: res.TargetIP}
-			if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-				return err
-			}
+		if err := r.Label(sys, r.LabelRows("invarctl", t, kind)); err != nil {
+			return err
 		}
 		fmt.Printf("  signature stored: %s\n", kind)
 	}
@@ -256,10 +232,9 @@ func signatureStats(models, addr string) error {
 			st.SigIndexCandidates, st.SigScanEntries, st.SigScanEarlyExits)
 		return nil
 	}
-	r := runner(1)
-	sys := core.New(r.Options().Config)
-	if err := loadModels(sys, models); err != nil {
-		return fmt.Errorf("loading models: %w", err)
+	sys, err := openStore(core.DefaultConfig(), models, "")
+	if err != nil {
+		return err
 	}
 	shown := 0
 	for _, st := range sys.ProfileStats() {
@@ -301,73 +276,53 @@ func cmdDiagnose(args []string) error {
 		return fmt.Errorf("unknown fault %q (see `invarctl faults`)", *fault)
 	}
 	r := runner(*seed)
-	sys := core.New(r.Options().Config)
-	if err := loadModels(sys, *models); err != nil {
-		return fmt.Errorf("loading models (run `invarctl train` and `invarctl signatures` first): %w", err)
-	}
-
-	res, err := r.Run(t, kind, *idx)
+	sys, err := openStore(r.Options().Config, *models, " (run `invarctl train` and `invarctl signatures` first)")
 	if err != nil {
 		return err
 	}
-	tr := res.TargetTrace()
-	ctx := core.Context{Workload: string(t), IP: res.TargetIP}
-	fmt.Printf("injected %s on %s during ticks %d-%d (job took %d ticks)\n",
-		kind, res.TargetIP, res.Window.Start, res.Window.End, res.DurationTicks)
 
-	// The online stream the monitor sees; identical to the trace CPI unless
-	// telemetry faults are injected.
-	liveCPI := tr.CPI
+	// The scenario: one injected run, observed the way the online system
+	// sees it — through the collector when telemetry faults are injected.
+	sc := experiments.Scenario{
+		Study:    "invarctl",
+		Workload: t,
+		Faults:   []faults.Kind{kind},
+		Index:    *idx,
+		Origin:   experiments.Alert,
+	}
 	if *tfSpec != "" {
 		tcfg, err := telemetry.ParseFaultSpec(*tfSpec)
 		if err != nil {
 			return err
 		}
-		col := telemetry.New(tcfg, stats.NewRNG(*seed))
-		deg, live, err := col.Degrade(tr)
-		if err != nil {
-			return err
-		}
-		tr, liveCPI = deg, live
-		h := col.Health(res.TargetIP)
-		fmt.Printf("telemetry: node %s %s — %.0f%% of samples genuine (%d dropped, %d recovered via %d retries, %d corrupt, %d outage ticks)\n",
-			res.TargetIP, h.Status, 100*tr.ValidFraction(), h.Dropped, h.Recovered, h.Retries, h.Corrupt, h.OutageTicks)
+		sc.Telemetry = &tcfg
 	}
-
-	const warmup = 6
-	mon, err := sys.NewMonitor(ctx, liveCPI[:warmup])
+	out, err := r.Observe(sys, sc)
 	if err != nil {
 		return err
 	}
-	alert := -1
-	for i := warmup; i < len(liveCPI); i++ {
-		mon.Offer(liveCPI[i])
-		if mon.Alert() {
-			alert = i
-			break
-		}
+	res := out.Run
+	fmt.Printf("injected %s on %s during ticks %d-%d (job took %d ticks)\n",
+		kind, res.TargetIP, res.Window.Start, res.Window.End, res.DurationTicks)
+	if sc.Telemetry != nil {
+		h := out.Health
+		fmt.Printf("telemetry: node %s %s — %.0f%% of samples genuine (%d dropped, %d recovered via %d retries, %d corrupt, %d outage ticks)\n",
+			res.TargetIP, h.Status, 100*out.Genuine, h.Dropped, h.Recovered, h.Retries, h.Corrupt, h.OutageTicks)
 	}
-	if alert < 0 {
+	if out.Status == experiments.Undetected {
 		fmt.Println("no performance anomaly detected")
 		return nil
 	}
-	fmt.Printf("anomaly detected at tick %d (CPI drift, 3 consecutive violations)\n", alert)
-
-	win, err := experiments.AbnormalWindow(tr, alert-2, r.Options().FaultTicks)
-	if err != nil {
-		return err
-	}
-	diag, err := sys.Diagnose(ctx, win)
-	if err != nil {
-		return err
-	}
+	fmt.Printf("anomaly detected at tick %d (CPI drift, %d consecutive violations)\n",
+		out.AlertTick, sys.Config().Detect.Consecutive)
+	diag := out.Diagnosis
 	printCacheStats(sys)
 	fmt.Printf("violation tuple: %d of %d invariants violated\n", diag.Tuple.Ones(), len(diag.Tuple))
 	if diag.Coverage < 1 {
 		fmt.Printf("degraded diagnosis: %d invariants unknown (coverage %.0f%%, confidence %.2f)\n",
 			len(diag.Unknown), 100*diag.Coverage, diag.Confidence)
 	}
-	if len(diag.Causes) == 0 {
+	if out.Status == experiments.HintsOnly {
 		fmt.Println("no similar signature found; hints (violated associations):")
 		for i, h := range diag.Hints {
 			if i >= 8 {
@@ -394,14 +349,13 @@ func cmdAudit(args []string) error {
 	_, _, models := common(fs)
 	threshold := fs.Float64("threshold", 0.6, "conflict similarity threshold")
 	fs.Parse(args)
-	r := runner(1)
-	sys := core.New(r.Options().Config)
-	if err := loadModels(sys, *models); err != nil {
-		return fmt.Errorf("loading models: %w", err)
+	sys, err := openStore(core.DefaultConfig(), *models, "")
+	if err != nil {
+		return err
 	}
 	db := sys.SignatureSnapshot()
 	fmt.Printf("auditing %d signatures\n", db.Len())
-	conflicts, err := db.Conflicts(r.Options().Config.Similarity, *threshold)
+	conflicts, err := db.Conflicts(sys.Config().Similarity, *threshold)
 	if err != nil {
 		return err
 	}
@@ -413,7 +367,7 @@ func cmdAudit(args []string) error {
 			fmt.Printf("  %s\n", c)
 		}
 	}
-	seps, err := db.Separabilities(r.Options().Config.Similarity)
+	seps, err := db.Separabilities(sys.Config().Similarity)
 	if err != nil {
 		return err
 	}
@@ -429,10 +383,9 @@ func cmdProfiles(args []string) error {
 	fs := flag.NewFlagSet("profiles", flag.ExitOnError)
 	_, _, models := common(fs)
 	fs.Parse(args)
-	r := runner(1)
-	sys := core.New(r.Options().Config)
-	if err := loadModels(sys, *models); err != nil {
-		return fmt.Errorf("loading models: %w", err)
+	sys, err := openStore(core.DefaultConfig(), *models, "")
+	if err != nil {
+		return err
 	}
 	// One snapshot, already sorted by (workload, node). Cross profiles
 	// (workload × node pair × stage) get their own section: the flat listing
@@ -479,12 +432,11 @@ func cmdLifecycle(args []string) error {
 	_, _, models := common(fs)
 	edges := fs.Bool("edges", false, "also list per-edge health series")
 	fs.Parse(args)
-	r := runner(1)
-	cfg := r.Options().Config
+	cfg := core.DefaultConfig()
 	cfg.Lifecycle.Enabled = true // the store's lifecycle files are inert otherwise
-	sys := core.New(cfg)
-	if err := loadModels(sys, *models); err != nil {
-		return fmt.Errorf("loading models: %w", err)
+	sys, err := openStore(cfg, *models, "")
+	if err != nil {
+		return err
 	}
 	shown := 0
 	for _, ps := range sys.ProfileStats() {
@@ -555,7 +507,7 @@ func cmdPeers(args []string) error {
 	return nil
 }
 
-func cmdFaults() error {
+func cmdFaults([]string) error {
 	fmt.Println("operational-environment faults:")
 	for _, k := range faults.EnvironmentKinds() {
 		fmt.Printf("  %-10s %s\n", k, faults.Description(k))

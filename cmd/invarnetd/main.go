@@ -315,8 +315,9 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	rep.Errors += brep.Errors
 	rep.Samples += brep.Samples
 	rep.Diagnoses += brep.Diagnoses
-	log.Printf("smoke: load done: sent=%d accepted=%d shed=%d errors=%d samples=%d diagnoses=%d (binary: accepted=%d)",
-		rep.Sent, rep.Accepted, rep.Shed, rep.Errors, rep.Samples, rep.Diagnoses, brep.Accepted)
+	rep.DiagnoseShed += brep.DiagnoseShed
+	log.Printf("smoke: load done: sent=%d accepted=%d shed=%d errors=%d samples=%d diagnoses=%d diagnose-shed=%d (binary: accepted=%d)",
+		rep.Sent, rep.Accepted, rep.Shed, rep.Errors, rep.Samples, rep.Diagnoses, rep.DiagnoseShed, brep.Accepted)
 
 	// Sanity: the socket is live, traffic flowed, and the counters add up.
 	bg := context.Background()
@@ -340,8 +341,9 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	// accepted server-side whose responses the load deadline abandoned.
 	case st.IngestBatches < rep.Accepted:
 		return fmt.Errorf("server counted %d accepted batches, client confirmed %d", st.IngestBatches, rep.Accepted)
-	case st.IngestShed+st.DiagnoseShed < rep.Shed:
-		return fmt.Errorf("server counted %d+%d shed, client %d", st.IngestShed, st.DiagnoseShed, rep.Shed)
+	case st.IngestShed < rep.Shed || st.DiagnoseShed < rep.DiagnoseShed:
+		return fmt.Errorf("server counted %d ingest + %d diagnose shed, client %d + %d",
+			st.IngestShed, st.DiagnoseShed, rep.Shed, rep.DiagnoseShed)
 	case st.QueueDepth < 0 || st.QueueDepth > int64(cfg.QueueCap)*int64(lcfg.Streams):
 		return fmt.Errorf("queue depth %d outside [0, %d]", st.QueueDepth, cfg.QueueCap*lcfg.Streams)
 	}

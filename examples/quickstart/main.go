@@ -47,53 +47,27 @@ func main() {
 
 	// --- Offline part 3: signature base --------------------------------
 	fmt.Println("recording the signature of an investigated CPU hog ...")
-	for i := 0; i < 2; i++ {
-		res, err := runner.Run(invarnetx.Wordcount, "cpu-hog", 100000+i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		win, err := res.TargetTrace().Slice(res.Window.Start, res.Window.End)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.BuildSignature(invarnetx.Context{Workload: "wordcount", IP: res.TargetIP}, "cpu-hog", win); err != nil {
-			log.Fatal(err)
-		}
+	if err := runner.Label(sys, runner.LabelRows("quickstart", invarnetx.Wordcount, "cpu-hog")); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("  signature database now holds %d entries\n\n", sys.SignatureCount())
 
 	// --- Online: detect and diagnose a fresh occurrence ----------------
 	fmt.Println("injecting a fresh CPU hog and watching the CPI stream ...")
-	res, err := runner.Run(invarnetx.Wordcount, "cpu-hog", 0)
+	out, err := runner.Observe(sys, invarnetx.Scenario{
+		Study:    "quickstart",
+		Workload: invarnetx.Wordcount,
+		Faults:   []invarnetx.FaultKind{"cpu-hog"},
+		Origin:   invarnetx.AlertWindow, // diagnose from the monitor's alert
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := res.TargetTrace()
-	mon, err := sys.NewMonitor(invarnetx.Context{Workload: "wordcount", IP: res.TargetIP}, tr.CPI[:6])
-	if err != nil {
-		log.Fatal(err)
-	}
-	alert := -1
-	for i := 6; i < tr.Len(); i++ {
-		mon.Offer(tr.CPI[i])
-		if mon.Alert() {
-			alert = i
-			break
-		}
-	}
-	if alert < 0 {
+	if out.Diagnosis == nil {
 		log.Fatal("no anomaly detected — unexpected for a CPU hog")
 	}
-	fmt.Printf("  anomaly at tick %d (fault window started at tick %d)\n", alert, res.Window.Start)
-
-	win, err := tr.Slice(alert-2, min(alert-2+30, tr.Len()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	diag, err := sys.Diagnose(invarnetx.Context{Workload: "wordcount", IP: res.TargetIP}, win)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("  anomaly at tick %d (fault window started at tick %d)\n", out.AlertTick, out.Run.Window.Start)
+	diag := out.Diagnosis
 	fmt.Printf("  %d invariant violations\n", diag.Tuple.Ones())
 	fmt.Println("  ranked causes:")
 	for i, c := range diag.Causes {
@@ -104,11 +78,4 @@ func main() {
 	} else {
 		fmt.Printf("\ndiagnosis: %s (expected cpu-hog)\n", diag.RootCause())
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

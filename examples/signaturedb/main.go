@@ -26,6 +26,7 @@ func main() {
 	opts := invarnetx.DefaultExperimentOptions()
 	opts.TrainRuns = 5
 	opts.InputMB = 8 * 1024
+	opts.SignatureRuns = 1 // one investigated run per problem is enough here
 	runner := invarnetx.NewExperimentRunner(opts)
 
 	// Train two contexts: wordcount and grep (the same nodes behave
@@ -41,22 +42,12 @@ func main() {
 		log.Fatal(err)
 	}
 	// Record one investigated problem per context.
-	record := func(s *invarnetx.System, w invarnetx.WorkloadType, fault invarnetx.FaultKind) {
-		res, err := runner.Run(w, fault, 100000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		win, err := faultWindow(res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctx := invarnetx.Context{Workload: string(w), IP: res.TargetIP}
-		if err := s.BuildSignature(ctx, string(fault), win); err != nil {
-			log.Fatal(err)
-		}
+	if err := runner.Label(sys, runner.LabelRows("signaturedb", invarnetx.Wordcount, "mem-hog")); err != nil {
+		log.Fatal(err)
 	}
-	record(sys, invarnetx.Wordcount, "mem-hog")
-	record(grepSys, invarnetx.Grep, "disk-hog")
+	if err := runner.Label(grepSys, runner.LabelRows("signaturedb", invarnetx.Grep, "disk-hog")); err != nil {
+		log.Fatal(err)
+	}
 
 	// Persist both systems: per-context XML files (model, invariants and
 	// signatures of each context), the second store in a subdirectory.
@@ -84,24 +75,27 @@ func main() {
 	}
 	fmt.Printf("  %d signatures restored\n", fresh.SignatureCount())
 
-	res, err := runner.Run(invarnetx.Wordcount, "mem-hog", 3)
+	// A fresh occurrence, diagnosed over its known fault window by the
+	// reloaded system.
+	out, err := runner.Observe(fresh, invarnetx.Scenario{
+		Study:    "signaturedb",
+		Workload: invarnetx.Wordcount,
+		Faults:   []invarnetx.FaultKind{"mem-hog"},
+		Index:    3,
+		Origin:   invarnetx.OracleWindow,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	win, err := faultWindow(res)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx := invarnetx.Context{Workload: "wordcount", IP: res.TargetIP}
-	diag, err := fresh.Diagnose(ctx, win)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  fresh mem-hog occurrence diagnosed as: %q\n", diag.RootCause())
+	fmt.Printf("  fresh mem-hog occurrence diagnosed as: %q\n", out.Diagnosis.RootCause())
 
 	// Context scoping: the same tuple queried under the wrong workload
 	// finds nothing — signatures do not leak across operation contexts.
-	wrong := invarnetx.Context{Workload: "sort", IP: res.TargetIP}
+	win, err := faultWindow(out.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wrong := invarnetx.Context{Workload: "sort", IP: out.Context.IP}
 	if _, err := fresh.Diagnose(wrong, win); err != nil {
 		fmt.Printf("  diagnosis under the wrong context fails as expected: %v\n", err)
 	} else {

@@ -6,7 +6,6 @@ import (
 
 	"invarnetx/internal/arx"
 	"invarnetx/internal/core"
-	"invarnetx/internal/faults"
 	"invarnetx/internal/workload"
 )
 
@@ -50,17 +49,21 @@ type ComparisonResult struct {
 	Studies  map[SystemVariant]*Study
 }
 
+// variant returns the runner of one comparison arm: faults rotate across the
+// heterogeneous nodes so that the value of per-node scoping is actually
+// exercised, and all three variants see identical runs.
+func (r *Runner) variant(v SystemVariant) *Runner {
+	opts := r.opts
+	opts.RotateTargets = true
+	opts.Config = configFor(v, r.opts.Config)
+	return NewRunner(opts)
+}
+
 // RunComparison executes the full diagnosis study once per system variant.
 func (r *Runner) RunComparison(w workload.Type) (*ComparisonResult, error) {
 	out := &ComparisonResult{Workload: w, Studies: make(map[SystemVariant]*Study)}
 	for _, v := range Variants() {
-		opts := r.opts
-		// Faults rotate across the heterogeneous nodes so that the value
-		// of per-node scoping is actually exercised; all three variants
-		// see identical runs.
-		opts.RotateTargets = true
-		opts.Config = configFor(v, r.opts.Config)
-		st, err := NewRunner(opts).RunDiagnosisStudy(w, string(v))
+		st, err := r.variant(v).RunDiagnosisStudy(w, string(v))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s study: %w", v, err)
 		}
@@ -69,46 +72,33 @@ func (r *Runner) RunComparison(w workload.Type) (*ComparisonResult, error) {
 	return out, nil
 }
 
-// Print writes the Fig. 9 (precision) and Fig. 10 (recall) rows.
-func (c *ComparisonResult) Print(w io.Writer) {
-	c.PrintPrecision(w)
-	c.PrintRecall(w)
-}
-
 // PrintPrecision writes the Fig. 9 table.
 func (c *ComparisonResult) PrintPrecision(w io.Writer) {
-	c.printMetric(w, "Fig 9: diagnosis precision", func(s StudyRow) float64 { return s.Counts.Precision() })
-	fmt.Fprintf(w, "  averages: invarnet-x %.3f, arx %.3f, no-context %.3f (paper: InvarNet-X ~9%% above ARX; no-context far below)\n",
-		c.Studies[VariantInvarNetX].AveragePrecision(),
-		c.Studies[VariantARX].AveragePrecision(),
-		c.Studies[VariantNoContext].AveragePrecision())
+	c.printMetric(w, "Fig 9: diagnosis precision", "InvarNet-X ~9% above ARX; no-context far below", PRCounts.Precision)
 }
 
 // PrintRecall writes the Fig. 10 table.
 func (c *ComparisonResult) PrintRecall(w io.Writer) {
-	c.printMetric(w, "Fig 10: diagnosis recall", func(s StudyRow) float64 { return s.Counts.Recall() })
-	fmt.Fprintf(w, "  averages: invarnet-x %.3f, arx %.3f, no-context %.3f (paper: InvarNet-X ~ ARX; no-context far below)\n",
-		c.Studies[VariantInvarNetX].AverageRecall(),
-		c.Studies[VariantARX].AverageRecall(),
-		c.Studies[VariantNoContext].AverageRecall())
+	c.printMetric(w, "Fig 10: diagnosis recall", "InvarNet-X ~ ARX; no-context far below", PRCounts.Recall)
 }
 
-func (c *ComparisonResult) printMetric(w io.Writer, title string, metric func(StudyRow) float64) {
+func (c *ComparisonResult) printMetric(w io.Writer, title, paper string, metric func(PRCounts) float64) {
 	fmt.Fprintf(w, "%s (%s; faults rotate across the heterogeneous nodes)\n", title, c.Workload)
 	fmt.Fprintf(w, "  %-10s %12s %12s %12s\n", "fault", VariantInvarNetX, VariantARX, VariantNoContext)
-	base := c.Studies[VariantInvarNetX]
-	for _, row := range base.Rows {
+	for _, row := range c.Studies[VariantInvarNetX].Rows {
 		fmt.Fprintf(w, "  %-10s", row.Fault)
 		for _, v := range Variants() {
-			st := c.Studies[v]
-			if r2 := st.Row(row.Fault); r2 != nil {
-				fmt.Fprintf(w, " %12.2f", metric(*r2))
+			if r2 := c.Studies[v].Row(row.Fault); r2 != nil {
+				fmt.Fprintf(w, " %12.2f", metric(r2.Counts))
 			} else {
 				fmt.Fprintf(w, " %12s", "-")
 			}
 		}
 		fmt.Fprintln(w)
 	}
+	fmt.Fprintf(w, "  averages: invarnet-x %.3f, arx %.3f, no-context %.3f (paper: %s)\n",
+		c.Studies[VariantInvarNetX].average(metric), c.Studies[VariantARX].average(metric),
+		c.Studies[VariantNoContext].average(metric), paper)
 }
 
 // PrintStudy writes a single study's per-fault rows (Figs. 7 and 8).
@@ -124,66 +114,4 @@ func PrintStudy(w io.Writer, st *Study, paperNote string) {
 		fmt.Fprintf(w, "  (%s)", paperNote)
 	}
 	fmt.Fprintln(w)
-}
-
-// RunFig7 is the TPC-DS diagnosis study (Fig. 7).
-func (r *Runner) RunFig7() (*Study, error) {
-	return r.RunDiagnosisStudy(workload.TPCDS, string(VariantInvarNetX))
-}
-
-// RunFig8 is the Wordcount diagnosis study (Fig. 8).
-func (r *Runner) RunFig8() (*Study, error) {
-	return r.RunDiagnosisStudy(workload.Wordcount, string(VariantInvarNetX))
-}
-
-// ConfusionPair reports how often two faults were mistaken for each other —
-// the paper's "signature conflict" analysis for Net-drop vs Net-delay.
-type ConfusionPair struct {
-	A, B       faults.Kind
-	AasB, BasA int
-	Runs       int
-}
-
-// RunConfusion measures the mutual confusion of two faults under w.
-func (r *Runner) RunConfusion(w workload.Type, a, b faults.Kind) (*ConfusionPair, error) {
-	sys, _, err := r.TrainSystem(w)
-	if err != nil {
-		return nil, err
-	}
-	for _, kind := range []faults.Kind{a, b} {
-		for i := 0; i < r.opts.SignatureRuns; i++ {
-			res, err := r.Run(w, kind, 100000+i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := &ConfusionPair{A: a, B: b, Runs: r.opts.RunsPerFault - r.opts.SignatureRuns}
-	for i := 0; i < out.Runs; i++ {
-		for _, kind := range []faults.Kind{a, b} {
-			res, err := r.Run(w, kind, i)
-			if err != nil {
-				return nil, err
-			}
-			pred, _, err := r.detectAndDiagnose(sys, w, res)
-			if err != nil {
-				return nil, err
-			}
-			if kind == a && pred == string(b) {
-				out.AasB++
-			}
-			if kind == b && pred == string(a) {
-				out.BasA++
-			}
-		}
-	}
-	return out, nil
 }

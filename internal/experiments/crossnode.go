@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
@@ -31,20 +30,12 @@ import (
 // a straggler's merge pressure like a CPU hog).
 var crossConfusable = []faults.Kind{faults.CPUHog, faults.DiskHog, faults.NetDelay, faults.NetDrop}
 
-// CrossExpectedStage is the execution stage each cross fault's verdict
-// should localise to: the stage that exercises the broken flow.
-func CrossExpectedStage(k faults.Kind) string {
-	switch k {
-	case faults.XLink, faults.XSkew:
-		// A slow shuffle link bites while reducers pull; a skewed partition
-		// drags its straggler through the same shuffle rounds.
-		return "shuffle"
-	case faults.XRepl:
-		// Replication forwarding follows the map-side write stream.
-		return "map"
-	}
-	return ""
-}
+// crossStage is the execution stage each cross fault's verdict should
+// localise to — the stage that exercises the broken flow: a slow shuffle link
+// bites while reducers pull, a skewed partition drags its straggler through
+// the same shuffle rounds, and replication forwarding follows the map-side
+// write stream.
+var crossStage = map[faults.Kind]string{faults.XLink: "shuffle", faults.XSkew: "shuffle", faults.XRepl: "map"}
 
 // CrossStudyRow is one cross fault's outcome under both arms.
 type CrossStudyRow struct {
@@ -98,12 +89,7 @@ func (s *CrossStudy) Print(w io.Writer) {
 
 // printTally prints a verdict tally in deterministic order.
 func printTally(w io.Writer, arm string, m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(m) {
 		fmt.Fprintf(w, "      %s %-32s x%d\n", arm, k, m[k])
 	}
 }
@@ -116,19 +102,12 @@ func (s *CrossStudy) CrossRecall() float64 {
 		alerts += r.Alerts
 		hits += r.CrossCorrect
 	}
-	if alerts == 0 {
-		return 0
-	}
-	return float64(hits) / float64(alerts)
+	return ratio(hits, alerts)
 }
 
 // slavePairs enumerates the unordered slave IP pairs of the traces map.
 func slavePairs(traces map[string]*metrics.Trace) [][2]string {
-	ips := make([]string, 0, len(traces))
-	for ip := range traces {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
+	ips := sortedKeys(traces)
 	var out [][2]string
 	for i := 0; i < len(ips); i++ {
 		for j := i + 1; j < len(ips); j++ {
@@ -136,25 +115,6 @@ func slavePairs(traces map[string]*metrics.Trace) [][2]string {
 		}
 	}
 	return out
-}
-
-// alertAt runs the victim's CPI monitor over a trace and returns the alert
-// tick, or -1 when the run never trips the detector.
-func (r *Runner) alertAt(sys *core.System, ctx core.Context, tr *metrics.Trace) (int, error) {
-	if tr == nil || tr.Len() <= monWarmup {
-		return -1, fmt.Errorf("experiments: run produced no usable trace")
-	}
-	mon, err := sys.NewMonitor(ctx, tr.CPI[:monWarmup])
-	if err != nil {
-		return -1, err
-	}
-	for i := monWarmup; i < tr.Len(); i++ {
-		mon.Offer(tr.CPI[i])
-		if mon.Alert() {
-			return i, nil
-		}
-	}
-	return -1, nil
 }
 
 // crossDiagnose runs the cross arm for one alert: window every trained pair
@@ -184,6 +144,18 @@ func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*me
 		diags = append(diags, d)
 	}
 	return core.MergeCrossDiagnoses(diags), nil
+}
+
+// crossRows generates the study's three row sets: label runs of the
+// confusable single-node kinds (the intra arm's signature base, investigated
+// on the victim node as usual), investigated cross-fault runs (the cross arm's
+// signature base, windowed from the alert like the test runs), and the
+// held-out cross-fault runs both arms are scored on, kind-major.
+func (r *Runner) crossRows(w workload.Type) (label, investigated, test []Scenario) {
+	cross := Scenario{Study: r.arm("crossnode"), Workload: w, Cross: true, Origin: Alert}
+	return r.LabelRows("crossnode", w, crossConfusable...),
+		grid(cross, faults.CrossKinds(), freshBase, r.opts.SignatureRuns),
+		grid(cross, faults.CrossKinds(), 0, r.opts.RunsPerFault-r.opts.SignatureRuns)
 }
 
 // RunCrossNodeStudy executes the two-arm cross-node diagnosis experiment on
@@ -239,123 +211,87 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 		return nil, fmt.Errorf("experiments: no cross edges survived training")
 	}
 
-	// Intra arm's signature base: the confusable single-node kinds,
-	// investigated on the victim node as usual.
-	for _, kind := range crossConfusable {
-		for i := 0; i < r.opts.SignatureRuns; i++ {
-			res, err := r.Run(w, kind, 100000+i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-				return nil, err
-			}
-		}
+	label, investigated, test := r.crossRows(w)
+	if err := r.Label(sys, label); err != nil {
+		return nil, err
 	}
 
-	// Cross arm's signature base: investigated cross-fault runs, windowed
-	// to the alert's stage on every trained pair profile that actually
-	// registered violations (near-empty tuples are never stored — two empty
-	// tuples are trivially similar).
-	for _, kind := range faults.CrossKinds() {
-		for i := 0; i < r.opts.SignatureRuns; i++ {
-			res, err := r.RunCross(w, kind, 200000+i)
-			if err != nil {
-				return nil, err
-			}
-			tr := res.TargetTrace()
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			tick, err := r.alertAt(sys, ctx, tr)
-			if err != nil {
-				return nil, err
-			}
-			if tick < 0 {
+	// Cross arm's signature base: each investigated run is windowed to the
+	// alert's stage on every trained pair profile that actually registered
+	// violations (near-empty tuples are never stored — two empty tuples are
+	// trivially similar).
+	for _, sc := range investigated {
+		o, err := r.Observe(sys, sc)
+		if err != nil {
+			return nil, err
+		}
+		if o.Status == Undetected {
+			continue
+		}
+		res, tick := o.Run, o.AlertTick
+		stage := res.TargetTrace().StageAt(tick)
+		for _, key := range keys {
+			if key.Stage != stage {
 				continue
 			}
-			stage := tr.StageAt(tick)
-			for _, key := range keys {
-				if key.Stage != stage {
-					continue
-				}
-				// A cross fault fingerprints the flows touching the culprit
-				// and victim; violations on bystander pairs are shuffle
-				// noise, and a signature stored there matches the wrong
-				// kind's noise just as well.
-				if key.NodeA != res.CulpritIP && key.NodeB != res.CulpritIP &&
-					key.NodeA != res.TargetIP && key.NodeB != res.TargetIP {
-					continue
-				}
-				win, err := core.CrossWindowAt(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, tick, 0)
-				if err != nil || win == nil {
-					continue
-				}
-				// One-edge tuples are degenerate signatures: a single
-				// chance violation at diagnosis time matches them with
-				// Jaccard 1.0, so demand at least two broken edges.
-				vr, err := sys.Violations(key.Context(), win)
-				if err != nil || len(vr.Violated) < 2 {
-					continue
-				}
-				label := string(kind) + "@" + res.CulpritIP
-				if err := sys.BuildCrossSignature(key, label, win); err != nil {
-					return nil, err
-				}
+			// A cross fault fingerprints the flows touching the culprit
+			// and victim; violations on bystander pairs are shuffle
+			// noise, and a signature stored there matches the wrong
+			// kind's noise just as well.
+			if key.NodeA != res.CulpritIP && key.NodeB != res.CulpritIP &&
+				key.NodeA != res.TargetIP && key.NodeB != res.TargetIP {
+				continue
+			}
+			win, err := core.CrossWindowAt(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, tick, 0)
+			if err != nil || win == nil {
+				continue
+			}
+			// One-edge tuples are degenerate signatures: a single
+			// chance violation at diagnosis time matches them with
+			// Jaccard 1.0, so demand at least two broken edges.
+			vr, err := sys.Violations(key.Context(), win)
+			if err != nil || len(vr.Violated) < 2 {
+				continue
+			}
+			label := o.Scenario.Truth() + "@" + res.CulpritIP
+			if err := sys.BuildCrossSignature(key, label, win); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	// Test runs: same alert feeds both arms.
+	// Test runs: the same alert feeds both arms. Observe is the intra arm —
+	// the victim's own profile, classic signatures.
 	study := &CrossStudy{Workload: w, TrainedProfiles: len(keys), CrossEdges: totalEdges}
-	testRuns := r.opts.RunsPerFault - r.opts.SignatureRuns
-	for _, kind := range faults.CrossKinds() {
+	testRuns := len(test) / len(faults.CrossKinds())
+	for ki, kind := range faults.CrossKinds() {
 		row := CrossStudyRow{
 			Fault:         kind,
-			Stage:         CrossExpectedStage(kind),
+			Stage:         crossStage[kind],
 			Runs:          testRuns,
 			IntraVerdicts: make(map[string]int),
 			CrossVerdicts: make(map[string]int),
 		}
-		for i := 0; i < testRuns; i++ {
-			res, err := r.RunCross(w, kind, i)
+		for _, sc := range test[ki*testRuns : (ki+1)*testRuns] {
+			o, err := r.Observe(sys, sc)
 			if err != nil {
 				return nil, err
 			}
+			res, tick := o.Run, o.AlertTick
 			row.VictimIP, row.CulpritIP = res.TargetIP, res.CulpritIP
-			tr := res.TargetTrace()
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			tick, err := r.alertAt(sys, ctx, tr)
-			if err != nil {
-				return nil, err
-			}
-			if tick < 0 {
+			switch o.Status {
+			case Undetected:
 				continue
+			case Diagnosed:
+				row.IntraNamed++
+				row.IntraVerdicts[o.Predicted()+"@"+res.TargetIP]++
+			case HintsOnly:
+				row.IntraVerdicts["(hints only)"]++
 			}
 			row.Alerts++
 
-			// Intra arm: the victim's own profile, classic signatures.
-			from := tick - (sys.Config().Detect.Consecutive - 1)
-			win, err := AbnormalWindow(tr, from, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			diag, err := sys.Diagnose(ctx, win)
-			if err != nil {
-				return nil, err
-			}
-			if cause := diag.RootCause(); cause != "" {
-				row.IntraNamed++
-				row.IntraVerdicts[cause+"@"+res.TargetIP]++
-			} else {
-				row.IntraVerdicts["(hints only)"]++
-			}
-
 			// Cross arm: stage-scoped pair profiles, merged verdict.
-			verdict, err := crossDiagnose(sys, keys, res.Traces, tr.StageAt(tick), tick)
+			verdict, err := crossDiagnose(sys, keys, res.Traces, res.TargetTrace().StageAt(tick), tick)
 			if err != nil {
 				return nil, err
 			}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
-	"invarnetx/internal/stats"
 	"invarnetx/internal/telemetry"
 	"invarnetx/internal/workload"
 )
@@ -16,20 +14,14 @@ type DegradationPoint struct {
 	DropRate float64
 	// Runs is how many faulted runs were diagnosed at this level.
 	Runs int
-	// Correct counts runs whose top-ranked cause was the injected fault.
-	Correct int
+	// Correct counts runs whose top-ranked cause was the injected fault;
+	// Accuracy is Correct/Runs.
+	Correct  int
+	Accuracy float64
 	// MeanCoverage is the mean fraction of invariants that stayed
 	// checkable; MeanConfidence the mean coverage-weighted top score.
 	MeanCoverage   float64
 	MeanConfidence float64
-}
-
-// Accuracy returns Correct/Runs (0 when no runs).
-func (p DegradationPoint) Accuracy() float64 {
-	if p.Runs == 0 {
-		return 0
-	}
-	return float64(p.Correct) / float64(p.Runs)
 }
 
 // DegradationStudy measures how diagnosis accuracy and the reported
@@ -48,9 +40,32 @@ func (s *DegradationStudy) String() string {
 	out := fmt.Sprintf("telemetry degradation: %s under %s\n", s.Workload, s.Fault)
 	for _, p := range s.Points {
 		out += fmt.Sprintf("  drop %4.0f%%: accuracy %.2f, coverage %.2f, confidence %.2f (%d runs)\n",
-			p.DropRate*100, p.Accuracy(), p.MeanCoverage, p.MeanConfidence, p.Runs)
+			p.DropRate*100, p.Accuracy, p.MeanCoverage, p.MeanConfidence, p.Runs)
 	}
 	return out
+}
+
+// degradationRows generates the study's rows: the usual label runs, and per
+// loss level runsPerRate runs of kind whose investigated window is replayed
+// through a lossy collector.
+func (r *Runner) degradationRows(w workload.Type, kind faults.Kind, dropRates []float64, runsPerRate int) (label, test []Scenario) {
+	for ri, rate := range dropRates {
+		for i := 0; i < runsPerRate; i++ {
+			test = append(test, Scenario{
+				Study:    r.arm("degradation"),
+				Workload: w,
+				Faults:   []faults.Kind{kind},
+				Index:    i,
+				Origin:   Oracle,
+				Telemetry: &telemetry.Config{
+					Faults: telemetry.FaultModel{DropRate: rate},
+					Policy: telemetry.Mask,
+				},
+				TelemetrySalt: int64(1000*ri + i),
+			})
+		}
+	}
+	return r.LabelRows("degradation", w, FaultKindsFor(w)...), test
 }
 
 // RunDegradationStudy trains the pipeline for workload w, builds the
@@ -63,67 +78,28 @@ func (r *Runner) RunDegradationStudy(w workload.Type, kind faults.Kind, dropRate
 	if !faults.Valid(kind) {
 		return nil, fmt.Errorf("experiments: unknown fault %q", kind)
 	}
-	sys, _, err := r.TrainSystem(w)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range FaultKindsFor(w) {
-		for i := 0; i < r.opts.SignatureRuns; i++ {
-			res, err := r.Run(w, k, 100000+i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			if err := sys.BuildSignature(ctx, string(k), win); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	study := &DegradationStudy{Workload: w, Fault: kind}
-	for ri, rate := range dropRates {
+	for _, rate := range dropRates {
 		if rate < 0 || rate > 1 {
 			return nil, fmt.Errorf("experiments: drop rate %v is not a probability", rate)
 		}
-		pt := DegradationPoint{DropRate: rate}
-		for i := 0; i < runsPerRate; i++ {
-			res, err := r.Run(w, kind, i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			col := telemetry.New(telemetry.Config{
-				Faults: telemetry.FaultModel{DropRate: rate},
-				Policy: telemetry.Mask,
-			}, stats.NewRNG(r.opts.Seed+int64(1000*ri+i)))
-			deg, _, err := col.Degrade(win)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			diag, err := sys.Diagnose(ctx, deg)
-			if err != nil {
-				return nil, err
-			}
-			pt.Runs++
-			if diag.RootCause() == string(kind) {
-				pt.Correct++
-			}
-			pt.MeanCoverage += diag.Coverage
-			pt.MeanConfidence += diag.Confidence
-		}
-		if pt.Runs > 0 {
-			pt.MeanCoverage /= float64(pt.Runs)
-			pt.MeanConfidence /= float64(pt.Runs)
-		}
-		study.Points = append(study.Points, pt)
+	}
+	runsPerRate = max(runsPerRate, 0)
+	label, test := r.degradationRows(w, kind, dropRates, runsPerRate)
+	_, outs, err := r.trainLabelObserve(w, label, test)
+	if err != nil {
+		return nil, err
+	}
+	study := &DegradationStudy{Workload: w, Fault: kind}
+	for ri, rate := range dropRates {
+		t := outs[ri*runsPerRate : (ri+1)*runsPerRate]
+		study.Points = append(study.Points, DegradationPoint{
+			DropRate:       rate,
+			Runs:           len(t),
+			Correct:        t.Hits(string(kind), 1),
+			Accuracy:       t.Accuracy(),
+			MeanCoverage:   t.MeanCoverage(),
+			MeanConfidence: t.MeanConfidence(),
+		})
 	}
 	return study, nil
 }

@@ -50,24 +50,12 @@ func (o DriftOptions) withDefaults() DriftOptions {
 	if o.Metrics <= 2 {
 		o.Metrics = 6
 	}
-	if o.WindowLen <= 0 {
-		o.WindowLen = 100
-	}
-	if o.TrainRuns <= 0 {
-		o.TrainRuns = 4
-	}
-	if o.PreWindows <= 0 {
-		o.PreWindows = 30
-	}
-	if o.ShiftWindows <= 0 {
-		o.ShiftWindows = 40
-	}
-	if o.PostWindows <= 0 {
-		o.PostWindows = 30
-	}
-	if o.FaultEvery <= 0 {
-		o.FaultEvery = 6
-	}
+	orDefault(&o.WindowLen, 100)
+	orDefault(&o.TrainRuns, 4)
+	orDefault(&o.PreWindows, 30)
+	orDefault(&o.ShiftWindows, 40)
+	orDefault(&o.PostWindows, 30)
+	orDefault(&o.FaultEvery, 6)
 	return o
 }
 
@@ -81,29 +69,20 @@ type DriftPhaseStats struct {
 	CleanFlagged, FaultFlagged int
 }
 
-// FPRate is the fraction of clean windows that reported a violation.
-func (s DriftPhaseStats) FPRate() float64 {
-	if s.CleanWindows == 0 {
-		return 0
-	}
-	return float64(s.CleanFlagged) / float64(s.CleanWindows)
+// counts reads the phase as a one-label tally: a flagged fault window is a
+// true positive, a flagged clean window a false positive.
+func (s DriftPhaseStats) counts() PRCounts {
+	return PRCounts{TP: s.FaultFlagged, FP: s.CleanFlagged, FN: s.FaultWindows - s.FaultFlagged}
 }
+
+// FPRate is the fraction of clean windows that reported a violation.
+func (s DriftPhaseStats) FPRate() float64 { return ratio(s.CleanFlagged, s.CleanWindows) }
 
 // Recall is the fraction of injected fault windows that were flagged.
-func (s DriftPhaseStats) Recall() float64 {
-	if s.FaultWindows == 0 {
-		return 0
-	}
-	return float64(s.FaultFlagged) / float64(s.FaultWindows)
-}
+func (s DriftPhaseStats) Recall() float64 { return s.counts().Recall() }
 
 // Precision is flagged-fault / all-flagged over the phase.
-func (s DriftPhaseStats) Precision() float64 {
-	if s.FaultFlagged+s.CleanFlagged == 0 {
-		return 0
-	}
-	return float64(s.FaultFlagged) / float64(s.FaultFlagged+s.CleanFlagged)
-}
+func (s DriftPhaseStats) Precision() float64 { return s.counts().Precision() }
 
 // DriftArm is one system's trajectory through the three phases.
 type DriftArm struct {
@@ -208,7 +187,7 @@ func RunDriftStudy(opts DriftOptions) (*DriftStudy, error) {
 		trainRuns = append(trainRuns, gen.window(nil))
 	}
 	driftMetric := opts.Metrics - 1 // shifts permanently at the boundary
-	faultMetric := 1               // bursts for one window at a time
+	faultMetric := 1                // bursts for one window at a time
 	var schedule []driftWindow
 	phaseLens := []int{opts.PreWindows, opts.ShiftWindows, opts.PostWindows}
 	for phase, n := range phaseLens {
@@ -226,39 +205,32 @@ func RunDriftStudy(opts DriftOptions) (*DriftStudy, error) {
 	}
 
 	study := &DriftStudy{}
-	for _, arm := range []struct {
-		name      string
-		lifecycle core.LifecycleConfig
-		out       *DriftArm
-	}{
-		{"train-once", core.LifecycleConfig{}, &study.TrainOnce},
-		{"lifecycle", DriftLifecycleConfig(), &study.Lifecycle},
-	} {
-		cfg := core.DefaultConfig()
-		cfg.Lifecycle = arm.lifecycle
-		a, err := runDriftArm(arm.name, cfg, trainRuns, schedule)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: drift arm %s: %w", arm.name, err)
-		}
-		*arm.out = *a
+	var err error
+	if study.TrainOnce, err = runDriftArm("train-once", core.LifecycleConfig{}, trainRuns, schedule); err != nil {
+		return nil, err
+	}
+	if study.Lifecycle, err = runDriftArm("lifecycle", DriftLifecycleConfig(), trainRuns, schedule); err != nil {
+		return nil, err
 	}
 	return study, nil
 }
 
-func runDriftArm(name string, cfg core.Config, trainRuns []*metrics.Trace, schedule []driftWindow) (*DriftArm, error) {
+func runDriftArm(name string, lifecycle core.LifecycleConfig, trainRuns []*metrics.Trace, schedule []driftWindow) (arm DriftArm, err error) {
+	cfg := core.DefaultConfig()
+	cfg.Lifecycle = lifecycle
 	sys := core.New(cfg)
 	ctx := core.Context{Workload: "drift", IP: "10.0.0.1"}
 	if err := sys.TrainInvariants(ctx, trainRuns); err != nil {
-		return nil, err
+		return arm, fmt.Errorf("experiments: drift arm %s: %w", name, err)
 	}
 	p := sys.Profile(ctx)
-	arm := &DriftArm{Name: name}
+	arm.Name = name
 	arm.Pre.Name, arm.Shift.Name, arm.Post.Name = "pre", "shift", "post"
 	phases := []*DriftPhaseStats{&arm.Pre, &arm.Shift, &arm.Post}
 	for _, w := range schedule {
 		rep, err := p.Violations(w.tr)
 		if err != nil {
-			return nil, err
+			return arm, fmt.Errorf("experiments: drift arm %s: %w", name, err)
 		}
 		flagged := len(rep.Violated) > 0
 		ph := phases[w.phase]
@@ -275,9 +247,7 @@ func runDriftArm(name string, cfg core.Config, trainRuns []*metrics.Trace, sched
 		}
 		if cfg.Lifecycle.Enabled {
 			st := p.LifecycleStats()
-			if st.Quarantined > arm.PeakQuarantined {
-				arm.PeakQuarantined = st.Quarantined
-			}
+			arm.PeakQuarantined = max(arm.PeakQuarantined, st.Quarantined)
 			if st.Quarantined > 0 && flagged {
 				// The masking contract: a violated pair must never be a
 				// quarantined one.

@@ -1,37 +1,12 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
-	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/workload"
 )
-
-// PRCounts accumulates a per-fault confusion tally for multi-class
-// diagnosis: TP = runs of this fault diagnosed as this fault; FN = runs of
-// this fault diagnosed otherwise (or not detected at all); FP = runs of
-// other faults diagnosed as this fault.
-type PRCounts struct {
-	TP, FP, FN int
-}
-
-// Precision returns TP/(TP+FP), 0 when undefined.
-func (c PRCounts) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), 0 when undefined.
-func (c PRCounts) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
 
 // StudyRow is one fault's outcome in a diagnosis study.
 type StudyRow struct {
@@ -50,163 +25,80 @@ type Study struct {
 
 // Row returns the row for kind, or nil.
 func (s *Study) Row(kind faults.Kind) *StudyRow {
-	for i := range s.Rows {
-		if s.Rows[i].Fault == kind {
-			return &s.Rows[i]
-		}
+	if i := slices.IndexFunc(s.Rows, func(r StudyRow) bool { return r.Fault == kind }); i >= 0 {
+		return &s.Rows[i]
 	}
 	return nil
 }
 
 // AveragePrecision returns the unweighted mean per-fault precision.
 func (s *Study) AveragePrecision() float64 {
-	if len(s.Rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range s.Rows {
-		sum += r.Counts.Precision()
-	}
-	return sum / float64(len(s.Rows))
+	return s.average(PRCounts.Precision)
 }
 
 // AverageRecall returns the unweighted mean per-fault recall.
 func (s *Study) AverageRecall() float64 {
+	return s.average(PRCounts.Recall)
+}
+
+func (s *Study) average(metric func(PRCounts) float64) float64 {
 	if len(s.Rows) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, r := range s.Rows {
-		sum += r.Counts.Recall()
+		sum += metric(r.Counts)
 	}
 	return sum / float64(len(s.Rows))
 }
 
-// monWarmup is the number of initial CPI samples used to seed the online
-// monitor (must cover the ARIMA lag depth and precede FaultStart).
-const monWarmup = 6
+// heldOutRows generates the evaluation's two row sets for kinds under w: the
+// SignatureRuns investigated runs per kind that label the signature base, and
+// the remaining RunsPerFault-SignatureRuns runs, observed from the alert.
+func (r *Runner) heldOutRows(study string, w workload.Type, kinds []faults.Kind, labelStride int) (label, test []Scenario) {
+	tmpl := Scenario{Study: r.arm(study), Workload: w, Origin: Alert}
+	return r.labelRows(study, w, kinds, labelStride), grid(tmpl, kinds, 0, r.opts.RunsPerFault-r.opts.SignatureRuns)
+}
 
 // RunDiagnosisStudy executes the full InvarNet-X pipeline for workload w:
 // train models and invariants on normal runs, build the signature database
 // from SignatureRuns runs per fault, then detect + diagnose the remaining
 // runs and tally per-fault precision/recall. systemName labels the result.
 func (r *Runner) RunDiagnosisStudy(w workload.Type, systemName string) (*Study, error) {
-	sys, _, err := r.TrainSystem(w)
+	label, test := r.heldOutRows("diagnosis/"+systemName, w, FaultKindsFor(w), r.opts.Slaves)
+	_, tally, err := r.trainLabelObserve(w, label, test)
 	if err != nil {
 		return nil, err
 	}
-	kinds := FaultKindsFor(w)
-
-	// Signature-base building: the paper uses 2 of each fault's 40 runs
-	// to train signatures, with the fault window known (the problem was
-	// investigated). With rotating targets, every node needs its own
-	// investigated runs (signatures are stored per operation context).
-	sigNodes := 1
-	if r.opts.RotateTargets {
-		sigNodes = r.opts.Slaves
-	}
-	for _, kind := range kinds {
-		for node := 0; node < sigNodes; node++ {
-			for i := 0; i < r.opts.SignatureRuns; i++ {
-				// The run index selects the rotated target node.
-				idx := 100000 + i*r.opts.Slaves + node
-				res, err := r.Run(w, kind, idx)
-				if err != nil {
-					return nil, err
-				}
-				tr := res.TargetTrace()
-				win, err := AbnormalWindow(tr, res.Window.Start, r.opts.FaultTicks)
-				if err != nil {
-					return nil, err
-				}
-				ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-				if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Online detection + cause inference on the test runs.
 	study := &Study{Workload: w, System: systemName}
-	counts := make(map[faults.Kind]*PRCounts, len(kinds))
-	detected := make(map[faults.Kind]int, len(kinds))
-	for _, kind := range kinds {
-		counts[kind] = &PRCounts{}
-	}
-	testRuns := r.opts.RunsPerFault - r.opts.SignatureRuns
-	for _, kind := range kinds {
-		for i := 0; i < testRuns; i++ {
-			res, err := r.Run(w, kind, i)
-			if err != nil {
-				return nil, err
-			}
-			pred, wasDetected, err := r.detectAndDiagnose(sys, w, res)
-			if err != nil {
-				return nil, err
-			}
-			if wasDetected {
-				detected[kind]++
-			}
-			switch {
-			case pred == string(kind):
-				counts[kind].TP++
-			case pred == "":
-				counts[kind].FN++
-			default:
-				counts[kind].FN++
-				if c, ok := counts[faults.Kind(pred)]; ok {
-					c.FP++
-				}
-			}
-		}
-	}
-	for _, kind := range kinds {
-		study.Rows = append(study.Rows, StudyRow{
-			Fault:    kind,
-			Counts:   *counts[kind],
-			Runs:     testRuns,
-			Detected: detected[kind],
-		})
+	for _, kind := range FaultKindsFor(w) {
+		k := string(kind)
+		study.Rows = append(study.Rows, StudyRow{Fault: kind, Counts: tally.Counts(k), Runs: tally.Runs(k), Detected: tally.Alerts(k)})
 	}
 	sort.Slice(study.Rows, func(a, b int) bool { return study.Rows[a].Fault < study.Rows[b].Fault })
 	return study, nil
 }
 
-// detectAndDiagnose runs the online path on one faulted run: monitor the
-// target node's CPI, and on alert diagnose the post-alert window. It
-// returns the predicted cause ("" when undetected or unmatched).
-func (r *Runner) detectAndDiagnose(sys *core.System, w workload.Type, res *RunResult) (string, bool, error) {
-	tr := res.TargetTrace()
-	if tr == nil || tr.Len() <= monWarmup {
-		return "", false, fmt.Errorf("experiments: run produced no usable trace")
-	}
-	ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-	mon, err := sys.NewMonitor(ctx, tr.CPI[:monWarmup])
+// ConfusionPair reports how often two faults were mistaken for each other —
+// the paper's "signature conflict" analysis for Net-drop vs Net-delay.
+type ConfusionPair struct {
+	A, B       faults.Kind
+	AasB, BasA int
+	Runs       int
+}
+
+// RunConfusion measures the mutual confusion of two faults under w: a
+// two-kind diagnosis study read off the tally's off-diagonal.
+func (r *Runner) RunConfusion(w workload.Type, a, b faults.Kind) (*ConfusionPair, error) {
+	label, test := r.heldOutRows("confusion", w, []faults.Kind{a, b}, 1)
+	_, tally, err := r.trainLabelObserve(w, label, test)
 	if err != nil {
-		return "", false, err
+		return nil, err
 	}
-	alertTick := -1
-	for i := monWarmup; i < tr.Len(); i++ {
-		mon.Offer(tr.CPI[i])
-		if mon.Alert() {
-			alertTick = i
-			break
-		}
-	}
-	if alertTick < 0 {
-		return "", false, nil
-	}
-	// Diagnose from the start of the anomalous stretch (the consecutive
-	// rule means the problem began Consecutive-1 samples earlier).
-	from := alertTick - (sys.Config().Detect.Consecutive - 1)
-	win, err := AbnormalWindow(tr, from, r.opts.FaultTicks)
-	if err != nil {
-		return "", true, err
-	}
-	diag, err := sys.Diagnose(ctx, win)
-	if err != nil {
-		return "", true, err
-	}
-	return diag.RootCause(), true, nil
+	return &ConfusionPair{
+		A: a, B: b,
+		AasB: tally.Confused(string(a), string(b)),
+		BasA: tally.Confused(string(b), string(a)),
+		Runs: tally.Runs(string(a)),
+	}, nil
 }

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"invarnetx/internal/cluster"
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/signature"
-	"invarnetx/internal/stats"
 	"invarnetx/internal/workload"
 )
 
@@ -23,10 +20,6 @@ import (
 //     gradually", §3.3) — measured as accuracy versus database coverage;
 //   - signature-contrast calibration: the per-fault self/cross similarity
 //     matrix that predicts which problems a deployment can tell apart.
-
-// ---------------------------------------------------------------------------
-// Multiple simultaneous faults.
-// ---------------------------------------------------------------------------
 
 // MultiFaultResult evaluates top-K diagnosis under two simultaneous faults
 // on the same node.
@@ -56,87 +49,44 @@ var multiFaultPairs = [][2]faults.Kind{
 	{faults.MemHog, faults.BlockCorruption},
 }
 
+// multiFaultRows generates the study's rows: single-fault label runs for
+// every kind, and runsPerPair investigated runs of each fault pair.
+func (r *Runner) multiFaultRows(w workload.Type, runsPerPair int) (label, test []Scenario) {
+	for _, pair := range multiFaultPairs {
+		for i := 0; i < runsPerPair; i++ {
+			test = append(test, Scenario{
+				Study:    r.arm("multifault"),
+				Workload: w,
+				Faults:   []faults.Kind{pair[0], pair[1]},
+				Index:    i,
+				Origin:   Oracle,
+			})
+		}
+	}
+	return r.LabelRows("multifault", w, FaultKindsFor(w)...), test
+}
+
 // RunMultiFault trains the system and signature base as usual (single-fault
 // signatures), then injects fault pairs and checks whether both culprits
 // surface in the top-ranked causes.
 func (r *Runner) RunMultiFault(w workload.Type, runsPerPair int) (*MultiFaultResult, error) {
-	if runsPerPair <= 0 {
-		runsPerPair = 6
-	}
-	sys, _, err := r.TrainSystem(w)
+	orDefault(&runsPerPair, 6)
+	label, test := r.multiFaultRows(w, runsPerPair)
+	_, tally, err := r.trainLabelObserve(w, label, test)
 	if err != nil {
 		return nil, err
 	}
-	kinds := FaultKindsFor(w)
-	for _, kind := range kinds {
-		for i := 0; i < r.opts.SignatureRuns; i++ {
-			res, err := r.Run(w, kind, 100000+i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := &MultiFaultResult{Workload: w}
-	var hits1, hits2, total int
-	for _, pairKinds := range multiFaultPairs {
-		pair := MultiFaultPair{A: pairKinds[0], B: pairKinds[1], Runs: runsPerPair}
-		for i := 0; i < runsPerPair; i++ {
-			res, err := r.runPair(w, pairKinds[0], pairKinds[1], i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-			diag, err := sys.Diagnose(ctx, win)
-			if err != nil {
-				return nil, err
-			}
-			want := map[string]bool{string(pairKinds[0]): true, string(pairKinds[1]): true}
-			if len(diag.Causes) > 0 && want[diag.Causes[0].Problem] {
-				pair.OneInTop1++
-				hits1++
-			}
-			if len(diag.Causes) > 1 && want[diag.Causes[0].Problem] && want[diag.Causes[1].Problem] {
-				pair.BothInTop2++
-				hits2++
-			}
-			total++
-		}
-		out.Pairs = append(out.Pairs, pair)
-	}
-	if total > 0 {
-		out.HitAt1 = float64(hits1) / float64(total)
-		out.HitAt2 = float64(hits2) / float64(total)
+	out := &MultiFaultResult{Workload: w, HitAt1: tally.HitAt(1), HitAt2: tally.HitAt(2)}
+	for i, pair := range multiFaultPairs {
+		truth := test[i*runsPerPair].Truth()
+		out.Pairs = append(out.Pairs, MultiFaultPair{
+			A: pair[0], B: pair[1],
+			Runs:       tally.Runs(truth),
+			OneInTop1:  tally.Hits(truth, 1),
+			BothInTop2: tally.Hits(truth, 2),
+		})
 	}
 	return out, nil
-}
-
-// runPair executes a run with two faults injected on the same target node.
-func (r *Runner) runPair(w workload.Type, a, b faults.Kind, idx int) (*RunResult, error) {
-	return r.execute(w, "pair/"+string(a)+"+"+string(b), idx, func(c *cluster.Cluster, rng *stats.RNG, res *RunResult) error {
-		target := c.Slaves()[0]
-		res.TargetIP = target.IP
-		res.Fault = a // primary label; both are active
-		for i, kind := range []faults.Kind{a, b} {
-			inj, err := faults.New(kind, res.Window, rng.Fork(int64(i)))
-			if err != nil {
-				return err
-			}
-			target.Attach(inj)
-		}
-		return nil
-	})
 }
 
 // Print writes the multi-fault rows.
@@ -148,10 +98,6 @@ func (m *MultiFaultResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  aggregate: hit@1 %.2f, both@2 %.2f\n", m.HitAt1, m.HitAt2)
 }
-
-// ---------------------------------------------------------------------------
-// Growing signature base.
-// ---------------------------------------------------------------------------
 
 // GrowthPoint is diagnosis quality with a database covering the first K
 // fault kinds.
@@ -172,72 +118,49 @@ type GrowthResult struct {
 	Points   []GrowthPoint
 }
 
+// growthSteps are the database sizes the growth study stops at, in
+// investigated fault kinds out of n.
+func growthSteps(n int) []int { return []int{2, n / 2, n} }
+
+// growthRows generates one growth step's rows: label runs for the kinds newly
+// investigated at this step, kinds[from:to], and n fresh runs of every kind
+// observed from the alert.
+func (r *Runner) growthRows(w workload.Type, from, to, n int) (label, test []Scenario) {
+	kinds := FaultKindsFor(w)
+	tmpl := Scenario{Study: r.arm(fmt.Sprintf("growth@%d", to)), Workload: w, Origin: Alert}
+	return r.LabelRows("growth", w, kinds[from:to]...), grid(tmpl, kinds, 0, n)
+}
+
 // RunSignatureGrowth evaluates the database lifecycle: starting empty,
 // signatures are added fault by fault (the paper's "as more performance
 // problems are diagnosed"); at each step the known faults' accuracy and the
 // unknown faults' hint coverage are measured on fresh runs.
 func (r *Runner) RunSignatureGrowth(w workload.Type, testRunsPerFault int) (*GrowthResult, error) {
-	if testRunsPerFault <= 0 {
-		testRunsPerFault = 3
-	}
+	orDefault(&testRunsPerFault, 3)
 	sys, _, err := r.TrainSystem(w)
 	if err != nil {
 		return nil, err
 	}
-	kinds := FaultKindsFor(w)
 	out := &GrowthResult{Workload: w}
-	steps := []int{2, len(kinds) / 2, len(kinds)}
 	added := 0
-	for _, step := range steps {
-		for ; added < step && added < len(kinds); added++ {
-			kind := kinds[added]
-			for i := 0; i < r.opts.SignatureRuns; i++ {
-				res, err := r.Run(w, kind, 100000+i)
-				if err != nil {
-					return nil, err
-				}
-				win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-				if err != nil {
-					return nil, err
-				}
-				ctx := core.Context{Workload: string(w), IP: res.TargetIP}
-				if err := sys.BuildSignature(ctx, string(kind), win); err != nil {
-					return nil, err
-				}
-			}
+	for _, step := range growthSteps(len(FaultKindsFor(w))) {
+		step = max(step, added)
+		label, test := r.growthRows(w, added, step, testRunsPerFault)
+		if err := r.Label(sys, label); err != nil {
+			return nil, err
 		}
-		pt := GrowthPoint{KnownFaults: added}
-		var knownOK, knownTotal, hinted, unknownTotal int
-		for ki, kind := range kinds {
-			for i := 0; i < testRunsPerFault; i++ {
-				res, err := r.Run(w, kind, i)
-				if err != nil {
-					return nil, err
-				}
-				pred, detected, err := r.detectAndDiagnose(sys, w, res)
-				if err != nil {
-					return nil, err
-				}
-				if ki < added {
-					knownTotal++
-					if pred == string(kind) {
-						knownOK++
-					}
-				} else {
-					unknownTotal++
-					if detected {
-						hinted++
-					}
-				}
-			}
+		added = step
+		outs, err := r.observeAll(sys, test)
+		if err != nil {
+			return nil, err
 		}
-		if knownTotal > 0 {
-			pt.KnownAccuracy = float64(knownOK) / float64(knownTotal)
-		}
-		if unknownTotal > 0 {
-			pt.UnknownHinted = float64(hinted) / float64(unknownTotal)
-		}
-		out.Points = append(out.Points, pt)
+		// Rows are kind-major, so the investigated kinds' outcomes come first.
+		known, unknown := outs[:added*testRunsPerFault], outs[added*testRunsPerFault:]
+		out.Points = append(out.Points, GrowthPoint{
+			KnownFaults:   added,
+			KnownAccuracy: known.Accuracy(),
+			UnknownHinted: unknown.AlertRate(),
+		})
 	}
 	return out, nil
 }
@@ -253,103 +176,50 @@ func (g *GrowthResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "   uninvestigated problems still get detected and reported with hints)")
 }
 
-// ---------------------------------------------------------------------------
-// Signature contrast calibration.
-// ---------------------------------------------------------------------------
-
-// ContrastRow is one fault's separability measured from fresh runs (not the
-// stored database): mean self-similarity of its tuples across runs versus
-// the highest mean similarity to any other fault's tuples.
-type ContrastRow struct {
-	Fault      faults.Kind
-	Self       float64
-	WorstCross float64
-	WorstKind  faults.Kind
-	TupleOnes  int
-}
-
-// Margin returns Self - WorstCross; negative values predict misdiagnosis.
-func (c ContrastRow) Margin() float64 { return c.Self - c.WorstCross }
-
-// ContrastResult is the full per-fault contrast table.
+// ContrastResult is the per-fault contrast table: each fault's separability
+// measured from fresh runs (not the stored database) — the mean similarity
+// among its own tuples against the highest mean similarity to any other
+// fault's. Negative margins predict misdiagnosis.
 type ContrastResult struct {
 	Workload   workload.Type
 	Invariants int
-	Rows       []ContrastRow
+	Rows       []signature.Separability
+}
+
+// contrastRows generates n fresh investigated runs of every kind.
+func (r *Runner) contrastRows(w workload.Type, n int) []Scenario {
+	tmpl := Scenario{Study: r.arm("contrast"), Workload: w, Origin: Oracle}
+	return grid(tmpl, FaultKindsFor(w), freshBase, n)
 }
 
 // RunContrast computes the contrast table from tuplesPerFault fresh runs of
 // every fault — the calibration view used to tune fault distinguishability
-// during development, kept as a first-class diagnostic.
+// during development, kept as a first-class diagnostic. Nothing is labelled:
+// the rows are observed against an empty signature base for their violation
+// tuples alone.
 func (r *Runner) RunContrast(w workload.Type, tuplesPerFault int) (*ContrastResult, error) {
 	if tuplesPerFault < 2 {
 		tuplesPerFault = 3
 	}
-	sys, _, err := r.TrainSystem(w)
+	sys, outs, err := r.trainLabelObserve(w, nil, r.contrastRows(w, tuplesPerFault))
 	if err != nil {
 		return nil, err
 	}
-	ctx := core.Context{Workload: string(w), IP: firstSlaveIP}
-	set, err := sys.Invariants(ctx)
+	set, err := sys.Invariants(core.Context{Workload: string(w), IP: firstSlaveIP})
 	if err != nil {
 		return nil, err
 	}
-	kinds := FaultKindsFor(w)
-	tuples := make(map[faults.Kind][]signature.Tuple, len(kinds))
-	for _, kind := range kinds {
-		for i := 0; i < tuplesPerFault; i++ {
-			res, err := r.Run(w, kind, 200000+i)
-			if err != nil {
-				return nil, err
-			}
-			win, err := AbnormalWindow(res.TargetTrace(), res.Window.Start, r.opts.FaultTicks)
-			if err != nil {
-				return nil, err
-			}
-			vrep, err := sys.Violations(core.Context{Workload: string(w), IP: res.TargetIP}, win)
-			if err != nil {
-				return nil, err
-			}
-			tuples[kind] = append(tuples[kind], vrep.Tuple)
-		}
+	// The contrast of fresh runs is the separability of the signature base
+	// they would make: every observed tuple stored under its fault's name.
+	var db signature.DB
+	for _, o := range outs {
+		db.Add(signature.Entry{Tuple: o.Diagnosis.Tuple, Problem: o.Scenario.Truth(), IP: o.Context.IP, Workload: o.Context.Workload})
 	}
-	out := &ContrastResult{Workload: w, Invariants: set.Len()}
-	meanSim := func(as, bs []signature.Tuple, skipSame bool) float64 {
-		var sum float64
-		n := 0
-		for i, a := range as {
-			for j, b := range bs {
-				if skipSame && i == j {
-					continue
-				}
-				v, err := signature.Similarity(a, b, r.opts.Config.Similarity)
-				if err != nil {
-					continue
-				}
-				sum += v
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
+	rows, err := db.Separabilities(r.opts.Config.Similarity)
+	if err != nil {
+		return nil, err
 	}
-	for _, kind := range kinds {
-		row := ContrastRow{Fault: kind, Self: meanSim(tuples[kind], tuples[kind], true), TupleOnes: tuples[kind][0].Ones()}
-		for _, other := range kinds {
-			if other == kind {
-				continue
-			}
-			if c := meanSim(tuples[kind], tuples[other], false); c > row.WorstCross {
-				row.WorstCross = c
-				row.WorstKind = other
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	sort.Slice(out.Rows, func(a, b int) bool { return out.Rows[a].Margin() < out.Rows[b].Margin() })
-	return out, nil
+	return &ContrastResult{Workload: w, Invariants: set.Len(), Rows: rows}, nil
 }
 
 // Print writes the contrast table, worst margins first.
@@ -358,7 +228,7 @@ func (c *ContrastResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  %-10s %6s %6s %7s  worst-confused-with\n", "fault", "self", "cross", "margin")
 	for _, row := range c.Rows {
 		fmt.Fprintf(w, "  %-10s %6.2f %6.2f %+7.2f  %s\n",
-			row.Fault, row.Self, row.WorstCross, row.Margin(), row.WorstKind)
+			row.Problem, row.Cohesion, row.WorstExternal, row.Margin(), row.WorstProblem)
 	}
 	fmt.Fprintln(w, "  (negative margins predict misdiagnosis; the paper's Lock-R sits here by design)")
 }

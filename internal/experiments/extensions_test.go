@@ -118,10 +118,7 @@ func TestComparisonAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full studies")
 	}
-	opts := tinyOptions()
-	opts.RunsPerFault = 4
-	r := NewRunner(opts)
-	cmp, err := r.RunComparison(workload.Wordcount)
+	cmp, err := tinyComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,8 @@ func TestComparisonAblationShape(t *testing.T) {
 		t.Errorf("invarnet-x precision %.2f below no-context %.2f", inv.AveragePrecision(), nc.AveragePrecision())
 	}
 	var buf bytes.Buffer
-	cmp.Print(&buf)
+	cmp.PrintPrecision(&buf)
+	cmp.PrintRecall(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "Fig 9") || !strings.Contains(out, "Fig 10") {
 		t.Error("comparison print incomplete")

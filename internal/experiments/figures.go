@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"invarnetx/internal/cluster"
 	"invarnetx/internal/core"
@@ -12,12 +13,8 @@ import (
 	"invarnetx/internal/workload"
 )
 
-// ---------------------------------------------------------------------------
-// Fig. 2 — CPI and execution time of Wordcount before and after a benign CPU
-// disturbance (30 % extra utilisation for 300 s).
-// ---------------------------------------------------------------------------
-
-// Fig2Result holds the disturbance experiment outcome.
+// Fig2Result is the Fig. 2 outcome: CPI and execution time of Wordcount
+// before and after a benign CPU disturbance (30 % extra utilisation, 300 s).
 type Fig2Result struct {
 	BaselineCPI    []float64
 	DisturbedCPI   []float64
@@ -86,12 +83,8 @@ func (f *Fig2Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "  95th-pct CPI shift: %+.1f%%  (paper: CPI and execution time unaffected)\n", 100*f.P95Shift)
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 4 — CPI tracks execution time across repeated runs with injected
-// faults; 2nd-order polynomial fit is monotone increasing.
-// ---------------------------------------------------------------------------
-
-// Fig4Result holds one workload's CPI-vs-time study.
+// Fig4Result is one workload's Fig. 4 study: CPI tracks execution time across
+// repeated runs with injected faults; the 2nd-order fit is monotone increasing.
 type Fig4Result struct {
 	Workload workload.Type
 	// NormTime and NormCPI are min-normalised execution times and
@@ -204,11 +197,8 @@ func (f *Fig4Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "  2nd-order fit: %s, monotone increasing: %v\n", f.Fit, f.Monotone)
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 5 — CPI prediction residuals before/after CPU-hog injection.
-// ---------------------------------------------------------------------------
-
-// Fig5Result holds a residual series around a CPU-hog injection.
+// Fig5Result is the Fig. 5 series: CPI prediction residuals around a CPU-hog
+// injection.
 type Fig5Result struct {
 	Workload  workload.Type
 	Residuals []float64
@@ -270,15 +260,10 @@ func (f *Fig5Result) Print(w io.Writer) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 6 — anomaly decisions of the three threshold rules on a CPU-hog run.
-// ---------------------------------------------------------------------------
-
-// Fig6Rule is one rule's detection output.
+// Fig6Rule is one threshold rule's anomaly decisions on a CPU-hog run
+// (Fig. 6).
 type Fig6Rule struct {
 	Rule detect.Rule
-	// Flags is the per-sample anomaly decision series.
-	Flags []bool
 	// FalseAlarms counts anomalous samples outside the fault window.
 	FalseAlarms int
 	// Hits counts anomalous samples inside the fault window.
@@ -298,15 +283,11 @@ type Fig6Result struct {
 
 // RunFig6 executes the threshold-rule comparison for one workload.
 func (r *Runner) RunFig6(w workload.Type) (*Fig6Result, error) {
-	// Collect training CPI traces once.
-	var traces [][]float64
-	for i := 0; i < r.opts.TrainRuns; i++ {
-		res, err := r.Run(w, "", i)
-		if err != nil {
-			return nil, err
-		}
-		traces = append(traces, res.Traces[firstSlaveIP].CPI)
+	runs, err := r.normalRuns(w)
+	if err != nil {
+		return nil, err
 	}
+	traces, _ := r.trainingSet(runs, firstSlaveIP) // the CPI series only
 	res, err := r.Run(w, faults.CPUHog, 6100)
 	if err != nil {
 		return nil, err
@@ -324,7 +305,7 @@ func (r *Runner) RunFig6(w workload.Type) (*Fig6Result, error) {
 		for i := monWarmup; i < tr.Len(); i++ {
 			mon.Offer(tr.CPI[i])
 		}
-		fr := Fig6Rule{Rule: rule, Flags: mon.AnomalyLog}
+		fr := Fig6Rule{Rule: rule}
 		for i, anom := range mon.AnomalyLog {
 			tick := i + monWarmup
 			if res.Window.Active(tick) {
@@ -355,14 +336,7 @@ func (f *Fig6Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "  (paper: 95-percentile worst; beta-max and max-min similar, beta-max cheaper)\n")
 }
 
-// seriesString renders a float series compactly.
+// seriesString renders a float series compactly: "0.95 0.91 0.97".
 func seriesString(xs []float64) string {
-	out := ""
-	for i, v := range xs {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%.2f", v)
-	}
-	return out
+	return strings.Trim(fmt.Sprintf("%.2f", xs), "[]")
 }

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -29,9 +30,6 @@ type Options struct {
 	Seed int64
 	// Slaves is the number of slave nodes (paper: 4 slaves + 1 master).
 	Slaves int
-	// Heterogeneous varies slave hardware (makes operation context
-	// matter).
-	Heterogeneous bool
 	// InputMB is the batch job input size. The paper uses 15 GB; the
 	// default here is 12 GB, which yields jobs of 45-60 ticks — long
 	// enough to contain the 30-tick fault window.
@@ -51,19 +49,6 @@ type Options struct {
 	FaultTicks int
 	// SessionTicks is the length of an interactive (TPC-DS) run.
 	SessionTicks int
-	// SessionRate is the mean interactive query arrivals per tick.
-	SessionRate float64
-	// MaxRunTicks bounds a single run (wedged-job safety net).
-	MaxRunTicks int
-	// InvariantStride selects how invariant-training windows are cut from
-	// each normal run: 0 (default) takes one window per run at the fault
-	// offset — the paper's "N runs give N association matrices", aligned
-	// with the job phase a fault window covers; a positive value cuts
-	// windows at that stride instead (more matrices, stricter stability
-	// filter).
-	InvariantStride int
-	// FloorScale scales the collector's absolute noise floors (default 1).
-	FloorScale float64
 	// CrossTraffic enables the simulator's inter-node shuffle-serving and
 	// replication flows — required by the cross-node fault study, off by
 	// default so the single-node corpus keeps its exact historical
@@ -85,7 +70,6 @@ func DefaultOptions() Options {
 	return Options{
 		Seed:          1,
 		Slaves:        4,
-		Heterogeneous: true,
 		InputMB:       12 * 1024,
 		TrainRuns:     8,
 		RunsPerFault:  40,
@@ -93,47 +77,36 @@ func DefaultOptions() Options {
 		FaultStart:    10,
 		FaultTicks:    30,
 		SessionTicks:  70,
-		SessionRate:   1.0,
-		MaxRunTicks:   4000,
 		Config:        core.DefaultConfig(),
+	}
+}
+
+// The testbed's fixed parameters: the slaves' hardware always differs (which
+// is what makes the operation context matter).
+const (
+	// sessionRate is the mean interactive query arrivals per tick.
+	sessionRate = 1.0
+	// maxRunTicks bounds a single run (wedged-job safety net).
+	maxRunTicks = 4000
+)
+
+// orDefault replaces an unset (non-positive) option with its default.
+func orDefault[T int | float64](v *T, d T) {
+	if *v <= 0 {
+		*v = d
 	}
 }
 
 func (o *Options) defaults() {
 	d := DefaultOptions()
-	if o.Slaves <= 0 {
-		o.Slaves = d.Slaves
-	}
-	if o.InputMB <= 0 {
-		o.InputMB = d.InputMB
-	}
-	if o.TrainRuns <= 0 {
-		o.TrainRuns = d.TrainRuns
-	}
-	if o.RunsPerFault <= 0 {
-		o.RunsPerFault = d.RunsPerFault
-	}
-	if o.SignatureRuns <= 0 {
-		o.SignatureRuns = d.SignatureRuns
-	}
-	if o.FaultStart <= 0 {
-		o.FaultStart = d.FaultStart
-	}
-	if o.FaultTicks <= 0 {
-		o.FaultTicks = d.FaultTicks
-	}
-	if o.SessionTicks <= 0 {
-		o.SessionTicks = d.SessionTicks
-	}
-	if o.SessionRate <= 0 {
-		o.SessionRate = d.SessionRate
-	}
-	if o.MaxRunTicks <= 0 {
-		o.MaxRunTicks = d.MaxRunTicks
-	}
-	if o.FloorScale <= 0 {
-		o.FloorScale = 1
-	}
+	orDefault(&o.Slaves, d.Slaves)
+	orDefault(&o.InputMB, d.InputMB)
+	orDefault(&o.TrainRuns, d.TrainRuns)
+	orDefault(&o.RunsPerFault, d.RunsPerFault)
+	orDefault(&o.SignatureRuns, d.SignatureRuns)
+	orDefault(&o.FaultStart, d.FaultStart)
+	orDefault(&o.FaultTicks, d.FaultTicks)
+	orDefault(&o.SessionTicks, d.SessionTicks)
 	if o.Config.Assoc == nil {
 		o.Config = d.Config
 	}
@@ -175,18 +148,6 @@ type RunResult struct {
 	DurationTicks int
 	// MeanQueryTicks is the mean completed-query latency (interactive).
 	MeanQueryTicks float64
-}
-
-// newCluster builds the run's cluster.
-func (r *Runner) newCluster(runSeed int64) *cluster.Cluster {
-	var c *cluster.Cluster
-	if r.opts.Heterogeneous {
-		c = cluster.NewHeterogeneous(r.opts.Slaves, runSeed)
-	} else {
-		c = cluster.New(r.opts.Slaves, runSeed)
-	}
-	c.CrossTraffic = r.opts.CrossTraffic
-	return c
 }
 
 // runSeed derives a per-run seed from the experiment seed, a stream label
@@ -266,7 +227,7 @@ func (r *Runner) RunCross(w workload.Type, kind faults.Kind, idx int) (*RunResul
 		res.Fault = kind
 		res.TargetIP = victim.IP
 		res.CulpritIP = culprit.IP
-		res.Window = faults.Window{Start: r.opts.FaultStart, End: r.opts.MaxRunTicks}
+		res.Window = faults.Window{Start: r.opts.FaultStart, End: maxRunTicks}
 		ci, err := faults.NewCross(kind, res.Window, rng)
 		if err != nil {
 			return err
@@ -274,6 +235,23 @@ func (r *Runner) RunCross(w workload.Type, kind faults.Kind, idx int) (*RunResul
 		culprit.Attach(ci.Culprit())
 		if v := ci.Victim(); v != nil {
 			victim.Attach(v)
+		}
+		return nil
+	})
+}
+
+// runPair executes a run with two faults injected on the same target node.
+func (r *Runner) runPair(w workload.Type, a, b faults.Kind, idx int) (*RunResult, error) {
+	return r.execute(w, "pair/"+string(a)+"+"+string(b), idx, func(c *cluster.Cluster, rng *stats.RNG, res *RunResult) error {
+		target := c.Slaves()[0]
+		res.TargetIP = target.IP
+		res.Fault = a // primary label; both are active
+		for i, kind := range []faults.Kind{a, b} {
+			inj, err := faults.New(kind, res.Window, rng.Fork(int64(i)))
+			if err != nil {
+				return err
+			}
+			target.Attach(inj)
 		}
 		return nil
 	})
@@ -297,10 +275,10 @@ func (r *Runner) runWithPerturbation(w workload.Type, idx int, mk func(faults.Wi
 // setup callback installs, drive the workload, and collect traces.
 func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *cluster.Cluster, rng *stats.RNG, res *RunResult) error) (*RunResult, error) {
 	seed := r.runSeed(string(w)+"/"+stream, idx)
-	c := r.newCluster(seed)
+	c := cluster.NewHeterogeneous(r.opts.Slaves, seed)
+	c.CrossTraffic = r.opts.CrossTraffic
 	rng := stats.NewRNG(seed + 7)
 	collector := metrics.NewCollector(rng.Fork(1))
-	collector.FloorScale = r.opts.FloorScale
 	sampler := cpi.NewSampler(rng.Fork(2))
 
 	res := &RunResult{Traces: make(map[string]*metrics.Trace)}
@@ -324,7 +302,7 @@ func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *
 	}
 
 	if workload.IsInteractive(w) {
-		sess := workload.NewSession(c, rng.Fork(4), r.opts.SessionRate)
+		sess := workload.NewSession(c, rng.Fork(4), sessionRate)
 		for t := 0; t < r.opts.SessionTicks; t++ {
 			sess.Tick()
 			c.Step()
@@ -340,11 +318,11 @@ func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *
 	spec := workload.NewJob(w, workload.Params{InputMB: r.opts.InputMB, RNG: rng.Fork(5)})
 	spec = faults.TransformSpec(res.Fault, spec)
 	j := c.Submit(spec)
-	err := c.RunUntilDone(j, r.opts.MaxRunTicks, observe)
+	err := c.RunUntilDone(j, maxRunTicks, observe)
 	if err != nil {
 		// A wedged run (e.g. Suspend on every replica holder) still
 		// produced traces; report what happened.
-		res.DurationTicks = r.opts.MaxRunTicks
+		res.DurationTicks = maxRunTicks
 		return res, nil
 	}
 	res.DurationTicks = j.DurationTicks()
@@ -366,99 +344,85 @@ func (res *RunResult) TargetTrace() *metrics.Trace {
 // final training run (useful to seed monitors).
 func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error) {
 	sys := core.New(r.opts.Config)
-	var runs []*RunResult
-	for i := 0; i < r.opts.TrainRuns; i++ {
-		res, err := r.Run(w, "", i)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: training run %d: %w", i, err)
-		}
-		runs = append(runs, res)
+	runs, err := r.normalRuns(w)
+	if err != nil {
+		return nil, nil, err
 	}
-	ips := make([]string, 0, len(runs[0].Traces))
-	for ip := range runs[0].Traces {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
+	ips := sortedKeys(runs[0].Traces)
 	trainOne := func(ip string) error {
-		ctx := core.Context{Workload: string(w), IP: ip}
-		prof := sys.Profile(ctx)
-		var cpis [][]float64
-		var windows []*metrics.Trace
-		for _, res := range runs {
-			tr := res.Traces[ip]
-			cpis = append(cpis, tr.CPI)
-			// Invariant baselines are trained on windows of the same
-			// length as the diagnosis windows. MIC estimates depend on
-			// the sample size, so comparing a full-run baseline against
-			// a 30-sample abnormal window would register spurious
-			// violations everywhere; matched windows make baseline and
-			// abnormal scores exchangeable under normal operation, and
-			// Algorithm 1's stability test then prunes any pair whose
-			// windowed association genuinely fluctuates.
-			windows = append(windows, r.trainWindows(tr)...)
-		}
+		prof := sys.Profile(core.Context{Workload: string(w), IP: ip})
+		cpis, windows := r.trainingSet(runs, ip)
 		if err := prof.TrainPerformanceModel(cpis); err != nil {
 			return err
 		}
 		return prof.TrainInvariants(windows)
 	}
-	if !r.opts.Config.UseContext {
-		// Every node feeds the single global profile; keep the pooled
-		// accumulation sequential so the final refit sees the whole pool.
-		for _, ip := range ips {
-			if err := trainOne(ip); err != nil {
-				return nil, nil, err
-			}
-		}
-		return sys, runs, nil
-	}
 	// Per-context profiles are independent: train every node concurrently.
+	// Without operation context every node feeds the single global profile,
+	// so each waits for the one before and the final refit sees the whole
+	// pool.
 	errs := make([]error, len(ips))
 	var wg sync.WaitGroup
 	for i, ip := range ips {
 		wg.Add(1)
-		go func(i int, ip string) {
+		go func() {
 			defer wg.Done()
 			errs[i] = trainOne(ip)
-		}(i, ip)
+		}()
+		if !r.opts.Config.UseContext {
+			wg.Wait()
+		}
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 	return sys, runs, nil
 }
 
-// trainWindows cuts invariant-training windows from one normal run per the
-// options: by default a single window at the fault offset; with a positive
-// InvariantStride, windows of the fault length at that stride.
-func (r *Runner) trainWindows(tr *metrics.Trace) []*metrics.Trace {
-	winLen := r.opts.FaultTicks
-	if tr.Len() <= winLen {
-		return []*metrics.Trace{tr}
-	}
-	if r.opts.InvariantStride <= 0 {
-		start := r.opts.FaultStart
-		if start+winLen > tr.Len() {
-			start = tr.Len() - winLen
-		}
-		win, err := tr.Slice(start, start+winLen)
+// normalRuns executes the TrainRuns normal runs of w everything trains on.
+func (r *Runner) normalRuns(w workload.Type) ([]*RunResult, error) {
+	var runs []*RunResult
+	for i := 0; i < r.opts.TrainRuns; i++ {
+		res, err := r.Run(w, "", i)
 		if err != nil {
-			return []*metrics.Trace{tr}
+			return nil, fmt.Errorf("experiments: training run %d: %w", i, err)
 		}
-		return []*metrics.Trace{win}
+		runs = append(runs, res)
 	}
-	var out []*metrics.Trace
-	for start := 0; start+winLen <= tr.Len(); start += r.opts.InvariantStride {
-		win, err := tr.Slice(start, start+winLen)
+	return runs, nil
+}
+
+// trainingSet cuts node ip's training material out of normal runs: the CPI
+// series, and one invariant-training window per run at the fault offset — the
+// paper's "N runs give N association matrices", aligned with the job phase a
+// fault window covers (the whole run when it is shorter than a window).
+// Baselines are trained on windows of the diagnosis windows' length: MIC
+// estimates depend on the sample size, so comparing a full-run baseline
+// against a 30-sample abnormal window would register spurious violations
+// everywhere; matched windows make baseline and abnormal scores exchangeable
+// under normal operation, and Algorithm 1's stability test then prunes any
+// pair whose windowed association genuinely fluctuates.
+func (r *Runner) trainingSet(runs []*RunResult, ip string) (cpis [][]float64, windows []*metrics.Trace) {
+	for _, res := range runs {
+		tr := res.Traces[ip]
+		win, err := AbnormalWindow(tr, r.opts.FaultStart, r.opts.FaultTicks)
 		if err != nil {
-			break
+			win = tr
 		}
-		out = append(out, win)
+		cpis, windows = append(cpis, tr.CPI), append(windows, win)
 	}
-	return out
+	return cpis, windows
+}
+
+// sortedKeys returns m's keys in order, for deterministic iteration.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // FaultKindsFor returns the fault set evaluated under workload w: all 15

@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"invarnetx/internal/arx"
 	"invarnetx/internal/core"
 	"invarnetx/internal/detect"
 	"invarnetx/internal/faults"
-	"invarnetx/internal/metrics"
 	"invarnetx/internal/workload"
 )
 
@@ -33,16 +31,11 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1Workloads mirrors the paper's rows: Wordcount, Sort, Grep and the
-// interactive mix.
-func Table1Workloads() []workload.Type {
-	return []workload.Type{workload.Wordcount, workload.Sort, workload.Grep, workload.TPCDS}
-}
-
-// RunTable1 measures the stage costs for each workload.
+// RunTable1 measures the stage costs for the paper's rows: Wordcount, Sort,
+// Grep and the interactive mix.
 func (r *Runner) RunTable1() (*Table1Result, error) {
 	out := &Table1Result{}
-	for _, w := range Table1Workloads() {
+	for _, w := range []workload.Type{workload.Wordcount, workload.Sort, workload.Grep, workload.TPCDS} {
 		row, err := r.runTable1Row(w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 1 %s: %w", w, err)
@@ -57,17 +50,11 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 
 	// Collect training material once (data collection is not part of the
 	// measured stages; the paper reports it separately as <5 % CPU).
-	var cpis [][]float64
-	var windows []*metrics.Trace
-	for i := 0; i < r.opts.TrainRuns; i++ {
-		res, err := r.Run(w, "", i)
-		if err != nil {
-			return nil, err
-		}
-		tr := res.Traces[firstSlaveIP]
-		cpis = append(cpis, tr.CPI)
-		windows = append(windows, r.trainWindows(tr)...)
+	runs, err := r.normalRuns(w)
+	if err != nil {
+		return nil, err
 	}
+	cpis, windows := r.trainingSet(runs, firstSlaveIP)
 
 	// Perf-M: ARIMA model + thresholds.
 	start := time.Now()
@@ -87,31 +74,6 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 		return nil, err
 	}
 
-	// Sig-B: compute the violation tuple of one investigated problem and
-	// store it. The measured systems run with the association cache off:
-	// Table 1 reports cold per-stage compute costs, and BuildSignature
-	// would otherwise warm the cache with the very window Cause-I is
-	// timed on, turning inference into a lookup.
-	coldCfg := r.opts.Config
-	coldCfg.AssocCacheSize = -1
-	sys := core.New(coldCfg)
-	ctx := core.Context{Workload: string(w), IP: fres.TargetIP}
-	if err := sys.TrainPerformanceModel(ctx, cpis); err != nil {
-		return nil, err
-	}
-	// Invar-C: pairwise MIC matrices over the N windows + selection, on the
-	// batch path when the configured measure has one (stock MIC does).
-	start = time.Now()
-	if err := sys.TrainInvariants(ctx, windows); err != nil {
-		return nil, err
-	}
-	row.InvarC = time.Since(start)
-	start = time.Now()
-	if err := sys.BuildSignature(ctx, string(faults.CPUHog), win); err != nil {
-		return nil, err
-	}
-	row.SigB = time.Since(start)
-
 	// Perf-D: one online detection step (predict, compare, advance) of a
 	// warmed-up monitor — what every ingested CPI sample costs.
 	trace := fres.TargetTrace().CPI
@@ -124,38 +86,41 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 	}
 	row.PerfD = time.Since(start) / detectReps
 
-	// Cause-I: violation tuple + signature retrieval.
-	start = time.Now()
-	if _, err := sys.Diagnose(ctx, win); err != nil {
+	// stages times the three association-bound stages under one measure.
+	// Invar-C: pairwise matrices over the N windows + selection (on the
+	// batch path when the measure has one — stock MIC does, ARX pays the
+	// full per-call cost for every pair). Sig-B: the violation tuple of one
+	// investigated problem, stored. Cause-I: violation tuple + signature
+	// retrieval. The association cache is off: Table 1 reports cold
+	// per-stage costs, and BuildSignature would otherwise warm the cache
+	// with the very window Cause-I is timed on, turning inference into a
+	// lookup.
+	ctx := core.Context{Workload: string(w), IP: fres.TargetIP}
+	stages := func(cfg core.Config) (invar, sig, cause time.Duration, err error) {
+		cfg.AssocCacheSize = -1
+		sys := core.New(cfg)
+		if err = sys.TrainPerformanceModel(ctx, cpis); err != nil {
+			return
+		}
+		start := time.Now()
+		if err = sys.TrainInvariants(ctx, windows); err != nil {
+			return
+		}
+		invar = time.Since(start)
+		start = time.Now()
+		if err = sys.BuildSignature(ctx, string(faults.CPUHog), win); err != nil {
+			return
+		}
+		sig = time.Since(start)
+		start = time.Now()
+		_, err = sys.Diagnose(ctx, win)
+		return invar, sig, time.Since(start), err
+	}
+	if row.InvarC, row.SigB, row.CauseI, err = stages(r.opts.Config); err != nil {
 		return nil, err
 	}
-	row.CauseI = time.Since(start)
-
-	// Cause-I (ARX): the same inference with ARX association (cache off,
-	// as above).
-	arxCfg := coldCfg
-	arxCfg.Assoc = arx.Association
-	arxCfg.AssocName = "arx"
-	arxSys := core.New(arxCfg)
-	if err := arxSys.TrainPerformanceModel(ctx, cpis); err != nil {
-		return nil, err
-	}
-	// Invar-C (ARX): the same construction with the ARX fitness measure,
-	// which has no batch form — every pair pays the full per-call cost.
-	start = time.Now()
-	if err := arxSys.TrainInvariants(ctx, windows); err != nil {
-		return nil, err
-	}
-	row.InvarARX = time.Since(start)
-	if err := arxSys.BuildSignature(ctx, string(faults.CPUHog), win); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	if _, err := arxSys.Diagnose(ctx, win); err != nil {
-		return nil, err
-	}
-	row.CauseARX = time.Since(start)
-	return row, nil
+	row.InvarARX, _, row.CauseARX, err = stages(configFor(VariantARX, r.opts.Config))
+	return row, err
 }
 
 // Print writes the Table 1 rows.

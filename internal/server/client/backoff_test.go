@@ -74,6 +74,42 @@ func TestRunLoadBacksOffOnShed(t *testing.T) {
 	}
 }
 
+// TestRunLoadCountsDiagnoseShedApart pins the batch invariant: Sent counts
+// ingest batches only, so a shed diagnose must not land in the batch Shed
+// column — it used to, which made Accepted+Shed exceed Sent whenever a
+// diagnose was refused.
+func TestRunLoadCountsDiagnoseShedApart(t *testing.T) {
+	h := http.NewServeMux()
+	h.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(map[string]any{"accepted": 1})
+	})
+	h.HandleFunc("POST /v1/diagnose", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(map[string]string{"error": "diagnose queue full"})
+	})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	c := New(srv.URL, nil)
+	pauses := 0
+	c.sleep = func(ctx context.Context, d time.Duration) error { pauses++; return nil }
+
+	rep := c.RunLoad(context.Background(), LoadConfig{Streams: 1, Batches: 6, BatchLen: 2, DiagnoseEvery: 2})
+	if rep.Sent != 6 || rep.Accepted != 6 || rep.Shed != 0 {
+		t.Fatalf("batches: sent=%d accepted=%d shed=%d, want 6/6/0", rep.Sent, rep.Accepted, rep.Shed)
+	}
+	if rep.Accepted+rep.Shed != rep.Sent {
+		t.Fatalf("sent=%d but accepted=%d + shed=%d", rep.Sent, rep.Accepted, rep.Shed)
+	}
+	if rep.DiagnoseShed != 3 || rep.Diagnoses != 0 || rep.Errors != 0 {
+		t.Fatalf("diagnoses: issued=%d shed=%d errors=%d, want 0/3/0", rep.Diagnoses, rep.DiagnoseShed, rep.Errors)
+	}
+	if pauses != 3 {
+		t.Fatalf("paused %d times, want one backoff per shed diagnose (3)", pauses)
+	}
+}
+
 // TestShedBackoffGrowsAndResets exercises the pacing state directly: the
 // jittered exponential grows monotonically in expectation, never exceeds
 // the cap, and reset clears the streak.

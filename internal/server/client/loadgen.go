@@ -74,15 +74,18 @@ func (c LoadConfig) StreamID(i int) (workload, node string) {
 	return workload, node
 }
 
-// LoadReport aggregates one load-generator run.
+// LoadReport aggregates one load-generator run. Sent, Accepted and Shed count
+// ingest batches only, so on an error-free run that finished its batches
+// Accepted + Shed == Sent; diagnose requests have their own pair.
 type LoadReport struct {
-	Sent      int64 // batches attempted
-	Accepted  int64 // batches accepted (202)
-	Shed      int64 // batches refused with 429 (backpressure working)
-	Errors    int64 // transport errors or unexpected statuses
-	Samples   int64 // samples accepted
-	Diagnoses int64 // async diagnoses issued
-	ReportIDs []string
+	Sent         int64 // batches attempted
+	Accepted     int64 // batches accepted (202)
+	Shed         int64 // batches refused with 429 (backpressure working)
+	Errors       int64 // transport errors or unexpected statuses
+	Samples      int64 // samples accepted
+	Diagnoses    int64 // async diagnoses issued
+	DiagnoseShed int64 // diagnose requests refused with 429
+	ReportIDs    []string
 }
 
 // SynthBatch generates one batch of coupled synthetic samples: the leading
@@ -166,16 +169,16 @@ func (b *shedBackoff) delay(err error) time.Duration {
 func (b *shedBackoff) reset() { b.consecutive = 0 }
 
 // RunLoad drives cfg.Streams concurrent ingest streams against the server at
-// c until every stream has sent its batches or ctx is cancelled. Shed batches
+// c until every stream has sent its batches or ctx is cancelled. Shed requests
 // (429) are counted and honoured: the stream backs off with capped,
 // jittered exponential delays floored by the server's Retry-After hint
-// before sending anything further — the report's Shed column is the
-// backpressure observability, and at full speed a nonzero value is expected.
+// before sending anything further — the report's Shed and DiagnoseShed columns
+// are the backpressure observability, and at full speed nonzero values are
+// expected.
 func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 	cfg = cfg.withDefaults()
 	rep := &LoadReport{}
-	var mu sync.Mutex // ReportIDs
-	var sent, accepted, shed, errs, samples, diagnoses atomic.Int64
+	var mu sync.Mutex // ReportIDs; the counters are bumped atomically
 
 	var wg sync.WaitGroup
 	root := stats.NewRNG(cfg.Seed)
@@ -191,7 +194,7 @@ func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 					return
 				}
 				batch := SynthBatch(rng, cfg, cfg.BatchLen)
-				sent.Add(1)
+				atomic.AddInt64(&rep.Sent, 1)
 				var resp *server.IngestResponse
 				var err error
 				if cfg.Binary {
@@ -201,37 +204,37 @@ func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 				}
 				switch {
 				case err == nil:
-					accepted.Add(1)
-					samples.Add(int64(resp.Accepted))
+					atomic.AddInt64(&rep.Accepted, 1)
+					atomic.AddInt64(&rep.Samples, int64(resp.Accepted))
 					bo.reset()
 				case IsShed(err):
-					shed.Add(1)
+					atomic.AddInt64(&rep.Shed, 1)
 					if c.pause(ctx, bo.delay(err)) != nil {
 						return
 					}
 				case ctx.Err() != nil:
 					return
 				default:
-					errs.Add(1)
+					atomic.AddInt64(&rep.Errors, 1)
 				}
 				if cfg.DiagnoseEvery > 0 && (b+1)%cfg.DiagnoseEvery == 0 {
 					d, err := c.Diagnose(ctx, workload, node, nil, false)
 					switch {
 					case err == nil:
-						diagnoses.Add(1)
+						atomic.AddInt64(&rep.Diagnoses, 1)
 						mu.Lock()
 						rep.ReportIDs = append(rep.ReportIDs, d.ID)
 						mu.Unlock()
 						bo.reset()
 					case IsShed(err):
-						shed.Add(1)
+						atomic.AddInt64(&rep.DiagnoseShed, 1)
 						if c.pause(ctx, bo.delay(err)) != nil {
 							return
 						}
 					case ctx.Err() != nil:
 						return
 					default:
-						errs.Add(1)
+						atomic.AddInt64(&rep.Errors, 1)
 					}
 				}
 				if cfg.Interval > 0 {
@@ -245,11 +248,5 @@ func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 		}()
 	}
 	wg.Wait()
-	rep.Sent = sent.Load()
-	rep.Accepted = accepted.Load()
-	rep.Shed = shed.Load()
-	rep.Errors = errs.Load()
-	rep.Samples = samples.Load()
-	rep.Diagnoses = diagnoses.Load()
 	return rep
 }

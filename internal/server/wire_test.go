@@ -234,3 +234,45 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		t.Error("splitFrame accepted a truncated prefix")
 	}
 }
+
+// TestIngestBatchPathAllocs pins the steady-state ingest hot path at zero
+// allocations: a binary frame decoded into a recycled ingestBatch (what
+// batchPool hands a request once warm) and slid into a full colWindow. A
+// per-sample allocation creeping in here is invisible to a wall-clock budget
+// and shows immediately in this count — with validity masks on the wire as
+// much as without.
+func TestIngestBatchPathAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+	}{
+		{"clean", testSamples(24)},
+		{"masked", maskedSamples(stats.NewRNG(3), 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame, err := EncodeFrame("wordcount", "10.0.0.2", tc.samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := splitFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w colWindow
+			w.init(60)
+			b := new(ingestBatch)
+			step := func() {
+				if _, _, err := decodeFrame(body, b); err != nil {
+					t.Fatal(err)
+				}
+				w.slide(b)
+			}
+			for w.n < w.cap { // fill the window: steady state is the evicting slide
+				step()
+			}
+			if got := testing.AllocsPerRun(100, step); got != 0 {
+				t.Errorf("decode + slide allocates %v times per %d-sample batch, want 0", got, len(tc.samples))
+			}
+		})
+	}
+}

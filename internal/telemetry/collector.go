@@ -99,16 +99,6 @@ func (c *Collector) Health(ip string) NodeHealth {
 	return NodeHealth{IP: ip}
 }
 
-// Healths returns the health records of every node seen, in no particular
-// order.
-func (c *Collector) Healths() []NodeHealth {
-	out := make([]NodeHealth, 0, len(c.nodes))
-	for _, st := range c.nodes {
-		out = append(out, st.health)
-	}
-	return out
-}
-
 // Ingest pushes one raw reading batch for node ip through the pipeline and
 // appends the resulting (possibly gap-filled) samples to tr. It returns
 // the live view of the tick.

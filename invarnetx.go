@@ -255,6 +255,19 @@ type (
 	ExperimentRunner = experiments.Runner
 	// Study is a full-pipeline diagnosis result (Figs. 7-10).
 	Study = experiments.Study
+	// Scenario is one row of a study: a run and how the pipeline sees it.
+	// ExperimentRunner.Label stores rows as signatures; Observe monitors,
+	// windows and diagnoses one.
+	Scenario = experiments.Scenario
+	// Outcome is what ExperimentRunner.Observe saw on one Scenario.
+	Outcome = experiments.Outcome
+)
+
+// Where a Scenario's diagnosis window starts: at the known fault start, or
+// at the online monitor's alert.
+const (
+	OracleWindow = experiments.Oracle
+	AlertWindow  = experiments.Alert
 )
 
 // DefaultExperimentOptions returns the paper-shaped experiment sizing.

@@ -4,8 +4,9 @@
 // via the typed client, the same path production traffic takes. The json
 // and binary sub-benchmarks run the identical workload through the two
 // ingest encodings, so their samples/sec ratio is the measured speedup of
-// the wire-speed data plane and their allocs/op difference is pinned by the
-// bench-compare gate.
+// the wire-speed data plane. A developer tool, not a gate: the steady-state
+// allocation count of the ingest batch path is pinned by
+// server.TestIngestBatchPathAllocs, wall-clock by bench/.
 package invarnetx
 
 import (
