@@ -1,8 +1,8 @@
 # Verification tiers.
 #
 #   make test          — tier 1: build everything, run the full unit suite
-#                        (including the allocation pins on the ingest and
-#                        signature-retrieval hot paths)
+#                        (including the allocation pins on the ingest,
+#                        signature-retrieval and store-restore hot paths)
 #   make vet           — go vet, and fail on any file gofmt would rewrite
 #   make race          — tier 2: vet + the full suite under the race detector
 #   make smoke         — boot invarnetd on an ephemeral port, run the load
@@ -69,7 +69,9 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided run of the binary wire-decoder fuzzer; the seed
-# corpus alone (run by `make test`) only replays known shapes.
+# Short coverage-guided runs of the binary wire-decoder fuzzer and of the
+# store reader's (every xmlstore file kind, checked against encoding/xml);
+# the seed corpora alone (run by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s

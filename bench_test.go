@@ -673,6 +673,25 @@ func benchSynthTrace(rng *RNG, nodeIP string, length, coupled int, decoupled boo
 	return tr
 }
 
+// benchTrainContext trains ctx's performance model and invariants on three
+// synthetic 60-tick runs with eight coupled metrics.
+func benchTrainContext(b *testing.B, sys *System, rng *RNG, ctx Context) {
+	b.Helper()
+	var runs []*MetricsTrace
+	var cpis [][]float64
+	for r := 0; r < 3; r++ {
+		tr := benchSynthTrace(rng, ctx.IP, 60, 8, false)
+		runs = append(runs, tr)
+		cpis = append(cpis, tr.CPI)
+	}
+	if err := sys.TrainPerformanceModel(ctx, cpis); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.TrainInvariants(ctx, runs); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkConcurrentDiagnose measures diagnosis throughput when GOMAXPROCS
 // goroutines hammer 1, 2, 4 or 8 operation contexts. Each context is its own
 // profile (own lock, own association cache), so throughput should scale near
@@ -688,19 +707,7 @@ func BenchmarkConcurrentDiagnose(b *testing.B) {
 			for i := range ctxs {
 				ip := fmt.Sprintf("10.0.0.%d", i+2)
 				ctxs[i] = Context{Workload: string(Wordcount), IP: ip}
-				var runs []*MetricsTrace
-				var cpis [][]float64
-				for r := 0; r < 3; r++ {
-					tr := benchSynthTrace(rng, ip, 60, 8, false)
-					runs = append(runs, tr)
-					cpis = append(cpis, tr.CPI)
-				}
-				if err := sys.TrainPerformanceModel(ctxs[i], cpis); err != nil {
-					b.Fatal(err)
-				}
-				if err := sys.TrainInvariants(ctxs[i], runs); err != nil {
-					b.Fatal(err)
-				}
+				benchTrainContext(b, sys, rng, ctxs[i])
 				wins[i] = benchSynthTrace(rng, ip, 30, 8, true)
 				if err := sys.BuildSignature(ctxs[i], "cpu-hog", wins[i]); err != nil {
 					b.Fatal(err)
@@ -721,6 +728,48 @@ func BenchmarkConcurrentDiagnose(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkLoadFrom measures restart cost: one LoadFrom of a saved store of
+// 16 contexts with 250 signatures each into a fresh system — the shape of the
+// end-to-end benchmark's persist workload. server.New restores the store
+// before any worker starts, so this time is daemon downtime.
+func BenchmarkLoadFrom(b *testing.B) {
+	const contexts, sigsPerContext = 16, 250
+	sys := New(DefaultConfig())
+	rng := NewRNG(5)
+	for i := 0; i < contexts; i++ {
+		ip := fmt.Sprintf("10.0.0.%d", i+2)
+		ctx := Context{Workload: string(Wordcount), IP: ip}
+		benchTrainContext(b, sys, rng, ctx)
+		set, err := sys.Invariants(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; sys.Profile(ctx).SignatureCount() < sigsPerContext; k++ {
+			tuple := make(signature.Tuple, set.Len())
+			for j := range tuple {
+				tuple[j] = rng.Bernoulli(0.2)
+			}
+			sys.MergeSignature(signature.Entry{Tuple: tuple, Problem: fmt.Sprintf("fault-%d", k%18), IP: ip, Workload: ctx.Workload})
+		}
+	}
+	dir := b.TempDir()
+	if err := sys.SaveTo(dir); err != nil {
+		b.Fatal(err)
+	}
+	rep, err := New(DefaultConfig()).LoadFrom(dir)
+	if err != nil || rep.Partial() || rep.Signatures != contexts*sigsPerContext {
+		b.Fatalf("restore: %v, %v", rep, err)
+	}
+	b.SetBytes(rep.Bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(DefaultConfig()).LoadFrom(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 
 	"invarnetx/internal/xmlstore"
 )
@@ -136,14 +137,20 @@ type SkippedFile struct {
 	Err  error
 }
 
-// LoadReport summarises a LoadFrom: how many artefacts were recovered and
-// which files were skipped as corrupt or unreadable.
+// LoadReport summarises a LoadFrom: how many artefacts were recovered, which
+// files were skipped as corrupt or unreadable, and what the restore cost —
+// store files read (skipped ones included), their size, and the wall time,
+// which for a daemon is time spent not serving.
 type LoadReport struct {
 	Models     int
 	Invariants int
 	Signatures int
 	Lifecycles int
 	Skipped    []SkippedFile
+
+	Files   int
+	Bytes   int64
+	Elapsed time.Duration
 }
 
 // Partial reports whether any store file had to be skipped.
@@ -155,6 +162,11 @@ func (r *LoadReport) String() string {
 	if r.Lifecycles > 0 {
 		s += fmt.Sprintf(", %d lifecycle states", r.Lifecycles)
 	}
+	size := fmt.Sprintf("%.1f MB", float64(r.Bytes)/1e6)
+	if r.Bytes < 1e5 {
+		size = fmt.Sprintf("%.1f kB", float64(r.Bytes)/1e3)
+	}
+	s += fmt.Sprintf(" from %d files (%s) in %d ms", r.Files, size, r.Elapsed.Milliseconds())
 	if r.Partial() {
 		names := make([]string, len(r.Skipped))
 		for i, sk := range r.Skipped {
@@ -176,6 +188,7 @@ func (r *LoadReport) String() string {
 // still intact comes back. The error return is reserved for dir-level
 // failures (the directory itself unreadable).
 func (s *System) LoadFrom(dir string) (*LoadReport, error) {
+	start := time.Now()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -195,8 +208,21 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 	for _, e := range entries {
 		name := e.Name()
 		full := filepath.Join(dir, name)
+		kind, _, _ := strings.Cut(name, "-")
 		switch {
-		case strings.HasPrefix(name, "model-") && strings.HasSuffix(name, ".xml"):
+		case !strings.HasSuffix(name, ".xml"):
+			continue
+		case kind == "lifecycle" && !s.cfg.Lifecycle.Enabled:
+			continue // train-once deployment: lifecycle state is inert
+		case kind != "model" && kind != "invariants" && kind != "lifecycle" && kind != "signatures":
+			continue
+		}
+		rep.Files++
+		if info, err := e.Info(); err == nil {
+			rep.Bytes += info.Size()
+		}
+		switch kind {
+		case "model":
 			var f xmlstore.ModelFile
 			if err := xmlstore.LoadFile(full, &f); err != nil {
 				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
@@ -209,7 +235,7 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 			}
 			s.Profile(loadedCtx(f.Type, f.IP)).setDetector(d)
 			rep.Models++
-		case strings.HasPrefix(name, "invariants-") && strings.HasSuffix(name, ".xml"):
+		case "invariants":
 			var f xmlstore.InvariantFile
 			if err := xmlstore.LoadFile(full, &f); err != nil {
 				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
@@ -222,10 +248,7 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 			}
 			s.Profile(loadedCtx(f.Type, f.IP)).setInvariants(set)
 			rep.Invariants++
-		case strings.HasPrefix(name, "lifecycle-") && strings.HasSuffix(name, ".xml"):
-			if !s.cfg.Lifecycle.Enabled {
-				continue // train-once deployment: lifecycle state is inert
-			}
+		case "lifecycle":
 			var f xmlstore.LifecycleFile
 			if err := xmlstore.LoadFile(full, &f); err != nil {
 				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
@@ -236,17 +259,16 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 				continue
 			}
 			lifecycles = append(lifecycles, pendingLifecycle{name: name, f: f})
-		case strings.HasPrefix(name, "signatures-") && strings.HasSuffix(name, ".xml"):
-			var f xmlstore.SignatureFile
-			if err := xmlstore.LoadFile(full, &f); err != nil {
-				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
-				continue
-			}
+		case "signatures":
 			// The whole file parses and is checked against its own scope
 			// before anything merges: one bad tuple or one entry of another
 			// context skips the file, never half of it.
-			sigs, err := f.ParseEntries()
-			scope := s.key(loadedCtx(f.Type, f.IP))
+			ip, workloadType, sigs, err := xmlstore.LoadSignatureFile(full)
+			if err != nil {
+				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
+				continue
+			}
+			scope := s.key(loadedCtx(workloadType, ip))
 			for i := 0; err == nil && i < len(sigs); i++ {
 				if ctx := loadedCtx(sigs[i].Workload, sigs[i].IP); s.key(ctx) != scope {
 					err = fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
@@ -276,6 +298,7 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 			rep.Lifecycles++
 		}
 	}
+	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 

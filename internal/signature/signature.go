@@ -32,17 +32,16 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// ParseTuple inverts Tuple.String.
-func ParseTuple(s string) (Tuple, error) {
+// ParseTuple inverts Tuple.String. It takes the 0/1 text as a string or as
+// the bytes of a file being read, without converting one to the other.
+func ParseTuple[S string | []byte](s S) (Tuple, error) {
 	t := make(Tuple, len(s))
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			t[i] = true
-		default:
-			return nil, fmt.Errorf("signature: invalid tuple character %q", s[i])
+		c := s[i]
+		if c != '0' && c != '1' {
+			return nil, fmt.Errorf("signature: invalid tuple character %q", c)
 		}
+		t[i] = c == '1'
 	}
 	return t, nil
 }

@@ -22,6 +22,7 @@ import (
 	"invarnetx/internal/detect"
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/signature"
+	"invarnetx/internal/stats"
 )
 
 // FormatVersion is the store format written by this build. Files carry it
@@ -98,6 +99,20 @@ func (f ModelFile) Decode() (*detect.Detector, error) {
 	if len(f.AR) != f.P || len(f.MA) != f.Q {
 		return nil, fmt.Errorf("xmlstore: coefficient counts (%d,%d) disagree with order (%d,%d)", len(f.AR), len(f.MA), f.P, f.Q)
 	}
+	// strconv reads "NaN" and "Inf" as numbers; a detector holding one never
+	// alerts, and neither does one that needs no or negative evidence.
+	if !stats.AllFinite(f.AR) || !stats.AllFinite(f.MA) || !stats.AllFinite([]float64{f.Intercept, f.Sigma2, f.Upper, f.Lower}) {
+		return nil, errors.New("xmlstore: non-finite coefficient, intercept, variance or threshold")
+	}
+	if f.Sigma2 < 0 {
+		return nil, fmt.Errorf("xmlstore: negative innovation variance %v", f.Sigma2)
+	}
+	if f.Consecutive < 1 {
+		return nil, fmt.Errorf("xmlstore: threshold needs %d consecutive samples", f.Consecutive)
+	}
+	if f.Upper < f.Lower {
+		return nil, fmt.Errorf("xmlstore: upper threshold %v below lower %v", f.Upper, f.Lower)
+	}
 	return &detect.Detector{
 		Model: &arima.Model{
 			Order:     arima.Order{P: f.P, D: f.D, Q: f.Q},
@@ -153,7 +168,17 @@ func (f InvariantFile) Decode() (*invariant.Set, error) {
 		if p.I < 0 || p.J < 0 || p.I >= f.Metrics || p.J >= f.Metrics || p.I == p.J {
 			return nil, fmt.Errorf("xmlstore: invalid invariant pair (%d,%d)", p.I, p.J)
 		}
-		base[invariant.Pair{I: p.I, J: p.J}] = p.Value
+		// An association score lies in [0, 1]; the negated test also refuses NaN.
+		if !(p.Value >= 0 && p.Value <= 1) {
+			return nil, fmt.Errorf("xmlstore: invariant pair (%d,%d) has baseline %v outside [0, 1]", p.I, p.J, p.Value)
+		}
+		// One edge per unordered pair: a repeat, in either orientation, would
+		// silently shorten the tuple the signatures were built on.
+		key := invariant.Pair{I: min(p.I, p.J), J: max(p.I, p.J)}
+		if _, dup := base[key]; dup {
+			return nil, fmt.Errorf("xmlstore: invariant pair (%d,%d) repeated", key.I, key.J)
+		}
+		base[key] = p.Value
 	}
 	return invariant.NewSet(f.Metrics, base), nil
 }
@@ -234,9 +259,25 @@ func Save(w io.Writer, v any) error {
 	return err
 }
 
-// Load parses XML from r into v.
+// Load parses XML from r into v. The document is read whole and lexed in
+// memory by the store's own scanner; v's struct tags are the schema.
 func Load(r io.Reader, v any) error {
-	return xml.NewDecoder(r).Decode(v)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return decode(data, v)
+}
+
+func decode(data []byte, v any) error {
+	s := &scanner{buf: data}
+	if err := xml.NewTokenDecoder(s).Decode(v); err != nil {
+		return err
+	}
+	// Decode stops at the root's end tag; only comments and white space may
+	// follow it.
+	_, err := s.next()
+	return err
 }
 
 // SaveFile writes v as XML to path atomically: the document is written and
@@ -280,10 +321,9 @@ func SaveFile(path string, v any) error {
 
 // LoadFile parses the XML file at path into v.
 func LoadFile(path string, v any) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return Load(f, v)
+	return decode(data, v)
 }

@@ -81,6 +81,80 @@ func TestModelDecodeValidation(t *testing.T) {
 	}
 }
 
+// TestModelDecodeRejectsDeadDetector: strconv reads "NaN" and "Inf" as
+// numbers, so a hand-edited or damaged model file used to load into a
+// detector that can never alert. Each of these decoded silently before.
+func TestModelDecodeRejectsDeadDetector(t *testing.T) {
+	doc := `<performance-model version="1"><p>0</p><d>0</d><q>0</q><ip>a</ip><type>b</type>
+<intercept>0</intercept><sigma2>-1</sigma2>
+<threshold><rule>max-min</rule><upper>NaN</upper><lower>Inf</lower><consecutive>-3</consecutive></threshold></performance-model>`
+	var f ModelFile
+	if err := Load(strings.NewReader(doc), &f); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(f.Upper) || !math.IsInf(f.Lower, 1) || f.Consecutive != -3 || f.Sigma2 != -1 {
+		t.Fatalf("test setup: file read as %+v", f)
+	}
+	if d, err := f.Decode(); err == nil {
+		t.Errorf("NaN/Inf thresholds, negative sigma2 and consecutive decoded into %+v", d)
+	}
+	for name, damage := range map[string]func(*ModelFile){
+		"NaN AR coefficient":  func(f *ModelFile) { f.AR[1] = math.NaN() },
+		"Inf MA coefficient":  func(f *ModelFile) { f.MA[0] = math.Inf(-1) },
+		"NaN intercept":       func(f *ModelFile) { f.Intercept = math.NaN() },
+		"Inf sigma2":          func(f *ModelFile) { f.Sigma2 = math.Inf(1) },
+		"negative sigma2":     func(f *ModelFile) { f.Sigma2 = -1e-9 },
+		"NaN upper":           func(f *ModelFile) { f.Upper = math.NaN() },
+		"Inf lower":           func(f *ModelFile) { f.Lower = math.Inf(-1) },
+		"consecutive 0":       func(f *ModelFile) { f.Consecutive = 0 },
+		"upper below lower":   func(f *ModelFile) { f.Upper, f.Lower = 0.1, 0.2 },
+		"control: undamaged":  nil,
+		"control: equal band": func(f *ModelFile) { f.Upper, f.Lower = 0.2, 0.2 },
+	} {
+		f := EncodeModel(sampleDetector(), "x", "y")
+		f.AR, f.MA = append([]float64(nil), f.AR...), append([]float64(nil), f.MA...)
+		if damage != nil {
+			damage(&f)
+		}
+		_, err := f.Decode()
+		if control := strings.HasPrefix(name, "control"); control != (err == nil) {
+			t.Errorf("%s: Decode err = %v", name, err)
+		}
+	}
+}
+
+// TestInvariantDecodeRejectsNonFiniteAndRepeatedPairs: a NaN baseline can
+// never be violated, and a pair listed twice (in either orientation) made a
+// set one edge shorter than the tuples of the signatures built on it.
+func TestInvariantDecodeRejectsNonFiniteAndRepeatedPairs(t *testing.T) {
+	doc := `<invariants version="1"><ip>a</ip><type>b</type><metrics>3</metrics>
+<matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="7"/></matrix></invariants>`
+	var f InvariantFile
+	if err := Load(strings.NewReader(doc), &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Pairs) != 2 || !math.IsNaN(f.Pairs[0].Value) {
+		t.Fatalf("test setup: file read as %+v", f)
+	}
+	if set, err := f.Decode(); err == nil {
+		t.Errorf("NaN baseline and a repeated pair decoded into %d edges %v", set.Len(), set.Base)
+	}
+	for name, pairs := range map[string][]invariantPair{
+		"NaN baseline":           {{I: 0, J: 1, Value: math.NaN()}},
+		"Inf baseline":           {{I: 0, J: 1, Value: math.Inf(1)}},
+		"baseline above 1":       {{I: 0, J: 1, Value: 7}},
+		"negative baseline":      {{I: 0, J: 1, Value: -0.1}},
+		"pair repeated":          {{I: 0, J: 1, Value: 0.5}, {I: 0, J: 1, Value: 0.5}},
+		"pair repeated reversed": {{I: 0, J: 2, Value: 0.5}, {I: 2, J: 0, Value: 0.6}},
+		"control: bounds":        {{I: 0, J: 1, Value: 0}, {I: 2, J: 1, Value: 1}},
+	} {
+		_, err := InvariantFile{Metrics: 3, Pairs: pairs}.Decode()
+		if control := strings.HasPrefix(name, "control"); control != (err == nil) {
+			t.Errorf("%s: Decode err = %v", name, err)
+		}
+	}
+}
+
 func TestInvariantRoundTrip(t *testing.T) {
 	s := invariant.NewSet(5, map[invariant.Pair]float64{
 		{I: 0, J: 1}: 0.91,
