@@ -34,14 +34,15 @@ type DriftOptions struct {
 	WindowLen int
 	// TrainRuns is the number of clean training windows (default 4).
 	TrainRuns int
-	// PreWindows, ShiftWindows and PostWindows are the phase lengths in
-	// diagnosis windows (defaults 30, 40, 30). The coupling shift lands at
-	// the pre/shift boundary and is permanent.
-	PreWindows, ShiftWindows, PostWindows int
-	// FaultEvery injects one single-window fault burst per this many
-	// windows in every phase (default 6).
-	FaultEvery int
 }
+
+// driftPhaseLens are the pre-shift, shift and post-shift phase lengths in
+// diagnosis windows; the coupling shift lands at the pre/shift boundary and
+// is permanent. Every driftFaultEvery-th window of every phase carries one
+// single-window fault burst.
+var driftPhaseLens = [...]int{30, 40, 30}
+
+const driftFaultEvery = 6
 
 func (o DriftOptions) withDefaults() DriftOptions {
 	if o.Seed == 0 {
@@ -52,10 +53,6 @@ func (o DriftOptions) withDefaults() DriftOptions {
 	}
 	orDefault(&o.WindowLen, 100)
 	orDefault(&o.TrainRuns, 4)
-	orDefault(&o.PreWindows, 30)
-	orDefault(&o.ShiftWindows, 40)
-	orDefault(&o.PostWindows, 30)
-	orDefault(&o.FaultEvery, 6)
 	return o
 }
 
@@ -189,14 +186,13 @@ func RunDriftStudy(opts DriftOptions) (*DriftStudy, error) {
 	driftMetric := opts.Metrics - 1 // shifts permanently at the boundary
 	faultMetric := 1                // bursts for one window at a time
 	var schedule []driftWindow
-	phaseLens := []int{opts.PreWindows, opts.ShiftWindows, opts.PostWindows}
-	for phase, n := range phaseLens {
+	for phase, n := range driftPhaseLens {
 		for i := 0; i < n; i++ {
 			dec := map[int]bool{}
 			if phase > 0 {
 				dec[driftMetric] = true
 			}
-			fault := (i+1)%opts.FaultEvery == 0
+			fault := (i+1)%driftFaultEvery == 0
 			if fault {
 				dec[faultMetric] = true
 			}

@@ -38,10 +38,11 @@ const (
 	DefaultSyncInterval = 2 * time.Second
 	DefaultSuspectAfter = 2
 	DefaultDeadAfter    = 5
-	// defaultRPCTimeout bounds one peer exchange; a wedged peer must cost at
-	// most this per round, not pin the loop.
-	defaultRPCTimeout = 3 * time.Second
 )
+
+// rpcClient is the peer transport. Its timeout bounds one peer exchange: a
+// wedged peer must cost at most this per round, not pin the loop.
+var rpcClient = &http.Client{Timeout: 3 * time.Second}
 
 // Config assembles a fleet peer.
 type Config struct {
@@ -69,8 +70,6 @@ type Config struct {
 	Apply func(Record) bool
 	// Logf, when set, receives membership transitions and sync errors.
 	Logf func(format string, args ...any)
-	// Client is the peer transport; nil selects one with a 3 s timeout.
-	Client *http.Client
 }
 
 // withDefaults normalises the knobs.
@@ -86,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = c.SuspectAfter + 3
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: defaultRPCTimeout}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -223,17 +219,12 @@ func (f *Fleet) Stop(ctx context.Context) {
 		f.cancel()
 	}
 	f.wg.Wait()
-	f.Flush(ctx)
-}
-
-// Flush runs one synchronous anti-entropy round against every non-dead peer
-// — the drain-time delta flush, also usable by tests and the smoke harness
-// to step replication deterministically.
-func (f *Fleet) Flush(ctx context.Context) {
 	f.SyncRound(ctx)
 }
 
-// SyncRound performs one full push-pull exchange with every gossip target.
+// SyncRound performs one full push-pull exchange with every gossip target —
+// the periodic anti-entropy step and the drain-time delta flush, also how
+// tests and the smoke harness step replication deterministically.
 // Exchanges run sequentially — fleets are small and rounds are frequent;
 // bounded wall-clock per round comes from the per-RPC timeout.
 func (f *Fleet) SyncRound(ctx context.Context) {

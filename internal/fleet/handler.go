@@ -121,7 +121,7 @@ func (f *Fleet) post(ctx context.Context, addr, path string, in, out any) error 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := rpcClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -51,25 +51,12 @@ type Sample struct {
 	CPIValid *bool `json:"cpiValid,omitempty"`
 }
 
-// StageMark is an optional execution-stage marker on an ingest batch: the
-// stage label applies from the sample at Index onward (within the batch, and
-// carried forward into the stream's sliding window until the next mark),
-// mirroring metrics.Trace.MarkStage. Indices are batch-relative.
-type StageMark struct {
-	Stage string `json:"stage"`
-	Index int    `json:"index"`
-}
-
 // IngestRequest is one POST /v1/ingest body: a batch of consecutive samples
-// for one stream (one operation context). Stages, when present, annotate the
-// batch with execution-stage boundaries; absent markers leave the stream's
-// stage state untouched, so mark-free ingest behaves exactly as before the
-// spatio-temporal layer existed.
+// for one stream (one operation context).
 type IngestRequest struct {
-	Workload string      `json:"workload"`
-	Node     string      `json:"node"`
-	Samples  []Sample    `json:"samples"`
-	Stages   []StageMark `json:"stages,omitempty"`
+	Workload string   `json:"workload"`
+	Node     string   `json:"node"`
+	Samples  []Sample `json:"samples"`
 }
 
 // IngestResponse acknowledges an accepted batch. Acceptance means the
@@ -105,15 +92,10 @@ type Cause struct {
 	Score   float64 `json:"score"`
 }
 
-// Diagnosis is the wire form of core.Diagnosis. For spatio-temporal (cross)
-// profiles — context node of the form "a~b#stage" — the verdict is localised:
-// Stage carries the execution stage and Culprit the node the root-cause label
-// names, so a caller reads (node, stage) without parsing context strings.
+// Diagnosis is the wire form of core.Diagnosis.
 type Diagnosis struct {
 	Workload   string   `json:"workload"`
 	Node       string   `json:"node"`
-	Stage      string   `json:"stage,omitempty"`
-	Culprit    string   `json:"culprit,omitempty"`
 	Tuple      string   `json:"tuple"` // 0/1 string over the sorted invariant pairs
 	Invariants int      `json:"invariants"`
 	Violations int      `json:"violations"`
@@ -240,27 +222,6 @@ func badValueError(metric, sample int, v float64) error {
 		metric, metrics.Names[metric], sample, v)
 }
 
-// validateStageMarks checks a batch's stage markers: every index must land in
-// [0, n) and the marks must be sorted by strictly increasing index (one label
-// per boundary tick), with non-empty labels short enough for the binary
-// frame's u8 length field.
-func validateStageMarks(marks []StageMark, n int) error {
-	prev := -1
-	for i, m := range marks {
-		if m.Stage == "" || len(m.Stage) > 255 {
-			return fmt.Errorf("server: stage mark %d label length %d outside [1,255]", i, len(m.Stage))
-		}
-		if m.Index < 0 || m.Index >= n {
-			return fmt.Errorf("server: stage mark %d index %d outside the %d-sample batch", i, m.Index, n)
-		}
-		if m.Index <= prev {
-			return fmt.Errorf("server: stage mark %d index %d not strictly increasing", i, m.Index)
-		}
-		prev = m.Index
-	}
-	return nil
-}
-
 // isFinite reports whether v is an admissible wire value (not NaN, not ±Inf).
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
@@ -291,8 +252,8 @@ func TraceFromSamples(workloadType, node string, samples []Sample) (*metrics.Tra
 	}
 	b := getBatch()
 	defer putBatch(b)
-	b.fromSamples(samples, nil)
-	return traceFromColumns(core.Context{Workload: workloadType, IP: node}, b.n, b.n, b.cols, b.valid, b.cpi, b.cpiOK, b.stages), nil
+	b.fromSamples(samples)
+	return traceFromColumns(core.Context{Workload: workloadType, IP: node}, b.n, b.n, b.cols, b.valid, b.cpi, b.cpiOK), nil
 }
 
 // diagnosisWire converts a core.Diagnosis for the wire. Scores are finite
@@ -313,15 +274,6 @@ func diagnosisWire(ctx core.Context, d *core.Diagnosis, invariants int) *Diagnos
 	}
 	for _, c := range d.Causes {
 		out.Causes = append(out.Causes, Cause{Problem: c.Problem, Score: c.Score})
-	}
-	if key, ok := core.ParseCrossContext(ctx); ok {
-		// Spatio-temporal profile: surface the (node, stage) localisation
-		// alongside the raw context, per the cross signature labelling
-		// convention ("kind@culprit").
-		out.Stage = key.Stage
-		if cause := d.RootCause(); cause != "" {
-			_, out.Culprit = core.SplitCulprit(cause)
-		}
 	}
 	return out
 }

@@ -21,7 +21,7 @@ import (
 
 func postFrame(t *testing.T, h http.Handler, workload, node string, samples []Sample) *httptest.ResponseRecorder {
 	t.Helper()
-	buf, err := EncodeFrame(workload, node, samples)
+	buf, err := AppendFrame(nil, workload, node, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

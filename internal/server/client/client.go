@@ -192,28 +192,6 @@ func (c *Client) Report(ctx context.Context, id string) (*server.Report, error) 
 	return &out, nil
 }
 
-// WaitReport polls a report until it leaves pending or ctx expires.
-func (c *Client) WaitReport(ctx context.Context, id string) (*server.Report, error) {
-	backoff := 5 * time.Millisecond
-	for {
-		rep, err := c.Report(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Status != server.StatusPending {
-			return rep, nil
-		}
-		select {
-		case <-ctx.Done():
-			return rep, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
 // Profiles lists the profile registry merged with stream state.
 func (c *Client) Profiles(ctx context.Context) (*server.ProfilesResponse, error) {
 	var out server.ProfilesResponse

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"invarnetx/internal/server"
-	"invarnetx/internal/stats"
 )
 
 // FrameConn streams binary ingest frames over invarnetd's raw TCP listener
@@ -19,92 +17,17 @@ import (
 // connection per sending goroutine, the way a per-node telemetry agent
 // would.
 type FrameConn struct {
-	c    net.Conn
-	addr string // redial target for SendRetry
-	buf  []byte
-	bo   shedBackoff
-
-	// dial and sleep are injectable for virtual-time retry tests; nil selects
-	// net.Dial and a context-aware timer.
-	dial  func(addr string) (net.Conn, error)
-	sleep func(ctx context.Context, d time.Duration) error
+	c   net.Conn
+	buf []byte
 }
 
 // DialIngest connects to a raw TCP ingest listener.
 func DialIngest(addr string) (*FrameConn, error) {
-	fc := newFrameConn(addr)
-	c, err := fc.dial(addr)
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	fc.c = c
-	return fc, nil
-}
-
-// DialIngestRetry connects like DialIngest but rides transient dial failures
-// — connection refused while the daemon boots, a peer mid-restart — with the
-// same capped jittered backoff the HTTP path applies to 429s. It keeps
-// trying until ctx expires; the last dial error is attached to the returned
-// context error so the caller sees why the wait ran out.
-func DialIngestRetry(ctx context.Context, addr string) (*FrameConn, error) {
-	fc := newFrameConn(addr)
-	if err := fc.redial(ctx); err != nil {
-		return nil, err
-	}
-	return fc, nil
-}
-
-// newFrameConn assembles an unconnected FrameConn with real dial/sleep and a
-// backoff stream decorrelated per target address.
-func newFrameConn(addr string) *FrameConn {
-	return &FrameConn{
-		addr: addr,
-		bo:   shedBackoff{rng: stats.NewRNG(time.Now().UnixNano())},
-		dial: func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
-	}
-}
-
-// pause blocks for d or until ctx is cancelled.
-func (fc *FrameConn) pause(ctx context.Context, d time.Duration) error {
-	if fc.sleep != nil {
-		return fc.sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// redial replaces the connection, backing off between attempts until one
-// succeeds or ctx expires. Any existing connection is closed first.
-func (fc *FrameConn) redial(ctx context.Context) error {
-	if fc.c != nil {
-		fc.c.Close()
-		fc.c = nil
-	}
-	var lastErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("client: dialing %s: %w (last attempt: %v)", fc.addr, err, lastErr)
-			}
-			return err
-		}
-		c, err := fc.dial(fc.addr)
-		if err == nil {
-			fc.c = c
-			fc.bo.reset()
-			return nil
-		}
-		lastErr = err
-		if err := fc.pause(ctx, fc.bo.delay(nil)); err != nil {
-			return fmt.Errorf("client: dialing %s: %w (last attempt: %v)", fc.addr, err, lastErr)
-		}
-	}
+	return &FrameConn{c: c}, nil
 }
 
 // Send encodes one batch as a binary frame, writes it, and waits for the
@@ -114,7 +37,7 @@ func (fc *FrameConn) redial(ctx context.Context) error {
 func (fc *FrameConn) Send(workload, node string, samples []server.Sample) (accepted int, err error) {
 	fc.buf, err = server.AppendFrame(fc.buf[:0], workload, node, samples)
 	if err != nil {
-		return 0, &encodeError{err: err}
+		return 0, fmt.Errorf("client: encoding frame: %w", err)
 	}
 	if _, err := fc.c.Write(fc.buf); err != nil {
 		return 0, err
@@ -140,70 +63,5 @@ func (fc *FrameConn) Send(workload, node string, samples []server.Sample) (accep
 	}
 }
 
-// SendRetry is Send with the full retry ladder a long-lived telemetry agent
-// needs: shed frames wait out the capped jittered backoff (Retry-After as a
-// floor) on the same connection; draining responses and transport errors —
-// the daemon restarting under the agent — reconnect through redial's backoff
-// and resend; a frame the server rejects outright is terminal (retrying a
-// malformed frame cannot succeed). Gives up only when ctx expires. An
-// encoding failure never touched the wire and is returned as-is.
-func (fc *FrameConn) SendRetry(ctx context.Context, workload, node string, samples []server.Sample) (int, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		n, err := fc.Send(workload, node, samples)
-		switch {
-		case err == nil:
-			fc.bo.reset()
-			return n, nil
-		case IsShed(err):
-			if serr := fc.pause(ctx, fc.bo.delay(err)); serr != nil {
-				return 0, serr
-			}
-		case isEncodeError(err):
-			// Never touched the wire and will not improve on retry.
-			return 0, err
-		case isDraining(err) || !isAPIError(err):
-			// The daemon is going away (draining) or already gone
-			// (write/read error): the connection is spent either way.
-			if serr := fc.redial(ctx); serr != nil {
-				return 0, serr
-			}
-		default:
-			return 0, err
-		}
-	}
-}
-
-// isDraining reports whether err is the server's drain refusal.
-func isDraining(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.StatusCode == http.StatusServiceUnavailable
-}
-
-// isAPIError reports whether err is a decoded server status (as opposed to a
-// transport failure, where the connection state is unknown).
-func isAPIError(err error) bool {
-	_, ok := err.(*APIError)
-	return ok
-}
-
-// encodeError marks a batch that failed frame encoding client-side.
-type encodeError struct{ err error }
-
-func (e *encodeError) Error() string { return "client: encoding frame: " + e.err.Error() }
-func (e *encodeError) Unwrap() error { return e.err }
-
-func isEncodeError(err error) bool {
-	_, ok := err.(*encodeError)
-	return ok
-}
-
 // Close closes the underlying connection.
-func (fc *FrameConn) Close() error {
-	if fc.c == nil {
-		return nil
-	}
-	return fc.c.Close()
-}
+func (fc *FrameConn) Close() error { return fc.c.Close() }

@@ -1,54 +1,43 @@
 package client
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/server"
-	"invarnetx/internal/stats"
 )
 
 // scriptConn is a net.Conn whose reads pop canned 5-byte frame responses and
 // whose writes can be failed on demand — the TCP ingest listener in a test
-// tube, so the retry ladder runs in virtual time with no sockets.
+// tube, no sockets.
 type scriptConn struct {
-	responses [][]byte
-	writeErrs []error
-	writes    int
+	net.Conn // nil: only Read and Write are reached
+	response []byte
+	writeErr error
+	writes   int
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
-	if len(c.responses) == 0 {
+	if c.response == nil {
 		return 0, errors.New("script: no response left")
 	}
-	r := c.responses[0]
-	c.responses = c.responses[1:]
-	return copy(p, r), nil
+	n := copy(p, c.response)
+	c.response = nil
+	return n, nil
 }
 
 func (c *scriptConn) Write(p []byte) (int, error) {
 	c.writes++
-	if len(c.writeErrs) > 0 {
-		err := c.writeErrs[0]
-		c.writeErrs = c.writeErrs[1:]
-		if err != nil {
-			return 0, err
-		}
+	if c.writeErr != nil {
+		return 0, c.writeErr
 	}
 	return len(p), nil
 }
-
-func (c *scriptConn) Close() error                       { return nil }
-func (c *scriptConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
-func (c *scriptConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
-func (c *scriptConn) SetDeadline(t time.Time) error      { return nil }
-func (c *scriptConn) SetReadDeadline(t time.Time) error  { return nil }
-func (c *scriptConn) SetWriteDeadline(t time.Time) error { return nil }
 
 func frameResp(status byte, detail uint32) []byte {
 	var b [5]byte
@@ -57,148 +46,56 @@ func frameResp(status byte, detail uint32) []byte {
 	return b[:]
 }
 
-// testFrameConn wires a FrameConn to scripted conns and virtual time,
-// recording every pause. dialErrs fail the leading dial attempts.
-func testFrameConn(conns []*scriptConn, dialErrs []error) (*FrameConn, *[]time.Duration) {
-	delays := &[]time.Duration{}
-	fc := newFrameConn("test:0")
-	fc.bo.rng = stats.NewRNG(1)
-	fc.dial = func(string) (net.Conn, error) {
-		if len(dialErrs) > 0 {
-			err := dialErrs[0]
-			dialErrs = dialErrs[1:]
-			if err != nil {
-				return nil, err
+// TestFrameConnSendSurfacesStatus pins what Send hands its caller for each
+// server response: accepted counts come back as-is; shed and draining are
+// *APIError with the HTTP path's status codes (shed recognised by IsShed and
+// carrying the listener's implicit 1 s Retry-After, so one backoff serves
+// both transports); a rejected frame is a 400; a batch the encoder refuses
+// never reaches the wire; a transport failure is not an *APIError.
+func TestFrameConnSendSurfacesStatus(t *testing.T) {
+	good := []server.Sample{{Metrics: make([]float64, metrics.Count), CPI: 1}}
+	broken := errors.New("broken pipe")
+	for _, tc := range []struct {
+		name     string
+		conn     *scriptConn
+		samples  []server.Sample
+		accepted int
+		status   int // expected *APIError status; 0 with no accepted = a non-API failure
+	}{
+		{name: "accepted", conn: &scriptConn{response: frameResp(server.FrameAccepted, 7)}, samples: good, accepted: 7},
+		{name: "shed", conn: &scriptConn{response: frameResp(server.FrameShed, 0)}, samples: good, status: http.StatusTooManyRequests},
+		{name: "draining", conn: &scriptConn{response: frameResp(server.FrameDraining, 0)}, samples: good, status: http.StatusServiceUnavailable},
+		{name: "rejected", conn: &scriptConn{response: frameResp(server.FrameBad, 0)}, samples: good, status: http.StatusBadRequest},
+		{name: "transport", conn: &scriptConn{writeErr: broken}, samples: good},
+		{name: "unencodable", conn: &scriptConn{}, samples: nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := &FrameConn{c: tc.conn}
+			n, err := fc.Send("wc", "n1", tc.samples)
+			if n != tc.accepted {
+				t.Errorf("accepted = %d, want %d", n, tc.accepted)
 			}
-		}
-		if len(conns) == 0 {
-			return nil, errors.New("script: no conn left")
-		}
-		c := conns[0]
-		conns = conns[1:]
-		return c, nil
-	}
-	fc.sleep = func(_ context.Context, d time.Duration) error {
-		*delays = append(*delays, d)
-		return nil
-	}
-	return fc, delays
-}
-
-func oneSample() []server.Sample {
-	return []server.Sample{{Metrics: make([]float64, metrics.Count), CPI: 1}}
-}
-
-func TestDialRetryBacksOffOnRefusedDial(t *testing.T) {
-	conn := &scriptConn{}
-	fc, delays := testFrameConn([]*scriptConn{conn},
-		[]error{errors.New("refused"), errors.New("refused"), errors.New("refused")})
-	if err := fc.redial(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(*delays) != 3 {
-		t.Fatalf("paused %d times, want one per failed dial (3)", len(*delays))
-	}
-	// The capped exponential envelope: attempt i waits at most base<<i.
-	for i, d := range *delays {
-		max := shedBackoffBase << i
-		if d <= 0 || d > max {
-			t.Errorf("delay %d = %v outside (0, %v]", i, d, max)
-		}
-	}
-	if fc.c != conn {
-		t.Error("dial did not land on the scripted conn")
-	}
-}
-
-func TestDialRetryStopsOnContext(t *testing.T) {
-	fc, _ := testFrameConn(nil, nil)
-	dialErr := errors.New("refused")
-	fc.dial = func(string) (net.Conn, error) { return nil, dialErr }
-	calls := 0
-	fc.sleep = func(ctx context.Context, d time.Duration) error {
-		calls++
-		if calls >= 4 {
-			return context.Canceled
-		}
-		return nil
-	}
-	err := fc.redial(context.Background())
-	if err == nil {
-		t.Fatal("redial succeeded with every dial failing")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not carry the context cause", err)
-	}
-}
-
-func TestSendRetryWaitsOutShed(t *testing.T) {
-	conn := &scriptConn{responses: [][]byte{
-		frameResp(server.FrameShed, 0),
-		frameResp(server.FrameShed, 0),
-		frameResp(server.FrameAccepted, 1),
-	}}
-	fc, delays := testFrameConn(nil, nil)
-	fc.c = conn
-	n, err := fc.SendRetry(context.Background(), "wc", "n1", oneSample())
-	if err != nil || n != 1 {
-		t.Fatalf("SendRetry = %d, %v", n, err)
-	}
-	if len(*delays) != 2 {
-		t.Fatalf("paused %d times, want 2", len(*delays))
-	}
-	// The TCP shed carries an implicit Retry-After of 1 s: every delay is
-	// floored there, like the HTTP 429 path.
-	for i, d := range *delays {
-		if d < time.Second || d > shedBackoffCap {
-			t.Errorf("delay %d = %v outside [1s, %v]", i, d, shedBackoffCap)
-		}
-	}
-	if conn.writes != 3 {
-		t.Errorf("wrote %d frames, want 3 (same connection throughout)", conn.writes)
-	}
-}
-
-func TestSendRetryReconnectsOnDraining(t *testing.T) {
-	old := &scriptConn{responses: [][]byte{frameResp(server.FrameDraining, 0)}}
-	fresh := &scriptConn{responses: [][]byte{frameResp(server.FrameAccepted, 1)}}
-	fc, _ := testFrameConn([]*scriptConn{fresh}, nil)
-	fc.c = old
-	n, err := fc.SendRetry(context.Background(), "wc", "n1", oneSample())
-	if err != nil || n != 1 {
-		t.Fatalf("SendRetry = %d, %v", n, err)
-	}
-	if fc.c != fresh {
-		t.Error("draining response did not redial")
-	}
-	if fresh.writes != 1 {
-		t.Errorf("resent %d frames on the fresh connection, want 1", fresh.writes)
-	}
-}
-
-func TestSendRetryReconnectsOnTransportError(t *testing.T) {
-	old := &scriptConn{writeErrs: []error{errors.New("broken pipe")}}
-	fresh := &scriptConn{responses: [][]byte{frameResp(server.FrameAccepted, 2)}}
-	fc, _ := testFrameConn([]*scriptConn{fresh}, nil)
-	fc.c = old
-	n, err := fc.SendRetry(context.Background(), "wc", "n1", oneSample())
-	if err != nil || n != 2 {
-		t.Fatalf("SendRetry = %d, %v", n, err)
-	}
-	if fc.c != fresh {
-		t.Error("transport error did not redial")
-	}
-}
-
-func TestSendRetryTerminalOnRejectedFrame(t *testing.T) {
-	conn := &scriptConn{responses: [][]byte{frameResp(server.FrameBad, 0)}}
-	fc, delays := testFrameConn(nil, nil)
-	fc.c = conn
-	_, err := fc.SendRetry(context.Background(), "wc", "n1", oneSample())
-	if err == nil {
-		t.Fatal("rejected frame retried to success?")
-	}
-	if len(*delays) != 0 {
-		t.Errorf("paused %d times on a terminal rejection", len(*delays))
+			var ae *APIError
+			switch {
+			case tc.accepted > 0:
+				if err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			case tc.status != 0:
+				if !errors.As(err, &ae) || ae.StatusCode != tc.status {
+					t.Fatalf("error %v, want *APIError with status %d", err, tc.status)
+				}
+				if shed := tc.status == http.StatusTooManyRequests; IsShed(err) != shed || (shed && ae.RetryAfter != time.Second) {
+					t.Errorf("IsShed = %v, RetryAfter = %v", IsShed(err), ae.RetryAfter)
+				}
+			default:
+				if err == nil || errors.As(err, &ae) {
+					t.Fatalf("error %v, want a failure that is not an *APIError", err)
+				}
+				if sent := tc.samples != nil; (tc.conn.writes > 0) != sent || errors.Is(err, broken) != sent {
+					t.Errorf("error %v after %d writes", err, tc.conn.writes)
+				}
+			}
+		})
 	}
 }

@@ -22,23 +22,14 @@ type LoadConfig struct {
 	BatchLen int
 	// Batches per stream; 0 means run until ctx is cancelled.
 	Batches int
-	// Interval between batches per stream (default 0: as fast as possible —
-	// the backpressure probe).
-	Interval time.Duration
 	// DiagnoseEvery issues one async diagnose per stream every N batches
 	// (0 disables).
 	DiagnoseEvery int
-	// Workload and node naming: streams map onto Workloads[i%len] at node
-	// 10.0.<i/len>.<i%250+2>. Default Workloads: {"wordcount", "sort"}.
-	Workloads []string
 	// Seed makes the synthetic telemetry reproducible (default 1).
 	Seed int64
 	// Coupled is how many leading metrics ride one latent factor (default 8,
 	// matching the training-side generators).
 	Coupled int
-	// GapRate injects masked telemetry gaps at this per-entry probability
-	// (0 disables) — exercises the degraded/masked pipeline end to end.
-	GapRate float64
 	// Binary switches ingest to the compact frame encoding
 	// (Client.IngestFrame) instead of JSON — the wire-speed data plane.
 	// Diagnose traffic stays JSON either way (it is control-plane rate).
@@ -52,9 +43,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.BatchLen <= 0 {
 		c.BatchLen = 10
 	}
-	if len(c.Workloads) == 0 {
-		c.Workloads = []string{"wordcount", "sort"}
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -64,13 +52,16 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// StreamID returns the (workload, node) identity of load stream i under cfg —
-// the same mapping the generator uses, so tests and trainers can pre-train
-// exactly the contexts the load will hit.
-func (c LoadConfig) StreamID(i int) (workload, node string) {
-	c = c.withDefaults()
-	workload = c.Workloads[i%len(c.Workloads)]
-	node = fmt.Sprintf("10.0.%d.%d", i/len(c.Workloads), i%250+2)
+// loadWorkloads are the workload types load streams alternate between.
+var loadWorkloads = [...]string{"wordcount", "sort"}
+
+// StreamID returns the (workload, node) identity of load stream i: stream i
+// runs loadWorkloads[i%len] at node 10.0.<i/len>.<i%250+2>. It is the mapping
+// the generator uses, so tests and trainers can pre-train exactly the
+// contexts the load will hit.
+func (LoadConfig) StreamID(i int) (workload, node string) {
+	workload = loadWorkloads[i%len(loadWorkloads)]
+	node = fmt.Sprintf("10.0.%d.%d", i/len(loadWorkloads), i%250+2)
 	return workload, node
 }
 
@@ -90,8 +81,7 @@ type LoadReport struct {
 
 // SynthBatch generates one batch of coupled synthetic samples: the leading
 // Coupled metrics ride a shared latent factor (so MIC training finds
-// invariants), the rest are noise, and CPI tracks the factor. With GapRate
-// set, entries are masked invalid at that rate.
+// invariants), the rest are noise, and CPI tracks the factor.
 func SynthBatch(rng *stats.RNG, cfg LoadConfig, n int) []server.Sample {
 	cfg = cfg.withDefaults()
 	out := make([]server.Sample, n)
@@ -105,22 +95,7 @@ func SynthBatch(rng *stats.RNG, cfg LoadConfig, n int) []server.Sample {
 				row[m] = rng.Float64()
 			}
 		}
-		s := server.Sample{Metrics: row, CPI: 1.0 + 0.3*latent + rng.Normal(0, 0.02)}
-		if cfg.GapRate > 0 {
-			valid := make([]bool, metrics.Count)
-			masked := false
-			for m := range valid {
-				valid[m] = !rng.Bernoulli(cfg.GapRate)
-				if !valid[m] {
-					row[m] = 0 // zero placeholder → NaN server-side (Mask policy)
-					masked = true
-				}
-			}
-			if masked {
-				s.Valid = valid
-			}
-		}
-		out[t] = s
+		out[t] = server.Sample{Metrics: row, CPI: 1.0 + 0.3*latent + rng.Normal(0, 0.02)}
 	}
 	return out
 }
@@ -235,13 +210,6 @@ func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 						return
 					default:
 						atomic.AddInt64(&rep.Errors, 1)
-					}
-				}
-				if cfg.Interval > 0 {
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(cfg.Interval):
 					}
 				}
 			}

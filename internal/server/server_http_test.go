@@ -109,15 +109,20 @@ func TestConcurrentIngestStreams(t *testing.T) {
 	}
 
 	// Every issued report resolves (the queues drain) and is retrievable.
+	deadline := time.Now().Add(30 * time.Second)
 	for _, id := range rep.ReportIDs {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		r, err := c.WaitReport(ctx, id)
-		cancel()
-		if err != nil {
-			t.Fatalf("report %s: %v", id, err)
-		}
-		if r.Status == server.StatusPending {
-			t.Fatalf("report %s still pending", id)
+		for {
+			r, err := c.Report(context.Background(), id)
+			if err != nil {
+				t.Fatalf("report %s: %v", id, err)
+			}
+			if r.Status != server.StatusPending {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("report %s still pending", id)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,8 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"missing context", "/v1/ingest", IngestRequest{Samples: testSamples(1)}, 400},
 		{"empty batch", "/v1/ingest", IngestRequest{Workload: "w", Node: "n"}, 400},
+		{"stage marks", "/v1/ingest", map[string]any{"workload": "w", "node": "n", "samples": testSamples(1),
+			"stages": []map[string]any{{"stage": "map", "index": 0}}}, 400},
 		{"short vector", "/v1/ingest", IngestRequest{Workload: "w", Node: "n",
 			Samples: []Sample{{Metrics: []float64{1, 2}}}}, 400},
 		{"bad mask length", "/v1/ingest", IngestRequest{Workload: "w", Node: "n",
@@ -145,11 +148,21 @@ func TestBadRequests(t *testing.T) {
 		{"signature untrained", "/v1/signatures", SignatureRequest{Workload: "w", Node: "n",
 			Problem: "p", Samples: testSamples(4)}, 409},
 	}
+	var refused int64
 	for _, tc := range cases {
 		rec := postJSON(t, h, tc.path, tc.body)
+		if tc.want >= 400 {
+			refused++
+		}
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, rec.Code, tc.want, rec.Body)
 		}
+		if tc.name == "stage marks" && !strings.Contains(rec.Body.String(), `unknown field \"stages\"`) {
+			t.Errorf("%s: body %s, want the unknown-field refusal", tc.name, rec.Body)
+		}
+	}
+	if got := srv.ctr.badRequests.Load(); got != refused {
+		t.Errorf("badRequests = %d, want one per refusal above (%d)", got, refused)
 	}
 
 	// The untrained diagnose above produced a failed report, not a lost one.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"invarnetx/internal/core"
@@ -151,5 +152,48 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	if st.CrossProfiles != 1 || st.CrossEdges == 0 || st.CrossSignatures != 1 || !st.LifecycleEnabled {
 		t.Errorf("cross layer not exercised: %d profiles, %d edges, %d signatures, lifecycle %v",
 			st.CrossProfiles, st.CrossEdges, st.CrossSignatures, st.LifecycleEnabled)
+	}
+}
+
+// TestCrossContextRefusedAtAdmission: the daemon lists a cross profile its
+// store holds but cannot score a window against it — a cross set spans two
+// nodes' metrics and a request carries one node's — so diagnose and label
+// requests naming one are refused up front instead of taking a stream, a
+// queue slot and a report that can only fail.
+func TestCrossContextRefusedAtAdmission(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intra := core.Context{Workload: "sort", IP: "10.0.0.2"}
+	key := core.NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
+	var joint []*metrics.Trace
+	for seed := int64(41); seed <= 43; seed++ {
+		half := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, nil, 0))
+		j, err := metrics.JoinTraces(half, half, core.CrossMetricIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joint = append(joint, j)
+	}
+	if err := srv.sys.TrainCrossInvariants(key, joint); err != nil {
+		t.Fatal(err)
+	}
+	node := key.Context().IP
+	for path, body := range map[string]any{
+		"/v1/diagnose":   DiagnoseRequest{Workload: "sort", Node: node, Samples: testSamples(30), Wait: true},
+		"/v1/signatures": SignatureRequest{Workload: "sort", Node: node, Problem: "xlink@10.0.0.3", Samples: testSamples(30)},
+	} {
+		before := srv.Stats()
+		rec := postJSON(t, srv.Handler(), path, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "offline") {
+			t.Errorf("POST %s on %s: status %d, body %s; want 400 naming the offline study", path, node, rec.Code, rec.Body)
+		}
+		after := srv.Stats()
+		if after.Streams != before.Streams || after.ReportsFailed != before.ReportsFailed ||
+			after.BadRequests != before.BadRequests+1 {
+			t.Errorf("POST %s: streams %d -> %d, reportsFailed %d -> %d, badRequests %d -> %d; want only badRequests +1", path,
+				before.Streams, after.Streams, before.ReportsFailed, after.ReportsFailed, before.BadRequests, after.BadRequests)
+		}
 	}
 }

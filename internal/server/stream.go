@@ -25,10 +25,6 @@ type ingestBatch struct {
 	valid []bool    // metrics.Count * n, same layout
 	cpi   []float64 // n
 	cpiOK []bool    // n
-	// stages holds the per-tick execution-stage label expanded from the
-	// batch's stage markers; "" means unmarked (before the batch's first
-	// mark), which inherits the stream's current stage at slide time.
-	stages []string // n
 }
 
 // ensure sizes the batch for n samples, growing the backing arrays only when
@@ -44,31 +40,14 @@ func (b *ingestBatch) ensure(n int) {
 	if cap(b.cpi) < n {
 		b.cpi = make([]float64, n)
 		b.cpiOK = make([]bool, n)
-		b.stages = make([]string, n)
 	}
 	b.cpi = b.cpi[:n]
 	b.cpiOK = b.cpiOK[:n]
-	b.stages = b.stages[:n]
 }
 
-// setStages expands validated stage marks into the per-tick label column:
-// each mark's label covers its index onward until the next mark; ticks before
-// the first mark stay "" (unmarked). Pooled batches carry stale labels, so
-// the whole column is rewritten even for mark-free batches.
-func (b *ingestBatch) setStages(marks []StageMark) {
-	cur, next := "", 0
-	for i := 0; i < b.n; i++ {
-		for next < len(marks) && marks[next].Index == i {
-			cur = marks[next].Stage
-			next++
-		}
-		b.stages[i] = cur
-	}
-}
-
-// fromSamples converts validated wire samples and stage marks into columnar
-// form, applying maskValue once at the boundary.
-func (b *ingestBatch) fromSamples(samples []Sample, marks []StageMark) {
+// fromSamples converts validated wire samples into columnar form, applying
+// maskValue once at the boundary.
+func (b *ingestBatch) fromSamples(samples []Sample) {
 	n := len(samples)
 	b.ensure(n)
 	for i, s := range samples {
@@ -81,7 +60,6 @@ func (b *ingestBatch) fromSamples(samples []Sample, marks []StageMark) {
 		b.cpi[i] = maskValue(s.CPI, ok)
 		b.cpiOK[i] = ok
 	}
-	b.setStages(marks)
 }
 
 // batchPool recycles ingestBatch column buffers across requests and
@@ -102,10 +80,6 @@ type colWindow struct {
 	valid  []bool
 	cpi    []float64
 	cpiOK  []bool
-	// stages is the per-tick execution-stage label, sliding with the data.
-	// Unmarked ticks inherit the newest windowed label at slide time, so a
-	// stage spanning many batches stays attached to every sample it covers.
-	stages []string
 }
 
 func (w *colWindow) init(capacity int) {
@@ -114,22 +88,11 @@ func (w *colWindow) init(capacity int) {
 	w.valid = make([]bool, metrics.Count*capacity)
 	w.cpi = make([]float64, capacity)
 	w.cpiOK = make([]bool, capacity)
-	w.stages = make([]string, capacity)
 }
 
 // slide appends one batch, evicting the oldest ticks beyond capacity. A
 // batch at least as long as the window replaces it with the batch's tail.
 func (w *colWindow) slide(b *ingestBatch) {
-	// Resolve the batch's unmarked prefix against the stream's current
-	// stage before any eviction: stage labels carry forward across batch
-	// boundaries exactly as a trace mark persists until the next mark.
-	cur := ""
-	if w.n > 0 {
-		cur = w.stages[w.n-1]
-	}
-	for i := 0; i < b.n && b.stages[i] == ""; i++ {
-		b.stages[i] = cur
-	}
 	if b.n >= w.cap {
 		off := b.n - w.cap
 		for m := 0; m < metrics.Count; m++ {
@@ -138,7 +101,6 @@ func (w *colWindow) slide(b *ingestBatch) {
 		}
 		copy(w.cpi, b.cpi[off:])
 		copy(w.cpiOK, b.cpiOK[off:])
-		copy(w.stages, b.stages[off:])
 		w.n = w.cap
 		return
 	}
@@ -151,7 +113,6 @@ func (w *colWindow) slide(b *ingestBatch) {
 		}
 		copy(w.cpi[:w.n], w.cpi[over:w.n])
 		copy(w.cpiOK[:w.n], w.cpiOK[over:w.n])
-		copy(w.stages[:w.n], w.stages[over:w.n])
 		w.n -= over
 	}
 	for m := 0; m < metrics.Count; m++ {
@@ -160,7 +121,6 @@ func (w *colWindow) slide(b *ingestBatch) {
 	}
 	copy(w.cpi[w.n:w.n+b.n], b.cpi)
 	copy(w.cpiOK[w.n:w.n+b.n], b.cpiOK)
-	copy(w.stages[w.n:w.n+b.n], b.stages)
 	w.n += b.n
 }
 
@@ -171,7 +131,7 @@ func (w *colWindow) slide(b *ingestBatch) {
 // CPI) is actually invalid, so an explicit window whose samples carry
 // all-true masks and the identical stream window are the same trace and
 // share one report-cache entry.
-func traceFromColumns(ctx core.Context, n, stride int, cols []float64, valid []bool, cpi []float64, cpiOK []bool, stages []string) *metrics.Trace {
+func traceFromColumns(ctx core.Context, n, stride int, cols []float64, valid []bool, cpi []float64, cpiOK []bool) *metrics.Trace {
 	tr := metrics.NewTrace(ctx.IP, ctx.Workload)
 	masked := false
 	for m := 0; m < metrics.Count; m++ {
@@ -185,13 +145,6 @@ func traceFromColumns(ctx core.Context, n, stride int, cols []float64, valid []b
 			tr.Valid[m] = append([]bool(nil), valid[m*stride:m*stride+n]...)
 		}
 		tr.CPIValid = append([]bool(nil), cpiOK[:n]...)
-	}
-	// Re-emit stage boundaries as trace marks at the tick they cover;
-	// MarkStage ignores "" and dedupes consecutive identical labels, so a
-	// stage spanning many ticks yields one mark.
-	for i, stage := range stages[:n] {
-		tr.Ticks = i
-		tr.MarkStage(stage)
 	}
 	tr.Ticks = n
 	return tr
@@ -296,7 +249,7 @@ func (st *stream) windowTrace() *metrics.Trace {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	w := &st.win
-	return traceFromColumns(st.ctx, w.n, w.cap, w.cols, w.valid, w.cpi, w.cpiOK, w.stages)
+	return traceFromColumns(st.ctx, w.n, w.cap, w.cols, w.valid, w.cpi, w.cpiOK)
 }
 
 // windowLen returns the current window length.

@@ -58,7 +58,7 @@ func TestIngestTCPAcceptAndApply(t *testing.T) {
 	defer c.Close()
 	// Two frames back to back on one connection, same stream.
 	for round := 1; round <= 2; round++ {
-		buf, err := EncodeFrame("wordcount", "10.4.0.1", testSamples(7))
+		buf, err := AppendFrame(nil, "wordcount", "10.4.0.1", testSamples(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,27 +82,36 @@ func TestIngestTCPBadFrameCloses(t *testing.T) {
 	addr, stop := startIngestTCP(t, srv, 0)
 	defer stop()
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A plausible length prefix followed by garbage: FrameBad, then close.
+	// A plausible length prefix followed by garbage, and a well-formed frame
+	// setting a flag bit the format does not define: FrameBad, then close,
+	// each counted once.
 	garbage := make([]byte, 4+frameHeaderLen)
 	binary.LittleEndian.PutUint32(garbage, frameHeaderLen)
 	copy(garbage[4:], "not a frame at all")
-	if _, err := c.Write(garbage); err != nil {
+	flagged, err := AppendFrame(nil, "wordcount", "10.4.0.1", testSamples(3))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := readStatus(t, c); status != FrameBad {
-		t.Fatalf("status %d, want FrameBad", status)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("connection still open after bad frame: %v", err)
-	}
-	if got := srv.ctr.badRequests.Load(); got != 1 {
-		t.Errorf("bad frame body moved badRequests to %d, want 1", got)
+	flagged[4+5] |= 0x04
+	for i, bad := range [][]byte{garbage, flagged} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		if status, _ := readStatus(t, c); status != FrameBad {
+			t.Fatalf("bad frame %d: status %d, want FrameBad", i, status)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("bad frame %d: connection still open: %v", i, err)
+		}
+		if got := srv.ctr.badRequests.Load(); got != int64(i+1) {
+			t.Errorf("bad frame %d moved badRequests to %d, want %d", i, got, i+1)
+		}
 	}
 
 	// An insane length prefix is refused without reading the body.
@@ -121,8 +130,8 @@ func TestIngestTCPBadFrameCloses(t *testing.T) {
 	}
 	// ...and counted like the bad body, and like the same oversize body
 	// over HTTP.
-	if got := srv.ctr.badRequests.Load(); got != 2 {
-		t.Errorf("bad length prefix moved badRequests to %d, want 2", got)
+	if got := srv.ctr.badRequests.Load(); got != 3 {
+		t.Errorf("bad length prefix moved badRequests to %d, want 3", got)
 	}
 }
 
@@ -148,7 +157,7 @@ func TestIngestTCPShedKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	buf, err := EncodeFrame(ctx.Workload, ctx.IP, testSamples(3))
+	buf, err := AppendFrame(nil, ctx.Workload, ctx.IP, testSamples(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +203,7 @@ func TestIngestTCPDrainingCloses(t *testing.T) {
 	}
 	defer c.Close()
 	srv.draining.Store(true)
-	buf, err := EncodeFrame("wordcount", "10.4.0.3", testSamples(2))
+	buf, err := AppendFrame(nil, "wordcount", "10.4.0.3", testSamples(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"reflect"
@@ -12,6 +13,18 @@ import (
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/stats"
 )
+
+// waitSamples blocks until the stream has applied n samples.
+func waitSamples(t *testing.T, st *stream, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for st.ingested.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d samples, want %d", st.ingested.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // coupledSamples synthesises n wire samples whose first `coupled` metrics
 // follow one latent series (strong invariants) with the rest independent
@@ -194,9 +207,18 @@ func TestStreamWindowDiagnosisMatchesExplicit(t *testing.T) {
 				lo = hi
 			}
 			waitSamples(t, srv.stream(ctx), int64(len(window)))
+			tail := window[len(window)-windowCap:]
+
+			// The window's trace is the trace of its content submitted as
+			// samples (compared printed: masked entries are NaN) — a stream
+			// carries numbers and validity flags, no stage marks.
+			got, want := srv.stream(ctx).windowTrace(), mustTrace(t, ctx, tail)
+			if len(got.Stages) != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("window trace is not TraceFromSamples of its content (%d stage marks)", len(got.Stages))
+			}
 
 			fromStream := diagnoseWait(t, srv, DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP})
-			asSamples := DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP, Samples: window[len(window)-windowCap:]}
+			asSamples := DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP, Samples: tail}
 			explicit := diagnoseWait(t, ref, asSamples)
 			a, b := fromStream.Diagnosis, explicit.Diagnosis
 			if a == nil || b == nil {

@@ -10,8 +10,7 @@
 //	[0:4]   magic "IXF1"
 //	[4]     version (1)
 //	[5]     flags: bit0 = metric validity bitmaps present,
-//	               bit1 = CPI validity bitmap present,
-//	               bit2 = stage markers present
+//	               bit1 = CPI validity bitmap present
 //	[6]     workload length (1..255)
 //	[7]     node length (1..255)
 //	[8:10]  u16 metric count (must equal metrics.Count)
@@ -22,13 +21,6 @@
 //	        (flags&1) metric validity bitmaps: count × ⌈n/8⌉ bytes,
 //	                  column-major, LSB-first, set bit = valid
 //	        (flags&2) CPI validity bitmap: ⌈n/8⌉ bytes
-//	        (flags&4) stage markers: u16 mark count, then per mark a
-//	                  u32 sample index (strictly increasing, < n), a u8
-//	                  label length (1..255) and the label bytes
-//
-// A frame without stage markers is byte-for-byte the format that predates
-// them — encoders only set bit2 when marks are actually present, so the
-// JSON-vs-binary equivalence of mark-free traffic is pinned unchanged.
 //
 // The declared sizes must account for the frame exactly: a decoder sizes
 // nothing from the header before checking it against the bytes actually
@@ -53,13 +45,8 @@ const (
 
 	frameFlagValid    = 1 << 0
 	frameFlagCPIValid = 1 << 1
-	frameFlagStages   = 1 << 2
 
 	frameHeaderLen = 14
-
-	// maxFrameStageMarks bounds the stage-marker section; a batch cannot
-	// change stage more often than once per sample anyway.
-	maxFrameStageMarks = MaxFrameSamples
 
 	// MaxFrameSamples bounds one frame's sample count; with the 26-metric
 	// vector this keeps the largest legal frame (~7 MB) inside the HTTP
@@ -71,9 +58,8 @@ const (
 	maxFrameBytes = maxBodyBytes
 )
 
-// frameBodySize returns the exact body length (after the length prefix) of
-// the fixed-layout part of a frame — everything but the variable-length
-// stage-marker section, which the decoder parses (and bounds) separately.
+// frameBodySize returns the exact body length (after the length prefix) the
+// header fields imply.
 func frameBodySize(wlen, nlen, count, n int, flags byte) int {
 	size := frameHeaderLen + wlen + nlen + count*n*8 + n*8
 	if flags&frameFlagValid != 0 {
@@ -85,27 +71,11 @@ func frameBodySize(wlen, nlen, count, n int, flags byte) int {
 	return size
 }
 
-// stageSectionSize returns the encoded size of a stage-marker section.
-func stageSectionSize(marks []StageMark) int {
-	size := 2
-	for _, m := range marks {
-		size += 4 + 1 + len(m.Stage)
-	}
-	return size
-}
-
 // AppendFrame appends the length-prefixed binary frame encoding one ingest
 // batch to dst and returns the extended slice. The samples are validated
 // with the same shape and finiteness rules the JSON path enforces; validity
 // bitmaps are emitted only when some entry is actually masked.
 func AppendFrame(dst []byte, workload, node string, samples []Sample) ([]byte, error) {
-	return AppendFrameStages(dst, workload, node, samples, nil)
-}
-
-// AppendFrameStages is AppendFrame with optional execution-stage markers.
-// Without marks the emitted bytes are identical to AppendFrame's — the stage
-// flag and section only exist when marks do.
-func AppendFrameStages(dst []byte, workload, node string, samples []Sample, stages []StageMark) ([]byte, error) {
 	if len(workload) < 1 || len(workload) > 255 {
 		return nil, fmt.Errorf("server: workload length %d outside [1,255]", len(workload))
 	}
@@ -119,9 +89,6 @@ func AppendFrameStages(dst []byte, workload, node string, samples []Sample, stag
 	if n > MaxFrameSamples {
 		return nil, fmt.Errorf("server: %d samples exceed the %d per-frame bound", n, MaxFrameSamples)
 	}
-	if err := validateStageMarks(stages, n); err != nil {
-		return nil, err
-	}
 	var flags byte
 	for _, s := range samples {
 		if s.Valid != nil {
@@ -131,13 +98,7 @@ func AppendFrameStages(dst []byte, workload, node string, samples []Sample, stag
 			flags |= frameFlagCPIValid
 		}
 	}
-	if len(stages) > 0 {
-		flags |= frameFlagStages
-	}
 	bodyLen := frameBodySize(len(workload), len(node), metrics.Count, n, flags)
-	if flags&frameFlagStages != 0 {
-		bodyLen += stageSectionSize(stages)
-	}
 	start := len(dst)
 	dst = append(dst, make([]byte, 4+bodyLen)...)
 	buf := dst[start:]
@@ -183,30 +144,8 @@ func AppendFrameStages(dst []byte, workload, node string, samples []Sample, stag
 				col[i/8] |= 1 << (i % 8)
 			}
 		}
-		off += stride
-	}
-	if flags&frameFlagStages != 0 {
-		binary.LittleEndian.PutUint16(body[off:], uint16(len(stages)))
-		off += 2
-		for _, m := range stages {
-			binary.LittleEndian.PutUint32(body[off:], uint32(m.Index))
-			off += 4
-			body[off] = byte(len(m.Stage))
-			off++
-			off += copy(body[off:], m.Stage)
-		}
 	}
 	return dst, nil
-}
-
-// EncodeFrame encodes one ingest batch as a fresh length-prefixed frame.
-func EncodeFrame(workload, node string, samples []Sample) ([]byte, error) {
-	return AppendFrame(nil, workload, node, samples)
-}
-
-// EncodeFrameStages encodes one ingest batch with stage markers.
-func EncodeFrameStages(workload, node string, samples []Sample, stages []StageMark) ([]byte, error) {
-	return AppendFrameStages(nil, workload, node, samples, stages)
 }
 
 // splitFrame strips and checks the u32 length prefix, returning the frame
@@ -241,7 +180,7 @@ func decodeFrame(body []byte, b *ingestBatch) (workload, node []byte, err error)
 		return nil, nil, fmt.Errorf("server: unsupported frame version %d", body[4])
 	}
 	flags := body[5]
-	if flags&^(frameFlagValid|frameFlagCPIValid|frameFlagStages) != 0 {
+	if flags&^(frameFlagValid|frameFlagCPIValid) != 0 {
 		return nil, nil, fmt.Errorf("server: unknown frame flags %#x", flags)
 	}
 	wlen, nlen := int(body[6]), int(body[7])
@@ -256,47 +195,8 @@ func decodeFrame(body []byte, b *ingestBatch) (workload, node []byte, err error)
 	if n < 1 || n > MaxFrameSamples {
 		return nil, nil, fmt.Errorf("server: frame sample count %d outside [1,%d]", n, MaxFrameSamples)
 	}
-	fixed := frameBodySize(wlen, nlen, count, n, flags)
-	if flags&frameFlagStages == 0 {
-		if len(body) != fixed {
-			return nil, nil, fmt.Errorf("server: frame body %d bytes, header implies %d", len(body), fixed)
-		}
-	} else if len(body) < fixed+2 {
-		return nil, nil, fmt.Errorf("server: frame body %d bytes, header implies at least %d", len(body), fixed+2)
-	}
-	// The variable-length stage section is parsed before the columns so a
-	// malformed tail rejects the frame without touching b. Marks expand to
-	// per-sample labels below, after ensure sizes the batch.
-	var marks []StageMark
-	if flags&frameFlagStages != 0 {
-		sec := body[fixed:]
-		nm := int(binary.LittleEndian.Uint16(sec))
-		if nm < 1 || nm > maxFrameStageMarks {
-			return nil, nil, fmt.Errorf("server: frame stage mark count %d outside [1,%d]", nm, maxFrameStageMarks)
-		}
-		sec = sec[2:]
-		marks = make([]StageMark, 0, nm)
-		prev := -1
-		for k := 0; k < nm; k++ {
-			if len(sec) < 5 {
-				return nil, nil, fmt.Errorf("server: frame stage mark %d truncated", k)
-			}
-			idx := int(binary.LittleEndian.Uint32(sec))
-			slen := int(sec[4])
-			sec = sec[5:]
-			if idx <= prev || idx >= n {
-				return nil, nil, fmt.Errorf("server: frame stage mark %d index %d not strictly increasing below %d", k, idx, n)
-			}
-			if slen == 0 || len(sec) < slen {
-				return nil, nil, fmt.Errorf("server: frame stage mark %d label truncated", k)
-			}
-			marks = append(marks, StageMark{Stage: string(sec[:slen]), Index: idx})
-			sec = sec[slen:]
-			prev = idx
-		}
-		if len(sec) != 0 {
-			return nil, nil, fmt.Errorf("server: %d trailing bytes after the stage section", len(sec))
-		}
+	if size := frameBodySize(wlen, nlen, count, n, flags); len(body) != size {
+		return nil, nil, fmt.Errorf("server: frame body %d bytes, header implies %d", len(body), size)
 	}
 	off := frameHeaderLen
 	workload = body[off : off+wlen]
@@ -346,6 +246,5 @@ func decodeFrame(body []byte, b *ingestBatch) (workload, node []byte, err error)
 		b.cpi[i] = maskValue(v, valid)
 		b.cpiOK[i] = valid
 	}
-	b.setStages(marks)
 	return workload, node, nil
 }

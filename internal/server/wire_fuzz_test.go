@@ -13,7 +13,7 @@ import (
 // fills is sized by the frame, never by an unchecked header field.
 func FuzzDecodeFrame(f *testing.F) {
 	seed := func(samples []Sample) {
-		buf, err := EncodeFrame("sort", "10.0.0.1", samples)
+		buf, err := AppendFrame(nil, "sort", "10.0.0.1", samples)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -26,19 +26,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(testSamples(1))
 	seed(testSamples(11))
 	seed(maskedSamples(stats.NewRNG(77), 9))
-	// A staged frame exercises the optional stage-marker section.
-	staged, err := EncodeFrameStages("sort", "10.0.0.1", testSamples(7),
-		[]StageMark{{Stage: "map", Index: 0}, {Stage: "shuffle", Index: 4}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	stagedBody, err := splitFrame(staged)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(stagedBody)
 	// Truncated and corrupted variants of a valid frame.
-	good, err := EncodeFrame("wc", "n2", testSamples(3))
+	good, err := AppendFrame(nil, "wc", "n2", testSamples(3))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,6 +35,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	crooked := append([]byte(nil), good[4:]...)
 	crooked[10] = 0xee // inflated sample count
 	f.Add(crooked)
+	// A valid frame setting a flag bit the format does not define: a
+	// must-reject seed (checked below for whatever the fuzzer mutates it to).
+	flagged := append([]byte(nil), good[4:]...)
+	flagged[5] |= 0x04
+	f.Add(flagged)
 	f.Add([]byte{})
 	f.Add([]byte("IXF1"))
 
@@ -54,6 +48,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		wb, nb, err := decodeFrame(body, &b)
 		if err != nil {
 			return
+		}
+		if body[5]&^(frameFlagValid|frameFlagCPIValid) != 0 {
+			t.Fatalf("decoded a frame with unknown flags %#x", body[5])
 		}
 		if b.n < 1 || b.n > MaxFrameSamples {
 			t.Fatalf("decoded sample count %d outside [1,%d]", b.n, MaxFrameSamples)
@@ -70,14 +67,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			len(b.valid) != metrics.Count*b.n || len(b.cpiOK) != b.n {
 			t.Fatalf("inconsistent batch shape: n=%d cols=%d valid=%d cpi=%d cpiOK=%d",
 				b.n, len(b.cols), len(b.valid), len(b.cpi), len(b.cpiOK))
-		}
-		if len(b.stages) != b.n {
-			t.Fatalf("stage column %d entries for %d samples", len(b.stages), b.n)
-		}
-		for _, s := range b.stages {
-			if len(s) > 255 {
-				t.Fatalf("stage label %d bytes exceeds the u8 wire bound", len(s))
-			}
 		}
 	})
 }

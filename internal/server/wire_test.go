@@ -1,6 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -55,7 +58,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{"masked", maskedSamples(stats.NewRNG(42), 33)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			buf, err := EncodeFrame("sort", "10.1.2.3", tc.samples)
+			buf, err := AppendFrame(nil, "sort", "10.1.2.3", tc.samples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +75,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("identity %q@%q", wb, nb)
 			}
 			var want ingestBatch
-			want.fromSamples(tc.samples, nil)
+			want.fromSamples(tc.samples)
 			if got.n != want.n {
 				t.Fatalf("n = %d, want %d", got.n, want.n)
 			}
@@ -92,6 +95,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendFrameGolden pins the encoder's bytes (length and sha256 per
+// batch kind: clean, metric-masked, CPI-masked, both): deployed agents emit
+// and daemons accept exactly this layout, so a difference here is a wire
+// format break, whatever the round-trip tests say.
+func TestAppendFrameGolden(t *testing.T) {
+	metricMasked := testSamples(10)
+	metricMasked[2].Valid = make([]bool, metrics.Count)
+	for i := range metricMasked[2].Valid {
+		metricMasked[2].Valid[i] = i != 7
+	}
+	cpiMasked := testSamples(13)
+	cpiMasked[4].CPIValid = new(bool)
+	cpiMasked[4].CPI = 0
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+		size    int
+		sum     string
+	}{
+		{"clean", testSamples(17), 3702, "3c9d8fdbe55b498177a8253753a31616476a3e0b02952a9b106db2001862c234"},
+		{"metricMasked", metricMasked, 2242, "f36fc4010a54da9ed7186a01aa0def7b026176a70ab599a37f559cbc594407a1"},
+		{"cpiMasked", cpiMasked, 2840, "e0671121a24e078fa397804413ec8f9a2f6624d2364babc993149ccdfde4f38d"},
+		{"bothMasked", maskedSamples(stats.NewRNG(42), 33), 7293, "ed17b8f2ebad7c22eaafbde3ffc22c792074ed90e97446f1bc9f216564f50b95"},
+	} {
+		buf, err := AppendFrame(nil, "sort", "10.1.2.3", tc.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(buf)); len(buf) != tc.size || sum != tc.sum {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(buf), sum, tc.size, tc.sum)
+		}
+	}
+}
+
 // TestMaskValueMatchesTracePolicy: the shared maskValue helper and the trace
 // builder agree on the gap policy — a masked zero placeholder becomes NaN, a
 // masked held value is kept (the mask alone flags it).
@@ -104,7 +141,7 @@ func TestMaskValueMatchesTracePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b ingestBatch
-	b.fromSamples(samples, nil)
+	b.fromSamples(samples)
 	for i, s := range samples {
 		for m := 0; m < metrics.Count; m++ {
 			traceV := tr.Rows[m][i]
@@ -137,8 +174,8 @@ func TestNonFiniteRejectedOnBothPaths(t *testing.T) {
 	if err := validateSamples(bad); err == nil {
 		t.Fatal("validateSamples accepted a NaN metric")
 	}
-	if _, err := EncodeFrame("sort", "n1", bad); err == nil {
-		t.Fatal("EncodeFrame accepted a NaN metric")
+	if _, err := AppendFrame(nil, "sort", "n1", bad); err == nil {
+		t.Fatal("AppendFrame accepted a NaN metric")
 	}
 	badCPI := testSamples(4)
 	badCPI[1].CPI = math.Inf(1)
@@ -149,7 +186,7 @@ func TestNonFiniteRejectedOnBothPaths(t *testing.T) {
 	// Craft the frame the encoder refuses to build: encode clean samples,
 	// then patch a NaN into a metric column and into the CPI column.
 	clean := testSamples(4)
-	buf, err := EncodeFrame("sort", "n1", clean)
+	buf, err := AppendFrame(nil, "sort", "n1", clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +226,83 @@ func TestNonFiniteRejectedOnBothPaths(t *testing.T) {
 	}
 }
 
+// TestBadValueErrorsNameOffsets is the table pin for the admission rejections:
+// a non-finite value is refused with the metric index, the metric name, and
+// the sample offset — on the JSON path (validateSamples) and byte-identically
+// on the binary path (decodeFrame).
+func TestBadValueErrorsNameOffsets(t *testing.T) {
+	const n = 4
+	cases := []struct {
+		name   string
+		metric int // -1 = CPI
+		sample int
+		v      float64
+	}{
+		{"NaN metric", 5, 2, math.NaN()},
+		{"positive Inf first cell", 0, 0, math.Inf(1)},
+		{"negative Inf last sample", 10, 3, math.Inf(-1)},
+		{"NaN CPI", -1, 1, math.NaN()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var wantSubstrs []string
+			if tc.metric >= 0 {
+				wantSubstrs = []string{
+					fmt.Sprintf("metric %d (%s)", tc.metric, metrics.Names[tc.metric]),
+					fmt.Sprintf("at sample %d", tc.sample),
+				}
+			} else {
+				wantSubstrs = []string{fmt.Sprintf("cpi at sample %d", tc.sample)}
+			}
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted the bad value", path)
+				}
+				for _, sub := range wantSubstrs {
+					if !strings.Contains(err.Error(), sub) {
+						t.Errorf("%s error %q missing %q", path, err, sub)
+					}
+				}
+			}
+
+			// JSON path: the value rides decoded samples into validateSamples.
+			samples := testSamples(n)
+			if tc.metric >= 0 {
+				samples[tc.sample].Metrics[tc.metric] = tc.v
+			} else {
+				samples[tc.sample].CPI = tc.v
+			}
+			check("validateSamples", validateSamples(samples))
+
+			// Binary path: patch the value into an encoded clean frame — the
+			// encoder itself refuses to build one — and decode.
+			buf, err := AppendFrame(nil, "sort", "n1", testSamples(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := splitFrame(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colsOff := frameHeaderLen + len("sort") + len("n1")
+			off := colsOff + (tc.metric*n+tc.sample)*8
+			if tc.metric < 0 {
+				off = colsOff + (metrics.Count*n+tc.sample)*8
+			}
+			binary.LittleEndian.PutUint64(body[off:], math.Float64bits(tc.v))
+			var b ingestBatch
+			_, _, derr := decodeFrame(body, &b)
+			check("decodeFrame", derr)
+		})
+	}
+}
+
 // TestDecodeFrameRejectsMalformed walks the decoder's error surface: every
 // malformed input must error out before any batch state is sized from the
 // header.
 func TestDecodeFrameRejectsMalformed(t *testing.T) {
-	good, err := EncodeFrame("sort", "n1", testSamples(9))
+	good, err := AppendFrame(nil, "sort", "n1", testSamples(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +319,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		"magic":     mutate(func(cp []byte) []byte { cp[0] = 'x'; return cp }),
 		"version":   mutate(func(cp []byte) []byte { cp[4] = 9; return cp }),
 		"flags":     mutate(func(cp []byte) []byte { cp[5] = 0x80; return cp }),
+		"stageFlag": mutate(func(cp []byte) []byte { cp[5] = 0x04; return cp }),
 		"zeroName":  mutate(func(cp []byte) []byte { cp[6] = 0; return cp }),
 		"badCount":  mutate(func(cp []byte) []byte { cp[8] = 0xff; return cp }),
 		"zeroN":     mutate(func(cp []byte) []byte { cp[10], cp[11], cp[12], cp[13] = 0, 0, 0, 0; return cp }),
@@ -222,6 +332,12 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		if _, _, err := decodeFrame(in, &b); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	// Only bits 0 and 1 are defined; the lowest undefined one is refused by
+	// name, not by a length mismatch further on.
+	var b ingestBatch
+	if _, _, err := decodeFrame(cases["stageFlag"], &b); err == nil || !strings.Contains(err.Error(), "unknown frame flags 0x4") {
+		t.Errorf("flags 0x04: error %v, want unknown frame flags", err)
 	}
 	// The length prefix must account for the body exactly.
 	if _, err := splitFrame(good[:len(good)-1]); err == nil {
@@ -250,7 +366,7 @@ func TestIngestBatchPathAllocs(t *testing.T) {
 		{"masked", maskedSamples(stats.NewRNG(3), 24)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frame, err := EncodeFrame("wordcount", "10.0.0.2", tc.samples)
+			frame, err := AppendFrame(nil, "wordcount", "10.0.0.2", tc.samples)
 			if err != nil {
 				t.Fatal(err)
 			}

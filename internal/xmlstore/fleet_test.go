@@ -30,7 +30,7 @@ func TestFleetFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got FleetFile
-	if err := Load(&buf, &got); err != nil {
+	if err := load(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {

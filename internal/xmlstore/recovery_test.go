@@ -31,7 +31,7 @@ func TestVersionLegacyAccepted(t *testing.T) {
 <invariants><ip>a</ip><type>b</type><metrics>3</metrics>
 <matrix><pair i="0" j="1" value="0.5"></pair></matrix></invariants>`
 	var f InvariantFile
-	if err := Load(strings.NewReader(legacy), &f); err != nil {
+	if err := load(strings.NewReader(legacy), &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Version != 0 {

@@ -103,7 +103,7 @@ func (s *scanner) errorf(format string, args ...any) error {
 }
 
 // Token implements xml.TokenReader over next, so struct tags stay the one
-// schema for every file kind: Load is xml.NewTokenDecoder(scanner).Decode.
+// schema for every file kind: decode is xml.NewTokenDecoder(scanner).Decode.
 func (s *scanner) Token() (xml.Token, error) {
 	t, err := s.next()
 	if err != nil {

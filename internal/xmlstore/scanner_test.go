@@ -373,8 +373,8 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 				return false
 			}
 			back := newKinds()[i]
-			if err := Load(bytes.NewReader(buf.Bytes()), back); err != nil {
-				t.Errorf("seed %d: Load(%T): %v\n%s", seed, v, err, buf.Bytes())
+			if err := load(bytes.NewReader(buf.Bytes()), back); err != nil {
+				t.Errorf("seed %d: load(%T): %v\n%s", seed, v, err, buf.Bytes())
 				return false
 			}
 			// Load records the root element's name; Save needs none.

@@ -259,16 +259,8 @@ func Save(w io.Writer, v any) error {
 	return err
 }
 
-// Load parses XML from r into v. The document is read whole and lexed in
-// memory by the store's own scanner; v's struct tags are the schema.
-func Load(r io.Reader, v any) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return decode(data, v)
-}
-
+// decode parses the XML document data into v. It is lexed in memory by the
+// store's own scanner; v's struct tags are the schema.
 func decode(data []byte, v any) error {
 	s := &scanner{buf: data}
 	if err := xml.NewTokenDecoder(s).Decode(v); err != nil {

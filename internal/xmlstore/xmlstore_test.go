@@ -2,6 +2,7 @@ package xmlstore
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,16 @@ import (
 	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 )
+
+// load is LoadFile without the file: what Save wrote to a buffer, or a
+// document spelled out in a test, decoded by the same scanner.
+func load(r io.Reader, v any) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return decode(data, v)
+}
 
 func sampleDetector() *detect.Detector {
 	return &detect.Detector{
@@ -42,7 +53,7 @@ func TestModelRoundTrip(t *testing.T) {
 		t.Errorf("missing root element:\n%s", buf.String())
 	}
 	var back ModelFile
-	if err := Load(&buf, &back); err != nil {
+	if err := load(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.IP != "10.0.0.2" || back.Type != "wordcount" {
@@ -89,7 +100,7 @@ func TestModelDecodeRejectsDeadDetector(t *testing.T) {
 <intercept>0</intercept><sigma2>-1</sigma2>
 <threshold><rule>max-min</rule><upper>NaN</upper><lower>Inf</lower><consecutive>-3</consecutive></threshold></performance-model>`
 	var f ModelFile
-	if err := Load(strings.NewReader(doc), &f); err != nil {
+	if err := load(strings.NewReader(doc), &f); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(f.Upper) || !math.IsInf(f.Lower, 1) || f.Consecutive != -3 || f.Sigma2 != -1 {
@@ -130,7 +141,7 @@ func TestInvariantDecodeRejectsNonFiniteAndRepeatedPairs(t *testing.T) {
 	doc := `<invariants version="1"><ip>a</ip><type>b</type><metrics>3</metrics>
 <matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="7"/></matrix></invariants>`
 	var f InvariantFile
-	if err := Load(strings.NewReader(doc), &f); err != nil {
+	if err := load(strings.NewReader(doc), &f); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Pairs) != 2 || !math.IsNaN(f.Pairs[0].Value) {
@@ -166,7 +177,7 @@ func TestInvariantRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back InvariantFile
-	if err := Load(&buf, &back); err != nil {
+	if err := load(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := back.Decode()
@@ -209,7 +220,7 @@ func TestSignatureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back SignatureFile
-	if err := Load(&buf, &back); err != nil {
+	if err := load(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := back.Decode()
@@ -241,7 +252,7 @@ func TestSignatureDecodeRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back SignatureFile
-	if err := Load(&buf, &back); err != nil {
+	if err := load(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := back.Decode()
@@ -307,7 +318,7 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var back InvariantFile
-		if err := Load(&buf, &back); err != nil {
+		if err := load(&buf, &back); err != nil {
 			return false
 		}
 		got, err := back.Decode()
@@ -352,7 +363,7 @@ func TestSignatureRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var back SignatureFile
-		if err := Load(&buf, &back); err != nil {
+		if err := load(&buf, &back); err != nil {
 			return false
 		}
 		got, err := back.Decode()
