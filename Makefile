@@ -11,7 +11,8 @@
 #   make fleet-smoke   — boot a 3-peer federation on loopback, label a
 #                        distinct fault on each peer, assert gossip
 #                        convergence, cross-peer diagnosis from the replica,
-#                        and ownership rebalance after killing one peer
+#                        and both survivors declaring a killed peer dead
+#                        with no signature lost
 #   make bench-smoke   — vet and short-test the separate bench/ module (the
 #                        end-to-end benchmark harness), so an API removal
 #                        that breaks it fails here, not in the acceptance
@@ -69,9 +70,11 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of the binary wire-decoder fuzzer and of the
-# store reader's (every xmlstore file kind, checked against encoding/xml);
-# the seed corpora alone (run by `make test`) only replay known shapes.
+# Short coverage-guided runs of the binary wire-decoder fuzzer, of the store
+# reader's (every xmlstore file kind, checked against encoding/xml) and of the
+# fleet gossip decoders' (/sync and /push bodies); the seed corpora alone (run
+# by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s

@@ -556,7 +556,7 @@ func BenchmarkSignatureMatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := db.Match(q, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+					if _, err := db.MatchMasked(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -620,7 +620,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 	for _, n := range []int{100, 1000} {
 		db, queries := signatureBenchDB(n, 14, 0.3)
 		got := perBatch(db, queries, func(db *signature.DB, q signature.Tuple) error {
-			_, err := db.Match(q, "10.0.0.2", "wordcount", Jaccard, 5)
+			_, err := db.MatchMasked(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
 			return err
 		})
 		if want := float64(len(queries)); got != want {

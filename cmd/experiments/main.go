@@ -9,8 +9,8 @@
 //	experiments -run fig2,fig4,table1    # a comma-separated subset
 //
 // Experiments: fig2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 table1 multifault
-// growth contrast crossnode confusion. A name that is none of these is an
-// error (exit 2), not a silent skip.
+// growth contrast crossnode confusion degradation drift. A name that is none
+// of these is an error (exit 2), not a silent skip.
 package main
 
 import (
@@ -31,6 +31,14 @@ import (
 func show[T interface{ Print(io.Writer) }](res T, err error) error {
 	if err == nil {
 		res.Print(os.Stdout)
+	}
+	return err
+}
+
+// showString is show for the studies that render through String.
+func showString[T fmt.Stringer](res T, err error) error {
+	if err == nil {
+		fmt.Print(res)
 	}
 	return err
 }
@@ -124,6 +132,12 @@ var table = []struct {
 			workload.Wordcount, cp.AasB, cp.Runs, cp.BasA, cp.Runs)
 		fmt.Println("  (paper: \"InvarNet-X mistakes Net-drop for Net-delay and vice versa sometimes\")")
 		return nil
+	}},
+	{[]string{"degradation"}, func(r *experiments.Runner) error {
+		return showString(r.RunDegradationStudy(workload.Wordcount, faults.CPUHog, []float64{0, 0.5, 0.9}, 3))
+	}},
+	{[]string{"drift"}, func(r *experiments.Runner) error {
+		return showString(experiments.RunDriftStudy(r.Options().Seed))
 	}},
 }
 

@@ -481,11 +481,7 @@ func cmdPeers(args []string) error {
 		}
 		return err
 	}
-	mode := "replica"
-	if pv.Forward {
-		mode = "forward"
-	}
-	fmt.Printf("self %s (%d peers, remote-context diagnosis: %s)\n", pv.Self, pv.Count, mode)
+	fmt.Printf("self %s (%d peers)\n", pv.Self, pv.Count)
 	for _, p := range pv.Peers {
 		last := "never"
 		if p.LastSeenSec >= 0 {

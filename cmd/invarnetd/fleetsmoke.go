@@ -28,9 +28,10 @@ const fleetSmokePeers = 3
 // everywhere, labels a distinct fault on each peer, and asserts that gossip
 // converges the union to every peer (bounded wall-clock), that a peer
 // recognises a fault it never saw labelled (diagnosis from the local
-// replica), and that killing one peer moves its ownership arcs without losing
-// any accepted signature. Metrics — peer counts and convergence rounds — go
-// to the log so `make fleet-smoke` output shows replication at work.
+// replica), and that killing one peer is detected by both survivors without
+// losing any accepted signature. Metrics — peer counts and convergence
+// rounds — go to the log so `make fleet-smoke` output shows replication at
+// work.
 func runFleetSmoke(cfg server.Config) error {
 	const workload, node = "wordcount", "10.0.0.2"
 
@@ -152,14 +153,14 @@ func runFleetSmoke(cfg server.Config) error {
 	// Kill peer 2: stop its gossip (no outbound traffic keeping it passively
 	// alive) and hard-close its HTTP server — listener and live connections
 	// both, or the survivors' pooled keep-alive connections would keep
-	// reaching the corpse. The survivors must declare it dead, rebalance its
-	// ownership arcs between themselves, and keep all three signatures.
+	// reaching the corpse. The survivors must declare it dead and keep all
+	// three signatures.
 	stopCtx, cancel := context.WithTimeout(bg, 5*time.Second)
 	srvs[2].Fleet().Stop(stopCtx)
 	cancel()
 	hss[2].Close()
 	// Each survivor runs its own failure detector, so wait for both views:
-	// peer 0 declaring the death says nothing about peer 1's ring yet.
+	// peer 0 declaring the death says nothing about peer 1's view yet.
 	seesDead := func(i int) (bool, error) {
 		peers, err := clients[i].Peers(bg)
 		if err != nil {
@@ -190,12 +191,6 @@ func runFleetSmoke(cfg server.Config) error {
 		if sigs.Count < fleetSmokePeers {
 			return fmt.Errorf("peer %d lost signatures after the kill: %d < %d", i, sigs.Count, fleetSmokePeers)
 		}
-		for probe := 0; probe < 32; probe++ {
-			owner, _ := srvs[i].Fleet().Owner(workload, fmt.Sprintf("10.0.0.%d", probe))
-			if owner == addrs[2] {
-				return fmt.Errorf("peer %d still routes ownership to the dead peer %s", i, addrs[2])
-			}
-		}
 	}
 	pv, err := clients[0].Peers(bg)
 	if err != nil {
@@ -207,7 +202,7 @@ func runFleetSmoke(cfg server.Config) error {
 			alive++
 		}
 	}
-	log.Printf("fleet-smoke: peer view after kill: %d peers (%d alive, 1 dead), signatures intact, ownership rebalanced",
+	log.Printf("fleet-smoke: peer view after kill: %d peers (%d alive, 1 dead), signatures intact",
 		pv.Count, alive)
 
 	// Clean exit for the survivors: drain flushes deltas and persists the

@@ -57,7 +57,6 @@ func main() {
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060); empty = off")
 	peers := fs.String("peers", "", "comma-separated peer addresses (host:port each) to federate with; empty = no fleet")
 	fleetAddr := fs.String("fleet-addr", "", "address this daemon advertises to peers (default: 127.0.0.1 + -addr port)")
-	fleetForward := fs.Bool("fleet-forward", false, "proxy diagnose requests for contexts owned by another peer to that peer (default: answer from the local replica)")
 	fleetHeartbeat := fs.Duration("fleet-heartbeat", fleet.DefaultHeartbeat, "peer liveness probe interval (jittered)")
 	fleetSync := fs.Duration("fleet-sync", fleet.DefaultSyncInterval, "anti-entropy exchange interval (jittered)")
 	smoke := fs.Bool("smoke", false, "run the self-test against a live socket and exit")
@@ -100,7 +99,6 @@ func main() {
 			Peers:        list,
 			Heartbeat:    *fleetHeartbeat,
 			SyncInterval: *fleetSync,
-			Forward:      *fleetForward,
 			Logf:         log.Printf,
 		}
 	}
@@ -188,7 +186,7 @@ func serve(cfg server.Config, opts serveOptions) error {
 	// The fleet loops start after the listener goroutine: peers probing back
 	// reach a socket that answers, so boot does not cost this daemon misses.
 	if f := srv.Fleet(); f != nil {
-		log.Printf("fleet: advertising %s to %d peers (forward=%v)", f.Self(), len(f.Peers()), f.Forward())
+		log.Printf("fleet: advertising %s to %d peers", f.Self(), len(f.Peers()))
 		srv.StartFleet()
 	}
 

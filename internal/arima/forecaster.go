@@ -5,7 +5,7 @@ package arima
 // the last max(p,q) differenced values and the last max(p,q) innovations —
 // so each observed sample costs O(p+q). The recursion is a deterministic
 // forward pass from zero-seeded innovations; the batch entry points
-// (PredictNext, PredictSeries, Forecast, the likelihood) replay a series
+// (PredictNext, PredictSeries, the likelihood) replay a series
 // through one, and a long-lived online monitor keeps one and runs at wire
 // speed with constant memory. The whole-history recursion it replaced lives
 // on as the test reference (see TestForecasterMatchesPredictNext).

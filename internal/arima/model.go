@@ -161,28 +161,6 @@ func (m *Model) PredictNext(history []float64) (float64, error) {
 	return f.PredictNext()
 }
 
-// Forecast returns an h-step-ahead forecast on the original scale, holding
-// future innovations at zero: each forecast is observed as if it had arrived.
-func (m *Model) Forecast(history []float64, h int) ([]float64, error) {
-	if h <= 0 {
-		return nil, fmt.Errorf("arima: non-positive horizon %d", h)
-	}
-	f := m.NewForecaster()
-	for _, x := range history {
-		f.Observe(x)
-	}
-	out := make([]float64, h)
-	for s := range out {
-		next, err := f.PredictNext()
-		if err != nil {
-			return nil, err
-		}
-		out[s] = next
-		f.Observe(next)
-	}
-	return out, nil
-}
-
 // computeLikelihood fills Sigma2, LogLik and AIC from the conditional
 // sum-of-squares residuals on the differenced training series w.
 func (m *Model) computeLikelihood(w []float64) {

@@ -12,8 +12,7 @@ const TickSeconds = 10.0
 
 // Cluster is the simulated Hadoop deployment: one master and N slaves.
 type Cluster struct {
-	Nodes  []*Node
-	master *Node
+	Nodes  []*Node // master first, then the slaves
 	slaves []*Node
 	name   *NameNode
 	rng    *stats.RNG
@@ -22,16 +21,14 @@ type Cluster struct {
 	tick      int
 	nextJobID int
 
-	queue     []*Job // FIFO queue for batch jobs
-	active    []*Job
-	completed []*Job
+	queue  []*Job // FIFO queue for batch jobs
+	active []*Job
 
 	// SpeculativeExecution enables Hadoop's straggler mitigation: a task
 	// that has run more than twice the median completion time of its kind
 	// gets a backup copy on another node; the first copy to finish wins.
 	// Enabled by default, as in Hadoop 1.x.
 	SpeculativeExecution bool
-	speculativeLaunches  int
 
 	// CrossTraffic models the inter-node flows a real Hadoop deployment
 	// has and a per-node simulation can omit: shuffle serving (reducers
@@ -50,8 +47,7 @@ func New(nSlaves int, seed int64) *Cluster {
 		nSlaves = 1
 	}
 	c := &Cluster{rng: stats.NewRNG(seed), seed: seed, name: newNameNode(), SpeculativeExecution: true}
-	c.master = newNode(0, RoleMaster, DefaultCaps())
-	c.Nodes = append(c.Nodes, c.master)
+	c.Nodes = append(c.Nodes, newNode(0, RoleMaster, DefaultCaps()))
 	for i := 1; i <= nSlaves; i++ {
 		n := newNode(i, RoleSlave, DefaultCaps())
 		c.Nodes = append(c.Nodes, n)
@@ -88,31 +84,11 @@ func NewHeterogeneous(nSlaves int, seed int64) *Cluster {
 	return c
 }
 
-// Master returns the master node.
-func (c *Cluster) Master() *Node { return c.master }
-
 // Slaves returns the slave nodes.
 func (c *Cluster) Slaves() []*Node { return c.slaves }
 
-// Node returns the node with the given id, or nil.
-func (c *Cluster) Node(id int) *Node {
-	for _, n := range c.Nodes {
-		if n.ID == id {
-			return n
-		}
-	}
-	return nil
-}
-
 // Tick returns the current tick number.
 func (c *Cluster) Tick() int { return c.tick }
-
-// NameNode exposes the block manager (used by the Block-C fault and tests).
-func (c *Cluster) NameNode() *NameNode { return c.name }
-
-// RNG exposes the cluster's random stream for components that must share
-// its determinism (fault injectors fork from it).
-func (c *Cluster) RNG() *stats.RNG { return c.rng }
 
 // Submit enqueues a job and returns its handle. Batch jobs enter the FIFO
 // queue; interactive jobs activate immediately and share the cluster.
@@ -129,12 +105,6 @@ func (c *Cluster) Submit(spec JobSpec) *Job {
 	}
 	return j
 }
-
-// ActiveJobs returns the currently running jobs.
-func (c *Cluster) ActiveJobs() []*Job { return c.active }
-
-// QueueLength returns the number of batch jobs waiting.
-func (c *Cluster) QueueLength() int { return len(c.queue) }
 
 // Step advances the simulation by one tick.
 func (c *Cluster) Step() {
@@ -377,7 +347,6 @@ func (c *Cluster) speculate() {
 				host.reduces = append(host.reduces, copyTask)
 			}
 			t.Job.running++
-			c.speculativeLaunches++
 		}
 	}
 }
@@ -409,9 +378,6 @@ func medianInt(xs []int) int {
 	}
 	return cp[len(cp)/2]
 }
-
-// SpeculativeLaunches reports how many backup copies the scheduler started.
-func (c *Cluster) SpeculativeLaunches() int { return c.speculativeLaunches }
 
 // shuffleJitter derives the shuffle-round length (in ticks) for a job from
 // the cluster seed and job ID alone. Using a hash instead of the cluster
@@ -906,7 +872,6 @@ func (c *Cluster) reapJobs() {
 		if j.finished >= j.total {
 			j.State = JobDone
 			j.DoneTick = c.tick
-			c.completed = append(c.completed, j)
 			continue
 		}
 		keep = append(keep, j)
@@ -929,14 +894,4 @@ func (c *Cluster) RunUntilDone(job *Job, maxTicks int, observe func(tick int)) e
 		}
 	}
 	return fmt.Errorf("cluster: job %d not done after %d ticks", job.ID, maxTicks)
-}
-
-// Run steps the cluster a fixed number of ticks, calling observe after each.
-func (c *Cluster) Run(ticks int, observe func(tick int)) {
-	for i := 0; i < ticks; i++ {
-		c.Step()
-		if observe != nil {
-			observe(c.tick)
-		}
-	}
 }

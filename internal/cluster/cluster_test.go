@@ -28,19 +28,17 @@ func TestClusterTopology(t *testing.T) {
 	if len(c.Nodes) != 5 {
 		t.Fatalf("nodes = %d, want 5", len(c.Nodes))
 	}
-	if c.Master().Role != RoleMaster || c.Master().ID != 0 {
-		t.Errorf("master = %+v", c.Master())
+	master := c.Nodes[0]
+	if master.Role != RoleMaster || master.ID != 0 {
+		t.Errorf("master = %+v", master)
 	}
 	if len(c.Slaves()) != 4 {
 		t.Errorf("slaves = %d", len(c.Slaves()))
 	}
-	if c.Node(2) == nil || c.Node(2).IP != "10.0.0.3" {
-		t.Errorf("node 2 = %+v", c.Node(2))
+	if n := c.Nodes[2]; n.ID != 2 || n.IP != "10.0.0.3" {
+		t.Errorf("node 2 = %+v", n)
 	}
-	if c.Node(99) != nil {
-		t.Error("missing node should be nil")
-	}
-	if c.Master().FreeMapSlots() != 0 {
+	if master.FreeMapSlots() != 0 {
 		t.Error("master must have no task slots")
 	}
 }
@@ -236,18 +234,24 @@ func TestBlockCorruptionAndRepair(t *testing.T) {
 	c := New(4, 11)
 	c.Submit(testSpec("wc", 8, 0))
 	victim := c.Slaves()[0]
-	victim.Attach(&perturbFunc{name: "block-c", f: func(tick int, node *Node, eff *Effects) {
-		eff.BlockCorruptProb = 1
-	}})
-	for i := 0; i < 20; i++ {
-		c.Step()
+	// One tick's corruption and repair phases, run apart: inside Step the
+	// repair follows the corruption at once and no replica stays corrupt
+	// long enough to be seen.
+	effects := map[int]*Effects{}
+	for _, n := range c.Nodes {
+		effects[n.ID] = &Effects{}
 	}
-	corrupted, repaired := c.name.CorruptionStats()
-	if corrupted == 0 {
-		t.Fatal("no blocks corrupted")
+	effects[victim.ID].BlockCorruptProb = 1
+	c.applyBlockCorruption(effects)
+	if got := corruptReplicas(c.name); got != 1 {
+		t.Fatalf("%d corrupt replicas after a certain corruption, want 1", got)
 	}
-	if repaired == 0 {
-		t.Fatal("no blocks repaired")
+	rw := c.planRepairs()
+	if got := corruptReplicas(c.name); got != 0 {
+		t.Fatalf("%d corrupt replicas after the repair phase, want 0", got)
+	}
+	if rw.write[victim.ID] == 0 {
+		t.Errorf("repair charged no re-replication write to the victim: %+v", rw)
 	}
 }
 
@@ -339,30 +343,6 @@ func TestJobString(t *testing.T) {
 	}
 }
 
-func TestDetachPerturbation(t *testing.T) {
-	c := New(1, 15)
-	n := c.Slaves()[0]
-	p := &perturbFunc{name: "hog", f: func(tick int, node *Node, eff *Effects) {
-		eff.Extra.CPU += 20
-	}}
-	n.Attach(p)
-	c.Step()
-	if n.State.CPUSat == 0 {
-		t.Fatal("perturbation not applied")
-	}
-	n.Detach(p)
-	c.Step()
-	if n.State.CPUSat != 0 {
-		t.Error("perturbation still applied after Detach")
-	}
-	n.Attach(p)
-	n.ClearPerturbations()
-	c.Step()
-	if n.State.CPUSat != 0 {
-		t.Error("perturbation still applied after ClearPerturbations")
-	}
-}
-
 func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
 	// A suspended node strands its tasks; with speculation the job reruns
 	// them elsewhere and finishes, faster than without speculation.
@@ -373,6 +353,7 @@ func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
 		j := c.Submit(testSpec("wc", 16, 4))
 		// Freeze the victim only after it has picked up tasks.
 		frozen := false
+		backups := map[*Task]bool{}
 		for i := 0; i < 2000 && !j.Done(); i++ {
 			if !frozen && victim.RunningTasks() > 0 {
 				victim.Attach(&perturbFunc{name: "suspend", f: func(tick int, node *Node, eff *Effects) {
@@ -381,11 +362,12 @@ func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
 				frozen = true
 			}
 			c.Step()
+			noteBackups(c, backups)
 		}
 		if !j.Done() {
-			return -1, c.SpeculativeLaunches()
+			return -1, len(backups)
 		}
-		return j.DurationTicks(), c.SpeculativeLaunches()
+		return j.DurationTicks(), len(backups)
 	}
 	withDur, launches := run(true)
 	if withDur < 0 {
@@ -405,10 +387,36 @@ func TestSpeculationIdleOnHealthyRuns(t *testing.T) {
 	// stay quiet (no wasted work).
 	c := New(4, 31)
 	j := c.Submit(testSpec("wc", 12, 4))
-	if err := c.RunUntilDone(j, 500, nil); err != nil {
+	backups := map[*Task]bool{}
+	if err := c.RunUntilDone(j, 500, func(int) { noteBackups(c, backups) }); err != nil {
 		t.Fatal(err)
 	}
-	if c.SpeculativeLaunches() > 2 {
-		t.Errorf("healthy run launched %d speculative copies", c.SpeculativeLaunches())
+	if len(backups) > 2 {
+		t.Errorf("healthy run launched %d speculative copies", len(backups))
 	}
+}
+
+// noteBackups records the speculative copies placed on any slave right now.
+// A copy runs for several ticks, so calling it after every Step sees each.
+func noteBackups(c *Cluster, seen map[*Task]bool) {
+	for _, n := range c.slaves {
+		for _, t := range append(append([]*Task(nil), n.maps...), n.reduces...) {
+			if t.Speculative {
+				seen[t] = true
+			}
+		}
+	}
+}
+
+// corruptReplicas counts the replicas currently marked corrupt.
+func corruptReplicas(nn *NameNode) int {
+	n := 0
+	for _, b := range nn.blocks {
+		for _, c := range b.Corrupt {
+			if c {
+				n++
+			}
+		}
+	}
+	return n
 }

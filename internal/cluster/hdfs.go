@@ -42,9 +42,6 @@ func (b *Block) anyHealthy() bool {
 type NameNode struct {
 	nextBlock BlockID
 	blocks    map[BlockID]*Block
-	// corrupted counts corruption events, for tests and repair accounting.
-	corrupted int
-	repaired  int
 }
 
 func newNameNode() *NameNode {
@@ -94,7 +91,6 @@ func (nn *NameNode) corruptOn(nodeID int, pick func(n int) int) bool {
 	for i, r := range b.Replicas {
 		if r == nodeID && !b.Corrupt[i] {
 			b.Corrupt[i] = true
-			nn.corrupted++
 			return true
 		}
 	}
@@ -127,14 +123,8 @@ func (nn *NameNode) repairOne() (srcID, dstID int, mb float64, ok bool) {
 				continue
 			}
 			b.Corrupt[i] = false
-			nn.repaired++
 			return src, b.Replicas[i], BlockSizeMB, true
 		}
 	}
 	return 0, 0, 0, false
-}
-
-// CorruptionStats reports lifetime corruption/repair counts.
-func (nn *NameNode) CorruptionStats() (corrupted, repaired int) {
-	return nn.corrupted, nn.repaired
 }

@@ -9,7 +9,7 @@ import (
 
 func TestAllocateReplication(t *testing.T) {
 	c := New(4, 40)
-	nn := c.NameNode()
+	nn := c.name
 	ids := nn.allocate(4*BlockSizeMB, c.Slaves())
 	if len(ids) != 4 {
 		t.Fatalf("blocks = %d, want 4", len(ids))
@@ -34,7 +34,7 @@ func TestAllocateReplication(t *testing.T) {
 
 func TestAllocateEdgeCases(t *testing.T) {
 	c := New(2, 41)
-	nn := c.NameNode()
+	nn := c.name
 	if ids := nn.allocate(0, c.Slaves()); ids != nil {
 		t.Errorf("zero input allocated %v", ids)
 	}
@@ -54,16 +54,15 @@ func TestAllocateEdgeCases(t *testing.T) {
 
 func TestCorruptAndRepairCycle(t *testing.T) {
 	c := New(4, 42)
-	nn := c.NameNode()
+	nn := c.name
 	nn.allocate(2*BlockSizeMB, c.Slaves())
 	rng := stats.NewRNG(43)
 	victim := c.Slaves()[0].ID
 	if !nn.corruptOn(victim, rng.Intn) {
 		t.Fatal("corruption failed despite healthy replicas")
 	}
-	corrupted, repaired := nn.CorruptionStats()
-	if corrupted != 1 || repaired != 0 {
-		t.Fatalf("stats = %d/%d", corrupted, repaired)
+	if got := corruptReplicas(nn); got != 1 {
+		t.Fatalf("%d corrupt replicas after one corruption", got)
 	}
 	src, dst, mb, ok := nn.repairOne()
 	if !ok {
@@ -81,15 +80,14 @@ func TestCorruptAndRepairCycle(t *testing.T) {
 	if _, _, _, ok := nn.repairOne(); ok {
 		t.Error("second repair should find nothing")
 	}
-	_, repaired = nn.CorruptionStats()
-	if repaired != 1 {
-		t.Errorf("repaired = %d", repaired)
+	if got := corruptReplicas(nn); got != 0 {
+		t.Errorf("%d corrupt replicas after the repair", got)
 	}
 }
 
 func TestCorruptOnNodeWithoutReplicas(t *testing.T) {
 	c := New(4, 44)
-	nn := c.NameNode()
+	nn := c.name
 	rng := stats.NewRNG(45)
 	if nn.corruptOn(c.Slaves()[0].ID, rng.Intn) {
 		t.Error("corruption succeeded with no blocks stored")
@@ -98,7 +96,7 @@ func TestCorruptOnNodeWithoutReplicas(t *testing.T) {
 
 func TestRepairSkipsFullyLostBlocks(t *testing.T) {
 	c := New(4, 46)
-	nn := c.NameNode()
+	nn := c.name
 	ids := nn.allocate(BlockSizeMB, c.Slaves())
 	b := nn.blocks[ids[0]]
 	for i := range b.Corrupt {
@@ -110,18 +108,22 @@ func TestRepairSkipsFullyLostBlocks(t *testing.T) {
 }
 
 // Property: however corruption and repair interleave, a block never gains or
-// loses replicas, and repair never resurrects a fully-lost block.
+// loses replicas, and the replicas left corrupt are exactly the corruptions
+// that succeeded minus the repairs that did.
 func TestCorruptRepairInvariantProperty(t *testing.T) {
 	f := func(seed int64, ops []bool) bool {
 		c := New(4, seed)
-		nn := c.NameNode()
+		nn := c.name
 		nn.allocate(3*BlockSizeMB, c.Slaves())
 		rng := stats.NewRNG(seed + 1)
+		outstanding := 0
 		for _, corrupt := range ops {
 			if corrupt {
-				nn.corruptOn(rng.Intn(4)+1, rng.Intn)
-			} else {
-				nn.repairOne()
+				if nn.corruptOn(rng.Intn(4)+1, rng.Intn) {
+					outstanding++
+				}
+			} else if _, _, _, ok := nn.repairOne(); ok {
+				outstanding--
 			}
 		}
 		for _, b := range nn.blocks {
@@ -129,8 +131,7 @@ func TestCorruptRepairInvariantProperty(t *testing.T) {
 				return false
 			}
 		}
-		corrupted, repaired := nn.CorruptionStats()
-		return repaired <= corrupted
+		return corruptReplicas(nn) == outstanding
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -208,19 +208,6 @@ func newNode(id int, role Role, caps Caps) *Node {
 // Attach registers a perturbation (fault) on the node.
 func (n *Node) Attach(p Perturbation) { n.perturbations = append(n.perturbations, p) }
 
-// Detach removes a perturbation from the node.
-func (n *Node) Detach(p Perturbation) {
-	for i, q := range n.perturbations {
-		if q == p {
-			n.perturbations = append(n.perturbations[:i], n.perturbations[i+1:]...)
-			return
-		}
-	}
-}
-
-// ClearPerturbations removes all attached perturbations.
-func (n *Node) ClearPerturbations() { n.perturbations = nil }
-
 // FreeMapSlots returns the number of map slots available for scheduling.
 func (n *Node) FreeMapSlots() int { return n.MapSlots - len(n.maps) }
 

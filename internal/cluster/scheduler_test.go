@@ -99,15 +99,15 @@ func TestQueueLengthAndActiveJobs(t *testing.T) {
 	a := c.Submit(testSpec("a", 4, 1))
 	c.Submit(testSpec("b", 4, 1))
 	c.Submit(testSpec("c", 4, 1))
-	if c.QueueLength() != 3 {
-		t.Errorf("queue = %d before first tick", c.QueueLength())
+	if len(c.queue) != 3 {
+		t.Errorf("queue = %d before first tick", len(c.queue))
 	}
 	c.Step()
-	if c.QueueLength() != 2 {
-		t.Errorf("queue = %d after promotion", c.QueueLength())
+	if len(c.queue) != 2 {
+		t.Errorf("queue = %d after promotion", len(c.queue))
 	}
-	if len(c.ActiveJobs()) != 1 || c.ActiveJobs()[0] != a {
-		t.Errorf("active = %v", c.ActiveJobs())
+	if len(c.active) != 1 || c.active[0] != a {
+		t.Errorf("active = %v", c.active)
 	}
 }
 

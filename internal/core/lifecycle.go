@@ -322,25 +322,14 @@ func (p *Profile) lifecyclePost(set *invariant.Set, raw, known []bool, score fun
 	return raw, known
 }
 
-// Generation returns the profile's model generation: 0 before any
-// invariants exist (or with the lifecycle disabled), then incremented by
-// every training, load and shadow promotion.
-func (p *Profile) Generation() uint64 {
-	if p.lc == nil {
-		return 0
-	}
-	p.lc.mu.Lock()
-	defer p.lc.mu.Unlock()
-	return p.lc.gen
-}
-
 // LifecycleStats is an operator-facing snapshot of one profile's drift-
 // lifecycle state (or, inside a ProfileStats sum, of a group's).
 type LifecycleStats struct {
 	// Enabled reports whether the lifecycle is active.
 	Enabled bool
-	// Generation is the live model generation (the max across profiles in
-	// a sum).
+	// Generation is the live model generation: 0 before any invariants
+	// exist, then incremented by every training, load and shadow promotion
+	// (the max across profiles in a sum).
 	Generation uint64
 	// Edges is the tracked edge count; Quarantined of them are drifted.
 	Edges, Quarantined int

@@ -99,7 +99,7 @@ func TestLifecycleQuarantineAndPromotion(t *testing.T) {
 	sys := trainValueSystem(t, cfg, ctx)
 	p := sys.Profile(ctx)
 
-	if g := p.Generation(); g != 1 {
+	if g := p.LifecycleStats().Generation; g != 1 {
 		t.Fatalf("generation after training = %d, want 1", g)
 	}
 

@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"invarnetx/internal/metrics"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 	"invarnetx/internal/xmlstore"
 )
 
 // referenceLoadFrom is LoadFrom as it read the store before xmlstore had its
 // own scanner: every file through encoding/xml's lexer and reflection,
-// signature files included (SignatureFile, then ParseEntries). It is the
+// signature files included (SignatureFile, then a tuple parse per entry). It is the
 // oracle TestLoadFromEquivalence holds the scanner path to, and lives in the
 // tests only.
 func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
@@ -109,9 +110,16 @@ type refSignatures struct {
 }
 
 func (f *refSignatures) load() error {
-	sigs, err := f.ParseEntries()
-	if err != nil {
-		return err
+	if f.Version < 0 || f.Version > xmlstore.FormatVersion {
+		return fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
+	}
+	sigs := make([]signature.Entry, len(f.Entries))
+	for i, e := range f.Entries {
+		t, err := signature.ParseTuple(e.Tuple)
+		if err != nil {
+			return fmt.Errorf("signature %d: %w", i, err)
+		}
+		sigs[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
 	}
 	scope := f.s.key(loadedCtx(f.Type, f.IP))
 	for i, e := range sigs {

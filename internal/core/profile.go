@@ -193,18 +193,13 @@ type ViolationReport struct {
 	set *invariant.Set
 }
 
-// BuildSignature records the violation tuple of an investigated problem in
-// the profile's signature entries: "Once the performance problem is
-// resolved, a new signature will be added into the signature base."
-func (p *Profile) BuildSignature(problem string, abnormal *metrics.Trace) error {
-	_, _, err := p.buildSignature(problem, abnormal)
-	return err
-}
-
-// buildSignature computes and merges the signature, returning the stored
-// entry and whether it was new. Storage is idempotent by (context,
-// fingerprint): re-labelling the same investigated problem — a retried POST,
-// a re-run study — must not inflate the database and skew best-match scans.
+// buildSignature records the violation tuple of an investigated problem in
+// the profile's signature entries ("Once the performance problem is
+// resolved, a new signature will be added into the signature base"),
+// returning the stored entry and whether it was new. Storage is idempotent
+// by (context, fingerprint): re-labelling the same investigated problem — a
+// retried POST, a re-run study — must not inflate the database and skew
+// best-match scans.
 func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signature.Entry, bool, error) {
 	rep, err := p.Violations(abnormal)
 	if err != nil {

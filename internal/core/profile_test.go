@@ -69,7 +69,7 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacyTuple := signature.Tuple(rawAb)
-	matches, err := legacyDB.Match(legacyTuple, ctx.IP, ctx.Workload, cfg.Similarity, 0)
+	matches, err := legacyDB.MatchMasked(legacyTuple, nil, ctx.IP, ctx.Workload, cfg.Similarity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

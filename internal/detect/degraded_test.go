@@ -85,9 +85,6 @@ func TestMonitorGapPreservesRun(t *testing.T) {
 	if !m.Alert() {
 		t.Fatal("single gap broke the consecutive-anomaly counter")
 	}
-	if m.Gaps() != 1 {
-		t.Fatalf("Gaps = %d, want 1", m.Gaps())
-	}
 }
 
 func TestMonitorLongOutageResetsRun(t *testing.T) {
@@ -107,9 +104,6 @@ func TestMonitorLongOutageResetsRun(t *testing.T) {
 	m.Offer(3)
 	if !m.Alert() {
 		t.Fatal("fresh consecutive anomalies after outage did not alert")
-	}
-	if m.Gaps() != 3 {
-		t.Fatalf("Gaps = %d, want 3", m.Gaps())
 	}
 }
 

@@ -220,9 +220,7 @@ type Monitor struct {
 	// DisableLog turns off AnomalyLog recording, keeping the monitor's
 	// memory constant however long it runs.
 	DisableLog bool
-	// gaps counts missing (NaN/±Inf) samples offered so far; consecGaps is
-	// the current run of them.
-	gaps       int
+	// consecGaps is the current run of missing (NaN/±Inf) samples.
 	consecGaps int
 }
 
@@ -251,7 +249,6 @@ func (d *Detector) NewMonitor(warmup []float64) *Monitor {
 // no longer claim that anomalies straddling the outage were consecutive.
 func (m *Monitor) Offer(sample float64) bool {
 	if math.IsNaN(sample) || math.IsInf(sample, 0) {
-		m.gaps++
 		m.consecGaps++
 		if m.consecGaps >= m.d.Consecutive {
 			m.run = 0
@@ -285,9 +282,6 @@ func (m *Monitor) Offer(sample float64) bool {
 
 // Alert reports whether the consecutive-anomaly rule has fired.
 func (m *Monitor) Alert() bool { return m.alerted }
-
-// Gaps returns how many missing (non-finite) samples the monitor has seen.
-func (m *Monitor) Gaps() int { return m.gaps }
 
 // Reset clears the alert state but keeps the history (diagnosis resolved,
 // monitoring continues).

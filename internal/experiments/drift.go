@@ -22,39 +22,20 @@ import (
 // interleaved throughout, so the study also checks that the change-point
 // separation keeps bursts diagnosable and never quarantines them.
 
-// DriftOptions sizes the drift study. Zero values take the defaults noted
-// per field.
-type DriftOptions struct {
-	// Seed drives the synthetic telemetry (default 1).
-	Seed int64
-	// Metrics is the number of coupled metrics (default 6 — 15 trained
-	// edges).
-	Metrics int
-	// WindowLen is the samples per diagnosis window (default 100).
-	WindowLen int
-	// TrainRuns is the number of clean training windows (default 4).
-	TrainRuns int
-}
-
 // driftPhaseLens are the pre-shift, shift and post-shift phase lengths in
 // diagnosis windows; the coupling shift lands at the pre/shift boundary and
 // is permanent. Every driftFaultEvery-th window of every phase carries one
 // single-window fault burst.
 var driftPhaseLens = [...]int{30, 40, 30}
 
-const driftFaultEvery = 6
-
-func (o DriftOptions) withDefaults() DriftOptions {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Metrics <= 2 {
-		o.Metrics = 6
-	}
-	orDefault(&o.WindowLen, 100)
-	orDefault(&o.TrainRuns, 4)
-	return o
-}
+const (
+	driftFaultEvery = 6
+	// The study's size: coupled metrics (15 trained edges), samples per
+	// diagnosis window, clean training windows.
+	driftMetrics   = 6
+	driftWindowLen = 100
+	driftTrainRuns = 4
+)
 
 // DriftPhaseStats is one arm's window-level outcome over one phase.
 type DriftPhaseStats struct {
@@ -172,19 +153,19 @@ func DriftLifecycleConfig() core.LifecycleConfig {
 }
 
 // RunDriftStudy trains both arms on the same clean runs, then feeds both
-// the same drifting window schedule and scores each phase.
-func RunDriftStudy(opts DriftOptions) (*DriftStudy, error) {
-	opts = opts.withDefaults()
-	root := stats.NewRNG(opts.Seed)
-
+// the same drifting window schedule and scores each phase. seed drives the
+// synthetic telemetry.
+func RunDriftStudy(seed int64) (*DriftStudy, error) {
 	// One shared corpus: training runs and the three-phase schedule.
-	gen := &driftGen{rng: root.Fork(1), m: opts.Metrics, n: opts.WindowLen}
+	gen := &driftGen{rng: stats.NewRNG(seed).Fork(1), m: driftMetrics, n: driftWindowLen}
 	var trainRuns []*metrics.Trace
-	for r := 0; r < opts.TrainRuns; r++ {
+	for r := 0; r < driftTrainRuns; r++ {
 		trainRuns = append(trainRuns, gen.window(nil))
 	}
-	driftMetric := opts.Metrics - 1 // shifts permanently at the boundary
-	faultMetric := 1                // bursts for one window at a time
+	const (
+		driftMetric = driftMetrics - 1 // shifts permanently at the boundary
+		faultMetric = 1                // bursts for one window at a time
+	)
 	var schedule []driftWindow
 	for phase, n := range driftPhaseLens {
 		for i := 0; i < n; i++ {

@@ -12,7 +12,7 @@ import (
 // its pre-drift precision — without ever losing a genuine fault and without
 // a single violation report naming a quarantined pair.
 func TestDriftStudyLifecycleRecovers(t *testing.T) {
-	study, err := RunDriftStudy(DriftOptions{})
+	study, err := RunDriftStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestDriftStudyLifecycleRecovers(t *testing.T) {
 // seed must yield the identical trajectory (the experiment is pinned in CI,
 // so flakiness here would poison the acceptance gate).
 func TestDriftStudyDeterministic(t *testing.T) {
-	a, err := RunDriftStudy(DriftOptions{Seed: 7})
+	a, err := RunDriftStudy(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDriftStudy(DriftOptions{Seed: 7})
+	b, err := RunDriftStudy(7)
 	if err != nil {
 		t.Fatal(err)
 	}

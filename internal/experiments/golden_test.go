@@ -138,7 +138,7 @@ func renderSeed(w io.Writer, seed int64) error {
 		return err
 	}
 	fmt.Fprint(w, dg)
-	ds, err := RunDriftStudy(DriftOptions{Seed: seed})
+	ds, err := RunDriftStudy(seed)
 	if err != nil {
 		return err
 	}

@@ -79,8 +79,8 @@ func TestTally(t *testing.T) {
 				name      string
 				got, want float64
 			}{
-				{"Precision", tally.Precision(tc.label), tc.precision},
-				{"Recall", tally.Recall(tc.label), tc.recall},
+				{"Precision", tally.Counts(tc.label).Precision(), tc.precision},
+				{"Recall", tally.Counts(tc.label).Recall(), tc.recall},
 				{"Accuracy", tally.Accuracy(), tc.accuracy},
 				{"HitAt(1)", tally.HitAt(1), tc.accuracy},
 				{"HitAt(2)", tally.HitAt(2), tc.hit2},

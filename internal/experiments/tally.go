@@ -68,12 +68,6 @@ func (t Tally) Counts(label string) PRCounts {
 	return PRCounts{TP: tp, FP: named - tp, FN: t.Runs(label) - tp}
 }
 
-// Precision returns label's TP/(TP+FP), 0 when nothing was diagnosed as it.
-func (t Tally) Precision(label string) float64 { return t.Counts(label).Precision() }
-
-// Recall returns label's TP/(TP+FN), 0 when it was never injected.
-func (t Tally) Recall(label string) float64 { return t.Counts(label).Recall() }
-
 // HitAt returns the fraction of runs whose k top-ranked causes all name
 // injected faults: top-1 accuracy at k=1, "both culprits named" for a
 // two-fault run at k=2.

@@ -126,16 +126,6 @@ func Valid(k Kind) bool {
 	return false
 }
 
-// IsEnvironment reports whether k is an operational-environment fault.
-func IsEnvironment(k Kind) bool {
-	for _, kk := range EnvironmentKinds() {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
-
 // InteractiveOnly reports whether the fault is only meaningful under
 // interactive workloads. Overload cannot occur under FIFO batch jobs
 // ("When Hadoop works in FIFO mode, one job takes up the whole cluster
@@ -224,12 +214,6 @@ func New(kind Kind, w Window, rng *stats.RNG) (*Injector, error) {
 	}
 	return inj, nil
 }
-
-// Kind returns the injector's fault kind.
-func (in *Injector) Kind() Kind { return in.kind }
-
-// Window returns the activation window.
-func (in *Injector) Window() Window { return in.window }
 
 // Name implements cluster.Perturbation.
 func (in *Injector) Name() string { return string(in.kind) }
@@ -477,12 +461,6 @@ func NewCross(kind Kind, w Window, rng *stats.RNG) (*CrossInjector, error) {
 	}
 	return &CrossInjector{kind: kind, window: w, rng: rng.Fork(int64(len(kind)) + int64(w.Start)*37)}, nil
 }
-
-// Kind returns the injector's fault kind.
-func (ci *CrossInjector) Kind() Kind { return ci.kind }
-
-// Window returns the activation window.
-func (ci *CrossInjector) Window() Window { return ci.window }
 
 // Culprit returns the perturbation to attach to the culprit node.
 func (ci *CrossInjector) Culprit() cluster.Perturbation {

@@ -34,9 +34,6 @@ func TestKindSets(t *testing.T) {
 	if Valid("nosuch") {
 		t.Error("unknown kind should be invalid")
 	}
-	if !IsEnvironment(CPUHog) || IsEnvironment(RPCHang) {
-		t.Error("IsEnvironment misclassifies")
-	}
 	if !InteractiveOnly(Overload) || InteractiveOnly(CPUHog) {
 		t.Error("InteractiveOnly misclassifies")
 	}
@@ -252,7 +249,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.Kind() != NetDrop || inj.Window() != w || inj.Name() != "net-drop" {
-		t.Errorf("accessors: %v %v %v", inj.Kind(), inj.Window(), inj.Name())
+	if inj.kind != NetDrop || inj.window != w || inj.Name() != "net-drop" {
+		t.Errorf("injector: %v %v %v", inj.kind, inj.window, inj.Name())
 	}
 }

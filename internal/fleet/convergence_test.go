@@ -140,8 +140,9 @@ func allHave(counts []int, want int) bool {
 // a distinct fault labelled on each of three peers, the union converging to
 // every peer within a bounded number of explicit anti-entropy rounds, a
 // cross-peer diagnosis answered from the gossip-built local replica, and a
-// killed peer declared dead with its ownership arcs rebalanced and no
-// accepted signature lost.
+// killed peer declared dead after exactly DeadAfter missed rounds with no
+// accepted signature lost and each survivor still answering, from its own
+// ingested window, for a fault only the dead peer ever saw labelled.
 func TestFleetConvergesInBoundedRounds(t *testing.T) {
 	const workload, node = "wordcount", "10.0.0.2"
 	bg := context.Background()
@@ -243,26 +244,23 @@ func TestFleetConvergesInBoundedRounds(t *testing.T) {
 	// connections both). Each failed exchange counts one miss, so DeadAfter
 	// survivor rounds are the deterministic bound for the dead declaration.
 	peers[2].hs.Close()
-	for r := 0; r < 5; r++ {
+	const suspectAfter, deadAfter = 2, 5 // bootTestFleet's thresholds
+	for r := 1; r <= deadAfter; r++ {
 		peers[0].srv.Fleet().SyncRound(bg)
 		peers[1].srv.Fleet().SyncRound(bg)
-	}
-	for i := 0; i < 2; i++ {
-		f := peers[i].srv.Fleet()
-		var got string
-		for _, pi := range f.Peers() {
-			if pi.Addr == peers[2].addr {
-				got = pi.State
-			}
+		want := "alive"
+		switch {
+		case r >= deadAfter:
+			want = "dead"
+		case r >= suspectAfter:
+			want = "suspect"
 		}
-		if got != "dead" {
-			t.Errorf("survivor %d sees the killed peer as %q, want dead", i, got)
-		}
-		// Rebalance: no operation context may hash to the dead peer.
-		for probe := 0; probe < 32; probe++ {
-			owner, _ := f.Owner(workload, fmt.Sprintf("10.0.0.%d", probe))
-			if owner == peers[2].addr {
-				t.Fatalf("survivor %d routes ownership to the dead peer %s", i, owner)
+		for i := 0; i < 2; i++ {
+			for _, pi := range peers[i].srv.Fleet().Peers() {
+				if pi.Addr == peers[2].addr && pi.State != want {
+					t.Errorf("survivor %d sees the killed peer as %q after %d missed rounds, want %s",
+						i, pi.State, r, want)
+				}
 			}
 		}
 	}
@@ -275,6 +273,25 @@ func TestFleetConvergesInBoundedRounds(t *testing.T) {
 		if sigs.Count != wantAfterDup {
 			t.Errorf("survivor %d holds %d signatures after the kill, want %d",
 				i, sigs.Count, wantAfterDup)
+		}
+	}
+	// The daemon that is asked answers: each survivor ingests the window of
+	// the fault labelled on the dead peer into its own stream and diagnoses
+	// that window (no samples in the request) from its own model and replica.
+	for i := 0; i < 2; i++ {
+		if _, err := peers[i].cli.Ingest(bg, workload, node, faultBatches[2]); err != nil {
+			t.Fatalf("survivor %d ingest: %v", i, err)
+		}
+		diag, err := peers[i].cli.Diagnose(bg, workload, node, nil, true)
+		if err != nil {
+			t.Fatalf("survivor %d diagnosing its stream window: %v", i, err)
+		}
+		if diag.Report == nil || diag.Report.Diagnosis == nil {
+			t.Fatalf("survivor %d returned no diagnosis of its stream window (status %s, report %+v)",
+				i, diag.Status, diag.Report)
+		}
+		if rc := diag.Report.Diagnosis.RootCause; rc != "fault-2" {
+			t.Errorf("survivor %d diagnosed its window as %q, want fault-2 (labelled on the dead peer)", i, rc)
 		}
 	}
 }

@@ -2,21 +2,22 @@
 // fault signature learned on any peer becomes recognizable everywhere,
 // without a coordinator and without one-shot exports.
 //
-// Three layers, smallest-first:
+// Two layers, smallest-first:
 //
 //   - membership: static bootstrap (-peers) plus heartbeat liveness with a
 //     suspect/dead state machine and jittered probe intervals. Dead peers
-//     leave the ownership ring but keep being probed, so a restart rejoins.
+//     leave gossip but keep being probed, so a restart rejoins.
 //   - anti-entropy: the signature database is append-mostly and tiny, so
 //     replication is a CRDT-style union keyed by (context, fingerprint).
 //     Every record carries (origin, seq); per-peer version vectors make each
 //     exchange ship exactly what the remote is missing (push-pull per
-//     round), and persisted vectors make restarts resume incrementally.
-//   - ownership: operation contexts consistent-hash onto live peers, so
-//     training load spreads across the fleet and diagnosis for a context
-//     owned elsewhere can forward to the owner or answer from the local
-//     gossip-built replica (flag-selectable). Peer death rebalances only the
-//     dead peer's arcs.
+//     round, at most maxExchangeRecords each way), and persisted vectors
+//     make restarts resume incrementally.
+//
+// Every peer answers a diagnosis from its own stream window, its own model
+// and its gossip-built replica of the signature base: a verdict needs the
+// window and the model, which are not replicated, so the daemon that was
+// asked is the only one that can give it.
 //
 // The serving layer mounts Handler() under /v1/fleet/ on its existing HTTP
 // listener — one port per daemon carries data, control and gossip.
@@ -24,6 +25,7 @@ package fleet
 
 import (
 	"context"
+	"hash/fnv"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -37,7 +39,6 @@ const (
 	DefaultHeartbeat    = 1 * time.Second
 	DefaultSyncInterval = 2 * time.Second
 	DefaultSuspectAfter = 2
-	DefaultDeadAfter    = 5
 )
 
 // rpcClient is the peer transport. Its timeout bounds one peer exchange: a
@@ -62,9 +63,6 @@ type Config struct {
 	// liveness state machine.
 	SuspectAfter int
 	DeadAfter    int
-	// Forward selects how diagnosis for a context owned elsewhere is served:
-	// true proxies to the owner, false answers from the local replica.
-	Forward bool
 	// Apply installs one replicated signature into the local system,
 	// reporting whether it was new there. Set by the serving layer.
 	Apply func(Record) bool
@@ -85,6 +83,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = c.SuspectAfter + 3
+	}
+	if c.Apply == nil {
+		c.Apply = func(Record) bool { return false }
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -147,27 +148,8 @@ func (f *Fleet) Store() *Store { return f.store }
 // Self returns the advertised address.
 func (f *Fleet) Self() string { return f.cfg.Self }
 
-// Forward reports whether remote-owned diagnosis should proxy to the owner.
-func (f *Fleet) Forward() bool { return f.cfg.Forward }
-
-// Owner returns the address owning the operation context and whether that is
-// this daemon. With every peer dead, ownership collapses onto self — the
-// fleet degrades to the single-daemon behaviour, never to refusal.
-func (f *Fleet) Owner(workload, node string) (addr string, self bool) {
-	return f.members.owner(workload, node)
-}
-
 // Peers returns the operator view of the peer set.
 func (f *Fleet) Peers() []PeerInfo { return f.members.snapshot() }
-
-// ReportFailure records a failed direct exchange with addr (e.g. a diagnose
-// forward that could not reach the owner), feeding the same liveness state
-// machine the heartbeats drive.
-func (f *Fleet) ReportFailure(addr string, err error) {
-	if st := f.members.fail(addr, err); st != Alive {
-		f.cfg.Logf("fleet: peer %s %s after forward failure: %v", addr, st, err)
-	}
-}
 
 // Record replicates a locally learned signature: appends it to the log under
 // this daemon's origin; the next anti-entropy round ships it. No-op for
@@ -247,7 +229,7 @@ func (f *Fleet) syncPeer(ctx context.Context, addr string) (changed bool) {
 	var resp syncResponse
 	if err := f.post(ctx, addr, "/sync", req, &resp); err != nil {
 		f.syncFailures.Add(1)
-		if st := f.members.fail(addr, err); st != Alive {
+		if st, _ := f.members.fail(addr, err); st != Alive {
 			f.cfg.Logf("fleet: peer %s %s: %v", addr, st, err)
 		}
 		return false
@@ -280,7 +262,7 @@ func (f *Fleet) apply(recs []Record) int {
 	fresh, dups := f.store.Apply(recs)
 	f.recordsDuplicate.Add(int64(dups))
 	for _, r := range fresh {
-		if f.cfg.Apply != nil && f.cfg.Apply(r) {
+		if f.cfg.Apply(r) {
 			f.recordsApplied.Add(1)
 		} else {
 			f.recordsDuplicate.Add(1)
@@ -294,9 +276,7 @@ func (f *Fleet) apply(recs []Record) int {
 // hold them; Apply is idempotent either way).
 func (f *Fleet) InstallRestored(recs []Record) {
 	for _, r := range recs {
-		if f.cfg.Apply != nil {
-			f.cfg.Apply(r)
-		}
+		f.cfg.Apply(r)
 	}
 }
 
@@ -304,7 +284,7 @@ func (f *Fleet) InstallRestored(recs []Record) {
 // at the jittered heartbeat interval.
 func (f *Fleet) heartbeatLoop(ctx context.Context) {
 	defer f.wg.Done()
-	rng := stats.NewRNG(int64(fnv1a(f.cfg.Self, "heartbeat")))
+	rng := stats.NewRNG(jitterSeed(f.cfg.Self, "heartbeat"))
 	for sleepJittered(ctx, f.cfg.Heartbeat, rng) {
 		for _, addr := range f.members.probeTargets() {
 			if ctx.Err() != nil {
@@ -319,8 +299,7 @@ func (f *Fleet) heartbeatLoop(ctx context.Context) {
 func (f *Fleet) ping(ctx context.Context, addr string) {
 	var resp pingResponse
 	if err := f.post(ctx, addr, "/ping", pingRequest{From: f.cfg.Self}, &resp); err != nil {
-		prev, _ := f.stateOf(addr)
-		if st := f.members.fail(addr, err); st != prev {
+		if st, changed := f.members.fail(addr, err); changed {
 			f.cfg.Logf("fleet: peer %s %s: %v", addr, st, err)
 		}
 		return
@@ -330,30 +309,21 @@ func (f *Fleet) ping(ctx context.Context, addr string) {
 	}
 }
 
-// stateOf reads a peer's current state (logging helper).
-func (f *Fleet) stateOf(addr string) (State, bool) {
-	for _, p := range f.members.snapshot() {
-		if p.Addr == addr {
-			switch p.State {
-			case "alive":
-				return Alive, true
-			case "suspect":
-				return Suspect, true
-			case "dead":
-				return Dead, true
-			}
-		}
-	}
-	return Dead, false
-}
-
 // syncLoop runs anti-entropy rounds at the jittered sync interval.
 func (f *Fleet) syncLoop(ctx context.Context) {
 	defer f.wg.Done()
-	rng := stats.NewRNG(int64(fnv1a(f.cfg.Self, "sync")))
+	rng := stats.NewRNG(jitterSeed(f.cfg.Self, "sync"))
 	for sleepJittered(ctx, f.cfg.SyncInterval, rng) {
 		f.SyncRound(ctx)
 	}
+}
+
+// jitterSeed derives one loop's jitter stream from the daemon's address, so
+// peers booted together draw different intervals.
+func jitterSeed(self, loop string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(self + "/" + loop))
+	return int64(h.Sum64())
 }
 
 // sleepJittered waits one interval drawn uniformly from [d/2, 3d/2) — the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -40,9 +41,9 @@ type pushResponse struct {
 	Applied int `json:"applied"`
 }
 
-// maxGossipBody bounds one gossip request body. Signatures are tiny (a
-// tuple, a problem name, a context); even a full-database push for a large
-// fleet fits in single-digit megabytes.
+// maxGossipBody bounds one gossip body, request or response. An exchange
+// carries at most maxExchangeRecords records (see Store.Missing), which keeps
+// a body the fleet itself built under this bound however long the log is.
 const maxGossipBody = 8 << 20
 
 // Handler returns the gossip surface, to be mounted under /v1/fleet/ on the
@@ -132,7 +133,7 @@ func (f *Fleet) post(ctx context.Context, addr, path string, in, out any) error 
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxGossipBody)).Decode(out); err != nil {
 		return fmt.Errorf("fleet: decoding %s response: %w", path, err)
 	}
 	return nil

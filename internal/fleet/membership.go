@@ -9,8 +9,8 @@ import (
 // State is a peer's liveness in the suspect/dead state machine. A peer is
 // Alive while heartbeats and exchanges succeed; consecutive failures move it
 // to Suspect (still gossiped with — a slow peer must not be partitioned off
-// by one missed beat) and then Dead (dropped from the ownership ring, still
-// pinged so a restart resurrects it).
+// by one missed beat) and then Dead (dropped from gossip, still pinged so a
+// restart resurrects it).
 type State int
 
 const (
@@ -50,8 +50,7 @@ type peer struct {
 	lastErr  string
 }
 
-// membership tracks the fleet's peers and derives the consistent-hash
-// ownership ring from the non-dead ones. Self is always a ring member.
+// membership tracks the fleet's peers and their liveness.
 type membership struct {
 	self         string
 	suspectAfter int // consecutive misses before Alive -> Suspect
@@ -60,7 +59,6 @@ type membership struct {
 
 	mu    sync.Mutex
 	peers map[string]*peer
-	ring  *ring
 }
 
 func newMembership(self string, seeds []string, suspectAfter, deadAfter int, now func() time.Time) *membership {
@@ -76,21 +74,7 @@ func newMembership(self string, seeds []string, suspectAfter, deadAfter int, now
 			m.peers[addr] = &peer{addr: addr, state: Alive}
 		}
 	}
-	m.rebuildRing()
 	return m
-}
-
-// rebuildRing recomputes the ownership ring from self plus every non-dead
-// peer. Caller holds m.mu.
-func (m *membership) rebuildRing() {
-	members := []string{m.self}
-	for _, p := range m.peers {
-		if p.state != Dead {
-			members = append(members, p.addr)
-		}
-	}
-	sort.Strings(members)
-	m.ring = buildRing(members)
 }
 
 // observe marks a successful contact with addr — an answered heartbeat, an
@@ -114,20 +98,17 @@ func (m *membership) observe(addr string) bool {
 	p.misses = 0
 	p.lastErr = ""
 	p.lastSeen = m.now()
-	if changed {
-		m.rebuildRing()
-	}
 	return changed
 }
 
 // fail records one failed probe of addr and advances the state machine.
-// Returns the state after the failure.
-func (m *membership) fail(addr string, err error) State {
+// Returns the state after the failure and whether the failure changed it.
+func (m *membership) fail(addr string, err error) (st State, changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p, ok := m.peers[addr]
 	if !ok {
-		return Dead
+		return Dead, false
 	}
 	p.misses++
 	if err != nil {
@@ -140,19 +121,7 @@ func (m *membership) fail(addr string, err error) State {
 	case p.misses >= m.suspectAfter:
 		p.state = Suspect
 	}
-	if p.state != prev {
-		m.rebuildRing()
-	}
-	return p.state
-}
-
-// owner returns the address owning the operation context and whether that
-// is this daemon.
-func (m *membership) owner(workload, node string) (string, bool) {
-	m.mu.Lock()
-	addr := m.ring.owner(contextKey(workload, node))
-	m.mu.Unlock()
-	return addr, addr == m.self
+	return p.state, p.state != prev
 }
 
 // gossipTargets returns the peers an anti-entropy round should exchange

@@ -13,18 +13,22 @@ func testClock() func() time.Time {
 
 func TestMembershipSuspectDeadTransitions(t *testing.T) {
 	m := newMembership("self:1", []string{"p:1"}, 2, 5, testClock())
-	if st := m.fail("p:1", errors.New("refused")); st != Alive {
-		t.Fatalf("after 1 miss: %v, want alive", st)
+	if st, changed := m.fail("p:1", errors.New("refused")); st != Alive || changed {
+		t.Fatalf("after 1 miss: %v (changed=%v), want alive, unchanged", st, changed)
 	}
-	if st := m.fail("p:1", nil); st != Suspect {
-		t.Fatalf("after 2 misses: %v, want suspect", st)
+	if st, changed := m.fail("p:1", nil); st != Suspect || !changed {
+		t.Fatalf("after 2 misses: %v (changed=%v), want a transition to suspect", st, changed)
 	}
-	// Suspect peers stay in the ring and keep getting gossiped with.
+	// Suspect peers keep getting gossiped with.
 	if targets := m.gossipTargets(); len(targets) != 1 {
 		t.Fatalf("suspect peer dropped from gossip: %v", targets)
 	}
-	for i := 0; i < 3; i++ {
-		m.fail("p:1", nil)
+	// Misses 3 and 4 change nothing; miss 5 (deadAfter) is the transition.
+	for miss := 3; miss <= 5; miss++ {
+		st, changed := m.fail("p:1", nil)
+		if wantDead := miss == 5; (st == Dead) != wantDead || changed != wantDead {
+			t.Fatalf("after %d misses: %v (changed=%v)", miss, st, changed)
+		}
 	}
 	alive, suspect, dead := m.counts()
 	if alive != 0 || suspect != 0 || dead != 1 {
@@ -37,9 +41,9 @@ func TestMembershipSuspectDeadTransitions(t *testing.T) {
 	if targets := m.probeTargets(); len(targets) != 1 {
 		t.Errorf("dead peer not probed: %v", targets)
 	}
-	// The dead peer's contexts rebalance to self.
-	if addr, mine := m.owner("wc", "n1"); !mine || addr != "self:1" {
-		t.Errorf("owner after death = %q (mine=%v), want self", addr, mine)
+	// A peer this daemon never heard of has no state to change.
+	if st, changed := m.fail("stranger:1", nil); st != Dead || changed {
+		t.Errorf("unknown peer: %v (changed=%v), want dead, unchanged", st, changed)
 	}
 }
 
@@ -59,7 +63,7 @@ func TestMembershipResurrectionViaObserve(t *testing.T) {
 		t.Fatalf("alive = %d after resurrection", alive)
 	}
 	// Misses reset: one new failure must not re-kill it.
-	if st := m.fail("p:1", nil); st != Alive {
+	if st, _ := m.fail("p:1", nil); st != Alive {
 		t.Errorf("state after single post-resurrection miss = %v", st)
 	}
 }

@@ -133,9 +133,18 @@ func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
 	return fresh, dups
 }
 
-// Missing returns every record the remote vector does not cover, ordered by
+// maxExchangeRecords caps the records one exchange ships in either direction.
+// With 26 metrics a tuple has at most 325 coordinates, so a record is well
+// under 1 KiB of JSON and a full exchange stays under maxGossipBody; a peer
+// that is further behind catches up over ⌈missing/cap⌉ rounds.
+const maxExchangeRecords = 8192
+
+// Missing returns the records the remote vector does not cover, ordered by
 // (origin, seq) so each origin's slice arrives as a contiguous ascending run
-// — the property Apply's max-advance clock update relies on.
+// — the property Apply's max-advance clock update relies on — and cut to the
+// first maxExchangeRecords of that order: a prefix keeps every shipped run
+// contiguous from the remote's clock, so the next exchange resumes exactly
+// where this one stopped.
 func (s *Store) Missing(remote Vector) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,6 +160,9 @@ func (s *Store) Missing(remote Vector) []Record {
 		}
 		return out[a].Seq < out[b].Seq
 	})
+	if len(out) > maxExchangeRecords {
+		out = out[:maxExchangeRecords]
+	}
 	return out
 }
 

@@ -153,9 +153,6 @@ func NewHealth(set *Set, cfg HealthConfig) *Health {
 	return h
 }
 
-// Len returns the number of tracked edges.
-func (h *Health) Len() int { return len(h.pairs) }
-
 // Observe feeds one window's raw edge verdicts (tuple[k] true = violated;
 // known nil = every edge checkable) and returns the indices of edges that
 // just crossed into quarantine. Verdicts must be the *pre-quarantine* raw
@@ -189,9 +186,6 @@ func (h *Health) Observe(tuple, known []bool) ([]int, error) {
 	}
 	return drifted, nil
 }
-
-// State returns edge k's lifecycle state.
-func (h *Health) State(k int) EdgeState { return h.state[k] }
 
 // QuarantinedCount returns how many edges are quarantined.
 func (h *Health) QuarantinedCount() int { return h.quar }

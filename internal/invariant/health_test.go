@@ -34,8 +34,8 @@ func TestHealthQuarantinesPersistentViolator(t *testing.T) {
 	if len(drifted) != 1 || drifted[0] != 1 {
 		t.Fatalf("drifted = %v, want [1]", drifted)
 	}
-	if h.State(1) != EdgeQuarantined || h.State(0) != EdgeLive || h.State(2) != EdgeLive {
-		t.Fatalf("states = %v %v %v", h.State(0), h.State(1), h.State(2))
+	if h.state[1] != EdgeQuarantined || h.state[0] != EdgeLive || h.state[2] != EdgeLive {
+		t.Fatalf("states = %v", h.state)
 	}
 	if h.QuarantinedCount() != 1 {
 		t.Fatalf("QuarantinedCount = %d, want 1", h.QuarantinedCount())

@@ -71,9 +71,6 @@ func (a *Matrix) Get(i, j int) float64 { return a.scores[a.index(i, j)] }
 // Set stores the score of pair (i, j).
 func (a *Matrix) Set(i, j int, v float64) { a.scores[a.index(i, j)] = v }
 
-// Pairs returns the number of stored pairs, M(M-1)/2.
-func (a *Matrix) Pairs() int { return len(a.scores) }
-
 // Known reports whether pair (i, j) carries a computable score.
 func (a *Matrix) Known(i, j int) bool { return a.known == nil || a.known[a.index(i, j)] }
 

@@ -11,8 +11,8 @@ import (
 
 func TestMatrixIndexing(t *testing.T) {
 	a := NewMatrix(4)
-	if a.Pairs() != 6 {
-		t.Fatalf("Pairs = %d, want 6", a.Pairs())
+	if len(a.scores) != 6 {
+		t.Fatalf("%d stored pairs, want M(M-1)/2 = 6", len(a.scores))
 	}
 	v := 0.0
 	for i := 0; i < 4; i++ {

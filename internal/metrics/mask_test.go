@@ -28,7 +28,7 @@ func TestTraceUnmaskedStaysUnmasked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Masked() {
+	if tr.Valid != nil {
 		t.Fatal("plain Add materialised masks")
 	}
 	if f := tr.ValidFraction(); f != 1 {
@@ -50,7 +50,7 @@ func TestAddMaskedBackfills(t *testing.T) {
 	if err := tr.AddMasked(sample, mask, math.NaN(), false); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Masked() {
+	if tr.Valid == nil {
 		t.Fatal("trace not masked after AddMasked")
 	}
 	// Backfilled prefix is all genuine.
@@ -99,7 +99,7 @@ func TestSliceCarriesMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !win.Masked() || len(win.Valid[7]) != 3 {
+	if win.Valid == nil || len(win.Valid[7]) != 3 {
 		t.Fatal("slice dropped masks")
 	}
 	if win.Valid[7][1] {
@@ -113,7 +113,7 @@ func TestSliceCarriesMasks(t *testing.T) {
 	plain.Add(fullVector(1), 1)
 	plain.Add(fullVector(2), 1)
 	w2, _ := plain.Slice(0, 1)
-	if w2.Masked() {
+	if w2.Valid != nil {
 		t.Fatal("unmasked slice grew masks")
 	}
 }

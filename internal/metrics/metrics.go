@@ -53,16 +53,6 @@ var Names = []string{
 // candidate association pairs).
 const Count = 26
 
-// Index returns the position of a metric name, or -1.
-func Index(name string) int {
-	for i, n := range Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Collector samples metric vectors from nodes. One Collector serves a whole
 // cluster; its noise stream is deterministic.
 type Collector struct {
@@ -301,9 +291,6 @@ func NewTraceWidth(nodeIP, workloadType string, width int) *Trace {
 	}
 }
 
-// Width returns the number of metric rows the trace carries.
-func (t *Trace) Width() int { return len(t.Rows) }
-
 // Add appends one sampled vector (and its CPI reading) to the trace.
 func (t *Trace) Add(sample []float64, cpiValue float64) error {
 	if len(sample) != len(t.Rows) {
@@ -413,9 +400,6 @@ func (t *Trace) materialiseMasks() {
 	}
 }
 
-// Masked reports whether the trace carries validity masks.
-func (t *Trace) Masked() bool { return t.Valid != nil }
-
 // MetricValid returns the validity mask of metric m, or nil when the whole
 // trace is genuine.
 func (t *Trace) MetricValid(m int) []bool {
@@ -445,9 +429,6 @@ func (t *Trace) ValidFraction() float64 {
 	}
 	return float64(ok) / float64(total)
 }
-
-// Metric returns the series of metric m.
-func (t *Trace) Metric(m int) []float64 { return t.Rows[m] }
 
 // Len returns the number of ticks recorded.
 func (t *Trace) Len() int { return t.Ticks }

@@ -60,10 +60,10 @@ func TestCollectShapeAndNonNegativity(t *testing.T) {
 		t.Fatalf("trace too short: %d", tr.Len())
 	}
 	for m := 0; m < Count; m++ {
-		if len(tr.Metric(m)) != tr.Len() {
-			t.Fatalf("metric %d has %d samples, want %d", m, len(tr.Metric(m)), tr.Len())
+		if len(tr.Rows[m]) != tr.Len() {
+			t.Fatalf("metric %d has %d samples, want %d", m, len(tr.Rows[m]), tr.Len())
 		}
-		for _, v := range tr.Metric(m) {
+		for _, v := range tr.Rows[m] {
 			if v < 0 {
 				t.Fatalf("metric %s negative: %v", Names[m], v)
 			}
@@ -79,21 +79,21 @@ func TestNormalCouplings(t *testing.T) {
 	// cpu.user must correlate with disk.readmb, and net packets with net
 	// MB. These are exactly the associations the invariant layer mines.
 	tr := collectRun(t, 51, nil)
-	r1, err := stats.Pearson(tr.Metric(Index("cpu.user")), tr.Metric(Index("disk.readmb")))
+	r1, err := stats.Pearson(tr.Rows[Index("cpu.user")], tr.Rows[Index("disk.readmb")])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 < 0.5 {
 		t.Errorf("corr(cpu.user, disk.readmb) = %v, want strong", r1)
 	}
-	r2, err := stats.Pearson(tr.Metric(Index("net.rxmb")), tr.Metric(Index("net.rxpackets")))
+	r2, err := stats.Pearson(tr.Rows[Index("net.rxmb")], tr.Rows[Index("net.rxpackets")])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2 < 0.9 {
 		t.Errorf("corr(net.rxmb, net.rxpackets) = %v, want very strong", r2)
 	}
-	r3, err := stats.Pearson(tr.Metric(Index("cpu.user")), tr.Metric(Index("cpu.idle")))
+	r3, err := stats.Pearson(tr.Rows[Index("cpu.user")], tr.Rows[Index("cpu.idle")])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,13 @@ func TestMemHogSignature(t *testing.T) {
 	hogged := collectRun(t, 52, func(n *cluster.Node) {
 		n.Attach(&memHog{mb: 17 * 1024})
 	})
-	nf, _ := stats.Mean(normal.Metric(Index("mem.pagefaults")))
-	hf, _ := stats.Mean(hogged.Metric(Index("mem.pagefaults")))
+	nf, _ := stats.Mean(normal.Rows[Index("mem.pagefaults")])
+	hf, _ := stats.Mean(hogged.Rows[Index("mem.pagefaults")])
 	if hf < nf*3 {
 		t.Errorf("mem hog page faults %v not well above normal %v", hf, nf)
 	}
-	ns, _ := stats.Mean(normal.Metric(Index("mem.swaprate")))
-	hs, _ := stats.Mean(hogged.Metric(Index("mem.swaprate")))
+	ns, _ := stats.Mean(normal.Rows[Index("mem.swaprate")])
+	hs, _ := stats.Mean(hogged.Rows[Index("mem.swaprate")])
 	if hs <= ns {
 		t.Errorf("mem hog swap %v not above normal %v", hs, ns)
 	}
@@ -141,8 +141,8 @@ func TestNetDelaySignature(t *testing.T) {
 	delayed := collectRun(t, 53, func(n *cluster.Node) {
 		n.Attach(&netDelay{ms: 800})
 	})
-	nr, _ := stats.Mean(normal.Metric(Index("net.rttms")))
-	dr, _ := stats.Mean(delayed.Metric(Index("net.rttms")))
+	nr, _ := stats.Mean(normal.Rows[Index("net.rttms")])
+	dr, _ := stats.Mean(delayed.Rows[Index("net.rttms")])
 	if dr < nr+500 {
 		t.Errorf("delayed RTT %v not ~800ms above normal %v", dr, nr)
 	}
@@ -157,7 +157,7 @@ func TestTraceSlice(t *testing.T) {
 	if sub.Len() != 5 || len(sub.CPI) != 5 {
 		t.Errorf("slice len = %d/%d", sub.Len(), len(sub.CPI))
 	}
-	if sub.Metric(0)[0] != tr.Metric(0)[5] {
+	if sub.Rows[0][0] != tr.Rows[0][5] {
 		t.Error("slice misaligned")
 	}
 	if _, err := tr.Slice(10, 5); err == nil {
@@ -188,10 +188,20 @@ func TestCollectorDeterminism(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
 	for m := 0; m < Count; m++ {
-		for i := range a.Metric(m) {
-			if a.Metric(m)[i] != b.Metric(m)[i] {
+		for i := range a.Rows[m] {
+			if a.Rows[m][i] != b.Rows[m][i] {
 				t.Fatalf("metric %s diverged at %d", Names[m], i)
 			}
 		}
 	}
+}
+
+// Index returns the position of a metric name, or -1.
+func Index(name string) int {
+	for i, n := range Names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -137,8 +137,8 @@ func TestJoinTracesStageAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Width() != 2*len(idxs) || j.NodeIP != "10.0.0.2~10.0.0.3" {
-		t.Fatalf("joint trace %q width %d", j.NodeIP, j.Width())
+	if len(j.Rows) != 2*len(idxs) || j.NodeIP != "10.0.0.2~10.0.0.3" {
+		t.Fatalf("joint trace %q width %d", j.NodeIP, len(j.Rows))
 	}
 	for i, m := range idxs {
 		for tick := 0; tick < 30; tick++ {

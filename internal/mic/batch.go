@@ -94,13 +94,6 @@ func NewBatchPrepared(preps []*Prepared) (*Batch, error) {
 	return b, nil
 }
 
-// Len returns the number of metrics in the batch.
-func (b *Batch) Len() int { return len(b.prepared) }
-
-// MetricErr returns the preparation error of metric i (nil when the metric
-// is usable). Degenerate metrics score 0 against every partner.
-func (b *Batch) MetricErr(i int) error { return b.errs[i] }
-
 // Score returns the MIC of metrics i and j, or 0 when either metric is
 // degenerate — the same sentinel the MIC convenience wrapper returns for
 // such data. Safe for concurrent use; it satisfies the invariant package's
@@ -114,19 +107,4 @@ func (b *Batch) Score(i, j int) float64 {
 	res := computePair(px, py, sc)
 	b.pool.Put(sc)
 	return res.MIC
-}
-
-// Compute returns the full MIC analysis of metrics i and j. Degenerate
-// metrics report their preparation error.
-func (b *Batch) Compute(i, j int) (Result, error) {
-	if err := b.errs[i]; err != nil {
-		return Result{}, err
-	}
-	if err := b.errs[j]; err != nil {
-		return Result{}, err
-	}
-	sc := b.pool.Get().(*Scratch)
-	res := computePair(b.prepared[i], b.prepared[j], sc)
-	b.pool.Put(sc)
-	return res, nil
 }

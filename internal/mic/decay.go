@@ -1,9 +1,6 @@
 package mic
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // This file is baseline *re-estimation*: a Decayed folds the association
 // scores of successive windows into an exponentially-decayed running
@@ -27,9 +24,6 @@ type Decayed struct {
 // memory of roughly 1/alpha = 4 windows, short enough to track a shifted
 // coupling and long enough to smooth per-window MIC jitter.
 const DefaultDecayAlpha = 0.25
-
-// ErrNoScores reports a Decayed that has not absorbed any score yet.
-var ErrNoScores = errors.New("mic: decayed estimator has no scores")
 
 // NewDecayed returns an empty estimator with the given newest-score weight
 // in (0, 1]; out-of-range alphas select DefaultDecayAlpha.

@@ -34,7 +34,6 @@ package mic
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTooFewSamples is returned when fewer than MinSamples points are given.
@@ -124,20 +123,4 @@ func MIC(xs, ys []float64) float64 {
 		panic(err)
 	}
 	return r.MIC
-}
-
-// micNorm normalises a mutual information value to [0,1] by log min(a,r).
-func micNorm(i float64, a, r int) float64 {
-	d := math.Log(math.Min(float64(a), float64(r)))
-	if d <= 0 {
-		return 0
-	}
-	v := i / d
-	if v > 1 {
-		v = 1
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
 }

@@ -1,7 +1,6 @@
 package mic
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -145,9 +144,6 @@ func newPrepared(xs []float64, order []int, cfg Config) *Prepared {
 	return p
 }
 
-// N returns the sample size the preparation covers.
-func (p *Prepared) N() int { return p.n }
-
 // equipartition assigns each point a row in [0, rows) so that rows hold as
 // close to n/rows points as possible while keeping equal values together,
 // walking the precomputed sorted order instead of re-sorting. It returns
@@ -225,25 +221,6 @@ func floatsFor(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ComputePrepared returns the MIC analysis of two prepared metrics, reusing
-// sc's buffers (a fresh scratch is used when sc is nil). Both preparations
-// must cover samples of the same length under the same configuration.
-func ComputePrepared(px, py *Prepared, sc *Scratch) (Result, error) {
-	if px == nil || py == nil {
-		return Result{}, fmt.Errorf("mic: nil preparation")
-	}
-	if px.n != py.n {
-		return Result{}, fmt.Errorf("mic: prepared length mismatch %d vs %d", px.n, py.n)
-	}
-	if px.cfg != py.cfg {
-		return Result{}, fmt.Errorf("mic: prepared config mismatch %+v vs %+v", px.cfg, py.cfg)
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	return computePair(px, py, sc), nil
 }
 
 // computePair evaluates both grid orientations into dense characteristic

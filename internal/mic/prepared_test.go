@@ -149,11 +149,11 @@ func TestBatchMatchesMIC(t *testing.T) {
 	if b.MetricErr(0) != nil {
 		t.Errorf("clean metric err = %v", b.MetricErr(0))
 	}
-	if _, err := b.Compute(0, 6); err == nil {
-		t.Error("Compute against a degenerate metric should error")
+	if got := b.Score(0, 6); got != 0 {
+		t.Errorf("Score against a degenerate metric = %v, want 0", got)
 	}
-	if r, err := b.Compute(0, 1); err != nil || r.MIC < 0.8 {
-		t.Errorf("Compute(0,1) = %+v, %v", r, err)
+	if got := b.Score(0, 1); got < 0.8 {
+		t.Errorf("Score(0,1) = %v for a near-linear pair", got)
 	}
 }
 

@@ -192,15 +192,6 @@ func (c *Client) Report(ctx context.Context, id string) (*server.Report, error) 
 	return &out, nil
 }
 
-// Profiles lists the profile registry merged with stream state.
-func (c *Client) Profiles(ctx context.Context) (*server.ProfilesResponse, error) {
-	var out server.ProfilesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/profiles", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Signatures lists the signature base.
 func (c *Client) Signatures(ctx context.Context) (*server.SignaturesResponse, error) {
 	var out server.SignaturesResponse

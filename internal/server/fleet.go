@@ -1,36 +1,21 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"time"
 
 	"invarnetx/internal/fleet"
 	"invarnetx/internal/signature"
 	"invarnetx/internal/xmlstore"
 )
 
-// forwardClient carries forwarded diagnose requests peer-to-peer. Bounded
-// independently of the caller's patience: a wedged owner must fail the
-// forward (and feed the liveness state machine) rather than pin the request.
-var forwardClient = &http.Client{Timeout: 30 * time.Second}
-
 // fleetStateFile is the persisted anti-entropy state inside StoreDir: this
 // daemon's origin identity, its next sequence number, the per-peer version
 // vector and the replicated record log. A restart restores it so the first
 // sync round after boot diffs incrementally instead of refetching the fleet.
 const fleetStateFile = "fleet-state.xml"
-
-// ForwardedHeader marks a diagnose request that already crossed the fleet
-// once. The owner answers it locally no matter what the ring says — without
-// the marker, two peers with momentarily divergent membership views could
-// forward a request back and forth.
-const ForwardedHeader = "X-Invarnet-Forwarded"
 
 // initFleet builds the peer subsystem from cfg.Fleet: installs the replicated
 // signature applier, restores persisted anti-entropy state from StoreDir, and
@@ -103,56 +88,16 @@ func (s *Server) stopFleet(ctx context.Context) error {
 
 // PeersResponse is the GET /v1/peers payload.
 type PeersResponse struct {
-	Self    string           `json:"self"`
-	Forward bool             `json:"forward"`
-	Count   int              `json:"count"`
-	Peers   []fleet.PeerInfo `json:"peers"`
+	Self  string           `json:"self"`
+	Count int              `json:"count"`
+	Peers []fleet.PeerInfo `json:"peers"`
 }
 
 func (s *Server) handlePeers(w http.ResponseWriter, _ *http.Request) {
 	peers := s.fleet.Peers()
 	writeJSON(w, http.StatusOK, PeersResponse{
-		Self:    s.fleet.Self(),
-		Forward: s.fleet.Forward(),
-		Count:   len(peers),
-		Peers:   peers,
+		Self:  s.fleet.Self(),
+		Count: len(peers),
+		Peers: peers,
 	})
-}
-
-// maybeForwardDiagnose routes a diagnose request for a context this daemon
-// does not own. Under -fleet-forward the request proxies to the owner (with
-// the forwarded marker, so membership disagreement cannot loop it); without
-// the flag, or when the owner is unreachable, the local gossip-built replica
-// answers — availability over freshness, and the failure still feeds the
-// liveness state machine. Returns true when the response was already written.
-func (s *Server) maybeForwardDiagnose(w http.ResponseWriter, r *http.Request, req *DiagnoseRequest) bool {
-	if s.fleet == nil || !s.fleet.Forward() || r.Header.Get(ForwardedHeader) != "" {
-		return false
-	}
-	addr, self := s.fleet.Owner(req.Workload, req.Node)
-	if self || addr == "" {
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	url := "http://" + addr + "/v1/diagnose"
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(ForwardedHeader, s.fleet.Self())
-	resp, err := forwardClient.Do(preq)
-	if err != nil {
-		s.fleet.ReportFailure(addr, err)
-		return false
-	}
-	defer resp.Body.Close()
-	s.ctr.diagnoseForwarded.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return true
 }

@@ -138,10 +138,3 @@ func (s *reportStore) get(id string) (*report, bool) {
 	r, ok := s.byID[id]
 	return r, ok
 }
-
-// len returns the number of retained reports.
-func (s *reportStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byID)
-}

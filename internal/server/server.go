@@ -64,9 +64,8 @@ type Config struct {
 	// ReportCap bounds retained reports (default DefaultReportCap).
 	ReportCap int
 	// Fleet, when set, federates this daemon with the configured peers:
-	// gossip-replicated signatures, heartbeat liveness and consistent-hash
-	// ownership of operation contexts. The serving layer owns the Apply hook;
-	// any value set there is replaced.
+	// gossip-replicated signatures and heartbeat liveness. The serving layer
+	// owns the Apply hook; any value set there is replaced.
 	Fleet *fleet.Config
 }
 
@@ -444,7 +443,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	if s.refuseCross(w, ctx) || s.maybeForwardDiagnose(w, r, &req) {
+	if s.refuseCross(w, ctx) {
 		return
 	}
 	st := s.stream(ctx)
@@ -783,8 +782,7 @@ func (s *Server) Stats() Stats {
 		CrossQuarantine: cross.Lifecycle.Quarantined,
 		CrossSignatures: cross.Signatures,
 
-		DiagnoseForwarded: s.ctr.diagnoseForwarded.Load(),
-		Fleet:             fleetStats,
+		Fleet: fleetStats,
 
 		DiagnoseLatency: LatencySummary{
 			Count:  h.total.Load(),

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -63,13 +65,29 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *client.Cli
 	return srv, client.New(hs.URL, hs.Client()), hs
 }
 
+// getProfiles reads GET /v1/profiles, the one endpoint the typed client has
+// no product caller for.
+func getProfiles(t *testing.T, hs *httptest.Server) *server.ProfilesResponse {
+	t.Helper()
+	resp, err := hs.Client().Get(hs.URL + "/v1/profiles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out server.ProfilesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/profiles: status %d, %v", resp.StatusCode, err)
+	}
+	return &out
+}
+
 // TestConcurrentIngestStreams is the serving acceptance test: 8 concurrent
 // ingest streams under -race, queue depth bounded throughout, no transport
 // errors, and diagnosis reports for accepted work retrievable.
 func TestConcurrentIngestStreams(t *testing.T) {
 	cfg := server.Config{Core: core.DefaultConfig(), Workers: 4, QueueCap: 16, WindowCap: 64}
 	lcfg := client.LoadConfig{Streams: 8, BatchLen: 5, Batches: 30, DiagnoseEvery: 10}
-	srv, c, _ := newTestServer(t, cfg)
+	srv, c, hs := newTestServer(t, cfg)
 	trainStreams(t, srv.System(), lcfg, lcfg.Streams)
 
 	// A stats poller races the load, watching the queue bound live.
@@ -138,10 +156,7 @@ func TestConcurrentIngestStreams(t *testing.T) {
 	}
 
 	// Windows stayed bounded.
-	profs, err := c.Profiles(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := getProfiles(t, hs)
 	for _, p := range profs.Profiles {
 		if p.WindowLen > cfg.WindowCap {
 			t.Errorf("%s@%s window %d exceeds cap %d", p.Workload, p.Node, p.WindowLen, cfg.WindowCap)
@@ -163,7 +178,7 @@ func TestConcurrentIngestStreams(t *testing.T) {
 func TestGracefulShutdownDrainsAcceptedWork(t *testing.T) {
 	cfg := server.Config{Core: core.DefaultConfig(), Workers: 2, QueueCap: 64, WindowCap: 256}
 	lcfg := client.LoadConfig{Streams: 4, BatchLen: 8, Batches: 6, DiagnoseEvery: 3}
-	srv, c, _ := newTestServer(t, cfg)
+	srv, c, hs := newTestServer(t, cfg)
 	trainStreams(t, srv.System(), lcfg, lcfg.Streams)
 
 	rep := c.RunLoad(context.Background(), lcfg)
@@ -196,10 +211,7 @@ func TestGracefulShutdownDrainsAcceptedWork(t *testing.T) {
 	}
 
 	// Every accepted sample landed in its stream's window.
-	profs, err := c.Profiles(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := getProfiles(t, hs)
 	perStream := int64(lcfg.BatchLen * lcfg.Batches)
 	var total int64
 	for _, p := range profs.Profiles {

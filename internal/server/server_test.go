@@ -335,7 +335,7 @@ func TestMaskedSamplesRideMaskedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Masked() {
+	if tr.Valid == nil {
 		t.Fatal("trace not masked")
 	}
 	if v := tr.Rows[0][1]; v == v { // NaN check
@@ -350,4 +350,11 @@ func TestMaskedSamplesRideMaskedPipeline(t *testing.T) {
 	if tr.CPIValid[2] {
 		t.Error("gap CPI still flagged valid")
 	}
+}
+
+// len returns the number of retained reports.
+func (s *reportStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.byID)
 }

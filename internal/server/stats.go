@@ -93,8 +93,6 @@ type counters struct {
 	reportsFailed  atomic.Int64
 	signaturesPost atomic.Int64 // signatures labelled over the wire
 
-	diagnoseForwarded atomic.Int64 // diagnose requests proxied to their owner
-
 	diagnoseLatency histogram
 }
 
@@ -189,13 +187,12 @@ type Stats struct {
 	CrossQuarantine int `json:"crossQuarantinedEdges"`
 	CrossSignatures int `json:"crossSignatures"`
 
-	// Fleet federation: diagnose requests proxied to their ring owner, and
-	// the peer subsystem's own counters (membership states, log length,
-	// anti-entropy rounds, records shipped/applied/deduplicated, and the
-	// rounds elapsed since replication last moved a record — the convergence
-	// signal). Fleet is nil when federation is disabled.
-	DiagnoseForwarded int64        `json:"diagnoseForwarded"`
-	Fleet             *fleet.Stats `json:"fleet,omitempty"`
+	// Fleet federation: the peer subsystem's own counters (membership
+	// states, log length, anti-entropy rounds, records
+	// shipped/applied/deduplicated, and the rounds elapsed since replication
+	// last moved a record — the convergence signal). Nil when federation is
+	// disabled.
+	Fleet *fleet.Stats `json:"fleet,omitempty"`
 
 	DiagnoseLatency LatencySummary `json:"diagnoseLatency"`
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"invarnetx/internal/core"
+	"invarnetx/internal/fleet"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/stats"
 )
@@ -22,7 +23,7 @@ var (
 	statsKeys = []string{
 		"alerts", "assocCacheEntries", "assocCacheHitRate", "assocCacheHits", "assocCacheMisses",
 		"badRequests", "crossEdges", "crossProfiles", "crossQuarantinedEdges", "crossSignatures",
-		"detectTasks", "diagnoseForwarded", "diagnoseLatency", "diagnoseShed",
+		"detectTasks", "diagnoseLatency", "diagnoseShed",
 		"ingestBatches", "ingestSamples", "ingestShed",
 		"lifecycleEdges", "lifecycleEnabled", "lifecycleObserved", "modelGeneration",
 		"profiles", "promotions", "quarantinedEdges", "queueCapacity", "queueDepth",
@@ -40,6 +41,8 @@ var (
 		"shadowAge", "signatures", "windowLen", "windows", "workload",
 	}
 	crossProfileKeys = []string{"cross", "nodeA", "nodeB", "stage"}
+	peersKeys        = []string{"count", "peers", "self"}
+	peerRowKeys      = []string{"addr", "lastSeenSec", "misses", "state"} // lastErr only after a failure
 )
 
 // getObject GETs path off the handler and decodes the top-level JSON object.
@@ -66,10 +69,10 @@ func sortedKeys(obj map[string]json.RawMessage) []string {
 	return keys
 }
 
-// TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats
-// and of one GET /v1/profiles row, and that both endpoints are views of one
-// profile snapshot: the cross totals on /v1/stats are the sums of the cross
-// rows on /v1/profiles.
+// TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats,
+// of one GET /v1/profiles row and of a federated daemon's GET /v1/peers, and
+// that the first two are views of one profile snapshot: the cross totals on
+// /v1/stats are the sums of the cross rows on /v1/profiles.
 func TestStatsAndProfilesWireKeys(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Lifecycle.Enabled = true
@@ -152,6 +155,31 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	if st.CrossProfiles != 1 || st.CrossEdges == 0 || st.CrossSignatures != 1 || !st.LifecycleEnabled {
 		t.Errorf("cross layer not exercised: %d profiles, %d edges, %d signatures, lifecycle %v",
 			st.CrossProfiles, st.CrossEdges, st.CrossSignatures, st.LifecycleEnabled)
+	}
+
+	// Federation adds one block to /v1/stats and the /v1/peers view.
+	fed, _, err := New(Config{Core: cfg, Fleet: &fleet.Config{Self: "127.0.0.1:1", Peers: []string{"127.0.0.1:2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFedStats := append(append([]string(nil), statsKeys...), "fleet")
+	sort.Strings(wantFedStats)
+	if got := sortedKeys(getObject(t, fed.Handler(), "/v1/stats")); !reflect.DeepEqual(got, wantFedStats) {
+		t.Errorf("federated /v1/stats keys\n got %q\nwant %q", got, wantFedStats)
+	}
+	peersObj := getObject(t, fed.Handler(), "/v1/peers")
+	if got := sortedKeys(peersObj); !reflect.DeepEqual(got, peersKeys) {
+		t.Errorf("/v1/peers keys\n got %q\nwant %q", got, peersKeys)
+	}
+	var peerRows []map[string]json.RawMessage
+	if err := json.Unmarshal(peersObj["peers"], &peerRows); err != nil {
+		t.Fatal(err)
+	}
+	if len(peerRows) != 1 {
+		t.Fatalf("%d peer rows, want 1", len(peerRows))
+	}
+	if got := sortedKeys(peerRows[0]); !reflect.DeepEqual(got, peerRowKeys) {
+		t.Errorf("peer row keys\n got %q\nwant %q", got, peerRowKeys)
 	}
 }
 

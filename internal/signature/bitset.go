@@ -8,7 +8,7 @@ import "math/bits"
 // exits that skip the loop entirely for entries whose score is already
 // determined (or provably below MinScore) by the precomputed population
 // counts. The packed path computes the exact same integer tallies (both/
-// either/equal/ones/compared) the boolean walk of MaskedSimilarity produces
+// either/equal/ones/compared) the tests' boolean walk (MaskedSimilarity) does
 // and feeds them through the same similarityFromCounts, so scores are
 // bit-identical — pinned by TestBitsetMatchesBoolSimilarity.
 

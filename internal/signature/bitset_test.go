@@ -135,30 +135,3 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 		t.Errorf("zero-query scan: scanned=%d early=%d, want 25/25", scanned, early)
 	}
 }
-
-// TestPruneRebuildsPacks: pruning rewrites the entry list; the packed
-// columns must be rebuilt with it or later scans would score stale bits.
-func TestPruneRebuildsPacks(t *testing.T) {
-	rng := stats.NewRNG(2203)
-	db := &DB{}
-	base := randomTuple(rng, 40, 0.3)
-	db.Add(Entry{Tuple: base, Problem: "p", IP: "n", Workload: "w"})
-	db.Add(Entry{Tuple: base, Problem: "p", IP: "n", Workload: "w"}) // duplicate
-	distinct := randomTuple(rng, 40, 0.3)
-	db.Add(Entry{Tuple: distinct, Problem: "q", IP: "n", Workload: "w"})
-	if removed, err := db.Prune(Jaccard, 0.99); err != nil || removed != 1 {
-		t.Fatalf("Prune = %d, %v; want 1 removed", removed, err)
-	}
-	b := db.scopes[scopeKey{workload: "w", ip: "n"}].byLen[40]
-	if len(b.ids) != db.Len() || len(b.words) != db.Len()*b.stride || len(b.ones) != db.Len() || len(b.probs) != db.Len() {
-		t.Fatalf("bucket columns ids=%d words=%d ones=%d probs=%d for %d entries at stride %d",
-			len(b.ids), len(b.words), len(b.ones), len(b.probs), db.Len(), b.stride)
-	}
-	got, err := db.Match(distinct, "n", "w", Jaccard, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Problem != "q" || got[0].Score != 1 {
-		t.Errorf("post-prune match = %+v", got)
-	}
-}

@@ -177,7 +177,7 @@ func (st *store) add(k mergeKey, problem string, n int, words []uint64) {
 	}
 }
 
-// copyFrom re-adds the entry ref locates in src (Clone, Prune).
+// copyFrom re-adds the entry ref locates in src (Clone).
 func (st *store) copyFrom(src *store, ref entryRef) {
 	b := ref.b
 	problem, words := src.problems[b.probs[ref.pos]], b.tuple(ref.pos)

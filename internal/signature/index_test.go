@@ -123,33 +123,6 @@ func TestIndexCounters(t *testing.T) {
 	}
 }
 
-// TestPruneRebuildsIndex: Prune rewrites the entry list, so every surviving
-// index lookup must reflect the compacted ids — a stale index would return
-// matches for dropped entries or mislabel survivors.
-func TestPruneRebuildsIndex(t *testing.T) {
-	rng := stats.NewRNG(2312)
-	db := &DB{MinScore: 0.2}
-	base := randomTuple(rng, 40, 0.3)
-	db.Add(Entry{Tuple: base, Problem: "p", IP: "n", Workload: "w"})
-	db.Add(Entry{Tuple: base, Problem: "p", IP: "n", Workload: "w"}) // pruned duplicate
-	distinct := randomTuple(rng, 40, 0.4)
-	db.Add(Entry{Tuple: distinct, Problem: "q", IP: "n", Workload: "w"})
-	if removed, err := db.Prune(Jaccard, 0.99); err != nil || removed != 1 {
-		t.Fatalf("Prune = %d, %v; want 1 removed", removed, err)
-	}
-	st := db.IndexStats()
-	if st.Indexed != 2 {
-		t.Fatalf("post-prune IndexStats.Indexed = %d, want 2", st.Indexed)
-	}
-	got, err := db.Match(distinct, "n", "w", Jaccard, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Problem != "q" || got[0].Score != 1 {
-		t.Errorf("post-prune indexed match = %+v, want exact q at 1", got)
-	}
-}
-
 // TestCloneCarriesIndex: a clone must answer index-path queries identically
 // to its source while staying fully independent of later source mutations.
 func TestCloneCarriesIndex(t *testing.T) {

@@ -8,6 +8,58 @@ import (
 	"invarnetx/internal/stats"
 )
 
+// MaskedSimilarity is the reference similarity the packed popcount scoring is
+// pinned against: a boolean walk over two equal-length tuples, in [0, 1],
+// restricted to the coordinates whose invariants were checkable under the
+// observed window. known[i] false excludes coordinate i from the comparison
+// entirely (an unknown invariant is neither a match nor a mismatch); a nil
+// mask compares every coordinate. Two all-zero tuples are fully similar under
+// every measure; when no coordinate is known there is no evidence at all, and
+// the similarity is 0 regardless of measure.
+func MaskedSimilarity(a, b Tuple, known []bool, m Measure) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("signature: tuple lengths %d and %d differ", len(a), len(b))
+	}
+	if known != nil && len(known) != len(a) {
+		return 0, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(a))
+	}
+	var both, either, equal, onesA, onesB, compared int
+	for i := range a {
+		if known != nil && !known[i] {
+			continue
+		}
+		compared++
+		switch {
+		case a[i] && b[i]:
+			both++
+			either++
+			equal++
+		case a[i] || b[i]:
+			either++
+		default:
+			equal++
+		}
+		if a[i] {
+			onesA++
+		}
+		if b[i] {
+			onesB++
+		}
+	}
+	return similarityFromCounts(both, either, equal, onesA, onesB, compared, known != nil, m)
+}
+
+// Match is MatchMasked over a fully known window, and Similarity is
+// MaskedSimilarity likewise: the spellings most tests here use. No product
+// code calls either, so they are declared with the tests.
+func (db *DB) Match(tuple Tuple, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	return db.MatchMasked(tuple, nil, ip, workloadType, measure, topK)
+}
+
+func Similarity(a, b Tuple, m Measure) (float64, error) {
+	return MaskedSimilarity(a, b, nil, m)
+}
+
 // matchLinear is the reference retrieval every production path is pinned
 // against: a full scan over a database's Entries() with per-entry scope
 // filtering, scored by the boolean MaskedSimilarity walk and ranked by a

@@ -93,55 +93,10 @@ func (m Measure) check() error {
 	return nil
 }
 
-// Similarity computes the chosen similarity of two equal-length tuples in
-// [0, 1]. Two all-zero tuples are fully similar under every measure.
-func Similarity(a, b Tuple, m Measure) (float64, error) {
-	return MaskedSimilarity(a, b, nil, m)
-}
-
-// MaskedSimilarity computes similarity restricted to the coordinates whose
-// invariants were checkable under the observed window: known[i] false
-// excludes coordinate i from the comparison entirely (an unknown invariant
-// is neither a match nor a mismatch). A nil mask compares every coordinate.
-// When no coordinate is known there is no evidence at all, and the
-// similarity is 0 regardless of measure.
-func MaskedSimilarity(a, b Tuple, known []bool, m Measure) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("signature: tuple lengths %d and %d differ", len(a), len(b))
-	}
-	if known != nil && len(known) != len(a) {
-		return 0, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(a))
-	}
-	var both, either, equal, onesA, onesB, compared int
-	for i := range a {
-		if known != nil && !known[i] {
-			continue
-		}
-		compared++
-		switch {
-		case a[i] && b[i]:
-			both++
-			either++
-			equal++
-		case a[i] || b[i]:
-			either++
-		default:
-			equal++
-		}
-		if a[i] {
-			onesA++
-		}
-		if b[i] {
-			onesB++
-		}
-	}
-	return similarityFromCounts(both, either, equal, onesA, onesB, compared, known != nil, m)
-}
-
 // similarityFromCounts turns the comparison tallies into the final score.
-// Both the boolean walk above and the packed popcount path (query.score in
-// bitset.go) produce identical integer tallies and funnel through here, so
-// the two paths return bit-identical floats.
+// The packed popcount path (query.score in bitset.go) and the tests' boolean
+// reference walk (MaskedSimilarity) produce identical integer tallies and
+// funnel through here, so the two return bit-identical floats.
 func similarityFromCounts(both, either, equal, onesA, onesB, compared int, masked bool, m Measure) (float64, error) {
 	if masked && compared == 0 {
 		return 0, nil
@@ -281,20 +236,15 @@ func (db *DB) Entries() []Entry {
 	return out
 }
 
-// Match retrieves the topK stored signatures most similar to tuple within
-// the operation context (ip, workload); empty ip or workload matches any
-// (the no-operation-context ablation passes both empty). Results are sorted
-// by descending score, ties broken by problem name for determinism.
-func (db *DB) Match(tuple Tuple, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
-	return db.MatchMasked(tuple, nil, ip, workloadType, measure, topK)
-}
-
-// MatchMasked is Match under a degraded telemetry window: similarity is
-// computed only over the coordinates whose invariants were checkable
-// (known[i] true). A nil mask compares every coordinate. topK <= 0 returns
-// the full ranked list — every scoped entry at or above MinScore — which is
-// what audits and the benchmark's layer replay read; a verdict only needs
-// Rank.
+// MatchMasked retrieves the topK stored signatures most similar to tuple
+// within the operation context (ip, workload); empty ip or workload matches
+// any (the no-operation-context ablation passes both empty). Results are
+// sorted by descending score, ties broken by problem name for determinism.
+// Under a degraded telemetry window similarity is computed only over the
+// coordinates whose invariants were checkable (known[i] true); a nil mask
+// compares every coordinate. topK <= 0 returns the full ranked list — every
+// scoped entry at or above MinScore — which is what audits and the
+// benchmark's layer replay read; a verdict only needs Rank.
 //
 // Retrieval is sub-linear in the common case: an unmasked Jaccard or Cosine
 // query with MinScore > 0 resolves through the scope-partitioned inverted
@@ -473,42 +423,4 @@ func BestProblem(matches []Match) []Match {
 		return out[a].Problem < out[b].Problem
 	})
 	return out
-}
-
-// Prune removes redundant signatures: within each (problem, ip, workload)
-// group, an entry whose similarity to an already-kept entry of the same
-// group meets or exceeds threshold under measure is dropped. It returns the
-// number of entries removed. Pruning keeps retrieval sharp as the database
-// grows ("the number of items in signature database increases gradually"):
-// near-duplicate signatures add matching cost without adding coverage.
-func (db *DB) Prune(measure Measure, threshold float64) (removed int, err error) {
-	if err := measure.check(); err != nil {
-		return 0, err
-	}
-	// A bucket is one (ip, workload, tuple length), so grouping by bucket
-	// also keeps entries of different lengths from being compared.
-	type group struct {
-		b   *bucket
-		pid int32
-	}
-	var kept store
-	byGroup := make(map[group][]int32) // positions of the group's kept entries
-	for _, ref := range db.order {
-		g := group{b: ref.b, pid: ref.b.probs[ref.pos]}
-		dup := false
-		for _, prev := range byGroup[g] {
-			if ref.b.pairScore(prev, ref.pos, measure) >= threshold {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			removed++
-			continue
-		}
-		byGroup[g] = append(byGroup[g], ref.pos)
-		kept.copyFrom(&db.store, ref)
-	}
-	db.store = kept
-	return removed, nil
 }

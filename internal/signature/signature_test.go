@@ -222,45 +222,6 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 }
 
-func TestPruneRemovesNearDuplicates(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: tup("11110000"), Problem: "a", IP: "n", Workload: "w"})
-	db.Add(Entry{Tuple: tup("11110001"), Problem: "a", IP: "n", Workload: "w"}) // near dup
-	db.Add(Entry{Tuple: tup("00001111"), Problem: "a", IP: "n", Workload: "w"}) // distinct
-	db.Add(Entry{Tuple: tup("11110000"), Problem: "b", IP: "n", Workload: "w"}) // other problem
-	removed, err := db.Prune(Jaccard, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if db.Len() != 3 {
-		t.Errorf("len = %d, want 3", db.Len())
-	}
-	// The distinct and cross-problem entries survive.
-	problems := map[string]int{}
-	for _, e := range db.Entries() {
-		problems[e.Problem]++
-	}
-	if problems["a"] != 2 || problems["b"] != 1 {
-		t.Errorf("problems = %v", problems)
-	}
-}
-
-func TestPruneKeepsAllWhenDistinct(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: tup("1100"), Problem: "a", IP: "n", Workload: "w"})
-	db.Add(Entry{Tuple: tup("0011"), Problem: "a", IP: "n", Workload: "w"})
-	removed, err := db.Prune(Jaccard, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 || db.Len() != 2 {
-		t.Errorf("removed=%d len=%d", removed, db.Len())
-	}
-}
-
 func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
 	var db DB
 	e := Entry{Tuple: tup("0110"), Problem: "cpu-hog", IP: "n1", Workload: "wordcount"}
@@ -295,7 +256,7 @@ func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
 	}
 }
 
-func TestMergeSurvivesCloneAndPrune(t *testing.T) {
+func TestMergeSurvivesClone(t *testing.T) {
 	var db DB
 	e := Entry{Tuple: tup("0110"), Problem: "cpu-hog", IP: "n1", Workload: "wordcount"}
 	db.Merge(e)
@@ -303,16 +264,6 @@ func TestMergeSurvivesCloneAndPrune(t *testing.T) {
 	c := db.Clone()
 	if c.Merge(e) {
 		t.Error("clone should dedupe entries it copied")
-	}
-	// Prune rebuilds the dedup index over the survivors.
-	near := e
-	near.Tuple = tup("0111")
-	db.Add(near)
-	if _, err := db.Prune(Jaccard, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if db.Merge(e) {
-		t.Error("post-Prune Merge should still dedupe kept entries")
 	}
 }
 

@@ -57,9 +57,6 @@ func (c *CUSUM) Offer(x float64) bool {
 // collected so far, in the same units as the observations.
 func (c *CUSUM) Value() float64 { return c.sum }
 
-// Alarming reports whether the accumulator currently exceeds the threshold.
-func (c *CUSUM) Alarming() bool { return c.sum > c.threshold }
-
 // Reset clears the accumulator.
 func (c *CUSUM) Reset() { c.sum = 0 }
 

@@ -17,8 +17,8 @@ func TestCUSUMPersistentShiftAlarms(t *testing.T) {
 	if !c.Offer(1) {
 		t.Fatalf("no alarm after 3 observations at mean 1 (drift 0.1, threshold 2)")
 	}
-	if !c.Alarming() {
-		t.Fatalf("Alarming() false right after an alarming Offer")
+	if !c.Offer(math.NaN()) {
+		t.Fatalf("alarm dropped by an ignored (non-finite) observation")
 	}
 }
 
@@ -47,13 +47,12 @@ func TestCUSUMIsolatedBlipDecays(t *testing.T) {
 
 func TestCUSUMResetAndRestore(t *testing.T) {
 	c := NewCUSUM(0, 1)
-	c.Offer(10)
-	if !c.Alarming() {
+	if !c.Offer(10) {
 		t.Fatalf("no alarm at sum 10 over threshold 1")
 	}
 	c.Reset()
-	if c.Value() != 0 || c.Alarming() {
-		t.Fatalf("Reset left sum=%v alarming=%v", c.Value(), c.Alarming())
+	if c.Value() != 0 || c.Offer(math.NaN()) {
+		t.Fatalf("Reset left sum=%v, still alarming", c.Value())
 	}
 	c.Restore(0.7)
 	if c.Value() != 0.7 {

@@ -179,11 +179,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // Abs returns a new slice holding |x| for every x in xs.
 func Abs(xs []float64) []float64 {
 	out := make([]float64, len(xs))
@@ -210,49 +205,4 @@ func NormalizeToMin(xs []float64) ([]float64, error) {
 		out[i] = x / m
 	}
 	return out, nil
-}
-
-// Summary bundles the descriptive statistics reported throughout the
-// experiment harness.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-	P95    float64
-}
-
-// Describe computes a Summary of xs. Samples containing NaN/±Inf return
-// ErrNonFinite rather than a Summary full of NaNs.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	if !AllFinite(xs) {
-		return Summary{}, ErrNonFinite
-	}
-	s := Summary{N: len(xs), Mean: MustMean(xs)}
-	if len(xs) >= 2 {
-		sd, err := StdDev(xs)
-		if err != nil {
-			return Summary{}, err
-		}
-		s.StdDev = sd
-	}
-	var err error
-	if s.Min, err = Min(xs); err != nil {
-		return Summary{}, err
-	}
-	if s.Max, err = Max(xs); err != nil {
-		return Summary{}, err
-	}
-	if s.Median, err = Median(xs); err != nil {
-		return Summary{}, err
-	}
-	if s.P95, err = Percentile(xs, 95); err != nil {
-		return Summary{}, err
-	}
-	return s, nil
 }

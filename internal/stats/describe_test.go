@@ -130,19 +130,6 @@ func TestNormalizeToMin(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	s, err := Describe([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Describe = %+v", s)
-	}
-	if _, err := Describe(nil); err != ErrEmpty {
-		t.Errorf("Describe(nil) err = %v", err)
-	}
-}
-
 func TestMeanAbsAndAbs(t *testing.T) {
 	abs := Abs([]float64{-1, 2, -3})
 	if abs[0] != 1 || abs[1] != 2 || abs[2] != 3 {

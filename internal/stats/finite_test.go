@@ -53,16 +53,3 @@ func TestPearsonNonFinite(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNonFinite for NaN in xs", err)
 	}
 }
-
-func TestDescribeNonFinite(t *testing.T) {
-	if _, err := Describe([]float64{1, 2, math.NaN()}); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-	if _, err := Describe([]float64{math.Inf(-1)}); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-	s, err := Describe([]float64{1, 2, 3})
-	if err != nil || s.N != 3 {
-		t.Fatalf("finite describe broken: %+v, %v", s, err)
-	}
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -108,20 +107,4 @@ func (p Polynomial) String() string {
 		}
 	}
 	return b.String()
-}
-
-// RMSE returns the root mean squared error of predictions vs actuals.
-func RMSE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, ErrLengthMismatch
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var ss float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(pred))), nil
 }

@@ -90,15 +90,3 @@ func TestBernoulliRate(t *testing.T) {
 		t.Errorf("Bernoulli(0.3) rate = %v", rate)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	rng := NewRNG(13)
-	p := rng.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}

@@ -120,11 +120,6 @@ func (f *FaultModel) outage(ip string, tick int) bool {
 	return false
 }
 
-// Active reports whether the model injects any fault at all.
-func (f *FaultModel) Active() bool {
-	return f.DropRate > 0 || f.CorruptRate > 0 || f.BatchDelayRate > 0 || len(f.Outages) > 0
-}
-
 // RetryConfig tunes the per-reading retry loop. Retries model re-reading a
 // counter that failed to arrive: each attempt succeeds independently, and
 // the backoff delays accumulate as simulated collection latency.

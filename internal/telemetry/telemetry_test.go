@@ -269,8 +269,9 @@ func TestParseFaultSpec(t *testing.T) {
 	if cfg.Policy != HoldLast {
 		t.Fatalf("policy %v", cfg.Policy)
 	}
-	if c2, err := ParseFaultSpec(""); err != nil || c2.Faults.Active() {
-		t.Fatalf("empty spec: %+v, %v", c2, err)
+	c2, err := ParseFaultSpec("")
+	if f := c2.Faults; err != nil || f.DropRate > 0 || f.CorruptRate > 0 || f.BatchDelayRate > 0 || len(f.Outages) > 0 {
+		t.Fatalf("empty spec injects faults: %+v, %v", c2, err)
 	}
 	for _, bad := range []string{"drop=2", "nope=1", "outage=:3-4", "outage=n:9-3", "policy=zigzag", "drop"} {
 		if _, err := ParseFaultSpec(bad); err == nil {

@@ -36,15 +36,6 @@ var tpcdsTemplates = []queryTemplate{
 	{"q8", "aggregate", 4, 1, cluster.TaskSpec{CPUWork: 22, DiskReadMB: 36, NetOutMB: 5, MemoryMB: 360, NominalSeconds: 22}, cluster.TaskSpec{CPUWork: 14, DiskWriteMB: 5, NetInMB: 10, MemoryMB: 340, NominalSeconds: 12}, 0.9},
 }
 
-// QueryNames lists the 8 TPC-DS query template names.
-func QueryNames() []string {
-	out := make([]string, len(tpcdsTemplates))
-	for i, q := range tpcdsTemplates {
-		out[i] = q.name
-	}
-	return out
-}
-
 // Session drives the interactive TPC-DS mix on a cluster: each tick it
 // submits a Poisson number of queries drawn from the 8 templates, as the
 // paper's "8 queries run in a mixed mode".
@@ -86,9 +77,6 @@ func (s *Session) SubmitQuery() *cluster.Job {
 	s.submitted = append(s.submitted, j)
 	return j
 }
-
-// Submitted returns every job the session has submitted.
-func (s *Session) Submitted() []*cluster.Job { return s.submitted }
 
 // CompletedDurations returns the tick durations of finished queries.
 func (s *Session) CompletedDurations() []float64 {

@@ -35,9 +35,6 @@ const (
 // Types returns every workload type.
 func Types() []Type { return []Type{Wordcount, Sort, Grep, Bayes, TPCDS} }
 
-// BatchTypes returns the batch workloads.
-func BatchTypes() []Type { return []Type{Wordcount, Sort, Grep, Bayes} }
-
 // IsInteractive reports whether the type is the interactive TPC-DS mix.
 func IsInteractive(t Type) bool { return t == TPCDS }
 

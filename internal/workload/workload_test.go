@@ -8,8 +8,8 @@ import (
 )
 
 func TestTypesAndValidity(t *testing.T) {
-	if len(Types()) != 5 || len(BatchTypes()) != 4 {
-		t.Errorf("Types = %v, BatchTypes = %v", Types(), BatchTypes())
+	if len(Types()) != 5 {
+		t.Errorf("Types = %v", Types())
 	}
 	for _, ty := range Types() {
 		if !Valid(ty) {
@@ -107,16 +107,15 @@ func TestBatchJobCompletesOnCluster(t *testing.T) {
 }
 
 func TestQueryNames(t *testing.T) {
-	names := QueryNames()
-	if len(names) != 8 {
-		t.Fatalf("templates = %d, want 8", len(names))
+	if len(tpcdsTemplates) != 8 {
+		t.Fatalf("templates = %d, want 8", len(tpcdsTemplates))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate query name %q", n)
+	for _, q := range tpcdsTemplates {
+		if seen[q.name] {
+			t.Errorf("duplicate query name %q", q.name)
 		}
-		seen[n] = true
+		seen[q.name] = true
 	}
 }
 
@@ -127,7 +126,7 @@ func TestSessionSubmitsAndCompletes(t *testing.T) {
 		s.Tick()
 		c.Step()
 	}
-	if len(s.Submitted()) == 0 {
+	if len(s.submitted) == 0 {
 		t.Fatal("no queries submitted")
 	}
 	// Drain without new arrivals.

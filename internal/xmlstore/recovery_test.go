@@ -20,7 +20,7 @@ func TestVersionUnknownRejected(t *testing.T) {
 		t.Fatalf("future invariant version: err = %v, want ErrVersion", err)
 	}
 	sig := SignatureFile{Version: -1}
-	if _, err := sig.Decode(); !errors.Is(err, ErrVersion) {
+	if _, err := sig.ParseEntries(); !errors.Is(err, ErrVersion) {
 		t.Fatalf("negative signature version: err = %v, want ErrVersion", err)
 	}
 }

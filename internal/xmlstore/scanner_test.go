@@ -425,3 +425,22 @@ func TestSignatureFileDecodeAllocs(t *testing.T) {
 		t.Errorf("allocations per entry = %.3f (200 entries), %.3f (4000); want <= 2 plus a per-file constant", small, large)
 	}
 }
+
+// ParseEntries validates the file and returns its signatures in file order;
+// any malformed tuple rejects the whole file. It is the reflection-side
+// reference LoadSignatureFile's token loop is held to, and no product code
+// reads a signature file this way any more.
+func (f SignatureFile) ParseEntries() ([]signature.Entry, error) {
+	if err := checkVersion(f.Version); err != nil {
+		return nil, err
+	}
+	out := make([]signature.Entry, len(f.Entries))
+	for i, e := range f.Entries {
+		t, err := signature.ParseTuple(e.Tuple)
+		if err != nil {
+			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
+		}
+		out[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
+	}
+	return out, nil
+}

@@ -12,8 +12,9 @@ import (
 
 // LoadSignatureFile reads the signature file at path: the profile scope it
 // was saved under and its entries in file order. It is LoadFile into a
-// SignatureFile followed by ParseEntries — same schema, same checks, any
-// malformed tuple rejecting the whole file — done in a direct loop over the
+// SignatureFile followed by a tuple parse per entry — same schema, same
+// checks, any malformed tuple rejecting the whole file (the tests keep that
+// composition as its reference) — done in a direct loop over the
 // scanner's tokens, because a signature file is the one store kind whose
 // element repeats thousands of times and reflection dominates reading it.
 func LoadSignatureFile(path string) (ip, workloadType string, entries []signature.Entry, err error) {

@@ -215,36 +215,6 @@ func EncodeSignaturesFor(db *signature.DB, ip, workloadType string) SignatureFil
 	return f
 }
 
-// ParseEntries validates the file and returns its signatures in file order.
-// Any malformed tuple rejects the whole file.
-func (f SignatureFile) ParseEntries() ([]signature.Entry, error) {
-	if err := checkVersion(f.Version); err != nil {
-		return nil, err
-	}
-	out := make([]signature.Entry, len(f.Entries))
-	for i, e := range f.Entries {
-		t, err := signature.ParseTuple(e.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
-		}
-		out[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
-	}
-	return out, nil
-}
-
-// Decode rebuilds the signature database.
-func (f SignatureFile) Decode() (*signature.DB, error) {
-	entries, err := f.ParseEntries()
-	if err != nil {
-		return nil, err
-	}
-	var db signature.DB
-	for _, e := range entries {
-		db.Add(e)
-	}
-	return &db, nil
-}
-
 // Save writes v as indented XML with a header.
 func Save(w io.Writer, v any) error {
 	if _, err := io.WriteString(w, xml.Header); err != nil {

@@ -219,27 +219,22 @@ func TestSignatureRoundTrip(t *testing.T) {
 	if err := Save(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	var back SignatureFile
-	if err := load(&buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := back.Decode()
+	_, _, es, err := decodeSignatures(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != 2 {
-		t.Fatalf("decoded %d signatures", db2.Len())
+	if len(es) != 2 {
+		t.Fatalf("decoded %d signatures", len(es))
 	}
-	es := db2.Entries()
 	if es[0].Problem != "cpu-hog" || es[0].Tuple.String() != "01101" {
 		t.Errorf("entry 0 = %+v", es[0])
 	}
 }
 
-// TestSignatureDecodeRebuildsIndex: Decode routes every entry through
-// DB.Add, so a restored database must answer index-path queries (unmasked
-// Jaccard with MinScore > 0) exactly like the database that was persisted —
-// a restore that skipped index maintenance would return nothing.
+// TestSignatureDecodeRebuildsIndex: a restore routes every entry it read
+// through DB.Add, so a restored database must answer index-path queries
+// (unmasked Jaccard with MinScore > 0) exactly like the database that was
+// persisted — a restore that skipped index maintenance would return nothing.
 func TestSignatureDecodeRebuildsIndex(t *testing.T) {
 	var db signature.DB
 	tu, _ := signature.ParseTuple("0110100011")
@@ -251,16 +246,15 @@ func TestSignatureDecodeRebuildsIndex(t *testing.T) {
 	if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
 		t.Fatal(err)
 	}
-	var back SignatureFile
-	if err := load(&buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := back.Decode()
+	_, _, entries, err := decodeSignatures(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.MinScore = 0.5
-	got, err := db2.Match(tu, "10.0.0.2", "wordcount", signature.Jaccard, 1)
+	db2 := &signature.DB{MinScore: 0.5}
+	for _, e := range entries {
+		db2.Add(e)
+	}
+	got, err := db2.MatchMasked(tu, nil, "10.0.0.2", "wordcount", signature.Jaccard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +269,11 @@ func TestSignatureDecodeRebuildsIndex(t *testing.T) {
 
 func TestSignatureDecodeValidation(t *testing.T) {
 	f := SignatureFile{Entries: []SignatureEntry{{Tuple: "01x", Problem: "p", IP: "i", Type: "t"}}}
-	if _, err := f.Decode(); err == nil {
+	var buf bytes.Buffer
+	if err := Save(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := decodeSignatures(buf.Bytes()); err == nil {
 		t.Error("invalid tuple should fail decode")
 	}
 }
@@ -362,19 +360,15 @@ func TestSignatureRoundTripProperty(t *testing.T) {
 		if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
 			return false
 		}
-		var back SignatureFile
-		if err := load(&buf, &back); err != nil {
-			return false
-		}
-		got, err := back.Decode()
+		_, _, got, err := decodeSignatures(buf.Bytes())
 		if err != nil {
 			return false
 		}
-		if got.Len() != db.Len() {
+		if len(got) != db.Len() {
 			return false
 		}
 		want := db.Entries()
-		for i, e := range got.Entries() {
+		for i, e := range got {
 			if e.Problem != want[i].Problem || e.Tuple.String() != want[i].Tuple.String() {
 				return false
 			}
