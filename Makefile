@@ -70,11 +70,17 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of the binary wire-decoder fuzzer, of the store
-# reader's (every xmlstore file kind, checked against encoding/xml) and of the
-# fleet gossip decoders' (/sync and /push bodies); the seed corpora alone (run
-# by `make test`) only replay known shapes.
+# Short coverage-guided runs of five targets: the binary wire-decoder fuzzer,
+# the store reader's (every xmlstore file kind, checked against encoding/xml),
+# the fleet gossip decoders' (/sync and /push bodies), and the two signature
+# equivalence targets — the packed scan (popcount scoring, MinScore pruning,
+# zero-query closed form) against the boolean linear reference, and Rank
+# against BestProblem(Match) — which are the only coverage-guided guard that
+# the one retrieval path is exact. The seed corpora alone (run by `make
+# test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s
+	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
+	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s

@@ -12,6 +12,7 @@ package invarnetx
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -543,11 +544,12 @@ func signatureBenchDB(n, problems int, minScore float64) (*signature.DB, []signa
 	return db, queries
 }
 
-// BenchmarkSignatureMatch measures production signature retrieval over
-// growing databases, up to fleet-scale corpora (gossip replicates every
-// peer's signature log, so n=100000 is the regime the index exists for).
-// Queries resolve through the scope-partitioned inverted index; the
-// linear-scan reference is BenchmarkSignatureLinearScan in
+// BenchmarkSignatureMatch measures filtered signature retrieval (MinScore
+// 0.3, top 5) over growing databases, up to fleet-scale corpora (gossip
+// replicates every peer's signature log). Every query is one scan of its
+// scope's query-length bucket — each entry scored by popcount, or pruned by
+// the MinScore upper bound its population count gives — so time is linear in
+// n. The boolean linear-scan reference is BenchmarkSignatureLinearScan in
 // internal/signature.
 func BenchmarkSignatureMatch(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000, 100000} {
@@ -591,9 +593,8 @@ func BenchmarkSignatureRank(b *testing.B) {
 // of the database size, so a per-entry materialisation coming back (what Rank
 // replaced) fails here on any machine, where a time budget would need a quiet
 // one: 8 per query — the packed query, the per-problem reducer and the ranked
-// result. An indexed Match allocates only its result while the pooled counter
-// planes fit (they grow past n=1000, and the race detector makes sync.Pool
-// drop Puts on purpose, so that pin is skipped under it).
+// result. A filtered Match (MinScore 0.3) allocates its selector and, for what
+// little passes the floor, the result — never per scanned entry.
 func TestSignatureRetrievalAllocs(t *testing.T) {
 	perBatch := func(db *signature.DB, queries []signature.Tuple, retrieve func(*signature.DB, signature.Tuple) error) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -614,9 +615,6 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 			t.Errorf("Rank over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
 		}
 	}
-	if raceEnabled {
-		return
-	}
 	for _, n := range []int{100, 1000} {
 		db, queries := signatureBenchDB(n, 14, 0.3)
 		got := perBatch(db, queries, func(db *signature.DB, q signature.Tuple) error {
@@ -626,6 +624,37 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 		if want := float64(len(queries)); got != want {
 			t.Errorf("Match over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
 		}
+	}
+}
+
+// TestSignatureStoreFootprint pins what a stored signature costs in memory
+// on the benchmark fixture's shape (20 000 entries of 190 coordinates in one
+// context, built with Merge as a restore or a gossip replica builds it): the
+// 24-byte packed tuple, three 4-byte columns, a 16-byte locator and the
+// 8-byte fingerprint Merge dedups on, plus slice and map growth slack — and
+// nothing per coordinate or per scope string. A second copy of the tuples or
+// of the scope coming back (the store once held both) fails here. Merging
+// an entry the store already holds allocates nothing.
+func TestSignatureStoreFootprint(t *testing.T) {
+	src, _ := signatureBenchDB(20000, 200, 0)
+	entries := src.Entries()
+	src = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := &signature.DB{}
+	for _, e := range entries {
+		db.Merge(e)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(db.Len())
+	t.Logf("%d signatures, %.1f heap bytes each", db.Len(), perEntry)
+	if perEntry > 120 {
+		t.Errorf("%.1f heap bytes per stored signature, want at most 120", perEntry)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { db.Merge(entries[len(entries)/2]) }); allocs != 0 {
+		t.Errorf("Merge of a stored entry: %v allocs, want 0", allocs)
 	}
 }
 

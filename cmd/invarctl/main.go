@@ -181,9 +181,9 @@ func cmdSignatures(args []string) error {
 	fs := flag.NewFlagSet("signatures", flag.ExitOnError)
 	w, seed, models := common(fs)
 	showStats := fs.Bool("stats", false,
-		"report per-profile signature DB size, retrieval-index buckets and scan-vs-index hit rates instead of building")
+		"report per-profile signature DB sizes instead of building")
 	addr := fs.String("addr", "",
-		"with -stats: query a running daemon's /v1/stats for live retrieval counters instead of the model store")
+		"with -stats: query a running daemon's /v1/stats for live scan counters instead of the model store")
 	fs.Parse(args)
 	if *showStats {
 		return signatureStats(*models, *addr)
@@ -211,9 +211,8 @@ func cmdSignatures(args []string) error {
 }
 
 // signatureStats reports the signature retrieval state: per-profile database
-// size and index structure from the model store, or — when addr is set — the
-// live daemon's fleet-wide sigIndex* counters (the store's query counters are
-// always zero; queries only happen in a running process).
+// size from the model store, or — when addr is set — the live daemon's total
+// and scan counters (queries only happen in a running process).
 func signatureStats(models, addr string) error {
 	if addr != "" {
 		c := client.New(addr, nil)
@@ -224,12 +223,9 @@ func signatureStats(models, addr string) error {
 			return err
 		}
 		fmt.Printf("signature retrieval at %s:\n", addr)
-		fmt.Printf("  indexed %d entries in %d scopes / %d buckets (%d all-zero)\n",
-			st.SigIndexEntries, st.SigIndexScopes, st.SigIndexBuckets, st.SigIndexZeroEntries)
-		fmt.Printf("  queries: %d via index, %d via scan (index hit rate %.0f%%)\n",
-			st.SigIndexQueries, st.SigIndexScanQueries, 100*st.SigIndexHitRate)
-		fmt.Printf("  index-path candidates scored: %d; scan entries considered: %d (%d early exits)\n",
-			st.SigIndexCandidates, st.SigScanEntries, st.SigScanEarlyExits)
+		fmt.Printf("  %d signatures stored\n", st.Signatures)
+		fmt.Printf("  scan entries considered: %d (%d early exits, %.0f%%)\n",
+			st.SigScanEntries, st.SigScanEarlyExits, 100*st.SigScanEarlyExitRate)
 		return nil
 	}
 	sys, err := openStore(core.DefaultConfig(), models, "")
@@ -242,20 +238,13 @@ func signatureStats(models, addr string) error {
 			continue
 		}
 		shown++
-		ix := st.SigIndex
-		line := fmt.Sprintf("  %-28s %4d signatures  %2d scopes / %2d buckets (%d all-zero)",
-			st.Context, st.Signatures, ix.Scopes, ix.Buckets, ix.ZeroEntries)
-		if total := ix.IndexQueries + ix.ScanQueries; total > 0 {
-			line += fmt.Sprintf("  queries %d index / %d scan (%.0f%% index)",
-				ix.IndexQueries, ix.ScanQueries, 100*ix.HitRate())
-		}
-		fmt.Println(line)
+		fmt.Printf("  %-28s %4d signatures\n", st.Context, st.Signatures)
 	}
 	if shown == 0 {
 		fmt.Println("no signatures in store (run `invarctl signatures` to build them)")
 		return nil
 	}
-	fmt.Printf("%d profiles with signatures; use -addr to read a live daemon's query counters\n", shown)
+	fmt.Printf("%d profiles with signatures; use -addr to read a live daemon's scan counters\n", shown)
 	return nil
 }
 

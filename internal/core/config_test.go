@@ -86,9 +86,8 @@ func TestNewDefaultsZeroConfig(t *testing.T) {
 }
 
 // TestSigMinScorePropagatesToProfiles: the SigMinScore knob must land on
-// each profile's signature database, where > 0 activates the indexed
-// retrieval path — a knob that validates but never reaches the DB would
-// silently leave every diagnosis on the scan fallback.
+// each profile's signature database — a knob that validates but never
+// reaches the DB would silently leave every report unfiltered.
 func TestSigMinScorePropagatesToProfiles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SigMinScore = 0.4

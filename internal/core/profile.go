@@ -248,6 +248,14 @@ func (p *Profile) SignatureCount() int {
 	return p.sigs.Len()
 }
 
+// Signatures returns the profile's stored signatures in insertion order, as
+// copies the caller owns.
+func (p *Profile) Signatures() []signature.Entry {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.sigs.Entries()
+}
+
 // SignatureSnapshot returns a deep copy of the profile's signature
 // database, taken under the profile lock — safe to read, match and audit
 // while concurrent BuildSignature calls keep writing to the live one.
@@ -335,17 +343,13 @@ type ProfileStats struct {
 	// counters: entries considered, and of them entries resolved by an early
 	// exit (popcount fast paths, stale-length skips, MinScore pruning).
 	SigScanned, SigEarlyExits int64
-	// SigIndex reports the signature retrieval index: structure (scopes,
-	// buckets, zero-tuple groups) and index-vs-scan query counters.
-	SigIndex signature.IndexStats
 	// Lifecycle reports the drift-lifecycle counters (zero when the
 	// lifecycle is disabled).
 	Lifecycle LifecycleStats
 }
 
-// Stats snapshots the profile for reporting. Everything p.mu guards —
-// including the signature count and the index structure that must agree
-// with it — is read under one hold of the lock.
+// Stats snapshots the profile for reporting. Everything p.mu guards is read
+// under one hold of the lock.
 func (p *Profile) Stats() ProfileStats {
 	p.mu.RLock()
 	st := ProfileStats{
@@ -354,7 +358,6 @@ func (p *Profile) Stats() ProfileStats {
 		Signatures: p.sigs.Len(),
 		CPIRuns:    p.cpiPool.size(),
 		Windows:    p.windowPool.size(),
-		SigIndex:   p.sigs.IndexStats(),
 	}
 	st.SigScanned, st.SigEarlyExits = p.sigs.ScanStats()
 	if p.invariants != nil {
@@ -385,7 +388,6 @@ func (t *ProfileStats) Add(ps ProfileStats) {
 	t.Sparse.Skipped += ps.Sparse.Skipped
 	t.SigScanned += ps.SigScanned
 	t.SigEarlyExits += ps.SigEarlyExits
-	t.SigIndex.Add(ps.SigIndex)
 	lc, pl := &t.Lifecycle, ps.Lifecycle
 	lc.Enabled = lc.Enabled || pl.Enabled
 	lc.Edges += pl.Edges

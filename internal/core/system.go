@@ -76,11 +76,7 @@ type Config struct {
 	Similarity signature.Measure
 	// SigMinScore is the minimum similarity for a signature match to be
 	// reported. The paper ranks every known signature, so the default is 0
-	// (report all, ranked); setting it > 0 both drops weak causes from
-	// reports and lets unmasked Jaccard/Cosine retrieval run through the
-	// scope-partitioned inverted index instead of scanning the scope —
-	// at MinScore 0 every same-scope signature matches by definition, so
-	// there is nothing for an index to prune.
+	// (report all, ranked); setting it > 0 drops weak causes from reports.
 	SigMinScore float64
 	// TopK bounds the returned cause list (0 = all).
 	TopK int
@@ -430,7 +426,7 @@ func (s *System) SignatureCount() int {
 func (s *System) SignatureSnapshot() *signature.DB {
 	out := &signature.DB{}
 	for _, p := range s.Profiles() {
-		for _, e := range p.SignatureSnapshot().Entries() {
+		for _, e := range p.Signatures() {
 			out.Add(e)
 		}
 	}

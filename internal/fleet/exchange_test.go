@@ -95,3 +95,68 @@ func TestLateJoinerPastTheExchangeCap(t *testing.T) {
 			wantRounds, puller.Store().Len(), full.Store().Len())
 	}
 }
+
+// TestColdRestartContinuesOwnSequence: a daemon that restarts under the same
+// address with its fleet state lost gets its own records back from a peer —
+// and must stamp its next label past them. Reissuing seq 1 moved its own
+// clock backwards and left the new record covered by every peer's clock for
+// that origin, so it never replicated.
+func TestColdRestartContinuesOwnSequence(t *testing.T) {
+	a, b := NewStore("a:1"), NewStore("b:1")
+	for i := 0; i < 3; i++ {
+		a.Append("wordcount", "10.0.0.2", fmt.Sprintf("fault-%d", i), wideTuple(i))
+	}
+	b.Apply(a.Missing(b.Vector()))
+
+	// Both ways a restarted daemon meets records of its own origin: pulled
+	// back from a peer, and read from a fleet file whose next-seq is behind
+	// (absent, or written under another address).
+	pulled := NewStore("a:1")
+	if fresh, _ := pulled.Apply(b.Missing(pulled.Vector())); len(fresh) != 3 {
+		t.Fatalf("restarted peer pulled %d of its 3 records back", len(fresh))
+	}
+	file := b.File()
+	file.Self, file.NextSeq = "", 0
+	if err := file.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStore("a:1")
+	restored.Restore(&file)
+
+	for name, a2 := range map[string]*Store{"pulled": pulled, "restored": restored} {
+		r, ok := a2.Append("wordcount", "10.0.0.2", "fault-new", wideTuple(3))
+		if !ok || r.Seq != 4 || a2.Vector()["a:1"] != 4 {
+			t.Errorf("%s: new label stamped %s:%d (issued %v) under vector %v, want a:1 seq 4", name, r.Origin, r.Seq, ok, a2.Vector())
+			continue
+		}
+		peer := NewStore("b:1")
+		peer.Apply(b.Missing(nil))
+		fresh, _ := peer.Apply(a2.Missing(peer.Vector()))
+		if len(fresh) != 1 || peer.Len() != 4 || peer.Vector()["a:1"] != 4 {
+			t.Errorf("%s: peer got %d fresh, holds %d records at a:1 = %d; want 1, 4, 4",
+				name, len(fresh), peer.Len(), peer.Vector()["a:1"])
+		}
+	}
+}
+
+// TestForgedSeqCannotCoverAnOrigin: a record further past its origin's clock
+// than a whole exchange could reach is skipped like a covered one, so one bad
+// seq does not hide every honest record of that origin for good.
+func TestForgedSeqCannotCoverAnOrigin(t *testing.T) {
+	s := NewStore("self:1")
+	rec := func(seq uint64, problem string) Record {
+		return Record{Origin: "x:1", Seq: seq, Workload: "sort", Node: "10.0.0.3", Problem: problem, Tuple: "0110"}
+	}
+	for _, seq := range []uint64{1<<64 - 1, maxExchangeRecords + 1} {
+		if fresh, dups := s.Apply([]Record{rec(seq, "forged")}); len(fresh) != 0 || dups != 0 || s.Len() != 0 || len(s.Vector()) != 0 {
+			t.Fatalf("seq %d: %d fresh, %d dups, log %d, vector %v; want the record skipped", seq, len(fresh), dups, s.Len(), s.Vector())
+		}
+	}
+	if fresh, _ := s.Apply([]Record{rec(1, "honest")}); len(fresh) != 1 || s.Vector()["x:1"] != 1 {
+		t.Fatalf("honest x:1 seq 1 applied %d, vector %v", len(fresh), s.Vector())
+	}
+	// The furthest an honest exchange reaches is still accepted.
+	if fresh, _ := s.Apply([]Record{rec(1+maxExchangeRecords, "edge")}); len(fresh) != 1 {
+		t.Errorf("a record exactly one exchange past the clock was refused")
+	}
+}

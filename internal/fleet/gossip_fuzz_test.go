@@ -27,8 +27,10 @@ func fuzzFleet() *Fleet {
 // reach with records or clocks (/sync and /push). Whatever arrives, the
 // handler answers 200 or 400 without panicking; a refused body leaves the
 // vector and the log untouched; an accepted one never moves a clock
-// backwards, never shrinks or rewrites the log, and never answers with more
-// than one exchange's worth of records.
+// backwards — this daemon's own included, which the next local label must
+// advance — nor further forwards than the records it logged could reach,
+// never shrinks or rewrites the log, and never answers with more than one
+// exchange's worth of records.
 func FuzzGossipBody(f *testing.F) {
 	mustJSON := func(v any) []byte {
 		b, err := json.Marshal(v)
@@ -57,6 +59,9 @@ func FuzzGossipBody(f *testing.F) {
 	f.Add(true, rec("p:1", "18446744073709551615", "0110")) // 2^64-1
 	f.Add(true, rec("p:1", "18446744073709551616", "0110")) // overflows uint64
 	f.Add(true, rec("p:1", "-1", "0110"))
+	f.Add(true, rec("x:1", "18446744073709551615", "0110"))      // forged seq on an unknown origin
+	f.Add(true, rec("p:1", "8195", "0110"))                      // one past what an exchange reaches
+	f.Add(true, rec("self:1", "5", "0110"))                      // own records coming home after a cold restart
 	f.Add(true, []byte(`{"from":"p:1","records":[],"extra":1}`)) // unknown field
 	f.Add(false, []byte(`{"from":"p:1","vector":{"p:1":18446744073709551615,"self:1":0}}`))
 	f.Add(false, []byte(`{"from":"p:1","vector":{"p:1":-1}}`))
@@ -100,10 +105,21 @@ func FuzzGossipBody(f *testing.F) {
 		if len(logAfter) < len(logBefore) || !reflect.DeepEqual(logAfter[:len(logBefore)], logBefore) {
 			t.Fatalf("%s rewrote the log", path)
 		}
+		reach := make(Vector)
 		for _, r := range logAfter[len(logBefore):] {
 			if r.Origin == "" || r.Seq == 0 || r.Seq > vecAfter[r.Origin] {
 				t.Fatalf("%s logged %+v under vector %v", path, r, vecAfter)
 			}
+			reach[r.Origin] += maxExchangeRecords
+		}
+		for origin, seq := range vecAfter {
+			if seq-vecBefore[origin] > reach[origin] {
+				t.Fatalf("%s moved %s's clock %d -> %d on %d records' reach", path, origin, vecBefore[origin], seq, reach[origin])
+			}
+		}
+		// (A body that happens to carry this very content makes it a no-op.)
+		if r, ok := fl.store.Append("grep", "10.0.0.9", "fresh-label", "101"); ok && fl.store.Vector()["self:1"] != vecAfter["self:1"]+1 {
+			t.Fatalf("%s: next local label stamped %+v after self clock %d", path, r, vecAfter["self:1"])
 		}
 		if push {
 			return

@@ -104,17 +104,22 @@ func (s *Store) Append(workload, node, problem, tuple string) (Record, bool) {
 }
 
 // Apply merges records received from a peer. A record whose (origin, seq) is
-// already covered by the vector is skipped outright; a fresh one advances
-// the vector and enters the log. Fresh records whose content is new are
-// returned for the caller to install into the live signature database;
-// fresh-but-content-duplicate records (the same fault labelled independently
-// on two peers) advance the clock without a second install. Batches apply
-// atomically with respect to concurrent readers of the vector.
+// already covered by the vector is skipped outright, and so is one further
+// past its origin's clock than an exchange reaches (Missing ships a sorted
+// prefix of at most maxExchangeRecords; a forged seq must not cover the
+// origin's real records for good). A fresh one advances the vector — and
+// the local sequence, see keepAhead — and enters the log. Fresh records
+// whose content is new are returned for the caller to install into the live
+// signature database; fresh-but-content-duplicate records (the same fault
+// labelled independently on two peers) advance the clock without a second
+// install. Batches apply atomically with respect to concurrent readers of
+// the vector.
 func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range recs {
-		if r.Origin == "" || r.Seq == 0 || r.Seq <= s.vector[r.Origin] {
+		clock := s.vector[r.Origin]
+		if r.Origin == "" || r.Seq <= clock || r.Seq-clock > maxExchangeRecords {
 			continue
 		}
 		k, err := r.key()
@@ -122,6 +127,7 @@ func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
 			continue // a malformed tuple must not wedge the clock
 		}
 		s.vector[r.Origin] = r.Seq
+		s.keepAhead(r)
 		s.log = append(s.log, r)
 		if _, dup := s.seen[k]; dup {
 			dups++
@@ -131,6 +137,14 @@ func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
 		fresh = append(fresh, r)
 	}
 	return fresh, dups
+}
+
+// keepAhead moves the local sequence past a record of this daemon's own
+// origin (coming home after a cold restart): Append never reissues its seq.
+func (s *Store) keepAhead(r Record) {
+	if r.Origin == s.self && r.Seq >= s.nextSeq {
+		s.nextSeq = r.Seq + 1
+	}
 }
 
 // maxExchangeRecords caps the records one exchange ships in either direction.
@@ -232,6 +246,7 @@ func (s *Store) Restore(f *xmlstore.FleetFile) []Record {
 		if err != nil {
 			continue
 		}
+		s.keepAhead(r)
 		s.log = append(s.log, r)
 		if _, dup := s.seen[k]; dup {
 			continue

@@ -584,16 +584,18 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSignaturesGet(w http.ResponseWriter, _ *http.Request) {
-	entries := s.sys.SignatureSnapshot().Entries()
-	out := SignaturesResponse{Count: len(entries)}
-	for _, e := range entries {
-		out.Signatures = append(out.Signatures, SignatureEntry{
-			Problem:  e.Problem,
-			Workload: e.Workload,
-			Node:     e.IP,
-			Tuple:    e.Tuple.String(),
-		})
+	var out SignaturesResponse
+	for _, p := range s.sys.Profiles() {
+		for _, e := range p.Signatures() {
+			out.Signatures = append(out.Signatures, SignatureEntry{
+				Problem:  e.Problem,
+				Workload: e.Workload,
+				Node:     e.IP,
+				Tuple:    e.Tuple.String(),
+			})
+		}
 	}
+	out.Count = len(out.Signatures)
 	sort.Slice(out.Signatures, func(a, b int) bool {
 		x, y := out.Signatures[a], out.Signatures[b]
 		if x.Workload != y.Workload {
@@ -757,14 +759,7 @@ func (s *Server) Stats() Stats {
 		SigScanEarlyExits:    all.SigEarlyExits,
 		SigScanEarlyExitRate: ratio(all.SigEarlyExits, all.SigScanned),
 
-		SigIndexScopes:      all.SigIndex.Scopes,
-		SigIndexBuckets:     all.SigIndex.Buckets,
-		SigIndexEntries:     all.SigIndex.Indexed,
-		SigIndexZeroEntries: all.SigIndex.ZeroEntries,
-		SigIndexQueries:     all.SigIndex.IndexQueries,
-		SigIndexScanQueries: all.SigIndex.ScanQueries,
-		SigIndexCandidates:  all.SigIndex.Candidates,
-		SigIndexHitRate:     all.SigIndex.HitRate(),
+		Signatures: all.Signatures,
 
 		// Enabled is a configuration fact, so it reads the same on a daemon
 		// that holds no profile yet.

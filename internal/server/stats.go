@@ -150,20 +150,15 @@ type Stats struct {
 	SigScanEarlyExits    int64   `json:"sigScanEarlyExits"`
 	SigScanEarlyExitRate float64 `json:"sigScanEarlyExitRate"`
 
-	// Signature retrieval index: partition structure across all profiles
-	// (scope partitions, (scope, tuple-length) buckets, indexed entries,
-	// zero-tuple group size) and the query split — queries answered through
-	// the inverted index vs queries that fell back to a scan (masked windows,
-	// Hamming, MinScore 0), entries scored by index-path queries, and the
-	// index hit rate (0 when nothing was queried yet).
-	SigIndexScopes      int     `json:"sigIndexScopes"`
-	SigIndexBuckets     int     `json:"sigIndexBuckets"`
-	SigIndexEntries     int     `json:"sigIndexEntries"`
-	SigIndexZeroEntries int     `json:"sigIndexZeroEntries"`
-	SigIndexQueries     int64   `json:"sigIndexQueries"`
-	SigIndexScanQueries int64   `json:"sigIndexScanQueries"`
-	SigIndexCandidates  int64   `json:"sigIndexCandidates"`
-	SigIndexHitRate     float64 `json:"sigIndexHitRate"`
+	// Signatures is the number of stored signatures across all profiles:
+	// the sum of the /v1/profiles rows' signatures.
+	Signatures int `json:"signatures"`
+	// SigIndexQueries and SigIndexCandidates are not on the wire and never
+	// set: the retrieval index they counted is gone, and they stay declared
+	// only because bench/run.go l. 403–404 still reads them and bench/
+	// changes in benchmark-only PRs. Delete both with that reader.
+	SigIndexQueries    int64 `json:"-"`
+	SigIndexCandidates int64 `json:"-"`
 
 	// Drift-lifecycle totals (see core.LifecycleStats): edges under
 	// health tracking, currently quarantined edges, the oldest shadow

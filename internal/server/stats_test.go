@@ -12,6 +12,7 @@ import (
 	"invarnetx/internal/core"
 	"invarnetx/internal/fleet"
 	"invarnetx/internal/metrics"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 )
 
@@ -28,9 +29,7 @@ var (
 		"lifecycleEdges", "lifecycleEnabled", "lifecycleObserved", "modelGeneration",
 		"profiles", "promotions", "quarantinedEdges", "queueCapacity", "queueDepth",
 		"reportsDone", "reportsFailed", "reportsPending", "rollbacks", "shadowAge",
-		"sigIndexBuckets", "sigIndexCandidates", "sigIndexEntries", "sigIndexHitRate",
-		"sigIndexQueries", "sigIndexScanQueries", "sigIndexScopes", "sigIndexZeroEntries",
-		"sigScanEarlyExitRate", "sigScanEarlyExits", "sigScanEntries", "signaturesPosted",
+		"sigScanEarlyExitRate", "sigScanEarlyExits", "sigScanEntries", "signatures", "signaturesPosted",
 		"sparseExactPairs", "sparseScreenedPairs", "sparseSkippedPairs",
 		"streams", "uptimeSec", "workers",
 	}
@@ -180,6 +179,40 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	}
 	if got := sortedKeys(peerRows[0]); !reflect.DeepEqual(got, peerRowKeys) {
 		t.Errorf("peer row keys\n got %q\nwant %q", got, peerRowKeys)
+	}
+}
+
+// TestSignaturesListSortedAcrossContexts: GET /v1/signatures lists every
+// profile's signatures once, ordered by (workload, node, problem, tuple)
+// whatever order they were labelled in, with the tuples as 0/1 strings.
+func TestSignaturesListSortedAcrossContexts(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []SignatureEntry{
+		{Problem: "cpu-hog", Workload: "sort", Node: "10.0.0.2", Tuple: "0110"},
+		{Problem: "net-drop", Workload: "sort", Node: "10.0.0.2", Tuple: "0011"},
+		{Problem: "cpu-hog", Workload: "sort", Node: "10.0.0.3", Tuple: "1001"},
+	}
+	for _, i := range []int{2, 1, 0} {
+		tuple, err := signature.ParseTuple(want[i].Tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := signature.Entry{Tuple: tuple, Problem: want[i].Problem, IP: want[i].Node, Workload: want[i].Workload}
+		if !srv.sys.MergeSignature(e) {
+			t.Fatalf("label %+v not stored", want[i])
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/signatures", nil))
+	var got SignaturesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/signatures: status %d, %v, body %s", rec.Code, err, rec.Body)
+	}
+	if got.Count != len(want) || !reflect.DeepEqual(got.Signatures, want) {
+		t.Errorf("GET /v1/signatures\n got %d %+v\nwant %d %+v", got.Count, got.Signatures, len(want), want)
 	}
 }
 

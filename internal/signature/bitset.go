@@ -3,7 +3,7 @@ package signature
 import "math/bits"
 
 // Bitset-packed tuples: the database keeps every stored signature only as
-// []uint64 words (see index.go for the bucket layout), so the best-match
+// []uint64 words (see store.go for the bucket layout), so the best-match
 // scan is popcount loops instead of per-coordinate branches, with early
 // exits that skip the loop entirely for entries whose score is already
 // determined (or provably below MinScore) by the precomputed population

@@ -57,9 +57,9 @@ func buildRandomDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB
 	return db
 }
 
-// matchBothPaths runs the same query through the production path (index with
-// bucket-scan fallback) and the linear reference scan (reference_test.go),
-// and fails the test unless both return byte-identical results and errors.
+// matchBothPaths runs the same query through the production scan and the
+// linear reference scan (reference_test.go), and fails the test unless both
+// return byte-identical results and errors.
 func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, m Measure, topK int, tag string) {
 	t.Helper()
 	got, gotErr := db.MatchMasked(tuple, known, ip, wl, m, topK)
@@ -67,11 +67,12 @@ func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl stri
 	sameOutcome(t, tag, got, gotErr, want, wantErr)
 }
 
-// TestMatchIndexEquivalence pins the tentpole contract: for random databases,
-// every retrieval path — inverted index, bucket scan fallback, linear
-// reference — returns byte-identical []Match output across all three
-// measures, nil and random masks, and MinScore/topK sweeps.
-func TestMatchIndexEquivalence(t *testing.T) {
+// TestMatchEquivalence pins the retrieval contract: for random databases the
+// packed scan — popcount scoring, the zero-query closed form, MinScore
+// upper-bound pruning, stale-length skips — returns []Match output
+// byte-identical to the boolean linear reference across all three measures,
+// nil and random masks, and MinScore/topK sweeps.
+func TestMatchEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2300)
 	const tupleLen = 90
 	for _, minScore := range []float64{0, 0.05, 0.3, 0.7, 1} {
@@ -95,9 +96,9 @@ func TestMatchIndexEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzMatchEquivalence drives the index-vs-linear-scan equivalence from
-// arbitrary fuzz inputs: whatever database and query the fuzzer concocts,
-// the index path must match the reference scan byte for byte.
+// FuzzMatchEquivalence drives the scan-vs-linear-reference equivalence from
+// arbitrary fuzz inputs: whatever database, MinScore and query the fuzzer
+// concocts, the packed scan must match the reference byte for byte.
 func FuzzMatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(30), uint8(3), uint8(5), false)
 	f.Add(int64(7), uint8(0), uint8(1), uint8(0), uint8(0), true)

@@ -63,7 +63,7 @@ func Similarity(a, b Tuple, m Measure) (float64, error) {
 // matchLinear is the reference retrieval every production path is pinned
 // against: a full scan over a database's Entries() with per-entry scope
 // filtering, scored by the boolean MaskedSimilarity walk and ranked by a
-// stable sort — nothing of the packed store, the index or the reducers, so
+// stable sort — nothing of the packed store, its pruning or the reducers, so
 // the kernel is never checking itself.
 func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
 	if known != nil && len(known) != len(tuple) {
@@ -293,7 +293,7 @@ func TestEntryFingerprintGolden(t *testing.T) {
 // the dedup identity exactly as they were.
 func TestMatchResultsDoNotAliasStore(t *testing.T) {
 	rng := stats.NewRNG(1301)
-	for _, minScore := range []float64{0, 0.3} { // bucket scan and index arm
+	for _, minScore := range []float64{0, 0.3} { // unfiltered and MinScore-pruned
 		db := &DB{MinScore: minScore}
 		var stored []Entry
 		for i := 0; i < 12; i++ {
@@ -403,7 +403,7 @@ func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
 
 // BenchmarkSignatureLinearScan times the reference retrieval over the
 // BenchmarkSignatureMatch fixture of the root package — the denominator of
-// the index's speedup. Untracked (a 100k-entry reference scan at the bench
+// the packed scan's speedup. Untracked (a 100k-entry reference scan at the bench
 // tier's fixed iteration count would dominate its wall clock); run it
 // manually:
 //

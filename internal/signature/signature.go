@@ -153,7 +153,7 @@ type Match struct {
 }
 
 // DB is the signature database. The zero value is ready to use. Stored
-// tuples live only in packed form (see index.go); Entry and Match values
+// tuples live only in packed form (see store.go); Entry and Match values
 // handed out are unpacked copies the caller owns.
 type DB struct {
 	store
@@ -166,11 +166,6 @@ type DB struct {
 	// fast paths, stale-length skips, MinScore bound pruning).
 	scanEntries    atomic.Int64
 	scanEarlyExits atomic.Int64
-	// Index telemetry: queries answered via the inverted index, queries
-	// that fell back to a scan, and entries scored by index-path queries.
-	idxQueries     atomic.Int64
-	idxScanQueries atomic.Int64
-	idxCandidates  atomic.Int64
 }
 
 // ScanStats returns the cumulative best-match scan counters: entries
@@ -184,11 +179,7 @@ var ErrEmpty = errors.New("signature: no signatures for context")
 
 // Add stores a signature. "As more performance problems are diagnosed, the
 // number of items in signature database increases gradually."
-func (db *DB) Add(e Entry) {
-	var buf [stackWords]uint64
-	words := appendPacked(buf[:0], e.Tuple)
-	db.add(e.key(words), e.Problem, len(e.Tuple), words)
-}
+func (db *DB) Add(e Entry) { db.put(e, false) }
 
 // Merge stores a signature unless an identical one — same operation context,
 // same (problem, tuple) fingerprint — is already present, and reports whether
@@ -196,20 +187,14 @@ func (db *DB) Add(e Entry) {
 // labelling (a retried POST /v1/signatures must not inflate the database and
 // skew best-match scans) and fleet anti-entropy (the same entry arriving via
 // two gossip paths merges to one copy).
-func (db *DB) Merge(e Entry) bool {
+func (db *DB) Merge(e Entry) bool { return db.put(e, true) }
+
+// put packs and fingerprints e on the stack and hands it to the store.
+func (db *DB) put(e Entry, unique bool) bool {
 	var buf [stackWords]uint64
 	words := appendPacked(buf[:0], e.Tuple)
-	k := e.key(words)
-	if _, dup := db.dedup[k]; dup {
-		return false
-	}
-	db.add(k, e.Problem, len(e.Tuple), words)
-	return true
-}
-
-// key is the entry's dedup identity, hashed from its packed tuple.
-func (e Entry) key(words []uint64) mergeKey {
-	return mergeKey{scope: scopeKey{workload: e.Workload, ip: e.IP}, fp: fingerprint(e.Problem, words, len(e.Tuple))}
+	fp := fingerprint(e.Problem, words, len(e.Tuple))
+	return db.add(scopeKey{workload: e.Workload, ip: e.IP}, fp, e.Problem, len(e.Tuple), words, unique)
 }
 
 // Len returns the number of stored signatures.
@@ -221,7 +206,9 @@ func (db *DB) Len() int { return len(db.order) }
 func (db *DB) Clone() *DB {
 	out := &DB{MinScore: db.MinScore}
 	for _, ref := range db.order {
-		out.copyFrom(&db.store, ref)
+		b := ref.b
+		problem, words := db.problems[b.probs[ref.pos]], b.tuple(ref.pos)
+		out.add(b.scope, fingerprint(problem, words, b.n), problem, b.n, words, false)
 	}
 	return out
 }
@@ -246,14 +233,10 @@ func (db *DB) Entries() []Entry {
 // scoped entry at or above MinScore — which is what audits and the
 // benchmark's layer replay read; a verdict only needs Rank.
 //
-// Retrieval is sub-linear in the common case: an unmasked Jaccard or Cosine
-// query with MinScore > 0 resolves through the scope-partitioned inverted
-// index (see index.go), touching only entries that share violated bits with
-// the query. Masked windows, Hamming, and MinScore == 0 queries fall back
-// to a bucket scan restricted to the matching scope partitions. Both arms
-// score through query.score → similarityFromCounts, so results are
-// bit-identical across them, and selection runs under one total order
-// (score descending, problem ascending, insertion order) via a bounded
+// Retrieval is one scan (see scan): the scope partitions and length buckets
+// of store.go decide which entries are touched, every score comes from
+// query.score → similarityFromCounts, and selection runs under one total
+// order (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
 func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
 	sel := selector{st: &db.store, k: topK}
@@ -287,7 +270,10 @@ func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure M
 }
 
 // scan scores the scoped entries against the observed tuple and feeds every
-// one at or above MinScore to out.
+// one at or above MinScore to out. The scope partitions prune entries of
+// other operation contexts and the length buckets prune stale tuples; every
+// entry of a query-length bucket is scored, or resolved from its population
+// count (scanBucket).
 func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, out sink) error {
 	if known != nil && len(known) != len(tuple) {
 		// Validated once per query, not per entry — and reported even when
@@ -300,25 +286,6 @@ func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure M
 	var buf [2 * stackWords]uint64
 	q := newQuery(&buf, tuple, known, measure)
 	var scoped int
-	if q.known == nil && db.MinScore > 0 && (measure == Jaccard || measure == Cosine) {
-		db.idxQueries.Add(1)
-		scoped = db.matchIndexed(&q, ip, workloadType, out)
-	} else {
-		db.idxScanQueries.Add(1)
-		scoped = db.matchScoped(&q, ip, workloadType, out)
-	}
-	if scoped == 0 {
-		return ErrEmpty
-	}
-	return nil
-}
-
-// matchScoped is the bucket scan: the scope partitions prune entries of
-// other operation contexts and the length buckets prune stale tuples, but
-// every entry of the query-length bucket is scored. The fallback for masked
-// windows, Hamming, and MinScore == 0 queries. It returns the number of
-// entries in scope.
-func (db *DB) matchScoped(q *query, ip, workloadType string, out sink) (scoped int) {
 	var scanned, early int64
 	db.forScopes(ip, workloadType, func(sp *scopePartition) {
 		scoped += sp.total
@@ -330,12 +297,15 @@ func (db *DB) matchScoped(q *query, ip, workloadType string, out sink) (scoped i
 				early += int64(len(b.ids))
 				continue
 			}
-			early += db.scanBucket(b, q, out)
+			early += db.scanBucket(b, &q, out)
 		}
 	})
 	db.scanEntries.Add(scanned)
 	db.scanEarlyExits.Add(early)
-	return scoped
+	if scoped == 0 {
+		return ErrEmpty
+	}
+	return nil
 }
 
 // scanBucket scores every entry of b against q — a linear walk over the
@@ -363,41 +333,6 @@ func (db *DB) scanBucket(b *bucket, q *query, out sink) (early int64) {
 		}
 	}
 	return early
-}
-
-// matchIndexed answers an unmasked Jaccard/Cosine query with MinScore > 0
-// through the inverted index: candidates are the entries sharing at least
-// minOverlap violated bits with the query (everything else scores exactly
-// 0 < MinScore), and an all-zero query resolves from the precomputed
-// zero-tuple group (every other entry scores 0). The bit-sliced counter
-// hands back each candidate's exact shared-bit count — the same integer
-// query.overlap would produce — so candidates are scored without touching
-// their tuples. It returns the number of entries in scope.
-func (db *DB) matchIndexed(q *query, ip, workloadType string, out sink) (scoped int) {
-	var scored int64
-	threshold := minOverlap(q.measure, db.MinScore, q.ones)
-	db.forScopes(ip, workloadType, func(sp *scopePartition) {
-		scoped += sp.total
-		b := sp.byLen[q.n]
-		if b == nil {
-			return
-		}
-		emit := func(pos int32, both int) {
-			scored++
-			if s := q.score(both, int(b.ones[pos])); s >= db.MinScore {
-				out.add(b.ids[pos], b.probs[pos], s)
-			}
-		}
-		if q.ones == 0 {
-			for _, pos := range b.zeros {
-				emit(pos, 0)
-			}
-			return
-		}
-		b.candidates(q, threshold, emit)
-	})
-	db.idxCandidates.Add(scored)
-	return scoped
 }
 
 // BestProblem aggregates a full Match list into a ranked root-cause list:

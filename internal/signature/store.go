@@ -1,0 +1,166 @@
+package signature
+
+// Flat packed signature store. The paper observes that "the number of items
+// in signature database increases gradually" — and fleet gossip
+// (internal/fleet) replicates every peer's signature log into every replica,
+// so the per-diagnosis retrieval cost grows with fleet-wide history unless
+// the scan stays cheap per entry and never touches an entry it need not.
+//
+// The store partitions entries twice:
+//
+//   - by scope (workload, ip): a scoped query never touches entries of
+//     another operation context, and the no-context ablation (empty ip or
+//     workload) unions the handful of matching partitions rather than
+//     filtering every entry;
+//   - by tuple length within each scope: stale signatures from an older
+//     invariant set live in their own bucket, so the query-length bucket is
+//     the only one ever scored.
+//
+// A bucket is a struct of arrays: one contiguous []uint64 of tuple words at
+// a fixed stride plus parallel columns (population count, interned problem
+// id, global insertion index), so a scan is a linear walk with no per-entry
+// pointer chase, string hash or struct copy. The packed words are the only
+// copy of a stored tuple; the boolean Tuple of the API is packed on the way
+// in and unpacked on the way out. Scope strings are held once per partition
+// and bucket, problem names once per database, and what Merge dedups on is
+// the 8-byte payload fingerprint in the entry's own partition.
+//
+// Every query is one scan of its query-length buckets (DB.scan): scores come
+// from query.score → similarityFromCounts, the same integers the boolean
+// reference walk counts, so results are bit-identical to it (pinned by
+// TestMatchEquivalence and FuzzMatchEquivalence).
+
+// scopeKey is one (workload, ip) partition. Entries are stored under their
+// own concrete context fields; a query with empty ip or workload matches
+// several partitions, never the other way around.
+type scopeKey struct {
+	workload, ip string
+}
+
+// bucket holds the entries of one (scope, tuple length) partition as
+// parallel columns indexed by bucket-local position, in insertion order.
+type bucket struct {
+	scope  scopeKey
+	n      int // tuple length in coordinates
+	stride int // words per tuple: (n+63)/64
+	// words is every tuple back to back: position pos owns
+	// words[pos*stride : (pos+1)*stride].
+	words []uint64
+	ones  []int32 // population count of each tuple
+	probs []int32 // interned problem id (store.problems)
+	ids   []int32 // global insertion index, ascending
+}
+
+// tuple returns the packed words of the entry at pos.
+func (b *bucket) tuple(pos int32) []uint64 {
+	return b.words[int(pos)*b.stride : (int(pos)+1)*b.stride]
+}
+
+// pairScore is the unmasked similarity of the entries at positions i and j.
+func (b *bucket) pairScore(i, j int32, m Measure) float64 {
+	q := query{n: b.n, words: b.tuple(i), ones: int(b.ones[i]), compared: b.n, measure: m}
+	return q.score(q.overlap(b.tuple(j), int(b.ones[j])))
+}
+
+// scopePartition is everything stored under one (workload, ip) scope.
+type scopePartition struct {
+	// total counts entries of every tuple length; it is the scoped-entry
+	// tally ErrEmpty is decided on, which must include stale-length entries
+	// exactly like a per-entry scope filter does.
+	total int
+	byLen map[int]*bucket
+	// dedup holds the payload fingerprint of every entry in the partition,
+	// for Merge: the partition is the operation context, so the fingerprint
+	// alone is the entry's identity. A collision across different payloads
+	// is theoretically possible but would only suppress one redundant store;
+	// it can never corrupt existing entries.
+	dedup map[uint64]struct{}
+}
+
+// entryRef locates one stored entry.
+type entryRef struct {
+	b   *bucket
+	pos int32
+}
+
+// store is the signature storage behind DB. The zero value is ready to use.
+type store struct {
+	scopes map[scopeKey]*scopePartition
+	// order maps global insertion index → the entry's bucket and position.
+	order []entryRef
+	// problems interns problem names: a bucket column holds the id, the
+	// per-problem reducer indexes by it.
+	problems []string
+	probID   map[string]int32
+}
+
+// add stores one packed tuple of n coordinates under scope; fp is the
+// entry's fingerprint. With unique set, an entry whose fingerprint the
+// partition already holds is left out and add reports false.
+func (st *store) add(scope scopeKey, fp uint64, problem string, n int, words []uint64, unique bool) bool {
+	if st.scopes == nil {
+		st.scopes = make(map[scopeKey]*scopePartition)
+		st.probID = make(map[string]int32)
+	}
+	sp := st.scopes[scope]
+	if sp == nil {
+		sp = &scopePartition{byLen: make(map[int]*bucket), dedup: make(map[uint64]struct{})}
+		st.scopes[scope] = sp
+	}
+	if _, dup := sp.dedup[fp]; dup && unique {
+		return false
+	}
+	sp.dedup[fp] = struct{}{}
+	sp.total++
+	pid, ok := st.probID[problem]
+	if !ok {
+		pid = int32(len(st.problems))
+		st.problems = append(st.problems, problem)
+		st.probID[problem] = pid
+	}
+	b := sp.byLen[n]
+	if b == nil {
+		b = &bucket{scope: scope, n: n, stride: (n + 63) / 64}
+		sp.byLen[n] = b
+	}
+	b.words = append(b.words, words...)
+	b.ones = append(b.ones, int32(popcount(words)))
+	b.probs = append(b.probs, pid)
+	b.ids = append(b.ids, int32(len(st.order)))
+	st.order = append(st.order, entryRef{b: b, pos: int32(len(b.ids) - 1)})
+	return true
+}
+
+// entry unpacks the stored entry ref locates: its tuple into dst (zeroed,
+// one tuple long), or into a slice of its own when dst is nil. An empty
+// tuple stays nil.
+func (st *store) entry(ref entryRef, dst Tuple) Entry {
+	b := ref.b
+	if dst == nil && b.n > 0 {
+		dst = make(Tuple, b.n)
+	}
+	unpackInto(dst, b.tuple(ref.pos))
+	return Entry{Tuple: dst, Problem: st.problems[b.probs[ref.pos]], IP: b.scope.ip, Workload: b.scope.workload}
+}
+
+// forScopes calls fn for every partition a query scoped to (ip, workload)
+// may match; empty ip or workload is a wildcard on that field. Partition
+// visit order is map order — harmless, because both reducers select under a
+// total order (see topk.go) and counters are commutative sums.
+func (st *store) forScopes(ip, workload string, fn func(*scopePartition)) {
+	if ip != "" && workload != "" {
+		if sp := st.scopes[scopeKey{workload: workload, ip: ip}]; sp != nil {
+			fn(sp)
+		}
+		return
+	}
+	for k, sp := range st.scopes {
+		if ip != "" && k.ip != ip {
+			continue
+		}
+		if workload != "" && k.workload != workload {
+			continue
+		}
+		fn(sp)
+	}
+}

@@ -2,9 +2,9 @@ package signature
 
 import "slices"
 
-// The two reducers behind the scan kernel. matchScoped and matchIndexed
-// emit (entry index, problem id, score) for every entry at or above
-// MinScore; a sink folds that stream into what the caller asked for:
+// The two reducers behind the scan kernel. DB.scan emits (entry index,
+// problem id, score) for every entry at or above MinScore; a sink folds that
+// stream into what the caller asked for:
 //
 //   - selector keeps the topK best entries (MatchMasked) — a bounded heap,
 //     so selection is O(matches · log topK);
@@ -28,9 +28,8 @@ type sink interface {
 
 // selector accumulates scored entries and yields the ranked result under
 // one total order: score descending, then problem ascending (the ordering
-// Match always promised), then insertion order — so results depend neither
-// on which retrieval arm generated the candidates nor on the partition
-// visit order.
+// Match always promised), then insertion order — so results do not depend
+// on the partition visit order.
 type selector struct {
 	st   *store
 	k    int   // bound; <= 0 keeps everything

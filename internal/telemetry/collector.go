@@ -57,7 +57,6 @@ type nodeState struct {
 
 // New builds a collector; rng drives every fault and jitter draw.
 func New(cfg Config, rng *stats.RNG) *Collector {
-	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.Faults.BatchDelayRate > 0 && cfg.Faults.MaxDelayTicks <= 0 {
 		cfg.Faults.MaxDelayTicks = 3
 	}
@@ -231,18 +230,14 @@ func (c *Collector) applyOneReadingFault(st *nodeState, v float64) (float64, boo
 // reports whether any attempt succeeded. The simulated latency of every
 // backoff wait is accounted against the node.
 func (c *Collector) retry(st *nodeState) bool {
-	r := c.cfg.Retry
 	failP := c.cfg.Faults.DropRate + c.cfg.Faults.CorruptRate
 	if failP > 1 {
 		failP = 1
 	}
-	delay := r.BaseDelayMS
-	for attempt := 0; attempt < r.Max; attempt++ {
-		d := delay
-		if d > r.MaxDelayMS {
-			d = r.MaxDelayMS
-		}
-		d *= 1 + r.Jitter*(2*st.rng.Float64()-1)
+	delay := retryBaseDelayMS
+	for attempt := 0; attempt < retryMax; attempt++ {
+		d := min(delay, retryMaxDelayMS)
+		d *= 1 + retryJitter*(2*st.rng.Float64()-1)
 		st.health.Retries++
 		st.health.RetryLatencyMS += d
 		if !st.rng.Bernoulli(failP) {

@@ -120,43 +120,20 @@ func (f *FaultModel) outage(ip string, tick int) bool {
 	return false
 }
 
-// RetryConfig tunes the per-reading retry loop. Retries model re-reading a
-// counter that failed to arrive: each attempt succeeds independently, and
-// the backoff delays accumulate as simulated collection latency.
-type RetryConfig struct {
-	// Max is the number of retry attempts per lost reading (default 2).
-	Max int
-	// BaseDelayMS is the first backoff delay (default 50 ms); attempt k
-	// waits BaseDelayMS * 2^(k-1), capped at MaxDelayMS.
-	BaseDelayMS float64
-	// MaxDelayMS caps a single backoff delay (default 1000 ms).
-	MaxDelayMS float64
-	// Jitter spreads each delay uniformly by ±Jitter fraction
-	// (default 0.2), decorrelating retry storms across metrics.
-	Jitter float64
-}
-
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.Max <= 0 {
-		r.Max = 2
-	}
-	if r.BaseDelayMS <= 0 {
-		r.BaseDelayMS = 50
-	}
-	if r.MaxDelayMS <= 0 {
-		r.MaxDelayMS = 1000
-	}
-	if r.Jitter <= 0 {
-		r.Jitter = 0.2
-	}
-	return r
-}
+// The per-reading retry loop. Retries model re-reading a counter that failed
+// to arrive: each attempt succeeds independently, and the backoff delays
+// accumulate as simulated collection latency.
+const (
+	retryMax         = 2    // retry attempts per lost reading
+	retryBaseDelayMS = 50.0 // first backoff delay; attempt k waits base·2^(k-1)
+	retryMaxDelayMS  = 1000 // cap on a single backoff delay
+	retryJitter      = 0.2  // each delay spread uniformly by ± this fraction
+)
 
 // Config assembles a collector.
 type Config struct {
 	Faults FaultModel
 	Policy GapPolicy
-	Retry  RetryConfig
 }
 
 // ParseFaultSpec parses the CLI fault specification used by

@@ -70,7 +70,7 @@ func TestTotalLossMaskPolicy(t *testing.T) {
 }
 
 func TestRetryRecoversSomeDrops(t *testing.T) {
-	cfg := Config{Faults: FaultModel{DropRate: 0.4}, Policy: Mask, Retry: RetryConfig{Max: 3}}
+	cfg := Config{Faults: FaultModel{DropRate: 0.4}, Policy: Mask}
 	c := New(cfg, stats.NewRNG(3))
 	tr := metrics.NewTrace("n", "w")
 	for i := 0; i < 40; i++ {
@@ -83,7 +83,10 @@ func TestRetryRecoversSomeDrops(t *testing.T) {
 		t.Fatal("no drops at DropRate 0.4")
 	}
 	if h.Recovered == 0 {
-		t.Fatal("retry loop recovered nothing at DropRate 0.4 with 3 attempts")
+		t.Fatalf("retry loop recovered nothing at DropRate 0.4 with %d attempts", retryMax)
+	}
+	if lost := h.Dropped + h.Corrupt; h.Retries < lost || h.Retries > retryMax*lost {
+		t.Fatalf("%d retries for %d lost readings, want 1 to %d each", h.Retries, lost, retryMax)
 	}
 	if h.Recovered > h.Dropped+h.Corrupt {
 		t.Fatalf("recovered %d > lost %d", h.Recovered, h.Dropped+h.Corrupt)
