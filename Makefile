@@ -2,7 +2,8 @@
 #
 #   make test          — tier 1: build everything, run the full unit suite
 #                        (including the allocation pins on the ingest,
-#                        signature-retrieval and store-restore hot paths)
+#                        signature-retrieval, store-restore and MIC-scoring
+#                        hot paths)
 #   make vet           — go vet, and fail on any file gofmt would rewrite
 #   make race          — tier 2: vet + the full suite under the race detector
 #   make smoke         — boot invarnetd on an ephemeral port, run the load
@@ -70,17 +71,20 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of five targets: the binary wire-decoder fuzzer,
+# Short coverage-guided runs of six targets: the binary wire-decoder fuzzer,
 # the store reader's (every xmlstore file kind, checked against encoding/xml),
-# the fleet gossip decoders' (/sync and /push bodies), and the two signature
+# the fleet gossip decoders' (/sync and /push bodies), the two signature
 # equivalence targets — the packed scan (popcount scoring, MinScore pruning,
 # zero-query closed form) against the boolean linear reference, and Rank
 # against BestProblem(Match) — which are the only coverage-guided guard that
-# the one retrieval path is exact. The seed corpora alone (run by `make
-# test`) only replay known shapes.
+# the one retrieval path is exact, and the exact-MIC kernel against the
+# kernel it replaced (term table, trimmed DP, one-pass clumps: same Result to
+# the bit, on tie densities no hand-written shape covers). The seed corpora
+# alone (run by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s
+	$(GO) test ./internal/mic/ -run '^$$' -fuzz FuzzPairKernelEquivalence -fuzztime 10s

@@ -354,8 +354,11 @@ func BenchmarkSignatureConflict(b *testing.B) {
 
 // --- Substrate micro-benchmarks ------------------------------------------
 
-// BenchmarkMIC measures one MIC computation at the 30-sample fault-window
-// size (the unit of the Invar-C and Cause-I columns of Table 1).
+// BenchmarkMIC measures one call of the public MIC at the 30-sample
+// fault-window size: two Prepares (sort, equipartitions, ranks — and all of
+// the call's allocations) plus the exact kernel on a pooled scratch. The
+// kernel alone, the unit of Table 1's Invar-C and Cause-I columns, is
+// internal/mic's BenchmarkPairKernel.
 func BenchmarkMIC(b *testing.B) {
 	rng := NewRNG(1)
 	n := 30

@@ -3,19 +3,18 @@ package mic
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Batch prepares every metric of a window once and scores pairs with
 // shared preprocessing — the engine behind the invariant layer's
 // pair-granular parallel matrix fill. Preparing costs one sort per metric;
 // every one of the m(m−1)/2 pair computations then skips the per-call
-// sorting and equipartitioning entirely and draws its DP buffers from a
-// pool, so Score is cheap enough to call from many workers at once.
+// sorting and equipartitioning entirely and draws its DP buffers from the
+// package's scratch pool, so Score is cheap enough to call from many workers
+// at once.
 type Batch struct {
 	prepared []*Prepared // nil where the metric's samples are degenerate
 	errs     []error     // the Prepare error for degenerate metrics
-	pool     sync.Pool   // *Scratch, one per concurrent scorer
 }
 
 // NewBatch validates the metric rows (all must share one length) and
@@ -37,7 +36,6 @@ func NewBatch(rows [][]float64, cfg Config) (*Batch, error) {
 		prepared: make([]*Prepared, len(rows)),
 		errs:     make([]error, len(rows)),
 	}
-	b.pool.New = func() any { return NewScratch() }
 	for i, r := range rows {
 		p, err := Prepare(r, cfg)
 		if err != nil {
@@ -83,7 +81,6 @@ func NewBatchPrepared(preps []*Prepared) (*Batch, error) {
 		prepared: make([]*Prepared, len(preps)),
 		errs:     make([]error, len(preps)),
 	}
-	b.pool.New = func() any { return NewScratch() }
 	for i, p := range preps {
 		if p == nil {
 			b.errs[i] = ErrNotPrepared
@@ -103,8 +100,5 @@ func (b *Batch) Score(i, j int) float64 {
 	if px == nil || py == nil {
 		return 0
 	}
-	sc := b.pool.Get().(*Scratch)
-	res := computePair(px, py, sc)
-	b.pool.Put(sc)
-	return res.MIC
+	return pooledPair(px, py).MIC
 }

@@ -22,13 +22,16 @@
 // The dynamic programme exploits the identity
 // I(P;Q) = H(Q) − H(Q|P) with H(Q|P) additive over the bins of P, so the
 // optimal column partition is a shortest-path problem over clump
-// boundaries.
+// boundaries. A bin's cost is a sum of cnt·log(tot/cnt) terms with
+// cnt ≤ tot ≤ n, so the kernel looks them up in a process-wide table built
+// on first use, and fills only the DP cells the answer reads (prepared.go).
 //
 // Two batch-oriented entry points serve the invariant layer's exhaustive
 // pairwise search: Prepare computes a metric's sort permutation and
 // equipartitions once for reuse across all its pairs, and Batch scores any
-// pair of a prepared metric window with pooled scratch buffers (see
-// prepared.go and batch.go).
+// pair of a prepared metric window. Every entry point without a
+// caller-owned Scratch (Compute, MIC, Batch) draws one from the package's
+// single pool.
 package mic
 
 import (
@@ -104,7 +107,7 @@ func Compute(xs, ys []float64, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return computePair(px, py, NewScratch()), nil
+	return pooledPair(px, py), nil
 }
 
 // MIC is a convenience wrapper returning just the score under the default

@@ -3,6 +3,8 @@ package mic
 import (
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // This file is the MIC computation engine. The public entry points
@@ -12,17 +14,13 @@ import (
 //   - Prepared holds everything about one metric that is independent of its
 //     pairing partner: the sort permutation, the value-tie boundaries, and
 //     the equipartition row assignment (plus its entropy) for every
-//     admissible row count. The reference implementation re-sorted each
-//     series once per orientation *and* once per candidate row count inside
-//     every pairwise call; in the invariant layer's exhaustive search each
-//     metric participates in m−1 pairs, so that work is prepared exactly
-//     once per metric and shared.
+//     admissible row count. In the invariant layer's exhaustive search each
+//     metric participates in m−1 pairs, so that work is done once per
+//     metric and shared.
 //
 //   - Scratch carries the DP tables, clump buffers and the dense
-//     characteristic half-matrices, so a worker computing many pairs
-//     allocates (almost) nothing per pair. The characteristic matrices are
-//     flat slices indexed by (rows, cols) — the map[gridKey]float64 the
-//     reference used dominated the allocation profile.
+//     characteristic half-matrices (flat slices indexed by (rows, cols)), so
+//     a worker computing many pairs allocates nothing per pair.
 
 // Prepared is the reusable per-metric preprocessing of one sample vector.
 // Preparations are immutable after Prepare returns and safe for concurrent
@@ -192,14 +190,11 @@ func (p *Prepared) equipartition(rows int, rowOf []int, counts []int) (float64, 
 // Scratch holds the working buffers of one MIC computation so repeated
 // pairs reuse them. Not safe for concurrent use; give each worker its own.
 type Scratch struct {
-	idx     []int // column-order point indices, value ties refined by row value
-	merged  []int // clump ends after same-row-run merging
-	super   []int // superclump ends
-	cum     []int // flat (k+1)×rows cumulative row histogram
-	costTab []float64
-	prev    []float64
+	ends    []int     // clump boundaries: ends[0] = 0, ends[i] the exclusive end of clump i-1
+	cum     []int     // flat (k+1)×rows cumulative row histogram, row i the points before ends[i]
+	costTab []float64 // transposed bin costs, cost(s, t) at t*(k+1)+s
+	prev    []float64 // DP levels l-1 and l
 	curr    []float64
-	best    []float64
 	char1   []float64 // dense characteristic half-matrices, stride b/2+1
 	char2   []float64
 }
@@ -207,20 +202,75 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// intsFor returns buf resized to n elements, reallocating only on growth.
+// scratchPool serves every entry point that has no caller-owned scratch
+// (Compute, Batch.Score, Batch.ScreenLow): one warm set of buffers per
+// concurrent scorer, process-wide.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
+// pooledPair is computePair on a pooled scratch.
+func pooledPair(px, py *Prepared) Result {
+	sc := scratchPool.Get().(*Scratch)
+	res := computePair(px, py, sc)
+	scratchPool.Put(sc)
+	return res
+}
+
+// resized returns buf with n elements, reallocating only on growth.
 // Contents are unspecified.
-func intsFor(buf []int, n int) []int {
+func resized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-func floatsFor(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+// term is one row's contribution to the unnormalised conditional entropy of
+// a column bin holding tot points, cnt of them in that row. The conversion
+// rounds the product before any caller adds it, so no platform fuses the
+// two and the table below holds exactly what a direct evaluation yields.
+func term(tot, cnt int) float64 {
+	if cnt == 0 {
+		return 0
 	}
-	return buf[:n]
+	return float64(float64(cnt) * math.Log(float64(tot)/float64(cnt)))
+}
+
+// termCap is the largest sample count the term table covers; a longer
+// window evaluates term directly, to the same bits.
+const termCap = 512
+
+// The term table: term(tot, cnt) at tot*(tot+1)/2 + cnt. A static array, so
+// it is 1 MiB of address space but no heap, and only the rows a process
+// fills are ever resident (4 KiB at n = 30).
+var (
+	termMu   sync.Mutex
+	termRows atomic.Int32 // rows tot < termRows are filled and immutable
+	termTab  [(termCap + 1) * (termCap + 2) / 2]float64
+)
+
+// termsFor returns the process-wide table of term(tot, cnt) for every
+// cnt ≤ tot ≤ n, or nil when n exceeds termCap. cnt ≤ tot ≤ n admits only
+// (n+1)(n+2)/2 distinct terms while one pair evaluates thousands, so the
+// table is a memo of a pure function of its index: rows are filled under
+// the mutex up to the largest n seen and published through termRows
+// (readers take no lock and touch published rows only), on first use, so a
+// process that never scores a pair never pays for it.
+func termsFor(n int) []float64 {
+	if n > termCap {
+		return nil
+	}
+	if int(termRows.Load()) <= n {
+		termMu.Lock()
+		tot := int(termRows.Load())
+		for ; tot <= n; tot++ {
+			for cnt := 0; cnt <= tot; cnt++ {
+				termTab[tot*(tot+1)/2+cnt] = term(tot, cnt)
+			}
+		}
+		termRows.Store(int32(tot))
+		termMu.Unlock()
+	}
+	return termTab[:]
 }
 
 // computePair evaluates both grid orientations into dense characteristic
@@ -229,30 +279,23 @@ func computePair(px, py *Prepared, sc *Scratch) Result {
 	b := px.b
 	res := Result{N: px.n, B: b}
 	dim := b/2 + 1
-	sc.char1 = floatsFor(sc.char1, dim*dim)
-	sc.char2 = floatsFor(sc.char2, dim*dim)
-	for i := range sc.char1 {
-		sc.char1[i] = 0
-	}
-	for i := range sc.char2 {
-		sc.char2[i] = 0
-	}
+	sc.char1 = resized(sc.char1, dim*dim)
+	sc.char2 = resized(sc.char2, dim*dim)
+	clear(sc.char1)
+	clear(sc.char2)
+	terms := termsFor(px.n)
 	// Orientation 1: rows from y, optimise the x axis; orientation 2 the
 	// reverse. The element-wise maximum of both is taken, as in the
 	// reference MINE implementation.
-	charHalfPrepared(px, py, sc, sc.char1, dim)
-	charHalfPrepared(py, px, sc, sc.char2, dim)
+	charHalfPrepared(px, py, sc, terms, sc.char1, dim)
+	charHalfPrepared(py, px, sc, terms, sc.char2, dim)
 	for a := 2; a <= b/2; a++ {
 		for r := 2; a*r <= b; r++ {
 			v := sc.char1[r*dim+a]
 			if w := sc.char2[a*dim+r]; w > v {
 				v = w
 			}
-			norm := math.Log(math.Min(float64(a), float64(r)))
-			if norm <= 0 {
-				continue
-			}
-			if score := v / norm; score > res.MIC {
+			if score := v / math.Log(math.Min(float64(a), float64(r))); score > res.MIC {
 				res.MIC = score
 				res.BestGrid = [2]int{a, r}
 			}
@@ -268,26 +311,27 @@ func computePair(px, py *Prepared, sc *Scratch) Result {
 	return res
 }
 
-// charHalfPrepared fills out (dense, entry (rows, cols) at rows*dim+cols)
-// with max mutual information values I*(cols, rows) for one orientation:
-// rowP is equipartitioned into rows bins and colP's axis is optimally
-// partitioned by the DP. Entries with cols*rows <= budget are filled.
-func charHalfPrepared(colP, rowP *Prepared, sc *Scratch, out []float64, dim int) {
-	n, b := colP.n, colP.b
-	// Points sorted by the column variable; ties refined by the row
-	// variable to make clump construction deterministic.
-	sc.idx = intsFor(sc.idx, n)
-	copy(sc.idx, colP.order)
-	start := 0
-	for _, end := range colP.tieEnds {
-		if end-start > 1 {
-			grp := sc.idx[start:end]
-			sort.Slice(grp, func(a, b int) bool { return rowP.vals[grp[a]] < rowP.vals[grp[b]] })
-		}
-		start = end
-	}
-	maxRows := b / 2
-	for rows := 2; rows <= maxRows; rows++ {
+// charHalfPrepared fills out (dense and zeroed, entry (rows, cols) at
+// rows*dim+cols) with max mutual information values I*(cols, rows) for one
+// orientation: rowP is equipartitioned into rows bins and colP's axis is
+// optimally partitioned by the DP. Entries with cols*rows <= budget are
+// filled.
+//
+// Per row count, one walk over colP's tie groups builds the clumps — maximal
+// runs any column partition must keep together: points sharing a column
+// value stay together, and consecutive groups lying wholly in one and the
+// same row are merged (a boundary strictly inside a single-row run never
+// improves mutual information) — and, as each clump closes, its row of the
+// cumulative histogram. Only group boundaries, membership and row counts are
+// read, so the order of equal values inside colP.order is immaterial.
+func charHalfPrepared(colP, rowP *Prepared, sc *Scratch, terms, out []float64, dim int) {
+	n, b, order := colP.n, colP.b, colP.order
+	groups := len(colP.tieEnds)
+	sc.ends = resized(sc.ends, groups+1)
+	sc.cum = resized(sc.cum, (groups+1)*(b/2))
+	ends, cum := sc.ends, sc.cum
+	ends[0] = 0
+	for rows := 2; rows <= b/2; rows++ {
 		maxCols := b / rows
 		if maxCols < 2 {
 			break
@@ -296,182 +340,136 @@ func charHalfPrepared(colP, rowP *Prepared, sc *Scratch, out []float64, dim int)
 			continue
 		}
 		rowOf := rowP.rowOf[rows]
-		ends := buildClumpEnds(colP.tieEnds, rowOf, sc.idx, colP.cfg.C*maxCols, n, sc)
-		if len(ends) < 2 {
-			continue
-		}
-		best := optimizeAxis(ends, rowOf, sc.idx, rows, maxCols, rowP.hq[rows], n, sc)
-		for cols := 2; cols <= maxCols; cols++ {
-			if v := best[cols]; v > 0 {
-				out[rows*dim+cols] = v
-			}
-		}
-	}
-}
-
-// buildClumpEnds groups the column-sorted points into clumps — maximal runs
-// any column partition must keep together: points sharing a column value
-// stay together, and maximal same-row runs are merged (a boundary strictly
-// inside a single-row run never improves mutual information). The count is
-// then capped at maxClumps by merging adjacent clumps into superclumps of
-// roughly equal size, as in MINE's GetSuperclumpsPartition. The returned
-// slice of exclusive end indices is valid until the next call with sc.
-func buildClumpEnds(tieEnds []int, rowOf, idx []int, maxClumps, n int, sc *Scratch) []int {
-	sc.merged = mergeSameRowRuns(sc.merged[:0], tieEnds, rowOf, idx)
-	raw := sc.merged
-	if maxClumps < 2 {
-		maxClumps = 2
-	}
-	if len(raw) <= maxClumps {
-		return raw
-	}
-	// Superclumps: pick ~maxClumps boundaries evenly by point count.
-	out := sc.super[:0]
-	target := float64(n) / float64(maxClumps)
-	next := target
-	for k, e := range raw {
-		if float64(e) >= next || k == len(raw)-1 {
-			out = append(out, e)
-			next = float64(e) + target
-		}
-	}
-	sc.super = out
-	return out
-}
-
-// mergeSameRowRuns appends to dst the clump ends remaining after collapsing
-// consecutive clumps whose points all lie in a single row. ends are
-// exclusive end indices into idx.
-func mergeSameRowRuns(dst []int, ends []int, rowOf, idx []int) []int {
-	uniformRow := func(start, end int) (int, bool) {
-		r := rowOf[idx[start]]
-		for p := start + 1; p < end; p++ {
-			if rowOf[idx[p]] != r {
-				return 0, false
-			}
-		}
-		return r, true
-	}
-	start, i := 0, 0
-	for i < len(ends) {
-		r, ok := uniformRow(start, ends[i])
-		j := i
-		if ok {
-			// Extend while subsequent clumps are uniform in the same row.
-			for j+1 < len(ends) {
-				r2, ok2 := uniformRow(ends[j], ends[j+1])
-				if !ok2 || r2 != r {
+		// cum row k+1 is the running histogram of the open clump; closing
+		// the clump freezes it and seeds the next row with a copy.
+		clear(cum[:2*rows])
+		k, openRow, start := 0, -1, 0
+		for _, end := range colP.tieEnds {
+			row := rowOf[order[start]] // the group's row, -1 when it spans several
+			for p := start + 1; p < end; p++ {
+				if rowOf[order[p]] != row {
+					row = -1
 					break
 				}
-				j++
 			}
+			if start > 0 && (row < 0 || row != openRow) {
+				k++
+				ends[k] = start
+				copy(cum[(k+1)*rows:(k+2)*rows], cum[k*rows:(k+1)*rows])
+			}
+			hist := cum[(k+1)*rows:]
+			for p := start; p < end; p++ {
+				hist[rowOf[order[p]]]++
+			}
+			openRow, start = row, end
 		}
-		dst = append(dst, ends[j])
-		start = ends[j]
-		i = j + 1
+		k++
+		ends[k] = n
+		// Cap the count at C*maxCols by merging adjacent clumps into
+		// superclumps of roughly equal size, as in MINE's
+		// GetSuperclumpsPartition: keep ~maxClumps boundaries evenly by
+		// point count, compacting ends and cum together.
+		if maxClumps := colP.cfg.C * maxCols; k > maxClumps {
+			target := float64(n) / float64(maxClumps)
+			next, w := target, 0
+			for i := 1; i <= k; i++ {
+				if e := ends[i]; float64(e) >= next || i == k {
+					w++
+					ends[w] = e
+					copy(cum[w*rows:(w+1)*rows], cum[i*rows:(i+1)*rows])
+					next = float64(e) + target
+				}
+			}
+			k = w
+		}
+		if k < 2 {
+			continue
+		}
+		optimizeAxis(ends, cum, k, rows, rowP.hq[rows], n, sc, terms, out[rows*dim:rows*dim+maxCols+1])
 	}
-	return dst
 }
 
-// optimizeAxis runs the DP over clump boundaries, returning best[l] =
-// maximal mutual information using at most l columns. hq is H(Q); n the
-// total point count. The returned slice aliases sc and is valid until the
-// next call.
-func optimizeAxis(ends []int, rowOf, idx []int, rows, maxCols int, hq float64, n int, sc *Scratch) []float64 {
-	k := len(ends)
-	k1 := k + 1
-	// cum[i*rows+r] = number of points in clumps[0..i-1] falling in row r.
-	sc.cum = intsFor(sc.cum, k1*rows)
-	cum := sc.cum
+// binCost returns the unnormalised conditional-entropy contribution of a
+// column bin covering clumps s..t-1: bs and bt are the offsets of cum rows s
+// and t, tot the bin's point count.
+func binCost(terms []float64, cum []int, bs, bt, rows, tot int) float64 {
+	var c float64
+	if terms == nil {
+		for r := 0; r < rows; r++ {
+			c += term(tot, cum[bt+r]-cum[bs+r])
+		}
+		return c
+	}
+	terms = terms[tot*(tot+1)/2:]
 	for r := 0; r < rows; r++ {
-		cum[r] = 0
+		c += terms[cum[bt+r]-cum[bs+r]]
 	}
-	start := 0
-	for i, end := range ends {
-		base, prev := (i+1)*rows, i*rows
-		copy(cum[base:base+rows], cum[prev:prev+rows])
-		for p := start; p < end; p++ {
-			cum[base+rowOf[idx[p]]]++
-		}
-		start = end
+	return c
+}
+
+// optimizeAxis runs the DP over the k clump boundaries, setting best[l] to
+// the maximal mutual information using at most l columns for every l in
+// [2, len(best)); best[0] and best[1] stay 0. hq is H(Q); n the total point
+// count.
+func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *Scratch, terms, best []float64) {
+	k1 := k + 1
+	last := len(best) - 1 // the deepest level the DP runs: min(maxCols, k)
+	if last > k {
+		last = k
 	}
-	// costTab[s*k1+t]: unnormalised conditional-entropy contribution of a
-	// column bin covering clumps s..t-1, precomputed once — the DP below
-	// would otherwise recompute each entry once per column count.
-	sc.costTab = floatsFor(sc.costTab, k1*k1)
-	costTab := sc.costTab
-	for i := range costTab {
-		costTab[i] = 0
-	}
-	for s := 0; s <= k; s++ {
-		bs := s * rows
-		for t := s + 1; t <= k; t++ {
-			bt := t * rows
-			var tot int
-			for r := 0; r < rows; r++ {
-				tot += cum[bt+r] - cum[bs+r]
-			}
-			if tot == 0 {
-				continue
-			}
-			var c float64
-			ft := float64(tot)
-			for r := 0; r < rows; r++ {
-				cnt := cum[bt+r] - cum[bs+r]
-				if cnt == 0 {
-					continue
-				}
-				c += float64(cnt) * math.Log(ft/float64(cnt))
-			}
-			costTab[s*k1+t] = c
-		}
-	}
-	const inf = math.MaxFloat64
-	// dp over prev/curr: min total cost partitioning clumps[0..t-1] into
-	// exactly l column bins.
-	sc.prev = floatsFor(sc.prev, k1)
-	sc.curr = floatsFor(sc.curr, k1)
+	// prev[t] = cost(0, t): clumps[0..t-1] as one column bin.
+	sc.prev = resized(sc.prev, k1)
+	sc.curr = resized(sc.curr, k1)
 	prev, curr := sc.prev, sc.curr
-	for t := 0; t <= k; t++ {
-		prev[t] = costTab[t] // cost(0, t)
+	for t := 1; t <= k; t++ {
+		prev[t] = binCost(terms, cum, 0, t*rows, rows, ends[t])
 	}
-	sc.best = floatsFor(sc.best, maxCols+1)
-	best := sc.best
-	for i := range best {
-		best[i] = 0
+	// costTab[t*k1+s] = cost(s, t) for 1 <= s < t, precomputed once — the
+	// DP below would otherwise recompute each entry once per column count —
+	// and transposed so the DP's inner loop over s is contiguous. The last
+	// level reads row k only, so a two-column budget needs no other row.
+	sc.costTab = resized(sc.costTab, k1*k1)
+	costTab := sc.costTab
+	t := 2
+	if last == 2 {
+		t = k
 	}
-	for l := 2; l <= maxCols && l <= k; l++ {
-		for t := 0; t <= k; t++ {
-			curr[t] = inf
+	for ; t <= k; t++ {
+		for s := 1; s < t; s++ {
+			costTab[t*k1+s] = binCost(terms, cum, s*rows, t*rows, rows, ends[t]-ends[s])
+		}
+	}
+	// Level l: curr[t] = min total cost partitioning clumps[0..t-1] into
+	// exactly l column bins, finite exactly for t >= l. Level l+1 reads
+	// curr[l..k-1] and the answer reads curr[k], so t starts at l, and at
+	// the last level only t = k is filled.
+	for l := 2; l <= last; l++ {
+		t := l
+		if l == last {
+			t = k
+		}
+		for ; t <= k; t++ {
+			m, cost := math.MaxFloat64, costTab[t*k1:]
 			for s := l - 1; s < t; s++ {
-				if prev[s] == inf {
-					continue
-				}
-				if v := prev[s] + costTab[s*k1+t]; v < curr[t] {
-					curr[t] = v
+				if v := prev[s] + cost[s]; v < m {
+					m = v
 				}
 			}
+			curr[t] = m
 		}
-		if curr[k] < inf {
-			mi := hq - curr[k]/float64(n)
-			if mi < 0 {
-				mi = 0
-			}
-			// MI with <= l bins: monotone in l, so carry the running max.
-			if mi < best[l-1] {
-				mi = best[l-1]
-			}
-			best[l] = mi
-		} else {
-			best[l] = best[l-1]
+		mi := hq - curr[k]/float64(n)
+		if mi < 0 {
+			mi = 0
 		}
+		// MI with <= l bins: monotone in l, so carry the running max.
+		if mi < best[l-1] {
+			mi = best[l-1]
+		}
+		best[l] = mi
 		prev, curr = curr, prev
 	}
-	// Fill any remaining l (fewer clumps than columns) with the last value:
-	// more columns than clumps cannot improve the partition.
-	for l := k + 1; l >= 2 && l <= maxCols; l++ {
+	// More columns than clumps cannot improve the partition.
+	for l := last + 1; l < len(best); l++ {
 		best[l] = best[l-1]
 	}
-	sc.prev, sc.curr = prev, curr
-	return best
 }

@@ -23,7 +23,7 @@ import "math"
 // inputs.
 
 // screenMargin is subtracted from the equipartition bound to cover the
-// superclump approximation in the exact DP (see buildClumpEnds): the DP may
+// superclump approximation in the exact DP (see charHalfPrepared): the DP may
 // lose a little mutual information relative to an uncapped boundary set, so
 // the screen must under-promise by at least that much.
 const screenMargin = 0.05
@@ -48,9 +48,9 @@ func (b *Batch) ScreenLow(i, j int) float64 {
 	if rho*rho < screenRhoGate {
 		return 0
 	}
-	sc := b.pool.Get().(*Scratch)
+	sc := scratchPool.Get().(*Scratch)
 	lb := screenLow(px, py, sc)
-	b.pool.Put(sc)
+	scratchPool.Put(sc)
 	return lb
 }
 
@@ -105,13 +105,11 @@ func screenLow(px, py *Prepared, sc *Scratch) float64 {
 // equipartitionMI returns the mutual information of the joint distribution
 // induced by assigning point t to cell (colOf[t], rowOf[t]) of an a×r grid.
 func equipartitionMI(colOf, rowOf []int, a, r, n int, sc *Scratch) float64 {
-	sc.cum = intsFor(sc.cum, a*r+a+r)
+	sc.cum = resized(sc.cum, a*r+a+r)
 	joint := sc.cum[:a*r]
 	colTot := sc.cum[a*r : a*r+a]
 	rowTot := sc.cum[a*r+a:]
-	for i := range sc.cum {
-		sc.cum[i] = 0
-	}
+	clear(sc.cum)
 	for t := 0; t < n; t++ {
 		joint[colOf[t]*r+rowOf[t]]++
 		colTot[colOf[t]]++
