@@ -71,16 +71,18 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of six targets: the binary wire-decoder fuzzer,
+# Short coverage-guided runs of seven targets: the binary wire-decoder fuzzer,
 # the store reader's (every xmlstore file kind, checked against encoding/xml),
 # the fleet gossip decoders' (/sync and /push bodies), the two signature
 # equivalence targets — the packed scan (popcount scoring, MinScore pruning,
 # zero-query closed form) against the boolean linear reference, and Rank
 # against BestProblem(Match) — which are the only coverage-guided guard that
-# the one retrieval path is exact, and the exact-MIC kernel against the
+# the one retrieval path is exact, the exact-MIC kernel against the
 # kernel it replaced (term table, trimmed DP, one-pass clumps: same Result to
-# the bit, on tie densities no hand-written shape covers). The seed corpora
-# alone (run by `make test`) only replay known shapes.
+# the bit, on tie densities no hand-written shape covers), and pair-major
+# training against dense fill + the old selection loop (early exit, memo
+# reads, masks and ragged runs: same invariant set to the bit, cold and
+# warm). The seed corpora alone (run by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
@@ -88,3 +90,4 @@ fuzz: build
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s
 	$(GO) test ./internal/mic/ -run '^$$' -fuzz FuzzPairKernelEquivalence -fuzztime 10s
+	$(GO) test ./internal/invariant/ -run '^$$' -fuzz FuzzTrainEquivalence -fuzztime 10s

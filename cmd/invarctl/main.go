@@ -510,15 +510,18 @@ func cmdFaults([]string) error {
 
 // printCacheStats surfaces the association-matrix cache counters so
 // operators can see how much MIC recomputation training and diagnosis
-// avoided (silent when no matrix work ran).
+// avoided, and — after training in this process — how many pair-window
+// scores training ran, read from its memo, or skipped once a pair's range
+// reached τ (each line silent when it has nothing to report).
 func printCacheStats(sys *core.System) {
 	var total core.ProfileStats
 	for _, ps := range sys.ProfileStats() {
 		total.Add(ps)
 	}
-	st := total.Cache
-	if st.Hits+st.Misses == 0 {
-		return
+	if st := total.Cache; st.Hits+st.Misses > 0 {
+		fmt.Printf("assoc cache: %d hits / %d misses (%d entries)\n", st.Hits, st.Misses, st.Entries)
 	}
-	fmt.Printf("assoc cache: %d hits / %d misses (%d entries)\n", st.Hits, st.Misses, st.Entries)
+	if tr := total.Training; tr.Scored+tr.Memo+tr.Skipped > 0 {
+		fmt.Printf("training: scored %d, memo %d, skipped %d pair-window scores\n", tr.Scored, tr.Memo, tr.Skipped)
+	}
 }

@@ -14,9 +14,10 @@ import (
 // default worst case stays near 10 MB per profile.
 const DefaultAssocCacheSize = 4096
 
-// CacheStats reports association-cache effectiveness. Retraining recomputes
-// the whole pooled window set on every TrainInvariants call, so hit counts
-// directly measure avoided MIC work.
+// CacheStats reports association-cache effectiveness. Every TrainInvariants
+// call looks up the memo of each pooled window once, and every uncached
+// diagnosis its report, so a hit is a window whose earlier MIC work is
+// reused; how many pair scores training still ran is ProfileStats.Training.
 type CacheStats struct {
 	Hits    int64
 	Misses  int64
@@ -89,7 +90,7 @@ func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
 	return uint64(h)
 }
 
-// cacheKey is the one key scheme of a profile's cache. A training matrix
+// cacheKey is the one key scheme of a profile's cache. A training memo
 // depends on the window alone (set nil, epoch 0). A violation report is a
 // verdict of one invariant set at one lifecycle epoch: retraining or
 // promotion installs a fresh *Set and a quarantine bumps the epoch, so
@@ -100,18 +101,21 @@ type cacheKey struct {
 	epoch uint64
 }
 
-// cacheEntry is one memoised analysis: the association matrix of a training
-// window, or the finished violation report of a diagnosed one. All cached
-// state is shared across callers and read-only.
+// cacheEntry is one memoised analysis: the training memo of a window (its
+// association matrix as far as training has scored it — cells no pair
+// needed stay pending, see invariant.Matrix), or the finished violation
+// report of a diagnosed one. All cached state is shared across callers and
+// read-only; training that scores more of a window stores a fresh copy.
 type cacheEntry struct {
 	mat *invariant.Matrix
 	rep *ViolationReport
 }
 
-// assocCache memoises window analyses with FIFO eviction; training matrices
+// assocCache memoises window analyses with FIFO eviction; training memos
 // and diagnosis reports share the one bound. Each profile owns its cache, so
 // the key needs no context component and cached state never crosses
-// profiles.
+// profiles. Replacing an entry (a training memo that gained cells) keeps its
+// place in the eviction order.
 type assocCache struct {
 	mu      sync.Mutex
 	max     int
@@ -186,18 +190,17 @@ func (p *Profile) scorer(rows [][]float64) invariant.PairScorer {
 	return nil
 }
 
-// memo returns the analysis of window tr cached under the one key scheme,
-// computing and storing it on a miss. set is nil for a training matrix and
-// the judged invariant set for a report. The key — lifecycle epoch included
-// — is captured once, before compute runs: a window whose own diagnosis
-// bumps the epoch is stored under the old key and simply never hit again,
-// which is safe in both directions.
+// memo returns the violation report of window tr against set, cached under
+// the one key scheme, computing and storing it on a miss. The key —
+// lifecycle epoch included — is captured once, before compute runs: a
+// window whose own diagnosis bumps the epoch is stored under the old key and
+// simply never hit again, which is safe in both directions.
 func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (cacheEntry, error)) (cacheEntry, error) {
 	if p.cache == nil {
 		return compute()
 	}
 	key := cacheKey{fp: fingerprintWindow(tr.Rows, tr.Valid), set: set}
-	if set != nil && p.lc != nil {
+	if p.lc != nil {
 		key.epoch = p.lc.epoch.Load()
 	}
 	if e, ok := p.cache.get(key); ok {
@@ -210,15 +213,37 @@ func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (ca
 	return e, err
 }
 
-// analyze returns a training window's association matrix. Training
-// recomputes every pooled window per call; the cache turns all but the
-// newly added ones into lookups.
-func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, error) {
-	e, err := p.memo(tr, nil, func() (cacheEntry, error) {
-		mat, err := invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, p.sys.cfg.Assoc, p.scorer(tr.Rows), 0)
-		return cacheEntry{mat: mat}, err
-	})
-	return e.mat, err
+// trainingMemos turns a training pool into invariant.Train's runs, each
+// carrying its window's memo from the cache (one lookup per window). The
+// batch scorer is prepared only if training scores a pair of the window.
+func (p *Profile) trainingMemos(pool []*metrics.Trace) ([]invariant.Run, []cacheKey) {
+	in := make([]invariant.Run, len(pool))
+	keys := make([]cacheKey, len(pool))
+	for r, tr := range pool {
+		in[r] = invariant.Run{Rows: tr.Rows, Valid: tr.Valid, Scorer: func() invariant.PairScorer { return p.scorer(tr.Rows) }}
+		if p.cache == nil {
+			continue
+		}
+		keys[r] = cacheKey{fp: fingerprintWindow(tr.Rows, tr.Valid)}
+		if e, ok := p.cache.get(keys[r]); ok {
+			in[r].Memo = e.mat
+		}
+	}
+	return in, keys
+}
+
+// storeMemos is the copy-on-write half: a cached memo is never written —
+// Train hands back a fresh matrix for every window it scored anything in
+// (or had no memo for), and that copy replaces the entry under the same key.
+func (p *Profile) storeMemos(in []invariant.Run, keys []cacheKey, memos []*invariant.Matrix) {
+	if p.cache == nil {
+		return
+	}
+	for r, mat := range memos {
+		if mat != in[r].Memo {
+			p.cache.put(keys[r], cacheEntry{mat: mat})
+		}
+	}
 }
 
 // CacheStats reports the profile's association-cache counters and current

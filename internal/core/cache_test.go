@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"invarnetx/internal/arx"
@@ -85,14 +88,179 @@ func TestAssocCacheHitsOnRetrain(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after first training: %+v, want 0 hits / 2 misses / 2 entries", st)
 	}
-	// Adding runs recomputes the whole pool; the first two windows must now
-	// come from the cache.
+	// Adding runs retrains the whole pool; the first two windows' memos must
+	// now come from the cache.
 	if err := s.TrainInvariants(ctx, runs[2:]); err != nil {
 		t.Fatal(err)
 	}
 	st = totals(s).Cache
 	if st.Hits != 2 || st.Misses != 4 || st.Entries != 4 {
 		t.Fatalf("after pooled retraining: %+v, want 2 hits / 4 misses / 4 entries", st)
+	}
+}
+
+// TestTrainingScoresOnlyLivePairs pins the work of pair-major training. The
+// reference is the dense fill it replaced: every window's full matrix, with
+// the stopping rule replayed in pool order. A first training scores exactly
+// the cells that rule needs (the dense fill scored all 325 per window),
+// re-training the same pool scores none, and one added window costs one
+// score per pair of the previous set; every set is the dense Select's. The
+// per-pair arm counts a measure's calls (any Assoc but the stock MIC skips
+// the batch scorer); the batch arm reads ProfileStats.Training.
+func TestTrainingScoresOnlyLivePairs(t *testing.T) {
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	rng := stats.NewRNG(740)
+	var runs []*metrics.Trace
+	for i := 0; i < 9; i++ {
+		runs = append(runs, synthTrace(rng.Fork(int64(i)), 30, 8, nil))
+	}
+	mats := make([]*invariant.Matrix, len(runs))
+	for r, tr := range runs {
+		var err error
+		if mats[r], err = invariant.ComputeMatrix(tr.Rows, mic.MIC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := metrics.Count
+	need := 0 // pool-order exit over the first 8 windows
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, a := range mats[:8] {
+				need++
+				lo, hi = min(lo, a.Get(i, j)), max(hi, a.Get(i, j))
+				if hi-lo >= invariant.DefaultTau {
+					break
+				}
+			}
+		}
+	}
+	if all := 8 * m * (m - 1) / 2; need >= all {
+		t.Fatalf("reference needs %d of %d scores: nothing to skip, the pin is vacuous", need, all)
+	}
+
+	var calls atomic.Int64
+	counting := func(x, y []float64) float64 { calls.Add(1); return mic.MIC(x, y) }
+	for _, arm := range []struct {
+		name  string
+		cfg   Config
+		count func(s *System) int64
+	}{
+		{"per-pair", Config{UseContext: true, Assoc: counting}, func(*System) int64 { return calls.Load() }},
+		{"batch", Config{UseContext: true}, func(s *System) int64 { return int64(totals(s).Training.Scored) }},
+	} {
+		s := New(arm.cfg)
+		step := func(what string, add []*metrics.Trace, wantScored, pool int) *invariant.Set {
+			t.Helper()
+			before := arm.count(s)
+			if err := s.TrainInvariants(ctx, add); err != nil {
+				t.Fatal(err)
+			}
+			if got := arm.count(s) - before; got != int64(wantScored) {
+				t.Fatalf("%s, %s: scored %d pair-window cells, want %d", arm.name, what, got, wantScored)
+			}
+			set, err := s.Invariants(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := invariant.Select(mats[:pool], invariant.DefaultTau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(set.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(set.Base, want.Base) {
+				t.Fatalf("%s, %s: trained set differs from the dense Select", arm.name, what)
+			}
+			return set
+		}
+		step("first training", runs[:8], need, 8)
+		set := step("same pool again", runs[:8], 0, 8)
+		step("one window added", runs[8:], set.Len(), 9)
+		if tr, pairs := totals(s).Training, m*(m-1)/2; tr.Scored+tr.Memo+tr.Skipped != pairs*(8+8+9) {
+			t.Fatalf("%s: training stats %+v do not cover %d pairs over 25 pooled windows", arm.name, tr, pairs)
+		}
+	}
+}
+
+// TestConcurrentRetrainSharesMemos: trainings racing on one profile read the
+// same cached memos while each stores its own fresh copies (run with -race).
+// Whatever order they land in, a final training of the pool selects the
+// dense Select's set.
+func TestConcurrentRetrainSharesMemos(t *testing.T) {
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	s := New(Config{UseContext: true})
+	rng := stats.NewRNG(750)
+	var runs []*metrics.Trace
+	mats := make([]*invariant.Matrix, 8)
+	for i := range mats {
+		runs = append(runs, synthTrace(rng.Fork(int64(i)), 30, 8, nil))
+		var err error
+		if mats[i], err = invariant.ComputeMatrix(runs[i].Rows, mic.MIC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.TrainInvariants(ctx, runs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = s.TrainInvariants(ctx, runs[4+g:5+g])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.TrainInvariants(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Invariants(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := invariant.Select(mats, invariant.DefaultTau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(got.Base, want.Base) {
+		t.Fatal("pool trained under concurrent retraining differs from the dense Select")
+	}
+}
+
+// TestCrossTrainingScoresSpanningPairsOnly: a cross profile never scores a
+// within-node pair of its joint space — 11×11 spanning pairs per window, not
+// all 231.
+func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
+	s := New(DefaultConfig())
+	key := NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
+	var joints []*metrics.Trace
+	for seed := int64(960); seed < 963; seed++ {
+		j, err := metrics.JoinTraces(synthTrace(stats.NewRNG(seed), 40, 8, nil), synthTrace(stats.NewRNG(seed), 40, 8, nil), CrossMetricIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joints = append(joints, j)
+	}
+	if err := s.TrainCrossInvariants(key, joints); err != nil {
+		t.Fatal(err)
+	}
+	k := len(CrossMetricIdx)
+	if tr := totals(s).Training; tr.Scored+tr.Memo+tr.Skipped != k*k*len(joints) || tr.Scored == 0 {
+		t.Fatalf("cross training stats %+v, want %d spanning pair-window cells", tr, k*k*len(joints))
+	}
+	set, err := s.Invariants(key.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range set.SortedPairs() {
+		if pr.I >= k || pr.J < k {
+			t.Errorf("within-node pair %v selected on a cross profile", pr)
+		}
 	}
 }
 

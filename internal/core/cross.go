@@ -26,9 +26,9 @@ import (
 // metrics over the same stage-aligned ticks, stacked by metrics.JoinTraces
 // — so the existing MIC batching, sparse prescreen, drift lifecycle,
 // signature matching and per-profile persistence all apply unchanged. The
-// only cross-specific behaviour in Profile is edge filtering (only pairs
-// that span the two halves are kept after selection) and pair naming
-// ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3").
+// only cross-specific behaviour in Profile is the training pair predicate
+// (only pairs that span the two halves are scored and selected) and pair
+// naming ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3").
 
 // CrossMetricIdx selects the per-node metrics that participate in cross
 // edges: the flow metrics (disk and network directions, their latency and
@@ -137,19 +137,6 @@ func (p *Profile) pairLabel(pr invariant.Pair) string {
 	return pairName(pr)
 }
 
-// filterCrossPairs restricts a selected set over the 2k joint metric space
-// to the pairs spanning the two nodes (I in the first half, J in the
-// second).
-func filterCrossPairs(set *invariant.Set, k int) *invariant.Set {
-	base := make(map[invariant.Pair]float64)
-	for pr, v := range set.Base {
-		if pr.I < k && pr.J >= k {
-			base[pr] = v
-		}
-	}
-	return invariant.NewSet(set.M, base)
-}
-
 // DefaultStageWindow is the length, in samples, of a stage-aligned training
 // or diagnosis window. Fixed-length windows keep MIC grid resolution (which
 // depends on sample count) comparable between training and diagnosis; 10
@@ -220,8 +207,8 @@ func CrossWindowAt(a, b *metrics.Trace, stage string, tick, win int) (*metrics.T
 }
 
 // TrainCrossInvariants trains the cross profile for key over joint windows
-// (as produced by CrossWindows): Algorithm 1 over the 2K joint metric
-// space, then restricted to the pairs that span the two nodes.
+// (as produced by CrossWindows): Algorithm 1 over the pairs of the 2K joint
+// metric space that span the two nodes.
 func (s *System) TrainCrossInvariants(key CrossKey, joints []*metrics.Trace) error {
 	return s.TrainInvariants(key.Context(), joints)
 }

@@ -33,6 +33,7 @@ type Profile struct {
 	sigs       signature.DB
 	cpiPool    trainingPool[[]float64]
 	windowPool trainingPool[*metrics.Trace]
+	training   invariant.TrainStats // summed over every TrainInvariants call
 
 	// lc is the drift-aware invariant lifecycle (nil when disabled): edge
 	// health, quarantine and shadow generations. See lifecycle.go.
@@ -100,8 +101,13 @@ func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
 // platform.
 //
 // A pair some window could not compute (masked or missing samples) is
-// judged on the windows that could; Select never sees an unknown score as
-// an observation of 0.
+// judged on the windows that could; an unknown score is never an
+// observation of 0.
+//
+// Training is invariant.Train over the whole pool, pair-major: each window's
+// memo (the cells earlier trainings scored, from the association cache) is
+// read first, and a pair scores only the windows it has not seen, and only
+// while its range is still under τ.
 func (p *Profile) TrainInvariants(runs []*metrics.Trace) error {
 	p.mu.Lock()
 	for _, run := range runs {
@@ -109,27 +115,26 @@ func (p *Profile) TrainInvariants(runs []*metrics.Trace) error {
 	}
 	pool := p.windowPool.snapshot()
 	p.mu.Unlock()
-	// The whole pool is recomputed on every call; the association cache
-	// turns all but the newly added windows into lookups.
-	mats := make([]*invariant.Matrix, 0, len(pool))
-	for _, run := range pool {
-		m, err := p.analyze(run)
-		if err != nil {
-			return fmt.Errorf("core: association matrix for %v: %w", p.key, err)
-		}
-		mats = append(mats, m)
-	}
-	set, err := invariant.Select(mats, p.sys.cfg.Tau)
-	if err != nil {
-		return fmt.Errorf("core: invariant selection for %v: %w", p.key, err)
-	}
+	in, keys := p.trainingMemos(pool)
+	var keep func(invariant.Pair) bool
 	if p.cross != nil {
-		// Cross profiles keep only the edges that span the two nodes:
+		// Cross profiles train only the edges that span the two nodes:
 		// within-node pairs of the joint space duplicate the intra-node
 		// profiles' work and would dilute cross signatures with tuples the
 		// single-node layer already owns.
-		set = filterCrossPairs(set, p.cross.k)
+		k := p.cross.k
+		keep = func(pr invariant.Pair) bool { return pr.I < k && pr.J >= k }
 	}
+	set, memos, st, err := invariant.Train(in, p.sys.cfg.Assoc, p.sys.cfg.Tau, keep)
+	if err != nil {
+		return fmt.Errorf("core: training invariants for %v: %w", p.key, err)
+	}
+	p.storeMemos(in, keys, memos)
+	p.mu.Lock()
+	p.training.Scored += st.Scored
+	p.training.Memo += st.Memo
+	p.training.Skipped += st.Skipped
+	p.mu.Unlock()
 	p.setInvariants(set)
 	return nil
 }
@@ -337,6 +342,9 @@ type ProfileStats struct {
 	// Cache reports the profile's association-matrix cache counters
 	// (shared with the sparse path's report cache).
 	Cache CacheStats
+	// Training counts the pair-window cells invariant training scored, read
+	// from the memo, and skipped after a pair's range reached τ.
+	Training invariant.TrainStats
 	// Sparse reports the sparse diagnosis path's edge counters.
 	Sparse SparseStats
 	// SigScanned and SigEarlyExits are the signature best-match scan
@@ -358,6 +366,7 @@ func (p *Profile) Stats() ProfileStats {
 		Signatures: p.sigs.Len(),
 		CPIRuns:    p.cpiPool.size(),
 		Windows:    p.windowPool.size(),
+		Training:   p.training,
 	}
 	st.SigScanned, st.SigEarlyExits = p.sigs.ScanStats()
 	if p.invariants != nil {
@@ -383,6 +392,9 @@ func (t *ProfileStats) Add(ps ProfileStats) {
 	t.Cache.Hits += ps.Cache.Hits
 	t.Cache.Misses += ps.Cache.Misses
 	t.Cache.Entries += ps.Cache.Entries
+	t.Training.Scored += ps.Training.Scored
+	t.Training.Memo += ps.Training.Memo
+	t.Training.Skipped += ps.Training.Skipped
 	t.Sparse.Screened += ps.Sparse.Screened
 	t.Sparse.Exact += ps.Sparse.Exact
 	t.Sparse.Skipped += ps.Sparse.Skipped

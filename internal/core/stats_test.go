@@ -110,6 +110,9 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		w.Cache.Hits += c.Hits
 		w.Cache.Misses += c.Misses
 		w.Cache.Entries += c.Entries
+		w.Training.Scored += p.training.Scored
+		w.Training.Memo += p.training.Memo
+		w.Training.Skipped += p.training.Skipped
 		sp := p.SparseStats()
 		w.Sparse.Screened += sp.Screened
 		w.Sparse.Exact += sp.Exact
@@ -165,6 +168,8 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 	switch {
 	case want.Cache.Hits == 0, want.Cache.Misses == 0, want.Cache.Entries == 0:
 		t.Errorf("cache counters idle: %+v", want.Cache)
+	case want.Training.Scored == 0, want.Training.Skipped == 0:
+		t.Errorf("training counters idle: %+v", want.Training)
 	case want.Sparse.Screened == 0, want.Sparse.Exact == 0, want.Sparse.Skipped == 0:
 		t.Errorf("sparse tiers idle: %+v", want.Sparse)
 	case want.SigScanned == 0:

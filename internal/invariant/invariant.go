@@ -7,7 +7,8 @@
 //   - Algorithm 1, invariant selection: a metric pair (m,n) is an invariant
 //     when its association scores over N normal runs stay within a range of
 //     tau (Max(V) − Min(V) < tau), with the invariant's baseline value set
-//     to Max(V);
+//     to Max(V) (the midpoint here, see Select); training is pair-major and
+//     drops a pair the moment its range reaches tau (train.go);
 //   - violation detection: under an abnormal window, pair (m,n) is violated
 //     when |I(m,n) − A(m,n)| ≥ epsilon. The binary violation tuple over the
 //     invariant set is the problem signature.
@@ -17,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,6 +43,12 @@ type AssociationFunc func(x, y []float64) float64
 // unavailable in the window (agent outage, dropped or corrupt samples)
 // carries no computable score and is *unknown* — every consumer must treat
 // it as neither holding nor violated, and Select as not observed at all.
+//
+// A training memo (the matrices Train returns) may also hold *pending*
+// cells: a NaN score, whatever its known flag, marks a pair no training has
+// scored on this window yet. Train reads them as "not scored"; Get and Known
+// are meaningless there. A dense fill produces one only where the measure
+// itself returns NaN, which selection has never counted as an observation.
 type Matrix struct {
 	M      int
 	scores []float64
@@ -122,17 +128,16 @@ func pairAt(m, k int) (i, j int) {
 }
 
 // forEachPair runs work(i, j) exactly once for every pair i < j of m
-// metrics, distributing *individual pairs* over a bounded worker pool via a
-// shared atomic counter. Each worker gets a private closure from newWorker
-// so it can hold scratch buffers without synchronisation. Pair granularity
-// matters: the row-sharded split this replaces handed worker w all pairs of
-// row w, so the worker holding row 0 carried m−1 scores while the one
-// holding row m−2 carried a single score, and the pool capped itself at m
-// workers even when pairs outnumbered CPUs. With one usable worker (or one
-// pair) the loop runs serially — no goroutines, bit-identical order.
-func forEachPair(m int, newWorker func() func(i, j int)) {
+// metrics, distributing *individual pairs* over at most workers goroutines
+// via a shared atomic counter. Each worker gets a private closure from
+// newWorker so it can hold scratch buffers without synchronisation. Pair
+// granularity matters: the row-sharded split this replaces handed worker w
+// all pairs of row w, so the worker holding row 0 carried m−1 scores while
+// the one holding row m−2 carried a single score, and the pool capped itself
+// at m workers even when pairs outnumbered CPUs. With one usable worker (or
+// one pair) the loop runs serially — no goroutines, bit-identical order.
+func forEachPair(m, workers int, newWorker func() func(i, j int)) {
 	pairs := m * (m - 1) / 2
-	workers := runtime.GOMAXPROCS(0)
 	if workers > pairs {
 		workers = pairs
 	}
@@ -185,10 +190,12 @@ type Set struct {
 	pairs []Pair // sorted, cached
 }
 
-// Select implements Algorithm 1: keep pair (m,n) when the range of its
-// association scores across the N run matrices is under tau. All matrices
-// must have the same dimension. The range is taken over the runs in which
-// the pair was computable; a pair unknown in every run is never selected.
+// Select implements Algorithm 1 over already-computed run matrices: keep
+// pair (m,n) when the range of its association scores across the N run
+// matrices is under tau. All matrices must have the same dimension. The
+// range is taken over the runs in which the pair was computable; a pair
+// unknown in every run is never selected. It is Train with every run
+// memo-only — the one selection loop.
 //
 // Deviation from the paper's pseudocode, documented in DESIGN.md: the
 // stored baseline is the midpoint (Max(V)+Min(V))/2 rather than Max(V).
@@ -199,43 +206,12 @@ type Set struct {
 // violation tuples without changing which genuine breaks register (a broken
 // association drops far below any normal-state score).
 func Select(runs []*Matrix, tau float64) (*Set, error) {
-	if len(runs) == 0 {
-		return nil, ErrNoRuns
+	in := make([]Run, len(runs))
+	for r, mat := range runs {
+		in[r].Memo = mat
 	}
-	m := runs[0].M
-	for _, r := range runs[1:] {
-		if r.M != m {
-			return nil, fmt.Errorf("invariant: mixed matrix dimensions %d and %d", m, r.M)
-		}
-	}
-	if tau <= 0 {
-		tau = DefaultTau
-	}
-	s := &Set{M: m, Base: make(map[Pair]float64)}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			k := runs[0].index(i, j)
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, r := range runs {
-				if r.known != nil && !r.known[k] {
-					continue // unknown in this run: not an observation of 0
-				}
-				v := r.scores[k]
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			// lo > hi: no run could compute the pair, so nothing certifies it.
-			if lo <= hi && hi-lo < tau {
-				s.Base[Pair{i, j}] = (hi + lo) / 2
-			}
-		}
-	}
-	s.buildPairList()
-	return s, nil
+	set, _, _, err := Train(in, nil, tau, nil)
+	return set, err
 }
 
 // NewSet builds a Set directly from baseline values (used when loading a

@@ -3,17 +3,20 @@ package invariant
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // This file is the pair kernel — the one place a metric pair of a window is
 // turned into a score or a verdict — and the exported entry points, which
 // are adapters choosing *which pairs* to run it over. Training must search
-// every pair (the invariant network is unknown), so the matrix fills walk
-// all of them through forEachPair; diagnosis only ever reads the pairs that
-// survived selection — the paper's likely-invariant network is sparse
-// (§3.3) — so the edge adapters walk Set.SortedPairs() and emit the
-// violation tuple directly. A clean window is the nil-mask case and a
-// scorer without rows is the all-full-overlap case of the same kernel.
+// every pair (the invariant network is unknown), so Train (train.go) walks
+// all of them through forEachPair, each across the runs until its range
+// rules it out, and the dense matrix fills walk all of them once; diagnosis
+// only ever reads the pairs that survived selection — the paper's
+// likely-invariant network is sparse (§3.3) — so the edge adapters walk
+// Set.SortedPairs() and emit the violation tuple directly. A clean window is
+// the nil-mask case and a scorer without rows is the all-full-overlap case
+// of the same kernel.
 
 // Prescreener is the optional fast tier of a PairScorer: ScreenLow returns
 // a conservative lower bound on Score(i, j), or 0 when no cheap certificate
@@ -182,14 +185,14 @@ func (w *window) resolve(xs, ys []float64, i, j int, base, epsilon float64) (flo
 }
 
 // fill runs the kernel over every pair, fanned out pair-by-pair: at M=26
-// metrics this is 325 MIC dynamic programmes per run — the dominant cost of
-// offline training (Table 1, Invar-C column). Unknown pairs score 0.
+// metrics this is 325 MIC dynamic programmes per window. Unknown pairs
+// score 0.
 func (w *window) fill() *Matrix {
 	a := NewMatrix(w.m)
 	if w.usable != nil {
 		a.known = make([]bool, len(a.scores))
 	}
-	forEachPair(w.m, func() func(i, j int) {
+	forEachPair(w.m, runtime.GOMAXPROCS(0), func() func(i, j int) {
 		xs, ys := w.scratch()
 		return func(i, j int) {
 			score, how := w.resolve(xs, ys, i, j, 0, 0)
@@ -246,7 +249,11 @@ func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, st EdgeSta
 // (rows[m] is the time series of metric m; all rows must share a length)
 // using assoc — the paper's "simple but exhaustive pair-wise search".
 func ComputeMatrix(rows [][]float64, assoc AssociationFunc) (*Matrix, error) {
-	return ComputeMaskedMatrixScored(rows, nil, assoc, nil, 0)
+	w, err := newWindow(rows, nil, assoc, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return w.fill(), nil
 }
 
 // ComputeMatrixScored builds the association matrix from a pair scorer over
@@ -268,7 +275,9 @@ func ComputeMatrixScored(m int, scorer PairScorer) (*Matrix, error) {
 // minSamples overlapping usable ticks (minSamples <= 0 selects
 // DefaultMinSamples) scores 0 and is marked unknown in the matrix. A non-nil
 // scorer prepared over the raw rows answers the full-overlap pairs; the
-// rest, or all of them under a nil scorer, go through assoc.
+// rest, or all of them under a nil scorer, go through assoc. No product path
+// calls it: it is the dense reference the sparse edge path and Train are
+// tested against.
 func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int) (*Matrix, error) {
 	w, err := newWindow(rows, valid, assoc, scorer, minSamples)
 	if err != nil {

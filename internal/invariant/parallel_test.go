@@ -214,7 +214,7 @@ func TestForEachPairWorkerIsolation(t *testing.T) {
 	const m = 40
 	var workersMade, calls atomic.Int64
 	sum := atomic.Int64{}
-	forEachPair(m, func() func(i, j int) {
+	forEachPair(m, runtime.GOMAXPROCS(0), func() func(i, j int) {
 		workersMade.Add(1)
 		local := 0 // private state: would race if a closure were shared
 		return func(i, j int) {

@@ -25,7 +25,8 @@ const closedPrefix = "invarnetx/internal/"
 // deleted) fails the test until it is dropped — and holds at most
 // maxTestOracles names.
 var testOracles = map[string]string{
-	"invarnetx/internal/signature.BestProblem": "reference reduction (best match per problem over MatchMasked's full list) that core and experiments tests hold DB.Rank to",
+	"invarnetx/internal/signature.BestProblem":               "reference reduction (best match per problem over MatchMasked's full list) that core and experiments tests hold DB.Rank to",
+	"invarnetx/internal/invariant.ComputeMaskedMatrixScored": "dense masked fill (every pair of a degraded window) that core and experiments tests hold the sparse edge path and pair-major training to",
 }
 
 const maxTestOracles = 5
