@@ -71,8 +71,10 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of seven targets: the binary wire-decoder fuzzer,
-# the store reader's (every xmlstore file kind, checked against encoding/xml),
+# Short coverage-guided runs of eight targets: the two ingest decoders' (the
+# binary wire frame, and the JSON body through validation and
+# TraceFromSamples: refused, or valid entries kept bit for bit), the store
+# reader's (every xmlstore file kind, checked against encoding/xml),
 # the fleet gossip decoders' (/sync and /push bodies), the two signature
 # equivalence targets — the packed scan (popcount scoring, MinScore pruning,
 # zero-query closed form) against the boolean linear reference, and Rank
@@ -85,6 +87,7 @@ loc:
 # warm). The seed corpora alone (run by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzIngestJSON -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s

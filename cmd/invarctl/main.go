@@ -254,7 +254,7 @@ func cmdDiagnose(args []string) error {
 	fault := fs.String("fault", "cpu-hog", "fault kind to inject (see `invarctl faults`)")
 	idx := fs.Int("run", 0, "run index (varies the injected instance)")
 	tfSpec := fs.String("telemetry-faults", "",
-		"degrade the telemetry before diagnosis, e.g. drop=0.2,outage=10.0.0.3:10-40,policy=mask")
+		"degrade the telemetry before diagnosis, e.g. drop=0.2,outage=10.0.0.3:10-40")
 	fs.Parse(args)
 	t, err := parseWorkload(*w)
 	if err != nil {
@@ -271,7 +271,8 @@ func cmdDiagnose(args []string) error {
 	}
 
 	// The scenario: one injected run, observed the way the online system
-	// sees it — through the collector when telemetry faults are injected.
+	// sees it — through a lossy agent and the daemon's ingest path when
+	// telemetry faults are injected.
 	sc := experiments.Scenario{
 		Study:    "invarctl",
 		Workload: t,
@@ -280,11 +281,11 @@ func cmdDiagnose(args []string) error {
 		Origin:   experiments.Alert,
 	}
 	if *tfSpec != "" {
-		tcfg, err := telemetry.ParseFaultSpec(*tfSpec)
+		fm, err := telemetry.ParseFaultSpec(*tfSpec)
 		if err != nil {
 			return err
 		}
-		sc.Telemetry = &tcfg
+		sc.Telemetry = &fm
 	}
 	out, err := r.Observe(sys, sc)
 	if err != nil {
@@ -294,9 +295,8 @@ func cmdDiagnose(args []string) error {
 	fmt.Printf("injected %s on %s during ticks %d-%d (job took %d ticks)\n",
 		kind, res.TargetIP, res.Window.Start, res.Window.End, res.DurationTicks)
 	if sc.Telemetry != nil {
-		h := out.Health
-		fmt.Printf("telemetry: node %s %s — %.0f%% of samples genuine (%d dropped, %d recovered via %d retries, %d corrupt, %d outage ticks)\n",
-			res.TargetIP, h.Status, 100*out.Genuine, h.Dropped, h.Recovered, h.Retries, h.Corrupt, h.OutageTicks)
+		fmt.Printf("telemetry: node %s — %.0f%% of samples genuine, %d entries lost\n",
+			res.TargetIP, 100*out.Genuine, out.Lost)
 	}
 	if out.Status == experiments.Undetected {
 		fmt.Println("no performance anomaly detected")

@@ -142,9 +142,7 @@ func maskMetric(t *testing.T, tr *metrics.Trace, m int) *metrics.Trace {
 			row[k] = tr.Rows[k][tick]
 			valid[k] = k != m
 		}
-		if err := out.AddMasked(row, valid, tr.CPI[tick], true); err != nil {
-			t.Fatal(err)
-		}
+		addMasked(out, row, valid, tr.CPI[tick])
 	}
 	return out
 }
@@ -461,9 +459,7 @@ func TestDegradedPathUsesBatchAndCache(t *testing.T) {
 			row[m] = masked.Rows[m][tick]
 			valid[m] = m != 3 || tick >= 20
 		}
-		if err := maskedCopy.AddMasked(row, valid, masked.CPI[tick], true); err != nil {
-			t.Fatal(err)
-		}
+		addMasked(maskedCopy, row, valid, masked.CPI[tick])
 	}
 	before := totals(s).Cache
 	if _, err := s.Diagnose(ctx, maskedCopy); err != nil {

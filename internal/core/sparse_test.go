@@ -25,9 +25,7 @@ func maskTicks(rng *stats.RNG, tr *metrics.Trace, drop float64, outage int) *met
 				sample[m] = math.NaN()
 			}
 		}
-		if err := out.AddMasked(sample, valid, tr.CPI[t], true); err != nil {
-			panic(err)
-		}
+		addMasked(out, sample, valid, tr.CPI[t])
 	}
 	return out
 }

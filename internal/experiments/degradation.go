@@ -46,21 +46,18 @@ func (s *DegradationStudy) String() string {
 }
 
 // degradationRows generates the study's rows: the usual label runs, and per
-// loss level runsPerRate runs of kind whose investigated window is replayed
-// through a lossy collector.
+// loss level runsPerRate runs of kind whose investigated window is sent
+// through a lossy agent.
 func (r *Runner) degradationRows(w workload.Type, kind faults.Kind, dropRates []float64, runsPerRate int) (label, test []Scenario) {
 	for ri, rate := range dropRates {
 		for i := 0; i < runsPerRate; i++ {
 			test = append(test, Scenario{
-				Study:    r.arm("degradation"),
-				Workload: w,
-				Faults:   []faults.Kind{kind},
-				Index:    i,
-				Origin:   Oracle,
-				Telemetry: &telemetry.Config{
-					Faults: telemetry.FaultModel{DropRate: rate},
-					Policy: telemetry.Mask,
-				},
+				Study:         r.arm("degradation"),
+				Workload:      w,
+				Faults:        []faults.Kind{kind},
+				Index:         i,
+				Origin:        Oracle,
+				Telemetry:     &telemetry.FaultModel{DropRate: rate},
 				TelemetrySalt: int64(1000*ri + i),
 			})
 		}
@@ -70,16 +67,16 @@ func (r *Runner) degradationRows(w workload.Type, kind faults.Kind, dropRates []
 
 // RunDegradationStudy trains the pipeline for workload w, builds the
 // signature base, then diagnoses runsPerRate faulted runs of kind at each
-// sample-loss level in dropRates, replaying every abnormal window through a
-// telemetry.Collector before diagnosis. Gap policy is Mask (the honest
-// one), so lost samples surface as unknown invariants rather than
-// fabricated values.
+// sample-loss level in dropRates, sending every abnormal window through a
+// lossy agent (telemetry.FaultModel) and the daemon's ingest path before
+// diagnosis, so lost samples surface as unknown invariants rather than
+// fabricated values — exactly as invarnetd serves them.
 func (r *Runner) RunDegradationStudy(w workload.Type, kind faults.Kind, dropRates []float64, runsPerRate int) (*DegradationStudy, error) {
 	if !faults.Valid(kind) {
 		return nil, fmt.Errorf("experiments: unknown fault %q", kind)
 	}
 	for _, rate := range dropRates {
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) {
 			return nil, fmt.Errorf("experiments: drop rate %v is not a probability", rate)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -44,7 +45,9 @@ func TestDegradationStudyValidation(t *testing.T) {
 	if _, err := r.RunDegradationStudy(workload.Wordcount, "no-such-fault", []float64{0}, 1); err == nil {
 		t.Fatal("unknown fault accepted")
 	}
-	if _, err := r.RunDegradationStudy(workload.Wordcount, "cpu-hog", []float64{1.5}, 1); err == nil {
-		t.Fatal("drop rate > 1 accepted")
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := r.RunDegradationStudy(workload.Wordcount, "cpu-hog", []float64{rate}, 1); err == nil {
+			t.Fatalf("drop rate %v accepted", rate)
+		}
 	}
 }

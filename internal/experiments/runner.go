@@ -278,7 +278,7 @@ func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *
 	c := cluster.NewHeterogeneous(r.opts.Slaves, seed)
 	c.CrossTraffic = r.opts.CrossTraffic
 	rng := stats.NewRNG(seed + 7)
-	collector := metrics.NewCollector(rng.Fork(1))
+	collector := metrics.NewCollectl(rng.Fork(1))
 	sampler := cpi.NewSampler(rng.Fork(2))
 
 	res := &RunResult{Traces: make(map[string]*metrics.Trace)}

@@ -9,6 +9,7 @@ import (
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/metrics"
+	"invarnetx/internal/server"
 	"invarnetx/internal/stats"
 	"invarnetx/internal/telemetry"
 	"invarnetx/internal/workload"
@@ -51,11 +52,11 @@ type Scenario struct {
 	// Options.RotateTargets, picks the target node.
 	Index  int
 	Origin Origin
-	// Telemetry, when set, replays what the pipeline reads through a faulty
-	// collector seeded with Options.Seed + TelemetrySalt: the whole stream
-	// for an Alert row (the monitor reads it live), the investigated window
-	// alone for an Oracle row.
-	Telemetry     *telemetry.Config
+	// Telemetry, when set, sends what the pipeline reads through a lossy
+	// agent seeded with Options.Seed + TelemetrySalt and the daemon's ingest
+	// path: the whole stream for an Alert row (the monitor reads it live),
+	// the investigated window alone for an Oracle row.
+	Telemetry     *telemetry.FaultModel
 	TelemetrySalt int64
 }
 
@@ -112,11 +113,11 @@ type Outcome struct {
 	// Run is the simulated run behind the verdict. observeAll drops it: a
 	// study keeps verdicts, not every node's trace of every run.
 	Run *RunResult
-	// Health is the collector's record of the observed node and Genuine the
-	// fraction of delivered samples that were real readings (both zero
+	// Genuine is the fraction of metric samples that arrived valid and Lost
+	// the number of metric and CPI entries the agent sent invalid (both zero
 	// unless the row sets Telemetry).
-	Health  telemetry.NodeHealth
 	Genuine float64
+	Lost    int
 }
 
 // Predicted returns the top-ranked cause, "" for either non-answer.
@@ -174,19 +175,30 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 		Context:   core.Context{Workload: string(sc.Workload), IP: ip},
 		Run:       res,
 	}
-	// collect passes a trace through the row's collector (a no-op without
-	// one). A row calls it once: on the stream or on the window.
-	collect := func(tr *metrics.Trace) (*metrics.Trace, []float64, error) {
+	// collect sends a trace through the row's lossy agent and the daemon's
+	// ingest path (a no-op without one): a lost entry comes back NaN and
+	// flagged invalid. A row calls it once: on the stream or on the window.
+	collect := func(tr *metrics.Trace) (*metrics.Trace, error) {
 		if sc.Telemetry == nil {
-			return tr, tr.CPI, nil
+			return tr, nil
 		}
-		col := telemetry.New(*sc.Telemetry, stats.NewRNG(r.opts.Seed+sc.TelemetrySalt))
-		deg, live, err := col.Degrade(tr)
+		samples := sc.Telemetry.Samples(tr, stats.NewRNG(r.opts.Seed+sc.TelemetrySalt))
+		deg, err := server.TraceFromSamples(tr.Context, tr.NodeIP, samples)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		out.Health, out.Genuine = col.Health(ip), deg.ValidFraction()
-		return deg, live, nil
+		for _, s := range samples {
+			for _, ok := range s.Valid {
+				if !ok {
+					out.Lost++
+				}
+			}
+			if !*s.CPIValid {
+				out.Lost++
+			}
+		}
+		out.Genuine = deg.ValidFraction()
+		return deg, nil
 	}
 
 	tr, from := res.Traces[ip], res.Window.Start
@@ -194,10 +206,12 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 		return out, nil, fmt.Errorf("experiments: %s: run produced no usable trace", sc.ID())
 	}
 	if sc.Origin == Alert {
-		var live []float64
-		if tr, live, err = collect(tr); err != nil {
+		if tr, err = collect(tr); err != nil {
 			return out, nil, err
 		}
+		// A lost CPI reading is NaN, which the monitor skips as a gap — the
+		// daemon's cpiObserved.
+		live := tr.CPI
 		mon, err := sys.NewMonitor(out.Context, live[:monWarmup])
 		if err != nil {
 			return out, nil, err
@@ -217,7 +231,7 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 	}
 	win, err := AbnormalWindow(tr, from, r.opts.FaultTicks)
 	if err == nil && sc.Origin == Oracle {
-		win, _, err = collect(win)
+		win, err = collect(win)
 	}
 	return out, win, err
 }

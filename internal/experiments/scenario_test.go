@@ -170,8 +170,8 @@ func TestScenarioID(t *testing.T) {
 		{Scenario{Study: "s", Workload: workload.Sort, Faults: []faults.Kind{faults.XLink}, Cross: true, Index: 2, Origin: Alert},
 			"s/sort/cross:xlink/2/alert"},
 		{Scenario{Study: "s", Workload: workload.Grep, Faults: []faults.Kind{faults.DiskHog},
-			Telemetry: &telemetry.Config{Faults: telemetry.FaultModel{DropRate: 0.5}, Policy: telemetry.Mask}, TelemetrySalt: 1002},
-			"s/grep/disk-hog/0/oracle/telemetry={Faults:{DropRate:0.5 CorruptRate:0 SpikeFraction:0 BatchDelayRate:0 MaxDelayTicks:0 Outages:map[]} Policy:mask}#1002"},
+			Telemetry: &telemetry.FaultModel{DropRate: 0.5}, TelemetrySalt: 1002},
+			"s/grep/disk-hog/0/oracle/telemetry={DropRate:0.5 CorruptRate:0 SpikeFraction:0 Outages:map[]}#1002"},
 	} {
 		if got := tc.sc.ID(); got != tc.want {
 			t.Errorf("ID = %q, want %q", got, tc.want)

@@ -53,9 +53,10 @@ var Names = []string{
 // candidate association pairs).
 const Count = 26
 
-// Collector samples metric vectors from nodes. One Collector serves a whole
-// cluster; its noise stream is deterministic.
-type Collector struct {
+// Collectl is the simulated collectl agent: it samples metric vectors from
+// nodes. One Collectl serves a whole cluster; its noise stream is
+// deterministic.
+type Collectl struct {
 	rng *stats.RNG
 	// NoiseSD is the relative measurement noise (default 0.008).
 	NoiseSD float64
@@ -99,9 +100,9 @@ var noiseFloor = [Count]float64{
 	3,     // proc.openfds
 }
 
-// NewCollector returns a Collector drawing noise from rng.
-func NewCollector(rng *stats.RNG) *Collector {
-	return &Collector{rng: rng, NoiseSD: 0.008, FloorScale: 1}
+// NewCollectl returns a Collectl drawing noise from rng.
+func NewCollectl(rng *stats.RNG) *Collectl {
+	return &Collectl{rng: rng, NoiseSD: 0.008, FloorScale: 1}
 }
 
 // platformProfile captures how a node's kernel and hardware mix the latent
@@ -156,7 +157,7 @@ func profileFor(id int) platformProfile {
 // pinned-metric pairs while leaving within-family pairs intact; a freeze
 // (Suspend) flattens everything and breaks both. Those intact/broken
 // patterns are the signatures InvarNet-X matches.
-func (c *Collector) Collect(n *cluster.Node) []float64 {
+func (c *Collectl) Collect(n *cluster.Node) []float64 {
 	st := n.State
 	caps := n.Caps
 	out := make([]float64, Count)
@@ -255,10 +256,9 @@ type StageWindow struct {
 //
 // A trace from a degraded telemetry path additionally carries validity
 // masks: Valid[m][t] is false when metric m at tick t is not a real
-// observation (dropped, corrupt, or synthesised by a gap-filling policy),
-// and CPIValid[t] likewise for the CPI series. Nil masks mean every sample
-// is a genuine observation — the clean-collector fast path allocates
-// nothing.
+// observation (lost or corrupt on the way in), and CPIValid[t] likewise for
+// the CPI series. Nil masks mean every sample is a genuine observation — the
+// clean fast path allocates nothing.
 type Trace struct {
 	NodeIP  string
 	Rows    [][]float64 // Width() rows (Count unless built otherwise)
@@ -310,28 +310,6 @@ func (t *Trace) Add(sample []float64, cpiValue float64) error {
 	return nil
 }
 
-// AddMasked appends one sampled vector with its validity mask. valid[m]
-// false marks metric m's entry as not a genuine observation; cpiValid
-// likewise for the CPI reading. The first masked Add materialises the masks
-// retroactively (all earlier samples were genuine).
-func (t *Trace) AddMasked(sample []float64, valid []bool, cpiValue float64, cpiValid bool) error {
-	if len(sample) != len(t.Rows) {
-		return fmt.Errorf("metrics: sample has %d entries, want %d", len(sample), len(t.Rows))
-	}
-	if len(valid) != len(t.Rows) {
-		return fmt.Errorf("metrics: mask has %d entries, want %d", len(valid), len(t.Rows))
-	}
-	t.materialiseMasks()
-	for m, v := range sample {
-		t.Rows[m] = append(t.Rows[m], v)
-		t.Valid[m] = append(t.Valid[m], valid[m])
-	}
-	t.CPI = append(t.CPI, cpiValue)
-	t.CPIValid = append(t.CPIValid, cpiValid)
-	t.Ticks++
-	return nil
-}
-
 // MarkStage records that the samples from the current length onward belong
 // to stage. Re-marking the current stage and empty stage names are no-ops,
 // so a producer can call it every tick with whatever the simulator reports.
@@ -379,25 +357,6 @@ func (t *Trace) StageWindows() []StageWindow {
 		out = append(out, StageWindow{Stage: m.Stage, Lo: lo, Hi: hi})
 	}
 	return out
-}
-
-// materialiseMasks backfills all-true masks covering the samples recorded
-// before the first masked observation arrived.
-func (t *Trace) materialiseMasks() {
-	if t.Valid != nil {
-		return
-	}
-	t.Valid = make([][]bool, len(t.Rows))
-	for m := range t.Valid {
-		t.Valid[m] = make([]bool, t.Ticks)
-		for i := range t.Valid[m] {
-			t.Valid[m][i] = true
-		}
-	}
-	t.CPIValid = make([]bool, t.Ticks)
-	for i := range t.CPIValid {
-		t.CPIValid[i] = true
-	}
 }
 
 // MetricValid returns the validity mask of metric m, or nil when the whole

@@ -37,7 +37,7 @@ func collectRun(t *testing.T, seed int64, attach func(n *cluster.Node)) *Trace {
 			attach(n)
 		}
 	}
-	col := NewCollector(stats.NewRNG(seed + 500))
+	col := NewCollectl(stats.NewRNG(seed + 500))
 	smp := cpi.NewSampler(stats.NewRNG(seed + 600))
 	tr := NewTrace(c.Slaves()[0].IP, "wordcount")
 	spec := workload.NewJob(workload.Wordcount, workload.Params{InputMB: 2048, RNG: stats.NewRNG(seed + 700)})
@@ -181,7 +181,7 @@ func TestTraceAddValidatesWidth(t *testing.T) {
 	}
 }
 
-func TestCollectorDeterminism(t *testing.T) {
+func TestCollectlDeterminism(t *testing.T) {
 	a := collectRun(t, 55, nil)
 	b := collectRun(t, 55, nil)
 	if a.Len() != b.Len() {

@@ -23,9 +23,7 @@ func randomStagedTrace(r *rand.Rand, width, ticks int) *Trace {
 			sample[m] = r.Float64() * 100
 			valid[m] = r.Intn(10) != 0
 		}
-		if err := tr.AddMasked(sample, valid, r.Float64(), r.Intn(10) != 0); err != nil {
-			panic(err)
-		}
+		addMasked(tr, sample, valid, r.Float64(), r.Intn(10) != 0)
 	}
 	return tr
 }

@@ -19,8 +19,7 @@
 // bounded task queue drained by a fixed worker pool, and a full queue turns
 // into 429 Retry-After at admission. Degraded telemetry rides the masked
 // pipeline end to end — a sample's validity mask flows through
-// metrics.Trace into tri-state invariant checking, exactly as the telemetry
-// collector's gap semantics define.
+// metrics.Trace into tri-state invariant checking.
 package server
 
 import (
@@ -32,13 +31,11 @@ import (
 )
 
 // Sample is one tick of one node's telemetry on the wire. JSON cannot carry
-// NaN, so telemetry gaps are expressed exactly as the telemetry package's
-// gap policies produce them: a Valid mask flagging which entries are
-// genuine observations, with whatever placeholder (held value, interpolated
-// value, zero) in the data. Entries marked invalid are stored as NaN
-// server-side under the Mask policy semantics when the placeholder is zero
-// — either way the masked pipeline treats the touched invariants as
-// unknown, not violated.
+// NaN, so a telemetry gap is a Valid flag cleared over a placeholder value:
+// a lost entry goes out as 0 (what telemetry.FaultModel sends), which is
+// stored as NaN; any other placeholder is an outside client's choice, kept
+// and flagged invalid. Either way the masked pipeline treats the touched
+// invariants as unknown, not violated.
 type Sample struct {
 	// Metrics is the full per-tick vector; len must equal metrics.Count.
 	Metrics []float64 `json:"metrics"`
@@ -227,11 +224,11 @@ func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// maskValue applies the telemetry gap semantics to one wire entry: a
-// masked-invalid entry whose placeholder is zero is stored as NaN (the
-// honest Mask policy); any other placeholder (held or interpolated value) is
-// kept as-is and stays flagged invalid by the mask. Applied once, where
-// samples become columns (ingestBatch.fromSamples, the frame decoder).
+// maskValue applies the gap semantics to one wire entry: an invalid entry
+// whose placeholder is zero is stored as NaN; any other placeholder is an
+// outside client's choice, kept as-is and flagged invalid by the mask.
+// Applied once, where samples become columns (ingestBatch.fromSamples, the
+// frame decoder).
 func maskValue(v float64, valid bool) float64 {
 	if !valid && v == 0 {
 		return math.NaN()
@@ -240,12 +237,12 @@ func maskValue(v float64, valid bool) float64 {
 }
 
 // TraceFromSamples materialises wire samples into a metrics.Trace, applying
-// the telemetry gap semantics: masked-invalid entries whose placeholder is
-// zero are stored as NaN (the honest Mask policy), non-zero placeholders
-// are kept as-is but stay flagged invalid (the hold/interpolate policies) —
-// in both cases the validity mask is what the masked pipeline trusts. It is
-// the stream window's own route (samples → columnar batch → trace), so an
-// explicit window and the identical ingested one are the same trace.
+// maskValue: an invalid entry with a zero placeholder is stored as NaN, a
+// non-zero placeholder is kept but stays flagged invalid — in both cases the
+// validity mask is what the masked pipeline trusts. It is the stream
+// window's own route (samples → columnar batch → trace), so an explicit
+// window and the identical ingested one are the same trace; the studies'
+// degraded windows take it too.
 func TraceFromSamples(workloadType, node string, samples []Sample) (*metrics.Trace, error) {
 	if err := validateSamples(samples); err != nil {
 		return nil, err

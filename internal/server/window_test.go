@@ -52,7 +52,7 @@ func coupledSamples(rng *stats.RNG, n, coupled int, decouple map[int]bool, maskE
 				valid[i] = true
 			}
 			valid[0] = false
-			row[0] = 0 // zero placeholder: stored as NaN under the mask policy
+			row[0] = 0 // zero placeholder: stored as NaN
 			s.Valid = valid
 		}
 		out[t] = s
@@ -260,4 +260,67 @@ func mustTrace(t *testing.T, ctx core.Context, samples []Sample) *metrics.Trace 
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// TestHeldCPIIsAGap: an invalid CPI entry is a gap to the drift monitor
+// whatever its placeholder. A client that holds (or invents) a non-zero
+// value behind cpiValid:false keeps it in the window, flagged invalid, but
+// the monitor never scores it: a run of wildly anomalous held readings longer
+// than Consecutive raises no alert, and the same readings sent as valid do.
+func TestHeldCPIIsAGap(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.Context{Workload: "wordcount", IP: "10.0.0.2"}
+	trainContext(t, srv, ctx, 1400)
+	st := srv.stream(ctx)
+	rng := stats.NewRNG(1401)
+	// ingest returns once the batch's task — window slide and monitor
+	// offers — has finished: tasks of one queue run in order, so a task
+	// queued behind it runs after it.
+	ingest := func(samples []Sample) {
+		t.Helper()
+		rec := postJSON(t, srv.Handler(), "/v1/ingest", IngestRequest{Workload: ctx.Workload, Node: ctx.IP, Samples: samples})
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("ingest: status %d, body %s", rec.Code, rec.Body)
+		}
+		done := make(chan struct{})
+		if err := srv.sched.enqueue(st.queue, func() { close(done) }); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+	ingest(coupledSamples(rng.Fork(1), 20, 8, nil, 0))
+	if st.monitor == nil || st.alerts.Load() != 0 {
+		t.Fatalf("normal warm-up: monitor %v, %d alerts", st.monitor != nil, st.alerts.Load())
+	}
+
+	n := 4 * srv.sys.Config().Detect.Consecutive
+	held := coupledSamples(rng.Fork(2), n, 8, nil, 0)
+	invalid := false
+	for i := range held {
+		held[i].CPI = 100 + 900*float64(i%2) // alternating: anomalous under any forecast
+		held[i].CPIValid = &invalid
+	}
+	ingest(held)
+	if got := st.alerts.Load(); got != 0 {
+		t.Fatalf("%d alerts on %d held CPI readings flagged invalid, want none", got, n)
+	}
+	win := st.windowTrace()
+	for i := 0; i < n; i++ {
+		k := win.Len() - n + i
+		if win.CPI[k] != held[i].CPI || win.CPIValid[k] {
+			t.Fatalf("held CPI %d stored as %v (valid %v), want the placeholder flagged invalid", i, win.CPI[k], win.CPIValid[k])
+		}
+	}
+
+	valid := true
+	for i := range held {
+		held[i].CPIValid = &valid
+	}
+	ingest(held)
+	if st.alerts.Load() == 0 {
+		t.Fatalf("the same %d anomalous CPI readings sent as valid raised no alert", n)
+	}
 }

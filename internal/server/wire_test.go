@@ -17,7 +17,7 @@ import (
 
 // maskedSamples builds wire samples with metric and CPI validity gaps for
 // codec tests: every third tick masks metric 1 (with the zero placeholder
-// collectors emit) and every fifth tick masks the CPI.
+// a lossy agent sends) and every fifth tick masks the CPI.
 func maskedSamples(rng *stats.RNG, n int) []Sample {
 	out := make([]Sample, n)
 	for t := 0; t < n; t++ {
@@ -130,11 +130,12 @@ func TestAppendFrameGolden(t *testing.T) {
 }
 
 // TestMaskValueMatchesTracePolicy: the shared maskValue helper and the trace
-// builder agree on the gap policy — a masked zero placeholder becomes NaN, a
-// masked held value is kept (the mask alone flags it).
+// builder agree on the gap semantics — a masked zero placeholder becomes
+// NaN, an outside client's non-zero placeholder is kept (the mask alone
+// flags it).
 func TestMaskValueMatchesTracePolicy(t *testing.T) {
 	samples := maskedSamples(stats.NewRNG(43), 30)
-	// Give one masked entry a held (non-zero) placeholder too.
+	// Give one masked entry a non-zero placeholder too.
 	samples[3].Metrics[1] = 7.5
 	tr, err := TraceFromSamples("sort", "10.1.2.3", samples)
 	if err != nil {
@@ -160,7 +161,7 @@ func TestMaskValueMatchesTracePolicy(t *testing.T) {
 		t.Error("masked zero placeholder not NaN")
 	}
 	if b.cols[1*b.n+3] != 7.5 {
-		t.Errorf("masked held value rewritten to %v", b.cols[1*b.n+3])
+		t.Errorf("masked non-zero placeholder rewritten to %v", b.cols[1*b.n+3])
 	}
 }
 

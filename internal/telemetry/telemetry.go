@@ -1,79 +1,30 @@
-// Package telemetry is the fault-tolerant collection layer between the raw
-// metric/CPI sources and the diagnosis pipeline.
+// Package telemetry models the collection agent as a lossy sender: it turns a
+// clean trace into the wire samples an agent with a faulty link would send.
 //
 // The paper's prototype consumes clean collectl streams, but InvarNet-X's
 // own premise — diagnosing faulty clusters — makes the telemetry the first
 // casualty of the faults it exists to diagnose: a net-drop or suspend fault
-// also drops, delays and corrupts the metric samples. This package models
-// exactly that failure surface and keeps the online path deterministic and
-// analysable under it:
+// also drops and corrupts the metric samples. The FaultModel injects exactly
+// that: per-reading drops and corruption (a fraction of it slipping through
+// as finite spikes), a short retry loop, and full per-node agent outages.
 //
-//   - an injectable FaultModel: per-reading drops, corrupt (NaN/garbage)
-//     values, late/out-of-order batches, and full per-node agent outages;
-//   - per-reading retry with exponential backoff and jitter, so transient
-//     drops are recovered at a bounded simulated latency cost;
-//   - gap-filling policies for unrecovered readings: hold-last,
-//     linear interpolation, or an explicit NaN mask — every synthesised
-//     value is flagged invalid in the trace's validity mask so that the
-//     invariant layer can report affected pairs as unknown rather than
-//     violated;
-//   - per-node health status (healthy / degraded / down) derived from the
-//     observed loss rate, for operators and for confidence weighting.
-//
-// The collector is transport-agnostic: callers push raw readings through
-// Ingest (or replay a whole clean trace through Degrade) and receive both
-// the live view a streaming consumer would have seen and a trace whose
-// masks record which samples are genuine.
+// There is one gap model, and it is the daemon's. A reading the agent lost
+// goes out as placeholder 0 with its validity flag cleared, and
+// server.TraceFromSamples — the ingest path of invarnetd — turns it into NaN
+// plus an invalid flag. A spike goes out as a valid value: the agent believes
+// it, so downstream layers need their own robustness guards.
 package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/server"
+	"invarnetx/internal/stats"
 )
-
-// GapPolicy selects how unrecovered readings are filled in the trace.
-type GapPolicy int
-
-const (
-	// Mask stores NaN and marks the sample invalid — the honest policy;
-	// downstream layers must handle the gap (and this repository's do).
-	Mask GapPolicy = iota
-	// HoldLast repeats the last genuine reading. The value is still
-	// marked invalid: it is a guess, not an observation.
-	HoldLast
-	// Interpolate fills a finished gap linearly between the genuine
-	// readings on either side (trailing gaps fall back to hold-last).
-	// Filled values are marked invalid.
-	Interpolate
-)
-
-func (p GapPolicy) String() string {
-	switch p {
-	case Mask:
-		return "mask"
-	case HoldLast:
-		return "hold"
-	case Interpolate:
-		return "interp"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParseGapPolicy inverts GapPolicy.String.
-func ParseGapPolicy(s string) (GapPolicy, error) {
-	switch s {
-	case "mask":
-		return Mask, nil
-	case "hold", "hold-last":
-		return HoldLast, nil
-	case "interp", "interpolate":
-		return Interpolate, nil
-	default:
-		return 0, fmt.Errorf("telemetry: unknown gap policy %q (mask|hold|interp)", s)
-	}
-}
 
 // Window is a half-open tick interval [Start, End).
 type Window struct {
@@ -84,30 +35,54 @@ type Window struct {
 func (w Window) Contains(tick int) bool { return tick >= w.Start && tick < w.End }
 
 // FaultModel describes the telemetry faults to inject. The zero value
-// injects nothing (a transparent collector).
+// injects nothing.
 type FaultModel struct {
-	// DropRate is the per-reading probability that a metric sample is
-	// lost at the source before any retry.
+	// DropRate is the per-reading probability that a sample is lost at the
+	// source before any retry.
 	DropRate float64
 	// CorruptRate is the per-reading probability that a sample arrives
-	// corrupt. Most corruption is non-finite garbage that input
+	// corrupt. Most corruption is non-finite garbage that the agent's
 	// validation catches (and retries); a SpikeFraction of it slips
 	// through as a finite but absurd value.
 	CorruptRate float64
 	// SpikeFraction is the fraction of corrupt readings that pass
 	// validation as finite garbage spikes (default 0 — all corruption is
-	// caught as NaN).
+	// caught).
 	SpikeFraction float64
-	// BatchDelayRate is the probability that a whole per-node tick batch
-	// arrives late, by 1..MaxDelayTicks ticks. Late batches reach the
-	// trace retroactively (out-of-order delivery); the live stream sees a
-	// gap at the original tick.
-	BatchDelayRate float64
-	// MaxDelayTicks bounds batch lateness (default 3 when delays are on).
-	MaxDelayTicks int
 	// Outages lists full agent outages per node IP: during a window the
-	// node's whole batch is lost with no retry (the agent is down).
+	// node's whole tick is lost with no retry (the agent is down).
 	Outages map[string][]Window
+}
+
+// retryMax is the number of re-reads of a lost or caught-corrupt reading;
+// each attempt succeeds independently.
+const retryMax = 2
+
+// Samples returns the wire samples a lossy agent on tr's node sends for the
+// clean trace tr, one per tick. Every draw comes from rng forked by the FNV
+// hash of the node IP, so adding a node to a run does not perturb the faults
+// drawn for the others; an outage tick draws nothing.
+func (f *FaultModel) Samples(tr *metrics.Trace, rng *stats.RNG) []server.Sample {
+	h := int64(1469598103934665603)
+	for _, b := range []byte(tr.NodeIP) {
+		h ^= int64(b)
+		h *= 1099511628211
+	}
+	node := rng.Fork(h)
+	out := make([]server.Sample, tr.Len())
+	for t := range out {
+		s := server.Sample{Metrics: make([]float64, len(tr.Rows)), Valid: make([]bool, len(tr.Rows))}
+		cpiOK := false
+		if !f.outage(tr.NodeIP, t) {
+			for m := range tr.Rows {
+				s.Metrics[m], s.Valid[m] = f.read(node, tr.Rows[m][t])
+			}
+			s.CPI, cpiOK = f.read(node, tr.CPI[t])
+		}
+		s.CPIValid = &cpiOK
+		out[t] = s
+	}
+	return out
 }
 
 // outage reports whether node ip is inside an outage window at tick.
@@ -120,20 +95,29 @@ func (f *FaultModel) outage(ip string, tick int) bool {
 	return false
 }
 
-// The per-reading retry loop. Retries model re-reading a counter that failed
-// to arrive: each attempt succeeds independently, and the backoff delays
-// accumulate as simulated collection latency.
-const (
-	retryMax         = 2    // retry attempts per lost reading
-	retryBaseDelayMS = 50.0 // first backoff delay; attempt k waits base·2^(k-1)
-	retryMaxDelayMS  = 1000 // cap on a single backoff delay
-	retryJitter      = 0.2  // each delay spread uniformly by ± this fraction
-)
-
-// Config assembles a collector.
-type Config struct {
-	Faults FaultModel
-	Policy GapPolicy
+// read passes one reading through the fault model: the corruption draw, then
+// the drop draw, then up to retryMax re-reads of anything lost or caught. An
+// unrecovered reading is placeholder 0, flagged invalid.
+func (f *FaultModel) read(rng *stats.RNG, v float64) (float64, bool) {
+	switch {
+	case f.CorruptRate > 0 && rng.Bernoulli(f.CorruptRate):
+		if f.SpikeFraction > 0 && rng.Bernoulli(f.SpikeFraction) {
+			return (1 + math.Abs(v)) * 1e6, true
+		}
+		// Non-finite garbage the agent's validation catches: re-read below.
+	case f.DropRate > 0 && rng.Bernoulli(f.DropRate):
+		// Lost at the source: re-read below.
+	default:
+		return v, true
+	}
+	failP := min(f.DropRate+f.CorruptRate, 1)
+	for range retryMax {
+		rng.Float64() // backoff jitter, value unused: dropping the draw would move every seeded loss (TestLossPatternGolden)
+		if !rng.Bernoulli(failP) {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // ParseFaultSpec parses the CLI fault specification used by
@@ -143,18 +127,12 @@ type Config struct {
 //	drop=0.2            per-reading drop probability
 //	corrupt=0.05        per-reading corruption probability
 //	spike=0.25          fraction of corruption passing validation
-//	delay=0.1           per-batch lateness probability
-//	maxdelay=3          maximum batch lateness in ticks
 //	outage=IP:S-E       agent outage on node IP during ticks [S,E)
 //	                    (repeatable; ":S-E" optional, default the whole run)
-//	policy=mask         gap policy: mask | hold | interp
 //
-// Example: "drop=0.2,outage=10.0.0.3:10-40,policy=hold".
-func ParseFaultSpec(spec string) (Config, error) {
-	cfg := Config{}
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
+// Example: "drop=0.2,outage=10.0.0.3:10-40".
+func ParseFaultSpec(spec string) (FaultModel, error) {
+	fm := FaultModel{}
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -162,50 +140,36 @@ func ParseFaultSpec(spec string) (Config, error) {
 		}
 		key, val, ok := strings.Cut(field, "=")
 		if !ok {
-			return cfg, fmt.Errorf("telemetry: bad spec field %q (want key=value)", field)
+			return fm, fmt.Errorf("telemetry: bad spec field %q (want key=value)", field)
 		}
 		switch key {
-		case "drop", "corrupt", "spike", "delay":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return cfg, fmt.Errorf("telemetry: %s=%q is not a probability", key, val)
+		case "drop", "corrupt", "spike":
+			p, err := strconv.ParseFloat(val, 64)
+			if err != nil || !(p >= 0 && p <= 1) {
+				return fm, fmt.Errorf("telemetry: %s=%q is not a probability", key, val)
 			}
 			switch key {
 			case "drop":
-				cfg.Faults.DropRate = f
+				fm.DropRate = p
 			case "corrupt":
-				cfg.Faults.CorruptRate = f
+				fm.CorruptRate = p
 			case "spike":
-				cfg.Faults.SpikeFraction = f
-			case "delay":
-				cfg.Faults.BatchDelayRate = f
+				fm.SpikeFraction = p
 			}
-		case "maxdelay":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return cfg, fmt.Errorf("telemetry: maxdelay=%q is not a positive tick count", val)
-			}
-			cfg.Faults.MaxDelayTicks = n
 		case "outage":
 			ip, win, err := parseOutage(val)
 			if err != nil {
-				return cfg, err
+				return fm, err
 			}
-			if cfg.Faults.Outages == nil {
-				cfg.Faults.Outages = make(map[string][]Window)
+			if fm.Outages == nil {
+				fm.Outages = make(map[string][]Window)
 			}
-			cfg.Faults.Outages[ip] = append(cfg.Faults.Outages[ip], win)
-		case "policy":
-			p, err := ParseGapPolicy(val)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Policy = p
+			fm.Outages[ip] = append(fm.Outages[ip], win)
 		default:
-			return cfg, fmt.Errorf("telemetry: unknown spec key %q", key)
+			return fm, fmt.Errorf("telemetry: unknown spec key %q (drop|corrupt|spike|outage)", key)
 		}
 	}
-	return cfg, nil
+	return fm, nil
 }
 
 // parseOutage parses "IP" or "IP:S-E".

@@ -188,7 +188,7 @@ type (
 	// FaultInjector is a schedulable fault.
 	FaultInjector = faults.Injector
 	// MetricsCollector samples the 26 collectl-style metrics.
-	MetricsCollector = metrics.Collector
+	MetricsCollector = metrics.Collectl
 	// MetricsTrace is a per-node metric+CPI time series.
 	MetricsTrace = metrics.Trace
 	// CPISampler reads per-node CPI, the paper's KPI.
@@ -233,7 +233,7 @@ func NewFault(kind FaultKind, w FaultWindow, rng *RNG) (*FaultInjector, error) {
 func NewRNG(seed int64) *RNG { return stats.NewRNG(seed) }
 
 // NewMetricsCollector builds a collector drawing noise from rng.
-func NewMetricsCollector(rng *RNG) *MetricsCollector { return metrics.NewCollector(rng) }
+func NewMetricsCollector(rng *RNG) *MetricsCollector { return metrics.NewCollectl(rng) }
 
 // NewCPISampler builds a CPI sampler drawing noise from rng.
 func NewCPISampler(rng *RNG) *CPISampler { return cpi.NewSampler(rng) }
