@@ -74,7 +74,8 @@ loc:
 # Short coverage-guided runs of eight targets: the two ingest decoders' (the
 # binary wire frame, and the JSON body through validation and
 # TraceFromSamples: refused, or valid entries kept bit for bit), the store
-# reader's (every xmlstore file kind, checked against encoding/xml),
+# reader's (profile and fleet-state files, the scanner and the direct
+# signature loop checked against encoding/xml),
 # the fleet gossip decoders' (/sync and /push bodies), the two signature
 # equivalence targets — the packed scan (popcount scoring, MinScore pruning,
 # zero-query closed form) against the boolean linear reference, and Rank

@@ -422,7 +422,7 @@ func cmdLifecycle(args []string) error {
 	edges := fs.Bool("edges", false, "also list per-edge health series")
 	fs.Parse(args)
 	cfg := core.DefaultConfig()
-	cfg.Lifecycle.Enabled = true // the store's lifecycle files are inert otherwise
+	cfg.Lifecycle.Enabled = true // the store's lifecycle sections are inert otherwise
 	sys, err := openStore(cfg, *models, "")
 	if err != nil {
 		return err

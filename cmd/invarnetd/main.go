@@ -377,6 +377,28 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	if got := len(srv2.System().Profiles()); got != want {
 		return fmt.Errorf("reboot restored %d profiles, want %d", got, want)
 	}
+	// The store is one file per profile that has anything to save, holding
+	// every model, invariant set and signature the drained system had.
+	var saved core.LoadReport
+	for _, p := range srv.System().Profiles() {
+		_, errModel := p.Detector()
+		_, errSet := p.Invariants()
+		if errModel == nil {
+			saved.Models++
+		}
+		if errSet == nil {
+			saved.Invariants++
+		}
+		saved.Signatures += p.SignatureCount()
+		if errModel == nil || errSet == nil || p.SignatureCount() > 0 {
+			saved.Files++
+		}
+	}
+	if loadRep.Models != saved.Models || loadRep.Invariants != saved.Invariants ||
+		loadRep.Signatures != saved.Signatures || loadRep.Files != saved.Files {
+		return fmt.Errorf("reboot %v; the drained system saved %d models, %d invariant sets, %d signatures in %d profile files",
+			loadRep, saved.Models, saved.Invariants, saved.Signatures, saved.Files)
+	}
 	ctx2, cancel2 := context.WithTimeout(bg, 10*time.Second)
 	defer cancel2()
 	srv2.Shutdown(ctx2)

@@ -49,8 +49,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Persist both systems: per-context XML files (model, invariants and
-	// signatures of each context), the second store in a subdirectory.
+	// Persist both systems: one XML file per context (its model, invariants
+	// and signatures), the second store in a subdirectory.
 	if err := sys.SaveTo(dir); err != nil {
 		log.Fatal(err)
 	}

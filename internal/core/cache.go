@@ -25,10 +25,8 @@ type CacheStats struct {
 }
 
 // fnv1a is the package's one FNV-1a (64-bit) accumulator: window
-// fingerprints, the persisted invariant-set fingerprint and the profile
-// registry's shard hash all mix through it. Values are part of the on-disk
-// format (lifecycle-*.xml binds to fingerprintSet), so the byte order —
-// integers little-endian, one byte per round — must never change.
+// fingerprints and the profile registry's shard hash both mix through it,
+// integers little-endian, one byte per round.
 type fnv1a uint64
 
 const (

@@ -33,8 +33,6 @@ func TestFingerprintRows(t *testing.T) {
 
 // TestFingerprintGolden pins every FNV-1a fingerprint to the values the
 // hand-rolled loops produced before they were folded into the fnv1a helper.
-// fingerprintSet is persisted in lifecycle-*.xml: a drifted value would make
-// every existing store restore with fresh edge state.
 func TestFingerprintGolden(t *testing.T) {
 	rows := [][]float64{{1, 2, 3}, {4, 5, 6.5}, {-0.25, math.Inf(1), math.NaN()}}
 	valid := [][]bool{{true, false, true}, {true, true, true}, {false, false, true}}
@@ -44,7 +42,6 @@ func TestFingerprintGolden(t *testing.T) {
 		long[i] = i%3 != 0
 		lrow[i] = float64(i) / 7
 	}
-	set := invariant.NewSet(4, map[invariant.Pair]float64{{I: 0, J: 1}: 0.9, {I: 1, J: 3}: 0.425, {I: 2, J: 3}: 0})
 	for _, c := range []struct {
 		name      string
 		got, want uint64
@@ -53,7 +50,6 @@ func TestFingerprintGolden(t *testing.T) {
 		{"rows+mask", fingerprintWindow(rows, valid), 0xe2ffdf921e669d45},
 		{"70-tick mask", fingerprintWindow([][]float64{lrow}, [][]bool{long}), 0x42ff38732ac7f164},
 		{"empty", fingerprintWindow(nil, nil), 0xa8c7f832281a39c5},
-		{"set", fingerprintSet(set), 0x530d7d624162ead7},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s fingerprint = %#x, want %#x", c.name, c.got, c.want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -28,8 +29,9 @@ import (
 // promoted only when its false-positive rate beats the incumbent's. Promotion installs a
 // fresh invariant.Set — the report cache invalidates for free, set identity
 // being part of its key — and bumps the profile's generation; the whole state
-// machine is persisted through xmlstore so a restart mid-promotion comes
-// back to a consistent generation (see restoreLifecycle).
+// machine is persisted in the profile's one store file beside the set it
+// describes, so a restart mid-promotion comes back to a consistent
+// generation (see lifecycleSection).
 
 // LifecycleConfig parameterises the drift-aware invariant lifecycle. The
 // zero value disables it (train-once behaviour, bit-identical to builds
@@ -388,40 +390,30 @@ func (p *Profile) LifecycleEdges() []invariant.EdgeHealth {
 	return l.health.Snapshot()
 }
 
-// fingerprintSet hashes a set's identity — dimension, pairs and baselines
-// (FNV-1a over the sorted pairs and float bits) — so a persisted lifecycle
-// file can prove it describes the invariants file next to it. A crash
-// between the two writes leaves a mismatch, and restore falls back to a
-// fresh edge state over the loaded (complete, consistent) invariants.
-func fingerprintSet(set *invariant.Set) uint64 {
-	h := fnvOffset.u64(uint64(set.M))
-	for _, pr := range set.SortedPairs() {
-		h = h.u64(uint64(pr.I)).u64(uint64(pr.J)).u64(math.Float64bits(set.Base[pr]))
-	}
-	return uint64(h)
-}
-
-// lifecycleFile snapshots the lifecycle for persistence; ok is false when
-// there is nothing to persist (lifecycle disabled or untrained).
-func (p *Profile) lifecycleFile() (xmlstore.LifecycleFile, bool) {
+// lifecycleSection snapshots the lifecycle for a profile file whose
+// invariant section is set (nil when the lifecycle is off or has no set).
+// Edge health and shadow state are saved only when set is the lifecycle's
+// own live set; when a promotion or retrain raced the save, the counters
+// alone are, and set restores with fresh edge state — one consistent
+// generation either way.
+func (p *Profile) lifecycleSection(set *invariant.Set) *xmlstore.LifecycleFile {
 	l := p.lc
 	if l == nil {
-		return xmlstore.LifecycleFile{}, false
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.set == nil || l.health == nil {
-		return xmlstore.LifecycleFile{}, false
+		return nil
 	}
-	f := xmlstore.LifecycleFile{
-		Version:        xmlstore.FormatVersion,
-		IP:             p.key.IP,
-		Type:           p.key.Workload,
-		Generation:     l.gen,
-		SetFingerprint: fmt.Sprintf("%016x", fingerprintSet(l.set)),
-		Observed:       l.observed,
-		Promotions:     l.promotions.Load(),
-		Rollbacks:      l.rollbacks.Load(),
+	f := &xmlstore.LifecycleFile{
+		Generation: l.gen,
+		Observed:   l.observed,
+		Promotions: l.promotions.Load(),
+		Rollbacks:  l.rollbacks.Load(),
+	}
+	if l.set != set {
+		return f
 	}
 	for k, e := range l.health.Snapshot() {
 		le := xmlstore.LifecycleEdge{
@@ -441,52 +433,28 @@ func (p *Profile) lifecycleFile() (xmlstore.LifecycleFile, bool) {
 		}
 		f.Edges = append(f.Edges, le)
 	}
-	return f, true
+	return f
 }
 
-// restoreLifecycle applies a persisted lifecycle file against the
-// profile's already-loaded invariants. The monotonic counters (generation,
-// promotions, rollbacks, observed windows) always restore; the per-edge
-// health and shadow state restores only when the file's set fingerprint
-// matches the loaded invariants — a mismatch means the process died
-// between the invariants and lifecycle writes (e.g. mid-promotion), and
-// the loaded invariants are the single consistent generation to trust, so
-// edge state starts fresh over them. applied is false when the profile
-// runs no lifecycle.
-func (p *Profile) restoreLifecycle(f *xmlstore.LifecycleFile) (applied bool, err error) {
-	l := p.lc
-	if l == nil {
-		return false, nil
+// restoredLifecycle rebuilds a saved lifecycle section over set, the
+// invariant set saved beside it, into a lifecycle nothing else can see yet:
+// every edge is checked against set before any of the state is installed.
+func restoredLifecycle(cfg LifecycleConfig, set *invariant.Set, f *xmlstore.LifecycleFile) (*lifecycle, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
-	p.mu.RLock()
-	set := p.invariants
-	p.mu.RUnlock()
 	if set == nil {
-		return false, fmt.Errorf("core: lifecycle state for %v has no invariants to attach to", p.key)
+		return nil, errors.New("core: lifecycle state has no invariants to attach to")
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.set = set
-	l.health = invariant.NewHealth(set, l.healthConfig())
-	l.shadow = nil
-	l.gen = f.Generation
-	l.observed = f.Observed
+	l := newLifecycle(cfg)
+	l.set, l.health = set, invariant.NewHealth(set, l.healthConfig())
+	l.gen, l.observed = f.Generation, f.Observed
 	l.promotions.Store(f.Promotions)
 	l.rollbacks.Store(f.Rollbacks)
-	l.epoch.Add(1)
-	if fmt.Sprintf("%016x", fingerprintSet(set)) != f.SetFingerprint {
-		return true, nil // crash between writes: consistent generation, fresh edge state
-	}
-	pairs := set.SortedPairs()
-	idx := make(map[invariant.Pair]int, len(pairs))
-	for k, pr := range pairs {
-		idx[pr] = k
-	}
 	for _, e := range f.Edges {
-		st, perr := invariant.ParseEdgeState(e.State)
-		if perr != nil {
-			err = perr
-			break
+		st, err := invariant.ParseEdgeState(e.State)
+		if err != nil {
+			return nil, err
 		}
 		eh := invariant.EdgeHealth{
 			Pair:  invariant.Pair{I: e.I, J: e.J},
@@ -494,9 +462,9 @@ func (p *Profile) restoreLifecycle(f *xmlstore.LifecycleFile) (applied bool, err
 			Obs:   e.Obs, Viol: e.Viol,
 			Rate: e.Rate, Score: e.Score,
 		}
-		if rerr := l.health.Restore(eh); rerr != nil {
-			err = rerr
-			break
+		k, err := l.health.Restore(eh)
+		if err != nil {
+			return nil, err
 		}
 		if st == invariant.EdgeQuarantined {
 			sh := &shadowEdge{
@@ -509,15 +477,19 @@ func (p *Profile) restoreLifecycle(f *xmlstore.LifecycleFile) (applied bool, err
 			if l.shadow == nil {
 				l.shadow = make(map[int]*shadowEdge)
 			}
-			l.shadow[idx[eh.Pair]] = sh
+			l.shadow[k] = sh
 		}
 	}
-	if err != nil {
-		// A corrupt edge entry must not leave half a generation's state:
-		// fall back to fresh edge state, as for a fingerprint mismatch.
-		l.health = invariant.NewHealth(set, l.healthConfig())
-		l.shadow = nil
-		return true, err
-	}
-	return true, nil
+	return l, nil
+}
+
+// adopt installs a restored lifecycle's state as l's live generation.
+func (l *lifecycle) adopt(r *lifecycle) {
+	l.mu.Lock()
+	l.set, l.health, l.shadow = r.set, r.health, r.shadow
+	l.gen, l.observed = r.gen, r.observed
+	l.mu.Unlock()
+	l.promotions.Store(r.promotions.Load())
+	l.rollbacks.Store(r.rollbacks.Load())
+	l.epoch.Add(1)
 }

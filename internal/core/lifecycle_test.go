@@ -1,9 +1,7 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -396,39 +394,13 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 	}
 }
 
-// copyStoreFiles copies every store file with the given prefix from src
-// into dst.
-func copyStoreFiles(t *testing.T, src, dst, prefix string) int {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatalf("ReadDir(%s): %v", src, err)
-	}
-	n := 0
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), prefix) {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatalf("read %s: %v", e.Name(), err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
-			t.Fatalf("write %s: %v", e.Name(), err)
-		}
-		n++
-	}
-	return n
-}
-
-// TestLifecycleCrashMidPromotionRestoresConsistentGeneration simulates a
-// process dying between the invariants write and the lifecycle write of a
-// promotion-era save: the store then holds the promoted invariants next to
-// the pre-promotion lifecycle file. The fingerprint binding must detect the
-// mismatch and restore the promoted set with fresh edge state — one
-// consistent generation, never the stale quarantine map applied to the new
-// baselines.
-func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
+// TestLifecycleSaveAroundPromotionRestoresOneGeneration saves a profile
+// once mid-quarantine and once after the shadow generation's promotion. Each
+// store restores exactly the generation it was saved in: the first its two
+// quarantined edges over the trained baselines, the second the promoted
+// baselines with every edge live — never one generation's edge state over
+// the other's set.
+func TestLifecycleSaveAroundPromotionRestoresOneGeneration(t *testing.T) {
 	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
 	cfg := lifecycleConfig(t)
 	cfg.AssocCacheSize = -1
@@ -444,6 +416,18 @@ func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
 		}
 		i++
 	}
+	restore := func(dir string) *Profile {
+		t.Helper()
+		sys2 := New(cfg)
+		rep, err := sys2.LoadFrom(dir)
+		if err != nil {
+			t.Fatalf("LoadFrom: %v", err)
+		}
+		if rep.Invariants != 1 || rep.Lifecycles != 1 || rep.Partial() {
+			t.Fatalf("load report %v, want invariants and lifecycle both recovered", rep)
+		}
+		return sys2.Profile(ctx)
+	}
 	for i < 8 {
 		feed()
 	}
@@ -454,7 +438,6 @@ func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
 	if err := sys.SaveTo(dirPre); err != nil {
 		t.Fatalf("SaveTo(pre): %v", err)
 	}
-
 	for p.LifecycleStats().Promotions == 0 {
 		if i > 20 {
 			t.Fatalf("never promoted")
@@ -466,54 +449,104 @@ func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
 		t.Fatalf("SaveTo(post): %v", err)
 	}
 
-	// The crash store: post-promotion invariants, pre-promotion lifecycle —
-	// exactly what a kill between SaveTo's two writes leaves behind (the
-	// previous save's lifecycle file still in place).
-	dirCrash := t.TempDir()
-	if n := copyStoreFiles(t, dirPost, dirCrash, "invariants-"); n != 1 {
-		t.Fatalf("copied %d invariants files", n)
+	pre := restore(dirPre)
+	if st := pre.LifecycleStats(); st.Quarantined != 2 || st.Promotions != 0 {
+		t.Fatalf("pre-promotion store restored %+v, want its 2 quarantined edges", st)
 	}
-	if n := copyStoreFiles(t, dirPre, dirCrash, "lifecycle-"); n != 1 {
-		t.Fatalf("copied %d lifecycle files", n)
-	}
-
-	sys2 := New(cfg)
-	rep, err := sys2.LoadFrom(dirCrash)
-	if err != nil {
-		t.Fatalf("LoadFrom: %v", err)
-	}
-	if rep.Invariants != 1 || rep.Lifecycles != 1 || rep.Partial() {
-		t.Fatalf("load report %v, want invariants and lifecycle both recovered", rep)
-	}
-	p2 := sys2.Profile(ctx)
-	st := p2.LifecycleStats()
-	// Counters restore from the (stale) lifecycle file; edge state must be
-	// fresh — the stale quarantine map has no business against the promoted
-	// baselines.
-	if st.Quarantined != 0 || st.ShadowAge != 0 {
-		t.Fatalf("stale edge state survived the fingerprint mismatch: %+v", st)
-	}
-	for _, e := range p2.LifecycleEdges() {
-		if e.State != invariant.EdgeLive || e.Obs != 0 {
-			t.Fatalf("edge %v not fresh after crash restore: %+v", e.Pair, e)
+	set, _ := pre.Invariants()
+	for _, e := range pre.LifecycleEdges() {
+		if quarantined := e.State == invariant.EdgeQuarantined; quarantined != (e.Pair.J == 2) || set.Base[e.Pair] != 0.8 {
+			t.Fatalf("pre-promotion edge %v restored %v over baseline %v", e.Pair, e.State, set.Base[e.Pair])
 		}
 	}
 
-	// Verdicts follow the loaded (promoted) generation: post-shift traffic
-	// is clean, pre-shift values now violate the re-estimated pairs.
-	repD, err := p2.Violations(valueTrace(drifted, 16, 0.5))
+	post := restore(dirPost)
+	if st := post.LifecycleStats(); st.Quarantined != 0 || st.ShadowAge != 0 || st.Promotions != 1 {
+		t.Fatalf("post-promotion store restored %+v, want the promoted generation", st)
+	}
+	// Verdicts follow the promoted generation: post-shift traffic is clean,
+	// pre-shift values now violate the re-estimated pairs.
+	repD, err := post.Violations(valueTrace(drifted, 16, 0.5))
 	if err != nil {
 		t.Fatalf("post-restore drifted window: %v", err)
 	}
 	if len(repD.Violated) != 0 || repD.Coverage != 1 {
 		t.Fatalf("promoted generation did not restore: violated %v coverage %v", repD.Violated, repD.Coverage)
 	}
-	repO, err := p2.Violations(valueTrace([]float64{0.8, 0.8, 0.8}, 16, 0.5))
+	repO, err := post.Violations(valueTrace([]float64{0.8, 0.8, 0.8}, 16, 0.5))
 	if err != nil {
 		t.Fatalf("post-restore old-level window: %v", err)
 	}
 	if len(repO.Violated) != 2 {
 		t.Fatalf("old-level window violated %v against promoted baselines, want the 2 re-estimated pairs", pairNames(repO.Violated))
+	}
+}
+
+// TestSaveToRacesPromotion saves a profile over and over while concurrent
+// diagnoses drive it through quarantine and promotion, back and forth
+// between two levels. Every store saved must restore whole, with the edge
+// health of exactly the restored set's pairs: a save that races a promotion
+// persists one generation, never the set of one and the edges of the other.
+// Run with -race.
+func TestSaveToRacesPromotion(t *testing.T) {
+	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
+	cfg := lifecycleConfig(t)
+	cfg.AssocCacheSize = -1
+	sys := trainValueSystem(t, cfg, ctx)
+	p := sys.Profile(ctx)
+
+	const diagnosers, saves = 2, 40
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < diagnosers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				level := 0.8 // alternate levels so every phase drifts, quarantines and promotes
+				if (i/20)%2 == 0 {
+					level = 0.2
+				}
+				if _, err := p.Violations(valueTrace([]float64{0.8, 0.8, level}, 16, float64(g<<32+i)*1e-9)); err != nil {
+					t.Errorf("diagnoser %d window %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for n := 0; n < saves; n++ {
+		dir := t.TempDir()
+		if err := sys.SaveTo(dir); err != nil {
+			t.Fatalf("save %d: %v", n, err)
+		}
+		sys2 := New(cfg)
+		rep, err := sys2.LoadFrom(dir)
+		if err != nil || rep.Partial() || rep.Lifecycles != 1 {
+			t.Fatalf("save %d restored %v, %v", n, rep, err)
+		}
+		p2 := sys2.Profile(ctx)
+		set, err := p2.Invariants()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges []invariant.Pair
+		for _, e := range p2.LifecycleEdges() {
+			edges = append(edges, e.Pair)
+		}
+		if !reflect.DeepEqual(edges, set.SortedPairs()) {
+			t.Fatalf("save %d restored edges %v over the set's pairs %v", n, edges, set.SortedPairs())
+		}
+	}
+	st := p.LifecycleStats()
+	t.Logf("%d promotions, %d rollbacks during %d saves", st.Promotions, st.Rollbacks, saves)
+	if st.Promotions < 2 {
+		t.Fatalf("%d promotions during %d saves, want the saves to race several", st.Promotions, saves)
 	}
 }
 

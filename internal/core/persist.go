@@ -8,38 +8,37 @@ import (
 	"sync"
 	"time"
 
+	"invarnetx/internal/detect"
+	"invarnetx/internal/invariant"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/xmlstore"
 )
 
-// File layout used by SaveTo/LoadFrom: one XML file per trained artefact,
-// named by operation context — each profile saves and restores its own
-// slice of the store, so persistence is partial and concurrent by
-// construction.
+// File layout used by SaveTo/LoadFrom: one XML file per profile, named by
+// its operation context and holding every artefact the profile has — the
+// performance model, the invariant set, the drift-lifecycle state (when
+// enabled) and the signatures — so a profile saves with one atomic rename
+// and restores whole or not at all, concurrently with every other profile.
 //
-//	<dir>/model-<workload>-<ip>.xml
-//	<dir>/invariants-<workload>-<ip>.xml
-//	<dir>/signatures-<workload>-<ip>.xml
-//	<dir>/lifecycle-<workload>-<ip>.xml   (drift lifecycle, when enabled)
+//	<dir>/profile-<workload>-<ip>.xml
 //
 // The paper stores each model and invariant set "in an XML file"; this
 // mirrors that and makes the offline training results reusable across
 // process restarts.
 
-// ctxFileToken encodes a context field for use in a file name. Characters
-// that are path separators or glob metacharacters on any supported
-// platform ('/', '\', '*', '?', ':') — plus '%' itself — are
-// percent-escaped, so a hostile or merely unusual workload name cannot
-// escape the store directory or collide with shell expansion. The empty
-// field encodes as "global" (the no-context profile).
+// ctxFileToken encodes a context field for use in a file name. The name's
+// separator '-', characters that are path separators or glob
+// metacharacters on any supported platform ('/', '\', '*', '?', ':') and
+// '%' itself are percent-escaped, so a hostile or merely unusual workload
+// name cannot escape the store directory, collide with shell expansion, or
+// shift the boundary between the two fields. The empty field (the global
+// no-context profile) is the empty token, which no other field produces.
 func ctxFileToken(s string) string {
-	if s == "" {
-		return "global"
-	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch c {
-		case '%', '*', '?', '/', '\\', ':':
+		case '%', '-', '*', '?', '/', '\\', ':':
 			fmt.Fprintf(&b, "%%%02X", c)
 		default:
 			b.WriteByte(c)
@@ -48,58 +47,45 @@ func ctxFileToken(s string) string {
 	return b.String()
 }
 
-// storePath names the store file of one artefact kind ("model",
-// "invariants", "signatures", "lifecycle") for ctx. LoadFrom routes by each
-// file's own <type>/<ip>, never by this name, so the encoding only has to be
-// safe and collision-free, not invertible.
-func storePath(dir, kind string, ctx Context) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%s-%s.xml", kind, ctxFileToken(ctx.Workload), ctxFileToken(ctx.IP)))
+// storePath names ctx's profile file. LoadFrom routes by the file's own ip
+// and type, never by this name, so the encoding only has to be safe and
+// injective over contexts, not invertible.
+func storePath(dir string, ctx Context) string {
+	return filepath.Join(dir, "profile-"+ctxFileToken(ctx.Workload)+"-"+ctxFileToken(ctx.IP)+".xml")
 }
 
-// SaveTo writes the profile's trained model, invariant set and signatures
-// into dir (created if needed). Each file is written atomically (temp +
-// rename), so a crash mid-save leaves the previous complete store in place
-// rather than a truncated one; untrained artefacts write nothing.
+// SaveTo writes the profile's trained model, invariant set, lifecycle state
+// and signatures into dir (created if needed) as its one store file, written
+// atomically (temp + rename): a crash mid-save leaves the previous complete
+// file in place rather than a truncated or half-updated one. A profile with
+// nothing trained or labelled writes nothing.
 func (p *Profile) SaveTo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Snapshot under the read lock, write files outside it: persistence
+	f := xmlstore.ProfileFile{Version: xmlstore.FormatVersion, IP: p.key.IP, Type: p.key.Workload}
+	// Snapshot under the read lock, write the file outside it: persistence
 	// I/O must not block this profile's online path.
 	p.mu.RLock()
 	d, set := p.detector, p.invariants
-	var sigFile *xmlstore.SignatureFile
-	if p.sigs.Len() > 0 {
-		f := xmlstore.EncodeSignaturesFor(&p.sigs, p.key.IP, p.key.Workload)
-		sigFile = &f
+	for _, e := range p.sigs.Entries() {
+		f.Signatures = append(f.Signatures, xmlstore.SignatureEntry{
+			Tuple: e.Tuple.String(), Problem: e.Problem, IP: e.IP, Type: e.Workload,
+		})
 	}
 	p.mu.RUnlock()
 	if d != nil {
-		f := xmlstore.EncodeModel(d, p.key.IP, p.key.Workload)
-		if err := xmlstore.SaveFile(storePath(dir, "model", p.key), f); err != nil {
-			return fmt.Errorf("core: saving model %v: %w", p.key, err)
-		}
+		f.Model = xmlstore.EncodeModel(d)
 	}
 	if set != nil {
-		f := xmlstore.EncodeInvariants(set, p.key.IP, p.key.Workload)
-		if err := xmlstore.SaveFile(storePath(dir, "invariants", p.key), f); err != nil {
-			return fmt.Errorf("core: saving invariants %v: %w", p.key, err)
-		}
+		f.Invariants = xmlstore.EncodeInvariants(set)
+		f.Lifecycle = p.lifecycleSection(set)
 	}
-	if sigFile != nil {
-		if err := xmlstore.SaveFile(storePath(dir, "signatures", p.key), *sigFile); err != nil {
-			return fmt.Errorf("core: saving signatures %v: %w", p.key, err)
-		}
+	if d == nil && set == nil && len(f.Signatures) == 0 {
+		return nil
 	}
-	// The lifecycle file is written after the invariants file it describes
-	// (and fingerprints). A crash between the two leaves the pair
-	// inconsistent in at most one direction, which restoreLifecycle detects
-	// and resolves toward the invariants file — always a complete,
-	// consistent generation.
-	if lf, ok := p.lifecycleFile(); ok {
-		if err := xmlstore.SaveFile(storePath(dir, "lifecycle", p.key), lf); err != nil {
-			return fmt.Errorf("core: saving lifecycle %v: %w", p.key, err)
-		}
+	if err := xmlstore.SaveFile(storePath(dir, p.key), f); err != nil {
+		return fmt.Errorf("core: saving profile %v: %w", p.key, err)
 	}
 	return nil
 }
@@ -107,7 +93,7 @@ func (p *Profile) SaveTo(dir string) error {
 // SaveTo persists every profile into dir (created if needed). Profiles save
 // concurrently — each holds only its own lock — and every file is written
 // atomically. The first error is returned, but every profile still gets its
-// save attempt, so one bad artefact does not abandon the rest of the store.
+// save attempt, so one bad profile does not abandon the rest of the store.
 func (s *System) SaveTo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -177,16 +163,17 @@ func (r *LoadReport) String() string {
 	return s
 }
 
-// LoadFrom restores models, invariants and signatures previously written by
-// SaveTo. Loaded artefacts replace in-memory ones in the profile of the same
-// context; on a no-context system everything lands in the single global
-// profile.
+// LoadFrom restores the profiles previously written by SaveTo. Loaded
+// artefacts replace in-memory ones in the profile of the same context; on a
+// no-context system everything lands in the single global profile.
 //
-// Recovery is per-file: a truncated, empty, malformed or newer-versioned
-// file is skipped and reported in the returned LoadReport instead of
-// failing the whole load — after a crash or a partial copy, everything
-// still intact comes back. The error return is reserved for dir-level
-// failures (the directory itself unreadable).
+// Recovery is per profile: a profile file that is truncated, empty,
+// malformed, newer-versioned, or holds any section or signature that fails
+// to decode or validate is skipped whole and reported in the returned
+// LoadReport, and every other profile still comes back. Files of the
+// per-artefact layout that predates profile files are reported, not read.
+// The error return is reserved for dir-level failures (the directory itself
+// unreadable).
 func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 	start := time.Now()
 	entries, err := os.ReadDir(dir)
@@ -194,112 +181,93 @@ func (s *System) LoadFrom(dir string) (*LoadReport, error) {
 		return nil, err
 	}
 	rep := &LoadReport{}
-	skip := func(name string, err error) {
-		rep.Skipped = append(rep.Skipped, SkippedFile{Name: name, Err: err})
-	}
-	// Lifecycle files attach to invariants loaded from the same directory,
-	// so they are collected during the scan and applied in a post-pass —
-	// correctness must not hinge on ReadDir's name ordering.
-	type pendingLifecycle struct {
-		name string
-		f    xmlstore.LifecycleFile
-	}
-	var lifecycles []pendingLifecycle
 	for _, e := range entries {
 		name := e.Name()
-		full := filepath.Join(dir, name)
-		kind, _, _ := strings.Cut(name, "-")
-		switch {
-		case !strings.HasSuffix(name, ".xml"):
+		kind, _, ok := strings.Cut(name, "-")
+		if !ok || !strings.HasSuffix(name, ".xml") {
 			continue
-		case kind == "lifecycle" && !s.cfg.Lifecycle.Enabled:
-			continue // train-once deployment: lifecycle state is inert
-		case kind != "model" && kind != "invariants" && kind != "lifecycle" && kind != "signatures":
+		}
+		var err error
+		switch kind {
+		case "profile":
+			err = s.loadProfile(dir, name, rep)
+		case "model", "invariants", "signatures", "lifecycle":
+			err = fmt.Errorf("core: %s is a per-artefact store file, a layout that predates this build (one profile-<workload>-<ip>.xml per profile); it is not read", name)
+		default:
 			continue
 		}
 		rep.Files++
-		if info, err := e.Info(); err == nil {
+		if info, ierr := e.Info(); ierr == nil {
 			rep.Bytes += info.Size()
 		}
-		switch kind {
-		case "model":
-			var f xmlstore.ModelFile
-			if err := xmlstore.LoadFile(full, &f); err != nil {
-				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
-				continue
-			}
-			d, err := f.Decode()
-			if err != nil {
-				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
-				continue
-			}
-			s.Profile(loadedCtx(f.Type, f.IP)).setDetector(d)
-			rep.Models++
-		case "invariants":
-			var f xmlstore.InvariantFile
-			if err := xmlstore.LoadFile(full, &f); err != nil {
-				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
-				continue
-			}
-			set, err := f.Decode()
-			if err != nil {
-				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
-				continue
-			}
-			s.Profile(loadedCtx(f.Type, f.IP)).setInvariants(set)
-			rep.Invariants++
-		case "lifecycle":
-			var f xmlstore.LifecycleFile
-			if err := xmlstore.LoadFile(full, &f); err != nil {
-				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
-				continue
-			}
-			if err := f.Validate(); err != nil {
-				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
-				continue
-			}
-			lifecycles = append(lifecycles, pendingLifecycle{name: name, f: f})
-		case "signatures":
-			// The whole file parses and is checked against its own scope
-			// before anything merges: one bad tuple or one entry of another
-			// context skips the file, never half of it.
-			ip, workloadType, sigs, err := xmlstore.LoadSignatureFile(full)
-			if err != nil {
-				skip(name, fmt.Errorf("core: loading %s: %w", name, err))
-				continue
-			}
-			scope := s.key(loadedCtx(workloadType, ip))
-			for i := 0; err == nil && i < len(sigs); i++ {
-				if ctx := loadedCtx(sigs[i].Workload, sigs[i].IP); s.key(ctx) != scope {
-					err = fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
-				}
-			}
-			if err != nil {
-				skip(name, fmt.Errorf("core: decoding %s: %w", name, err))
-				continue
-			}
-			// Merge, not append: loading over a live system must not
-			// duplicate what is already there.
-			rep.Signatures += s.Profile(scope).mergeSignatures(sigs...)
-		}
-	}
-	for _, pl := range lifecycles {
-		p, ok := s.lookup(loadedCtx(pl.f.Type, pl.f.IP))
-		if !ok {
-			skip(pl.name, fmt.Errorf("core: lifecycle state %s has no loaded profile", pl.name))
-			continue
-		}
-		applied, err := p.restoreLifecycle(&pl.f)
 		if err != nil {
-			skip(pl.name, fmt.Errorf("core: restoring %s: %w", pl.name, err))
-			continue
-		}
-		if applied {
-			rep.Lifecycles++
+			rep.Skipped = append(rep.Skipped, SkippedFile{Name: name, Err: err})
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// loadProfile restores the profile file dir/name.
+func (s *System) loadProfile(dir, name string, rep *LoadReport) error {
+	f, sigs, err := xmlstore.LoadProfile(filepath.Join(dir, name))
+	if err != nil {
+		return fmt.Errorf("core: loading %s: %w", name, err)
+	}
+	if err := s.restoreProfile(&f, sigs, rep); err != nil {
+		return fmt.Errorf("core: decoding %s: %w", name, err)
+	}
+	return nil
+}
+
+// restoreProfile installs one decoded profile file whole, or nothing of it:
+// every section must decode and validate, and every signature belong to the
+// file's own scope, before anything is installed.
+func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs []signature.Entry, rep *LoadReport) error {
+	scope := s.key(loadedCtx(f.Type, f.IP))
+	for i, e := range sigs {
+		if ctx := loadedCtx(e.Workload, e.IP); s.key(ctx) != scope {
+			return fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
+		}
+	}
+	var (
+		d   *detect.Detector
+		set *invariant.Set
+		lc  *lifecycle
+		err error
+	)
+	if f.Model != nil {
+		if d, err = f.Model.Decode(); err != nil {
+			return err
+		}
+	}
+	if f.Invariants != nil {
+		if set, err = f.Invariants.Decode(); err != nil {
+			return err
+		}
+	}
+	if f.Lifecycle != nil && s.cfg.Lifecycle.Enabled { // inert in a train-once deployment
+		if lc, err = restoredLifecycle(s.cfg.Lifecycle, set, f.Lifecycle); err != nil {
+			return err
+		}
+	}
+	p := s.Profile(scope)
+	if d != nil {
+		p.setDetector(d)
+		rep.Models++
+	}
+	if set != nil {
+		p.setInvariants(set)
+		rep.Invariants++
+	}
+	if lc != nil {
+		p.lc.adopt(lc)
+		rep.Lifecycles++
+	}
+	// Merge, not append: loading over a live system must not duplicate what
+	// is already there.
+	rep.Signatures += p.mergeSignatures(sigs...)
+	return nil
 }
 
 // loadedCtx rebuilds a profile key from persisted fields.

@@ -2,68 +2,172 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 	"invarnetx/internal/xmlstore"
 )
 
+// TestCtxFileTokenRoundTrip: LoadFrom never decodes a file name (it routes
+// by file content), so the encoding only has to be safe and injective over
+// whole contexts: two contexts must never share a store file. The field
+// separator and the empty field are where a per-field check misses it —
+// {"a-b", "c"} and {"a", "b-c"}, or {"", ""} and {"global", "global"}.
 func TestCtxFileTokenRoundTrip(t *testing.T) {
-	cases := []string{
-		"", "wordcount", "10.0.0.2",
-		"a/b", `a\b`, "glob*?", "colon:drive", "100%", "%2F", "a%b*c?d/e",
-		"sort-2024", "..", ". ",
+	fields := []string{
+		"", "global", "wordcount", "10.0.0.2",
+		"a/b", `a\b`, "glob*?", "colon:drive", "100%", "%2F", "%2D", "a%b*c?d/e",
+		"sort-2024", "-", "--", "a-", "-b", "a-b", "b-c", "a", "c", "..", ". ",
 	}
-	// LoadFrom never decodes a file name (it routes by file content), so the
-	// encoding only has to be safe and collision-free: two contexts must
-	// never share a store file.
-	seen := make(map[string]string)
-	for _, in := range cases {
-		tok := ctxFileToken(in)
-		if strings.ContainsAny(tok, `/\*?:`) {
-			t.Fatalf("token %q for %q still contains reserved characters", tok, in)
+	seen := make(map[string]Context)
+	for _, wl := range fields {
+		for _, ip := range fields {
+			ctx := Context{Workload: wl, IP: ip}
+			name := filepath.Base(storePath("store", ctx))
+			if strings.ContainsAny(strings.TrimPrefix(name, "profile-"), `/\*?:`) || strings.Count(name, "-") != 2 {
+				t.Fatalf("file name %q for %v still contains reserved characters or separators", name, ctx)
+			}
+			if prev, dup := seen[name]; dup {
+				t.Fatalf("contexts %v and %v collide on file %q", prev, ctx, name)
+			}
+			seen[name] = ctx
 		}
-		if prev, dup := seen[tok]; dup {
-			t.Fatalf("fields %q and %q collide on token %q", prev, in, tok)
-		}
-		seen[tok] = in
-	}
-	if tok := ctxFileToken(""); tok != "global" {
-		t.Fatalf("empty field token = %q", tok)
 	}
 }
 
 func TestCtxFileTokenKeepsPathsInsideStoreDir(t *testing.T) {
 	ctx := Context{Workload: "../escape", IP: "10.0.0.2/.."}
-	p := storePath("store", "model", ctx)
+	p := storePath("store", ctx)
 	if filepath.Dir(p) != "store" {
 		t.Fatalf("hostile context escaped the store dir: %s", p)
 	}
 }
 
-// corruptStore trains and saves a system, then damages selected files.
-func corruptStore(t *testing.T) (dir string, ctx Context, s *System) {
-	t.Helper()
-	ctx = Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s = trainSystem(t, DefaultConfig(), ctx, 740)
-	rng := stats.NewRNG(741)
-	if err := s.BuildSignature(ctx, "fault-a", synthTrace(rng, 40, 8, map[int]bool{0: true})); err != nil {
+// TestSaveToKeepsEveryContextsFile: contexts whose fields differ only in
+// where a '-' sits, or in an empty field against the word "global", each
+// keep their own file, so every profile comes back after a restart; and the
+// store holds one file per profile and nothing else.
+func TestSaveToKeepsEveryContextsFile(t *testing.T) {
+	ctxs := []Context{{Workload: "a-b", IP: "c"}, {Workload: "a", IP: "b-c"}, {}, {Workload: "global", IP: "global"}}
+	s := New(DefaultConfig())
+	for i, ctx := range ctxs {
+		tuple := signature.Tuple{i&1 == 1, i&2 == 2, true}
+		s.Profile(ctx).mergeSignatures(signature.Entry{Tuple: tuple, Problem: fmt.Sprintf("p%d", i), IP: ctx.IP, Workload: ctx.Workload})
+	}
+	dir := t.TempDir()
+	if err := s.SaveTo(dir); err != nil {
 		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(ctxs) {
+		t.Fatalf("store holds %v, want one file per profile (%d)", files, len(ctxs))
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(filepath.Base(f), "profile-") {
+			t.Errorf("store holds %s, not a profile file", f)
+		}
+	}
+	s2 := New(DefaultConfig())
+	rep, err := s2.LoadFrom(dir)
+	if err != nil || rep.Partial() || rep.Files != len(ctxs) {
+		t.Fatalf("LoadFrom: %v (report %v)", err, rep)
+	}
+	for i, ctx := range ctxs {
+		got := s2.Profile(ctx).Signatures()
+		if len(got) != 1 || got[0].Problem != fmt.Sprintf("p%d", i) {
+			t.Errorf("%v restored %v, want its own signature p%d", ctx, got, i)
+		}
+	}
+}
+
+// TestLoadFromReportsRetiredLayout: the per-artefact files of the layout
+// before profile files are listed as skipped, so an upgraded daemon does not
+// boot cold without a word, and nothing in them is read; the fleet state and
+// files of no store layout are not the store's business.
+func TestLoadFromReportsRetiredLayout(t *testing.T) {
+	dir, ctx, _ := corruptStore(t)
+	whole, err := os.ReadFile(storePath(dir, ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(storePath(dir, ctx)); err != nil {
+		t.Fatal(err)
+	}
+	retired := []string{"invariants-wordcount-10.0.0.2.xml", "lifecycle-x.xml", "model-wordcount-10.0.0.2.xml", "signatures-wordcount-10.0.0.2.xml"}
+	for _, name := range append(retired, "fleet-state.xml", "signatures.xml") {
+		if err := os.WriteFile(filepath.Join(dir, name), whole, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Lifecycle.Enabled = true
+	s2 := New(cfg)
+	rep, err := s2.LoadFrom(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skipped []string
+	for _, sk := range rep.Skipped {
+		skipped = append(skipped, sk.Name)
+		if !strings.Contains(sk.Err.Error(), "predates this build") {
+			t.Errorf("%s skipped for %v, want the layout named", sk.Name, sk.Err)
+		}
+	}
+	if !reflect.DeepEqual(skipped, retired) || rep.Models != 1 || rep.Signatures != 1 {
+		t.Fatalf("report = %v, want the other profile loaded and %v skipped", rep, retired)
+	}
+	if _, err := s2.Detector(ctx); err == nil {
+		t.Error("a retired store file was read")
+	}
+}
+
+// corruptStore trains and saves a two-profile system, each profile with a
+// model, invariants and one signature, for the tests to damage.
+func corruptStore(t *testing.T) (dir string, ctx, other Context) {
+	t.Helper()
+	ctx, other = Context{Workload: "wordcount", IP: "10.0.0.2"}, Context{Workload: "wordcount", IP: "10.0.0.3"}
+	s := trainSystem(t, DefaultConfig(), ctx, 740)
+	rng := stats.NewRNG(741)
+	var runs []*metrics.Trace
+	var cpis [][]float64
+	for i := 0; i < 6; i++ {
+		tr := synthTrace(rng.Fork(int64(i)), traceLen, 8, nil)
+		runs, cpis = append(runs, tr), append(cpis, tr.CPI)
+	}
+	if err := s.TrainPerformanceModel(other, cpis); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TrainInvariants(other, runs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Context{ctx, other} {
+		if err := s.BuildSignature(c, "fault-a", synthTrace(rng, 40, 8, map[int]bool{0: true})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dir = t.TempDir()
 	if err := s.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	return dir, ctx, s
+	return dir, ctx, other
 }
 
+// A damaged profile file is skipped whole: none of its artefacts load, and
+// every other profile still does.
 func TestLoadFromSkipsTruncatedFile(t *testing.T) {
-	dir, ctx, _ := corruptStore(t)
-	mp := storePath(dir, "model", ctx)
+	dir, ctx, other := corruptStore(t)
+	mp := storePath(dir, ctx)
 	whole, err := os.ReadFile(mp)
 	if err != nil {
 		t.Fatal(err)
@@ -76,23 +180,26 @@ func TestLoadFromSkipsTruncatedFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recoverable corruption failed the whole load: %v", err)
 	}
-	if !rep.Partial() || len(rep.Skipped) != 1 || !strings.HasPrefix(rep.Skipped[0].Name, "model-") {
+	if !rep.Partial() || len(rep.Skipped) != 1 || rep.Skipped[0].Name != filepath.Base(mp) {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Invariants != 1 || rep.Signatures != 1 {
-		t.Fatalf("intact artefacts not recovered: %+v", rep)
+	if rep.Models != 1 || rep.Invariants != 1 || rep.Signatures != 1 {
+		t.Fatalf("intact profile not recovered: %+v", rep)
 	}
 	if _, err := s2.Detector(ctx); err == nil {
 		t.Fatal("truncated model silently loaded")
 	}
-	if _, err := s2.Invariants(ctx); err != nil {
+	if _, err := s2.Invariants(ctx); err == nil {
+		t.Fatal("half a damaged profile loaded")
+	}
+	if _, err := s2.Invariants(other); err != nil {
 		t.Fatalf("intact invariants lost: %v", err)
 	}
 }
 
 func TestLoadFromSkipsZeroByteFile(t *testing.T) {
 	dir, ctx, _ := corruptStore(t)
-	if err := os.WriteFile(storePath(dir, "invariants", ctx), nil, 0o644); err != nil {
+	if err := os.WriteFile(storePath(dir, ctx), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New(DefaultConfig())
@@ -110,7 +217,7 @@ func TestLoadFromSkipsZeroByteFile(t *testing.T) {
 
 func TestLoadFromSkipsUnknownVersion(t *testing.T) {
 	dir, ctx, _ := corruptStore(t)
-	mp := storePath(dir, "model", ctx)
+	mp := storePath(dir, ctx)
 	whole, err := os.ReadFile(mp)
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +242,11 @@ func TestLoadFromSkipsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestLoadFromSignatureFilesMergeByContextAllOrNothing: a signature file
-// routes to the profile its file-level scope names, deduping against what is
-// already loaded, and is all-or-nothing — a file with one malformed tuple, or
-// with one entry of another context than its own scope, is skipped whole and
-// none of its well-formed entries may land. A scope-less combined
+// TestLoadFromSignatureFilesMergeByContextAllOrNothing: a profile file's
+// signatures route to the profile its scope names, deduping against what is
+// already loaded, and are all-or-nothing — a file with one malformed tuple,
+// or with one entry of another context than its own scope, is skipped whole
+// and none of its well-formed entries may land. A scope-less combined
 // signatures.xml is not part of the layout and is not read.
 func TestLoadFromSignatureFilesMergeByContextAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
@@ -149,17 +256,17 @@ func TestLoadFromSignatureFilesMergeByContextAllOrNothing(t *testing.T) {
 	}
 	save := func(name string, scope Context, entries ...xmlstore.SignatureEntry) {
 		t.Helper()
-		f := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, IP: scope.IP, Type: scope.Workload, Entries: entries}
+		f := xmlstore.ProfileFile{Version: xmlstore.FormatVersion, IP: scope.IP, Type: scope.Workload, Signatures: entries}
 		if err := xmlstore.SaveFile(filepath.Join(dir, name), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	save("signatures-a.xml", a,
+	save("profile-a.xml", a,
 		entry(a, "cpu-hog", "0110"), entry(a, "mem-hog", "1000"),
 		entry(a, "net-drop", "0011"), entry(a, "cpu-hog", "0110")) // the last repeats the first
-	save("signatures-b.xml", b, entry(b, "cpu-hog", "01"))
-	save("signatures-bad.xml", b, entry(b, "disk-hog", "10"), entry(b, "net-delay", "1x"))
-	save("signatures-mixed.xml", b, entry(b, "disk-hog", "10"), entry(a, "disk-hog", "1010"))
+	save("profile-b.xml", b, entry(b, "cpu-hog", "01"))
+	save("profile-bad.xml", b, entry(b, "disk-hog", "10"), entry(b, "net-delay", "1x"))
+	save("profile-mixed.xml", b, entry(b, "disk-hog", "10"), entry(a, "disk-hog", "1010"))
 	save("signatures.xml", Context{}, entry(a, "legacy", "1111"))
 	s := New(DefaultConfig())
 	rep, err := s.LoadFrom(dir)
@@ -167,8 +274,8 @@ func TestLoadFromSignatureFilesMergeByContextAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Signatures != 4 || len(rep.Skipped) != 2 ||
-		rep.Skipped[0].Name != "signatures-bad.xml" || rep.Skipped[1].Name != "signatures-mixed.xml" {
-		t.Fatalf("report = %+v, want 4 signatures, signatures-bad.xml and signatures-mixed.xml skipped", rep)
+		rep.Skipped[0].Name != "profile-bad.xml" || rep.Skipped[1].Name != "profile-mixed.xml" {
+		t.Fatalf("report = %+v, want 4 signatures, profile-bad.xml and profile-mixed.xml skipped", rep)
 	}
 	if got := s.Profile(a).SignatureCount(); got != 3 {
 		t.Errorf("%v holds %d signatures, want 3", a, got)

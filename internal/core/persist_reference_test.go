@@ -17,139 +17,64 @@ import (
 	"invarnetx/internal/xmlstore"
 )
 
-// referenceLoadFrom is LoadFrom as it read the store before xmlstore had its
-// own scanner: every file through encoding/xml's lexer and reflection,
-// signature files included (SignatureFile, then a tuple parse per entry). It is the
-// oracle TestLoadFromEquivalence holds the scanner path to, and lives in the
-// tests only.
+// referenceLoadFrom is LoadFrom as it would read the store through
+// encoding/xml's lexer and reflection alone: every profile file decoded into
+// a ProfileFile, signatures included, then a tuple parse per entry. It is the
+// oracle TestLoadFromEquivalence holds the scanner and the direct signature
+// loop to; what a decoded file installs is the product's own restoreProfile.
 func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	rep := &LoadReport{}
-	var lifecycles []xmlstore.LifecycleFile
 	for _, e := range entries {
 		name := e.Name()
-		kind, _, _ := strings.Cut(name, "-")
-		var f interface{ load() error }
-		switch {
-		case !strings.HasSuffix(name, ".xml"):
-			continue
-		case kind == "model":
-			f = &refModel{s: s, rep: rep}
-		case kind == "invariants":
-			f = &refInvariants{s: s, rep: rep}
-		case kind == "signatures":
-			f = &refSignatures{s: s, rep: rep}
-		case kind == "lifecycle" && s.cfg.Lifecycle.Enabled:
-			f = &refLifecycle{pending: &lifecycles}
-		default:
+		if !strings.HasPrefix(name, "profile-") || !strings.HasSuffix(name, ".xml") {
 			continue
 		}
+		var f xmlstore.ProfileFile
 		raw, err := os.Open(filepath.Join(dir, name))
 		if err == nil {
-			err = xml.NewDecoder(raw).Decode(f)
+			err = xml.NewDecoder(raw).Decode(&f)
 			raw.Close()
 		}
+		var sigs []signature.Entry
 		if err == nil {
-			err = f.load()
+			sigs, err = parseSignatures(f)
+		}
+		if err == nil {
+			err = s.restoreProfile(&f, sigs, rep)
 		}
 		if err != nil {
 			rep.Skipped = append(rep.Skipped, SkippedFile{Name: name, Err: err})
 		}
 	}
-	for _, f := range lifecycles {
-		p, ok := s.lookup(loadedCtx(f.Type, f.IP))
-		if !ok {
-			return nil, fmt.Errorf("lifecycle state for %s/%s has no loaded profile", f.Type, f.IP)
-		}
-		if applied, err := p.restoreLifecycle(&f); err != nil {
-			return nil, err
-		} else if applied {
-			rep.Lifecycles++
-		}
-	}
 	return rep, nil
 }
 
-type refModel struct {
-	xmlstore.ModelFile
-	s   *System
-	rep *LoadReport
-}
-
-func (f *refModel) load() error {
-	d, err := f.Decode()
-	if err == nil {
-		f.s.Profile(loadedCtx(f.Type, f.IP)).setDetector(d)
-		f.rep.Models++
-	}
-	return err
-}
-
-type refInvariants struct {
-	xmlstore.InvariantFile
-	s   *System
-	rep *LoadReport
-}
-
-func (f *refInvariants) load() error {
-	set, err := f.Decode()
-	if err == nil {
-		f.s.Profile(loadedCtx(f.Type, f.IP)).setInvariants(set)
-		f.rep.Invariants++
-	}
-	return err
-}
-
-type refSignatures struct {
-	xmlstore.SignatureFile
-	s   *System
-	rep *LoadReport
-}
-
-func (f *refSignatures) load() error {
+// parseSignatures checks f's version and parses its signatures in file
+// order; one malformed tuple rejects them all.
+func parseSignatures(f xmlstore.ProfileFile) ([]signature.Entry, error) {
 	if f.Version < 0 || f.Version > xmlstore.FormatVersion {
-		return fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
+		return nil, fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
 	}
-	sigs := make([]signature.Entry, len(f.Entries))
-	for i, e := range f.Entries {
+	sigs := make([]signature.Entry, len(f.Signatures))
+	for i, e := range f.Signatures {
 		t, err := signature.ParseTuple(e.Tuple)
 		if err != nil {
-			return fmt.Errorf("signature %d: %w", i, err)
+			return nil, fmt.Errorf("signature %d: %w", i, err)
 		}
 		sigs[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
 	}
-	scope := f.s.key(loadedCtx(f.Type, f.IP))
-	for i, e := range sigs {
-		if ctx := loadedCtx(e.Workload, e.IP); f.s.key(ctx) != scope {
-			return fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
-		}
-	}
-	f.rep.Signatures += f.s.Profile(scope).mergeSignatures(sigs...)
-	return nil
+	return sigs, nil
 }
 
-type refLifecycle struct {
-	xmlstore.LifecycleFile
-	pending *[]xmlstore.LifecycleFile
-}
-
-func (f *refLifecycle) load() error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	*f.pending = append(*f.pending, f.LifecycleFile)
-	return nil
-}
-
-// TestLoadFromEquivalence restores one saved four-context store — all four
-// file kinds, two damaged files among them — through LoadFrom and through
-// the encoding/xml reference, and requires the two systems to be the same:
-// report, signatures, every baseline, every detector field, every lifecycle
-// edge. SaveTo is untouched, so this is also "files written by the parent
-// load identically under the change".
+// TestLoadFromEquivalence restores one saved four-context store — every
+// section of the profile file, two damaged profile files among them —
+// through LoadFrom and through the encoding/xml reference, and requires the
+// two systems to be the same: report, signatures, every baseline, every
+// detector field, every lifecycle edge.
 func TestLoadFromEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Lifecycle = fastLifecycle()
@@ -188,16 +113,16 @@ func TestLoadFromEquivalence(t *testing.T) {
 	if err := saved.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	model, err := os.ReadFile(storePath(dir, "model", ctxs[0]))
+	whole, err := os.ReadFile(storePath(dir, ctxs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "model-truncated.xml"), model[:len(model)/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "profile-truncated.xml"), whole[:len(whole)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := xmlstore.SignatureFile{Version: xmlstore.FormatVersion, IP: ctxs[1].IP, Type: ctxs[1].Workload,
-		Entries: []xmlstore.SignatureEntry{{Tuple: "01x", Problem: "p", IP: ctxs[1].IP, Type: ctxs[1].Workload}}}
-	if err := xmlstore.SaveFile(filepath.Join(dir, "signatures-bad-tuple.xml"), bad); err != nil {
+	bad := xmlstore.ProfileFile{Version: xmlstore.FormatVersion, IP: ctxs[1].IP, Type: ctxs[1].Workload,
+		Signatures: []xmlstore.SignatureEntry{{Tuple: "01x", Problem: "p", IP: ctxs[1].IP, Type: ctxs[1].Workload}}}
+	if err := xmlstore.SaveFile(filepath.Join(dir, "profile-bad-tuple.xml"), bad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,15 +164,16 @@ func TestLoadFromEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", ctx, err)
 		}
-		if ws, _ := w.Invariants(); gs.M != ws.M || !reflect.DeepEqual(gs.Base, ws.Base) || !reflect.DeepEqual(gs.SortedPairs(), ws.SortedPairs()) {
+		ws, _ := w.Invariants()
+		if gs.M != ws.M || !reflect.DeepEqual(gs.Base, ws.Base) || !reflect.DeepEqual(gs.SortedPairs(), ws.SortedPairs()) {
 			t.Errorf("%v: invariant set differs from the reference", ctx)
 		}
 		ge, we := g.SignatureSnapshot().Entries(), w.SignatureSnapshot().Entries()
 		if len(ge) == 0 || !reflect.DeepEqual(ge, we) {
 			t.Errorf("%v: %d signatures %v, reference %d %v", ctx, len(ge), ge, len(we), we)
 		}
-		gl, ok := g.lifecycleFile()
-		if wl, _ := w.lifecycleFile(); !ok || !reflect.DeepEqual(gl, wl) {
+		gl := g.lifecycleSection(gs)
+		if wl := w.lifecycleSection(ws); gl == nil || len(gl.Edges) == 0 || !reflect.DeepEqual(gl, wl) {
 			t.Errorf("%v: lifecycle state %+v, reference %+v", ctx, gl, wl)
 		}
 	}
@@ -255,12 +181,13 @@ func TestLoadFromEquivalence(t *testing.T) {
 
 // TestLoadFromSkipsDeadArtefacts: a model that can never alert and an
 // invariant set with a NaN baseline or a repeated pair used to load
-// silently; they are corrupt files like any other and are reported as such.
+// silently; they are corrupt files like any other, reported as such, and
+// nothing else of their profile loads either.
 func TestLoadFromSkipsDeadArtefacts(t *testing.T) {
-	dir, ctx, _ := corruptStore(t)
-	damage := func(kind, element, with string) {
+	dir, ctx, other := corruptStore(t)
+	damage := func(ctx Context, element, with string) {
 		t.Helper()
-		path := storePath(dir, kind, ctx)
+		path := storePath(dir, ctx)
 		whole, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -273,15 +200,15 @@ func TestLoadFromSkipsDeadArtefacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	damage("model", "upper", "<upper>NaN</upper>")
-	damage("invariants", "matrix", `<matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="0.7"/></matrix>`)
+	damage(ctx, "upper", "<upper>NaN</upper>")
+	damage(other, "matrix", `<matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="0.7"/></matrix>`)
 	s2 := New(DefaultConfig())
 	rep, err := s2.LoadFrom(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Models != 0 || rep.Invariants != 0 || len(rep.Skipped) != 2 {
-		t.Fatalf("report = %v, want the model and the invariants file skipped", rep)
+	if rep.Models != 0 || rep.Invariants != 0 || rep.Signatures != 0 || len(rep.Skipped) != 2 {
+		t.Fatalf("report = %v, want both profile files skipped whole", rep)
 	}
 	for _, sk := range rep.Skipped {
 		if !strings.Contains(sk.Err.Error(), "core: decoding") {
@@ -291,21 +218,24 @@ func TestLoadFromSkipsDeadArtefacts(t *testing.T) {
 	if _, err := s2.Detector(ctx); err == nil {
 		t.Error("a detector with a NaN threshold was installed")
 	}
+	if _, err := s2.Detector(other); err == nil {
+		t.Error("the intact model of a profile with a NaN baseline was installed")
+	}
 }
 
 // TestLoadReportCost: the report says what the restore read and how long it
 // took, and String prints it — the boot line is where an operator sees it.
 func TestLoadReportCost(t *testing.T) {
-	dir, _, _ := corruptStore(t)
-	if err := os.WriteFile(filepath.Join(dir, "model-empty.xml"), nil, 0o644); err != nil {
+	dir, ctx, other := corruptStore(t)
+	if err := os.WriteFile(filepath.Join(dir, "profile-empty.xml"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a store file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var size int64
-	for _, kind := range []string{"model", "invariants", "signatures"} {
-		info, err := os.Stat(storePath(dir, kind, Context{Workload: "wordcount", IP: "10.0.0.2"}))
+	for _, c := range []Context{ctx, other} {
+		info, err := os.Stat(storePath(dir, c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,11 +245,11 @@ func TestLoadReportCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Files != 4 || rep.Bytes != size || rep.Elapsed <= 0 {
-		t.Errorf("Files, Bytes, Elapsed = %d, %d, %v; want 4 (the skipped one counted), %d, > 0", rep.Files, rep.Bytes, rep.Elapsed, size)
+	if rep.Files != 3 || rep.Bytes != size || rep.Elapsed <= 0 {
+		t.Errorf("Files, Bytes, Elapsed = %d, %d, %v; want 3 (the skipped one counted), %d, > 0", rep.Files, rep.Bytes, rep.Elapsed, size)
 	}
 	for want, r := range map[string]*LoadReport{
-		"16 models, 16 invariant sets, 4000 signatures from 48 files (1.1 MB) in 23 ms": {Models: 16, Invariants: 16, Signatures: 4000, Files: 48, Bytes: 1095406, Elapsed: 23456 * time.Microsecond},
+		"16 models, 16 invariant sets, 4000 signatures from 16 files (1.1 MB) in 23 ms": {Models: 16, Invariants: 16, Signatures: 4000, Files: 16, Bytes: 1095406, Elapsed: 23456 * time.Microsecond},
 		"0 signatures from 9 files (41.2 kB) in 2 ms; skipped 1 corrupt files (x.xml)":  {Files: 9, Bytes: 41234, Elapsed: 2 * time.Millisecond, Skipped: []SkippedFile{{Name: "x.xml"}}},
 	} {
 		if !strings.Contains(r.String(), want) {

@@ -272,8 +272,8 @@ func (f *Fleet) apply(recs []Record) int {
 }
 
 // InstallRestored replays records recovered from the persisted fleet file
-// into the live signature database (the signature XML files usually already
-// hold them; Apply is idempotent either way).
+// into the live signature database (the profile files usually already hold
+// them; Apply is idempotent either way).
 func (f *Fleet) InstallRestored(recs []Record) {
 	for _, r := range recs {
 		f.cfg.Apply(r)

@@ -45,7 +45,7 @@ func (s EdgeState) String() string {
 }
 
 // ParseEdgeState inverts EdgeState.String (used when loading a persisted
-// lifecycle file).
+// lifecycle section).
 func ParseEdgeState(s string) (EdgeState, error) {
 	switch s {
 	case "live":
@@ -221,12 +221,13 @@ func (h *Health) Snapshot() []EdgeHealth {
 }
 
 // Restore overwrites one edge's series from a persisted snapshot, matching
-// by pair. Unknown pairs report an error (the caller decides whether a
-// stale persisted edge is worth failing over).
-func (h *Health) Restore(e EdgeHealth) error {
+// by pair, and returns the edge's sorted-pair index. Unknown pairs report an
+// error (the caller decides whether a stale persisted edge is worth failing
+// over).
+func (h *Health) Restore(e EdgeHealth) (int, error) {
 	k, ok := h.index[e.Pair]
 	if !ok {
-		return fmt.Errorf("invariant: health restore for unknown pair (%d,%d)", e.Pair.I, e.Pair.J)
+		return 0, fmt.Errorf("invariant: health restore for unknown pair (%d,%d)", e.Pair.I, e.Pair.J)
 	}
 	if h.state[k] == EdgeQuarantined {
 		h.quar--
@@ -239,5 +240,5 @@ func (h *Health) Restore(e EdgeHealth) error {
 	h.viol[k] = e.Viol
 	h.rate[k] = e.Rate
 	h.cusum[k].Restore(e.Score)
-	return nil
+	return k, nil
 }

@@ -113,7 +113,7 @@ func TestHealthSnapshotRestoreRoundTrip(t *testing.T) {
 
 	h2 := NewHealth(set, HealthConfig{MinObservations: 2, Drift: 0.1, Threshold: 1})
 	for _, e := range snap {
-		if err := h2.Restore(e); err != nil {
+		if _, err := h2.Restore(e); err != nil {
 			t.Fatalf("Restore: %v", err)
 		}
 	}
@@ -128,14 +128,14 @@ func TestHealthSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Restoring twice must not double-count the quarantine tally.
 	for _, e := range snap {
-		if err := h2.Restore(e); err != nil {
+		if _, err := h2.Restore(e); err != nil {
 			t.Fatalf("second Restore: %v", err)
 		}
 	}
 	if h2.QuarantinedCount() != h.QuarantinedCount() {
 		t.Fatalf("double restore skewed QuarantinedCount to %d", h2.QuarantinedCount())
 	}
-	if err := h2.Restore(EdgeHealth{Pair: Pair{I: 2, J: 3}}); err == nil {
+	if _, err := h2.Restore(EdgeHealth{Pair: Pair{I: 2, J: 3}}); err == nil {
 		t.Fatalf("restore of unknown pair accepted")
 	}
 }

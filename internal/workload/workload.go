@@ -20,7 +20,7 @@ import (
 )
 
 // Type names a workload. The string value is the paper's operation-context
-// "type" field, stored in model and signature files.
+// "type" field, stored in every profile file and signature.
 type Type string
 
 // The five evaluated workloads.

@@ -1,9 +1,6 @@
 package xmlstore
 
-import (
-	"encoding/xml"
-	"fmt"
-)
+import "fmt"
 
 // LifecycleEdge is one trained edge's persisted health and shadow state:
 // the drift-detection series (observations, violations, EWMA rate and
@@ -26,30 +23,22 @@ type LifecycleEdge struct {
 }
 
 // LifecycleFile is the persisted drift-lifecycle state of one profile's
-// live model generation. SetFingerprint binds it to the exact invariant
-// set it describes: on load, a mismatch (a crash between the invariants
-// and lifecycle writes, e.g. mid-promotion) keeps the loaded invariants as
-// the single consistent generation and discards the stale edge state.
+// live model generation. It is saved in the same file as the invariant set
+// it describes; Edges is empty when that set was not the lifecycle's at
+// save time (a promotion or retrain raced the save), and only the counters
+// persist.
 type LifecycleFile struct {
-	XMLName        xml.Name        `xml:"lifecycle"`
-	Version        int             `xml:"version,attr"`
-	IP             string          `xml:"ip"`
-	Type           string          `xml:"type"`
-	Generation     uint64          `xml:"generation"`
-	SetFingerprint string          `xml:"set-fingerprint"`
-	Observed       int64           `xml:"observed"`
-	Promotions     int64           `xml:"promotions"`
-	Rollbacks      int64           `xml:"rollbacks"`
-	Edges          []LifecycleEdge `xml:"edges>edge"`
+	Generation uint64          `xml:"generation"`
+	Observed   int64           `xml:"observed"`
+	Promotions int64           `xml:"promotions"`
+	Rollbacks  int64           `xml:"rollbacks"`
+	Edges      []LifecycleEdge `xml:"edges>edge"`
 }
 
-// Validate checks the store version and the basic shape of the edge list;
-// the semantic checks (pair membership, state names) belong to the
-// restoring layer, which knows the invariant set.
+// Validate checks the basic shape of the edge list; the semantic checks
+// (pair membership, state names) belong to the restoring layer, which knows
+// the invariant set.
 func (f LifecycleFile) Validate() error {
-	if err := checkVersion(f.Version); err != nil {
-		return err
-	}
 	for i, e := range f.Edges {
 		if e.I < 0 || e.J < 0 || e.I >= e.J {
 			return fmt.Errorf("xmlstore: lifecycle edge %d has invalid pair (%d,%d)", i, e.I, e.J)

@@ -10,46 +10,46 @@ import (
 )
 
 func TestVersionUnknownRejected(t *testing.T) {
-	f := EncodeModel(sampleDetector(), "x", "y")
-	f.Version = FormatVersion + 1
-	if _, err := f.Decode(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future model version: err = %v, want ErrVersion", err)
-	}
-	inv := InvariantFile{Version: FormatVersion + 7, Metrics: 3}
-	if _, err := inv.Decode(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future invariant version: err = %v, want ErrVersion", err)
-	}
-	sig := SignatureFile{Version: -1}
-	if _, err := sig.ParseEntries(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("negative signature version: err = %v, want ErrVersion", err)
+	for _, v := range []int{FormatVersion + 1, FormatVersion + 7, -1} {
+		doc := saved(t, ProfileFile{Version: v, Model: EncodeModel(sampleDetector())})
+		if _, _, err := decodeProfile(doc); !errors.Is(err, ErrVersion) {
+			t.Fatalf("profile version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
 func TestVersionLegacyAccepted(t *testing.T) {
 	// A pre-versioning file decodes with Version 0 (attribute absent).
 	legacy := `<?xml version="1.0"?>
-<invariants><ip>a</ip><type>b</type><metrics>3</metrics>
-<matrix><pair i="0" j="1" value="0.5"></pair></matrix></invariants>`
-	var f InvariantFile
-	if err := load(strings.NewReader(legacy), &f); err != nil {
-		t.Fatal(err)
+<profile ip="a" type="b"><invariants><metrics>3</metrics>
+<matrix><pair i="0" j="1" value="0.5"></pair></matrix></invariants></profile>`
+	f, _, err := decodeProfile([]byte(legacy))
+	if err != nil {
+		t.Fatalf("legacy file rejected: %v", err)
 	}
 	if f.Version != 0 {
 		t.Fatalf("legacy version = %d", f.Version)
 	}
-	set, err := f.Decode()
+	set, err := f.Invariants.Decode()
 	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
+		t.Fatalf("legacy set rejected: %v", err)
 	}
 	if set.Len() != 1 {
 		t.Fatalf("legacy set len = %d", set.Len())
 	}
 }
 
+// modelProfile is a profile file holding only a model, its ip naming the saver.
+func modelProfile(ip string, consecutive int) ProfileFile {
+	f := ProfileFile{Version: FormatVersion, IP: ip, Type: "w", Model: EncodeModel(sampleDetector())}
+	f.Model.Consecutive = consecutive
+	return f
+}
+
 func TestLoadFileTruncatedAndEmpty(t *testing.T) {
 	dir := t.TempDir()
-	good := filepath.Join(dir, "model.xml")
-	if err := SaveFile(good, EncodeModel(sampleDetector(), "x", "y")); err != nil {
+	good := filepath.Join(dir, "profile.xml")
+	if err := SaveFile(good, modelProfile("x", 3)); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := os.ReadFile(good)
@@ -60,32 +60,29 @@ func TestLoadFileTruncatedAndEmpty(t *testing.T) {
 	if err := os.WriteFile(trunc, whole[:len(whole)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var f ModelFile
-	if err := LoadFile(trunc, &f); err == nil {
+	if _, _, err := LoadProfile(trunc); err == nil {
 		t.Fatal("truncated XML loaded without error")
 	}
 	empty := filepath.Join(dir, "empty.xml")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadFile(empty, &f); err == nil {
+	if _, _, err := LoadProfile(empty); err == nil {
 		t.Fatal("zero-byte file loaded without error")
 	}
 }
 
 func TestSaveFileAtomicReplaceAndNoTempLeak(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.xml")
-	first := EncodeModel(sampleDetector(), "first", "w")
-	if err := SaveFile(path, first); err != nil {
+	path := filepath.Join(dir, "profile.xml")
+	if err := SaveFile(path, modelProfile("first", 3)); err != nil {
 		t.Fatal(err)
 	}
-	second := EncodeModel(sampleDetector(), "second", "w")
-	if err := SaveFile(path, second); err != nil {
+	if err := SaveFile(path, modelProfile("second", 3)); err != nil {
 		t.Fatal(err)
 	}
-	var back ModelFile
-	if err := LoadFile(path, &back); err != nil {
+	back, _, err := LoadProfile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.IP != "second" {
@@ -104,16 +101,14 @@ func TestSaveFileAtomicReplaceAndNoTempLeak(t *testing.T) {
 
 func TestSaveFileConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.xml")
+	path := filepath.Join(dir, "profile.xml")
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := EncodeModel(sampleDetector(), "node", "w")
-			f.Consecutive = 3 + i // distinguishable payloads
-			if err := SaveFile(path, f); err != nil {
+			if err := SaveFile(path, modelProfile("node", 3+i)); err != nil { // distinguishable payloads
 				errs <- err
 			}
 		}(i)
@@ -124,14 +119,14 @@ func TestSaveFileConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whatever writer won, the surviving file is complete and parseable.
-	var back ModelFile
-	if err := LoadFile(path, &back); err != nil {
+	back, _, err := LoadProfile(path)
+	if err != nil {
 		t.Fatalf("file corrupt after concurrent saves: %v", err)
 	}
-	if _, err := back.Decode(); err != nil {
+	if _, err := back.Model.Decode(); err != nil {
 		t.Fatalf("decode after concurrent saves: %v", err)
 	}
-	if back.Consecutive < 3 || back.Consecutive > 18 {
+	if back.Model.Consecutive < 3 || back.Model.Consecutive > 18 {
 		t.Fatalf("payload mangled: %+v", back)
 	}
 }

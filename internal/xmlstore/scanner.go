@@ -30,6 +30,7 @@ type scanner struct {
 	scratch []byte    // backing for text and attribute values that needed rewriting
 	closing bool      // the last start token was self-closing: its end token comes next
 	rooted  bool      // the root element has been opened
+	reopen  bool      // Token hands back the open element's start token first
 }
 
 // rawAttr is one attribute of a start tag. The slices alias the file or the
@@ -103,28 +104,39 @@ func (s *scanner) errorf(format string, args ...any) error {
 }
 
 // Token implements xml.TokenReader over next, so struct tags stay the one
-// schema for every file kind: decode is xml.NewTokenDecoder(scanner).Decode.
+// schema for every section and file: decode is
+// xml.NewTokenDecoder(scanner).Decode.
 func (s *scanner) Token() (xml.Token, error) {
+	if s.reopen { // encoding/xml decodes an element a direct loop already opened
+		s.reopen = false
+		return s.startElement(s.open[len(s.open)-1]), nil
+	}
 	t, err := s.next()
 	if err != nil {
 		return nil, err
 	}
 	switch t.kind {
 	case tokStart:
-		e := xml.StartElement{Name: xml.Name{Local: string(t.data)}}
-		if len(s.attrs) > 0 {
-			e.Attr = make([]xml.Attr, len(s.attrs))
-			for i, a := range s.attrs {
-				e.Attr[i] = xml.Attr{Name: xml.Name{Local: string(a.name)}, Value: string(a.value)}
-			}
-		}
-		return e, nil
+		return s.startElement(t.data), nil
 	case tokEnd:
 		return xml.EndElement{Name: xml.Name{Local: string(t.data)}}, nil
 	case tokText:
 		return xml.CharData(t.data), nil
 	}
 	return nil, io.EOF
+}
+
+// startElement is the start token named name with the attributes of the
+// most recent start tag.
+func (s *scanner) startElement(name []byte) xml.StartElement {
+	e := xml.StartElement{Name: xml.Name{Local: string(name)}}
+	if len(s.attrs) > 0 {
+		e.Attr = make([]xml.Attr, len(s.attrs))
+		for i, a := range s.attrs {
+			e.Attr[i] = xml.Attr{Name: xml.Name{Local: string(a.name)}, Value: string(a.value)}
+		}
+	}
+	return e
 }
 
 // next returns the next token. Comments, the XML declaration and white space

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime/metrics"
 	"strings"
@@ -163,50 +164,92 @@ func TestScannerRefuses(t *testing.T) {
 // hostile strings: everything Save has to escape and the scanner to restore.
 var hostile = []string{"", " ", `<&>"'`, "a\r\nb\rc\n", "\ttab\t", "😀 𐍈 日本", "]]>", "&amp;", "x  y", "\uFFFD"}
 
-// savedKinds returns one saved document of each of the five file kinds,
-// carrying s wherever the kind has a string.
-func savedKinds(t testing.TB, s string) map[string][]byte {
-	t.Helper()
-	var db signature.DB
-	for i, tuple := range []string{"01101", "11000", ""} {
-		tu, _ := signature.ParseTuple(tuple)
-		db.Add(signature.Entry{Tuple: tu, Problem: fmt.Sprintf("%s-%d", s, i/2), IP: s, Workload: "wl" + s})
+// The parts profileWith puts in a profile file.
+const (
+	withModel = 1 << iota
+	withInvariants
+	withLifecycle
+	withSignatures
+	withAll = 1<<iota - 1
+)
+
+// profileWith returns a profile file holding the given parts, carrying s
+// wherever it has a string.
+func profileWith(s string, parts int) ProfileFile {
+	f := ProfileFile{Version: FormatVersion, IP: s, Type: "wl" + s}
+	if parts&withModel != 0 {
+		f.Model = EncodeModel(sampleDetector())
 	}
-	model := EncodeModel(sampleDetector(), s, "wl"+s)
-	inv := EncodeInvariants(invariant.NewSet(5, map[invariant.Pair]float64{{I: 0, J: 1}: 0.91, {I: 2, J: 4}: 5e-324}), s, "wl"+s)
-	out := make(map[string][]byte)
-	for kind, v := range map[string]any{
-		"model":      model,
-		"invariants": inv,
-		"signatures": EncodeSignaturesFor(&db, s, "wl"+s),
-		"lifecycle": LifecycleFile{Version: FormatVersion, IP: s, Type: "wl" + s, Generation: 3, SetFingerprint: s, Observed: 9,
-			Edges: []LifecycleEdge{{I: 0, J: 1, State: s, Obs: 9, Viol: 2, Rate: 0.25, ShadowBase: 0.5}, {I: 2, J: 4, State: "live"}}},
-		"fleet": FleetFile{Version: FormatVersion, Self: s, NextSeq: 3, Vector: []FleetClock{{Origin: s, Seq: 2}},
-			Records: []FleetRecord{{Origin: s, Seq: 1, Workload: "wl" + s, Node: s, Problem: s, Tuple: "0110"}, {Origin: s, Seq: 2, Tuple: "1"}}},
-	} {
-		var buf bytes.Buffer
-		if err := Save(&buf, v); err != nil {
-			t.Fatal(err)
+	if parts&withInvariants != 0 {
+		f.Invariants = EncodeInvariants(invariant.NewSet(5, map[invariant.Pair]float64{{I: 0, J: 1}: 0.91, {I: 2, J: 4}: 5e-324}))
+	}
+	if parts&withLifecycle != 0 {
+		f.Lifecycle = &LifecycleFile{Generation: 3, Observed: 9,
+			Edges: []LifecycleEdge{{I: 0, J: 1, State: s, Obs: 9, Viol: 2, Rate: 0.25, ShadowBase: 0.5}, {I: 2, J: 4, State: "live"}}}
+	}
+	if parts&withSignatures != 0 {
+		var db signature.DB
+		for i, tuple := range []string{"01101", "11000", ""} {
+			tu, _ := signature.ParseTuple(tuple)
+			db.Add(signature.Entry{Tuple: tu, Problem: fmt.Sprintf("%s-%d", s, i/2), IP: s, Workload: "wl" + s})
 		}
-		out[kind] = buf.Bytes()
+		f.Signatures = signaturesOf(&db)
 	}
-	return out
+	return f
+}
+
+// savedFiles returns saved documents carrying s wherever they have a string:
+// a profile file with every part, one with signatures only, and a
+// fleet-state file.
+func savedFiles(t testing.TB, s string) [][]byte {
+	t.Helper()
+	fleet := FleetFile{Version: FormatVersion, Self: s, NextSeq: 3, Vector: []FleetClock{{Origin: s, Seq: 2}},
+		Records: []FleetRecord{{Origin: s, Seq: 1, Workload: "wl" + s, Node: s, Problem: s, Tuple: "0110"}, {Origin: s, Seq: 2, Tuple: "1"}}}
+	var buf bytes.Buffer
+	if err := Save(&buf, fleet); err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{saved(t, profileWith(s, withAll)), saved(t, profileWith(s, withSignatures)), buf.Bytes()}
 }
 
 // newKinds returns a zero value of each file kind to decode into.
 func newKinds() []any {
-	return []any{&ModelFile{}, &InvariantFile{}, &SignatureFile{}, &LifecycleFile{}, &FleetFile{}}
+	return []any{&ProfileFile{}, &FleetFile{}}
 }
 
 // same is reflect.DeepEqual but for NaN, which a hostile file can put in any
-// float field and which equals itself in neither reading.
+// float field and which equals itself in neither reading: values that differ
+// there compare by what Save writes for them.
 func same(a, b any) bool {
-	return reflect.DeepEqual(a, b) || fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+	if reflect.DeepEqual(a, b) {
+		return true
+	}
+	x, errA := xml.Marshal(a)
+	y, errB := xml.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(x, y)
+}
+
+// referenceEntries is the reflection-side reference LoadProfile's direct
+// loop is held to: f's version checked and its signatures parsed in file
+// order, any malformed tuple rejecting the whole file.
+func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
+	if err := checkVersion(f.Version); err != nil {
+		return nil, err
+	}
+	out := make([]signature.Entry, len(f.Signatures))
+	for i, e := range f.Signatures {
+		t, err := signature.ParseTuple(e.Tuple)
+		if err != nil {
+			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
+		}
+		out[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
+	}
+	return out, nil
 }
 
 // checkAgainstStock is the differential oracle: whenever the scanner path
 // accepts in, encoding/xml's own lexer accepts it and decodes the same struct;
-// and the direct signature loop agrees with the reflection decode of the same
+// and the direct profile loop agrees with the reflection decode of the same
 // bytes, on acceptance and on content.
 func checkAgainstStock(t testing.TB, in []byte) {
 	t.Helper()
@@ -222,81 +265,105 @@ func checkAgainstStock(t testing.TB, in []byte) {
 			t.Fatalf("scanner and encoding/xml disagree on %q:\n got %#v\nwant %#v", in, got, stock[i])
 		}
 	}
-	var f SignatureFile
+	var f ProfileFile
 	want, err := []signature.Entry(nil), decode(in, &f)
 	if err == nil {
-		want, err = f.ParseEntries()
+		want, err = referenceEntries(f)
 	}
-	ip, workloadType, got, directErr := decodeSignatures(in)
+	got, entries, directErr := decodeProfile(in)
 	if (err == nil) != (directErr == nil) {
-		t.Fatalf("signature file %q: direct loop err = %v, reflection err = %v", in, directErr, err)
+		t.Fatalf("profile file %q: direct loop err = %v, reflection err = %v", in, directErr, err)
 	}
 	if err != nil {
 		return
 	}
-	if ip != f.IP || workloadType != f.Type || len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
-		t.Fatalf("signature file %q:\ndirect loop (%q, %q) %v\nreflection  (%q, %q) %v", in, ip, workloadType, got, f.IP, f.Type, want)
+	f.XMLName, f.Signatures = xml.Name{}, nil
+	if !same(&got, &f) || len(entries) != len(want) || len(entries) > 0 && !reflect.DeepEqual(entries, want) {
+		t.Fatalf("profile file %q:\ndirect loop %+v %v\nreflection  %+v %v", in, got, entries, f, want)
 	}
 }
 
-// handEdits are signature files no Save wrote but encoding/xml reads: each
+// handEdits are profile files no Save wrote but encoding/xml reads: each
 // pins one rule the direct loop has to share with the reflection decode.
 var handEdits = []string{
-	`<signature-database/>`,
-	`<signature-database version=""><signature/></signature-database>`,
-	`<signature-database version=" 1 "><signature><tuple/></signature></signature-database>`,
-	`<signature-database version="x"></signature-database>`,
-	`<signature-database version="2"></signature-database>`,
-	`<signatures version="1"></signatures>`,
+	`<profile/>`,
+	`<profile version=""><signature/></profile>`,
+	`<profile version=" 1 "><signature><tuple/></signature></profile>`,
+	`<profile version="x"></profile>`,
+	`<profile version="2"></profile>`,
+	`<signature-database version="1"></signature-database>`,
 	// character data concatenates around comments and child elements
-	`<signature-database><ip>10.<!-- c -->0.<b>no</b>0.2</ip><signature><tuple>01<!-- c -->10<x>1</x></tuple><problem> p </problem></signature></signature-database>`,
+	`<profile><signature><ip>10.<!-- c -->0.<b>no</b>0.2</ip><tuple>01<!-- c -->10<x>1</x></tuple><problem> p </problem></signature></profile>`,
 	// a repeated scalar overwrites, unknown elements are skipped whole
-	`<signature-database><type>a</type><type>b</type><extra><signature><tuple>1</tuple></signature></extra>` +
-		`<signature><tuple>0</tuple><tuple>11</tuple><signature><tuple>x</tuple></signature><ip>n</ip><ip></ip></signature>stray</signature-database>`,
-	`<signature-database><signature><tuple>01x</tuple></signature></signature-database>`,
-	`<signature-database><signature><tuple> 01 </tuple></signature></signature-database>`,
-	`<signature-database><signature><problem>a&amp;b` + "\r\n" + `</problem></signature></signature-database><!-- end -->`,
-	`<signature-database><signature></signature></signature-database>trailing`,
+	`<profile type="a"><type>b</type><extra><signature><tuple>1</tuple></signature></extra>` +
+		`<signature><tuple>0</tuple><tuple>11</tuple><signature><tuple>x</tuple></signature><ip>n</ip><ip></ip></signature>stray</profile>`,
+	`<profile><signature><tuple>01x</tuple></signature></profile>`,
+	`<profile><signature><tuple> 01 </tuple></signature></profile>`,
+	`<profile><signature><problem>a&amp;b` + "\r\n" + `</problem></signature></profile><!-- end -->`,
+	`<profile><signature></signature></profile>trailing`,
+	// a repeated section decodes into the same value: scalars overwrite, lists append
+	`<profile><performance-model><p>1</p><ar><coeff>0.5</coeff></ar></performance-model><signature><tuple>1</tuple></signature>` +
+		`<performance-model><p>2</p><ar><coeff>NaN</coeff></ar></performance-model><performance-model/></profile>`,
+	// a self-closing section with an attribute, and one nested where no section belongs
+	`<profile ip="n"><invariants x="1"/><lifecycle><edges><edge i="0" j="1" state="live"/></edges></lifecycle>` +
+		`<extra><invariants><metrics>3</metrics></invariants></extra></profile>`,
+	// a value a section cannot hold, and a section left open, fail the file
+	`<profile><lifecycle><generation>-1</generation></lifecycle></profile>`,
+	`<profile><performance-model><p>1</performance-model></profile>`,
 }
 
-func TestSignatureLoopMatchesReflection(t *testing.T) {
+func TestProfileLoopMatchesReflection(t *testing.T) {
 	for _, doc := range handEdits {
 		checkAgainstStock(t, []byte(doc))
 	}
 	for _, s := range hostile {
-		checkAgainstStock(t, savedKinds(t, s)["signatures"])
+		for parts := 0; parts <= withAll; parts++ {
+			checkAgainstStock(t, saved(t, profileWith(s, parts)))
+		}
 	}
-	// And it is not vacuous: the repeated-scalar document decodes, to this.
-	ip, workloadType, got, err := decodeSignatures([]byte(handEdits[7]))
+	// And it is not vacuous: the repeated-scalar document decodes, to this,
+	got, entries, err := decodeProfile([]byte(handEdits[7]))
 	want := []signature.Entry{{Tuple: signature.Tuple{true, true}}}
-	if err != nil || ip != "" || workloadType != "b" || !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded (%q, %q) %v, %v; want (\"\", \"b\") %v", ip, workloadType, got, err, want)
+	if err != nil || got.IP != "" || got.Type != "a" || !reflect.DeepEqual(entries, want) {
+		t.Fatalf("decoded (%q, %q) %v, %v; want (\"\", \"a\") %v", got.IP, got.Type, entries, err, want)
+	}
+	// and the repeated section to the one model both readings merge it into.
+	got, _, err = decodeProfile([]byte(handEdits[12]))
+	if err != nil || got.Model == nil || got.Model.P != 2 || len(got.Model.AR) != 2 || !math.IsNaN(got.Model.AR[1]) {
+		t.Fatalf("repeated section decoded to %+v, %v; want p 2, ar [0.5 NaN]", got.Model, err)
 	}
 }
 
 // FuzzLoad holds every xmlstore read path to the rule for decoders of bytes
 // the program did not write — error, never panic or over-allocate — and the
-// scanner to its contract with encoding/xml (see checkAgainstStock).
+// scanner and the direct profile loop to their contract with encoding/xml
+// (see checkAgainstStock).
 func FuzzLoad(f *testing.F) {
 	for _, s := range hostile {
-		for _, doc := range savedKinds(f, s) {
+		for _, doc := range savedFiles(f, s) {
 			f.Add(doc)
 		}
 		f.Add([]byte("<a t='" + s + "'>" + s + "</a>"))
 	}
+	for parts := 0; parts <= withAll; parts++ {
+		f.Add(saved(f, profileWith("x", parts)))
+	}
 	for _, doc := range handEdits {
 		f.Add([]byte(doc))
 	}
+	whole := saved(f, profileWith("t", withAll))
+	f.Add(whole[:len(whole)/2])
+	f.Add(bytes.Replace(whole, []byte("<invariants>"), []byte(`<extra-section v="1"><edge i="0"/><signature/></extra-section><invariants>`), 1))
 	f.Add([]byte(`<a>&#x0;</a>`))
 	f.Add([]byte(`<?xml version="1.0" encoding="latin1"?><!DOCTYPE a><a xmlns:x="y"><![CDATA[]]></a>`))
-	f.Add([]byte(`<invariants><metrics>3</metrics><matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="7"/></matrix></invariants>`))
+	f.Add([]byte(`<profile><invariants><metrics>3</metrics><matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="7"/></matrix></invariants></profile>`))
 	// Fill encoding/xml's per-type caches before anything is measured.
-	for _, doc := range savedKinds(f, "warm") {
+	for _, doc := range savedFiles(f, "warm") {
 		checkAgainstStock(f, doc)
 	}
 	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		// Up to a dozen decodes, half of them through encoding/xml's own
+		// A handful of decodes, half of them through encoding/xml's own
 		// lexer, and reflection spends a few hundred bytes on a four-byte
 		// element.
 		limit := uint64(1<<16 + 2048*len(in))
@@ -352,21 +419,31 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 	roundTrip := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
 		str := func() string { return xmlString(rng) }
-		model := ModelFile{Version: rng.Intn(3), P: rng.Intn(5), D: rng.Intn(3), Q: rng.Intn(5), IP: str(), Type: str(),
+		model := &ModelFile{P: rng.Intn(5), D: rng.Intn(3), Q: rng.Intn(5),
 			AR: floats(rng), MA: floats(rng), Intercept: rng.Normal(0, 1), Sigma2: rng.Float64(), Rule: str(),
 			Upper: rng.Float64(), Lower: -rng.Float64(), Consecutive: rng.Intn(9)}
-		inv := InvariantFile{Version: 1, IP: str(), Type: str(), Metrics: rng.Intn(30)}
-		sigs := SignatureFile{Version: 1, IP: str(), Type: str()}
-		life := LifecycleFile{Version: 1, IP: str(), Type: str(), Generation: uint64(rng.Intn(1 << 30)), SetFingerprint: str(), Observed: int64(rng.Intn(1000))}
+		inv := &InvariantFile{Metrics: rng.Intn(30)}
+		life := &LifecycleFile{Generation: uint64(rng.Intn(1 << 30)), Observed: int64(rng.Intn(1000))}
+		prof := ProfileFile{Version: rng.Intn(3), IP: str(), Type: str()}
 		fleet := FleetFile{Version: 1, Self: str(), NextSeq: uint64(rng.Intn(100))}
 		for n := rng.Intn(5); n > 0; n-- {
 			inv.Pairs = append(inv.Pairs, invariantPair{I: rng.Intn(30), J: rng.Intn(30), Value: rng.Float64()})
-			sigs.Entries = append(sigs.Entries, SignatureEntry{Tuple: str(), Problem: str(), IP: str(), Type: str()})
+			prof.Signatures = append(prof.Signatures, SignatureEntry{Tuple: str(), Problem: str(), IP: str(), Type: str()})
 			life.Edges = append(life.Edges, LifecycleEdge{I: rng.Intn(30), J: rng.Intn(30), State: str(), Obs: int64(rng.Intn(99)), Rate: rng.Float64(), ShadowBase: rng.Float64()})
 			fleet.Vector = append(fleet.Vector, FleetClock{Origin: str(), Seq: uint64(rng.Intn(99))})
 			fleet.Records = append(fleet.Records, FleetRecord{Origin: str(), Seq: uint64(rng.Intn(99)), Workload: str(), Node: str(), Problem: str(), Tuple: str()})
 		}
-		for i, v := range []any{&model, &inv, &sigs, &life, &fleet} {
+		// Each section present or absent.
+		if rng.Bernoulli(0.7) {
+			prof.Model = model
+		}
+		if rng.Bernoulli(0.7) {
+			prof.Invariants = inv
+		}
+		if rng.Bernoulli(0.7) {
+			prof.Lifecycle = life
+		}
+		for i, v := range []any{&prof, &fleet} {
 			var buf bytes.Buffer
 			if err := Save(&buf, v); err != nil {
 				t.Errorf("seed %d: Save(%T): %v", seed, v, err)
@@ -392,12 +469,13 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 }
 
 // TestSignatureFileDecodeAllocs pins the allocation shape of the direct
-// loop: per entry, the tuple and — when it differs from the entry before —
-// the problem name, whatever the file's size; per file, a constant. Boxing
-// each of an entry's twenty tokens into xml.Token was ~43 % of the restore
-// profile before the scanner had a by-value next.
+// loop on a profile file: per entry, the tuple and — when it differs from
+// the entry before — the problem name, whatever the file's size; per file, a
+// constant, most of it the reflection-decoded sections. Boxing each of an
+// entry's twenty tokens into xml.Token was ~43 % of the restore profile
+// before the scanner had a by-value next.
 func TestSignatureFileDecodeAllocs(t *testing.T) {
-	perEntry := func(n int) float64 {
+	allocs := func(n int) float64 {
 		var db signature.DB
 		rng := stats.NewRNG(int64(n))
 		for i := 0; i < n; i++ {
@@ -407,40 +485,19 @@ func TestSignatureFileDecodeAllocs(t *testing.T) {
 			}
 			db.Add(signature.Entry{Tuple: tuple, Problem: fmt.Sprintf("fault-%d", i), IP: "10.0.0.2", Workload: "wordcount"})
 		}
-		var buf bytes.Buffer
-		if err := Save(&buf, EncodeSignaturesFor(&db, "10.0.0.2", "wordcount")); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, entries, err := decodeSignatures(data); err != nil || len(entries) != n {
+		f := profileWith("10.0.0.2", withModel|withInvariants|withLifecycle)
+		f.Type, f.Signatures = "wordcount", signaturesOf(&db)
+		data := saved(t, f)
+		return testing.AllocsPerRun(10, func() {
+			if _, entries, err := decodeProfile(data); err != nil || len(entries) != n {
 				t.Fatalf("decoded %d of %d entries: %v", len(entries), n, err)
 			}
 		})
-		return allocs / float64(n)
 	}
-	small, large := perEntry(200), perEntry(4000)
-	t.Logf("allocations per signature entry: %.3f at 200 entries, %.3f at 4000", small, large)
-	if small > 2.1 || large > 2.1 {
-		t.Errorf("allocations per entry = %.3f (200 entries), %.3f (4000); want <= 2 plus a per-file constant", small, large)
+	small, large := allocs(200), allocs(4000)
+	perEntry := (large - small) / 3800
+	t.Logf("allocations: %.0f at 200 entries, %.0f at 4000: %.3f per entry, %.0f per file", small, large, perEntry, small-200*perEntry)
+	if perEntry > 2.1 {
+		t.Errorf("allocations per entry = %.3f; want <= 2 plus a per-file constant", perEntry)
 	}
-}
-
-// ParseEntries validates the file and returns its signatures in file order;
-// any malformed tuple rejects the whole file. It is the reflection-side
-// reference LoadSignatureFile's token loop is held to, and no product code
-// reads a signature file this way any more.
-func (f SignatureFile) ParseEntries() ([]signature.Entry, error) {
-	if err := checkVersion(f.Version); err != nil {
-		return nil, err
-	}
-	out := make([]signature.Entry, len(f.Entries))
-	for i, e := range f.Entries {
-		t, err := signature.ParseTuple(e.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
-		}
-		out[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
-	}
-	return out, nil
 }

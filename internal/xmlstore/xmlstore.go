@@ -1,5 +1,6 @@
 // Package xmlstore persists InvarNet-X artefacts in the XML formats the
-// paper describes:
+// paper describes, one file per operation context (ProfileFile) whose root
+// carries the context's (ip, type) once:
 //
 //   - the ARIMA performance model as the five-tuple (p, d, q, ip, type)
 //     (§3.2) — extended with the fitted coefficients and thresholds so a
@@ -21,7 +22,6 @@ import (
 	"invarnetx/internal/arima"
 	"invarnetx/internal/detect"
 	"invarnetx/internal/invariant"
-	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 )
 
@@ -43,16 +43,29 @@ func checkVersion(v int) error {
 	return nil
 }
 
-// ModelFile is the persisted performance model: the paper's five-tuple plus
-// everything needed to resume online detection.
+// ProfileFile is one profile's store file: its scope (both empty for the
+// global no-context profile), which LoadFrom routes the file by, then each
+// trained artefact the profile holds and its signatures. A signature keeps
+// its own ip and type: the global profile and a fleet replica hold entries
+// of other contexts.
+type ProfileFile struct {
+	XMLName    xml.Name         `xml:"profile"`
+	Version    int              `xml:"version,attr"`
+	IP         string           `xml:"ip,attr,omitempty"`
+	Type       string           `xml:"type,attr,omitempty"`
+	Model      *ModelFile       `xml:"performance-model"`
+	Invariants *InvariantFile   `xml:"invariants"`
+	Lifecycle  *LifecycleFile   `xml:"lifecycle"`
+	Signatures []SignatureEntry `xml:"signature"`
+}
+
+// ModelFile is the persisted performance model: the paper's five-tuple (its
+// ip and type are the profile's) plus everything needed to resume online
+// detection.
 type ModelFile struct {
-	XMLName xml.Name `xml:"performance-model"`
-	Version int      `xml:"version,attr"`
-	P       int      `xml:"p"`
-	D       int      `xml:"d"`
-	Q       int      `xml:"q"`
-	IP      string   `xml:"ip"`
-	Type    string   `xml:"type"`
+	P int `xml:"p"`
+	D int `xml:"d"`
+	Q int `xml:"q"`
 
 	AR          []float64 `xml:"ar>coeff"`
 	MA          []float64 `xml:"ma>coeff"`
@@ -65,11 +78,9 @@ type ModelFile struct {
 }
 
 // EncodeModel converts a trained detector into its persistable form.
-func EncodeModel(d *detect.Detector, ip, workloadType string) ModelFile {
-	return ModelFile{
-		Version: FormatVersion,
-		P:       d.Model.Order.P, D: d.Model.Order.D, Q: d.Model.Order.Q,
-		IP: ip, Type: workloadType,
+func EncodeModel(d *detect.Detector) *ModelFile {
+	return &ModelFile{
+		P: d.Model.Order.P, D: d.Model.Order.D, Q: d.Model.Order.Q,
 		AR: d.Model.AR, MA: d.Model.MA,
 		Intercept: d.Model.Intercept, Sigma2: d.Model.Sigma2,
 		Rule: d.Rule.String(), Upper: d.Upper, Lower: d.Lower,
@@ -79,9 +90,6 @@ func EncodeModel(d *detect.Detector, ip, workloadType string) ModelFile {
 
 // Decode rebuilds the detector from its persisted form.
 func (f ModelFile) Decode() (*detect.Detector, error) {
-	if err := checkVersion(f.Version); err != nil {
-		return nil, err
-	}
 	var rule detect.Rule
 	switch f.Rule {
 	case detect.BetaMax.String():
@@ -136,19 +144,15 @@ type invariantPair struct {
 }
 
 // InvariantFile is the persisted invariant set: the paper's three-tuple
-// (I, ip, type).
+// (I, ip, type), its ip and type being the profile's.
 type InvariantFile struct {
-	XMLName xml.Name        `xml:"invariants"`
-	Version int             `xml:"version,attr"`
-	IP      string          `xml:"ip"`
-	Type    string          `xml:"type"`
 	Metrics int             `xml:"metrics"`
 	Pairs   []invariantPair `xml:"matrix>pair"`
 }
 
 // EncodeInvariants converts an invariant set into its persistable form.
-func EncodeInvariants(s *invariant.Set, ip, workloadType string) InvariantFile {
-	f := InvariantFile{Version: FormatVersion, IP: ip, Type: workloadType, Metrics: s.M}
+func EncodeInvariants(s *invariant.Set) *InvariantFile {
+	f := &InvariantFile{Metrics: s.M}
 	for _, p := range s.SortedPairs() {
 		f.Pairs = append(f.Pairs, invariantPair{I: p.I, J: p.J, Value: s.Base[p]})
 	}
@@ -157,9 +161,6 @@ func EncodeInvariants(s *invariant.Set, ip, workloadType string) InvariantFile {
 
 // Decode rebuilds the invariant set.
 func (f InvariantFile) Decode() (*invariant.Set, error) {
-	if err := checkVersion(f.Version); err != nil {
-		return nil, err
-	}
 	if f.Metrics < 2 {
 		return nil, fmt.Errorf("xmlstore: invariant file with %d metrics", f.Metrics)
 	}
@@ -191,30 +192,6 @@ type SignatureEntry struct {
 	Type    string `xml:"type"`
 }
 
-// SignatureFile is the persisted signature database of one profile. IP and
-// Type are the profile's scope (both empty for the global profile) and what
-// LoadFrom routes the file by.
-type SignatureFile struct {
-	XMLName xml.Name         `xml:"signature-database"`
-	Version int              `xml:"version,attr"`
-	IP      string           `xml:"ip,omitempty"`
-	Type    string           `xml:"type,omitempty"`
-	Entries []SignatureEntry `xml:"signature"`
-}
-
-// EncodeSignaturesFor converts a signature database into its persistable
-// form, stamped at file level with the owning profile's scope (both empty for
-// the global profile).
-func EncodeSignaturesFor(db *signature.DB, ip, workloadType string) SignatureFile {
-	f := SignatureFile{Version: FormatVersion, IP: ip, Type: workloadType}
-	for _, e := range db.Entries() {
-		f.Entries = append(f.Entries, SignatureEntry{
-			Tuple: e.Tuple.String(), Problem: e.Problem, IP: e.IP, Type: e.Workload,
-		})
-	}
-	return f
-}
-
 // Save writes v as indented XML with a header.
 func Save(w io.Writer, v any) error {
 	if _, err := io.WriteString(w, xml.Header); err != nil {
@@ -243,10 +220,11 @@ func decode(data []byte, v any) error {
 }
 
 // SaveFile writes v as XML to path atomically: the document is written and
-// fsynced to a unique temporary file in the same directory, then renamed
-// over path. A crash mid-write leaves either the old complete file or at
-// worst a stray temporary — never a truncated store. Concurrent savers of
-// the same path each rename a complete file; the last rename wins.
+// fsynced to a unique temporary file in the same directory, renamed over
+// path, and the directory fsynced so the rename itself survives a power cut.
+// A crash mid-write leaves either the old complete file or at worst a stray
+// temporary — never a truncated store. Concurrent savers of the same path
+// each rename a complete file; the last rename wins.
 func SaveFile(path string, v any) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
@@ -278,7 +256,15 @@ func SaveFile(path string, v any) error {
 		os.Remove(name)
 		return err
 	}
-	return nil
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadFile parses the XML file at path into v.

@@ -42,24 +42,41 @@ func sampleDetector() *detect.Detector {
 	}
 }
 
-func TestModelRoundTrip(t *testing.T) {
-	d := sampleDetector()
-	f := EncodeModel(d, "10.0.0.2", "wordcount")
+// signaturesOf is db's entries as a profile file stores them.
+func signaturesOf(db *signature.DB) []SignatureEntry {
+	var out []SignatureEntry
+	for _, e := range db.Entries() {
+		out = append(out, SignatureEntry{Tuple: e.Tuple.String(), Problem: e.Problem, IP: e.IP, Type: e.Workload})
+	}
+	return out
+}
+
+// saved is f as Save writes it.
+func saved(t testing.TB, f ProfileFile) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "<performance-model version=\"1\">") {
-		t.Errorf("missing root element:\n%s", buf.String())
+	return buf.Bytes()
+}
+
+func TestModelRoundTrip(t *testing.T) {
+	d := sampleDetector()
+	doc := saved(t, ProfileFile{Version: FormatVersion, IP: "10.0.0.2", Type: "wordcount", Model: EncodeModel(d)})
+	for _, want := range []string{`<profile version="1" ip="10.0.0.2" type="wordcount">`, "<performance-model>"} {
+		if !strings.Contains(string(doc), want) {
+			t.Errorf("missing %s:\n%s", want, doc)
+		}
 	}
-	var back ModelFile
-	if err := load(&buf, &back); err != nil {
+	back, _, err := decodeProfile(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if back.IP != "10.0.0.2" || back.Type != "wordcount" {
-		t.Errorf("context lost: %+v", back)
+	if back.IP != "10.0.0.2" || back.Type != "wordcount" || back.Invariants != nil || back.Lifecycle != nil {
+		t.Errorf("context lost or sections invented: %+v", back)
 	}
-	d2, err := back.Decode()
+	d2, err := back.Model.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +92,17 @@ func TestModelRoundTrip(t *testing.T) {
 }
 
 func TestModelDecodeValidation(t *testing.T) {
-	f := EncodeModel(sampleDetector(), "x", "y")
+	f := EncodeModel(sampleDetector())
 	f.Rule = "nosuch"
 	if _, err := f.Decode(); err == nil {
 		t.Error("unknown rule should fail decode")
 	}
-	f = EncodeModel(sampleDetector(), "x", "y")
+	f = EncodeModel(sampleDetector())
 	f.AR = f.AR[:1] // inconsistent with P=2
 	if _, err := f.Decode(); err == nil {
 		t.Error("coefficient/order mismatch should fail decode")
 	}
-	f = EncodeModel(sampleDetector(), "x", "y")
+	f = EncodeModel(sampleDetector())
 	f.P = -1
 	if _, err := f.Decode(); err == nil {
 		t.Error("negative order should fail decode")
@@ -96,7 +113,7 @@ func TestModelDecodeValidation(t *testing.T) {
 // numbers, so a hand-edited or damaged model file used to load into a
 // detector that can never alert. Each of these decoded silently before.
 func TestModelDecodeRejectsDeadDetector(t *testing.T) {
-	doc := `<performance-model version="1"><p>0</p><d>0</d><q>0</q><ip>a</ip><type>b</type>
+	doc := `<performance-model><p>0</p><d>0</d><q>0</q>
 <intercept>0</intercept><sigma2>-1</sigma2>
 <threshold><rule>max-min</rule><upper>NaN</upper><lower>Inf</lower><consecutive>-3</consecutive></threshold></performance-model>`
 	var f ModelFile
@@ -122,10 +139,9 @@ func TestModelDecodeRejectsDeadDetector(t *testing.T) {
 		"control: undamaged":  nil,
 		"control: equal band": func(f *ModelFile) { f.Upper, f.Lower = 0.2, 0.2 },
 	} {
-		f := EncodeModel(sampleDetector(), "x", "y")
-		f.AR, f.MA = append([]float64(nil), f.AR...), append([]float64(nil), f.MA...)
+		f := EncodeModel(sampleDetector())
 		if damage != nil {
-			damage(&f)
+			damage(f)
 		}
 		_, err := f.Decode()
 		if control := strings.HasPrefix(name, "control"); control != (err == nil) {
@@ -138,7 +154,7 @@ func TestModelDecodeRejectsDeadDetector(t *testing.T) {
 // never be violated, and a pair listed twice (in either orientation) made a
 // set one edge shorter than the tuples of the signatures built on it.
 func TestInvariantDecodeRejectsNonFiniteAndRepeatedPairs(t *testing.T) {
-	doc := `<invariants version="1"><ip>a</ip><type>b</type><metrics>3</metrics>
+	doc := `<invariants><metrics>3</metrics>
 <matrix><pair i="0" j="1" value="NaN"/><pair i="1" j="0" value="7"/></matrix></invariants>`
 	var f InvariantFile
 	if err := load(strings.NewReader(doc), &f); err != nil {
@@ -171,16 +187,11 @@ func TestInvariantRoundTrip(t *testing.T) {
 		{I: 0, J: 1}: 0.91,
 		{I: 2, J: 4}: 0.55,
 	})
-	f := EncodeInvariants(s, "10.0.0.3", "sort")
-	var buf bytes.Buffer
-	if err := Save(&buf, f); err != nil {
+	back, _, err := decodeProfile(saved(t, ProfileFile{IP: "10.0.0.3", Type: "sort", Invariants: EncodeInvariants(s)}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back InvariantFile
-	if err := load(&buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := back.Decode()
+	s2, err := back.Invariants.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +225,7 @@ func TestSignatureRoundTrip(t *testing.T) {
 	tu2, _ := signature.ParseTuple("11000")
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
-	f := EncodeSignaturesFor(&db, "", "")
-	var buf bytes.Buffer
-	if err := Save(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	_, _, es, err := decodeSignatures(buf.Bytes())
+	_, es, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +248,7 @@ func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 	tu2, _ := signature.ParseTuple("1100000000")
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
-	var buf bytes.Buffer
-	if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, entries, err := decodeSignatures(buf.Bytes())
+	_, entries, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,31 +269,27 @@ func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 }
 
 func TestSignatureDecodeValidation(t *testing.T) {
-	f := SignatureFile{Entries: []SignatureEntry{{Tuple: "01x", Problem: "p", IP: "i", Type: "t"}}}
-	var buf bytes.Buffer
-	if err := Save(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := decodeSignatures(buf.Bytes()); err == nil {
+	f := ProfileFile{Signatures: []SignatureEntry{{Tuple: "01x", Problem: "p", IP: "i", Type: "t"}}}
+	if _, _, err := decodeProfile(saved(t, f)); err == nil {
 		t.Error("invalid tuple should fail decode")
 	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.xml")
-	f := EncodeModel(sampleDetector(), "10.0.0.4", "grep")
+	path := filepath.Join(dir, "profile.xml")
+	f := ProfileFile{Version: FormatVersion, IP: "10.0.0.4", Type: "grep", Model: EncodeModel(sampleDetector())}
 	if err := SaveFile(path, f); err != nil {
 		t.Fatal(err)
 	}
-	var back ModelFile
-	if err := LoadFile(path, &back); err != nil {
+	back, _, err := LoadProfile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if back.IP != "10.0.0.4" || back.Type != "grep" {
+	if back.IP != "10.0.0.4" || back.Type != "grep" || back.Model == nil {
 		t.Errorf("file round trip lost context: %+v", back)
 	}
-	if err := LoadFile(filepath.Join(dir, "missing.xml"), &back); err == nil {
+	if _, _, err := LoadProfile(filepath.Join(dir, "missing.xml")); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -310,15 +308,11 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 			}
 		}
 		set := invariant.NewSet(m, base)
-		var buf bytes.Buffer
-		if err := Save(&buf, EncodeInvariants(set, "ip", "wl")); err != nil {
+		back, _, err := decodeProfile(saved(t, ProfileFile{IP: "ip", Type: "wl", Invariants: EncodeInvariants(set)}))
+		if err != nil {
 			return false
 		}
-		var back InvariantFile
-		if err := load(&buf, &back); err != nil {
-			return false
-		}
-		got, err := back.Decode()
+		got, err := back.Invariants.Decode()
 		if err != nil {
 			return false
 		}
@@ -355,11 +349,7 @@ func TestSignatureRoundTripProperty(t *testing.T) {
 				Workload: "wordcount",
 			})
 		}
-		var buf bytes.Buffer
-		if err := Save(&buf, EncodeSignaturesFor(&db, "", "")); err != nil {
-			return false
-		}
-		_, _, got, err := decodeSignatures(buf.Bytes())
+		_, got, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 		if err != nil {
 			return false
 		}
