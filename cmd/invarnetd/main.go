@@ -42,7 +42,6 @@ import (
 func main() {
 	fs := flag.NewFlagSet("invarnetd", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	ingestTCP := fs.String("ingest-tcp", "", "raw TCP listener for binary ingest frames (e.g. :8081); empty = off")
 	models := fs.String("models", "./models", "model directory (XML files); loaded on boot, persisted on shutdown")
 	window := fs.Int("window", server.DefaultWindowCap, "sliding window length per stream (ticks)")
 	queueCap := fs.Int("queue", server.DefaultQueueCap, "per-profile task queue bound")
@@ -50,7 +49,7 @@ func main() {
 	reports := fs.Int("reports", server.DefaultReportCap, "retained diagnosis reports")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 10*time.Second, "bound on reading one request's headers (slow-loris guard)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "bound on reading one whole request")
-	idleTimeout := fs.Duration("idle-timeout", server.DefaultIngestIdleTimeout, "keep-alive idle bound; also the frame gap deadline on -ingest-tcp connections")
+	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "keep-alive idle bound")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: queue drain, worker join and persistence start within this budget even if a worker is wedged")
 	lifecycle := fs.Bool("lifecycle", false, "enable the drift-aware invariant lifecycle (edge health, quarantine, shadow-generation promotion)")
 	sigMinScore := fs.Float64("sig-min-score", 0, "minimum signature similarity to report a cause (0 = rank every signature, the paper default)")
@@ -135,7 +134,6 @@ func main() {
 
 	opts := serveOptions{
 		addr:              *addr,
-		ingestTCP:         *ingestTCP,
 		drainBudget:       *drainTimeout,
 		readHeaderTimeout: *readHeaderTimeout,
 		readTimeout:       *readTimeout,
@@ -151,7 +149,6 @@ func main() {
 // state (slow-loris hardening).
 type serveOptions struct {
 	addr              string
-	ingestTCP         string // raw binary ingest listener; "" = off
 	drainBudget       time.Duration
 	readHeaderTimeout time.Duration
 	readTimeout       time.Duration
@@ -175,7 +172,7 @@ func serve(cfg server.Config, opts serveOptions) error {
 		ReadTimeout:       opts.readTimeout,
 		IdleTimeout:       opts.idleTimeout,
 	}
-	errc := make(chan error, 2)
+	errc := make(chan error, 1)
 	go func() {
 		eff := srv.Config()
 		log.Printf("invarnetd listening on %s (workers=%d queue=%d window=%d)",
@@ -190,44 +187,19 @@ func serve(cfg server.Config, opts serveOptions) error {
 		srv.StartFleet()
 	}
 
-	var tcpLn net.Listener
-	tcpDone := make(chan struct{})
-	if opts.ingestTCP != "" {
-		tcpLn, err = net.Listen("tcp", opts.ingestTCP)
-		if err != nil {
-			return fmt.Errorf("ingest-tcp listener: %w", err)
-		}
-		go func() {
-			defer close(tcpDone)
-			log.Printf("binary ingest listening on %s", tcpLn.Addr())
-			if err := srv.ServeIngestTCP(tcpLn, opts.idleTimeout); err != nil {
-				errc <- fmt.Errorf("ingest-tcp: %w", err)
-			}
-		}()
-	} else {
-		close(tcpDone)
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Printf("received %s, draining", sig)
 	case err := <-errc:
-		if tcpLn != nil {
-			tcpLn.Close()
-		}
 		return err
 	}
 
-	// Shutdown ordering: stop the listeners first (no new requests or
-	// frames), then drain the accepted work and persist (server.Shutdown).
+	// Shutdown ordering: stop the listener first (no new requests), then
+	// drain the accepted work and persist (server.Shutdown).
 	ctx, cancel := context.WithTimeout(context.Background(), opts.drainBudget)
 	defer cancel()
-	if tcpLn != nil {
-		tcpLn.Close()
-		<-tcpDone
-	}
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("warning: http shutdown: %v", err)
 	}
@@ -267,29 +239,6 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
-
-	// The raw binary ingest listener rides the same smoke: one frame over
-	// TCP must round-trip before the load starts.
-	tcpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	tcpDone := make(chan error, 1)
-	go func() { tcpDone <- srv.ServeIngestTCP(tcpLn, time.Minute) }()
-	fc, err := client.DialIngest(tcpLn.Addr().String())
-	if err != nil {
-		return fmt.Errorf("dialing ingest-tcp: %w", err)
-	}
-	wl0, node0 := lcfg.StreamID(0)
-	tcpBatch := client.SynthBatch(stats.NewRNG(11), lcfg, lcfg.BatchLen)
-	accepted, err := fc.Send(wl0, node0, tcpBatch)
-	fc.Close()
-	if err != nil {
-		return fmt.Errorf("ingest-tcp frame: %w", err)
-	}
-	if accepted != len(tcpBatch) {
-		return fmt.Errorf("ingest-tcp accepted %d samples, want %d", accepted, len(tcpBatch))
-	}
 
 	// Half the load budget each for the JSON surface and the binary frame
 	// path, so `make smoke` exercises both data planes against the socket.
@@ -348,10 +297,6 @@ func runSmoke(cfg server.Config, seconds float64) error {
 
 	ctx, cancel = context.WithTimeout(bg, 30*time.Second)
 	defer cancel()
-	tcpLn.Close()
-	if err := <-tcpDone; err != nil {
-		return fmt.Errorf("ingest-tcp shutdown: %w", err)
-	}
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}

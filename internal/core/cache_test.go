@@ -242,7 +242,7 @@ func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
 		}
 		joints = append(joints, j)
 	}
-	if err := s.TrainCrossInvariants(key, joints); err != nil {
+	if err := s.TrainInvariants(key.Context(), joints); err != nil {
 		t.Fatal(err)
 	}
 	k := len(CrossMetricIdx)

@@ -25,10 +25,14 @@ import (
 // Its traces are joint windows — the CrossMetricIdx subset of both nodes'
 // metrics over the same stage-aligned ticks, stacked by metrics.JoinTraces
 // — so the existing MIC batching, sparse prescreen, drift lifecycle,
-// signature matching and per-profile persistence all apply unchanged. The
-// only cross-specific behaviour in Profile is the training pair predicate
-// (only pairs that span the two halves are scored and selected) and pair
-// naming ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3").
+// signature matching and per-profile persistence all apply unchanged, and
+// callers train, label and diagnose it through TrainInvariants,
+// BuildSignature and Diagnose with key.Context(). Problem labels carry the
+// culprit node ("xlink@10.0.0.3"), so a match on any pair profile recovers
+// the (node, stage) localisation. The only cross-specific behaviour in
+// Profile is the training pair predicate (only pairs that span the two
+// halves are scored and selected) and pair naming
+// ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3").
 
 // CrossMetricIdx selects the per-node metrics that participate in cross
 // edges: the flow metrics (disk and network directions, their latency and
@@ -204,26 +208,6 @@ func CrossWindowAt(a, b *metrics.Trace, stage string, tick, win int) (*metrics.T
 		return joinSlice(a, b, lo, lo+win)
 	}
 	return nil, nil
-}
-
-// TrainCrossInvariants trains the cross profile for key over joint windows
-// (as produced by CrossWindows): Algorithm 1 over the pairs of the 2K joint
-// metric space that span the two nodes.
-func (s *System) TrainCrossInvariants(key CrossKey, joints []*metrics.Trace) error {
-	return s.TrainInvariants(key.Context(), joints)
-}
-
-// BuildCrossSignature records a problem signature on the cross profile.
-// Problem labels carry the culprit node ("xlink@10.0.0.3"), so a match on
-// any pair profile recovers the (node, stage) localisation.
-func (s *System) BuildCrossSignature(key CrossKey, problem string, joint *metrics.Trace) error {
-	return s.BuildSignature(key.Context(), problem, joint)
-}
-
-// DiagnoseCross runs cause inference for one cross profile over a joint
-// stage window.
-func (s *System) DiagnoseCross(key CrossKey, joint *metrics.Trace) (*Diagnosis, error) {
-	return s.Diagnose(key.Context(), joint)
 }
 
 // SpatialVerdict is a diagnosis localised to (node, stage): the outcome of

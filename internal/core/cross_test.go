@@ -39,8 +39,8 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	}
 
 	sys := New(cfg)
-	if err := sys.TrainCrossInvariants(key, []*metrics.Trace{valueTrace(jointVals(0.8), 16, 0)}); err != nil {
-		t.Fatalf("TrainCrossInvariants: %v", err)
+	if err := sys.TrainInvariants(key.Context(), []*metrics.Trace{valueTrace(jointVals(0.8), 16, 0)}); err != nil {
+		t.Fatalf("TrainInvariants: %v", err)
 	}
 	// 11x11 spanning pairs survive the cross filter; the 2*55 within-node
 	// pairs of the joint space belong to the intra-node layer.
@@ -51,8 +51,8 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	}
 
 	fault := func(tweak float64) *metrics.Trace { return valueTrace(jointVals(0.2), 16, tweak) }
-	if err := sys.BuildCrossSignature(key, "xlink@10.0.0.3", fault(0)); err != nil {
-		t.Fatalf("BuildCrossSignature: %v", err)
+	if err := sys.BuildSignature(key.Context(), "xlink@10.0.0.3", fault(0)); err != nil {
+		t.Fatalf("BuildSignature: %v", err)
 	}
 
 	// Restart: a fresh system restores the cross profile from disk and
@@ -69,9 +69,9 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	if len(cps) != 1 || cps[0].Invariants != wantEdges || cps[0].Signatures != 1 {
 		t.Fatalf("restored cross stats %+v, want %d edges and 1 signature", cps, wantEdges)
 	}
-	diag, err := sys2.DiagnoseCross(key, fault(1e-3))
+	diag, err := sys2.Diagnose(key.Context(), fault(1e-3))
 	if err != nil {
-		t.Fatalf("DiagnoseCross after restore: %v", err)
+		t.Fatalf("Diagnose after restore: %v", err)
 	}
 	if len(diag.Hints) != len(CrossMetricIdx) {
 		t.Fatalf("restored diagnosis hints %v, want the %d spanning pairs of the dropped metric", diag.Hints, len(CrossMetricIdx))
@@ -112,9 +112,9 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	if got := crossRows(sys3)[0].Lifecycle.Quarantined; got != quarantined {
 		t.Fatalf("restored %d quarantined cross edges, want %d", got, quarantined)
 	}
-	diag3, err := sys3.DiagnoseCross(key, fault(0.5))
+	diag3, err := sys3.Diagnose(key.Context(), fault(0.5))
 	if err != nil {
-		t.Fatalf("DiagnoseCross mid-quarantine: %v", err)
+		t.Fatalf("Diagnose mid-quarantine: %v", err)
 	}
 	if len(diag3.Hints) != 0 {
 		t.Fatalf("quarantined cross edges still violated: %v", diag3.Hints)

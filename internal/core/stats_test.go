@@ -84,13 +84,13 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		}
 		return j
 	}
-	if err := s.TrainCrossInvariants(key, []*metrics.Trace{joint(950, nil), joint(951, nil), joint(952, nil)}); err != nil {
+	if err := s.TrainInvariants(key.Context(), []*metrics.Trace{joint(950, nil), joint(951, nil), joint(952, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BuildCrossSignature(key, "xlink@10.0.0.3", joint(953, map[int]bool{0: true})); err != nil {
+	if err := s.BuildSignature(key.Context(), "xlink@10.0.0.3", joint(953, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DiagnoseCross(key, joint(954, map[int]bool{0: true})); err != nil {
+	if _, err := s.Diagnose(key.Context(), joint(954, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
 

@@ -137,7 +137,7 @@ func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*me
 		if win == nil {
 			continue
 		}
-		d, err := sys.DiagnoseCross(key, win)
+		d, err := sys.Diagnose(key.Context(), win)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			if len(windows) < 2 {
 				continue
 			}
-			if err := sys.TrainCrossInvariants(key, windows); err != nil {
+			if err := sys.TrainInvariants(key.Context(), windows); err != nil {
 				return nil, fmt.Errorf("experiments: training %s: %w", key, err)
 			}
 			set, err := sys.Invariants(key.Context())
@@ -254,7 +254,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 				continue
 			}
 			label := o.Scenario.Truth() + "@" + res.CulpritIP
-			if err := sys.BuildCrossSignature(key, label, win); err != nil {
+			if err := sys.BuildSignature(key.Context(), label, win); err != nil {
 				return nil, err
 			}
 		}

@@ -112,7 +112,7 @@ func TestColdRestartContinuesOwnSequence(t *testing.T) {
 	// back from a peer, and read from a fleet file whose next-seq is behind
 	// (absent, or written under another address).
 	pulled := NewStore("a:1")
-	if fresh, _ := pulled.Apply(b.Missing(pulled.Vector())); len(fresh) != 3 {
+	if fresh := pulled.Apply(b.Missing(pulled.Vector())); len(fresh) != 3 {
 		t.Fatalf("restarted peer pulled %d of its 3 records back", len(fresh))
 	}
 	file := b.File()
@@ -131,7 +131,7 @@ func TestColdRestartContinuesOwnSequence(t *testing.T) {
 		}
 		peer := NewStore("b:1")
 		peer.Apply(b.Missing(nil))
-		fresh, _ := peer.Apply(a2.Missing(peer.Vector()))
+		fresh := peer.Apply(a2.Missing(peer.Vector()))
 		if len(fresh) != 1 || peer.Len() != 4 || peer.Vector()["a:1"] != 4 {
 			t.Errorf("%s: peer got %d fresh, holds %d records at a:1 = %d; want 1, 4, 4",
 				name, len(fresh), peer.Len(), peer.Vector()["a:1"])
@@ -148,15 +148,15 @@ func TestForgedSeqCannotCoverAnOrigin(t *testing.T) {
 		return Record{Origin: "x:1", Seq: seq, Workload: "sort", Node: "10.0.0.3", Problem: problem, Tuple: "0110"}
 	}
 	for _, seq := range []uint64{1<<64 - 1, maxExchangeRecords + 1} {
-		if fresh, dups := s.Apply([]Record{rec(seq, "forged")}); len(fresh) != 0 || dups != 0 || s.Len() != 0 || len(s.Vector()) != 0 {
-			t.Fatalf("seq %d: %d fresh, %d dups, log %d, vector %v; want the record skipped", seq, len(fresh), dups, s.Len(), s.Vector())
+		if fresh := s.Apply([]Record{rec(seq, "forged")}); len(fresh) != 0 || s.Len() != 0 || len(s.Vector()) != 0 {
+			t.Fatalf("seq %d: %d fresh, log %d, vector %v; want the record skipped", seq, len(fresh), s.Len(), s.Vector())
 		}
 	}
-	if fresh, _ := s.Apply([]Record{rec(1, "honest")}); len(fresh) != 1 || s.Vector()["x:1"] != 1 {
+	if fresh := s.Apply([]Record{rec(1, "honest")}); len(fresh) != 1 || s.Vector()["x:1"] != 1 {
 		t.Fatalf("honest x:1 seq 1 applied %d, vector %v", len(fresh), s.Vector())
 	}
 	// The furthest an honest exchange reaches is still accepted.
-	if fresh, _ := s.Apply([]Record{rec(1+maxExchangeRecords, "edge")}); len(fresh) != 1 {
+	if fresh := s.Apply([]Record{rec(1+maxExchangeRecords, "edge")}); len(fresh) != 1 {
 		t.Errorf("a record exactly one exchange past the clock was refused")
 	}
 }

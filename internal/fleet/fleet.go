@@ -152,8 +152,8 @@ func (f *Fleet) Self() string { return f.cfg.Self }
 func (f *Fleet) Peers() []PeerInfo { return f.members.snapshot() }
 
 // Record replicates a locally learned signature: appends it to the log under
-// this daemon's origin; the next anti-entropy round ships it. No-op for
-// content already known.
+// this daemon's origin; the next anti-entropy round ships it. The caller
+// records only what its database accepted as new.
 func (f *Fleet) Record(workload, node, problem, tuple string) {
 	if _, ok := f.store.Append(workload, node, problem, tuple); ok {
 		f.lastChangeRound.Store(f.syncRounds.Load())
@@ -253,14 +253,15 @@ func (f *Fleet) syncPeer(ctx context.Context, addr string) (changed bool) {
 }
 
 // apply merges received records into the log and installs the fresh ones
-// into the live signature database. Returns how many records were new to
-// the log (content duplicates included — they still advance the clocks).
+// into the live signature database, whose merge is the one content dedup: a
+// record it already holds counts as a duplicate. Returns how many records
+// were new to the log (content duplicates included — they still advance the
+// clocks).
 func (f *Fleet) apply(recs []Record) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	fresh, dups := f.store.Apply(recs)
-	f.recordsDuplicate.Add(int64(dups))
+	fresh := f.store.Apply(recs)
 	for _, r := range fresh {
 		if f.cfg.Apply(r) {
 			f.recordsApplied.Add(1)
@@ -268,7 +269,7 @@ func (f *Fleet) apply(recs []Record) int {
 			f.recordsDuplicate.Add(1)
 		}
 	}
-	return len(fresh) + dups
+	return len(fresh)
 }
 
 // InstallRestored replays records recovered from the persisted fleet file

@@ -22,22 +22,11 @@ type Record struct {
 	Tuple    string `json:"tuple"`
 }
 
-// dedupKey is the content identity of a record: the operation context plus
-// the (problem, tuple) fingerprint — the same merge key signature.DB.Merge
-// dedupes on, so two peers independently labelling the same fault converge
-// to one logical signature fleet-wide.
-type dedupKey struct {
-	workload, node string
-	fp             uint64
-}
-
-func (r Record) key() (dedupKey, error) {
-	t, err := signature.ParseTuple(r.Tuple)
-	if err != nil {
-		return dedupKey{}, err
-	}
-	e := signature.Entry{Tuple: t, Problem: r.Problem, IP: r.Node, Workload: r.Workload}
-	return dedupKey{workload: r.Workload, node: r.Node, fp: e.Fingerprint()}, nil
+// wellFormed reports whether the record's tuple parses. Records are outside
+// input: one that could never install must not be issued or advance a clock.
+func (r Record) wellFormed() bool {
+	_, err := signature.ParseTuple(r.Tuple)
+	return err == nil
 }
 
 // Vector is a version vector: for each origin, the highest sequence number
@@ -55,18 +44,16 @@ func (v Vector) Clone() Vector {
 }
 
 // Store is the replicated signature log of one daemon: every record it has
-// originated or applied, indexed by origin sequence for delta computation
-// and by content for cross-origin dedup. Safe for concurrent use.
+// originated or applied, indexed by origin sequence for delta computation.
+// Content dedup is not its job: the same fault labelled on two peers is two
+// records here (both clocks must advance) and one signature in the database
+// the Apply hook merges into. Safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
 	self    string
 	nextSeq uint64 // next sequence number to stamp on a local append
 	vector  Vector
 	log     []Record
-	// seen maps content identity to the first record that carried it; later
-	// records with the same content still enter the log (their (origin, seq)
-	// must stay diffable) but are reported as duplicates to the applier.
-	seen map[dedupKey]struct{}
 }
 
 // NewStore builds an empty store for the daemon advertised as self.
@@ -75,31 +62,24 @@ func NewStore(self string) *Store {
 		self:    self,
 		nextSeq: 1,
 		vector:  make(Vector),
-		seen:    make(map[dedupKey]struct{}),
 	}
 }
 
-// Append issues a locally originated record: the signature just accepted by
-// this daemon's own labelling path. It returns the stamped record and false
-// when the content was already known (from a local duplicate or a replica
-// applied earlier) — nothing is issued then, so gossip never carries
-// redundant payloads that the origin itself could see.
+// Append issues a locally originated record: the signature just accepted as
+// new by this daemon's own labelling path (the caller's database already
+// refused a duplicate). It returns the stamped record, or false for a
+// malformed tuple — nothing is issued then.
 func (s *Store) Append(workload, node, problem, tuple string) (Record, bool) {
 	r := Record{Origin: s.self, Workload: workload, Node: node, Problem: problem, Tuple: tuple}
-	k, err := r.key()
-	if err != nil {
+	if !r.wellFormed() {
 		return Record{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.seen[k]; dup {
-		return Record{}, false
-	}
 	r.Seq = s.nextSeq
 	s.nextSeq++
 	s.vector[s.self] = r.Seq
 	s.log = append(s.log, r)
-	s.seen[k] = struct{}{}
 	return r, true
 }
 
@@ -108,13 +88,12 @@ func (s *Store) Append(workload, node, problem, tuple string) (Record, bool) {
 // past its origin's clock than an exchange reaches (Missing ships a sorted
 // prefix of at most maxExchangeRecords; a forged seq must not cover the
 // origin's real records for good). A fresh one advances the vector — and
-// the local sequence, see keepAhead — and enters the log. Fresh records
-// whose content is new are returned for the caller to install into the live
-// signature database; fresh-but-content-duplicate records (the same fault
-// labelled independently on two peers) advance the clock without a second
-// install. Batches apply atomically with respect to concurrent readers of
+// the local sequence, see keepAhead — and enters the log. The fresh records
+// are returned for the caller to install into the live signature database,
+// which merges content duplicates (the same fault labelled independently on
+// two peers). Batches apply atomically with respect to concurrent readers of
 // the vector.
-func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
+func (s *Store) Apply(recs []Record) (fresh []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range recs {
@@ -122,21 +101,15 @@ func (s *Store) Apply(recs []Record) (fresh []Record, dups int) {
 		if r.Origin == "" || r.Seq <= clock || r.Seq-clock > maxExchangeRecords {
 			continue
 		}
-		k, err := r.key()
-		if err != nil {
+		if !r.wellFormed() {
 			continue // a malformed tuple must not wedge the clock
 		}
 		s.vector[r.Origin] = r.Seq
 		s.keepAhead(r)
 		s.log = append(s.log, r)
-		if _, dup := s.seen[k]; dup {
-			dups++
-			continue
-		}
-		s.seen[k] = struct{}{}
 		fresh = append(fresh, r)
 	}
-	return fresh, dups
+	return fresh
 }
 
 // keepAhead moves the local sequence past a record of this daemon's own
@@ -223,8 +196,9 @@ func (s *Store) File() xmlstore.FleetFile {
 // Restore loads a persisted fleet file into an empty store, so a restarted
 // daemon resumes anti-entropy exactly where it stopped: its own sequence
 // counter continues (no reissued seqs) and the first sync round after boot
-// diffs against the restored vector instead of refetching everything. The
-// file must Validate() first; Restore trusts its shape.
+// diffs against the restored vector instead of refetching everything. It
+// returns every restored record for the caller to reinstall. The file must
+// Validate() first; Restore trusts its shape.
 func (s *Store) Restore(f *xmlstore.FleetFile) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,23 +210,18 @@ func (s *Store) Restore(f *xmlstore.FleetFile) []Record {
 			s.vector[c.Origin] = c.Seq
 		}
 	}
-	var fresh []Record
+	var restored []Record
 	for _, fr := range f.Records {
 		r := Record{
 			Origin: fr.Origin, Seq: fr.Seq,
 			Workload: fr.Workload, Node: fr.Node, Problem: fr.Problem, Tuple: fr.Tuple,
 		}
-		k, err := r.key()
-		if err != nil {
+		if !r.wellFormed() {
 			continue
 		}
 		s.keepAhead(r)
 		s.log = append(s.log, r)
-		if _, dup := s.seen[k]; dup {
-			continue
-		}
-		s.seen[k] = struct{}{}
-		fresh = append(fresh, r)
+		restored = append(restored, r)
 	}
-	return fresh
+	return restored
 }

@@ -14,10 +14,6 @@ func TestStoreAppendStampsSequences(t *testing.T) {
 	if !ok || r2.Seq != 2 {
 		t.Fatalf("second append = %+v, %v", r2, ok)
 	}
-	// Identical content is not re-issued.
-	if _, ok := s.Append("wc", "n1", "cpu-hog", "0110"); ok {
-		t.Error("duplicate content re-issued")
-	}
 	// A malformed tuple is refused rather than issued.
 	if _, ok := s.Append("wc", "n1", "bad", "01x"); ok {
 		t.Error("malformed tuple issued")
@@ -38,12 +34,11 @@ func TestStoreMissingAndApplyConverge(t *testing.T) {
 	if len(delta) != 2 {
 		t.Fatalf("a->b delta = %d records, want 2", len(delta))
 	}
-	fresh, dups := b.Apply(delta)
-	if len(fresh) != 2 || dups != 0 {
-		t.Fatalf("apply = %d fresh, %d dups", len(fresh), dups)
+	if fresh := b.Apply(delta); len(fresh) != 2 {
+		t.Fatalf("apply = %d fresh, want 2", len(fresh))
 	}
 	// a pulls from b.
-	fresh, _ = a.Apply(b.Missing(a.Vector()))
+	fresh := a.Apply(b.Missing(a.Vector()))
 	if len(fresh) != 1 {
 		t.Fatalf("b->a apply = %d fresh, want 1", len(fresh))
 	}
@@ -55,27 +50,27 @@ func TestStoreMissingAndApplyConverge(t *testing.T) {
 		t.Errorf("b still has %d records for a", n)
 	}
 	// Re-applying an old delta is a no-op (idempotence).
-	if fresh, dups := b.Apply(delta); len(fresh) != 0 || dups != 0 {
-		t.Errorf("re-apply = %d fresh, %d dups; want 0, 0", len(fresh), dups)
+	if fresh := b.Apply(delta); len(fresh) != 0 {
+		t.Errorf("re-apply = %d fresh, want 0", len(fresh))
 	}
 }
 
-func TestStoreApplyDedupesContentAcrossOrigins(t *testing.T) {
+func TestStoreApplyKeepsContentFromEveryOrigin(t *testing.T) {
 	// Two peers independently label the same fault: both records enter the
-	// log (their clocks must advance) but only one installs.
+	// log and go to the installer (their clocks must advance; merging the
+	// content is the signature database's job).
 	c := NewStore("c:1")
-	fresh, dups := c.Apply([]Record{
+	fresh := c.Apply([]Record{
 		{Origin: "a:1", Seq: 1, Workload: "wc", Node: "n1", Problem: "cpu-hog", Tuple: "0110"},
 		{Origin: "b:1", Seq: 1, Workload: "wc", Node: "n1", Problem: "cpu-hog", Tuple: "0110"},
 	})
-	if len(fresh) != 1 || dups != 1 {
-		t.Fatalf("apply = %d fresh, %d dups; want 1, 1", len(fresh), dups)
+	if len(fresh) != 2 {
+		t.Fatalf("apply = %d fresh, want 2", len(fresh))
 	}
 	if c.Len() != 2 {
 		t.Errorf("log length %d, want 2 (clock-bearing duplicates stay diffable)", c.Len())
 	}
-	// The duplicate still gossips onward: a third peer's empty vector gets
-	// both records.
+	// Both gossip onward: a third peer's empty vector gets both records.
 	if n := len(c.Missing(Vector{})); n != 2 {
 		t.Errorf("onward delta = %d records, want 2", n)
 	}
@@ -83,13 +78,13 @@ func TestStoreApplyDedupesContentAcrossOrigins(t *testing.T) {
 
 func TestStoreApplySkipsDamage(t *testing.T) {
 	s := NewStore("s:1")
-	fresh, dups := s.Apply([]Record{
+	fresh := s.Apply([]Record{
 		{Origin: "", Seq: 1, Workload: "wc", Node: "n1", Problem: "p", Tuple: "01"},
 		{Origin: "a:1", Seq: 0, Workload: "wc", Node: "n1", Problem: "p", Tuple: "01"},
 		{Origin: "a:1", Seq: 1, Workload: "wc", Node: "n1", Problem: "p", Tuple: "0x"},
 	})
-	if len(fresh) != 0 || dups != 0 {
-		t.Errorf("damaged records applied: %d fresh, %d dups", len(fresh), dups)
+	if len(fresh) != 0 {
+		t.Errorf("damaged records applied: %d fresh", len(fresh))
 	}
 	// The malformed-tuple record must not have advanced the clock, or the
 	// well-formed record under the same (origin, seq) could never apply.
@@ -108,9 +103,8 @@ func TestStorePersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewStore("a:1")
-	fresh := r.Restore(&f)
-	if len(fresh) != 2 {
-		t.Fatalf("restore yielded %d fresh records, want 2", len(fresh))
+	if restored := r.Restore(&f); len(restored) != 2 {
+		t.Fatalf("restore yielded %d records, want 2", len(restored))
 	}
 	// The restored clock resumes: nothing re-fetches, sequences continue.
 	if got, want := r.Vector()["b:1"], uint64(3); got != want {

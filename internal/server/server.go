@@ -387,12 +387,12 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
 	s.admitBatch(w, string(wb), string(nb), b)
 }
 
-// admit is the transport-free admission step all three ingest transports
-// share (HTTP JSON, HTTP frame, TCP frame): enqueue one columnar batch onto
-// its stream's queue and count the outcome, so backpressure and the counters
-// cannot drift apart between encodings. Ownership of b passes here: it
-// returns to the pool after the task applies it, or immediately when
-// admission refuses it (ErrQueueFull = shed, anything else = draining).
+// admit is the admission step both ingest encodings share (JSON and binary
+// frame): enqueue one columnar batch onto its stream's queue and count the
+// outcome, so backpressure and the counters cannot drift apart between
+// encodings. Ownership of b passes here: it returns to the pool after the
+// task applies it, or immediately when admission refuses it (ErrQueueFull =
+// shed, anything else = draining).
 func (s *Server) admit(workload, node string, b *ingestBatch) (int, error) {
 	st := s.stream(core.Context{Workload: workload, IP: node})
 	n := b.n // read before enqueue: the task may recycle b at once

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +87,106 @@ func TestIngestShedsWith429(t *testing.T) {
 			t.Fatalf("accepted batches never applied: window %d, want 2", st.windowLen())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFrameKeepAliveSurvivesShed: an agent streaming binary frames over one
+// keep-alive connection is shed with 429 + Retry-After while its profile
+// queue is full, keeps that connection, and is admitted on it again once the
+// queue drains; /v1/stats counts exactly the sheds the agent saw.
+func TestFrameKeepAliveSurvivesShed(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig(), Workers: 1, QueueCap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr}
+
+	var conns []string // local address of the connection each request rode
+	do := func(req *http.Request) *http.Response {
+		t.Helper()
+		trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+			if len(conns) > 0 && !info.Reused {
+				t.Errorf("request %d dialed a new connection", len(conns))
+			}
+			conns = append(conns, info.Conn.LocalAddr().String())
+		}}
+		resp, err := hc.Do(req.WithContext(httptrace.WithClientTrace(req.Context(), trace)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ingestShed := func() int64 {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/stats", nil)
+		resp := do(req)
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		return st.IngestShed
+	}
+	ctx := core.Context{Workload: "wordcount", IP: "10.0.0.5"}
+	frame, err := AppendFrame(nil, ctx.Workload, ctx.IP, testSamples(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/ingest", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", ContentTypeFrame)
+		resp := do(req)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	shedBefore := ingestShed()
+	st := srv.stream(ctx)
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	if err := srv.sched.enqueue(st.queue, func() { close(entered); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the only worker is wedged; the queue is empty again
+
+	accepted, shed := 0, 0
+	for shed == 0 {
+		resp := post()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusTooManyRequests:
+			shed++
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After header")
+			}
+		default:
+			t.Fatalf("frame %d: status %d", accepted+shed, resp.StatusCode)
+		}
+		if accepted > 2 {
+			t.Fatalf("%d frames admitted past a queue bound of 2", accepted)
+		}
+	}
+
+	close(gate)
+	waitWindow(t, st, 3*accepted)
+	if resp := post(); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("frame after the drain: status %d, want 202", resp.StatusCode)
+	}
+	if got := ingestShed() - shedBefore; got != int64(shed) {
+		t.Errorf("ingestShed rose by %d, the agent saw %d 429s", got, shed)
+	}
+	for i, c := range conns {
+		if c != conns[0] {
+			t.Errorf("request %d rode %s, request 0 rode %s", i, c, conns[0])
+		}
 	}
 }
 

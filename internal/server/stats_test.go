@@ -93,10 +93,10 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 		}
 		return j
 	}
-	if err := srv.sys.TrainCrossInvariants(key, []*metrics.Trace{joint(41, nil), joint(42, nil), joint(43, nil)}); err != nil {
+	if err := srv.sys.TrainInvariants(key.Context(), []*metrics.Trace{joint(41, nil), joint(42, nil), joint(43, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.sys.BuildCrossSignature(key, "xlink@10.0.0.3", joint(44, map[int]bool{0: true})); err != nil {
+	if err := srv.sys.BuildSignature(key.Context(), "xlink@10.0.0.3", joint(44, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +237,7 @@ func TestCrossContextRefusedAtAdmission(t *testing.T) {
 		}
 		joint = append(joint, j)
 	}
-	if err := srv.sys.TrainCrossInvariants(key, joint); err != nil {
+	if err := srv.sys.TrainInvariants(key.Context(), joint); err != nil {
 		t.Fatal(err)
 	}
 	node := key.Context().IP

@@ -1,8 +1,7 @@
 // Binary ingest frame codec. A frame is the compact columnar encoding of
 // one IngestRequest — the wire format for ingest at rates the JSON surface
-// cannot carry. The same bytes travel both transports: as a POST /v1/ingest
-// body under Content-Type application/x-invarnet-frame, and back to back on
-// the raw TCP ingest listener.
+// cannot carry. A frame travels as a POST /v1/ingest body under
+// Content-Type application/x-invarnet-frame.
 //
 // Layout (all integers little-endian), preceded by a u32 length prefix
 // covering everything after it:
@@ -52,10 +51,6 @@ const (
 	// vector this keeps the largest legal frame (~7 MB) inside the HTTP
 	// body bound.
 	MaxFrameSamples = 32768
-
-	// maxFrameBytes bounds one frame body on the TCP listener, mirroring
-	// the HTTP maxBodyBytes.
-	maxFrameBytes = maxBodyBytes
 )
 
 // frameBodySize returns the exact body length (after the length prefix) the
@@ -164,11 +159,11 @@ func splitFrame(buf []byte) ([]byte, error) {
 // decodeFrame parses one frame body (after the length prefix) into b,
 // applying the maskValue gap semantics to the decoded columns, and returns
 // the workload and node identities as subslices of body (the caller owns
-// the string conversion, so a connection can reuse cached names). Every
-// value is checked finite — a frame is the one surface that could smuggle
-// NaN/Inf past the JSON syntax, and a non-finite value would poison the MIC
-// and detector state downstream. Errors never leave partial state visible:
-// b is only filled after the whole frame is accounted for.
+// the string conversion). Every value is checked finite — a frame is the one
+// surface that could smuggle NaN/Inf past the JSON syntax, and a non-finite
+// value would poison the MIC and detector state downstream. Errors never
+// leave partial state visible: b is only filled after the whole frame is
+// accounted for.
 func decodeFrame(body []byte, b *ingestBatch) (workload, node []byte, err error) {
 	if len(body) < frameHeaderLen {
 		return nil, nil, fmt.Errorf("server: frame body %d bytes, want at least %d", len(body), frameHeaderLen)
