@@ -71,11 +71,13 @@ loc:
 		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
 	done; printf '%-16s %6d\n' TOTAL $$total
 
-# Short coverage-guided runs of eight targets: the two ingest decoders' (the
+# Short coverage-guided runs of nine targets: the two ingest decoders' (the
 # binary wire frame, and the JSON body through validation and
 # TraceFromSamples: refused, or valid entries kept bit for bit), the store
 # reader's (profile and fleet-state files, the scanner and the direct
-# signature loop checked against encoding/xml),
+# signature loop checked against encoding/xml), the lifecycle restore's (an
+# arbitrary edge list over a fixed set: refused, or restored to a state whose
+# re-saved section restores to itself),
 # the fleet gossip decoders' (/sync and /push bodies), the two signature
 # equivalence targets — the packed scan (popcount scoring, MinScore pruning,
 # zero-query closed form) against the boolean linear reference, and Rank
@@ -90,6 +92,7 @@ fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzIngestJSON -fuzztime 10s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzLifecycleRestore -fuzztime 10s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s

@@ -236,7 +236,6 @@ func BenchmarkAblationAssociationMeasure(b *testing.B) {
 				cfgOpts := opts
 				if v == experiments.VariantARX {
 					cfgOpts.Config.Assoc = ARXAssociation
-					cfgOpts.Config.AssocName = "arx"
 				}
 				st, err := experiments.NewRunner(cfgOpts).RunDiagnosisStudy(workload.Wordcount, string(v))
 				if err != nil {

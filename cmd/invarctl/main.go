@@ -442,7 +442,7 @@ func cmdLifecycle(args []string) error {
 		}
 		for _, e := range sys.Profile(ps.Context).LifecycleEdges() {
 			fmt.Printf("    m%d-m%d  %-11s  %d/%d violations  rate %.3f\n",
-				e.Pair.I, e.Pair.J, e.State, e.Viol, e.Obs, e.Rate)
+				e.I, e.J, e.State, e.Viol, e.Obs, e.Rate)
 		}
 	}
 	if shown == 0 {

@@ -18,9 +18,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"defaults", DefaultConfig()},
 		{"zero (defaults at New)", Config{}},
-		{"unbounded pool sentinel", mut(func(c *Config) { c.PoolCap = -1 })},
 		{"uncapped cache sentinel", mut(func(c *Config) { c.AssocCacheSize = -1 })},
-		{"pool at clamp", mut(func(c *Config) { c.PoolCap = maxPoolCap })},
 	}
 	for _, tc := range good {
 		if err := tc.cfg.Validate(); err != nil {
@@ -44,10 +42,14 @@ func TestConfigValidate(t *testing.T) {
 		{"negative topk", mut(func(c *Config) { c.TopK = -1 }), "TopK"},
 		{"NaN sig min score", mut(func(c *Config) { c.SigMinScore = math.NaN() }), "SigMinScore"},
 		{"sig min score above one", mut(func(c *Config) { c.SigMinScore = 1.5 }), "SigMinScore"},
-		{"pool over clamp", mut(func(c *Config) { c.PoolCap = maxPoolCap + 1 }), "PoolCap"},
 		{"cache over clamp", mut(func(c *Config) { c.AssocCacheSize = maxAssocCacheSize + 1 }), "AssocCacheSize"},
 		{"unknown rule", mut(func(c *Config) { c.Detect.Rule = 97 }), "rule"},
 		{"unknown similarity", mut(func(c *Config) { c.Similarity = 97 }), "similarity"},
+		{"NaN lifecycle drift", mut(func(c *Config) { c.Lifecycle.Drift = math.NaN() }), "Drift"},
+		{"Inf lifecycle threshold", mut(func(c *Config) { c.Lifecycle.Threshold = math.Inf(1) }), "Threshold"},
+		{"negative decay alpha", mut(func(c *Config) { c.Lifecycle.DecayAlpha = -1 }), "DecayAlpha"},
+		{"decay alpha above one", mut(func(c *Config) { c.Lifecycle.DecayAlpha = 2 }), "DecayAlpha"},
+		{"NaN decay alpha", mut(func(c *Config) { c.Lifecycle.DecayAlpha = math.NaN() }), "DecayAlpha"},
 	}
 	for _, tc := range bad {
 		err := tc.cfg.Validate()

@@ -1,42 +1,47 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"invarnetx/internal/invariant"
-	"invarnetx/internal/mic"
 	"invarnetx/internal/xmlstore"
 )
 
 // This file is the drift-aware invariant lifecycle: the layer that keeps a
 // long-running deployment's model healthy under nonstationarity instead of
-// trusting the train-once snapshot forever.
+// trusting the train-once snapshot forever. It is one module — edge health,
+// change-point test, shadow re-estimation, promotion and the persisted
+// snapshot — over one flat record per trained edge, so the feature can be
+// measured, or removed, as one thing.
 //
-// Per profile, every diagnosed window feeds the per-edge health series
-// (invariant.Health): a CUSUM change-point test over each edge's violation
-// indicator separates the persistent violation-rate shift of a *drifted*
-// edge from the short bursts a genuine fault produces. A drifted edge
-// degrades to quarantined — reported unknown to the diagnosis layer, so it
-// can never appear in Violated, Hints or signature matching — but keeps
-// being observed. Each quarantined edge re-estimates its baseline through
-// an exponentially-decayed mean of the exact scores of later clean windows
-// (mic.Decayed); the re-estimated baselines form a *shadow model generation*
-// evaluated side-by-side against the live one on the same windows, and
-// promoted only when its false-positive rate beats the incumbent's. Promotion installs a
-// fresh invariant.Set — the report cache invalidates for free, set identity
-// being part of its key — and bumps the profile's generation; the whole state
-// machine is persisted in the profile's one store file beside the set it
-// describes, so a restart mid-promotion comes back to a consistent
-// generation (see lifecycleSection).
+// Per profile, every diagnosed window feeds each edge's health series: a
+// one-sided CUSUM over the edge's violation indicator separates the
+// persistent violation-rate shift of a *drifted* edge from the short bursts
+// a genuine fault produces. A drifted edge degrades to quarantined — reported
+// unknown to the diagnosis layer, so it can never appear in Violated, Hints
+// or signature matching — but keeps being observed. Each quarantined edge
+// re-estimates its baseline through an exponentially-decayed mean of the
+// exact scores of later clean windows; the re-estimated baselines form a
+// *shadow model generation* evaluated side-by-side against the live one on
+// the same windows, and promoted only when its false-positive rate beats the
+// incumbent's. Promotion installs a fresh invariant.Set — the report cache
+// invalidates for free, set identity being part of its key — and bumps the
+// profile's generation; the whole state machine is persisted in the
+// profile's one store file beside the set it describes, so a restart
+// mid-promotion comes back to a consistent generation (see
+// lifecycleSection).
 
 // LifecycleConfig parameterises the drift-aware invariant lifecycle. The
 // zero value disables it (train-once behaviour, bit-identical to builds
 // without the lifecycle layer); with Enabled set, zero-valued fields take
-// the documented defaults.
+// the documented defaults — the tuning the drift study
+// (experiments.RunDriftStudy) measures.
 type LifecycleConfig struct {
 	// Enabled turns the lifecycle on for every profile of the system.
 	Enabled bool
@@ -44,14 +49,14 @@ type LifecycleConfig struct {
 	// it may be quarantined (default 8).
 	MinObservations int
 	// Drift is the tolerated per-window violation rate; the change-point
-	// accumulator only collects the excess above it (default 0.1).
+	// accumulator only collects the excess above it (default 0.25).
 	Drift float64
-	// Threshold is the change-point alarm level (default 4): an edge
-	// violating every window quarantines in ~5 windows, while a short
-	// fault burst drains back out.
+	// Threshold is the change-point alarm level (default 2.5): an edge
+	// violating every window quarantines in ~4 windows, while one-window
+	// fault bursts drain back out.
 	Threshold float64
 	// DecayAlpha is the newest-score weight of the shadow re-estimation
-	// (default mic.DefaultDecayAlpha).
+	// (default 0.3: an effective memory of about three windows).
 	DecayAlpha float64
 	// ShadowMinEvals is how many side-by-side evaluations every shadow
 	// candidate needs before a promotion verdict (default 8).
@@ -62,8 +67,7 @@ type LifecycleConfig struct {
 	ShadowMaxEvals int
 	// PromoteMaxRate is the highest shadow false-positive rate (violations
 	// per evaluated window) a promotable generation may show (default
-	// 0.125); it must also beat the incumbent's rate over the same
-	// windows.
+	// 0.3); it must also beat the incumbent's rate over the same windows.
 	PromoteMaxRate float64
 }
 
@@ -72,13 +76,13 @@ func (c LifecycleConfig) withDefaults() LifecycleConfig {
 		c.MinObservations = 8
 	}
 	if c.Drift <= 0 {
-		c.Drift = 0.1
+		c.Drift = 0.25
 	}
 	if c.Threshold <= 0 {
-		c.Threshold = 4
+		c.Threshold = 2.5
 	}
 	if c.DecayAlpha <= 0 {
-		c.DecayAlpha = mic.DefaultDecayAlpha
+		c.DecayAlpha = 0.3
 	}
 	if c.ShadowMinEvals <= 0 {
 		c.ShadowMinEvals = 8
@@ -90,7 +94,7 @@ func (c LifecycleConfig) withDefaults() LifecycleConfig {
 		c.ShadowMaxEvals = c.ShadowMinEvals
 	}
 	if c.PromoteMaxRate <= 0 {
-		c.PromoteMaxRate = 0.125
+		c.PromoteMaxRate = 0.3
 	}
 	return c
 }
@@ -114,18 +118,42 @@ func (c LifecycleConfig) validate() error {
 	return nil
 }
 
-// shadowWarmup is how many scores a shadow candidate absorbs before its
-// side-by-side evaluation starts: the first estimates are too raw to judge.
-const shadowWarmup = 3
+const (
+	// rateAlpha is the EWMA weight of an edge's reported violation rate —
+	// observability only, not part of any verdict.
+	rateAlpha = 0.1
+	// shadowWarmup is how many scores a shadow candidate absorbs before its
+	// side-by-side evaluation starts: the first estimates are too raw to
+	// judge.
+	shadowWarmup = 3
+)
 
-// shadowEdge is the re-estimation state of one quarantined edge: the
-// decayed candidate baseline plus the side-by-side tally of how often the
-// candidate and the incumbent baseline each called a later window violated.
-type shadowEdge struct {
-	est        *mic.Decayed
-	evals      int
-	shadowViol int
-	liveViol   int
+// edge is the lifecycle record of one trained edge, indexed like the live
+// set's SortedPairs (the violation-tuple coordinates).
+type edge struct {
+	quarantined bool
+	// The health series: windows observed, violations among them, the EWMA
+	// violation rate and the one-sided CUSUM sum — the violation indicator's
+	// accumulated excess over Drift, clamped at zero.
+	obs, viol int64
+	rate, sum float64
+	// The shadow candidate, zero unless quarantined: the decayed mean num/den
+	// of the n exact scores absorbed so far (bias-corrected — the first score
+	// comes back exactly, not alpha·score), and the side-by-side tally of how
+	// often the candidate and the incumbent baseline each called a later
+	// window violated.
+	num, den             float64
+	n                    int64
+	evals                int
+	shadowViol, liveViol int
+}
+
+// shadow returns the candidate baseline and whether any score was absorbed.
+func (e *edge) shadow() (float64, bool) {
+	if e.den == 0 {
+		return 0, false
+	}
+	return e.num / e.den, true
 }
 
 // lifecycle is one profile's drift-lifecycle state. The epoch counter is
@@ -141,9 +169,8 @@ type lifecycle struct {
 
 	mu       sync.Mutex
 	set      *invariant.Set
-	health   *invariant.Health
+	edges    []edge // by sorted-pair index into set
 	gen      uint64
-	shadow   map[int]*shadowEdge // by sorted-pair index into set
 	observed int64
 }
 
@@ -151,32 +178,29 @@ func newLifecycle(cfg LifecycleConfig) *lifecycle {
 	return &lifecycle{cfg: cfg.withDefaults()}
 }
 
-func (l *lifecycle) healthConfig() invariant.HealthConfig {
-	return invariant.HealthConfig{
-		MinObservations: l.cfg.MinObservations,
-		Drift:           l.cfg.Drift,
-		Threshold:       l.cfg.Threshold,
-	}
+// resetLocked makes set the next live generation, every edge live and
+// without a shadow. Caller holds l.mu.
+func (l *lifecycle) resetLocked(set *invariant.Set) {
+	l.set = set
+	l.edges = make([]edge, set.Len())
+	l.gen++
 }
 
-// install points the lifecycle at a newly trained or loaded live set:
-// next generation, fresh health, no shadow. Called after the profile lock
-// is released, never under it.
+// install points the lifecycle at a newly trained or loaded live set.
+// Called after the profile lock is released, never under it.
 func (l *lifecycle) install(set *invariant.Set) {
 	l.mu.Lock()
-	l.set = set
-	l.health = invariant.NewHealth(set, l.healthConfig())
-	l.shadow = nil
-	l.gen++
+	l.resetLocked(set)
 	l.mu.Unlock()
 	l.epoch.Add(1)
 }
 
 // observe feeds one window's raw edge verdicts (pre-quarantine, so
-// quarantined edges keep being observed) computed against set. It returns
-// the quarantine mask the window's report must apply — nil when every edge
-// is live — and, when this window completed a qualifying evaluation round,
-// the promoted set the caller must install as the live generation.
+// quarantined edges keep being observed; known nil = every edge checkable)
+// computed against set. It returns the quarantine mask the window's report
+// must apply — nil when every edge is live — and, when this window completed
+// a qualifying evaluation round, the promoted set the caller must install as
+// the live generation.
 //
 // score supplies a pair's exact association score for shadow
 // re-estimation; a nil score (degraded window, no whole-window scores at
@@ -186,48 +210,77 @@ func (l *lifecycle) install(set *invariant.Set) {
 func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64, epsilon float64) (qmask []bool, promoted *invariant.Set) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.set != set || l.health == nil {
+	if l.set != set {
 		return nil, nil
 	}
 	l.observed++
-	drifted, err := l.health.Observe(raw, known)
-	if err != nil {
-		// Shape mismatches cannot happen for the tracked set; fail safe by
-		// masking nothing new.
-		return l.health.Quarantined(), nil
+	drifted := false
+	for k := range l.edges {
+		e := &l.edges[k]
+		if known != nil && !known[k] {
+			continue // unknown: the window carries no information on this edge
+		}
+		e.obs++
+		x := 0.0
+		if raw[k] {
+			x = 1.0
+			e.viol++
+		}
+		e.rate += rateAlpha * (x - e.rate)
+		e.sum += x - l.cfg.Drift
+		if e.sum < 0 {
+			e.sum = 0
+		}
+		// The sum keeps integrating past the threshold; only a live edge
+		// with enough observations behind it changes state.
+		if !e.quarantined && e.sum > l.cfg.Threshold && e.obs >= int64(l.cfg.MinObservations) {
+			e.quarantined = true
+			drifted = true
+		}
 	}
-	if len(drifted) > 0 {
-		if l.shadow == nil {
-			l.shadow = make(map[int]*shadowEdge)
-		}
-		for _, k := range drifted {
-			l.shadow[k] = &shadowEdge{est: mic.NewDecayed(l.cfg.DecayAlpha)}
-		}
+	if drifted {
 		// The verdict surface changed: reports cached under the previous
 		// epoch must not be served again.
 		l.epoch.Add(1)
 	}
 	if score != nil {
 		pairs := set.SortedPairs()
-		for k, sh := range l.shadow {
+		a := l.cfg.DecayAlpha
+		for k := range l.edges {
+			e := &l.edges[k]
+			if !e.quarantined {
+				continue
+			}
 			s := score(pairs[k])
 			// Judge the candidate on the new window *before* folding the
 			// window's score into it — an unbiased side-by-side evaluation.
-			if est, warmed := sh.est.Value(); warmed && sh.est.N() >= shadowWarmup {
-				sh.evals++
+			if est, warmed := e.shadow(); warmed && e.n >= shadowWarmup {
+				e.evals++
 				if invariant.Violated(est, s, epsilon) {
-					sh.shadowViol++
+					e.shadowViol++
 				}
 				if raw[k] {
-					sh.liveViol++
+					e.liveViol++
 				}
 			}
-			sh.est.Add(s)
+			// A custom Assoc may return a non-finite score; a degenerate
+			// window must not poison the candidate baseline.
+			if !math.IsNaN(s) && !math.IsInf(s, 0) {
+				e.num = (1-a)*e.num + a*s
+				e.den = (1-a)*e.den + a
+				e.n++
+			}
 		}
 	}
-	qmask = l.health.Quarantined()
-	promoted = l.maybePromoteLocked()
-	return qmask, promoted
+	for k := range l.edges {
+		if l.edges[k].quarantined {
+			if qmask == nil {
+				qmask = make([]bool, len(l.edges))
+			}
+			qmask[k] = true
+		}
+	}
+	return qmask, l.maybePromoteLocked()
 }
 
 // maybePromoteLocked decides the shadow generation's fate once every
@@ -237,18 +290,24 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(in
 // ShadowMaxEvals without qualifying are rolled back (re-estimation starts
 // over). Caller holds l.mu.
 func (l *lifecycle) maybePromoteLocked() *invariant.Set {
-	if len(l.shadow) == 0 {
-		return nil
-	}
-	ready := true
+	candidates := 0
 	totEvals, totShadow, totLive := 0, 0, 0
-	for _, sh := range l.shadow {
-		totEvals += sh.evals
-		totShadow += sh.shadowViol
-		totLive += sh.liveViol
-		if sh.evals < l.cfg.ShadowMinEvals {
+	ready := true
+	for k := range l.edges {
+		e := &l.edges[k]
+		if !e.quarantined {
+			continue
+		}
+		candidates++
+		totEvals += e.evals
+		totShadow += e.shadowViol
+		totLive += e.liveViol
+		if e.evals < l.cfg.ShadowMinEvals {
 			ready = false
 		}
+	}
+	if candidates == 0 {
+		return nil
 	}
 	if ready && totEvals > 0 {
 		shadowRate := float64(totShadow) / float64(totEvals)
@@ -259,25 +318,23 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 				base[p] = v
 			}
 			pairs := l.set.SortedPairs()
-			for k, sh := range l.shadow {
-				if v, ok := sh.est.Value(); ok {
+			for k := range l.edges {
+				if v, ok := l.edges[k].shadow(); ok {
 					base[pairs[k]] = v
 				}
 			}
 			next := invariant.NewSet(l.set.M, base)
-			l.set = next
-			l.health = invariant.NewHealth(next, l.healthConfig())
-			l.shadow = nil
-			l.gen++
+			l.resetLocked(next)
 			l.promotions.Add(1)
 			l.epoch.Add(1)
 			return next
 		}
 	}
-	for _, sh := range l.shadow {
-		if sh.evals >= l.cfg.ShadowMaxEvals {
-			sh.est.Reset()
-			sh.evals, sh.shadowViol, sh.liveViol = 0, 0, 0
+	for k := range l.edges {
+		e := &l.edges[k]
+		if e.quarantined && e.evals >= l.cfg.ShadowMaxEvals {
+			e.num, e.den, e.n = 0, 0, 0
+			e.evals, e.shadowViol, e.liveViol = 0, 0, 0
 			l.rollbacks.Add(1)
 		}
 	}
@@ -361,33 +418,54 @@ func (p *Profile) LifecycleStats() LifecycleStats {
 	defer l.mu.Unlock()
 	st.Generation = l.gen
 	st.Observed = l.observed
-	if l.set != nil {
-		st.Edges = l.set.Len()
-	}
-	if l.health != nil {
-		st.Quarantined = l.health.QuarantinedCount()
-	}
-	for _, sh := range l.shadow {
-		if sh.evals > st.ShadowAge {
-			st.ShadowAge = sh.evals
+	st.Edges = len(l.edges)
+	for k := range l.edges {
+		if e := &l.edges[k]; e.quarantined {
+			st.Quarantined++
+			st.ShadowAge = max(st.ShadowAge, e.evals)
 		}
 	}
 	return st
 }
 
-// LifecycleEdges returns the per-edge health series of the live generation
-// in sorted-pair order (nil when the lifecycle is disabled or untrained).
-func (p *Profile) LifecycleEdges() []invariant.EdgeHealth {
+// LifecycleEdges returns the per-edge state of the live generation in
+// sorted-pair order, in the shape the store persists (nil when the
+// lifecycle is disabled or untrained).
+func (p *Profile) LifecycleEdges() []xmlstore.LifecycleEdge {
 	l := p.lc
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.health == nil {
+	return l.snapshotLocked()
+}
+
+// snapshotLocked converts the records into the one snapshot shape, shadow
+// fields set on quarantined edges only. Caller holds l.mu.
+func (l *lifecycle) snapshotLocked() []xmlstore.LifecycleEdge {
+	if l.set == nil {
 		return nil
 	}
-	return l.health.Snapshot()
+	var out []xmlstore.LifecycleEdge
+	for k, p := range l.set.SortedPairs() {
+		e := &l.edges[k]
+		le := xmlstore.LifecycleEdge{
+			I: p.I, J: p.J,
+			State: xmlstore.StateLive,
+			Obs:   e.obs, Viol: e.viol,
+			Rate: e.rate, Score: e.sum,
+		}
+		if e.quarantined {
+			le.State = xmlstore.StateQuarantined
+			if v, ok := e.shadow(); ok {
+				le.ShadowBase, le.ShadowN = v, e.n
+			}
+			le.ShadowEvals, le.ShadowViol, le.LiveViol = e.evals, e.shadowViol, e.liveViol
+		}
+		out = append(out, le)
+	}
+	return out
 }
 
 // lifecycleSection snapshots the lifecycle for a profile file whose
@@ -403,7 +481,7 @@ func (p *Profile) lifecycleSection(set *invariant.Set) *xmlstore.LifecycleFile {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.set == nil || l.health == nil {
+	if l.set == nil {
 		return nil
 	}
 	f := &xmlstore.LifecycleFile{
@@ -412,26 +490,8 @@ func (p *Profile) lifecycleSection(set *invariant.Set) *xmlstore.LifecycleFile {
 		Promotions: l.promotions.Load(),
 		Rollbacks:  l.rollbacks.Load(),
 	}
-	if l.set != set {
-		return f
-	}
-	for k, e := range l.health.Snapshot() {
-		le := xmlstore.LifecycleEdge{
-			I: e.Pair.I, J: e.Pair.J,
-			State: e.State.String(),
-			Obs:   e.Obs, Viol: e.Viol,
-			Rate: e.Rate, Score: e.Score,
-		}
-		if sh := l.shadow[k]; sh != nil {
-			if v, ok := sh.est.Value(); ok {
-				le.ShadowBase = v
-				le.ShadowN = sh.est.N()
-			}
-			le.ShadowEvals = sh.evals
-			le.ShadowViol = sh.shadowViol
-			le.LiveViol = sh.liveViol
-		}
-		f.Edges = append(f.Edges, le)
+	if l.set == set {
+		f.Edges = l.snapshotLocked()
 	}
 	return f
 }
@@ -439,6 +499,7 @@ func (p *Profile) lifecycleSection(set *invariant.Set) *xmlstore.LifecycleFile {
 // restoredLifecycle rebuilds a saved lifecycle section over set, the
 // invariant set saved beside it, into a lifecycle nothing else can see yet:
 // every edge is checked against set before any of the state is installed.
+// A later entry for the same pair replaces an earlier one.
 func restoredLifecycle(cfg LifecycleConfig, set *invariant.Set, f *xmlstore.LifecycleFile) (*lifecycle, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -447,38 +508,38 @@ func restoredLifecycle(cfg LifecycleConfig, set *invariant.Set, f *xmlstore.Life
 		return nil, errors.New("core: lifecycle state has no invariants to attach to")
 	}
 	l := newLifecycle(cfg)
-	l.set, l.health = set, invariant.NewHealth(set, l.healthConfig())
+	l.set, l.edges = set, make([]edge, set.Len())
 	l.gen, l.observed = f.Generation, f.Observed
 	l.promotions.Store(f.Promotions)
 	l.rollbacks.Store(f.Rollbacks)
-	for _, e := range f.Edges {
-		st, err := invariant.ParseEdgeState(e.State)
-		if err != nil {
-			return nil, err
+	pairs := set.SortedPairs()
+	for _, le := range f.Edges {
+		k, ok := slices.BinarySearchFunc(pairs, invariant.Pair{I: le.I, J: le.J}, func(a, b invariant.Pair) int {
+			return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+		})
+		if !ok {
+			return nil, fmt.Errorf("core: lifecycle state for unknown pair (%d,%d)", le.I, le.J)
 		}
-		eh := invariant.EdgeHealth{
-			Pair:  invariant.Pair{I: e.I, J: e.J},
-			State: st,
-			Obs:   e.Obs, Viol: e.Viol,
-			Rate: e.Rate, Score: e.Score,
+		e := edge{obs: le.Obs, viol: le.Viol, rate: le.Rate, sum: le.Score}
+		if math.IsNaN(e.sum) || math.IsInf(e.sum, 0) || e.sum < 0 {
+			e.sum = 0
 		}
-		k, err := l.health.Restore(eh)
-		if err != nil {
-			return nil, err
-		}
-		if st == invariant.EdgeQuarantined {
-			sh := &shadowEdge{
-				est:        mic.NewDecayed(l.cfg.DecayAlpha),
-				evals:      e.ShadowEvals,
-				shadowViol: e.ShadowViol,
-				liveViol:   e.LiveViol,
+		switch le.State {
+		case xmlstore.StateLive:
+		case xmlstore.StateQuarantined:
+			e.quarantined = true
+			// The decayed weighting history collapses: the restored estimate
+			// behaves like one fully-weighted score at ShadowBase standing in
+			// for ShadowN, exact for the estimate, conservative for its
+			// inertia.
+			if le.ShadowN > 0 && !math.IsNaN(le.ShadowBase) && !math.IsInf(le.ShadowBase, 0) {
+				e.num, e.den, e.n = le.ShadowBase, 1, le.ShadowN
 			}
-			sh.est.Restore(e.ShadowBase, e.ShadowN)
-			if l.shadow == nil {
-				l.shadow = make(map[int]*shadowEdge)
-			}
-			l.shadow[k] = sh
+			e.evals, e.shadowViol, e.liveViol = le.ShadowEvals, le.ShadowViol, le.LiveViol
+		default:
+			return nil, fmt.Errorf("core: unknown lifecycle edge state %q", le.State)
 		}
+		l.edges[k] = e
 	}
 	return l, nil
 }
@@ -486,7 +547,7 @@ func restoredLifecycle(cfg LifecycleConfig, set *invariant.Set, f *xmlstore.Life
 // adopt installs a restored lifecycle's state as l's live generation.
 func (l *lifecycle) adopt(r *lifecycle) {
 	l.mu.Lock()
-	l.set, l.health, l.shadow = r.set, r.health, r.shadow
+	l.set, l.edges = r.set, r.edges
 	l.gen, l.observed = r.gen, r.observed
 	l.mu.Unlock()
 	l.promotions.Store(r.promotions.Load())

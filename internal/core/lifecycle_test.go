@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
+	"invarnetx/internal/xmlstore"
 )
 
 // The lifecycle tests drive the drift state machine with a deterministic
@@ -52,7 +59,6 @@ func lifecycleConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Assoc = valueAssoc
-	cfg.AssocName = "value"
 	cfg.Lifecycle = fastLifecycle()
 	return cfg
 }
@@ -372,12 +378,12 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
 	for _, e := range p2.LifecycleEdges() {
-		wantState := invariant.EdgeLive
-		if e.Pair.J == 2 {
-			wantState = invariant.EdgeQuarantined
+		wantState := xmlstore.StateLive
+		if e.J == 2 {
+			wantState = xmlstore.StateQuarantined
 		}
 		if e.State != wantState {
-			t.Fatalf("restored edge %v state %v, want %v", e.Pair, e.State, wantState)
+			t.Fatalf("restored edge (%d,%d) state %v, want %v", e.I, e.J, e.State, wantState)
 		}
 	}
 
@@ -455,8 +461,9 @@ func TestLifecycleSaveAroundPromotionRestoresOneGeneration(t *testing.T) {
 	}
 	set, _ := pre.Invariants()
 	for _, e := range pre.LifecycleEdges() {
-		if quarantined := e.State == invariant.EdgeQuarantined; quarantined != (e.Pair.J == 2) || set.Base[e.Pair] != 0.8 {
-			t.Fatalf("pre-promotion edge %v restored %v over baseline %v", e.Pair, e.State, set.Base[e.Pair])
+		pr := invariant.Pair{I: e.I, J: e.J}
+		if quarantined := e.State == xmlstore.StateQuarantined; quarantined != (e.J == 2) || set.Base[pr] != 0.8 {
+			t.Fatalf("pre-promotion edge %v restored %v over baseline %v", pr, e.State, set.Base[pr])
 		}
 	}
 
@@ -537,7 +544,7 @@ func TestSaveToRacesPromotion(t *testing.T) {
 		}
 		var edges []invariant.Pair
 		for _, e := range p2.LifecycleEdges() {
-			edges = append(edges, e.Pair)
+			edges = append(edges, invariant.Pair{I: e.I, J: e.J})
 		}
 		if !reflect.DeepEqual(edges, set.SortedPairs()) {
 			t.Fatalf("save %d restored edges %v over the set's pairs %v", n, edges, set.SortedPairs())
@@ -626,5 +633,356 @@ func TestPromotionDiagnoseRaceConsistency(t *testing.T) {
 	case err := <-errs:
 		t.Fatalf("diagnose under generation swaps: %v", err)
 	default:
+	}
+}
+
+// edgeSet is the 4-metric, 3-edge set the record-level tests drive
+// lifecycle.observe over with synthetic raw tuples.
+func edgeSet() *invariant.Set {
+	return invariant.NewSet(4, map[invariant.Pair]float64{
+		{I: 0, J: 1}: 0.9,
+		{I: 0, J: 2}: 0.8,
+		{I: 1, J: 3}: 0.7,
+	})
+}
+
+// feed observes n identical windows and returns the indices of the edges
+// they quarantined, in order.
+func feed(l *lifecycle, set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64, n int) []int {
+	var newly []int
+	for i := 0; i < n; i++ {
+		before := make([]bool, len(l.edges))
+		for k := range l.edges {
+			before[k] = l.edges[k].quarantined
+		}
+		l.observe(set, raw, known, score, 0)
+		for k := range l.edges {
+			if !before[k] && l.edges[k].quarantined {
+				newly = append(newly, k)
+			}
+		}
+	}
+	return newly
+}
+
+func constScore(s float64) func(invariant.Pair) float64 {
+	return func(invariant.Pair) float64 { return s }
+}
+
+// TestLifecycleObserve drives one lifecycle record by record: the health
+// series, its change-point verdict and the shadow re-estimation of a
+// quarantined edge.
+func TestLifecycleObserve(t *testing.T) {
+	clean := []bool{false, false, false}
+	edge1 := []bool{false, true, false} // pair (0,2) violates
+	// quarantineFirst quarantines edge 1 on its first window, so the shadow
+	// cases start from a fresh candidate.
+	quarantineFirst := LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5}
+	cases := []struct {
+		name string
+		cfg  LifecycleConfig
+		run  func(t *testing.T, l *lifecycle, set *invariant.Set)
+	}{
+		{"persistent violator quarantines", LifecycleConfig{MinObservations: 4, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			if got := feed(l, set, edge1, nil, nil, 10); !reflect.DeepEqual(got, []int{1}) {
+				t.Fatalf("quarantined %v, want [1]", got)
+			}
+			if qmask, promoted := l.observe(set, edge1, nil, nil, 0); !reflect.DeepEqual(qmask, edge1) || promoted != nil {
+				t.Fatalf("quarantine mask %v (promoted %v), want %v", qmask, promoted, edge1)
+			}
+		}},
+		{"min observations delays the verdict", LifecycleConfig{MinObservations: 8, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			// The sum crosses the threshold on the third window; the verdict
+			// waits for the eighth.
+			raw := []bool{true, false, false}
+			if got := feed(l, set, raw, nil, nil, 7); len(got) != 0 {
+				t.Fatalf("quarantined %v before MinObservations", got)
+			}
+			if got := feed(l, set, raw, nil, nil, 1); !reflect.DeepEqual(got, []int{0}) {
+				t.Fatalf("quarantined %v at observation 8, want [0]", got)
+			}
+		}},
+		{"the sum alarms once past the threshold", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			// Each violation adds 1 − 0.1: 1.8 after two windows, 2.7 > 2
+			// after three.
+			raw := []bool{true, false, false}
+			if got := feed(l, set, raw, nil, nil, 2); len(got) != 0 {
+				t.Fatalf("quarantined %v at sum %v", got, l.edges[0].sum)
+			}
+			if got := feed(l, set, raw, nil, nil, 1); !reflect.DeepEqual(got, []int{0}) {
+				t.Fatalf("quarantined %v at sum %v, want [0]", got, l.edges[0].sum)
+			}
+			// The sum keeps integrating past the threshold.
+			before := l.edges[0].sum
+			feed(l, set, raw, nil, nil, 1)
+			if l.edges[0].sum <= before {
+				t.Fatalf("sum %v -> %v after another violation", before, l.edges[0].sum)
+			}
+		}},
+		{"a burst drains", LifecycleConfig{MinObservations: 4, Drift: 0.25, Threshold: 3}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			all := []bool{true, true, true}
+			// Repeated 2-window fault bursts separated by 10 clean windows:
+			// the evidence drains between bursts and nothing quarantines.
+			for round := 0; round < 20; round++ {
+				if got := feed(l, set, all, nil, nil, 2); len(got) != 0 {
+					t.Fatalf("burst round %d quarantined %v", round, got)
+				}
+				if got := feed(l, set, clean, nil, nil, 10); len(got) != 0 {
+					t.Fatalf("clean stretch round %d quarantined %v", round, got)
+				}
+			}
+		}},
+		{"an isolated blip drains to zero", LifecycleConfig{MinObservations: 1, Drift: 0.25, Threshold: 3}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			all := []bool{true, true, true}
+			// One violation then three quiet windows drain the sum to exactly
+			// zero (0.75 − 3·0.25), and blips spaced that wide never add up.
+			for round := 0; round < 50; round++ {
+				if got := feed(l, set, all, nil, nil, 1); len(got) != 0 {
+					t.Fatalf("blip round %d quarantined %v", round, got)
+				}
+				feed(l, set, clean, nil, nil, 3)
+				for k := range l.edges {
+					if l.edges[k].sum != 0 {
+						t.Fatalf("blip round %d: edge %d sum %v after 3 quiet windows, want 0", round, k, l.edges[k].sum)
+					}
+				}
+			}
+		}},
+		{"unknown edges carry no information", LifecycleConfig{MinObservations: 2, Drift: 0.1, Threshold: 1}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			all := []bool{true, true, true}
+			if got := feed(l, set, all, []bool{false, false, false}, nil, 50); len(got) != 0 {
+				t.Fatalf("fully unknown windows quarantined %v", got)
+			}
+			for k, e := range l.edges {
+				if e != (edge{}) {
+					t.Fatalf("edge %d moved by unknown windows: %+v", k, e)
+				}
+			}
+			// A partly known window observes its known edges only.
+			feed(l, set, all, []bool{true, false, true}, nil, 1)
+			if l.edges[0].obs != 1 || l.edges[1].obs != 0 || l.edges[2].obs != 1 {
+				t.Fatalf("partly known window observed %+v", l.edges)
+			}
+		}},
+		{"a window of another set is discarded", LifecycleConfig{}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			other := edgeSet() // same pairs, another generation
+			if qmask, promoted := l.observe(other, []bool{true, true, true}, nil, nil, 0); qmask != nil || promoted != nil {
+				t.Fatalf("stale window returned mask %v, promoted %v", qmask, promoted)
+			}
+			if l.observed != 0 || l.edges[0] != (edge{}) {
+				t.Fatalf("stale window observed: %d windows, edge 0 %+v", l.observed, l.edges[0])
+			}
+		}},
+		{"the first shadow score is exact", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.25}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			feed(l, set, edge1, nil, nil, 1)
+			e := &l.edges[1]
+			if _, ok := e.shadow(); ok || !e.quarantined {
+				t.Fatalf("fresh quarantine %+v, want an empty shadow", *e)
+			}
+			feed(l, set, edge1, nil, constScore(0.8), 1)
+			if v, ok := e.shadow(); !ok || v != 0.8 || e.n != 1 {
+				t.Fatalf("shadow after one score = %v, %v (n %d); want 0.8 exactly (bias-corrected)", v, ok, e.n)
+			}
+			if _, ok := l.edges[0].shadow(); ok {
+				t.Fatalf("live edge absorbed a score: %+v", l.edges[0])
+			}
+		}},
+		{"the shadow tracks a shifted level", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.25, ShadowMaxEvals: 1000}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			feed(l, set, edge1, nil, nil, 1)
+			// Clean live verdicts from here on: the candidate cannot beat the
+			// incumbent's zero rate, so it neither promotes nor rolls back.
+			feed(l, set, clean, nil, constScore(0.9), 40)
+			feed(l, set, clean, nil, constScore(0.3), 40)
+			e := l.edges[1]
+			if v, _ := e.shadow(); math.Abs(v-0.3) > 0.001 {
+				t.Fatalf("estimate %v after the level shift, want ~0.3 (recent windows dominate)", v)
+			}
+			if e.n != 80 || e.evals != 80-shadowWarmup {
+				t.Fatalf("absorbed %d scores over %d evaluations, want 80 over %d", e.n, e.evals, 80-shadowWarmup)
+			}
+		}},
+		{"non-finite scores skip the shadow", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.5}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			feed(l, set, edge1, nil, nil, 1)
+			for _, s := range []float64{0.6, math.NaN(), math.Inf(-1)} {
+				feed(l, set, edge1, nil, constScore(s), 1)
+			}
+			if v, _ := l.edges[1].shadow(); v != 0.6 || l.edges[1].n != 1 {
+				t.Fatalf("shadow %v over %d scores, want 0.6 over 1", v, l.edges[1].n)
+			}
+		}},
+		{"a rollback empties the shadow", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, ShadowMinEvals: 2, ShadowMaxEvals: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+			feed(l, set, edge1, nil, nil, 1)
+			// Three warm-up scores, then two evaluations spend the budget.
+			feed(l, set, clean, nil, constScore(0.8), shadowWarmup+2)
+			e := l.edges[1]
+			if _, ok := e.shadow(); ok || e.n != 0 || e.evals != 0 || !e.quarantined || l.rollbacks.Load() != 1 {
+				t.Fatalf("after the budget: %+v, %d rollbacks; want a quarantined edge with an empty shadow", e, l.rollbacks.Load())
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg == (LifecycleConfig{}) {
+				tc.cfg = quarantineFirst
+			}
+			l, set := newLifecycle(tc.cfg), edgeSet()
+			l.install(set)
+			tc.run(t, l, set)
+		})
+	}
+}
+
+// TestLifecycleRestore holds restoredLifecycle to its checks on state read
+// from a file: shadow history collapses, the sum clamps, and unknown states
+// and pairs are refused.
+func TestLifecycleRestore(t *testing.T) {
+	// A section saved from a driven lifecycle restores to itself.
+	driven, dset := newLifecycle(quarantineShadowConfig()), edgeSet()
+	driven.install(dset)
+	feed(driven, dset, []bool{false, true, false}, nil, nil, 1)
+	feed(driven, dset, []bool{false, true, false}, nil, constScore(0.55), 5)
+	saved := (&Profile{lc: driven}).lifecycleSection(dset)
+
+	quarantined := func(mut func(*xmlstore.LifecycleEdge)) xmlstore.LifecycleEdge {
+		e := xmlstore.LifecycleEdge{I: 0, J: 2, State: xmlstore.StateQuarantined, Obs: 9, Viol: 5, Rate: 0.4, Score: 1.5,
+			ShadowBase: 0.42, ShadowN: 7, ShadowEvals: 2, ShadowViol: 1, LiveViol: 2}
+		if mut != nil {
+			mut(&e)
+		}
+		return e
+	}
+	section := func(edges ...xmlstore.LifecycleEdge) *xmlstore.LifecycleFile {
+		return &xmlstore.LifecycleFile{Generation: 3, Observed: 9, Promotions: 1, Edges: edges}
+	}
+	cases := []struct {
+		name    string
+		f       *xmlstore.LifecycleFile
+		wantErr string                                   // substring; "" restores
+		check   func(t *testing.T, l *lifecycle, e edge) // e: the (0,2) record
+	}{
+		{"a saved section restores to itself", saved, "", func(t *testing.T, l *lifecycle, e edge) {
+			if again := (&Profile{lc: l}).lifecycleSection(l.set); !reflect.DeepEqual(again, saved) {
+				t.Fatalf("re-saved %+v, want %+v", again, saved)
+			}
+			got, _ := e.shadow()
+			if want, _ := driven.edges[1].shadow(); got != want || e.n != driven.edges[1].n {
+				t.Fatalf("restored shadow %v over %d scores, want %v over %d", got, e.n, want, driven.edges[1].n)
+			}
+		}},
+		{"shadow history collapses into one weighted score", section(quarantined(nil)), "", func(t *testing.T, l *lifecycle, e edge) {
+			want := edge{quarantined: true, obs: 9, viol: 5, rate: 0.4, sum: 1.5, num: 0.42, den: 1, n: 7, evals: 2, shadowViol: 1, liveViol: 2}
+			if e != want {
+				t.Fatalf("restored %+v, want %+v", e, want)
+			}
+			if l.gen != 3 || l.observed != 9 || l.promotions.Load() != 1 {
+				t.Fatalf("counters gen %d observed %d promotions %d", l.gen, l.observed, l.promotions.Load())
+			}
+		}},
+		{"a shadow with no scores restores empty", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.ShadowN = 0 })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if _, ok := e.shadow(); ok || e.n != 0 || !e.quarantined || e.evals != 2 {
+				t.Fatalf("restored %+v, want an empty shadow keeping its tally", e)
+			}
+		}},
+		{"a non-finite shadow base restores empty", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.ShadowBase = math.NaN() })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if _, ok := e.shadow(); ok || e.n != 0 {
+				t.Fatalf("restored %+v, want an empty shadow", e)
+			}
+		}},
+		{"a negative sum clamps to zero", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.Score = -5 })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if e.sum != 0 {
+				t.Fatalf("sum %v, want 0", e.sum)
+			}
+		}},
+		{"a non-finite sum clamps to zero", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.Score = math.Inf(1) })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if e.sum != 0 {
+				t.Fatalf("sum %v, want 0", e.sum)
+			}
+		}},
+		{"a live edge carries no shadow", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.State = xmlstore.StateLive })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if want := (edge{obs: 9, viol: 5, rate: 0.4, sum: 1.5}); e != want {
+				t.Fatalf("restored %+v, want %+v", e, want)
+			}
+		}},
+		{"a later entry replaces an earlier one", section(quarantined(nil), quarantined(func(e *xmlstore.LifecycleEdge) { e.State = xmlstore.StateLive })), "", func(t *testing.T, l *lifecycle, e edge) {
+			if e.quarantined || e.n != 0 {
+				t.Fatalf("restored %+v, want the later, live entry", e)
+			}
+		}},
+		{"an unknown state is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.State = "zombie" })), "unknown lifecycle edge state", nil},
+		{"an unknown pair is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.I, e.J = 2, 3 })), "unknown pair (2,3)", nil},
+		{"more violations than observations are refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.Viol = 10 })), "inconsistent counts", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := restoredLifecycle(quarantineShadowConfig(), edgeSet(), tc.f)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("restore error %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			tc.check(t, l, l.edges[1])
+		})
+	}
+	if _, err := restoredLifecycle(LifecycleConfig{}, nil, section()); err == nil {
+		t.Fatal("a section with no set to attach to restored")
+	}
+}
+
+// quarantineShadowConfig quarantines a violating edge on its first window
+// and starts judging its shadow after the warm-up.
+func quarantineShadowConfig() LifecycleConfig {
+	return LifecycleConfig{Enabled: true, MinObservations: 1, Drift: 0.1, Threshold: 0.5}
+}
+
+var updateLifecycleGolden = flag.Bool("update", false, "rewrite testdata/lifecycle-section.golden from the current code")
+
+// TestLifecycleSectionGolden pins the bytes of a <lifecycle> section with
+// two quarantined edges mid-evaluation: the golden was written before the
+// lifecycle became one module, so the records, their arithmetic and the
+// snapshot shape are held to the bits the separate health, change-point and
+// decay types produced.
+func TestLifecycleSectionGolden(t *testing.T) {
+	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
+	cfg := lifecycleConfig(t)
+	cfg.AssocCacheSize = -1
+	sys := trainValueSystem(t, cfg, ctx)
+	p := sys.Profile(ctx)
+	for i, v := range []float64{0.8, 0.8, 0.8, 0.2, 0.3, 0.25, 0.2, 0.35, 0.8} {
+		if _, err := p.Violations(valueTrace([]float64{0.8, 0.8, v}, 16, float64(i)*1e-6)); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+	}
+	if st := p.LifecycleStats(); st.Quarantined != 2 || st.Promotions != 0 || st.ShadowAge == 0 {
+		t.Fatalf("stats %+v, want 2 quarantined edges with shadow progress and no promotion", st)
+	}
+	dir := t.TempDir()
+	if err := sys.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(storePath(dir, ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := bytes.Index(b, []byte("<lifecycle>")), bytes.Index(b, []byte("</lifecycle>"))
+	if start < 0 || end < start {
+		t.Fatalf("no <lifecycle> section in\n%s", b)
+	}
+	got := b[start : end+len("</lifecycle>")]
+	golden := filepath.Join("testdata", "lifecycle-section.golden")
+	if *updateLifecycleGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("<lifecycle> section:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
-// DefaultPoolCap is the default bound on each profile's training pools
-// (Config.PoolCap zero). 512 windows is far beyond the N≈10 normal runs the
+// DefaultPoolCap bounds each profile's training pools (CPI runs and
+// invariant windows). 512 windows is far beyond the N≈10 normal runs the
 // paper trains on, yet keeps a long-lived retraining loop from growing the
 // pools — and every refit over them — without bound.
 const DefaultPoolCap = 512
@@ -12,18 +12,14 @@ const DefaultPoolCap = 512
 // traces cannot grow the pool; at capacity the oldest item is evicted.
 // Not synchronised — callers hold the owning profile's lock.
 type trainingPool[T any] struct {
-	cap   int // <0 unbounded
+	cap   int
 	seen  map[uint64]struct{}
 	items []T
 	fps   []uint64
 }
 
-// newTrainingPool returns an empty pool: cap 0 selects DefaultPoolCap,
-// negative cap disables the bound (dedupe stays on).
+// newTrainingPool returns an empty pool holding at most cap (> 0) items.
 func newTrainingPool[T any](cap int) trainingPool[T] {
-	if cap == 0 {
-		cap = DefaultPoolCap
-	}
 	return trainingPool[T]{cap: cap, seen: make(map[uint64]struct{})}
 }
 
@@ -34,18 +30,16 @@ func (p *trainingPool[T]) add(fp uint64, item T) bool {
 	if _, dup := p.seen[fp]; dup {
 		return false
 	}
-	if p.cap > 0 {
-		for len(p.items) >= p.cap {
-			delete(p.seen, p.fps[0])
-			// Shift rather than re-slice so evicted heads don't pin the
-			// backing arrays forever.
-			copy(p.items, p.items[1:])
-			var zero T
-			p.items[len(p.items)-1] = zero
-			p.items = p.items[:len(p.items)-1]
-			copy(p.fps, p.fps[1:])
-			p.fps = p.fps[:len(p.fps)-1]
-		}
+	for len(p.items) >= p.cap {
+		delete(p.seen, p.fps[0])
+		// Shift rather than re-slice so evicted heads don't pin the backing
+		// arrays forever.
+		copy(p.items, p.items[1:])
+		var zero T
+		p.items[len(p.items)-1] = zero
+		p.items = p.items[:len(p.items)-1]
+		copy(p.fps, p.fps[1:])
+		p.fps = p.fps[:len(p.fps)-1]
 	}
 	p.seen[fp] = struct{}{}
 	p.items = append(p.items, item)

@@ -58,8 +58,8 @@ func newProfile(s *System, key Context) *Profile {
 		sys:        s,
 		key:        key,
 		cache:      newAssocCache(s.cfg.AssocCacheSize),
-		cpiPool:    newTrainingPool[[]float64](s.cfg.PoolCap),
-		windowPool: newTrainingPool[*metrics.Trace](s.cfg.PoolCap),
+		cpiPool:    newTrainingPool[[]float64](DefaultPoolCap),
+		windowPool: newTrainingPool[*metrics.Trace](DefaultPoolCap),
 	}
 	p.sigs.MinScore = s.cfg.SigMinScore
 	if s.cfg.Lifecycle.Enabled {

@@ -59,19 +59,9 @@ type Config struct {
 	// Assoc is the pairwise association measure; mic.MIC by default,
 	// arx.Association for the baseline comparison.
 	Assoc invariant.AssociationFunc
-	// AssocName labels the measure in reports.
-	AssocName string
 	// AssocCacheSize bounds each profile's association-matrix cache: 0
 	// selects DefaultAssocCacheSize, negative disables caching.
 	AssocCacheSize int
-	// PoolCap bounds each profile's training pools (CPI runs and invariant
-	// windows). The zero value is NOT "no pooling": it selects
-	// DefaultPoolCap, the bounded default every long-running deployment
-	// should want. A negative value leaves the pools unbounded — explicit
-	// opt-in for offline experiments that retrain over a fixed corpus and
-	// must never evict it. Appended material is fingerprint-deduplicated
-	// either way, so retraining over the same traces never grows a pool.
-	PoolCap int
 	// Similarity is the tuple-similarity measure for signature retrieval.
 	Similarity signature.Measure
 	// SigMinScore is the minimum similarity for a signature match to be
@@ -98,7 +88,6 @@ func DefaultConfig() Config {
 		Tau:        invariant.DefaultTau,
 		Detect:     detect.DefaultConfig(),
 		Assoc:      mic.MIC,
-		AssocName:  "mic",
 		Similarity: signature.Jaccard,
 		TopK:       5,
 		UseContext: true,
@@ -134,15 +123,11 @@ var (
 	ErrNoInvariants = errors.New("core: no invariants for context")
 )
 
-// maxPoolCap and maxAssocCacheSize clamp the per-profile bounds a config can
-// request. A multi-tenant deployment multiplies both by its profile count, so
-// a fat-fingered "unlimited-ish" number must not be able to turn one profile
-// into a multi-gigabyte arena; genuinely unbounded pools remain available via
-// the explicit negative opt-in.
-const (
-	maxPoolCap        = 1 << 16
-	maxAssocCacheSize = 1 << 20
-)
+// maxAssocCacheSize clamps the per-profile cache bound a config can request.
+// A multi-tenant deployment multiplies it by its profile count, so a
+// fat-fingered "unlimited-ish" number must not be able to turn one profile
+// into a multi-gigabyte arena.
+const maxAssocCacheSize = 1 << 20
 
 // maxConsecutive clamps the consecutive-anomaly window: a detector that
 // needs more than 1024 consecutive anomalous samples will never alert
@@ -151,7 +136,7 @@ const maxConsecutive = 1024
 
 // Validate reports the first nonsensical field of the configuration, before
 // defaulting: zero values (which New replaces with paper defaults) and the
-// documented negative sentinels for AssocCacheSize/PoolCap are fine, but
+// documented negative sentinel for AssocCacheSize are fine, but
 // NaN/Inf or negative thresholds, out-of-range probabilities and unknown
 // enum values are rejected. Long-running services (invarnetd) should call
 // Validate on operator-supplied configuration and refuse to boot on error;
@@ -174,8 +159,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: SigMinScore %v outside [0,1] (similarity floor over signature matches)", c.SigMinScore)
 	case c.AssocCacheSize > maxAssocCacheSize:
 		return fmt.Errorf("core: AssocCacheSize %d exceeds the %d per-profile clamp", c.AssocCacheSize, maxAssocCacheSize)
-	case c.PoolCap > maxPoolCap:
-		return fmt.Errorf("core: PoolCap %d exceeds the %d per-profile clamp", c.PoolCap, maxPoolCap)
 	}
 	switch c.Detect.Rule {
 	case detect.BetaMax, detect.MaxMin, detect.P95:
@@ -215,7 +198,6 @@ func New(cfg Config) *System {
 	}
 	if cfg.Assoc == nil {
 		cfg.Assoc = def.Assoc
-		cfg.AssocName = def.AssocName
 	}
 	// One mic.NewBatch per window only when Assoc is literally the stock
 	// mic.MIC — a custom Assoc (arx, a wrapped MIC) must not be silently

@@ -372,7 +372,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Epsilon != 0.2 || cfg.Tau != 0.2 {
 		t.Errorf("defaults: eps=%v tau=%v", cfg.Epsilon, cfg.Tau)
 	}
-	if cfg.Assoc == nil || cfg.AssocName != "mic" {
+	if !isStockMIC(cfg.Assoc) {
 		t.Error("association default not applied")
 	}
 	if cfg.Detect.Beta != 1.2 || cfg.Detect.Consecutive != 3 {

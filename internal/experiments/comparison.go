@@ -35,7 +35,6 @@ func configFor(v SystemVariant, base core.Config) core.Config {
 	switch v {
 	case VariantARX:
 		cfg.Assoc = arx.Association
-		cfg.AssocName = "arx"
 	case VariantNoContext:
 		cfg.UseContext = false
 	}

@@ -8,6 +8,7 @@ import (
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/stats"
+	"invarnetx/internal/xmlstore"
 )
 
 // The drift study is the lifecycle's evaluation harness: a synthetic
@@ -20,7 +21,9 @@ import (
 // generation, restoring pre-drift precision without a retraining pass.
 // Genuine faults (short coupling bursts on a *different* metric) are
 // interleaved throughout, so the study also checks that the change-point
-// separation keeps bursts diagnosable and never quarantines them.
+// separation keeps bursts diagnosable and never quarantines them. The
+// lifecycle arm runs core.LifecycleConfig's defaults: this study is the
+// measurement that vets them.
 
 // driftPhaseLens are the pre-shift, shift and post-shift phase lengths in
 // diagnosis windows; the coupling shift lands at the pre/shift boundary and
@@ -134,24 +137,6 @@ type driftWindow struct {
 	phase int // 0 pre, 1 shift, 2 post
 }
 
-// DriftLifecycleConfig is the lifecycle tuning the study's lifecycle arm
-// runs (exported so deployments facing similar drift have a vetted
-// starting point): tolerant enough that one-window fault bursts drain back
-// out of the change-point accumulator, tight enough that a permanent shift
-// quarantines within a handful of windows.
-func DriftLifecycleConfig() core.LifecycleConfig {
-	return core.LifecycleConfig{
-		Enabled:         true,
-		MinObservations: 8,
-		Drift:           0.25,
-		Threshold:       2.5,
-		DecayAlpha:      0.3,
-		ShadowMinEvals:  8,
-		ShadowMaxEvals:  64,
-		PromoteMaxRate:  0.3,
-	}
-}
-
 // RunDriftStudy trains both arms on the same clean runs, then feeds both
 // the same drifting window schedule and scores each phase. seed drives the
 // synthetic telemetry.
@@ -186,7 +171,7 @@ func RunDriftStudy(seed int64) (*DriftStudy, error) {
 	if study.TrainOnce, err = runDriftArm("train-once", core.LifecycleConfig{}, trainRuns, schedule); err != nil {
 		return nil, err
 	}
-	if study.Lifecycle, err = runDriftArm("lifecycle", DriftLifecycleConfig(), trainRuns, schedule); err != nil {
+	if study.Lifecycle, err = runDriftArm("lifecycle", core.LifecycleConfig{Enabled: true}, trainRuns, schedule); err != nil {
 		return nil, err
 	}
 	return study, nil
@@ -230,8 +215,8 @@ func runDriftArm(name string, lifecycle core.LifecycleConfig, trainRuns []*metri
 				// quarantined one.
 				quarantined := map[invariant.Pair]bool{}
 				for _, e := range p.LifecycleEdges() {
-					if e.State == invariant.EdgeQuarantined {
-						quarantined[e.Pair] = true
+					if e.State == xmlstore.StateQuarantined {
+						quarantined[invariant.Pair{I: e.I, J: e.J}] = true
 					}
 				}
 				for _, pr := range rep.Violated {

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"invarnetx/internal/arx"
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
+	"invarnetx/internal/invariant"
+	"invarnetx/internal/mic"
 	"invarnetx/internal/workload"
 )
 
@@ -344,17 +348,19 @@ func TestTable1Shape(t *testing.T) {
 
 func TestVariantsConfig(t *testing.T) {
 	base := tinyOptions().Config
-	arxCfg := configFor(VariantARX, base)
-	if arxCfg.AssocName != "arx" {
-		t.Errorf("arx variant assoc = %q", arxCfg.AssocName)
+	same := func(f, g invariant.AssociationFunc) bool {
+		return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
+	}
+	if arxCfg := configFor(VariantARX, base); !same(arxCfg.Assoc, arx.Association) {
+		t.Error("arx variant does not score with arx.Association")
 	}
 	nc := configFor(VariantNoContext, base)
 	if nc.UseContext {
 		t.Error("no-context variant should disable context")
 	}
 	inv := configFor(VariantInvarNetX, base)
-	if !inv.UseContext || inv.AssocName != "mic" {
-		t.Errorf("invarnet-x variant altered: %+v", inv.AssocName)
+	if !inv.UseContext || !same(inv.Assoc, mic.MIC) {
+		t.Error("invarnet-x variant altered: want operation context and mic.MIC")
 	}
 	if len(Variants()) != 3 {
 		t.Error("three variants expected")

@@ -267,6 +267,16 @@ func violatedVerdict(base, score, epsilon float64) bool {
 	return math.Abs(base-score) >= epsilon-slack
 }
 
+// Violated is violatedVerdict for callers outside the package (epsilon <= 0
+// selects DefaultEpsilon): core's lifecycle judges a shadow baseline
+// side-by-side against the live one with bit-identical semantics.
+func Violated(base, score, epsilon float64) bool {
+	if epsilon <= 0 {
+		epsilon = DefaultEpsilon
+	}
+	return violatedVerdict(base, score, epsilon)
+}
+
 // ViolationsMasked is the dense violation read-out, the reference the
 // sparse edge path is tested against: pairs the matrix marks unknown are
 // reported as *unknown* — not violated — via the parallel known slice

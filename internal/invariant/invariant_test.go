@@ -198,6 +198,24 @@ func TestViolationsBoundary(t *testing.T) {
 	}
 }
 
+func TestViolatedMatchesInternalVerdict(t *testing.T) {
+	cases := []struct {
+		base, score, eps float64
+		want             bool
+	}{
+		{0.9, 0.9, 0.2, false},
+		{0.9, 0.71, 0.2, false},
+		{0.9, 0.7, 0.2, true}, // exactly epsilon: violated (slack)
+		{0.9, 0.3, 0.2, true},
+		{0.2, 0.5, 0, true}, // eps<=0 selects DefaultEpsilon
+	}
+	for _, c := range cases {
+		if got := Violated(c.base, c.score, c.eps); got != c.want {
+			t.Fatalf("Violated(%v,%v,%v) = %v, want %v", c.base, c.score, c.eps, got, c.want)
+		}
+	}
+}
+
 func TestViolationsDimensionMismatch(t *testing.T) {
 	s := NewSet(3, map[Pair]float64{{0, 1}: 0.5})
 	if _, err := s.Violations(NewMatrix(4), 0.2); err == nil {

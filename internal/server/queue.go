@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -15,6 +17,10 @@ var ErrQueueFull = errors.New("server: profile queue full")
 // errDraining refuses work enqueued after shutdown began; handlers map it
 // to 503. Work accepted before the drain started still runs to completion.
 var errDraining = errors.New("server: draining")
+
+// errTaskPanicked answers the waiter of a task that panicked (see
+// scheduler.run); handlers map it to 500.
+var errTaskPanicked = errors.New("server: task panicked (stack in the daemon log)")
 
 // task is one unit of asynchronous work bound to a profile queue.
 type task func()
@@ -119,11 +125,26 @@ func (s *scheduler) worker() {
 			q.tasks = q.tasks[:len(q.tasks)-1]
 			q.mu.Unlock()
 
-			t()
-			s.depth.Add(-1)
-			s.pending.Done()
+			s.run(t)
 		}
 	}
+}
+
+// run executes one task and contains a panic inside it — the daemon's panic
+// policy is contain, not crash: one bad task (a custom core.Config.Assoc
+// that panics, say) must not kill the process and every other context's
+// stream state. The worker survives and the depth/pending accounting runs
+// either way, so a drain still completes; a task with a waiter answers it
+// from its own deferred call, which runs before the panic reaches here.
+func (s *scheduler) run(t task) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("server: task panicked: %v\n%s", r, debug.Stack())
+		}
+		s.depth.Add(-1)
+		s.pending.Done()
+	}()
+	t()
 }
 
 // drain blocks until every task accepted so far has finished executing.

@@ -483,7 +483,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // runDiagnosis is the diagnose task body (runs on the profile queue).
 func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 	t0 := time.Now()
+	finished := false
 	finish := func(d *Diagnosis, errMsg string) {
+		finished = true
 		lat := time.Since(t0)
 		s.ctr.diagnoseLatency.observe(lat)
 		s.ctr.reportsPending.Add(-1)
@@ -494,6 +496,13 @@ func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 		}
 		rep.complete(d, errMsg, float64(lat)/float64(time.Millisecond))
 	}
+	// A panic below completes the report as failed on its way to the
+	// scheduler's containment: a waiting client must not hang.
+	defer func() {
+		if !finished {
+			finish(nil, errTaskPanicked.Error())
+		}
+	}()
 	tr, err := s.traceFor(st, samples)
 	if err != nil {
 		finish(nil, err.Error())
@@ -643,13 +652,16 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 	done := make(chan sigResult, 1)
 	samples := req.Samples
 	err := s.sched.enqueue(st.queue, func() {
+		// Sent from a deferred call, so a panicking build still answers the
+		// handler (with errTaskPanicked, a 500).
+		res := sigResult{err: errTaskPanicked}
+		defer func() { done <- res }()
 		tr, err := s.traceFor(st, samples)
 		if err != nil {
-			done <- sigResult{err: err}
+			res.err = err
 			return
 		}
-		entry, added, err := s.sys.BuildSignatureEntry(ctx, req.Problem, tr)
-		done <- sigResult{entry: entry, added: added, err: err}
+		res.entry, res.added, res.err = s.sys.BuildSignatureEntry(ctx, req.Problem, tr)
 	})
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {

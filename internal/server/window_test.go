@@ -154,7 +154,6 @@ func TestStreamWindowDiagnosisMatchesExplicit(t *testing.T) {
 	const windowCap = 40
 	custom := core.DefaultConfig()
 	custom.Assoc = absPearson
-	custom.AssocName = "abs-pearson"
 	cases := []struct {
 		name      string
 		cfg       core.Config

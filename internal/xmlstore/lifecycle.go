@@ -2,10 +2,17 @@ package xmlstore
 
 import "fmt"
 
+// The edge states a lifecycle section records.
+const (
+	StateLive        = "live"
+	StateQuarantined = "quarantined"
+)
+
 // LifecycleEdge is one trained edge's persisted health and shadow state:
 // the drift-detection series (observations, violations, EWMA rate and
 // change-point accumulator) plus, for quarantined edges, the decayed
-// candidate baseline and its side-by-side evaluation tally.
+// candidate baseline and its side-by-side evaluation tally. It is also the
+// one in-memory snapshot shape of an edge (core's Profile.LifecycleEdges).
 type LifecycleEdge struct {
 	I     int     `xml:"i,attr"`
 	J     int     `xml:"j,attr"`
