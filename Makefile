@@ -9,16 +9,11 @@
 #   make smoke         — boot invarnetd on an ephemeral port, run the load
 #                        generator against the live socket, assert /healthz
 #                        and /v1/stats sanity, drain and persist cleanly
-#   make fleet-smoke   — boot a 3-peer federation on loopback, label a
-#                        distinct fault on each peer, assert gossip
-#                        convergence, cross-peer diagnosis from the replica,
-#                        and both survivors declaring a killed peer dead
-#                        with no signature lost
 #   make bench-smoke   — vet and short-test the separate bench/ module (the
 #                        end-to-end benchmark harness), so an API removal
 #                        that breaks it fails here, not in the acceptance
 #                        driver: the root build never compiles it
-#   make check         — all tiers: test, race, smokes
+#   make check         — all tiers: test, race, smoke, bench-smoke
 #   make loc           — non-test Go lines per package (internal/*,
 #                        server/client, cmd/*, the root package) and a TOTAL
 #                        row: the one number every simplicity PR quotes in
@@ -36,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench-smoke smoke fleet-smoke fuzz loc
+.PHONY: build test vet race check bench-smoke smoke fuzz loc
 
 build:
 	$(GO) build ./...
@@ -52,13 +47,10 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-check: test race smoke fleet-smoke bench-smoke
+check: test race smoke bench-smoke
 
 smoke: build
 	$(GO) run ./cmd/invarnetd -smoke -smoke-seconds 3
-
-fleet-smoke: build
-	$(GO) run ./cmd/invarnetd -fleet-smoke
 
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...

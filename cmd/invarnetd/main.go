@@ -56,11 +56,9 @@ func main() {
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060); empty = off")
 	peers := fs.String("peers", "", "comma-separated peer addresses (host:port each) to federate with; empty = no fleet")
 	fleetAddr := fs.String("fleet-addr", "", "address this daemon advertises to peers (default: 127.0.0.1 + -addr port)")
-	fleetHeartbeat := fs.Duration("fleet-heartbeat", fleet.DefaultHeartbeat, "peer liveness probe interval (jittered)")
-	fleetSync := fs.Duration("fleet-sync", fleet.DefaultSyncInterval, "anti-entropy exchange interval (jittered)")
+	fleetSync := fs.Duration("fleet-sync", fleet.DefaultSyncInterval, "anti-entropy round interval, also the peer liveness probe interval (jittered)")
 	smoke := fs.Bool("smoke", false, "run the self-test against a live socket and exit")
 	smokeSecs := fs.Float64("smoke-seconds", 3, "load duration in -smoke mode")
-	fleetSmoke := fs.Bool("fleet-smoke", false, "run the 3-peer federation self-test and exit")
 	fs.Parse(os.Args[1:])
 
 	cfg := server.Config{
@@ -96,18 +94,9 @@ func main() {
 		cfg.Fleet = &fleet.Config{
 			Self:         self,
 			Peers:        list,
-			Heartbeat:    *fleetHeartbeat,
 			SyncInterval: *fleetSync,
 			Logf:         log.Printf,
 		}
-	}
-
-	if *fleetSmoke {
-		if err := runFleetSmoke(cfg); err != nil {
-			log.Fatalf("fleet-smoke: FAIL: %v", err)
-		}
-		fmt.Println("fleet-smoke: OK")
-		return
 	}
 
 	if *smoke {
@@ -180,8 +169,9 @@ func serve(cfg server.Config, opts serveOptions) error {
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	// The fleet loops start after the listener goroutine: peers probing back
-	// reach a socket that answers, so boot does not cost this daemon misses.
+	// The fleet loop starts after the listener goroutine: peers exchanging
+	// back reach a socket that answers, so boot does not cost this daemon
+	// misses.
 	if f := srv.Fleet(); f != nil {
 		log.Printf("fleet: advertising %s to %d peers", f.Self(), len(f.Peers()))
 		srv.StartFleet()

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"invarnetx/internal/xmlstore"
 )
 
 // bootGossipPeer serves one bare Fleet (no serving stack behind it) on a
@@ -109,19 +112,21 @@ func TestColdRestartContinuesOwnSequence(t *testing.T) {
 	b.Apply(a.Missing(b.Vector()))
 
 	// Both ways a restarted daemon meets records of its own origin: pulled
-	// back from a peer, and read from a fleet file whose next-seq is behind
-	// (absent, or written under another address).
+	// back from a peer, and loaded from a fleet file whose next-seq is behind
+	// (absent).
 	pulled := NewStore("a:1")
 	if fresh := pulled.Apply(b.Missing(pulled.Vector())); len(fresh) != 3 {
 		t.Fatalf("restarted peer pulled %d of its 3 records back", len(fresh))
 	}
-	file := b.File()
-	file.Self, file.NextSeq = "", 0
-	if err := file.Validate(); err != nil {
+	file := b.file()
+	file.Self, file.NextSeq = "a:1", 0
+	path := filepath.Join(t.TempDir(), "fleet-state.xml")
+	if err := xmlstore.SaveFile(path, file); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore("a:1")
-	restored.Restore(&file)
+	loaded := New(Config{Self: "a:1", Logf: func(format string, args ...any) { t.Fatalf(format, args...) }})
+	loaded.LoadState(path)
+	restored := loaded.store
 
 	for name, a2 := range map[string]*Store{"pulled": pulled, "restored": restored} {
 		r, ok := a2.Append("wordcount", "10.0.0.2", "fault-new", wideTuple(3))

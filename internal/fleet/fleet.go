@@ -4,9 +4,10 @@
 //
 // Two layers, smallest-first:
 //
-//   - membership: static bootstrap (-peers) plus heartbeat liveness with a
-//     suspect/dead state machine and jittered probe intervals. Dead peers
-//     leave gossip but keep being probed, so a restart rejoins.
+//   - membership: static bootstrap (-peers) plus a suspect/dead state
+//     machine fed by the anti-entropy rounds: each round exchanges with
+//     every live peer and probes the dead ones under a short deadline, so
+//     the round is the liveness probe and a restarted peer rejoins.
 //   - anti-entropy: the signature database is append-mostly and tiny, so
 //     replication is a CRDT-style union keyed by (context, fingerprint).
 //     Every record carries (origin, seq); per-peer version vectors make each
@@ -34,12 +35,9 @@ import (
 	"invarnetx/internal/stats"
 )
 
-// Defaults for the federation knobs.
-const (
-	DefaultHeartbeat    = 1 * time.Second
-	DefaultSyncInterval = 2 * time.Second
-	DefaultSuspectAfter = 2
-)
+// DefaultSyncInterval is the anti-entropy round interval, and so also the
+// liveness probe interval.
+const DefaultSyncInterval = 1 * time.Second
 
 // rpcClient is the peer transport. Its timeout bounds one peer exchange: a
 // wedged peer must cost at most this per round, not pin the loop.
@@ -55,34 +53,20 @@ type Config struct {
 	// Peers is the static bootstrap list (host:port each). One-sided lists
 	// heal: an inbound message from an unknown peer joins it to the set.
 	Peers []string
-	// Heartbeat is the liveness probe interval (jittered ±50%).
-	Heartbeat time.Duration
 	// SyncInterval is the anti-entropy round interval (jittered ±50%).
 	SyncInterval time.Duration
-	// SuspectAfter / DeadAfter are the consecutive-miss thresholds of the
-	// liveness state machine.
-	SuspectAfter int
-	DeadAfter    int
 	// Apply installs one replicated signature into the local system,
 	// reporting whether it was new there. Set by the serving layer.
 	Apply func(Record) bool
-	// Logf, when set, receives membership transitions and sync errors.
+	// Logf, when set, receives membership transitions, push errors and the
+	// reason a persisted fleet state was not restored.
 	Logf func(format string, args ...any)
 }
 
 // withDefaults normalises the knobs.
 func (c Config) withDefaults() Config {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultHeartbeat
-	}
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = DefaultSyncInterval
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter + 3
 	}
 	if c.Apply == nil {
 		c.Apply = func(Record) bool { return false }
@@ -102,7 +86,7 @@ type Stats struct {
 	Dead              int    `json:"dead"`
 	LogLen            int    `json:"logLen"`
 	SyncRounds        int64  `json:"syncRounds"`
-	SyncFailures      int64  `json:"syncFailures"`
+	SyncFailures      int64  `json:"syncFailures"` // failed exchanges, not counting probes of peers already dead
 	RecordsShipped    int64  `json:"recordsShipped"`
 	RecordsApplied    int64  `json:"recordsApplied"`
 	RecordsDuplicate  int64  `json:"recordsDuplicate"`
@@ -110,7 +94,7 @@ type Stats struct {
 }
 
 // Fleet is one daemon's peer subsystem: membership, the replicated log, and
-// the background heartbeat and anti-entropy loops.
+// the background anti-entropy loop.
 type Fleet struct {
 	cfg     Config
 	store   *Store
@@ -122,8 +106,8 @@ type Fleet struct {
 	recordsApplied   atomic.Int64
 	recordsDuplicate atomic.Int64
 	// lastChangeRound is the sync-round index of the last applied or shipped
-	// record; the distance to syncRounds is the convergence signal the smoke
-	// harness and /v1/stats report.
+	// record; the distance to syncRounds is the convergence signal /v1/stats
+	// reports.
 	lastChangeRound atomic.Int64
 
 	started atomic.Bool
@@ -134,16 +118,12 @@ type Fleet struct {
 // New builds a fleet peer. Loops do not run until Start.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	f := &Fleet{
+	return &Fleet{
 		cfg:     cfg,
 		store:   NewStore(cfg.Self),
-		members: newMembership(cfg.Self, cfg.Peers, cfg.SuspectAfter, cfg.DeadAfter, time.Now),
+		members: newMembership(cfg.Self, cfg.Peers, time.Now),
 	}
-	return f
 }
-
-// Store exposes the replicated log (persistence and tests).
-func (f *Fleet) Store() *Store { return f.store }
 
 // Self returns the advertised address.
 func (f *Fleet) Self() string { return f.cfg.Self }
@@ -180,19 +160,18 @@ func (f *Fleet) Stats() Stats {
 	}
 }
 
-// Start launches the heartbeat and anti-entropy loops. Idempotent.
+// Start launches the anti-entropy loop. Idempotent.
 func (f *Fleet) Start() {
 	if !f.started.CompareAndSwap(false, true) {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f.cancel = cancel
-	f.wg.Add(2)
-	go f.heartbeatLoop(ctx)
+	f.wg.Add(1)
 	go f.syncLoop(ctx)
 }
 
-// Stop halts the loops and flushes pending deltas: one final push-pull with
+// Stop halts the loop and flushes pending deltas: one final push-pull with
 // every reachable peer inside ctx's budget, so signatures this daemon
 // learned but had not yet gossiped survive its exit. Safe to call without
 // Start.
@@ -204,39 +183,53 @@ func (f *Fleet) Stop(ctx context.Context) {
 	f.SyncRound(ctx)
 }
 
-// SyncRound performs one full push-pull exchange with every gossip target —
-// the periodic anti-entropy step and the drain-time delta flush, also how
-// tests and the smoke harness step replication deterministically.
-// Exchanges run sequentially — fleets are small and rounds are frequent;
-// bounded wall-clock per round comes from the per-RPC timeout.
+// SyncRound performs one push-pull exchange with every known peer — the
+// periodic anti-entropy step, the liveness probe and the drain-time delta
+// flush, also how tests step replication deterministically. Alive and
+// suspect peers go one after another, so what one ships reaches the next in
+// the same round. Dead peers are probed alongside, all at once and each
+// within half a sync interval: refusing or hanging, they add at most that.
 func (f *Fleet) SyncRound(ctx context.Context) {
 	round := f.syncRounds.Add(1)
-	for _, addr := range f.members.gossipTargets() {
-		if ctx.Err() != nil {
-			return
-		}
-		if changed := f.syncPeer(ctx, addr); changed {
-			f.lastChangeRound.Store(round)
-		}
+	live, dead := f.members.targets()
+	var probes sync.WaitGroup
+	for _, addr := range dead {
+		probes.Add(1)
+		go func() {
+			defer probes.Done()
+			pctx, cancel := context.WithTimeout(ctx, f.cfg.SyncInterval/2)
+			defer cancel()
+			f.syncPeer(pctx, round, addr)
+		}()
 	}
+	for _, addr := range live {
+		if ctx.Err() != nil {
+			break
+		}
+		f.syncPeer(ctx, round, addr)
+	}
+	probes.Wait()
 }
 
 // syncPeer runs one push-pull exchange with addr: send our vector, apply
 // what we were missing, then push what the peer's returned vector shows it
-// is missing. Reports whether any record moved in either direction.
-func (f *Fleet) syncPeer(ctx context.Context, addr string) (changed bool) {
+// is missing. A record moving either way marks round as the last change.
+func (f *Fleet) syncPeer(ctx context.Context, round int64, addr string) {
 	req := syncRequest{From: f.cfg.Self, Vector: f.store.Vector()}
 	var resp syncResponse
 	if err := f.post(ctx, addr, "/sync", req, &resp); err != nil {
-		f.syncFailures.Add(1)
-		if st, _ := f.members.fail(addr, err); st != Alive {
+		st, changed := f.members.fail(addr, err)
+		if changed {
 			f.cfg.Logf("fleet: peer %s %s: %v", addr, st, err)
 		}
-		return false
+		if st != Dead || changed { // a failed probe of a dead peer is no exchange error
+			f.syncFailures.Add(1)
+		}
+		return
 	}
-	f.members.observe(addr)
-	if n := f.apply(resp.Records); n > 0 {
-		changed = true
+	f.seen(addr)
+	if f.apply(resp.Records) > 0 {
+		f.lastChangeRound.Store(round)
 	}
 	missing := f.store.Missing(resp.Vector)
 	if len(missing) > 0 {
@@ -246,10 +239,9 @@ func (f *Fleet) syncPeer(ctx context.Context, addr string) (changed bool) {
 			f.cfg.Logf("fleet: pushing %d records to %s: %v", len(missing), addr, err)
 		} else {
 			f.recordsShipped.Add(int64(len(missing)))
-			changed = true
+			f.lastChangeRound.Store(round)
 		}
 	}
-	return changed
 }
 
 // apply merges received records into the log and installs the fresh ones
@@ -272,72 +264,32 @@ func (f *Fleet) apply(recs []Record) int {
 	return len(fresh)
 }
 
-// InstallRestored replays records recovered from the persisted fleet file
-// into the live signature database (the profile files usually already hold
-// them; Apply is idempotent either way).
-func (f *Fleet) InstallRestored(recs []Record) {
-	for _, r := range recs {
-		f.cfg.Apply(r)
-	}
-}
-
-// heartbeatLoop probes every known peer (dead included, so restarts rejoin)
-// at the jittered heartbeat interval.
-func (f *Fleet) heartbeatLoop(ctx context.Context) {
-	defer f.wg.Done()
-	rng := stats.NewRNG(jitterSeed(f.cfg.Self, "heartbeat"))
-	for sleepJittered(ctx, f.cfg.Heartbeat, rng) {
-		for _, addr := range f.members.probeTargets() {
-			if ctx.Err() != nil {
-				return
-			}
-			f.ping(ctx, addr)
-		}
-	}
-}
-
-// ping probes one peer and advances its liveness state.
-func (f *Fleet) ping(ctx context.Context, addr string) {
-	var resp pingResponse
-	if err := f.post(ctx, addr, "/ping", pingRequest{From: f.cfg.Self}, &resp); err != nil {
-		if st, changed := f.members.fail(addr, err); changed {
-			f.cfg.Logf("fleet: peer %s %s: %v", addr, st, err)
-		}
-		return
-	}
+// seen records a successful contact with addr, logging it when it changed
+// the peer's state (first sight or resurrection).
+func (f *Fleet) seen(addr string) {
 	if f.members.observe(addr) {
 		f.cfg.Logf("fleet: peer %s alive", addr)
 	}
 }
 
-// syncLoop runs anti-entropy rounds at the jittered sync interval.
+// syncLoop runs anti-entropy rounds, waiting an interval drawn uniformly
+// from [d/2, 3d/2) before each — jitter that decorrelates peers booted
+// together, so their rounds do not thunder in phase. The jitter stream
+// derives from the daemon's address, so such peers draw different intervals.
 func (f *Fleet) syncLoop(ctx context.Context) {
 	defer f.wg.Done()
-	rng := stats.NewRNG(jitterSeed(f.cfg.Self, "sync"))
-	for sleepJittered(ctx, f.cfg.SyncInterval, rng) {
-		f.SyncRound(ctx)
-	}
-}
-
-// jitterSeed derives one loop's jitter stream from the daemon's address, so
-// peers booted together draw different intervals.
-func jitterSeed(self, loop string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(self + "/" + loop))
-	return int64(h.Sum64())
-}
-
-// sleepJittered waits one interval drawn uniformly from [d/2, 3d/2) — the
-// jitter that decorrelates peers booted together, so heartbeats and sync
-// rounds do not thunder in phase. Returns false when ctx ended.
-func sleepJittered(ctx context.Context, d time.Duration, rng *stats.RNG) bool {
-	j := d/2 + time.Duration(rng.Float64()*float64(d))
-	t := time.NewTimer(j)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
+	h.Write([]byte(f.cfg.Self + "/sync"))
+	rng := stats.NewRNG(int64(h.Sum64()))
+	d := f.cfg.SyncInterval
+	for {
+		t := time.NewTimer(d/2 + time.Duration(rng.Float64()*float64(d)))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return
+		case <-t.C:
+			f.SyncRound(ctx)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -30,7 +31,8 @@ func fuzzFleet() *Fleet {
 // backwards — this daemon's own included, which the next local label must
 // advance — nor further forwards than the records it logged could reach,
 // never shrinks or rewrites the log, and never answers with more than one
-// exchange's worth of records.
+// exchange's worth of records. Whatever the sender names itself, the peer set
+// stays within maxPeers and holds only host:port addresses.
 func FuzzGossipBody(f *testing.F) {
 	mustJSON := func(v any) []byte {
 		b, err := json.Marshal(v)
@@ -68,6 +70,8 @@ func FuzzGossipBody(f *testing.F) {
 	f.Add(false, []byte(`{"from":"p:1","vector":[1,2]}`))
 	f.Add(true, []byte(`{"from":"p:1","records":[`))
 	f.Add(false, []byte(``))
+	f.Add(false, []byte(`{"from":"no-port","vector":{}}`))
+	f.Add(true, []byte(`{"from":"[::1]:7070","records":[]}`))
 
 	f.Fuzz(func(t *testing.T, push bool, body []byte) {
 		fl := fuzzFleet()
@@ -83,6 +87,15 @@ func FuzzGossipBody(f *testing.F) {
 
 		vecAfter := fl.store.Vector()
 		logAfter := fl.store.log
+		peers := fl.Peers()
+		if len(peers) > maxPeers {
+			t.Fatalf("%s grew the peer set to %d, past the cap %d", path, len(peers), maxPeers)
+		}
+		for _, p := range peers {
+			if _, _, err := net.SplitHostPort(p.Addr); err != nil {
+				t.Fatalf("%s joined %q to the peer set: %v", path, p.Addr, err)
+			}
+		}
 		switch w.Code {
 		case http.StatusBadRequest:
 			if !reflect.DeepEqual(vecAfter, vecBefore) || !reflect.DeepEqual(logAfter, logBefore) {

@@ -9,17 +9,10 @@ import (
 	"net/http"
 )
 
-// Wire shapes of the three gossip endpoints. Every request carries the
+// Wire shapes of the two gossip endpoints. Every request carries the
 // sender's advertised address: receipt is passive liveness evidence, and
-// unknown senders join the peer set (healing one-sided bootstrap lists).
-
-type pingRequest struct {
-	From string `json:"from"`
-}
-
-type pingResponse struct {
-	From string `json:"from"`
-}
+// unknown senders join the peer set up to its cap (healing one-sided
+// bootstrap lists).
 
 type syncRequest struct {
 	From   string `json:"from"`
@@ -51,7 +44,6 @@ const maxGossipBody = 8 << 20
 // gossip, so -peers needs only the addresses the fleet already advertises.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ping", f.handlePing)
 	mux.HandleFunc("POST /sync", f.handleSync)
 	mux.HandleFunc("POST /push", f.handlePush)
 	return mux
@@ -74,15 +66,6 @@ func writeBody(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (f *Fleet) handlePing(w http.ResponseWriter, r *http.Request) {
-	var req pingRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	f.members.observe(req.From)
-	writeBody(w, pingResponse{From: f.cfg.Self})
-}
-
 // handleSync answers one pull: the caller's vector comes in, the records it
 // is missing go out along with our own vector (so the caller can push back
 // what we are missing — push-pull in one round trip pair).
@@ -91,7 +74,7 @@ func (f *Fleet) handleSync(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	f.members.observe(req.From)
+	f.seen(req.From)
 	missing := f.store.Missing(req.Vector)
 	f.recordsShipped.Add(int64(len(missing)))
 	writeBody(w, syncResponse{From: f.cfg.Self, Vector: f.store.Vector(), Records: missing})
@@ -103,7 +86,7 @@ func (f *Fleet) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	f.members.observe(req.From)
+	f.seen(req.From)
 	n := f.apply(req.Records)
 	if n > 0 {
 		f.lastChangeRound.Store(f.syncRounds.Load())

@@ -1,16 +1,17 @@
 package fleet
 
 import (
+	"net"
 	"sort"
 	"sync"
 	"time"
 )
 
-// State is a peer's liveness in the suspect/dead state machine. A peer is
-// Alive while heartbeats and exchanges succeed; consecutive failures move it
-// to Suspect (still gossiped with — a slow peer must not be partitioned off
-// by one missed beat) and then Dead (dropped from gossip, still pinged so a
-// restart resurrects it).
+// State is a peer's liveness in the suspect/dead state machine, fed by the
+// anti-entropy rounds themselves: every exchange with a peer is one probe of
+// it. A peer is Alive while exchanges succeed; consecutive failures move it
+// to Suspect (still exchanged with — one missed round must not partition a
+// slow peer off) and then Dead (only probed, so a restart resurrects it).
 type State int
 
 const (
@@ -19,18 +20,7 @@ const (
 	Dead
 )
 
-func (s State) String() string {
-	switch s {
-	case Alive:
-		return "alive"
-	case Suspect:
-		return "suspect"
-	case Dead:
-		return "dead"
-	default:
-		return "unknown"
-	}
-}
+func (s State) String() string { return [...]string{"alive", "suspect", "dead"}[s] }
 
 // PeerInfo is the operator view of one peer (GET /v1/peers).
 type PeerInfo struct {
@@ -48,48 +38,63 @@ type peer struct {
 	misses   int
 	lastSeen time.Time
 	lastErr  string
+	seed     bool // named in the bootstrap list: never dropped
 }
+
+// Liveness thresholds in consecutive failed exchanges — one per sync round,
+// so at DefaultSyncInterval a killed peer is dead after about five seconds.
+const (
+	suspectAfter = 2
+	deadAfter    = 5
+)
+
+// maxPeers caps the peer set that inbound senders can add themselves to: a
+// peer is dialled every round, so an unbounded set would let any client that
+// can POST a gossip body grow this daemon's work without limit. Bootstrap
+// peers are always kept, whatever their number.
+const maxPeers = 64
 
 // membership tracks the fleet's peers and their liveness.
 type membership struct {
-	self         string
-	suspectAfter int // consecutive misses before Alive -> Suspect
-	deadAfter    int // consecutive misses before -> Dead
-	now          func() time.Time
+	self string
+	now  func() time.Time
 
 	mu    sync.Mutex
 	peers map[string]*peer
 }
 
-func newMembership(self string, seeds []string, suspectAfter, deadAfter int, now func() time.Time) *membership {
+func newMembership(self string, seeds []string, now func() time.Time) *membership {
 	m := &membership{
-		self:         self,
-		suspectAfter: suspectAfter,
-		deadAfter:    deadAfter,
-		now:          now,
-		peers:        make(map[string]*peer),
+		self:  self,
+		now:   now,
+		peers: make(map[string]*peer),
 	}
 	for _, addr := range seeds {
 		if addr != "" && addr != self {
-			m.peers[addr] = &peer{addr: addr, state: Alive}
+			m.peers[addr] = &peer{addr: addr, state: Alive, seed: true}
 		}
 	}
 	return m
 }
 
-// observe marks a successful contact with addr — an answered heartbeat, an
-// exchange, or an inbound message from it (passive liveness: a peer that can
-// reach us is alive even if our own probes race its boot). Unknown senders
-// join the peer set, healing one-sided bootstrap lists. Returns true when
-// the peer's state changed (resurrection or first sight).
+// observe marks a successful contact with addr — an exchange it answered, or
+// an inbound message from it (passive liveness: a peer that can reach us is
+// alive even if our own round races its boot). An unknown sender joins the
+// peer set, healing one-sided bootstrap lists, if its address is a host:port
+// and the set holds fewer than maxPeers; otherwise it is answered but never
+// dialled. Returns true when the peer's state changed (resurrection or first
+// sight).
 func (m *membership) observe(addr string) bool {
-	if addr == "" || addr == m.self {
+	if addr == m.self {
 		return false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p, ok := m.peers[addr]
 	if !ok {
+		if _, _, err := net.SplitHostPort(addr); err != nil || len(m.peers) >= maxPeers {
+			return false
+		}
 		p = &peer{addr: addr}
 		m.peers[addr] = p
 	}
@@ -101,8 +106,11 @@ func (m *membership) observe(addr string) bool {
 	return changed
 }
 
-// fail records one failed probe of addr and advances the state machine.
-// Returns the state after the failure and whether the failure changed it.
+// fail records one failed exchange with addr and advances the state machine.
+// Returns the state after the failure and whether the failure changed it. A
+// peer that turns dead and is not a bootstrap peer leaves the set: a
+// restarted one rejoins by its next inbound message, and an address a client
+// announced but nobody serves stops costing a probe per round.
 func (m *membership) fail(addr string, err error) (st State, changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -116,40 +124,33 @@ func (m *membership) fail(addr string, err error) (st State, changed bool) {
 	}
 	prev := p.state
 	switch {
-	case p.misses >= m.deadAfter:
+	case p.misses >= deadAfter:
 		p.state = Dead
-	case p.misses >= m.suspectAfter:
+	case p.misses >= suspectAfter:
 		p.state = Suspect
+	}
+	if p.state == Dead && !p.seed {
+		delete(m.peers, addr)
 	}
 	return p.state, p.state != prev
 }
 
-// gossipTargets returns the peers an anti-entropy round should exchange
-// with: everyone not dead.
-func (m *membership) gossipTargets() []string {
+// targets returns every known peer, each group sorted by address: the alive
+// and suspect peers a round exchanges with in turn, and the dead ones it
+// probes, so a restarted daemon rejoins without operator action.
+func (m *membership) targets() (live, dead []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []string
 	for _, p := range m.peers {
-		if p.state != Dead {
-			out = append(out, p.addr)
+		if p.state == Dead {
+			dead = append(dead, p.addr)
+		} else {
+			live = append(live, p.addr)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// probeTargets returns every known peer, dead included: heartbeats keep
-// probing the dead so a restarted daemon rejoins without operator action.
-func (m *membership) probeTargets() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.peers))
-	for _, p := range m.peers {
-		out = append(out, p.addr)
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(live)
+	sort.Strings(dead)
+	return live, dead
 }
 
 // snapshot returns the operator view, sorted by address.

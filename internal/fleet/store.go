@@ -1,25 +1,26 @@
 package fleet
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
 	"invarnetx/internal/signature"
-	"invarnetx/internal/xmlstore"
 )
 
 // Record is one replicated signature: the paper's four-tuple stamped with
 // the identity of the daemon that first accepted it (Origin, its advertised
 // address) and its position in that origin's append sequence (Seq, starting
 // at 1). Records are immutable once issued; the log is append-only per
-// origin, which is what makes the version-vector diff exact.
+// origin, which is what makes the version-vector diff exact. The JSON tags
+// are the gossip wire shape, the XML tags a <record> of fleet-state.xml.
 type Record struct {
-	Origin   string `json:"origin"`
-	Seq      uint64 `json:"seq"`
-	Workload string `json:"workload"`
-	Node     string `json:"node"`
-	Problem  string `json:"problem"`
-	Tuple    string `json:"tuple"`
+	Origin   string `json:"origin" xml:"origin,attr"`
+	Seq      uint64 `json:"seq" xml:"seq,attr"`
+	Workload string `json:"workload" xml:"type"`
+	Node     string `json:"node" xml:"ip"`
+	Problem  string `json:"problem" xml:"problem"`
+	Tuple    string `json:"tuple" xml:"tuple"`
 }
 
 // wellFormed reports whether the record's tuple parses. Records are outside
@@ -33,15 +34,6 @@ func (r Record) wellFormed() bool {
 // applied. Anti-entropy ships exactly the records above the remote's clocks,
 // so each round transfers only what the remote is missing.
 type Vector map[string]uint64
-
-// Clone copies the vector (the zero map clones to an empty one).
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	for o, s := range v {
-		out[o] = s
-	}
-	return out
-}
 
 // Store is the replicated signature log of one daemon: every record it has
 // originated or applied, indexed by origin sequence for delta computation.
@@ -157,7 +149,7 @@ func (s *Store) Missing(remote Vector) []Record {
 func (s *Store) Vector() Vector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.vector.Clone()
+	return maps.Clone(s.vector)
 }
 
 // Len returns the number of records in the log.
@@ -165,63 +157,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.log)
-}
-
-// File snapshots the store into its persistable form.
-func (s *Store) File() xmlstore.FleetFile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := xmlstore.FleetFile{
-		Version: xmlstore.FormatVersion,
-		Self:    s.self,
-		NextSeq: s.nextSeq,
-	}
-	origins := make([]string, 0, len(s.vector))
-	for o := range s.vector {
-		origins = append(origins, o)
-	}
-	sort.Strings(origins)
-	for _, o := range origins {
-		f.Vector = append(f.Vector, xmlstore.FleetClock{Origin: o, Seq: s.vector[o]})
-	}
-	for _, r := range s.log {
-		f.Records = append(f.Records, xmlstore.FleetRecord{
-			Origin: r.Origin, Seq: r.Seq,
-			Workload: r.Workload, Node: r.Node, Problem: r.Problem, Tuple: r.Tuple,
-		})
-	}
-	return f
-}
-
-// Restore loads a persisted fleet file into an empty store, so a restarted
-// daemon resumes anti-entropy exactly where it stopped: its own sequence
-// counter continues (no reissued seqs) and the first sync round after boot
-// diffs against the restored vector instead of refetching everything. It
-// returns every restored record for the caller to reinstall. The file must
-// Validate() first; Restore trusts its shape.
-func (s *Store) Restore(f *xmlstore.FleetFile) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f.NextSeq > s.nextSeq {
-		s.nextSeq = f.NextSeq
-	}
-	for _, c := range f.Vector {
-		if c.Seq > s.vector[c.Origin] {
-			s.vector[c.Origin] = c.Seq
-		}
-	}
-	var restored []Record
-	for _, fr := range f.Records {
-		r := Record{
-			Origin: fr.Origin, Seq: fr.Seq,
-			Workload: fr.Workload, Node: fr.Node, Problem: fr.Problem, Tuple: fr.Tuple,
-		}
-		if !r.wellFormed() {
-			continue
-		}
-		s.keepAhead(r)
-		s.log = append(s.log, r)
-		restored = append(restored, r)
-	}
-	return restored
 }

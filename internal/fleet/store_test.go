@@ -98,13 +98,13 @@ func TestStorePersistRoundTrip(t *testing.T) {
 	a.Append("wc", "n1", "cpu-hog", "0110")
 	a.Apply([]Record{{Origin: "b:1", Seq: 3, Workload: "sort", Node: "n2", Problem: "disk-hog", Tuple: "0011"}})
 
-	f := a.File()
-	if err := f.Validate(); err != nil {
+	f := a.file()
+	if err := f.validate(); err != nil {
 		t.Fatal(err)
 	}
 	r := NewStore("a:1")
-	if restored := r.Restore(&f); len(restored) != 2 {
-		t.Fatalf("restore yielded %d records, want 2", len(restored))
+	if r.restore(&f); r.Len() != 2 {
+		t.Fatalf("restore yielded %d records, want 2", r.Len())
 	}
 	// The restored clock resumes: nothing re-fetches, sequences continue.
 	if got, want := r.Vector()["b:1"], uint64(3); got != want {

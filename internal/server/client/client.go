@@ -201,14 +201,6 @@ func (c *Client) Signatures(ctx context.Context) (*server.SignaturesResponse, er
 	return &out, nil
 }
 
-// AddSignature labels a problem signature from the supplied (or current)
-// abnormal window.
-func (c *Client) AddSignature(ctx context.Context, workload, node, problem string, samples []server.Sample) error {
-	return c.do(ctx, http.MethodPost, "/v1/signatures", server.SignatureRequest{
-		Workload: workload, Node: node, Problem: problem, Samples: samples,
-	}, nil)
-}
-
 // Peers fetches the fleet membership view. Daemons running without -peers
 // return 404 (federation disabled), surfaced as *APIError.
 func (c *Client) Peers(ctx context.Context) (*server.PeersResponse, error) {

@@ -64,8 +64,9 @@ type Config struct {
 	// ReportCap bounds retained reports (default DefaultReportCap).
 	ReportCap int
 	// Fleet, when set, federates this daemon with the configured peers:
-	// gossip-replicated signatures and heartbeat liveness. The serving layer
-	// owns the Apply hook; any value set there is replaced.
+	// gossip-replicated signatures, each exchange doubling as a liveness
+	// probe. The serving layer owns the Apply hook; any value set there is
+	// replaced.
 	Fleet *fleet.Config
 }
 

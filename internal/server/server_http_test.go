@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -65,8 +67,8 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *client.Cli
 	return srv, client.New(hs.URL, hs.Client()), hs
 }
 
-// getProfiles reads GET /v1/profiles, the one endpoint the typed client has
-// no product caller for.
+// getProfiles reads GET /v1/profiles, an endpoint the typed client has no
+// product caller for.
 func getProfiles(t *testing.T, hs *httptest.Server) *server.ProfilesResponse {
 	t.Helper()
 	resp, err := hs.Client().Get(hs.URL + "/v1/profiles")
@@ -79,6 +81,25 @@ func getProfiles(t *testing.T, hs *httptest.Server) *server.ProfilesResponse {
 		t.Fatalf("GET /v1/profiles: status %d, %v", resp.StatusCode, err)
 	}
 	return &out
+}
+
+// postSignature labels a signature through POST /v1/signatures, the other
+// endpoint the typed client has no product caller for, and reports whether
+// the daemon acknowledged it.
+func postSignature(hs *httptest.Server, req server.SignatureRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	resp, err := hs.Client().Post(hs.URL+"/v1/signatures", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("POST /v1/signatures: status %d", resp.StatusCode)
+	}
+	return nil
 }
 
 // TestConcurrentIngestStreams is the serving acceptance test: 8 concurrent
@@ -264,7 +285,7 @@ func TestRestartRestoresSignatures(t *testing.T) {
 	for i := 0; i < lcfg.Streams; i++ {
 		w, node := lcfg.StreamID(i)
 		samples := client.SynthBatch(rng.Fork(int64(i)), client.LoadConfig{Coupled: 3}, 40)
-		if err := c.AddSignature(context.Background(), w, node, "disk-hog", samples); err != nil {
+		if err := postSignature(hs, server.SignatureRequest{Workload: w, Node: node, Problem: "disk-hog", Samples: samples}); err != nil {
 			t.Fatalf("labelling signature for %s@%s: %v", w, node, err)
 		}
 		acked = append(acked, labelled{w, node, "disk-hog"})

@@ -78,7 +78,7 @@ func (d *profileDecoder) file() error {
 			d.f.Type = string(a.value)
 		}
 	}
-	if err := checkVersion(d.f.Version); err != nil {
+	if err := CheckVersion(d.f.Version); err != nil {
 		return err
 	}
 	d.last.ip, d.last.workloadType = d.f.IP, d.f.Type

@@ -198,13 +198,40 @@ func profileWith(s string, parts int) ProfileFile {
 	return f
 }
 
+// fleetFile is the shape of the fleet's state file (fleet-state.xml, whose
+// type lives in package fleet): the second schema the decode path is held
+// to, with attributes on list elements and nested wrappers the profile file
+// lacks.
+type fleetFile struct {
+	XMLName xml.Name      `xml:"fleet-state"`
+	Version int           `xml:"version,attr"`
+	Self    string        `xml:"self"`
+	NextSeq uint64        `xml:"next-seq"`
+	Vector  []fleetClock  `xml:"vector>clock"`
+	Records []fleetRecord `xml:"log>record"`
+}
+
+type fleetClock struct {
+	Origin string `xml:"origin,attr"`
+	Seq    uint64 `xml:"seq,attr"`
+}
+
+type fleetRecord struct {
+	Origin   string `xml:"origin,attr"`
+	Seq      uint64 `xml:"seq,attr"`
+	Workload string `xml:"type"`
+	Node     string `xml:"ip"`
+	Problem  string `xml:"problem"`
+	Tuple    string `xml:"tuple"`
+}
+
 // savedFiles returns saved documents carrying s wherever they have a string:
 // a profile file with every part, one with signatures only, and a
 // fleet-state file.
 func savedFiles(t testing.TB, s string) [][]byte {
 	t.Helper()
-	fleet := FleetFile{Version: FormatVersion, Self: s, NextSeq: 3, Vector: []FleetClock{{Origin: s, Seq: 2}},
-		Records: []FleetRecord{{Origin: s, Seq: 1, Workload: "wl" + s, Node: s, Problem: s, Tuple: "0110"}, {Origin: s, Seq: 2, Tuple: "1"}}}
+	fleet := fleetFile{Version: FormatVersion, Self: s, NextSeq: 3, Vector: []fleetClock{{Origin: s, Seq: 2}},
+		Records: []fleetRecord{{Origin: s, Seq: 1, Workload: "wl" + s, Node: s, Problem: s, Tuple: "0110"}, {Origin: s, Seq: 2, Tuple: "1"}}}
 	var buf bytes.Buffer
 	if err := Save(&buf, fleet); err != nil {
 		t.Fatal(err)
@@ -214,7 +241,7 @@ func savedFiles(t testing.TB, s string) [][]byte {
 
 // newKinds returns a zero value of each file kind to decode into.
 func newKinds() []any {
-	return []any{&ProfileFile{}, &FleetFile{}}
+	return []any{&ProfileFile{}, &fleetFile{}}
 }
 
 // same is reflect.DeepEqual but for NaN, which a hostile file can put in any
@@ -233,7 +260,7 @@ func same(a, b any) bool {
 // loop is held to: f's version checked and its signatures parsed in file
 // order, any malformed tuple rejecting the whole file.
 func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
-	if err := checkVersion(f.Version); err != nil {
+	if err := CheckVersion(f.Version); err != nil {
 		return nil, err
 	}
 	out := make([]signature.Entry, len(f.Signatures))
@@ -425,13 +452,13 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		inv := &InvariantFile{Metrics: rng.Intn(30)}
 		life := &LifecycleFile{Generation: uint64(rng.Intn(1 << 30)), Observed: int64(rng.Intn(1000))}
 		prof := ProfileFile{Version: rng.Intn(3), IP: str(), Type: str()}
-		fleet := FleetFile{Version: 1, Self: str(), NextSeq: uint64(rng.Intn(100))}
+		fleet := fleetFile{Version: 1, Self: str(), NextSeq: uint64(rng.Intn(100))}
 		for n := rng.Intn(5); n > 0; n-- {
 			inv.Pairs = append(inv.Pairs, invariantPair{I: rng.Intn(30), J: rng.Intn(30), Value: rng.Float64()})
 			prof.Signatures = append(prof.Signatures, SignatureEntry{Tuple: str(), Problem: str(), IP: str(), Type: str()})
 			life.Edges = append(life.Edges, LifecycleEdge{I: rng.Intn(30), J: rng.Intn(30), State: str(), Obs: int64(rng.Intn(99)), Rate: rng.Float64(), ShadowBase: rng.Float64()})
-			fleet.Vector = append(fleet.Vector, FleetClock{Origin: str(), Seq: uint64(rng.Intn(99))})
-			fleet.Records = append(fleet.Records, FleetRecord{Origin: str(), Seq: uint64(rng.Intn(99)), Workload: str(), Node: str(), Problem: str(), Tuple: str()})
+			fleet.Vector = append(fleet.Vector, fleetClock{Origin: str(), Seq: uint64(rng.Intn(99))})
+			fleet.Records = append(fleet.Records, fleetRecord{Origin: str(), Seq: uint64(rng.Intn(99)), Workload: str(), Node: str(), Problem: str(), Tuple: str()})
 		}
 		// Each section present or absent.
 		if rng.Bernoulli(0.7) {

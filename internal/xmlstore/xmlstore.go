@@ -34,9 +34,9 @@ const FormatVersion = 1
 // caller must not guess at its contents.
 var ErrVersion = errors.New("xmlstore: unsupported store format version")
 
-// checkVersion accepts the legacy unversioned format (0) and every version
-// up to FormatVersion.
-func checkVersion(v int) error {
+// CheckVersion accepts the legacy unversioned format (0) and every version
+// up to FormatVersion: the rule for profile files and fleet-state.xml alike.
+func CheckVersion(v int) error {
 	if v < 0 || v > FormatVersion {
 		return fmt.Errorf("%w: %d (this build reads <= %d)", ErrVersion, v, FormatVersion)
 	}
