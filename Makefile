@@ -64,8 +64,10 @@ loc:
 	done; printf '%-16s %6d\n' TOTAL $$total
 
 # Short coverage-guided runs of nine targets: the two ingest decoders' (the
-# binary wire frame, and the JSON body through validation and
-# TraceFromSamples: refused, or valid entries kept bit for bit), the store
+# binary wire frame, and the one-pass JSON decoder held differentially to
+# encoding/json plus validation and fromSamples: the same bodies accepted,
+# a repeated key aside, and the same batch to the bit; its minimisation is
+# capped at 2 s so a large mutated body does not eat the run), the store
 # reader's (profile and fleet-state files, the scanner and the direct
 # signature loop checked against encoding/xml), the lifecycle restore's (an
 # arbitrary edge list over a fixed set: refused, or restored to a state whose
@@ -82,7 +84,7 @@ loc:
 # warm). The seed corpora alone (run by `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
-	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzIngestJSON -fuzztime 10s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzIngestJSON -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/xmlstore/ -run '^$$' -fuzz FuzzLoad -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzLifecycleRestore -fuzztime 10s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzGossipBody -fuzztime 10s

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -186,17 +187,18 @@ type Health struct {
 // binary frames and in-process callers can; a non-finite value admitted here
 // would poison the MIC preparations and the detector's forecast history, so
 // both ingest paths reject it at admission — validity masks are the only
-// sanctioned gap channel.
+// sanctioned gap channel. The JSON ingest decoder applies the shape rules as
+// it reads, with these same errors.
 func validateSamples(samples []Sample) error {
 	if len(samples) == 0 {
-		return fmt.Errorf("server: empty sample batch")
+		return errEmptyBatch
 	}
 	for i, s := range samples {
 		if len(s.Metrics) != metrics.Count {
-			return fmt.Errorf("server: sample %d has %d metrics, want %d", i, len(s.Metrics), metrics.Count)
+			return metricCountError(i, len(s.Metrics))
 		}
 		if s.Valid != nil && len(s.Valid) != metrics.Count {
-			return fmt.Errorf("server: sample %d mask has %d entries, want %d", i, len(s.Valid), metrics.Count)
+			return maskLengthError(i, len(s.Valid))
 		}
 		for m, v := range s.Metrics {
 			if !isFinite(v) {
@@ -208,6 +210,21 @@ func validateSamples(samples []Sample) error {
 		}
 	}
 	return nil
+}
+
+// errEmptyBatch, metricCountError and maskLengthError are validateSamples'
+// shape refusals; errNoIdentity refuses a request naming no stream.
+var (
+	errEmptyBatch = errors.New("server: empty sample batch")
+	errNoIdentity = errors.New("workload and node are required")
+)
+
+func metricCountError(sample, got int) error {
+	return fmt.Errorf("server: sample %d has %d metrics, want %d", sample, got, metrics.Count)
+}
+
+func maskLengthError(sample, got int) error {
+	return fmt.Errorf("server: sample %d mask has %d entries, want %d", sample, got, metrics.Count)
 }
 
 // badValueError is the shared rejection for a non-finite metric entry: it
@@ -227,8 +244,8 @@ func isFinite(v float64) bool {
 // maskValue applies the gap semantics to one wire entry: an invalid entry
 // whose placeholder is zero is stored as NaN; any other placeholder is an
 // outside client's choice, kept as-is and flagged invalid by the mask.
-// Applied once, where samples become columns (ingestBatch.fromSamples, the
-// frame decoder).
+// Applied once, where samples become columns (ingestBatch.fromSamples and
+// the two ingest decoders).
 func maskValue(v float64, valid bool) float64 {
 	if !valid && v == 0 {
 		return math.NaN()

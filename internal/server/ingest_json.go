@@ -1,0 +1,300 @@
+// JSON ingest decoder: one pass from a POST /v1/ingest body to a pooled
+// ingestBatch, without reflection or per-sample allocation. DESIGN.md
+// ("Columnar admission") states its grammar contract.
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"strconv"
+
+	"invarnetx/internal/metrics"
+)
+
+// The JSON names of IngestRequest's and Sample's fields, by key index.
+var (
+	requestFields = []string{"workload", "node", "samples"}
+	sampleFields  = []string{"metrics", "cpi", "valid", "cpiValid"}
+)
+
+// decodeIngestJSON decodes one JSON ingest body into b, applying maskValue,
+// and returns the stream's identity. It accepts what encoding/json
+// (DisallowUnknownFields), the required fields and validateSamples accept,
+// with their errors, but refuses a field set twice in one object where
+// encoding/json merges. FuzzIngestJSON holds it to that reference. b's
+// columns are filled only once the whole body is accounted for.
+func decodeIngestJSON(body []byte, b *ingestBatch) (workload, node string, err error) {
+	d := jsonScanner{buf: body}
+	n := 0
+	var verr error // the first sample validateSamples would refuse
+	var seen uint8
+	for k := 0; d.next('{', '}', k); k++ {
+		switch d.key(requestFields, &seen) {
+		case 0:
+			workload = d.identity()
+		case 1:
+			node = d.identity()
+		case 2:
+			n, verr = d.samples(b)
+		}
+	}
+	switch {
+	case d.err != nil:
+		return "", "", d.err
+	case workload == "" || node == "":
+		return "", "", errNoIdentity
+	case verr != nil:
+		return "", "", verr
+	case n == 0:
+		return "", "", errEmptyBatch
+	}
+	b.fromRows(n)
+	return workload, node, nil
+}
+
+// samples decodes the samples array row-major into b.rows and b.rowOK and
+// returns its length and first validation failure. Samples after a failure
+// are still read (a later syntax error outranks it) into one shared row.
+func (d *jsonScanner) samples(b *ingestBatch) (n int, verr error) {
+	b.rows, b.rowOK = b.rows[:0], b.rowOK[:0]
+	for n = 0; d.next('[', ']', n); n++ {
+		if verr == nil {
+			b.rows = slices.Grow(b.rows, rowStride)[:len(b.rows)+rowStride]
+			b.rowOK = slices.Grow(b.rowOK, rowStride)[:len(b.rowOK)+rowStride]
+		}
+		row, ok := b.rows[len(b.rows)-rowStride:], b.rowOK[len(b.rowOK)-rowStride:]
+		clear(row)
+		for k := range ok {
+			ok[k] = true
+		}
+		if err := d.sample(n, row, ok); verr == nil {
+			verr = err
+		}
+	}
+	return n, verr
+}
+
+// sample decodes samples[i] into row and ok, zeroed and all-valid on entry,
+// and returns validateSamples' refusal of it. A null reads as the zero value.
+func (d *jsonScanner) sample(i int, row []float64, ok []bool) error {
+	nm, nv := 0, -1 // metric count; mask length, -1 while absent
+	var seen uint8
+	for k := 0; d.next('{', '}', k); k++ {
+		switch d.key(sampleFields, &seen) {
+		case 0:
+			for ; d.next('[', ']', nm); nm++ {
+				if v := d.float(); nm < metrics.Count {
+					row[nm] = v
+				}
+			}
+		case 1:
+			row[metrics.Count] = d.float()
+		case 2:
+			if d.null() {
+				break
+			}
+			for nv = 0; d.next('[', ']', nv); nv++ {
+				if d.word() != 't' && nv < metrics.Count {
+					ok[nv] = false // false, or null: the zero bool
+				}
+			}
+		case 3:
+			if d.word() == 'f' {
+				ok[metrics.Count] = false
+			}
+		}
+	}
+	if nm != metrics.Count {
+		return metricCountError(i, nm)
+	}
+	if nv >= 0 && nv != metrics.Count {
+		return maskLengthError(i, nv)
+	}
+	return nil
+}
+
+// jsonScanner reads a JSON body by offset; a failure sticks and ends input.
+type jsonScanner struct {
+	buf []byte
+	i   int
+	err error
+}
+
+func (d *jsonScanner) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("decoding request: "+format, args...)
+	}
+	d.i = len(d.buf)
+}
+
+// peek skips whitespace and returns the next byte, 0 at the end of input.
+func (d *jsonScanner) peek() byte {
+	for ; d.i < len(d.buf); d.i++ {
+		if c := d.buf[d.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return c
+		}
+	}
+	return 0
+}
+
+// next consumes the delimiter before entry k of an array or object (open
+// before entry 0, a comma after) and reports whether entry k follows, or
+// consumes close and reports false: for k := 0; d.next(o, c, k); k++ {...}.
+// A null reads as the empty container, Decode's zero value for all of them
+// here but a mask, whose null (absent, not empty) is checked before.
+func (d *jsonScanner) next(open, close byte, k int) bool {
+	c, want := d.peek(), open
+	if k > 0 {
+		want = ','
+	}
+	switch {
+	case k == 0 && c == 'n':
+		d.word()
+		return false
+	case c == want:
+		if d.i++; k > 0 || d.peek() != close {
+			return true
+		}
+	case k == 0 || c != close:
+		d.fail("want '%c' or '%c'", want, close)
+		return false
+	}
+	d.i++ // close
+	return false
+}
+
+// key reads a member's key and colon and returns the field it names, matched
+// exactly, then by bytes.EqualFold, as Decode does; -1 after failing on an
+// unknown key (in Decode's words) or a field this object already set (seen).
+func (d *jsonScanner) key(fields []string, seen *uint8) int {
+	if d.peek() != '"' {
+		d.fail("want an object key")
+		return -1
+	}
+	k := d.str()
+	f := slices.Index(fields, string(k))
+	if f < 0 {
+		f = slices.IndexFunc(fields, func(name string) bool { return bytes.EqualFold(k, []byte(name)) })
+	}
+	switch {
+	case d.err != nil:
+	case f < 0:
+		d.fail("json: unknown field %q", k)
+	case *seen&(1<<f) != 0:
+		d.fail("repeated key %q", k)
+	case d.peek() != ':':
+		d.fail("want ':'")
+	default:
+		*seen |= 1 << f
+		d.i++
+		return f
+	}
+	return -1
+}
+
+// str reads a string token's contents: its own bytes when it is printable
+// ASCII without escapes, else encoding/json's unquoting (the rare path).
+func (d *jsonScanner) str() []byte {
+	start, plain := d.i, true
+	for i := start + 1; i < len(d.buf); i++ {
+		switch c := d.buf[i]; {
+		case c == '"':
+			if d.i = i + 1; plain {
+				return d.buf[start+1 : i]
+			}
+			var s string
+			if err := json.Unmarshal(d.buf[start:d.i], &s); err != nil {
+				d.fail("%v", err)
+			}
+			return []byte(s)
+		case c == '\\':
+			i++
+			plain = false
+		case c < 0x20 || c >= 0x80:
+			plain = false
+		}
+	}
+	d.fail("unterminated string")
+	return nil
+}
+
+// identity reads a string field; null leaves it empty.
+func (d *jsonScanner) identity() string {
+	if d.peek() == '"' {
+		return string(d.str())
+	} else if !d.null() {
+		d.fail("want a string")
+	}
+	return ""
+}
+
+// float reads a number (null: 0) as Decode does: JSON grammar, then ParseFloat.
+func (d *jsonScanner) float() float64 {
+	if d.null() {
+		return 0
+	}
+	end := numberEnd(d.buf, d.i)
+	if end < 0 {
+		d.fail("want a number")
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(d.buf[d.i:end]), 64)
+	if d.i = end; err != nil {
+		d.fail("%v", err)
+	}
+	return v
+}
+
+// numberEnd returns the end of the JSON number starting at buf[i], or -1
+// when the grammar refuses it: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func numberEnd(buf []byte, i int) int {
+	if i < len(buf) && buf[i] == '-' {
+		i++
+	}
+	j := digitsEnd(buf, i)
+	if j == i || buf[i] == '0' && j > i+1 {
+		return -1 // no integer digit, or a leading zero
+	}
+	if j < len(buf) && buf[j] == '.' {
+		if i, j = j+1, digitsEnd(buf, j+1); j == i {
+			return -1
+		}
+	}
+	if j < len(buf) && (buf[j] == 'e' || buf[j] == 'E') {
+		if i = j + 1; i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			i++
+		}
+		if j = digitsEnd(buf, i); j == i {
+			return -1
+		}
+	}
+	return j
+}
+
+func digitsEnd(buf []byte, i int) int {
+	for i < len(buf) && '0' <= buf[i] && buf[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// null consumes a null literal if one comes next.
+func (d *jsonScanner) null() bool {
+	return d.peek() == 'n' && d.word() == 'n'
+}
+
+// word consumes the literal true, false or null that comes next and returns
+// its first byte.
+func (d *jsonScanner) word() byte {
+	c := d.peek()
+	for _, w := range [...]string{"true", "false", "null"} {
+		if c == w[0] && string(d.buf[d.i:min(d.i+len(w), len(d.buf))]) == w {
+			d.i += len(w)
+			return c
+		}
+	}
+	d.fail("want true, false or null")
+	return 0
+}

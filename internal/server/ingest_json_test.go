@@ -1,0 +1,333 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/stats"
+)
+
+// referenceIngest is the JSON ingest path decodeIngestJSON replaced:
+// encoding/json with unknown fields refused, the required fields,
+// validateSamples, fromSamples. decoded reports whether Decode accepted the
+// body, so a refusal after it must match the decoder's word for word.
+func referenceIngest(body []byte) (req IngestRequest, b *ingestBatch, decoded bool, err error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, false, err
+	}
+	if req.Workload == "" || req.Node == "" {
+		return req, nil, true, errNoIdentity
+	}
+	if err := validateSamples(req.Samples); err != nil {
+		return req, nil, true, err
+	}
+	b = new(ingestBatch)
+	b.fromSamples(req.Samples)
+	return req, b, true, nil
+}
+
+// hasRepeatedKey reports whether some object in body names one key twice,
+// under encoding/json's key matching (bytes.EqualFold): the bodies the
+// decoder refuses on purpose, where Decode merges.
+func hasRepeatedKey(body []byte) bool {
+	type object struct {
+		keys    []string
+		wantKey bool
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var stack []*object // nil for an array
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		var top *object
+		if len(stack) > 0 {
+			top = stack[len(stack)-1]
+		}
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			if top != nil {
+				top.wantKey = true // the container is this member's value
+			}
+			var o *object
+			if tok == json.Delim('{') {
+				o = &object{wantKey: true}
+			}
+			stack = append(stack, o)
+		case json.Delim('}'), json.Delim(']'):
+			stack = stack[:len(stack)-1]
+		default:
+			if top != nil && top.wantKey {
+				k := tok.(string)
+				if slices.ContainsFunc(top.keys, func(p string) bool { return strings.EqualFold(p, k) }) {
+					return true
+				}
+				top.keys, top.wantKey = append(top.keys, k), false
+			} else if top != nil {
+				top.wantKey = true
+			}
+		}
+		if len(stack) == 0 {
+			return false
+		}
+	}
+}
+
+// compareIngestJSON runs one body through decodeIngestJSON and
+// referenceIngest and reports whether each accepted it, plus any
+// disagreement the contract forbids: a different verdict (a repeated key
+// aside, which the decoder must refuse), a different refusal once Decode
+// accepted, or a different identity, n, column, flag or CPI bit.
+func compareIngestJSON(body []byte) (got, ref bool, diff string) {
+	var b ingestBatch
+	workload, node, err := decodeIngestJSON(body, &b)
+	req, want, decoded, rerr := referenceIngest(body)
+	got, ref = err == nil, rerr == nil
+	switch {
+	case hasRepeatedKey(body):
+		if got {
+			diff = "accepted a body with a repeated key"
+		}
+	case got != ref:
+		diff = fmt.Sprintf("decoder error %v, reference error %v", err, rerr)
+	case !got:
+		if decoded && err.Error() != rerr.Error() {
+			diff = fmt.Sprintf("refused with %q, reference with %q", err, rerr)
+		}
+	case workload != req.Workload || node != req.Node:
+		diff = fmt.Sprintf("identity %q@%q, reference %q@%q", workload, node, req.Workload, req.Node)
+	default:
+		if diff = batchDiff(&b, want); diff == "" {
+			diff = sentDiff(&b, req.Samples)
+		}
+	}
+	return got, ref, diff
+}
+
+// sentDiff holds a batch to the samples it was sent as, independently of
+// fromSamples: every valid entry bit for bit, every invalid entry flagged, a
+// zero placeholder stored as NaN and a non-zero one kept.
+func sentDiff(b *ingestBatch, samples []Sample) string {
+	same := func(got float64, gotOK bool, v float64, ok bool) bool {
+		if gotOK != ok {
+			return false
+		}
+		if !ok && v == 0 {
+			return math.IsNaN(got)
+		}
+		return math.Float64bits(got) == math.Float64bits(v)
+	}
+	for i, s := range samples {
+		for m, v := range s.Metrics {
+			if c := m*b.n + i; !same(b.cols[c], b.valid[c], v, s.Valid == nil || s.Valid[m]) {
+				return fmt.Sprintf("metric %d at sample %d: stored (%v,%v), sent %v", m, i, b.cols[c], b.valid[c], v)
+			}
+		}
+		if !same(b.cpi[i], b.cpiOK[i], s.CPI, s.CPIValid == nil || *s.CPIValid) {
+			return fmt.Sprintf("cpi at sample %d: stored (%v,%v), sent %v", i, b.cpi[i], b.cpiOK[i], s.CPI)
+		}
+	}
+	return ""
+}
+
+func batchDiff(got, want *ingestBatch) string {
+	if got.n != want.n || len(got.cols) != len(want.cols) || len(got.cpi) != len(want.cpi) {
+		return fmt.Sprintf("n = %d (%d cells), reference %d (%d cells)", got.n, len(got.cols), want.n, len(want.cols))
+	}
+	for i := range want.cols {
+		if math.Float64bits(got.cols[i]) != math.Float64bits(want.cols[i]) || got.valid[i] != want.valid[i] {
+			return fmt.Sprintf("column cell %d: (%v,%v), reference (%v,%v)", i, got.cols[i], got.valid[i], want.cols[i], want.valid[i])
+		}
+	}
+	for i := range want.cpi {
+		if math.Float64bits(got.cpi[i]) != math.Float64bits(want.cpi[i]) || got.cpiOK[i] != want.cpiOK[i] {
+			return fmt.Sprintf("cpi %d: (%v,%v), reference (%v,%v)", i, got.cpi[i], got.cpiOK[i], want.cpi[i], want.cpiOK[i])
+		}
+	}
+	return ""
+}
+
+// jsonArray is a metrics.Count-entry JSON array of fill whose first entries
+// are head.
+func jsonArray(fill string, head ...string) string {
+	e := make([]string, metrics.Count)
+	for i := range e {
+		e[i] = fill
+	}
+	copy(e, head)
+	return "[" + strings.Join(e, ",") + "]"
+}
+
+// jsonEscape is the JSON escape of the UTF-16 code unit hex.
+func jsonEscape(hex string) string { return "\\u" + hex }
+
+// withMetrics is a sample whose metric vector starts with head.
+func withMetrics(head ...string) string {
+	return `{"metrics":` + jsonArray("2", head...) + `,"cpi":1}`
+}
+
+// ingestBody is a request for workload "w" on node "n" carrying samples.
+func ingestBody(samples ...string) string {
+	return `{"workload":"w","node":"n","samples":[` + strings.Join(samples, ",") + `]}`
+}
+
+// The expected outcomes of ingestJSONCases.
+const (
+	accept        = iota // both decoders accept, with the same batch
+	refuse               // both refuse
+	refuseRepeats        // the decoder refuses a repeated key; Decode merges
+)
+
+var (
+	plainSample   = `{"metrics":` + jsonArray("1.5") + `,"cpi":1.25}`
+	maskedSample  = `{"metrics":` + jsonArray("7", "0", "-0") + `,"cpi":0,"valid":` + jsonArray("true", "false", "false") + `,"cpiValid":false}`
+	withoutPrefix = strings.TrimPrefix(ingestBody(plainSample), `{"workload":"w","node":"n",`)
+)
+
+// ingestJSONCases names the grammar and null rules of the decoder's
+// contract: the seeds of FuzzIngestJSON and the rows of
+// TestIngestJSONGrammar.
+var ingestJSONCases = []struct {
+	name string
+	body string
+	want int
+}{
+	{"plain", ingestBody(plainSample), accept},
+	{"masked", ingestBody(plainSample, maskedSample), accept},
+	{"whitespace everywhere", strings.NewReplacer(",", " ,\n", ":", "\t: ", "[", "[ ", "]", "\r]", "{", "{ ").Replace(" " + ingestBody(maskedSample)), accept},
+	{"Workload and NODE spellings", `{"Workload":"w","NODE":"n",` + withoutPrefix, accept},
+	{"escaped key", `{"` + jsonEscape("0077") + `orkload":"w","node":"n",` + withoutPrefix, accept},
+	{"Kelvin sign folds to k", "{\"wor\u212aload\":\"w\",\"node\":\"n\"," + withoutPrefix, accept},
+	{"escaped identity", `{"workload":"w` + jsonEscape("00e9") + `\"\n\/","node":"` + jsonEscape("d83d") + jsonEscape("de00") + `",` + withoutPrefix, accept},
+	{"lone surrogate in identity", `{"workload":"w` + jsonEscape("d83d") + `","node":"n",` + withoutPrefix, accept},
+	{"non-ASCII identity", "{\"workload\":\"wörk\",\"node\":\"n\xff\xfe\"," + withoutPrefix, accept},
+	{"control byte in identity", "{\"workload\":\"w\x01\",\"node\":\"n\"," + withoutPrefix, refuse},
+	{"bad escape in key", `{"wor\qload":"w","node":"n",` + withoutPrefix, refuse},
+	{"top-level null", `null`, refuse},
+	{"top-level null and garbage", `null}{`, refuse},
+	{"null workload", `{"workload":null,"node":"n",` + withoutPrefix, refuse},
+	{"null samples", `{"workload":"w","node":"n","samples":null}`, refuse},
+	{"null sample", ingestBody(plainSample, `null`), refuse},
+	{"null metrics", ingestBody(`{"metrics":null,"cpi":1}`), refuse},
+	{"null metric entry", ingestBody(withMetrics("1", "null", "3")), accept},
+	{"null cpi", ingestBody(`{"metrics":` + jsonArray("1") + `,"cpi":null}`), accept},
+	{"null valid", ingestBody(`{"metrics":` + jsonArray("0") + `,"valid":null,"cpi":1}`), accept},
+	{"null valid entry", ingestBody(`{"metrics":` + jsonArray("0") + `,"valid":` + jsonArray("true", "null") + `}`), accept},
+	{"null cpiValid", ingestBody(`{"metrics":` + jsonArray("1") + `,"cpi":0,"cpiValid":null}`), accept},
+	{"empty valid", ingestBody(`{"metrics":` + jsonArray("1") + `,"valid":[]}`), refuse},
+	{"long valid", ingestBody(`{"metrics":` + jsonArray("1") + `,"valid":[true,` + jsonArray("true")[1:] + `}`), refuse},
+	{"short metrics", ingestBody(plainSample, `{"metrics":[1,2],"cpi":1}`), refuse},
+	{"empty batch", ingestBody(), refuse},
+	{"missing node", `{"workload":"w",` + withoutPrefix, refuse},
+	{"negative zero", ingestBody(withMetrics("-0", "-0.0e0")), accept},
+	{"underflow 1e-400", ingestBody(withMetrics("1e-400", "-1e-400")), accept},
+	{"exponent forms", ingestBody(withMetrics("1E+2", "-2.5e-3", "0.0", "123456789012345678901234567890e-10")), accept},
+	{"leading zero 01", ingestBody(withMetrics("01")), refuse},
+	{"overflow 1e400", ingestBody(withMetrics("1e400")), refuse},
+	{"bare point", ingestBody(withMetrics("1.")), refuse},
+	{"leading point", ingestBody(withMetrics(".5")), refuse},
+	{"plus sign", ingestBody(withMetrics("+1")), refuse},
+	{"bare exponent", ingestBody(withMetrics("1e")), refuse},
+	{"bare minus", ingestBody(withMetrics("-")), refuse},
+	{"NaN literal", ingestBody(withMetrics("NaN")), refuse},
+	{"string number", ingestBody(`{"metrics":` + jsonArray("1") + `,"cpi":"1"}`), refuse},
+	{"number mask", ingestBody(`{"metrics":` + jsonArray("1") + `,"valid":` + jsonArray("1") + `}`), refuse},
+	{"truncated literal", ingestBody(`{"metrics":` + jsonArray("1") + `,"cpiValid":tru}`), refuse},
+	{"trailing comma", ingestBody(withMetrics("1") + `,`), refuse},
+	{"truncated", ingestBody(plainSample)[:60], refuse},
+	{"trailing garbage", ingestBody(plainSample) + `}{"workload":`, accept},
+	{"unknown field", `{"workload":"w","node":"n","samples":[],"stages":[{"stage":"map"}]}`, refuse},
+	{"unknown sample field", ingestBody(`{"metrics":` + jsonArray("1") + `,"extra":1}`), refuse},
+	{"repeated samples key", `{"workload":"w","node":"n","samples":[` + plainSample + `],"samples":[` + maskedSample + `]}`, refuseRepeats},
+	{"repeated key by case", `{"workload":"w","Workload":"v","node":"n",` + withoutPrefix, refuseRepeats},
+	{"repeated sample key", ingestBody(`{"cpi":1,"metrics":` + jsonArray("1") + `,"cpi":2}`), refuseRepeats},
+}
+
+// TestIngestJSONGrammar runs every named case through the decoder and the
+// encoding/json reference and checks the outcome each case names.
+func TestIngestJSONGrammar(t *testing.T) {
+	for _, tc := range ingestJSONCases {
+		got, ref, diff := compareIngestJSON([]byte(tc.body))
+		if diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+		wantGot, wantRef := tc.want == accept, tc.want != refuse
+		if got != wantGot || ref != wantRef {
+			t.Errorf("%s: decoder accepts=%v, reference accepts=%v; want %v, %v", tc.name, got, ref, wantGot, wantRef)
+		}
+	}
+}
+
+// TestIngestJSONDecodeAllocs mirrors TestIngestBatchPathAllocs for the JSON
+// encoding: a steady-state decode into a recycled batch plus the evicting
+// slide allocates only the two identity strings, with validity masks on the
+// wire as much as without.
+func TestIngestJSONDecodeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+	}{
+		{"clean", testSamples(24)},
+		{"masked", maskedSamples(stats.NewRNG(3), 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(IngestRequest{Workload: "wordcount", Node: "10.0.0.2", Samples: tc.samples})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w colWindow
+			w.init(60)
+			b := new(ingestBatch)
+			step := func() {
+				if _, _, err := decodeIngestJSON(body, b); err != nil {
+					t.Fatal(err)
+				}
+				w.slide(b)
+			}
+			for w.n < w.cap {
+				step()
+			}
+			if got := testing.AllocsPerRun(100, step); got > 2 {
+				t.Errorf("decode + slide allocates %v times per %d-sample body, want at most 2", got, len(tc.samples))
+			}
+		})
+	}
+}
+
+// BenchmarkIngestJSONDecode times one 24-tick ingest body through the
+// decoder and through the encoding/json path it replaced.
+func BenchmarkIngestJSONDecode(b *testing.B) {
+	body, err := json.Marshal(IngestRequest{Workload: "wordcount", Node: "10.0.0.2",
+		Samples: coupledSamples(stats.NewRNG(5), 24, 8, nil, 7)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decoder", func(b *testing.B) {
+		batch := new(ingestBatch)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := decodeIngestJSON(body, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := referenceIngest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

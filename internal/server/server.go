@@ -282,10 +282,51 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+		s.failBody(w, "decoding request", err)
 		return false
 	}
 	return true
+}
+
+// bodyPool recycles request-body buffers for both ingest encodings.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+
+// readBody reads the whole request body, at most maxBodyBytes, into a pooled
+// buffer, growing it only as bytes arrive. The caller returns the buffer to
+// bodyPool once it is done with the bytes.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	bufp := bodyPool.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*bufp = buf[:0]
+			bodyPool.Put(bufp)
+			s.failBody(w, "reading request", err)
+			return nil, false
+		}
+	}
+	*bufp = buf // keep the grown buffer for the pool
+	return bufp, true
+}
+
+// failBody answers a body that could not be read or decoded: 413 when it
+// ran past maxBodyBytes, 400 otherwise.
+func (s *Server) failBody(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	s.fail(w, http.StatusBadRequest, "%s: %v", what, err)
 }
 
 // refuseDraining guards mutating endpoints during shutdown.
@@ -325,67 +366,34 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	if ct := r.Header.Get("Content-Type"); ct == ContentTypeFrame ||
-		strings.HasPrefix(ct, ContentTypeFrame+";") {
-		s.handleIngestFrame(w, r)
+	bufp, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	var req IngestRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if req.Workload == "" || req.Node == "" {
-		s.fail(w, http.StatusBadRequest, "workload and node are required")
-		return
-	}
-	if err := validateSamples(req.Samples); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	defer bodyPool.Put(bufp)
 	b := getBatch()
-	b.fromSamples(req.Samples)
-	s.admitBatch(w, req.Workload, req.Node, b)
-}
-
-// frameBufPool recycles request-body buffers for the binary ingest path.
-var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
-// handleIngestFrame is the binary twin of the JSON ingest path: one
-// length-prefixed columnar frame as the request body, decoded into a pooled
-// batch without per-sample allocation, admitted through the same scheduler.
-func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request) {
-	bufp := frameBufPool.Get().(*[]byte)
-	defer func() { frameBufPool.Put(bufp) }()
-	buf := (*bufp)[:0]
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "reading frame: %v", err)
-			return
-		}
-	}
-	*bufp = buf[:0] // keep the grown buffer for the pool
-	frame, err := splitFrame(buf)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b := getBatch()
-	wb, nb, err := decodeFrame(frame, b)
+	workload, node, err := decodeIngest(r.Header.Get("Content-Type"), *bufp, b)
 	if err != nil {
 		putBatch(b)
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.admitBatch(w, string(wb), string(nb), b)
+	s.admitBatch(w, workload, node, b)
+}
+
+// decodeIngest decodes one ingest body into b by its Content-Type: a
+// length-prefixed binary frame, or the JSON IngestRequest otherwise. Both
+// decoders fill the pooled batch without per-sample allocation.
+func decodeIngest(contentType string, body []byte, b *ingestBatch) (workload, node string, err error) {
+	if contentType != ContentTypeFrame && !strings.HasPrefix(contentType, ContentTypeFrame+";") {
+		return decodeIngestJSON(body, b)
+	}
+	frame, err := splitFrame(body)
+	if err != nil {
+		return "", "", err
+	}
+	wb, nb, err := decodeFrame(frame, b)
+	return string(wb), string(nb), err
 }
 
 // admit is the admission step both ingest encodings share (JSON and binary
@@ -434,7 +442,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Workload == "" || req.Node == "" {
-		s.fail(w, http.StatusBadRequest, "workload and node are required")
+		s.fail(w, http.StatusBadRequest, "%v", errNoIdentity)
 		return
 	}
 	if req.Samples != nil {

@@ -279,6 +279,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body past maxBodyBytes is 413 Request Entity Too
+// Large on both ingest encodings and on diagnose, never a 400 naming a
+// decode error, and each counts as one bad request.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A JSON string still open at the bound: Decode keeps reading until the
+	// reader refuses, as it would for a huge batch.
+	huge := `{"workload":"` + strings.Repeat("w", 9<<20)
+	for _, tc := range []struct{ name, path, contentType string }{
+		{"json ingest", "/v1/ingest", "application/json"},
+		{"frame ingest", "/v1/ingest", ContentTypeFrame},
+		{"diagnose", "/v1/diagnose", "application/json"},
+	} {
+		before := srv.ctr.badRequests.Load()
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(huge))
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (body %.200s)", tc.name, rec.Code, rec.Body)
+		}
+		if got := srv.ctr.badRequests.Load() - before; got != 1 {
+			t.Errorf("%s: badRequests rose by %d, want 1", tc.name, got)
+		}
+	}
+}
+
 func TestConfigClamps(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Workers < 1 || cfg.QueueCap != DefaultQueueCap ||

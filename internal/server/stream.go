@@ -13,9 +13,9 @@ import (
 // ingestBatch is the admission-side columnar form of one accepted batch:
 // per-metric value columns with the gap semantics already applied (see
 // maskValue), parallel validity flags, and the CPI column. Both ingest paths
-// converge here — the JSON handler converts decoded samples, the binary
-// handler decodes frames straight into one — so the sliding windows see
-// bit-identical state regardless of encoding.
+// converge here — decodeIngestJSON and decodeFrame each fill one straight
+// from the request body — so the sliding windows see bit-identical state
+// regardless of encoding.
 //
 // Batches are pooled (batchPool) and reused across requests: in the steady
 // state neither decode path allocates per sample.
@@ -25,7 +25,16 @@ type ingestBatch struct {
 	valid []bool    // metrics.Count * n, same layout
 	cpi   []float64 // n
 	cpiOK []bool    // n
+
+	// rows and rowOK are the JSON decoder's row-major scratch: rowStride
+	// entries per sample, transposed into the columns by fromRows.
+	rows  []float64
+	rowOK []bool
 }
+
+// rowStride is one sample's slot count in rows and rowOK: the metric vector,
+// then the CPI.
+const rowStride = metrics.Count + 1
 
 // ensure sizes the batch for n samples, growing the backing arrays only when
 // a larger batch than ever seen arrives.
@@ -59,6 +68,21 @@ func (b *ingestBatch) fromSamples(samples []Sample) {
 		ok := s.CPIValid == nil || *s.CPIValid
 		b.cpi[i] = maskValue(s.CPI, ok)
 		b.cpiOK[i] = ok
+	}
+}
+
+// fromRows transposes the JSON decoder's n scratch rows into the columns,
+// applying maskValue once at the boundary, as fromSamples does.
+func (b *ingestBatch) fromRows(n int) {
+	b.ensure(n)
+	for i := 0; i < n; i++ {
+		row, ok := b.rows[i*rowStride:(i+1)*rowStride], b.rowOK[i*rowStride:(i+1)*rowStride]
+		for m := 0; m < metrics.Count; m++ {
+			b.cols[m*n+i] = maskValue(row[m], ok[m])
+			b.valid[m*n+i] = ok[m]
+		}
+		b.cpi[i] = maskValue(row[metrics.Count], ok[metrics.Count])
+		b.cpiOK[i] = ok[metrics.Count]
 	}
 }
 

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
-	"math"
 	"testing"
 
 	"invarnetx/internal/metrics"
@@ -75,12 +72,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzIngestJSON hammers the JSON ingest body — the other decoder of bytes
-// the daemon did not write — through the handler's own steps: decode with
-// unknown fields refused, validateSamples, TraceFromSamples. Whatever
-// arrives, it must never panic, and a batch is either refused or becomes a
-// trace holding every valid entry bit for bit, every invalid entry flagged,
-// a zero placeholder as NaN and a non-zero one kept.
+// FuzzIngestJSON holds decodeIngestJSON — the other decoder of bytes the
+// daemon did not write — differentially to the encoding/json path it
+// replaced (referenceIngest): whatever arrives, it must never panic, it must
+// accept a body exactly when the reference does, except that a body with a
+// repeated key is refused, and when both accept they must agree on the
+// identity and on every column, flag and CPI bit, which must hold the sent
+// values (valid ones bit for bit, a zero placeholder as NaN, a non-zero one
+// kept). A refusal after Decode succeeded must carry the reference's words.
 func FuzzIngestJSON(f *testing.F) {
 	held := maskedSamples(stats.NewRNG(78), 6)
 	held[0].Metrics[1], held[0].CPI = 7.5, 1.25 // non-zero placeholders
@@ -105,43 +104,13 @@ func FuzzIngestJSON(f *testing.F) {
 	f.Add([]byte(`{"workload":"w","node":"n","samples":[{"metrics":null,"valid":[true],"cpiValid":false}]}`))
 	f.Add([]byte(`{"workload":"w","node":"n","samples":[{`))
 	f.Add([]byte(`null`))
+	for _, tc := range ingestJSONCases {
+		f.Add([]byte(tc.body))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req IngestRequest
-		dec := json.NewDecoder(io.LimitReader(bytes.NewReader(body), maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		verr := validateSamples(req.Samples)
-		tr, err := TraceFromSamples(req.Workload, req.Node, req.Samples)
-		if (verr == nil) != (err == nil) {
-			t.Fatalf("validateSamples says %v, TraceFromSamples says %v", verr, err)
-		}
-		if err != nil {
-			return
-		}
-		if tr.Len() != len(req.Samples) {
-			t.Fatalf("trace of %d ticks from %d samples", tr.Len(), len(req.Samples))
-		}
-		check := func(what string, i int, got float64, gotValid bool, v float64, valid bool) {
-			switch {
-			case gotValid != valid:
-				t.Fatalf("%s at sample %d: flagged valid=%v, sent valid=%v", what, i, gotValid, valid)
-			case !valid && v == 0:
-				if !math.IsNaN(got) {
-					t.Fatalf("%s at sample %d: zero placeholder stored as %v, want NaN", what, i, got)
-				}
-			case math.Float64bits(got) != math.Float64bits(v):
-				t.Fatalf("%s at sample %d (valid=%v): stored %v, sent %v", what, i, valid, got, v)
-			}
-		}
-		for i, s := range req.Samples {
-			for m, v := range s.Metrics {
-				mask := tr.MetricValid(m)
-				check(metrics.Names[m], i, tr.Rows[m][i], mask == nil || mask[i], v, s.Valid == nil || s.Valid[m])
-			}
-			check("cpi", i, tr.CPI[i], tr.CPIValid == nil || tr.CPIValid[i], s.CPI, s.CPIValid == nil || *s.CPIValid)
+		if _, _, diff := compareIngestJSON(body); diff != "" {
+			t.Fatal(diff)
 		}
 	})
 }

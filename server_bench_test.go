@@ -4,9 +4,15 @@
 // via the typed client, the same path production traffic takes. The json
 // and binary sub-benchmarks run the identical workload through the two
 // ingest encodings, so their samples/sec ratio is the measured speedup of
-// the wire-speed data plane. A developer tool, not a gate: the steady-state
-// allocation count of the ingest batch path is pinned by
-// server.TestIngestBatchPathAllocs, wall-clock by bench/.
+// the wire-speed data plane. Both server decoders fill the pooled columnar
+// batch in one pass; what is left between them is the text itself: on a
+// 24-tick batch the in-process handler costs ≈ 75 µs as JSON (≈ 195 µs
+// through encoding/json) against ≈ 6 µs as a frame (median of bench/
+// ingest_json traced runs, 2-core Xeon), and the client's json.Marshal
+// about as much again. A developer tool, not a gate: the
+// steady-state allocation counts are pinned by
+// server.TestIngestBatchPathAllocs (frames) and
+// server.TestIngestJSONDecodeAllocs (JSON), wall-clock by bench/.
 package invarnetx
 
 import (
