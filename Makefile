@@ -68,8 +68,9 @@ loc:
 # encoding/json plus validation and fromSamples: the same bodies accepted,
 # a repeated key aside, and the same batch to the bit; its minimisation is
 # capped at 2 s so a large mutated body does not eat the run), the store
-# reader's (profile and fleet-state files, the scanner and the direct
-# signature loop checked against encoding/xml), the lifecycle restore's (an
+# reader's (profile and fleet-state files, the scanner, the direct invariants
+# and signature loops and the packed text merge checked against encoding/xml
+# and a DB.Merge per entry), the lifecycle restore's (an
 # arbitrary edge list over a fixed set: refused, or restored to a state whose
 # re-saved section restores to itself),
 # the fleet gossip decoders' (/sync and /push bodies), the two signature

@@ -222,13 +222,19 @@ func (s *System) loadProfile(dir, name string, rep *LoadReport) error {
 
 // restoreProfile installs one decoded profile file whole, or nothing of it:
 // every section must decode and validate, and every signature belong to the
-// file's own scope, before anything is installed.
-func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs []signature.Entry, rep *LoadReport) error {
+// file's own scope, before anything is installed. sigs is the file's own
+// database: it is checked once per scope it holds, and into a profile with
+// no signatures yet — every profile of a restore at boot — it is adopted
+// whole.
+func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs *signature.DB, rep *LoadReport) error {
 	scope := s.key(loadedCtx(f.Type, f.IP))
-	for i, e := range sigs {
-		if ctx := loadedCtx(e.Workload, e.IP); s.key(ctx) != scope {
-			return fmt.Errorf("signature %d belongs to %v, not to the file's %v", i, ctx, scope)
+	if err := sigs.Scopes(func(workload, ip string) error {
+		if ctx := loadedCtx(workload, ip); s.key(ctx) != scope {
+			return fmt.Errorf("signatures of %v do not belong to the file's %v", ctx, scope)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	var (
 		d   *detect.Detector
@@ -266,7 +272,9 @@ func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs []signature.Entry,
 	}
 	// Merge, not append: loading over a live system must not duplicate what
 	// is already there.
-	rep.Signatures += p.mergeSignatures(sigs...)
+	p.mu.Lock()
+	rep.Signatures += p.sigs.MergeFrom(sigs)
+	p.mu.Unlock()
 	return nil
 }
 

@@ -19,9 +19,10 @@ import (
 
 // referenceLoadFrom is LoadFrom as it would read the store through
 // encoding/xml's lexer and reflection alone: every profile file decoded into
-// a ProfileFile, signatures included, then a tuple parse per entry. It is the
-// oracle TestLoadFromEquivalence holds the scanner and the direct signature
-// loop to; what a decoded file installs is the product's own restoreProfile.
+// a ProfileFile, signatures included, then a tuple parse and a DB.Merge per
+// entry. It is the oracle TestLoadFromEquivalence holds the scanner, the
+// direct invariant and signature loops and the packed text merge to; what a
+// decoded file installs is the product's own restoreProfile.
 func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -39,7 +40,7 @@ func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
 			err = xml.NewDecoder(raw).Decode(&f)
 			raw.Close()
 		}
-		var sigs []signature.Entry
+		var sigs *signature.DB
 		if err == nil {
 			sigs, err = parseSignatures(f)
 		}
@@ -54,20 +55,21 @@ func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
 }
 
 // parseSignatures checks f's version and parses its signatures in file
-// order; one malformed tuple rejects them all.
-func parseSignatures(f xmlstore.ProfileFile) ([]signature.Entry, error) {
+// order into a database, one DB.Merge each; one malformed tuple rejects them
+// all.
+func parseSignatures(f xmlstore.ProfileFile) (*signature.DB, error) {
 	if f.Version < 0 || f.Version > xmlstore.FormatVersion {
 		return nil, fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
 	}
-	sigs := make([]signature.Entry, len(f.Signatures))
+	var sigs signature.DB
 	for i, e := range f.Signatures {
 		t, err := signature.ParseTuple(e.Tuple)
 		if err != nil {
 			return nil, fmt.Errorf("signature %d: %w", i, err)
 		}
-		sigs[i] = signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type}
+		sigs.Merge(signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type})
 	}
-	return sigs, nil
+	return &sigs, nil
 }
 
 // TestLoadFromEquivalence restores one saved four-context store — every
@@ -254,6 +256,44 @@ func TestLoadReportCost(t *testing.T) {
 	} {
 		if !strings.Contains(r.String(), want) {
 			t.Errorf("String() = %q, want it to contain %q", r.String(), want)
+		}
+	}
+}
+
+// TestLoadFromNoContextMatchesReference: on a no-context system every file
+// lands in the one global profile, so the first file's database is adopted
+// whole and every later one merges into it entry by entry; the result, and
+// a second LoadFrom over it (which must add nothing), are what the
+// encoding/xml reference gives.
+func TestLoadFromNoContextMatchesReference(t *testing.T) {
+	dir := t.TempDir()
+	for i, ctx := range []Context{{Workload: "wordcount", IP: "10.0.0.2"}, {Workload: "sort", IP: "10.0.0.3"}, {}} {
+		f := xmlstore.ProfileFile{Version: xmlstore.FormatVersion, IP: ctx.IP, Type: ctx.Workload}
+		for k, tuple := range []string{"0110", "1100", "0110", "011", "1111"} {
+			f.Signatures = append(f.Signatures, xmlstore.SignatureEntry{Tuple: tuple, Problem: fmt.Sprintf("fault-%d", (i+k)%3), IP: ctx.IP, Type: ctx.Workload})
+		}
+		if err := xmlstore.SaveFile(storePath(dir, ctx), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.UseContext = false
+	got, want := New(cfg), New(cfg)
+	for pass := 0; pass < 2; pass++ {
+		gotRep, err := got.LoadFrom(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRep, err := referenceLoadFrom(want, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotRep.Signatures != wantRep.Signatures || gotRep.Partial() || wantRep.Partial() || pass == 1 && gotRep.Signatures != 0 {
+			t.Errorf("pass %d: LoadFrom reports %v, the reference %v", pass, gotRep, wantRep)
+		}
+		ge, we := got.Profile(Context{}).Signatures(), want.Profile(Context{}).Signatures()
+		if len(ge) == 0 || !reflect.DeepEqual(ge, we) {
+			t.Errorf("pass %d: global profile holds %v, the reference %v", pass, ge, we)
 		}
 	}
 }

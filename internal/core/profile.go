@@ -215,7 +215,7 @@ func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signa
 }
 
 // mergeSignatures stores already-built entries under one lock, skipping any
-// whose identical twin is present (used by LoadFrom and fleet anti-entropy),
+// whose identical twin is present (labelling and fleet anti-entropy),
 // and returns how many were added.
 func (p *Profile) mergeSignatures(es ...signature.Entry) (added int) {
 	p.mu.Lock()

@@ -53,24 +53,27 @@ func popcount(ws []uint64) int {
 
 // fingerprint is Entry.Fingerprint over the packed form: FNV-1a over the
 // problem name, a separator, and the tuple rendered as '0'/'1' bytes.
+// MergeText hashes the same bytes as it reads them from a store file.
 func fingerprint(problem string, words []uint64, n int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(problem); i++ {
-		h ^= uint64(problem[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator: ("ab", tuple "c") must not collide with ("a", "bc")
-	h *= prime64
+	h := fnvProblem(problem)
 	for i := 0; i < n; i++ {
-		h ^= '0' + words[i>>6]>>uint(i&63)&1
-		h *= prime64
+		h = fnvByte(h, byte('0'+words[i>>6]>>uint(i&63)&1))
 	}
 	return h
 }
+
+// fnvProblem starts a fingerprint: FNV-1a over the problem name and the
+// separator that keeps ("ab", tuple "c") from colliding with ("a", "bc").
+func fnvProblem(problem string) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < len(problem); i++ {
+		h = fnvByte(h, problem[i])
+	}
+	return fnvByte(h, 0xff)
+}
+
+// fnvByte is one FNV-1a step.
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * 1099511628211 }
 
 // query is the packed form of one observed tuple and its mask: everything
 // the scan needs per entry is a popcount against words (and known, when

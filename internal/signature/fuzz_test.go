@@ -2,21 +2,30 @@ package signature
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"invarnetx/internal/stats"
 )
 
 // FuzzParseTuple exercises the tuple parser with arbitrary byte strings:
-// it must either reject the input or round-trip it exactly.
+// it must either reject the input or round-trip it exactly, and MergeText
+// must do what ParseTuple + Merge do with the same bytes.
 func FuzzParseTuple(f *testing.F) {
 	f.Add("")
 	f.Add("0")
 	f.Add("0110100")
 	f.Add("2")
 	f.Add("01x10")
+	f.Add("0110100101101001011010010110100101101001011010010110100101101001x")
+	f.Add("01101001011010010110100101101001011010010110100101101001011010010")
 	f.Fuzz(func(t *testing.T, s string) {
+		var text DB
+		added, textErr := text.MergeText("wc", "10.0.0.2", "p", []byte(s))
 		tu, err := ParseTuple(s)
+		if (err == nil) != (textErr == nil) || err != nil && err.Error() != textErr.Error() || added != (err == nil) {
+			t.Fatalf("%q: MergeText = %v, %v; ParseTuple err = %v", s, added, textErr, err)
+		}
 		if err != nil {
 			return // rejected input, fine
 		}
@@ -25,6 +34,15 @@ func FuzzParseTuple(f *testing.F) {
 		}
 		if tu.Ones() < 0 || tu.Ones() > len(tu) {
 			t.Fatalf("Ones out of range for %q", s)
+		}
+		var ref DB
+		e := Entry{Tuple: tu, Problem: "p", IP: "10.0.0.2", Workload: "wc"}
+		ref.Merge(e)
+		if got, want := text.Entries(), ref.Entries(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: MergeText stored %v, Merge %v", s, got, want)
+		}
+		if text.Merge(e) {
+			t.Fatalf("%q: Merge of the parsed entry did not dedupe against MergeText's", s)
 		}
 	})
 }

@@ -278,6 +278,11 @@ func TestEntryFingerprintGolden(t *testing.T) {
 		if db.Merge(e) {
 			t.Errorf("Merge(%q, %d coordinates) did not dedupe against the stored entry", c.problem, c.n)
 		}
+		// And so does the tuple as a store file spells it: MergeText hashes
+		// the same bytes.
+		if added, err := db.MergeText(e.Workload, e.IP, e.Problem, []byte(e.Tuple.String())); err != nil || added {
+			t.Errorf("MergeText(%q, %d coordinates) = %v, %v; want a dedupe against the stored entry", c.problem, c.n, added, err)
+		}
 	}
 	all := make(Tuple, 190)
 	for i := range all {

@@ -7,6 +7,7 @@
 package signature
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -39,12 +40,15 @@ func ParseTuple[S string | []byte](s S) (Tuple, error) {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c != '0' && c != '1' {
-			return nil, fmt.Errorf("signature: invalid tuple character %q", c)
+			return nil, errTupleChar(c)
 		}
 		t[i] = c == '1'
 	}
 	return t, nil
 }
+
+// errTupleChar is how ParseTuple and MergeText refuse a byte of tuple text.
+func errTupleChar(c byte) error { return fmt.Errorf("signature: invalid tuple character %q", c) }
 
 // Ones returns the number of violations in the tuple.
 func (t Tuple) Ones() int {
@@ -195,6 +199,96 @@ func (db *DB) put(e Entry, unique bool) bool {
 	words := appendPacked(buf[:0], e.Tuple)
 	fp := fingerprint(e.Problem, words, len(e.Tuple))
 	return db.add(scopeKey{workload: e.Workload, ip: e.IP}, fp, e.Problem, len(e.Tuple), words, unique)
+}
+
+// NewDB returns an empty database with room for n entries of one scope and
+// one tuple length: the shape of a profile file's signatures, which a restore
+// counts before it reads them. The zero DB is the same database grown entry
+// by entry.
+func NewDB(n int) *DB {
+	return &DB{store: store{reserve: n, order: make([]entryRef, 0, n)}}
+}
+
+// MergeText is Merge of the entry whose tuple is the '0'/'1' text tuple, as
+// a store file spells it, without building that Tuple: one pass checks each
+// byte, packs it and hashes it into the fingerprint, which is Fingerprint's
+// FNV-1a over exactly these bytes. A byte other than '0' or '1' is refused
+// with ParseTuple's error, and nothing is stored.
+func (db *DB) MergeText(workload, ip, problem string, tuple []byte) (bool, error) {
+	var buf [stackWords]uint64
+	words := buf[:0]
+	for i := 0; i < len(tuple); i += 64 {
+		words = append(words, 0)
+	}
+	h := fnvProblem(problem)
+	i := 0
+	// Eight bytes at a time while all eight are '0' or '1': their low bits
+	// gather into one byte of the word by a multiply (each lands on its own
+	// bit of the top byte, no two products overlapping), and the hash takes
+	// them in order.
+	for ; i+8 <= len(tuple); i += 8 {
+		x := binary.LittleEndian.Uint64(tuple[i:])
+		if x&0xfefefefefefefefe != 0x3030303030303030 {
+			break
+		}
+		words[i>>6] |= (x & 0x0101010101010101 * 0x0102040810204080 >> 56) << uint(i&63)
+		for k := 0; k < 64; k += 8 {
+			h = fnvByte(h, byte(x>>k))
+		}
+	}
+	for ; i < len(tuple); i++ {
+		c := tuple[i]
+		if c != '0' && c != '1' {
+			return false, errTupleChar(c)
+		}
+		words[i>>6] |= uint64(c-'0') << uint(i&63)
+		h = fnvByte(h, c)
+	}
+	return db.add(scopeKey{workload: workload, ip: ip}, h, problem, len(tuple), words, true), nil
+}
+
+// MergeFrom merges every entry of src into db in src's insertion order, as
+// Merge one entry at a time would, and reports how many were added. Into an
+// empty db — a restore's fresh profile — it adopts src's store whole and
+// leaves src empty: src is already deduplicated, so nothing is copied or
+// hashed again. Otherwise each entry merges from its packed words, never
+// unpacked, and src is unchanged. MinScore and the scan counters stay db's.
+func (db *DB) MergeFrom(src *DB) (added int) {
+	if len(db.order) == 0 {
+		db.store, src.store = src.store.fit(), store{}
+		return len(db.order)
+	}
+	for _, ref := range src.order {
+		b := ref.b
+		problem, words := src.problems[b.probs[ref.pos]], b.tuple(ref.pos)
+		if db.add(b.scope, fingerprint(problem, words, b.n), problem, b.n, words, true) {
+			added++
+		}
+	}
+	return added
+}
+
+// Scopes calls fn with the (workload, ip) of every scope holding entries,
+// sorted, and returns the first error fn returns. A restore checks a file's
+// entries against the file's own scope this way, once per scope instead of
+// once per entry.
+func (db *DB) Scopes(fn func(workload, ip string) error) error {
+	keys := make([]scopeKey, 0, len(db.scopes))
+	for k := range db.scopes {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].workload != keys[j].workload {
+			return keys[i].workload < keys[j].workload
+		}
+		return keys[i].ip < keys[j].ip
+	})
+	for _, k := range keys {
+		if err := fn(k.workload, k.ip); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len returns the number of stored signatures.

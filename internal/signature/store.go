@@ -1,5 +1,10 @@
 package signature
 
+import (
+	"maps"
+	"slices"
+)
+
 // Flat packed signature store. The paper observes that "the number of items
 // in signature database increases gradually" — and fleet gossip
 // (internal/fleet) replicates every peer's signature log into every replica,
@@ -92,6 +97,10 @@ type store struct {
 	// per-problem reducer indexes by it.
 	problems []string
 	probID   map[string]int32
+	// reserve is the entry count NewDB sized the store for: order, and the
+	// first entry's partition and bucket columns, are made with room for that
+	// many.
+	reserve int
 }
 
 // add stores one packed tuple of n coordinates under scope; fp is the
@@ -102,9 +111,13 @@ func (st *store) add(scope scopeKey, fp uint64, problem string, n int, words []u
 		st.scopes = make(map[scopeKey]*scopePartition)
 		st.probID = make(map[string]int32)
 	}
+	var reserve int
+	if len(st.order) == 0 {
+		reserve = st.reserve
+	}
 	sp := st.scopes[scope]
 	if sp == nil {
-		sp = &scopePartition{byLen: make(map[int]*bucket), dedup: make(map[uint64]struct{})}
+		sp = &scopePartition{byLen: make(map[int]*bucket), dedup: make(map[uint64]struct{}, reserve)}
 		st.scopes[scope] = sp
 	}
 	if _, dup := sp.dedup[fp]; dup && unique {
@@ -121,6 +134,11 @@ func (st *store) add(scope scopeKey, fp uint64, problem string, n int, words []u
 	b := sp.byLen[n]
 	if b == nil {
 		b = &bucket{scope: scope, n: n, stride: (n + 63) / 64}
+		if reserve > 0 {
+			// Not the words: a count taken from a file's markup, times the
+			// stride of one long tuple in it, may be far more than the file.
+			b.ones, b.probs, b.ids = make([]int32, 0, reserve), make([]int32, 0, reserve), make([]int32, 0, reserve)
+		}
 		sp.byLen[n] = b
 	}
 	b.words = append(b.words, words...)
@@ -129,6 +147,31 @@ func (st *store) add(scope scopeKey, fp uint64, problem string, n int, words []u
 	b.ids = append(b.ids, int32(len(st.order)))
 	st.order = append(st.order, entryRef{b: b, pos: int32(len(b.ids) - 1)})
 	return true
+}
+
+// fit returns st with the room NewDB reserved and the entries left unused —
+// by duplicates, or by entries of a second scope or tuple length — given
+// back, so a store adopted whole holds no more slack than one grown entry by
+// entry. A store that filled its reservation exactly, as a saved profile
+// file does, is returned as it is.
+func (st store) fit() store {
+	if st.reserve == 0 {
+		return st
+	}
+	if len(st.order) > 0 {
+		first := st.order[0].b
+		if sp := st.scopes[first.scope]; sp.total < st.reserve {
+			sp.dedup = maps.Clone(sp.dedup)
+		}
+		if len(first.ids) < st.reserve {
+			first.ones, first.probs, first.ids = slices.Clone(first.ones), slices.Clone(first.probs), slices.Clone(first.ids)
+		}
+	}
+	if len(st.order) < st.reserve {
+		st.order = slices.Clone(st.order)
+	}
+	st.reserve = 0
+	return st
 }
 
 // entry unpacks the stored entry ref locates: its tuple into dst (zeroed,

@@ -258,7 +258,8 @@ func same(a, b any) bool {
 
 // referenceEntries is the reflection-side reference LoadProfile's direct
 // loop is held to: f's version checked and its signatures parsed in file
-// order, any malformed tuple rejecting the whole file.
+// order, any malformed tuple rejecting the whole file. Merged one by one
+// through DB.Merge, they are what the decoded database must hold.
 func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
 	if err := CheckVersion(f.Version); err != nil {
 		return nil, err
@@ -277,7 +278,9 @@ func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
 // checkAgainstStock is the differential oracle: whenever the scanner path
 // accepts in, encoding/xml's own lexer accepts it and decodes the same struct;
 // and the direct profile loop agrees with the reflection decode of the same
-// bytes, on acceptance and on content.
+// bytes, on acceptance and on content: the same sections, and a database
+// holding what the reflection decode's signatures give merged one by one
+// through DB.Merge.
 func checkAgainstStock(t testing.TB, in []byte) {
 	t.Helper()
 	stock := newKinds()
@@ -293,17 +296,22 @@ func checkAgainstStock(t testing.TB, in []byte) {
 		}
 	}
 	var f ProfileFile
-	want, err := []signature.Entry(nil), decode(in, &f)
+	parsed, err := []signature.Entry(nil), decode(in, &f)
 	if err == nil {
-		want, err = referenceEntries(f)
+		parsed, err = referenceEntries(f)
 	}
-	got, entries, directErr := decodeProfile(in)
+	got, db, directErr := decodeProfile(in)
 	if (err == nil) != (directErr == nil) {
 		t.Fatalf("profile file %q: direct loop err = %v, reflection err = %v", in, directErr, err)
 	}
 	if err != nil {
 		return
 	}
+	var ref signature.DB
+	for _, e := range parsed {
+		ref.Merge(e)
+	}
+	entries, want := db.Entries(), ref.Entries()
 	f.XMLName, f.Signatures = xml.Name{}, nil
 	if !same(&got, &f) || len(entries) != len(want) || len(entries) > 0 && !reflect.DeepEqual(entries, want) {
 		t.Fatalf("profile file %q:\ndirect loop %+v %v\nreflection  %+v %v", in, got, entries, f, want)
@@ -337,6 +345,34 @@ var handEdits = []string{
 	// a value a section cannot hold, and a section left open, fail the file
 	`<profile><lifecycle><generation>-1</generation></lifecycle></profile>`,
 	`<profile><performance-model><p>1</performance-model></profile>`,
+	// a repeated <tuple> keeps the last text, parsed once: a bad first one is
+	// overwritten, a bad last one refuses the file
+	`<profile><signature><tuple>x</tuple><tuple>1</tuple></signature></profile>`,
+	`<profile><signature><tuple>1</tuple><tuple>x</tuple></signature></profile>`,
+	// a file repeating a signature holds it once
+	`<profile><signature><tuple>01</tuple><problem>p</problem></signature><signature><tuple>01</tuple><problem>p</problem></signature>` +
+		`<signature><tuple>01</tuple><problem>q</problem></signature></profile>`,
+	// the invariants section's numbers: white space trimmed, no text 0, no
+	// attribute 0, a sign allowed; a hex int, an int or a float out of range
+	// refused
+	`<profile><invariants><metrics>3</metrics><matrix><pair i=" 3 " j="1" value="0.5"/></matrix></invariants></profile>`,
+	`<profile><invariants><metrics></metrics><matrix><pair i="" j="1" value=""/></matrix></invariants></profile>`,
+	`<profile><invariants><metrics> 4 </metrics><matrix><pair i="0" j="1"/><pair/></matrix></invariants></profile>`,
+	`<profile><invariants><metrics>+3</metrics><matrix><pair i="+1" j="-0" value="+.5"/></matrix></invariants></profile>`,
+	`<profile><invariants><matrix><pair i="0x1" j="1" value="0.5"/></matrix></invariants></profile>`,
+	`<profile><invariants><matrix><pair i="99999999999999999999" j="1" value="0.5"/></matrix></invariants></profile>`,
+	`<profile><invariants><matrix><pair i="0" j="1" value="1e400"/></matrix></invariants></profile>`,
+	`<profile><invariants><metrics> </metrics></invariants></profile>`,
+	`<profile><invariants><metrics>3<!-- c -->1<b>7</b></metrics></invariants></profile>`,
+	// pairs of two <matrix> elements (and of a repeated section) append; a
+	// <pair> outside <matrix>, or nested in a <pair>, is skipped; a repeated
+	// <metrics> overwrites; unknown attributes and children are ignored
+	`<profile><invariants x="1"><metrics>3</metrics><matrix n="1"><pair i="0" j="1" value="0.5" w="?"/>text</matrix>` +
+		`<pair i="7" j="8"/><metrics>5</metrics><matrix><metrics>9</metrics><pair i="1" j="2" value="0.25"><pair i="9"/><x>y</x></pair></matrix></invariants>` +
+		`<invariants><matrix><matrix><pair i="3"/></matrix><pair i="2" j="3" value="1"/></matrix></invariants></profile>`,
+	`<profile><invariants><matrix><pair i="0" j="1" value="0.5"><x i="bad"/></pair></matrix></invariants></profile>`,
+	`<profile><invariants><matrix><pair i="0" j="1" value="0.5"></matrix></invariants></profile>`,
+	`<profile><invariants><metrics>3</metrics><pair i="0" j="1" value="0.5">4</pair></invariants></profile>`,
 }
 
 func TestProfileLoopMatchesReflection(t *testing.T) {
@@ -349,22 +385,34 @@ func TestProfileLoopMatchesReflection(t *testing.T) {
 		}
 	}
 	// And it is not vacuous: the repeated-scalar document decodes, to this,
-	got, entries, err := decodeProfile([]byte(handEdits[7]))
+	got, db, err := decodeProfile([]byte(handEdits[7]))
 	want := []signature.Entry{{Tuple: signature.Tuple{true, true}}}
-	if err != nil || got.IP != "" || got.Type != "a" || !reflect.DeepEqual(entries, want) {
-		t.Fatalf("decoded (%q, %q) %v, %v; want (\"\", \"a\") %v", got.IP, got.Type, entries, err, want)
+	if err != nil || got.IP != "" || got.Type != "a" || !reflect.DeepEqual(db.Entries(), want) {
+		t.Fatalf("decoded (%q, %q) %v, %v; want (\"\", \"a\") %v", got.IP, got.Type, db, err, want)
 	}
-	// and the repeated section to the one model both readings merge it into.
+	// the repeated section to the one model both readings merge it into,
 	got, _, err = decodeProfile([]byte(handEdits[12]))
 	if err != nil || got.Model == nil || got.Model.P != 2 || len(got.Model.AR) != 2 || !math.IsNaN(got.Model.AR[1]) {
 		t.Fatalf("repeated section decoded to %+v, %v; want p 2, ar [0.5 NaN]", got.Model, err)
+	}
+	// a repeated tuple to its last text,
+	_, db, err = decodeProfile([]byte(handEdits[16]))
+	if err != nil || db.Len() != 1 || db.Entries()[0].Tuple.String() != "1" {
+		t.Fatalf("repeated tuple decoded to %v, %v; want one tuple 1", db, err)
+	}
+	// and the invariants section, two matrices and a repeat deep, to these.
+	got, _, err = decodeProfile([]byte(handEdits[28]))
+	wantPairs := []invariantPair{{I: 0, J: 1, Value: 0.5}, {I: 1, J: 2, Value: 0.25}, {I: 2, J: 3, Value: 1}}
+	if err != nil || got.Invariants == nil || got.Invariants.Metrics != 5 || !reflect.DeepEqual(got.Invariants.Pairs, wantPairs) {
+		t.Fatalf("invariants decoded to %+v, %v; want metrics 5, pairs %v", got.Invariants, err, wantPairs)
 	}
 }
 
 // FuzzLoad holds every xmlstore read path to the rule for decoders of bytes
 // the program did not write — error, never panic or over-allocate — and the
-// scanner and the direct profile loop to their contract with encoding/xml
-// (see checkAgainstStock).
+// scanner, the direct invariants and signature loops and the packed text
+// merge to their contract with encoding/xml and DB.Merge (see
+// checkAgainstStock).
 func FuzzLoad(f *testing.F) {
 	for _, s := range hostile {
 		for _, doc := range savedFiles(f, s) {
@@ -496,11 +544,13 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 }
 
 // TestSignatureFileDecodeAllocs pins the allocation shape of the direct
-// loop on a profile file: per entry, the tuple and — when it differs from
-// the entry before — the problem name, whatever the file's size; per file, a
-// constant, most of it the reflection-decoded sections. Boxing each of an
-// entry's twenty tokens into xml.Token was ~43 % of the restore profile
-// before the scanner had a by-value next.
+// loop on a profile file: per entry, only the problem name when it differs
+// from the entry before — the tuple text packs into the database's columns,
+// which are sized from the file up front — whatever the file's size; per
+// file, a constant, most of it the reflection-decoded sections. Boxing each
+// of an entry's twenty tokens into xml.Token was ~43 % of the restore
+// profile before the scanner had a by-value next, and the tuple, parsed into
+// a []bool and packed again, was most of what remained.
 func TestSignatureFileDecodeAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		var db signature.DB
@@ -516,15 +566,44 @@ func TestSignatureFileDecodeAllocs(t *testing.T) {
 		f.Type, f.Signatures = "wordcount", signaturesOf(&db)
 		data := saved(t, f)
 		return testing.AllocsPerRun(10, func() {
-			if _, entries, err := decodeProfile(data); err != nil || len(entries) != n {
-				t.Fatalf("decoded %d of %d entries: %v", len(entries), n, err)
+			if _, db, err := decodeProfile(data); err != nil || db.Len() != n {
+				t.Fatalf("decoded %v of %d entries: %v", db, n, err)
 			}
 		})
 	}
 	small, large := allocs(200), allocs(4000)
 	perEntry := (large - small) / 3800
 	t.Logf("allocations: %.0f at 200 entries, %.0f at 4000: %.3f per entry, %.0f per file", small, large, perEntry, small-200*perEntry)
-	if perEntry > 2.1 {
-		t.Errorf("allocations per entry = %.3f; want <= 2 plus a per-file constant", perEntry)
+	if perEntry > 1.1 {
+		t.Errorf("allocations per entry = %.3f; want <= 1 (the distinct problem name) plus a per-file constant", perEntry)
+	}
+}
+
+// TestInvariantPairDecodeAllocs pins the invariants section's loop the same
+// way: a pair's three numbers parse from the attribute bytes in place, so
+// the only allocations that grow with the pair count are the amortised
+// growth of the pair list.
+func TestInvariantPairDecodeAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		base := make(map[invariant.Pair]float64, n)
+		rng := stats.NewRNG(int64(n))
+		for i := 0; len(base) < n; i++ {
+			a, b := rng.Intn(60), rng.Intn(60)
+			if a != b {
+				base[invariant.Pair{I: min(a, b), J: max(a, b)}] = rng.Float64()
+			}
+		}
+		data := saved(t, ProfileFile{Version: FormatVersion, IP: "10.0.0.2", Type: "wordcount", Invariants: EncodeInvariants(invariant.NewSet(60, base))})
+		return testing.AllocsPerRun(10, func() {
+			if f, _, err := decodeProfile(data); err != nil || len(f.Invariants.Pairs) != n {
+				t.Fatalf("decoded %v: %v", f.Invariants, err)
+			}
+		})
+	}
+	small, large := allocs(90), allocs(900)
+	perPair := (large - small) / 810
+	t.Logf("allocations: %.0f at 90 pairs, %.0f at 900: %.4f per pair", small, large, perPair)
+	if perPair > 0.1 {
+		t.Errorf("allocations per pair = %.4f; want <= 0.1 (the pair list's growth, amortised)", perPair)
 	}
 }

@@ -225,10 +225,11 @@ func TestSignatureRoundTrip(t *testing.T) {
 	tu2, _ := signature.ParseTuple("11000")
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
-	_, es, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+	_, back, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	es := back.Entries()
 	if len(es) != 2 {
 		t.Fatalf("decoded %d signatures", len(es))
 	}
@@ -237,10 +238,10 @@ func TestSignatureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSignatureDecodeRestoresRetrieval: a restore routes every entry it read
-// through DB.Add, so a restored database must answer a filtered query
-// (unmasked Jaccard with MinScore > 0) exactly like the database that was
-// persisted.
+// TestSignatureDecodeRestoresRetrieval: a restore merges every entry it read
+// into a database of the file's own, which a fresh profile adopts whole, so
+// that database must answer a filtered query (unmasked Jaccard with MinScore
+// > 0) exactly like the database that was persisted.
 func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 	var db signature.DB
 	tu, _ := signature.ParseTuple("0110100011")
@@ -248,14 +249,12 @@ func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 	tu2, _ := signature.ParseTuple("1100000000")
 	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
 
-	_, entries, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+	_, restored, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db2 := &signature.DB{MinScore: 0.5}
-	for _, e := range entries {
-		db2.Add(e)
-	}
+	db2.MergeFrom(restored)
 	got, err := db2.MatchMasked(tu, nil, "10.0.0.2", "wordcount", signature.Jaccard, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +330,8 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: any signature database round-trips through the XML form.
+// Property: any signature database round-trips through the XML form. (A
+// database built with Merge: a file's repeated signature loads once.)
 func TestSignatureRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := stats.NewRNG(seed)
@@ -342,21 +342,21 @@ func TestSignatureRoundTripProperty(t *testing.T) {
 			for k := range tu {
 				tu[k] = rng.Bernoulli(0.3)
 			}
-			db.Add(signature.Entry{
+			db.Merge(signature.Entry{
 				Tuple:    tu,
 				Problem:  string(rune('a' + i%4)),
 				IP:       "10.0.0.2",
 				Workload: "wordcount",
 			})
 		}
-		_, got, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+		_, back, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
 		if err != nil {
 			return false
 		}
-		if len(got) != db.Len() {
+		got, want := back.Entries(), db.Entries()
+		if len(got) != len(want) {
 			return false
 		}
-		want := db.Entries()
 		for i, e := range got {
 			if e.Problem != want[i].Problem || e.Tuple.String() != want[i].Tuple.String() {
 				return false
