@@ -13,7 +13,14 @@
 #                        end-to-end benchmark harness), so an API removal
 #                        that breaks it fails here, not in the acceptance
 #                        driver: the root build never compiles it
-#   make check         — all tiers: test, race, smoke, bench-smoke
+#   make bench-once    — run every Go benchmark of the module once
+#                        (-benchtime 1x), so a benchmark that stops
+#                        compiling or starts failing is caught; a
+#                        compile-and-run check, not a measurement (10-12 s
+#                        on 2 cores; the 100 000-entry linear signature
+#                        scan is the slowest part)
+#   make check         — all tiers: test, race, smoke, bench-smoke,
+#                        bench-once
 #   make loc           — non-test Go lines per package (internal/*,
 #                        server/client, cmd/*, the root package) and a TOTAL
 #                        row: the one number every simplicity PR quotes in
@@ -23,15 +30,19 @@
 # profile registry, parallel association workers, concurrent SaveTo): a data race there is a correctness bug, not
 # a performance detail.
 #
-# Performance has one instrument: bench/ (BENCHMARK.json), run by the
-# acceptance driver on alternating parent/change pairs. The root Benchmark*
-# functions are developer tools (`go test -bench <pattern> -benchmem .`), not
-# a gate; what they used to gate that is near-deterministic — allocations per
-# operation — is pinned by tier-1 tests instead.
+# Performance has one instrument: bench/ (BENCHMARK.json), run on
+# alternating parent/change pairs. The root package has no benchmarks: the
+# few Benchmark* functions left sit beside the code they time (signature
+# retrieval, the MIC and ARX pair kernels, the JSON ingest decoder, the
+# simulator tick) and are developer tools (`go test -run '^$' -bench
+# <pattern> -benchmem ./internal/<pkg>`), not a gate; what is
+# near-deterministic about them — allocations per operation — is pinned by
+# tier-1 tests instead. The paper's tables and figures are regenerated by
+# cmd/experiments, not by benchmarks.
 
 GO ?= go
 
-.PHONY: build test vet race check bench-smoke smoke fuzz loc
+.PHONY: build test vet race check bench-smoke bench-once smoke fuzz loc
 
 build:
 	$(GO) build ./...
@@ -47,13 +58,16 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-check: test race smoke bench-smoke
+check: test race smoke bench-smoke bench-once
 
 smoke: build
 	$(GO) run ./cmd/invarnetd -smoke -smoke-seconds 3
 
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+bench-once: build
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 loc:

@@ -206,3 +206,24 @@ func TestBestFitTooShort(t *testing.T) {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 }
+
+var sinkAssoc float64
+
+// BenchmarkARXAssociation times one symmetric ARX association at the
+// 30-sample fault-window size: the per-pair cost of the ARX comparator
+// (Table 1's Invar-C(ARX) column), the counterpart of internal/mic's
+// BenchmarkPairKernel.
+func BenchmarkARXAssociation(b *testing.B) {
+	rng := stats.NewRNG(2)
+	n := 30
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.Float64()
+		ys[i] = xs[i] + rng.Normal(0, 0.1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkAssoc = Association(xs, ys)
+	}
+}

@@ -113,7 +113,7 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 	mats := make([]*invariant.Matrix, len(runs))
 	for r, tr := range runs {
 		var err error
-		if mats[r], err = invariant.ComputeMatrix(tr.Rows, mic.MIC); err != nil {
+		if mats[r], err = invariant.ComputeMaskedMatrixScored(tr.Rows, nil, mic.MIC, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestConcurrentRetrainSharesMemos(t *testing.T) {
 	for i := range mats {
 		runs = append(runs, synthTrace(rng.Fork(int64(i)), 30, 8, nil))
 		var err error
-		if mats[i], err = invariant.ComputeMatrix(runs[i].Rows, mic.MIC); err != nil {
+		if mats[i], err = invariant.ComputeMaskedMatrixScored(runs[i].Rows, nil, mic.MIC, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -161,16 +161,6 @@ func (p *Profile) Invariants() (*invariant.Set, error) {
 	return set, nil
 }
 
-// NewMonitor starts online anomaly detection for a job running under this
-// profile, seeded with the first CPI samples of the run.
-func (p *Profile) NewMonitor(warmup []float64) (*detect.Monitor, error) {
-	d, err := p.Detector()
-	if err != nil {
-		return nil, err
-	}
-	return d.NewMonitor(warmup), nil
-}
-
 // ViolationReport is the outcome of the masked-first violation analysis of
 // one abnormal window — the single pipeline behind BuildSignature and
 // Diagnose. A clean window is simply the all-known case: Known is nil and

@@ -58,16 +58,10 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		problem string
 		win     *metrics.Trace
 	}{{"fault-a", sigWinA}, {"fault-b", sigWinB}} {
-		raw, err := set.Violations(legacyMatrix(sw.win.Rows), cfg.Epsilon)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw, _ := denseViolations(set, legacyMatrix(sw.win.Rows), cfg.Epsilon, nil, nil)
 		legacyDB.Add(signature.Entry{Tuple: raw, Problem: sw.problem, IP: ctx.IP, Workload: ctx.Workload})
 	}
-	rawAb, err := set.Violations(legacyMatrix(ab.Rows), cfg.Epsilon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rawAb, _ := denseViolations(set, legacyMatrix(ab.Rows), cfg.Epsilon, nil, nil)
 	legacyTuple := signature.Tuple(rawAb)
 	matches, err := legacyDB.MatchMasked(legacyTuple, nil, ctx.IP, ctx.Workload, cfg.Similarity, 0)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // (invariant.Prescreener), and the exact association only for the pairs the
 // screen cannot certify. The prescreen certificate is one-sided, so verdicts
 // equal the dense fill's; the equivalence tests compare against
-// invariant.ComputeMaskedMatrixScored + Set.ViolationsMasked directly.
+// invariant.ComputeMaskedMatrixScored judged pair by pair directly.
 
 // SparseStats aggregates edge telemetry: how trained pairs were resolved
 // across all diagnoses (see invariant.EdgeStats for the tiers). Report-cache

@@ -11,7 +11,7 @@
 //
 // Online part (two modules):
 //   - performance anomaly detection: an online Monitor per running job that
-//     checks ARIMA drift on the CPI stream (NewMonitor);
+//     checks ARIMA drift on the CPI stream (Detector, then its NewMonitor);
 //   - cause inference: triggered on an alert, computes the violation tuple
 //     of the abnormal window and retrieves the most similar signatures
 //     (Diagnose).
@@ -343,14 +343,6 @@ func (s *System) Detector(ctx Context) (*detect.Detector, error) {
 // Invariants returns the trained invariant set for ctx.
 func (s *System) Invariants(ctx Context) (*invariant.Set, error) {
 	return online(s, ctx, ErrNoInvariants, (*Profile).Invariants)
-}
-
-// NewMonitor starts online anomaly detection for a job running under ctx,
-// seeded with the first CPI samples of the run.
-func (s *System) NewMonitor(ctx Context, warmup []float64) (*detect.Monitor, error) {
-	return online(s, ctx, ErrNoModel, func(p *Profile) (*detect.Monitor, error) {
-		return p.NewMonitor(warmup)
-	})
 }
 
 // Violations computes the violation report of an abnormal metric window

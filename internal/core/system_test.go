@@ -90,9 +90,6 @@ func TestUntrainedContextErrors(t *testing.T) {
 	if _, err := s.Invariants(ctx); !errors.Is(err, ErrNoInvariants) {
 		t.Errorf("err = %v, want ErrNoInvariants", err)
 	}
-	if _, err := s.NewMonitor(ctx, nil); err == nil {
-		t.Error("monitor without model should error")
-	}
 	if _, err := s.Violations(ctx, synthTrace(stats.NewRNG(1), 50, 8, nil)); err == nil {
 		t.Error("violation report without invariants should error")
 	}
@@ -225,7 +222,6 @@ func TestCallerContextAtSystemBoundary(t *testing.T) {
 		t.Helper()
 		_, errInv := s.Invariants(caller)
 		_, errDet := s.Detector(caller)
-		_, errMon := s.NewMonitor(caller, nil)
 		_, errVio := s.Violations(caller, win)
 		_, errDia := s.Diagnose(caller, win)
 		errSig := s.BuildSignature(caller, "fault", win)
@@ -236,7 +232,6 @@ func TestCallerContextAtSystemBoundary(t *testing.T) {
 		}{
 			{"Invariants", errInv, ErrNoInvariants},
 			{"Detector", errDet, ErrNoModel},
-			{"NewMonitor", errMon, ErrNoModel},
 			{"Violations", errVio, ErrNoInvariants},
 			{"Diagnose", errDia, ErrNoInvariants},
 			{"BuildSignature", errSig, ErrNoInvariants},
@@ -264,9 +259,6 @@ func TestCallerContextAtSystemBoundary(t *testing.T) {
 	if _, err := s.Detector(caller); err != nil {
 		t.Errorf("Detector: %v", err)
 	}
-	if _, err := s.NewMonitor(caller, nil); err != nil {
-		t.Errorf("NewMonitor: %v", err)
-	}
 	if _, err := s.Violations(caller, win); err != nil {
 		t.Errorf("Violations: %v", err)
 	}
@@ -290,10 +282,11 @@ func TestMonitorIntegration(t *testing.T) {
 	s := trainSystem(t, DefaultConfig(), ctx, 609)
 	rng := stats.NewRNG(610)
 	normal := synthTrace(rng, traceLen, 8, nil)
-	m, err := s.NewMonitor(ctx, normal.CPI[:10])
+	d, err := s.Detector(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := d.NewMonitor(normal.CPI[:10])
 	for _, v := range normal.CPI[10:] {
 		m.Offer(v)
 	}

@@ -41,6 +41,20 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestOptionsKeepAPartialConfig: a Config that sets some fields keeps them
+// and takes core's defaults for the rest, as a System built from it would —
+// it is not swapped for DefaultConfig because it names no Assoc.
+func TestOptionsKeepAPartialConfig(t *testing.T) {
+	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, TopK: 3, UseContext: true}}).Options().Config
+	if cfg.Epsilon != 0.3 || cfg.TopK != 3 || !cfg.UseContext {
+		t.Errorf("caller's fields replaced: epsilon=%v topk=%d context=%v", cfg.Epsilon, cfg.TopK, cfg.UseContext)
+	}
+	want := core.New(core.Config{Epsilon: 0.3, TopK: 3, UseContext: true}).Config()
+	if cfg.Tau != want.Tau || cfg.Detect != want.Detect || cfg.Assoc == nil {
+		t.Errorf("unset fields not defaulted as core.New does: tau=%v detect=%+v", cfg.Tau, cfg.Detect)
+	}
+}
+
 func TestNormalRunProducesTraces(t *testing.T) {
 	r := NewRunner(tinyOptions())
 	res, err := r.Run(workload.Wordcount, "", 0)

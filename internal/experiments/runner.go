@@ -10,6 +10,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -107,9 +108,12 @@ func (o *Options) defaults() {
 	orDefault(&o.FaultStart, d.FaultStart)
 	orDefault(&o.FaultTicks, d.FaultTicks)
 	orDefault(&o.SessionTicks, d.SessionTicks)
-	if o.Config.Assoc == nil {
-		o.Config = d.Config
+	// A zero Config is the paper's; any other takes core.New's defaults, so
+	// studies reading its fields (Table 1's, Fig. 6's Detect) see the System's.
+	if !reflect.ValueOf(o.Config).IsZero() {
+		d.Config = core.New(o.Config).Config()
 	}
+	o.Config = d.Config
 }
 
 // Runner executes simulated runs. Each run uses a fresh cluster seeded
@@ -318,25 +322,19 @@ func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *
 	spec := workload.NewJob(w, workload.Params{InputMB: r.opts.InputMB, RNG: rng.Fork(5)})
 	spec = faults.TransformSpec(res.Fault, spec)
 	j := c.Submit(spec)
-	err := c.RunUntilDone(j, maxRunTicks, observe)
-	if err != nil {
+	if err := c.RunUntilDone(j, maxRunTicks, observe); err != nil {
 		// A wedged run (e.g. Suspend on every replica holder) still
 		// produced traces; report what happened.
 		res.DurationTicks = maxRunTicks
-		return res, nil
+	} else {
+		res.DurationTicks = j.DurationTicks()
 	}
-	res.DurationTicks = j.DurationTicks()
 	return res, nil
 }
 
 // TargetTrace returns the faulted node's trace (the node InvarNet-X
-// diagnoses in fault experiments).
-func (res *RunResult) TargetTrace() *metrics.Trace {
-	if res.TargetIP == "" {
-		return nil
-	}
-	return res.Traces[res.TargetIP]
-}
+// diagnoses in fault experiments); nil for a normal run, whose TargetIP is "".
+func (res *RunResult) TargetTrace() *metrics.Trace { return res.Traces[res.TargetIP] }
 
 // TrainSystem builds an InvarNet-X instance trained on TrainRuns normal
 // runs of workload w: one performance model and one invariant set per slave

@@ -209,15 +209,15 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 		if tr, err = collect(tr); err != nil {
 			return out, nil, err
 		}
-		// A lost CPI reading is NaN, which the monitor skips as a gap — the
-		// daemon's cpiObserved.
-		live := tr.CPI
-		mon, err := sys.NewMonitor(out.Context, live[:monWarmup])
+		det, err := sys.Detector(out.Context)
 		if err != nil {
 			return out, nil, err
 		}
-		for i := monWarmup; i < len(live) && out.AlertTick < 0; i++ {
-			mon.Offer(live[i])
+		// A lost CPI reading is NaN, which the monitor skips as a gap — the
+		// daemon's cpiObserved.
+		mon := det.NewMonitor(tr.CPI[:monWarmup])
+		for i := monWarmup; i < len(tr.CPI) && out.AlertTick < 0; i++ {
+			mon.Offer(tr.CPI[i])
 			if mon.Alert() {
 				out.AlertTick = i
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // fault kind injected into a wordcount run — the tiered diagnosis path
 // (batch scorer, prescreen, trained edges only) must produce exactly the
 // violation verdicts of the dense reference: the full association matrix
-// through the per-pair measure, read out by Set.ViolationsMasked. This is
+// through the per-pair measure, each trained pair judged with
+// invariant.Violated (an unknown cell is unknown, not violated). This is
 // the end-to-end guarantee behind the prescreen: its certificate is
 // one-sided, so no window in the corpus may flip a verdict — neither in a
 // stored signature nor in a diagnosis. Each held-out window's ranked causes
@@ -38,10 +40,21 @@ func TestSparseCorpusEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tuple, known, err = set.ViolationsMasked(mat, cfg.Epsilon); err != nil {
-			t.Fatal(err)
+		pairs := set.SortedPairs()
+		tuple, known = make([]bool, len(pairs)), make([]bool, len(pairs))
+		for k, p := range pairs {
+			if known[k] = mat.Known(p.I, p.J); known[k] {
+				tuple[k] = invariant.Violated(set.Base[p], mat.Get(p.I, p.J), cfg.Epsilon)
+			}
 		}
-		return tuple, known
+		for i, r := range rows {
+			for tick, v := range r {
+				if math.IsNaN(v) || math.IsInf(v, 0) || (valid != nil && !valid[i][tick]) {
+					return tuple, known // a degraded window carries its known flags
+				}
+			}
+		}
+		return tuple, nil
 	}
 
 	for _, kind := range FaultKindsFor(workload.Wordcount) {

@@ -248,15 +248,6 @@ func (s *Set) SortedPairs() []Pair { return s.pairs }
 // Len returns the number of invariants.
 func (s *Set) Len() int { return len(s.pairs) }
 
-// Violations returns the binary violation tuple of the abnormal association
-// matrix against the invariant baselines: entry k is true when
-// |base − abnormal| ≥ epsilon for the k-th sorted pair (false for a pair the
-// matrix marks unknown — see ViolationsMasked).
-func (s *Set) Violations(abnormal *Matrix, epsilon float64) ([]bool, error) {
-	tuple, _, err := s.ViolationsMasked(abnormal, epsilon)
-	return tuple, err
-}
-
 // violatedVerdict is the single violation test shared by the dense and
 // sparse paths: |base − score| ≥ epsilon, with a small slack making the
 // comparison robust to floating-point representation of differences that
@@ -275,32 +266,4 @@ func Violated(base, score, epsilon float64) bool {
 		epsilon = DefaultEpsilon
 	}
 	return violatedVerdict(base, score, epsilon)
-}
-
-// ViolationsMasked is the dense violation read-out, the reference the
-// sparse edge path is tested against: pairs the matrix marks unknown are
-// reported as *unknown* — not violated — via the parallel known slice
-// (known[k] false ⇒ tuple[k] false). An all-known matrix returns a nil
-// known slice.
-func (s *Set) ViolationsMasked(abnormal *Matrix, epsilon float64) (tuple, known []bool, err error) {
-	if abnormal.M != s.M {
-		return nil, nil, fmt.Errorf("invariant: matrix dimension %d, invariant set dimension %d", abnormal.M, s.M)
-	}
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
-	}
-	tuple = make([]bool, len(s.pairs))
-	if abnormal.known != nil {
-		known = make([]bool, len(s.pairs))
-	}
-	for k, p := range s.pairs {
-		if known != nil {
-			if !abnormal.Known(p.I, p.J) {
-				continue // unknown: both flags stay false
-			}
-			known[k] = true
-		}
-		tuple[k] = violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon)
-	}
-	return tuple, known, nil
 }

@@ -59,7 +59,7 @@ func TestComputeMatrix(t *testing.T) {
 		y[i] = 2*x[i] + rng.Normal(0, 0.01)
 		z[i] = rng.Normal(0, 1)
 	}
-	a, err := ComputeMatrix([][]float64{x, y, z}, mic.MIC)
+	a, err := ComputeMaskedMatrixScored([][]float64{x, y, z}, nil, mic.MIC, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestComputeMatrix(t *testing.T) {
 }
 
 func TestComputeMatrixErrors(t *testing.T) {
-	if _, err := ComputeMatrix([][]float64{{1, 2}}, mic.MIC); err == nil {
+	if _, err := ComputeMaskedMatrixScored([][]float64{{1, 2}}, nil, mic.MIC, nil, 0); err == nil {
 		t.Error("single metric should error")
 	}
-	if _, err := ComputeMatrix([][]float64{{1, 2}, {1}}, mic.MIC); err == nil {
+	if _, err := ComputeMaskedMatrixScored([][]float64{{1, 2}, {1}}, nil, mic.MIC, nil, 0); err == nil {
 		t.Error("ragged rows should error")
 	}
 }
@@ -172,7 +172,7 @@ func TestViolations(t *testing.T) {
 	ab.Set(0, 1, 0.3) // |0.9-0.3| = 0.6 >= 0.2: violated
 	ab.Set(1, 2, 0.45)
 	ab.Set(0, 2, 0.99) // not an invariant; ignored
-	tuple, err := s.Violations(ab, 0.2)
+	tuple, _, err := violationsMasked(s, ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestViolationsBoundary(t *testing.T) {
 	s := NewSet(2, map[Pair]float64{{0, 1}: 0.7})
 	ab := NewMatrix(2)
 	ab.Set(0, 1, 0.5)
-	tuple, err := s.Violations(ab, 0.2)
+	tuple, _, err := violationsMasked(s, ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestViolatedMatchesInternalVerdict(t *testing.T) {
 
 func TestViolationsDimensionMismatch(t *testing.T) {
 	s := NewSet(3, map[Pair]float64{{0, 1}: 0.5})
-	if _, err := s.Violations(NewMatrix(4), 0.2); err == nil {
+	if _, _, err := violationsMasked(s, NewMatrix(4), 0.2); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }
@@ -300,11 +300,11 @@ func TestComputeMatrixDeterministicUnderParallelism(t *testing.T) {
 			rows[i][j] = rng.Float64()
 		}
 	}
-	a, err := ComputeMatrix(rows, mic.MIC)
+	a, err := ComputeMaskedMatrixScored(rows, nil, mic.MIC, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ComputeMatrix(rows, mic.MIC)
+	b, err := ComputeMaskedMatrixScored(rows, nil, mic.MIC, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

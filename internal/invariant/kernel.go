@@ -245,17 +245,6 @@ func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, st EdgeSta
 	return tuple, known, st, nil
 }
 
-// ComputeMatrix builds the association matrix of the given metric rows
-// (rows[m] is the time series of metric m; all rows must share a length)
-// using assoc — the paper's "simple but exhaustive pair-wise search".
-func ComputeMatrix(rows [][]float64, assoc AssociationFunc) (*Matrix, error) {
-	w, err := newWindow(rows, nil, assoc, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return w.fill(), nil
-}
-
 // ComputeMatrixScored builds the association matrix from a pair scorer over
 // m metrics — typically a mic.Batch, whose shared per-metric preprocessing
 // makes each Score call skip the sorting and partitioning work that an
@@ -288,8 +277,8 @@ func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc Associati
 
 // ComputeEdgesScored evaluates only the trained invariant pairs against a
 // pair scorer covering all s.M metrics of the window being diagnosed, and
-// returns their violation tuple — identical to Violations over a full
-// matrix. When the scorer also implements Prescreener, pairs whose lower
+// returns their violation tuple — identical to judging the same pairs of the
+// full matrix with Violated. When the scorer also implements Prescreener, pairs whose lower
 // bound certifies the invariant still holds skip the exact computation.
 func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) ([]bool, EdgeStats, error) {
 	w, err := scoredWindow(s.M, scorer)
@@ -302,8 +291,8 @@ func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) ([]bool, Ed
 
 // ComputeEdgesMasked evaluates only the trained invariant pairs over metric
 // rows whose samples may be missing or corrupt; per pair the semantics are
-// exactly ComputeMaskedMatrixScored + ViolationsMasked, with the prescreen
-// in front of the scorer. On clean rows (nil valid, all finite) it is
+// exactly ComputeMaskedMatrixScored's cell judged with Violated (an unknown
+// cell is unknown, not violated), with the prescreen in front of the scorer. On clean rows (nil valid, all finite) it is
 // ComputeEdgesScored and known is nil.
 func (s *Set) ComputeEdgesMasked(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int, epsilon float64) (tuple, known []bool, st EdgeStats, err error) {
 	w, err := newWindow(rows, valid, assoc, scorer, minSamples)

@@ -54,7 +54,7 @@ func TestComputeMatrixEachPairOnce(t *testing.T) {
 		counts[a.index(i, j)].Add(1)
 		return float64(i*m + j)
 	}
-	got, err := ComputeMatrix(rows, assoc)
+	got, err := ComputeMaskedMatrixScored(rows, nil, assoc, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	run := func() result {
 		var r result
-		r.plain, err = ComputeMatrix(rows, mic.MIC)
+		r.plain, err = ComputeMaskedMatrixScored(rows, nil, mic.MIC, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,7 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := set.Violations(mat, eps)
+		want, _, err := violationsMasked(set, mat, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTuple, wantKnown, err := set.ViolationsMasked(mat, eps)
+			wantTuple, wantKnown, err := violationsMasked(set, mat, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,11 +218,11 @@ func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	const m, n, coupled = 6, 30, 4
 	set := trainSet(t, rng, m, n, coupled)
 	rows := synthWindow(rng, m, n, coupled, []int{1})
-	mat, err := ComputeMatrix(rows, mic.MIC)
+	mat, err := ComputeMaskedMatrixScored(rows, nil, mic.MIC, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTuple, wantKnown, err := set.ViolationsMasked(mat, DefaultEpsilon)
+	wantTuple, wantKnown, err := violationsMasked(set, mat, DefaultEpsilon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package signature
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"invarnetx/internal/stats"
@@ -356,9 +357,11 @@ func TestMatchResultsDoNotAliasStore(t *testing.T) {
 	}
 }
 
-// signatureBenchDB is the retrieval benchmark fixture of the root package
-// (bench_test.go): n sparse 190-coordinate signatures of problems problems
-// under one operation context, plus 32 query tuples.
+// signatureBenchDB is the retrieval benchmark fixture: n sparse
+// 190-coordinate signatures (one coordinate per trained pair at 20 metrics
+// dense) of problems distinct problems under one operation context, plus a
+// batch of 32 query tuples. One benchmark op is the whole batch: a single
+// retrieval is microseconds, too short for a stable figure.
 func signatureBenchDB(n, problems int, minScore float64) (*DB, []Tuple) {
 	const tupleLen = 190
 	rng := stats.NewRNG(11)
@@ -406,11 +409,10 @@ func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
 	}
 }
 
-// BenchmarkSignatureLinearScan times the reference retrieval over the
-// BenchmarkSignatureMatch fixture of the root package — the denominator of
-// the packed scan's speedup. Untracked (a 100k-entry reference scan at the bench
-// tier's fixed iteration count would dominate its wall clock); run it
-// manually:
+// BenchmarkSignatureLinearScan times the reference retrieval over
+// BenchmarkSignatureMatch's fixture — the denominator of the packed scan's
+// speedup. `make bench-once` runs it once (a few seconds on 2 cores, the
+// slowest benchmark of that step); to time it:
 //
 //	go test -run '^$' -bench SignatureLinearScan -benchtime 20x ./internal/signature
 func BenchmarkSignatureLinearScan(b *testing.B) {
@@ -427,5 +429,118 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSignatureMatch measures filtered signature retrieval (MinScore
+// 0.3, top 5) over growing databases, up to fleet-scale corpora (gossip
+// replicates every peer's signature log). Every query is one scan of its
+// scope's query-length bucket — each entry scored by popcount, or pruned by
+// the MinScore upper bound its population count gives — so time is linear in
+// n. The boolean linear-scan reference is BenchmarkSignatureLinearScan.
+func BenchmarkSignatureMatch(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, queries := signatureBenchDB(n, 14, 0.3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := db.MatchMasked(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSignatureRank measures what a verdict's cause inference costs
+// once the database has grown and nothing is filtered (MinScore 0, the
+// default): every scoped entry is scored by the bucket scan and reduced to
+// one winner per problem. Time is linear in n; allocs/op must not be — the
+// per-entry materialisation this replaced allocated and sorted the scope.
+func BenchmarkSignatureRank(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, queries := signatureBenchDB(n, 200, 0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSignatureRetrievalAllocs pins the per-query allocation counts of the two
+// retrieval entry points on the benchmark fixture. Rank's count is independent
+// of the database size, so a per-entry materialisation coming back (what Rank
+// replaced) fails here on any machine, where a time budget would need a quiet
+// one: 8 per query — the packed query, the per-problem reducer and the ranked
+// result. A filtered Match (MinScore 0.3) allocates its selector and, for what
+// little passes the floor, the result — never per scanned entry.
+func TestSignatureRetrievalAllocs(t *testing.T) {
+	perBatch := func(db *DB, queries []Tuple, retrieve func(*DB, Tuple) error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			for _, q := range queries {
+				if err := retrieve(db, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{1000, 20000} {
+		db, queries := signatureBenchDB(n, 200, 0)
+		got := perBatch(db, queries, func(db *DB, q Tuple) error {
+			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
+			return err
+		})
+		if want := float64(8 * len(queries)); got != want {
+			t.Errorf("Rank over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
+		}
+	}
+	for _, n := range []int{100, 1000} {
+		db, queries := signatureBenchDB(n, 14, 0.3)
+		got := perBatch(db, queries, func(db *DB, q Tuple) error {
+			_, err := db.MatchMasked(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
+			return err
+		})
+		if want := float64(len(queries)); got != want {
+			t.Errorf("Match over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
+		}
+	}
+}
+
+// TestSignatureStoreFootprint pins what a stored signature costs in memory
+// on the benchmark fixture's shape (20 000 entries of 190 coordinates in one
+// context, built with Merge as a restore or a gossip replica builds it): the
+// 24-byte packed tuple, three 4-byte columns, a 16-byte locator and the
+// 8-byte fingerprint Merge dedups on, plus slice and map growth slack — and
+// nothing per coordinate or per scope string. A second copy of the tuples or
+// of the scope coming back (the store once held both) fails here. Merging
+// an entry the store already holds allocates nothing.
+func TestSignatureStoreFootprint(t *testing.T) {
+	src, _ := signatureBenchDB(20000, 200, 0)
+	entries := src.Entries()
+	src = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := &DB{}
+	for _, e := range entries {
+		db.Merge(e)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(db.Len())
+	t.Logf("%d signatures, %.1f heap bytes each", db.Len(), perEntry)
+	if perEntry > 120 {
+		t.Errorf("%.1f heap bytes per stored signature, want at most 120", perEntry)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { db.Merge(entries[len(entries)/2]) }); allocs != 0 {
+		t.Errorf("Merge of a stored entry: %v allocs, want 0", allocs)
 	}
 }
