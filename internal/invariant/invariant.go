@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,6 +137,12 @@ func pairAt(m, k int) (i, j int) {
 // the one holding row m−2 carried a single score, and the pool capped itself
 // at m workers even when pairs outnumbered CPUs. With one usable worker (or
 // one pair) the loop runs serially — no goroutines, bit-identical order.
+//
+// A panic in a worker does not kill the process from a goroutine no caller
+// can recover on: the worker recovers it, no further pairs are handed out,
+// and once every worker has returned the first one is re-panicked on the
+// calling goroutine as a *workerPanic, where the caller's own recovery (a
+// scheduler task's) sees it as it would a serial panic.
 func forEachPair(m, workers int, newWorker func() func(i, j int)) {
 	pairs := m * (m - 1) / 2
 	if workers > pairs {
@@ -151,13 +158,21 @@ func forEachPair(m, workers int, newWorker func() func(i, j int)) {
 		return
 	}
 	var sched struct { // one heap object shared with the workers
-		next atomic.Int64
-		wg   sync.WaitGroup
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked *workerPanic // the first recovered panic; read after wg.Wait
 	}
 	for w := 0; w < workers; w++ {
 		sched.wg.Add(1)
 		go func() {
 			defer sched.wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					sched.next.Store(int64(pairs)) // hand out no further pairs
+					sched.once.Do(func() { sched.panicked = &workerPanic{p, debug.Stack()} })
+				}
+			}()
 			work := newWorker()
 			for {
 				k := int(sched.next.Add(1)) - 1
@@ -170,6 +185,23 @@ func forEachPair(m, workers int, newWorker func() func(i, j int)) {
 		}()
 	}
 	sched.wg.Wait()
+	if sched.panicked != nil {
+		panic(sched.panicked)
+	}
+}
+
+// workerPanic is a pair worker's panic as forEachPair re-panics it: the value
+// and the worker's stack where it was recovered, which still holds the frame
+// that panicked. The stack of the re-panic ends in forEachPair, so a caller
+// that logs what it recovers (the scheduler does) prints this one to name
+// the failing pair kernel.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) String() string {
+	return fmt.Sprintf("%v [recovered in a pair worker]\n%s", p.value, p.stack)
 }
 
 // Pair identifies a metric pair, I < J.

@@ -1,7 +1,9 @@
 package invariant
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -253,5 +255,38 @@ func TestRowOffsetMatchesIndex(t *testing.T) {
 	}
 	if rowOffset(5, 0) != 0 {
 		t.Error("row 0 must start at offset 0")
+	}
+}
+
+// panicOnPair is a PairScorer that panics on one pair.
+type panicOnPair struct{ i, j int }
+
+type pairPanic struct{ i, j int }
+
+func (p panicOnPair) Score(i, j int) float64 {
+	if i == p.i && j == p.j {
+		panic(pairPanic{i, j})
+	}
+	return float64(i + j)
+}
+
+// TestPairWorkerPanicReachesCaller: a panic inside a forEachPair worker
+// goroutine must surface on the goroutine that called the fill, where a
+// caller can recover it, instead of killing the process from a goroutine
+// nobody can recover on — and what the caller logs of it must still name
+// the frame that panicked, not only the re-panic.
+func TestPairWorkerPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers even on one CPU
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ComputeMatrixScored(40, panicOnPair{3, 17})
+	}()
+	wp, ok := got.(*workerPanic)
+	if !ok || wp.value != (pairPanic{3, 17}) {
+		t.Fatalf("recovered %v, want the worker's panic value %v", got, pairPanic{3, 17})
+	}
+	if logged := fmt.Sprintf("%v", got); !strings.Contains(logged, "invariant.panicOnPair.Score(") {
+		t.Errorf("the recovered panic prints without the panicking frame:\n%s", logged)
 	}
 }

@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -50,8 +51,12 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 						[]bool(randomTuple(rng, n, 0.7)),
 						make([]bool, n)) // all-unknown
 				}
+				// b is the one entry of its bucket, scored by the scan's
+				// own loop and read back from the reducer.
+				one := &DB{}
+				one.Add(Entry{Tuple: b, Problem: "p"})
+				bk := one.order[0].b
 				for _, known := range masks {
-					pb := appendPacked(nil, b)
 					for _, m := range []Measure{Jaccard, Hamming, Cosine} {
 						want, err := MaskedSimilarity(a, b, known, m)
 						if err != nil {
@@ -59,7 +64,9 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 						}
 						var buf [2 * stackWords]uint64
 						q := newQuery(&buf, a, known, m)
-						if got := q.score(q.overlap(pb, popcount(pb))); got != want {
+						r := newRanker(1)
+						one.scanBucket(bk, &q, r, nil)
+						if got := r[0].score; got != want {
 							t.Errorf("n=%d m=%v masked=%v: bit %v != bool %v", n, m, known != nil, got, want)
 						}
 					}
@@ -133,5 +140,109 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 	scanned, early := db.ScanStats()
 	if scanned != 25 || early != 25 {
 		t.Errorf("zero-query scan: scanned=%d early=%d, want 25/25", scanned, early)
+	}
+}
+
+// TestScanStatsExact pins the scan counters behind /v1/stats sigScan* and the
+// benchmark's signature.scan_entries_per_query / early_exit_ratio to the
+// exact (scanned, early) tallies of a fixed fixture, for Rank and MatchMasked
+// alike: a stale-length bucket, the zero query, MinScore upper-bound pruning,
+// a masked query and wildcard scopes. The figures were captured from the
+// scan before its score was inlined; a kernel change that resolves a
+// different set of entries early moves them.
+func TestScanStatsExact(t *testing.T) {
+	const n = 130 // three words per tuple
+	build := func(minScore float64) *DB {
+		rng := stats.NewRNG(3400)
+		db := &DB{MinScore: minScore}
+		for i := 0; i < 120; i++ {
+			ln := n
+			if i%11 == 0 {
+				ln = n - 4 // stale entry from an older invariant set
+			}
+			db.Add(Entry{
+				Tuple:    randomTuple(rng, ln, []float64{0, 0.05, 0.2, 0.5}[i%4]),
+				Problem:  fmt.Sprintf("p%d", i%7),
+				IP:       []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[i%3],
+				Workload: []string{"wc", "sort"}[i%2],
+			})
+		}
+		return db
+	}
+	rng := stats.NewRNG(3401)
+	query := randomTuple(rng, n, 0.1)
+	known := []bool(randomTuple(rng, n, 0.8))
+	zero := make(Tuple, n)
+	cases := []struct {
+		name           string
+		minScore       float64
+		tuple          Tuple
+		known          []bool
+		ip, wl         string
+		m              Measure
+		scanned, early int64
+	}{
+		{"exact scope", 0, query, nil, "10.0.0.1", "wc", Jaccard, 20, 2},
+		{"zero query", 0, zero, nil, "10.0.0.1", "wc", Jaccard, 20, 20},
+		{"zero query, wildcard ip", 0, zero, nil, "", "sort", Hamming, 60, 60},
+		{"zero query, MinScore", 0.3, zero, nil, "10.0.0.2", "sort", Cosine, 20, 20},
+		{"MinScore pruning", 0.3, query, nil, "10.0.0.2", "sort", Jaccard, 20, 10},
+		{"MinScore pruning, wildcard", 0.3, query, nil, "", "", Cosine, 120, 38},
+		{"masked", 0.3, query, known, "10.0.0.2", "sort", Jaccard, 20, 1},
+		{"masked zero query, wildcard workload", 0, zero, known, "10.0.0.3", "", Hamming, 40, 4},
+		{"wildcard scope", 0, query, nil, "", "", Hamming, 120, 11},
+	}
+	for _, c := range cases {
+		for _, rank := range []bool{false, true} {
+			db := build(c.minScore)
+			var err error
+			if rank {
+				_, err = db.Rank(c.tuple, c.known, c.ip, c.wl, c.m, 3)
+			} else {
+				_, err = db.MatchMasked(c.tuple, c.known, c.ip, c.wl, c.m, 3)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if scanned, early := db.ScanStats(); scanned != c.scanned || early != c.early {
+				t.Errorf("%s (rank=%v): scanned=%d early=%d, want %d/%d", c.name, rank, scanned, early, c.scanned, c.early)
+			}
+		}
+	}
+}
+
+// TestMinScorePruneBoundary: MinScore pruning drops an entry only when no
+// overlap could lift it to the floor. Nested prefix tuples reach the bound
+// exactly (each overlaps the query in min(ones, onesB) violations), so with
+// the floor set to each bound value in turn, an off-by-one at either end of
+// the admitted population counts drops an entry the reference reports.
+func TestMinScorePruneBoundary(t *testing.T) {
+	const n = 150
+	prefix := func(k int) Tuple {
+		tu := make(Tuple, n)
+		for i := 0; i < k; i++ {
+			tu[i] = true
+		}
+		return tu
+	}
+	for _, m := range []Measure{Jaccard, Hamming, Cosine} {
+		for _, ones := range []int{1, 7, 64, 149} {
+			query := prefix(ones)
+			for k := 0; k <= n; k += 7 {
+				var probe DB
+				probe.Add(Entry{Tuple: prefix(k), Problem: "p", IP: "ip", Workload: "wl"})
+				ms, err := probe.Match(query, "ip", "wl", m, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db := &DB{MinScore: ms[0].Score}
+				for j := 0; j <= n; j++ {
+					db.Add(Entry{Tuple: prefix(j), Problem: fmt.Sprintf("p%d", j%5), IP: "ip", Workload: "wl"})
+				}
+				tag := fmt.Sprintf("%v ones=%d floor=score(prefix %d)=%v", m, ones, k, db.MinScore)
+				matchBothPaths(t, db, query, nil, "ip", "wl", m, 0, tag)
+				rankBothPaths(t, db, query, nil, "ip", "wl", m, 0, tag)
+			}
+		}
 	}
 }

@@ -89,26 +89,28 @@ func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl stri
 // packed scan — popcount scoring, the zero-query closed form, MinScore
 // upper-bound pruning, stale-length skips — returns []Match output
 // byte-identical to the boolean linear reference across all three measures,
-// nil and random masks, and MinScore/topK sweeps.
+// nil and random masks, and MinScore/topK sweeps, at tuple lengths inside,
+// on and just past the one-, two- and three-word strides and beyond them.
 func TestMatchEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2300)
-	const tupleLen = 90
-	for _, minScore := range []float64{0, 0.05, 0.3, 0.7, 1} {
-		for _, nEntries := range []int{0, 1, 30, 200} {
-			db := buildRandomDB(rng.Fork(int64(nEntries)+int64(minScore*1000)), nEntries, tupleLen, minScore)
-			for rep := 0; rep < 24; rep++ {
-				density := []float64{0, 0.08, 0.3, 0.9}[rep%4]
-				tuple := randomTuple(rng, tupleLen, density)
-				var known []bool
-				if rep%3 == 2 {
-					known = []bool(randomTuple(rng, tupleLen, 0.8))
+	for _, tupleLen := range []int{90, 128, 130, 190, 192, 300} {
+		for _, minScore := range []float64{0, 0.05, 0.3, 0.7, 1} {
+			for _, nEntries := range []int{0, 1, 30, 200} {
+				db := buildRandomDB(rng.Fork(int64(nEntries)+int64(minScore*1000)), nEntries, tupleLen, minScore)
+				for rep := 0; rep < 24; rep++ {
+					density := []float64{0, 0.08, 0.3, 0.9}[rep%4]
+					tuple := randomTuple(rng, tupleLen, density)
+					var known []bool
+					if rep%3 == 2 {
+						known = []bool(randomTuple(rng, tupleLen, 0.8))
+					}
+					ip := []string{"", "10.0.0.1", "10.0.0.9"}[rep%3]
+					wl := []string{"", "wc"}[rep%2]
+					m := []Measure{Jaccard, Hamming, Cosine}[rep%3]
+					topK := []int{0, 1, 5, 1000}[rep%4]
+					tag := fmt.Sprintf("len=%d minScore=%v nEntries=%d rep=%d", tupleLen, minScore, nEntries, rep)
+					matchBothPaths(t, db, tuple, known, ip, wl, m, topK, tag)
 				}
-				ip := []string{"", "10.0.0.1", "10.0.0.9"}[rep%3]
-				wl := []string{"", "wc"}[rep%2]
-				m := []Measure{Jaccard, Hamming, Cosine}[rep%3]
-				topK := []int{0, 1, 5, 1000}[rep%4]
-				tag := fmt.Sprintf("minScore=%v nEntries=%d rep=%d", minScore, nEntries, rep)
-				matchBothPaths(t, db, tuple, known, ip, wl, m, topK, tag)
 			}
 		}
 	}
@@ -116,14 +118,19 @@ func TestMatchEquivalence(t *testing.T) {
 
 // FuzzMatchEquivalence drives the scan-vs-linear-reference equivalence from
 // arbitrary fuzz inputs: whatever database, MinScore and query the fuzzer
-// concocts, the packed scan must match the reference byte for byte.
+// concocts, the packed scan must match the reference byte for byte. Tuples
+// run to 320 coordinates, so both strides the word count unrolls (two and
+// three words) and the word loop every other stride runs (one, four and
+// five) are reached.
 func FuzzMatchEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(30), uint8(3), uint8(5), false)
-	f.Add(int64(7), uint8(0), uint8(1), uint8(0), uint8(0), true)
-	f.Add(int64(42), uint8(100), uint8(64), uint8(10), uint8(1), false)
-	f.Fuzz(func(t *testing.T, seed int64, nEntries, tupleLen, minScoreTenths, topK uint8, masked bool) {
+	f.Add(int64(1), uint8(20), uint16(30), uint8(3), uint8(5), false)
+	f.Add(int64(7), uint8(0), uint16(1), uint8(0), uint8(0), true)
+	f.Add(int64(42), uint8(100), uint16(64), uint8(10), uint8(1), false)
+	f.Add(int64(3), uint8(150), uint16(190), uint8(4), uint8(0), false)
+	f.Add(int64(5), uint8(90), uint16(300), uint8(2), uint8(7), true)
+	f.Fuzz(func(t *testing.T, seed int64, nEntries uint8, tupleLen uint16, minScoreTenths, topK uint8, masked bool) {
 		rng := stats.NewRNG(seed)
-		n := int(tupleLen) % 129
+		n := int(tupleLen) % 321 // strides 0-5: every unrolled arm and the loop
 		minScore := float64(minScoreTenths%11) / 10
 		db := buildRandomDB(rng, int(nEntries), n, minScore)
 		tuple := randomTuple(rng, n, []float64{0, 0.1, 0.5}[rng.Intn(3)])

@@ -50,6 +50,38 @@ func MaskedSimilarity(a, b Tuple, known []bool, m Measure) (float64, error) {
 	return similarityFromCounts(both, either, equal, onesA, onesB, compared, known != nil, m)
 }
 
+// similarityFromCounts turns the boolean walk's tallies into the score, one
+// measure per case. The scan computes the same integers from two popcounts
+// and the same float operations in a closed form fixed per query
+// (query.fix), so the two agree to the bit.
+func similarityFromCounts(both, either, equal, onesA, onesB, compared int, masked bool, m Measure) (float64, error) {
+	if masked && compared == 0 {
+		return 0, nil
+	}
+	switch m {
+	case Jaccard:
+		if either == 0 {
+			return 1, nil
+		}
+		return float64(both) / float64(either), nil
+	case Hamming:
+		if compared == 0 {
+			return 1, nil
+		}
+		return float64(equal) / float64(compared), nil
+	case Cosine:
+		if onesA == 0 || onesB == 0 {
+			if onesA == onesB {
+				return 1, nil
+			}
+			return 0, nil
+		}
+		return float64(both) / sqrtProd(onesA, onesB), nil
+	default:
+		return 0, m.check()
+	}
+}
+
 // Match is MatchMasked over a fully known window, and Similarity is
 // MaskedSimilarity likewise: the spellings most tests here use. No product
 // code calls either, so they are declared with the tests.
@@ -166,10 +198,10 @@ func buildTiedDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
 // composition it replaced — same scores to the bit, same problem order, same
 // representative entry — across measures, masks, thresholds, exact and
 // wildcard scopes, stale-length buckets, heavy score ties, the all-zero
-// query and every topK regime.
+// query and every topK regime, at tuple lengths of one to five words.
 func TestRankEqualsBestProblemOfMatch(t *testing.T) {
 	rng := stats.NewRNG(1300)
-	for _, tupleLen := range []int{10, 70} {
+	for _, tupleLen := range []int{10, 70, 128, 130, 190, 192, 300} {
 		for _, minScore := range []float64{0, 0.3, 1} {
 			for _, build := range []func(*stats.RNG, int, int, float64) *DB{buildRandomDB, buildTiedDB} {
 				db := build(rng.Fork(int64(tupleLen)+int64(minScore*10)), 250, tupleLen, minScore)
@@ -212,15 +244,17 @@ func TestRankEqualsBestProblemOfMatch(t *testing.T) {
 }
 
 // FuzzRankEquivalence drives the same equivalence from arbitrary fuzz
-// inputs.
+// inputs, over tuples of up to 320 coordinates (strides one to five).
 func FuzzRankEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(30), uint8(3), uint8(5), false, false)
-	f.Add(int64(7), uint8(0), uint8(1), uint8(0), uint8(0), true, false)
-	f.Add(int64(42), uint8(200), uint8(8), uint8(0), uint8(1), false, true)
-	f.Add(int64(9), uint8(120), uint8(65), uint8(10), uint8(3), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, nEntries, tupleLen, minScoreTenths, topK uint8, masked, tied bool) {
+	f.Add(int64(1), uint8(40), uint16(30), uint8(3), uint8(5), false, false)
+	f.Add(int64(7), uint8(0), uint16(1), uint8(0), uint8(0), true, false)
+	f.Add(int64(42), uint8(200), uint16(8), uint8(0), uint8(1), false, true)
+	f.Add(int64(9), uint8(120), uint16(65), uint8(10), uint8(3), true, true)
+	f.Add(int64(11), uint8(200), uint16(190), uint8(0), uint8(5), false, false)
+	f.Add(int64(13), uint8(150), uint16(300), uint8(3), uint8(0), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nEntries uint8, tupleLen uint16, minScoreTenths, topK uint8, masked, tied bool) {
 		rng := stats.NewRNG(seed)
-		n := int(tupleLen) % 129
+		n := int(tupleLen) % 321 // strides 0-5: every unrolled arm and the loop
 		minScore := float64(minScoreTenths%11) / 10
 		build := buildRandomDB
 		if tied {
@@ -388,8 +422,8 @@ func signatureBenchDB(n, problems int, minScore float64) (*DB, []Tuple) {
 	return db, queries
 }
 
-// TestRankAllocsDoNotScaleWithScope: Rank allocates for the query, the
-// per-problem reducer and the winners it returns — never per scanned entry.
+// TestRankAllocsDoNotScaleWithScope: Rank allocates for the per-problem
+// reducer and the winners it returns — never per scanned entry.
 // The gate that keeps an O(scope) materialisation from coming back.
 func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
 	allocs := func(n int) float64 {
@@ -459,6 +493,13 @@ func BenchmarkSignatureMatch(b *testing.B) {
 // default): every scoped entry is scored by the bucket scan and reduced to
 // one winner per problem. Time is linear in n; allocs/op must not be — the
 // per-entry materialisation this replaced allocated and sorted the scope.
+// The fixture's 190-coordinate tuples are the three-word stride. With the
+// scan taking a bucket a chunk at a time (stride-unrolled counts, a closed-
+// form score fixed per query, the reducer fixed before the loop) one op is
+// ≈ 8.4 ms at n = 20 000 and ≈ 0.96 ms at n = 1 000; the single loop before
+// it, with a score call and an interface call per entry, took ≈ 17.7 ms and
+// ≈ 1.47 ms (2-core Intel Xeon, -cpu 1, medians of 21 alternated runs of
+// 20 ops each).
 func BenchmarkSignatureRank(b *testing.B) {
 	for _, n := range []int{1000, 20000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -479,9 +520,12 @@ func BenchmarkSignatureRank(b *testing.B) {
 // retrieval entry points on the benchmark fixture. Rank's count is independent
 // of the database size, so a per-entry materialisation coming back (what Rank
 // replaced) fails here on any machine, where a time budget would need a quiet
-// one: 8 per query — the packed query, the per-problem reducer and the ranked
-// result. A filtered Match (MinScore 0.3) allocates its selector and, for what
-// little passes the floor, the result — never per scanned entry.
+// one: 7 per query — the per-problem reducer's slots, the top-5 heap growing
+// to five keys (four), and the ranked result's tuples and matches. A filtered
+// Match (MinScore 0.3) allocates nothing when nothing passes the floor, as
+// here: its selector stays on the stack, and nothing is allocated per scanned
+// entry. Neither reducer escapes through the scan; behind an interface they
+// did, at 8 and 1 per query.
 func TestSignatureRetrievalAllocs(t *testing.T) {
 	perBatch := func(db *DB, queries []Tuple, retrieve func(*DB, Tuple) error) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -498,7 +542,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
 			return err
 		})
-		if want := float64(8 * len(queries)); got != want {
+		if want := float64(7 * len(queries)); got != want {
 			t.Errorf("Rank over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
 		}
 	}
@@ -508,7 +552,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 			_, err := db.MatchMasked(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
 			return err
 		})
-		if want := float64(len(queries)); got != want {
+		if want := float64(0); got != want {
 			t.Errorf("Match over n=%d: %v allocs per %d queries, want %v", n, got, len(queries), want)
 		}
 	}

@@ -97,38 +97,6 @@ func (m Measure) check() error {
 	return nil
 }
 
-// similarityFromCounts turns the comparison tallies into the final score.
-// The packed popcount path (query.score in bitset.go) and the tests' boolean
-// reference walk (MaskedSimilarity) produce identical integer tallies and
-// funnel through here, so the two return bit-identical floats.
-func similarityFromCounts(both, either, equal, onesA, onesB, compared int, masked bool, m Measure) (float64, error) {
-	if masked && compared == 0 {
-		return 0, nil
-	}
-	switch m {
-	case Jaccard:
-		if either == 0 {
-			return 1, nil
-		}
-		return float64(both) / float64(either), nil
-	case Hamming:
-		if compared == 0 {
-			return 1, nil
-		}
-		return float64(equal) / float64(compared), nil
-	case Cosine:
-		if onesA == 0 || onesB == 0 {
-			if onesA == onesB {
-				return 1, nil
-			}
-			return 0, nil
-		}
-		return float64(both) / sqrtProd(onesA, onesB), nil
-	default:
-		return 0, m.check()
-	}
-}
-
 // sqrtProd returns sqrt(a*b) for the cosine denominator.
 func sqrtProd(a, b int) float64 { return math.Sqrt(float64(a) * float64(b)) }
 
@@ -166,8 +134,9 @@ type DB struct {
 	MinScore float64
 
 	// Scan telemetry: entries considered by best-match scans, and how many
-	// resolved without the per-word similarity loop (precomputed-popcount
-	// fast paths, stale-length skips, MinScore bound pruning).
+	// resolved from their population counts alone, never scored
+	// (stale-length skips, MinScore bound pruning) or scored without
+	// counting their words (the all-zero query's closed form).
 	scanEntries    atomic.Int64
 	scanEarlyExits atomic.Int64
 }
@@ -329,12 +298,12 @@ func (db *DB) Entries() []Entry {
 //
 // Retrieval is one scan (see scan): the scope partitions and length buckets
 // of store.go decide which entries are touched, every score comes from
-// query.score → similarityFromCounts, and selection runs under one total
+// scanBucket's closed form (query.score), and selection runs under one total
 // order (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
 func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
 	sel := selector{st: &db.store, k: topK}
-	if err := db.scan(tuple, known, ip, workloadType, measure, &sel); err != nil {
+	if err := db.scan(tuple, known, ip, workloadType, measure, nil, &sel); err != nil {
 		return nil, err
 	}
 	return sel.results(), nil
@@ -351,11 +320,11 @@ func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, me
 // sorted or copied and only the winners are materialised.
 func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
 	r := newRanker(len(db.problems))
-	if err := db.scan(tuple, known, ip, workloadType, measure, r); err != nil {
+	if err := db.scan(tuple, known, ip, workloadType, measure, r, nil); err != nil {
 		return nil, err
 	}
 	sel := selector{st: &db.store, k: topK}
-	for pid, w := range r.best {
+	for pid, w := range r {
 		if w.idx >= 0 {
 			sel.add(w.idx, int32(pid), w.score)
 		}
@@ -363,12 +332,13 @@ func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure M
 	return sel.results(), nil
 }
 
-// scan scores the scoped entries against the observed tuple and feeds every
-// one at or above MinScore to out. The scope partitions prune entries of
+// scan scores the scoped entries against the observed tuple and folds every
+// one at or above MinScore into the reducer the caller fixed: rank (Rank),
+// or sel when it is set (MatchMasked). The scope partitions prune entries of
 // other operation contexts and the length buckets prune stale tuples; every
 // entry of a query-length bucket is scored, or resolved from its population
 // count (scanBucket).
-func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, out sink) error {
+func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, rank ranker, sel *selector) error {
 	if known != nil && len(known) != len(tuple) {
 		// Validated once per query, not per entry — and reported even when
 		// the scope matches zero entries.
@@ -379,6 +349,7 @@ func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure M
 	}
 	var buf [2 * stackWords]uint64
 	q := newQuery(&buf, tuple, known, measure)
+	q.prune(db.MinScore)
 	var scoped int
 	var scanned, early int64
 	db.forScopes(ip, workloadType, func(sp *scopePartition) {
@@ -391,7 +362,7 @@ func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure M
 				early += int64(len(b.ids))
 				continue
 			}
-			early += db.scanBucket(b, &q, out)
+			early += db.scanBucket(b, &q, rank, sel)
 		}
 	})
 	db.scanEntries.Add(scanned)
@@ -402,28 +373,59 @@ func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure M
 	return nil
 }
 
-// scanBucket scores every entry of b against q — a linear walk over the
-// bucket's columns — and reports how many resolved from the precomputed
-// population counts alone, without the per-word loop.
-func (db *DB) scanBucket(b *bucket, q *query, out sink) (early int64) {
-	unmasked := q.known == nil
-	off := 0
-	for pos, ones := range b.ones {
-		e := b.words[off : off+b.stride]
-		off += b.stride
-		var s float64
-		switch {
-		case unmasked && q.ones == 0:
-			s = zeroQueryScore(int(ones), q.n, q.measure)
-			early++
-		case unmasked && db.MinScore > 0 && scoreUpperBound(q.ones, int(ones), q.n, q.measure) < db.MinScore:
-			early++
-			continue // provably below threshold; the exact score cannot be reported
-		default:
-			s = q.score(q.overlap(e, int(ones)))
+// scanChunk is how many entries scanBucket takes at a time: the chunk's
+// overlap counts and scores are stack arrays that stay in L1.
+const scanChunk = 128
+
+// scanBucket scores every entry of b against q, folds those at or above
+// MinScore into the reducer — rank, or sel when it is set — and reports how
+// many it resolved from their population counts alone, never scoring them.
+// It is the one loop that scores an entry, for both reducers and both mask
+// arms. It takes the bucket a chunk at a time, in three steps, each with
+// what does not vary per entry fixed before it starts:
+//
+//   - andCounts counts the chunk's overlaps with the query, unrolled for the
+//     bucket's stride;
+//   - the scoring loop turns each entry's (both, onesB) into its score by
+//     the closed form query.fix chose for the measure, or drops the entry
+//     when its population count cannot reach MinScore (query.prune);
+//   - the reducer folds the chunk's scores.
+//
+// The popcounts run apart from the scoring because on baseline amd64 each
+// one carries a fallback call for CPUs without POPCNT, and a call anywhere
+// in a loop makes the compiler keep that loop's values on the stack.
+func (db *DB) scanBucket(b *bucket, q *query, rank ranker, sel *selector) (early int64) {
+	minScore, stride, words := db.MinScore, b.stride, q.words
+	if q.known == nil && q.ones == 0 {
+		// No violation observed: every score is a closed form of the
+		// entry's population count, and there are no words to count.
+		words = nil
+		early = int64(len(b.ones))
+	}
+	var both, maskedOnes [scanChunk]int32
+	var scores [scanChunk]float64
+	for at := 0; at < len(b.ones); at += scanChunk {
+		ones := b.ones[at:min(at+scanChunk, len(b.ones))]
+		tuples := b.words[at*stride : (at+len(ones))*stride]
+		both, onesB, sc := both[:len(ones)], ones, scores[:len(ones)]
+		andCounts(both, words, tuples)
+		if q.known != nil {
+			onesB = maskedOnes[:len(ones)]
+			andCounts(onesB, q.known, tuples)
 		}
-		if s >= db.MinScore {
-			out.add(b.ids[pos], b.probs[pos], s)
+		for i, o := range ones {
+			if int(o) < q.lo || int(o) > q.hi {
+				early++
+				sc[i] = math.NaN() // below every floor: never folded
+				continue
+			}
+			sc[i] = q.score(int(both[i]), int(onesB[i]))
+		}
+		ids, probs := b.ids[at:at+len(ones)], b.probs[at:at+len(ones)]
+		if sel != nil {
+			sel.fold(ids, probs, sc, minScore)
+		} else {
+			rank.fold(ids, probs, sc, minScore)
 		}
 	}
 	return early

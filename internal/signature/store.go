@@ -30,9 +30,11 @@ import (
 // and bucket, problem names once per database, and what Merge dedups on is
 // the 8-byte payload fingerprint in the entry's own partition.
 //
-// Every query is one scan of its query-length buckets (DB.scan): scores come
-// from query.score → similarityFromCounts, the same integers the boolean
-// reference walk counts, so results are bit-identical to it (pinned by
+// Every query is one scan of its query-length buckets (DB.scan →
+// scanBucket, the only loop that scores an entry): a bucket's stride-packed
+// words are what its per-stride popcount loops walk, and scores come from
+// query.score, a closed form over the same integers the boolean reference
+// walk counts, so results are bit-identical to it (pinned by
 // TestMatchEquivalence and FuzzMatchEquivalence).
 
 // scopeKey is one (workload, ip) partition. Entries are stored under their
@@ -63,8 +65,9 @@ func (b *bucket) tuple(pos int32) []uint64 {
 
 // pairScore is the unmasked similarity of the entries at positions i and j.
 func (b *bucket) pairScore(i, j int32, m Measure) float64 {
-	q := query{n: b.n, words: b.tuple(i), ones: int(b.ones[i]), compared: b.n, measure: m}
-	return q.score(q.overlap(b.tuple(j), int(b.ones[j])))
+	q := query{n: b.n, words: b.tuple(i), ones: int(b.ones[i])}
+	q.fix(m, b.n)
+	return q.score(andCount(q.words, b.tuple(j)), int(b.ones[j]))
 }
 
 // scopePartition is everything stored under one (workload, ip) scope.

@@ -2,9 +2,11 @@ package signature
 
 import "slices"
 
-// The two reducers behind the scan kernel. DB.scan emits (entry index,
-// problem id, score) for every entry at or above MinScore; a sink folds that
-// stream into what the caller asked for:
+// The two reducers behind the scan kernel. The caller fixes one before the
+// scan starts, and scanBucket hands it each scored chunk — (entry index,
+// problem id, score) columns — to fold the entries at or above MinScore into
+// what the caller asked for. Neither is behind an interface, so neither
+// escapes to the heap:
 //
 //   - selector keeps the topK best entries (MatchMasked) — a bounded heap,
 //     so selection is O(matches · log topK);
@@ -19,11 +21,6 @@ type key struct {
 	score float64
 	pid   int32
 	idx   int32
-}
-
-// sink receives every entry the scan scored at or above MinScore.
-type sink interface {
-	add(idx, pid int32, score float64)
 }
 
 // selector accumulates scored entries and yields the ranked result under
@@ -72,6 +69,15 @@ func (s *selector) add(idx, pid int32, score float64) {
 	if s.better(c, s.heap[0]) {
 		s.heap[0] = c
 		s.down(0, len(s.heap))
+	}
+}
+
+// fold offers every entry of a scanned chunk that scored at least minScore.
+func (s *selector) fold(ids, probs []int32, scores []float64, minScore float64) {
+	for i, sc := range scores {
+		if sc >= minScore {
+			s.add(ids[i], probs[i], sc)
+		}
 	}
 }
 
@@ -143,26 +149,34 @@ func (s *selector) results() []Match {
 }
 
 // ranker keeps, per problem, the entry a full ranked match list would list
-// first: highest score, then lowest insertion index.
-type ranker struct {
-	best []winner // indexed by interned problem id
-}
+// first: highest score, then lowest insertion index. It is indexed by
+// interned problem id.
+type ranker []winner
 
 type winner struct {
 	score float64
 	idx   int32 // -1: no entry of this problem scored yet
 }
 
-func newRanker(problems int) *ranker {
-	r := &ranker{best: make([]winner, problems)}
-	for i := range r.best {
-		r.best[i].idx = -1
+func newRanker(problems int) ranker {
+	r := make(ranker, problems)
+	for i := range r {
+		r[i].idx = -1
 	}
 	return r
 }
 
-func (r *ranker) add(idx, pid int32, score float64) {
-	w := &r.best[pid]
+// fold offers every entry of a scanned chunk that scored at least minScore.
+func (r ranker) fold(ids, probs []int32, scores []float64, minScore float64) {
+	for i, s := range scores {
+		if s >= minScore {
+			r.add(ids[i], probs[i], s)
+		}
+	}
+}
+
+func (r ranker) add(idx, pid int32, score float64) {
+	w := &r[pid]
 	if w.idx < 0 || score > w.score || (score == w.score && idx < w.idx) {
 		*w = winner{score: score, idx: idx}
 	}
