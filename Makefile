@@ -24,7 +24,12 @@
 #   make loc           — non-test Go lines per package (internal/*,
 #                        server/client, cmd/*, the root package) and a TOTAL
 #                        row: the one number every simplicity PR quotes in
-#                        CHANGES.md, so before/after figures are comparable
+#                        CHANGES.md, so before/after figures are comparable;
+#                        beside each internal package, its exported surface:
+#                        the lines of `go doc -short` (one per package-level
+#                        const, var, func or type declaration — a grouped
+#                        const block is one — with methods not counted) and
+#                        their TOTAL
 #
 # The race tier exists because the core is concurrent by design (striped
 # profile registry, parallel association workers, concurrent SaveTo): a data race there is a correctness bug, not
@@ -70,12 +75,16 @@ bench-once: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+# and, for internal/*: go doc -short ./internal/<pkg> | wc -l
 loc:
-	@total=0; for d in internal/*/ internal/server/client/ cmd/*/ ./; do \
+	@total=0; exported=0; printf '%-16s %6s %8s\n' package lines exported; \
+	for d in internal/*/ internal/server/client/ cmd/*/ ./; do \
 		p=$${d%/}; p=$${p#internal/}; [ "$$p" = . ] && p=root; \
 		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
-		total=$$((total+n)); printf '%-16s %6d\n' $$p $$n; \
-	done; printf '%-16s %6d\n' TOTAL $$total
+		total=$$((total+n)); e=-; \
+		case $$d in internal/*) e=$$($(GO) doc -short ./$${d%/} | wc -l); exported=$$((exported+e));; esac; \
+		printf '%-16s %6d %8s\n' $$p $$n $$e; \
+	done; printf '%-16s %6d %8d\n' TOTAL $$total $$exported
 
 # Short coverage-guided runs of nine targets: the two ingest decoders' (the
 # binary wire frame, and the one-pass JSON decoder held differentially to

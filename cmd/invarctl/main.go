@@ -376,23 +376,14 @@ func cmdProfiles(args []string) error {
 	if err != nil {
 		return err
 	}
-	// One snapshot, already sorted by (workload, node). Cross profiles
-	// (workload × node pair × stage) get their own section: the flat listing
-	// keeps the per-node view the command always had.
-	var intra, cross []core.ProfileStats
-	for _, st := range sys.ProfileStats() {
-		if _, ok := core.ParseCrossContext(st.Context); ok {
-			cross = append(cross, st)
-		} else {
-			intra = append(intra, st)
-		}
-	}
-	if len(intra)+len(cross) == 0 {
+	// One snapshot, already sorted by (workload, node).
+	rows := sys.ProfileStats()
+	if len(rows) == 0 {
 		fmt.Println("no profiles in store")
 		return nil
 	}
-	fmt.Printf("%d profiles:\n", len(intra))
-	for _, st := range intra {
+	fmt.Printf("%d profiles:\n", len(rows))
+	for _, st := range rows {
 		model := "-"
 		if st.HasModel {
 			model = "arima"
@@ -400,15 +391,6 @@ func cmdProfiles(args []string) error {
 		fmt.Printf("  %-28s model %-5s  %3d invariants  %3d signatures  cache %d/%d (%d entries)\n",
 			st.Context, model, st.Invariants, st.Signatures,
 			st.Cache.Hits, st.Cache.Misses, st.Cache.Entries)
-	}
-	if len(cross) > 0 {
-		fmt.Printf("%d cross profiles (node pair x stage):\n", len(cross))
-		for _, st := range cross {
-			key, _ := core.ParseCrossContext(st.Context)
-			fmt.Printf("  %-10s %s ~ %s  stage %-8s  %3d edges (%d quarantined)  %3d signatures\n",
-				key.Workload, key.NodeA, key.NodeB, key.Stage,
-				st.Invariants, st.Lifecycle.Quarantined, st.Signatures)
-		}
 	}
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"invarnetx/internal/arima"
+	"invarnetx/internal/stats"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -77,13 +80,38 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 }
 
 // TestNewDefaultsZeroConfig: a zero config still defaults to the paper
-// parameters (zero means "default", not "off").
+// parameters (zero means "default", not "off"), the whole detector config
+// included, and the ARIMA order search that runs is the one Config reports:
+// CPI traces with a slow ramp, which a search allowed to difference would
+// fit with d >= 1, train the same d = 0 model as under DefaultConfig.
 func TestNewDefaultsZeroConfig(t *testing.T) {
 	s := New(Config{})
 	got, want := s.Config(), DefaultConfig()
-	if got.Epsilon != want.Epsilon || got.Tau != want.Tau ||
-		got.Detect.Beta != want.Detect.Beta || got.Detect.Consecutive != want.Detect.Consecutive {
+	if got.Epsilon != want.Epsilon || got.Tau != want.Tau || got.Detect != want.Detect {
 		t.Errorf("zero config defaulted to %+v, want paper defaults %+v", got, want)
+	}
+
+	rng := stats.NewRNG(7)
+	cpis := make([][]float64, 6)
+	for i := range cpis {
+		for tick := 0; tick < traceLen; tick++ {
+			cpis[i] = append(cpis[i], 1+0.005*float64(tick)+rng.Normal(0, 0.02))
+		}
+	}
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	var orders [2]arima.Order
+	for i, sys := range []*System{s, New(DefaultConfig())} {
+		if err := sys.TrainPerformanceModel(ctx, cpis); err != nil {
+			t.Fatal(err)
+		}
+		d, err := sys.Detector(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders[i] = d.Model.Order
+	}
+	if orders[0] != orders[1] || orders[0].D != 0 {
+		t.Errorf("zero config trained %v, DefaultConfig %v; want the same d = 0 order", orders[0], orders[1])
 	}
 }
 

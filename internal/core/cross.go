@@ -32,7 +32,9 @@ import (
 // the (node, stage) localisation. The only cross-specific behaviour in
 // Profile is the training pair predicate (only pairs that span the two
 // halves are scored and selected) and pair naming
-// ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3").
+// ("net.txmb@10.0.0.2~net.rxmb@10.0.0.3"). Cutting stage-aligned windows and
+// merging one alert's per-pair diagnoses belong to the cross-node study
+// (internal/experiments), the layer's only trainer and diagnoser.
 
 // CrossMetricIdx selects the per-node metrics that participate in cross
 // edges: the flow metrics (disk and network directions, their latency and
@@ -139,133 +141,4 @@ func (p *Profile) pairLabel(pr invariant.Pair) string {
 		return p.cross.pairName(pr)
 	}
 	return pairName(pr)
-}
-
-// DefaultStageWindow is the length, in samples, of a stage-aligned training
-// or diagnosis window. Fixed-length windows keep MIC grid resolution (which
-// depends on sample count) comparable between training and diagnosis; 10
-// samples clears mic/invariant MinSamples with headroom while fitting the
-// shortest simulated stage (a 12-tick shuffle round).
-const DefaultStageWindow = 10
-
-// CrossWindows cuts stage-aligned joint windows from two nodes' traces: for
-// every occurrence of the stage (per a's stage marks; both traces come from
-// the same cluster timeline) whose span holds at least win samples, the
-// first win ticks of both traces are joined over CrossMetricIdx. win <= 0
-// selects DefaultStageWindow.
-func CrossWindows(a, b *metrics.Trace, stage string, win int) ([]*metrics.Trace, error) {
-	if win <= 0 {
-		win = DefaultStageWindow
-	}
-	var out []*metrics.Trace
-	for _, w := range a.StageWindows() {
-		if w.Stage != stage || w.Hi-w.Lo < win {
-			continue
-		}
-		joint, err := joinSlice(a, b, w.Lo, w.Lo+win)
-		if err != nil {
-			return nil, fmt.Errorf("core: joining %s windows: %w", stage, err)
-		}
-		out = append(out, joint)
-	}
-	return out, nil
-}
-
-// joinSlice slices both traces to [lo, hi) and joins them over
-// CrossMetricIdx.
-func joinSlice(a, b *metrics.Trace, lo, hi int) (*metrics.Trace, error) {
-	as, err := a.Slice(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	bs, err := b.Slice(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return metrics.JoinTraces(as, bs, CrossMetricIdx)
-}
-
-// CrossWindowAt cuts the single stage-aligned joint diagnosis window
-// containing tick: the win samples starting at the stage occurrence's
-// beginning, shifted right (but kept inside the stage) so the window covers
-// the tick when the stage is long. Returns nil when tick falls in no
-// occurrence of the stage long enough to window.
-func CrossWindowAt(a, b *metrics.Trace, stage string, tick, win int) (*metrics.Trace, error) {
-	if win <= 0 {
-		win = DefaultStageWindow
-	}
-	for _, w := range a.StageWindows() {
-		if w.Stage != stage || tick < w.Lo || tick >= w.Hi || w.Hi-w.Lo < win {
-			continue
-		}
-		lo := tick - win + 1
-		if lo < w.Lo {
-			lo = w.Lo
-		}
-		if lo+win > w.Hi {
-			lo = w.Hi - win
-		}
-		return joinSlice(a, b, lo, lo+win)
-	}
-	return nil, nil
-}
-
-// SpatialVerdict is a diagnosis localised to (node, stage): the outcome of
-// merging the cross-profile diagnoses of one alert.
-type SpatialVerdict struct {
-	// Problem is the diagnosed fault kind (the signature label with the
-	// node suffix stripped); empty when no cross profile matched.
-	Problem string
-	// Node is the culprit node and Stage the execution stage the verdict
-	// localises to.
-	Node  string
-	Stage string
-	// Score is the winning (coverage-weighted) signature similarity.
-	Score float64
-	// Source is the cross profile that produced the verdict.
-	Source CrossKey
-	// Diag is the winning profile's full diagnosis.
-	Diag *Diagnosis
-}
-
-// SplitCulprit decodes a cross signature label "kind@node" into its parts;
-// labels without '@' return the whole label and an empty node.
-func SplitCulprit(problem string) (kind, node string) {
-	if i := strings.LastIndexByte(problem, '@'); i >= 0 {
-		return problem[:i], problem[i+1:]
-	}
-	return problem, ""
-}
-
-// MergeCrossDiagnoses reduces the per-pair cross diagnoses of one alert to a
-// single (node, stage) verdict: the diagnosis with the highest confidence
-// wins. Confidence is per-pair signature similarity, so the pair whose joint
-// window most precisely reproduces a stored fingerprint decides — summing
-// votes across pairs would let several weak noise matches outvote one sharp
-// one. Ties break by context string for determinism. Returns nil when no
-// diagnosis names a cause.
-func MergeCrossDiagnoses(diags []*Diagnosis) *SpatialVerdict {
-	var top *Diagnosis
-	for _, d := range diags {
-		if d == nil || d.RootCause() == "" {
-			continue
-		}
-		if top == nil || d.Confidence > top.Confidence ||
-			(d.Confidence == top.Confidence && d.Context.String() < top.Context.String()) {
-			top = d
-		}
-	}
-	if top == nil {
-		return nil
-	}
-	key, _ := ParseCrossContext(top.Context)
-	kind, node := SplitCulprit(top.RootCause())
-	return &SpatialVerdict{
-		Problem: kind,
-		Node:    node,
-		Stage:   key.Stage,
-		Score:   top.Confidence,
-		Source:  key,
-		Diag:    top,
-	}
 }

@@ -76,9 +76,9 @@ func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
 	if len(diag.Hints) != len(CrossMetricIdx) {
 		t.Fatalf("restored diagnosis hints %v, want the %d spanning pairs of the dropped metric", diag.Hints, len(CrossMetricIdx))
 	}
-	v := MergeCrossDiagnoses([]*Diagnosis{diag})
-	if v == nil || v.Problem != "xlink" || v.Node != "10.0.0.3" || v.Stage != "shuffle" || v.Score <= 0 {
-		t.Fatalf("restored verdict %+v, want xlink@10.0.0.3 in shuffle", v)
+	if diag.RootCause() != "xlink@10.0.0.3" || diag.Context != key.Context() || diag.Confidence <= 0 {
+		t.Fatalf("restored verdict %q on %v (confidence %v), want xlink@10.0.0.3 on %v",
+			diag.RootCause(), diag.Context, diag.Confidence, key.Context())
 	}
 
 	// Persistent drift on the same metric: the 11 affected cross edges ride

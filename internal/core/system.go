@@ -32,6 +32,7 @@ import (
 	"sort"
 	"sync"
 
+	"invarnetx/internal/arima"
 	"invarnetx/internal/detect"
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
@@ -195,6 +196,9 @@ func New(cfg Config) *System {
 	}
 	if cfg.Detect.Consecutive == 0 {
 		cfg.Detect.Consecutive = def.Detect.Consecutive
+	}
+	if cfg.Detect.Select == (arima.SelectConfig{}) {
+		cfg.Detect.Select = def.Detect.Select
 	}
 	if cfg.Assoc == nil {
 		cfg.Assoc = def.Assoc

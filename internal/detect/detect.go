@@ -59,9 +59,9 @@ var ErrNoTraining = errors.New("detect: no usable training traces")
 // Config parameterises detector training.
 type Config struct {
 	Rule        Rule
-	Beta        float64 // beta-max factor, default 1.2
-	Consecutive int     // default 3
-	Select      arima.SelectConfig
+	Beta        float64            // beta-max factor, default 1.2
+	Consecutive int                // default 3
+	Select      arima.SelectConfig // zero: DefaultConfig().Select (d = 0)
 }
 
 // DefaultConfig returns the paper's configuration (beta-max, beta=1.2,
@@ -102,6 +102,9 @@ func Train(traces [][]float64, cfg Config) (*Detector, error) {
 	}
 	if cfg.Consecutive <= 0 {
 		cfg.Consecutive = DefaultConsecutive
+	}
+	if cfg.Select == (arima.SelectConfig{}) {
+		cfg.Select = DefaultConfig().Select
 	}
 	// Telemetry gaps surface as NaN samples inside CPI traces. The ARIMA
 	// recursions propagate a single NaN through every later residual, so a

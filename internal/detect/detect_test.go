@@ -40,6 +40,32 @@ func TestTrainAllRules(t *testing.T) {
 	}
 }
 
+// TestTrainZeroConfigIsDefault: a zero Config trains the detector
+// DefaultConfig trains — the d = 0 order search included, so CPI traces with
+// a slow ramp (which a search allowed to difference fits with d >= 1) keep a
+// level-anchored model.
+func TestTrainZeroConfigIsDefault(t *testing.T) {
+	rng := stats.NewRNG(7)
+	traces := make([][]float64, 6)
+	for i := range traces {
+		for tick := 0; tick < 100; tick++ {
+			traces[i] = append(traces[i], 1+0.005*float64(tick)+rng.Normal(0, 0.02))
+		}
+	}
+	zero, err := Train(traces, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := Train(traces, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Model.Order != def.Model.Order || zero.Model.Order.D != 0 || zero.Upper != def.Upper {
+		t.Errorf("zero config trained %v (upper %v), DefaultConfig %v (upper %v)",
+			zero.Model.Order, zero.Upper, def.Model.Order, def.Upper)
+	}
+}
+
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, DefaultConfig()); err == nil {
 		t.Error("no traces should error")

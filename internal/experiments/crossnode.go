@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
@@ -22,7 +23,8 @@ import (
 //     signatures for the classic single-node kinds the victim's symptoms
 //     mimic (a legacy deployment that has never seen a cross fault);
 //   - the cross arm windows each slave pair's joint trace to the stage the
-//     alert fell in and merges the per-pair diagnoses to a SpatialVerdict.
+//     alert fell in and merges the per-pair diagnoses to one (kind, node,
+//     stage) verdict.
 
 // crossConfusable is the intra arm's signature base: the single-node kinds
 // whose victim-local symptoms shadow the cross faults (a starved reducer
@@ -117,10 +119,106 @@ func slavePairs(traces map[string]*metrics.Trace) [][2]string {
 	return out
 }
 
+// stageWindow is the length, in samples, of a stage-aligned training or
+// diagnosis window. Fixed-length windows keep MIC grid resolution (which
+// depends on sample count) comparable between training and diagnosis; 10
+// samples clears mic/invariant MinSamples with headroom while fitting the
+// shortest simulated stage (a 12-tick shuffle round).
+const stageWindow = 10
+
+// crossWindows cuts stage-aligned joint windows from two nodes' traces: for
+// every occurrence of the stage (per a's stage marks; both traces come from
+// the same cluster timeline) whose span holds at least stageWindow samples,
+// the first stageWindow ticks of both traces are joined over
+// core.CrossMetricIdx.
+func crossWindows(a, b *metrics.Trace, stage string) ([]*metrics.Trace, error) {
+	var out []*metrics.Trace
+	for _, w := range a.StageWindows() {
+		if w.Stage != stage || w.Hi-w.Lo < stageWindow {
+			continue
+		}
+		joint, err := joinSlice(a, b, w.Lo, w.Lo+stageWindow)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: joining %s windows: %w", stage, err)
+		}
+		out = append(out, joint)
+	}
+	return out, nil
+}
+
+// crossWindowAt cuts the single stage-aligned joint diagnosis window
+// containing tick: the stageWindow samples ending at tick, or the
+// occurrence's first stageWindow samples when tick comes earlier than that,
+// so the window always lies inside the stage. Returns nil when tick falls in
+// no occurrence of the stage long enough to window.
+func crossWindowAt(a, b *metrics.Trace, stage string, tick int) (*metrics.Trace, error) {
+	for _, w := range a.StageWindows() {
+		if w.Stage != stage || tick < w.Lo || tick >= w.Hi || w.Hi-w.Lo < stageWindow {
+			continue
+		}
+		// tick < w.Hi and w.Lo+stageWindow <= w.Hi, so the window never
+		// runs past the occurrence's end.
+		lo := max(tick-stageWindow+1, w.Lo)
+		return joinSlice(a, b, lo, lo+stageWindow)
+	}
+	return nil, nil
+}
+
+// joinSlice slices both traces to [lo, hi) and joins them over
+// core.CrossMetricIdx.
+func joinSlice(a, b *metrics.Trace, lo, hi int) (*metrics.Trace, error) {
+	as, err := a.Slice(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	bs, err := b.Slice(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return metrics.JoinTraces(as, bs, core.CrossMetricIdx)
+}
+
+// spatialVerdict is the cross arm's answer for one alert: the diagnosed
+// fault kind (the signature label with its culprit suffix stripped), the
+// culprit node and the execution stage it localises to.
+type spatialVerdict struct {
+	problem, node, stage string
+}
+
+// mergeCrossDiagnoses reduces the per-pair cross diagnoses of one alert to a
+// single verdict: the diagnosis with the highest confidence wins. Confidence
+// is per-pair signature similarity, so the pair whose joint window most
+// precisely reproduces a stored fingerprint decides — summing votes across
+// pairs would let several weak noise matches outvote one sharp one. Ties
+// break by context string for determinism. Cross labels read "kind@node"
+// (split at the last '@'); a label without one names no node. Returns nil
+// when no diagnosis names a cause.
+func mergeCrossDiagnoses(diags []*core.Diagnosis) *spatialVerdict {
+	var top *core.Diagnosis
+	for _, d := range diags {
+		if d == nil || d.RootCause() == "" {
+			continue
+		}
+		if top == nil || d.Confidence > top.Confidence ||
+			(d.Confidence == top.Confidence && d.Context.String() < top.Context.String()) {
+			top = d
+		}
+	}
+	if top == nil {
+		return nil
+	}
+	key, _ := core.ParseCrossContext(top.Context)
+	kind, node := top.RootCause(), ""
+	if i := strings.LastIndexByte(kind, '@'); i >= 0 {
+		kind, node = kind[:i], kind[i+1:]
+	}
+	return &spatialVerdict{problem: kind, node: node, stage: key.Stage}
+}
+
 // crossDiagnose runs the cross arm for one alert: window every trained pair
 // profile of the alert's stage around the alert tick and merge the per-pair
 // diagnoses. keys is the trained cross-profile set.
-func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*metrics.Trace, stage string, alertTick int) (*core.SpatialVerdict, error) {
+func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*metrics.Trace, stage string, alertTick int) (*spatialVerdict, error) {
 	var diags []*core.Diagnosis
 	for _, key := range keys {
 		if key.Stage != stage {
@@ -130,7 +228,7 @@ func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*me
 		if a == nil || b == nil {
 			continue
 		}
-		win, err := core.CrossWindowAt(a, b, stage, alertTick, 0)
+		win, err := crossWindowAt(a, b, stage, alertTick)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +241,7 @@ func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*me
 		}
 		diags = append(diags, d)
 	}
-	return core.MergeCrossDiagnoses(diags), nil
+	return mergeCrossDiagnoses(diags), nil
 }
 
 // crossRows generates the study's three row sets: label runs of the
@@ -184,7 +282,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			key := core.NewCrossKey(string(w), pair[0], pair[1], stage)
 			var windows []*metrics.Trace
 			for _, res := range trainRuns {
-				ws, err := core.CrossWindows(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, 0)
+				ws, err := crossWindows(res.Traces[key.NodeA], res.Traces[key.NodeB], stage)
 				if err != nil {
 					return nil, err
 				}
@@ -242,7 +340,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 				key.NodeA != res.TargetIP && key.NodeB != res.TargetIP {
 				continue
 			}
-			win, err := core.CrossWindowAt(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, tick, 0)
+			win, err := crossWindowAt(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, tick)
 			if err != nil || win == nil {
 				continue
 			}
@@ -298,9 +396,9 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			if verdict == nil {
 				row.CrossVerdicts["(none)"]++
 			} else {
-				row.CrossVerdicts[verdict.Problem+"@"+verdict.Node+"#"+verdict.Stage]++
-				if verdict.Problem == string(kind) {
-					if verdict.Node == res.CulpritIP && verdict.Stage == row.Stage {
+				row.CrossVerdicts[verdict.problem+"@"+verdict.node+"#"+verdict.stage]++
+				if verdict.problem == string(kind) {
+					if verdict.node == res.CulpritIP && verdict.stage == row.Stage {
 						row.CrossCorrect++
 					} else {
 						row.CrossWrongNode++

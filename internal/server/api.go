@@ -144,14 +144,6 @@ type ProfileInfo struct {
 	CacheHits   int64  `json:"cacheHits"`
 	CacheMisses int64  `json:"cacheMisses"`
 
-	// Spatio-temporal profiles (node of the form "a~b#stage") additionally
-	// surface their scope, so operators can read per-stage cross-node edge
-	// counts (Invariants) and quarantine state (QuarantinedEdges) per pair.
-	Cross bool   `json:"cross,omitempty"`
-	NodeA string `json:"nodeA,omitempty"`
-	NodeB string `json:"nodeB,omitempty"`
-	Stage string `json:"stage,omitempty"`
-
 	// Drift-lifecycle state of the profile's model (all zero when the
 	// lifecycle is disabled): live generation, quarantined edge count,
 	// oldest shadow candidate age, and promotion/rollback tallies.

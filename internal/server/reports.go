@@ -57,15 +57,13 @@ func (r *report) complete(d *Diagnosis, errMsg string, latencyMS float64) {
 // reportStore holds recent reports under a bounded FIFO: completed reports
 // beyond the cap are evicted oldest-first, pending ones are never evicted
 // (they are bounded transitively by the profile queues that will complete
-// them). IDs are dense and monotone, so an evicted ID is distinguishable
-// from one never issued.
+// them).
 type reportStore struct {
-	mu      sync.Mutex
-	cap     int
-	next    int64
-	byID    map[string]*report
-	order   []string // issue order, for eviction
-	evicted int64
+	mu    sync.Mutex
+	cap   int
+	next  int64
+	byID  map[string]*report
+	order []string // issue order, for eviction
 }
 
 func newReportStore(cap int) *reportStore {
@@ -108,7 +106,6 @@ func (s *reportStore) evict() {
 			delete(s.byID, id)
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			dropped = true
-			s.evicted++
 			break
 		}
 		if !dropped {

@@ -344,7 +344,7 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 // a queue slot.
 func (s *Server) refuseCross(w http.ResponseWriter, ctx core.Context) bool {
 	if _, ok := core.ParseCrossContext(ctx); ok {
-		s.fail(w, http.StatusBadRequest, "cross-node profiles are trained and diagnosed offline (`experiments -run crossnode`); the daemon lists them")
+		s.fail(w, http.StatusBadRequest, "cross-node profiles are trained and diagnosed offline (`experiments -run crossnode`); the daemon neither scores nor reports them")
 		return true
 	}
 	return false
@@ -569,10 +569,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 			Promotions:       ps.Lifecycle.Promotions,
 			Rollbacks:        ps.Lifecycle.Rollbacks,
 		}
-		if key, ok := core.ParseCrossContext(ps.Context); ok {
-			info.Cross = true
-			info.NodeA, info.NodeB, info.Stage = key.NodeA, key.NodeB, key.Stage
-		}
 		infos[ps.Context] = info
 	}
 	s.mu.RLock()
@@ -730,14 +726,9 @@ func (s *Server) Stats() Stats {
 	nstreams := len(s.streams)
 	s.mu.RUnlock()
 	snap := s.sys.ProfileStats()
-	var all, cross core.ProfileStats
-	ncross := 0
+	var all core.ProfileStats
 	for _, ps := range snap {
 		all.Add(ps)
-		if _, ok := core.ParseCrossContext(ps.Context); ok {
-			cross.Add(ps)
-			ncross++
-		}
 	}
 	var fleetStats *fleet.Stats
 	if s.fleet != nil {
@@ -792,11 +783,6 @@ func (s *Server) Stats() Stats {
 		LifecycleObserved: all.Lifecycle.Observed,
 		Promotions:        all.Lifecycle.Promotions,
 		Rollbacks:         all.Lifecycle.Rollbacks,
-
-		CrossProfiles:   ncross,
-		CrossEdges:      cross.Invariants,
-		CrossQuarantine: cross.Lifecycle.Quarantined,
-		CrossSignatures: cross.Signatures,
 
 		Fleet: fleetStats,
 

@@ -191,7 +191,8 @@ func TestFrameKeepAliveSurvivesShed(t *testing.T) {
 }
 
 // TestDiagnoseShedWithdrawsReport: a diagnose refused at admission must not
-// leave a pending report behind.
+// leave a pending report behind. diagnoseShed counts every queued request
+// shed at admission, a signature label as well as a diagnose.
 func TestDiagnoseShedWithdrawsReport(t *testing.T) {
 	srv, _, err := New(Config{Core: core.DefaultConfig(), Workers: 1, QueueCap: 1})
 	if err != nil {
@@ -219,6 +220,13 @@ func TestDiagnoseShedWithdrawsReport(t *testing.T) {
 	}
 	if got := srv.ctr.reportsPending.Load(); got != 1 {
 		t.Errorf("reportsPending = %d, want 1", got)
+	}
+	label := SignatureRequest{Workload: "sort", Node: "10.0.0.3", Problem: "cpu-hog", Samples: testSamples(4)}
+	if rec := postJSON(t, srv.Handler(), "/v1/signatures", label); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-cap signature label: status %d, want 429", rec.Code)
+	}
+	if got := srv.Stats().DiagnoseShed; got != 2 {
+		t.Errorf("diagnoseShed = %d after one diagnose and one label shed, want 2", got)
 	}
 	close(gate)
 }

@@ -84,7 +84,7 @@ type counters struct {
 	ingestBatches  atomic.Int64 // accepted POST /v1/ingest requests
 	ingestSamples  atomic.Int64 // accepted samples across those batches
 	ingestShed     atomic.Int64 // ingest batches refused with 429
-	diagnoseShed   atomic.Int64 // diagnose requests refused with 429
+	diagnoseShed   atomic.Int64 // queued requests refused with 429: diagnose and signature labelling
 	badRequests    atomic.Int64 // malformed requests refused with 4xx
 	detectTasks    atomic.Int64 // detection tasks executed
 	alerts         atomic.Int64 // monitor alerts raised
@@ -172,15 +172,6 @@ type Stats struct {
 	LifecycleObserved int64  `json:"lifecycleObserved"`
 	Promotions        int64  `json:"promotions"`
 	Rollbacks         int64  `json:"rollbacks"`
-
-	// Cross-node aggregates: stage-scoped cross profiles (one per
-	// workload × node pair × stage), their trained cross edges, how many of
-	// those edges sit in quarantine, and cross signatures learned. All zero
-	// when no cross-node training has happened.
-	CrossProfiles   int `json:"crossProfiles"`
-	CrossEdges      int `json:"crossEdges"`
-	CrossQuarantine int `json:"crossQuarantinedEdges"`
-	CrossSignatures int `json:"crossSignatures"`
 
 	// Fleet federation: the peer subsystem's own counters (membership
 	// states, log length, anti-entropy rounds, records

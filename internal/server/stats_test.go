@@ -18,13 +18,14 @@ import (
 
 // The operator wire contract: bench/ and invarctl decode these keys, so a
 // rename or a dropped field is a breaking change however the payload is
-// built. A non-federated daemon omits "fleet"; an intra-node profile row
-// omits the cross scope keys.
+// built. A non-federated daemon omits "fleet". Cross-node profiles are an
+// offline study the daemon neither scores nor reports: a cross profile in
+// the store is a row like any other, with no scope keys and no totals of
+// its own.
 var (
 	statsKeys = []string{
 		"alerts", "assocCacheEntries", "assocCacheHitRate", "assocCacheHits", "assocCacheMisses",
-		"badRequests", "crossEdges", "crossProfiles", "crossQuarantinedEdges", "crossSignatures",
-		"detectTasks", "diagnoseLatency", "diagnoseShed",
+		"badRequests", "detectTasks", "diagnoseLatency", "diagnoseShed",
 		"ingestBatches", "ingestSamples", "ingestShed",
 		"lifecycleEdges", "lifecycleEnabled", "lifecycleObserved", "modelGeneration",
 		"profiles", "promotions", "quarantinedEdges", "queueCapacity", "queueDepth",
@@ -39,9 +40,8 @@ var (
 		"ingested", "invariants", "node", "promotions", "quarantinedEdges", "rollbacks",
 		"shadowAge", "signatures", "windowLen", "windows", "workload",
 	}
-	crossProfileKeys = []string{"cross", "nodeA", "nodeB", "stage"}
-	peersKeys        = []string{"count", "peers", "self"}
-	peerRowKeys      = []string{"addr", "lastSeenSec", "misses", "state"} // lastErr only after a failure
+	peersKeys   = []string{"count", "peers", "self"}
+	peerRowKeys = []string{"addr", "lastSeenSec", "misses", "state"} // lastErr only after a failure
 )
 
 // getObject GETs path off the handler and decodes the top-level JSON object.
@@ -70,8 +70,8 @@ func sortedKeys(obj map[string]json.RawMessage) []string {
 
 // TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats,
 // of one GET /v1/profiles row and of a federated daemon's GET /v1/peers, and
-// that the first two are views of one profile snapshot: the cross totals on
-// /v1/stats are the sums of the cross rows on /v1/profiles.
+// that the first two are views of one profile snapshot: /v1/stats counts the
+// /v1/profiles rows and sums their signatures.
 func TestStatsAndProfilesWireKeys(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Lifecycle.Enabled = true
@@ -82,7 +82,8 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	intra := core.Context{Workload: "sort", IP: "10.0.0.2"}
 	trainContext(t, srv, intra, 31)
 
-	// One cross profile over joint windows of two nodes sharing a latent.
+	// One cross profile over joint windows of two nodes sharing a latent: the
+	// store holds it, and it lists as an ordinary row.
 	key := core.NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
 	joint := func(seed int64, decouple map[int]bool) *metrics.Trace {
 		a := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, decouple, 0))
@@ -125,35 +126,24 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d profile rows, want the intra and the cross profile", len(rows))
 	}
-	wantCrossRow := append(append([]string(nil), profileKeys...), crossProfileKeys...)
-	sort.Strings(wantCrossRow)
-	if got := sortedKeys(rows[0]); !reflect.DeepEqual(got, profileKeys) {
-		t.Errorf("intra profile row keys\n got %q\nwant %q", got, profileKeys)
-	}
-	if got := sortedKeys(rows[1]); !reflect.DeepEqual(got, wantCrossRow) {
-		t.Errorf("cross profile row keys\n got %q\nwant %q", got, wantCrossRow)
+	for i, row := range rows {
+		if got := sortedKeys(row); !reflect.DeepEqual(got, profileKeys) {
+			t.Errorf("profile row %d (%s) keys\n got %q\nwant %q", i, typed[i].Node, got, profileKeys)
+		}
 	}
 
 	// Totals against rows.
 	st := srv.Stats()
-	var cross Stats
+	sigs := 0
 	for _, p := range typed {
-		if p.Cross {
-			cross.CrossProfiles++
-			cross.CrossEdges += p.Invariants
-			cross.CrossQuarantine += p.QuarantinedEdges
-			cross.CrossSignatures += p.Signatures
-		}
+		sigs += p.Signatures
 	}
-	if st.Profiles != len(typed) || st.CrossProfiles != cross.CrossProfiles || st.CrossEdges != cross.CrossEdges ||
-		st.CrossQuarantine != cross.CrossQuarantine || st.CrossSignatures != cross.CrossSignatures {
-		t.Errorf("/v1/stats totals %d profiles, cross %d/%d/%d/%d; /v1/profiles rows give %d profiles, cross %d/%d/%d/%d",
-			st.Profiles, st.CrossProfiles, st.CrossEdges, st.CrossQuarantine, st.CrossSignatures,
-			len(typed), cross.CrossProfiles, cross.CrossEdges, cross.CrossQuarantine, cross.CrossSignatures)
+	if st.Profiles != len(typed) || st.Signatures != sigs {
+		t.Errorf("/v1/stats totals %d profiles, %d signatures; /v1/profiles rows give %d profiles, %d signatures",
+			st.Profiles, st.Signatures, len(typed), sigs)
 	}
-	if st.CrossProfiles != 1 || st.CrossEdges == 0 || st.CrossSignatures != 1 || !st.LifecycleEnabled {
-		t.Errorf("cross layer not exercised: %d profiles, %d edges, %d signatures, lifecycle %v",
-			st.CrossProfiles, st.CrossEdges, st.CrossSignatures, st.LifecycleEnabled)
+	if sigs != 1 || !st.LifecycleEnabled {
+		t.Errorf("snapshot not exercised: %d signatures, lifecycle %v", sigs, st.LifecycleEnabled)
 	}
 
 	// Federation adds one block to /v1/stats and the /v1/peers view.
@@ -216,8 +206,8 @@ func TestSignaturesListSortedAcrossContexts(t *testing.T) {
 	}
 }
 
-// TestCrossContextRefusedAtAdmission: the daemon lists a cross profile its
-// store holds but cannot score a window against it — a cross set spans two
+// TestCrossContextRefusedAtAdmission: the daemon cannot score a window
+// against a cross profile, even one its store holds — a cross set spans two
 // nodes' metrics and a request carries one node's — so diagnose and label
 // requests naming one are refused up front instead of taking a stream, a
 // queue slot and a report that can only fail.
