@@ -168,3 +168,28 @@ func TestGossipBodyPastTheCapIsRefused(t *testing.T) {
 		t.Errorf("oversize push left a trace: log %d -> %d, peers %v", logLen, fl.store.Len(), fl.Peers())
 	}
 }
+
+// TestGossipRefusalIsAJSONEnvelope: a gossip body the strict decoder refuses
+// gets a 400 served as application/json whose body decodes to the daemon's
+// error envelope, even when the decode error quotes the offending field.
+func TestGossipRefusalIsAJSONEnvelope(t *testing.T) {
+	fl := fuzzFleet()
+	w := httptest.NewRecorder()
+	body := `{"from":"p:1","vector":{},"bogus":1}`
+	fl.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sync", strings.NewReader(body)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("unknown field answered %d, want 400", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("400 body %q is not JSON: %v", w.Body, err)
+	}
+	if !strings.Contains(env.Error, `"bogus"`) || !strings.HasPrefix(env.Error, "fleet: decoding request: ") {
+		t.Errorf("error = %q, want the decode error naming \"bogus\"", env.Error)
+	}
+}

@@ -49,20 +49,22 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
-// readBody decodes one gossip request strictly.
+// readBody decodes one gossip request strictly; a refusal is a 400 in the
+// daemon's JSON error envelope.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxGossipBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"fleet: decoding request: %v"}`, err), http.StatusBadRequest)
+		writeBody(w, http.StatusBadRequest, map[string]string{"error": "fleet: decoding request: " + err.Error()})
 		return false
 	}
 	return true
 }
 
-func writeBody(w http.ResponseWriter, v any) {
+func writeBody(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -77,7 +79,7 @@ func (f *Fleet) handleSync(w http.ResponseWriter, r *http.Request) {
 	f.seen(req.From)
 	missing := f.store.Missing(req.Vector)
 	f.recordsShipped.Add(int64(len(missing)))
-	writeBody(w, syncResponse{From: f.cfg.Self, Vector: f.store.Vector(), Records: missing})
+	writeBody(w, http.StatusOK, syncResponse{From: f.cfg.Self, Vector: f.store.Vector(), Records: missing})
 }
 
 // handlePush applies records the sender determined we were missing.
@@ -91,7 +93,7 @@ func (f *Fleet) handlePush(w http.ResponseWriter, r *http.Request) {
 	if n > 0 {
 		f.lastChangeRound.Store(f.syncRounds.Load())
 	}
-	writeBody(w, pushResponse{Applied: n})
+	writeBody(w, http.StatusOK, pushResponse{Applied: n})
 }
 
 // post runs one gossip RPC against a peer.

@@ -69,8 +69,8 @@ func IsShed(err error) bool {
 	return ok && ae.StatusCode == http.StatusTooManyRequests
 }
 
-// do runs one round trip: encode in, decode into out (when non-nil), map
-// non-2xx to *APIError.
+// do runs one JSON round trip: in encoded as the request body (when
+// non-nil), the response read by send.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -87,6 +87,25 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	return c.send(req, out)
+}
+
+// respPool recycles response-body buffers; one grown past maxPooledResp (a
+// large signature listing) is left to the collector.
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const (
+	maxPooledResp = 64 << 10
+	// maxPresize bounds how much a Content-Length alone can make send
+	// allocate; a longer body still reads whole, growing as bytes arrive.
+	maxPresize = 8 << 20
+)
+
+// send is every call's one read path: it runs req, maps a non-2xx to
+// *APIError, and otherwise reads the body whole into a pooled buffer sized
+// from Content-Length before one json.Unmarshal into out (skipped when out
+// is nil). Reading to EOF hands the keep-alive connection back at once.
+func (c *Client) send(req *http.Request, out any) error {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -95,11 +114,23 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return c.apiError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 {
+		// ReadFrom wants MinRead bytes free before each read, the one
+		// that meets EOF included.
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("client: reading response: %w", err)
+	}
+	if out != nil {
+		err = json.Unmarshal(buf.Bytes(), out)
+	}
+	if buf.Cap() <= maxPooledResp {
+		respPool.Put(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil
@@ -155,17 +186,9 @@ func (c *Client) IngestFrame(ctx context.Context, workload, node string, samples
 		return nil, err
 	}
 	req.Header.Set("Content-Type", server.ContentTypeFrame)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, c.apiError(resp)
-	}
 	var out server.IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding response: %w", err)
+	if err := c.send(req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -38,6 +38,16 @@ func (r *report) snapshot() Report {
 	return r.r
 }
 
+// completed reports whether the report has left pending.
+func (r *report) completed() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // complete fills in the outcome and releases waiters; idempotence is not
 // needed (each report is completed by exactly one task).
 func (r *report) complete(d *Diagnosis, errMsg string, latencyMS float64) {
@@ -63,7 +73,8 @@ type reportStore struct {
 	cap   int
 	next  int64
 	byID  map[string]*report
-	order []string // issue order, for eviction
+	order []string // issue order, for eviction; order[:head] is dead
+	head  int
 }
 
 func newReportStore(cap int) *reportStore {
@@ -86,31 +97,41 @@ func (s *reportStore) create(workload, node string) *report {
 	return r
 }
 
-// evict drops the oldest completed reports over capacity. Called with the
-// lock held.
+// evict drops the oldest completed reports over capacity. Once the store is
+// at capacity every create evicts, and the oldest report is almost always
+// complete, so that case is O(1); a pending head falls back to scanning
+// forward for the oldest completed one. Called with the lock held.
 func (s *reportStore) evict() {
 	for len(s.byID) > s.cap {
-		dropped := false
-		for i, id := range s.order {
-			r := s.byID[id]
-			if r == nil {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				dropped = true
+		i := s.head
+		for ; i < len(s.order); i++ {
+			if r := s.byID[s.order[i]]; r == nil || r.completed() {
 				break
 			}
-			select {
-			case <-r.done:
-			default:
-				continue // pending: skip, it will complete
-			}
-			delete(s.byID, id)
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			dropped = true
-			break
 		}
-		if !dropped {
+		if i == len(s.order) {
 			return // everything over cap is still pending
 		}
+		delete(s.byID, s.order[i])
+		s.dropAt(i)
+	}
+}
+
+// dropAt removes order[i], i ≥ head: by advancing head when i is the head,
+// by a shift otherwise. The dead prefix is compacted away once it passes
+// half the slice, so advancing is O(1) amortised. Called with the lock held.
+func (s *reportStore) dropAt(i int) {
+	if i > s.head {
+		s.order = append(s.order[:i], s.order[i+1:]...)
+		return
+	}
+	s.order[i] = ""
+	s.head++
+	if s.head > len(s.order)/2 {
+		n := copy(s.order, s.order[s.head:])
+		clear(s.order[n:])
+		s.order = s.order[:n]
+		s.head = 0
 	}
 }
 
@@ -120,9 +141,9 @@ func (s *reportStore) remove(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.byID, id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
+	for i := len(s.order) - 1; i >= s.head; i-- { // newest first: it just issued
+		if s.order[i] == id {
+			s.dropAt(i)
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,12 +252,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- HTTP helpers ---------------------------------------------------------
 
+// respPool recycles response buffers; one over maxPooledResp (a large
+// signature listing) is left to the collector rather than pinned.
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResp = 64 << 10
+
+// writeJSON is every response's one path: v encoded compact (the bytes of
+// json.Marshal plus Encoder's trailing newline) into a pooled buffer, then
+// sent with its Content-Length in one Write. Indenting would be a second
+// pass over the bytes, and a body over net/http's 2 KiB pre-header buffer
+// written without a length goes out chunked — most verdicts are that big.
+// Encoder builds the whole body in memory before it writes either way, so
+// knowing the length costs one copy of the body into the buffer.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// Of this package's wire types only a non-finite number fails to
+		// encode, and that is the server's fault: say so rather than send
+		// code with no body.
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(apiError{Error: "server: encoding response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+	if buf.Cap() <= maxPooledResp {
+		respPool.Put(buf)
+	}
 }
 
 type apiError struct {
