@@ -175,6 +175,51 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 			t.Fatalf("%s: training stats %+v do not cover %d pairs over 25 pooled windows", arm.name, tr, pairs)
 		}
 	}
+
+}
+
+// TestCrossTrainingScoresSpanningPairsOnly: a profile trained under a pair
+// predicate on a joint window never scores a pair the predicate rejects:
+// 11×11 spanning pairs per 22-metric window, not all 231, and the set is the
+// dense Select's restricted to them.
+func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
+	const k = 11
+	keep := halves(k)
+	var joints []*metrics.Trace
+	var mats []*invariant.Matrix
+	for seed := int64(960); seed < 963; seed++ {
+		j := narrowTrace(synthTrace(stats.NewRNG(seed), 40, 8, nil), 2*k)
+		a, err := invariant.ComputeMaskedMatrixScored(j.Rows, nil, mic.MIC, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joints, mats = append(joints, j), append(mats, a)
+	}
+	s := New(DefaultConfig())
+	p := s.Profile(Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"})
+	if err := p.TrainInvariants(joints, keep); err != nil {
+		t.Fatal(err)
+	}
+	if tr := totals(s).Training; tr.Scored+tr.Memo+tr.Skipped != k*k*len(joints) || tr.Scored == 0 {
+		t.Fatalf("training stats %+v, want %d spanning pair-window cells", tr, k*k*len(joints))
+	}
+	set, err := p.Invariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := invariant.Select(mats, invariant.DefaultTau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[invariant.Pair]float64{}
+	for pr, base := range dense.Base {
+		if keep(pr) {
+			want[pr] = base
+		}
+	}
+	if len(want) == 0 || len(want) == dense.Len() || !reflect.DeepEqual(set.Base, want) {
+		t.Fatalf("trained %d pairs, want the %d spanning ones of the dense Select's %d", set.Len(), len(want), dense.Len())
+	}
 }
 
 // TestConcurrentRetrainSharesMemos: trainings racing on one profile read the
@@ -225,38 +270,6 @@ func TestConcurrentRetrainSharesMemos(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(got.Base, want.Base) {
 		t.Fatal("pool trained under concurrent retraining differs from the dense Select")
-	}
-}
-
-// TestCrossTrainingScoresSpanningPairsOnly: a cross profile never scores a
-// within-node pair of its joint space — 11×11 spanning pairs per window, not
-// all 231.
-func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
-	s := New(DefaultConfig())
-	key := NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
-	var joints []*metrics.Trace
-	for seed := int64(960); seed < 963; seed++ {
-		j, err := metrics.JoinTraces(synthTrace(stats.NewRNG(seed), 40, 8, nil), synthTrace(stats.NewRNG(seed), 40, 8, nil), CrossMetricIdx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joints = append(joints, j)
-	}
-	if err := s.TrainInvariants(key.Context(), joints); err != nil {
-		t.Fatal(err)
-	}
-	k := len(CrossMetricIdx)
-	if tr := totals(s).Training; tr.Scored+tr.Memo+tr.Skipped != k*k*len(joints) || tr.Scored == 0 {
-		t.Fatalf("cross training stats %+v, want %d spanning pair-window cells", tr, k*k*len(joints))
-	}
-	set, err := s.Invariants(key.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range set.SortedPairs() {
-		if pr.I >= k || pr.J < k {
-			t.Errorf("within-node pair %v selected on a cross profile", pr)
-		}
 	}
 }
 

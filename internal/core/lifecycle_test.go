@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -85,7 +86,7 @@ func trainValueSystem(t *testing.T, cfg Config, ctx Context) *System {
 func pairNames(prs []invariant.Pair) []string {
 	out := make([]string, len(prs))
 	for i, pr := range prs {
-		out[i] = pairName(pr)
+		out[i] = pairName(pr, 3) // the value systems are 3 metrics wide
 	}
 	return out
 }
@@ -324,7 +325,7 @@ func TestLifecycleCacheEpochInvalidation(t *testing.T) {
 
 	// Retrain on the pooled (pre-drift) window: a fresh set with the old
 	// baselines, against which the same content violates again.
-	if err := p.TrainInvariants(nil); err != nil {
+	if err := p.TrainInvariants(nil, nil); err != nil {
 		t.Fatalf("retrain: %v", err)
 	}
 	rep5, err := p.Violations(valueTrace(drifted, 16, 0))
@@ -397,6 +398,124 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 	st := p2.LifecycleStats()
 	if st.Promotions != 1 || st.Generation != want.Generation+1 || st.Quarantined != 0 {
 		t.Fatalf("restored shadow did not promote: %+v", st)
+	}
+}
+
+// TestCrossProfilePersistQuarantineRoundTrip is the lifecycle/persistence
+// pin for a profile trained under a pair predicate on a joint window: 22
+// constant rows, two 11-metric halves, only the pairs spanning them kept. It
+// saves and restores like any profile (invariants, signatures, verdicts
+// intact), its drifted edges quarantine through the same health machinery,
+// and the quarantined state itself survives a restart, after which those
+// edges are unknown, never violated, in every verdict.
+func TestCrossProfilePersistQuarantineRoundTrip(t *testing.T) {
+	cfg := lifecycleConfig(t)
+	cfg.AssocCacheSize = -1
+	const k = 11
+	ctx := Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
+	// jointVals sets every metric to 0.8 but the first; dropping it breaks
+	// exactly the k spanning pairs (0, j) for j in the second half.
+	jointVals := func(m0 float64) []float64 {
+		vals := make([]float64, 2*k)
+		for i := range vals {
+			vals[i] = 0.8
+		}
+		vals[0] = m0
+		return vals
+	}
+	row := func(s *System) ProfileStats {
+		t.Helper()
+		snap := s.ProfileStats()
+		if len(snap) != 1 || snap[0].Context != ctx {
+			t.Fatalf("snapshot %+v, want the one profile %v", snap, ctx)
+		}
+		return snap[0]
+	}
+
+	sys := New(cfg)
+	if err := sys.Profile(ctx).TrainInvariants([]*metrics.Trace{valueTrace(jointVals(0.8), 16, 0)}, halves(k)); err != nil {
+		t.Fatalf("TrainInvariants: %v", err)
+	}
+	// k*k spanning pairs survive the predicate; the 2*55 within-half pairs
+	// of the joint window are never selected.
+	wantEdges := k * k
+	if ps := row(sys); ps.Invariants != wantEdges || ps.Lifecycle.Quarantined != 0 {
+		t.Fatalf("trained stats %+v, want %d edges", ps, wantEdges)
+	}
+
+	fault := func(tweak float64) *metrics.Trace { return valueTrace(jointVals(0.2), 16, tweak) }
+	if err := sys.BuildSignature(ctx, "xlink@10.0.0.3", fault(0)); err != nil {
+		t.Fatalf("BuildSignature: %v", err)
+	}
+
+	// Restart: a fresh system restores the profile from disk and reproduces
+	// the verdict.
+	dir := t.TempDir()
+	if err := sys.SaveTo(dir); err != nil {
+		t.Fatalf("SaveTo: %v", err)
+	}
+	sys2 := New(cfg)
+	if rep, err := sys2.LoadFrom(dir); err != nil || rep.Partial() {
+		t.Fatalf("LoadFrom: %v (report %v)", err, rep)
+	}
+	if ps := row(sys2); ps.Invariants != wantEdges || ps.Signatures != 1 {
+		t.Fatalf("restored stats %+v, want %d edges and 1 signature", ps, wantEdges)
+	}
+	diag, err := sys2.Diagnose(ctx, fault(1e-3))
+	if err != nil {
+		t.Fatalf("Diagnose after restore: %v", err)
+	}
+	if len(diag.Hints) != k {
+		t.Fatalf("restored diagnosis hints %v, want the %d spanning pairs of the dropped metric", diag.Hints, k)
+	}
+	if diag.RootCause() != "xlink@10.0.0.3" || diag.Context != ctx || diag.Confidence <= 0 {
+		t.Fatalf("restored verdict %q on %v (confidence %v), want xlink@10.0.0.3 on %v",
+			diag.RootCause(), diag.Context, diag.Confidence, ctx)
+	}
+
+	// Persistent drift on the same metric: the k affected edges ride the
+	// health series into quarantine.
+	quarantined := 0
+	for i := 0; i < 12 && quarantined == 0; i++ {
+		if _, err := sys2.Violations(ctx, fault(float64(2+i)*1e-6)); err != nil {
+			t.Fatalf("drift window %d: %v", i, err)
+		}
+		quarantined = row(sys2).Lifecycle.Quarantined
+	}
+	if quarantined != k {
+		t.Fatalf("quarantined %d edges, want %d", quarantined, k)
+	}
+	if st := totals(sys2); st.Lifecycle.Quarantined != quarantined || st.Invariants != wantEdges || st.Signatures != 1 {
+		t.Fatalf("totals %+v diverge from the profile snapshot", st)
+	}
+
+	// Second restart, mid-quarantine: the quarantine map comes back, and the
+	// quarantined edges are absent from verdicts: unknown, never violated,
+	// named by index (the window is not the collector's).
+	dir2 := t.TempDir()
+	if err := sys2.SaveTo(dir2); err != nil {
+		t.Fatalf("SaveTo mid-quarantine: %v", err)
+	}
+	sys3 := New(cfg)
+	if rep, err := sys3.LoadFrom(dir2); err != nil || rep.Partial() {
+		t.Fatalf("LoadFrom mid-quarantine: %v (report %v)", err, rep)
+	}
+	if got := row(sys3).Lifecycle.Quarantined; got != quarantined {
+		t.Fatalf("restored %d quarantined edges, want %d", got, quarantined)
+	}
+	diag3, err := sys3.Diagnose(ctx, fault(0.5))
+	if err != nil {
+		t.Fatalf("Diagnose mid-quarantine: %v", err)
+	}
+	if len(diag3.Hints) != 0 {
+		t.Fatalf("quarantined edges still violated: %v", diag3.Hints)
+	}
+	var wantUnknown []string
+	for j := k; j < 2*k; j++ {
+		wantUnknown = append(wantUnknown, fmt.Sprintf("m0-m%d", j))
+	}
+	if !reflect.DeepEqual(diag3.Unknown, wantUnknown) || diag3.Coverage >= 1 {
+		t.Fatalf("quarantined edges not surfaced as unknown: %v (coverage %v), want %v", diag3.Unknown, diag3.Coverage, wantUnknown)
 	}
 }
 

@@ -39,12 +39,6 @@ type Profile struct {
 	// health, quarantine and shadow generations. See lifecycle.go.
 	lc *lifecycle
 
-	// cross marks spatio-temporal profiles (context IP of the form
-	// "nodeA~nodeB#stage"): their windows are joint two-node traces, only
-	// node-spanning pairs survive selection, and pair names carry the node
-	// each metric lives on. Nil for ordinary intra-node profiles.
-	cross *crossScope
-
 	// Sparse-path edge telemetry (see SparseStats): how trained pairs were
 	// resolved across every sparse diagnosis of this profile.
 	sparseScreened atomic.Int64
@@ -64,9 +58,6 @@ func newProfile(s *System, key Context) *Profile {
 	p.sigs.MinScore = s.cfg.SigMinScore
 	if s.cfg.Lifecycle.Enabled {
 		p.lc = newLifecycle(s.cfg.Lifecycle)
-	}
-	if ck, ok := ParseCrossContext(key); ok {
-		p.cross = &crossScope{key: ck, k: len(CrossMetricIdx)}
 	}
 	return p
 }
@@ -107,8 +98,10 @@ func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
 // Training is invariant.Train over the whole pool, pair-major: each window's
 // memo (the cells earlier trainings scored, from the association cache) is
 // read first, and a pair scores only the windows it has not seen, and only
-// while its range is still under τ.
-func (p *Profile) TrainInvariants(runs []*metrics.Trace) error {
+// while its range is still under τ. keep is invariant.Train's pair
+// predicate: a pair it rejects is never scored or selected; nil keeps every
+// pair.
+func (p *Profile) TrainInvariants(runs []*metrics.Trace, keep func(invariant.Pair) bool) error {
 	p.mu.Lock()
 	for _, run := range runs {
 		p.windowPool.add(fingerprintWindow(run.Rows, run.Valid), run)
@@ -116,15 +109,6 @@ func (p *Profile) TrainInvariants(runs []*metrics.Trace) error {
 	pool := p.windowPool.snapshot()
 	p.mu.Unlock()
 	in, keys := p.trainingMemos(pool)
-	var keep func(invariant.Pair) bool
-	if p.cross != nil {
-		// Cross profiles train only the edges that span the two nodes:
-		// within-node pairs of the joint space duplicate the intra-node
-		// profiles' work and would dilute cross signatures with tuples the
-		// single-node layer already owns.
-		k := p.cross.k
-		keep = func(pr invariant.Pair) bool { return pr.I < k && pr.J >= k }
-	}
 	set, memos, st, err := invariant.Train(in, p.sys.cfg.Assoc, p.sys.cfg.Tau, keep)
 	if err != nil {
 		return fmt.Errorf("core: training invariants for %v: %w", p.key, err)
@@ -273,7 +257,7 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 	}
 	diag := &Diagnosis{Context: p.key, Tuple: rep.Tuple, Known: rep.Known, Coverage: rep.Coverage}
 	for _, pr := range rep.Violated {
-		diag.Hints = append(diag.Hints, p.pairLabel(pr))
+		diag.Hints = append(diag.Hints, pairName(pr, rep.set.M))
 	}
 	if rep.Known != nil {
 		// Name unknown pairs against the set the report was computed with,
@@ -282,7 +266,7 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 		pairs := rep.set.SortedPairs()
 		for k, ok := range rep.Known {
 			if !ok {
-				diag.Unknown = append(diag.Unknown, p.pairLabel(pairs[k]))
+				diag.Unknown = append(diag.Unknown, pairName(pairs[k], rep.set.M))
 			}
 		}
 	}

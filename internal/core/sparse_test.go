@@ -183,7 +183,7 @@ func TestSparseReportCacheReuse(t *testing.T) {
 	// are unchanged, but the set pointer is fresh and the cached report must
 	// not be served for it.
 	prof := s.Profile(ctx)
-	if err := prof.TrainInvariants(nil); err != nil {
+	if err := prof.TrainInvariants(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	v3, err := s.Violations(ctx, tr)

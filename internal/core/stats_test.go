@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/stats"
 )
@@ -17,20 +18,20 @@ func totals(s *System) ProfileStats {
 	return t
 }
 
-// crossRows filters the snapshot down to the spatio-temporal profiles.
-func crossRows(s *System) []ProfileStats {
-	var out []ProfileStats
-	for _, ps := range s.ProfileStats() {
-		if _, ok := ParseCrossContext(ps.Context); ok {
-			out = append(out, ps)
-		}
-	}
-	return out
+// narrowTrace keeps the first k metric rows of tr: a window of a width
+// other than the collector's, as a caller stacking its own rows trains.
+func narrowTrace(tr *metrics.Trace, k int) *metrics.Trace {
+	return &metrics.Trace{Rows: tr.Rows[:k], CPI: tr.CPI, Ticks: tr.Ticks}
+}
+
+// halves keeps the pairs that span the two halves of a 2k-metric window.
+func halves(k int) func(invariant.Pair) bool {
+	return func(pr invariant.Pair) bool { return pr.I < k && pr.J >= k }
 }
 
 // TestProfileStatsReducerEqualsParts pins the one-walk/one-reducer rule: on a
-// system with three intra-node profiles, one cross profile and the lifecycle
-// on, after training plus clean, degraded and cached diagnoses, reducing
+// system with three intra-node profiles, one narrow profile trained under a
+// pair predicate and the lifecycle on, after training plus clean, degraded and cached diagnoses, reducing
 // ProfileStats() with Add equals — field by field — the sums (max for
 // generation and shadow age) of the per-profile accessors, which is what the
 // per-counter System aggregators this snapshot replaced used to return.
@@ -75,28 +76,24 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		}
 	}
 
-	// One cross profile over joint windows of two nodes that share a latent.
-	key := NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
-	joint := func(seed int64, decouple map[int]bool) *metrics.Trace {
-		j, err := metrics.JoinTraces(synthTrace(stats.NewRNG(seed), 40, 8, decouple), synthTrace(stats.NewRNG(seed), 40, 8, nil), CrossMetricIdx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
+	// One narrow profile: 12-metric windows, only the pairs spanning their
+	// two halves trained.
+	narrowCtx := Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
+	narrow := func(seed int64, decouple map[int]bool) *metrics.Trace {
+		return narrowTrace(synthTrace(stats.NewRNG(seed), 40, 8, decouple), 12)
 	}
-	if err := s.TrainInvariants(key.Context(), []*metrics.Trace{joint(950, nil), joint(951, nil), joint(952, nil)}); err != nil {
+	if err := s.Profile(narrowCtx).TrainInvariants([]*metrics.Trace{narrow(950, nil), narrow(951, nil), narrow(952, nil)}, halves(6)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BuildSignature(key.Context(), "xlink@10.0.0.3", joint(953, map[int]bool{0: true})); err != nil {
+	if err := s.BuildSignature(narrowCtx, "fault-a", narrow(953, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Diagnose(key.Context(), joint(954, map[int]bool{0: true})); err != nil {
+	if _, err := s.Diagnose(narrowCtx, narrow(954, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
 
 	// Expected totals from the per-profile accessors, never from the reducer.
-	var want, wantCross ProfileStats
-	ncross := 0
+	var want, wantNarrow ProfileStats
 	sum := func(w *ProfileStats, p *Profile) {
 		set, err := p.Invariants()
 		if err != nil {
@@ -136,9 +133,8 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 	}
 	for _, p := range s.Profiles() {
 		sum(&want, p)
-		if p.cross != nil {
-			sum(&wantCross, p)
-			ncross++
+		if p.key == narrowCtx {
+			sum(&wantNarrow, p)
 		}
 	}
 
@@ -155,13 +151,14 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 	if got := totals(s); got != want {
 		t.Errorf("reduced snapshot\n got %+v\nwant %+v", got, want)
 	}
-	var gotCross ProfileStats
-	rows := crossRows(s)
-	for _, ps := range rows {
-		gotCross.Add(ps)
+	var gotNarrow ProfileStats
+	for _, ps := range snap {
+		if ps.Context == narrowCtx {
+			gotNarrow.Add(ps)
+		}
 	}
-	if len(rows) != ncross || ncross != 1 || gotCross != wantCross {
-		t.Errorf("cross rows %d (want %d)\n got %+v\nwant %+v", len(rows), ncross, gotCross, wantCross)
+	if gotNarrow != wantNarrow {
+		t.Errorf("narrow row\n got %+v\nwant %+v", gotNarrow, wantNarrow)
 	}
 
 	// The comparison must not be vacuous: every kind of counter moved.
@@ -176,7 +173,9 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		t.Error("signature retrieval idle: nothing scanned")
 	case want.Signatures < len(snap), want.Lifecycle.Observed == 0, want.Lifecycle.Generation == 0:
 		t.Errorf("signatures %d, lifecycle %+v", want.Signatures, want.Lifecycle)
-	case wantCross.Invariants == 0 || wantCross.Invariants != wantCross.Lifecycle.Edges:
-		t.Errorf("cross profile trained %d edges, lifecycle tracks %d", wantCross.Invariants, wantCross.Lifecycle.Edges)
+	case wantNarrow.Invariants == 0 || wantNarrow.Invariants != wantNarrow.Lifecycle.Edges:
+		t.Errorf("narrow profile trained %d edges, lifecycle tracks %d", wantNarrow.Invariants, wantNarrow.Lifecycle.Edges)
+	case wantNarrow.Training.Scored+wantNarrow.Training.Memo+wantNarrow.Training.Skipped != 6*6*3:
+		t.Errorf("narrow training %+v, want the 36 spanning pairs of 3 windows", wantNarrow.Training)
 	}
 }

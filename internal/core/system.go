@@ -336,7 +336,7 @@ func (s *System) TrainPerformanceModel(ctx Context, cpiTraces [][]float64) error
 // how the global variant loses most of its invariants on a heterogeneous
 // platform.
 func (s *System) TrainInvariants(ctx Context, runs []*metrics.Trace) error {
-	return s.forCaller(ctx, s.Profile(ctx).TrainInvariants(runs))
+	return s.forCaller(ctx, s.Profile(ctx).TrainInvariants(runs, nil))
 }
 
 // Detector returns the trained detector for ctx.
@@ -450,10 +450,12 @@ func (d *Diagnosis) RootCause() string {
 	return d.Causes[0].Problem
 }
 
-// pairName renders an invariant pair as a hint string, e.g.
-// "mem.pagefaults-cpu.user".
-func pairName(p invariant.Pair) string {
-	if p.I < len(metrics.Names) && p.J < len(metrics.Names) {
+// pairName renders a pair of a set over m metrics as a hint string:
+// "mem.pagefaults-cpu.user" when the set spans the collected metrics, and
+// "m0-m2" otherwise — a set of any other width was trained on windows whose
+// rows are not the collector's, so its indices name no platform metric.
+func pairName(p invariant.Pair, m int) string {
+	if m == metrics.Count {
 		return metrics.Names[p.I] + "-" + metrics.Names[p.J]
 	}
 	return fmt.Sprintf("m%d-m%d", p.I, p.J)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +147,46 @@ func TestDiagnoseUnknownProblemGivesHintsOnly(t *testing.T) {
 	}
 	if len(diag.Hints) == 0 {
 		t.Error("expected hints for the unknown problem")
+	}
+}
+
+// TestHintNamesFollowSetWidth: a hint names its pair with the collector's
+// metric names only when the set spans the collector's metrics. A set
+// trained on 3-metric windows names its violated pair by index, and a
+// 26-metric profile's hints are the platform names of the violated pairs.
+func TestHintNamesFollowSetWidth(t *testing.T) {
+	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
+	cfg := DefaultConfig()
+	cfg.Assoc = valueAssoc
+	narrow := New(cfg)
+	if err := narrow.TrainInvariants(ctx, []*metrics.Trace{valueTrace([]float64{0.8, 0.8, 0.8}, 16, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	// Scores (0,1) 0.8, (0,2) 0.5, (1,2) 0.8: only (0,2) breaks.
+	diag, err := narrow.Diagnose(ctx, valueTrace([]float64{0.5, 1.1, 0.5}, 16, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(diag.Hints, []string{"m0-m2"}) {
+		t.Errorf("3-metric hints %q, want [m0-m2]", diag.Hints)
+	}
+
+	ctx = Context{Workload: "wordcount", IP: "10.0.0.2"}
+	s := trainSystem(t, DefaultConfig(), ctx, 605)
+	win := synthTrace(stats.NewRNG(606), 40, 8, map[int]bool{0: true})
+	rep, err := s.Violations(ctx, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, pr := range rep.Violated {
+		want = append(want, metrics.Names[pr.I]+"-"+metrics.Names[pr.J])
+	}
+	if diag, err = s.Diagnose(ctx, win); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(diag.Hints, want) {
+		t.Errorf("26-metric hints %q, want %q", diag.Hints, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/faults"
+	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/workload"
 )
@@ -25,6 +26,72 @@ import (
 //   - the cross arm windows each slave pair's joint trace to the stage the
 //     alert fell in and merges the per-pair diagnoses to one (kind, node,
 //     stage) verdict.
+//
+// A cross edge couples a metric on node A with a metric on node B during one
+// execution stage: (metricA@nodeA, metricB@nodeB, stage). The cross layer is
+// this file alone. Its profiles are ordinary core profiles whose context IP
+// encodes the pair and stage ("nodeA~nodeB#stage"), trained on joint windows
+// — crossMetricIdx of both nodes over the same stage-aligned ticks — with
+// only the node-spanning pairs kept. core, metrics and the daemon know
+// nothing of either: to them a joint window is a 22-metric trace like any
+// other, and its hints are named m<i>-m<j>. Problem labels carry the culprit
+// node ("xlink@10.0.0.3"), so a match on any pair profile recovers the
+// (node, stage) localisation.
+
+// crossMetricIdx selects the per-node metrics that participate in cross
+// edges: the flow metrics (disk and network directions, their latency and
+// retransmission shadows) plus the compute-pressure metrics a straggler
+// drags. Keeping the joint space at 2×11 metrics bounds training to 121
+// spanning candidate pairs per (workload, pair, stage) — comparable to one
+// intra profile's 325.
+var crossMetricIdx = []int{
+	0,  // cpu.user
+	3,  // cpu.iowait
+	6,  // load.runq
+	12, // disk.readmb
+	13, // disk.writemb
+	15, // disk.util
+	16, // disk.queue
+	17, // net.rxmb
+	18, // net.txmb
+	21, // net.retransmits
+	22, // net.rttms
+}
+
+// spanning is the cross profiles' training predicate: only pairs that span
+// the two nodes' halves of the joint space. Within-node pairs duplicate the
+// intra-node profiles' work and would dilute cross signatures with tuples
+// the single-node layer already owns.
+func spanning(pr invariant.Pair) bool {
+	k := len(crossMetricIdx)
+	return pr.I < k && pr.J >= k
+}
+
+// crossKey identifies one cross profile: workload, unordered node pair and
+// execution stage.
+type crossKey struct {
+	workload     string
+	nodeA, nodeB string // nodeA < nodeB
+	stage        string
+}
+
+// newCrossKey builds a key with the node pair put in canonical order.
+func newCrossKey(workload, nodeA, nodeB, stage string) crossKey {
+	if nodeB < nodeA {
+		nodeA, nodeB = nodeB, nodeA
+	}
+	return crossKey{workload: workload, nodeA: nodeA, nodeB: nodeB, stage: stage}
+}
+
+// context returns the cross profile's registry context: IP "nodeA~nodeB#stage".
+func (k crossKey) context() core.Context {
+	return core.Context{Workload: k.workload, IP: k.nodeA + "~" + k.nodeB + "#" + k.stage}
+}
+
+// String renders the key for errors: "sort 10.0.0.2~10.0.0.3 #reduce".
+func (k crossKey) String() string {
+	return fmt.Sprintf("%s %s~%s #%s", k.workload, k.nodeA, k.nodeB, k.stage)
+}
 
 // crossConfusable is the intra arm's signature base: the single-node kinds
 // whose victim-local symptoms shadow the cross faults (a starved reducer
@@ -129,8 +196,7 @@ const stageWindow = 10
 // crossWindows cuts stage-aligned joint windows from two nodes' traces: for
 // every occurrence of the stage (per a's stage marks; both traces come from
 // the same cluster timeline) whose span holds at least stageWindow samples,
-// the first stageWindow ticks of both traces are joined over
-// core.CrossMetricIdx.
+// the first stageWindow ticks of both traces are joined.
 func crossWindows(a, b *metrics.Trace, stage string) ([]*metrics.Trace, error) {
 	var out []*metrics.Trace
 	for _, w := range a.StageWindows() {
@@ -164,8 +230,7 @@ func crossWindowAt(a, b *metrics.Trace, stage string, tick int) (*metrics.Trace,
 	return nil, nil
 }
 
-// joinSlice slices both traces to [lo, hi) and joins them over
-// core.CrossMetricIdx.
+// joinSlice slices both traces to [lo, hi) and joins them.
 func joinSlice(a, b *metrics.Trace, lo, hi int) (*metrics.Trace, error) {
 	as, err := a.Slice(lo, hi)
 	if err != nil {
@@ -175,7 +240,58 @@ func joinSlice(a, b *metrics.Trace, lo, hi int) (*metrics.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return metrics.JoinTraces(as, bs, core.CrossMetricIdx)
+	return joinTraces(as, bs)
+}
+
+// joinTraces builds the joint two-node trace: row i carries metric
+// crossMetricIdx[i] of a and row K+i the same metric of b (K =
+// len(crossMetricIdx)). Both traces must be equally long; validity masks are
+// kept per side, and a joint mask is materialised when either side carries
+// one. The CPI column is a's (cross profiles train on rows only). Stage marks
+// are a's — joint windows are stage-aligned by construction, so both sides
+// agree.
+func joinTraces(a, b *metrics.Trace) (*metrics.Trace, error) {
+	if a.Ticks != b.Ticks {
+		return nil, fmt.Errorf("experiments: joining traces of %d and %d ticks", a.Ticks, b.Ticks)
+	}
+	k := len(crossMetricIdx)
+	if len(a.Rows) < metrics.Count || len(b.Rows) < metrics.Count {
+		return nil, fmt.Errorf("experiments: joining traces of %d and %d metrics, want %d", len(a.Rows), len(b.Rows), metrics.Count)
+	}
+	out := metrics.NewTraceWidth(a.NodeIP+"~"+b.NodeIP, a.Context, 2*k)
+	for i, m := range crossMetricIdx {
+		out.Rows[i] = append([]float64(nil), a.Rows[m][:a.Ticks]...)
+		out.Rows[k+i] = append([]float64(nil), b.Rows[m][:b.Ticks]...)
+	}
+	out.CPI = append([]float64(nil), a.CPI...)
+	out.Ticks = a.Ticks
+	if a.Valid != nil || b.Valid != nil {
+		out.Valid = make([][]bool, 2*k)
+		for i, m := range crossMetricIdx {
+			out.Valid[i] = joinMask(a.MetricValid(m), a.Ticks)
+			out.Valid[k+i] = joinMask(b.MetricValid(m), b.Ticks)
+		}
+		if a.CPIValid != nil {
+			out.CPIValid = append([]bool(nil), a.CPIValid...)
+		} else {
+			out.CPIValid = joinMask(nil, a.Ticks)
+		}
+	}
+	out.Stages = append([]metrics.StageMark(nil), a.Stages...)
+	return out, nil
+}
+
+// joinMask copies a validity row, or synthesises an all-true one of length n
+// when the side carried no mask.
+func joinMask(mask []bool, n int) []bool {
+	if mask != nil {
+		return append([]bool(nil), mask[:n]...)
+	}
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = true
+	}
+	return out
 }
 
 // spatialVerdict is the cross arm's answer for one alert: the diagnosed
@@ -185,46 +301,53 @@ type spatialVerdict struct {
 	problem, node, stage string
 }
 
+// crossDiagnosis is one pair profile's diagnosis of an alert window, kept
+// beside the key it was diagnosed under.
+type crossDiagnosis struct {
+	key  crossKey
+	diag *core.Diagnosis
+}
+
 // mergeCrossDiagnoses reduces the per-pair cross diagnoses of one alert to a
 // single verdict: the diagnosis with the highest confidence wins. Confidence
 // is per-pair signature similarity, so the pair whose joint window most
 // precisely reproduces a stored fingerprint decides — summing votes across
 // pairs would let several weak noise matches outvote one sharp one. Ties
-// break by context string for determinism. Cross labels read "kind@node"
-// (split at the last '@'); a label without one names no node. Returns nil
-// when no diagnosis names a cause.
-func mergeCrossDiagnoses(diags []*core.Diagnosis) *spatialVerdict {
-	var top *core.Diagnosis
-	for _, d := range diags {
-		if d == nil || d.RootCause() == "" {
+// break by key for determinism. Cross labels read "kind@node" (split at the
+// last '@'); a label without one names no node. Returns nil when no
+// diagnosis names a cause.
+func mergeCrossDiagnoses(diags []crossDiagnosis) *spatialVerdict {
+	var top *crossDiagnosis
+	for i := range diags {
+		d := &diags[i]
+		if d.diag.RootCause() == "" {
 			continue
 		}
-		if top == nil || d.Confidence > top.Confidence ||
-			(d.Confidence == top.Confidence && d.Context.String() < top.Context.String()) {
+		if top == nil || d.diag.Confidence > top.diag.Confidence ||
+			(d.diag.Confidence == top.diag.Confidence && d.key.String() < top.key.String()) {
 			top = d
 		}
 	}
 	if top == nil {
 		return nil
 	}
-	key, _ := core.ParseCrossContext(top.Context)
-	kind, node := top.RootCause(), ""
+	kind, node := top.diag.RootCause(), ""
 	if i := strings.LastIndexByte(kind, '@'); i >= 0 {
 		kind, node = kind[:i], kind[i+1:]
 	}
-	return &spatialVerdict{problem: kind, node: node, stage: key.Stage}
+	return &spatialVerdict{problem: kind, node: node, stage: top.key.stage}
 }
 
 // crossDiagnose runs the cross arm for one alert: window every trained pair
 // profile of the alert's stage around the alert tick and merge the per-pair
 // diagnoses. keys is the trained cross-profile set.
-func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*metrics.Trace, stage string, alertTick int) (*spatialVerdict, error) {
-	var diags []*core.Diagnosis
+func crossDiagnose(sys *core.System, keys []crossKey, traces map[string]*metrics.Trace, stage string, alertTick int) (*spatialVerdict, error) {
+	var diags []crossDiagnosis
 	for _, key := range keys {
-		if key.Stage != stage {
+		if key.stage != stage {
 			continue
 		}
-		a, b := traces[key.NodeA], traces[key.NodeB]
+		a, b := traces[key.nodeA], traces[key.nodeB]
 		if a == nil || b == nil {
 			continue
 		}
@@ -235,11 +358,11 @@ func crossDiagnose(sys *core.System, keys []core.CrossKey, traces map[string]*me
 		if win == nil {
 			continue
 		}
-		d, err := sys.Diagnose(key.Context(), win)
+		d, err := sys.Diagnose(key.context(), win)
 		if err != nil {
 			return nil, err
 		}
-		diags = append(diags, d)
+		diags = append(diags, crossDiagnosis{key: key, diag: d})
 	}
 	return mergeCrossDiagnoses(diags), nil
 }
@@ -275,14 +398,14 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 	// the same normal runs, one profile per (pair, stage). Stages whose
 	// occurrences are shorter than the window (a small job's reduce tail)
 	// simply train no profile.
-	var keys []core.CrossKey
+	var keys []crossKey
 	totalEdges := 0
 	for _, pair := range slavePairs(trainRuns[0].Traces) {
 		for _, stage := range []string{"map", "shuffle", "reduce"} {
-			key := core.NewCrossKey(string(w), pair[0], pair[1], stage)
+			key := newCrossKey(string(w), pair[0], pair[1], stage)
 			var windows []*metrics.Trace
 			for _, res := range trainRuns {
-				ws, err := crossWindows(res.Traces[key.NodeA], res.Traces[key.NodeB], stage)
+				ws, err := crossWindows(res.Traces[key.nodeA], res.Traces[key.nodeB], stage)
 				if err != nil {
 					return nil, err
 				}
@@ -291,10 +414,10 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			if len(windows) < 2 {
 				continue
 			}
-			if err := sys.TrainInvariants(key.Context(), windows); err != nil {
+			if err := sys.Profile(key.context()).TrainInvariants(windows, spanning); err != nil {
 				return nil, fmt.Errorf("experiments: training %s: %w", key, err)
 			}
-			set, err := sys.Invariants(key.Context())
+			set, err := sys.Invariants(key.context())
 			if err != nil {
 				return nil, err
 			}
@@ -329,30 +452,36 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 		res, tick := o.Run, o.AlertTick
 		stage := res.TargetTrace().StageAt(tick)
 		for _, key := range keys {
-			if key.Stage != stage {
+			if key.stage != stage {
 				continue
 			}
 			// A cross fault fingerprints the flows touching the culprit
 			// and victim; violations on bystander pairs are shuffle
 			// noise, and a signature stored there matches the wrong
 			// kind's noise just as well.
-			if key.NodeA != res.CulpritIP && key.NodeB != res.CulpritIP &&
-				key.NodeA != res.TargetIP && key.NodeB != res.TargetIP {
+			if key.nodeA != res.CulpritIP && key.nodeB != res.CulpritIP &&
+				key.nodeA != res.TargetIP && key.nodeB != res.TargetIP {
 				continue
 			}
-			win, err := crossWindowAt(res.Traces[key.NodeA], res.Traces[key.NodeB], stage, tick)
-			if err != nil || win == nil {
+			win, err := crossWindowAt(res.Traces[key.nodeA], res.Traces[key.nodeB], stage, tick)
+			if err != nil {
+				return nil, err
+			}
+			if win == nil {
 				continue
 			}
 			// One-edge tuples are degenerate signatures: a single
 			// chance violation at diagnosis time matches them with
 			// Jaccard 1.0, so demand at least two broken edges.
-			vr, err := sys.Violations(key.Context(), win)
-			if err != nil || len(vr.Violated) < 2 {
+			vr, err := sys.Violations(key.context(), win)
+			if err != nil {
+				return nil, err
+			}
+			if len(vr.Violated) < 2 {
 				continue
 			}
 			label := o.Scenario.Truth() + "@" + res.CulpritIP
-			if err := sys.BuildSignature(key.Context(), label, win); err != nil {
+			if err := sys.BuildSignature(key.context(), label, win); err != nil {
 				return nil, err
 			}
 		}

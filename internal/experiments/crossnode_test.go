@@ -96,7 +96,7 @@ func stagedTrace(t *testing.T, ip string, base float64) *metrics.Trace {
 // (base 10000) over ticks [lo, lo+stageWindow), all inside stage.
 func checkJointWindow(t *testing.T, what string, win *metrics.Trace, lo int, stage string) {
 	t.Helper()
-	k := len(core.CrossMetricIdx)
+	k := len(crossMetricIdx)
 	if len(win.Rows) != 2*k || win.Len() != stageWindow {
 		t.Fatalf("%s: window is %d rows x %d ticks, want %d x %d", what, len(win.Rows), win.Len(), 2*k, stageWindow)
 	}
@@ -106,7 +106,7 @@ func checkJointWindow(t *testing.T, what string, win *metrics.Trace, lo int, sta
 			base = 10000
 		}
 		for j, v := range row {
-			if want := base + float64(100*core.CrossMetricIdx[i%k]+lo+j); v != want {
+			if want := base + float64(100*crossMetricIdx[i%k]+lo+j); v != want {
 				t.Fatalf("%s: row %d tick %d reads %v, want %v (window from tick %d)", what, i, j, v, want, lo)
 			}
 		}
@@ -182,40 +182,94 @@ func TestCrossWindowAt(t *testing.T) {
 	}
 }
 
+// TestJoinTracesStageAlignment checks the joint layout: row i is metric
+// crossMetricIdx[i] of side a and row K+i the same metric of side b, a mask
+// on either side survives into the joint trace (the unmasked side reads
+// all-true, an unmasked pair stays unmasked), the stage windows are side
+// a's, and sides of different lengths do not join.
+func TestJoinTracesStageAlignment(t *testing.T) {
+	a, b := stagedTrace(t, "10.0.0.2", 0), stagedTrace(t, "10.0.0.3", 10000)
+	j, err := joinTraces(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.NodeIP != "10.0.0.2~10.0.0.3" || j.Valid != nil {
+		t.Fatalf("joint trace %q, masks %v: want 10.0.0.2~10.0.0.3, unmasked", j.NodeIP, j.Valid != nil)
+	}
+	aw, jw := a.StageWindows(), j.StageWindows()
+	if !reflect.DeepEqual(aw, jw) {
+		t.Fatalf("joint windows %+v, side-a windows %+v", jw, aw)
+	}
+
+	// Mask every third sample of side b's metrics.
+	b.Valid, b.CPIValid = make([][]bool, len(b.Rows)), make([]bool, b.Ticks)
+	for tick := range b.CPIValid {
+		b.CPIValid[tick] = true
+	}
+	for m := range b.Valid {
+		b.Valid[m] = make([]bool, b.Ticks)
+		for tick := range b.Valid[m] {
+			b.Valid[m][tick] = (m+tick)%3 != 0
+		}
+	}
+	if j, err = joinTraces(a, b); err != nil {
+		t.Fatal(err)
+	}
+	k := len(crossMetricIdx)
+	if len(j.Valid) != 2*k || len(j.CPIValid) != j.Ticks {
+		t.Fatalf("joint masks %d rows, CPI mask %d ticks; want %d rows, %d ticks", len(j.Valid), len(j.CPIValid), 2*k, j.Ticks)
+	}
+	for i, m := range crossMetricIdx {
+		for tick := 0; tick < j.Ticks; tick++ {
+			if j.Rows[i][tick] != a.Rows[m][tick] || !j.Valid[i][tick] || !j.CPIValid[tick] {
+				t.Fatalf("side-a row %d tick %d: %v valid %v, want %v valid", i, tick, j.Rows[i][tick], j.Valid[i][tick], a.Rows[m][tick])
+			}
+			if j.Rows[k+i][tick] != b.Rows[m][tick] || j.Valid[k+i][tick] != b.Valid[m][tick] {
+				t.Fatalf("side-b row %d tick %d diverged", i, tick)
+			}
+		}
+	}
+
+	short, err := b.Slice(0, b.Ticks-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := joinTraces(a, short); err == nil {
+		t.Error("joined traces of different lengths")
+	}
+}
+
 // TestMergeCrossDiagnoses: one alert's per-pair diagnoses reduce to the
 // most confident named cause, split into kind and culprit node, and scoped
 // to that pair profile's stage.
 func TestMergeCrossDiagnoses(t *testing.T) {
-	diag := func(nodeA, nodeB, stage, cause string, conf float64) *core.Diagnosis {
-		d := &core.Diagnosis{
-			Context:    core.NewCrossKey("sort", nodeA, nodeB, stage).Context(),
-			Confidence: conf,
-		}
+	diag := func(nodeA, nodeB, stage, cause string, conf float64) crossDiagnosis {
+		key := newCrossKey("sort", nodeA, nodeB, stage)
+		d := &core.Diagnosis{Context: key.context(), Confidence: conf}
 		if cause != "" {
 			d.Causes = []signature.Match{{Entry: signature.Entry{Problem: cause}, Score: conf}}
 		}
-		return d
+		return crossDiagnosis{key: key, diag: d}
 	}
 	for _, tc := range []struct {
 		name  string
-		diags []*core.Diagnosis
+		diags []crossDiagnosis
 		want  *spatialVerdict
 	}{
 		{"no diagnoses", nil, nil},
-		{"no cause named", []*core.Diagnosis{nil, diag("10.0.0.2", "10.0.0.3", "shuffle", "", 0)}, nil},
-		{"single", []*core.Diagnosis{diag("10.0.0.2", "10.0.0.3", "shuffle", "xlink@10.0.0.3", 0.8)},
+		{"no cause named", []crossDiagnosis{diag("10.0.0.2", "10.0.0.3", "shuffle", "", 0)}, nil},
+		{"single", []crossDiagnosis{diag("10.0.0.2", "10.0.0.3", "shuffle", "xlink@10.0.0.3", 0.8)},
 			&spatialVerdict{problem: "xlink", node: "10.0.0.3", stage: "shuffle"}},
-		{"highest confidence wins over a majority", []*core.Diagnosis{
+		{"highest confidence wins over a majority", []crossDiagnosis{
 			diag("10.0.0.2", "10.0.0.3", "shuffle", "xskew@10.0.0.2", 0.4),
 			diag("10.0.0.2", "10.0.0.4", "shuffle", "xskew@10.0.0.2", 0.4),
 			diag("10.0.0.3", "10.0.0.5", "map", "xrepl@10.0.0.3", 0.9),
-			nil,
 		}, &spatialVerdict{problem: "xrepl", node: "10.0.0.3", stage: "map"}},
-		{"tie breaks by context", []*core.Diagnosis{
-			diag("10.0.0.3", "10.0.0.4", "shuffle", "xskew@10.0.0.4", 0.7),
+		{"tie breaks by key", []crossDiagnosis{
+			diag("10.0.0.4", "10.0.0.3", "shuffle", "xskew@10.0.0.4", 0.7),
 			diag("10.0.0.2", "10.0.0.5", "shuffle", "xlink@10.0.0.5", 0.7),
 		}, &spatialVerdict{problem: "xlink", node: "10.0.0.5", stage: "shuffle"}},
-		{"label without a culprit", []*core.Diagnosis{diag("10.0.0.2", "10.0.0.3", "reduce", "xlink", 0.5)},
+		{"label without a culprit", []crossDiagnosis{diag("10.0.0.2", "10.0.0.3", "reduce", "xlink", 0.5)},
 			&spatialVerdict{problem: "xlink", stage: "reduce"}},
 	} {
 		if got := mergeCrossDiagnoses(tc.diags); !reflect.DeepEqual(got, tc.want) {

@@ -353,7 +353,7 @@ func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error
 		if err := prof.TrainPerformanceModel(cpis); err != nil {
 			return err
 		}
-		return prof.TrainInvariants(windows)
+		return prof.TrainInvariants(windows, nil)
 	}
 	// Per-context profiles are independent: train every node concurrently.
 	// Without operation context every node feeds the single global profile,

@@ -13,8 +13,11 @@ func fullVector(v float64) []float64 {
 	return s
 }
 
-func allTrue() []bool {
-	m := make([]bool, Count)
+func allTrue() []bool { return trueMask(Count) }
+
+// trueMask is an all-true validity row of length n.
+func trueMask(n int) []bool {
+	m := make([]bool, n)
 	for i := range m {
 		m[i] = true
 	}
@@ -29,9 +32,9 @@ func addMasked(t *Trace, sample []float64, valid []bool, cpiValue float64, cpiVa
 	if t.Valid == nil {
 		t.Valid = make([][]bool, len(t.Rows))
 		for m := range t.Valid {
-			t.Valid[m] = joinMask(nil, t.Ticks)
+			t.Valid[m] = trueMask(t.Ticks)
 		}
-		t.CPIValid = joinMask(nil, t.Ticks)
+		t.CPIValid = trueMask(t.Ticks)
 	}
 	for m, v := range sample {
 		t.Rows[m] = append(t.Rows[m], v)

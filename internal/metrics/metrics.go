@@ -251,8 +251,8 @@ type StageWindow struct {
 
 // Trace accumulates per-tick metric vectors for one node over one run:
 // Trace[m][t] is metric m at tick t. Most traces carry the platform's
-// Count metrics, but a trace may be built at any width (NewTraceWidth) —
-// the joint two-node windows of the cross-node invariant layer are 2K-wide.
+// Count metrics, but a trace may be built at any width (NewTraceWidth) by a
+// caller stacking rows of its own.
 //
 // A trace from a degraded telemetry path additionally carries validity
 // masks: Valid[m][t] is false when metric m at tick t is not a real
@@ -433,60 +433,4 @@ func (t *Trace) Slice(lo, hi int) (*Trace, error) {
 		out.Stages = append(out.Stages, StageMark{Stage: m.Stage, Start: start})
 	}
 	return out, nil
-}
-
-// JoinTraces builds the joint two-node trace of the cross-node invariant
-// layer: for each index in idxs, row k carries metric idxs[k] of a and row
-// K+k the same metric of b (K = len(idxs)). Both traces must be equally
-// long; validity masks are preserved per side, and a joint mask is
-// materialised when either side carries one. The CPI column is a's (cross
-// edge sets train on rows only). Stage marks are taken from a — joint
-// windows are stage-aligned by construction, so both sides agree.
-func JoinTraces(a, b *Trace, idxs []int) (*Trace, error) {
-	if a.Ticks != b.Ticks {
-		return nil, fmt.Errorf("metrics: joining traces of %d and %d ticks", a.Ticks, b.Ticks)
-	}
-	k := len(idxs)
-	if k == 0 {
-		return nil, fmt.Errorf("metrics: joining zero metrics")
-	}
-	for _, m := range idxs {
-		if m < 0 || m >= len(a.Rows) || m >= len(b.Rows) {
-			return nil, fmt.Errorf("metrics: joint metric index %d out of range", m)
-		}
-	}
-	out := NewTraceWidth(a.NodeIP+"~"+b.NodeIP, a.Context, 2*k)
-	for i, m := range idxs {
-		out.Rows[i] = append([]float64(nil), a.Rows[m][:a.Ticks]...)
-		out.Rows[k+i] = append([]float64(nil), b.Rows[m][:b.Ticks]...)
-	}
-	out.CPI = append([]float64(nil), a.CPI...)
-	out.Ticks = a.Ticks
-	if a.Valid != nil || b.Valid != nil {
-		out.Valid = make([][]bool, 2*k)
-		for i, m := range idxs {
-			out.Valid[i] = joinMask(a.MetricValid(m), a.Ticks)
-			out.Valid[k+i] = joinMask(b.MetricValid(m), b.Ticks)
-		}
-		if a.CPIValid != nil {
-			out.CPIValid = append([]bool(nil), a.CPIValid...)
-		} else {
-			out.CPIValid = joinMask(nil, a.Ticks)
-		}
-	}
-	out.Stages = append([]StageMark(nil), a.Stages...)
-	return out, nil
-}
-
-// joinMask copies a validity row, or synthesises an all-true one of length n
-// when the side carried no mask.
-func joinMask(mask []bool, n int) []bool {
-	if mask != nil {
-		return append([]bool(nil), mask[:n]...)
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = true
-	}
-	return out
 }

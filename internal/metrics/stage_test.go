@@ -121,41 +121,3 @@ func TestMarkStageDedupes(t *testing.T) {
 		}
 	}
 }
-
-// TestJoinTracesStageAlignment checks the cross-layer join: masks from both
-// sides survive into the joint trace and stage windows carry over from side
-// a unchanged.
-func TestJoinTracesStageAlignment(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	a := randomStagedTrace(r, 26, 30)
-	b := randomStagedTrace(r, 26, 30)
-	b.NodeIP = "10.0.0.3"
-	idxs := []int{0, 12, 18}
-	j, err := JoinTraces(a, b, idxs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.Rows) != 2*len(idxs) || j.NodeIP != "10.0.0.2~10.0.0.3" {
-		t.Fatalf("joint trace %q width %d", j.NodeIP, len(j.Rows))
-	}
-	for i, m := range idxs {
-		for tick := 0; tick < 30; tick++ {
-			if j.Rows[i][tick] != a.Rows[m][tick] || j.Valid[i][tick] != a.Valid[m][tick] {
-				t.Fatalf("side-a row %d tick %d diverged", i, tick)
-			}
-			k := len(idxs) + i
-			if j.Rows[k][tick] != b.Rows[m][tick] || j.Valid[k][tick] != b.Valid[m][tick] {
-				t.Fatalf("side-b row %d tick %d diverged", i, tick)
-			}
-		}
-	}
-	aw, jw := a.StageWindows(), j.StageWindows()
-	if len(aw) != len(jw) {
-		t.Fatalf("joint windows %+v, side-a windows %+v", jw, aw)
-	}
-	for i := range aw {
-		if aw[i] != jw[i] {
-			t.Fatalf("window %d: joint %+v, side-a %+v", i, jw[i], aw[i])
-		}
-	}
-}

@@ -366,18 +366,6 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return false
 }
 
-// refuseCross guards the endpoints that score a window against one context's
-// invariants: a cross context's set spans two nodes' metrics, which no single
-// stream or sample batch carries, so the request could only fail after taking
-// a queue slot.
-func (s *Server) refuseCross(w http.ResponseWriter, ctx core.Context) bool {
-	if _, ok := core.ParseCrossContext(ctx); ok {
-		s.fail(w, http.StatusBadRequest, "cross-node profiles are trained and diagnosed offline (`experiments -run crossnode`); the daemon neither scores nor reports them")
-		return true
-	}
-	return false
-}
-
 // statusFor maps core errors to HTTP codes: an untrained context is the
 // caller's problem (409 — the request is well-formed but the state it needs
 // does not exist), everything else is a 500.
@@ -480,9 +468,6 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	if s.refuseCross(w, ctx) {
-		return
-	}
 	st := s.stream(ctx)
 	rep := s.store.create(req.Workload, req.Node)
 	s.ctr.reportsPending.Add(1)
@@ -673,9 +658,6 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	if s.refuseCross(w, ctx) {
-		return
-	}
 	st := s.stream(ctx)
 	type sigResult struct {
 		entry signature.Entry

@@ -18,10 +18,9 @@ import (
 
 // The operator wire contract: bench/ and invarctl decode these keys, so a
 // rename or a dropped field is a breaking change however the payload is
-// built. A non-federated daemon omits "fleet". Cross-node profiles are an
-// offline study the daemon neither scores nor reports: a cross profile in
-// the store is a row like any other, with no scope keys and no totals of
-// its own.
+// built. A non-federated daemon omits "fleet". A profile trained on windows
+// of another width than the collector's is a row like any other, with no
+// keys and no totals of its own.
 var (
 	statsKeys = []string{
 		"alerts", "assocCacheEntries", "assocCacheHitRate", "assocCacheHits", "assocCacheMisses",
@@ -82,22 +81,13 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 	intra := core.Context{Workload: "sort", IP: "10.0.0.2"}
 	trainContext(t, srv, intra, 31)
 
-	// One cross profile over joint windows of two nodes sharing a latent: the
-	// store holds it, and it lists as an ordinary row.
-	key := core.NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
-	joint := func(seed int64, decouple map[int]bool) *metrics.Trace {
-		a := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, decouple, 0))
-		b := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, nil, 0))
-		j, err := metrics.JoinTraces(a, b, core.CrossMetricIdx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	if err := srv.sys.TrainInvariants(key.Context(), []*metrics.Trace{joint(41, nil), joint(42, nil), joint(43, nil)}); err != nil {
+	// One profile over 12-metric windows: the store holds it, and it lists
+	// as an ordinary row.
+	narrow := core.Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
+	if err := srv.sys.TrainInvariants(narrow, narrowRuns(t, intra, 41, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.sys.BuildSignature(key.Context(), "xlink@10.0.0.3", joint(44, map[int]bool{0: true})); err != nil {
+	if err := srv.sys.BuildSignature(narrow, "fault-a", narrowRuns(t, intra, 44, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +114,7 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
-		t.Fatalf("%d profile rows, want the intra and the cross profile", len(rows))
+		t.Fatalf("%d profile rows, want the intra and the narrow profile", len(rows))
 	}
 	for i, row := range rows {
 		if got := sortedKeys(row); !reflect.DeepEqual(got, profileKeys) {
@@ -206,45 +196,46 @@ func TestSignaturesListSortedAcrossContexts(t *testing.T) {
 	}
 }
 
-// TestCrossContextRefusedAtAdmission: the daemon cannot score a window
-// against a cross profile, even one its store holds — a cross set spans two
-// nodes' metrics and a request carries one node's — so diagnose and label
-// requests naming one are refused up front instead of taking a stream, a
-// queue slot and a report that can only fail.
-func TestCrossContextRefusedAtAdmission(t *testing.T) {
+// narrowRuns builds n 40-tick windows of ctx's coupled samples cut to their
+// first 12 metrics, the first seeded by seed.
+func narrowRuns(t *testing.T, ctx core.Context, seed int64, n int) []*metrics.Trace {
+	t.Helper()
+	var out []*metrics.Trace
+	for i := int64(0); i < int64(n); i++ {
+		tr := mustTrace(t, ctx, coupledSamples(stats.NewRNG(seed+i), 40, 8, nil, 0))
+		tr.Rows = tr.Rows[:12]
+		out = append(out, tr)
+	}
+	return out
+}
+
+// TestDiagnoseWidthMismatchFailsReport: a request carries the collector's 26
+// metrics, so diagnosing a context whose set was trained on windows of
+// another width is an ordinary failed report — accepted, no verdict, the
+// error naming the mismatch, reportsFailed +1 — never a panic or a verdict
+// over the wrong rows.
+func TestDiagnoseWidthMismatchFailsReport(t *testing.T) {
 	srv, _, err := New(Config{Core: core.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra := core.Context{Workload: "sort", IP: "10.0.0.2"}
-	key := core.NewCrossKey("sort", "10.0.0.2", "10.0.0.3", "shuffle")
-	var joint []*metrics.Trace
-	for seed := int64(41); seed <= 43; seed++ {
-		half := mustTrace(t, intra, coupledSamples(stats.NewRNG(seed), 40, 8, nil, 0))
-		j, err := metrics.JoinTraces(half, half, core.CrossMetricIdx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joint = append(joint, j)
-	}
-	if err := srv.sys.TrainInvariants(key.Context(), joint); err != nil {
+	ctx := core.Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
+	if err := srv.sys.TrainInvariants(ctx, narrowRuns(t, ctx, 41, 3)); err != nil {
 		t.Fatal(err)
 	}
-	node := key.Context().IP
-	for path, body := range map[string]any{
-		"/v1/diagnose":   DiagnoseRequest{Workload: "sort", Node: node, Samples: testSamples(30), Wait: true},
-		"/v1/signatures": SignatureRequest{Workload: "sort", Node: node, Problem: "xlink@10.0.0.3", Samples: testSamples(30)},
-	} {
-		before := srv.Stats()
-		rec := postJSON(t, srv.Handler(), path, body)
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "offline") {
-			t.Errorf("POST %s on %s: status %d, body %s; want 400 naming the offline study", path, node, rec.Code, rec.Body)
-		}
-		after := srv.Stats()
-		if after.Streams != before.Streams || after.ReportsFailed != before.ReportsFailed ||
-			after.BadRequests != before.BadRequests+1 {
-			t.Errorf("POST %s: streams %d -> %d, reportsFailed %d -> %d, badRequests %d -> %d; want only badRequests +1", path,
-				before.Streams, after.Streams, before.ReportsFailed, after.ReportsFailed, before.BadRequests, after.BadRequests)
-		}
+	before := srv.Stats()
+	rec := postJSON(t, srv.Handler(), "/v1/diagnose",
+		DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP, Samples: coupledSamples(stats.NewRNG(45), 30, 8, nil, 0), Wait: true})
+	var dr DiagnoseResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/diagnose: status %d, %v, body %s", rec.Code, err, rec.Body)
+	}
+	if dr.Status != StatusFailed || dr.Report == nil || dr.Report.Diagnosis != nil ||
+		!strings.Contains(dr.Report.Error, "window over 26 metrics, invariant set dimension 12") {
+		t.Fatalf("diagnose on a 12-metric set: %+v, want a failed report naming 26 against 12 metrics", dr)
+	}
+	after := srv.Stats()
+	if after.ReportsFailed != before.ReportsFailed+1 || after.ReportsDone != before.ReportsDone {
+		t.Errorf("reportsFailed %d -> %d, reportsDone %d -> %d; want one failed report", before.ReportsFailed, after.ReportsFailed, before.ReportsDone, after.ReportsDone)
 	}
 }
