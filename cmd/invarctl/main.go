@@ -404,7 +404,7 @@ func cmdLifecycle(args []string) error {
 	edges := fs.Bool("edges", false, "also list per-edge health series")
 	fs.Parse(args)
 	cfg := core.DefaultConfig()
-	cfg.Lifecycle.Enabled = true // the store's lifecycle sections are inert otherwise
+	cfg.Lifecycle = true // the store's lifecycle sections are inert otherwise
 	sys, err := openStore(cfg, *models, "")
 	if err != nil {
 		return err

@@ -69,7 +69,7 @@ func main() {
 		WindowCap: *window,
 		ReportCap: *reports,
 	}
-	cfg.Core.Lifecycle.Enabled = *lifecycle
+	cfg.Core.Lifecycle = *lifecycle
 	if *sigMinScore < 0 || *sigMinScore > 1 {
 		log.Fatalf("invarnetd: -sig-min-score %v out of range [0, 1]", *sigMinScore)
 	}

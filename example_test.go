@@ -52,11 +52,10 @@ func ExampleNewCluster() {
 func ExampleNew() {
 	sys := invarnetx.New(invarnetx.DefaultConfig())
 	cfg := sys.Config()
-	fmt.Printf("epsilon=%.1f tau=%.1f topk=%d context=%v\n",
-		cfg.Epsilon, cfg.Tau, cfg.TopK, cfg.UseContext)
+	fmt.Printf("epsilon=%.1f tau=%.1f topk=%d\n", cfg.Epsilon, cfg.Tau, cfg.TopK)
 	fmt.Printf("signatures stored: %d\n", sys.SignatureCount())
 	// Output:
-	// epsilon=0.2 tau=0.2 topk=5 context=true
+	// epsilon=0.2 tau=0.2 topk=5
 	// signatures stored: 0
 }
 

@@ -71,7 +71,7 @@ func TestFingerprintGolden(t *testing.T) {
 
 func TestAssocCacheHitsOnRetrain(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{UseContext: true})
+	s := New(Config{})
 	rng := stats.NewRNG(700)
 	var runs []*metrics.Trace
 	for i := 0; i < 4; i++ {
@@ -142,8 +142,8 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 		cfg   Config
 		count func(s *System) int64
 	}{
-		{"per-pair", Config{UseContext: true, Assoc: counting}, func(*System) int64 { return calls.Load() }},
-		{"batch", Config{UseContext: true}, func(s *System) int64 { return int64(totals(s).Training.Scored) }},
+		{"per-pair", Config{Assoc: counting}, func(*System) int64 { return calls.Load() }},
+		{"batch", Config{}, func(s *System) int64 { return int64(totals(s).Training.Scored) }},
 	} {
 		s := New(arm.cfg)
 		step := func(what string, add []*metrics.Trace, wantScored, pool int) *invariant.Set {
@@ -228,7 +228,7 @@ func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
 // dense Select's set.
 func TestConcurrentRetrainSharesMemos(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{UseContext: true})
+	s := New(Config{})
 	rng := stats.NewRNG(750)
 	var runs []*metrics.Trace
 	mats := make([]*invariant.Matrix, 8)
@@ -275,7 +275,7 @@ func TestConcurrentRetrainSharesMemos(t *testing.T) {
 
 func TestAssocCacheInvalidatesOnWindowChange(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := trainSystem(t, Config{UseContext: true}, ctx, 701)
+	s := trainSystem(t, Config{}, ctx, 701)
 	before := totals(s).Cache
 	ab := synthTrace(stats.NewRNG(702), 40, 8, map[int]bool{0: true})
 	if _, err := s.Violations(ctx, ab); err != nil {
@@ -303,7 +303,7 @@ func TestAssocCacheInvalidatesOnWindowChange(t *testing.T) {
 }
 
 func TestAssocCacheKeysByContext(t *testing.T) {
-	s := New(Config{UseContext: true})
+	s := New(Config{})
 	ctxA := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	ctxB := Context{Workload: "sort", IP: "10.0.0.3"}
 	tr := synthTrace(stats.NewRNG(703), 60, 8, nil)
@@ -384,8 +384,8 @@ func TestBatchPathMatchesGeneric(t *testing.T) {
 	// The batch-scored pipeline must produce the same invariants and tuples
 	// as the per-pair Assoc pipeline.
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	batched := trainSystem(t, Config{UseContext: true}, ctx, 707)
-	plain := trainSystem(t, Config{UseContext: true, AssocCacheSize: -1, Assoc: func(x, y []float64) float64 { return mic.MIC(x, y) }}, ctx, 707)
+	batched := trainSystem(t, Config{}, ctx, 707)
+	plain := trainSystem(t, Config{AssocCacheSize: -1, Assoc: func(x, y []float64) float64 { return mic.MIC(x, y) }}, ctx, 707)
 	sb, err := batched.Invariants(ctx)
 	if err != nil {
 		t.Fatal(err)

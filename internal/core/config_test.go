@@ -48,11 +48,6 @@ func TestConfigValidate(t *testing.T) {
 		{"cache over clamp", mut(func(c *Config) { c.AssocCacheSize = maxAssocCacheSize + 1 }), "AssocCacheSize"},
 		{"unknown rule", mut(func(c *Config) { c.Detect.Rule = 97 }), "rule"},
 		{"unknown similarity", mut(func(c *Config) { c.Similarity = 97 }), "similarity"},
-		{"NaN lifecycle drift", mut(func(c *Config) { c.Lifecycle.Drift = math.NaN() }), "Drift"},
-		{"Inf lifecycle threshold", mut(func(c *Config) { c.Lifecycle.Threshold = math.Inf(1) }), "Threshold"},
-		{"negative decay alpha", mut(func(c *Config) { c.Lifecycle.DecayAlpha = -1 }), "DecayAlpha"},
-		{"decay alpha above one", mut(func(c *Config) { c.Lifecycle.DecayAlpha = 2 }), "DecayAlpha"},
-		{"NaN decay alpha", mut(func(c *Config) { c.Lifecycle.DecayAlpha = math.NaN() }), "DecayAlpha"},
 	}
 	for _, tc := range bad {
 		err := tc.cfg.Validate()

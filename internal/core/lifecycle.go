@@ -37,85 +37,43 @@ import (
 // mid-promotion comes back to a consistent generation (see
 // lifecycleSection).
 
-// LifecycleConfig parameterises the drift-aware invariant lifecycle. The
-// zero value disables it (train-once behaviour, bit-identical to builds
-// without the lifecycle layer); with Enabled set, zero-valued fields take
-// the documented defaults — the tuning the drift study
-// (experiments.RunDriftStudy) measures.
-type LifecycleConfig struct {
-	// Enabled turns the lifecycle on for every profile of the system.
-	Enabled bool
-	// MinObservations is how many windows an edge must be observed before
-	// it may be quarantined (default 8).
-	MinObservations int
-	// Drift is the tolerated per-window violation rate; the change-point
-	// accumulator only collects the excess above it (default 0.25).
-	Drift float64
-	// Threshold is the change-point alarm level (default 2.5): an edge
-	// violating every window quarantines in ~4 windows, while one-window
-	// fault bursts drain back out.
-	Threshold float64
-	// DecayAlpha is the newest-score weight of the shadow re-estimation
-	// (default 0.3: an effective memory of about three windows).
-	DecayAlpha float64
-	// ShadowMinEvals is how many side-by-side evaluations every shadow
-	// candidate needs before a promotion verdict (default 8).
-	ShadowMinEvals int
-	// ShadowMaxEvals bounds a candidate's evaluation budget: a candidate
-	// that cannot qualify within it is rolled back and re-estimation
-	// starts over (default 64).
-	ShadowMaxEvals int
-	// PromoteMaxRate is the highest shadow false-positive rate (violations
-	// per evaluated window) a promotable generation may show (default
-	// 0.3); it must also beat the incumbent's rate over the same windows.
-	PromoteMaxRate float64
+// tuning parameterises the lifecycle's state machine.
+type tuning struct {
+	// minObservations is how many windows an edge must be observed before
+	// it may be quarantined.
+	minObservations int64
+	// drift is the tolerated per-window violation rate; the change-point
+	// accumulator only collects the excess above it.
+	drift float64
+	// threshold is the change-point alarm level.
+	threshold float64
+	// decayAlpha is the newest-score weight of the shadow re-estimation.
+	decayAlpha float64
+	// shadowMinEvals is how many side-by-side evaluations every shadow
+	// candidate needs before a promotion verdict; shadowMaxEvals bounds a
+	// candidate's evaluation budget: a candidate that cannot qualify within
+	// it is rolled back and re-estimation starts over.
+	shadowMinEvals, shadowMaxEvals int
+	// promoteMaxRate is the highest shadow false-positive rate (violations
+	// per evaluated window) a promotable generation may show; it must also
+	// beat the incumbent's rate over the same windows.
+	promoteMaxRate float64
 }
 
-func (c LifecycleConfig) withDefaults() LifecycleConfig {
-	if c.MinObservations <= 0 {
-		c.MinObservations = 8
-	}
-	if c.Drift <= 0 {
-		c.Drift = 0.25
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 2.5
-	}
-	if c.DecayAlpha <= 0 {
-		c.DecayAlpha = 0.3
-	}
-	if c.ShadowMinEvals <= 0 {
-		c.ShadowMinEvals = 8
-	}
-	if c.ShadowMaxEvals <= 0 {
-		c.ShadowMaxEvals = 64
-	}
-	if c.ShadowMaxEvals < c.ShadowMinEvals {
-		c.ShadowMaxEvals = c.ShadowMinEvals
-	}
-	if c.PromoteMaxRate <= 0 {
-		c.PromoteMaxRate = 0.3
-	}
-	return c
-}
-
-// validate rejects nonsensical lifecycle parameters (see Config.Validate);
-// zero values are fine — they select defaults.
-func (c LifecycleConfig) validate() error {
-	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
-	switch {
-	case bad(c.Drift) || c.Drift > 1:
-		return fmt.Errorf("core: Lifecycle.Drift %v outside [0,1] (tolerated violation rate)", c.Drift)
-	case bad(c.Threshold):
-		return fmt.Errorf("core: Lifecycle.Threshold %v is not a usable alarm level", c.Threshold)
-	case bad(c.DecayAlpha) || c.DecayAlpha > 1:
-		return fmt.Errorf("core: Lifecycle.DecayAlpha %v outside [0,1]", c.DecayAlpha)
-	case bad(c.PromoteMaxRate) || c.PromoteMaxRate > 1:
-		return fmt.Errorf("core: Lifecycle.PromoteMaxRate %v outside [0,1]", c.PromoteMaxRate)
-	case c.MinObservations < 0 || c.ShadowMinEvals < 0 || c.ShadowMaxEvals < 0:
-		return fmt.Errorf("core: negative lifecycle observation bounds")
-	}
-	return nil
+// lifecycleTuning is the one tuning every lifecycle runs, the one the drift
+// study (experiments.RunDriftStudy) measures: an edge violating every window
+// quarantines in ~4 windows while one-window fault bursts drain back out,
+// and a shadow score carries an effective memory of about three windows.
+// core's tests swap in faster tunings; nothing else writes it, and every
+// lifecycle reads it where it decides.
+var lifecycleTuning = tuning{
+	minObservations: 8,
+	drift:           0.25,
+	threshold:       2.5,
+	decayAlpha:      0.3,
+	shadowMinEvals:  8,
+	shadowMaxEvals:  64,
+	promoteMaxRate:  0.3,
 }
 
 const (
@@ -134,7 +92,7 @@ type edge struct {
 	quarantined bool
 	// The health series: windows observed, violations among them, the EWMA
 	// violation rate and the one-sided CUSUM sum — the violation indicator's
-	// accumulated excess over Drift, clamped at zero.
+	// accumulated excess over the tolerated drift, clamped at zero.
 	obs, viol int64
 	rate, sum float64
 	// The shadow candidate, zero unless quarantined: the decayed mean num/den
@@ -161,8 +119,6 @@ func (e *edge) shadow() (float64, bool) {
 // therefore atomic; everything else is guarded by mu, which is never held
 // while taking the profile lock (see Profile.lifecyclePost for the ordering).
 type lifecycle struct {
-	cfg LifecycleConfig
-
 	epoch      atomic.Uint64
 	promotions atomic.Int64
 	rollbacks  atomic.Int64
@@ -172,10 +128,6 @@ type lifecycle struct {
 	edges    []edge // by sorted-pair index into set
 	gen      uint64
 	observed int64
-}
-
-func newLifecycle(cfg LifecycleConfig) *lifecycle {
-	return &lifecycle{cfg: cfg.withDefaults()}
 }
 
 // resetLocked makes set the next live generation, every edge live and
@@ -227,13 +179,13 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(in
 			e.viol++
 		}
 		e.rate += rateAlpha * (x - e.rate)
-		e.sum += x - l.cfg.Drift
+		e.sum += x - lifecycleTuning.drift
 		if e.sum < 0 {
 			e.sum = 0
 		}
 		// The sum keeps integrating past the threshold; only a live edge
 		// with enough observations behind it changes state.
-		if !e.quarantined && e.sum > l.cfg.Threshold && e.obs >= int64(l.cfg.MinObservations) {
+		if !e.quarantined && e.sum > lifecycleTuning.threshold && e.obs >= lifecycleTuning.minObservations {
 			e.quarantined = true
 			drifted = true
 		}
@@ -245,7 +197,7 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(in
 	}
 	if score != nil {
 		pairs := set.SortedPairs()
-		a := l.cfg.DecayAlpha
+		a := lifecycleTuning.decayAlpha
 		for k := range l.edges {
 			e := &l.edges[k]
 			if !e.quarantined {
@@ -285,9 +237,9 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(in
 
 // maybePromoteLocked decides the shadow generation's fate once every
 // candidate has its evaluation quota. Promotion requires the aggregate
-// shadow false-positive rate to sit under PromoteMaxRate *and* strictly
+// shadow false-positive rate to sit under promoteMaxRate *and* strictly
 // beat the incumbent's rate over the same windows; candidates that exhaust
-// ShadowMaxEvals without qualifying are rolled back (re-estimation starts
+// shadowMaxEvals without qualifying are rolled back (re-estimation starts
 // over). Caller holds l.mu.
 func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 	candidates := 0
@@ -302,7 +254,7 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 		totEvals += e.evals
 		totShadow += e.shadowViol
 		totLive += e.liveViol
-		if e.evals < l.cfg.ShadowMinEvals {
+		if e.evals < lifecycleTuning.shadowMinEvals {
 			ready = false
 		}
 	}
@@ -312,7 +264,7 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 	if ready && totEvals > 0 {
 		shadowRate := float64(totShadow) / float64(totEvals)
 		liveRate := float64(totLive) / float64(totEvals)
-		if shadowRate <= l.cfg.PromoteMaxRate && shadowRate < liveRate {
+		if shadowRate <= lifecycleTuning.promoteMaxRate && shadowRate < liveRate {
 			base := make(map[invariant.Pair]float64, len(l.set.Base))
 			for p, v := range l.set.Base {
 				base[p] = v
@@ -332,7 +284,7 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 	}
 	for k := range l.edges {
 		e := &l.edges[k]
-		if e.quarantined && e.evals >= l.cfg.ShadowMaxEvals {
+		if e.quarantined && e.evals >= lifecycleTuning.shadowMaxEvals {
 			e.num, e.den, e.n = 0, 0, 0
 			e.evals, e.shadowViol, e.liveViol = 0, 0, 0
 			l.rollbacks.Add(1)
@@ -500,16 +452,14 @@ func (p *Profile) lifecycleSection(set *invariant.Set) *xmlstore.LifecycleFile {
 // invariant set saved beside it, into a lifecycle nothing else can see yet:
 // every edge is checked against set before any of the state is installed.
 // A later entry for the same pair replaces an earlier one.
-func restoredLifecycle(cfg LifecycleConfig, set *invariant.Set, f *xmlstore.LifecycleFile) (*lifecycle, error) {
+func restoredLifecycle(set *invariant.Set, f *xmlstore.LifecycleFile) (*lifecycle, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if set == nil {
 		return nil, errors.New("core: lifecycle state has no invariants to attach to")
 	}
-	l := newLifecycle(cfg)
-	l.set, l.edges = set, make([]edge, set.Len())
-	l.gen, l.observed = f.Generation, f.Observed
+	l := &lifecycle{set: set, edges: make([]edge, set.Len()), gen: f.Generation, observed: f.Observed}
 	l.promotions.Store(f.Promotions)
 	l.rollbacks.Store(f.Rollbacks)
 	pairs := set.SortedPairs()

@@ -52,7 +52,8 @@ func fuzzSection(data []byte) *xmlstore.LifecycleFile {
 // FuzzLifecycleRestore feeds restoredLifecycle arbitrary edge lists over a
 // fixed set: a profile file's lifecycle section is bytes this process did
 // not necessarily write. Every input is refused, or restores a lifecycle
-// with shadow state on quarantined edges only and a clamped sum, whose
+// with shadow state on quarantined edges only, a clamped sum and a shadow
+// tally of at most as many violations as evaluations, none negative, whose
 // re-saved section restores to the same section, byte for byte once
 // marshalled.
 func FuzzLifecycleRestore(f *testing.F) {
@@ -75,14 +76,18 @@ func FuzzLifecycleRestore(f *testing.F) {
 		append(append([]byte{1, 1},
 			edgeOf(1, 3, 1, 2, 1, 4, 4, 4, 2, 1, 1, 1)...),
 			edgeOf(1, 3, 0, 2, 1, 4, 4, 4, 2, 1, 1, 1)...), // the same pair twice
+		append([]byte{1, 1}, edgeOf(1, 3, 1, 9, 5, 4, 5, 4, 7, 8, 0x9c, 2)...), // negative shadow tally
+		append([]byte{1, 1}, edgeOf(1, 3, 1, 9, 5, 4, 5, 4, 7, 2, 1, 0xff)...), // negative live tally
+		append([]byte{1, 1}, edgeOf(1, 3, 1, 9, 5, 4, 5, 4, 7, 0x80, 0, 0)...), // negative evaluation count
+		append([]byte{1, 1}, edgeOf(1, 3, 1, 9, 5, 4, 5, 4, 7, 2, 3, 1)...),    // more shadow violations than evaluations
+		append([]byte{1, 1}, edgeOf(1, 3, 1, 9, 5, 4, 5, 4, 7, 2, 1, 3)...),    // more live violations than evaluations
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	cfg := LifecycleConfig{Enabled: true}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set := edgeSet()
-		l, err := restoredLifecycle(cfg, set, fuzzSection(data))
+		l, err := restoredLifecycle(set, fuzzSection(data))
 		if err != nil {
 			return
 		}
@@ -93,9 +98,12 @@ func FuzzLifecycleRestore(f *testing.F) {
 			if !(e.sum >= 0) || math.IsInf(e.sum, 0) {
 				t.Fatalf("edge %d restored with sum %v", k, e.sum)
 			}
+			if e.shadowViol < 0 || e.liveViol < 0 || e.shadowViol > e.evals || e.liveViol > e.evals {
+				t.Fatalf("edge %d restored with shadow tally %d/%d of %d evaluations", k, e.shadowViol, e.liveViol, e.evals)
+			}
 		}
 		saved := (&Profile{lc: l}).lifecycleSection(set)
-		l2, err := restoredLifecycle(cfg, set, saved)
+		l2, err := restoredLifecycle(set, saved)
 		if err != nil {
 			t.Fatalf("re-saved section refused: %v", err)
 		}

@@ -43,24 +43,32 @@ func valueTrace(vals []float64, n int, tweak float64) *metrics.Trace {
 // fastLifecycle is a lifecycle tuned so each phase takes a handful of
 // windows: quarantine after 4 persistent violations, promotion after 4
 // side-by-side evaluations.
-func fastLifecycle() LifecycleConfig {
-	return LifecycleConfig{
-		Enabled:         true,
-		MinObservations: 4,
-		Drift:           0.2,
-		Threshold:       1,
-		DecayAlpha:      0.5,
-		ShadowMinEvals:  4,
-		ShadowMaxEvals:  16,
-		PromoteMaxRate:  0.3,
-	}
+var fastLifecycle = tuning{
+	minObservations: 4,
+	drift:           0.2,
+	threshold:       1,
+	decayAlpha:      0.5,
+	shadowMinEvals:  4,
+	shadowMaxEvals:  16,
+	promoteMaxRate:  0.3,
 }
 
+// useTuning makes tu the lifecycle tuning for the rest of the test.
+func useTuning(t *testing.T, tu tuning) {
+	t.Helper()
+	saved := lifecycleTuning
+	lifecycleTuning = tu
+	t.Cleanup(func() { lifecycleTuning = saved })
+}
+
+// lifecycleConfig is a lifecycle system over valueAssoc, tuned fastLifecycle
+// for the rest of the test.
 func lifecycleConfig(t *testing.T) Config {
 	t.Helper()
+	useTuning(t, fastLifecycle)
 	cfg := DefaultConfig()
 	cfg.Assoc = valueAssoc
-	cfg.Lifecycle = fastLifecycle()
+	cfg.Lifecycle = true
 	return cfg
 }
 
@@ -124,7 +132,7 @@ func TestLifecycleQuarantineAndPromotion(t *testing.T) {
 
 	// Metric 2 shifts for good: pairs (0,2) and (1,2) now score 0.5 against
 	// base 0.8. The first windows are false positives; the clean warmup
-	// already satisfied MinObservations, so the change-point alarm is the
+	// already satisfied minObservations, so the change-point alarm is the
 	// binding constraint — two windows of 0.8 excess cross threshold 1.
 	drifted := []float64{0.8, 0.8, 0.2}
 	quarantinedAt := -1
@@ -207,8 +215,10 @@ func TestLifecycleFaultBurstDoesNotQuarantine(t *testing.T) {
 	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
 	cfg := lifecycleConfig(t)
 	cfg.AssocCacheSize = -1
-	cfg.Lifecycle.Drift = 0.4 // tolerate bursty faults
-	cfg.Lifecycle.Threshold = 2
+	tu := fastLifecycle
+	tu.drift = 0.4 // tolerate bursty faults
+	tu.threshold = 2
+	useTuning(t, tu)
 	sys := trainValueSystem(t, cfg, ctx)
 	p := sys.Profile(ctx)
 
@@ -794,15 +804,15 @@ func constScore(s float64) func(invariant.Pair) float64 {
 func TestLifecycleObserve(t *testing.T) {
 	clean := []bool{false, false, false}
 	edge1 := []bool{false, true, false} // pair (0,2) violates
-	// quarantineFirst quarantines edge 1 on its first window, so the shadow
-	// cases start from a fresh candidate.
-	quarantineFirst := LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5}
+	// Every case starts from quarantineShadow, which quarantines edge 1 on
+	// its first window so the shadow cases start from a fresh candidate;
+	// tune, when set, adjusts it.
 	cases := []struct {
 		name string
-		cfg  LifecycleConfig
+		tune func(*tuning)
 		run  func(t *testing.T, l *lifecycle, set *invariant.Set)
 	}{
-		{"persistent violator quarantines", LifecycleConfig{MinObservations: 4, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"persistent violator quarantines", func(c *tuning) { c.minObservations, c.threshold = 4, 2 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			if got := feed(l, set, edge1, nil, nil, 10); !reflect.DeepEqual(got, []int{1}) {
 				t.Fatalf("quarantined %v, want [1]", got)
 			}
@@ -810,18 +820,18 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("quarantine mask %v (promoted %v), want %v", qmask, promoted, edge1)
 			}
 		}},
-		{"min observations delays the verdict", LifecycleConfig{MinObservations: 8, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"min observations delays the verdict", func(c *tuning) { c.minObservations, c.threshold = 8, 2 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			// The sum crosses the threshold on the third window; the verdict
 			// waits for the eighth.
 			raw := []bool{true, false, false}
 			if got := feed(l, set, raw, nil, nil, 7); len(got) != 0 {
-				t.Fatalf("quarantined %v before MinObservations", got)
+				t.Fatalf("quarantined %v before minObservations", got)
 			}
 			if got := feed(l, set, raw, nil, nil, 1); !reflect.DeepEqual(got, []int{0}) {
 				t.Fatalf("quarantined %v at observation 8, want [0]", got)
 			}
 		}},
-		{"the sum alarms once past the threshold", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"the sum alarms once past the threshold", func(c *tuning) { c.threshold = 2 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			// Each violation adds 1 − 0.1: 1.8 after two windows, 2.7 > 2
 			// after three.
 			raw := []bool{true, false, false}
@@ -838,7 +848,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("sum %v -> %v after another violation", before, l.edges[0].sum)
 			}
 		}},
-		{"a burst drains", LifecycleConfig{MinObservations: 4, Drift: 0.25, Threshold: 3}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"a burst drains", func(c *tuning) { c.minObservations, c.drift, c.threshold = 4, 0.25, 3 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			all := []bool{true, true, true}
 			// Repeated 2-window fault bursts separated by 10 clean windows:
 			// the evidence drains between bursts and nothing quarantines.
@@ -851,7 +861,7 @@ func TestLifecycleObserve(t *testing.T) {
 				}
 			}
 		}},
-		{"an isolated blip drains to zero", LifecycleConfig{MinObservations: 1, Drift: 0.25, Threshold: 3}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"an isolated blip drains to zero", func(c *tuning) { c.drift, c.threshold = 0.25, 3 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			all := []bool{true, true, true}
 			// One violation then three quiet windows drain the sum to exactly
 			// zero (0.75 − 3·0.25), and blips spaced that wide never add up.
@@ -867,7 +877,7 @@ func TestLifecycleObserve(t *testing.T) {
 				}
 			}
 		}},
-		{"unknown edges carry no information", LifecycleConfig{MinObservations: 2, Drift: 0.1, Threshold: 1}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"unknown edges carry no information", func(c *tuning) { c.minObservations, c.threshold = 2, 1 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			all := []bool{true, true, true}
 			if got := feed(l, set, all, []bool{false, false, false}, nil, 50); len(got) != 0 {
 				t.Fatalf("fully unknown windows quarantined %v", got)
@@ -883,7 +893,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("partly known window observed %+v", l.edges)
 			}
 		}},
-		{"a window of another set is discarded", LifecycleConfig{}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"a window of another set is discarded", nil, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			other := edgeSet() // same pairs, another generation
 			if qmask, promoted := l.observe(other, []bool{true, true, true}, nil, nil, 0); qmask != nil || promoted != nil {
 				t.Fatalf("stale window returned mask %v, promoted %v", qmask, promoted)
@@ -892,7 +902,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("stale window observed: %d windows, edge 0 %+v", l.observed, l.edges[0])
 			}
 		}},
-		{"the first shadow score is exact", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.25}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"the first shadow score is exact", func(c *tuning) { c.decayAlpha = 0.25 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			e := &l.edges[1]
 			if _, ok := e.shadow(); ok || !e.quarantined {
@@ -906,7 +916,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("live edge absorbed a score: %+v", l.edges[0])
 			}
 		}},
-		{"the shadow tracks a shifted level", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.25, ShadowMaxEvals: 1000}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"the shadow tracks a shifted level", func(c *tuning) { c.decayAlpha, c.shadowMaxEvals = 0.25, 1000 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			// Clean live verdicts from here on: the candidate cannot beat the
 			// incumbent's zero rate, so it neither promotes nor rolls back.
@@ -920,7 +930,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("absorbed %d scores over %d evaluations, want 80 over %d", e.n, e.evals, 80-shadowWarmup)
 			}
 		}},
-		{"non-finite scores skip the shadow", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, DecayAlpha: 0.5}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"non-finite scores skip the shadow", func(c *tuning) { c.decayAlpha = 0.5 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			for _, s := range []float64{0.6, math.NaN(), math.Inf(-1)} {
 				feed(l, set, edge1, nil, constScore(s), 1)
@@ -929,7 +939,7 @@ func TestLifecycleObserve(t *testing.T) {
 				t.Fatalf("shadow %v over %d scores, want 0.6 over 1", v, l.edges[1].n)
 			}
 		}},
-		{"a rollback empties the shadow", LifecycleConfig{MinObservations: 1, Drift: 0.1, Threshold: 0.5, ShadowMinEvals: 2, ShadowMaxEvals: 2}, func(t *testing.T, l *lifecycle, set *invariant.Set) {
+		{"a rollback empties the shadow", func(c *tuning) { c.shadowMinEvals, c.shadowMaxEvals = 2, 2 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			// Three warm-up scores, then two evaluations spend the budget.
 			feed(l, set, clean, nil, constScore(0.8), shadowWarmup+2)
@@ -941,10 +951,12 @@ func TestLifecycleObserve(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.cfg == (LifecycleConfig{}) {
-				tc.cfg = quarantineFirst
+			tu := quarantineShadow
+			if tc.tune != nil {
+				tc.tune(&tu)
 			}
-			l, set := newLifecycle(tc.cfg), edgeSet()
+			useTuning(t, tu)
+			l, set := &lifecycle{}, edgeSet()
 			l.install(set)
 			tc.run(t, l, set)
 		})
@@ -953,10 +965,11 @@ func TestLifecycleObserve(t *testing.T) {
 
 // TestLifecycleRestore holds restoredLifecycle to its checks on state read
 // from a file: shadow history collapses, the sum clamps, and unknown states
-// and pairs are refused.
+// and pairs, and counts or tallies no lifecycle writes, are refused.
 func TestLifecycleRestore(t *testing.T) {
 	// A section saved from a driven lifecycle restores to itself.
-	driven, dset := newLifecycle(quarantineShadowConfig()), edgeSet()
+	useTuning(t, quarantineShadow)
+	driven, dset := &lifecycle{}, edgeSet()
 	driven.install(dset)
 	feed(driven, dset, []bool{false, true, false}, nil, nil, 1)
 	feed(driven, dset, []bool{false, true, false}, nil, constScore(0.55), 5)
@@ -1030,10 +1043,19 @@ func TestLifecycleRestore(t *testing.T) {
 		{"an unknown state is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.State = "zombie" })), "unknown lifecycle edge state", nil},
 		{"an unknown pair is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.I, e.J = 2, 3 })), "unknown pair (2,3)", nil},
 		{"more violations than observations are refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.Viol = 10 })), "inconsistent counts", nil},
+		// A negative shadow tally would make the shadow rate negative and
+		// promote the candidate on the next round; a negative evaluation
+		// count would keep the candidate from rolling back for as many
+		// windows.
+		{"a negative shadow tally is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.ShadowEvals, e.ShadowViol = 8, -100 })), "inconsistent shadow tally", nil},
+		{"a negative live tally is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.LiveViol = -1 })), "inconsistent shadow tally", nil},
+		{"a negative evaluation count is refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.ShadowEvals, e.ShadowViol, e.LiveViol = -1000000, 0, 0 })), "inconsistent shadow tally", nil},
+		{"more shadow violations than evaluations are refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.ShadowViol = 3 })), "inconsistent shadow tally", nil},
+		{"more live violations than evaluations are refused", section(quarantined(func(e *xmlstore.LifecycleEdge) { e.LiveViol = 3 })), "inconsistent shadow tally", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l, err := restoredLifecycle(quarantineShadowConfig(), edgeSet(), tc.f)
+			l, err := restoredLifecycle(edgeSet(), tc.f)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("restore error %v, want one containing %q", err, tc.wantErr)
@@ -1046,16 +1068,18 @@ func TestLifecycleRestore(t *testing.T) {
 			tc.check(t, l, l.edges[1])
 		})
 	}
-	if _, err := restoredLifecycle(LifecycleConfig{}, nil, section()); err == nil {
+	if _, err := restoredLifecycle(nil, section()); err == nil {
 		t.Fatal("a section with no set to attach to restored")
 	}
 }
 
-// quarantineShadowConfig quarantines a violating edge on its first window
-// and starts judging its shadow after the warm-up.
-func quarantineShadowConfig() LifecycleConfig {
-	return LifecycleConfig{Enabled: true, MinObservations: 1, Drift: 0.1, Threshold: 0.5}
-}
+// quarantineShadow quarantines a violating edge on its first window and
+// starts judging its shadow after the warm-up.
+var quarantineShadow = func() tuning {
+	tu := lifecycleTuning
+	tu.minObservations, tu.drift, tu.threshold = 1, 0.1, 0.5
+	return tu
+}()
 
 var updateLifecycleGolden = flag.Bool("update", false, "rewrite testdata/lifecycle-section.golden from the current code")
 

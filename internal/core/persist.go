@@ -31,8 +31,8 @@ import (
 // metacharacters on any supported platform ('/', '\', '*', '?', ':') and
 // '%' itself are percent-escaped, so a hostile or merely unusual workload
 // name cannot escape the store directory, collide with shell expansion, or
-// shift the boundary between the two fields. The empty field (the global
-// no-context profile) is the empty token, which no other field produces.
+// shift the boundary between the two fields. The empty field is the empty
+// token, which no other field produces.
 func ctxFileToken(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
@@ -164,8 +164,7 @@ func (r *LoadReport) String() string {
 }
 
 // LoadFrom restores the profiles previously written by SaveTo. Loaded
-// artefacts replace in-memory ones in the profile of the same context; on a
-// no-context system everything lands in the single global profile.
+// artefacts replace in-memory ones in the profile of the same context.
 //
 // Recovery is per profile: a profile file that is truncated, empty,
 // malformed, newer-versioned, or holds any section or signature that fails
@@ -227,9 +226,9 @@ func (s *System) loadProfile(dir, name string, rep *LoadReport) error {
 // no signatures yet — every profile of a restore at boot — it is adopted
 // whole.
 func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs *signature.DB, rep *LoadReport) error {
-	scope := s.key(loadedCtx(f.Type, f.IP))
+	scope := loadedCtx(f.Type, f.IP)
 	if err := sigs.Scopes(func(workload, ip string) error {
-		if ctx := loadedCtx(workload, ip); s.key(ctx) != scope {
+		if ctx := loadedCtx(workload, ip); ctx != scope {
 			return fmt.Errorf("signatures of %v do not belong to the file's %v", ctx, scope)
 		}
 		return nil
@@ -252,8 +251,8 @@ func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs *signature.DB, rep
 			return err
 		}
 	}
-	if f.Lifecycle != nil && s.cfg.Lifecycle.Enabled { // inert in a train-once deployment
-		if lc, err = restoredLifecycle(s.cfg.Lifecycle, set, f.Lifecycle); err != nil {
+	if f.Lifecycle != nil && s.cfg.Lifecycle { // inert in a train-once deployment
+		if lc, err = restoredLifecycle(set, f.Lifecycle); err != nil {
 			return err
 		}
 	}

@@ -111,7 +111,7 @@ func TestLoadFromReportsRetiredLayout(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	cfg.Lifecycle.Enabled = true
+	cfg.Lifecycle = true
 	s2 := New(cfg)
 	rep, err := s2.LoadFrom(dir)
 	if err != nil {

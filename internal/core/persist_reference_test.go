@@ -78,8 +78,9 @@ func parseSignatures(f xmlstore.ProfileFile) (*signature.DB, error) {
 // two systems to be the same: report, signatures, every baseline, every
 // detector field, every lifecycle edge.
 func TestLoadFromEquivalence(t *testing.T) {
+	useTuning(t, fastLifecycle)
 	cfg := DefaultConfig()
-	cfg.Lifecycle = fastLifecycle()
+	cfg.Lifecycle = true
 	saved := New(cfg)
 	var ctxs []Context
 	for i, wl := range []string{"wordcount", "sort <&> \"quoted\""} {
@@ -256,44 +257,6 @@ func TestLoadReportCost(t *testing.T) {
 	} {
 		if !strings.Contains(r.String(), want) {
 			t.Errorf("String() = %q, want it to contain %q", r.String(), want)
-		}
-	}
-}
-
-// TestLoadFromNoContextMatchesReference: on a no-context system every file
-// lands in the one global profile, so the first file's database is adopted
-// whole and every later one merges into it entry by entry; the result, and
-// a second LoadFrom over it (which must add nothing), are what the
-// encoding/xml reference gives.
-func TestLoadFromNoContextMatchesReference(t *testing.T) {
-	dir := t.TempDir()
-	for i, ctx := range []Context{{Workload: "wordcount", IP: "10.0.0.2"}, {Workload: "sort", IP: "10.0.0.3"}, {}} {
-		f := xmlstore.ProfileFile{Version: xmlstore.FormatVersion, IP: ctx.IP, Type: ctx.Workload}
-		for k, tuple := range []string{"0110", "1100", "0110", "011", "1111"} {
-			f.Signatures = append(f.Signatures, xmlstore.SignatureEntry{Tuple: tuple, Problem: fmt.Sprintf("fault-%d", (i+k)%3), IP: ctx.IP, Type: ctx.Workload})
-		}
-		if err := xmlstore.SaveFile(storePath(dir, ctx), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.UseContext = false
-	got, want := New(cfg), New(cfg)
-	for pass := 0; pass < 2; pass++ {
-		gotRep, err := got.LoadFrom(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRep, err := referenceLoadFrom(want, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotRep.Signatures != wantRep.Signatures || gotRep.Partial() || wantRep.Partial() || pass == 1 && gotRep.Signatures != 0 {
-			t.Errorf("pass %d: LoadFrom reports %v, the reference %v", pass, gotRep, wantRep)
-		}
-		ge, we := got.Profile(Context{}).Signatures(), want.Profile(Context{}).Signatures()
-		if len(ge) == 0 || !reflect.DeepEqual(ge, we) {
-			t.Errorf("pass %d: global profile holds %v, the reference %v", pass, ge, we)
 		}
 	}
 }

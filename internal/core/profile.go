@@ -15,9 +15,7 @@ import (
 // Profile is the self-contained diagnosis state of one operation context:
 // its trained CPI detector, invariant set, signature entries, training
 // pools and association-matrix cache. Each profile synchronises itself, so
-// training or diagnosing one context never contends with another; the
-// no-context ablation is simply the degenerate deployment with a single
-// global profile (key Context{}), not a separate code path.
+// training or diagnosing one context never contends with another.
 //
 // A Profile is obtained from System.Profile (created on first use) and
 // stays valid for the lifetime of the System.
@@ -56,14 +54,13 @@ func newProfile(s *System, key Context) *Profile {
 		windowPool: newTrainingPool[*metrics.Trace](DefaultPoolCap),
 	}
 	p.sigs.MinScore = s.cfg.SigMinScore
-	if s.cfg.Lifecycle.Enabled {
-		p.lc = newLifecycle(s.cfg.Lifecycle)
+	if s.cfg.Lifecycle {
+		p.lc = &lifecycle{}
 	}
 	return p
 }
 
-// Context returns the profile's operation context (the zero Context for the
-// global no-context profile).
+// Context returns the profile's operation context.
 func (p *Profile) Context() Context { return p.key }
 
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds from the
@@ -87,9 +84,9 @@ func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
 // TrainInvariants runs Algorithm 1 over the metric traces of N normal
 // runs. Runs pool with (deduplicated against) everything trained before:
 // Algorithm 1's stability test then only keeps pairs whose association
-// holds on *every* pooled window — which is exactly how the global
-// no-context profile loses most of its invariants on a heterogeneous
-// platform.
+// holds on *every* pooled window — which is exactly how one profile fed by
+// every node (the no-context ablation of Figs. 9-10) loses most of its
+// invariants on a heterogeneous platform.
 //
 // A pair some window could not compute (masked or missing samples) is
 // judged on the windows that could; an unknown score is never an
@@ -271,8 +268,8 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 		}
 	}
 	// The profile is the signature scope: its entries all carry the
-	// profile's own context (empty for the global no-context profile, which
-	// matches any).
+	// profile's own context (empty for the zero Context, which matches
+	// any).
 	p.mu.RLock()
 	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, p.sys.cfg.TopK)
 	p.mu.RUnlock()

@@ -289,7 +289,7 @@ func TestConcurrentMultiContextPipeline(t *testing.T) {
 // traces must not grow the pools or the cache footprint.
 func TestTrainingPoolDedupe(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{UseContext: true})
+	s := New(Config{})
 	rng := stats.NewRNG(820)
 	var runs []*metrics.Trace
 	var cpis [][]float64
@@ -384,10 +384,10 @@ func TestSignatureSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// TestProfileRegistry pins registry semantics: stable identity per context,
-// the no-context collapse onto one global profile, and sorted enumeration.
+// TestProfileRegistry pins registry semantics: stable identity per context
+// and sorted enumeration.
 func TestProfileRegistry(t *testing.T) {
-	s := New(Config{UseContext: true})
+	s := New(Config{})
 	a := Context{Workload: "sort", IP: "10.0.0.3"}
 	b := Context{Workload: "grep", IP: "10.0.0.2"}
 	if s.Profile(a) != s.Profile(a) {
@@ -402,14 +402,6 @@ func TestProfileRegistry(t *testing.T) {
 	ps := s.Profiles()
 	if len(ps) != 2 || ps[0].Context() != b || ps[1].Context() != a {
 		t.Errorf("Profiles() = %v, want sorted [%v %v]", ps, b, a)
-	}
-
-	global := New(Config{UseContext: false})
-	if global.Profile(a) != global.Profile(b) {
-		t.Error("no-context system must collapse every context onto one profile")
-	}
-	if got := global.Profile(a).Context(); got != (Context{}) {
-		t.Errorf("global profile key = %v, want zero Context", got)
 	}
 }
 

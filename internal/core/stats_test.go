@@ -36,8 +36,9 @@ func halves(k int) func(invariant.Pair) bool {
 // generation and shadow age) of the per-profile accessors, which is what the
 // per-counter System aggregators this snapshot replaced used to return.
 func TestProfileStatsReducerEqualsParts(t *testing.T) {
+	useTuning(t, fastLifecycle)
 	cfg := DefaultConfig()
-	cfg.Lifecycle = fastLifecycle()
+	cfg.Lifecycle = true
 	cfg.SigMinScore = 0.05 // the floor prunes: early exits move too
 	s := New(cfg)
 

@@ -18,10 +18,7 @@
 //
 // The state of each operation context (workload type, node IP) lives in its
 // own self-synchronised Profile, held in a striped registry: training or
-// diagnosing context A never contends with context B. Config.UseContext =
-// false maps every context onto the single global profile — the ablated
-// variant evaluated in Figs. 9-10 — as the degenerate case of the same
-// machinery, not a separate code path.
+// diagnosing context A never contends with context B.
 package core
 
 import (
@@ -71,15 +68,12 @@ type Config struct {
 	SigMinScore float64
 	// TopK bounds the returned cause list (0 = all).
 	TopK int
-	// UseContext scopes models and signatures by (workload, node). When
-	// false, a single global profile and an unscoped signature search are
-	// used — the "InvarNet-X (no operation context)" ablation.
-	UseContext bool
-	// Lifecycle configures the drift-aware invariant lifecycle (edge
-	// health, quarantine, shadow generations); disabled by default —
+	// Lifecycle turns on the drift-aware invariant lifecycle (edge health,
+	// quarantine, shadow generations) for every profile; off by default —
 	// train-once behaviour — and enabled explicitly by long-running
-	// deployments (invarnetd). See LifecycleConfig.
-	Lifecycle LifecycleConfig
+	// deployments (invarnetd -lifecycle). Its tuning is fixed (see
+	// lifecycleTuning).
+	Lifecycle bool
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -91,7 +85,6 @@ func DefaultConfig() Config {
 		Assoc:      mic.MIC,
 		Similarity: signature.Jaccard,
 		TopK:       5,
-		UseContext: true,
 	}
 }
 
@@ -171,7 +164,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown similarity measure %v", c.Similarity)
 	}
-	return c.Lifecycle.validate()
+	return nil
 }
 
 // New builds a System; zero-valued cfg fields are defaulted. The config is
@@ -226,15 +219,6 @@ func isStockMIC(f invariant.AssociationFunc) bool {
 // Config returns the effective configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// key maps a context to its profile key; without operation context every
-// context maps onto the single global profile.
-func (s *System) key(ctx Context) Context {
-	if s.cfg.UseContext {
-		return ctx
-	}
-	return Context{}
-}
-
 // shardFor picks the registry stripe of a profile key (FNV-1a over the
 // workload and IP; the 0xff separator keeps ("ab","c") and ("a","bc") apart).
 func (s *System) shardFor(key Context) *profileShard {
@@ -246,57 +230,37 @@ func (s *System) shardFor(key Context) *profileShard {
 // operations on an untrained context must fail with ErrNoModel /
 // ErrNoInvariants, not materialise empty profiles.
 func (s *System) lookup(ctx Context) (*Profile, bool) {
-	key := s.key(ctx)
-	sh := s.shardFor(key)
+	sh := s.shardFor(ctx)
 	sh.mu.RLock()
-	p, ok := sh.profiles[key]
+	p, ok := sh.profiles[ctx]
 	sh.mu.RUnlock()
 	return p, ok
 }
 
-// forCaller is the one place the caller's context meets the profile's key.
-// A Profile reports errors under its own key; without operation context
-// every ctx answers from the global profile (key Context{}), so an error
-// crossing the System boundary is prefixed with the context the caller
-// actually asked about. errors.Is/As see through the prefix.
-func (s *System) forCaller(ctx Context, err error) error {
-	if err == nil || s.key(ctx) == ctx {
-		return err
-	}
-	return fmt.Errorf("%v: %w", ctx, err)
-}
-
 // online runs one of the System's online operations: op on ctx's existing
-// profile, its error addressed to the caller (forCaller). A context with no
-// profile fails with missing, naming ctx.
+// profile. A context with no profile fails with missing, naming ctx.
 func online[T any](s *System, ctx Context, missing error, op func(*Profile) (T, error)) (T, error) {
 	p, ok := s.lookup(ctx)
 	if !ok {
 		var zero T
 		return zero, fmt.Errorf("%w: %v", missing, ctx)
 	}
-	v, err := op(p)
-	return v, s.forCaller(ctx, err)
+	return op(p)
 }
 
-// Profile returns ctx's profile, creating it on first use. Without
-// operation context every ctx yields the same global profile.
+// Profile returns ctx's profile, creating it on first use.
 func (s *System) Profile(ctx Context) *Profile {
-	key := s.key(ctx)
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	p, ok := sh.profiles[key]
-	sh.mu.RUnlock()
-	if ok {
+	if p, ok := s.lookup(ctx); ok {
 		return p
 	}
+	sh := s.shardFor(ctx)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if p, ok = sh.profiles[key]; ok {
-		return p
+	p, ok := sh.profiles[ctx]
+	if !ok {
+		p = newProfile(s, ctx)
+		sh.profiles[ctx] = p
 	}
-	p = newProfile(s, key)
-	sh.profiles[key] = p
 	return p
 }
 
@@ -322,21 +286,15 @@ func (s *System) Profiles() []*Profile {
 }
 
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds for ctx
-// from the CPI traces of N normal runs. Without operation context the
-// traces pool with everything trained before, and the single global model
-// is refit on the whole pool.
+// from the CPI traces of N normal runs (see Profile.TrainPerformanceModel).
 func (s *System) TrainPerformanceModel(ctx Context, cpiTraces [][]float64) error {
-	return s.forCaller(ctx, s.Profile(ctx).TrainPerformanceModel(cpiTraces))
+	return s.Profile(ctx).TrainPerformanceModel(cpiTraces)
 }
 
 // TrainInvariants runs Algorithm 1 for ctx over the metric traces of N
-// normal runs. Without operation context the runs pool with everything
-// trained before: Algorithm 1's stability test then only keeps pairs whose
-// association holds on *every* node and workload seen — which is exactly
-// how the global variant loses most of its invariants on a heterogeneous
-// platform.
+// normal runs (see Profile.TrainInvariants).
 func (s *System) TrainInvariants(ctx Context, runs []*metrics.Trace) error {
-	return s.forCaller(ctx, s.Profile(ctx).TrainInvariants(runs, nil))
+	return s.Profile(ctx).TrainInvariants(runs, nil)
 }
 
 // Detector returns the trained detector for ctx.
@@ -462,15 +420,10 @@ func pairName(p invariant.Pair, m int) string {
 }
 
 // Diagnose runs cause inference on an abnormal metric window for ctx (see
-// Profile.Diagnose for the pipeline). The diagnosis names the caller's ctx
-// even when it was answered by the global no-context profile.
+// Profile.Diagnose for the pipeline).
 func (s *System) Diagnose(ctx Context, abnormal *metrics.Trace) (*Diagnosis, error) {
 	return online(s, ctx, ErrNoInvariants, func(p *Profile) (*Diagnosis, error) {
-		diag, err := p.Diagnose(abnormal)
-		if err == nil {
-			diag.Context = ctx
-		}
-		return diag, err
+		return p.Diagnose(abnormal)
 	})
 }
 

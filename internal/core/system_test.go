@@ -223,101 +223,6 @@ func TestContextScopingSeparatesSignatures(t *testing.T) {
 	}
 }
 
-func TestNoContextPoolsEverything(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseContext = false
-	ctxA := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	ctxB := Context{Workload: "sort", IP: "10.0.0.3"}
-	s := trainSystem(t, cfg, ctxA, 607)
-	rng := stats.NewRNG(608)
-	fault := map[int]bool{0: true, 1: true}
-	if err := s.BuildSignature(ctxA, "fault-a", synthTrace(rng.Fork(1), 40, 8, fault)); err != nil {
-		t.Fatal(err)
-	}
-	// Under no-context, a different context still matches the signature.
-	diag, err := s.Diagnose(ctxB, synthTrace(rng.Fork(2), 40, 8, fault))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diag.RootCause() != "fault-a" {
-		t.Errorf("no-context diagnosis = %q", diag.RootCause())
-	}
-	// And its detector is shared.
-	if _, err := s.Detector(ctxB); err != nil {
-		t.Errorf("no-context detector not shared: %v", err)
-	}
-}
-
-// TestCallerContextAtSystemBoundary: without operation context every ctx is
-// answered by the global profile (key Context{}), but what crosses the
-// System boundary must speak of the context the caller asked about — the
-// sentinel still matches, the message names the caller's ctx, and a
-// diagnosis carries it.
-func TestCallerContextAtSystemBoundary(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseContext = false
-	caller := Context{Workload: "sort", IP: "10.0.0.3"}
-	win := synthTrace(stats.NewRNG(620), 40, 8, map[int]bool{0: true})
-
-	check := func(s *System, stage string) {
-		t.Helper()
-		_, errInv := s.Invariants(caller)
-		_, errDet := s.Detector(caller)
-		_, errVio := s.Violations(caller, win)
-		_, errDia := s.Diagnose(caller, win)
-		errSig := s.BuildSignature(caller, "fault", win)
-		for _, c := range []struct {
-			op   string
-			err  error
-			want error
-		}{
-			{"Invariants", errInv, ErrNoInvariants},
-			{"Detector", errDet, ErrNoModel},
-			{"Violations", errVio, ErrNoInvariants},
-			{"Diagnose", errDia, ErrNoInvariants},
-			{"BuildSignature", errSig, ErrNoInvariants},
-		} {
-			if !errors.Is(c.err, c.want) {
-				t.Errorf("%s, %s: err = %v, want %v", stage, c.op, c.err, c.want)
-			} else if !strings.Contains(c.err.Error(), caller.String()) {
-				t.Errorf("%s, %s: error %q does not name the caller's context %v", stage, c.op, c.err, caller)
-			}
-		}
-	}
-	// No profile at all, then a global profile that exists (a signature
-	// merged from elsewhere) but is untrained: same contract either way.
-	s := New(cfg)
-	check(s, "no profile")
-	s.MergeSignature(signature.Entry{Problem: "seen-elsewhere", Tuple: signature.Tuple{true}})
-	check(s, "untrained profile")
-
-	// Trained under one context, asked under another: answers come from the
-	// global profile and are addressed to the caller.
-	s = trainSystem(t, cfg, Context{Workload: "wordcount", IP: "10.0.0.2"}, 621)
-	if _, err := s.Invariants(caller); err != nil {
-		t.Errorf("Invariants: %v", err)
-	}
-	if _, err := s.Detector(caller); err != nil {
-		t.Errorf("Detector: %v", err)
-	}
-	if _, err := s.Violations(caller, win); err != nil {
-		t.Errorf("Violations: %v", err)
-	}
-	if err := s.BuildSignature(caller, "fault", win); err != nil {
-		t.Errorf("BuildSignature: %v", err)
-	}
-	diag, err := s.Diagnose(caller, win)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
-	if diag.Context != caller {
-		t.Errorf("Diagnosis.Context = %v, want the caller's %v", diag.Context, caller)
-	}
-	if diag.RootCause() != "fault" {
-		t.Errorf("root cause = %q, want the signature just built", diag.RootCause())
-	}
-}
-
 func TestMonitorIntegration(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 609)

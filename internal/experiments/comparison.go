@@ -20,7 +20,7 @@ const (
 	// VariantARX replaces MIC with the ARX fitness of Jiang et al.
 	VariantARX SystemVariant = "arx"
 	// VariantNoContext is InvarNet-X without operation context: one
-	// global model and an unscoped signature base.
+	// global model and an unscoped signature base (Runner.scope).
 	VariantNoContext SystemVariant = "no-context"
 )
 
@@ -29,14 +29,12 @@ func Variants() []SystemVariant {
 	return []SystemVariant{VariantInvarNetX, VariantARX, VariantNoContext}
 }
 
-// configFor builds the core configuration of a variant on top of base.
+// configFor builds the core configuration of a variant on top of base: the
+// ARX arm changes the association measure, the other two run base as is.
 func configFor(v SystemVariant, base core.Config) core.Config {
 	cfg := base
-	switch v {
-	case VariantARX:
+	if v == VariantARX {
 		cfg.Assoc = arx.Association
-	case VariantNoContext:
-		cfg.UseContext = false
 	}
 	return cfg
 }
@@ -55,7 +53,9 @@ func (r *Runner) variant(v SystemVariant) *Runner {
 	opts := r.opts
 	opts.RotateTargets = true
 	opts.Config = configFor(v, r.opts.Config)
-	return NewRunner(opts)
+	vr := NewRunner(opts)
+	vr.noContext = v == VariantNoContext
+	return vr
 }
 
 // RunComparison executes the full diagnosis study once per system variant.

@@ -22,8 +22,8 @@ import (
 // Genuine faults (short coupling bursts on a *different* metric) are
 // interleaved throughout, so the study also checks that the change-point
 // separation keeps bursts diagnosable and never quarantines them. The
-// lifecycle arm runs core.LifecycleConfig's defaults: this study is the
-// measurement that vets them.
+// lifecycle arm runs core's one lifecycle tuning: this study is the
+// measurement that vets it.
 
 // driftPhaseLens are the pre-shift, shift and post-shift phase lengths in
 // diagnosis windows; the coupling shift lands at the pre/shift boundary and
@@ -168,16 +168,16 @@ func RunDriftStudy(seed int64) (*DriftStudy, error) {
 
 	study := &DriftStudy{}
 	var err error
-	if study.TrainOnce, err = runDriftArm("train-once", core.LifecycleConfig{}, trainRuns, schedule); err != nil {
+	if study.TrainOnce, err = runDriftArm("train-once", false, trainRuns, schedule); err != nil {
 		return nil, err
 	}
-	if study.Lifecycle, err = runDriftArm("lifecycle", core.LifecycleConfig{Enabled: true}, trainRuns, schedule); err != nil {
+	if study.Lifecycle, err = runDriftArm("lifecycle", true, trainRuns, schedule); err != nil {
 		return nil, err
 	}
 	return study, nil
 }
 
-func runDriftArm(name string, lifecycle core.LifecycleConfig, trainRuns []*metrics.Trace, schedule []driftWindow) (arm DriftArm, err error) {
+func runDriftArm(name string, lifecycle bool, trainRuns []*metrics.Trace, schedule []driftWindow) (arm DriftArm, err error) {
 	cfg := core.DefaultConfig()
 	cfg.Lifecycle = lifecycle
 	sys := core.New(cfg)
@@ -207,7 +207,7 @@ func runDriftArm(name string, lifecycle core.LifecycleConfig, trainRuns []*metri
 				ph.CleanFlagged++
 			}
 		}
-		if cfg.Lifecycle.Enabled {
+		if lifecycle {
 			st := p.LifecycleStats()
 			arm.PeakQuarantined = max(arm.PeakQuarantined, st.Quarantined)
 			if st.Quarantined > 0 && flagged {

@@ -45,11 +45,11 @@ func TestOptionsDefaults(t *testing.T) {
 // and takes core's defaults for the rest, as a System built from it would —
 // it is not swapped for DefaultConfig because it names no Assoc.
 func TestOptionsKeepAPartialConfig(t *testing.T) {
-	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, TopK: 3, UseContext: true}}).Options().Config
-	if cfg.Epsilon != 0.3 || cfg.TopK != 3 || !cfg.UseContext {
-		t.Errorf("caller's fields replaced: epsilon=%v topk=%d context=%v", cfg.Epsilon, cfg.TopK, cfg.UseContext)
+	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, TopK: 3}}).Options().Config
+	if cfg.Epsilon != 0.3 || cfg.TopK != 3 {
+		t.Errorf("caller's fields replaced: epsilon=%v topk=%d", cfg.Epsilon, cfg.TopK)
 	}
-	want := core.New(core.Config{Epsilon: 0.3, TopK: 3, UseContext: true}).Config()
+	want := core.New(core.Config{Epsilon: 0.3, TopK: 3}).Config()
 	if cfg.Tau != want.Tau || cfg.Detect != want.Detect || cfg.Assoc == nil {
 		t.Errorf("unset fields not defaulted as core.New does: tau=%v detect=%+v", cfg.Tau, cfg.Detect)
 	}
@@ -368,16 +368,69 @@ func TestVariantsConfig(t *testing.T) {
 	if arxCfg := configFor(VariantARX, base); !same(arxCfg.Assoc, arx.Association) {
 		t.Error("arx variant does not score with arx.Association")
 	}
-	nc := configFor(VariantNoContext, base)
-	if nc.UseContext {
-		t.Error("no-context variant should disable context")
-	}
 	inv := configFor(VariantInvarNetX, base)
-	if !inv.UseContext || !same(inv.Assoc, mic.MIC) {
-		t.Error("invarnet-x variant altered: want operation context and mic.MIC")
+	if !same(inv.Assoc, mic.MIC) {
+		t.Error("invarnet-x variant altered: want mic.MIC")
 	}
 	if len(Variants()) != 3 {
 		t.Error("three variants expected")
+	}
+}
+
+// TestNoContextArmPoolsEveryNode pins the Figs. 9/10 ablation, which lives
+// in its runner: the no-context arm trains one zero-Context profile on every
+// slave's windows, labels and diagnoses through that profile, and still
+// reports each diagnosis under the row's own node.
+func TestNoContextArmPoolsEveryNode(t *testing.T) {
+	r := NewRunner(tinyOptions()).variant(VariantNoContext)
+	w := workload.Wordcount
+	sys, _, err := r.TrainSystem(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	only := func(stage string) core.ProfileStats {
+		t.Helper()
+		ps := sys.ProfileStats()
+		if len(ps) != 1 || ps[0].Context != (core.Context{}) {
+			t.Fatalf("%s: profiles %v, want the zero Context's alone", stage, ps)
+		}
+		return ps[0]
+	}
+	slaves, runs := r.opts.Slaves, r.opts.TrainRuns
+	if st := only("trained"); st.CPIRuns != slaves*runs || st.Windows != slaves*runs || !st.HasModel || st.Invariants == 0 {
+		t.Fatalf("trained %+v, want one model and invariant set over %d runs of %d slaves", st, runs, slaves)
+	}
+
+	label := r.LabelRows("no-context-arm", w, faults.CPUHog)
+	if err := r.Label(sys, label); err != nil {
+		t.Fatal(err)
+	}
+	labelled := only("labelled")
+	if labelled.Signatures == 0 || labelled.Signatures != sys.SignatureCount() {
+		t.Fatalf("labelled %d signatures into the profile, %d in the system", labelled.Signatures, sys.SignatureCount())
+	}
+
+	nodes := map[string]bool{}
+	for i := 0; i < slaves; i++ {
+		sc := Scenario{Study: "no-context-arm", Workload: w, Faults: []faults.Kind{faults.CPUHog}, Index: i, Origin: Oracle}
+		out, err := r.Observe(sys, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Context{Workload: string(w), IP: out.Run.TargetIP}
+		if out.Context != want || out.Diagnosis == nil || out.Diagnosis.Context != want {
+			t.Fatalf("row %d: outcome under %v, diagnosis %+v; want both under %v", i, out.Context, out.Diagnosis, want)
+		}
+		if len(out.Diagnosis.Causes) == 0 {
+			t.Errorf("row %d on %v: no cause from the pooled signatures", i, want.IP)
+		}
+		nodes[want.IP] = true
+	}
+	if len(nodes) != slaves {
+		t.Errorf("rows landed on %d nodes, want all %d", len(nodes), slaves)
+	}
+	if st := only("diagnosed"); st.Cache.Hits+st.Cache.Misses < labelled.Cache.Hits+labelled.Cache.Misses+int64(slaves) {
+		t.Errorf("diagnoses did not go through the pooled profile: cache %+v after labelling, %+v after", labelled.Cache, st.Cache)
 	}
 }
 

@@ -122,6 +122,9 @@ func (o *Options) defaults() {
 // of repeated job executions.
 type Runner struct {
 	opts Options
+	// noContext marks the no-context arm of Figs. 9/10 (see scope); only
+	// variant sets it.
+	noContext bool
 }
 
 // NewRunner validates opts and returns a Runner.
@@ -348,7 +351,7 @@ func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error
 	}
 	ips := sortedKeys(runs[0].Traces)
 	trainOne := func(ip string) error {
-		prof := sys.Profile(core.Context{Workload: string(w), IP: ip})
+		prof := sys.Profile(r.scope(core.Context{Workload: string(w), IP: ip}))
 		cpis, windows := r.trainingSet(runs, ip)
 		if err := prof.TrainPerformanceModel(cpis); err != nil {
 			return err
@@ -356,9 +359,9 @@ func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error
 		return prof.TrainInvariants(windows, nil)
 	}
 	// Per-context profiles are independent: train every node concurrently.
-	// Without operation context every node feeds the single global profile,
-	// so each waits for the one before and the final refit sees the whole
-	// pool.
+	// Without operation context every node feeds the one zero-Context
+	// profile, so each waits for the one before and the final refit sees the
+	// whole pool.
 	errs := make([]error, len(ips))
 	var wg sync.WaitGroup
 	for i, ip := range ips {
@@ -367,7 +370,7 @@ func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error
 			defer wg.Done()
 			errs[i] = trainOne(ip)
 		}()
-		if !r.opts.Config.UseContext {
+		if r.noContext {
 			wg.Wait()
 		}
 	}
@@ -376,6 +379,17 @@ func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error
 		return nil, nil, err
 	}
 	return sys, runs, nil
+}
+
+// scope maps a row's operation context to the profile it trains, labels and
+// diagnoses under: the context itself, or in the no-context arm the zero
+// Context, so that one profile pools every node's training windows and
+// signatures.
+func (r *Runner) scope(ctx core.Context) core.Context {
+	if r.noContext {
+		return core.Context{}
+	}
+	return ctx
 }
 
 // normalRuns executes the TrainRuns normal runs of w everything trains on.

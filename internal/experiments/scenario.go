@@ -209,7 +209,7 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 		if tr, err = collect(tr); err != nil {
 			return out, nil, err
 		}
-		det, err := sys.Detector(out.Context)
+		det, err := sys.Detector(r.scope(out.Context))
 		if err != nil {
 			return out, nil, err
 		}
@@ -251,7 +251,7 @@ func (r *Runner) Label(sys *core.System, rows []Scenario) error {
 		if win == nil {
 			return fmt.Errorf("experiments: %s: label run never tripped the detector", sc.ID())
 		}
-		if err := sys.BuildSignature(out.Context, sc.Truth(), win); err != nil {
+		if err := sys.BuildSignature(r.scope(out.Context), sc.Truth(), win); err != nil {
 			return err
 		}
 	}
@@ -259,15 +259,17 @@ func (r *Runner) Label(sys *core.System, rows []Scenario) error {
 }
 
 // Observe runs the online path on one row — the only place a run is
-// monitored, windowed and diagnosed.
+// monitored, windowed and diagnosed. The diagnosis names the row's context
+// even when the no-context arm answered it from the zero-Context profile.
 func (r *Runner) Observe(sys *core.System, sc Scenario) (Outcome, error) {
 	out, win, err := r.evidence(sys, sc)
 	if err != nil || win == nil {
 		return out, err
 	}
-	if out.Diagnosis, err = sys.Diagnose(out.Context, win); err != nil {
+	if out.Diagnosis, err = sys.Diagnose(r.scope(out.Context), win); err != nil {
 		return out, err
 	}
+	out.Diagnosis.Context = out.Context
 	out.Status = HintsOnly
 	if len(out.Diagnosis.Causes) > 0 {
 		out.Status = Diagnosed

@@ -785,7 +785,7 @@ func (s *Server) Stats() Stats {
 
 		// Enabled is a configuration fact, so it reads the same on a daemon
 		// that holds no profile yet.
-		LifecycleEnabled:  s.cfg.Core.Lifecycle.Enabled,
+		LifecycleEnabled:  s.cfg.Core.Lifecycle,
 		ModelGeneration:   all.Lifecycle.Generation,
 		LifecycleEdges:    all.Lifecycle.Edges,
 		QuarantinedEdges:  all.Lifecycle.Quarantined,

@@ -254,6 +254,61 @@ func TestGracefulShutdownDrainsAcceptedWork(t *testing.T) {
 	}
 }
 
+// TestZeroCoreKeepsContextsApart: a daemon built with a zero core.Config
+// scopes by operation context, the only behaviour a deployment wants — two
+// trained contexts are two profiles, and a fault labelled on node A names no
+// cause when node B is sent the same window.
+func TestZeroCoreKeepsContextsApart(t *testing.T) {
+	srv, c, hs := newTestServer(t, server.Config{StoreDir: t.TempDir()})
+	a := core.Context{Workload: "wordcount", IP: "10.0.0.2"}
+	b := core.Context{Workload: "wordcount", IP: "10.0.0.3"}
+	rng := stats.NewRNG(17)
+	for i, ctx := range []core.Context{a, b} {
+		var runs []*metrics.Trace
+		var cpis [][]float64
+		for r := 0; r < 6; r++ {
+			tr, err := server.TraceFromSamples(ctx.Workload, ctx.IP, client.SynthBatch(rng.Fork(int64(10*i+r)), client.LoadConfig{}, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, cpis = append(runs, tr), append(cpis, tr.CPI)
+		}
+		if err := srv.System().TrainPerformanceModel(ctx, cpis); err != nil {
+			t.Fatalf("training model for %v: %v", ctx, err)
+		}
+		if err := srv.System().TrainInvariants(ctx, runs); err != nil {
+			t.Fatalf("training invariants for %v: %v", ctx, err)
+		}
+	}
+	fault := client.SynthBatch(rng.Fork(99), client.LoadConfig{Coupled: 2}, 40)
+	win, err := server.TraceFromSamples(a.Workload, a.IP, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.System().BuildSignature(a, "fault-a", win); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := getProfiles(t, hs); got.Count != 2 || len(got.Profiles) != 2 {
+		t.Errorf("GET /v1/profiles lists %d rows (%+v), want one per trained context", len(got.Profiles), got.Profiles)
+	}
+	resp, err := c.Diagnose(context.Background(), b.Workload, b.IP, fault, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Report == nil || resp.Report.Status != server.StatusDone || resp.Report.Diagnosis == nil {
+		t.Fatalf("diagnose on %v: %+v, want a completed report", b, resp.Report)
+	}
+	if causes := resp.Report.Diagnosis.Causes; len(causes) != 0 {
+		t.Errorf("node %v was diagnosed with node %v's signature: %v", b, a, causes)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 // TestRestartRestoresSignatures kills the daemon mid-load (shutdown while
 // traffic and signature labelling are in flight) and asserts a restart from
 // the same store dir restores every signature shard the first instance

@@ -73,7 +73,7 @@ func sortedKeys(obj map[string]json.RawMessage) []string {
 // /v1/profiles rows and sums their signatures.
 func TestStatsAndProfilesWireKeys(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.Lifecycle.Enabled = true
+	cfg.Lifecycle = true
 	srv, _, err := New(Config{Core: cfg})
 	if err != nil {
 		t.Fatal(err)

@@ -21,18 +21,11 @@ import (
 	"strconv"
 	"strings"
 
+	"invarnetx/internal/faults"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/server"
 	"invarnetx/internal/stats"
 )
-
-// Window is a half-open tick interval [Start, End).
-type Window struct {
-	Start, End int
-}
-
-// Contains reports whether tick lies in the window.
-func (w Window) Contains(tick int) bool { return tick >= w.Start && tick < w.End }
 
 // FaultModel describes the telemetry faults to inject. The zero value
 // injects nothing.
@@ -51,7 +44,7 @@ type FaultModel struct {
 	SpikeFraction float64
 	// Outages lists full agent outages per node IP: during a window the
 	// node's whole tick is lost with no retry (the agent is down).
-	Outages map[string][]Window
+	Outages map[string][]faults.Window
 }
 
 // retryMax is the number of re-reads of a lost or caught-corrupt reading;
@@ -88,7 +81,7 @@ func (f *FaultModel) Samples(tr *metrics.Trace, rng *stats.RNG) []server.Sample 
 // outage reports whether node ip is inside an outage window at tick.
 func (f *FaultModel) outage(ip string, tick int) bool {
 	for _, w := range f.Outages[ip] {
-		if w.Contains(tick) {
+		if w.Active(tick) {
 			return true
 		}
 	}
@@ -162,7 +155,7 @@ func ParseFaultSpec(spec string) (FaultModel, error) {
 				return fm, err
 			}
 			if fm.Outages == nil {
-				fm.Outages = make(map[string][]Window)
+				fm.Outages = make(map[string][]faults.Window)
 			}
 			fm.Outages[ip] = append(fm.Outages[ip], win)
 		default:
@@ -173,23 +166,23 @@ func ParseFaultSpec(spec string) (FaultModel, error) {
 }
 
 // parseOutage parses "IP" or "IP:S-E".
-func parseOutage(val string) (string, Window, error) {
+func parseOutage(val string) (string, faults.Window, error) {
 	ip, rng, ok := strings.Cut(val, ":")
 	if ip == "" {
-		return "", Window{}, fmt.Errorf("telemetry: outage %q missing node IP", val)
+		return "", faults.Window{}, fmt.Errorf("telemetry: outage %q missing node IP", val)
 	}
 	if !ok {
 		// Whole-run outage: an effectively unbounded window.
-		return ip, Window{Start: 0, End: 1 << 30}, nil
+		return ip, faults.Window{Start: 0, End: 1 << 30}, nil
 	}
 	lo, hi, ok := strings.Cut(rng, "-")
 	if !ok {
-		return "", Window{}, fmt.Errorf("telemetry: outage window %q (want S-E)", rng)
+		return "", faults.Window{}, fmt.Errorf("telemetry: outage window %q (want S-E)", rng)
 	}
 	s, err1 := strconv.Atoi(lo)
 	e, err2 := strconv.Atoi(hi)
 	if err1 != nil || err2 != nil || s < 0 || e <= s {
-		return "", Window{}, fmt.Errorf("telemetry: outage window %q invalid", rng)
+		return "", faults.Window{}, fmt.Errorf("telemetry: outage window %q invalid", rng)
 	}
-	return ip, Window{Start: s, End: e}, nil
+	return ip, faults.Window{Start: s, End: e}, nil
 }

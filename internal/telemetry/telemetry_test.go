@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"invarnetx/internal/core"
+	"invarnetx/internal/faults"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/server"
 	"invarnetx/internal/stats"
@@ -102,7 +103,7 @@ func TestRetryRecoversSomeDrops(t *testing.T) {
 // start.
 func TestOutageMasksEveryTick(t *testing.T) {
 	clean := constTrace("n", 12, 5)
-	out := FaultModel{Outages: map[string][]Window{"n": {{Start: 2, End: 5}}}}
+	out := FaultModel{Outages: map[string][]faults.Window{"n": {{Start: 2, End: 5}}}}
 	deg := ingest(t, out, clean, stats.NewRNG(4))
 	for tick := 0; tick < clean.Len(); tick++ {
 		outage := tick >= 2 && tick < 5
@@ -190,10 +191,10 @@ func TestParseFaultSpec(t *testing.T) {
 	if f.DropRate != 0.2 || f.CorruptRate != 0.05 || f.SpikeFraction != 0.25 {
 		t.Fatalf("parsed faults %+v", f)
 	}
-	if len(f.Outages["10.0.0.3"]) != 1 || f.Outages["10.0.0.3"][0] != (Window{10, 40}) {
+	if len(f.Outages["10.0.0.3"]) != 1 || f.Outages["10.0.0.3"][0] != (faults.Window{Start: 10, End: 40}) {
 		t.Fatalf("outage windows %+v", f.Outages)
 	}
-	if len(f.Outages["10.0.0.4"]) != 1 || !f.Outages["10.0.0.4"][0].Contains(999999) {
+	if len(f.Outages["10.0.0.4"]) != 1 || !f.Outages["10.0.0.4"][0].Active(999999) {
 		t.Fatal("bare outage should cover the whole run")
 	}
 	f2, err := ParseFaultSpec("")
@@ -261,7 +262,7 @@ func TestLossPatternGolden(t *testing.T) {
 		{"drop50", FaultModel{DropRate: 0.5}, "2e5339be0726a2f2add300ea44f07273a5210c373d629acad1976d492f63eeb6"},
 		{"drop90", FaultModel{DropRate: 0.9}, "6032674e2094741e2e664712520dea70191b0a25c8c34336239152831c1ae165"},
 		{"mixed", FaultModel{DropRate: 0.2, CorruptRate: 0.05, SpikeFraction: 0.25}, "9522923276f6cfca01d604f0320e6203d097db3940fb11fceef3f0b18730ae93"},
-		{"outage", FaultModel{Outages: map[string][]Window{"10.0.0.3": {{Start: 5, End: 12}}}}, "6d5b96aa76f4c8840b8683c9fe5ec5cf9d7d9aa16b584f4c75ba4fc3f3becab1"},
+		{"outage", FaultModel{Outages: map[string][]faults.Window{"10.0.0.3": {{Start: 5, End: 12}}}}, "6d5b96aa76f4c8840b8683c9fe5ec5cf9d7d9aa16b584f4c75ba4fc3f3becab1"},
 	} {
 		h := sha256.New()
 		for _, seed := range []int64{1, 2, 3} {

@@ -42,9 +42,11 @@ type LifecycleFile struct {
 	Edges      []LifecycleEdge `xml:"edges>edge"`
 }
 
-// Validate checks the basic shape of the edge list; the semantic checks
-// (pair membership, state names) belong to the restoring layer, which knows
-// the invariant set.
+// Validate checks the basic shape of the edge list: a valid pair, and
+// counts no run of the lifecycle writes — negative, or more violations than
+// the windows they were counted over, in the health series or in the shadow
+// tally. The semantic checks (pair membership, state names) belong to the
+// restoring layer, which knows the invariant set.
 func (f LifecycleFile) Validate() error {
 	for i, e := range f.Edges {
 		if e.I < 0 || e.J < 0 || e.I >= e.J {
@@ -52,6 +54,9 @@ func (f LifecycleFile) Validate() error {
 		}
 		if e.Obs < 0 || e.Viol < 0 || e.Viol > e.Obs {
 			return fmt.Errorf("xmlstore: lifecycle edge %d has inconsistent counts (%d violations of %d observations)", i, e.Viol, e.Obs)
+		}
+		if e.ShadowViol < 0 || e.LiveViol < 0 || e.ShadowViol > e.ShadowEvals || e.LiveViol > e.ShadowEvals {
+			return fmt.Errorf("xmlstore: lifecycle edge %d has an inconsistent shadow tally (%d shadow and %d live violations of %d evaluations)", i, e.ShadowViol, e.LiveViol, e.ShadowEvals)
 		}
 	}
 	return nil

@@ -50,16 +50,16 @@ type (
 	// per-context profiles.
 	System = core.System
 	// Config parameterises a System (thresholds, association measure,
-	// similarity, operation-context usage).
+	// similarity, ranking, the drift lifecycle).
 	Config = core.Config
 	// Context is the operation context: workload type and node IP.
 	Context = core.Context
 )
 
-// New builds an InvarNet-X system. Start from DefaultConfig() for the
-// paper's configuration: a zero Config defaults only the thresholds, the
-// detector and the association measure (MIC), and leaves TopK 0 (every
-// cause ranked) and operation context off.
+// New builds an InvarNet-X system, one profile per operation context. Start
+// from DefaultConfig() for the paper's configuration: a zero Config gives the
+// same per-context system with the paper's thresholds, detector and
+// association measure (MIC), but TopK 0 (every cause ranked).
 func New(cfg Config) *System { return core.New(cfg) }
 
 // DefaultConfig returns the paper's configuration.

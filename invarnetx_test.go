@@ -13,9 +13,6 @@ func TestPublicAPISurface(t *testing.T) {
 	if cfg.Epsilon != 0.2 || cfg.Tau != 0.2 {
 		t.Errorf("paper thresholds: eps=%v tau=%v", cfg.Epsilon, cfg.Tau)
 	}
-	if !cfg.UseContext {
-		t.Error("operation context must default on")
-	}
 	sys := New(cfg)
 	if sys == nil || sys.SignatureCount() != 0 {
 		t.Error("fresh system should be empty")
