@@ -490,11 +490,10 @@ func cmdFaults([]string) error {
 	return nil
 }
 
-// printCacheStats surfaces the association-matrix cache counters so
-// operators can see how much MIC recomputation training and diagnosis
-// avoided, and — after training in this process — how many pair-window
-// scores training ran, read from its memo, or skipped once a pair's range
-// reached τ (each line silent when it has nothing to report).
+// printCacheStats surfaces the report-cache counters so operators can see
+// how much MIC recomputation diagnosis avoided, and — after training in this
+// process — how many pair-window scores training ran or skipped once a
+// pair's range reached τ (each line silent when it has nothing to report).
 func printCacheStats(sys *core.System) {
 	var total core.ProfileStats
 	for _, ps := range sys.ProfileStats() {
@@ -503,7 +502,7 @@ func printCacheStats(sys *core.System) {
 	if st := total.Cache; st.Hits+st.Misses > 0 {
 		fmt.Printf("assoc cache: %d hits / %d misses (%d entries)\n", st.Hits, st.Misses, st.Entries)
 	}
-	if tr := total.Training; tr.Scored+tr.Memo+tr.Skipped > 0 {
-		fmt.Printf("training: scored %d, memo %d, skipped %d pair-window scores\n", tr.Scored, tr.Memo, tr.Skipped)
+	if tr := total.Training; tr.Scored+tr.Skipped > 0 {
+		fmt.Printf("training: scored %d, skipped %d pair-window scores\n", tr.Scored, tr.Skipped)
 	}
 }

@@ -9,15 +9,16 @@ import (
 	"invarnetx/internal/mic"
 )
 
-// DefaultAssocCacheSize bounds a profile's association-matrix cache when
-// Config.AssocCacheSize is zero. At 26 metrics a matrix is ~2.6 KB, so the
-// default worst case stays near 10 MB per profile.
+// DefaultAssocCacheSize bounds a profile's report cache when
+// Config.AssocCacheSize is zero. A report holds one tuple flag and one mask
+// flag per invariant plus its violated pairs: under 6 KB at 26 metrics even
+// with all 325 pairs trained and violated, so the default worst case stays
+// under 25 MB per profile.
 const DefaultAssocCacheSize = 4096
 
-// CacheStats reports association-cache effectiveness. Every TrainInvariants
-// call looks up the memo of each pooled window once, and every uncached
-// diagnosis its report, so a hit is a window whose earlier MIC work is
-// reused; how many pair scores training still ran is ProfileStats.Training.
+// CacheStats reports report-cache effectiveness. Every diagnosis looks up
+// its window's report once, so a hit is a window whose earlier MIC work is
+// reused.
 type CacheStats struct {
 	Hits    int64
 	Misses  int64
@@ -88,9 +89,8 @@ func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
 	return uint64(h)
 }
 
-// cacheKey is the one key scheme of a profile's cache. A training memo
-// depends on the window alone (set nil, epoch 0). A violation report is a
-// verdict of one invariant set at one lifecycle epoch: retraining or
+// cacheKey is the one key scheme of a profile's cache. A violation report is
+// a verdict of one invariant set at one lifecycle epoch: retraining or
 // promotion installs a fresh *Set and a quarantine bumps the epoch, so
 // either makes every earlier report unreachable without any sweep.
 type cacheKey struct {
@@ -99,25 +99,16 @@ type cacheKey struct {
 	epoch uint64
 }
 
-// cacheEntry is one memoised analysis: the training memo of a window (its
-// association matrix as far as training has scored it — cells no pair
-// needed stay pending, see invariant.Matrix), or the finished violation
-// report of a diagnosed one. All cached state is shared across callers and
-// read-only; training that scores more of a window stores a fresh copy.
-type cacheEntry struct {
-	mat *invariant.Matrix
-	rep *ViolationReport
-}
-
-// assocCache memoises window analyses with FIFO eviction; training memos
-// and diagnosis reports share the one bound. Each profile owns its cache, so
-// the key needs no context component and cached state never crosses
-// profiles. Replacing an entry (a training memo that gained cells) keeps its
-// place in the eviction order.
+// assocCache memoises the violation reports of diagnosed windows with FIFO
+// eviction. Each profile owns its cache, so the key needs no context
+// component and cached state never crosses profiles. A cached report is
+// shared across callers and read-only; a report stored again under its key
+// (two diagnoses of one window racing) keeps its place in the eviction
+// order.
 type assocCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[cacheKey]cacheEntry
+	entries map[cacheKey]*ViolationReport
 	order   []cacheKey
 	hits    int64
 	misses  int64
@@ -135,27 +126,27 @@ func newAssocCache(size int) *assocCache {
 	}
 	return &assocCache{
 		max:     size,
-		entries: make(map[cacheKey]cacheEntry),
+		entries: make(map[cacheKey]*ViolationReport),
 	}
 }
 
-func (c *assocCache) get(k cacheKey) (cacheEntry, bool) {
+func (c *assocCache) get(k cacheKey) (*ViolationReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	rep, ok := c.entries[k]
 	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	return e, ok
+	return rep, ok
 }
 
-func (c *assocCache) put(k cacheKey, e cacheEntry) {
+func (c *assocCache) put(k cacheKey, rep *ViolationReport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[k]; exists {
-		c.entries[k] = e
+		c.entries[k] = rep
 		return
 	}
 	for len(c.entries) >= c.max && len(c.order) > 0 {
@@ -163,7 +154,7 @@ func (c *assocCache) put(k cacheKey, e cacheEntry) {
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
 	}
-	c.entries[k] = e
+	c.entries[k] = rep
 	c.order = append(c.order, k)
 }
 
@@ -193,7 +184,7 @@ func (p *Profile) scorer(rows [][]float64) invariant.PairScorer {
 // lifecycle epoch included — is captured once, before compute runs: a
 // window whose own diagnosis bumps the epoch is stored under the old key and
 // simply never hit again, which is safe in both directions.
-func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (cacheEntry, error)) (cacheEntry, error) {
+func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (*ViolationReport, error)) (*ViolationReport, error) {
 	if p.cache == nil {
 		return compute()
 	}
@@ -201,50 +192,17 @@ func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (ca
 	if p.lc != nil {
 		key.epoch = p.lc.epoch.Load()
 	}
-	if e, ok := p.cache.get(key); ok {
-		return e, nil
+	if rep, ok := p.cache.get(key); ok {
+		return rep, nil
 	}
-	e, err := compute()
+	rep, err := compute()
 	if err == nil {
-		p.cache.put(key, e)
+		p.cache.put(key, rep)
 	}
-	return e, err
+	return rep, err
 }
 
-// trainingMemos turns a training pool into invariant.Train's runs, each
-// carrying its window's memo from the cache (one lookup per window). The
-// batch scorer is prepared only if training scores a pair of the window.
-func (p *Profile) trainingMemos(pool []*metrics.Trace) ([]invariant.Run, []cacheKey) {
-	in := make([]invariant.Run, len(pool))
-	keys := make([]cacheKey, len(pool))
-	for r, tr := range pool {
-		in[r] = invariant.Run{Rows: tr.Rows, Valid: tr.Valid, Scorer: func() invariant.PairScorer { return p.scorer(tr.Rows) }}
-		if p.cache == nil {
-			continue
-		}
-		keys[r] = cacheKey{fp: fingerprintWindow(tr.Rows, tr.Valid)}
-		if e, ok := p.cache.get(keys[r]); ok {
-			in[r].Memo = e.mat
-		}
-	}
-	return in, keys
-}
-
-// storeMemos is the copy-on-write half: a cached memo is never written —
-// Train hands back a fresh matrix for every window it scored anything in
-// (or had no memo for), and that copy replaces the entry under the same key.
-func (p *Profile) storeMemos(in []invariant.Run, keys []cacheKey, memos []*invariant.Matrix) {
-	if p.cache == nil {
-		return
-	}
-	for r, mat := range memos {
-		if mat != in[r].Memo {
-			p.cache.put(keys[r], cacheEntry{mat: mat})
-		}
-	}
-}
-
-// CacheStats reports the profile's association-cache counters and current
+// CacheStats reports the profile's report-cache counters and current
 // size. Zero-valued when caching is disabled.
 func (p *Profile) CacheStats() CacheStats {
 	if p.cache == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -69,45 +68,18 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-func TestAssocCacheHitsOnRetrain(t *testing.T) {
-	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{})
-	rng := stats.NewRNG(700)
-	var runs []*metrics.Trace
-	for i := 0; i < 4; i++ {
-		runs = append(runs, synthTrace(rng.Fork(int64(i)), 60, 8, nil))
-	}
-	if err := s.TrainInvariants(ctx, runs[:2]); err != nil {
-		t.Fatal(err)
-	}
-	st := totals(s).Cache
-	if st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("after first training: %+v, want 0 hits / 2 misses / 2 entries", st)
-	}
-	// Adding runs retrains the whole pool; the first two windows' memos must
-	// now come from the cache.
-	if err := s.TrainInvariants(ctx, runs[2:]); err != nil {
-		t.Fatal(err)
-	}
-	st = totals(s).Cache
-	if st.Hits != 2 || st.Misses != 4 || st.Entries != 4 {
-		t.Fatalf("after pooled retraining: %+v, want 2 hits / 4 misses / 4 entries", st)
-	}
-}
-
 // TestTrainingScoresOnlyLivePairs pins the work of pair-major training. The
 // reference is the dense fill it replaced: every window's full matrix, with
-// the stopping rule replayed in pool order. A first training scores exactly
-// the cells that rule needs (the dense fill scored all 325 per window),
-// re-training the same pool scores none, and one added window costs one
-// score per pair of the previous set; every set is the dense Select's. The
-// per-pair arm counts a measure's calls (any Assoc but the stock MIC skips
-// the batch scorer); the batch arm reads ProfileStats.Training.
+// the stopping rule replayed in run order. A training scores exactly the
+// cells that rule needs (the dense fill scored all 325 per window), and the
+// set is the dense Select's. The per-pair arm counts a measure's calls (any
+// Assoc but the stock MIC skips the batch scorer); the batch arm reads
+// ProfileStats.Training.
 func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	rng := stats.NewRNG(740)
 	var runs []*metrics.Trace
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 8; i++ {
 		runs = append(runs, synthTrace(rng.Fork(int64(i)), 30, 8, nil))
 	}
 	mats := make([]*invariant.Matrix, len(runs))
@@ -118,11 +90,11 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 		}
 	}
 	m := metrics.Count
-	need := 0 // pool-order exit over the first 8 windows
+	need := 0 // run-order exit
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, a := range mats[:8] {
+			for _, a := range mats {
 				need++
 				lo, hi = min(lo, a.Get(i, j)), max(hi, a.Get(i, j))
 				if hi-lo >= invariant.DefaultTau {
@@ -131,7 +103,7 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 			}
 		}
 	}
-	if all := 8 * m * (m - 1) / 2; need >= all {
+	if all := len(mats) * m * (m - 1) / 2; need >= all {
 		t.Fatalf("reference needs %d of %d scores: nothing to skip, the pin is vacuous", need, all)
 	}
 
@@ -146,36 +118,27 @@ func TestTrainingScoresOnlyLivePairs(t *testing.T) {
 		{"batch", Config{}, func(s *System) int64 { return int64(totals(s).Training.Scored) }},
 	} {
 		s := New(arm.cfg)
-		step := func(what string, add []*metrics.Trace, wantScored, pool int) *invariant.Set {
-			t.Helper()
-			before := arm.count(s)
-			if err := s.TrainInvariants(ctx, add); err != nil {
-				t.Fatal(err)
-			}
-			if got := arm.count(s) - before; got != int64(wantScored) {
-				t.Fatalf("%s, %s: scored %d pair-window cells, want %d", arm.name, what, got, wantScored)
-			}
-			set, err := s.Invariants(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := invariant.Select(mats[:pool], invariant.DefaultTau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(set.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(set.Base, want.Base) {
-				t.Fatalf("%s, %s: trained set differs from the dense Select", arm.name, what)
-			}
-			return set
+		if err := s.TrainInvariants(ctx, runs); err != nil {
+			t.Fatal(err)
 		}
-		step("first training", runs[:8], need, 8)
-		set := step("same pool again", runs[:8], 0, 8)
-		step("one window added", runs[8:], set.Len(), 9)
-		if tr, pairs := totals(s).Training, m*(m-1)/2; tr.Scored+tr.Memo+tr.Skipped != pairs*(8+8+9) {
-			t.Fatalf("%s: training stats %+v do not cover %d pairs over 25 pooled windows", arm.name, tr, pairs)
+		if got := arm.count(s); got != int64(need) {
+			t.Fatalf("%s: scored %d pair-window cells, want %d", arm.name, got, need)
+		}
+		set, err := s.Invariants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := invariant.Select(mats, invariant.DefaultTau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(set.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(set.Base, want.Base) {
+			t.Fatalf("%s: trained set differs from the dense Select", arm.name)
+		}
+		if tr, pairs := totals(s).Training, m*(m-1)/2; tr.Scored+tr.Skipped != pairs*len(runs) {
+			t.Fatalf("%s: training stats %+v do not cover %d pairs over %d windows", arm.name, tr, pairs, len(runs))
 		}
 	}
-
 }
 
 // TestCrossTrainingScoresSpanningPairsOnly: a profile trained under a pair
@@ -200,7 +163,7 @@ func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
 	if err := p.TrainInvariants(joints, keep); err != nil {
 		t.Fatal(err)
 	}
-	if tr := totals(s).Training; tr.Scored+tr.Memo+tr.Skipped != k*k*len(joints) || tr.Scored == 0 {
+	if tr := totals(s).Training; tr.Scored+tr.Skipped != k*k*len(joints) || tr.Scored == 0 {
 		t.Fatalf("training stats %+v, want %d spanning pair-window cells", tr, k*k*len(joints))
 	}
 	set, err := p.Invariants()
@@ -219,57 +182,6 @@ func TestCrossTrainingScoresSpanningPairsOnly(t *testing.T) {
 	}
 	if len(want) == 0 || len(want) == dense.Len() || !reflect.DeepEqual(set.Base, want) {
 		t.Fatalf("trained %d pairs, want the %d spanning ones of the dense Select's %d", set.Len(), len(want), dense.Len())
-	}
-}
-
-// TestConcurrentRetrainSharesMemos: trainings racing on one profile read the
-// same cached memos while each stores its own fresh copies (run with -race).
-// Whatever order they land in, a final training of the pool selects the
-// dense Select's set.
-func TestConcurrentRetrainSharesMemos(t *testing.T) {
-	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{})
-	rng := stats.NewRNG(750)
-	var runs []*metrics.Trace
-	mats := make([]*invariant.Matrix, 8)
-	for i := range mats {
-		runs = append(runs, synthTrace(rng.Fork(int64(i)), 30, 8, nil))
-		var err error
-		if mats[i], err = invariant.ComputeMaskedMatrixScored(runs[i].Rows, nil, mic.MIC, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.TrainInvariants(ctx, runs[:4]); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for g := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[g] = s.TrainInvariants(ctx, runs[4+g:5+g])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.TrainInvariants(ctx, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Invariants(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := invariant.Select(mats, invariant.DefaultTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.SortedPairs(), want.SortedPairs()) || !reflect.DeepEqual(got.Base, want.Base) {
-		t.Fatal("pool trained under concurrent retraining differs from the dense Select")
 	}
 }
 
@@ -306,17 +218,24 @@ func TestAssocCacheKeysByContext(t *testing.T) {
 	s := New(Config{})
 	ctxA := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	ctxB := Context{Workload: "sort", IP: "10.0.0.3"}
-	tr := synthTrace(stats.NewRNG(703), 60, 8, nil)
-	runs := []*metrics.Trace{tr, synthTrace(stats.NewRNG(704), 60, 8, nil)}
-	if err := s.TrainInvariants(ctxA, runs); err != nil {
-		t.Fatal(err)
+	runs := []*metrics.Trace{synthTrace(stats.NewRNG(703), 60, 8, nil), synthTrace(stats.NewRNG(704), 60, 8, nil)}
+	for _, ctx := range []Context{ctxA, ctxB} {
+		if err := s.TrainInvariants(ctx, runs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Identical windows under a different context must not share entries.
-	if err := s.TrainInvariants(ctxB, runs); err != nil {
-		t.Fatal(err)
+	if st := totals(s).Cache; st != (CacheStats{}) {
+		t.Fatalf("training touched the report cache: %+v", st)
 	}
-	st := totals(s).Cache
-	if st.Hits != 0 || st.Entries != 4 {
+	// The identical window diagnosed under a different context must not
+	// share a report.
+	ab := synthTrace(stats.NewRNG(705), 40, 8, map[int]bool{0: true})
+	for _, ctx := range []Context{ctxA, ctxB} {
+		if _, err := s.Violations(ctx, ab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := totals(s).Cache; st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("contexts must not share cache entries: %+v", st)
 	}
 }
@@ -333,13 +252,19 @@ func TestAssocCacheDisabledAndBounded(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	ab := synthTrace(stats.NewRNG(707), 40, 8, map[int]bool{0: true})
+	for range 2 {
+		if _, err := off.Violations(ctx, ab); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if st := totals(off).Cache; st != (CacheStats{}) {
 		t.Errorf("disabled cache stats = %+v, want zero", st)
 	}
 
 	small := newAssocCache(2)
 	for i := 0; i < 5; i++ {
-		small.put(cacheKey{fp: uint64(i)}, cacheEntry{mat: invariant.NewMatrix(2)})
+		small.put(cacheKey{fp: uint64(i)}, &ViolationReport{})
 	}
 	if st := small.stats(); st.Entries != 2 {
 		t.Errorf("bounded cache holds %d entries, want 2", st.Entries)

@@ -333,9 +333,9 @@ func TestLifecycleCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("post-promotion repeat served a stale report: %+v", rep4)
 	}
 
-	// Retrain on the pooled (pre-drift) window: a fresh set with the old
-	// baselines, against which the same content violates again.
-	if err := p.TrainInvariants(nil, nil); err != nil {
+	// Retrain on the pre-drift window: a fresh set with the old baselines,
+	// against which the same content violates again.
+	if err := p.TrainInvariants([]*metrics.Trace{valueTrace([]float64{0.8, 0.8, 0.8}, 16, 0)}, nil); err != nil {
 		t.Fatalf("retrain: %v", err)
 	}
 	rep5, err := p.Violations(valueTrace(drifted, 16, 0))

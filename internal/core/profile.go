@@ -13,9 +13,9 @@ import (
 )
 
 // Profile is the self-contained diagnosis state of one operation context:
-// its trained CPI detector, invariant set, signature entries, training
-// pools and association-matrix cache. Each profile synchronises itself, so
-// training or diagnosing one context never contends with another.
+// its trained CPI detector, invariant set, signature entries and report
+// cache. Each profile synchronises itself, so training or diagnosing one
+// context never contends with another.
 //
 // A Profile is obtained from System.Profile (created on first use) and
 // stays valid for the lifetime of the System.
@@ -29,8 +29,6 @@ type Profile struct {
 	detector   *detect.Detector
 	invariants *invariant.Set
 	sigs       signature.DB
-	cpiPool    trainingPool[[]float64]
-	windowPool trainingPool[*metrics.Trace]
 	training   invariant.TrainStats // summed over every TrainInvariants call
 
 	// lc is the drift-aware invariant lifecycle (nil when disabled): edge
@@ -46,13 +44,7 @@ type Profile struct {
 
 // newProfile builds an empty profile for key under s's configuration.
 func newProfile(s *System, key Context) *Profile {
-	p := &Profile{
-		sys:        s,
-		key:        key,
-		cache:      newAssocCache(s.cfg.AssocCacheSize),
-		cpiPool:    newTrainingPool[[]float64](DefaultPoolCap),
-		windowPool: newTrainingPool[*metrics.Trace](DefaultPoolCap),
-	}
+	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize)}
 	p.sigs.MinScore = s.cfg.SigMinScore
 	if s.cfg.Lifecycle {
 		p.lc = &lifecycle{}
@@ -64,16 +56,9 @@ func newProfile(s *System, key Context) *Profile {
 func (p *Profile) Context() Context { return p.key }
 
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds from the
-// CPI traces of N normal runs. Traces pool with (deduplicated against)
-// everything trained before, and the model is refit on the whole pool.
+// CPI traces of N normal runs, replacing any model trained before.
 func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
-	p.mu.Lock()
-	for _, tr := range cpiTraces {
-		p.cpiPool.add(fingerprintWindow([][]float64{tr}, nil), tr)
-	}
-	pool := p.cpiPool.snapshot()
-	p.mu.Unlock()
-	d, err := detect.Train(pool, p.sys.cfg.Detect)
+	d, err := detect.Train(cpiTraces, p.sys.cfg.Detect)
 	if err != nil {
 		return fmt.Errorf("core: training performance model for %v: %w", p.key, err)
 	}
@@ -81,39 +66,30 @@ func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
 	return nil
 }
 
-// TrainInvariants runs Algorithm 1 over the metric traces of N normal
-// runs. Runs pool with (deduplicated against) everything trained before:
-// Algorithm 1's stability test then only keeps pairs whose association
-// holds on *every* pooled window — which is exactly how one profile fed by
-// every node (the no-context ablation of Figs. 9-10) loses most of its
-// invariants on a heterogeneous platform.
+// TrainInvariants runs Algorithm 1 over the metric traces of N normal runs
+// and installs the set it selects, replacing any set trained before. Only
+// the runs given train it: a caller pooling several sources (the no-context
+// ablation of Figs. 9-10 pools every node) passes them in one call.
 //
 // A pair some window could not compute (masked or missing samples) is
 // judged on the windows that could; an unknown score is never an
 // observation of 0.
 //
-// Training is invariant.Train over the whole pool, pair-major: each window's
-// memo (the cells earlier trainings scored, from the association cache) is
-// read first, and a pair scores only the windows it has not seen, and only
-// while its range is still under τ. keep is invariant.Train's pair
+// Training is invariant.Train, pair-major: a pair is scored run by run, and
+// only while its range is still under τ. keep is invariant.Train's pair
 // predicate: a pair it rejects is never scored or selected; nil keeps every
 // pair.
 func (p *Profile) TrainInvariants(runs []*metrics.Trace, keep func(invariant.Pair) bool) error {
-	p.mu.Lock()
-	for _, run := range runs {
-		p.windowPool.add(fingerprintWindow(run.Rows, run.Valid), run)
+	in := make([]invariant.Run, len(runs))
+	for r, tr := range runs {
+		in[r] = invariant.Run{Rows: tr.Rows, Valid: tr.Valid, Scorer: func() invariant.PairScorer { return p.scorer(tr.Rows) }}
 	}
-	pool := p.windowPool.snapshot()
-	p.mu.Unlock()
-	in, keys := p.trainingMemos(pool)
-	set, memos, st, err := invariant.Train(in, p.sys.cfg.Assoc, p.sys.cfg.Tau, keep)
+	set, st, err := invariant.Train(in, p.sys.cfg.Assoc, p.sys.cfg.Tau, keep)
 	if err != nil {
 		return fmt.Errorf("core: training invariants for %v: %w", p.key, err)
 	}
-	p.storeMemos(in, keys, memos)
 	p.mu.Lock()
 	p.training.Scored += st.Scored
-	p.training.Memo += st.Memo
 	p.training.Skipped += st.Skipped
 	p.mu.Unlock()
 	p.setInvariants(set)
@@ -268,8 +244,8 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 		}
 	}
 	// The profile is the signature scope: its entries all carry the
-	// profile's own context (empty for the zero Context, which matches
-	// any).
+	// profile's own context, and the query names exactly that context (both
+	// fields empty for the zero Context).
 	p.mu.RLock()
 	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, p.sys.cfg.TopK)
 	p.mu.RUnlock()
@@ -307,14 +283,10 @@ type ProfileStats struct {
 	Invariants int
 	// Signatures is the number of stored problem signatures.
 	Signatures int
-	// CPIRuns and Windows are the training-pool sizes (after dedupe and
-	// capping).
-	CPIRuns, Windows int
-	// Cache reports the profile's association-matrix cache counters
-	// (shared with the sparse path's report cache).
+	// Cache reports the profile's report-cache counters.
 	Cache CacheStats
-	// Training counts the pair-window cells invariant training scored, read
-	// from the memo, and skipped after a pair's range reached τ.
+	// Training counts the pair-window cells invariant training scored, and
+	// skipped after a pair's range reached τ.
 	Training invariant.TrainStats
 	// Sparse reports the sparse diagnosis path's edge counters.
 	Sparse SparseStats
@@ -335,8 +307,6 @@ func (p *Profile) Stats() ProfileStats {
 		Context:    p.key,
 		HasModel:   p.detector != nil,
 		Signatures: p.sigs.Len(),
-		CPIRuns:    p.cpiPool.size(),
-		Windows:    p.windowPool.size(),
 		Training:   p.training,
 	}
 	st.SigScanned, st.SigEarlyExits = p.sigs.ScanStats()
@@ -358,13 +328,10 @@ func (p *Profile) Stats() ProfileStats {
 func (t *ProfileStats) Add(ps ProfileStats) {
 	t.Invariants += ps.Invariants
 	t.Signatures += ps.Signatures
-	t.CPIRuns += ps.CPIRuns
-	t.Windows += ps.Windows
 	t.Cache.Hits += ps.Cache.Hits
 	t.Cache.Misses += ps.Cache.Misses
 	t.Cache.Entries += ps.Cache.Entries
 	t.Training.Scored += ps.Training.Scored
-	t.Training.Memo += ps.Training.Memo
 	t.Training.Skipped += ps.Training.Skipped
 	t.Sparse.Screened += ps.Sparse.Screened
 	t.Sparse.Exact += ps.Sparse.Exact

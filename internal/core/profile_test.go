@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"invarnetx/internal/detect"
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/mic"
@@ -285,58 +287,75 @@ func TestConcurrentMultiContextPipeline(t *testing.T) {
 	}
 }
 
-// TestTrainingPoolDedupe pins the satellite fix: retraining over the same
-// traces must not grow the pools or the cache footprint.
-func TestTrainingPoolDedupe(t *testing.T) {
+// TestRetrainReplacesTheFirst: a profile trains on the runs it is given. A
+// second training, on runs B, installs exactly the set Select picks over B's
+// dense matrices and the detector detect.Train fits on B's CPI traces —
+// nothing of the first training, on runs A whose rows 0 and 1 are decoupled,
+// survives into either.
+func TestRetrainReplacesTheFirst(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := New(Config{})
+	p := New(Config{}).Profile(ctx)
 	rng := stats.NewRNG(820)
-	var runs []*metrics.Trace
-	var cpis [][]float64
-	for i := 0; i < 3; i++ {
-		tr := synthTrace(rng.Fork(int64(i)), 60, 8, nil)
-		runs = append(runs, tr)
-		cpis = append(cpis, tr.CPI)
+	batch := func(fork int64, decouple map[int]bool) ([]*metrics.Trace, [][]float64) {
+		var runs []*metrics.Trace
+		var cpis [][]float64
+		for i := int64(0); i < 4; i++ {
+			tr := synthTrace(rng.Fork(fork+i), 60, 8, decouple)
+			runs, cpis = append(runs, tr), append(cpis, tr.CPI)
+		}
+		return runs, cpis
 	}
-	for round := 0; round < 3; round++ {
-		if err := s.TrainPerformanceModel(ctx, cpis); err != nil {
+	runsA, cpisA := batch(0, map[int]bool{0: true, 1: true})
+	runsB, cpisB := batch(10, nil)
+	for _, tr := range []struct {
+		runs []*metrics.Trace
+		cpis [][]float64
+	}{{runsA, cpisA}, {runsB, cpisB}} {
+		if err := p.TrainPerformanceModel(tr.cpis); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.TrainInvariants(ctx, runs); err != nil {
+		if err := p.TrainInvariants(tr.runs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Profile(ctx).Stats()
-	if st.CPIRuns != 3 {
-		t.Errorf("CPI pool holds %d runs after 3 identical trainings, want 3", st.CPIRuns)
-	}
-	if st.Windows != 3 {
-		t.Errorf("window pool holds %d windows after 3 identical trainings, want 3", st.Windows)
-	}
-}
 
-// TestTrainingPoolCap pins the bound: the pool keeps the newest cap items,
-// evicting the oldest.
-func TestTrainingPoolCap(t *testing.T) {
-	p := newTrainingPool[int](2)
-	if !p.add(1, 10) || !p.add(2, 20) {
-		t.Fatal("fresh items must be accepted")
+	mats := make([]*invariant.Matrix, len(runsB))
+	for r, tr := range runsB {
+		var err error
+		if mats[r], err = invariant.ComputeMaskedMatrixScored(tr.Rows, tr.Valid, mic.MIC, nil, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if p.add(1, 10) {
-		t.Error("duplicate fingerprint must be rejected")
+	want, err := invariant.Select(mats, invariant.DefaultTau)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !p.add(3, 30) {
-		t.Fatal("third item must be accepted")
+	if _, ok := want.Base[invariant.Pair{I: 0, J: 1}]; !ok {
+		t.Fatal("test setup: B's set lacks the pair A decouples, so the check is vacuous")
 	}
-	if got := p.snapshot(); len(got) != 2 || got[0] != 20 || got[1] != 30 {
-		t.Errorf("pool = %v, want [20 30] (oldest evicted)", got)
+	got, err := p.Invariants()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The evicted fingerprint is forgotten, so the item can return.
-	if !p.add(1, 10) {
-		t.Error("re-adding an evicted item must succeed")
+	if !reflect.DeepEqual(got.SortedPairs(), want.SortedPairs()) {
+		t.Fatalf("retrained set holds %d pairs, Select over B's runs %d", got.Len(), want.Len())
 	}
-	if got := p.snapshot(); len(got) != 2 || got[0] != 30 || got[1] != 10 || p.size() != 2 {
-		t.Errorf("pool = %v after re-adding, want [30 10]", got)
+	for _, pr := range want.SortedPairs() {
+		if g, w := got.Base[pr], want.Base[pr]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("baseline of %v is %v, Select over B's runs %v", pr, g, w)
+		}
+	}
+
+	wantD, err := detect.Train(cpisB, p.sys.cfg.Detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotD, err := p.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotD, wantD) {
+		t.Fatalf("retrained detector %+v (model %+v), detect.Train over B %+v (model %+v)", gotD, gotD.Model, wantD, wantD.Model)
 	}
 }
 

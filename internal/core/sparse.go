@@ -35,11 +35,9 @@ func (p *Profile) Violations(abnormal *metrics.Trace) (*ViolationReport, error) 
 	}
 	// Cache hits skip health observation entirely: an identical window
 	// re-diagnosed adds no information to the drift series.
-	e, err := p.memo(abnormal, set, func() (cacheEntry, error) {
-		rep, err := p.judge(set, abnormal)
-		return cacheEntry{rep: rep}, err
+	return p.memo(abnormal, set, func() (*ViolationReport, error) {
+		return p.judge(set, abnormal)
 	})
-	return e.rep, err
 }
 
 // judge computes the violation report of one window against set, uncached.

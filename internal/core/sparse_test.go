@@ -179,11 +179,10 @@ func TestSparseReportCacheReuse(t *testing.T) {
 		t.Errorf("cache hits %d -> %d, want one new hit", before.Hits, after.Hits)
 	}
 
-	// Retrain on the same windows: the pool dedupes, so the selected pairs
-	// are unchanged, but the set pointer is fresh and the cached report must
-	// not be served for it.
-	prof := s.Profile(ctx)
-	if err := prof.TrainInvariants(nil, nil); err != nil {
+	// Retrain on the same windows: the selected pairs are unchanged, but the
+	// set pointer is fresh and the cached report must not be served for it.
+	runs, _ := normalRuns(910)
+	if err := s.TrainInvariants(ctx, runs); err != nil {
 		t.Fatal(err)
 	}
 	v3, err := s.Violations(ctx, tr)

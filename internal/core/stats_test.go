@@ -102,14 +102,11 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		}
 		w.Invariants += set.Len()
 		w.Signatures += p.SignatureCount()
-		w.CPIRuns += p.cpiPool.size()
-		w.Windows += p.windowPool.size()
 		c := p.CacheStats()
 		w.Cache.Hits += c.Hits
 		w.Cache.Misses += c.Misses
 		w.Cache.Entries += c.Entries
 		w.Training.Scored += p.training.Scored
-		w.Training.Memo += p.training.Memo
 		w.Training.Skipped += p.training.Skipped
 		sp := p.SparseStats()
 		w.Sparse.Screened += sp.Screened
@@ -176,7 +173,7 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		t.Errorf("signatures %d, lifecycle %+v", want.Signatures, want.Lifecycle)
 	case wantNarrow.Invariants == 0 || wantNarrow.Invariants != wantNarrow.Lifecycle.Edges:
 		t.Errorf("narrow profile trained %d edges, lifecycle tracks %d", wantNarrow.Invariants, wantNarrow.Lifecycle.Edges)
-	case wantNarrow.Training.Scored+wantNarrow.Training.Memo+wantNarrow.Training.Skipped != 6*6*3:
+	case wantNarrow.Training.Scored+wantNarrow.Training.Skipped != 6*6*3:
 		t.Errorf("narrow training %+v, want the 36 spanning pairs of 3 windows", wantNarrow.Training)
 	}
 }

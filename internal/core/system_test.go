@@ -44,17 +44,22 @@ func synthTrace(rng *stats.RNG, length, coupled int, decouple map[int]bool) *met
 
 const traceLen = 100
 
-func trainSystem(t *testing.T, cfg Config, ctx Context, seed int64) *System {
-	t.Helper()
-	s := New(cfg)
+// normalRuns builds the six normal runs trainSystem trains on for seed: their
+// metric windows and CPI traces.
+func normalRuns(seed int64) (runs []*metrics.Trace, cpis [][]float64) {
 	rng := stats.NewRNG(seed)
-	var runs []*metrics.Trace
-	var cpis [][]float64
 	for i := 0; i < 6; i++ {
 		tr := synthTrace(rng.Fork(int64(i)), traceLen, 8, nil)
 		runs = append(runs, tr)
 		cpis = append(cpis, tr.CPI)
 	}
+	return runs, cpis
+}
+
+func trainSystem(t *testing.T, cfg Config, ctx Context, seed int64) *System {
+	t.Helper()
+	s := New(cfg)
+	runs, cpis := normalRuns(seed)
 	if err := s.TrainPerformanceModel(ctx, cpis); err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"invarnetx/internal/arx"
 	"invarnetx/internal/core"
+	"invarnetx/internal/detect"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/invariant"
+	"invarnetx/internal/metrics"
 	"invarnetx/internal/mic"
 	"invarnetx/internal/workload"
 )
@@ -379,12 +382,14 @@ func TestVariantsConfig(t *testing.T) {
 
 // TestNoContextArmPoolsEveryNode pins the Figs. 9/10 ablation, which lives
 // in its runner: the no-context arm trains one zero-Context profile on every
-// slave's windows, labels and diagnoses through that profile, and still
-// reports each diagnosis under the row's own node.
+// slave's windows — its detector and set are, to the bit, those of a fresh
+// profile trained once on every slave's training set in node order — labels
+// and diagnoses through that profile, and still reports each diagnosis under
+// the row's own node.
 func TestNoContextArmPoolsEveryNode(t *testing.T) {
 	r := NewRunner(tinyOptions()).variant(VariantNoContext)
 	w := workload.Wordcount
-	sys, _, err := r.TrainSystem(w)
+	sys, normal, err := r.TrainSystem(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +401,27 @@ func TestNoContextArmPoolsEveryNode(t *testing.T) {
 		}
 		return ps[0]
 	}
-	slaves, runs := r.opts.Slaves, r.opts.TrainRuns
-	if st := only("trained"); st.CPIRuns != slaves*runs || st.Windows != slaves*runs || !st.HasModel || st.Invariants == 0 {
-		t.Fatalf("trained %+v, want one model and invariant set over %d runs of %d slaves", st, runs, slaves)
+	slaves := r.opts.Slaves
+	if st := only("trained"); !st.HasModel || st.Invariants == 0 {
+		t.Fatalf("trained %+v, want one model and one invariant set", st)
 	}
+	var cpis [][]float64
+	var windows []*metrics.Trace
+	for _, ip := range sortedKeys(normal[0].Traces) {
+		c, win := r.trainingSet(normal, ip)
+		cpis, windows = append(cpis, c...), append(windows, win...)
+	}
+	if len(windows) != slaves*r.opts.TrainRuns {
+		t.Fatalf("test setup: %d training windows, want %d runs of %d slaves", len(windows), r.opts.TrainRuns, slaves)
+	}
+	ref := core.New(r.opts.Config).Profile(core.Context{})
+	if err := ref.TrainPerformanceModel(cpis); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.TrainInvariants(windows, nil); err != nil {
+		t.Fatal(err)
+	}
+	sameModel(t, sys.Profile(core.Context{}), ref)
 
 	label := r.LabelRows("no-context-arm", w, faults.CPUHog)
 	if err := r.Label(sys, label); err != nil {
@@ -431,6 +453,49 @@ func TestNoContextArmPoolsEveryNode(t *testing.T) {
 	}
 	if st := only("diagnosed"); st.Cache.Hits+st.Cache.Misses < labelled.Cache.Hits+labelled.Cache.Misses+int64(slaves) {
 		t.Errorf("diagnoses did not go through the pooled profile: cache %+v after labelling, %+v after", labelled.Cache, st.Cache)
+	}
+}
+
+// sameModel fails unless profiles got and want hold the same detector and the
+// same invariant set, every float compared by its bits.
+func sameModel(t *testing.T, got, want *core.Profile) {
+	t.Helper()
+	gd, err := got.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := want.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	detectorBits := func(d *detect.Detector) []uint64 {
+		m := d.Model
+		bits := []uint64{uint64(d.Rule), math.Float64bits(d.Upper), math.Float64bits(d.Lower), uint64(d.Consecutive),
+			uint64(m.Order.P), uint64(m.Order.D), uint64(m.Order.Q), uint64(m.N),
+			math.Float64bits(m.Intercept), math.Float64bits(m.Sigma2), math.Float64bits(m.AIC), math.Float64bits(m.LogLik)}
+		for _, c := range append(append([]float64(nil), m.AR...), m.MA...) {
+			bits = append(bits, math.Float64bits(c))
+		}
+		return bits
+	}
+	if !reflect.DeepEqual(detectorBits(gd), detectorBits(wd)) {
+		t.Errorf("detector %+v (model %+v), reference %+v (model %+v)", gd, gd.Model, wd, wd.Model)
+	}
+	gs, err := got.Invariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := want.Invariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.M != ws.M || !reflect.DeepEqual(gs.SortedPairs(), ws.SortedPairs()) {
+		t.Fatalf("invariant set M=%d with %d pairs, reference M=%d with %d", gs.M, gs.Len(), ws.M, ws.Len())
+	}
+	for _, pr := range ws.SortedPairs() {
+		if g, w := gs.Base[pr], ws.Base[pr]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("baseline of %v is %v, reference %v", pr, g, w)
+		}
 	}
 }
 

@@ -341,38 +341,38 @@ func (res *RunResult) TargetTrace() *metrics.Trace { return res.Traces[res.Targe
 
 // TrainSystem builds an InvarNet-X instance trained on TrainRuns normal
 // runs of workload w: one performance model and one invariant set per slave
-// node context. It returns the system and the per-node normal traces of the
-// final training run (useful to seed monitors).
+// node context, each trained once on the runs scope maps to it — its node's,
+// or in the no-context arm every node's, in node order. It returns the system
+// and the per-node normal traces of the final training run (useful to seed
+// monitors).
 func (r *Runner) TrainSystem(w workload.Type) (*core.System, []*RunResult, error) {
 	sys := core.New(r.opts.Config)
 	runs, err := r.normalRuns(w)
 	if err != nil {
 		return nil, nil, err
 	}
-	ips := sortedKeys(runs[0].Traces)
-	trainOne := func(ip string) error {
-		prof := sys.Profile(r.scope(core.Context{Workload: string(w), IP: ip}))
-		cpis, windows := r.trainingSet(runs, ip)
-		if err := prof.TrainPerformanceModel(cpis); err != nil {
-			return err
+	var scopes []core.Context
+	cpis, windows := map[core.Context][][]float64{}, map[core.Context][]*metrics.Trace{}
+	for _, ip := range sortedKeys(runs[0].Traces) {
+		ctx := r.scope(core.Context{Workload: string(w), IP: ip})
+		if _, seen := cpis[ctx]; !seen {
+			scopes = append(scopes, ctx)
 		}
-		return prof.TrainInvariants(windows, nil)
+		c, win := r.trainingSet(runs, ip)
+		cpis[ctx], windows[ctx] = append(cpis[ctx], c...), append(windows[ctx], win...)
 	}
-	// Per-context profiles are independent: train every node concurrently.
-	// Without operation context every node feeds the one zero-Context
-	// profile, so each waits for the one before and the final refit sees the
-	// whole pool.
-	errs := make([]error, len(ips))
+	// Profiles are independent: train every one concurrently.
+	errs := make([]error, len(scopes))
 	var wg sync.WaitGroup
-	for i, ip := range ips {
+	for i, ctx := range scopes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = trainOne(ip)
+			prof := sys.Profile(ctx)
+			if errs[i] = prof.TrainPerformanceModel(cpis[ctx]); errs[i] == nil {
+				errs[i] = prof.TrainInvariants(windows[ctx], nil)
+			}
 		}()
-		if r.noContext {
-			wg.Wait()
-		}
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

@@ -43,13 +43,8 @@ type AssociationFunc func(x, y []float64) float64
 // triangle, i < j) together with their knownness: a pair whose metrics were
 // unavailable in the window (agent outage, dropped or corrupt samples)
 // carries no computable score and is *unknown* — every consumer must treat
-// it as neither holding nor violated, and Select as not observed at all.
-//
-// A training memo (the matrices Train returns) may also hold *pending*
-// cells: a NaN score, whatever its known flag, marks a pair no training has
-// scored on this window yet. Train reads them as "not scored"; Get and Known
-// are meaningless there. A dense fill produces one only where the measure
-// itself returns NaN, which selection has never counted as an observation.
+// it as neither holding nor violated, and Select as not observed at all. A
+// NaN score (the measure's own) is not an observation either.
 type Matrix struct {
 	M      int
 	scores []float64
@@ -226,8 +221,8 @@ type Set struct {
 // pair (m,n) when the range of its association scores across the N run
 // matrices is under tau. All matrices must have the same dimension. The
 // range is taken over the runs in which the pair was computable; a pair
-// unknown in every run is never selected. It is Train with every run
-// memo-only — the one selection loop.
+// unknown (or NaN) in every run is never selected. It is Train over runs
+// that are scored matrices — the one selection loop.
 //
 // Deviation from the paper's pseudocode, documented in DESIGN.md: the
 // stored baseline is the midpoint (Max(V)+Min(V))/2 rather than Max(V).
@@ -240,9 +235,9 @@ type Set struct {
 func Select(runs []*Matrix, tau float64) (*Set, error) {
 	in := make([]Run, len(runs))
 	for r, mat := range runs {
-		in[r].Memo = mat
+		in[r].mat = mat
 	}
-	set, _, _, err := Train(in, nil, tau, nil)
+	set, _, err := Train(in, nil, tau, nil)
 	return set, err
 }
 

@@ -118,8 +118,8 @@ func TestSelectAlgorithm1(t *testing.T) {
 	}
 }
 
-// TestSelectKnownObservationsOnly: an unknown score is not an observation of
-// 0. The range is taken over the runs that could compute the pair, and a
+// TestSelectKnownObservationsOnly: an unknown or NaN score is not an
+// observation (of 0, or of anything). The range is taken over the runs that could compute the pair, and a
 // pair no run could compute is never selected (it used to read as a
 // perfectly stable 0 and become an invariant with baseline 0).
 func TestSelectKnownObservationsOnly(t *testing.T) {
@@ -151,6 +151,23 @@ func TestSelectKnownObservationsOnly(t *testing.T) {
 	}
 	if got := s.Base[Pair{1, 2}]; math.Abs(got-0.525) > 1e-12 {
 		t.Errorf("all-known pair (1,2) baseline = %v, want 0.525", got)
+	}
+
+	// A NaN cell is no observation either: a pair NaN in every run is never
+	// selected, and one NaN run does not stretch a pair's range.
+	nan := math.NaN()
+	s, err = Select([]*Matrix{mk(nan, nan, 0.50), mk(nan, 0.40, 0.55), mk(nan, 0.45, nan)}, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Base[Pair{0, 1}]; ok {
+		t.Error("pair (0,1), NaN in every run, was selected")
+	}
+	if got, ok := s.Base[Pair{0, 2}]; !ok || math.Abs(got-0.425) > 1e-12 {
+		t.Errorf("pair (0,2) baseline = %v (selected %v), want 0.425 over its two scored runs", got, ok)
+	}
+	if got, ok := s.Base[Pair{1, 2}]; !ok || math.Abs(got-0.525) > 1e-12 {
+		t.Errorf("pair (1,2) baseline = %v (selected %v), want 0.525 over its two scored runs", got, ok)
 	}
 }
 

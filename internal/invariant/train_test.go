@@ -71,10 +71,10 @@ func batchFor(rows [][]float64) PairScorer {
 // denseReference is the pre-change pipeline: every window filled densely
 // (masked fill, batch scorer for the full-overlap pairs), then the old
 // selection loop, then the keep filter the cross profiles applied after it.
-// It also returns the dense matrices and how many pair-window scores an
-// exact pool-order exit needs — each kept pair's runs up to and including
-// the one where its range first reaches tau, or all of them.
-func denseReference(t testing.TB, wins []trainWindow, tau float64, keep func(Pair) bool) (*Set, []*Matrix, int) {
+// It also returns how many pair-window scores an exact run-order exit
+// needs — each kept pair's runs up to and including the one where its range
+// first reaches tau, or all of them.
+func denseReference(t testing.TB, wins []trainWindow, tau float64, keep func(Pair) bool) (*Set, int) {
 	t.Helper()
 	mats := make([]*Matrix, len(wins))
 	for r, w := range wins {
@@ -115,17 +115,14 @@ func denseReference(t testing.TB, wins []trainWindow, tau float64, keep func(Pai
 			}
 		}
 	}
-	return NewSet(m, base), mats, need
+	return NewSet(m, base), need
 }
 
-// runsOf turns windows into Train's runs, memos[r] (when present) attached.
-func runsOf(wins []trainWindow, memos []*Matrix) []Run {
+// runsOf turns windows into Train's runs.
+func runsOf(wins []trainWindow) []Run {
 	runs := make([]Run, len(wins))
 	for r, w := range wins {
 		runs[r] = Run{Rows: w.rows, Valid: w.valid, Scorer: func() PairScorer { return batchFor(w.rows) }}
-		if r < len(memos) {
-			runs[r].Memo = memos[r]
-		}
 	}
 	return runs
 }
@@ -147,74 +144,24 @@ func sameSet(t testing.TB, label string, got, want *Set) {
 	}
 }
 
-// memoAgrees fails unless every resolved cell of each memo equals the dense
-// matrix of its window, score bits and knownness.
-func memoAgrees(t testing.TB, label string, memos, dense []*Matrix) {
+// checkTrain holds Train to the dense reference on wins at tau, scoring
+// exactly what the run-order exit needs.
+func checkTrain(t testing.TB, label string, wins []trainWindow, tau float64, keep func(Pair) bool) {
 	t.Helper()
-	for r, a := range memos {
-		for k, v := range a.scores {
-			if math.IsNaN(v) {
-				continue // pending
-			}
-			known := a.known == nil || a.known[k]
-			if wk := dense[r].known == nil || dense[r].known[k]; known != wk {
-				t.Fatalf("%s: run %d cell %d known=%v, dense %v", label, r, k, known, wk)
-			}
-			if math.Float64bits(v) != math.Float64bits(dense[r].scores[k]) {
-				t.Fatalf("%s: run %d cell %d = %v, dense %v", label, r, k, v, dense[r].scores[k])
-			}
-		}
-	}
-}
-
-// checkTrain holds Train to the dense reference on wins at tau: cold (and
-// scoring exactly what the pool-order exit needs), warmed on a prefix
-// trained at warmTau, and fully warm from a whole-pool training at warmTau
-// (which scores nothing more when warmTau == tau).
-func checkTrain(t testing.TB, label string, wins []trainWindow, tau, warmTau float64, prefix int, keep func(Pair) bool) {
-	t.Helper()
-	want, dense, need := denseReference(t, wins, tau, keep)
+	want, need := denseReference(t, wins, tau, keep)
 	pairs, total := 0, want.M*(want.M-1)/2
 	for k := 0; k < total; k++ {
 		if i, j := pairAt(want.M, k); keep == nil || keep(Pair{i, j}) {
 			pairs++
 		}
 	}
-	train := func(what string, memos []*Matrix, at float64, n int) ([]*Matrix, TrainStats, *Set) {
-		t.Helper()
-		set, out, st, err := Train(runsOf(wins[:n], memos), mic.MIC, at, keep)
-		if err != nil {
-			t.Fatalf("%s %s: %v", label, what, err)
-		}
-		if st.Scored+st.Memo+st.Skipped != pairs*n {
-			t.Fatalf("%s %s: %+v does not cover %d pairs x %d runs", label, what, st, pairs, n)
-		}
-		memoAgrees(t, label+" "+what, out, dense)
-		return out, st, set
+	got, st, err := Train(runsOf(wins), mic.MIC, tau, keep)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-
-	_, st, got := train("cold", nil, tau, len(wins))
-	sameSet(t, label+" cold", got, want)
-	if st.Scored != need || st.Memo != 0 {
-		t.Fatalf("%s cold: %+v, want exactly %d scored and no memo reads", label, st, need)
-	}
-
-	memos, _, _ := train("prefix", nil, warmTau, prefix)
-	_, _, got = train("partially warm", memos, tau, len(wins))
-	sameSet(t, label+" partially warm", got, want)
-
-	memos, _, _ = train("warm-up", nil, warmTau, len(wins))
-	again, st, got := train("fully warm", memos, tau, len(wins))
-	sameSet(t, label+" fully warm", got, want)
-	if warmTau == tau {
-		if st.Scored != 0 {
-			t.Fatalf("%s: re-training a trained pool scored %d cells", label, st.Scored)
-		}
-		for r := range again {
-			if again[r] != memos[r] {
-				t.Fatalf("%s: re-training replaced run %d's memo although it scored nothing", label, r)
-			}
-		}
+	sameSet(t, label, got, want)
+	if st.Scored != need || st.Scored+st.Skipped != pairs*len(wins) {
+		t.Fatalf("%s: %+v, want exactly %d scored of %d pairs x %d runs", label, st, need, pairs, len(wins))
 	}
 }
 
@@ -265,9 +212,8 @@ func genWindows(seed int64, nRuns, m int, lens []int, maskP float64, dead, flat 
 // TestTrainMatchesDenseSelect: the pair-major driver selects exactly the set
 // — pairs and baseline bits — that a dense fill of every run plus the old
 // selection loop selected, on clean, masked, dead-metric, constant-metric
-// and ragged-length pools, at every τ regime, serial and parallel, from a
-// cold, partially warm and fully warm memo; a cold run scores exactly the
-// cells the pool-order exit needs.
+// and ragged-length pools, at every τ regime, serial and parallel, and
+// scores exactly the cells the run-order exit needs.
 func TestTrainMatchesDenseSelect(t *testing.T) {
 	const m = 8
 	cross := func(p Pair) bool { return p.I < m/2 && p.J >= m/2 }
@@ -290,13 +236,10 @@ func TestTrainMatchesDenseSelect(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, c := range cases {
 			for _, tau := range []float64{0, 1e-9, 0.2, 1} {
-				for _, warmTau := range []float64{tau, 0.05} {
-					label := fmt.Sprintf("%s procs=%d tau=%g warm=%g", c.name, procs, tau, warmTau)
-					checkTrain(t, label, c.wins, tau, warmTau, len(c.wins)/2, c.keep)
-				}
+				checkTrain(t, fmt.Sprintf("%s procs=%d tau=%g", c.name, procs, tau), c.wins, tau, c.keep)
 			}
 			for _, dead := range c.dead {
-				set, _, _, err := Train(runsOf(c.wins, nil), mic.MIC, 0, nil)
+				set, _, err := Train(runsOf(c.wins), mic.MIC, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -314,32 +257,32 @@ func TestTrainMatchesDenseSelect(t *testing.T) {
 // read.
 func TestTrainErrors(t *testing.T) {
 	wins := genWindows(7, 2, 4, []int{20}, 0, -1, -1)
-	if _, _, _, err := Train(nil, mic.MIC, 0, nil); err != ErrNoRuns {
+	if _, _, err := Train(nil, mic.MIC, 0, nil); err != ErrNoRuns {
 		t.Errorf("no runs: err = %v, want ErrNoRuns", err)
 	}
-	if _, _, _, err := Train([]Run{{}}, mic.MIC, 0, nil); err == nil {
-		t.Error("a run with neither window nor memo should error")
+	if _, _, err := Train([]Run{{}}, mic.MIC, 0, nil); err == nil {
+		t.Error("a run with neither window nor matrix should error")
 	}
-	mixed := runsOf(wins, nil)
-	mixed[1].Memo = NewMatrix(5)
-	if _, _, _, err := Train(mixed, mic.MIC, 0, nil); err == nil {
-		t.Error("a memo of another dimension should error")
+	both := runsOf(wins)
+	both[1].mat = NewMatrix(4)
+	if _, _, err := Train(both, mic.MIC, 0, nil); err == nil {
+		t.Error("a run with both a window and a matrix should error")
 	}
-	other := runsOf(append(wins, genWindows(8, 1, 5, []int{20}, 0, -1, -1)...), nil)
-	if _, _, _, err := Train(other, mic.MIC, 0, nil); err == nil {
+	other := runsOf(append(wins, genWindows(8, 1, 5, []int{20}, 0, -1, -1)...))
+	if _, _, err := Train(other, mic.MIC, 0, nil); err == nil {
 		t.Error("windows of mixed dimensions should error")
 	}
-	ragged := runsOf(wins, nil)
+	ragged := runsOf(wins)
 	ragged[0].Rows = [][]float64{{1, 2, 3}, {1, 2}}
-	if _, _, _, err := Train(ragged, mic.MIC, 0, nil); err == nil {
+	if _, _, err := Train(ragged, mic.MIC, 0, nil); err == nil {
 		t.Error("a ragged window should error")
 	}
 }
 
 // FuzzTrainEquivalence: for mutator-chosen pools — 2–6 runs of 3–6 metrics ×
-// 8–40 ticks, a mask density, a τ and a warm prefix — the driver selects the
-// dense reference's set to the bit, cold and warm, and scores exactly what
-// the pool-order exit needs.
+// 8–40 ticks, a mask density and a τ — the driver selects the dense
+// reference's set to the bit and scores exactly what the run-order exit
+// needs.
 func FuzzTrainEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0x1c, 0x00, 0x33, 0x12, 30, 200, 7, 99, 4, 250, 13, 80})
@@ -361,9 +304,7 @@ func FuzzTrainEquivalence(f *testing.F) {
 		default:
 			tau = float64(data[2]) / 255
 		}
-		prefix := 1 + int(data[3])%nRuns
-		warmTau := float64(data[3]>>4) / 15
-		rest := data[4:]
+		rest := data[4:] // data[3] is unused; the layout stays, so the corpus decodes as before
 		pos := 0
 		next := func() byte {
 			if len(rest) == 0 {
@@ -402,6 +343,6 @@ func FuzzTrainEquivalence(f *testing.F) {
 			}
 			wins[r] = trainWindow{rows: rows, valid: valid}
 		}
-		checkTrain(t, "fuzz", wins, tau, warmTau, prefix, nil)
+		checkTrain(t, "fuzz", wins, tau, nil)
 	})
 }

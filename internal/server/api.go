@@ -139,8 +139,6 @@ type ProfileInfo struct {
 	HasModel    bool   `json:"hasModel"`
 	Invariants  int    `json:"invariants"`
 	Signatures  int    `json:"signatures"`
-	CPIRuns     int    `json:"cpiRuns"`
-	Windows     int    `json:"windows"`
 	CacheHits   int64  `json:"cacheHits"`
 	CacheMisses int64  `json:"cacheMisses"`
 

@@ -571,8 +571,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 			HasModel:    ps.HasModel,
 			Invariants:  ps.Invariants,
 			Signatures:  ps.Signatures,
-			CPIRuns:     ps.CPIRuns,
-			Windows:     ps.Windows,
 			CacheHits:   ps.Cache.Hits,
 			CacheMisses: ps.Cache.Misses,
 

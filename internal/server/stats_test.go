@@ -35,9 +35,9 @@ var (
 	}
 	latencyKeys = []string{"count", "meanMS", "p50MS", "p95MS", "p99MS"}
 	profileKeys = []string{
-		"alerting", "alerts", "cacheHits", "cacheMisses", "cpiRuns", "generation", "hasModel",
+		"alerting", "alerts", "cacheHits", "cacheMisses", "generation", "hasModel",
 		"ingested", "invariants", "node", "promotions", "quarantinedEdges", "rollbacks",
-		"shadowAge", "signatures", "windowLen", "windows", "workload",
+		"shadowAge", "signatures", "windowLen", "workload",
 	}
 	peersKeys   = []string{"count", "peers", "self"}
 	peerRowKeys = []string{"addr", "lastSeenSec", "misses", "state"} // lastErr only after a failure

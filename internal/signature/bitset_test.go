@@ -147,7 +147,7 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 // benchmark's signature.scan_entries_per_query / early_exit_ratio to the
 // exact (scanned, early) tallies of a fixed fixture, for Rank and MatchMasked
 // alike: a stale-length bucket, the zero query, MinScore upper-bound pruning,
-// a masked query and wildcard scopes. The figures were captured from the
+// and a masked query. The figures were captured from the
 // scan before its score was inlined; a kernel change that resolves a
 // different set of entries early moves them.
 func TestScanStatsExact(t *testing.T) {
@@ -184,13 +184,9 @@ func TestScanStatsExact(t *testing.T) {
 	}{
 		{"exact scope", 0, query, nil, "10.0.0.1", "wc", Jaccard, 20, 2},
 		{"zero query", 0, zero, nil, "10.0.0.1", "wc", Jaccard, 20, 20},
-		{"zero query, wildcard ip", 0, zero, nil, "", "sort", Hamming, 60, 60},
 		{"zero query, MinScore", 0.3, zero, nil, "10.0.0.2", "sort", Cosine, 20, 20},
 		{"MinScore pruning", 0.3, query, nil, "10.0.0.2", "sort", Jaccard, 20, 10},
-		{"MinScore pruning, wildcard", 0.3, query, nil, "", "", Cosine, 120, 38},
 		{"masked", 0.3, query, known, "10.0.0.2", "sort", Jaccard, 20, 1},
-		{"masked zero query, wildcard workload", 0, zero, known, "10.0.0.3", "", Hamming, 40, 4},
-		{"wildcard scope", 0, query, nil, "", "", Hamming, 120, 11},
 	}
 	for _, c := range cases {
 		for _, rank := range []bool{false, true} {

@@ -138,8 +138,8 @@ func FuzzMatchEquivalence(f *testing.F) {
 		if masked {
 			known = []bool(randomTuple(rng, n, 0.7))
 		}
-		ip := []string{"", "10.0.0.1", "10.0.0.2"}[rng.Intn(3)]
-		wl := []string{"", "wc", "tpcds"}[rng.Intn(3)]
+		ip := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)]
+		wl := []string{"wc", "tpcds", "sort"}[rng.Intn(3)]
 		m := Measure(rng.Intn(3))
 		matchBothPaths(t, db, tuple, known, ip, wl, m, int(topK), "fuzz")
 	})

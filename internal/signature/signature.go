@@ -287,8 +287,9 @@ func (db *DB) Entries() []Entry {
 }
 
 // MatchMasked retrieves the topK stored signatures most similar to tuple
-// within the operation context (ip, workload); empty ip or workload matches
-// any (the no-operation-context ablation passes both empty). Results are
+// within the operation context (ip, workload): exactly the entries stored
+// under those two fields, an empty field matching only an empty field (the
+// zero Context's profile stores and queries under both empty). Results are
 // sorted by descending score, ties broken by problem name for determinism.
 // Under a degraded telemetry window similarity is computed only over the
 // coordinates whose invariants were checkable (known[i] true); a nil mask
@@ -334,10 +335,10 @@ func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure M
 
 // scan scores the scoped entries against the observed tuple and folds every
 // one at or above MinScore into the reducer the caller fixed: rank (Rank),
-// or sel when it is set (MatchMasked). The scope partitions prune entries of
-// other operation contexts and the length buckets prune stale tuples; every
-// entry of a query-length bucket is scored, or resolved from its population
-// count (scanBucket).
+// or sel when it is set (MatchMasked). The query's one scope partition
+// leaves out every other operation context and its length buckets prune
+// stale tuples; every entry of a query-length bucket is scored, or resolved
+// from its population count (scanBucket).
 func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, rank ranker, sel *selector) error {
 	if known != nil && len(known) != len(tuple) {
 		// Validated once per query, not per entry — and reported even when
@@ -350,26 +351,23 @@ func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure M
 	var buf [2 * stackWords]uint64
 	q := newQuery(&buf, tuple, known, measure)
 	q.prune(db.MinScore)
-	var scoped int
-	var scanned, early int64
-	db.forScopes(ip, workloadType, func(sp *scopePartition) {
-		scoped += sp.total
-		for n, b := range sp.byLen {
-			scanned += int64(len(b.ids))
-			if n != q.n {
-				// Stale signatures from an older invariant set: considered
-				// and skipped rather than failing the whole diagnosis.
-				early += int64(len(b.ids))
-				continue
-			}
-			early += db.scanBucket(b, &q, rank, sel)
-		}
-	})
-	db.scanEntries.Add(scanned)
-	db.scanEarlyExits.Add(early)
-	if scoped == 0 {
+	sp := db.scopes[scopeKey{workload: workloadType, ip: ip}]
+	if sp == nil || sp.total == 0 {
 		return ErrEmpty
 	}
+	var scanned, early int64
+	for n, b := range sp.byLen {
+		scanned += int64(len(b.ids))
+		if n != q.n {
+			// Stale signatures from an older invariant set: considered and
+			// skipped rather than failing the whole diagnosis.
+			early += int64(len(b.ids))
+			continue
+		}
+		early += db.scanBucket(b, &q, rank, sel)
+	}
+	db.scanEntries.Add(scanned)
+	db.scanEarlyExits.Add(early)
 	return nil
 }
 

@@ -119,10 +119,15 @@ func TestMatchContextScoping(t *testing.T) {
 	if _, err := db.Match(tup("11"), "10.0.0.3", "sort", Jaccard, 0); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
-	// Empty ip/workload = no-context ablation: matches everything.
+	// An empty field is a scope value, not a wildcard: the empty scope
+	// reads its own entries alone.
+	if _, err := db.Match(tup("11"), "", "sort", Jaccard, 0); err != ErrEmpty {
+		t.Errorf("empty ip: err = %v, want ErrEmpty", err)
+	}
+	db.Add(Entry{Tuple: tup("10"), Problem: "b"})
 	ms, err := db.Match(tup("11"), "", "", Jaccard, 0)
-	if err != nil || len(ms) != 1 {
-		t.Errorf("no-context match = %v, %v", ms, err)
+	if err != nil || len(ms) != 1 || ms[0].Problem != "b" {
+		t.Errorf("empty scope match = %v, %v; want b alone", ms, err)
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 //
 // The store partitions entries twice:
 //
-//   - by scope (workload, ip): a scoped query never touches entries of
-//     another operation context, and the no-context ablation (empty ip or
-//     workload) unions the handful of matching partitions rather than
-//     filtering every entry;
+//   - by scope (workload, ip): a query reads its own context's partition
+//     and never touches an entry of another;
 //   - by tuple length within each scope: stale signatures from an older
 //     invariant set live in their own bucket, so the query-length bucket is
 //     the only one ever scored.
@@ -37,9 +35,9 @@ import (
 // walk counts, so results are bit-identical to it (pinned by
 // TestMatchEquivalence and FuzzMatchEquivalence).
 
-// scopeKey is one (workload, ip) partition. Entries are stored under their
-// own concrete context fields; a query with empty ip or workload matches
-// several partitions, never the other way around.
+// scopeKey is one (workload, ip) partition. Entries are stored, and queries
+// read, under exactly their context fields; an empty field is a value like
+// any other.
 type scopeKey struct {
 	workload, ip string
 }
@@ -187,26 +185,4 @@ func (st *store) entry(ref entryRef, dst Tuple) Entry {
 	}
 	unpackInto(dst, b.tuple(ref.pos))
 	return Entry{Tuple: dst, Problem: st.problems[b.probs[ref.pos]], IP: b.scope.ip, Workload: b.scope.workload}
-}
-
-// forScopes calls fn for every partition a query scoped to (ip, workload)
-// may match; empty ip or workload is a wildcard on that field. Partition
-// visit order is map order — harmless, because both reducers select under a
-// total order (see topk.go) and counters are commutative sums.
-func (st *store) forScopes(ip, workload string, fn func(*scopePartition)) {
-	if ip != "" && workload != "" {
-		if sp := st.scopes[scopeKey{workload: workload, ip: ip}]; sp != nil {
-			fn(sp)
-		}
-		return
-	}
-	for k, sp := range st.scopes {
-		if ip != "" && k.ip != ip {
-			continue
-		}
-		if workload != "" && k.workload != workload {
-			continue
-		}
-		fn(sp)
-	}
 }

@@ -145,9 +145,8 @@ func textDB(t *testing.T, lines ...string) *DB {
 
 // TestMergeFrom: into an empty database MergeFrom adopts the source whole,
 // into a non-empty one it merges entry by entry; either way the result is
-// what merging the source's entries one by one gives — including the global
-// profile of a no-context system, which takes every file's entries, of
-// every scope, one file after another.
+// what merging the source's entries one by one gives, for a database of
+// several scopes, the empty one among them, one file after another.
 func TestMergeFrom(t *testing.T) {
 	file1 := []string{"wc 10.0.0.2 cpu 0110", "wc 10.0.0.2 mem 1100", "wc 10.0.0.2 cpu 0110", "wc 10.0.0.2 cpu 011", "- - cpu 0110"}
 	file2 := []string{"wc 10.0.0.2 cpu 0110", "sort 10.0.0.3 cpu 0110", "wc 10.0.0.2 net 0001", "- - cpu 0110", "- - disk 1111"}

@@ -44,10 +44,10 @@ func CheckVersion(v int) error {
 }
 
 // ProfileFile is one profile's store file: its scope (both empty for the
-// global no-context profile), which LoadFrom routes the file by, then each
-// trained artefact the profile holds and its signatures. A signature keeps
-// its own ip and type: the global profile and a fleet replica hold entries
-// of other contexts.
+// zero context's profile), which LoadFrom routes the file by, then each
+// trained artefact the profile holds and its signatures. A signature still
+// writes its own ip and type, and they must equal the file's scope:
+// LoadFrom refuses a file holding entries of another context.
 type ProfileFile struct {
 	XMLName    xml.Name         `xml:"profile"`
 	Version    int              `xml:"version,attr"`
