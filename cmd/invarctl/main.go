@@ -37,7 +37,8 @@ var commands = []struct {
 	{"simulate", "run one normal job and report per-node statistics", cmdSimulate},
 	{"train", "train performance models and invariants; save XML to -models", cmdTrain},
 	{"signatures", "build the signature database for every fault; save to -models\n" +
-		"              (-stats: report DB sizes, index buckets and scan-vs-index hit rates)", cmdSignatures},
+		"              (-stats: per-profile signature counts; with -addr, the live daemon's\n" +
+		"              stored count and its scan and early-exit counters)", cmdSignatures},
 	{"diagnose", "inject a fault, detect it online and infer the root cause", cmdDiagnose},
 	{"audit", "report signature conflicts and per-problem separability", cmdAudit},
 	{"profiles", "list per-context profiles with model/invariant/signature stats", cmdProfiles},
@@ -302,9 +303,13 @@ func cmdDiagnose(args []string) error {
 		fmt.Println("no performance anomaly detected")
 		return nil
 	}
-	fmt.Printf("anomaly detected at tick %d (CPI drift, %d consecutive violations)\n",
-		out.AlertTick, sys.Config().Detect.Consecutive)
 	diag := out.Diagnosis
+	det, err := sys.Detector(diag.Context)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("anomaly detected at tick %d (CPI drift, %d consecutive violations)\n",
+		out.AlertTick, det.Consecutive)
 	printCacheStats(sys)
 	fmt.Printf("violation tuple: %d of %d invariants violated\n", diag.Tuple.Ones(), len(diag.Tuple))
 	if diag.Coverage < 1 {

@@ -52,7 +52,6 @@ func main() {
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "keep-alive idle bound")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: queue drain, worker join and persistence start within this budget even if a worker is wedged")
 	lifecycle := fs.Bool("lifecycle", false, "enable the drift-aware invariant lifecycle (edge health, quarantine, shadow-generation promotion)")
-	sigMinScore := fs.Float64("sig-min-score", 0, "minimum signature similarity to report a cause (0 = rank every signature, the paper default)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060); empty = off")
 	peers := fs.String("peers", "", "comma-separated peer addresses (host:port each) to federate with; empty = no fleet")
 	fleetAddr := fs.String("fleet-addr", "", "address this daemon advertises to peers (default: 127.0.0.1 + -addr port)")
@@ -70,10 +69,6 @@ func main() {
 		ReportCap: *reports,
 	}
 	cfg.Core.Lifecycle = *lifecycle
-	if *sigMinScore < 0 || *sigMinScore > 1 {
-		log.Fatalf("invarnetd: -sig-min-score %v out of range [0, 1]", *sigMinScore)
-	}
-	cfg.Core.SigMinScore = *sigMinScore
 
 	if *peers != "" {
 		self := *fleetAddr

@@ -52,10 +52,10 @@ func ExampleNewCluster() {
 func ExampleNew() {
 	sys := invarnetx.New(invarnetx.DefaultConfig())
 	cfg := sys.Config()
-	fmt.Printf("epsilon=%.1f tau=%.1f topk=%d\n", cfg.Epsilon, cfg.Tau, cfg.TopK)
+	fmt.Printf("epsilon=%.1f tau=%.1f\n", cfg.Epsilon, cfg.Tau)
 	fmt.Printf("signatures stored: %d\n", sys.SignatureCount())
 	// Output:
-	// epsilon=0.2 tau=0.2 topk=5
+	// epsilon=0.2 tau=0.2
 	// signatures stored: 0
 }
 

@@ -25,9 +25,8 @@ type CacheStats struct {
 	Entries int
 }
 
-// fnv1a is the package's one FNV-1a (64-bit) accumulator: window
-// fingerprints and the profile registry's shard hash both mix through it,
-// integers little-endian, one byte per round.
+// fnv1a is the FNV-1a (64-bit) accumulator window fingerprints mix
+// through, integers little-endian, one byte per round.
 type fnv1a uint64
 
 const (
@@ -40,13 +39,6 @@ func (h fnv1a) b(c byte) fnv1a { return (h ^ fnv1a(c)) * fnvPrime }
 func (h fnv1a) u64(v uint64) fnv1a {
 	for s := 0; s < 64; s += 8 {
 		h = h.b(byte(v >> s))
-	}
-	return h
-}
-
-func (h fnv1a) str(s string) fnv1a {
-	for i := 0; i < len(s); i++ {
-		h = h.b(s[i])
 	}
 	return h
 }
@@ -200,13 +192,4 @@ func (p *Profile) memo(tr *metrics.Trace, set *invariant.Set, compute func() (*V
 		p.cache.put(key, rep)
 	}
 	return rep, err
-}
-
-// CacheStats reports the profile's report-cache counters and current
-// size. Zero-valued when caching is disabled.
-func (p *Profile) CacheStats() CacheStats {
-	if p.cache == nil {
-		return CacheStats{}
-	}
-	return p.cache.stats()
 }

@@ -45,7 +45,6 @@ type Profile struct {
 // newProfile builds an empty profile for key under s's configuration.
 func newProfile(s *System, key Context) *Profile {
 	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize)}
-	p.sigs.MinScore = s.cfg.SigMinScore
 	if s.cfg.Lifecycle {
 		p.lc = &lifecycle{}
 	}
@@ -56,9 +55,10 @@ func newProfile(s *System, key Context) *Profile {
 func (p *Profile) Context() Context { return p.key }
 
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds from the
-// CPI traces of N normal runs, replacing any model trained before.
+// CPI traces of N normal runs, replacing any model trained before. The
+// detector is the paper's, detect.DefaultConfig.
 func (p *Profile) TrainPerformanceModel(cpiTraces [][]float64) error {
-	d, err := detect.Train(cpiTraces, p.sys.cfg.Detect)
+	d, err := detect.Train(cpiTraces, detect.DefaultConfig())
 	if err != nil {
 		return fmt.Errorf("core: training performance model for %v: %w", p.key, err)
 	}
@@ -247,7 +247,7 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 	// profile's own context, and the query names exactly that context (both
 	// fields empty for the zero Context).
 	p.mu.RLock()
-	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, p.sys.cfg.TopK)
+	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, topCauses)
 	p.mu.RUnlock()
 	if err != nil {
 		if errors.Is(err, signature.ErrEmpty) {
@@ -283,7 +283,8 @@ type ProfileStats struct {
 	Invariants int
 	// Signatures is the number of stored problem signatures.
 	Signatures int
-	// Cache reports the profile's report-cache counters.
+	// Cache reports the profile's report-cache counters (zero when caching
+	// is disabled).
 	Cache CacheStats
 	// Training counts the pair-window cells invariant training scored, and
 	// skipped after a pair's range reached τ.
@@ -314,8 +315,14 @@ func (p *Profile) Stats() ProfileStats {
 		st.Invariants = p.invariants.Len()
 	}
 	p.mu.RUnlock()
-	st.Cache = p.CacheStats()
-	st.Sparse = p.SparseStats()
+	if p.cache != nil {
+		st.Cache = p.cache.stats()
+	}
+	st.Sparse = SparseStats{
+		Screened: p.sparseScreened.Load(),
+		Exact:    p.sparseExact.Load(),
+		Skipped:  p.sparseSkipped.Load(),
+	}
 	st.Lifecycle = p.LifecycleStats()
 	return st
 }

@@ -17,7 +17,7 @@ import (
 
 // TestCleanWindowDiagnosisPinned reimplements the pre-profile clean-window
 // pipeline inline (batch-scored matrix → Violations → context-scoped Match
-// → BestProblem → TopK) and pins Diagnose bit-identical to it: same tuple,
+// → BestProblem → the top five) and pins Diagnose bit-identical to it: same tuple,
 // nil Known, Coverage 1, and the exact same ranked causes with the exact
 // same scores. The masked-first unification must make the clean window the
 // all-known case, not a slightly different computation.
@@ -70,8 +70,8 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacyCauses := signature.BestProblem(matches)
-	if cfg.TopK > 0 && len(legacyCauses) > cfg.TopK {
-		legacyCauses = legacyCauses[:cfg.TopK]
+	if len(legacyCauses) > topCauses {
+		legacyCauses = legacyCauses[:topCauses]
 	}
 
 	diag, err := s.Diagnose(ctx, ab)
@@ -106,7 +106,7 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 
 // referenceCauses is the composition Diagnose's cause inference replaced
 // with signature.DB.Rank: the full ranked match list of the diagnosed tuple,
-// one best match per problem, cut to TopK, weighted by coverage.
+// one best match per problem, cut to topCauses, weighted by coverage.
 func referenceCauses(t *testing.T, s *System, ctx Context, d *Diagnosis) []signature.Match {
 	t.Helper()
 	cfg := s.Config()
@@ -115,8 +115,8 @@ func referenceCauses(t *testing.T, s *System, ctx Context, d *Diagnosis) []signa
 		t.Fatal(err)
 	}
 	ranked := signature.BestProblem(matches)
-	if cfg.TopK > 0 && len(ranked) > cfg.TopK {
-		ranked = ranked[:cfg.TopK]
+	if len(ranked) > topCauses {
+		ranked = ranked[:topCauses]
 	}
 	for i := range ranked {
 		if d.Coverage < 1 {
@@ -145,9 +145,9 @@ func maskMetric(t *testing.T, tr *metrics.Trace, m int) *metrics.Trace {
 
 // TestDiagnoseCausesEqualReferenceComposition extends the legacy-composition
 // pin above to a fault corpus: for every held-out window of every fault,
-// clean and masked, across the TopK and SigMinScore regimes, Diagnosis.Causes
-// must be exactly — scores, order and the representative signature of each
-// problem — what BestProblem over the full match list yields.
+// clean and masked, Diagnosis.Causes must be exactly — scores, order and the
+// representative signature of each problem — what BestProblem over the full
+// match list yields.
 func TestDiagnoseCausesEqualReferenceComposition(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	faults := []map[int]bool{
@@ -158,55 +158,47 @@ func TestDiagnoseCausesEqualReferenceComposition(t *testing.T) {
 		{2: true, 4: true, 6: true},
 		{0: true, 7: true},
 	}
-	for _, tc := range []struct {
-		topK     int
-		minScore float64
-	}{{5, 0}, {0, 0.3}} {
-		cfg := DefaultConfig()
-		cfg.TopK, cfg.SigMinScore = tc.topK, tc.minScore
-		s := trainSystem(t, cfg, ctx, 820)
-		rng := stats.NewRNG(821)
-		for f, fault := range faults {
-			for k := 0; k < 3; k++ { // several signatures per problem: ties and near-ties
-				win := synthTrace(rng.Fork(int64(100*f+k)), 40, 8, fault)
-				if err := s.BuildSignature(ctx, fmt.Sprintf("fault-%d", f), win); err != nil {
+	s := trainSystem(t, DefaultConfig(), ctx, 820)
+	rng := stats.NewRNG(821)
+	for f, fault := range faults {
+		for k := 0; k < 3; k++ { // several signatures per problem: ties and near-ties
+			win := synthTrace(rng.Fork(int64(100*f+k)), 40, 8, fault)
+			if err := s.BuildSignature(ctx, fmt.Sprintf("fault-%d", f), win); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	multi, degraded := 0, 0
+	for f, fault := range faults {
+		for k := 0; k < 4; k++ {
+			clean := synthTrace(rng.Fork(int64(1000+100*f+k)), 40, 8, fault)
+			for _, win := range []*metrics.Trace{clean, maskMetric(t, clean, (f+k)%8)} {
+				diag, err := s.Diagnose(ctx, win)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-		}
-		multi, degraded := 0, 0
-		for f, fault := range faults {
-			for k := 0; k < 4; k++ {
-				clean := synthTrace(rng.Fork(int64(1000+100*f+k)), 40, 8, fault)
-				for _, win := range []*metrics.Trace{clean, maskMetric(t, clean, (f+k)%8)} {
-					diag, err := s.Diagnose(ctx, win)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := referenceCauses(t, s, ctx, diag)
-					if len(diag.Causes) != len(want) || (len(want) > 0 && !reflect.DeepEqual(diag.Causes, want)) {
-						t.Errorf("topK=%d minScore=%v fault %d window %d masked=%v:\n got %+v\nwant %+v",
-							tc.topK, tc.minScore, f, k, diag.Known != nil, diag.Causes, want)
-					}
-					if len(diag.Causes) > 1 {
-						multi++
-					}
-					if diag.Coverage < 1 {
-						degraded++
-					}
+				want := referenceCauses(t, s, ctx, diag)
+				if len(diag.Causes) != len(want) || (len(want) > 0 && !reflect.DeepEqual(diag.Causes, want)) {
+					t.Errorf("fault %d window %d masked=%v:\n got %+v\nwant %+v",
+						f, k, diag.Known != nil, diag.Causes, want)
+				}
+				if len(diag.Causes) > 1 {
+					multi++
+				}
+				if diag.Coverage < 1 {
+					degraded++
 				}
 			}
 		}
-		if multi == 0 || degraded == 0 {
-			t.Errorf("topK=%d minScore=%v: %d windows ranked several causes, %d were degraded; the corpus must exercise both",
-				tc.topK, tc.minScore, multi, degraded)
-		}
+	}
+	if multi == 0 || degraded == 0 {
+		t.Errorf("%d windows ranked several causes, %d were degraded; the corpus must exercise both", multi, degraded)
 	}
 }
 
 // TestConcurrentMultiContextPipeline drives N contexts from N goroutines
 // simultaneously — each trains, builds a signature, persists into a shared
-// store and diagnoses — exercising the striped registry, the per-profile
+// store and diagnoses — exercising the registry, the per-profile
 // locks and concurrent SaveTo under the race detector. A fresh system must
 // then restore every profile from the shared store.
 func TestConcurrentMultiContextPipeline(t *testing.T) {
@@ -346,7 +338,7 @@ func TestRetrainReplacesTheFirst(t *testing.T) {
 		}
 	}
 
-	wantD, err := detect.Train(cpisB, p.sys.cfg.Detect)
+	wantD, err := detect.Train(cpisB, detect.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +395,8 @@ func TestSignatureSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// TestProfileRegistry pins registry semantics: stable identity per context
-// and sorted enumeration.
+// TestProfileRegistry pins registry semantics: stable identity per context,
+// also under concurrent first use, and sorted enumeration.
 func TestProfileRegistry(t *testing.T) {
 	s := New(Config{})
 	a := Context{Workload: "sort", IP: "10.0.0.3"}
@@ -421,6 +413,44 @@ func TestProfileRegistry(t *testing.T) {
 	ps := s.Profiles()
 	if len(ps) != 2 || ps[0].Context() != b || ps[1].Context() != a {
 		t.Errorf("Profiles() = %v, want sorted [%v %v]", ps, b, a)
+	}
+
+	// Concurrent first use: every goroutine asks for every context, racing
+	// the get-or-create, and all of them must get one profile per context.
+	const goroutines, contexts = 8, 32
+	s = New(Config{})
+	ctxOf := func(i int) Context {
+		return Context{Workload: fmt.Sprintf("w%d", i%4), IP: fmt.Sprintf("10.0.%d.%d", i/4, i%4)}
+	}
+	got := make([][contexts]*Profile, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < contexts; k++ {
+				i := (k + 5*g) % contexts // each goroutine starts elsewhere
+				got[g][i] = s.Profile(ctxOf(i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < contexts; i++ {
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("context %v: goroutines 0 and %d got different profiles", ctxOf(i), g)
+			}
+		}
+	}
+	ps = s.Profiles()
+	if len(ps) != contexts {
+		t.Fatalf("Profiles() holds %d profiles, want %d", len(ps), contexts)
+	}
+	for i := 1; i < len(ps); i++ {
+		prev, cur := ps[i-1].Context(), ps[i].Context()
+		if prev.Workload > cur.Workload || (prev.Workload == cur.Workload && prev.IP >= cur.IP) {
+			t.Errorf("Profiles() not sorted at %d: %v after %v", i, cur, prev)
+		}
 	}
 }
 

@@ -84,12 +84,3 @@ func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace) (*ViolationReport
 	p.sparseSkipped.Add(int64(st.Skipped))
 	return rep, nil
 }
-
-// SparseStats returns the profile's cumulative edge counters.
-func (p *Profile) SparseStats() SparseStats {
-	return SparseStats{
-		Screened: p.sparseScreened.Load(),
-		Exact:    p.sparseExact.Load(),
-		Skipped:  p.sparseSkipped.Load(),
-	}
-}

@@ -33,13 +33,12 @@ func halves(k int) func(invariant.Pair) bool {
 // system with three intra-node profiles, one narrow profile trained under a
 // pair predicate and the lifecycle on, after training plus clean, degraded and cached diagnoses, reducing
 // ProfileStats() with Add equals — field by field — the sums (max for
-// generation and shadow age) of the per-profile accessors, which is what the
+// generation and shadow age) of the per-profile counters, which is what the
 // per-counter System aggregators this snapshot replaced used to return.
 func TestProfileStatsReducerEqualsParts(t *testing.T) {
 	useTuning(t, fastLifecycle)
 	cfg := DefaultConfig()
 	cfg.Lifecycle = true
-	cfg.SigMinScore = 0.05 // the floor prunes: early exits move too
 	s := New(cfg)
 
 	fault := map[int]bool{0: true, 1: true}
@@ -47,6 +46,10 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		{Workload: "wordcount", IP: "10.0.0.2"},
 		{Workload: "wordcount", IP: "10.0.0.3"},
 		{Workload: "sort", IP: "10.0.0.2"},
+	}
+	narrowCtx := Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
+	for _, ctx := range append(ctxs, narrowCtx) {
+		s.Profile(ctx).sigs.MinScore = 0.05 // the floor prunes: early exits move too
 	}
 	for i, ctx := range ctxs {
 		rng := stats.NewRNG(int64(900 + i))
@@ -79,7 +82,6 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 
 	// One narrow profile: 12-metric windows, only the pairs spanning their
 	// two halves trained.
-	narrowCtx := Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
 	narrow := func(seed int64, decouple map[int]bool) *metrics.Trace {
 		return narrowTrace(synthTrace(stats.NewRNG(seed), 40, 8, decouple), 12)
 	}
@@ -93,7 +95,7 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Expected totals from the per-profile accessors, never from the reducer.
+	// Expected totals from the per-profile counters, never from the reducer.
 	var want, wantNarrow ProfileStats
 	sum := func(w *ProfileStats, p *Profile) {
 		set, err := p.Invariants()
@@ -102,16 +104,15 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		}
 		w.Invariants += set.Len()
 		w.Signatures += p.SignatureCount()
-		c := p.CacheStats()
+		c := p.cache.stats()
 		w.Cache.Hits += c.Hits
 		w.Cache.Misses += c.Misses
 		w.Cache.Entries += c.Entries
 		w.Training.Scored += p.training.Scored
 		w.Training.Skipped += p.training.Skipped
-		sp := p.SparseStats()
-		w.Sparse.Screened += sp.Screened
-		w.Sparse.Exact += sp.Exact
-		w.Sparse.Skipped += sp.Skipped
+		w.Sparse.Screened += p.sparseScreened.Load()
+		w.Sparse.Exact += p.sparseExact.Load()
+		w.Sparse.Skipped += p.sparseSkipped.Load()
 		scanned, early := p.sigs.ScanStats()
 		w.SigScanned += scanned
 		w.SigEarlyExits += early

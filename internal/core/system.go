@@ -17,8 +17,9 @@
 //     (Diagnose).
 //
 // The state of each operation context (workload type, node IP) lives in its
-// own self-synchronised Profile, held in a striped registry: training or
-// diagnosing context A never contends with context B.
+// own self-synchronised Profile, held in one map under one lock that guards
+// only the map: training or diagnosing context A never waits on context B's
+// work.
 package core
 
 import (
@@ -29,7 +30,6 @@ import (
 	"sort"
 	"sync"
 
-	"invarnetx/internal/arima"
 	"invarnetx/internal/detect"
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
@@ -45,15 +45,17 @@ type Context struct {
 
 func (c Context) String() string { return fmt.Sprintf("%s@%s", c.Workload, c.IP) }
 
-// Config parameterises an InvarNet-X instance. Zero-valued fields take the
-// paper defaults via DefaultConfig.
+// Config parameterises an InvarNet-X instance. The zero Config is the
+// paper's: New gives every zero field its DefaultConfig value. What the
+// paper fixes is not configurable: the CPI detector is detect.DefaultConfig
+// (beta-max, β = 1.2, three consecutive anomalies), a diagnosis ranks at
+// most topCauses causes, and every stored signature competes (no similarity
+// floor).
 type Config struct {
 	// Epsilon is the invariant-violation threshold (paper: 0.2).
 	Epsilon float64
 	// Tau is the invariant-selection stability threshold (paper: 0.2).
 	Tau float64
-	// Detect configures anomaly detection (rule, beta, consecutive).
-	Detect detect.Config
 	// Assoc is the pairwise association measure; mic.MIC by default,
 	// arx.Association for the baseline comparison.
 	Assoc invariant.AssociationFunc
@@ -62,12 +64,6 @@ type Config struct {
 	AssocCacheSize int
 	// Similarity is the tuple-similarity measure for signature retrieval.
 	Similarity signature.Measure
-	// SigMinScore is the minimum similarity for a signature match to be
-	// reported. The paper ranks every known signature, so the default is 0
-	// (report all, ranked); setting it > 0 drops weak causes from reports.
-	SigMinScore float64
-	// TopK bounds the returned cause list (0 = all).
-	TopK int
 	// Lifecycle turns on the drift-aware invariant lifecycle (edge health,
 	// quarantine, shadow generations) for every profile; off by default —
 	// train-once behaviour — and enabled explicitly by long-running
@@ -81,32 +77,25 @@ func DefaultConfig() Config {
 	return Config{
 		Epsilon:    invariant.DefaultEpsilon,
 		Tau:        invariant.DefaultTau,
-		Detect:     detect.DefaultConfig(),
 		Assoc:      mic.MIC,
 		Similarity: signature.Jaccard,
-		TopK:       5,
 	}
 }
 
-// profileShards is the number of stripes in the profile registry. Lookups
-// take one shard's read lock only; profile state itself is guarded by the
-// profile, so the stripes only serialise registry mutation.
-const profileShards = 16
+// topCauses bounds a diagnosis's ranked cause list.
+const topCauses = 5
 
-type profileShard struct {
-	mu       sync.RWMutex
-	profiles map[Context]*Profile
-}
-
-// System is one InvarNet-X deployment: a configuration plus the striped
-// registry of per-context profiles.
+// System is one InvarNet-X deployment: a configuration plus the registry of
+// per-context profiles. The registry lock guards only the map; profile state
+// is guarded by each profile.
 type System struct {
 	cfg Config
 	// batchMIC is the one scoring decision: Assoc is the stock mic.MIC, so a
 	// window is prepared once (mic.NewBatch) and pairs scored from the shared
 	// preparation; any other measure runs Assoc per pair.
 	batchMIC bool
-	shards   [profileShards]profileShard
+	mu       sync.RWMutex
+	profiles map[Context]*Profile
 }
 
 // Errors reported by the online path.
@@ -123,16 +112,11 @@ var (
 // into a multi-gigabyte arena.
 const maxAssocCacheSize = 1 << 20
 
-// maxConsecutive clamps the consecutive-anomaly window: a detector that
-// needs more than 1024 consecutive anomalous samples will never alert
-// within any realistic job, which is a configuration bug, not a policy.
-const maxConsecutive = 1024
-
 // Validate reports the first nonsensical field of the configuration, before
 // defaulting: zero values (which New replaces with paper defaults) and the
 // documented negative sentinel for AssocCacheSize are fine, but
-// NaN/Inf or negative thresholds, out-of-range probabilities and unknown
-// enum values are rejected. Long-running services (invarnetd) should call
+// NaN/Inf, negative or out-of-range thresholds and unknown enum values are
+// rejected. Long-running services (invarnetd) should call
 // Validate on operator-supplied configuration and refuse to boot on error;
 // New itself panics on an invalid config rather than building a registry
 // that would misbehave on every later call.
@@ -143,21 +127,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Epsilon %v outside (0,1] (violation threshold over MIC scores)", c.Epsilon)
 	case bad(c.Tau) || c.Tau > 1:
 		return fmt.Errorf("core: Tau %v outside (0,1] (invariant stability threshold)", c.Tau)
-	case bad(c.Detect.Beta):
-		return fmt.Errorf("core: Detect.Beta %v is not a usable threshold factor", c.Detect.Beta)
-	case c.Detect.Consecutive < 0 || c.Detect.Consecutive > maxConsecutive:
-		return fmt.Errorf("core: Detect.Consecutive %d outside [0,%d]", c.Detect.Consecutive, maxConsecutive)
-	case c.TopK < 0:
-		return fmt.Errorf("core: TopK %d is negative (0 means unranked-all)", c.TopK)
-	case bad(c.SigMinScore) || c.SigMinScore > 1:
-		return fmt.Errorf("core: SigMinScore %v outside [0,1] (similarity floor over signature matches)", c.SigMinScore)
 	case c.AssocCacheSize > maxAssocCacheSize:
 		return fmt.Errorf("core: AssocCacheSize %d exceeds the %d per-profile clamp", c.AssocCacheSize, maxAssocCacheSize)
-	}
-	switch c.Detect.Rule {
-	case detect.BetaMax, detect.MaxMin, detect.P95:
-	default:
-		return fmt.Errorf("core: unknown detection rule %v", c.Detect.Rule)
 	}
 	switch c.Similarity {
 	case signature.Jaccard, signature.Hamming, signature.Cosine:
@@ -184,26 +155,13 @@ func New(cfg Config) *System {
 	if cfg.Tau == 0 {
 		cfg.Tau = def.Tau
 	}
-	if cfg.Detect.Beta == 0 {
-		cfg.Detect.Beta = def.Detect.Beta
-	}
-	if cfg.Detect.Consecutive == 0 {
-		cfg.Detect.Consecutive = def.Detect.Consecutive
-	}
-	if cfg.Detect.Select == (arima.SelectConfig{}) {
-		cfg.Detect.Select = def.Detect.Select
-	}
 	if cfg.Assoc == nil {
 		cfg.Assoc = def.Assoc
 	}
 	// One mic.NewBatch per window only when Assoc is literally the stock
 	// mic.MIC — a custom Assoc (arx, a wrapped MIC) must not be silently
 	// replaced by a scorer computing a different measure.
-	s := &System{cfg: cfg, batchMIC: isStockMIC(cfg.Assoc)}
-	for i := range s.shards {
-		s.shards[i].profiles = make(map[Context]*Profile)
-	}
-	return s
+	return &System{cfg: cfg, batchMIC: isStockMIC(cfg.Assoc), profiles: make(map[Context]*Profile)}
 }
 
 // isStockMIC reports whether f is exactly mic.MIC. Func values are not
@@ -219,21 +177,13 @@ func isStockMIC(f invariant.AssociationFunc) bool {
 // Config returns the effective configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// shardFor picks the registry stripe of a profile key (FNV-1a over the
-// workload and IP; the 0xff separator keeps ("ab","c") and ("a","bc") apart).
-func (s *System) shardFor(key Context) *profileShard {
-	h := fnvOffset.str(key.Workload).b(0xff).str(key.IP)
-	return &s.shards[uint64(h)%profileShards]
-}
-
 // lookup returns ctx's profile if one exists — the read path: online
 // operations on an untrained context must fail with ErrNoModel /
 // ErrNoInvariants, not materialise empty profiles.
 func (s *System) lookup(ctx Context) (*Profile, bool) {
-	sh := s.shardFor(ctx)
-	sh.mu.RLock()
-	p, ok := sh.profiles[ctx]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	p, ok := s.profiles[ctx]
+	s.mu.RUnlock()
 	return p, ok
 }
 
@@ -248,18 +198,18 @@ func online[T any](s *System, ctx Context, missing error, op func(*Profile) (T, 
 	return op(p)
 }
 
-// Profile returns ctx's profile, creating it on first use.
+// Profile returns ctx's profile, creating it on first use. Creation
+// re-checks under the write lock, so racing first uses get one profile.
 func (s *System) Profile(ctx Context) *Profile {
 	if p, ok := s.lookup(ctx); ok {
 		return p
 	}
-	sh := s.shardFor(ctx)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, ok := sh.profiles[ctx]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.profiles[ctx]
 	if !ok {
 		p = newProfile(s, ctx)
-		sh.profiles[ctx] = p
+		s.profiles[ctx] = p
 	}
 	return p
 }
@@ -267,15 +217,12 @@ func (s *System) Profile(ctx Context) *Profile {
 // Profiles returns every registered profile, sorted by context for
 // deterministic iteration.
 func (s *System) Profiles() []*Profile {
-	var out []*Profile
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, p := range sh.profiles {
-			out = append(out, p)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]*Profile, 0, len(s.profiles))
+	for _, p := range s.profiles {
+		out = append(out, p)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].key.Workload != out[b].key.Workload {
 			return out[a].key.Workload < out[b].key.Workload

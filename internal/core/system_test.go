@@ -319,30 +319,6 @@ func TestConfigDefaults(t *testing.T) {
 	if !isStockMIC(cfg.Assoc) {
 		t.Error("association default not applied")
 	}
-	if cfg.Detect.Beta != 1.2 || cfg.Detect.Consecutive != 3 {
-		t.Errorf("detect defaults: %+v", cfg.Detect)
-	}
-}
-
-func TestTopKLimitsCauses(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TopK = 1
-	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	s := trainSystem(t, cfg, ctx, 613)
-	rng := stats.NewRNG(614)
-	for i, name := range []string{"p1", "p2", "p3"} {
-		fault := map[int]bool{i: true}
-		if err := s.BuildSignature(ctx, name, synthTrace(rng.Fork(int64(i)), 40, 8, fault)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	diag, err := s.Diagnose(ctx, synthTrace(rng.Fork(99), 40, 8, map[int]bool{0: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diag.Causes) > 1 {
-		t.Errorf("TopK=1 but %d causes", len(diag.Causes))
-	}
 }
 
 func TestContextString(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/mic"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/workload"
 )
 
@@ -48,13 +49,13 @@ func TestOptionsDefaults(t *testing.T) {
 // and takes core's defaults for the rest, as a System built from it would —
 // it is not swapped for DefaultConfig because it names no Assoc.
 func TestOptionsKeepAPartialConfig(t *testing.T) {
-	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, TopK: 3}}).Options().Config
-	if cfg.Epsilon != 0.3 || cfg.TopK != 3 {
-		t.Errorf("caller's fields replaced: epsilon=%v topk=%d", cfg.Epsilon, cfg.TopK)
+	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, Similarity: signature.Cosine}}).Options().Config
+	if cfg.Epsilon != 0.3 || cfg.Similarity != signature.Cosine {
+		t.Errorf("caller's fields replaced: epsilon=%v similarity=%v", cfg.Epsilon, cfg.Similarity)
 	}
-	want := core.New(core.Config{Epsilon: 0.3, TopK: 3}).Config()
-	if cfg.Tau != want.Tau || cfg.Detect != want.Detect || cfg.Assoc == nil {
-		t.Errorf("unset fields not defaulted as core.New does: tau=%v detect=%+v", cfg.Tau, cfg.Detect)
+	want := core.New(core.Config{Epsilon: 0.3, Similarity: signature.Cosine}).Config()
+	if cfg.Tau != want.Tau || cfg.AssocCacheSize != want.AssocCacheSize || cfg.Assoc == nil {
+		t.Errorf("unset fields not defaulted as core.New does: tau=%v cache=%d", cfg.Tau, cfg.AssocCacheSize)
 	}
 }
 

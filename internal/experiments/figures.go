@@ -295,7 +295,7 @@ func (r *Runner) RunFig6(w workload.Type) (*Fig6Result, error) {
 	tr := res.TargetTrace()
 	out := &Fig6Result{Workload: w, Window: res.Window}
 	for _, rule := range detect.Rules() {
-		cfg := r.opts.Config.Detect
+		cfg := detect.DefaultConfig()
 		cfg.Rule = rule
 		d, err := detect.Train(traces, cfg)
 		if err != nil {

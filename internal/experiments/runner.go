@@ -10,7 +10,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 
@@ -108,12 +107,9 @@ func (o *Options) defaults() {
 	orDefault(&o.FaultStart, d.FaultStart)
 	orDefault(&o.FaultTicks, d.FaultTicks)
 	orDefault(&o.SessionTicks, d.SessionTicks)
-	// A zero Config is the paper's; any other takes core.New's defaults, so
-	// studies reading its fields (Table 1's, Fig. 6's Detect) see the System's.
-	if !reflect.ValueOf(o.Config).IsZero() {
-		d.Config = core.New(o.Config).Config()
-	}
-	o.Config = d.Config
+	// Unset Config fields take core.New's defaults, so studies reading its
+	// fields see the System's.
+	o.Config = core.New(o.Config).Config()
 }
 
 // Runner executes simulated runs. Each run uses a fresh cluster seeded

@@ -227,7 +227,7 @@ func (r *Runner) evidence(sys *core.System, sc Scenario) (Outcome, *metrics.Trac
 		}
 		// Diagnose from the start of the anomalous stretch: the consecutive
 		// rule means the problem began Consecutive-1 samples earlier.
-		from = out.AlertTick - (sys.Config().Detect.Consecutive - 1)
+		from = out.AlertTick - (det.Consecutive - 1)
 	}
 	win, err := AbnormalWindow(tr, from, r.opts.FaultTicks)
 	if err == nil && sc.Origin == Oracle {

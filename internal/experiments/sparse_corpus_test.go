@@ -21,7 +21,7 @@ import (
 // one-sided, so no window in the corpus may flip a verdict — neither in a
 // stored signature nor in a diagnosis. Each held-out window's ranked causes
 // are likewise held to their reference: one best match per problem out of
-// the full ranked match list, cut to TopK.
+// the full ranked match list, cut to core's five causes.
 func TestSparseCorpusEquivalence(t *testing.T) {
 	opts := tinyOptions()
 	r := NewRunner(opts)
@@ -102,8 +102,8 @@ func TestSparseCorpusEquivalence(t *testing.T) {
 			t.Fatalf("%s: reference match: %v", kind, err)
 		}
 		wantCauses := signature.BestProblem(matches)
-		if cfg.TopK > 0 && len(wantCauses) > cfg.TopK {
-			wantCauses = wantCauses[:cfg.TopK]
+		if len(wantCauses) > 5 { // core ranks at most five causes
+			wantCauses = wantCauses[:5]
 		}
 		if d.Coverage < 1 {
 			for i := range wantCauses {

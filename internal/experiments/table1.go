@@ -58,7 +58,7 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 
 	// Perf-M: ARIMA model + thresholds.
 	start := time.Now()
-	det, err := detect.Train(cpis, r.opts.Config.Detect)
+	det, err := detect.Train(cpis, detect.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

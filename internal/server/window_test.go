@@ -295,7 +295,11 @@ func TestHeldCPIIsAGap(t *testing.T) {
 		t.Fatalf("normal warm-up: monitor %v, %d alerts", st.monitor != nil, st.alerts.Load())
 	}
 
-	n := 4 * srv.sys.Config().Detect.Consecutive
+	det, err := srv.sys.Detector(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 4 * det.Consecutive
 	held := coupledSamples(rng.Fork(2), n, 8, nil, 0)
 	invalid := false
 	for i := range held {

@@ -88,6 +88,11 @@ func EncodeModel(d *detect.Detector) *ModelFile {
 	}
 }
 
+// maxConsecutive bounds a stored detector's consecutive-anomaly count: a
+// detector that needs more than 1024 consecutive anomalous samples will never
+// alert within any realistic job.
+const maxConsecutive = 1024
+
 // Decode rebuilds the detector from its persisted form.
 func (f ModelFile) Decode() (*detect.Detector, error) {
 	var rule detect.Rule
@@ -108,15 +113,16 @@ func (f ModelFile) Decode() (*detect.Detector, error) {
 		return nil, fmt.Errorf("xmlstore: coefficient counts (%d,%d) disagree with order (%d,%d)", len(f.AR), len(f.MA), f.P, f.Q)
 	}
 	// strconv reads "NaN" and "Inf" as numbers; a detector holding one never
-	// alerts, and neither does one that needs no or negative evidence.
+	// alerts, and neither does one that needs no, negative or more than
+	// maxConsecutive samples of evidence.
 	if !stats.AllFinite(f.AR) || !stats.AllFinite(f.MA) || !stats.AllFinite([]float64{f.Intercept, f.Sigma2, f.Upper, f.Lower}) {
 		return nil, errors.New("xmlstore: non-finite coefficient, intercept, variance or threshold")
 	}
 	if f.Sigma2 < 0 {
 		return nil, fmt.Errorf("xmlstore: negative innovation variance %v", f.Sigma2)
 	}
-	if f.Consecutive < 1 {
-		return nil, fmt.Errorf("xmlstore: threshold needs %d consecutive samples", f.Consecutive)
+	if f.Consecutive < 1 || f.Consecutive > maxConsecutive {
+		return nil, fmt.Errorf("xmlstore: threshold needs %d consecutive samples, outside [1,%d]", f.Consecutive, maxConsecutive)
 	}
 	if f.Upper < f.Lower {
 		return nil, fmt.Errorf("xmlstore: upper threshold %v below lower %v", f.Upper, f.Lower)

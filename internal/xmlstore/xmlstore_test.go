@@ -127,17 +127,19 @@ func TestModelDecodeRejectsDeadDetector(t *testing.T) {
 		t.Errorf("NaN/Inf thresholds, negative sigma2 and consecutive decoded into %+v", d)
 	}
 	for name, damage := range map[string]func(*ModelFile){
-		"NaN AR coefficient":  func(f *ModelFile) { f.AR[1] = math.NaN() },
-		"Inf MA coefficient":  func(f *ModelFile) { f.MA[0] = math.Inf(-1) },
-		"NaN intercept":       func(f *ModelFile) { f.Intercept = math.NaN() },
-		"Inf sigma2":          func(f *ModelFile) { f.Sigma2 = math.Inf(1) },
-		"negative sigma2":     func(f *ModelFile) { f.Sigma2 = -1e-9 },
-		"NaN upper":           func(f *ModelFile) { f.Upper = math.NaN() },
-		"Inf lower":           func(f *ModelFile) { f.Lower = math.Inf(-1) },
-		"consecutive 0":       func(f *ModelFile) { f.Consecutive = 0 },
-		"upper below lower":   func(f *ModelFile) { f.Upper, f.Lower = 0.1, 0.2 },
-		"control: undamaged":  nil,
-		"control: equal band": func(f *ModelFile) { f.Upper, f.Lower = 0.2, 0.2 },
+		"NaN AR coefficient":        func(f *ModelFile) { f.AR[1] = math.NaN() },
+		"Inf MA coefficient":        func(f *ModelFile) { f.MA[0] = math.Inf(-1) },
+		"NaN intercept":             func(f *ModelFile) { f.Intercept = math.NaN() },
+		"Inf sigma2":                func(f *ModelFile) { f.Sigma2 = math.Inf(1) },
+		"negative sigma2":           func(f *ModelFile) { f.Sigma2 = -1e-9 },
+		"NaN upper":                 func(f *ModelFile) { f.Upper = math.NaN() },
+		"Inf lower":                 func(f *ModelFile) { f.Lower = math.Inf(-1) },
+		"consecutive 0":             func(f *ModelFile) { f.Consecutive = 0 },
+		"consecutive above 1024":    func(f *ModelFile) { f.Consecutive = 1025 },
+		"upper below lower":         func(f *ModelFile) { f.Upper, f.Lower = 0.1, 0.2 },
+		"control: undamaged":        nil,
+		"control: equal band":       func(f *ModelFile) { f.Upper, f.Lower = 0.2, 0.2 },
+		"control: consecutive 1024": func(f *ModelFile) { f.Consecutive = 1024 },
 	} {
 		f := EncodeModel(sampleDetector())
 		if damage != nil {

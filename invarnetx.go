@@ -46,20 +46,18 @@ import (
 
 // Diagnosis system.
 type (
-	// System is an InvarNet-X deployment: a striped registry of
-	// per-context profiles.
+	// System is an InvarNet-X deployment: a registry of per-context
+	// profiles.
 	System = core.System
 	// Config parameterises a System (thresholds, association measure,
-	// similarity, ranking, the drift lifecycle).
+	// report cache, similarity, the drift lifecycle).
 	Config = core.Config
 	// Context is the operation context: workload type and node IP.
 	Context = core.Context
 )
 
-// New builds an InvarNet-X system, one profile per operation context. Start
-// from DefaultConfig() for the paper's configuration: a zero Config gives the
-// same per-context system with the paper's thresholds, detector and
-// association measure (MIC), but TopK 0 (every cause ranked).
+// New builds an InvarNet-X system, one profile per operation context. A zero
+// Config is the paper's configuration, the same as DefaultConfig().
 func New(cfg Config) *System { return core.New(cfg) }
 
 // DefaultConfig returns the paper's configuration.

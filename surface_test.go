@@ -7,9 +7,12 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"invarnetx/internal/core"
 )
 
 // closedPrefix is the guarded part of the module: nothing outside it can
@@ -262,6 +265,39 @@ func TestFacadeIsTheExamplesAPI(t *testing.T) {
 	for _, id := range names {
 		if id.IsExported() && !used[id.Name] && !exempt[id.Name] {
 			t.Errorf("%s: invarnetx.%s is referenced by no example", fset.Position(id.Pos()), id.Name)
+		}
+	}
+}
+
+// configKnobs is the ledger of core.Config's fields, each with the reason it
+// is settable: a product caller sets it in two ways, or bench/ (which changes
+// only with the benchmark) reads it. What the paper fixes and no caller varies
+// is a constant in core instead, so a zero Config is the paper's.
+var configKnobs = map[string]string{
+	"Epsilon":        "bench/ reads it: the clean and masked edge probes judge violations with it",
+	"Tau":            "bench/ reads it: the selection probe runs invariant.Select with it",
+	"Assoc":          "mic.MIC by default; the ARX arm of Figs. 9/10 sets arx.Association",
+	"AssocCacheSize": "0 (the default bound) for the daemon and the studies; Table 1 sets -1 to time uncached stages, bench/ sets 64",
+	"Similarity":     "bench/ reads it: the signature probes rank with the system's measure",
+	"Lifecycle":      "off by default; invarnetd -lifecycle, invarctl lifecycle and the drift study's lifecycle arm set it",
+}
+
+// TestConfigKnobsAreJustified fails when core.Config gains a field without a
+// configKnobs entry, or loses one whose entry stays: a new knob justifies
+// itself in review.
+func TestConfigKnobsAreJustified(t *testing.T) {
+	fields := map[string]bool{}
+	typ := reflect.TypeOf(core.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		if configKnobs[name] == "" {
+			t.Errorf("core.Config.%s has no configKnobs entry: name the callers that set it in two ways, or make it a constant", name)
+		}
+	}
+	for name := range configKnobs {
+		if !fields[name] {
+			t.Errorf("configKnobs lists %s, which core.Config no longer has: drop the entry", name)
 		}
 	}
 }
