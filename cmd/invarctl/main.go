@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +42,6 @@ var commands = []struct {
 	{"audit", "report signature conflicts and per-problem separability", cmdAudit},
 	{"profiles", "list per-context profiles with model/invariant/signature stats", cmdProfiles},
 	{"lifecycle", "show per-profile drift-lifecycle state (generation, quarantine, shadow)", cmdLifecycle},
-	{"peers", "show a running daemon's fleet membership and replication state", cmdPeers},
 	{"faults", "list the injectable faults", cmdFaults},
 }
 
@@ -435,47 +433,6 @@ func cmdLifecycle(args []string) error {
 	if shown == 0 {
 		fmt.Println("no lifecycle state in store (train and serve with the lifecycle enabled first)")
 	}
-	return nil
-}
-
-// cmdPeers queries a running invarnetd for its fleet view: the membership
-// table (state, misses, last contact) plus the replication counters that show
-// anti-entropy at work. Unlike the other commands it talks to a live daemon,
-// not the model store.
-func cmdPeers(args []string) error {
-	fs := flag.NewFlagSet("peers", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the daemon to query")
-	fs.Parse(args)
-	c := client.New(*addr, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	pv, err := c.Peers(ctx)
-	if err != nil {
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.StatusCode == 404 {
-			return fmt.Errorf("daemon at %s runs without federation (start it with -peers)", *addr)
-		}
-		return err
-	}
-	fmt.Printf("self %s (%d peers)\n", pv.Self, pv.Count)
-	for _, p := range pv.Peers {
-		last := "never"
-		if p.LastSeenSec >= 0 {
-			last = fmt.Sprintf("%.1fs ago", p.LastSeenSec)
-		}
-		line := fmt.Sprintf("  %-21s %-8s misses %-2d last seen %s", p.Addr, p.State, p.Misses, last)
-		if p.LastErr != "" {
-			line += "  (" + p.LastErr + ")"
-		}
-		fmt.Println(line)
-	}
-	st, err := c.Stats(ctx)
-	if err != nil || st.Fleet == nil {
-		return err
-	}
-	f := st.Fleet
-	fmt.Printf("replication: %d records in log, %d sync rounds (%d failed), shipped %d / applied %d / duplicate %d, %d rounds since last change\n",
-		f.LogLen, f.SyncRounds, f.SyncFailures, f.RecordsShipped, f.RecordsApplied, f.RecordsDuplicate, f.RoundsSinceChange)
 	return nil
 }
 

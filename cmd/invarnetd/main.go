@@ -27,12 +27,10 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, served only by -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"invarnetx/internal/core"
-	"invarnetx/internal/fleet"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/server"
 	"invarnetx/internal/server/client"
@@ -53,9 +51,6 @@ func main() {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: queue drain, worker join and persistence start within this budget even if a worker is wedged")
 	lifecycle := fs.Bool("lifecycle", false, "enable the drift-aware invariant lifecycle (edge health, quarantine, shadow-generation promotion)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060); empty = off")
-	peers := fs.String("peers", "", "comma-separated peer addresses (host:port each) to federate with; empty = no fleet")
-	fleetAddr := fs.String("fleet-addr", "", "address this daemon advertises to peers (default: 127.0.0.1 + -addr port)")
-	fleetSync := fs.Duration("fleet-sync", fleet.DefaultSyncInterval, "anti-entropy round interval, also the peer liveness probe interval (jittered)")
 	smoke := fs.Bool("smoke", false, "run the self-test against a live socket and exit")
 	smokeSecs := fs.Float64("smoke-seconds", 3, "load duration in -smoke mode")
 	fs.Parse(os.Args[1:])
@@ -69,30 +64,6 @@ func main() {
 		ReportCap: *reports,
 	}
 	cfg.Core.Lifecycle = *lifecycle
-
-	if *peers != "" {
-		self := *fleetAddr
-		if self == "" {
-			// A bare ":8080" listen address advertises as loopback — right
-			// for the local quickstart; multi-host fleets set -fleet-addr.
-			self = *addr
-			if strings.HasPrefix(self, ":") {
-				self = "127.0.0.1" + self
-			}
-		}
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" && p != self {
-				list = append(list, p)
-			}
-		}
-		cfg.Fleet = &fleet.Config{
-			Self:         self,
-			Peers:        list,
-			SyncInterval: *fleetSync,
-			Logf:         log.Printf,
-		}
-	}
 
 	if *smoke {
 		if err := runSmoke(cfg, *smokeSecs); err != nil {
@@ -163,14 +134,6 @@ func serve(cfg server.Config, opts serveOptions) error {
 			opts.addr, eff.Workers, eff.QueueCap, eff.WindowCap)
 		errc <- httpSrv.ListenAndServe()
 	}()
-
-	// The fleet loop starts after the listener goroutine: peers exchanging
-	// back reach a socket that answers, so boot does not cost this daemon
-	// misses.
-	if f := srv.Fleet(); f != nil {
-		log.Printf("fleet: advertising %s to %d peers", f.Self(), len(f.Peers()))
-		srv.StartFleet()
-	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

@@ -93,8 +93,10 @@ func TestSaveToKeepsEveryContextsFile(t *testing.T) {
 
 // TestLoadFromReportsRetiredLayout: the per-artefact files of the layout
 // before profile files are listed as skipped, so an upgraded daemon does not
-// boot cold without a word, and nothing in them is read; the fleet state and
-// files of no store layout are not the store's business.
+// boot cold without a word, and nothing in them is read. Files of no store
+// layout are not the store's business: fleet-state.xml, what a federated
+// daemon left beside its profiles before the fleet was removed, is neither
+// read nor deleted.
 func TestLoadFromReportsRetiredLayout(t *testing.T) {
 	dir, ctx, _ := corruptStore(t)
 	whole, err := os.ReadFile(storePath(dir, ctx))

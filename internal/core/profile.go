@@ -162,8 +162,8 @@ func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signa
 }
 
 // mergeSignatures stores already-built entries under one lock, skipping any
-// whose identical twin is present (labelling and fleet anti-entropy),
-// and returns how many were added.
+// whose identical twin is present (a repeated label, an import of an entry
+// already held), and returns how many were added.
 func (p *Profile) mergeSignatures(es ...signature.Entry) (added int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -273,8 +273,8 @@ func (s *System) BuildSignature(ctx Context, problem string, abnormal *metrics.T
 
 // BuildSignatureEntry is BuildSignature returning the stored entry and
 // whether it was new (false when an identical signature — same context, same
-// (problem, tuple) fingerprint — was already present). The serving layer uses
-// the entry to replicate freshly learned signatures to fleet peers.
+// (problem, tuple) fingerprint — was already present). The serving layer
+// answers a re-label of a known signature as a duplicate by it.
 func (s *System) BuildSignatureEntry(ctx Context, problem string, abnormal *metrics.Trace) (signature.Entry, bool, error) {
 	added := false
 	entry, err := online(s, ctx, ErrNoInvariants, func(p *Profile) (e signature.Entry, err error) {
@@ -286,9 +286,8 @@ func (s *System) BuildSignatureEntry(ctx Context, problem string, abnormal *metr
 
 // MergeSignature routes an already-built entry to the profile its context
 // names (created on first use) and stores it unless an identical one is
-// present. This is the apply path for signatures learned elsewhere — fleet
-// anti-entropy deltas, offline imports — and it reports whether the entry
-// was new.
+// present. This is the import path for signatures built elsewhere, such as
+// a synthetic corpus, and it reports whether the entry was new.
 func (s *System) MergeSignature(e signature.Entry) bool {
 	return s.Profile(loadedCtx(e.Workload, e.IP)).mergeSignatures(e) == 1
 }

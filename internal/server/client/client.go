@@ -224,16 +224,6 @@ func (c *Client) Signatures(ctx context.Context) (*server.SignaturesResponse, er
 	return &out, nil
 }
 
-// Peers fetches the fleet membership view. Daemons running without -peers
-// return 404 (federation disabled), surfaced as *APIError.
-func (c *Client) Peers(ctx context.Context) (*server.PeersResponse, error) {
-	var out server.PeersResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/peers", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats fetches the server's operational counters.
 func (c *Client) Stats(ctx context.Context) (*server.Stats, error) {
 	var out server.Stats

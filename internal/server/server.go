@@ -18,9 +18,7 @@ import (
 	"time"
 
 	"invarnetx/internal/core"
-	"invarnetx/internal/fleet"
 	"invarnetx/internal/metrics"
-	"invarnetx/internal/signature"
 )
 
 // Defaults and clamps for the serving configuration.
@@ -65,11 +63,6 @@ type Config struct {
 	WindowCap int
 	// ReportCap bounds retained reports (default DefaultReportCap).
 	ReportCap int
-	// Fleet, when set, federates this daemon with the configured peers:
-	// gossip-replicated signatures, each exchange doubling as a liveness
-	// probe. The serving layer owns the Apply hook; any value set there is
-	// replaced.
-	Fleet *fleet.Config
 }
 
 // withDefaults normalises and clamps the serving knobs.
@@ -107,7 +100,6 @@ type Server struct {
 	store *reportStore
 	ctr   counters
 	mux   *http.ServeMux
-	fleet *fleet.Fleet // nil when federation is disabled
 	start time.Time
 
 	draining atomic.Bool
@@ -161,9 +153,6 @@ func New(cfg Config) (*Server, *core.LoadReport, error) {
 	s.mux.HandleFunc("POST /v1/signatures", s.handleSignaturesPost)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if cfg.Fleet != nil {
-		s.initFleet(*cfg.Fleet)
-	}
 	return s, rep, nil
 }
 
@@ -234,12 +223,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			if s.shutErr == nil {
 				s.shutErr = fmt.Errorf("server: worker join aborted: %w", ctx.Err())
 			}
-		}
-		// The fleet drains after the queues: signatures accepted during the
-		// drain land in the store first, then the final flush gossips them
-		// out, then the anti-entropy state persists.
-		if err := s.stopFleet(ctx); err != nil && s.shutErr == nil {
-			s.shutErr = fmt.Errorf("server: persisting fleet state: %w", err)
 		}
 		if s.cfg.StoreDir != "" {
 			if err := s.sys.SaveTo(s.cfg.StoreDir); err != nil && s.shutErr == nil {
@@ -658,7 +641,6 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 	ctx := core.Context{Workload: req.Workload, IP: req.Node}
 	st := s.stream(ctx)
 	type sigResult struct {
-		entry signature.Entry
 		added bool
 		err   error
 	}
@@ -674,7 +656,7 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 			res.err = err
 			return
 		}
-		res.entry, res.added, res.err = s.sys.BuildSignatureEntry(ctx, req.Problem, tr)
+		_, res.added, res.err = s.sys.BuildSignatureEntry(ctx, req.Problem, tr)
 	})
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
@@ -693,14 +675,10 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Idempotent storage: re-labelling a known (context, fingerprint) is
-	// acknowledged without inflating the base — or the gossip log. Only a
-	// genuinely new signature replicates to the fleet.
+	// acknowledged without inflating the base.
 	status, code := "stored", http.StatusCreated
 	if res.added {
 		s.ctr.signaturesPost.Add(1)
-		if s.fleet != nil {
-			s.fleet.Record(req.Workload, req.Node, req.Problem, res.entry.Tuple.String())
-		}
 	} else {
 		status, code = "duplicate", http.StatusOK
 	}
@@ -737,11 +715,6 @@ func (s *Server) Stats() Stats {
 	var all core.ProfileStats
 	for _, ps := range snap {
 		all.Add(ps)
-	}
-	var fleetStats *fleet.Stats
-	if s.fleet != nil {
-		fs := s.fleet.Stats()
-		fleetStats = &fs
 	}
 	h := &s.ctr.diagnoseLatency
 	return Stats{
@@ -791,8 +764,6 @@ func (s *Server) Stats() Stats {
 		LifecycleObserved: all.Lifecycle.Observed,
 		Promotions:        all.Lifecycle.Promotions,
 		Rollbacks:         all.Lifecycle.Rollbacks,
-
-		Fleet: fleetStats,
 
 		DiagnoseLatency: LatencySummary{
 			Count:  h.total.Load(),

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-
-	"invarnetx/internal/fleet"
 )
 
 // latencyBucketsMS are the fixed upper bounds (milliseconds) of the diagnose
@@ -172,13 +170,6 @@ type Stats struct {
 	LifecycleObserved int64  `json:"lifecycleObserved"`
 	Promotions        int64  `json:"promotions"`
 	Rollbacks         int64  `json:"rollbacks"`
-
-	// Fleet federation: the peer subsystem's own counters (membership
-	// states, log length, anti-entropy rounds, records
-	// shipped/applied/deduplicated, and the rounds elapsed since replication
-	// last moved a record — the convergence signal). Nil when federation is
-	// disabled.
-	Fleet *fleet.Stats `json:"fleet,omitempty"`
 
 	DiagnoseLatency LatencySummary `json:"diagnoseLatency"`
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"invarnetx/internal/core"
-	"invarnetx/internal/fleet"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
@@ -18,9 +17,8 @@ import (
 
 // The operator wire contract: bench/ and invarctl decode these keys, so a
 // rename or a dropped field is a breaking change however the payload is
-// built. A non-federated daemon omits "fleet". A profile trained on windows
-// of another width than the collector's is a row like any other, with no
-// keys and no totals of its own.
+// built. A profile trained on windows of another width than the collector's
+// is a row like any other, with no keys and no totals of its own.
 var (
 	statsKeys = []string{
 		"alerts", "assocCacheEntries", "assocCacheHitRate", "assocCacheHits", "assocCacheMisses",
@@ -39,8 +37,6 @@ var (
 		"ingested", "invariants", "node", "promotions", "quarantinedEdges", "rollbacks",
 		"shadowAge", "signatures", "windowLen", "workload",
 	}
-	peersKeys   = []string{"count", "peers", "self"}
-	peerRowKeys = []string{"addr", "lastSeenSec", "misses", "state"} // lastErr only after a failure
 )
 
 // getObject GETs path off the handler and decodes the top-level JSON object.
@@ -67,10 +63,9 @@ func sortedKeys(obj map[string]json.RawMessage) []string {
 	return keys
 }
 
-// TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats,
-// of one GET /v1/profiles row and of a federated daemon's GET /v1/peers, and
-// that the first two are views of one profile snapshot: /v1/stats counts the
-// /v1/profiles rows and sums their signatures.
+// TestStatsAndProfilesWireKeys pins the exact JSON key sets of GET /v1/stats
+// and of one GET /v1/profiles row, and that the two are views of one profile
+// snapshot: /v1/stats counts the /v1/profiles rows and sums their signatures.
 func TestStatsAndProfilesWireKeys(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Lifecycle = true
@@ -136,30 +131,6 @@ func TestStatsAndProfilesWireKeys(t *testing.T) {
 		t.Errorf("snapshot not exercised: %d signatures, lifecycle %v", sigs, st.LifecycleEnabled)
 	}
 
-	// Federation adds one block to /v1/stats and the /v1/peers view.
-	fed, _, err := New(Config{Core: cfg, Fleet: &fleet.Config{Self: "127.0.0.1:1", Peers: []string{"127.0.0.1:2"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFedStats := append(append([]string(nil), statsKeys...), "fleet")
-	sort.Strings(wantFedStats)
-	if got := sortedKeys(getObject(t, fed.Handler(), "/v1/stats")); !reflect.DeepEqual(got, wantFedStats) {
-		t.Errorf("federated /v1/stats keys\n got %q\nwant %q", got, wantFedStats)
-	}
-	peersObj := getObject(t, fed.Handler(), "/v1/peers")
-	if got := sortedKeys(peersObj); !reflect.DeepEqual(got, peersKeys) {
-		t.Errorf("/v1/peers keys\n got %q\nwant %q", got, peersKeys)
-	}
-	var peerRows []map[string]json.RawMessage
-	if err := json.Unmarshal(peersObj["peers"], &peerRows); err != nil {
-		t.Fatal(err)
-	}
-	if len(peerRows) != 1 {
-		t.Fatalf("%d peer rows, want 1", len(peerRows))
-	}
-	if got := sortedKeys(peerRows[0]); !reflect.DeepEqual(got, peerRowKeys) {
-		t.Errorf("peer row keys\n got %q\nwant %q", got, peerRowKeys)
-	}
 }
 
 // TestSignaturesListSortedAcrossContexts: GET /v1/signatures lists every

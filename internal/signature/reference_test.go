@@ -271,9 +271,8 @@ func FuzzRankEquivalence(f *testing.F) {
 
 // TestEntryFingerprintGolden pins Fingerprint to literal values captured
 // from the boolean-walk implementation it replaced: the fingerprint is the
-// fleet dedup identity between peers of different versions, so hashing from
-// packed words must not move it — at any tuple length around a word
-// boundary.
+// dedup identity Merge keys on, so hashing from packed words must not move
+// it — at any tuple length around a word boundary.
 func TestEntryFingerprintGolden(t *testing.T) {
 	pattern := func(n int) Tuple {
 		tu := make(Tuple, n)
@@ -464,11 +463,11 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 }
 
 // BenchmarkSignatureMatch measures filtered signature retrieval (MinScore
-// 0.3, top 5) over growing databases, up to fleet-scale corpora (gossip
-// replicates every peer's signature log). Every query is one scan of its
-// scope's query-length bucket — each entry scored by popcount, or pruned by
-// the MinScore upper bound its population count gives — so time is linear in
-// n. The boolean linear-scan reference is BenchmarkSignatureLinearScan.
+// 0.3, top 5) over databases of 100 to 100 000 entries in one context.
+// Every query is one scan of its scope's query-length bucket — each entry
+// scored by popcount, or pruned by the MinScore upper bound its population
+// count gives — so time is linear in n. The boolean linear-scan reference is
+// BenchmarkSignatureLinearScan.
 func BenchmarkSignatureMatch(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -557,7 +556,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 
 // TestSignatureStoreFootprint pins what a stored signature costs in memory
 // on the benchmark fixture's shape (20 000 entries of 190 coordinates in one
-// context, built with Merge as a restore or a gossip replica builds it): the
+// context, built with Merge as a restore or an import builds it): the
 // 24-byte packed tuple, three 4-byte columns, a 16-byte locator and the
 // 8-byte fingerprint Merge dedups on, plus slice and map growth slack — and
 // nothing per coordinate or per scope string. A second copy of the tuples or

@@ -111,8 +111,7 @@ type Entry struct {
 // Fingerprint identifies the entry's payload within its operation context:
 // FNV-1a over the problem name and the violation tuple. Two entries with the
 // same (workload, ip, fingerprint) carry the same diagnostic knowledge, which
-// is the merge key both the wire-labelling path and the fleet anti-entropy
-// layer dedupe on.
+// is the merge key Merge dedupes on.
 func (e Entry) Fingerprint() uint64 {
 	var buf [stackWords]uint64
 	return fingerprint(e.Problem, appendPacked(buf[:0], e.Tuple), len(e.Tuple))
@@ -156,10 +155,9 @@ func (db *DB) Add(e Entry) { db.put(e, false) }
 
 // Merge stores a signature unless an identical one — same operation context,
 // same (problem, tuple) fingerprint — is already present, and reports whether
-// the entry was added. This is the idempotent primitive behind both wire
-// labelling (a retried POST /v1/signatures must not inflate the database and
-// skew best-match scans) and fleet anti-entropy (the same entry arriving via
-// two gossip paths merges to one copy).
+// the entry was added. This is the idempotent primitive behind wire
+// labelling: a retried POST /v1/signatures must not inflate the database and
+// skew best-match scans.
 func (db *DB) Merge(e Entry) bool { return db.put(e, true) }
 
 // put packs and fingerprints e on the stack and hands it to the store.

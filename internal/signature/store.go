@@ -6,10 +6,9 @@ import (
 )
 
 // Flat packed signature store. The paper observes that "the number of items
-// in signature database increases gradually" — and fleet gossip
-// (internal/fleet) replicates every peer's signature log into every replica,
-// so the per-diagnosis retrieval cost grows with fleet-wide history unless
-// the scan stays cheap per entry and never touches an entry it need not.
+// in signature database increases gradually", so the per-diagnosis retrieval
+// cost grows with labelling history unless the scan stays cheap per entry
+// and never touches an entry it need not.
 //
 // The store partitions entries twice:
 //

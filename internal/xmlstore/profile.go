@@ -12,14 +12,15 @@ import (
 
 // LoadProfile reads the profile file at path: its scope and sections, with
 // Signatures left empty, and its signatures merged into a database of their
-// own, in file order. It is LoadFile into a ProfileFile followed by a tuple
-// parse and a signature.DB.Merge per signature — same schema, same checks,
-// any malformed tuple rejecting the whole file (the tests keep that
-// composition as its reference). The model and lifecycle sections, read once
-// per file, decode by reflection over the store's scanner; the invariant
-// pairs and the signatures, which repeat tens to thousands of times, in a
-// direct loop over the scanner's tokens, each signature's tuple text packed
-// straight into the database (signature.DB.MergeText).
+// own, in file order. It is the reflection decode of the file into a
+// ProfileFile followed by a tuple parse and a signature.DB.Merge per
+// signature — same schema, same checks, any malformed tuple rejecting the
+// whole file (the tests keep that composition as its reference). The model
+// and lifecycle sections, read once per file, decode by reflection over the
+// store's scanner; the invariant pairs and the signatures, which repeat tens
+// to thousands of times, in a direct loop over the scanner's tokens, each
+// signature's tuple text packed straight into the database
+// (signature.DB.MergeText).
 func LoadProfile(path string) (ProfileFile, *signature.DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -79,7 +80,7 @@ func (d *profileDecoder) file() error {
 			d.f.Type = string(a.value)
 		}
 	}
-	if err := CheckVersion(d.f.Version); err != nil {
+	if err := checkVersion(d.f.Version); err != nil {
 		return err
 	}
 	d.last.ip, d.last.workloadType = d.f.IP, d.f.Type

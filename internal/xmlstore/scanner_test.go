@@ -198,50 +198,11 @@ func profileWith(s string, parts int) ProfileFile {
 	return f
 }
 
-// fleetFile is the shape of the fleet's state file (fleet-state.xml, whose
-// type lives in package fleet): the second schema the decode path is held
-// to, with attributes on list elements and nested wrappers the profile file
-// lacks.
-type fleetFile struct {
-	XMLName xml.Name      `xml:"fleet-state"`
-	Version int           `xml:"version,attr"`
-	Self    string        `xml:"self"`
-	NextSeq uint64        `xml:"next-seq"`
-	Vector  []fleetClock  `xml:"vector>clock"`
-	Records []fleetRecord `xml:"log>record"`
-}
-
-type fleetClock struct {
-	Origin string `xml:"origin,attr"`
-	Seq    uint64 `xml:"seq,attr"`
-}
-
-type fleetRecord struct {
-	Origin   string `xml:"origin,attr"`
-	Seq      uint64 `xml:"seq,attr"`
-	Workload string `xml:"type"`
-	Node     string `xml:"ip"`
-	Problem  string `xml:"problem"`
-	Tuple    string `xml:"tuple"`
-}
-
-// savedFiles returns saved documents carrying s wherever they have a string:
-// a profile file with every part, one with signatures only, and a
-// fleet-state file.
+// savedFiles returns saved profile files carrying s wherever they have a
+// string: one with every part and one with signatures only.
 func savedFiles(t testing.TB, s string) [][]byte {
 	t.Helper()
-	fleet := fleetFile{Version: FormatVersion, Self: s, NextSeq: 3, Vector: []fleetClock{{Origin: s, Seq: 2}},
-		Records: []fleetRecord{{Origin: s, Seq: 1, Workload: "wl" + s, Node: s, Problem: s, Tuple: "0110"}, {Origin: s, Seq: 2, Tuple: "1"}}}
-	var buf bytes.Buffer
-	if err := Save(&buf, fleet); err != nil {
-		t.Fatal(err)
-	}
-	return [][]byte{saved(t, profileWith(s, withAll)), saved(t, profileWith(s, withSignatures)), buf.Bytes()}
-}
-
-// newKinds returns a zero value of each file kind to decode into.
-func newKinds() []any {
-	return []any{&ProfileFile{}, &fleetFile{}}
+	return [][]byte{saved(t, profileWith(s, withAll)), saved(t, profileWith(s, withSignatures))}
 }
 
 // same is reflect.DeepEqual but for NaN, which a hostile file can put in any
@@ -261,7 +222,7 @@ func same(a, b any) bool {
 // order, any malformed tuple rejecting the whole file. Merged one by one
 // through DB.Merge, they are what the decoded database must hold.
 func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
-	if err := CheckVersion(f.Version); err != nil {
+	if err := checkVersion(f.Version); err != nil {
 		return nil, err
 	}
 	out := make([]signature.Entry, len(f.Signatures))
@@ -283,21 +244,16 @@ func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
 // through DB.Merge.
 func checkAgainstStock(t testing.TB, in []byte) {
 	t.Helper()
-	stock := newKinds()
-	for i, got := range newKinds() {
-		if err := decode(in, got); err != nil {
-			continue
-		}
-		if err := xml.NewDecoder(bytes.NewReader(in)).Decode(stock[i]); err != nil {
-			t.Fatalf("scanner accepts what encoding/xml refuses (%v) as %T:\n%q", err, got, in)
-		}
-		if !same(got, stock[i]) {
-			t.Fatalf("scanner and encoding/xml disagree on %q:\n got %#v\nwant %#v", in, got, stock[i])
-		}
-	}
 	var f ProfileFile
 	parsed, err := []signature.Entry(nil), decode(in, &f)
 	if err == nil {
+		var stock ProfileFile
+		if err := xml.NewDecoder(bytes.NewReader(in)).Decode(&stock); err != nil {
+			t.Fatalf("scanner accepts what encoding/xml refuses (%v):\n%q", err, in)
+		}
+		if !same(&f, &stock) {
+			t.Fatalf("scanner and encoding/xml disagree on %q:\n got %#v\nwant %#v", in, &f, &stock)
+		}
 		parsed, err = referenceEntries(f)
 	}
 	got, db, directErr := decodeProfile(in)
@@ -500,13 +456,10 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		inv := &InvariantFile{Metrics: rng.Intn(30)}
 		life := &LifecycleFile{Generation: uint64(rng.Intn(1 << 30)), Observed: int64(rng.Intn(1000))}
 		prof := ProfileFile{Version: rng.Intn(3), IP: str(), Type: str()}
-		fleet := fleetFile{Version: 1, Self: str(), NextSeq: uint64(rng.Intn(100))}
 		for n := rng.Intn(5); n > 0; n-- {
 			inv.Pairs = append(inv.Pairs, invariantPair{I: rng.Intn(30), J: rng.Intn(30), Value: rng.Float64()})
 			prof.Signatures = append(prof.Signatures, SignatureEntry{Tuple: str(), Problem: str(), IP: str(), Type: str()})
 			life.Edges = append(life.Edges, LifecycleEdge{I: rng.Intn(30), J: rng.Intn(30), State: str(), Obs: int64(rng.Intn(99)), Rate: rng.Float64(), ShadowBase: rng.Float64()})
-			fleet.Vector = append(fleet.Vector, fleetClock{Origin: str(), Seq: uint64(rng.Intn(99))})
-			fleet.Records = append(fleet.Records, fleetRecord{Origin: str(), Seq: uint64(rng.Intn(99)), Workload: str(), Node: str(), Problem: str(), Tuple: str()})
 		}
 		// Each section present or absent.
 		if rng.Bernoulli(0.7) {
@@ -518,23 +471,21 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		if rng.Bernoulli(0.7) {
 			prof.Lifecycle = life
 		}
-		for i, v := range []any{&prof, &fleet} {
-			var buf bytes.Buffer
-			if err := Save(&buf, v); err != nil {
-				t.Errorf("seed %d: Save(%T): %v", seed, v, err)
-				return false
-			}
-			back := newKinds()[i]
-			if err := load(bytes.NewReader(buf.Bytes()), back); err != nil {
-				t.Errorf("seed %d: load(%T): %v\n%s", seed, v, err, buf.Bytes())
-				return false
-			}
-			// Load records the root element's name; Save needs none.
-			reflect.ValueOf(v).Elem().FieldByName("XMLName").Set(reflect.ValueOf(back).Elem().FieldByName("XMLName"))
-			if !reflect.DeepEqual(v, back) {
-				t.Errorf("seed %d: %T came back changed:\nsaved  %#v\nloaded %#v\n%s", seed, v, v, back, buf.Bytes())
-				return false
-			}
+		var buf bytes.Buffer
+		if err := Save(&buf, prof); err != nil {
+			t.Errorf("seed %d: Save: %v", seed, err)
+			return false
+		}
+		var back ProfileFile
+		if err := load(bytes.NewReader(buf.Bytes()), &back); err != nil {
+			t.Errorf("seed %d: load: %v\n%s", seed, err, buf.Bytes())
+			return false
+		}
+		// Load records the root element's name; Save needs none.
+		prof.XMLName = back.XMLName
+		if !reflect.DeepEqual(prof, back) {
+			t.Errorf("seed %d: profile came back changed:\nsaved  %#v\nloaded %#v\n%s", seed, prof, back, buf.Bytes())
+			return false
 		}
 		return true
 	}

@@ -34,9 +34,9 @@ const FormatVersion = 1
 // caller must not guess at its contents.
 var ErrVersion = errors.New("xmlstore: unsupported store format version")
 
-// CheckVersion accepts the legacy unversioned format (0) and every version
-// up to FormatVersion: the rule for profile files and fleet-state.xml alike.
-func CheckVersion(v int) error {
+// checkVersion accepts the legacy unversioned format (0) and every version
+// up to FormatVersion.
+func checkVersion(v int) error {
 	if v < 0 || v > FormatVersion {
 		return fmt.Errorf("%w: %d (this build reads <= %d)", ErrVersion, v, FormatVersion)
 	}
@@ -212,19 +212,6 @@ func Save(w io.Writer, v any) error {
 	return err
 }
 
-// decode parses the XML document data into v. It is lexed in memory by the
-// store's own scanner; v's struct tags are the schema.
-func decode(data []byte, v any) error {
-	s := &scanner{buf: data}
-	if err := xml.NewTokenDecoder(s).Decode(v); err != nil {
-		return err
-	}
-	// Decode stops at the root's end tag; only comments and white space may
-	// follow it.
-	_, err := s.next()
-	return err
-}
-
 // SaveFile writes v as XML to path atomically: the document is written and
 // fsynced to a unique temporary file in the same directory, renamed over
 // path, and the directory fsynced so the rename itself survives a power cut.
@@ -271,13 +258,4 @@ func SaveFile(path string, v any) error {
 		err = cerr
 	}
 	return err
-}
-
-// LoadFile parses the XML file at path into v.
-func LoadFile(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return decode(data, v)
 }

@@ -2,6 +2,7 @@ package xmlstore
 
 import (
 	"bytes"
+	"encoding/xml"
 	"io"
 	"math"
 	"path/filepath"
@@ -16,8 +17,22 @@ import (
 	"invarnetx/internal/stats"
 )
 
-// load is LoadFile without the file: what Save wrote to a buffer, or a
-// document spelled out in a test, decoded by the same scanner.
+// decode parses the XML document data into v by reflection: lexed in memory
+// by the store's own scanner, v's struct tags the schema. It is the reference
+// FuzzLoad holds LoadProfile's direct loop to.
+func decode(data []byte, v any) error {
+	s := &scanner{buf: data}
+	if err := xml.NewTokenDecoder(s).Decode(v); err != nil {
+		return err
+	}
+	// Decode stops at the root's end tag; only comments and white space may
+	// follow it.
+	_, err := s.next()
+	return err
+}
+
+// load decodes what Save wrote to a buffer, or a document spelled out in a
+// test, by the reflection decode over the store's scanner.
 func load(r io.Reader, v any) error {
 	data, err := io.ReadAll(r)
 	if err != nil {

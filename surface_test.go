@@ -31,6 +31,7 @@ const closedPrefix = "invarnetx/internal/"
 var testOracles = map[string]string{
 	"invarnetx/internal/signature.BestProblem":               "reference reduction (best match per problem over MatchMasked's full list) that core and experiments tests hold DB.Rank to",
 	"invarnetx/internal/invariant.ComputeMaskedMatrixScored": "dense masked fill (every pair of a degraded window) that core and experiments tests hold the sparse edge path and pair-major training to",
+	"invarnetx/internal/signature.ParseTuple":                "reference tuple-text parser that the xmlstore and core restore tests hold the direct signature loop and DB.MergeText to",
 }
 
 const maxTestOracles = 5
