@@ -8,7 +8,9 @@
 #   make race          — tier 2: vet + the full suite under the race detector
 #   make smoke         — boot invarnetd on an ephemeral port, run the load
 #                        generator against the live socket, assert /healthz
-#                        and /v1/stats sanity, drain and persist cleanly
+#                        and /v1/stats sanity, assert a JSON batch and a
+#                        frame for an untrained context answer 409 and open
+#                        no stream, drain and persist cleanly
 #   make bench-smoke   — vet and short-test the separate bench/ module (the
 #                        end-to-end benchmark harness), so an API removal
 #                        that breaks it fails here, not in the acceptance

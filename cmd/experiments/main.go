@@ -117,11 +117,7 @@ var table = []struct {
 		return show(r.RunContrast(workload.Wordcount, 4))
 	}},
 	{[]string{"crossnode"}, func(r *experiments.Runner) error {
-		// Cross traffic changes the simulated telemetry, so the study gets
-		// its own runner rather than contaminating the paper-scale arms.
-		copts := r.Options()
-		copts.CrossTraffic = true
-		return show(experiments.NewRunner(copts).RunCrossNodeStudy(workload.Sort))
+		return show(r.RunCrossNodeStudy(workload.Sort))
 	}},
 	{[]string{"confusion"}, func(r *experiments.Runner) error {
 		cp, err := r.RunConfusion(workload.Wordcount, faults.NetDrop, faults.NetDelay)

@@ -43,12 +43,12 @@ func main() {
 	models := fs.String("models", "./models", "model directory (XML files); loaded on boot, persisted on shutdown")
 	window := fs.Int("window", server.DefaultWindowCap, "sliding window length per stream (ticks)")
 	queueCap := fs.Int("queue", server.DefaultQueueCap, "per-profile task queue bound")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "detection/diagnosis tasks run at once (0 = GOMAXPROCS)")
 	reports := fs.Int("reports", server.DefaultReportCap, "retained diagnosis reports")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 10*time.Second, "bound on reading one request's headers (slow-loris guard)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "bound on reading one whole request")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "keep-alive idle bound")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: queue drain, worker join and persistence start within this budget even if a worker is wedged")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on graceful shutdown: the queue drain ends and persistence starts within this budget even if a task is wedged")
 	lifecycle := fs.Bool("lifecycle", false, "enable the drift-aware invariant lifecycle (edge health, quarantine, shadow-generation promotion)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060); empty = off")
 	smoke := fs.Bool("smoke", false, "run the self-test against a live socket and exit")
@@ -241,6 +241,19 @@ func runSmoke(cfg server.Config, seconds float64) error {
 			st.IngestShed, st.DiagnoseShed, rep.Shed, rep.DiagnoseShed)
 	case st.QueueDepth < 0 || st.QueueDepth > int64(cfg.QueueCap)*int64(lcfg.Streams):
 		return fmt.Errorf("queue depth %d outside [0, %d]", st.QueueDepth, cfg.QueueCap*lcfg.Streams)
+	}
+	// A context never trained is refused on both encodings and opens no stream.
+	untrained := client.SynthBatch(stats.NewRNG(1), lcfg, 4)
+	for _, ingest := range []func(context.Context, string, string, []server.Sample) (*server.IngestResponse, error){c.Ingest, c.IngestFrame} {
+		var ae *client.APIError
+		if _, err := ingest(bg, "untrained", "10.9.9.9", untrained); !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+			return fmt.Errorf("ingest on an untrained context: %v, want 409", err)
+		}
+	}
+	if after, err := c.Stats(bg); err != nil {
+		return fmt.Errorf("stats: %w", err)
+	} else if after.Streams != st.Streams {
+		return fmt.Errorf("%d streams after the untrained ingests, want %d", after.Streams, st.Streams)
 	}
 
 	ctx, cancel = context.WithTimeout(bg, 30*time.Second)

@@ -209,19 +209,16 @@ func (d *Detector) ResidualSeries(trace []float64) ([]float64, error) {
 // The monitor streams: prediction state lives in an arima.Forecaster whose
 // forecasts are bit-identical to PredictNext over the accumulated history,
 // so each Offer costs O(model lag) time and the monitor's memory does not
-// grow with the stream (unless AnomalyLog is left enabled). A monitor
-// embedded in a long-lived server must set DisableLog.
+// grow with the stream. A caller that wants the per-sample decisions (Fig.
+// 6) tallies what Offer returns.
 type Monitor struct {
 	d       *Detector
 	fc      *arima.Forecaster
 	run     int
 	alerted bool
-	// AnomalyLog records the per-sample anomaly decisions (Fig. 6 plots).
-	// It grows by one entry per Offer; DisableLog stops the recording for
-	// unbounded streams.
-	AnomalyLog []bool
-	// DisableLog turns off AnomalyLog recording, keeping the monitor's
-	// memory constant however long it runs.
+	// DisableLog does nothing: the monitor keeps no per-sample log. It stays
+	// declared only because bench/layers.go l. 382 still sets it and bench/
+	// changes in benchmark-only PRs. Delete it with that setter.
 	DisableLog bool
 	// consecGaps is the current run of missing (NaN/±Inf) samples.
 	consecGaps int
@@ -256,9 +253,6 @@ func (m *Monitor) Offer(sample float64) bool {
 		if m.consecGaps >= m.d.Consecutive {
 			m.run = 0
 		}
-		if !m.DisableLog {
-			m.AnomalyLog = append(m.AnomalyLog, false)
-		}
 		return false
 	}
 	m.consecGaps = 0
@@ -276,9 +270,6 @@ func (m *Monitor) Offer(sample float64) bool {
 		}
 	} else {
 		m.run = 0
-	}
-	if !m.DisableLog {
-		m.AnomalyLog = append(m.AnomalyLog, anom)
 	}
 	return anom
 }

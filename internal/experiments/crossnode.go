@@ -380,15 +380,15 @@ func (r *Runner) crossRows(w workload.Type) (label, investigated, test []Scenari
 }
 
 // RunCrossNodeStudy executes the two-arm cross-node diagnosis experiment on
-// batch workload w. Requires Options.CrossTraffic (the inter-node flows the
-// cross edges couple).
+// batch workload w, on a copy of r with the inter-node flows the cross edges
+// couple switched on.
 func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
-	if !r.opts.CrossTraffic {
-		return nil, fmt.Errorf("experiments: cross-node study requires Options.CrossTraffic")
-	}
 	if workload.IsInteractive(w) {
 		return nil, fmt.Errorf("experiments: cross-node study runs on batch workloads")
 	}
+	cr := *r
+	cr.crossTraffic = true
+	r = &cr
 	sys, trainRuns, err := r.TrainSystem(w)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 // stable tally, small enough to stay fast.
 func crossOptions() Options {
 	opts := tinyOptions()
-	opts.CrossTraffic = true
 	// A 12 GB sort gives the reduce phase enough waves that the shuffle
 	// stage clears the stage-window length; 6 GB jobs end inside it and
 	// train no shuffle-stage profiles.

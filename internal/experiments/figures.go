@@ -302,12 +302,9 @@ func (r *Runner) RunFig6(w workload.Type) (*Fig6Result, error) {
 			return nil, err
 		}
 		mon := d.NewMonitor(tr.CPI[:monWarmup])
-		for i := monWarmup; i < tr.Len(); i++ {
-			mon.Offer(tr.CPI[i])
-		}
 		fr := Fig6Rule{Rule: rule}
-		for i, anom := range mon.AnomalyLog {
-			tick := i + monWarmup
+		for tick := monWarmup; tick < tr.Len(); tick++ {
+			anom := mon.Offer(tr.CPI[tick])
 			if res.Window.Active(tick) {
 				fr.WindowSamples++
 				if anom {

@@ -126,9 +126,7 @@ func renderSeed(w io.Writer, seed int64) error {
 		return err
 	}
 	ct.Print(w)
-	copts := opts
-	copts.CrossTraffic = true
-	cs, err := NewRunner(copts).RunCrossNodeStudy(workload.Sort)
+	cs, err := r.RunCrossNodeStudy(workload.Sort)
 	if err != nil {
 		return err
 	}

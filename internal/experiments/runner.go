@@ -49,11 +49,6 @@ type Options struct {
 	FaultTicks int
 	// SessionTicks is the length of an interactive (TPC-DS) run.
 	SessionTicks int
-	// CrossTraffic enables the simulator's inter-node shuffle-serving and
-	// replication flows — required by the cross-node fault study, off by
-	// default so the single-node corpus keeps its exact historical
-	// dynamics.
-	CrossTraffic bool
 	// RotateTargets moves the fault target across the slave nodes from
 	// run to run instead of always hitting slave 0. The Figs. 9/10
 	// comparison enables it: with heterogeneous nodes, per-context
@@ -121,6 +116,11 @@ type Runner struct {
 	// noContext marks the no-context arm of Figs. 9/10 (see scope); only
 	// variant sets it.
 	noContext bool
+	// crossTraffic enables the simulator's inter-node shuffle-serving and
+	// replication flows. Only RunCrossNodeStudy sets it, on a runner of its
+	// own, so every other study keeps the single-node corpus's exact
+	// historical dynamics.
+	crossTraffic bool
 }
 
 // NewRunner validates opts and returns a Runner.
@@ -205,7 +205,7 @@ func (r *Runner) Run(w workload.Type, fault faults.Kind, idx int) (*RunResult, e
 // responsible for the victim's inter-node flows (the ring predecessor serves
 // the victim's shuffle pulls, the ring successor ingests its replication
 // stream), and the victim-side perturbation — the degradation the culprit
-// causes — lands on slave 0. Requires Options.CrossTraffic. The fault
+// causes — lands on slave 0. Requires RunCrossNodeStudy's runner. The fault
 // window runs from FaultStart to the end of the run: a slow link or dragging
 // replica is a standing condition that only bites in the stages exercising
 // it, which is what scopes the alert to a stage.
@@ -279,7 +279,7 @@ func (r *Runner) runWithPerturbation(w workload.Type, idx int, mk func(faults.Wi
 func (r *Runner) execute(w workload.Type, stream string, idx int, setup func(c *cluster.Cluster, rng *stats.RNG, res *RunResult) error) (*RunResult, error) {
 	seed := r.runSeed(string(w)+"/"+stream, idx)
 	c := cluster.NewHeterogeneous(r.opts.Slaves, seed)
-	c.CrossTraffic = r.opts.CrossTraffic
+	c.CrossTraffic = r.crossTraffic
 	rng := stats.NewRNG(seed + 7)
 	collector := metrics.NewCollectl(rng.Fork(1))
 	sampler := cpi.NewSampler(rng.Fork(2))

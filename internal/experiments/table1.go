@@ -78,7 +78,6 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 	// warmed-up monitor — what every ingested CPI sample costs.
 	trace := fres.TargetTrace().CPI
 	mon := det.NewMonitor(trace[:20])
-	mon.DisableLog = true
 	start = time.Now()
 	const detectReps = 200
 	for i := 0; i < detectReps; i++ {

@@ -16,7 +16,8 @@
 //   - GET  /healthz, GET /v1/stats  liveness and the server's own counters.
 //
 // Overload is shed, never buffered without bound: every profile owns a
-// bounded task queue drained by a fixed worker pool, and a full queue turns
+// bounded task queue drained by a goroutine of its own, at most
+// Config.Workers tasks run at once, and a full queue turns
 // into 429 Retry-After at admission. Degraded telemetry rides the masked
 // pipeline end to end — a sample's validity mask flows through
 // metrics.Trace into tri-state invariant checking.

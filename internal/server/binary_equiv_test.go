@@ -72,8 +72,8 @@ func TestBinaryIngestMatchesJSONStreamState(t *testing.T) {
 		}
 	}
 
-	jst := jsonSrv.stream(ctx)
-	bst := binSrv.stream(ctx)
+	jst := mustStream(t, jsonSrv, ctx)
+	bst := mustStream(t, binSrv, ctx)
 	// The window saturates at its capacity before the last batch lands, so
 	// wait on the applied-sample counter, not the window length.
 	waitIngested := func(st *stream, n int64) {

@@ -114,7 +114,9 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 
 	framed(t, "untrained", post("/v1/diagnose", "application/json",
 		mustJSON(server.DiagnoseRequest{Workload: "nope", Node: "10.9.9.9", Samples: faultyWindow(5), Wait: true})),
-		http.StatusOK, new(server.DiagnoseResponse))
+		http.StatusConflict, new(struct {
+			Error string `json:"error"`
+		}))
 	framed(t, "report", get("/v1/reports/"+verdict.ID), http.StatusOK, new(server.Report))
 	framed(t, "missing report", get("/v1/reports/r-99999999"), http.StatusNotFound, new(struct {
 		Error string `json:"error"`

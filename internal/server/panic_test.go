@@ -20,7 +20,7 @@ import (
 // context's windows. The panic is contained at the task boundary: the
 // diagnose report completes as failed and counts in reportsFailed, a waiting
 // POST /v1/signatures gets a 500 instead of hanging, /healthz stays ok, the
-// one worker goes on to diagnose another context, and Shutdown drains
+// one slot goes on to serve another context, and Shutdown drains
 // cleanly.
 func TestPanickingTaskIsContained(t *testing.T) {
 	const poison = 777.0 // carried only by the poisoned windows' first tick

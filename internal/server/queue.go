@@ -26,50 +26,43 @@ var errTaskPanicked = errors.New("server: task panicked (stack in the daemon log
 type task func()
 
 // queue is the bounded FIFO of one profile (one operation context). Tasks of
-// a queue execute strictly one at a time, in order — the worker holding a
-// queue drains it before releasing it — so per-stream state (the sliding
-// window, the monitor) needs no further synchronisation against the pool.
+// a queue execute strictly one at a time, in order — one goroutine serves a
+// busy queue until it is empty — so per-stream state (the sliding window,
+// the monitor) needs no further synchronisation.
 type queue struct {
 	mu      sync.Mutex
 	tasks   []task
 	cap     int
-	running bool // owned by a worker (or sitting on the run queue)
+	running bool // a serve goroutine owns the queue
 }
 
-// scheduler is an m:n work scheduler: dynamically many profile queues served
-// by a fixed worker pool. Only queues with work occupy the run queue, and a
-// queue appears there at most once, so scheduling state is O(active
-// profiles) regardless of how many contexts the registry holds.
+// scheduler runs the profile queues on the Go runtime: a queue that gains a
+// task while idle gets its own goroutine, which drains it and exits, so an
+// idle profile costs no goroutine. slots (Config.Workers of them) bounds how
+// many queues, and so how many tasks, run at once; admission control sheds
+// what the slots cannot keep up with.
 type scheduler struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	runq   []*queue
 	closed bool
+	slots  chan struct{}
 
 	depth   atomic.Int64   // queued-but-unfinished tasks, for /v1/stats
 	pending sync.WaitGroup // accepted tasks not yet executed (drain barrier)
-	workers sync.WaitGroup
 }
 
 func newScheduler(workers int) *scheduler {
-	s := &scheduler{}
-	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
-	return s
+	return &scheduler{slots: make(chan struct{}, workers)}
 }
 
 // newQueue returns an empty profile queue bounded at cap tasks.
 func newQueue(cap int) *queue { return &queue{cap: cap} }
 
 // enqueue admits t onto q or sheds it: ErrQueueFull at capacity,
-// errDraining after shutdown began. An admitted task is guaranteed to run
+// errDraining after the drain began. An admitted task is guaranteed to run
 // (drain waits for it) unless the process dies first. The closed check and
-// the run-queue push happen under one hold of the scheduler lock, so no
-// task can slip into a queue after the workers were told to exit — the lock
-// order (scheduler, then queue) matches every other site.
+// the pending count happen under one hold of the scheduler lock, so no task
+// can slip past a drain — the lock order (scheduler, then queue) matches
+// every other site.
 func (s *scheduler) enqueue(q *queue, t task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,56 +79,42 @@ func (s *scheduler) enqueue(q *queue, t task) error {
 	s.depth.Add(1)
 	if !q.running {
 		q.running = true
-		s.runq = append(s.runq, q)
-		s.cond.Signal()
+		go s.serve(q)
 	}
 	return nil
 }
 
-// worker pops a queue off the run queue and drains it to empty before
-// looking for the next one. Draining whole queues keeps each profile's
-// tasks serialized; fairness across profiles comes from the pool width and
-// from hot queues being bounded (admission control sheds what a worker
-// cannot keep up with).
-func (s *scheduler) worker() {
-	defer s.workers.Done()
+// serve drains q in FIFO order and exits once q is empty. It holds a slot
+// for the whole drain, as a worker of a fixed pool would: each profile's
+// tasks stay serialised, and a queue waiting for a slot keeps its tasks
+// (and its bound) until one frees.
+func (s *scheduler) serve(q *queue) {
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
 	for {
-		s.mu.Lock()
-		for len(s.runq) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.runq) == 0 { // closed and empty
-			s.mu.Unlock()
+		q.mu.Lock()
+		if len(q.tasks) == 0 {
+			q.running = false
+			q.mu.Unlock()
 			return
 		}
-		q := s.runq[0]
-		s.runq = s.runq[1:]
-		s.mu.Unlock()
+		t := q.tasks[0]
+		copy(q.tasks, q.tasks[1:])
+		q.tasks[len(q.tasks)-1] = nil
+		q.tasks = q.tasks[:len(q.tasks)-1]
+		q.mu.Unlock()
 
-		for {
-			q.mu.Lock()
-			if len(q.tasks) == 0 {
-				q.running = false
-				q.mu.Unlock()
-				break
-			}
-			t := q.tasks[0]
-			copy(q.tasks, q.tasks[1:])
-			q.tasks[len(q.tasks)-1] = nil
-			q.tasks = q.tasks[:len(q.tasks)-1]
-			q.mu.Unlock()
-
-			s.run(t)
-		}
+		s.run(t)
 	}
 }
 
 // run executes one task and contains a panic inside it — the daemon's panic
 // policy is contain, not crash: one bad task (a custom core.Config.Assoc
 // that panics, say) must not kill the process and every other context's
-// stream state. The worker survives and the depth/pending accounting runs
-// either way, so a drain still completes; a task with a waiter answers it
-// from its own deferred call, which runs before the panic reaches here.
+// stream state. The queue's goroutine survives and the depth/pending
+// accounting runs either way, so a drain still completes; a task with a
+// waiter answers it from its own deferred call, which runs before the panic
+// reaches here.
 func (s *scheduler) run(t task) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -147,17 +126,11 @@ func (s *scheduler) run(t task) {
 	t()
 }
 
-// drain blocks until every task accepted so far has finished executing.
-// Callers must stop admitting first (close, or an upstream draining gate),
-// or drain can wait forever behind fresh work.
-func (s *scheduler) drain() { s.pending.Wait() }
-
-// close stops admission, wakes the pool, and waits for the workers to
-// finish whatever is still queued and exit. Safe to call once.
-func (s *scheduler) close() {
+// drain stops admission and blocks until every task accepted before it has
+// finished executing.
+func (s *scheduler) drain() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.workers.Wait()
+	s.pending.Wait()
 }

@@ -13,7 +13,7 @@ const (
 )
 
 // Report is one asynchronous diagnosis: created pending by POST /v1/diagnose,
-// completed by a worker, retrieved by GET /v1/reports/{id}.
+// completed by its diagnosis task, retrieved by GET /v1/reports/{id}.
 type Report struct {
 	ID        string     `json:"id"`
 	Status    string     `json:"status"`

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"net/http"
 	"runtime"
 	"sort"
@@ -53,8 +54,8 @@ type Config struct {
 	// StoreDir, when set, is loaded on New (partial, crash-tolerant) and
 	// every profile is persisted into it on Shutdown.
 	StoreDir string
-	// Workers sizes the detection/diagnosis worker pool (default
-	// GOMAXPROCS, min 1).
+	// Workers bounds how many detection/diagnosis tasks run at once
+	// (default GOMAXPROCS, min 1).
 	Workers int
 	// QueueCap bounds each profile's task queue (default DefaultQueueCap).
 	QueueCap int
@@ -92,7 +93,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is one invarnetd instance: the core System, the per-context
-// streams, the worker pool, the report store and the HTTP surface.
+// streams, the scheduler, the report store and the HTTP surface.
 type Server struct {
 	cfg   Config
 	sys   *core.System
@@ -123,8 +124,6 @@ func New(cfg Config) (*Server, *core.LoadReport, error) {
 	}
 	cfg = cfg.withDefaults()
 	sys := core.New(cfg.Core)
-	// The store is restored before any worker starts, so a refusal leaves
-	// nothing running.
 	var rep *core.LoadReport
 	if cfg.StoreDir != "" {
 		var err error
@@ -167,32 +166,39 @@ func (s *Server) Config() Config { return s.cfg }
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// stream returns (creating on first use) the serving state of ctx.
-func (s *Server) stream(ctx core.Context) *stream {
+// stream returns the serving state of ctx, creating it on first use with
+// its drift monitor. Only a context with a trained performance model gets
+// one: any other is core.ErrNoModel and leaves nothing behind, so the stream
+// table is bounded by the trained registry, not by what clients name.
+func (s *Server) stream(ctx core.Context) (*stream, error) {
 	s.mu.RLock()
 	st, ok := s.streams[ctx]
 	s.mu.RUnlock()
 	if ok {
-		return st
+		return st, nil
+	}
+	d, err := s.sys.Detector(ctx)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok = s.streams[ctx]; ok {
-		return st
+		return st, nil
 	}
-	st = &stream{ctx: ctx, queue: newQueue(s.cfg.QueueCap)}
+	st = &stream{ctx: ctx, queue: newQueue(s.cfg.QueueCap), monitor: d.NewMonitor(nil)}
 	s.streams[ctx] = st
-	return st
+	return st, nil
 }
 
 // Shutdown drains and persists, in strict order: (1) stop admitting — every
 // mutating endpoint starts refusing with 503; (2) wait for every accepted
-// task to finish, so no accepted sample or pending report is lost; (3) stop
-// the worker pool; (4) persist every profile (concurrent SaveTo, atomic
-// files). The HTTP listener itself is the caller's to close first
-// (http.Server.Shutdown), so no request races the drain. ctx bounds the
-// drain wait; on expiry the queues are abandoned and the persistence pass
-// still runs.
+// task to finish, so no accepted sample or pending report is lost; (3)
+// persist every profile (concurrent SaveTo, atomic files). The HTTP listener
+// itself is the caller's to close first (http.Server.Shutdown), so no
+// request races the drain. ctx bounds the drain wait: a task wedged inside a
+// stuck diagnosis or a hung callback is abandoned to process exit on expiry,
+// and the persistence pass still runs.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
@@ -205,24 +211,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			s.shutErr = fmt.Errorf("server: drain aborted: %w", ctx.Err())
-		}
-		// close joins the worker pool — but a worker wedged inside a task
-		// (a stuck diagnosis, a hung callback) would otherwise hang the
-		// whole shutdown indefinitely, well past the operator's drain
-		// budget. Bound the join by the same context: on expiry the
-		// stragglers are abandoned to process exit, and whatever state
-		// drained cleanly is still persisted below.
-		closed := make(chan struct{})
-		go func() {
-			s.sched.close()
-			close(closed)
-		}()
-		select {
-		case <-closed:
-		case <-ctx.Done():
-			if s.shutErr == nil {
-				s.shutErr = fmt.Errorf("server: worker join aborted: %w", ctx.Err())
-			}
 		}
 		if s.cfg.StoreDir != "" {
 			if err := s.sys.SaveTo(s.cfg.StoreDir); err != nil && s.shutErr == nil {
@@ -349,12 +337,15 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return false
 }
 
-// statusFor maps core errors to HTTP codes: an untrained context is the
+// statusFor maps refusals to HTTP codes: an untrained context is the
 // caller's problem (409 — the request is well-formed but the state it needs
-// does not exist), everything else is a 500.
+// does not exist), a draining server is 503, everything else is a 500.
 func statusFor(err error) int {
-	if errors.Is(err, core.ErrNoModel) || errors.Is(err, core.ErrNoInvariants) {
+	switch {
+	case errors.Is(err, core.ErrNoModel) || errors.Is(err, core.ErrNoInvariants):
 		return http.StatusConflict
+	case errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }
@@ -400,9 +391,13 @@ func decodeIngest(contentType string, body []byte, b *ingestBatch) (workload, no
 // outcome, so backpressure and the counters cannot drift apart between
 // encodings. Ownership of b passes here: it returns to the pool after the
 // task applies it, or immediately when admission refuses it (ErrQueueFull =
-// shed, anything else = draining).
+// shed, core.ErrNoModel = untrained context, errDraining = draining).
 func (s *Server) admit(workload, node string, b *ingestBatch) (int, error) {
-	st := s.stream(core.Context{Workload: workload, IP: node})
+	st, err := s.stream(core.Context{Workload: workload, IP: node})
+	if err != nil {
+		putBatch(b)
+		return 0, err
+	}
 	n := b.n // read before enqueue: the task may recycle b at once
 	if err := s.sched.enqueue(st.queue, func() { st.apply(s, b); putBatch(b) }); err != nil {
 		putBatch(b)
@@ -416,14 +411,14 @@ func (s *Server) admit(workload, node string, b *ingestBatch) (int, error) {
 	return n, nil
 }
 
-// admitBatch maps an admission outcome onto HTTP: 202, 429 or 503.
+// admitBatch maps an admission outcome onto HTTP: 202, 429, 409 or 503.
 func (s *Server) admitBatch(w http.ResponseWriter, workload, node string, b *ingestBatch) {
 	n, err := s.admit(workload, node, b)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.shed(w, "ingest")
 	case err != nil:
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
+		s.fail(w, statusFor(err), "%v", err)
 	default:
 		writeJSON(w, http.StatusAccepted, IngestResponse{
 			Accepted:   n,
@@ -450,12 +445,15 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	st := s.stream(ctx)
+	st, err := s.stream(core.Context{Workload: req.Workload, IP: req.Node})
+	if err != nil {
+		s.fail(w, statusFor(err), "%v", err)
+		return
+	}
 	rep := s.store.create(req.Workload, req.Node)
 	s.ctr.reportsPending.Add(1)
 	samples := req.Samples
-	err := s.sched.enqueue(st.queue, func() {
+	err = s.sched.enqueue(st.queue, func() {
 		s.runDiagnosis(st, rep, samples)
 	})
 	if err != nil {
@@ -466,7 +464,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			s.shed(w, "diagnose")
 			return
 		}
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
+		s.fail(w, statusFor(err), "%v", err)
 		return
 	}
 	if req.Wait {
@@ -545,10 +543,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep.snapshot())
 }
 
+// handleProfiles lists one row per profile, in the snapshot's (workload,
+// node) order. The streams are read before the registry snapshot, so every
+// stream's profile is in it: a stream exists only for a trained context,
+// and profiles never leave the registry.
 func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
-	infos := make(map[core.Context]*ProfileInfo)
-	for _, ps := range s.sys.ProfileStats() {
-		info := &ProfileInfo{
+	s.mu.RLock()
+	streams := maps.Clone(s.streams)
+	s.mu.RUnlock()
+	snap := s.sys.ProfileStats()
+	out := ProfilesResponse{Count: len(snap)}
+	for _, ps := range snap {
+		info := ProfileInfo{
 			Workload:    ps.Context.Workload,
 			Node:        ps.Context.IP,
 			HasModel:    ps.HasModel,
@@ -563,31 +569,14 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 			Promotions:       ps.Lifecycle.Promotions,
 			Rollbacks:        ps.Lifecycle.Rollbacks,
 		}
-		infos[ps.Context] = info
-	}
-	s.mu.RLock()
-	for ctx, st := range s.streams {
-		info, ok := infos[ctx]
-		if !ok {
-			info = &ProfileInfo{Workload: ctx.Workload, Node: ctx.IP}
-			infos[ctx] = info
+		if st, ok := streams[ps.Context]; ok {
+			info.WindowLen = st.windowLen()
+			info.Ingested = st.ingested.Load()
+			info.Alerts = st.alerts.Load()
+			info.Alerting = st.alerting.Load()
 		}
-		info.WindowLen = st.windowLen()
-		info.Ingested = st.ingested.Load()
-		info.Alerts = st.alerts.Load()
-		info.Alerting = st.alerting.Load()
+		out.Profiles = append(out.Profiles, info)
 	}
-	s.mu.RUnlock()
-	out := ProfilesResponse{Count: len(infos)}
-	for _, info := range infos {
-		out.Profiles = append(out.Profiles, *info)
-	}
-	sort.Slice(out.Profiles, func(a, b int) bool {
-		if out.Profiles[a].Workload != out.Profiles[b].Workload {
-			return out.Profiles[a].Workload < out.Profiles[b].Workload
-		}
-		return out.Profiles[a].Node < out.Profiles[b].Node
-	})
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -639,14 +628,18 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	st := s.stream(ctx)
+	st, err := s.stream(ctx)
+	if err != nil {
+		s.fail(w, statusFor(err), "building signature: %v", err)
+		return
+	}
 	type sigResult struct {
 		added bool
 		err   error
 	}
 	done := make(chan sigResult, 1)
 	samples := req.Samples
-	err := s.sched.enqueue(st.queue, func() {
+	err = s.sched.enqueue(st.queue, func() {
 		// Sent from a deferred call, so a panicking build still answers the
 		// handler (with errTaskPanicked, a 500).
 		res := sigResult{err: errTaskPanicked}
@@ -664,7 +657,7 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 			s.shed(w, "signature")
 			return
 		}
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
+		s.fail(w, statusFor(err), "%v", err)
 		return
 	}
 	// Labelling is rare and must confirm durability-in-memory, so the

@@ -45,16 +45,17 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 	return rec
 }
 
-// TestIngestShedsWith429 fills one profile's queue while the worker pool is
+// TestIngestShedsWith429 fills one profile's queue while the only slot is
 // wedged and asserts the next batch is refused with 429 + Retry-After, then
-// that releasing the pool drains everything.
+// that releasing the slot drains everything.
 func TestIngestShedsWith429(t *testing.T) {
 	srv, _, err := New(Config{Core: core.DefaultConfig(), Workers: 1, QueueCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := core.Context{Workload: "wordcount", IP: "10.0.0.2"}
-	st := srv.stream(ctx)
+	trainContext(t, srv, ctx, 11)
+	st := mustStream(t, srv, ctx)
 
 	// Wedge the only worker inside a task on this stream's queue.
 	gate := make(chan struct{})
@@ -150,7 +151,8 @@ func TestFrameKeepAliveSurvivesShed(t *testing.T) {
 	}
 
 	shedBefore := ingestShed()
-	st := srv.stream(ctx)
+	trainContext(t, srv, ctx, 12)
+	st := mustStream(t, srv, ctx)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	if err := srv.sched.enqueue(st.queue, func() { close(entered); <-gate }); err != nil {
@@ -201,7 +203,8 @@ func TestDiagnoseShedWithdrawsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := core.Context{Workload: "sort", IP: "10.0.0.3"}
-	st := srv.stream(ctx)
+	trainContext(t, srv, ctx, 13)
+	st := mustStream(t, srv, ctx)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	if err := srv.sched.enqueue(st.queue, func() { close(entered); <-gate }); err != nil {
@@ -255,7 +258,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad mask length", "/v1/ingest", IngestRequest{Workload: "w", Node: "n",
 			Samples: func() []Sample { s := testSamples(1); s[0].Valid = []bool{true}; return s }()}, 400},
 		{"untrained diagnose", "/v1/diagnose", DiagnoseRequest{Workload: "w", Node: "n",
-			Samples: testSamples(4), Wait: true}, 200}, // accepted; report fails, not the request
+			Samples: testSamples(4), Wait: true}, 409},
 		{"signature missing problem", "/v1/signatures", SignatureRequest{Workload: "w", Node: "n"}, 400},
 		{"signature untrained", "/v1/signatures", SignatureRequest{Workload: "w", Node: "n",
 			Problem: "p", Samples: testSamples(4)}, 409},
@@ -277,15 +280,80 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("badRequests = %d, want one per refusal above (%d)", got, refused)
 	}
 
-	// The untrained diagnose above produced a failed report, not a lost one.
-	var dr DiagnoseResponse
-	rec := postJSON(t, h, "/v1/diagnose", DiagnoseRequest{Workload: "w", Node: "n",
-		Samples: testSamples(4), Wait: true})
-	if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil {
+	// The untrained diagnose above was refused before a report was issued.
+	if n, failed := srv.store.len(), srv.ctr.reportsFailed.Load(); n != 0 || failed != 0 {
+		t.Errorf("untrained diagnose left %d reports (%d failed), want none", n, failed)
+	}
+}
+
+// TestUntrainedContextsHoldNoState: every path that would open a stream —
+// JSON ingest, frame ingest, diagnose with samples, a label — refuses a
+// context without a trained performance model with 409, and 10 000 such
+// contexts leave no stream, no profile and no report behind. A refusal
+// caches nothing: a refused context trained afterwards is accepted.
+func TestUntrainedContextsHoldNoState(t *testing.T) {
+	srv, _, err := New(Config{Core: core.DefaultConfig()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dr.Status != StatusFailed || dr.Report == nil || dr.Report.Error == "" {
-		t.Errorf("untrained diagnose report = %+v, want failed with error", dr)
+	h := srv.Handler()
+	trainContext(t, srv, core.Context{Workload: "wordcount", IP: "10.0.0.2"}, 21)
+	profiles := func() int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/profiles", nil))
+		var pr ProfilesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr.Count
+	}
+	profilesBefore, before := profiles(), srv.Stats()
+	samples := testSamples(4)
+	wrong := make(map[string]int) // per path: answers that were not the refusal
+	firstWrong := make(map[string]string)
+	for i := 0; i < 10000; i++ {
+		node := fmt.Sprintf("10.9.%d.%d", i/256, i%256)
+		for _, r := range []struct {
+			what string
+			rec  *httptest.ResponseRecorder
+		}{
+			{"json ingest", postJSON(t, h, "/v1/ingest", IngestRequest{Workload: "wordcount", Node: node, Samples: samples})},
+			{"frame ingest", postFrame(t, h, "wordcount", node, samples)},
+			{"diagnose", postJSON(t, h, "/v1/diagnose", DiagnoseRequest{Workload: "wordcount", Node: node, Samples: samples, Wait: true})},
+			{"label", postJSON(t, h, "/v1/signatures", SignatureRequest{Workload: "wordcount", Node: node, Problem: "p", Samples: samples})},
+		} {
+			if r.rec.Code != http.StatusConflict || !strings.Contains(r.rec.Body.String(), "no performance model") {
+				if wrong[r.what]++; wrong[r.what] == 1 {
+					firstWrong[r.what] = fmt.Sprintf("%s: status %d, body %s", node, r.rec.Code, strings.TrimSpace(r.rec.Body.String()))
+				}
+			}
+		}
+	}
+	for what, n := range wrong {
+		t.Errorf("%s: %d of 10000 untrained contexts not refused with 409 naming the missing model (first %s)", what, n, firstWrong[what])
+	}
+	after := srv.Stats()
+	if after.Streams != 0 || len(srv.streams) != 0 {
+		t.Errorf("%d streams (%d in the table) after 10 000 refused contexts, want 0", after.Streams, len(srv.streams))
+	}
+	if got := profiles(); got != profilesBefore {
+		t.Errorf("/v1/profiles lists %d rows, %d before the refusals", got, profilesBefore)
+	}
+	if after.ReportsPending != before.ReportsPending || after.ReportsDone != before.ReportsDone ||
+		after.ReportsFailed != before.ReportsFailed || srv.store.len() != 0 {
+		t.Errorf("reports pending %d, done %d, failed %d, stored %d after refusals; want %d, %d, %d, 0",
+			after.ReportsPending, after.ReportsDone, after.ReportsFailed, srv.store.len(),
+			before.ReportsPending, before.ReportsDone, before.ReportsFailed)
+	}
+
+	refused := core.Context{Workload: "wordcount", IP: "10.9.0.0"}
+	trainContext(t, srv, refused, 22)
+	if rec := postJSON(t, h, "/v1/ingest", IngestRequest{Workload: refused.Workload, Node: refused.IP, Samples: samples}); rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest on %v after training: status %d, body %s; want 202", refused, rec.Code, rec.Body)
+	}
+	if got := srv.Stats().Streams; got != 1 {
+		t.Errorf("%d streams after the trained context's first ingest, want 1", got)
 	}
 }
 

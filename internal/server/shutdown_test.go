@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestShutdownBoundedByWedgedWorker pins the drain-budget contract: a worker
-// wedged inside a task must not hang Shutdown past the caller's context —
-// the join is abandoned, the error says so, and persistence still runs.
+// TestShutdownBoundedByWedgedWorker pins the drain-budget contract: a task
+// wedged on the one slot must not hang Shutdown past the caller's context —
+// the drain is abandoned, the error says so, and persistence still runs.
 func TestShutdownBoundedByWedgedWorker(t *testing.T) {
 	srv, _, err := New(Config{Workers: 1, StoreDir: t.TempDir()})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestShutdownBoundedByWedgedWorker(t *testing.T) {
 }
 
 // TestShutdownCleanDrainNoError is the complementary case: with no wedged
-// work, the same bounded path drains, joins and persists without error.
+// work, the same bounded path drains and persists without error.
 func TestShutdownCleanDrainNoError(t *testing.T) {
 	srv, _, err := New(Config{Workers: 2, StoreDir: t.TempDir()})
 	if err != nil {

@@ -191,7 +191,11 @@ func TestDiagnoseWidthMismatchFailsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := core.Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
-	if err := srv.sys.TrainInvariants(ctx, narrowRuns(t, ctx, 41, 3)); err != nil {
+	runs := narrowRuns(t, ctx, 41, 3)
+	if err := srv.sys.TrainInvariants(ctx, runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.sys.TrainPerformanceModel(ctx, [][]float64{runs[0].CPI, runs[1].CPI, runs[2].CPI}); err != nil {
 		t.Fatal(err)
 	}
 	before := srv.Stats()

@@ -186,6 +186,8 @@ func allTrue(flags []bool) bool {
 // stream is the serving-side state of one operation context: the columnar
 // sliding window of recently ingested samples, the live drift monitor, and
 // the bounded task queue every asynchronous operation for the context rides.
+// Only a trained context has a stream (Server.stream), so the monitor is
+// built with it.
 //
 // Window and monitor mutate only inside tasks on the stream's queue, which
 // the scheduler serialises — one task of a queue runs at a time, in order —
@@ -213,38 +215,10 @@ func (st *stream) apply(srv *Server, b *ingestBatch) {
 		st.win.init(srv.cfg.WindowCap)
 	}
 	st.win.slide(b)
-	winN := st.win.n
 	st.mu.Unlock()
 	st.ingested.Add(int64(b.n))
 	srv.ctr.detectTasks.Add(1)
 
-	// Drift detection wants a trained model; a stream may start flowing
-	// before its context is trained, so the lookup is retried per batch
-	// until it succeeds (lookups are two atomic-ish map reads — cheap).
-	// Reading st.win without the mutex is safe here: apply is the only
-	// mutator and tasks of a queue are serialised.
-	if st.monitor == nil {
-		d, err := srv.sys.Detector(st.ctx)
-		if err != nil {
-			return // no model yet: window still slides, detection waits
-		}
-		// Seed with everything already windowed before this batch (a batch
-		// larger than the window may have evicted its own head); the batch
-		// itself is offered sample by sample below.
-		head := winN - b.n
-		if head < 0 {
-			head = 0
-		}
-		warmup := make([]float64, 0, head)
-		for i := 0; i < head; i++ {
-			warmup = append(warmup, cpiObserved(st.win.cpi[i], st.win.cpiOK[i]))
-		}
-		st.monitor = d.NewMonitor(warmup)
-		// Server streams run indefinitely: drop the per-sample anomaly log
-		// so the monitor's memory stays constant (the forecaster state
-		// already is).
-		st.monitor.DisableLog = true
-	}
 	for i := 0; i < b.n; i++ {
 		st.monitor.Offer(cpiObserved(b.cpi[i], b.cpiOK[i]))
 		if st.monitor.Alert() {

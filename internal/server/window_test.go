@@ -82,6 +82,16 @@ func trainContext(t *testing.T, srv *Server, ctx core.Context, seed int64) {
 	}
 }
 
+// mustStream returns ctx's stream, which exists once ctx is trained.
+func mustStream(t *testing.T, srv *Server, ctx core.Context) *stream {
+	t.Helper()
+	st, err := srv.stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // waitWindow blocks until the stream's window reaches n ticks.
 func waitWindow(t *testing.T, st *stream, n int) {
 	t.Helper()
@@ -205,13 +215,13 @@ func TestStreamWindowDiagnosisMatchesExplicit(t *testing.T) {
 				}
 				lo = hi
 			}
-			waitSamples(t, srv.stream(ctx), int64(len(window)))
+			waitSamples(t, mustStream(t, srv, ctx), int64(len(window)))
 			tail := window[len(window)-windowCap:]
 
 			// The window's trace is the trace of its content submitted as
 			// samples (compared printed: masked entries are NaN) — a stream
 			// carries numbers and validity flags, no stage marks.
-			got, want := srv.stream(ctx).windowTrace(), mustTrace(t, ctx, tail)
+			got, want := mustStream(t, srv, ctx).windowTrace(), mustTrace(t, ctx, tail)
 			if len(got.Stages) != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("window trace is not TraceFromSamples of its content (%d stage marks)", len(got.Stages))
 			}
@@ -273,7 +283,7 @@ func TestHeldCPIIsAGap(t *testing.T) {
 	}
 	ctx := core.Context{Workload: "wordcount", IP: "10.0.0.2"}
 	trainContext(t, srv, ctx, 1400)
-	st := srv.stream(ctx)
+	st := mustStream(t, srv, ctx)
 	rng := stats.NewRNG(1401)
 	// ingest returns once the batch's task — window slide and monitor
 	// offers — has finished: tasks of one queue run in order, so a task
@@ -291,8 +301,8 @@ func TestHeldCPIIsAGap(t *testing.T) {
 		<-done
 	}
 	ingest(coupledSamples(rng.Fork(1), 20, 8, nil, 0))
-	if st.monitor == nil || st.alerts.Load() != 0 {
-		t.Fatalf("normal warm-up: monitor %v, %d alerts", st.monitor != nil, st.alerts.Load())
+	if st.alerts.Load() != 0 {
+		t.Fatalf("normal warm-up: %d alerts", st.alerts.Load())
 	}
 
 	det, err := srv.sys.Detector(ctx)
