@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"invarnetx/internal/core"
@@ -129,9 +130,14 @@ func cmdSimulate(args []string) error {
 	if res.MeanQueryTicks > 0 {
 		fmt.Printf("mean query latency: %.1f ticks\n", res.MeanQueryTicks)
 	}
-	for ip, tr := range res.Traces {
-		p95, _ := cpi.RunStatistic(tr.CPI) // 0 for an empty trace
-		fmt.Printf("  node %s: %d samples, 95th-pct CPI %.3f\n", ip, tr.Len(), p95)
+	ips := make([]string, 0, len(res.Traces))
+	for ip := range res.Traces {
+		ips = append(ips, ip)
+	}
+	sort.Strings(ips)
+	for _, ip := range ips {
+		p95, _ := cpi.RunStatistic(res.Traces[ip].CPI) // 0 for an empty trace
+		fmt.Printf("  node %s: %d samples, 95th-pct CPI %.3f\n", ip, res.Traces[ip].Len(), p95)
 	}
 	return nil
 }
@@ -144,8 +150,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	r := runner(*seed)
-	sys, runs, err := r.TrainSystem(t)
+	sys, runs, err := runner(*seed).TrainSystem(t)
 	if err != nil {
 		return err
 	}

@@ -157,32 +157,6 @@ func TestPredictNextMatchesSeries(t *testing.T) {
 	}
 }
 
-func TestDifferencedModelTracksTrend(t *testing.T) {
-	// Random walk with drift needs d=1; prediction error should be close
-	// to the innovation scale, far below the drift-accumulated variance.
-	rng := stats.NewRNG(106)
-	n := 2000
-	xs := make([]float64, n)
-	for t := 1; t < n; t++ {
-		xs[t] = xs[t-1] + 0.5 + rng.Normal(0, 0.2)
-	}
-	m, err := Fit(xs, Order{P: 1, D: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Residuals(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ss float64
-	for _, e := range res {
-		ss += e * e
-	}
-	if rmse := math.Sqrt(ss / float64(len(res))); rmse > 0.3 {
-		t.Errorf("residual RMSE = %v, want ~0.2 (innovation scale)", rmse)
-	}
-}
-
 func TestForecastHorizonConvergesToMean(t *testing.T) {
 	rng := stats.NewRNG(107)
 	xs := genAR(rng, 3000, 1.0, []float64{0.5}, 0.3)
@@ -222,75 +196,6 @@ func TestForecastErrors(t *testing.T) {
 	}
 }
 
-func TestDifference(t *testing.T) {
-	squares := []float64{1, 4, 9, 16, 25}
-	for _, tc := range []struct {
-		name string
-		xs   []float64
-		d    int
-		want []float64 // nil = error expected
-	}{
-		{"order 0 copies", squares, 0, squares},
-		{"order 1", squares, 1, []float64{3, 5, 7, 9}},
-		{"order 2 of squares is constant", squares, 2, []float64{2, 2, 2}},
-		{"too short", []float64{1}, 1, nil},
-		{"negative order", squares, -1, nil},
-	} {
-		in := append([]float64(nil), tc.xs...)
-		got, err := difference(in, tc.d)
-		if (err != nil) != (tc.want == nil) {
-			t.Errorf("%s: err = %v", tc.name, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-				break
-			}
-		}
-		for i := range in {
-			if in[i] != tc.xs[i] {
-				t.Errorf("%s: input mutated to %v", tc.name, in)
-				break
-			}
-		}
-	}
-}
-
-func TestChooseD(t *testing.T) {
-	rng := stats.NewRNG(109)
-	// Stationary AR(1): d = 0.
-	stat := genAR(rng, 1000, 0, []float64{0.5}, 1)
-	if d := ChooseD(stat, 2); d != 0 {
-		t.Errorf("ChooseD(stationary) = %d, want 0", d)
-	}
-	// Random walk: d = 1.
-	walk := make([]float64, 1000)
-	for t := 1; t < len(walk); t++ {
-		walk[t] = walk[t-1] + rng.Normal(0, 1)
-	}
-	if d := ChooseD(walk, 2); d != 1 {
-		t.Errorf("ChooseD(random walk) = %d, want 1", d)
-	}
-	// Integrated twice: d = 2.
-	i2 := make([]float64, 1000)
-	prev := 0.0
-	for t := 1; t < len(i2); t++ {
-		prev += rng.Normal(0, 1)
-		i2[t] = i2[t-1] + prev
-	}
-	if d := ChooseD(i2, 2); d != 2 {
-		t.Errorf("ChooseD(I(2)) = %d, want 2", d)
-	}
-	if d := ChooseD([]float64{1, 2}, 2); d != 0 {
-		t.Errorf("ChooseD(tiny) = %d, want 0", d)
-	}
-}
-
 func TestAutoFitPrefersTrueOrder(t *testing.T) {
 	rng := stats.NewRNG(110)
 	xs := genAR(rng, 4000, 0, []float64{0.6, -0.25}, 1)
@@ -298,15 +203,28 @@ func TestAutoFitPrefersTrueOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Order.D != 0 {
-		t.Errorf("AutoFit chose d=%d for stationary data", m.Order.D)
-	}
 	if m.Order.P < 2 {
 		t.Errorf("AutoFit chose p=%d, want >= 2 for AR(2) data", m.Order.P)
 	}
 	// One-step residual variance should be near the innovation variance.
 	if m.Sigma2 > 1.2 || m.Sigma2 < 0.8 {
 		t.Errorf("Sigma2 = %v, want ~1", m.Sigma2)
+	}
+	// The fitters read the caller's slice directly: no order of the search
+	// grid may write to it.
+	orig := append([]float64(nil), xs...)
+	cfg := DefaultSelectConfig()
+	for p := 0; p <= cfg.MaxP; p++ {
+		for q := 0; q <= cfg.MaxQ; q++ {
+			if _, err := Fit(xs, Order{P: p, Q: q}); err != nil {
+				t.Fatalf("Fit(%d,%d): %v", p, q, err)
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("Fit(%d,%d) wrote xs[%d]: %v, was %v", p, q, i, xs[i], orig[i])
+				}
+			}
+		}
 	}
 }
 
@@ -348,7 +266,7 @@ func TestClampStabilityBoundsForecasts(t *testing.T) {
 }
 
 func TestOrderString(t *testing.T) {
-	if got := (Order{1, 2, 3}).String(); got != "ARIMA(1,2,3)" {
+	if got := (Order{P: 1, Q: 3}).String(); got != "ARIMA(1,0,3)" {
 		t.Errorf("String = %q", got)
 	}
 }

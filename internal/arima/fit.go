@@ -6,7 +6,7 @@ import (
 	"invarnetx/internal/stats"
 )
 
-// fitMeanOnly handles ARIMA(0,d,0): white noise around a mean.
+// fitMeanOnly handles ARIMA(0,0,0): white noise around a mean.
 func (m *Model) fitMeanOnly(w []float64) error {
 	mean, err := stats.Mean(w)
 	if err != nil {
@@ -16,7 +16,7 @@ func (m *Model) fitMeanOnly(w []float64) error {
 	return nil
 }
 
-// fitYuleWalker estimates a pure AR(p) model on the (differenced) series w
+// fitYuleWalker estimates a pure AR(p) model on the series w
 // by solving the Yule-Walker equations with the Levinson recursion.
 // Yule-Walker estimates are guaranteed to define a stationary AR process,
 // which keeps online forecasting stable even on ill-behaved CPI traces.

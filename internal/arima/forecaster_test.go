@@ -8,102 +8,61 @@ import (
 )
 
 // refRecursion is the whole-history innovation recursion the Forecaster
-// replaced, kept as the reference: on the differenced series w it returns the
-// one-step predictions from t = max(p,q) on and the innovations (zero inside
-// the lead-in), building the latter up as e[t] = w[t] - pred(w[t]).
-func refRecursion(m *Model, w []float64) (predsW, errs []float64, lead int) {
+// replaced, kept as the reference: on the series xs it returns the one-step
+// predictions from t = max(p,q) on and the innovations (zero inside the
+// lead-in), building the latter up as e[t] = xs[t] - pred(xs[t]).
+func refRecursion(m *Model, xs []float64) (preds, errs []float64, lead int) {
 	lead = m.Order.P
 	if m.Order.Q > lead {
 		lead = m.Order.Q
 	}
-	errs = make([]float64, len(w))
-	for t := lead; t < len(w); t++ {
+	errs = make([]float64, len(xs))
+	for t := lead; t < len(xs); t++ {
 		pred := m.Intercept
 		for i, a := range m.AR {
-			pred += a * w[t-1-i]
+			pred += a * xs[t-1-i]
 		}
 		for j, b := range m.MA {
 			pred += b * errs[t-1-j]
 		}
-		errs[t] = w[t] - pred
-		predsW = append(predsW, pred)
+		errs[t] = xs[t] - pred
+		preds = append(preds, pred)
 	}
-	return predsW, errs, lead
+	return preds, errs, lead
 }
 
 // refPredictNext is the batch one-step forecast of the sample following
-// history: recursion over the differenced history, one more step, then the
-// differencing undone level by level from the whole history.
+// history: the recursion over the whole history, then one more step.
 func refPredictNext(m *Model, history []float64) (float64, error) {
-	d := m.Order.D
-	w, err := difference(history, d)
-	if err != nil {
-		return 0, err
-	}
-	_, errs, lead := refRecursion(m, w)
-	if len(history) <= d+lead {
+	_, errs, lead := refRecursion(m, history)
+	if len(history) <= lead {
 		return 0, ErrTooShort
 	}
 	next := m.Intercept
 	for i, a := range m.AR {
-		next += a * w[len(w)-1-i]
+		next += a * history[len(history)-1-i]
 	}
 	for j, b := range m.MA {
 		next += b * errs[len(errs)-1-j]
 	}
-	if d == 0 {
-		return next, nil
-	}
-	// Integrate one step: add back the last value of each lower-order
-	// difference of the history, innermost level first.
-	for level := d - 1; level >= 0; level-- {
-		wl, err := difference(history, level)
-		if err != nil {
-			return 0, err
-		}
-		next += wl[len(wl)-1]
-	}
 	return next, nil
 }
 
-// refPredictSeries is the batch in-sample prediction series, undoing the
-// differencing per prediction with the binomial expansion over the d previous
-// observed values: x̂[t] = ŵ[t] - sum_{k=1..d} (-1)^k C(d,k) x[t-k].
-func refPredictSeries(m *Model, xs []float64) []float64 {
-	d := m.Order.D
-	w, _ := difference(xs, d)
-	predsW, _, lead := refRecursion(m, w)
-	preds := make([]float64, len(predsW))
-	for i := range predsW {
-		t := d + lead + i
-		rec := predsW[i]
-		sign, c := -1.0, float64(d)
-		for k := 1; k <= d; k++ {
-			rec -= sign * c * xs[t-k]
-			c = c * float64(d-k) / float64(k+1)
-			sign = -sign
-		}
-		preds[i] = rec
-	}
-	return preds
-}
-
 // TestForecasterMatchesPredictNext pins the one product recursion to the
-// batch reference across AR/MA/differenced orders: at every prefix of a
-// series the streaming forecaster, Model.PredictNext and the reference
-// return bit-identical forecasts and agree on when the history is long
-// enough to predict at all; PredictSeries equals the reference series
-// (bit-identical for d <= 1, to rounding of the undifferencing for d = 2);
+// batch reference across AR/MA orders: at every prefix of a series the
+// streaming forecaster, Model.PredictNext and the reference return
+// bit-identical forecasts and agree on when the history is long enough to
+// predict at all; PredictSeries is bit-identical to the reference series;
 // and the fitted likelihood equals the reference's sum of squares.
 func TestForecasterMatchesPredictNext(t *testing.T) {
 	rng := stats.NewRNG(610)
 	xs := genAR(rng, 300, 0.3, []float64{0.5, 0.2}, 0.5)
 	for _, order := range []Order{
-		{P: 0, D: 0, Q: 0},
-		{P: 2, D: 0, Q: 0},
-		{P: 1, D: 0, Q: 1},
-		{P: 2, D: 1, Q: 1},
-		{P: 1, D: 2, Q: 2},
+		{P: 0, Q: 0},
+		{P: 2, Q: 0},
+		{P: 1, Q: 1},
+		{P: 1, Q: 2},
+		{P: 3, Q: 2},
 	} {
 		m, err := Fit(xs, order)
 		if err != nil {
@@ -131,27 +90,21 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
-		ref := refPredictSeries(m, xs)
+		ref, errs, _ := refRecursion(m, xs)
 		if len(preds) != len(ref) {
 			t.Fatalf("%v: %d predictions, reference %d", order, len(preds), len(ref))
 		}
 		for i := range preds {
-			exact := math.Float64bits(preds[i]) == math.Float64bits(ref[i])
-			if order.D <= 1 && !exact || math.Abs(preds[i]-ref[i]) > 1e-9 {
+			if math.Float64bits(preds[i]) != math.Float64bits(ref[i]) {
 				t.Fatalf("%v: prediction %d = %v, reference %v", order, i, preds[i], ref[i])
 			}
 		}
 
-		w, err := difference(xs, order.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predsW, errs, _ := refRecursion(m, w)
 		var css float64
-		for _, e := range errs[len(errs)-len(predsW):] {
+		for _, e := range errs[len(errs)-len(ref):] {
 			css += e * e
 		}
-		if want := css / float64(len(predsW)); math.Float64bits(m.Sigma2) != math.Float64bits(want) {
+		if want := css / float64(len(ref)); math.Float64bits(m.Sigma2) != math.Float64bits(want) {
 			t.Fatalf("%v: Sigma2 %v, reference %v", order, m.Sigma2, want)
 		}
 	}
@@ -162,7 +115,7 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 func TestForecasterConstantMemory(t *testing.T) {
 	rng := stats.NewRNG(611)
 	xs := genAR(rng, 200, 0.1, []float64{0.4}, 0.3)
-	m, err := Fit(xs, Order{P: 2, D: 1, Q: 1})
+	m, err := Fit(xs, Order{P: 2, Q: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

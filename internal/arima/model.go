@@ -1,4 +1,4 @@
-// Package arima implements ARIMA(p,d,q) modelling from scratch for the
+// Package arima implements ARIMA(p,0,q) modelling from scratch for the
 // CPI-based performance anomaly detector.
 //
 // InvarNet-X trains one ARIMA model per (workload type, node) on CPI traces
@@ -7,19 +7,25 @@
 // observed CPI: residuals exceeding a threshold (Section 3.2 of the paper)
 // signal a performance anomaly.
 //
+// The model has no I: d is 0 by construction. The CPI of a job under a fixed
+// operation context is mean-stationary, and an integrating (d >= 1) model
+// would adapt its one-step forecasts to a fault-induced CPI level shift
+// within a couple of samples, leaving only a transient residual — the drift
+// the detector exists to see would vanish. A d = 0 model stays anchored to
+// the normal-state level, so a shift shows up as a sustained residual. Slow
+// drift of the normal state itself is the lifecycle's and retraining's
+// concern, not the one-step forecaster's.
+//
 // Estimation strategy, chosen to be robust on short noisy traces with only
 // the standard library available:
 //
-//   - the series is differenced d times (the "I" part);
 //   - pure AR models are estimated by Yule-Walker (Levinson-Durbin on the
 //     biased autocovariances), which is always stable;
 //   - models with an MA component use the Hannan-Rissanen two-stage
 //     algorithm: a long-AR pre-fit produces innovation estimates, then the
 //     ARMA coefficients come from a least-squares regression on lagged
 //     values and lagged innovations;
-//   - order selection minimises AIC over a small (p,q) grid, with d chosen
-//     by a variance-reduction heuristic (KPSS-style formal tests are
-//     unnecessary at this data scale).
+//   - order selection minimises AIC over a small (p,q) grid.
 package arima
 
 import (
@@ -34,89 +40,62 @@ import (
 // requested model.
 var ErrTooShort = errors.New("arima: series too short for requested order")
 
-// Order identifies an ARIMA(p,d,q) specification.
+// Order identifies an ARIMA(p,0,q) specification.
 type Order struct {
 	P int // autoregressive terms
-	D int // differencing order
 	Q int // moving-average terms
 }
 
-func (o Order) String() string { return fmt.Sprintf("ARIMA(%d,%d,%d)", o.P, o.D, o.Q) }
+func (o Order) String() string { return fmt.Sprintf("ARIMA(%d,0,%d)", o.P, o.Q) }
 
-// Model is a fitted ARIMA model.
+// Model is a fitted ARIMA model. On the series x[t], it is
 //
-// On the d-times differenced series w[t], the model is
-//
-//	w[t] = c + sum_i AR[i]*w[t-i] + sum_j MA[j]*e[t-j] + e[t]
+//	x[t] = c + sum_i AR[i]*x[t-i] + sum_j MA[j]*e[t-j] + e[t]
 //
 // with e ~ N(0, Sigma2).
 type Model struct {
 	Order     Order
-	AR        []float64 // AR coefficients, AR[0] multiplies w[t-1]
+	AR        []float64 // AR coefficients, AR[0] multiplies x[t-1]
 	MA        []float64 // MA coefficients, MA[0] multiplies e[t-1]
 	Intercept float64   // c
 	Sigma2    float64   // innovation variance estimate
-	N         int       // number of training observations (original scale)
+	N         int       // number of training observations
 	AIC       float64
 	LogLik    float64 // Gaussian CSS log-likelihood (up to constants)
 }
 
-// minTrain is the minimum original-scale training length accepted by Fit.
+// minTrain is the minimum training length accepted by Fit.
 const minTrain = 12
 
-// Fit estimates an ARIMA model of the given order on xs.
+// Fit estimates an ARIMA model of the given order on xs. xs is not modified.
 func Fit(xs []float64, order Order) (*Model, error) {
-	if order.P < 0 || order.D < 0 || order.Q < 0 {
+	if order.P < 0 || order.Q < 0 {
 		return nil, fmt.Errorf("arima: invalid order %v", order)
 	}
-	if len(xs) < minTrain || len(xs) <= order.D+order.P+order.Q+2 {
+	if len(xs) < minTrain || len(xs) <= order.P+order.Q+2 {
 		return nil, ErrTooShort
 	}
-	w, err := difference(xs, order.D)
-	if err != nil {
-		return nil, err
-	}
 	m := &Model{Order: order, N: len(xs)}
+	var err error
 	switch {
 	case order.P == 0 && order.Q == 0:
-		err = m.fitMeanOnly(w)
+		err = m.fitMeanOnly(xs)
 	case order.Q == 0:
-		err = m.fitYuleWalker(w)
+		err = m.fitYuleWalker(xs)
 	default:
-		err = m.fitHannanRissanen(w)
+		err = m.fitHannanRissanen(xs)
 	}
 	if err != nil {
 		return nil, err
 	}
-	m.computeLikelihood(w)
+	m.computeLikelihood(xs)
 	return m, nil
 }
 
-// difference returns the d-th order difference of xs — the "I" in ARIMA:
-// diff^1(x)[t] = x[t] - x[t-1], applied d times, leaving len(xs) - d samples.
-// xs is not modified.
-func difference(xs []float64, d int) ([]float64, error) {
-	if d < 0 {
-		return nil, fmt.Errorf("arima: negative differencing order %d", d)
-	}
-	if len(xs) <= d {
-		return nil, fmt.Errorf("arima: cannot difference %d samples %d times", len(xs), d)
-	}
-	cur := append([]float64(nil), xs...)
-	for i := 0; i < d; i++ {
-		next := make([]float64, len(cur)-1)
-		for t := 1; t < len(cur); t++ {
-			next[t-1] = cur[t] - cur[t-1]
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // Residuals returns the one-step-ahead in-sample residuals of the model on
-// xs (original scale). The first max(p,q)+d values, which cannot be
-// predicted, are omitted. This is the R of the threshold rules in §3.2:
-// "The absolute value of fitting residual is denoted by R."
+// xs. The first max(p,q) values, which cannot be predicted, are omitted.
+// This is the R of the threshold rules in §3.2: "The absolute value of
+// fitting residual is denoted by R."
 func (m *Model) Residuals(xs []float64) ([]float64, error) {
 	preds, err := m.PredictSeries(xs)
 	if err != nil {
@@ -130,18 +109,16 @@ func (m *Model) Residuals(xs []float64) ([]float64, error) {
 	return res, nil
 }
 
-// PredictSeries returns one-step-ahead predictions for xs on the original
-// scale. Prediction i corresponds to xs[skip+i] where
-// skip = d + max(p, q): the earliest sample with a full lag window.
+// PredictSeries returns one-step-ahead predictions for xs. Prediction i
+// corresponds to xs[max(p,q)+i]: the earliest sample with a full lag window.
 func (m *Model) PredictSeries(xs []float64) ([]float64, error) {
 	f := m.NewForecaster()
-	skip := m.Order.D + f.lead
-	if len(xs) <= skip {
+	if len(xs) <= f.lead {
 		return nil, ErrTooShort
 	}
-	preds := make([]float64, 0, len(xs)-skip)
+	preds := make([]float64, 0, len(xs)-f.lead)
 	for t, x := range xs {
-		if t >= skip {
+		if t >= f.lead {
 			preds = append(preds, f.predict())
 		}
 		f.Observe(x)
@@ -150,9 +127,9 @@ func (m *Model) PredictSeries(xs []float64) ([]float64, error) {
 }
 
 // PredictNext returns the one-step-ahead forecast of the sample following
-// history (original scale): "M'cpi(t) is the CPI data predicted by ARIMA
-// model using previous CPI data". It replays history through a Forecaster;
-// an online caller keeps the Forecaster instead and pays O(p+q) per sample.
+// history: "M'cpi(t) is the CPI data predicted by ARIMA model using previous
+// CPI data". It replays history through a Forecaster; an online caller keeps
+// the Forecaster instead and pays O(p+q) per sample.
 func (m *Model) PredictNext(history []float64) (float64, error) {
 	f := m.NewForecaster()
 	for _, x := range history {
@@ -162,12 +139,12 @@ func (m *Model) PredictNext(history []float64) (float64, error) {
 }
 
 // computeLikelihood fills Sigma2, LogLik and AIC from the conditional
-// sum-of-squares residuals on the differenced training series w.
-func (m *Model) computeLikelihood(w []float64) {
-	f := m.newForecaster(0) // w is already differenced
+// sum-of-squares residuals on the training series xs.
+func (m *Model) computeLikelihood(xs []float64) {
+	f := m.NewForecaster()
 	var css float64
 	n := 0
-	for t, v := range w {
+	for t, v := range xs {
 		e := f.Observe(v)
 		if t >= f.lead {
 			css += e * e

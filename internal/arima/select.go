@@ -1,15 +1,10 @@
 package arima
 
-import (
-	"math"
-
-	"invarnetx/internal/stats"
-)
+import "math"
 
 // SelectConfig bounds the automatic order search.
 type SelectConfig struct {
 	MaxP int // maximum AR order (default 3)
-	MaxD int // maximum differencing order (default 2)
 	MaxQ int // maximum MA order (default 2)
 }
 
@@ -17,49 +12,13 @@ type SelectConfig struct {
 // paper's previous work fits low-order ARIMA models on 10 s resource
 // samples.
 func DefaultSelectConfig() SelectConfig {
-	return SelectConfig{MaxP: 3, MaxD: 2, MaxQ: 2}
+	return SelectConfig{MaxP: 3, MaxQ: 2}
 }
 
-// ChooseD picks the differencing order by variance reduction: difference
-// while it strictly reduces the series variance by a meaningful factor, up
-// to maxD. Over-differencing inflates variance, so this heuristic stops at
-// the right order for the trend structures CPI exhibits (level shifts under
-// faults, slow ramps across map/reduce phases).
-func ChooseD(xs []float64, maxD int) int {
-	if len(xs) < 4 {
-		return 0
-	}
-	best := 0
-	bestVar, err := stats.PopVariance(xs)
-	if err != nil {
-		return 0
-	}
-	cur := xs
-	for d := 1; d <= maxD; d++ {
-		next, err := difference(cur, 1)
-		if err != nil || len(next) < 3 {
-			break
-		}
-		v, err := stats.PopVariance(next)
-		if err != nil {
-			break
-		}
-		// Require a real improvement to accept another difference.
-		if v < bestVar*0.75 {
-			best, bestVar = d, v
-		} else {
-			break
-		}
-		cur = next
-	}
-	return best
-}
-
-// AutoFit searches ARIMA(p,d,q) orders within cfg and returns the model with
-// the lowest AIC. d is fixed by ChooseD before the (p,q) grid search; ties
-// in AIC break toward the simpler model (smaller p+q, then smaller p).
-// A zero-valued cfg takes the defaults; negative bounds mean "exactly
-// zero" (e.g. MaxP=-1, MaxQ=-1 forces a mean-only search).
+// AutoFit searches ARIMA(p,0,q) orders within cfg and returns the model with
+// the lowest AIC; ties in AIC break toward the simpler model (smaller p+q,
+// then smaller p). A zero-valued cfg takes the defaults; negative bounds mean
+// "exactly zero" (e.g. MaxP=-1, MaxQ=-1 forces a mean-only search).
 func AutoFit(xs []float64, cfg SelectConfig) (*Model, error) {
 	if cfg == (SelectConfig{}) {
 		cfg = DefaultSelectConfig()
@@ -70,21 +29,13 @@ func AutoFit(xs []float64, cfg SelectConfig) (*Model, error) {
 	if cfg.MaxQ < 0 {
 		cfg.MaxQ = 0
 	}
-	if cfg.MaxD < 0 {
-		cfg.MaxD = 0
-	}
 	if len(xs) < minTrain {
 		return nil, ErrTooShort
 	}
-	d := ChooseD(xs, cfg.MaxD)
 	var best *Model
 	for p := 0; p <= cfg.MaxP; p++ {
 		for q := 0; q <= cfg.MaxQ; q++ {
-			if p == 0 && q == 0 && d == 0 {
-				// A pure-constant model is never useful for drift
-				// detection; still allow it as a last resort below.
-			}
-			m, err := Fit(xs, Order{P: p, D: d, Q: q})
+			m, err := Fit(xs, Order{P: p, Q: q})
 			if err != nil {
 				continue
 			}
@@ -98,7 +49,7 @@ func AutoFit(xs []float64, cfg SelectConfig) (*Model, error) {
 	}
 	if best == nil {
 		// Fall back to the simplest possible model.
-		return Fit(xs, Order{P: 0, D: 0, Q: 0})
+		return Fit(xs, Order{})
 	}
 	return best, nil
 }

@@ -44,7 +44,7 @@ func (r Rule) String() string {
 // Rules lists the three threshold rules, for the Fig. 6 comparison.
 func Rules() []Rule { return []Rule{MaxMin, P95, BetaMax} }
 
-// Default parameters from the paper.
+// The paper's fixed parameters (§3.2).
 const (
 	// DefaultBeta is the beta-max fluctuation factor.
 	DefaultBeta = 1.2
@@ -56,28 +56,17 @@ const (
 // ErrNoTraining is returned when no usable training traces are supplied.
 var ErrNoTraining = errors.New("detect: no usable training traces")
 
-// Config parameterises detector training.
+// Config parameterises detector training. A zero Config is the paper's
+// detector: the beta-max rule over the default ARIMA order search.
 type Config struct {
-	Rule        Rule
-	Beta        float64            // beta-max factor, default 1.2
-	Consecutive int                // default 3
-	Select      arima.SelectConfig // zero: DefaultConfig().Select (d = 0)
+	Rule   Rule
+	Select arima.SelectConfig // zero: arima.DefaultSelectConfig()
 }
 
-// DefaultConfig returns the paper's configuration (beta-max, beta=1.2,
-// 3 consecutive anomalies).
-//
-// The ARIMA order search is restricted to d=0: the CPI of a job under a
-// fixed operation context is mean-stationary by construction, and an
-// integrating (d>=1) model would adapt its one-step forecasts to a
-// fault-induced CPI level shift within a couple of samples, leaving only a
-// transient residual — the drift the detector exists to see would vanish.
-// A d=0 model stays anchored to the normal-state level, so a shift shows
-// up as a sustained residual.
+// DefaultConfig returns the paper's configuration, spelled out: the same
+// detector a zero Config trains.
 func DefaultConfig() Config {
-	sel := arima.DefaultSelectConfig()
-	sel.MaxD = 0
-	return Config{Rule: BetaMax, Beta: DefaultBeta, Consecutive: DefaultConsecutive, Select: sel}
+	return Config{Rule: BetaMax, Select: arima.DefaultSelectConfig()}
 }
 
 // Detector is a trained CPI anomaly detector for one operation context.
@@ -97,15 +86,6 @@ type Detector struct {
 // we use the trained ARIMA model to fit the CPI data during N runs. The
 // absolute value of fitting residual is denoted by R."
 func Train(traces [][]float64, cfg Config) (*Detector, error) {
-	if cfg.Beta <= 0 {
-		cfg.Beta = DefaultBeta
-	}
-	if cfg.Consecutive <= 0 {
-		cfg.Consecutive = DefaultConsecutive
-	}
-	if cfg.Select == (arima.SelectConfig{}) {
-		cfg.Select = DefaultConfig().Select
-	}
 	// Telemetry gaps surface as NaN samples inside CPI traces. The ARIMA
 	// recursions propagate a single NaN through every later residual, so a
 	// trace is split at its non-finite samples and each finite segment is
@@ -133,7 +113,7 @@ func Train(traces [][]float64, cfg Config) (*Detector, error) {
 	if len(r) == 0 {
 		return nil, ErrNoTraining
 	}
-	d := &Detector{Model: model, Rule: cfg.Rule, Consecutive: cfg.Consecutive}
+	d := &Detector{Model: model, Rule: cfg.Rule, Consecutive: DefaultConsecutive}
 	switch cfg.Rule {
 	case MaxMin:
 		d.Upper, _ = stats.Max(r)
@@ -142,7 +122,7 @@ func Train(traces [][]float64, cfg Config) (*Detector, error) {
 		d.Upper, _ = stats.Percentile(r, 95)
 	case BetaMax:
 		mx, _ := stats.Max(r)
-		d.Upper = cfg.Beta * mx
+		d.Upper = DefaultBeta * mx
 	default:
 		return nil, fmt.Errorf("detect: unknown rule %v", cfg.Rule)
 	}
@@ -193,7 +173,7 @@ func (d *Detector) Anomalous(residual float64) bool {
 }
 
 // ResidualSeries returns |one-step residuals| of the model over a full CPI
-// trace (for Fig. 5-style plots). The first d+max(p,q) samples are skipped.
+// trace (for Fig. 5-style plots). The first max(p,q) samples are skipped.
 func (d *Detector) ResidualSeries(trace []float64) ([]float64, error) {
 	res, err := d.Model.Residuals(trace)
 	if err != nil {

@@ -41,9 +41,8 @@ func TestTrainAllRules(t *testing.T) {
 }
 
 // TestTrainZeroConfigIsDefault: a zero Config trains the detector
-// DefaultConfig trains — the d = 0 order search included, so CPI traces with
-// a slow ramp (which a search allowed to difference fits with d >= 1) keep a
-// level-anchored model.
+// DefaultConfig trains, the order search and the beta-max threshold
+// included.
 func TestTrainZeroConfigIsDefault(t *testing.T) {
 	rng := stats.NewRNG(7)
 	traces := make([][]float64, 6)
@@ -60,7 +59,7 @@ func TestTrainZeroConfigIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.Model.Order != def.Model.Order || zero.Model.Order.D != 0 || zero.Upper != def.Upper {
+	if zero.Model.Order != def.Model.Order || zero.Upper != def.Upper {
 		t.Errorf("zero config trained %v (upper %v), DefaultConfig %v (upper %v)",
 			zero.Model.Order, zero.Upper, def.Model.Order, def.Upper)
 	}

@@ -52,12 +52,12 @@ func TestMonitorAlertRequiresExactlyConsecutive(t *testing.T) {
 	// A mean-only model makes the anomaly decisions memoryless, so the
 	// consecutive counting is exactly observable.
 	cfg := DefaultConfig()
-	cfg.Consecutive = 4
-	cfg.Select.MaxP, cfg.Select.MaxQ, cfg.Select.MaxD = -1, -1, -1
+	cfg.Select.MaxP, cfg.Select.MaxQ = -1, -1
 	d, err := Train(normalTraces(523, 8, 120), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Consecutive = 4
 	if d.Model.Order.P != 0 || d.Model.Order.Q != 0 {
 		t.Fatalf("expected mean-only model, got %v", d.Model.Order)
 	}

@@ -472,7 +472,7 @@ func sameModel(t *testing.T, got, want *core.Profile) {
 	detectorBits := func(d *detect.Detector) []uint64 {
 		m := d.Model
 		bits := []uint64{uint64(d.Rule), math.Float64bits(d.Upper), math.Float64bits(d.Lower), uint64(d.Consecutive),
-			uint64(m.Order.P), uint64(m.Order.D), uint64(m.Order.Q), uint64(m.N),
+			uint64(m.Order.P), uint64(m.Order.Q), uint64(m.N),
 			math.Float64bits(m.Intercept), math.Float64bits(m.Sigma2), math.Float64bits(m.AIC), math.Float64bits(m.LogLik)}
 		for _, c := range append(append([]float64(nil), m.AR...), m.MA...) {
 			bits = append(bits, math.Float64bits(c))

@@ -101,20 +101,6 @@ func Variance(xs []float64) (float64, error) {
 	return ss / float64(len(xs)-1), nil
 }
 
-// PopVariance returns the population (n) variance of xs.
-func PopVariance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := MustMean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) (float64, error) {
 	v, err := Variance(xs)

@@ -64,7 +64,7 @@ type ProfileFile struct {
 // detection.
 type ModelFile struct {
 	P int `xml:"p"`
-	D int `xml:"d"`
+	D int `xml:"d"` // written as 0: the model has no I, and Decode refuses any other
 	Q int `xml:"q"`
 
 	AR          []float64 `xml:"ar>coeff"`
@@ -80,7 +80,7 @@ type ModelFile struct {
 // EncodeModel converts a trained detector into its persistable form.
 func EncodeModel(d *detect.Detector) *ModelFile {
 	return &ModelFile{
-		P: d.Model.Order.P, D: d.Model.Order.D, Q: d.Model.Order.Q,
+		P: d.Model.Order.P, Q: d.Model.Order.Q,
 		AR: d.Model.AR, MA: d.Model.MA,
 		Intercept: d.Model.Intercept, Sigma2: d.Model.Sigma2,
 		Rule: d.Rule.String(), Upper: d.Upper, Lower: d.Lower,
@@ -106,8 +106,8 @@ func (f ModelFile) Decode() (*detect.Detector, error) {
 	default:
 		return nil, fmt.Errorf("xmlstore: unknown threshold rule %q", f.Rule)
 	}
-	if f.P < 0 || f.D < 0 || f.Q < 0 {
-		return nil, fmt.Errorf("xmlstore: invalid order (%d,%d,%d)", f.P, f.D, f.Q)
+	if f.P < 0 || f.D != 0 || f.Q < 0 {
+		return nil, fmt.Errorf("xmlstore: order (%d,%d,%d) is not an ARIMA(p,0,q)", f.P, f.D, f.Q)
 	}
 	if len(f.AR) != f.P || len(f.MA) != f.Q {
 		return nil, fmt.Errorf("xmlstore: coefficient counts (%d,%d) disagree with order (%d,%d)", len(f.AR), len(f.MA), f.P, f.Q)
@@ -129,7 +129,7 @@ func (f ModelFile) Decode() (*detect.Detector, error) {
 	}
 	return &detect.Detector{
 		Model: &arima.Model{
-			Order:     arima.Order{P: f.P, D: f.D, Q: f.Q},
+			Order:     arima.Order{P: f.P, Q: f.Q},
 			AR:        f.AR,
 			MA:        f.MA,
 			Intercept: f.Intercept,

@@ -44,7 +44,7 @@ func load(r io.Reader, v any) error {
 func sampleDetector() *detect.Detector {
 	return &detect.Detector{
 		Model: &arima.Model{
-			Order:     arima.Order{P: 2, D: 1, Q: 1},
+			Order:     arima.Order{P: 2, Q: 1},
 			AR:        []float64{0.5, -0.2},
 			MA:        []float64{0.3},
 			Intercept: 0.01,
@@ -151,6 +151,7 @@ func TestModelDecodeRejectsDeadDetector(t *testing.T) {
 		"Inf lower":                 func(f *ModelFile) { f.Lower = math.Inf(-1) },
 		"consecutive 0":             func(f *ModelFile) { f.Consecutive = 0 },
 		"consecutive above 1024":    func(f *ModelFile) { f.Consecutive = 1025 },
+		"d 1":                       func(f *ModelFile) { f.D = 1 },
 		"upper below lower":         func(f *ModelFile) { f.Upper, f.Lower = 0.1, 0.2 },
 		"control: undamaged":        nil,
 		"control: equal band":       func(f *ModelFile) { f.Upper, f.Lower = 0.2, 0.2 },

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"invarnetx/internal/arima"
 	"invarnetx/internal/core"
+	"invarnetx/internal/detect"
 )
 
 // closedPrefix is the guarded part of the module: nothing outside it can
@@ -270,35 +272,47 @@ func TestFacadeIsTheExamplesAPI(t *testing.T) {
 	}
 }
 
-// configKnobs is the ledger of core.Config's fields, each with the reason it
-// is settable: a product caller sets it in two ways, or bench/ (which changes
-// only with the benchmark) reads it. What the paper fixes and no caller varies
-// is a constant in core instead, so a zero Config is the paper's.
-var configKnobs = map[string]string{
-	"Epsilon":        "bench/ reads it: the clean and masked edge probes judge violations with it",
-	"Tau":            "bench/ reads it: the selection probe runs invariant.Select with it",
-	"Assoc":          "mic.MIC by default; the ARX arm of Figs. 9/10 sets arx.Association",
-	"AssocCacheSize": "0 (the default bound) for the daemon and the studies; Table 1 sets -1 to time uncached stages, bench/ sets 64",
-	"Similarity":     "bench/ reads it: the signature probes rank with the system's measure",
-	"Lifecycle":      "off by default; invarnetd -lifecycle, invarctl lifecycle and the drift study's lifecycle arm set it",
+// configKnobs is the ledger of the configuration structs' fields, each with
+// the reason it is settable: a product caller sets it in two ways, or bench/
+// (which changes only with the benchmark) reads it. What the paper fixes and
+// no caller varies is a constant in its package instead, so a zero Config is
+// the paper's.
+var configKnobs = map[reflect.Type]map[string]string{
+	reflect.TypeOf(core.Config{}): {
+		"Epsilon":        "bench/ reads it: the clean and masked edge probes judge violations with it",
+		"Tau":            "bench/ reads it: the selection probe runs invariant.Select with it",
+		"Assoc":          "mic.MIC by default; the ARX arm of Figs. 9/10 sets arx.Association",
+		"AssocCacheSize": "0 (the default bound) for the daemon and the studies; Table 1 sets -1 to time uncached stages, bench/ sets 64",
+		"Similarity":     "bench/ reads it: the signature probes rank with the system's measure",
+		"Lifecycle":      "off by default; invarnetd -lifecycle, invarctl lifecycle and the drift study's lifecycle arm set it",
+	},
+	reflect.TypeOf(detect.Config{}): {
+		"Rule":   "beta-max by default; Fig. 6 trains one detector per rule",
+		"Select": "bench/ reads it: the autofit probe passes it to arima.AutoFit",
+	},
+	reflect.TypeOf(arima.SelectConfig{}): {
+		"MaxP": "bench/ passes it to arima.AutoFit inside detect.Config.Select",
+		"MaxQ": "bench/ passes it to arima.AutoFit inside detect.Config.Select",
+	},
 }
 
-// TestConfigKnobsAreJustified fails when core.Config gains a field without a
-// configKnobs entry, or loses one whose entry stays: a new knob justifies
-// itself in review.
+// TestConfigKnobsAreJustified fails when a configuration struct gains a
+// field without a configKnobs entry, or loses one whose entry stays: a new
+// knob justifies itself in review.
 func TestConfigKnobsAreJustified(t *testing.T) {
-	fields := map[string]bool{}
-	typ := reflect.TypeOf(core.Config{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		fields[name] = true
-		if configKnobs[name] == "" {
-			t.Errorf("core.Config.%s has no configKnobs entry: name the callers that set it in two ways, or make it a constant", name)
+	for typ, knobs := range configKnobs {
+		fields := map[string]bool{}
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			fields[name] = true
+			if knobs[name] == "" {
+				t.Errorf("%s.%s has no configKnobs entry: name the callers that set it in two ways, or make it a constant", typ, name)
+			}
 		}
-	}
-	for name := range configKnobs {
-		if !fields[name] {
-			t.Errorf("configKnobs lists %s, which core.Config no longer has: drop the entry", name)
+		for name := range knobs {
+			if !fields[name] {
+				t.Errorf("configKnobs lists %s, which %s no longer has: drop the entry", name, typ)
+			}
 		}
 	}
 }
