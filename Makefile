@@ -102,8 +102,8 @@ loc:
 # the tuple text decoder restored signatures pass through
 # (signature.ParseTuple: refused, or round-tripped exactly, and DB.MergeText
 # held to ParseTuple + Merge on the same bytes), the two signature
-# equivalence targets — the packed scan (popcount scoring, MinScore pruning,
-# zero-query closed form) against the boolean linear reference, and Rank
+# equivalence targets — the packed scan (popcount scoring, the MinScore
+# floor, zero-query closed form) against the boolean linear reference, and Rank
 # against BestProblem(Match) — which are the only coverage-guided guard that
 # the one retrieval path is exact, the exact-MIC kernel against the
 # kernel it replaced (term table, trimmed DP, one-pass clumps: same Result to

@@ -352,10 +352,7 @@ func cmdAudit(args []string) error {
 	}
 	db := sys.SignatureSnapshot()
 	fmt.Printf("auditing %d signatures\n", db.Len())
-	conflicts, err := db.Conflicts(sys.Config().Similarity, *threshold)
-	if err != nil {
-		return err
-	}
+	conflicts := db.Conflicts(*threshold)
 	if len(conflicts) == 0 {
 		fmt.Printf("no conflicts at similarity >= %.2f\n", *threshold)
 	} else {
@@ -364,12 +361,8 @@ func cmdAudit(args []string) error {
 			fmt.Printf("  %s\n", c)
 		}
 	}
-	seps, err := db.Separabilities(sys.Config().Similarity)
-	if err != nil {
-		return err
-	}
 	fmt.Println("per-problem separability (cohesion - worst external; negative predicts misdiagnosis):")
-	for _, sep := range seps {
+	for _, sep := range db.Separabilities() {
 		fmt.Printf("  %-10s margin %+0.2f (cohesion %.2f, worst external %.2f vs %s) [%s@%s]\n",
 			sep.Problem, sep.Margin(), sep.Cohesion, sep.WorstExternal, sep.WorstProblem, sep.Workload, sep.IP)
 	}

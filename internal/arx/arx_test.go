@@ -89,11 +89,11 @@ func TestFitnessDecreasesWithNoise(t *testing.T) {
 		}
 		return y
 	}
-	clean, err := BestFit(u, mkY(0.01), DefaultSearchConfig())
+	clean, err := BestFit(u, mkY(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := BestFit(u, mkY(0.3), DefaultSearchConfig())
+	noisy, err := BestFit(u, mkY(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBestFitFindsDelay(t *testing.T) {
 	for t := 2; t < n; t++ {
 		y[t] = u[t-2] + rng.Normal(0, 0.01) // pure delay-2 coupling
 	}
-	m, err := BestFit(u, y, DefaultSearchConfig())
+	m, err := BestFit(u, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOrderString(t *testing.T) {
 
 func TestBestFitTooShort(t *testing.T) {
 	xs := []float64{1, 2}
-	if _, err := BestFit(xs, xs, DefaultSearchConfig()); err != ErrTooShort {
+	if _, err := BestFit(xs, xs); err != ErrTooShort {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 }

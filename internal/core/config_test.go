@@ -41,6 +41,8 @@ func TestConfigValidate(t *testing.T) {
 		{"Inf tau", mut(func(c *Config) { c.Tau = math.Inf(1) }), "Tau"},
 		{"cache over clamp", mut(func(c *Config) { c.AssocCacheSize = maxAssocCacheSize + 1 }), "AssocCacheSize"},
 		{"unknown similarity", mut(func(c *Config) { c.Similarity = 97 }), "similarity"},
+		{"similarity 1", mut(func(c *Config) { c.Similarity = 1 }), "similarity"},
+		{"similarity 2", mut(func(c *Config) { c.Similarity = 2 }), "similarity"},
 	}
 	for _, tc := range bad {
 		err := tc.cfg.Validate()

@@ -247,7 +247,7 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 	// profile's own context, and the query names exactly that context (both
 	// fields empty for the zero Context).
 	p.mu.RLock()
-	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, topCauses)
+	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, topCauses)
 	p.mu.RUnlock()
 	if err != nil {
 		if errors.Is(err, signature.ErrEmpty) {
@@ -292,8 +292,8 @@ type ProfileStats struct {
 	// Sparse reports the sparse diagnosis path's edge counters.
 	Sparse SparseStats
 	// SigScanned and SigEarlyExits are the signature best-match scan
-	// counters: entries considered, and of them entries resolved by an early
-	// exit (popcount fast paths, stale-length skips, MinScore pruning).
+	// counters: entries considered, and of them entries resolved without
+	// counting their words (stale-length skips, the all-zero query).
 	SigScanned, SigEarlyExits int64
 	// Lifecycle reports the drift-lifecycle counters (zero when the
 	// lifecycle is disabled).

@@ -49,7 +49,7 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 	}
 	narrowCtx := Context{Workload: "sort", IP: "10.0.0.2~10.0.0.3#shuffle"}
 	for _, ctx := range append(ctxs, narrowCtx) {
-		s.Profile(ctx).sigs.MinScore = 0.05 // the floor prunes: early exits move too
+		s.Profile(ctx).sigs.MinScore = 0.05 // a floor filters matches, never the scan counters
 	}
 	for i, ctx := range ctxs {
 		rng := stats.NewRNG(int64(900 + i))

@@ -62,7 +62,9 @@ type Config struct {
 	// AssocCacheSize bounds each profile's association-matrix cache: 0
 	// selects DefaultAssocCacheSize, negative disables caching.
 	AssocCacheSize int
-	// Similarity is the tuple-similarity measure for signature retrieval.
+	// Similarity names the signature similarity measure. Jaccard, its zero
+	// value, is the only one Validate accepts, and diagnosis does not read
+	// it: it stays because bench/ passes it to signature.MatchMasked.
 	Similarity signature.Measure
 	// Lifecycle turns on the drift-aware invariant lifecycle (edge health,
 	// quarantine, shadow generations) for every profile; off by default —
@@ -130,10 +132,8 @@ func (c Config) Validate() error {
 	case c.AssocCacheSize > maxAssocCacheSize:
 		return fmt.Errorf("core: AssocCacheSize %d exceeds the %d per-profile clamp", c.AssocCacheSize, maxAssocCacheSize)
 	}
-	switch c.Similarity {
-	case signature.Jaccard, signature.Hamming, signature.Cosine:
-	default:
-		return fmt.Errorf("core: unknown similarity measure %v", c.Similarity)
+	if c.Similarity != signature.Jaccard {
+		return fmt.Errorf("core: unknown similarity measure %v (Jaccard is the only one)", c.Similarity)
 	}
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/mic"
-	"invarnetx/internal/signature"
 	"invarnetx/internal/workload"
 )
 
@@ -49,11 +48,11 @@ func TestOptionsDefaults(t *testing.T) {
 // and takes core's defaults for the rest, as a System built from it would —
 // it is not swapped for DefaultConfig because it names no Assoc.
 func TestOptionsKeepAPartialConfig(t *testing.T) {
-	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, Similarity: signature.Cosine}}).Options().Config
-	if cfg.Epsilon != 0.3 || cfg.Similarity != signature.Cosine {
-		t.Errorf("caller's fields replaced: epsilon=%v similarity=%v", cfg.Epsilon, cfg.Similarity)
+	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, Lifecycle: true}}).Options().Config
+	if cfg.Epsilon != 0.3 || !cfg.Lifecycle {
+		t.Errorf("caller's fields replaced: epsilon=%v lifecycle=%v", cfg.Epsilon, cfg.Lifecycle)
 	}
-	want := core.New(core.Config{Epsilon: 0.3, Similarity: signature.Cosine}).Config()
+	want := core.New(core.Config{Epsilon: 0.3, Lifecycle: true}).Config()
 	if cfg.Tau != want.Tau || cfg.AssocCacheSize != want.AssocCacheSize || cfg.Assoc == nil {
 		t.Errorf("unset fields not defaulted as core.New does: tau=%v cache=%d", cfg.Tau, cfg.AssocCacheSize)
 	}

@@ -215,11 +215,7 @@ func (r *Runner) RunContrast(w workload.Type, tuplesPerFault int) (*ContrastResu
 	for _, o := range outs {
 		db.Add(signature.Entry{Tuple: o.Diagnosis.Tuple, Problem: o.Scenario.Truth(), IP: o.Context.IP, Workload: o.Context.Workload})
 	}
-	rows, err := db.Separabilities(r.opts.Config.Similarity)
-	if err != nil {
-		return nil, err
-	}
-	return &ContrastResult{Workload: w, Invariants: set.Len(), Rows: rows}, nil
+	return &ContrastResult{Workload: w, Invariants: set.Len(), Rows: db.Separabilities()}, nil
 }
 
 // Print writes the contrast table, worst margins first.

@@ -142,8 +142,8 @@ type Stats struct {
 	SparseSkippedPairs  int64 `json:"sparseSkippedPairs"`
 
 	// Signature best-match scan: entries considered, entries resolved by an
-	// early exit (popcount fast paths, stale-length skips, MinScore
-	// pruning), and the resulting early-exit rate (0 when nothing scanned).
+	// early exit (stale-length skips, the all-zero query's closed form), and
+	// the resulting early-exit rate (0 when nothing scanned).
 	SigScanEntries       int64   `json:"sigScanEntries"`
 	SigScanEarlyExits    int64   `json:"sigScanEarlyExits"`
 	SigScanEarlyExitRate float64 `json:"sigScanEarlyExitRate"`

@@ -1,20 +1,14 @@
 package signature
 
-import (
-	"math"
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Bitset-packed tuples: the database keeps every stored signature only as
 // []uint64 words (see store.go for the bucket layout), so the best-match
-// scan is popcount loops instead of per-coordinate branches, with early
-// exits that never score an entry whose score is already determined (or
-// provably below MinScore) by the precomputed population counts. The packed
-// path computes the exact integers the tests' boolean walk
-// (MaskedSimilarity) counts one coordinate at a time and divides them as
-// that walk's similarity does, in a closed form fixed per query, so scores
-// are bit-identical — pinned by TestBitsetMatchesBoolSimilarity.
+// scan is popcount loops instead of per-coordinate branches. The packed path
+// computes the exact integers the tests' boolean walk (MaskedSimilarity)
+// counts one coordinate at a time and divides them as that walk's Jaccard
+// similarity does, so scores are bit-identical — pinned by
+// TestBitsetMatchesBoolSimilarity.
 
 // stackWords sizes the on-stack packing buffers: tuples of up to 512
 // coordinates pack, hash and dedupe without a heap allocation.
@@ -79,104 +73,48 @@ func fnvProblem(problem string) uint64 {
 // fnvByte is one FNV-1a step.
 func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * 1099511628211 }
 
-// query is the packed form of one observed tuple and its mask, with the
-// measure and the MinScore floor fixed before the scan: per entry the scan
-// needs only a popcount against words (and known, when masked) and a closed
-// form of the two counts. A clean window is the all-known case: known nil.
+// query is the packed form of one observed tuple and its mask: per entry the
+// scan needs only a popcount against words (and known, when masked) and the
+// closed form of the two counts. A clean window is the all-known case: known
+// nil.
 type query struct {
 	n     int      // tuple length in coordinates
 	words []uint64 // the observed tuple, restricted to known coordinates
 	known []uint64 // packed mask; nil compares every coordinate
 	ones  int      // popcount(words): violated known coordinates
-	// The measure (see fix): with d = onesB − both, an entry scores
-	// (both + numD·d + num0) / (denD·d + den0), or under Cosine
-	// both / sqrt(ones·onesB).
-	numD, num0, denD, den0 int
-	cosine                 bool
-	// lo, hi bound the population count of an entry that can still reach
-	// MinScore (see prune).
-	lo, hi int
+	blind bool     // masked with no known coordinate: no evidence, every entry scores 0
 }
 
 // newQuery packs tuple (and known, when non-nil and of the same length) into
 // buf, one half each — the caller's stack, so a query of up to 512
 // coordinates allocates nothing; longer ones spill to the heap.
-func newQuery(buf *[2 * stackWords]uint64, tuple Tuple, known []bool, m Measure) query {
-	q := query{n: len(tuple), words: appendPacked(buf[:0:stackWords], tuple), hi: math.MaxInt}
-	compared := len(tuple)
+func newQuery(buf *[2 * stackWords]uint64, tuple Tuple, known []bool) query {
+	q := query{n: len(tuple), words: appendPacked(buf[:0:stackWords], tuple)}
 	if known != nil {
 		q.known = appendPacked(buf[stackWords:stackWords], known)
 		for w := range q.words {
 			q.words[w] &= q.known[w]
 		}
-		compared = popcount(q.known)
+		q.blind = popcount(q.known) == 0
 	}
 	q.ones = popcount(q.words)
-	q.fix(m, compared)
 	return q
 }
 
-// fix sets the query's measure over its compared (known) coordinates. The
-// query's own tallies are constants, so what the boolean walk counts per
-// entry follows from both = |q∧e| and d = |e| − both, the entry's violations
-// the query lacks: either = ones + d, and ones − both + d coordinates
-// mismatch. Each measure is then a closed form of the two counts —
-//
-//	Jaccard  both / either     = both / (ones + d)
-//	Hamming  equal / compared  = (both − d + compared − ones) / compared
-//	Cosine   both / sqrt(ones·onesB)
-//
-// — over the same integers, with the same float operations, as the boolean
-// walk's similarity, so scores are bit-identical. A masked query with no
-// known coordinate has no evidence: every entry scores 0 (both and d are 0).
-func (q *query) fix(m Measure, compared int) {
-	switch {
-	case q.known != nil && compared == 0:
-		q.den0 = 1
-	case m == Jaccard:
-		q.denD, q.den0 = 1, q.ones
-	case m == Hamming:
-		q.numD, q.num0, q.den0 = -1, compared-q.ones, compared
-	default: // Cosine
-		q.cosine = true
-	}
-}
-
-// score is the similarity of an entry whose overlap with the query is
-// (both, onesB). A zero denominator — Jaccard's either, Hamming's compared,
-// or under Cosine a tuple with no violation — scores 1 when neither tuple
-// has a violation and 0 otherwise. Small enough to inline into the scan.
+// score is the Jaccard similarity of an entry whose overlap with the query
+// is (both, onesB): both / either, where either = ones + onesB − both. These
+// are the integers the boolean walk counts one coordinate at a time, divided
+// as it divides them, so scores are bit-identical. Two tuples with no
+// violation (either = 0) score 1. Small enough to inline into the scan.
 func (q *query) score(both, onesB int) float64 {
-	d := onesB - both
-	var den float64
-	if q.cosine {
-		den = sqrtProd(q.ones, onesB)
-	} else {
-		den = float64(q.denD*d + q.den0)
-	}
-	if den == 0 {
-		if onesB == q.ones {
-			return 1
-		}
+	if q.blind {
 		return 0
 	}
-	return float64(both+q.numD*d+q.num0) / den
-}
-
-// prune narrows [lo, hi] to the population counts an entry may have and
-// still score minScore, so the scan drops the others unscored.
-// Unmasked, an entry with onesB violations overlaps the query in at most
-// min(ones, onesB) of them and every measure grows with the overlap, so
-// score(min(ones, onesB), onesB) bounds it; that bound rises with onesB up to
-// ones, where it is 1, and falls after, so the counts it admits are one
-// interval, found by binary search on each side. A masked query, or one with
-// no violation (scored exactly from onesB anyway), keeps every count.
-func (q *query) prune(minScore float64) {
-	if q.known != nil || q.ones == 0 || !(minScore > 0) {
-		return
+	either := q.ones + onesB - both
+	if either == 0 {
+		return 1
 	}
-	q.lo = sort.Search(q.ones+1, func(b int) bool { return q.score(b, b) >= minScore })
-	q.hi = q.ones - 1 + sort.Search(q.n-q.ones+1, func(k int) bool { return q.score(q.ones, q.ones+k) < minScore })
+	return float64(both) / float64(either)
 }
 
 // andCount is |x∧e| for two tuples of one stride.

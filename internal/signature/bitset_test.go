@@ -31,9 +31,8 @@ func randomTuple(rng *stats.RNG, n int, density float64) Tuple {
 	return t
 }
 
-// TestBitsetMatchesBoolSimilarity: for random tuples and masks, every
-// measure's packed-popcount score must be bit-identical to the boolean
-// reference — including the degenerate corners (all-zero tuples, all-false
+// TestBitsetMatchesBoolSimilarity: for random tuples and masks, the
+// packed-popcount score must be bit-identical to the boolean reference — including the degenerate corners (all-zero tuples, all-false
 // masks, empty tuples, word-boundary lengths).
 func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 	rng := stats.NewRNG(2200)
@@ -57,18 +56,16 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 				one.Add(Entry{Tuple: b, Problem: "p"})
 				bk := one.order[0].b
 				for _, known := range masks {
-					for _, m := range []Measure{Jaccard, Hamming, Cosine} {
-						want, err := MaskedSimilarity(a, b, known, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var buf [2 * stackWords]uint64
-						q := newQuery(&buf, a, known, m)
-						r := newRanker(1)
-						one.scanBucket(bk, &q, r, nil)
-						if got := r[0].score; got != want {
-							t.Errorf("n=%d m=%v masked=%v: bit %v != bool %v", n, m, known != nil, got, want)
-						}
+					want, err := MaskedSimilarity(a, b, known)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var buf [2 * stackWords]uint64
+					q := newQuery(&buf, a, known)
+					r := newRanker(1)
+					one.scanBucket(bk, &q, r, nil)
+					if got := r[0].score; got != want {
+						t.Errorf("n=%d masked=%v: bit %v != bool %v", n, known != nil, got, want)
 					}
 				}
 			}
@@ -78,7 +75,7 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 
 // TestMatchMaskedBitsetEquivalence: the packed scan must return the exact
 // matches (entries, order, scores) a reference MaskedSimilarity scan would,
-// across measures, masks, MinScore thresholds and stale-length entries.
+// across masks, MinScore thresholds and stale-length entries.
 func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2201)
 	const n = 70
@@ -103,12 +100,11 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 				known = []bool(randomTuple(rng, n, 0.8))
 			}
 			ip := []string{"", "10.0.0.1"}[rep%2]
-			m := []Measure{Jaccard, Hamming, Cosine}[rep%3]
-			got, err := db.MatchMasked(tuple, known, ip, "wc", m, 5)
+			got, err := db.MatchMasked(tuple, known, ip, "wc", Jaccard, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, "wc", m, 5)
+			want, err := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, "wc", 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +130,7 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		db.Add(Entry{Tuple: randomTuple(rng, 64, 0.2), Problem: "p", IP: "n", Workload: "w"})
 	}
-	if _, err := db.Match(make(Tuple, 64), "n", "w", Jaccard, 0); err != nil {
+	if _, err := db.Match(make(Tuple, 64), "n", "w", 0); err != nil {
 		t.Fatal(err)
 	}
 	scanned, early := db.ScanStats()
@@ -146,10 +142,10 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 // TestScanStatsExact pins the scan counters behind /v1/stats sigScan* and the
 // benchmark's signature.scan_entries_per_query / early_exit_ratio to the
 // exact (scanned, early) tallies of a fixed fixture, for Rank and MatchMasked
-// alike: a stale-length bucket, the zero query, MinScore upper-bound pruning,
-// and a masked query. The figures were captured from the
-// scan before its score was inlined; a kernel change that resolves a
-// different set of entries early moves them.
+// alike: a stale-length bucket, the zero query, a MinScore floor (which
+// filters without resolving anything early: only the stale-length skips
+// count) and a masked query. A kernel change that resolves a different set
+// of entries early moves them.
 func TestScanStatsExact(t *testing.T) {
 	const n = 130 // three words per tuple
 	build := func(minScore float64) *DB {
@@ -179,23 +175,22 @@ func TestScanStatsExact(t *testing.T) {
 		tuple          Tuple
 		known          []bool
 		ip, wl         string
-		m              Measure
 		scanned, early int64
 	}{
-		{"exact scope", 0, query, nil, "10.0.0.1", "wc", Jaccard, 20, 2},
-		{"zero query", 0, zero, nil, "10.0.0.1", "wc", Jaccard, 20, 20},
-		{"zero query, MinScore", 0.3, zero, nil, "10.0.0.2", "sort", Cosine, 20, 20},
-		{"MinScore pruning", 0.3, query, nil, "10.0.0.2", "sort", Jaccard, 20, 10},
-		{"masked", 0.3, query, known, "10.0.0.2", "sort", Jaccard, 20, 1},
+		{"exact scope", 0, query, nil, "10.0.0.1", "wc", 20, 2},
+		{"zero query", 0, zero, nil, "10.0.0.1", "wc", 20, 20},
+		{"zero query, MinScore", 0.3, zero, nil, "10.0.0.2", "sort", 20, 20},
+		{"MinScore pruning", 0.3, query, nil, "10.0.0.2", "sort", 20, 1},
+		{"masked", 0.3, query, known, "10.0.0.2", "sort", 20, 1},
 	}
 	for _, c := range cases {
 		for _, rank := range []bool{false, true} {
 			db := build(c.minScore)
 			var err error
 			if rank {
-				_, err = db.Rank(c.tuple, c.known, c.ip, c.wl, c.m, 3)
+				_, err = db.Rank(c.tuple, c.known, c.ip, c.wl, 3)
 			} else {
-				_, err = db.MatchMasked(c.tuple, c.known, c.ip, c.wl, c.m, 3)
+				_, err = db.MatchMasked(c.tuple, c.known, c.ip, c.wl, Jaccard, 3)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
@@ -207,11 +202,10 @@ func TestScanStatsExact(t *testing.T) {
 	}
 }
 
-// TestMinScorePruneBoundary: MinScore pruning drops an entry only when no
-// overlap could lift it to the floor. Nested prefix tuples reach the bound
-// exactly (each overlaps the query in min(ones, onesB) violations), so with
-// the floor set to each bound value in turn, an off-by-one at either end of
-// the admitted population counts drops an entry the reference reports.
+// TestMinScorePruneBoundary: the MinScore floor is inclusive and exact. Nested
+// prefix tuples score every overlap ratio the query admits, so with the
+// floor set to each prefix's score in turn, a floor compared off by one ulp
+// or one entry drops (or keeps) an entry the reference does not.
 func TestMinScorePruneBoundary(t *testing.T) {
 	const n = 150
 	prefix := func(k int) Tuple {
@@ -221,24 +215,22 @@ func TestMinScorePruneBoundary(t *testing.T) {
 		}
 		return tu
 	}
-	for _, m := range []Measure{Jaccard, Hamming, Cosine} {
-		for _, ones := range []int{1, 7, 64, 149} {
-			query := prefix(ones)
-			for k := 0; k <= n; k += 7 {
-				var probe DB
-				probe.Add(Entry{Tuple: prefix(k), Problem: "p", IP: "ip", Workload: "wl"})
-				ms, err := probe.Match(query, "ip", "wl", m, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				db := &DB{MinScore: ms[0].Score}
-				for j := 0; j <= n; j++ {
-					db.Add(Entry{Tuple: prefix(j), Problem: fmt.Sprintf("p%d", j%5), IP: "ip", Workload: "wl"})
-				}
-				tag := fmt.Sprintf("%v ones=%d floor=score(prefix %d)=%v", m, ones, k, db.MinScore)
-				matchBothPaths(t, db, query, nil, "ip", "wl", m, 0, tag)
-				rankBothPaths(t, db, query, nil, "ip", "wl", m, 0, tag)
+	for _, ones := range []int{1, 7, 64, 149} {
+		query := prefix(ones)
+		for k := 0; k <= n; k += 7 {
+			var probe DB
+			probe.Add(Entry{Tuple: prefix(k), Problem: "p", IP: "ip", Workload: "wl"})
+			ms, err := probe.Match(query, "ip", "wl", 0)
+			if err != nil {
+				t.Fatal(err)
 			}
+			db := &DB{MinScore: ms[0].Score}
+			for j := 0; j <= n; j++ {
+				db.Add(Entry{Tuple: prefix(j), Problem: fmt.Sprintf("p%d", j%5), IP: "ip", Workload: "wl"})
+			}
+			tag := fmt.Sprintf("ones=%d floor=score(prefix %d)=%v", ones, k, db.MinScore)
+			matchBothPaths(t, db, query, nil, "ip", "wl", 0, tag)
+			rankBothPaths(t, db, query, nil, "ip", "wl", 0, tag)
 		}
 	}
 }

@@ -21,13 +21,10 @@ func (c Conflict) String() string {
 }
 
 // Conflicts returns every pair of signatures for *different* problems,
-// within the same operation context, whose similarity under measure meets
-// or exceeds threshold — sorted by descending similarity. Two signatures of
-// the same problem are expected to be similar and are not conflicts.
-func (db *DB) Conflicts(measure Measure, threshold float64) ([]Conflict, error) {
-	if err := measure.check(); err != nil {
-		return nil, err
-	}
+// within the same operation context, whose similarity meets or exceeds
+// threshold — sorted by descending similarity. Two signatures of the same
+// problem are expected to be similar and are not conflicts.
+func (db *DB) Conflicts(threshold float64) []Conflict {
 	var out []Conflict
 	for i, a := range db.order {
 		for _, b := range db.order[i+1:] {
@@ -37,7 +34,7 @@ func (db *DB) Conflicts(measure Measure, threshold float64) ([]Conflict, error) 
 			if a.b != b.b || a.b.probs[a.pos] == b.b.probs[b.pos] {
 				continue
 			}
-			if s := a.b.pairScore(a.pos, b.pos, measure); s >= threshold {
+			if s := a.b.pairScore(a.pos, b.pos); s >= threshold {
 				out = append(out, Conflict{A: db.entry(a, nil), B: db.entry(b, nil), Score: s})
 			}
 		}
@@ -51,7 +48,7 @@ func (db *DB) Conflicts(measure Measure, threshold float64) ([]Conflict, error) 
 		}
 		return out[x].B.Problem < out[y].B.Problem
 	})
-	return out, nil
+	return out
 }
 
 // Separability summarises how distinguishable one problem's signatures are
@@ -63,7 +60,7 @@ type Separability struct {
 	Problem       string
 	IP            string
 	Workload      string
-	Cohesion      float64 // mean intra-problem similarity (1 if single signature)
+	Cohesion      float64 // mean intra-problem similarity (1 with no comparable pair)
 	WorstExternal float64
 	WorstProblem  string
 }
@@ -72,11 +69,10 @@ type Separability struct {
 func (s Separability) Margin() float64 { return s.Cohesion - s.WorstExternal }
 
 // Separabilities computes the per-problem separability report for every
-// (problem, context) group in the database.
-func (db *DB) Separabilities(measure Measure) ([]Separability, error) {
-	if err := measure.check(); err != nil {
-		return nil, err
-	}
+// (problem, context) group in the database. Like Conflicts, it compares
+// only signatures of one tuple length: a stale tuple left by a retrain
+// enters no mean.
+func (db *DB) Separabilities() []Separability {
 	type key struct {
 		pid   int32
 		scope scopeKey
@@ -89,39 +85,14 @@ func (db *DB) Separabilities(measure Measure) ([]Separability, error) {
 	var out []Separability
 	for k, members := range groups {
 		s := Separability{Problem: db.problems[k.pid], IP: k.scope.ip, Workload: k.scope.workload, Cohesion: 1}
-		if len(members) > 1 {
-			var sum float64
-			n := 0
-			for i, a := range members {
-				for _, b := range members[i+1:] {
-					if a.b != b.b {
-						return nil, fmt.Errorf("signature: tuple lengths %d and %d differ", a.b.n, b.b.n)
-					}
-					sum += a.b.pairScore(a.pos, b.pos, measure)
-					n++
-				}
-			}
-			s.Cohesion = sum / float64(n)
+		if mean, ok := meanPairScore(members, nil); ok {
+			s.Cohesion = mean
 		}
 		for k2, others := range groups {
 			if k2 == k || k2.scope != k.scope {
 				continue
 			}
-			var sum float64
-			n := 0
-			for _, a := range members {
-				for _, b := range others {
-					if a.b != b.b {
-						continue // different tuple lengths
-					}
-					sum += a.b.pairScore(a.pos, b.pos, measure)
-					n++
-				}
-			}
-			if n == 0 {
-				continue
-			}
-			if mean := sum / float64(n); mean > s.WorstExternal {
+			if mean, ok := meanPairScore(members, others); ok && mean > s.WorstExternal {
 				s.WorstExternal = mean
 				s.WorstProblem = db.problems[k2.pid]
 			}
@@ -134,5 +105,26 @@ func (db *DB) Separabilities(measure Measure) ([]Separability, error) {
 		}
 		return out[a].Problem < out[b].Problem
 	})
-	return out, nil
+	return out
+}
+
+// meanPairScore is the mean similarity over the comparable pairs — same
+// bucket, so same tuple length — of xs × ys, or of the distinct pairs within
+// xs when ys is nil. ok is false when there is no comparable pair.
+func meanPairScore(xs, ys []entryRef) (mean float64, ok bool) {
+	var sum float64
+	n := 0
+	for i, a := range xs {
+		against := ys
+		if ys == nil {
+			against = xs[i+1:]
+		}
+		for _, b := range against {
+			if a.b == b.b {
+				sum += a.b.pairScore(a.pos, b.pos)
+				n++
+			}
+		}
+	}
+	return sum / float64(n), n > 0
 }

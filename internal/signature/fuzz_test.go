@@ -78,18 +78,18 @@ func buildRandomDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB
 // matchBothPaths runs the same query through the production scan and the
 // linear reference scan (reference_test.go), and fails the test unless both
 // return byte-identical results and errors.
-func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, m Measure, topK int, tag string) {
+func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, topK int, tag string) {
 	t.Helper()
-	got, gotErr := db.MatchMasked(tuple, known, ip, wl, m, topK)
-	want, wantErr := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, wl, m, topK)
+	got, gotErr := db.MatchMasked(tuple, known, ip, wl, Jaccard, topK)
+	want, wantErr := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, wl, topK)
 	sameOutcome(t, tag, got, gotErr, want, wantErr)
 }
 
 // TestMatchEquivalence pins the retrieval contract: for random databases the
-// packed scan — popcount scoring, the zero-query closed form, MinScore
-// upper-bound pruning, stale-length skips — returns []Match output
-// byte-identical to the boolean linear reference across all three measures,
-// nil and random masks, and MinScore/topK sweeps, at tuple lengths inside,
+// packed scan — popcount scoring, the zero-query closed form, the MinScore
+// floor, stale-length skips — returns []Match output byte-identical to the
+// boolean linear reference across nil and random masks, and MinScore/topK
+// sweeps, at tuple lengths inside,
 // on and just past the one-, two- and three-word strides and beyond them.
 func TestMatchEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2300)
@@ -106,10 +106,9 @@ func TestMatchEquivalence(t *testing.T) {
 					}
 					ip := []string{"", "10.0.0.1", "10.0.0.9"}[rep%3]
 					wl := []string{"", "wc"}[rep%2]
-					m := []Measure{Jaccard, Hamming, Cosine}[rep%3]
 					topK := []int{0, 1, 5, 1000}[rep%4]
 					tag := fmt.Sprintf("len=%d minScore=%v nEntries=%d rep=%d", tupleLen, minScore, nEntries, rep)
-					matchBothPaths(t, db, tuple, known, ip, wl, m, topK, tag)
+					matchBothPaths(t, db, tuple, known, ip, wl, topK, tag)
 				}
 			}
 		}
@@ -140,25 +139,24 @@ func FuzzMatchEquivalence(f *testing.F) {
 		}
 		ip := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)]
 		wl := []string{"wc", "tpcds", "sort"}[rng.Intn(3)]
-		m := Measure(rng.Intn(3))
-		matchBothPaths(t, db, tuple, known, ip, wl, m, int(topK), "fuzz")
+		matchBothPaths(t, db, tuple, known, ip, wl, int(topK), "fuzz")
 	})
 }
 
 // FuzzSimilarity checks the similarity invariants for arbitrary same-length
-// tuples under every measure.
+// tuples. Its third input is unused: it keeps the (string, string, int)
+// layout corpus entries are written in.
 func FuzzSimilarity(f *testing.F) {
 	f.Add("", "", 0)
 	f.Add("10", "01", 1)
 	f.Add("111", "111", 2)
-	f.Fuzz(func(t *testing.T, as, bs string, mRaw int) {
+	f.Fuzz(func(t *testing.T, as, bs string, _ int) {
 		a, errA := ParseTuple(as)
 		b, errB := ParseTuple(bs)
 		if errA != nil || errB != nil {
 			return
 		}
-		m := Measure(((mRaw % 3) + 3) % 3)
-		s, err := Similarity(a, b, m)
+		s, err := Similarity(a, b)
 		if len(a) != len(b) {
 			if err == nil {
 				t.Fatal("length mismatch accepted")
@@ -171,11 +169,11 @@ func FuzzSimilarity(f *testing.F) {
 		if s < 0 || s > 1 {
 			t.Fatalf("similarity %v out of [0,1]", s)
 		}
-		s2, _ := Similarity(b, a, m)
+		s2, _ := Similarity(b, a)
 		if s != s2 {
 			t.Fatalf("asymmetric: %v vs %v", s, s2)
 		}
-		self, _ := Similarity(a, a, m)
+		self, _ := Similarity(a, a)
 		if self != 1 {
 			t.Fatalf("self-similarity %v != 1", self)
 		}

@@ -9,44 +9,37 @@ func TestMaskedSimilarityRestricts(t *testing.T) {
 	a := Tuple{true, false, true, false}
 	b := Tuple{true, true, false, false}
 	// Full Jaccard: both=1, either=3 → 1/3.
-	full, err := MaskedSimilarity(a, b, nil, Jaccard)
+	full, err := MaskedSimilarity(a, b, nil)
 	if err != nil || math.Abs(full-1.0/3) > 1e-12 {
 		t.Fatalf("full similarity = %v, %v", full, err)
 	}
 	// Mask out the disagreeing coordinates 1 and 2 → both=1, either=1 → 1.
 	known := []bool{true, false, false, true}
-	masked, err := MaskedSimilarity(a, b, known, Jaccard)
+	masked, err := MaskedSimilarity(a, b, known)
 	if err != nil || masked != 1 {
 		t.Fatalf("masked similarity = %v, %v, want 1", masked, err)
 	}
-	// Hamming over known coords: coords 0 (equal) and 3 (equal) → 1.
-	h, err := MaskedSimilarity(a, b, known, Hamming)
-	if err != nil || h != 1 {
-		t.Fatalf("masked hamming = %v, %v, want 1", h, err)
-	}
-	// Hamming over disagreeing coords only → 0.
-	h2, err := MaskedSimilarity(a, b, []bool{false, true, true, false}, Hamming)
-	if err != nil || h2 != 0 {
-		t.Fatalf("masked hamming = %v, %v, want 0", h2, err)
+	// Masked to the disagreeing coordinates only: both=0, either=2 → 0.
+	d, err := MaskedSimilarity(a, b, []bool{false, true, true, false})
+	if err != nil || d != 0 {
+		t.Fatalf("masked similarity = %v, %v, want 0", d, err)
 	}
 }
 
 func TestMaskedSimilarityNoEvidence(t *testing.T) {
 	a := Tuple{true, true}
 	b := Tuple{true, true}
-	for _, m := range []Measure{Jaccard, Hamming, Cosine} {
-		s, err := MaskedSimilarity(a, b, []bool{false, false}, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s != 0 {
-			t.Fatalf("%v with zero known coordinates = %v, want 0", m, s)
-		}
+	s, err := MaskedSimilarity(a, b, []bool{false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != 0 {
+		t.Fatalf("similarity with zero known coordinates = %v, want 0", s)
 	}
 }
 
 func TestMaskedSimilarityMaskLengthMismatch(t *testing.T) {
-	if _, err := MaskedSimilarity(Tuple{true}, Tuple{true}, []bool{true, false}, Jaccard); err == nil {
+	if _, err := MaskedSimilarity(Tuple{true}, Tuple{true}, []bool{true, false}); err == nil {
 		t.Fatal("mask length mismatch not rejected")
 	}
 }
@@ -71,7 +64,7 @@ func TestMatchMasked(t *testing.T) {
 		t.Fatalf("mem-hog score = %v, want 0.5", ms[1].Score)
 	}
 	// Nil mask reduces to Match.
-	plain, err := db.Match(observed, "a", "wc", Jaccard, 0)
+	plain, err := db.Match(observed, "a", "wc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +78,19 @@ func TestMatchMasked(t *testing.T) {
 	for i := range plain {
 		if plain[i].Score != nilMasked[i].Score || plain[i].Problem != nilMasked[i].Problem {
 			t.Fatalf("diverges at %d: %+v vs %+v", i, plain[i], nilMasked[i])
+		}
+	}
+}
+
+// TestMatchMaskedRefusesOtherMeasures: Jaccard is the only measure; any
+// other value names none, and retrieval refuses it rather than scoring
+// with Jaccard under another name.
+func TestMatchMaskedRefusesOtherMeasures(t *testing.T) {
+	var db DB
+	db.Add(Entry{Tuple: Tuple{true, false}, Problem: "cpu-hog", IP: "a", Workload: "wc"})
+	for _, m := range []Measure{1, 2, -1} {
+		if ms, err := db.MatchMasked(Tuple{true, false}, nil, "a", "wc", m, 0); err == nil {
+			t.Errorf("MatchMasked with %v = %+v, want an error", m, ms)
 		}
 	}
 }

@@ -10,95 +10,59 @@ import (
 )
 
 // MaskedSimilarity is the reference similarity the packed popcount scoring is
-// pinned against: a boolean walk over two equal-length tuples, in [0, 1],
-// restricted to the coordinates whose invariants were checkable under the
-// observed window. known[i] false excludes coordinate i from the comparison
-// entirely (an unknown invariant is neither a match nor a mismatch); a nil
-// mask compares every coordinate. Two all-zero tuples are fully similar under
-// every measure; when no coordinate is known there is no evidence at all, and
-// the similarity is 0 regardless of measure.
-func MaskedSimilarity(a, b Tuple, known []bool, m Measure) (float64, error) {
+// pinned against: Jaccard by a boolean walk over two equal-length tuples, in
+// [0, 1], restricted to the coordinates whose invariants were checkable under
+// the observed window. known[i] false excludes coordinate i from the
+// comparison entirely (an unknown invariant is neither a match nor a
+// mismatch); a nil mask compares every coordinate. Two all-zero tuples are
+// fully similar; when no coordinate is known there is no evidence at all,
+// and the similarity is 0.
+func MaskedSimilarity(a, b Tuple, known []bool) (float64, error) {
 	if len(a) != len(b) {
 		return 0, fmt.Errorf("signature: tuple lengths %d and %d differ", len(a), len(b))
 	}
 	if known != nil && len(known) != len(a) {
 		return 0, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(a))
 	}
-	var both, either, equal, onesA, onesB, compared int
+	var both, either, compared int
 	for i := range a {
 		if known != nil && !known[i] {
 			continue
 		}
 		compared++
-		switch {
-		case a[i] && b[i]:
+		if a[i] && b[i] {
 			both++
-			either++
-			equal++
-		case a[i] || b[i]:
-			either++
-		default:
-			equal++
 		}
-		if a[i] {
-			onesA++
-		}
-		if b[i] {
-			onesB++
+		if a[i] || b[i] {
+			either++
 		}
 	}
-	return similarityFromCounts(both, either, equal, onesA, onesB, compared, known != nil, m)
-}
-
-// similarityFromCounts turns the boolean walk's tallies into the score, one
-// measure per case. The scan computes the same integers from two popcounts
-// and the same float operations in a closed form fixed per query
-// (query.fix), so the two agree to the bit.
-func similarityFromCounts(both, either, equal, onesA, onesB, compared int, masked bool, m Measure) (float64, error) {
-	if masked && compared == 0 {
+	switch {
+	case known != nil && compared == 0:
 		return 0, nil
+	case either == 0:
+		return 1, nil
 	}
-	switch m {
-	case Jaccard:
-		if either == 0 {
-			return 1, nil
-		}
-		return float64(both) / float64(either), nil
-	case Hamming:
-		if compared == 0 {
-			return 1, nil
-		}
-		return float64(equal) / float64(compared), nil
-	case Cosine:
-		if onesA == 0 || onesB == 0 {
-			if onesA == onesB {
-				return 1, nil
-			}
-			return 0, nil
-		}
-		return float64(both) / sqrtProd(onesA, onesB), nil
-	default:
-		return 0, m.check()
-	}
+	return float64(both) / float64(either), nil
 }
 
 // Match is MatchMasked over a fully known window, and Similarity is
 // MaskedSimilarity likewise: the spellings most tests here use. No product
 // code calls either, so they are declared with the tests.
-func (db *DB) Match(tuple Tuple, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
-	return db.MatchMasked(tuple, nil, ip, workloadType, measure, topK)
+func (db *DB) Match(tuple Tuple, ip, workloadType string, topK int) ([]Match, error) {
+	return db.MatchMasked(tuple, nil, ip, workloadType, Jaccard, topK)
 }
 
-func Similarity(a, b Tuple, m Measure) (float64, error) {
-	return MaskedSimilarity(a, b, nil, m)
+func Similarity(a, b Tuple) (float64, error) {
+	return MaskedSimilarity(a, b, nil)
 }
 
 // matchLinear is the reference retrieval every production path is pinned
 // against: a full scan over a database's Entries() with per-entry scope
 // filtering, scored by the boolean MaskedSimilarity walk and ranked by a
-// stable sort — nothing of the packed store, its pruning or the reducers, so
+// stable sort — nothing of the packed store, its buckets or the reducers, so
 // the kernel is never checking itself.
-func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, ip, workloadType string, topK int) ([]Match, error) {
 	if known != nil && len(known) != len(tuple) {
 		return nil, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(tuple))
 	}
@@ -112,7 +76,7 @@ func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, i
 		if len(e.Tuple) != len(tuple) {
 			continue // a stale signature from an older invariant set
 		}
-		s, err := MaskedSimilarity(tuple, e.Tuple, known, measure)
+		s, err := MaskedSimilarity(tuple, e.Tuple, known)
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +96,8 @@ func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, i
 
 // rankReference is the composition Rank replaced: the full ranked match
 // list, one best match per problem, cut to topK.
-func rankReference(db *DB, tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
-	matches, err := db.MatchMasked(tuple, known, ip, workloadType, measure, 0)
+func rankReference(db *DB, tuple Tuple, known []bool, ip, workloadType string, topK int) ([]Match, error) {
+	matches, err := db.MatchMasked(tuple, known, ip, workloadType, Jaccard, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -160,10 +124,10 @@ func sameOutcome(t *testing.T, tag string, got []Match, gotErr error, want []Mat
 }
 
 // rankBothPaths pins Rank to rankReference for one query.
-func rankBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, m Measure, topK int, tag string) {
+func rankBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, topK int, tag string) {
 	t.Helper()
-	got, gotErr := db.Rank(tuple, known, ip, wl, m, topK)
-	want, wantErr := rankReference(db, tuple, known, ip, wl, m, topK)
+	got, gotErr := db.Rank(tuple, known, ip, wl, topK)
+	want, wantErr := rankReference(db, tuple, known, ip, wl, topK)
 	sameOutcome(t, tag, got, gotErr, want, wantErr)
 }
 
@@ -193,9 +157,9 @@ func buildTiedDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
 
 // TestRankEqualsBestProblemOfMatch pins the one-pass ranking to the
 // composition it replaced — same scores to the bit, same problem order, same
-// representative entry — across measures, masks, thresholds, scopes (an
-// empty field among them), stale-length buckets, heavy score ties, the all-zero
-// query and every topK regime, at tuple lengths of one to five words.
+// representative entry — across masks, thresholds, scopes (an empty field
+// among them), stale-length buckets, heavy score ties, the all-zero query
+// and every topK regime, at tuple lengths of one to five words.
 func TestRankEqualsBestProblemOfMatch(t *testing.T) {
 	rng := stats.NewRNG(1300)
 	for _, tupleLen := range []int{10, 70, 128, 130, 190, 192, 300} {
@@ -221,21 +185,20 @@ func TestRankEqualsBestProblemOfMatch(t *testing.T) {
 					}
 					ip := []string{"", "10.0.0.1", "10.0.0.2", "10.0.0.9"}[rep%4]
 					wl := []string{"", "wc", "sort"}[(rep/4)%3]
-					m := []Measure{Jaccard, Hamming, Cosine}[(rep/2)%3]
 					topK := []int{0, 1, 5, 1000}[(rep/3)%4]
-					tag := fmt.Sprintf("len=%d minScore=%v rep=%d ip=%q wl=%q %v topK=%d masked=%v",
-						tupleLen, minScore, rep, ip, wl, m, topK, known != nil)
-					rankBothPaths(t, db, tuple, known, ip, wl, m, topK, tag)
+					tag := fmt.Sprintf("len=%d minScore=%v rep=%d ip=%q wl=%q topK=%d masked=%v",
+						tupleLen, minScore, rep, ip, wl, topK, known != nil)
+					rankBothPaths(t, db, tuple, known, ip, wl, topK, tag)
 				}
 			}
 		}
 	}
 	// Error outcomes are the composition's too.
 	db := buildTiedDB(rng, 20, 10, 0)
-	rankBothPaths(t, db, make(Tuple, 10), nil, "nowhere", "wc", Jaccard, 0, "empty scope")
-	rankBothPaths(t, db, make(Tuple, 10), make([]bool, 4), "", "", Jaccard, 0, "bad mask")
-	rankBothPaths(t, &DB{}, make(Tuple, 10), make([]bool, 4), "", "", Jaccard, 0, "bad mask, empty db")
-	if _, err := db.Rank(make(Tuple, 10), nil, "nowhere", "wc", Jaccard, 0); err != ErrEmpty {
+	rankBothPaths(t, db, make(Tuple, 10), nil, "nowhere", "wc", 0, "empty scope")
+	rankBothPaths(t, db, make(Tuple, 10), make([]bool, 4), "", "", 0, "bad mask")
+	rankBothPaths(t, &DB{}, make(Tuple, 10), make([]bool, 4), "", "", 0, "bad mask, empty db")
+	if _, err := db.Rank(make(Tuple, 10), nil, "nowhere", "wc", 0); err != ErrEmpty {
 		t.Errorf("Rank on an empty scope: %v, want ErrEmpty", err)
 	}
 }
@@ -265,7 +228,7 @@ func FuzzRankEquivalence(f *testing.F) {
 		}
 		ip := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)]
 		wl := []string{"wc", "tpcds", "sort"}[rng.Intn(3)]
-		rankBothPaths(t, db, tuple, known, ip, wl, Measure(rng.Intn(3)), int(topK), "fuzz")
+		rankBothPaths(t, db, tuple, known, ip, wl, int(topK), "fuzz")
 	})
 }
 
@@ -329,7 +292,7 @@ func TestEntryFingerprintGolden(t *testing.T) {
 // the dedup identity exactly as they were.
 func TestMatchResultsDoNotAliasStore(t *testing.T) {
 	rng := stats.NewRNG(1301)
-	for _, minScore := range []float64{0, 0.3} { // unfiltered and MinScore-pruned
+	for _, minScore := range []float64{0, 0.3} { // unfiltered and MinScore-filtered
 		db := &DB{MinScore: minScore}
 		var stored []Entry
 		for i := 0; i < 12; i++ {
@@ -346,11 +309,11 @@ func TestMatchResultsDoNotAliasStore(t *testing.T) {
 			return out
 		}
 		query := func() (matches, ranked []Match) {
-			matches, err := db.Match(q, "n", "w", Jaccard, 0)
+			matches, err := db.Match(q, "n", "w", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranked, err = db.Rank(q, nil, "n", "w", Jaccard, 0)
+			ranked, err = db.Rank(q, nil, "n", "w", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,7 +388,7 @@ func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
 	allocs := func(n int) float64 {
 		db, queries := signatureBenchDB(n, 200, 0)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := db.Rank(queries[0], nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+			if _, err := db.Rank(queries[0], nil, "10.0.0.2", "wordcount", 5); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -453,7 +416,7 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := matchLinear(entries, db.MinScore, q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+					if _, err := matchLinear(entries, db.MinScore, q, nil, "10.0.0.2", "wordcount", 5); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -465,8 +428,7 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 // BenchmarkSignatureMatch measures filtered signature retrieval (MinScore
 // 0.3, top 5) over databases of 100 to 100 000 entries in one context.
 // Every query is one scan of its scope's query-length bucket — each entry
-// scored by popcount, or pruned by the MinScore upper bound its population
-// count gives — so time is linear in n. The boolean linear-scan reference is
+// scored by popcount, then filtered at the floor — so time is linear in n. The boolean linear-scan reference is
 // BenchmarkSignatureLinearScan.
 func BenchmarkSignatureMatch(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000, 100000} {
@@ -490,8 +452,8 @@ func BenchmarkSignatureMatch(b *testing.B) {
 // one winner per problem. Time is linear in n; allocs/op must not be — the
 // per-entry materialisation this replaced allocated and sorted the scope.
 // The fixture's 190-coordinate tuples are the three-word stride. With the
-// scan taking a bucket a chunk at a time (stride-unrolled counts, a closed-
-// form score fixed per query, the reducer fixed before the loop) one op is
+// scan taking a bucket a chunk at a time (stride-unrolled counts, the
+// Jaccard closed form, the reducer fixed before the loop) one op is
 // ≈ 8.4 ms at n = 20 000 and ≈ 0.96 ms at n = 1 000; the single loop before
 // it, with a score call and an interface call per entry, took ≈ 17.7 ms and
 // ≈ 1.47 ms (2-core Intel Xeon, -cpu 1, medians of 21 alternated runs of
@@ -503,7 +465,7 @@ func BenchmarkSignatureRank(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+					if _, err := db.Rank(q, nil, "10.0.0.2", "wordcount", 5); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -535,7 +497,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		db, queries := signatureBenchDB(n, 200, 0)
 		got := perBatch(db, queries, func(db *DB, q Tuple) error {
-			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", Jaccard, 5)
+			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", 5)
 			return err
 		})
 		if want := float64(7 * len(queries)); got != want {

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -61,44 +60,22 @@ func (t Tuple) Ones() int {
 	return n
 }
 
-// Measure selects the tuple-similarity function.
+// Measure names the tuple-similarity function. Jaccard |a∧b| / |a∨b| is the
+// only one: it focuses on the violated coordinates, which carry the signal
+// (most invariants hold under any single fault, so a measure counting equal
+// coordinates is dominated by uninformative zeros). The type stays only
+// because bench/ passes core.Config.Similarity to MatchMasked.
 type Measure int
 
-const (
-	// Jaccard similarity |a∧b| / |a∨b| — the default; it focuses on the
-	// violated coordinates, which carry the signal (most invariants hold
-	// under any single fault, so Hamming similarity is dominated by
-	// uninformative zeros).
-	Jaccard Measure = iota
-	// Hamming similarity: fraction of matching coordinates.
-	Hamming
-	// Cosine similarity of the tuples as 0/1 vectors.
-	Cosine
-)
+// Jaccard is the signature similarity measure.
+const Jaccard Measure = 0
 
 func (m Measure) String() string {
-	switch m {
-	case Jaccard:
+	if m == Jaccard {
 		return "jaccard"
-	case Hamming:
-		return "hamming"
-	case Cosine:
-		return "cosine"
-	default:
-		return fmt.Sprintf("measure(%d)", int(m))
 	}
+	return fmt.Sprintf("measure(%d)", int(m))
 }
-
-// check rejects a measure outside the three defined ones.
-func (m Measure) check() error {
-	if m != Jaccard && m != Hamming && m != Cosine {
-		return fmt.Errorf("signature: unknown measure %v", m)
-	}
-	return nil
-}
-
-// sqrtProd returns sqrt(a*b) for the cosine denominator.
-func sqrtProd(a, b int) float64 { return math.Sqrt(float64(a) * float64(b)) }
 
 // Entry is one stored signature: the paper's four-tuple.
 type Entry struct {
@@ -133,9 +110,9 @@ type DB struct {
 	MinScore float64
 
 	// Scan telemetry: entries considered by best-match scans, and how many
-	// resolved from their population counts alone, never scored
-	// (stale-length skips, MinScore bound pruning) or scored without
-	// counting their words (the all-zero query's closed form).
+	// resolved without counting their words: stale-length skips, never
+	// scored, and the all-zero query's entries, scored from their
+	// population counts alone.
 	scanEntries    atomic.Int64
 	scanEarlyExits atomic.Int64
 }
@@ -293,7 +270,8 @@ func (db *DB) Entries() []Entry {
 // coordinates whose invariants were checkable (known[i] true); a nil mask
 // compares every coordinate. topK <= 0 returns the full ranked list — every
 // scoped entry at or above MinScore — which is what audits and the
-// benchmark's layer replay read; a verdict only needs Rank.
+// benchmark's layer replay read; a verdict only needs Rank. measure must be
+// Jaccard: bench/ names it, and any other value is refused.
 //
 // Retrieval is one scan (see scan): the scope partitions and length buckets
 // of store.go decide which entries are touched, every score comes from
@@ -301,8 +279,11 @@ func (db *DB) Entries() []Entry {
 // order (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
 func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	if measure != Jaccard {
+		return nil, fmt.Errorf("signature: unknown measure %v", measure)
+	}
 	sel := selector{st: &db.store, k: topK}
-	if err := db.scan(tuple, known, ip, workloadType, measure, nil, &sel); err != nil {
+	if err := db.scan(tuple, known, ip, workloadType, nil, &sel); err != nil {
 		return nil, err
 	}
 	return sel.results(), nil
@@ -317,9 +298,9 @@ func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, me
 // equal-best signatures) — computed in one pass: the scan feeds a
 // per-problem best-score reducer, so nothing per entry is allocated,
 // sorted or copied and only the winners are materialised.
-func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, topK int) ([]Match, error) {
 	r := newRanker(len(db.problems))
-	if err := db.scan(tuple, known, ip, workloadType, measure, r, nil); err != nil {
+	if err := db.scan(tuple, known, ip, workloadType, r, nil); err != nil {
 		return nil, err
 	}
 	sel := selector{st: &db.store, k: topK}
@@ -334,21 +315,17 @@ func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, measure M
 // scan scores the scoped entries against the observed tuple and folds every
 // one at or above MinScore into the reducer the caller fixed: rank (Rank),
 // or sel when it is set (MatchMasked). The query's one scope partition
-// leaves out every other operation context and its length buckets prune
-// stale tuples; every entry of a query-length bucket is scored, or resolved
-// from its population count (scanBucket).
-func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, measure Measure, rank ranker, sel *selector) error {
+// leaves out every other operation context and its length buckets set
+// stale tuples aside; every entry of a query-length bucket is scored
+// (scanBucket).
+func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, rank ranker, sel *selector) error {
 	if known != nil && len(known) != len(tuple) {
 		// Validated once per query, not per entry — and reported even when
 		// the scope matches zero entries.
 		return fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(tuple))
 	}
-	if err := measure.check(); err != nil {
-		return err
-	}
 	var buf [2 * stackWords]uint64
-	q := newQuery(&buf, tuple, known, measure)
-	q.prune(db.MinScore)
+	q := newQuery(&buf, tuple, known)
 	sp := db.scopes[scopeKey{workload: workloadType, ip: ip}]
 	if sp == nil || sp.total == 0 {
 		return ErrEmpty
@@ -375,16 +352,15 @@ const scanChunk = 128
 
 // scanBucket scores every entry of b against q, folds those at or above
 // MinScore into the reducer — rank, or sel when it is set — and reports how
-// many it resolved from their population counts alone, never scoring them.
-// It is the one loop that scores an entry, for both reducers and both mask
-// arms. It takes the bucket a chunk at a time, in three steps, each with
-// what does not vary per entry fixed before it starts:
+// many it scored from their population counts alone (the all-zero query's,
+// whose words need no counting). It is the one loop that scores an entry,
+// for both reducers and both mask arms. It takes the bucket a chunk at a
+// time, in three steps:
 //
 //   - andCounts counts the chunk's overlaps with the query, unrolled for the
 //     bucket's stride;
-//   - the scoring loop turns each entry's (both, onesB) into its score by
-//     the closed form query.fix chose for the measure, or drops the entry
-//     when its population count cannot reach MinScore (query.prune);
+//   - the scoring loop turns each entry's (both, onesB) into its Jaccard
+//     score (query.score);
 //   - the reducer folds the chunk's scores.
 //
 // The popcounts run apart from the scoring because on baseline amd64 each
@@ -409,13 +385,8 @@ func (db *DB) scanBucket(b *bucket, q *query, rank ranker, sel *selector) (early
 			onesB = maskedOnes[:len(ones)]
 			andCounts(onesB, q.known, tuples)
 		}
-		for i, o := range ones {
-			if int(o) < q.lo || int(o) > q.hi {
-				early++
-				sc[i] = math.NaN() // below every floor: never folded
-				continue
-			}
-			sc[i] = q.score(int(both[i]), int(onesB[i]))
+		for i, o := range onesB {
+			sc[i] = q.score(int(both[i]), int(o))
 		}
 		ids, probs := b.ids[at:at+len(ones)], b.probs[at:at+len(ones)]
 		if sel != nil {

@@ -32,7 +32,7 @@ func TestTupleRoundTrip(t *testing.T) {
 }
 
 func TestSimilarityJaccard(t *testing.T) {
-	s, err := Similarity(tup("1100"), tup("1010"), Jaccard)
+	s, err := Similarity(tup("1100"), tup("1010"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,51 +40,20 @@ func TestSimilarityJaccard(t *testing.T) {
 	if math.Abs(s-1.0/3.0) > 1e-12 {
 		t.Errorf("jaccard = %v, want 1/3", s)
 	}
-	s, _ = Similarity(tup("0000"), tup("0000"), Jaccard)
+	s, _ = Similarity(tup("0000"), tup("0000"))
 	if s != 1 {
 		t.Errorf("jaccard of empty sets = %v, want 1", s)
 	}
 }
 
-func TestSimilarityHamming(t *testing.T) {
-	s, err := Similarity(tup("1100"), tup("1010"), Hamming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0.5 {
-		t.Errorf("hamming = %v, want 0.5", s)
-	}
-}
-
-func TestSimilarityCosine(t *testing.T) {
-	s, err := Similarity(tup("110"), tup("011"), Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-0.5) > 1e-12 {
-		t.Errorf("cosine = %v, want 0.5", s)
-	}
-	s, _ = Similarity(tup("000"), tup("010"), Cosine)
-	if s != 0 {
-		t.Errorf("cosine zero-vs-nonzero = %v, want 0", s)
-	}
-	s, _ = Similarity(tup("000"), tup("000"), Cosine)
-	if s != 1 {
-		t.Errorf("cosine zero-vs-zero = %v, want 1", s)
-	}
-}
-
 func TestSimilarityErrors(t *testing.T) {
-	if _, err := Similarity(tup("11"), tup("111"), Jaccard); err == nil {
+	if _, err := Similarity(tup("11"), tup("111")); err == nil {
 		t.Error("length mismatch should error")
-	}
-	if _, err := Similarity(tup("1"), tup("1"), Measure(99)); err == nil {
-		t.Error("unknown measure should error")
 	}
 }
 
 func TestMeasureString(t *testing.T) {
-	if Jaccard.String() != "jaccard" || Hamming.String() != "hamming" || Cosine.String() != "cosine" {
+	if Jaccard.String() != "jaccard" || Measure(1).String() != "measure(1)" {
 		t.Error("measure names wrong")
 	}
 }
@@ -97,7 +66,7 @@ func TestDBAddAndMatch(t *testing.T) {
 	if db.Len() != 3 {
 		t.Fatalf("Len = %d", db.Len())
 	}
-	ms, err := db.Match(tup("1100"), "10.0.0.2", "wordcount", Jaccard, 0)
+	ms, err := db.Match(tup("1100"), "10.0.0.2", "wordcount", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +85,16 @@ func TestMatchContextScoping(t *testing.T) {
 	var db DB
 	db.Add(Entry{Tuple: tup("11"), Problem: "a", IP: "10.0.0.2", Workload: "sort"})
 	// Wrong context: no signatures in scope.
-	if _, err := db.Match(tup("11"), "10.0.0.3", "sort", Jaccard, 0); err != ErrEmpty {
+	if _, err := db.Match(tup("11"), "10.0.0.3", "sort", 0); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 	// An empty field is a scope value, not a wildcard: the empty scope
 	// reads its own entries alone.
-	if _, err := db.Match(tup("11"), "", "sort", Jaccard, 0); err != ErrEmpty {
+	if _, err := db.Match(tup("11"), "", "sort", 0); err != ErrEmpty {
 		t.Errorf("empty ip: err = %v, want ErrEmpty", err)
 	}
 	db.Add(Entry{Tuple: tup("10"), Problem: "b"})
-	ms, err := db.Match(tup("11"), "", "", Jaccard, 0)
+	ms, err := db.Match(tup("11"), "", "", 0)
 	if err != nil || len(ms) != 1 || ms[0].Problem != "b" {
 		t.Errorf("empty scope match = %v, %v; want b alone", ms, err)
 	}
@@ -138,7 +107,7 @@ func TestMatchTopK(t *testing.T) {
 		tu[i] = true
 		db.Add(Entry{Tuple: tu, Problem: p, IP: "x", Workload: "w"})
 	}
-	ms, err := db.Match(tup("1000"), "x", "w", Jaccard, 2)
+	ms, err := db.Match(tup("1000"), "x", "w", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +120,7 @@ func TestMatchSkipsStaleTuples(t *testing.T) {
 	var db DB
 	db.Add(Entry{Tuple: tup("101"), Problem: "old", IP: "x", Workload: "w"})
 	db.Add(Entry{Tuple: tup("10"), Problem: "new", IP: "x", Workload: "w"})
-	ms, err := db.Match(tup("10"), "x", "w", Jaccard, 0)
+	ms, err := db.Match(tup("10"), "x", "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +132,7 @@ func TestMatchSkipsStaleTuples(t *testing.T) {
 func TestMinScoreFilter(t *testing.T) {
 	db := DB{MinScore: 0.9}
 	db.Add(Entry{Tuple: tup("1100"), Problem: "a", IP: "x", Workload: "w"})
-	ms, err := db.Match(tup("0011"), "x", "w", Jaccard, 0)
+	ms, err := db.Match(tup("0011"), "x", "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +167,9 @@ func TestBestProblem(t *testing.T) {
 }
 
 // Property: similarity is symmetric, bounded in [0,1], and 1 for identical
-// tuples, under every measure.
+// tuples.
 func TestSimilarityProperties(t *testing.T) {
-	f := func(bits []bool, bits2 []bool, mRaw uint8) bool {
+	f := func(bits []bool, bits2 []bool) bool {
 		n := len(bits)
 		if len(bits2) < n {
 			n = len(bits2)
@@ -210,16 +179,15 @@ func TestSimilarityProperties(t *testing.T) {
 		}
 		a := Tuple(bits[:n])
 		b := Tuple(bits2[:n])
-		m := Measure(int(mRaw) % 3)
-		s1, err1 := Similarity(a, b, m)
-		s2, err2 := Similarity(b, a, m)
+		s1, err1 := Similarity(a, b)
+		s2, err2 := Similarity(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		if s1 != s2 || s1 < 0 || s1 > 1 {
 			return false
 		}
-		self, err := Similarity(a, a, m)
+		self, err := Similarity(a, a)
 		return err == nil && self == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

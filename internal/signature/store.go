@@ -61,9 +61,8 @@ func (b *bucket) tuple(pos int32) []uint64 {
 }
 
 // pairScore is the unmasked similarity of the entries at positions i and j.
-func (b *bucket) pairScore(i, j int32, m Measure) float64 {
-	q := query{n: b.n, words: b.tuple(i), ones: int(b.ones[i])}
-	q.fix(m, b.n)
+func (b *bucket) pairScore(i, j int32) float64 {
+	q := query{words: b.tuple(i), ones: int(b.ones[i])}
 	return q.score(andCount(q.words, b.tuple(j)), int(b.ones[j]))
 }
 

@@ -21,8 +21,8 @@ func TestCloneAnswersAndDedupsLikeSource(t *testing.T) {
 	}
 	q := randomTuple(rng, 40, 0.25)
 	clone := db.Clone()
-	want, wantErr := db.Match(q, "n", "w", Jaccard, 5)
-	got, gotErr := clone.Match(q, "n", "w", Jaccard, 5)
+	want, wantErr := db.Match(q, "n", "w", 5)
+	got, gotErr := clone.Match(q, "n", "w", 5)
 	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("clone match %+v (%v) != source %+v (%v)", got, gotErr, want, wantErr)
 	}
@@ -32,7 +32,7 @@ func TestCloneAnswersAndDedupsLikeSource(t *testing.T) {
 		}
 	}
 	db.Add(Entry{Tuple: q, Problem: "new", IP: "n", Workload: "w"})
-	after, err := clone.Match(q, "n", "w", Jaccard, 5)
+	after, err := clone.Match(q, "n", "w", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEntriesDeepCopy(t *testing.T) {
 	out := db.Entries()
 	out[0].Tuple[1] = false
 	out[0].Tuple[3] = true
-	got, err := db.Match(Tuple{false, true, true, false}, "n", "w", Jaccard, 1)
+	got, err := db.Match(Tuple{false, true, true, false}, "n", "w", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestMergeFrom(t *testing.T) {
 	}
 	for _, scope := range [][2]string{{"10.0.0.2", "wc"}, {"", ""}, {"10.0.0.3", ""}} {
 		q := Tuple{false, true, true, false}
-		g, gErr := got.Rank(q, nil, scope[0], scope[1], Jaccard, 0)
-		w, wErr := ref.Rank(q, nil, scope[0], scope[1], Jaccard, 0)
+		g, gErr := got.Rank(q, nil, scope[0], scope[1], 0)
+		w, wErr := ref.Rank(q, nil, scope[0], scope[1], 0)
 		sameOutcome(t, "rank "+scope[0]+"/"+scope[1], g, gErr, w, wErr)
 	}
 	// An adopted store keeps merging as its own: a later duplicate is refused.

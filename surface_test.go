@@ -283,7 +283,7 @@ var configKnobs = map[reflect.Type]map[string]string{
 		"Tau":            "bench/ reads it: the selection probe runs invariant.Select with it",
 		"Assoc":          "mic.MIC by default; the ARX arm of Figs. 9/10 sets arx.Association",
 		"AssocCacheSize": "0 (the default bound) for the daemon and the studies; Table 1 sets -1 to time uncached stages, bench/ sets 64",
-		"Similarity":     "bench/ reads it: the signature probes rank with the system's measure",
+		"Similarity":     "bench/ reads it, and Jaccard is its only valid value",
 		"Lifecycle":      "off by default; invarnetd -lifecycle, invarctl lifecycle and the drift study's lifecycle arm set it",
 	},
 	reflect.TypeOf(detect.Config{}): {
