@@ -139,14 +139,19 @@ func TestPredictNextMatchesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// PredictNext on a prefix must equal the matching PredictSeries entry.
+	// A forecaster's PredictNext after a prefix must equal the matching
+	// PredictSeries entry.
 	preds, err := m.PredictSeries(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skip := len(xs) - len(preds)
 	for _, cut := range []int{50, 100, 400} {
-		next, err := m.PredictNext(xs[:cut])
+		f := m.NewForecaster()
+		for _, x := range xs[:cut] {
+			f.Observe(x)
+		}
+		next, err := f.PredictNext()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +196,9 @@ func TestForecastErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PredictNext(xs[:1]); err != ErrTooShort {
+	f := m.NewForecaster()
+	f.Observe(xs[0])
+	if _, err := f.PredictNext(); err != ErrTooShort {
 		t.Errorf("tiny history err = %v, want ErrTooShort", err)
 	}
 }

@@ -4,10 +4,11 @@ package arima
 // it carries the one-step-ahead prediction state — the last max(p,q) values
 // and the last max(p,q) innovations — so each observed sample costs O(p+q).
 // The recursion is a deterministic forward pass from zero-seeded
-// innovations; the batch entry points (PredictNext, PredictSeries, the
-// likelihood) replay a series through one, and a long-lived online monitor
-// keeps one and runs at wire speed with constant memory. The whole-history recursion it replaced lives
-// on as the test reference (see TestForecasterMatchesPredictNext).
+// innovations; the batch entry points (PredictSeries, the likelihood)
+// replay a series through one, and a long-lived online monitor keeps one and
+// runs at wire speed with constant memory. The whole-history recursion it
+// replaced lives on as the test reference (see
+// TestForecasterMatchesPredictNext).
 //
 // A Forecaster is not safe for concurrent use.
 type Forecaster struct {
@@ -67,8 +68,8 @@ func (f *Forecaster) push(ring []float64, v float64) []float64 {
 }
 
 // predict is the one-step forecast from the current lag state, without
-// PredictNext's length gate: valid once wn >= lead (PredictSeries starts one
-// sample before PredictNext is willing to).
+// Forecaster.PredictNext's length gate: valid once wn >= lead (PredictSeries
+// starts one sample before PredictNext is willing to).
 func (f *Forecaster) predict() float64 {
 	pred := f.m.Intercept
 	n := len(f.w)
@@ -82,8 +83,9 @@ func (f *Forecaster) predict() float64 {
 }
 
 // PredictNext returns the one-step-ahead forecast of the sample that would
-// be observed next, without consuming it. ErrTooShort until more than
-// max(p,q) samples were observed.
+// be observed next, without consuming it: "M'cpi(t) is the CPI data
+// predicted by ARIMA model using previous CPI data". ErrTooShort until more
+// than max(p,q) samples were observed.
 func (f *Forecaster) PredictNext() (float64, error) {
 	if f.wn < f.lead+1 {
 		return 0, ErrTooShort

@@ -50,9 +50,8 @@ func refPredictNext(m *Model, history []float64) (float64, error) {
 
 // TestForecasterMatchesPredictNext pins the one product recursion to the
 // batch reference across AR/MA orders: at every prefix of a series the
-// streaming forecaster, Model.PredictNext and the reference return
-// bit-identical forecasts and agree on when the history is long enough to
-// predict at all; PredictSeries is bit-identical to the reference series;
+// streaming forecaster and the reference return bit-identical forecasts and
+// agree on when the history is long enough to predict at all; PredictSeries is bit-identical to the reference series;
 // and the fitted likelihood equals the reference's sum of squares.
 func TestForecasterMatchesPredictNext(t *testing.T) {
 	rng := stats.NewRNG(610)
@@ -70,16 +69,15 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 		}
 		f := m.NewForecaster()
 		for i := 0; i <= len(xs); i++ {
-			// Before consuming xs[i], every view shares history xs[:i]; the
+			// Before consuming xs[i], both views share history xs[:i]; the
 			// last round is one step past the end of the series.
 			want, wantErr := refPredictNext(m, xs[:i])
 			got, gotErr := f.PredictNext()
-			batch, batchErr := m.PredictNext(xs[:i])
-			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (batchErr == nil) {
-				t.Fatalf("%v at %d: reference err %v, stream err %v, batch err %v", order, i, wantErr, gotErr, batchErr)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%v at %d: reference err %v, stream err %v", order, i, wantErr, gotErr)
 			}
-			if wantErr == nil && (math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(batch) != math.Float64bits(want)) {
-				t.Fatalf("%v at %d: stream %v, batch %v != reference %v", order, i, got, batch, want)
+			if wantErr == nil && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v at %d: stream %v != reference %v", order, i, got, want)
 			}
 			if i < len(xs) {
 				f.Observe(xs[i])

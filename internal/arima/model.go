@@ -126,18 +126,6 @@ func (m *Model) PredictSeries(xs []float64) ([]float64, error) {
 	return preds, nil
 }
 
-// PredictNext returns the one-step-ahead forecast of the sample following
-// history: "M'cpi(t) is the CPI data predicted by ARIMA model using previous
-// CPI data". It replays history through a Forecaster; an online caller keeps
-// the Forecaster instead and pays O(p+q) per sample.
-func (m *Model) PredictNext(history []float64) (float64, error) {
-	f := m.NewForecaster()
-	for _, x := range history {
-		f.Observe(x)
-	}
-	return f.PredictNext()
-}
-
 // computeLikelihood fills Sigma2, LogLik and AIC from the conditional
 // sum-of-squares residuals on the training series xs.
 func (m *Model) computeLikelihood(xs []float64) {

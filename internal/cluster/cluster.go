@@ -24,12 +24,6 @@ type Cluster struct {
 	queue  []*Job // FIFO queue for batch jobs
 	active []*Job
 
-	// SpeculativeExecution enables Hadoop's straggler mitigation: a task
-	// that has run more than twice the median completion time of its kind
-	// gets a backup copy on another node; the first copy to finish wins.
-	// Enabled by default, as in Hadoop 1.x.
-	SpeculativeExecution bool
-
 	// CrossTraffic models the inter-node flows a real Hadoop deployment
 	// has and a per-node simulation can omit: shuffle serving (reducers
 	// pull map output from peer DataNodes, charged as transmit + disk
@@ -46,7 +40,7 @@ func New(nSlaves int, seed int64) *Cluster {
 	if nSlaves < 1 {
 		nSlaves = 1
 	}
-	c := &Cluster{rng: stats.NewRNG(seed), seed: seed, name: newNameNode(), SpeculativeExecution: true}
+	c := &Cluster{rng: stats.NewRNG(seed), seed: seed, name: newNameNode()}
 	c.Nodes = append(c.Nodes, newNode(0, RoleMaster, DefaultCaps()))
 	for i := 1; i <= nSlaves; i++ {
 		n := newNode(i, RoleSlave, DefaultCaps())
@@ -245,9 +239,7 @@ func (c *Cluster) schedule(effects map[int]*Effects) {
 			t.Job.running++
 		}
 	}
-	if c.SpeculativeExecution {
-		c.speculate()
-	}
+	c.speculate()
 }
 
 // nextPending pops the next schedulable task of the given kind for node n,
@@ -310,10 +302,12 @@ func (c *Cluster) hasLocalBlock(j *Job, n *Node) bool {
 	return false
 }
 
-// speculate launches backup copies of straggling tasks. A running task is a
-// straggler when at least three tasks of its kind have completed and it has
-// been running for more than twice their median duration, it has no copy
-// yet, and some other node has a free slot of the right kind.
+// speculate launches backup copies of straggling tasks — Hadoop's
+// speculative execution, on by default in Hadoop 1.x and always on here;
+// the first copy to finish wins. A running task is a straggler when at
+// least three tasks of its kind have completed and it has been running for
+// more than twice their median duration, it has no copy yet, and some other
+// node has a free slot of the right kind.
 func (c *Cluster) speculate() {
 	for _, n := range c.slaves {
 		for _, t := range append(append([]*Task(nil), n.maps...), n.reduces...) {

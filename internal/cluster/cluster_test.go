@@ -344,11 +344,10 @@ func TestJobString(t *testing.T) {
 }
 
 func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
-	// A suspended node strands its tasks; with speculation the job reruns
-	// them elsewhere and finishes, faster than without speculation.
-	run := func(speculate bool) (int, int) {
+	// A suspended node strands its tasks; speculation reruns them
+	// elsewhere and the job finishes.
+	run := func() (int, int) {
 		c := New(4, 30)
-		c.SpeculativeExecution = speculate
 		victim := c.Slaves()[0]
 		j := c.Submit(testSpec("wc", 16, 4))
 		// Freeze the victim only after it has picked up tasks.
@@ -369,16 +368,12 @@ func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
 		}
 		return j.DurationTicks(), len(backups)
 	}
-	withDur, launches := run(true)
-	if withDur < 0 {
+	dur, launches := run()
+	if dur < 0 {
 		t.Fatal("job wedged despite speculation")
 	}
 	if launches == 0 {
 		t.Fatal("no speculative copies launched for stranded tasks")
-	}
-	withoutDur, _ := run(false)
-	if withoutDur >= 0 && withDur > withoutDur {
-		t.Errorf("speculation (%d ticks) slower than none (%d ticks)", withDur, withoutDur)
 	}
 }
 

@@ -37,9 +37,8 @@ type Profile struct {
 
 	// Sparse-path edge telemetry (see SparseStats): how trained pairs were
 	// resolved across every sparse diagnosis of this profile.
-	sparseScreened atomic.Int64
-	sparseExact    atomic.Int64
-	sparseSkipped  atomic.Int64
+	sparseExact   atomic.Int64
+	sparseSkipped atomic.Int64
 }
 
 // newProfile builds an empty profile for key under s's configuration.
@@ -319,9 +318,8 @@ func (p *Profile) Stats() ProfileStats {
 		st.Cache = p.cache.stats()
 	}
 	st.Sparse = SparseStats{
-		Screened: p.sparseScreened.Load(),
-		Exact:    p.sparseExact.Load(),
-		Skipped:  p.sparseSkipped.Load(),
+		Exact:   p.sparseExact.Load(),
+		Skipped: p.sparseSkipped.Load(),
 	}
 	st.Lifecycle = p.LifecycleStats()
 	return st
@@ -340,7 +338,6 @@ func (t *ProfileStats) Add(ps ProfileStats) {
 	t.Cache.Entries += ps.Cache.Entries
 	t.Training.Scored += ps.Training.Scored
 	t.Training.Skipped += ps.Training.Skipped
-	t.Sparse.Screened += ps.Sparse.Screened
 	t.Sparse.Exact += ps.Sparse.Exact
 	t.Sparse.Skipped += ps.Sparse.Skipped
 	t.SigScanned += ps.SigScanned

@@ -8,20 +8,18 @@ import (
 
 // This file is the diagnosis hot path: the one Violations → ViolationReport
 // pipeline, with cost proportional to the trained invariant edge set instead
-// of the full M×M matrix. Per window it runs three tiers — a memoised report
-// lookup (Profile.memo), the prescreen lower bound over each trained pair
-// (invariant.Prescreener), and the exact association only for the pairs the
-// screen cannot certify. The prescreen certificate is one-sided, so verdicts
-// equal the dense fill's; the equivalence tests compare against
-// invariant.ComputeMaskedMatrixScored judged pair by pair directly.
+// of the full M×M matrix. Per window it is a memoised report lookup
+// (Profile.memo) and, on a miss, the exact association of every trained
+// pair with enough valid overlap, so verdicts equal the dense fill's; the
+// equivalence tests compare against invariant.ComputeMaskedMatrixScored
+// judged pair by pair directly.
 
 // SparseStats aggregates edge telemetry: how trained pairs were resolved
-// across all diagnoses (see invariant.EdgeStats for the tiers). Report-cache
-// hits evaluate no pairs and advance nothing.
+// across all diagnoses (see invariant.EdgeStats). Report-cache hits evaluate
+// no pairs and advance nothing.
 type SparseStats struct {
-	Screened int64
-	Exact    int64
-	Skipped  int64
+	Exact   int64
+	Skipped int64
 }
 
 // Violations computes the violation report of an abnormal metric window
@@ -79,7 +77,6 @@ func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace) (*ViolationReport
 	if len(known) > 0 {
 		rep.Coverage = float64(checkable) / float64(len(known))
 	}
-	p.sparseScreened.Add(int64(st.Screened))
 	p.sparseExact.Add(int64(st.Exact))
 	p.sparseSkipped.Add(int64(st.Skipped))
 	return rep, nil

@@ -56,7 +56,7 @@ func denseViolations(set *invariant.Set, mat *invariant.Matrix, eps float64, row
 
 // denseReport is the dense reference the hot path is held to: the full
 // masked association matrix through the per-pair Assoc (no batch scorer, no
-// prescreen, no cache) read out by denseViolations.
+// cache) read out by denseViolations.
 func denseReport(t *testing.T, s *System, ctx Context, tr *metrics.Trace) *ViolationReport {
 	t.Helper()
 	set, err := s.Invariants(ctx)
@@ -86,8 +86,8 @@ func denseReport(t *testing.T, s *System, ctx Context, tr *metrics.Trace) *Viola
 }
 
 // TestSparseMatchesExactProperty: over random clean, faulted and degraded
-// windows, the tiered hot path (batch scorer, prescreen, trained edges
-// only) must produce byte-identical violation reports — tuple, known flags,
+// windows, the hot path (report cache, batch scorer, trained edges only)
+// must produce byte-identical violation reports — tuple, known flags,
 // coverage, violated pairs — to the dense reference, and the diagnosis and
 // stored signatures must carry exactly that verdict.
 func TestSparseMatchesExactProperty(t *testing.T) {
@@ -147,8 +147,11 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 	}
 
 	st := totals(sp)
-	if st.Sparse.Screened == 0 {
-		t.Error("prescreen never certified a pair across the property windows")
+	// Every uncached verdict scores each trained pair exactly or finds it
+	// unknown: no pair is resolved any other way.
+	if got, want := st.Sparse.Exact+st.Sparse.Skipped, int64(st.Invariants)*st.Cache.Misses; got != want || want == 0 {
+		t.Errorf("sparse stats %+v resolve %d pairs, want %d invariants x %d uncached verdicts",
+			st.Sparse, got, st.Invariants, st.Cache.Misses)
 	}
 	if st.SigScanned == 0 {
 		t.Error("signature scan counters never advanced")

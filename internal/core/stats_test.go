@@ -110,7 +110,6 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		w.Cache.Entries += c.Entries
 		w.Training.Scored += p.training.Scored
 		w.Training.Skipped += p.training.Skipped
-		w.Sparse.Screened += p.sparseScreened.Load()
 		w.Sparse.Exact += p.sparseExact.Load()
 		w.Sparse.Skipped += p.sparseSkipped.Load()
 		scanned, early := p.sigs.ScanStats()
@@ -166,8 +165,8 @@ func TestProfileStatsReducerEqualsParts(t *testing.T) {
 		t.Errorf("cache counters idle: %+v", want.Cache)
 	case want.Training.Scored == 0, want.Training.Skipped == 0:
 		t.Errorf("training counters idle: %+v", want.Training)
-	case want.Sparse.Screened == 0, want.Sparse.Exact == 0, want.Sparse.Skipped == 0:
-		t.Errorf("sparse tiers idle: %+v", want.Sparse)
+	case want.Sparse.Exact == 0, want.Sparse.Skipped == 0:
+		t.Errorf("sparse counters idle: %+v", want.Sparse)
 	case want.SigScanned == 0:
 		t.Error("signature retrieval idle: nothing scanned")
 	case want.Signatures < len(snap), want.Lifecycle.Observed == 0, want.Lifecycle.Generation == 0:

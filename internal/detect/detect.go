@@ -187,9 +187,9 @@ func (d *Detector) ResidualSeries(trace []float64) ([]float64, error) {
 // in a row.
 //
 // The monitor streams: prediction state lives in an arima.Forecaster whose
-// forecasts are bit-identical to PredictNext over the accumulated history,
-// so each Offer costs O(model lag) time and the monitor's memory does not
-// grow with the stream. A caller that wants the per-sample decisions (Fig.
+// forecasts are bit-identical to Model.PredictSeries over the accumulated
+// history, so each Offer costs O(model lag) time and the monitor's memory
+// does not grow with the stream. A caller that wants the per-sample decisions (Fig.
 // 6) tallies what Offer returns.
 type Monitor struct {
 	d       *Detector

@@ -116,7 +116,11 @@ func TestMonitorAlertLatchesUntilReset(t *testing.T) {
 func TestDetectorResidualAgainstKnownValue(t *testing.T) {
 	d := trainedDetector(t, 527)
 	hist := normalTraces(528, 1, 40)[0]
-	pred, err := d.Model.PredictNext(hist)
+	fc := d.Model.NewForecaster()
+	for _, x := range hist {
+		fc.Observe(x)
+	}
+	pred, err := fc.PredictNext()
 	if err != nil {
 		t.Fatal(err)
 	}

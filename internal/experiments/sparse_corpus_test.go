@@ -12,14 +12,12 @@ import (
 )
 
 // TestSparseCorpusEquivalence: across the simulator corpus — every batch
-// fault kind injected into a wordcount run — the tiered diagnosis path
-// (batch scorer, prescreen, trained edges only) must produce exactly the
-// violation verdicts of the dense reference: the full association matrix
-// through the per-pair measure, each trained pair judged with
-// invariant.Violated (an unknown cell is unknown, not violated). This is
-// the end-to-end guarantee behind the prescreen: its certificate is
-// one-sided, so no window in the corpus may flip a verdict — neither in a
-// stored signature nor in a diagnosis. Each held-out window's ranked causes
+// fault kind injected into a wordcount run — the sparse diagnosis path
+// (batch scorer, trained edges only) must produce exactly the violation
+// verdicts of the dense reference: the full association matrix through the
+// per-pair measure, each trained pair judged with invariant.Violated (an
+// unknown cell is unknown, not violated). No window in the corpus may flip
+// a verdict — neither in a stored signature nor in a diagnosis. Each held-out window's ranked causes
 // are likewise held to their reference: one best match per problem out of
 // the full ranked match list, cut to core's five causes.
 func TestSparseCorpusEquivalence(t *testing.T) {
@@ -119,7 +117,7 @@ func TestSparseCorpusEquivalence(t *testing.T) {
 	for _, ps := range sys.ProfileStats() {
 		total.Add(ps)
 	}
-	if st := total.Sparse; st.Screened+st.Exact == 0 {
+	if total.Sparse.Exact == 0 {
 		t.Error("no edges evaluated across the corpus")
 	}
 }

@@ -18,35 +18,13 @@ import (
 // the nil-mask case and a scorer without rows is the all-full-overlap case
 // of the same kernel.
 
-// Prescreener is the optional fast tier of a PairScorer: ScreenLow returns
-// a conservative lower bound on Score(i, j), or 0 when no cheap certificate
-// exists. mic.Batch satisfies it with an O(n) equipartition bound.
-type Prescreener interface {
-	ScreenLow(i, j int) float64
-}
-
-// EdgeStats counts how the kernel's tiers resolved the trained pairs of one
-// evaluation: Screened pairs were certified by the prescreen lower bound,
-// Exact pairs ran the full association computation, Skipped pairs were
-// reported unknown (insufficient valid overlap under a degraded window).
+// EdgeStats counts how the kernel resolved the trained pairs of one
+// evaluation: Exact pairs ran the full association computation, Skipped
+// pairs were reported unknown (insufficient valid overlap under a degraded
+// window).
 type EdgeStats struct {
-	Screened int
-	Exact    int
-	Skipped  int
-}
-
-// screenCertifiesHolding reports whether a prescreen lower bound lb proves
-// pair verdict "not violated" without the exact score. Two conditions pin
-// the score inside the tolerance band: the band's upper edge must lie above
-// 1 (scores are clamped to [0,1], so the high side cannot violate), and lb
-// must clear the band's lower edge. The slack mirrors violatedVerdict: the
-// dense test flags |base − score| ≥ epsilon − slack, so holding means
-// score > base − (epsilon − slack), which lb > base − (epsilon − slack)
-// implies for any score ≥ lb.
-func screenCertifiesHolding(base, lb, epsilon float64) bool {
-	const slack = 1e-9
-	eff := epsilon - slack
-	return base+eff > 1 && lb > base-eff
+	Exact   int
+	Skipped int
 }
 
 // window is the kernel's view of one association window: the samples (when
@@ -64,9 +42,8 @@ type window struct {
 	assoc  AssociationFunc
 	// scorer covers the full rows (typically a mic.Batch sharing each
 	// metric's sort/partition work), so it only answers full-overlap pairs;
-	// nil sends those through assoc too. screen is its prescreen tier.
+	// nil sends those through assoc too.
 	scorer     PairScorer
-	screen     Prescreener
 	minSamples int
 }
 
@@ -79,8 +56,7 @@ func scoredWindow(m int, scorer PairScorer) (window, error) {
 	if scorer == nil {
 		return window{}, fmt.Errorf("invariant: nil scorer")
 	}
-	screen, _ := scorer.(Prescreener)
-	return window{m: m, scorer: scorer, screen: screen}, nil
+	return window{m: m, scorer: scorer}, nil
 }
 
 // newWindow checks the window's shape — once, for every entry point — and
@@ -103,7 +79,6 @@ func newWindow(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer P
 		minSamples = DefaultMinSamples
 	}
 	w := window{m: m, n: n, rows: rows, assoc: assoc, scorer: scorer, minSamples: minSamples}
-	w.screen, _ = scorer.(Prescreener)
 	for i, r := range rows {
 		for t, v := range r {
 			if math.IsNaN(v) || math.IsInf(v, 0) || (valid != nil && !valid[i][t]) {
@@ -130,15 +105,6 @@ func allUsable(m, n int) [][]bool {
 	return grid
 }
 
-// tier names how the kernel resolved a pair.
-type tier uint8
-
-const (
-	tierUnknown  tier = iota // too little usable overlap: no score
-	tierScreened             // prescreen certified "still holding": no exact score
-	tierExact                // the association was computed
-)
-
 // scratch returns one worker's private overlap buffers, reused across the
 // worker's pairs. Their capacity is n, so compaction never grows them; a
 // clean window needs none.
@@ -154,10 +120,8 @@ func (w *window) scratch() (xs, ys []float64) {
 // metrics; fewer than minSamples of them leaves the pair unknown, and a
 // partial overlap scores the compacted series through assoc, since the
 // scorer's preprocessing covers the full rows only. A full-overlap pair
-// rides the batch scorer — behind its prescreen when a baseline is given
-// (epsilon > 0; a lower bound can only certify "holding", so suspicious
-// pairs always fall through to the exact score).
-func (w *window) resolve(xs, ys []float64, i, j int, base, epsilon float64) (float64, tier) {
+// rides the batch scorer. ok is false for an unknown pair.
+func (w *window) resolve(xs, ys []float64, i, j int) (score float64, ok bool) {
 	if w.usable != nil {
 		ui, uj := w.usable[i], w.usable[j]
 		for t := 0; t < w.n; t++ {
@@ -167,21 +131,16 @@ func (w *window) resolve(xs, ys []float64, i, j int, base, epsilon float64) (flo
 			}
 		}
 		if len(xs) < w.minSamples {
-			return 0, tierUnknown
+			return 0, false
 		}
 		if len(xs) < w.n {
-			return w.assoc(xs, ys), tierExact
+			return w.assoc(xs, ys), true
 		}
 	}
 	if w.scorer == nil {
-		return w.assoc(w.rows[i], w.rows[j]), tierExact
+		return w.assoc(w.rows[i], w.rows[j]), true
 	}
-	if w.screen != nil && epsilon > 0 {
-		if lb := w.screen.ScreenLow(i, j); screenCertifiesHolding(base, lb, epsilon) {
-			return lb, tierScreened
-		}
-	}
-	return w.scorer.Score(i, j), tierExact
+	return w.scorer.Score(i, j), true
 }
 
 // fill runs the kernel over every pair, fanned out pair-by-pair: at M=26
@@ -195,8 +154,8 @@ func (w *window) fill() *Matrix {
 	forEachPair(w.m, runtime.GOMAXPROCS(0), func() func(i, j int) {
 		xs, ys := w.scratch()
 		return func(i, j int) {
-			score, how := w.resolve(xs, ys, i, j, 0, 0)
-			if how == tierUnknown {
+			score, ok := w.resolve(xs, ys, i, j)
+			if !ok {
 				return
 			}
 			idx := a.index(i, j)
@@ -226,18 +185,13 @@ func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, st EdgeSta
 	}
 	xs, ys := w.scratch()
 	for idx, p := range s.pairs {
-		base := s.Base[p]
-		score, how := w.resolve(xs, ys, p.I, p.J, base, epsilon)
-		switch how {
-		case tierUnknown:
+		score, ok := w.resolve(xs, ys, p.I, p.J)
+		if !ok {
 			st.Skipped++
 			continue
-		case tierScreened:
-			st.Screened++ // tuple[idx] stays false: not violated, certified
-		case tierExact:
-			st.Exact++
-			tuple[idx] = violatedVerdict(base, score, epsilon)
 		}
+		st.Exact++
+		tuple[idx] = violatedVerdict(s.Base[p], score, epsilon)
 		if known != nil {
 			known[idx] = true
 		}
@@ -278,8 +232,7 @@ func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc Associati
 // ComputeEdgesScored evaluates only the trained invariant pairs against a
 // pair scorer covering all s.M metrics of the window being diagnosed, and
 // returns their violation tuple — identical to judging the same pairs of the
-// full matrix with Violated. When the scorer also implements Prescreener, pairs whose lower
-// bound certifies the invariant still holds skip the exact computation.
+// full matrix with Violated: every pair is scored exactly.
 func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) ([]bool, EdgeStats, error) {
 	w, err := scoredWindow(s.M, scorer)
 	if err != nil {
@@ -292,8 +245,8 @@ func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) ([]bool, Ed
 // ComputeEdgesMasked evaluates only the trained invariant pairs over metric
 // rows whose samples may be missing or corrupt; per pair the semantics are
 // exactly ComputeMaskedMatrixScored's cell judged with Violated (an unknown
-// cell is unknown, not violated), with the prescreen in front of the scorer. On clean rows (nil valid, all finite) it is
-// ComputeEdgesScored and known is nil.
+// cell is unknown, not violated). On clean rows (nil valid, all finite) it
+// is ComputeEdgesScored and known is nil.
 func (s *Set) ComputeEdgesMasked(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int, epsilon float64) (tuple, known []bool, st EdgeStats, err error) {
 	w, err := newWindow(rows, valid, assoc, scorer, minSamples)
 	if err != nil {

@@ -62,9 +62,9 @@ func trainSet(t *testing.T, rng *stats.RNG, m, n, coupled int) *Set {
 	return set
 }
 
-// TestComputeEdgesScoredMatchesDense: the sparse path (with the prescreen
-// engaged through mic.Batch) must produce the exact violation tuple the
-// dense matrix fill + Violations produces, on healthy and broken windows.
+// TestComputeEdgesScoredMatchesDense: the sparse path through mic.Batch
+// must produce the exact violation tuple the dense matrix fill + Violations
+// produces, on healthy and broken windows.
 func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 	rng := stats.NewRNG(2100)
 	const m, n, coupled = 10, 30, 6
@@ -95,24 +95,20 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("rep %d: sparse tuple %v != dense %v (stats %+v)", rep, got, want, st)
 		}
-		if st.Screened+st.Exact != set.Len() || st.Skipped != 0 {
+		if st.Exact != set.Len() || st.Skipped != 0 {
 			t.Errorf("rep %d: stats %+v do not cover %d edges", rep, st, set.Len())
-		}
-		if broken == nil && st.Screened == 0 {
-			t.Errorf("rep %d: healthy window screened nothing — prescreen has no teeth", rep)
 		}
 
 		// The seam the kernel shares: finite rows under a nil mask are the
 		// clean case, so the masked entry point must resolve every pair
-		// through the same tier as the scorer-only one — same tuple, same
-		// EdgeStats, nil known — whatever the scorer offers.
+		// as the scorer-only one does — same tuple, same EdgeStats, nil
+		// known — whichever scores the pairs.
 		for _, sc := range []struct {
 			name   string
 			scorer PairScorer // handed to ComputeEdgesMasked
 			ref    PairScorer // handed to ComputeEdgesScored
 		}{
-			{"prescreener", b, b},
-			{"plain scorer", scoreOnly{b}, scoreOnly{b}},
+			{"batch scorer", b, b},
 			{"no scorer", nil, assocScorer{rows, mic.MIC}},
 		} {
 			refTuple, refSt, err := set.ComputeEdgesScored(sc.ref, eps)
@@ -130,18 +126,9 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 			if !reflect.DeepEqual(gotTuple, want) {
 				t.Errorf("rep %d, %s: tuple %v != dense %v", rep, sc.name, gotTuple, want)
 			}
-			if sc.name != "prescreener" && gotSt.Screened != 0 {
-				t.Errorf("rep %d, %s: screened %d pairs without a prescreener", rep, sc.name, gotSt.Screened)
-			}
 		}
 	}
 }
-
-// scoreOnly hides a batch's ScreenLow, leaving a PairScorer with no
-// prescreen tier.
-type scoreOnly struct{ b *mic.Batch }
-
-func (s scoreOnly) Score(i, j int) float64 { return s.b.Score(i, j) }
 
 // assocScorer scores pairs by calling assoc on the raw rows — what the
 // kernel does itself when handed rows and no scorer.
@@ -185,7 +172,7 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 		}
 		// Dense masked fill + ViolationsMasked is the reference, with and
 		// without the batch scorer on either side.
-		for _, scorer := range []PairScorer{b, scoreOnly{b}, nil} {
+		for _, scorer := range []PairScorer{b, nil} {
 			mat, err := ComputeMaskedMatrixScored(rows, valid, mic.MIC, scorer, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -201,11 +188,8 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 			if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
 				t.Errorf("rep %d (scorer %T): sparse (%v,%v) != dense (%v,%v)", rep, scorer, gotTuple, gotKnown, wantTuple, wantKnown)
 			}
-			if st.Screened+st.Exact+st.Skipped != set.Len() {
+			if st.Exact+st.Skipped != set.Len() {
 				t.Errorf("rep %d (scorer %T): stats %+v do not cover %d edges", rep, scorer, st, set.Len())
-			}
-			if _, ok := scorer.(Prescreener); !ok && st.Screened != 0 {
-				t.Errorf("rep %d (scorer %T): screened %d pairs without a prescreener", rep, scorer, st.Screened)
 			}
 		}
 	}
@@ -226,15 +210,37 @@ func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, DefaultEpsilon)
+	gotTuple, gotKnown, _, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, DefaultEpsilon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
 		t.Errorf("sparse (%v,%v) != dense (%v,%v)", gotTuple, gotKnown, wantTuple, wantKnown)
 	}
-	if st.Screened != 0 {
-		t.Errorf("nil scorer screened %d pairs", st.Screened)
+}
+
+// TestEveryTrainedPairScoredExactly: a clean window scored through a
+// mic.Batch runs the exact association for every trained pair, whatever
+// the tolerance — no cheaper bound stands in for the score. At epsilon 1
+// every pair sits inside its band, the case a lower bound could otherwise
+// certify without scoring.
+func TestEveryTrainedPairScoredExactly(t *testing.T) {
+	rng := stats.NewRNG(2103)
+	const m, n, coupled = 10, 30, 6
+	set := trainSet(t, rng, m, n, coupled)
+	rows := synthWindow(rng, m, n, coupled, nil)
+	b, err := mic.NewBatch(rows, mic.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.05, 0.2, 1} {
+		_, st, err := set.ComputeEdgesScored(b, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Exact != set.Len() || st.Skipped != 0 {
+			t.Errorf("epsilon %v: stats %+v, want all %d trained pairs exact", eps, st, set.Len())
+		}
 	}
 }
 

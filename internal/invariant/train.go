@@ -61,8 +61,7 @@ func (r *trainRun) score(xs, ys []float64, k, i, j int) (float64, bool) {
 	if r.prepare != nil {
 		r.once.Do(func() { r.w.scorer = r.prepare() })
 	}
-	v, how := r.w.resolve(xs, ys, i, j, 0, 0) // unknown scores 0
-	return v, how != tierUnknown
+	return r.w.resolve(xs, ys, i, j) // unknown scores 0
 }
 
 // Train runs Algorithm 1 over runs: keep pair (m,n) when the range of its

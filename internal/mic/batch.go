@@ -21,8 +21,8 @@ type Batch struct {
 // prepares each. A metric whose samples are degenerate (too few, non-finite)
 // is not an error: every pair involving it scores 0, exactly the sentinel
 // MIC returns for such inputs. Structural problems — no rows, ragged rows —
-// are errors.
-func NewBatch(rows [][]float64, cfg Config) (*Batch, error) {
+// are errors. The Config argument changes nothing (see Config).
+func NewBatch(rows [][]float64, _ Config) (*Batch, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("mic: batch needs at least one metric")
 	}
@@ -37,7 +37,7 @@ func NewBatch(rows [][]float64, cfg Config) (*Batch, error) {
 		errs:     make([]error, len(rows)),
 	}
 	for i, r := range rows {
-		p, err := Prepare(r, cfg)
+		p, err := Prepare(r)
 		if err != nil {
 			b.errs[i] = err
 			continue
@@ -56,25 +56,22 @@ var ErrNotPrepared = errors.New("mic: metric not prepared")
 // Nil entries mark degenerate metrics (masked windows, too few samples) and
 // score 0 against every partner, exactly as NewBatch treats metrics whose
 // rows fail Prepare. All non-nil preparations must cover the same sample
-// count under the same configuration.
+// count.
 func NewBatchPrepared(preps []*Prepared) (*Batch, error) {
 	if len(preps) == 0 {
 		return nil, errors.New("mic: batch needs at least one metric")
 	}
-	n, cfg, seen := 0, Config{}, false
+	n := 0
 	for i, p := range preps {
 		if p == nil {
 			continue
 		}
-		if !seen {
-			n, cfg, seen = p.n, p.cfg, true
+		if n == 0 {
+			n = p.n
 			continue
 		}
 		if p.n != n {
 			return nil, fmt.Errorf("mic: metric %d has %d samples, want %d", i, p.n, n)
-		}
-		if p.cfg != cfg {
-			return nil, fmt.Errorf("mic: metric %d prepared under config %+v, want %+v", i, p.cfg, cfg)
 		}
 	}
 	b := &Batch{

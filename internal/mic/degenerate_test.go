@@ -27,14 +27,14 @@ func TestDegenerateConstantSeries(t *testing.T) {
 	if got := MIC(constant, constant); got != 0 {
 		t.Errorf("MIC(const, const) = %v, want 0", got)
 	}
-	if r, err := Compute(constant, ramp, DefaultConfig()); err != nil || r.MIC != 0 {
+	if r, err := Compute(constant, ramp); err != nil || r.MIC != 0 {
 		t.Errorf("Compute(const, ramp) = %+v, %v", r, err)
 	}
-	p, err := Prepare(constant, DefaultConfig())
+	p, err := Prepare(constant)
 	if err != nil {
 		t.Fatalf("Prepare(const) err = %v, want nil (constant data is valid)", err)
 	}
-	pr, err := Prepare(ramp, DefaultConfig())
+	pr, err := Prepare(ramp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestDegenerateTwoPointSeries(t *testing.T) {
 		t.Errorf("MIC(2-point) = %v, want 0", got)
 	}
 	// Compute/Prepare: the typed error.
-	if _, err := Compute(two, two, DefaultConfig()); !errors.Is(err, ErrTooFewSamples) {
+	if _, err := Compute(two, two); !errors.Is(err, ErrTooFewSamples) {
 		t.Errorf("Compute(2-point) err = %v, want ErrTooFewSamples", err)
 	}
-	if _, err := Prepare(two, DefaultConfig()); !errors.Is(err, ErrTooFewSamples) {
+	if _, err := Prepare(two); !errors.Is(err, ErrTooFewSamples) {
 		t.Errorf("Prepare(2-point) err = %v, want ErrTooFewSamples", err)
 	}
 	// Batch: the metric slot carries the error, pairs score 0.
@@ -95,11 +95,11 @@ func TestDegenerateAllTies(t *testing.T) {
 	if want < 0.5 {
 		t.Errorf("MIC(tied coupled) = %v, want >= 0.5", want)
 	}
-	px, err := Prepare(xs, DefaultConfig())
+	px, err := Prepare(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	py, err := Prepare(ys, DefaultConfig())
+	py, err := Prepare(ys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,21 +39,21 @@ func kernelPair(rng *stats.RNG, n, shape int) ([]float64, []float64) {
 // checkKernel holds computePair to the reference for one pair in both
 // argument orders, field for field. It only calls t.Error, so worker
 // goroutines may use it.
-func checkKernel(t *testing.T, xs, ys []float64, cfg Config, sc *Scratch, ref *refScratch) Result {
+func checkKernel(t *testing.T, xs, ys []float64, sc *Scratch, ref *refScratch) Result {
 	t.Helper()
-	px, errX := Prepare(xs, cfg)
-	py, errY := Prepare(ys, cfg)
+	px, errX := Prepare(xs)
+	py, errY := Prepare(ys)
 	if errX != nil || errY != nil {
 		t.Errorf("n=%d: Prepare: %v, %v", len(xs), errX, errY)
 		return Result{}
 	}
 	got, want := computePair(px, py, sc), referenceComputePair(px, py, ref)
 	if got != want {
-		t.Errorf("n=%d cfg=%+v: kernel %+v (bits %x) != reference %+v (bits %x)",
-			len(xs), cfg, got, math.Float64bits(got.MIC), want, math.Float64bits(want.MIC))
+		t.Errorf("n=%d: kernel %+v (bits %x) != reference %+v (bits %x)",
+			len(xs), got, math.Float64bits(got.MIC), want, math.Float64bits(want.MIC))
 	}
 	if rev, want := computePair(py, px, sc), referenceComputePair(py, px, ref); rev != want {
-		t.Errorf("n=%d cfg=%+v reversed: kernel %+v != reference %+v", len(xs), cfg, rev, want)
+		t.Errorf("n=%d reversed: kernel %+v != reference %+v", len(xs), rev, want)
 	}
 	return got
 }
@@ -66,12 +66,10 @@ func TestPairKernelMatchesReference(t *testing.T) {
 	termRows.Store(0)
 	rng := stats.NewRNG(2400)
 	sc, ref := NewScratch(), &refScratch{}
-	for _, cfg := range []Config{DefaultConfig(), {Alpha: 0.6, C: 15}} {
-		for _, n := range []int{300, 30, 8, 9, 12, 31, 64, 65, 120, 513, 600} {
-			for shape := 0; shape < kernelShapes; shape++ {
-				xs, ys := kernelPair(rng, n, shape)
-				checkKernel(t, xs, ys, cfg, sc, ref)
-			}
+	for _, n := range []int{300, 30, 8, 9, 12, 31, 64, 65, 120, 513, 600} {
+		for shape := 0; shape < kernelShapes; shape++ {
+			xs, ys := kernelPair(rng, n, shape)
+			checkKernel(t, xs, ys, sc, ref)
 		}
 	}
 }
@@ -91,7 +89,7 @@ func TestPairKernelConcurrentColdTable(t *testing.T) {
 			for _, n := range []int{20 + 11*w, 200 - 9*w, 30} {
 				for shape := 0; shape < kernelShapes; shape++ {
 					xs, ys := kernelPair(rng, n, shape)
-					checkKernel(t, xs, ys, DefaultConfig(), sc, ref)
+					checkKernel(t, xs, ys, sc, ref)
 				}
 			}
 		}(w)
@@ -153,8 +151,8 @@ func BenchmarkPairKernel(b *testing.B) {
 		xs, ys []float64
 	}{{"n=30", x30, y30}, {"n=120", x120, y120}, {"n=30-ties", ties[0], ties[1]}} {
 		b.Run(c.name, func(b *testing.B) {
-			px, _ := Prepare(c.xs, DefaultConfig())
-			py, _ := Prepare(c.ys, DefaultConfig())
+			px, _ := Prepare(c.xs)
+			py, _ := Prepare(c.ys)
 			sc := NewScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -200,7 +198,7 @@ func FuzzPairKernelEquivalence(f *testing.F) {
 			xs[i] = float64(int(data[1+2*i]) / qx)
 			ys[i] = float64(int(data[2+2*i]) / qy)
 		}
-		if got := checkKernel(t, xs, ys, DefaultConfig(), sc, ref); got.MIC < 0 || got.MIC > 1 {
+		if got := checkKernel(t, xs, ys, sc, ref); got.MIC < 0 || got.MIC > 1 {
 			t.Errorf("MIC %v outside [0, 1]", got.MIC)
 		}
 	})

@@ -53,30 +53,32 @@ var ErrNonFinite = errors.New("mic: non-finite sample value")
 // search is meaningless.
 const MinSamples = 8
 
-// Config tunes the MINE approximation.
-type Config struct {
-	// Alpha sets the grid budget B(n) = n^Alpha. Zero selects it from the
-	// sample size: 0.7 for n ≤ 64, otherwise the classic 0.6. Reshef's
-	// published default of 0.6 is calibrated for hundreds of points; at
-	// the 30-sample windows of a 5-minute fault interval it leaves only
-	// 2×2 grids, and strongly coupled pairs score erratically. The larger
-	// budget lets a strong monotone coupling saturate near 1.0 (a stable
-	// invariant) while independent noise stays well below, preserving the
-	// violation margin. Budgets beyond 0.7 at this sample size overfit:
-	// independent pairs start scoring like coupled ones.
-	Alpha float64
-	// C bounds the number of superclumps considered when optimising an
-	// axis to C*a for a target of a columns. Reshef's default is 15; 5
-	// loses little accuracy at this data scale and is markedly faster,
-	// which matters for the pairwise invariant search (26 metrics → 325
-	// MIC computations per run).
-	C int
-}
+// Config is the MINE approximation's configuration. It has no fields: the
+// grid budget follows the sample size (alphaFor) and the superclump bound is
+// superclumpC, the one setting every score in the system is made under.
+// NewBatch and NewSlider still take one so their callers in the bench/
+// harness keep compiling; it changes nothing.
+type Config struct{}
 
-// DefaultConfig returns the adaptive-alpha configuration with C=5.
-func DefaultConfig() Config { return Config{C: 5} }
+// DefaultConfig returns the one configuration.
+func DefaultConfig() Config { return Config{} }
 
-// alphaFor returns the sample-size-adapted grid exponent.
+// superclumpC bounds the number of superclumps considered when optimising
+// an axis to superclumpC*a for a target of a columns. Reshef's default is
+// 15; 5 loses little accuracy at this data scale and is markedly faster,
+// which matters for the pairwise invariant search (26 metrics → 325 MIC
+// computations per run).
+const superclumpC = 5
+
+// alphaFor returns the grid exponent alpha of the budget B(n) = n^alpha,
+// adapted to the sample size: 0.7 for n ≤ 64, otherwise the classic 0.6.
+// Reshef's published default of 0.6 is calibrated for hundreds of points;
+// at the 30-sample windows of a 5-minute fault interval it leaves only 2×2
+// grids, and strongly coupled pairs score erratically. The larger budget
+// lets a strong monotone coupling saturate near 1.0 (a stable invariant)
+// while independent noise stays well below, preserving the violation
+// margin. Budgets beyond 0.7 at this sample size overfit: independent pairs
+// start scoring like coupled ones.
 func alphaFor(n int) float64 {
 	switch {
 	case n <= 64:
@@ -95,30 +97,29 @@ type Result struct {
 }
 
 // Compute returns the MIC analysis of the paired sample (xs, ys).
-func Compute(xs, ys []float64, cfg Config) (Result, error) {
+func Compute(xs, ys []float64) (Result, error) {
 	if len(xs) != len(ys) {
 		return Result{}, fmt.Errorf("mic: length mismatch %d vs %d", len(xs), len(ys))
 	}
-	px, err := Prepare(xs, cfg)
+	px, err := Prepare(xs)
 	if err != nil {
 		return Result{}, err
 	}
-	py, err := Prepare(ys, cfg)
+	py, err := Prepare(ys)
 	if err != nil {
 		return Result{}, err
 	}
 	return pooledPair(px, py), nil
 }
 
-// MIC is a convenience wrapper returning just the score under the default
-// configuration, with 0 for data-degenerate inputs (the invariant layer
+// MIC is a convenience wrapper returning just the score, with 0 for data-degenerate inputs (the invariant layer
 // treats "no association computable" as MIC 0, matching the paper's rule
 // that a missing association pair scores 0). Only ErrTooFewSamples and
 // ErrNonFinite map to the sentinel; a length mismatch is a programmer
 // error, not a data condition, and panics rather than masquerading as "no
 // association".
 func MIC(xs, ys []float64) float64 {
-	r, err := Compute(xs, ys, DefaultConfig())
+	r, err := Compute(xs, ys)
 	if err != nil {
 		if errors.Is(err, ErrTooFewSamples) || errors.Is(err, ErrNonFinite) {
 			return 0

@@ -131,11 +131,11 @@ func TestMICConstantSeries(t *testing.T) {
 }
 
 func TestComputeErrors(t *testing.T) {
-	if _, err := Compute([]float64{1, 2}, []float64{1}, DefaultConfig()); err == nil {
+	if _, err := Compute([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch should error")
 	}
 	short := []float64{1, 2, 3}
-	if _, err := Compute(short, short, DefaultConfig()); err != ErrTooFewSamples {
+	if _, err := Compute(short, short); err != ErrTooFewSamples {
 		t.Errorf("err = %v, want ErrTooFewSamples", err)
 	}
 }
@@ -149,8 +149,8 @@ func TestComputeDefaultsApplied(t *testing.T) {
 		xs[i] = rng.Uniform(0, 1)
 		ys[i] = xs[i]
 	}
-	// Invalid config values must fall back to defaults, not crash.
-	r, err := Compute(xs, ys, Config{Alpha: -1, C: 0})
+	// The grid budget follows the sample size: n^0.6 above 64 points.
+	r, err := Compute(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMICMonotoneComparableToLinear(t *testing.T) {
 
 func TestEquipartitionRespectesTies(t *testing.T) {
 	rv := []float64{1, 1, 1, 1, 2, 2, 3, 3}
-	p, err := Prepare(rv, DefaultConfig())
+	p, err := Prepare(rv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 // Preparations are immutable after Prepare returns and safe for concurrent
 // use by any number of pair computations.
 type Prepared struct {
-	cfg  Config // resolved configuration this preparation is valid for
 	vals []float64
 	n    int
 	b    int // grid budget B(n)
@@ -48,21 +47,9 @@ type Prepared struct {
 	rankSS float64
 }
 
-// resolved returns cfg with zero values replaced by the sample-size
-// defaults (adaptive alpha, C=5).
-func (cfg Config) resolved(n int) Config {
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = alphaFor(n)
-	}
-	if cfg.C <= 0 {
-		cfg.C = 5
-	}
-	return cfg
-}
-
-// budgetFor returns the grid budget B(n) = n^alpha, floored at 4.
-func budgetFor(n int, alpha float64) int {
-	b := int(math.Floor(math.Pow(float64(n), alpha)))
+// budgetFor returns the grid budget B(n) = n^alphaFor(n), floored at 4.
+func budgetFor(n int) int {
+	b := int(math.Floor(math.Pow(float64(n), alphaFor(n))))
 	if b < 4 {
 		b = 4
 	}
@@ -74,7 +61,7 @@ func budgetFor(n int, alpha float64) int {
 // retained (not copied) and must not be mutated while the preparation is in
 // use. Degenerate samples report ErrTooFewSamples or ErrNonFinite, exactly
 // as Compute does.
-func Prepare(xs []float64, cfg Config) (*Prepared, error) {
+func Prepare(xs []float64) (*Prepared, error) {
 	n := len(xs)
 	if n < MinSamples {
 		return nil, ErrTooFewSamples
@@ -89,7 +76,7 @@ func Prepare(xs []float64, cfg Config) (*Prepared, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
-	return newPrepared(xs, order, cfg), nil
+	return newPrepared(xs, order), nil
 }
 
 // newPrepared builds a preparation from samples and a precomputed
@@ -101,10 +88,9 @@ func Prepare(xs []float64, cfg Config) (*Prepared, error) {
 // Both slices are retained, not copied. Slider maintains such an order
 // incrementally across window advances and funnels in here, skipping the
 // O(n log n) re-sort Prepare pays.
-func newPrepared(xs []float64, order []int, cfg Config) *Prepared {
+func newPrepared(xs []float64, order []int) *Prepared {
 	n := len(xs)
-	cfg = cfg.resolved(n)
-	p := &Prepared{cfg: cfg, vals: xs, n: n, b: budgetFor(n, cfg.Alpha), order: order}
+	p := &Prepared{vals: xs, n: n, b: budgetFor(n), order: order}
 	for i := 0; i < n; {
 		j := i + 1
 		for j < n && xs[p.order[j]] == xs[p.order[i]] {
@@ -365,11 +351,11 @@ func charHalfPrepared(colP, rowP *Prepared, sc *Scratch, terms, out []float64, d
 		}
 		k++
 		ends[k] = n
-		// Cap the count at C*maxCols by merging adjacent clumps into
-		// superclumps of roughly equal size, as in MINE's
+		// Cap the count at superclumpC*maxCols by merging adjacent clumps
+		// into superclumps of roughly equal size, as in MINE's
 		// GetSuperclumpsPartition: keep ~maxClumps boundaries evenly by
 		// point count, compacting ends and cum together.
-		if maxClumps := colP.cfg.C * maxCols; k > maxClumps {
+		if maxClumps := superclumpC * maxCols; k > maxClumps {
 			target := float64(n) / float64(maxClumps)
 			next, w := target, 0
 			for i := 1; i <= k; i++ {

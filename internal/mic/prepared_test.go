@@ -40,15 +40,15 @@ func TestComputePreparedMatchesCompute(t *testing.T) {
 	for _, n := range []int{8, 12, 30, 100, 300} {
 		for shape := 0; shape < 5; shape++ {
 			xs, ys := genPair(rng, n, shape)
-			want, err := Compute(xs, ys, DefaultConfig())
+			want, err := Compute(xs, ys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			px, err := Prepare(xs, DefaultConfig())
+			px, err := Prepare(xs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			py, err := Prepare(ys, DefaultConfig())
+			py, err := Prepare(ys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,11 +72,11 @@ func TestComputePreparedMatchesCompute(t *testing.T) {
 }
 
 func TestPrepareErrors(t *testing.T) {
-	if _, err := Prepare([]float64{1, 2, 3}, DefaultConfig()); err != ErrTooFewSamples {
+	if _, err := Prepare([]float64{1, 2, 3}); err != ErrTooFewSamples {
 		t.Errorf("short sample err = %v, want ErrTooFewSamples", err)
 	}
 	bad := []float64{1, 2, 3, 4, math.Inf(1), 6, 7, 8}
-	if _, err := Prepare(bad, DefaultConfig()); err != ErrNonFinite {
+	if _, err := Prepare(bad); err != ErrNonFinite {
 		t.Errorf("non-finite err = %v, want ErrNonFinite", err)
 	}
 }
@@ -90,23 +90,16 @@ func TestComputePreparedMismatch(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i)
 	}
-	pa, err := Prepare(a, DefaultConfig())
+	pa, err := Prepare(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := Prepare(b, DefaultConfig())
+	pb, err := Prepare(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ComputePrepared(pa, pb, nil); err == nil {
 		t.Error("mismatched sample lengths should error")
-	}
-	pc, err := Prepare(a, Config{Alpha: 0.6, C: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ComputePrepared(pa, pc, nil); err == nil {
-		t.Error("mismatched configs should error")
 	}
 	if _, err := ComputePrepared(nil, pa, nil); err == nil {
 		t.Error("nil preparation should error")

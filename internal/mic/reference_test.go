@@ -15,16 +15,13 @@ func (b *Batch) MetricErr(i int) error { return b.errs[i] }
 
 // ComputePrepared returns the MIC analysis of two prepared metrics, reusing
 // sc's buffers (a fresh scratch is used when sc is nil). Both preparations
-// must cover samples of the same length under the same configuration.
+// must cover samples of the same length.
 func ComputePrepared(px, py *Prepared, sc *Scratch) (Result, error) {
 	if px == nil || py == nil {
 		return Result{}, fmt.Errorf("mic: nil preparation")
 	}
 	if px.n != py.n {
 		return Result{}, fmt.Errorf("mic: prepared length mismatch %d vs %d", px.n, py.n)
-	}
-	if px.cfg != py.cfg {
-		return Result{}, fmt.Errorf("mic: prepared config mismatch %+v vs %+v", px.cfg, py.cfg)
 	}
 	if sc == nil {
 		sc = NewScratch()
@@ -127,7 +124,7 @@ func refCharHalfPrepared(colP, rowP *Prepared, sc *refScratch, out []float64, di
 			continue
 		}
 		rowOf := rowP.rowOf[rows]
-		ends := refBuildClumpEnds(colP.tieEnds, rowOf, sc.idx, colP.cfg.C*maxCols, n, sc)
+		ends := refBuildClumpEnds(colP.tieEnds, rowOf, sc.idx, superclumpC*maxCols, n, sc)
 		if len(ends) < 2 {
 			continue
 		}

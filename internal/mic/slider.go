@@ -18,7 +18,6 @@ import (
 // the masked per-pair path, exactly as a fresh Batch over the same rows
 // would treat the metric.
 type Slider struct {
-	cfg   Config
 	cap   int
 	vals  []float64 // window samples, time order
 	ok    []bool    // per-sample validity (valid and finite)
@@ -29,13 +28,13 @@ type Slider struct {
 // samples: no whole-window preparation exists for it.
 var ErrWindowMasked = errors.New("mic: slider window has masked samples")
 
-// NewSlider returns an empty slider bounded at capacity samples.
-// The configuration must match the one the diagnosis batch would use.
-func NewSlider(capacity int, cfg Config) *Slider {
+// NewSlider returns an empty slider bounded at capacity samples. The
+// Config argument changes nothing (see Config).
+func NewSlider(capacity int, _ Config) *Slider {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Slider{cfg: cfg, cap: capacity}
+	return &Slider{cap: capacity}
 }
 
 // Len returns the current window length.
@@ -62,9 +61,9 @@ func (s *Slider) Equal(o *Slider) bool {
 	return true
 }
 
-// Reset empties the window, keeping the capacity, configuration and backing
-// arrays. Used when a caller rebuilds the slider from authoritative window
-// state instead of replaying the samples it missed.
+// Reset empties the window, keeping the capacity and backing arrays. Used
+// when a caller rebuilds the slider from authoritative window state instead
+// of replaying the samples it missed.
 func (s *Slider) Reset() {
 	s.vals = s.vals[:0]
 	s.ok = s.ok[:0]
@@ -189,5 +188,5 @@ func (s *Slider) Prepared() (*Prepared, error) {
 	copy(vals, s.vals)
 	order := make([]int, n)
 	copy(order, s.order)
-	return newPrepared(vals, order, s.cfg), nil
+	return newPrepared(vals, order), nil
 }

@@ -12,7 +12,7 @@ import (
 // window the slow way.
 func freshPrepared(t *testing.T, s *Slider) *Prepared {
 	t.Helper()
-	p, err := Prepare(append([]float64(nil), s.vals...), s.cfg)
+	p, err := Prepare(append([]float64(nil), s.vals...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -737,9 +737,8 @@ func (s *Server) Stats() Stats {
 		AssocCacheEntries: all.Cache.Entries,
 		AssocCacheHitRate: ratio(all.Cache.Hits, all.Cache.Hits+all.Cache.Misses),
 
-		SparseScreenedPairs: all.Sparse.Screened,
-		SparseExactPairs:    all.Sparse.Exact,
-		SparseSkippedPairs:  all.Sparse.Skipped,
+		SparseExactPairs:   all.Sparse.Exact,
+		SparseSkippedPairs: all.Sparse.Skipped,
 
 		SigScanEntries:       all.SigScanned,
 		SigScanEarlyExits:    all.SigEarlyExits,

@@ -134,12 +134,10 @@ type Stats struct {
 	AssocCacheEntries int     `json:"assocCacheEntries"`
 	AssocCacheHitRate float64 `json:"assocCacheHitRate"` // 0 when no lookups yet
 
-	// Sparse diagnosis tiers: trained pairs certified by the prescreen lower
-	// bound, pairs that ran the exact association, and pairs reported
-	// unknown under degraded telemetry.
-	SparseScreenedPairs int64 `json:"sparseScreenedPairs"`
-	SparseExactPairs    int64 `json:"sparseExactPairs"`
-	SparseSkippedPairs  int64 `json:"sparseSkippedPairs"`
+	// Sparse diagnosis: trained pairs that ran the exact association, and
+	// pairs reported unknown under degraded telemetry.
+	SparseExactPairs   int64 `json:"sparseExactPairs"`
+	SparseSkippedPairs int64 `json:"sparseSkippedPairs"`
 
 	// Signature best-match scan: entries considered, entries resolved by an
 	// early exit (stale-length skips, the all-zero query's closed form), and
@@ -157,6 +155,11 @@ type Stats struct {
 	// changes in benchmark-only PRs. Delete both with that reader.
 	SigIndexQueries    int64 `json:"-"`
 	SigIndexCandidates int64 `json:"-"`
+	// SparseScreenedPairs is not on the wire and never set: diagnosis has
+	// no prescreen tier left to count, and the field stays declared only
+	// because bench/run.go l. 389 still reads it. Delete it with that
+	// reader.
+	SparseScreenedPairs int64 `json:"-"`
 
 	// Drift-lifecycle totals (see core.LifecycleStats): edges under
 	// health tracking, currently quarantined edges, the oldest shadow

@@ -28,7 +28,7 @@ var (
 		"profiles", "promotions", "quarantinedEdges", "queueCapacity", "queueDepth",
 		"reportsDone", "reportsFailed", "reportsPending", "rollbacks", "shadowAge",
 		"sigScanEarlyExitRate", "sigScanEarlyExits", "sigScanEntries", "signatures", "signaturesPosted",
-		"sparseExactPairs", "sparseScreenedPairs", "sparseSkippedPairs",
+		"sparseExactPairs", "sparseSkippedPairs",
 		"streams", "uptimeSec", "workers",
 	}
 	latencyKeys = []string{"count", "meanMS", "p50MS", "p95MS", "p99MS"}

@@ -15,6 +15,8 @@ import (
 	"invarnetx/internal/arima"
 	"invarnetx/internal/core"
 	"invarnetx/internal/detect"
+	"invarnetx/internal/mic"
+	"invarnetx/internal/server"
 )
 
 // closedPrefix is the guarded part of the module: nothing outside it can
@@ -293,6 +295,18 @@ var configKnobs = map[reflect.Type]map[string]string{
 	reflect.TypeOf(arima.SelectConfig{}): {
 		"MaxP": "bench/ passes it to arima.AutoFit inside detect.Config.Select",
 		"MaxQ": "bench/ passes it to arima.AutoFit inside detect.Config.Select",
+	},
+	// The grid exponent and the superclump bound are constants of package
+	// mic; the empty type stays only because bench/ passes it to NewBatch
+	// and NewSlider.
+	reflect.TypeOf(mic.Config{}): {},
+	reflect.TypeOf(server.Config{}): {
+		"Core":      "invarnetd builds it from core.DefaultConfig and -lifecycle; bench/ sets its own core.Config",
+		"StoreDir":  "invarnetd -models; the smoke run sets a temporary directory",
+		"Workers":   "invarnetd -workers (0 = GOMAXPROCS)",
+		"QueueCap":  "invarnetd -queue; bench/system.go sets it per workload",
+		"WindowCap": "invarnetd -window; bench/system.go sets it per workload",
+		"ReportCap": "invarnetd -reports; bench/system.go sets 256",
 	},
 }
 
