@@ -154,12 +154,12 @@ func (l *lifecycle) install(set *invariant.Set) {
 // a qualifying evaluation round, the promoted set the caller must install as
 // the live generation.
 //
-// score supplies a pair's exact association score for shadow
-// re-estimation; a nil score (degraded window, no whole-window scores at
-// hand) observes health only. Windows computed against a set the lifecycle
-// no longer tracks (a promotion or retrain won the race) carry stale
-// verdicts and are discarded entirely.
-func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64, epsilon float64) (qmask []bool, promoted *invariant.Set) {
+// scores are the window's exact association scores in SortedPairs order,
+// for shadow re-estimation; nil scores (degraded window, no whole-window
+// scores at hand) observe health only. Windows computed against a set the
+// lifecycle no longer tracks (a promotion or retrain won the race) carry
+// stale verdicts and are discarded entirely.
+func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, scores []float64, epsilon float64) (qmask []bool, promoted *invariant.Set) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.set != set {
@@ -195,15 +195,14 @@ func (l *lifecycle) observe(set *invariant.Set, raw, known []bool, score func(in
 		// epoch must not be served again.
 		l.epoch.Add(1)
 	}
-	if score != nil {
-		pairs := set.SortedPairs()
+	if scores != nil {
 		a := lifecycleTuning.decayAlpha
 		for k := range l.edges {
 			e := &l.edges[k]
 			if !e.quarantined {
 				continue
 			}
-			s := score(pairs[k])
+			s := scores[k]
 			// Judge the candidate on the new window *before* folding the
 			// window's score into it — an unbiased side-by-side evaluation.
 			if est, warmed := e.shadow(); warmed && e.n >= shadowWarmup {
@@ -300,12 +299,12 @@ func (l *lifecycle) maybePromoteLocked() *invariant.Set {
 // (neither holding nor violated), so no spurious fault report can ever be
 // attributed to them. With the lifecycle disabled it returns its inputs
 // untouched.
-func (p *Profile) lifecyclePost(set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64) ([]bool, []bool) {
+func (p *Profile) lifecyclePost(set *invariant.Set, raw, known []bool, scores []float64) ([]bool, []bool) {
 	l := p.lc
 	if l == nil {
 		return raw, known
 	}
-	qmask, promoted := l.observe(set, raw, known, score, p.sys.cfg.Epsilon)
+	qmask, promoted := l.observe(set, raw, known, scores, p.sys.cfg.Epsilon)
 	if promoted != nil {
 		// The diagnosis that triggered the promotion still reports against
 		// the set it was computed with; only later windows see the new

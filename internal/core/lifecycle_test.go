@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"invarnetx/internal/invariant"
@@ -247,6 +248,50 @@ func TestLifecycleFaultBurstDoesNotQuarantine(t *testing.T) {
 	}
 	if st := p.LifecycleStats(); st.Quarantined != 0 || st.Promotions != 0 {
 		t.Fatalf("fault bursts quarantined edges: %+v", st)
+	}
+}
+
+// TestLifecycleScoresEachPairOnce: with edges quarantined, an uncached
+// clean verdict scores each trained pair exactly once. The shadow
+// re-estimation reads the edge pass's scores; it does not score the
+// quarantined edges a second time.
+func TestLifecycleScoresEachPairOnce(t *testing.T) {
+	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
+	useTuning(t, quarantineShadow)
+	var calls atomic.Int64
+	cfg := DefaultConfig()
+	cfg.Assoc = func(x, y []float64) float64 {
+		calls.Add(1)
+		return valueAssoc(x, y)
+	}
+	cfg.Lifecycle = true
+	sys := trainValueSystem(t, cfg, ctx)
+	p := sys.Profile(ctx)
+	set, err := p.Invariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One shifted window quarantines metric 2's two edges.
+	if _, err := p.Violations(valueTrace([]float64{0.8, 0.8, 0.2}, 16, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Clean windows at the trained level: the live edges hold, so no shadow
+	// beats them and the quarantine stands. Distinct tweaks make every
+	// verdict a report-cache miss.
+	for i := 1; i <= 8; i++ {
+		quarantined := p.LifecycleStats().Quarantined
+		if quarantined == 0 {
+			t.Fatalf("window %d: no edge quarantined", i)
+		}
+		calls0, exact0 := calls.Load(), p.Stats().Sparse.Exact
+		if _, err := p.Violations(valueTrace([]float64{0.8, 0.8, 0.8}, 16, float64(i)*1e-6)); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+		n, exact := calls.Load()-calls0, p.Stats().Sparse.Exact-exact0
+		if n != exact || exact != int64(set.Len()) {
+			t.Fatalf("window %d: %d Assoc calls for %d exact pairs with %d edges quarantined; want both %d, one per trained pair",
+				i, n, exact, quarantined, set.Len())
+		}
 	}
 }
 
@@ -777,14 +822,14 @@ func edgeSet() *invariant.Set {
 
 // feed observes n identical windows and returns the indices of the edges
 // they quarantined, in order.
-func feed(l *lifecycle, set *invariant.Set, raw, known []bool, score func(invariant.Pair) float64, n int) []int {
+func feed(l *lifecycle, set *invariant.Set, raw, known []bool, scores []float64, n int) []int {
 	var newly []int
 	for i := 0; i < n; i++ {
 		before := make([]bool, len(l.edges))
 		for k := range l.edges {
 			before[k] = l.edges[k].quarantined
 		}
-		l.observe(set, raw, known, score, 0)
+		l.observe(set, raw, known, scores, 0)
 		for k := range l.edges {
 			if !before[k] && l.edges[k].quarantined {
 				newly = append(newly, k)
@@ -794,9 +839,8 @@ func feed(l *lifecycle, set *invariant.Set, raw, known []bool, score func(invari
 	return newly
 }
 
-func constScore(s float64) func(invariant.Pair) float64 {
-	return func(invariant.Pair) float64 { return s }
-}
+// constScores scores each of edgeSet's three edges s.
+func constScores(s float64) []float64 { return []float64{s, s, s} }
 
 // TestLifecycleObserve drives one lifecycle record by record: the health
 // series, its change-point verdict and the shadow re-estimation of a
@@ -908,7 +952,7 @@ func TestLifecycleObserve(t *testing.T) {
 			if _, ok := e.shadow(); ok || !e.quarantined {
 				t.Fatalf("fresh quarantine %+v, want an empty shadow", *e)
 			}
-			feed(l, set, edge1, nil, constScore(0.8), 1)
+			feed(l, set, edge1, nil, constScores(0.8), 1)
 			if v, ok := e.shadow(); !ok || v != 0.8 || e.n != 1 {
 				t.Fatalf("shadow after one score = %v, %v (n %d); want 0.8 exactly (bias-corrected)", v, ok, e.n)
 			}
@@ -920,8 +964,8 @@ func TestLifecycleObserve(t *testing.T) {
 			feed(l, set, edge1, nil, nil, 1)
 			// Clean live verdicts from here on: the candidate cannot beat the
 			// incumbent's zero rate, so it neither promotes nor rolls back.
-			feed(l, set, clean, nil, constScore(0.9), 40)
-			feed(l, set, clean, nil, constScore(0.3), 40)
+			feed(l, set, clean, nil, constScores(0.9), 40)
+			feed(l, set, clean, nil, constScores(0.3), 40)
 			e := l.edges[1]
 			if v, _ := e.shadow(); math.Abs(v-0.3) > 0.001 {
 				t.Fatalf("estimate %v after the level shift, want ~0.3 (recent windows dominate)", v)
@@ -933,7 +977,7 @@ func TestLifecycleObserve(t *testing.T) {
 		{"non-finite scores skip the shadow", func(c *tuning) { c.decayAlpha = 0.5 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			for _, s := range []float64{0.6, math.NaN(), math.Inf(-1)} {
-				feed(l, set, edge1, nil, constScore(s), 1)
+				feed(l, set, edge1, nil, constScores(s), 1)
 			}
 			if v, _ := l.edges[1].shadow(); v != 0.6 || l.edges[1].n != 1 {
 				t.Fatalf("shadow %v over %d scores, want 0.6 over 1", v, l.edges[1].n)
@@ -942,7 +986,7 @@ func TestLifecycleObserve(t *testing.T) {
 		{"a rollback empties the shadow", func(c *tuning) { c.shadowMinEvals, c.shadowMaxEvals = 2, 2 }, func(t *testing.T, l *lifecycle, set *invariant.Set) {
 			feed(l, set, edge1, nil, nil, 1)
 			// Three warm-up scores, then two evaluations spend the budget.
-			feed(l, set, clean, nil, constScore(0.8), shadowWarmup+2)
+			feed(l, set, clean, nil, constScores(0.8), shadowWarmup+2)
 			e := l.edges[1]
 			if _, ok := e.shadow(); ok || e.n != 0 || e.evals != 0 || !e.quarantined || l.rollbacks.Load() != 1 {
 				t.Fatalf("after the budget: %+v, %d rollbacks; want a quarantined edge with an empty shadow", e, l.rollbacks.Load())
@@ -972,7 +1016,7 @@ func TestLifecycleRestore(t *testing.T) {
 	driven, dset := &lifecycle{}, edgeSet()
 	driven.install(dset)
 	feed(driven, dset, []bool{false, true, false}, nil, nil, 1)
-	feed(driven, dset, []bool{false, true, false}, nil, constScore(0.55), 5)
+	feed(driven, dset, []bool{false, true, false}, nil, constScores(0.55), 5)
 	saved := (&Profile{lc: driven}).lifecycleSection(dset)
 
 	quarantined := func(mut func(*xmlstore.LifecycleEdge)) xmlstore.LifecycleEdge {

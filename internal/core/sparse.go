@@ -14,9 +14,10 @@ import (
 // equivalence tests compare against invariant.ComputeMaskedMatrixScored
 // judged pair by pair directly.
 
-// SparseStats aggregates edge telemetry: how trained pairs were resolved
-// across all diagnoses (see invariant.EdgeStats). Report-cache hits evaluate
-// no pairs and advance nothing.
+// SparseStats aggregates edge telemetry over all diagnoses: Exact trained
+// pairs were scored (once each, quarantined edges included), Skipped pairs
+// were unknown for want of valid overlap under a degraded window. Report-cache
+// hits evaluate no pairs and advance nothing.
 type SparseStats struct {
 	Exact   int64
 	Skipped int64
@@ -41,28 +42,28 @@ func (p *Profile) Violations(abnormal *metrics.Trace) (*ViolationReport, error) 
 // judge computes the violation report of one window against set, uncached.
 func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace) (*ViolationReport, error) {
 	cfg := &p.sys.cfg
-	scorer := p.scorer(tr.Rows)
-	raw, known, st, err := set.ComputeEdgesMasked(tr.Rows, tr.Valid, cfg.Assoc, scorer, 0, cfg.Epsilon)
+	raw, known, scores, err := set.ComputeEdgesMasked(tr.Rows, tr.Valid, cfg.Assoc, p.scorer(tr.Rows), 0, cfg.Epsilon)
 	if err != nil {
 		return nil, err
 	}
-	if p.lc != nil {
-		// Drift lifecycle: health over the raw verdicts, shadow
-		// re-estimation from exact scores, quarantine masking. Shadow
-		// candidates judge themselves on clean windows only (known nil) — on
-		// a degraded window no whole-window score is valid, so those windows
-		// observe health without re-estimating.
-		var score func(pr invariant.Pair) float64
-		if known == nil {
-			score = func(pr invariant.Pair) float64 {
-				if scorer != nil {
-					return scorer.Score(pr.I, pr.J)
-				}
-				return cfg.Assoc(tr.Rows[pr.I], tr.Rows[pr.J])
-			}
+	// Counted before the lifecycle masks quarantined edges: they were scored.
+	exact := len(raw)
+	for _, ok := range known {
+		if !ok {
+			exact--
 		}
-		raw, known = p.lifecyclePost(set, raw, known, score)
 	}
+	p.sparseExact.Add(int64(exact))
+	p.sparseSkipped.Add(int64(len(raw) - exact))
+	// Drift lifecycle: health over the raw verdicts, shadow re-estimation
+	// from the edge pass's exact scores, quarantine masking. Shadow
+	// candidates judge themselves on clean windows only (known nil) — on a
+	// degraded window no whole-window score is valid, so those windows
+	// observe health without re-estimating.
+	if known != nil {
+		scores = nil
+	}
+	raw, known = p.lifecyclePost(set, raw, known, scores)
 	rep := &ViolationReport{Tuple: signature.Tuple(raw), Known: known, Coverage: 1, set: set}
 	checkable := 0
 	for k, pr := range set.SortedPairs() {
@@ -77,7 +78,5 @@ func (p *Profile) judge(set *invariant.Set, tr *metrics.Trace) (*ViolationReport
 	if len(known) > 0 {
 		rep.Coverage = float64(checkable) / float64(len(known))
 	}
-	p.sparseExact.Add(int64(st.Exact))
-	p.sparseSkipped.Add(int64(st.Skipped))
 	return rep, nil
 }

@@ -275,11 +275,12 @@ func (s *Set) SortedPairs() []Pair { return s.pairs }
 // Len returns the number of invariants.
 func (s *Set) Len() int { return len(s.pairs) }
 
-// violatedVerdict is the single violation test shared by the dense and
-// sparse paths: |base − score| ≥ epsilon, with a small slack making the
-// comparison robust to floating-point representation of differences that
-// are exactly epsilon. Keeping it in one place is what lets the sparse edge
-// path (kernel.go) guarantee verdict-identical results.
+// violatedVerdict is the single violation test: |base − score| ≥ epsilon,
+// with a small slack making the comparison robust to floating-point
+// representation of differences that are exactly epsilon. The edge pass
+// (kernel.go) and Violated are its only callers, which is what makes every
+// judge of a score — the lifecycle's shadow, the tests' dense reference —
+// verdict-identical to the edge pass.
 func violatedVerdict(base, score, epsilon float64) bool {
 	const slack = 1e-9
 	return math.Abs(base-score) >= epsilon-slack

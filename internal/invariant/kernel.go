@@ -18,15 +18,6 @@ import (
 // the nil-mask case and a scorer without rows is the all-full-overlap case
 // of the same kernel.
 
-// EdgeStats counts how the kernel resolved the trained pairs of one
-// evaluation: Exact pairs ran the full association computation, Skipped
-// pairs were reported unknown (insufficient valid overlap under a degraded
-// window).
-type EdgeStats struct {
-	Exact   int
-	Skipped int
-}
-
 // window is the kernel's view of one association window: the samples (when
 // at hand), which of their ticks are usable, and the measures to score
 // pairs with. It is read-only once built, so workers share it.
@@ -171,15 +162,17 @@ func (w *window) fill() *Matrix {
 // edges runs the kernel over the trained pairs only and judges each against
 // its baseline. Coordinates are SortedPairs; known is nil on a clean window
 // (every pair checkable) and otherwise flags the pairs with enough overlap
-// (known[k] false ⇒ tuple[k] false, counted as Skipped).
-func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, st EdgeStats, err error) {
+// (known[k] false ⇒ tuple[k] false). scores[k] is the exact association the
+// verdict judged, 0 for an unknown pair as Matrix.Get reads one.
+func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, scores []float64, err error) {
 	if w.m != s.M {
-		return nil, nil, EdgeStats{}, fmt.Errorf("invariant: window over %d metrics, invariant set dimension %d", w.m, s.M)
+		return nil, nil, nil, fmt.Errorf("invariant: window over %d metrics, invariant set dimension %d", w.m, s.M)
 	}
 	if epsilon <= 0 {
 		epsilon = DefaultEpsilon
 	}
 	tuple = make([]bool, len(s.pairs))
+	scores = make([]float64, len(s.pairs))
 	if w.usable != nil {
 		known = make([]bool, len(s.pairs))
 	}
@@ -187,16 +180,15 @@ func (s *Set) edges(w *window, epsilon float64) (tuple, known []bool, st EdgeSta
 	for idx, p := range s.pairs {
 		score, ok := w.resolve(xs, ys, p.I, p.J)
 		if !ok {
-			st.Skipped++
 			continue
 		}
-		st.Exact++
+		scores[idx] = score
 		tuple[idx] = violatedVerdict(s.Base[p], score, epsilon)
 		if known != nil {
 			known[idx] = true
 		}
 	}
-	return tuple, known, st, nil
+	return tuple, known, scores, nil
 }
 
 // ComputeMatrixScored builds the association matrix from a pair scorer over
@@ -231,26 +223,26 @@ func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc Associati
 
 // ComputeEdgesScored evaluates only the trained invariant pairs against a
 // pair scorer covering all s.M metrics of the window being diagnosed, and
-// returns their violation tuple — identical to judging the same pairs of the
-// full matrix with Violated: every pair is scored exactly.
-func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) ([]bool, EdgeStats, error) {
+// returns their violation tuple and scores — identical to judging the same
+// cells of the full matrix with Violated: every pair is scored exactly.
+func (s *Set) ComputeEdgesScored(scorer PairScorer, epsilon float64) (tuple []bool, scores []float64, err error) {
 	w, err := scoredWindow(s.M, scorer)
 	if err != nil {
-		return nil, EdgeStats{}, err
+		return nil, nil, err
 	}
-	tuple, _, st, err := s.edges(&w, epsilon)
-	return tuple, st, err
+	tuple, _, scores, err = s.edges(&w, epsilon)
+	return tuple, scores, err
 }
 
 // ComputeEdgesMasked evaluates only the trained invariant pairs over metric
 // rows whose samples may be missing or corrupt; per pair the semantics are
 // exactly ComputeMaskedMatrixScored's cell judged with Violated (an unknown
-// cell is unknown, not violated). On clean rows (nil valid, all finite) it
-// is ComputeEdgesScored and known is nil.
-func (s *Set) ComputeEdgesMasked(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int, epsilon float64) (tuple, known []bool, st EdgeStats, err error) {
+// cell is unknown, not violated, and scores 0). On clean rows (nil valid,
+// all finite) it is ComputeEdgesScored and known is nil.
+func (s *Set) ComputeEdgesMasked(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int, epsilon float64) (tuple, known []bool, scores []float64, err error) {
 	w, err := newWindow(rows, valid, assoc, scorer, minSamples)
 	if err != nil {
-		return nil, nil, EdgeStats{}, err
+		return nil, nil, nil, err
 	}
 	return s.edges(&w, epsilon)
 }

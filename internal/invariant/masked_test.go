@@ -230,7 +230,7 @@ func violationsMasked(s *Set, abnormal *Matrix, epsilon float64) (tuple, known [
 			}
 			known[k] = true
 		}
-		tuple[k] = violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon)
+		tuple[k] = Violated(s.Base[p], abnormal.Get(p.I, p.J), epsilon)
 	}
 	return tuple, known, nil
 }

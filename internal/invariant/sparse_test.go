@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -62,9 +63,25 @@ func trainSet(t *testing.T, rng *stats.RNG, m, n, coupled int) *Set {
 	return set
 }
 
+// sameScores fails unless scores holds, for every trained pair in
+// SortedPairs order, the dense reference cell bit for bit (0 for an unknown
+// cell, as the fill leaves one).
+func sameScores(t *testing.T, what string, set *Set, scores []float64, dense *Matrix) {
+	t.Helper()
+	if len(scores) != set.Len() {
+		t.Errorf("%s: %d scores for %d edges", what, len(scores), set.Len())
+		return
+	}
+	for k, p := range set.SortedPairs() {
+		if got, want := scores[k], dense.Get(p.I, p.J); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: pair (%d,%d) scored %v, dense cell %v", what, p.I, p.J, got, want)
+		}
+	}
+}
+
 // TestComputeEdgesScoredMatchesDense: the sparse path through mic.Batch
-// must produce the exact violation tuple the dense matrix fill + Violations
-// produces, on healthy and broken windows.
+// must produce the exact violation tuple and scores the dense matrix fill +
+// Violations produces, on healthy and broken windows.
 func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 	rng := stats.NewRNG(2100)
 	const m, n, coupled = 10, 30, 6
@@ -88,21 +105,19 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := set.ComputeEdgesScored(b, eps)
+		got, scores, err := set.ComputeEdgesScored(b, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("rep %d: sparse tuple %v != dense %v (stats %+v)", rep, got, want, st)
+			t.Errorf("rep %d: sparse tuple %v != dense %v", rep, got, want)
 		}
-		if st.Exact != set.Len() || st.Skipped != 0 {
-			t.Errorf("rep %d: stats %+v do not cover %d edges", rep, st, set.Len())
-		}
+		sameScores(t, fmt.Sprintf("rep %d", rep), set, scores, mat)
 
 		// The seam the kernel shares: finite rows under a nil mask are the
 		// clean case, so the masked entry point must resolve every pair
-		// as the scorer-only one does — same tuple, same EdgeStats, nil
-		// known — whichever scores the pairs.
+		// as the scorer-only one does — same tuple, same scores, nil known
+		// (every edge checkable) — whichever scores the pairs.
 		for _, sc := range []struct {
 			name   string
 			scorer PairScorer // handed to ComputeEdgesMasked
@@ -111,21 +126,27 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 			{"batch scorer", b, b},
 			{"no scorer", nil, assocScorer{rows, mic.MIC}},
 		} {
-			refTuple, refSt, err := set.ComputeEdgesScored(sc.ref, eps)
+			dense, err := ComputeMaskedMatrixScored(rows, nil, mic.MIC, sc.scorer, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTuple, gotKnown, gotSt, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, sc.scorer, 0, eps)
+			refTuple, refScores, err := set.ComputeEdgesScored(sc.ref, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gotTuple, refTuple) || gotKnown != nil || gotSt != refSt {
-				t.Errorf("rep %d, %s: masked entry (%v, known %v, %+v) != scored entry (%v, %+v)",
-					rep, sc.name, gotTuple, gotKnown, gotSt, refTuple, refSt)
+			gotTuple, gotKnown, gotScores, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, sc.scorer, 0, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTuple, refTuple) || gotKnown != nil {
+				t.Errorf("rep %d, %s: masked entry (%v, known %v) != scored entry %v",
+					rep, sc.name, gotTuple, gotKnown, refTuple)
 			}
 			if !reflect.DeepEqual(gotTuple, want) {
 				t.Errorf("rep %d, %s: tuple %v != dense %v", rep, sc.name, gotTuple, want)
 			}
+			sameScores(t, fmt.Sprintf("rep %d, %s, masked entry", rep, sc.name), set, gotScores, dense)
+			sameScores(t, fmt.Sprintf("rep %d, %s, scored entry", rep, sc.name), set, refScores, dense)
 		}
 	}
 }
@@ -141,7 +162,7 @@ func (a assocScorer) Score(i, j int) float64 { return a.assoc(a.rows[i], a.rows[
 
 // TestComputeEdgesMaskedMatchesDense: degraded windows — random validity
 // masks and injected NaNs — must reproduce the dense masked pipeline's
-// tuple and known flags exactly.
+// tuple, known flags and scores exactly.
 func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 	rng := stats.NewRNG(2101)
 	const m, n, coupled = 10, 40, 6
@@ -181,22 +202,24 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, scorer, 0, eps)
+			gotTuple, gotKnown, gotScores, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, scorer, 0, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
 				t.Errorf("rep %d (scorer %T): sparse (%v,%v) != dense (%v,%v)", rep, scorer, gotTuple, gotKnown, wantTuple, wantKnown)
 			}
-			if st.Exact+st.Skipped != set.Len() {
-				t.Errorf("rep %d (scorer %T): stats %+v do not cover %d edges", rep, scorer, st, set.Len())
+			if len(gotKnown) != set.Len() {
+				t.Errorf("rep %d (scorer %T): known flags %v do not cover %d edges", rep, scorer, gotKnown, set.Len())
 			}
+			sameScores(t, fmt.Sprintf("rep %d (scorer %T)", rep, scorer), set, gotScores, mat)
 		}
 	}
 }
 
 // TestComputeEdgesMaskedNilScorer: without a batch scorer every computable
-// pair takes the assoc path, still matching the dense reference.
+// pair takes the assoc path, still matching the dense reference, scores
+// included.
 func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	rng := stats.NewRNG(2102)
 	const m, n, coupled = 6, 30, 4
@@ -210,20 +233,25 @@ func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTuple, gotKnown, _, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, DefaultEpsilon)
+	gotTuple, gotKnown, gotScores, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, DefaultEpsilon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
 		t.Errorf("sparse (%v,%v) != dense (%v,%v)", gotTuple, gotKnown, wantTuple, wantKnown)
 	}
+	if gotKnown != nil {
+		t.Errorf("clean window: known %v, want nil (every edge checkable)", gotKnown)
+	}
+	sameScores(t, "nil scorer", set, gotScores, mat)
 }
 
 // TestEveryTrainedPairScoredExactly: a clean window scored through a
 // mic.Batch runs the exact association for every trained pair, whatever
-// the tolerance — no cheaper bound stands in for the score. At epsilon 1
-// every pair sits inside its band, the case a lower bound could otherwise
-// certify without scoring.
+// the tolerance — no cheaper bound stands in for the score, and the edge
+// pass hands back the batch's own score for each. At epsilon 1 every pair
+// sits inside its band, the case a lower bound could otherwise certify
+// without scoring.
 func TestEveryTrainedPairScoredExactly(t *testing.T) {
 	rng := stats.NewRNG(2103)
 	const m, n, coupled = 10, 30, 6
@@ -234,12 +262,20 @@ func TestEveryTrainedPairScoredExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0.05, 0.2, 1} {
-		_, st, err := set.ComputeEdgesScored(b, eps)
+		_, known, scores, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, b, 0, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Exact != set.Len() || st.Skipped != 0 {
-			t.Errorf("epsilon %v: stats %+v, want all %d trained pairs exact", eps, st, set.Len())
+		if known != nil {
+			t.Errorf("epsilon %v: known %v, want nil (every trained pair checkable)", eps, known)
+		}
+		if len(scores) != set.Len() {
+			t.Fatalf("epsilon %v: %d scores for %d trained pairs", eps, len(scores), set.Len())
+		}
+		for k, p := range set.SortedPairs() {
+			if want := b.Score(p.I, p.J); math.Float64bits(scores[k]) != math.Float64bits(want) {
+				t.Errorf("epsilon %v: pair (%d,%d) scored %v, batch exact score %v", eps, p.I, p.J, scores[k], want)
+			}
 		}
 	}
 }

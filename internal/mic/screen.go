@@ -2,15 +2,12 @@ package mic
 
 import "math"
 
-// Prescreen tier: a cheap, conservative lower bound on a pair's MIC,
-// computed in O(n) from data every Prepared already carries. The invariant
-// layer uses it to certify "this invariant still holds" without running the
-// full DP: since MIC never exceeds 1, a lower bound above the violation
-// threshold pins the score inside the invariant's tolerance band from both
-// sides. The bound can never certify a *violation* (that would need a cheap
-// upper bound, which the grid search does not admit), so suspicious pairs
-// always fall through to the exact computation — the screen only
-// accelerates the common case where the system is healthy.
+// Prescreen bound: a cheap, conservative lower bound on a pair's MIC,
+// computed in O(n) from data every Prepared already carries. No product
+// path calls ScreenLow: every trained pair of a diagnosed window is scored
+// exactly. The file stays only because the end-to-end benchmark times the
+// bound against the exact score (bench/layers.go l. 346); the roadmap's
+// exact in-DP early exit deletes both.
 //
 // The bound itself is the mutual information of a both-axes equipartition
 // at a few budget-admissible grid shapes, normalised exactly as the

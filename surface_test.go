@@ -1,6 +1,7 @@
 package invarnetx
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -40,6 +41,30 @@ var testOracles = map[string]string{
 
 const maxTestOracles = 5
 
+// benchOnly are the exported names whose only non-test references are in
+// bench/, each with the bench/ reference that keeps it, as "bench/<file>
+// l. <line>". The end-to-end benchmark changes only with the benchmark, so
+// these are shims the product would otherwise delete. The list can only
+// shrink: an entry that gains a product caller or loses its bench/ caller
+// fails the test until it is dropped, a cited line must still reference the
+// name, and the list holds at most maxBenchOnly names, so no new bench-only
+// shim can be added.
+var benchOnly = map[string]string{
+	"invarnetx/internal/core.System.MergeSignature":       "bench/system.go l. 64 seeds each context with synthetic signatures through it",
+	"invarnetx/internal/invariant.ComputeMatrixScored":    "bench/layers.go l. 467 fills the dense matrices the selection probe selects from",
+	"invarnetx/internal/invariant.Select":                 "bench/layers.go l. 477 times selection over matrices scored in full",
+	"invarnetx/internal/invariant.Set.ComputeEdgesScored": "bench/layers.go l. 439 times the clean edge pass over a prepared batch",
+	"invarnetx/internal/mic.NewBatchPrepared":             "bench/layers.go l. 317 builds a batch from a slider's preparations",
+	"invarnetx/internal/mic.Batch.ScreenLow":              "bench/layers.go l. 346 times the prescreen bound against the exact score",
+	"invarnetx/internal/mic.NewSlider":                    "bench/layers.go l. 293 replays the retired per-metric sliding window",
+	"invarnetx/internal/mic.Slider.AppendBatch":           "bench/layers.go l. 294 feeds the replayed slider",
+	"invarnetx/internal/mic.Slider.Prepared":              "bench/layers.go l. 310 snapshots the replayed slider",
+	"invarnetx/internal/signature.DB.MatchMasked":         "bench/layers.go l. 576 times the full match list with a measure argument",
+	"invarnetx/internal/signature.Entry.Fingerprint":      "bench/gen.go l. 341 keys the synthetic signature corpus",
+}
+
+const maxBenchOnly = 11
+
 // calledByStdlib are method names the standard library calls through its own
 // interfaces (error, fmt.Stringer, errors.Unwrap, http.Handler), so a
 // declaration needs no caller in this module.
@@ -48,21 +73,42 @@ var calledByStdlib = map[string]bool{"Error": true, "String": true, "Unwrap": tr
 // TestClosedPackagesExportOnlyWhatIsCalled parses every non-test file of the
 // module (and of bench/, a caller in its own module) and fails on an exported
 // function, type or method of an exported type declared under internal/ that
-// nothing references. Syntax only, so deliberately lenient: a function
-// or type counts as referenced by any bare identifier of its name inside its
-// package or by pkg.Name in a file importing it; a method by any selector of
-// its name anywhere.
+// nothing references, or that only bench/ references and benchOnly does not
+// list. Syntax only, so deliberately lenient: a function or type counts as
+// referenced by any bare identifier of its name inside its package or by
+// pkg.Name in a file importing it; a method by any selector of its name
+// anywhere.
 func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	type decl struct {
 		key    string // "import/path.Name", or the bare name for a method
+		id     string // "import/path.Name", or "import/path.Type.Name" for a method
 		method bool
 		pos    token.Position
 	}
+	// refs are the references to one name: whether a file outside bench/
+	// makes one, and where bench/ makes its own ("bench/<file> l. <line>").
+	type refs struct {
+		product bool
+		bench   []string
+	}
 	var decls []decl
-	named := map[string]bool{}    // "import/path.Name" referenced as a package-level name
-	selected := map[string]bool{} // Name selected off some operand
-
 	fset := token.NewFileSet()
+	named := map[string]*refs{}    // "import/path.Name" referenced as a package-level name
+	selected := map[string]*refs{} // Name selected off some operand
+	note := func(m map[string]*refs, key string, pos token.Pos) {
+		r := m[key]
+		if r == nil {
+			r = &refs{}
+			m[key] = r
+		}
+		at := fset.Position(pos)
+		if dir, _ := filepath.Split(at.Filename); dir != "bench/" {
+			r.product = true
+			return
+		}
+		r.bench = append(r.bench, fmt.Sprintf("%s l. %d", filepath.ToSlash(at.Filename), at.Line))
+	}
+
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -100,7 +146,8 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 				exported := strings.HasPrefix(own, closedPrefix) && d.Name.IsExported()
 				if d.Recv == nil {
 					if exported {
-						decls = append(decls, decl{key: own + "." + d.Name.Name, pos: fset.Position(d.Pos())})
+						key := own + "." + d.Name.Name
+						decls = append(decls, decl{key: key, id: key, pos: fset.Position(d.Pos())})
 					}
 					continue
 				}
@@ -108,7 +155,7 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 					if id, ok := n.(*ast.Ident); ok {
 						notUse[id] = true
 						if exported && id.IsExported() {
-							decls = append(decls, decl{key: d.Name.Name, method: true, pos: fset.Position(d.Pos())})
+							decls = append(decls, decl{key: d.Name.Name, id: own + "." + id.Name + "." + d.Name.Name, method: true, pos: fset.Position(d.Pos())})
 						}
 					}
 					return true
@@ -118,7 +165,8 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 					if ts, ok := spec.(*ast.TypeSpec); ok {
 						notUse[ts.Name] = true
 						if strings.HasPrefix(own, closedPrefix) && ts.Name.IsExported() {
-							decls = append(decls, decl{key: own + "." + ts.Name.Name, pos: fset.Position(ts.Pos())})
+							key := own + "." + ts.Name.Name
+							decls = append(decls, decl{key: key, id: key, pos: fset.Position(ts.Pos())})
 						}
 					}
 				}
@@ -128,13 +176,13 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				notUse[n.Sel] = true
-				selected[n.Sel.Name] = true
+				note(selected, n.Sel.Name, n.Sel.Pos())
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					named[imports[x.Name]+"."+n.Sel.Name] = true
+					note(named, imports[x.Name]+"."+n.Sel.Name, n.Sel.Pos())
 				}
 			case *ast.Ident:
 				if !notUse[n] {
-					named[own+"."+n.Name] = true
+					note(named, own+"."+n.Name, n.Pos())
 				}
 			}
 			return true
@@ -148,24 +196,54 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	if len(testOracles) > maxTestOracles {
 		t.Errorf("testOracles holds %d names, at most %d are allowed", len(testOracles), maxTestOracles)
 	}
+	if len(benchOnly) > maxBenchOnly {
+		t.Errorf("benchOnly holds %d names, at most %d are allowed: bench/ may not keep a new shim alive", len(benchOnly), maxBenchOnly)
+	}
 	orphaned := map[string]bool{}
-	var orphans []string
+	benchKept := map[string][]string{} // bench-only name → its bench/ references
+	var orphans, shims []string
 	for _, d := range decls {
-		used := named[d.key]
+		r := named[d.key]
 		if d.method {
-			used = selected[d.key] || calledByStdlib[d.key]
+			r = selected[d.key]
+			if calledByStdlib[d.key] {
+				continue
+			}
 		}
-		if used {
-			continue
-		}
-		orphaned[d.key] = true
-		if testOracles[d.key] == "" {
-			orphans = append(orphans, d.pos.String()+": "+d.key)
+		switch {
+		case r == nil:
+			orphaned[d.id] = true
+			if testOracles[d.id] == "" {
+				orphans = append(orphans, d.pos.String()+": "+d.id)
+			}
+		case !r.product:
+			benchKept[d.id] = r.bench
+			if benchOnly[d.id] == "" {
+				shims = append(shims, fmt.Sprintf("%s: %s (%s)", d.pos, d.id, strings.Join(r.bench, ", ")))
+			}
 		}
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
 		t.Errorf("%s is exported from a package nothing outside the module can import, and no non-test file references it", o)
+	}
+	sort.Strings(shims)
+	for _, s := range shims {
+		t.Errorf("%s is referenced by no non-test file outside bench/: delete it, or give it a product caller", s)
+	}
+	for name, reason := range benchOnly {
+		at, ok := benchKept[name]
+		if !ok {
+			t.Errorf("%s is listed in benchOnly but is no longer an exported name only bench/ references: drop the entry", name)
+			continue
+		}
+		cited := false
+		for _, a := range at {
+			cited = cited || strings.Contains(reason, a)
+		}
+		if !cited {
+			t.Errorf("benchOnly[%q] = %q cites none of its bench/ references (%s)", name, reason, strings.Join(at, ", "))
+		}
 	}
 	for name, reason := range testOracles {
 		if reason == "" {
