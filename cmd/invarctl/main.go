@@ -389,9 +389,8 @@ func cmdProfiles(args []string) error {
 		if st.HasModel {
 			model = "arima"
 		}
-		fmt.Printf("  %-28s model %-5s  %3d invariants  %3d signatures  cache %d/%d (%d entries)\n",
-			st.Context, model, st.Invariants, st.Signatures,
-			st.Cache.Hits, st.Cache.Misses, st.Cache.Entries)
+		fmt.Printf("  %-28s model %-5s  %3d invariants  %3d signatures\n",
+			st.Context, model, st.Invariants, st.Signatures)
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ func genAR(rng *stats.RNG, n int, c float64, phi []float64, sd float64) []float6
 func TestFitAR1Recovery(t *testing.T) {
 	rng := stats.NewRNG(100)
 	xs := genAR(rng, 5000, 1.0, []float64{0.7}, 0.5)
-	m, err := Fit(xs, Order{P: 1})
+	m, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFitAR1Recovery(t *testing.T) {
 func TestFitAR2Recovery(t *testing.T) {
 	rng := stats.NewRNG(101)
 	xs := genAR(rng, 8000, 0, []float64{0.5, -0.3}, 1)
-	m, err := Fit(xs, Order{P: 2})
+	m, err := fit(xs, Order{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFitMA1Recovery(t *testing.T) {
 			xs[t] += 0.6 * e[t-1]
 		}
 	}
-	m, err := Fit(xs, Order{Q: 1})
+	m, err := fit(xs, Order{Q: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFitARMA11(t *testing.T) {
 		e[t] = rng.Normal(0, 1)
 		xs[t] = 0.5*xs[t-1] + e[t] + 0.4*e[t-1]
 	}
-	m, err := Fit(xs, Order{P: 1, Q: 1})
+	m, err := fit(xs, Order{P: 1, Q: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestFitARMA11(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([]float64{1, 2, 3}, Order{P: 1}); err != ErrTooShort {
+	if _, err := fit([]float64{1, 2, 3}, Order{P: 1}); err != ErrTooShort {
 		t.Errorf("short series err = %v, want ErrTooShort", err)
 	}
 	xs := make([]float64, 100)
-	if _, err := Fit(xs, Order{P: -1}); err == nil {
+	if _, err := fit(xs, Order{P: -1}); err == nil {
 		t.Error("negative order should error")
 	}
 }
@@ -106,7 +106,7 @@ func TestFitErrors(t *testing.T) {
 func TestResidualsWhiteOnTrueModel(t *testing.T) {
 	rng := stats.NewRNG(104)
 	xs := genAR(rng, 4000, 0.5, []float64{0.6}, 0.3)
-	m, err := Fit(xs, Order{P: 1})
+	m, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestResidualsWhiteOnTrueModel(t *testing.T) {
 	if math.Abs(mean) > 0.02 {
 		t.Errorf("residual mean = %v, want ~0", mean)
 	}
-	acf, err := stats.Autocorrelation(res, 3)
+	acf, err := autocorrelation(res, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,24 @@ func TestResidualsWhiteOnTrueModel(t *testing.T) {
 	}
 }
 
+// autocorrelation returns the sample autocorrelation of xs at lags
+// 0..maxLag: each autocovariance over the lag-0 one.
+func autocorrelation(xs []float64, maxLag int) ([]float64, error) {
+	acov, err := stats.Autocovariance(xs, maxLag)
+	if err != nil {
+		return nil, err
+	}
+	acf := make([]float64, len(acov))
+	for lag, c := range acov {
+		acf[lag] = c / acov[0]
+	}
+	return acf, nil
+}
+
 func TestPredictNextMatchesSeries(t *testing.T) {
 	rng := stats.NewRNG(105)
 	xs := genAR(rng, 500, 0.2, []float64{0.6, 0.2}, 0.4)
-	m, err := Fit(xs, Order{P: 2})
+	m, err := fit(xs, Order{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +179,7 @@ func TestPredictNextMatchesSeries(t *testing.T) {
 func TestForecastHorizonConvergesToMean(t *testing.T) {
 	rng := stats.NewRNG(107)
 	xs := genAR(rng, 3000, 1.0, []float64{0.5}, 0.3)
-	m, err := Fit(xs, Order{P: 1})
+	m, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +206,7 @@ func TestForecastHorizonConvergesToMean(t *testing.T) {
 func TestForecastErrors(t *testing.T) {
 	rng := stats.NewRNG(108)
 	xs := genAR(rng, 100, 0, []float64{0.5}, 1)
-	m, err := Fit(xs, Order{P: 1})
+	m, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +237,12 @@ func TestAutoFitPrefersTrueOrder(t *testing.T) {
 	cfg := DefaultSelectConfig()
 	for p := 0; p <= cfg.MaxP; p++ {
 		for q := 0; q <= cfg.MaxQ; q++ {
-			if _, err := Fit(xs, Order{P: p, Q: q}); err != nil {
-				t.Fatalf("Fit(%d,%d): %v", p, q, err)
+			if _, err := fit(xs, Order{P: p, Q: q}); err != nil {
+				t.Fatalf("fit(%d,%d): %v", p, q, err)
 			}
 			for i := range xs {
 				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
-					t.Fatalf("Fit(%d,%d) wrote xs[%d]: %v, was %v", p, q, i, xs[i], orig[i])
+					t.Fatalf("fit(%d,%d) wrote xs[%d]: %v, was %v", p, q, i, xs[i], orig[i])
 				}
 			}
 		}
@@ -281,11 +295,11 @@ func TestOrderString(t *testing.T) {
 func TestAICPenalisesOverfit(t *testing.T) {
 	rng := stats.NewRNG(112)
 	xs := genAR(rng, 3000, 0, []float64{0.5}, 1)
-	m1, err := Fit(xs, Order{P: 1})
+	m1, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m5, err := Fit(xs, Order{P: 3, Q: 2})
+	m5, err := fit(xs, Order{P: 3, Q: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +312,7 @@ func TestDiagnoseWhiteResiduals(t *testing.T) {
 	// Residuals of the true model are white.
 	rng := stats.NewRNG(113)
 	xs := genAR(rng, 3000, 0.5, []float64{0.6}, 0.3)
-	m, err := Fit(xs, Order{P: 1})
+	m, err := fit(xs, Order{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +333,7 @@ func TestDiagnoseDetectsUnderfit(t *testing.T) {
 	// in the residuals; Ljung-Box must reject whiteness.
 	rng := stats.NewRNG(114)
 	xs := genAR(rng, 3000, 0, []float64{0.8}, 1)
-	m, err := Fit(xs, Order{P: 0})
+	m, err := fit(xs, Order{P: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 		{P: 1, Q: 2},
 		{P: 3, Q: 2},
 	} {
-		m, err := Fit(xs, order)
+		m, err := fit(xs, order)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
@@ -113,7 +113,7 @@ func TestForecasterMatchesPredictNext(t *testing.T) {
 func TestForecasterConstantMemory(t *testing.T) {
 	rng := stats.NewRNG(611)
 	xs := genAR(rng, 200, 0.1, []float64{0.4}, 0.3)
-	m, err := Fit(xs, Order{P: 2, Q: 1})
+	m, err := fit(xs, Order{P: 2, Q: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

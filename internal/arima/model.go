@@ -64,11 +64,11 @@ type Model struct {
 	LogLik    float64 // Gaussian CSS log-likelihood (up to constants)
 }
 
-// minTrain is the minimum training length accepted by Fit.
+// minTrain is the minimum training length accepted by fit.
 const minTrain = 12
 
-// Fit estimates an ARIMA model of the given order on xs. xs is not modified.
-func Fit(xs []float64, order Order) (*Model, error) {
+// fit estimates an ARIMA model of the given order on xs. xs is not modified.
+func fit(xs []float64, order Order) (*Model, error) {
 	if order.P < 0 || order.Q < 0 {
 		return nil, fmt.Errorf("arima: invalid order %v", order)
 	}
@@ -169,7 +169,8 @@ type Diagnostics struct {
 }
 
 // Diagnose runs residual diagnostics of the model against xs, using
-// min(10, n/5) lags.
+// min(10, len(res)/5 − 1) lags over its len(xs) − 1 one-step residuals res;
+// fewer than one lag is ErrTooShort.
 func (m *Model) Diagnose(xs []float64) (Diagnostics, error) {
 	res, err := m.Residuals(xs)
 	if err != nil {

@@ -35,7 +35,7 @@ func AutoFit(xs []float64, cfg SelectConfig) (*Model, error) {
 	var best *Model
 	for p := 0; p <= cfg.MaxP; p++ {
 		for q := 0; q <= cfg.MaxQ; q++ {
-			m, err := Fit(xs, Order{P: p, Q: q})
+			m, err := fit(xs, Order{P: p, Q: q})
 			if err != nil {
 				continue
 			}
@@ -49,7 +49,7 @@ func AutoFit(xs []float64, cfg SelectConfig) (*Model, error) {
 	}
 	if best == nil {
 		// Fall back to the simplest possible model.
-		return Fit(xs, Order{})
+		return fit(xs, Order{})
 	}
 	return best, nil
 }

@@ -49,15 +49,15 @@ type Model struct {
 	Fitness   float64 // F(θ) on the training data, clamped to [0, 1]
 }
 
-// maxOrder bounds BestFit's search: every order (n, m, k) ≤ (3, 3, 3). It
+// maxOrder bounds bestFit's search: every order (n, m, k) ≤ (3, 3, 3). It
 // mirrors the order search of Jiang's evaluation, which sweeps the model
 // structure per metric pair — the cost that makes ARX invariant construction
 // roughly an order of magnitude more expensive than a single MIC dynamic
 // programme (paper Table 1).
 const maxOrder = 3
 
-// Fit estimates an ARX model of fixed order relating input u to output y.
-func Fit(u, y []float64, order Order) (*Model, error) {
+// fit estimates an ARX model of fixed order relating input u to output y.
+func fit(u, y []float64, order Order) (*Model, error) {
 	if len(u) != len(y) {
 		return nil, fmt.Errorf("arx: length mismatch %d vs %d", len(u), len(y))
 	}
@@ -155,14 +155,14 @@ func (m *Model) fitness(u, y []float64) float64 {
 	return f
 }
 
-// BestFit searches the orders up to maxOrder and returns the model with the
+// bestFit searches the orders up to maxOrder and returns the model with the
 // highest fitness for u → y.
-func BestFit(u, y []float64) (*Model, error) {
+func bestFit(u, y []float64) (*Model, error) {
 	var best *Model
 	for n := 0; n <= maxOrder; n++ {
 		for mm := 0; mm <= maxOrder; mm++ {
 			for k := 0; k <= maxOrder; k++ {
-				m, err := Fit(u, y, Order{N: n, M: mm, K: k})
+				m, err := fit(u, y, Order{N: n, M: mm, K: k})
 				if err != nil {
 					continue
 				}
@@ -179,16 +179,16 @@ func BestFit(u, y []float64) (*Model, error) {
 }
 
 // Association returns a symmetric association score in [0, 1] for a metric
-// pair: the better fitness of the two directions u→y and y→u under BestFit's
+// pair: the better fitness of the two directions u→y and y→u under bestFit's
 // order search. It is the ARX counterpart of mic.MIC and plugs into the same
 // invariant-selection algorithm for the comparison experiments. Degenerate
 // inputs score 0.
 func Association(a, b []float64) float64 {
 	var best float64
-	if m, err := BestFit(a, b); err == nil && m.Fitness > best {
+	if m, err := bestFit(a, b); err == nil && m.Fitness > best {
 		best = m.Fitness
 	}
-	if m, err := BestFit(b, a); err == nil && m.Fitness > best {
+	if m, err := bestFit(b, a); err == nil && m.Fitness > best {
 		best = m.Fitness
 	}
 	return best

@@ -23,7 +23,7 @@ func genARX(rng *stats.RNG, n int) (u, y []float64) {
 func TestFitRecoversCoefficients(t *testing.T) {
 	rng := stats.NewRNG(300)
 	u, y := genARX(rng, 3000)
-	m, err := Fit(u, y, Order{N: 1, M: 0, K: 1})
+	m, err := fit(u, y, Order{N: 1, M: 0, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +42,15 @@ func TestFitRecoversCoefficients(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([]float64{1, 2}, []float64{1}, Order{}); err == nil {
+	if _, err := fit([]float64{1, 2}, []float64{1}, Order{}); err == nil {
 		t.Error("length mismatch should error")
 	}
 	short := []float64{1, 2, 3}
-	if _, err := Fit(short, short, Order{N: 1}); err != ErrTooShort {
+	if _, err := fit(short, short, Order{N: 1}); err != ErrTooShort {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 	u, y := genARX(stats.NewRNG(1), 100)
-	if _, err := Fit(u, y, Order{N: -1}); err == nil {
+	if _, err := fit(u, y, Order{N: -1}); err == nil {
 		t.Error("negative order should error")
 	}
 }
@@ -58,7 +58,7 @@ func TestFitErrors(t *testing.T) {
 func TestPredictAlignment(t *testing.T) {
 	rng := stats.NewRNG(301)
 	u, y := genARX(rng, 500)
-	m, err := Fit(u, y, Order{N: 1, M: 1, K: 1})
+	m, err := fit(u, y, Order{N: 1, M: 1, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFitnessDecreasesWithNoise(t *testing.T) {
 		}
 		return y
 	}
-	clean, err := BestFit(u, mkY(0.01))
+	clean, err := bestFit(u, mkY(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := BestFit(u, mkY(0.3))
+	noisy, err := bestFit(u, mkY(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFitnessConstantOutputIsZero(t *testing.T) {
 		u[i] = rng.Float64()
 		y[i] = 7
 	}
-	m, err := Fit(u, y, Order{N: 1})
+	m, err := fit(u, y, Order{N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestBestFitFindsDelay(t *testing.T) {
 	for t := 2; t < n; t++ {
 		y[t] = u[t-2] + rng.Normal(0, 0.01) // pure delay-2 coupling
 	}
-	m, err := BestFit(u, y)
+	m, err := bestFit(u, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Fitness < 0.9 {
-		t.Errorf("BestFit fitness = %v, want ~1", m.Fitness)
+		t.Errorf("bestFit fitness = %v, want ~1", m.Fitness)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestOrderString(t *testing.T) {
 
 func TestBestFitTooShort(t *testing.T) {
 	xs := []float64{1, 2}
-	if _, err := BestFit(xs, xs); err != ErrTooShort {
+	if _, err := bestFit(xs, xs); err != ErrTooShort {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 }

@@ -41,9 +41,9 @@ func New(nSlaves int, seed int64) *Cluster {
 		nSlaves = 1
 	}
 	c := &Cluster{rng: stats.NewRNG(seed), seed: seed, name: newNameNode()}
-	c.Nodes = append(c.Nodes, newNode(0, RoleMaster, DefaultCaps()))
+	c.Nodes = append(c.Nodes, newNode(0, RoleMaster, defaultCaps()))
 	for i := 1; i <= nSlaves; i++ {
-		n := newNode(i, RoleSlave, DefaultCaps())
+		n := newNode(i, RoleSlave, defaultCaps())
 		c.Nodes = append(c.Nodes, n)
 		c.slaves = append(c.slaves, n)
 	}
@@ -56,7 +56,7 @@ func New(nSlaves int, seed int64) *Cluster {
 // invariants genuinely diverge — the property that makes the paper's
 // operation context (workload type AND node) necessary.
 var heterogeneousCaps = []Caps{
-	DefaultCaps(),
+	defaultCaps(),
 	{CPUCores: 6, MemoryMB: 12 * 1024, DiskMBps: 100, DiskIOPS: 280, NetMBps: 120},
 	{CPUCores: 12, MemoryMB: 24 * 1024, DiskMBps: 220, DiskIOPS: 600, NetMBps: 120},
 	{CPUCores: 8, MemoryMB: 16 * 1024, DiskMBps: 130, DiskIOPS: 350, NetMBps: 60},
@@ -112,7 +112,6 @@ func (c *Cluster) Step() {
 		}
 		eff.normalize()
 		n.suspended = eff.Suspend
-		n.heartbeatDelay = eff.HeartbeatDelaySec
 		effects[n.ID] = eff
 	}
 	// 2. FIFO promotion: start the next batch job when no batch job runs.
@@ -794,10 +793,6 @@ func (c *Cluster) stepNode(n *Node, eff *Effects, repairs repairWork, cross cros
 	st.DropRate = eff.DropRate
 	trafficPkts := traffic * 800 // ~1.25 KB average packet
 	st.Retransmits = 0.004*trafficPkts + trafficPkts*eff.DropRate + eff.AddRetrans + 0.02*trafficPkts*st.NetSat
-
-	st.ExternalCPU = eff.Extra.CPU
-	st.ExternalMemMB = eff.Extra.MemoryMB
-	st.ExternalDiskMB = eff.Extra.DiskMBps
 
 	n.State = st
 }

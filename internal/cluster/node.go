@@ -45,8 +45,8 @@ type Caps struct {
 	NetMBps  float64 // NIC bandwidth, MB/s
 }
 
-// DefaultCaps returns the paper's machine configuration.
-func DefaultCaps() Caps {
+// defaultCaps returns the paper's machine configuration.
+func defaultCaps() Caps {
 	return Caps{
 		CPUCores: 8,
 		MemoryMB: 16 * 1024,
@@ -114,10 +114,6 @@ type NodeState struct {
 	RTTms       float64 // heartbeat round-trip estimate
 	DropRate    float64 // packet loss fraction
 	Retransmits float64 // retransmissions per second
-	// Fault-injected extras, exposed so tests can assert on causality.
-	ExternalCPU    float64 // cores consumed by hog processes
-	ExternalMemMB  float64
-	ExternalDiskMB float64 // MB/s
 	// Directional I/O after contention scaling, derived from the task mix
 	// (plus replication-repair traffic), for the metric collector.
 	DiskReadMBps  float64
@@ -170,10 +166,6 @@ type Node struct {
 	// suspended is set by the Suspend fault: the node stops heartbeating
 	// and its tasks make no progress.
 	suspended bool
-
-	// heartbeatDelay models RPC latency between this node and the master;
-	// RPC-hang raises it so the scheduler starves.
-	heartbeatDelay float64
 
 	// activity is the node-level burstiness component shared by all tasks
 	// placed here (HDFS read waves, shuffle rounds and spill storms hit a

@@ -68,11 +68,11 @@ func NewSampler(rng *stats.RNG) *Sampler {
 	return &Sampler{rng: rng, lastMix: make(map[int][2]int)}
 }
 
-// Base returns the contention-free CPI for a workload given a map/reduce
+// baseFor returns the contention-free CPI for a workload given a map/reduce
 // task mix. With no tasks it returns the map-phase base (the daemons idle
 // at roughly the same CPI, and the detector needs a stable quiescent
 // level).
-func Base(workloadType string, runningMaps, runningReduces int) float64 {
+func baseFor(workloadType string, runningMaps, runningReduces int) float64 {
 	b, ok := bases[workloadType]
 	if !ok {
 		b = defaultBase
@@ -95,7 +95,7 @@ func (s *Sampler) Sample(n *cluster.Node, workloadType string) float64 {
 	} else {
 		s.lastMix[n.ID] = [2]int{maps, reds}
 	}
-	base := Base(workloadType, maps, reds)
+	base := baseFor(workloadType, maps, reds)
 	if n.CPIFactor > 0 {
 		base *= n.CPIFactor
 	}

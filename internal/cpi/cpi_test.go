@@ -10,19 +10,19 @@ import (
 )
 
 func TestBaseMixesPhases(t *testing.T) {
-	mapOnly := Base("wordcount", 4, 0)
-	redOnly := Base("wordcount", 0, 4)
-	mixed := Base("wordcount", 2, 2)
+	mapOnly := baseFor("wordcount", 4, 0)
+	redOnly := baseFor("wordcount", 0, 4)
+	mixed := baseFor("wordcount", 2, 2)
 	if mapOnly != 0.95 || redOnly != 0.99 {
 		t.Errorf("bases = %v, %v", mapOnly, redOnly)
 	}
 	if math.Abs(mixed-0.97) > 1e-12 {
 		t.Errorf("mixed base = %v, want 0.97", mixed)
 	}
-	if Base("wordcount", 0, 0) != 0.95 {
+	if baseFor("wordcount", 0, 0) != 0.95 {
 		t.Error("idle node should report the map base")
 	}
-	if Base("unknown", 1, 0) != defaultBase.mapCPI {
+	if baseFor("unknown", 1, 0) != defaultBase.mapCPI {
 		t.Error("unknown workload should use the default base")
 	}
 }
@@ -31,7 +31,7 @@ func TestBasesDifferAcrossWorkloads(t *testing.T) {
 	// Distinct bases are part of what operation context buys.
 	seen := map[float64]string{}
 	for _, w := range []string{"wordcount", "sort", "grep", "bayes", "tpcds"} {
-		b := Base(w, 1, 0)
+		b := baseFor(w, 1, 0)
 		if prev, dup := seen[b]; dup {
 			t.Errorf("workloads %s and %s share base CPI %v", prev, w, b)
 		}
@@ -139,7 +139,7 @@ func TestSuspendedNodeCPIHigh(t *testing.T) {
 	c.Step()
 	s := NewSampler(stats.NewRNG(44))
 	v := s.Sample(n, "wordcount")
-	if v < Base("wordcount", 0, 0)*4 {
+	if v < baseFor("wordcount", 0, 0)*4 {
 		t.Errorf("suspended CPI = %v, want several times base", v)
 	}
 }

@@ -24,8 +24,8 @@ const (
 	VariantNoContext SystemVariant = "no-context"
 )
 
-// Variants returns the comparison set in presentation order.
-func Variants() []SystemVariant {
+// variants returns the comparison set in presentation order.
+func variants() []SystemVariant {
 	return []SystemVariant{VariantInvarNetX, VariantARX, VariantNoContext}
 }
 
@@ -61,7 +61,7 @@ func (r *Runner) variant(v SystemVariant) *Runner {
 // RunComparison executes the full diagnosis study once per system variant.
 func (r *Runner) RunComparison(w workload.Type) (*ComparisonResult, error) {
 	out := &ComparisonResult{Workload: w, Studies: make(map[SystemVariant]*Study)}
-	for _, v := range Variants() {
+	for _, v := range variants() {
 		st, err := r.variant(v).RunDiagnosisStudy(w, string(v))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s study: %w", v, err)
@@ -86,7 +86,7 @@ func (c *ComparisonResult) printMetric(w io.Writer, title, paper string, metric 
 	fmt.Fprintf(w, "  %-10s %12s %12s %12s\n", "fault", VariantInvarNetX, VariantARX, VariantNoContext)
 	for _, row := range c.Studies[VariantInvarNetX].Rows {
 		fmt.Fprintf(w, "  %-10s", row.Fault)
-		for _, v := range Variants() {
+		for _, v := range variants() {
 			if r2 := c.Studies[v].Row(row.Fault); r2 != nil {
 				fmt.Fprintf(w, " %12.2f", metric(r2.Counts))
 			} else {

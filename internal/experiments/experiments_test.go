@@ -375,7 +375,7 @@ func TestVariantsConfig(t *testing.T) {
 	if !same(inv.Assoc, mic.MIC) {
 		t.Error("invarnet-x variant altered: want mic.MIC")
 	}
-	if len(Variants()) != 3 {
+	if len(variants()) != 3 {
 		t.Error("three variants expected")
 	}
 }

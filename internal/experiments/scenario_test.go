@@ -120,7 +120,7 @@ func runAllRows(r *Runner) []Scenario {
 	for _, w := range []workload.Type{workload.TPCDS, workload.Wordcount} { // fig7, fig8
 		add(r.heldOutRows("diagnosis/invarnet-x", w, FaultKindsFor(w), r.opts.Slaves))
 	}
-	for _, v := range Variants() { // fig9, fig10
+	for _, v := range variants() { // fig9, fig10
 		add(r.variant(v).heldOutRows("diagnosis/"+string(v), workload.Wordcount, FaultKindsFor(workload.Wordcount), r.opts.Slaves))
 	}
 	add(r.multiFaultRows(workload.Wordcount, 6))

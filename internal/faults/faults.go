@@ -93,8 +93,8 @@ const (
 // CrossKinds returns the cross-node fault kinds.
 func CrossKinds() []Kind { return []Kind{XLink, XSkew, XRepl} }
 
-// IsCross reports whether k is a cross-node fault.
-func IsCross(k Kind) bool {
+// isCross reports whether k is a cross-node fault.
+func isCross(k Kind) bool {
 	for _, kk := range CrossKinds() {
 		if kk == k {
 			return true
@@ -456,7 +456,7 @@ type CrossInjector struct {
 
 // NewCross constructs a cross-node injector for kind, active during w.
 func NewCross(kind Kind, w Window, rng *stats.RNG) (*CrossInjector, error) {
-	if !IsCross(kind) {
+	if !isCross(kind) {
 		return nil, fmt.Errorf("faults: %q is not a cross-node kind", kind)
 	}
 	return &CrossInjector{kind: kind, window: w, rng: rng.Fork(int64(len(kind)) + int64(w.Start)*37)}, nil

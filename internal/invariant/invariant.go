@@ -32,7 +32,7 @@ const (
 	DefaultEpsilon = 0.2
 )
 
-// ErrNoRuns is returned when selection receives no training matrices.
+// ErrNoRuns is returned when training or selection receives no runs.
 var ErrNoRuns = errors.New("invariant: no training runs")
 
 // AssociationFunc computes a symmetric association score in [0, 1] for a
@@ -51,8 +51,8 @@ type Matrix struct {
 	known  []bool // parallel to scores; nil = every pair known
 }
 
-// NewMatrix returns a zero, all-known matrix over m metrics.
-func NewMatrix(m int) *Matrix {
+// newMatrix returns a zero, all-known matrix over m metrics.
+func newMatrix(m int) *Matrix {
 	return &Matrix{M: m, scores: make([]float64, m*(m-1)/2)}
 }
 
@@ -206,7 +206,7 @@ type Pair struct {
 
 // DefaultMinSamples is the smallest number of overlapping valid samples a
 // pair needs for its association to be computable under a degraded
-// telemetry window (matches mic.MinSamples).
+// telemetry window (the smallest sample MIC itself scores).
 const DefaultMinSamples = 8
 
 // Set is a selected invariant set: the stable pairs and their baseline
@@ -221,8 +221,9 @@ type Set struct {
 // pair (m,n) when the range of its association scores across the N run
 // matrices is under tau. All matrices must have the same dimension. The
 // range is taken over the runs in which the pair was computable; a pair
-// unknown (or NaN) in every run is never selected. It is Train over runs
-// that are scored matrices — the one selection loop.
+// unknown (or NaN) in every run is never selected. It is the dense form of
+// Train's pair-major loop — every cell of every run read, no early exit —
+// which the benchmark times and the tests hold Train to.
 //
 // Deviation from the paper's pseudocode, documented in DESIGN.md: the
 // stored baseline is the midpoint (Max(V)+Min(V))/2 rather than Max(V).
@@ -233,12 +234,36 @@ type Set struct {
 // violation tuples without changing which genuine breaks register (a broken
 // association drops far below any normal-state score).
 func Select(runs []*Matrix, tau float64) (*Set, error) {
-	in := make([]Run, len(runs))
-	for r, mat := range runs {
-		in[r].mat = mat
+	if len(runs) == 0 {
+		return nil, ErrNoRuns
 	}
-	set, _, err := Train(in, nil, tau, nil)
-	return set, err
+	m := runs[0].M
+	for _, r := range runs[1:] {
+		if r.M != m {
+			return nil, fmt.Errorf("invariant: mixed matrix dimensions %d and %d", m, r.M)
+		}
+	}
+	if tau <= 0 {
+		tau = DefaultTau
+	}
+	s := &Set{M: m, Base: make(map[Pair]float64)}
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			k := runs[0].index(i, j)
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, r := range runs {
+				if r.known == nil || r.known[k] { // unknown: not an observation of 0
+					lo, hi = widen(lo, hi, r.scores[k])
+				}
+			}
+			// lo > hi: no run could compute the pair, so nothing certifies it.
+			if lo <= hi && hi-lo < tau {
+				s.Base[Pair{i, j}] = (hi + lo) / 2
+				s.pairs = append(s.pairs, Pair{i, j})
+			}
+		}
+	}
+	return s, nil
 }
 
 // NewSet builds a Set directly from baseline values (used when loading a

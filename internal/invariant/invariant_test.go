@@ -10,7 +10,7 @@ import (
 )
 
 func TestMatrixIndexing(t *testing.T) {
-	a := NewMatrix(4)
+	a := newMatrix(4)
 	if len(a.scores) != 6 {
 		t.Fatalf("%d stored pairs, want M(M-1)/2 = 6", len(a.scores))
 	}
@@ -35,7 +35,7 @@ func TestMatrixIndexing(t *testing.T) {
 }
 
 func TestMatrixIndexPanics(t *testing.T) {
-	a := NewMatrix(3)
+	a := newMatrix(3)
 	for _, pair := range [][2]int{{0, 0}, {0, 3}, {-1, 1}} {
 		func() {
 			defer func() {
@@ -84,7 +84,7 @@ func TestSelectAlgorithm1(t *testing.T) {
 	// Three runs; pair (0,1) stable, pair (0,2) unstable, pair (1,2)
 	// stable at a low value (stability, not magnitude, is the criterion).
 	mk := func(v01, v02, v12 float64) *Matrix {
-		a := NewMatrix(3)
+		a := newMatrix(3)
 		a.Set(0, 1, v01)
 		a.Set(0, 2, v02)
 		a.Set(1, 2, v12)
@@ -124,7 +124,7 @@ func TestSelectAlgorithm1(t *testing.T) {
 // perfectly stable 0 and become an invariant with baseline 0).
 func TestSelectKnownObservationsOnly(t *testing.T) {
 	mk := func(v01, v02, v12 float64, unknown ...Pair) *Matrix {
-		a := NewMatrix(3)
+		a := newMatrix(3)
 		a.Set(0, 1, v01)
 		a.Set(0, 2, v02)
 		a.Set(1, 2, v12)
@@ -175,7 +175,7 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := Select(nil, 0.2); err != ErrNoRuns {
 		t.Errorf("err = %v, want ErrNoRuns", err)
 	}
-	if _, err := Select([]*Matrix{NewMatrix(3), NewMatrix(4)}, 0.2); err == nil {
+	if _, err := Select([]*Matrix{newMatrix(3), newMatrix(4)}, 0.2); err == nil {
 		t.Error("mixed dimensions should error")
 	}
 }
@@ -185,7 +185,7 @@ func TestViolations(t *testing.T) {
 		{0, 1}: 0.9,
 		{1, 2}: 0.5,
 	})
-	ab := NewMatrix(3)
+	ab := newMatrix(3)
 	ab.Set(0, 1, 0.3) // |0.9-0.3| = 0.6 >= 0.2: violated
 	ab.Set(1, 2, 0.45)
 	ab.Set(0, 2, 0.99) // not an invariant; ignored
@@ -204,7 +204,7 @@ func TestViolations(t *testing.T) {
 func TestViolationsBoundary(t *testing.T) {
 	// |I - A| == epsilon counts as a violation (>= in the paper).
 	s := NewSet(2, map[Pair]float64{{0, 1}: 0.7})
-	ab := NewMatrix(2)
+	ab := newMatrix(2)
 	ab.Set(0, 1, 0.5)
 	tuple, _, err := violationsMasked(s, ab, 0.2)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestViolatedMatchesInternalVerdict(t *testing.T) {
 
 func TestViolationsDimensionMismatch(t *testing.T) {
 	s := NewSet(3, map[Pair]float64{{0, 1}: 0.5})
-	if _, _, err := violationsMasked(s, NewMatrix(4), 0.2); err == nil {
+	if _, _, err := violationsMasked(s, newMatrix(4), 0.2); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }
@@ -269,7 +269,7 @@ func TestSelectSoundCompleteProperty(t *testing.T) {
 		n := 2 + int(nRaw%6)
 		runs := make([]*Matrix, n)
 		for r := range runs {
-			runs[r] = NewMatrix(m)
+			runs[r] = newMatrix(m)
 			for i := 0; i < m; i++ {
 				for j := i + 1; j < m; j++ {
 					runs[r].Set(i, j, rng.Float64())

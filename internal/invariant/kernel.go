@@ -138,7 +138,7 @@ func (w *window) resolve(xs, ys []float64, i, j int) (score float64, ok bool) {
 // metrics this is 325 MIC dynamic programmes per window. Unknown pairs
 // score 0.
 func (w *window) fill() *Matrix {
-	a := NewMatrix(w.m)
+	a := newMatrix(w.m)
 	if w.usable != nil {
 		a.known = make([]bool, len(a.scores))
 	}

@@ -46,7 +46,7 @@ func knownCount(a *Matrix) int {
 }
 
 func TestMatrixKnown(t *testing.T) {
-	a := NewMatrix(4)
+	a := newMatrix(4)
 	if !a.Known(0, 1) || !a.Known(2, 3) {
 		t.Fatal("fresh matrix has unknown pairs")
 	}
@@ -242,7 +242,7 @@ func TestViolationsMasked(t *testing.T) {
 		{1, 2}: 0.9,
 	}
 	set := NewSet(3, base)
-	ab := NewMatrix(3)
+	ab := newMatrix(3)
 	ab.Set(0, 1, 0.9) // holds
 	ab.Set(0, 2, 0.1) // violated, but will be marked unknown
 	ab.Set(1, 2, 0.1) // violated
@@ -263,7 +263,7 @@ func TestViolationsMasked(t *testing.T) {
 	}
 
 	// An all-known matrix needs no known slice.
-	full := NewMatrix(3)
+	full := newMatrix(3)
 	full.Set(1, 2, 0.1)
 	tuple2, known2, err := violationsMasked(set, full, 0.2)
 	if err != nil {

@@ -48,7 +48,7 @@ func TestComputeMatrixEachPairOnce(t *testing.T) {
 		}
 	}
 	counts := make([]atomic.Int64, m*(m-1)/2)
-	a := NewMatrix(m)
+	a := newMatrix(m)
 	assoc := func(x, y []float64) float64 {
 		// Recover (i, j) from the deterministic row contents.
 		i := int(x[0]) / n
@@ -90,7 +90,7 @@ func TestComputeMaskedMatrixEachPairOnce(t *testing.T) {
 		valid[m-1][j] = false
 	}
 	counts := make([]atomic.Int64, m*(m-1)/2)
-	a := NewMatrix(m)
+	a := newMatrix(m)
 	assoc := func(x, y []float64) float64 {
 		i := int(x[0]) / n
 		j := int(y[0]) / n
@@ -246,7 +246,7 @@ func TestForEachPairWorkerIsolation(t *testing.T) {
 
 func TestRowOffsetMatchesIndex(t *testing.T) {
 	for m := 2; m <= 30; m++ {
-		a := NewMatrix(m)
+		a := newMatrix(m)
 		for i := 0; i < m-1; i++ {
 			if rowOffset(m, i) != a.index(i, i+1) {
 				t.Fatalf("rowOffset(%d,%d) = %d, index = %d", m, i, rowOffset(m, i), a.index(i, i+1))

@@ -7,18 +7,18 @@ import (
 	"sync"
 )
 
-// This file is Algorithm 1 — the only copy of it. Training is pair-major: a
-// worker takes one pair and walks it across the normal runs in order,
-// tracking the range [lo, hi] of its known scores, and stops the moment
-// hi − lo ≥ τ. That is the exact negation of the selection test hi − lo < τ,
-// and the range can only widen as runs are added (min and max are monotone,
-// and so is rounded subtraction), so a pair that exits could never have been
-// selected: the set is the one a dense fill of every run followed by the
-// range test yields, to the bit. Training reads only the runs it is given,
+// This file is Algorithm 1 as the product runs it (Select is the dense loop
+// over matrices scored in full that the tests hold it to). Training is
+// pair-major: a worker takes one pair and walks it across the normal runs in
+// order, tracking the range [lo, hi] of its known scores, and stops the
+// moment hi − lo ≥ τ. That is the exact negation of the selection test
+// hi − lo < τ, and the range can only widen as runs are added (min and max
+// are monotone, and so is rounded subtraction), so a pair that exits could
+// never have been selected: the set is the one a dense fill of every run
+// followed by the range test yields, to the bit. Training reads only the runs it is given,
 // and nothing of it outlives the call but the set and the stats.
 
-// Run is one normal run as the training driver sees it: a metric window, or
-// — Select's runs — a matrix already scored in full.
+// Run is one normal run as the training driver sees it: a metric window.
 type Run struct {
 	// Rows and Valid are the run's metric window, as in
 	// ComputeMaskedMatrixScored.
@@ -28,36 +28,28 @@ type Run struct {
 	// calls it at most once, and only when it first scores a pair of this
 	// run; a nil result sends full-overlap pairs through assoc as well.
 	Scorer func() PairScorer
-	// mat is a run already scored in full, in place of a window; a run with
-	// both is an error.
-	mat *Matrix
 }
 
 // TrainStats counts the pair-window cells of one training over the pairs it
-// considered: Scored were resolved (through the pair kernel, or read from a
-// scored matrix), Skipped were not because the pair's range had already
-// reached τ. The two sum to pairs × runs.
+// considered: Scored were resolved through the pair kernel, Skipped were not
+// because the pair's range had already reached τ. The two sum to
+// pairs × runs.
 type TrainStats struct {
 	Scored, Skipped int
 }
 
-// trainRun is one run inside the driver: its window (nil for a scored
-// matrix) and the batch scorer preparation it defers.
+// trainRun is one run inside the driver: its window and the batch scorer
+// preparation it defers.
 type trainRun struct {
-	w       *window
-	mat     *Matrix
+	w       window
 	prepare func() PairScorer
 	once    sync.Once
 }
 
-// score resolves pair (i, j), flat cell k, of the run and reports whether
-// the score is known: a scored matrix's cell as it stands, a window's through
-// the pair kernel. The batch scorer is prepared on first use; sync.Once
-// orders that write before every worker's read of w.scorer.
-func (r *trainRun) score(xs, ys []float64, k, i, j int) (float64, bool) {
-	if r.mat != nil {
-		return r.mat.scores[k], r.mat.known == nil || r.mat.known[k]
-	}
+// score resolves pair (i, j) of the run through the pair kernel and reports
+// whether the score is known. The batch scorer is prepared on first use;
+// sync.Once orders that write before every worker's read of w.scorer.
+func (r *trainRun) score(xs, ys []float64, i, j int) (float64, bool) {
 	if r.prepare != nil {
 		r.once.Do(func() { r.w.scorer = r.prepare() })
 	}
@@ -78,32 +70,20 @@ func Train(runs []Run, assoc AssociationFunc, tau float64, keep func(Pair) bool)
 		tau = DefaultTau
 	}
 	rs := make([]trainRun, len(runs))
-	m, maxN, degraded, windows := -1, 0, false, false
+	m, maxN, degraded := 0, 0, false
 	for r, run := range runs {
-		tr := &rs[r]
-		var dim int
-		switch {
-		case run.mat != nil && run.Rows != nil:
-			return nil, TrainStats{}, fmt.Errorf("invariant: run %d has both a window and a scored matrix", r)
-		case run.mat != nil:
-			tr.mat, dim = run.mat, run.mat.M
-		case run.Rows != nil:
-			w, err := newWindow(run.Rows, run.Valid, assoc, nil, 0)
-			if err != nil {
-				return nil, TrainStats{}, fmt.Errorf("invariant: run %d: %w", r, err)
-			}
-			tr.w, tr.prepare, dim = &w, run.Scorer, w.m
-			maxN = max(maxN, w.n)
-			degraded = degraded || w.usable != nil
-			windows = true
-		default:
-			return nil, TrainStats{}, fmt.Errorf("invariant: run %d has neither a window nor a scored matrix", r)
+		w, err := newWindow(run.Rows, run.Valid, assoc, nil, 0)
+		if err != nil {
+			return nil, TrainStats{}, fmt.Errorf("invariant: run %d: %w", r, err)
 		}
-		if m < 0 {
-			m = dim
-		} else if dim != m {
-			return nil, TrainStats{}, fmt.Errorf("invariant: mixed matrix dimensions %d and %d", m, dim)
+		if r == 0 {
+			m = w.m
+		} else if w.m != m {
+			return nil, TrainStats{}, fmt.Errorf("invariant: mixed matrix dimensions %d and %d", m, w.m)
 		}
+		rs[r].w, rs[r].prepare = w, run.Scorer
+		maxN = max(maxN, w.n)
+		degraded = degraded || w.usable != nil
 	}
 
 	pairs := m * (m - 1) / 2
@@ -113,11 +93,7 @@ func Train(runs []Run, assoc AssociationFunc, tau float64, keep func(Pair) bool)
 		mu  sync.Mutex
 		all []*TrainStats // one per worker, summed once they are done
 	)
-	procs := 1 // scored matrices only: nothing to score, nothing to fan out
-	if windows {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	forEachPair(m, procs, func() func(i, j int) {
+	forEachPair(m, runtime.GOMAXPROCS(0), func() func(i, j int) {
 		wk := new(TrainStats)
 		mu.Lock()
 		all = append(all, wk)
@@ -138,7 +114,7 @@ func Train(runs []Run, assoc AssociationFunc, tau float64, keep func(Pair) bool)
 					break
 				}
 				wk.Scored++
-				if v, known := rs[r].score(xs, ys, k, i, j); known {
+				if v, known := rs[r].score(xs, ys, i, j); known {
 					lo, hi = widen(lo, hi, v)
 				}
 			}

@@ -10,49 +10,6 @@ import (
 	"invarnetx/internal/stats"
 )
 
-// referenceSelect is Select's selection loop as it stood before training
-// went pair-major — dense matrices in, one pass over every pair — kept
-// verbatim as the reference Train is held to.
-func referenceSelect(runs []*Matrix, tau float64) (*Set, error) {
-	if len(runs) == 0 {
-		return nil, ErrNoRuns
-	}
-	m := runs[0].M
-	for _, r := range runs[1:] {
-		if r.M != m {
-			return nil, fmt.Errorf("invariant: mixed matrix dimensions %d and %d", m, r.M)
-		}
-	}
-	if tau <= 0 {
-		tau = DefaultTau
-	}
-	s := &Set{M: m, Base: make(map[Pair]float64)}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			k := runs[0].index(i, j)
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, r := range runs {
-				if r.known != nil && !r.known[k] {
-					continue // unknown in this run: not an observation of 0
-				}
-				v := r.scores[k]
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			// lo > hi: no run could compute the pair, so nothing certifies it.
-			if lo <= hi && hi-lo < tau {
-				s.Base[Pair{i, j}] = (hi + lo) / 2
-			}
-		}
-	}
-	s.buildPairList()
-	return s, nil
-}
-
 // trainWindow is one run's window for the equivalence tests.
 type trainWindow struct {
 	rows  [][]float64
@@ -68,9 +25,9 @@ func batchFor(rows [][]float64) PairScorer {
 	return nil
 }
 
-// denseReference is the pre-change pipeline: every window filled densely
-// (masked fill, batch scorer for the full-overlap pairs), then the old
-// selection loop, then the keep filter the cross profiles applied after it.
+// denseReference is the dense pipeline: every window filled densely (masked
+// fill, batch scorer for the full-overlap pairs), then Select's loop over
+// every cell, then the keep filter the cross profiles applied after it.
 // It also returns how many pair-window scores an exact run-order exit
 // needs — each kept pair's runs up to and including the one where its range
 // first reaches tau, or all of them.
@@ -83,7 +40,7 @@ func denseReference(t testing.TB, wins []trainWindow, tau float64, keep func(Pai
 			t.Fatal(err)
 		}
 	}
-	set, err := referenceSelect(mats, tau)
+	set, err := Select(mats, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +167,8 @@ func genWindows(seed int64, nRuns, m int, lens []int, maskP float64, dead, flat 
 }
 
 // TestTrainMatchesDenseSelect: the pair-major driver selects exactly the set
-// — pairs and baseline bits — that a dense fill of every run plus the old
-// selection loop selected, on clean, masked, dead-metric, constant-metric
+// — pairs and baseline bits — that a dense fill of every run plus Select's
+// loop selects, on clean, masked, dead-metric, constant-metric
 // and ragged-length pools, at every τ regime, serial and parallel, and
 // scores exactly the cells the run-order exit needs.
 func TestTrainMatchesDenseSelect(t *testing.T) {
@@ -253,7 +210,7 @@ func TestTrainMatchesDenseSelect(t *testing.T) {
 	}
 }
 
-// TestTrainErrors: Train refuses what Select refused, plus a run it cannot
+// TestTrainErrors: Train refuses what Select refuses, plus a run it cannot
 // read.
 func TestTrainErrors(t *testing.T) {
 	wins := genWindows(7, 2, 4, []int{20}, 0, -1, -1)
@@ -261,12 +218,7 @@ func TestTrainErrors(t *testing.T) {
 		t.Errorf("no runs: err = %v, want ErrNoRuns", err)
 	}
 	if _, _, err := Train([]Run{{}}, mic.MIC, 0, nil); err == nil {
-		t.Error("a run with neither window nor matrix should error")
-	}
-	both := runsOf(wins)
-	both[1].mat = NewMatrix(4)
-	if _, _, err := Train(both, mic.MIC, 0, nil); err == nil {
-		t.Error("a run with both a window and a matrix should error")
+		t.Error("a run with no window should error")
 	}
 	other := runsOf(append(wins, genWindows(8, 1, 5, []int{20}, 0, -1, -1)...))
 	if _, _, err := Train(other, mic.MIC, 0, nil); err == nil {

@@ -3,6 +3,7 @@ package mic
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Batch prepares every metric of a window once and scores pairs with
@@ -14,7 +15,6 @@ import (
 // at once.
 type Batch struct {
 	prepared []*Prepared // nil where the metric's samples are degenerate
-	errs     []error     // the Prepare error for degenerate metrics
 }
 
 // NewBatch validates the metric rows (all must share one length) and
@@ -32,31 +32,18 @@ func NewBatch(rows [][]float64, _ Config) (*Batch, error) {
 			return nil, fmt.Errorf("mic: metric %d has %d samples, want %d", i, len(r), n)
 		}
 	}
-	b := &Batch{
-		prepared: make([]*Prepared, len(rows)),
-		errs:     make([]error, len(rows)),
-	}
+	b := &Batch{prepared: make([]*Prepared, len(rows))}
 	for i, r := range rows {
-		p, err := Prepare(r)
-		if err != nil {
-			b.errs[i] = err
-			continue
-		}
-		b.prepared[i] = p
+		b.prepared[i], _ = prepare(r) // nil, scoring 0, when degenerate
 	}
 	return b, nil
 }
 
-// ErrNotPrepared marks a batch slot with no preparation: every pair the
-// metric participates in scores 0, matching the degenerate-data sentinel.
-var ErrNotPrepared = errors.New("mic: metric not prepared")
-
-// NewBatchPrepared assembles a batch from already-built preparations —
-// typically Slider snapshots maintained incrementally by the serving layer.
-// Nil entries mark degenerate metrics (masked windows, too few samples) and
-// score 0 against every partner, exactly as NewBatch treats metrics whose
-// rows fail Prepare. All non-nil preparations must cover the same sample
-// count.
+// NewBatchPrepared assembles a batch from already-built preparations, such
+// as Slider snapshots. Nil entries mark degenerate metrics (masked windows,
+// too few samples) and score 0 against every partner, exactly as NewBatch
+// treats metrics whose rows fail prepare. All non-nil preparations must
+// cover the same sample count.
 func NewBatchPrepared(preps []*Prepared) (*Batch, error) {
 	if len(preps) == 0 {
 		return nil, errors.New("mic: batch needs at least one metric")
@@ -74,18 +61,7 @@ func NewBatchPrepared(preps []*Prepared) (*Batch, error) {
 			return nil, fmt.Errorf("mic: metric %d has %d samples, want %d", i, p.n, n)
 		}
 	}
-	b := &Batch{
-		prepared: make([]*Prepared, len(preps)),
-		errs:     make([]error, len(preps)),
-	}
-	for i, p := range preps {
-		if p == nil {
-			b.errs[i] = ErrNotPrepared
-			continue
-		}
-		b.prepared[i] = p
-	}
-	return b, nil
+	return &Batch{prepared: slices.Clone(preps)}, nil
 }
 
 // Score returns the MIC of metrics i and j, or 0 when either metric is

@@ -7,7 +7,7 @@ import (
 
 // Degenerate-input contract, pinned across every entry point: data
 // degeneracy (too few samples, non-finite values) maps to the 0 sentinel at
-// the MIC/Batch level and to typed errors at the Compute/Prepare level;
+// the MIC/Batch level and to typed errors at the compute/prepare level;
 // structural misuse (length mismatch) panics. Constant and all-ties series
 // are *valid* inputs that legitimately score 0 or low — they must never
 // error or panic.
@@ -27,14 +27,14 @@ func TestDegenerateConstantSeries(t *testing.T) {
 	if got := MIC(constant, constant); got != 0 {
 		t.Errorf("MIC(const, const) = %v, want 0", got)
 	}
-	if r, err := Compute(constant, ramp); err != nil || r.MIC != 0 {
-		t.Errorf("Compute(const, ramp) = %+v, %v", r, err)
+	if r, err := compute(constant, ramp); err != nil || r.MIC != 0 {
+		t.Errorf("compute(const, ramp) = %+v, %v", r, err)
 	}
-	p, err := Prepare(constant)
+	p, err := prepare(constant)
 	if err != nil {
-		t.Fatalf("Prepare(const) err = %v, want nil (constant data is valid)", err)
+		t.Fatalf("prepare(const) err = %v, want nil (constant data is valid)", err)
 	}
-	pr, err := Prepare(ramp)
+	pr, err := prepare(ramp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func TestDegenerateConstantSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.MetricErr(0) != nil {
-		t.Errorf("batch err on constant metric = %v, want nil", b.MetricErr(0))
+	if b.prepared[0] == nil {
+		t.Error("batch left the constant metric unprepared, want it prepared")
 	}
 	if got := b.Score(0, 1); got != 0 {
 		t.Errorf("batch Score(const, ramp) = %v, want 0", got)
@@ -59,21 +59,21 @@ func TestDegenerateTwoPointSeries(t *testing.T) {
 	if got := MIC(two, two); got != 0 {
 		t.Errorf("MIC(2-point) = %v, want 0", got)
 	}
-	// Compute/Prepare: the typed error.
-	if _, err := Compute(two, two); !errors.Is(err, ErrTooFewSamples) {
-		t.Errorf("Compute(2-point) err = %v, want ErrTooFewSamples", err)
+	// compute/prepare: the typed error.
+	if _, err := compute(two, two); !errors.Is(err, errTooFewSamples) {
+		t.Errorf("compute(2-point) err = %v, want errTooFewSamples", err)
 	}
-	if _, err := Prepare(two); !errors.Is(err, ErrTooFewSamples) {
-		t.Errorf("Prepare(2-point) err = %v, want ErrTooFewSamples", err)
+	if _, err := prepare(two); !errors.Is(err, errTooFewSamples) {
+		t.Errorf("prepare(2-point) err = %v, want errTooFewSamples", err)
 	}
-	// Batch: the metric slot carries the error, pairs score 0.
+	// Batch: the metric slot is left unprepared, pairs score 0.
 	ramp := []float64{1, 2}
 	b, err := NewBatch([][]float64{two, ramp}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(b.MetricErr(0), ErrTooFewSamples) {
-		t.Errorf("batch MetricErr(2-point) = %v, want ErrTooFewSamples", b.MetricErr(0))
+	if b.prepared[0] != nil {
+		t.Error("batch prepared a 2-point metric, want a nil slot")
 	}
 	if got := b.Score(0, 1); got != 0 {
 		t.Errorf("batch Score over 2-point metrics = %v, want 0", got)
@@ -95,11 +95,11 @@ func TestDegenerateAllTies(t *testing.T) {
 	if want < 0.5 {
 		t.Errorf("MIC(tied coupled) = %v, want >= 0.5", want)
 	}
-	px, err := Prepare(xs)
+	px, err := prepare(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	py, err := Prepare(ys)
+	py, err := prepare(ys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,13 @@ func kernelPair(rng *stats.RNG, n, shape int) ([]float64, []float64) {
 // checkKernel holds computePair to the reference for one pair in both
 // argument orders, field for field. It only calls t.Error, so worker
 // goroutines may use it.
-func checkKernel(t *testing.T, xs, ys []float64, sc *Scratch, ref *refScratch) Result {
+func checkKernel(t *testing.T, xs, ys []float64, sc *scratch, ref *refScratch) result {
 	t.Helper()
-	px, errX := Prepare(xs)
-	py, errY := Prepare(ys)
+	px, errX := prepare(xs)
+	py, errY := prepare(ys)
 	if errX != nil || errY != nil {
-		t.Errorf("n=%d: Prepare: %v, %v", len(xs), errX, errY)
-		return Result{}
+		t.Errorf("n=%d: prepare: %v, %v", len(xs), errX, errY)
+		return result{}
 	}
 	got, want := computePair(px, py, sc), referenceComputePair(px, py, ref)
 	if got != want {
@@ -59,13 +59,13 @@ func checkKernel(t *testing.T, xs, ys []float64, sc *Scratch, ref *refScratch) R
 }
 
 // TestPairKernelMatchesReference is the bit-identity contract of the exact
-// kernel: every Result equals what the pre-rewrite kernel (reference_test.go)
+// kernel: every result equals what the pre-rewrite kernel (reference_test.go)
 // returns, with == and no tolerance. 300 then 30 from a cold table covers
 // "table already larger than needed"; 513 and 600 run past termCap.
 func TestPairKernelMatchesReference(t *testing.T) {
 	termRows.Store(0)
 	rng := stats.NewRNG(2400)
-	sc, ref := NewScratch(), &refScratch{}
+	sc, ref := new(scratch), &refScratch{}
 	for _, n := range []int{300, 30, 8, 9, 12, 31, 64, 65, 120, 513, 600} {
 		for shape := 0; shape < kernelShapes; shape++ {
 			xs, ys := kernelPair(rng, n, shape)
@@ -85,7 +85,7 @@ func TestPairKernelConcurrentColdTable(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := stats.NewRNG(int64(2500 + w))
-			sc, ref := NewScratch(), &refScratch{}
+			sc, ref := new(scratch), &refScratch{}
 			for _, n := range []int{20 + 11*w, 200 - 9*w, 30} {
 				for shape := 0; shape < kernelShapes; shape++ {
 					xs, ys := kernelPair(rng, n, shape)
@@ -131,15 +131,37 @@ func TestPairKernelAllocs(t *testing.T) {
 	}
 	xs, ys := genPair(stats.NewRNG(2601), 30, 0)
 	MIC(xs, ys)
-	if got := testing.AllocsPerRun(50, func() { MIC(xs, ys) }); got > 40 {
-		t.Errorf("mic.MIC at n=30 allocates %v, want <= 40", got)
+	if got := testing.AllocsPerRun(50, func() { MIC(xs, ys) }); got > 36 {
+		t.Errorf("mic.MIC at n=30 allocates %v, want <= 36", got)
 	}
 }
 
-var sinkResult Result
+// TestNewBatchAllocs pins what preparing a verdict's window costs: 26
+// metrics × 30 distinct-valued ticks, each preparation its order, tie runs
+// and equipartitions, and the batch one slice of them. The bound is an upper
+// one because the tie runs grow by append.
+func TestNewBatchAllocs(t *testing.T) {
+	rng := stats.NewRNG(2602)
+	rows := make([][]float64, 26)
+	for i := range rows {
+		rows[i] = make([]float64, 30)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64()
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := NewBatch(rows, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 470 {
+		t.Errorf("NewBatch over 26×30 allocates %v, want <= 470", got)
+	}
+}
+
+var sinkResult result
 
 // BenchmarkPairKernel times the exact kernel alone: prepared inputs, one
-// scratch, no Prepare and no pool. The independent pairs have the most
+// scratch, no prepare and no pool. The independent pairs have the most
 // clumps, so they are the dearest a window holds; the tie-heavy pair is the
 // common shape of counters that sit at a few levels.
 func BenchmarkPairKernel(b *testing.B) {
@@ -151,9 +173,9 @@ func BenchmarkPairKernel(b *testing.B) {
 		xs, ys []float64
 	}{{"n=30", x30, y30}, {"n=120", x120, y120}, {"n=30-ties", ties[0], ties[1]}} {
 		b.Run(c.name, func(b *testing.B) {
-			px, _ := Prepare(c.xs)
-			py, _ := Prepare(c.ys)
-			sc := NewScratch()
+			px, _ := prepare(c.xs)
+			py, _ := prepare(c.ys)
+			sc := new(scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -182,9 +204,9 @@ func FuzzPairKernelEquivalence(f *testing.F) {
 	f.Add(seed(0xff, 120, func(i int, x byte) byte { return x ^ byte(i) }))     // 16 levels an axis
 	f.Add(seed(0x0f, 8, func(int, byte) byte { return 7 }))                     // constant axis
 	f.Add(seed(0x70, 160, func(i int, x byte) byte { return byte(i) }))         // longest series
-	sc, ref := NewScratch(), &refScratch{}
+	sc, ref := new(scratch), &refScratch{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1+2*MinSamples {
+		if len(data) < 1+2*minSamples {
 			return
 		}
 		qx, qy := 1+int(data[0]&0x0f), 1+int(data[0]>>4)

@@ -26,12 +26,13 @@
 // cnt ≤ tot ≤ n, so the kernel looks them up in a process-wide table built
 // on first use, and fills only the DP cells the answer reads (prepared.go).
 //
-// Two batch-oriented entry points serve the invariant layer's exhaustive
-// pairwise search: Prepare computes a metric's sort permutation and
-// equipartitions once for reuse across all its pairs, and Batch scores any
-// pair of a prepared metric window. Every entry point without a
-// caller-owned Scratch (Compute, MIC, Batch) draws one from the package's
-// single pool.
+// The package exports the measure (MIC) and Batch, the engine behind the
+// invariant layer's pairwise searches: NewBatch prepares every metric of a
+// window once — sort permutation, tie runs and equipartitions, shared by all
+// the metric's pairs — and Score runs the kernel over any pair of them. Every
+// scoring path draws its buffers from the package's single scratch pool.
+// Slider, NewBatchPrepared and Batch.ScreenLow have no product caller; the
+// end-to-end benchmark replays them.
 package mic
 
 import (
@@ -39,19 +40,19 @@ import (
 	"fmt"
 )
 
-// ErrTooFewSamples is returned when fewer than MinSamples points are given.
-var ErrTooFewSamples = errors.New("mic: too few samples")
+// errTooFewSamples is returned when fewer than minSamples points are given.
+var errTooFewSamples = errors.New("mic: too few samples")
 
-// ErrNonFinite is returned when the sample contains NaN or ±Inf values.
+// errNonFinite is returned when the sample contains NaN or ±Inf values.
 // Sorting and equipartitioning are undefined over NaN (it is unordered), so
 // rather than returning a grid-dependent garbage score the computation
 // refuses the input; MIC maps this to the 0 sentinel, the same score the
 // paper assigns to a missing association pair.
-var ErrNonFinite = errors.New("mic: non-finite sample value")
+var errNonFinite = errors.New("mic: non-finite sample value")
 
-// MinSamples is the smallest sample size MIC accepts. Below this the grid
+// minSamples is the smallest sample size MIC accepts. Below this the grid
 // search is meaningless.
-const MinSamples = 8
+const minSamples = 8
 
 // Config is the MINE approximation's configuration. It has no fields: the
 // grid budget follows the sample size (alphaFor) and the superclump bound is
@@ -88,40 +89,40 @@ func alphaFor(n int) float64 {
 	}
 }
 
-// Result carries the MIC score and diagnostic information.
-type Result struct {
+// result carries the MIC score and diagnostic information.
+type result struct {
 	MIC      float64
 	BestGrid [2]int // (columns, rows) achieving the maximum
 	N        int
 	B        int // grid budget used
 }
 
-// Compute returns the MIC analysis of the paired sample (xs, ys).
-func Compute(xs, ys []float64) (Result, error) {
+// compute returns the MIC analysis of the paired sample (xs, ys).
+func compute(xs, ys []float64) (result, error) {
 	if len(xs) != len(ys) {
-		return Result{}, fmt.Errorf("mic: length mismatch %d vs %d", len(xs), len(ys))
+		return result{}, fmt.Errorf("mic: length mismatch %d vs %d", len(xs), len(ys))
 	}
-	px, err := Prepare(xs)
+	px, err := prepare(xs)
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
-	py, err := Prepare(ys)
+	py, err := prepare(ys)
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
 	return pooledPair(px, py), nil
 }
 
 // MIC is a convenience wrapper returning just the score, with 0 for data-degenerate inputs (the invariant layer
 // treats "no association computable" as MIC 0, matching the paper's rule
-// that a missing association pair scores 0). Only ErrTooFewSamples and
-// ErrNonFinite map to the sentinel; a length mismatch is a programmer
+// that a missing association pair scores 0). Only errTooFewSamples and
+// errNonFinite map to the sentinel; a length mismatch is a programmer
 // error, not a data condition, and panics rather than masquerading as "no
 // association".
 func MIC(xs, ys []float64) float64 {
-	r, err := Compute(xs, ys)
+	r, err := compute(xs, ys)
 	if err != nil {
-		if errors.Is(err, ErrTooFewSamples) || errors.Is(err, ErrNonFinite) {
+		if errors.Is(err, errTooFewSamples) || errors.Is(err, errNonFinite) {
 			return 0
 		}
 		panic(err)

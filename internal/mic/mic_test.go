@@ -131,12 +131,12 @@ func TestMICConstantSeries(t *testing.T) {
 }
 
 func TestComputeErrors(t *testing.T) {
-	if _, err := Compute([]float64{1, 2}, []float64{1}); err == nil {
+	if _, err := compute([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch should error")
 	}
 	short := []float64{1, 2, 3}
-	if _, err := Compute(short, short); err != ErrTooFewSamples {
-		t.Errorf("err = %v, want ErrTooFewSamples", err)
+	if _, err := compute(short, short); err != errTooFewSamples {
+		t.Errorf("err = %v, want errTooFewSamples", err)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestComputeDefaultsApplied(t *testing.T) {
 		ys[i] = xs[i]
 	}
 	// The grid budget follows the sample size: n^0.6 above 64 points.
-	r, err := Compute(xs, ys)
+	r, err := compute(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMICMonotoneComparableToLinear(t *testing.T) {
 
 func TestEquipartitionRespectesTies(t *testing.T) {
 	rv := []float64{1, 1, 1, 1, 2, 2, 3, 3}
-	p, err := Prepare(rv)
+	p, err := prepare(rv)
 	if err != nil {
 		t.Fatal(err)
 	}

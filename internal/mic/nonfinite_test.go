@@ -17,11 +17,11 @@ func TestComputeNonFinite(t *testing.T) {
 	for _, bad := range cases {
 		corrupted := append([]float64(nil), ys...)
 		corrupted[7] = bad
-		if _, err := Compute(xs, corrupted); !errors.Is(err, ErrNonFinite) {
-			t.Fatalf("Compute with %v in ys: err = %v, want ErrNonFinite", bad, err)
+		if _, err := compute(xs, corrupted); !errors.Is(err, errNonFinite) {
+			t.Fatalf("compute with %v in ys: err = %v, want errNonFinite", bad, err)
 		}
-		if _, err := Compute(corrupted, xs); !errors.Is(err, ErrNonFinite) {
-			t.Fatalf("Compute with %v in xs: err = %v, want ErrNonFinite", bad, err)
+		if _, err := compute(corrupted, xs); !errors.Is(err, errNonFinite) {
+			t.Fatalf("compute with %v in xs: err = %v, want errNonFinite", bad, err)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the MIC computation engine. The public entry points
-// (Compute, MIC, Batch) all funnel into computePair, which works
-// over Prepared metrics and a Scratch:
+// (compute, MIC, Batch) all funnel into computePair, which works
+// over Prepared metrics and a scratch:
 //
 //   - Prepared holds everything about one metric that is independent of its
 //     pairing partner: the sort permutation, the value-tie boundaries, and
@@ -18,12 +18,12 @@ import (
 //     metric participates in m−1 pairs, so that work is done once per
 //     metric and shared.
 //
-//   - Scratch carries the DP tables, clump buffers and the dense
+//   - scratch carries the DP tables, clump buffers and the dense
 //     characteristic half-matrices (flat slices indexed by (rows, cols)), so
 //     a worker computing many pairs allocates nothing per pair.
 
 // Prepared is the reusable per-metric preprocessing of one sample vector.
-// Preparations are immutable after Prepare returns and safe for concurrent
+// Preparations are immutable after prepare returns and safe for concurrent
 // use by any number of pair computations.
 type Prepared struct {
 	vals []float64
@@ -39,12 +39,6 @@ type Prepared struct {
 	rowOf  [][]int
 	hq     []float64
 	rowsOK []bool
-
-	// Fractional ranks (1-based, ties averaged) and their sum of squared
-	// deviations from the mean rank (n+1)/2 — the inputs the Spearman
-	// prescreen needs, derived for free from order/tieEnds (see screen.go).
-	ranks  []float64
-	rankSS float64
 }
 
 // budgetFor returns the grid budget B(n) = n^alphaFor(n), floored at 4.
@@ -56,19 +50,19 @@ func budgetFor(n int) int {
 	return b
 }
 
-// Prepare validates one metric's samples and computes the preprocessing
+// prepare validates one metric's samples and computes the preprocessing
 // shared by every pair the metric participates in. The sample slice is
 // retained (not copied) and must not be mutated while the preparation is in
-// use. Degenerate samples report ErrTooFewSamples or ErrNonFinite, exactly
-// as Compute does.
-func Prepare(xs []float64) (*Prepared, error) {
+// use. Degenerate samples report errTooFewSamples or errNonFinite, exactly
+// as compute does.
+func prepare(xs []float64) (*Prepared, error) {
 	n := len(xs)
-	if n < MinSamples {
-		return nil, ErrTooFewSamples
+	if n < minSamples {
+		return nil, errTooFewSamples
 	}
 	for _, v := range xs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, ErrNonFinite
+			return nil, errNonFinite
 		}
 	}
 	order := make([]int, n)
@@ -80,14 +74,14 @@ func Prepare(xs []float64) (*Prepared, error) {
 }
 
 // newPrepared builds a preparation from samples and a precomputed
-// value-ascending point order, computing the tie boundaries, equipartitions
-// and rank data shared by every pair the metric participates in. The caller
-// guarantees xs holds at least MinSamples finite values and that order is a
+// value-ascending point order, computing the tie boundaries and
+// equipartitions shared by every pair the metric participates in. The caller
+// guarantees xs holds at least minSamples finite values and that order is a
 // permutation of [0,n) ascending by value (the relative order of equal
 // values is immaterial: every consumer works at tie-group granularity).
 // Both slices are retained, not copied. Slider maintains such an order
 // incrementally across window advances and funnels in here, skipping the
-// O(n log n) re-sort Prepare pays.
+// O(n log n) re-sort prepare pays.
 func newPrepared(xs []float64, order []int) *Prepared {
 	n := len(xs)
 	p := &Prepared{vals: xs, n: n, b: budgetFor(n), order: order}
@@ -110,20 +104,6 @@ func newPrepared(xs []float64, order []int) *Prepared {
 		p.rowOf[rows] = rowOf
 		p.hq[rows] = hq
 		p.rowsOK[rows] = ok
-	}
-	p.ranks = make([]float64, n)
-	start := 0
-	for _, end := range p.tieEnds {
-		r := float64(start+end+1) / 2 // average 1-based rank of the tie run
-		for k := start; k < end; k++ {
-			p.ranks[p.order[k]] = r
-		}
-		start = end
-	}
-	mean := float64(n+1) / 2
-	for _, r := range p.ranks {
-		d := r - mean
-		p.rankSS += d * d
 	}
 	return p
 }
@@ -173,9 +153,10 @@ func (p *Prepared) equipartition(rows int, rowOf []int, counts []int) (float64, 
 	return h, nonEmpty >= 2
 }
 
-// Scratch holds the working buffers of one MIC computation so repeated
-// pairs reuse them. Not safe for concurrent use; give each worker its own.
-type Scratch struct {
+// scratch holds the working buffers of one MIC computation so repeated
+// pairs reuse them; the zero value is empty, and buffers grow on first use.
+// Not safe for concurrent use; give each worker its own.
+type scratch struct {
 	ends    []int     // clump boundaries: ends[0] = 0, ends[i] the exclusive end of clump i-1
 	cum     []int     // flat (k+1)×rows cumulative row histogram, row i the points before ends[i]
 	costTab []float64 // transposed bin costs, cost(s, t) at t*(k+1)+s
@@ -185,17 +166,14 @@ type Scratch struct {
 	char2   []float64
 }
 
-// NewScratch returns an empty scratch; buffers grow on first use.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // scratchPool serves every entry point that has no caller-owned scratch
-// (Compute, Batch.Score, Batch.ScreenLow): one warm set of buffers per
+// (compute, Batch.Score, Batch.ScreenLow): one warm set of buffers per
 // concurrent scorer, process-wide.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // pooledPair is computePair on a pooled scratch.
-func pooledPair(px, py *Prepared) Result {
-	sc := scratchPool.Get().(*Scratch)
+func pooledPair(px, py *Prepared) result {
+	sc := scratchPool.Get().(*scratch)
 	res := computePair(px, py, sc)
 	scratchPool.Put(sc)
 	return res
@@ -261,9 +239,9 @@ func termsFor(n int) []float64 {
 
 // computePair evaluates both grid orientations into dense characteristic
 // half-matrices and extracts the MIC.
-func computePair(px, py *Prepared, sc *Scratch) Result {
+func computePair(px, py *Prepared, sc *scratch) result {
 	b := px.b
-	res := Result{N: px.n, B: b}
+	res := result{N: px.n, B: b}
 	dim := b/2 + 1
 	sc.char1 = resized(sc.char1, dim*dim)
 	sc.char2 = resized(sc.char2, dim*dim)
@@ -310,7 +288,7 @@ func computePair(px, py *Prepared, sc *Scratch) Result {
 // improves mutual information) — and, as each clump closes, its row of the
 // cumulative histogram. Only group boundaries, membership and row counts are
 // read, so the order of equal values inside colP.order is immaterial.
-func charHalfPrepared(colP, rowP *Prepared, sc *Scratch, terms, out []float64, dim int) {
+func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, dim int) {
 	n, b, order := colP.n, colP.b, colP.order
 	groups := len(colP.tieEnds)
 	sc.ends = resized(sc.ends, groups+1)
@@ -397,7 +375,7 @@ func binCost(terms []float64, cum []int, bs, bt, rows, tot int) float64 {
 // the maximal mutual information using at most l columns for every l in
 // [2, len(best)); best[0] and best[1] stay 0. hq is H(Q); n the total point
 // count.
-func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *Scratch, terms, best []float64) {
+func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *scratch, terms, best []float64) {
 	k1 := k + 1
 	last := len(best) - 1 // the deepest level the DP runs: min(maxCols, k)
 	if last > k {

@@ -36,19 +36,19 @@ func genPair(rng *stats.RNG, n, shape int) ([]float64, []float64) {
 // invariant layer mixes them (single-pair checks vs batch matrix fills).
 func TestComputePreparedMatchesCompute(t *testing.T) {
 	rng := stats.NewRNG(900)
-	sc := NewScratch() // reused across cases to exercise buffer reuse
+	sc := new(scratch) // reused across cases to exercise buffer reuse
 	for _, n := range []int{8, 12, 30, 100, 300} {
 		for shape := 0; shape < 5; shape++ {
 			xs, ys := genPair(rng, n, shape)
-			want, err := Compute(xs, ys)
+			want, err := compute(xs, ys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			px, err := Prepare(xs)
+			px, err := prepare(xs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			py, err := Prepare(ys)
+			py, err := prepare(ys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,12 +72,12 @@ func TestComputePreparedMatchesCompute(t *testing.T) {
 }
 
 func TestPrepareErrors(t *testing.T) {
-	if _, err := Prepare([]float64{1, 2, 3}); err != ErrTooFewSamples {
-		t.Errorf("short sample err = %v, want ErrTooFewSamples", err)
+	if _, err := prepare([]float64{1, 2, 3}); err != errTooFewSamples {
+		t.Errorf("short sample err = %v, want errTooFewSamples", err)
 	}
 	bad := []float64{1, 2, 3, 4, math.Inf(1), 6, 7, 8}
-	if _, err := Prepare(bad); err != ErrNonFinite {
-		t.Errorf("non-finite err = %v, want ErrNonFinite", err)
+	if _, err := prepare(bad); err != errNonFinite {
+		t.Errorf("non-finite err = %v, want errNonFinite", err)
 	}
 }
 
@@ -90,11 +90,11 @@ func TestComputePreparedMismatch(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i)
 	}
-	pa, err := Prepare(a)
+	pa, err := prepare(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := Prepare(b)
+	pb, err := prepare(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestBatchMatchesMIC(t *testing.T) {
 			}
 		}
 	}
-	if b.MetricErr(6) == nil {
-		t.Error("non-finite metric should carry its preparation error")
+	if b.prepared[6] != nil {
+		t.Error("non-finite metric should leave its slot unprepared")
 	}
-	if b.MetricErr(0) != nil {
-		t.Errorf("clean metric err = %v", b.MetricErr(0))
+	if b.prepared[0] == nil {
+		t.Error("clean metric left unprepared")
 	}
 	if got := b.Score(0, 6); got != 0 {
 		t.Errorf("Score against a degenerate metric = %v, want 0", got)

@@ -9,22 +9,18 @@ import (
 // Test-side entry points: nothing outside this package's tests calls them,
 // so they live here instead of widening the package's surface.
 
-// MetricErr returns the preparation error of metric i (nil when the metric
-// is usable). Degenerate metrics score 0 against every partner.
-func (b *Batch) MetricErr(i int) error { return b.errs[i] }
-
 // ComputePrepared returns the MIC analysis of two prepared metrics, reusing
 // sc's buffers (a fresh scratch is used when sc is nil). Both preparations
 // must cover samples of the same length.
-func ComputePrepared(px, py *Prepared, sc *Scratch) (Result, error) {
+func ComputePrepared(px, py *Prepared, sc *scratch) (result, error) {
 	if px == nil || py == nil {
-		return Result{}, fmt.Errorf("mic: nil preparation")
+		return result{}, fmt.Errorf("mic: nil preparation")
 	}
 	if px.n != py.n {
-		return Result{}, fmt.Errorf("mic: prepared length mismatch %d vs %d", px.n, py.n)
+		return result{}, fmt.Errorf("mic: prepared length mismatch %d vs %d", px.n, py.n)
 	}
 	if sc == nil {
-		sc = NewScratch()
+		sc = new(scratch)
 	}
 	return computePair(px, py, sc), nil
 }
@@ -53,9 +49,9 @@ type refScratch struct {
 // referenceComputePair is computePair as it stood before the kernel rewrite:
 // both grid orientations into dense characteristic half-matrices, then the
 // normalised maximum.
-func referenceComputePair(px, py *Prepared, sc *refScratch) Result {
+func referenceComputePair(px, py *Prepared, sc *refScratch) result {
 	b := px.b
-	res := Result{N: px.n, B: b}
+	res := result{N: px.n, B: b}
 	dim := b/2 + 1
 	sc.char1 = resized(sc.char1, dim*dim)
 	sc.char2 = resized(sc.char2, dim*dim)

@@ -3,11 +3,13 @@ package mic
 import "math"
 
 // Prescreen bound: a cheap, conservative lower bound on a pair's MIC,
-// computed in O(n) from data every Prepared already carries. No product
-// path calls ScreenLow: every trained pair of a diagnosed window is scored
-// exactly. The file stays only because the end-to-end benchmark times the
-// bound against the exact score (bench/layers.go l. 346); the roadmap's
-// exact in-DP early exit deletes both.
+// computed in O(n) from each Prepared's sort order, tie runs and
+// equipartitions; this is the only file that knows ranks exist (spearman
+// derives them per call). No product path calls ScreenLow: every trained
+// pair of a diagnosed window is scored exactly. The file stays only because
+// the end-to-end benchmark times the bound against the exact score
+// (bench/layers.go l. 346); the roadmap's exact in-DP early exit deletes
+// both.
 //
 // The bound itself is the mutual information of a both-axes equipartition
 // at a few budget-admissible grid shapes, normalised exactly as the
@@ -41,34 +43,58 @@ func (b *Batch) ScreenLow(i, j int) float64 {
 	if px == nil || py == nil {
 		return 0
 	}
-	rho := spearman(px, py)
-	if rho*rho < screenRhoGate {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if rho := spearman(px, py, sc); rho*rho < screenRhoGate {
 		return 0
 	}
-	sc := scratchPool.Get().(*Scratch)
-	lb := screenLow(px, py, sc)
-	scratchPool.Put(sc)
-	return lb
+	return screenLow(px, py, sc)
 }
 
 // spearman returns the Spearman rank correlation of two prepared metrics,
-// 0 when either is constant. One O(n) pass over the precomputed ranks.
-func spearman(px, py *Prepared) float64 {
-	if px.rankSS == 0 || py.rankSS == 0 {
+// 0 when either is constant: two O(n) passes derive each metric's ranks
+// into sc.prev and sc.curr, one more correlates them.
+func spearman(px, py *Prepared, sc *scratch) float64 {
+	sc.prev = resized(sc.prev, px.n)
+	sc.curr = resized(sc.curr, py.n)
+	rx, ssx := ranks(px, sc.prev)
+	ry, ssy := ranks(py, sc.curr)
+	if ssx == 0 || ssy == 0 {
 		return 0
 	}
 	mean := float64(px.n+1) / 2
 	var cov float64
 	for t := 0; t < px.n; t++ {
-		cov += (px.ranks[t] - mean) * (py.ranks[t] - mean)
+		cov += (rx[t] - mean) * (ry[t] - mean)
 	}
-	return cov / math.Sqrt(px.rankSS*py.rankSS)
+	return cov / math.Sqrt(ssx*ssy)
+}
+
+// ranks fills buf (n long) with p's fractional ranks by point — 1-based,
+// ties averaged, read off its sort order and tie runs — and returns it with
+// the ranks' sum of squared deviations from the mean rank (n+1)/2.
+func ranks(p *Prepared, buf []float64) ([]float64, float64) {
+	start := 0
+	for _, end := range p.tieEnds {
+		r := float64(start+end+1) / 2 // average 1-based rank of the tie run
+		for k := start; k < end; k++ {
+			buf[p.order[k]] = r
+		}
+		start = end
+	}
+	mean := float64(p.n+1) / 2
+	var ss float64
+	for _, r := range buf {
+		d := r - mean
+		ss += d * d
+	}
+	return buf, ss
 }
 
 // screenLow evaluates the both-axes-equipartition mutual information at a
 // few budget-admissible grid shapes and returns the best normalised value
 // minus screenMargin, clamped to [0,1].
-func screenLow(px, py *Prepared, sc *Scratch) float64 {
+func screenLow(px, py *Prepared, sc *scratch) float64 {
 	maxRows := px.b / 2
 	shapes := [3][2]int{{2, 2}, {2, maxRows}, {maxRows, 2}}
 	var best float64
@@ -101,7 +127,7 @@ func screenLow(px, py *Prepared, sc *Scratch) float64 {
 
 // equipartitionMI returns the mutual information of the joint distribution
 // induced by assigning point t to cell (colOf[t], rowOf[t]) of an a×r grid.
-func equipartitionMI(colOf, rowOf []int, a, r, n int, sc *Scratch) float64 {
+func equipartitionMI(colOf, rowOf []int, a, r, n int, sc *scratch) float64 {
 	sc.cum = resized(sc.cum, a*r+a+r)
 	joint := sc.cum[:a*r]
 	colTot := sc.cum[a*r : a*r+a]

@@ -8,13 +8,13 @@ import (
 
 // Slider maintains one metric's sliding window together with its
 // value-ascending point order, so advancing the window by k samples costs
-// O(k·n) index maintenance instead of the O(n log n) re-sort Prepare pays —
-// the serving layer keeps one per (stream, metric) and snapshots a Prepared
-// only when a diagnosis actually needs it.
+// O(k·n) index maintenance instead of the O(n log n) re-sort prepare pays,
+// and a Prepared is snapshotted only when a pair scoring needs one. No
+// product path keeps one: the end-to-end benchmark replays one per metric.
 //
 // Invalid samples (telemetry gaps, non-finite values) are tracked but kept
 // out of the order; a window containing any is unusable for whole-window
-// scoring (Prepared reports ErrWindowMasked) and the caller falls back to
+// scoring (Prepared reports errWindowMasked) and the caller falls back to
 // the masked per-pair path, exactly as a fresh Batch over the same rows
 // would treat the metric.
 type Slider struct {
@@ -24,9 +24,9 @@ type Slider struct {
 	order []int     // indices of usable samples, ascending by value
 }
 
-// ErrWindowMasked reports a slider window containing invalid or non-finite
+// errWindowMasked reports a slider window containing invalid or non-finite
 // samples: no whole-window preparation exists for it.
-var ErrWindowMasked = errors.New("mic: slider window has masked samples")
+var errWindowMasked = errors.New("mic: slider window has masked samples")
 
 // NewSlider returns an empty slider bounded at capacity samples. The
 // Config argument changes nothing (see Config).
@@ -170,19 +170,19 @@ func (s *Slider) evictOldestN(k int) {
 }
 
 // Prepared snapshots the current window as a fresh Prepared, reusing the
-// maintained order (the tie boundaries, equipartitions and ranks are
-// rebuilt — they do not admit incremental maintenance, but they are O(n)
-// given the order). The snapshot copies the window, so later Appends do not
-// disturb it. Degenerate windows report the same errors Prepare would:
-// ErrTooFewSamples below MinSamples, and ErrWindowMasked when any sample is
+// maintained order (the tie boundaries and equipartitions are rebuilt —
+// they do not admit incremental maintenance, but they are O(n) given the
+// order). The snapshot copies the window, so later Appends do not disturb
+// it. Degenerate windows report the same errors prepare would:
+// errTooFewSamples below minSamples, and errWindowMasked when any sample is
 // invalid (a fresh preparation over the masked row would be meaningless).
 func (s *Slider) Prepared() (*Prepared, error) {
 	n := len(s.vals)
-	if n < MinSamples {
-		return nil, ErrTooFewSamples
+	if n < minSamples {
+		return nil, errTooFewSamples
 	}
 	if len(s.order) != n {
-		return nil, ErrWindowMasked
+		return nil, errWindowMasked
 	}
 	vals := make([]float64, n)
 	copy(vals, s.vals)

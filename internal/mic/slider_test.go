@@ -12,7 +12,7 @@ import (
 // window the slow way.
 func freshPrepared(t *testing.T, s *Slider) *Prepared {
 	t.Helper()
-	p, err := Prepare(append([]float64(nil), s.vals...))
+	p, err := prepare(append([]float64(nil), s.vals...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func freshPrepared(t *testing.T, s *Slider) *Prepared {
 
 // TestSliderMatchesPrepare drives a slider through appends and evictions
 // and, at every step with a clean full-validity window, checks the
-// incremental snapshot scores pairs bit-identically to a fresh Prepare over
+// incremental snapshot scores pairs bit-identically to a fresh prepare over
 // the same samples. Values are drawn from a small discrete set so tie runs
 // (the delicate part of order maintenance) occur constantly.
 func TestSliderMatchesPrepare(t *testing.T) {
@@ -29,7 +29,7 @@ func TestSliderMatchesPrepare(t *testing.T) {
 	const cap = 24
 	sx := NewSlider(cap, DefaultConfig())
 	sy := NewSlider(cap, DefaultConfig())
-	sc := NewScratch()
+	sc := new(scratch)
 	checked := 0
 	for step := 0; step < 400; step++ {
 		x := float64(rng.Intn(6)) // heavy ties
@@ -38,7 +38,7 @@ func TestSliderMatchesPrepare(t *testing.T) {
 		}
 		sx.Append(x, true)
 		sy.Append(2*x+rng.Normal(0, 0.3), true)
-		if sx.Len() < MinSamples || step%7 != 0 {
+		if sx.Len() < minSamples || step%7 != 0 {
 			continue
 		}
 		px, err := sx.Prepared()
@@ -116,15 +116,15 @@ func TestSliderOrderInvariant(t *testing.T) {
 // sentinel errors the batch path produces for such rows.
 func TestSliderDegenerateWindows(t *testing.T) {
 	s := NewSlider(32, DefaultConfig())
-	for i := 0; i < MinSamples-1; i++ {
+	for i := 0; i < minSamples-1; i++ {
 		s.Append(float64(i), true)
 	}
-	if _, err := s.Prepared(); err != ErrTooFewSamples {
-		t.Errorf("short window err = %v, want ErrTooFewSamples", err)
+	if _, err := s.Prepared(); err != errTooFewSamples {
+		t.Errorf("short window err = %v, want errTooFewSamples", err)
 	}
 	s.Append(math.Inf(1), true)
-	if _, err := s.Prepared(); err != ErrWindowMasked {
-		t.Errorf("masked window err = %v, want ErrWindowMasked", err)
+	if _, err := s.Prepared(); err != errWindowMasked {
+		t.Errorf("masked window err = %v, want errWindowMasked", err)
 	}
 	// The invalid tick eventually slides out and the window heals.
 	for i := 0; i < 32; i++ {
@@ -175,7 +175,7 @@ func TestNewBatchPreparedMatchesNewBatch(t *testing.T) {
 			}
 		}
 	}
-	// A nil slot is degenerate: scores 0, carries ErrNotPrepared.
+	// A nil slot is degenerate: it scores 0 and stays nil.
 	preps[2] = nil
 	got, err = NewBatchPrepared(preps)
 	if err != nil {
@@ -184,8 +184,8 @@ func TestNewBatchPreparedMatchesNewBatch(t *testing.T) {
 	if s := got.Score(0, 2); s != 0 {
 		t.Errorf("score against nil slot = %v, want 0", s)
 	}
-	if got.MetricErr(2) != ErrNotPrepared {
-		t.Errorf("MetricErr(2) = %v, want ErrNotPrepared", got.MetricErr(2))
+	if got.prepared[2] != nil {
+		t.Error("nil slot came back prepared")
 	}
 	// Mismatched sample counts are structural errors.
 	short := NewSlider(n-1, DefaultConfig())

@@ -76,8 +76,9 @@ type scopePartition struct {
 	// dedup holds the payload fingerprint of every entry in the partition,
 	// for Merge: the partition is the operation context, so the fingerprint
 	// alone is the entry's identity. A collision across different payloads
-	// is theoretically possible but would only suppress one redundant store;
-	// it can never corrupt existing entries.
+	// is theoretically possible, and then Merge takes a *different*
+	// signature for one already stored and drops it: that signature is never
+	// stored. It can never corrupt existing entries.
 	dedup map[uint64]struct{}
 }
 

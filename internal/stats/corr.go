@@ -59,10 +59,10 @@ func Autocovariance(xs []float64, maxLag int) ([]float64, error) {
 	return acov, nil
 }
 
-// Autocorrelation returns the sample autocorrelation function of xs at lags
+// autocorrelation returns the sample autocorrelation function of xs at lags
 // 0..maxLag (ACF(0)==1). A constant series returns 1 at lag 0 and 0 at all
 // other lags.
-func Autocorrelation(xs []float64, maxLag int) ([]float64, error) {
+func autocorrelation(xs []float64, maxLag int) ([]float64, error) {
 	acov, err := Autocovariance(xs, maxLag)
 	if err != nil {
 		return nil, err

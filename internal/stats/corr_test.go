@@ -49,7 +49,7 @@ func TestAutocorrelation(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Normal(0, 1)
 	}
-	acf, err := Autocorrelation(xs, 5)
+	acf, err := autocorrelation(xs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAutocorrelationAR1(t *testing.T) {
 	for i := 1; i < len(xs); i++ {
 		xs[i] = 0.8*xs[i-1] + rng.Normal(0, 1)
 	}
-	acf, err := Autocorrelation(xs, 3)
+	acf, err := autocorrelation(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAutocorrelationAR1(t *testing.T) {
 }
 
 func TestAutocorrelationConstant(t *testing.T) {
-	acf, err := Autocorrelation([]float64{3, 3, 3, 3}, 2)
+	acf, err := autocorrelation([]float64{3, 3, 3, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,18 +54,18 @@ func DropNonFinite(xs []float64) []float64 {
 	return out
 }
 
-// Sum returns the sum of xs. The sum of an empty slice is 0.
-func Sum(xs []float64) float64 {
+// sum returns the sum of xs. The sum of an empty slice is 0.
+func sum(xs []float64) float64 {
 	// Kahan summation keeps long metric traces (tens of thousands of
 	// samples) accurate enough for variance computations downstream.
-	var sum, comp float64
+	var s, comp float64
 	for _, x := range xs {
 		y := x - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
+		t := s + y
+		comp = (t - s) - y
+		s = t
 	}
-	return sum
+	return s
 }
 
 // Mean returns the arithmetic mean of xs.
@@ -73,7 +73,7 @@ func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	return Sum(xs) / float64(len(xs)), nil
+	return sum(xs) / float64(len(xs)), nil
 }
 
 // MustMean is Mean for callers that have already validated their input.
@@ -86,9 +86,9 @@ func MustMean(xs []float64) float64 {
 	return m
 }
 
-// Variance returns the unbiased (n-1) sample variance of xs.
+// variance returns the unbiased (n-1) sample variance of xs.
 // It needs at least two observations.
-func Variance(xs []float64) (float64, error) {
+func variance(xs []float64) (float64, error) {
 	if len(xs) < 2 {
 		return 0, fmt.Errorf("stats: variance needs >= 2 samples, got %d", len(xs))
 	}
@@ -103,7 +103,7 @@ func Variance(xs []float64) (float64, error) {
 
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
+	v, err := variance(xs)
 	if err != nil {
 		return 0, err
 	}

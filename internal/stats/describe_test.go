@@ -17,9 +17,9 @@ func TestSumKahan(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		xs = append(xs, 1.0)
 	}
-	got := Sum(xs)
+	got := sum(xs)
 	if got != 1e16+10000 {
-		t.Errorf("Sum = %v, want %v", got, 1e16+10000)
+		t.Errorf("sum = %v, want %v", got, 1e16+10000)
 	}
 }
 
@@ -37,15 +37,15 @@ func TestMean(t *testing.T) {
 }
 
 func TestVariance(t *testing.T) {
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	v, err := variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(v, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
+		t.Errorf("variance = %v, want %v", v, 32.0/7.0)
 	}
-	if _, err := Variance([]float64{1}); err == nil {
-		t.Error("Variance of single sample should error")
+	if _, err := variance([]float64{1}); err == nil {
+		t.Error("variance of single sample should error")
 	}
 }
 
@@ -168,7 +168,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 		if len(xs) < 2 {
 			return true
 		}
-		v, err := Variance(xs)
+		v, err := variance(xs)
 		return err == nil && v >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -9,11 +9,11 @@ import (
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("stats: singular system")
 
-// SolveLinear solves the dense system A x = b in place-safe fashion using
+// solveLinear solves the dense system A x = b in place-safe fashion using
 // Gaussian elimination with scaled partial pivoting. A is row-major with
 // len(A) == n rows of n columns each. It returns ErrSingular when the matrix
 // is (numerically) rank deficient.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
+func solveLinear(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 {
 		return nil, ErrEmpty
@@ -124,7 +124,7 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 			xtx[i][j] = xtx[j][i]
 		}
 	}
-	return SolveLinear(xtx, xty)
+	return solveLinear(xtx, xty)
 }
 
 // SolveToeplitz solves the symmetric positive-definite Toeplitz system

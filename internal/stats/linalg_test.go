@@ -13,7 +13,7 @@ func TestSolveLinearKnown(t *testing.T) {
 		{-2, 1, 2},
 	}
 	b := []float64{8, -11, -3}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSolveLinearSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	}
-	if _, err := SolveLinear(a, []float64{1, 2}); err != ErrSingular {
+	if _, err := solveLinear(a, []float64{1, 2}); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 		{0, 1},
 		{1, 0},
 	}
-	x, err := SolveLinear(a, []float64{3, 7})
+	x, err := solveLinear(a, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 func TestSolveLinearDoesNotMutate(t *testing.T) {
 	a := [][]float64{{2, 0}, {0, 2}}
 	b := []float64{2, 4}
-	if _, err := SolveLinear(a, b); err != nil {
+	if _, err := solveLinear(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if a[0][0] != 2 || a[1][1] != 2 || b[0] != 2 || b[1] != 4 {
-		t.Error("SolveLinear mutated its inputs")
+		t.Error("solveLinear mutated its inputs")
 	}
 }
 
@@ -119,7 +119,7 @@ func TestSolveToeplitzMatchesDense(t *testing.T) {
 			dense[i][j] = r[d]
 		}
 	}
-	want, err := SolveLinear(dense, b)
+	want, err := solveLinear(dense, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSolveToeplitzErrors(t *testing.T) {
 }
 
 // Property: for random well-conditioned diagonally dominant systems,
-// SolveLinear produces a solution with small residual.
+// solveLinear produces a solution with small residual.
 func TestSolveLinearResidualProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := NewRNG(seed)
@@ -168,7 +168,7 @@ func TestSolveLinearResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Uniform(-10, 10)
 		}
-		x, err := SolveLinear(a, b)
+		x, err := solveLinear(a, b)
 		if err != nil {
 			return false
 		}

@@ -24,7 +24,7 @@ func LjungBox(xs []float64, lags, fitted int) (q, pValue float64, err error) {
 	if n <= lags+1 {
 		return 0, 0, fmt.Errorf("stats: %d samples too few for %d lags", n, lags)
 	}
-	acf, err := Autocorrelation(xs, lags)
+	acf, err := autocorrelation(xs, lags)
 	if err != nil {
 		return 0, 0, err
 	}

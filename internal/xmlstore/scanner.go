@@ -9,7 +9,7 @@ import (
 )
 
 // scanner is the store's XML lexer: a whole file held in memory, cut into
-// tokens by slicing. It reads the subset of XML 1.0 that Save writes and a
+// tokens by slicing. It reads the subset of XML 1.0 that save writes and a
 // careful hand edit produces — an optional <?xml version="1.0"?> declaration,
 // comments, elements with ASCII names, attributes in either quote, character
 // data with the five predefined and the numeric entities — and is its own

@@ -47,7 +47,7 @@ func tokens(doc string) (string, error) {
 	}
 }
 
-// TestScannerReads pins the accepted subset: what Save writes and what a
+// TestScannerReads pins the accepted subset: what save writes and what a
 // careful hand edit adds to it.
 func TestScannerReads(t *testing.T) {
 	for _, tc := range []struct{ name, doc, want string }{
@@ -63,7 +63,7 @@ func TestScannerReads(t *testing.T) {
 		{"predefined entities",
 			`<a t="&lt;&amp;&gt;&quot;&apos;">&lt;&amp;&gt;&quot;&apos;</a>`,
 			`S:a[t="<&>\"'"] T:"<&>\"'" E:a`},
-		{"numeric entities as Save writes them",
+		{"numeric entities as save writes them",
 			`<a>&#34;&#39;&#x9;&#xA;&#xD;&#x1F600;</a>`, `S:a T:"\"'\t\n\r😀" E:a`},
 		{"line ends: \\r\\n and lone \\r become \\n, &#13; stays",
 			"<a t=\"x\r\ny\rz\">\r\n&#13;\n\r</a>", `S:a[t="x\ny\nz"] T:"\n\r\n\n" E:a`},
@@ -161,7 +161,7 @@ func TestScannerRefuses(t *testing.T) {
 	}
 }
 
-// hostile strings: everything Save has to escape and the scanner to restore.
+// hostile strings: everything save has to escape and the scanner to restore.
 var hostile = []string{"", " ", `<&>"'`, "a\r\nb\rc\n", "\ttab\t", "😀 𐍈 日本", "]]>", "&amp;", "x  y", "\uFFFD"}
 
 // The parts profileWith puts in a profile file.
@@ -207,7 +207,7 @@ func savedFiles(t testing.TB, s string) [][]byte {
 
 // same is reflect.DeepEqual but for NaN, which a hostile file can put in any
 // float field and which equals itself in neither reading: values that differ
-// there compare by what Save writes for them.
+// there compare by what save writes for them.
 func same(a, b any) bool {
 	if reflect.DeepEqual(a, b) {
 		return true
@@ -274,7 +274,7 @@ func checkAgainstStock(t testing.TB, in []byte) {
 	}
 }
 
-// handEdits are profile files no Save wrote but encoding/xml reads: each
+// handEdits are profile files no save wrote but encoding/xml reads: each
 // pins one rule the direct loop has to share with the reflection decode.
 var handEdits = []string{
 	`<profile/>`,
@@ -438,7 +438,7 @@ func xmlString(rng *stats.RNG) string {
 	return b.String()
 }
 
-// Property: every struct Save can write loads back equal through the scanner.
+// Property: every struct save can write loads back equal through the scanner.
 func TestSaveLoadRoundTripProperty(t *testing.T) {
 	floats := func(rng *stats.RNG) []float64 {
 		var out []float64
@@ -472,8 +472,8 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 			prof.Lifecycle = life
 		}
 		var buf bytes.Buffer
-		if err := Save(&buf, prof); err != nil {
-			t.Errorf("seed %d: Save: %v", seed, err)
+		if err := save(&buf, prof); err != nil {
+			t.Errorf("seed %d: save: %v", seed, err)
 			return false
 		}
 		var back ProfileFile
@@ -481,7 +481,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 			t.Errorf("seed %d: load: %v\n%s", seed, err, buf.Bytes())
 			return false
 		}
-		// Load records the root element's name; Save needs none.
+		// Load records the root element's name; save needs none.
 		prof.XMLName = back.XMLName
 		if !reflect.DeepEqual(prof, back) {
 			t.Errorf("seed %d: profile came back changed:\nsaved  %#v\nloaded %#v\n%s", seed, prof, back, buf.Bytes())

@@ -198,8 +198,8 @@ type SignatureEntry struct {
 	Type    string `xml:"type"`
 }
 
-// Save writes v as indented XML with a header.
-func Save(w io.Writer, v any) error {
+// save writes v as indented XML with a header.
+func save(w io.Writer, v any) error {
 	if _, err := io.WriteString(w, xml.Header); err != nil {
 		return err
 	}
@@ -230,7 +230,7 @@ func SaveFile(path string, v any) error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err := Save(tmp, v); err != nil {
+	if err := save(tmp, v); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {

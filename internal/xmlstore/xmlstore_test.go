@@ -31,7 +31,7 @@ func decode(data []byte, v any) error {
 	return err
 }
 
-// load decodes what Save wrote to a buffer, or a document spelled out in a
+// load decodes what save wrote to a buffer, or a document spelled out in a
 // test, by the reflection decode over the store's scanner.
 func load(r io.Reader, v any) error {
 	data, err := io.ReadAll(r)
@@ -66,11 +66,11 @@ func signaturesOf(db *signature.DB) []SignatureEntry {
 	return out
 }
 
-// saved is f as Save writes it.
+// saved is f as save writes it.
 func saved(t testing.TB, f ProfileFile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, f); err != nil {
+	if err := save(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

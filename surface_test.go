@@ -24,7 +24,10 @@ import (
 // import a package under internal/, so an exported name there that no
 // non-test file uses (cmd/, examples/ and bench/ count; invarnetx.go does
 // not — a re-export is not a use) has no possible caller and is surface kept
-// for nobody.
+// for nobody. An exported function needs more: a caller in another package,
+// where the root facade's wrappers count, since TestFacadeIsTheExamplesAPI
+// ties each of them to an example. A function only its own package calls is
+// an unexported one.
 const closedPrefix = "invarnetx/internal/"
 
 // testOracles are the exported names kept although only tests reference
@@ -74,15 +77,17 @@ var calledByStdlib = map[string]bool{"Error": true, "String": true, "Unwrap": tr
 // module (and of bench/, a caller in its own module) and fails on an exported
 // function, type or method of an exported type declared under internal/ that
 // nothing references, or that only bench/ references and benchOnly does not
-// list. Syntax only, so deliberately lenient: a function or type counts as
-// referenced by any bare identifier of its name inside its package or by
-// pkg.Name in a file importing it; a method by any selector of its name
-// anywhere.
+// list, or on an exported package-level function that no file of another
+// package references (bench/ and invarnetx.go count). Syntax only, so
+// deliberately lenient: a function or type counts as referenced by any bare
+// identifier of its name inside its package or by pkg.Name in a file
+// importing it; a method by any selector of its name anywhere.
 func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	type decl struct {
 		key    string // "import/path.Name", or the bare name for a method
 		id     string // "import/path.Name", or "import/path.Type.Name" for a method
 		method bool
+		fn     bool // a package-level function
 		pos    token.Position
 	}
 	// refs are the references to one name: whether a file outside bench/
@@ -94,6 +99,7 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	var decls []decl
 	fset := token.NewFileSet()
 	named := map[string]*refs{}    // "import/path.Name" referenced as a package-level name
+	called := map[string]*refs{}   // "import/path.Name" referenced from another package, invarnetx.go included
 	selected := map[string]*refs{} // Name selected off some operand
 	note := func(m map[string]*refs, key string, pos token.Pos) {
 		r := m[key]
@@ -119,9 +125,10 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") || filepath.Dir(p) == "." {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
+		facade := filepath.Dir(p) == "."
 		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -147,7 +154,7 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 				if d.Recv == nil {
 					if exported {
 						key := own + "." + d.Name.Name
-						decls = append(decls, decl{key: key, id: key, pos: fset.Position(d.Pos())})
+						decls = append(decls, decl{key: key, id: key, fn: true, pos: fset.Position(d.Pos())})
 					}
 					continue
 				}
@@ -173,12 +180,21 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
+			if facade { // a call through a facade wrapper, and nothing else
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						note(called, imports[x.Name]+"."+sel.Sel.Name, sel.Sel.Pos())
+					}
+				}
+				return true
+			}
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				notUse[n.Sel] = true
 				note(selected, n.Sel.Name, n.Sel.Pos())
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					note(named, imports[x.Name]+"."+n.Sel.Name, n.Sel.Pos())
+					note(called, imports[x.Name]+"."+n.Sel.Name, n.Sel.Pos())
 				}
 			case *ast.Ident:
 				if !notUse[n] {
@@ -201,7 +217,7 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	}
 	orphaned := map[string]bool{}
 	benchKept := map[string][]string{} // bench-only name → its bench/ references
-	var orphans, shims []string
+	var orphans, shims, local []string
 	for _, d := range decls {
 		r := named[d.key]
 		if d.method {
@@ -221,11 +237,17 @@ func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 			if benchOnly[d.id] == "" {
 				shims = append(shims, fmt.Sprintf("%s: %s (%s)", d.pos, d.id, strings.Join(r.bench, ", ")))
 			}
+		case d.fn && called[d.key] == nil:
+			local = append(local, d.pos.String()+": "+d.id)
 		}
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
 		t.Errorf("%s is exported from a package nothing outside the module can import, and no non-test file references it", o)
+	}
+	sort.Strings(local)
+	for _, l := range local {
+		t.Errorf("%s is a function only its own package calls: unexport it", l)
 	}
 	sort.Strings(shims)
 	for _, s := range shims {
