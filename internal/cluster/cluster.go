@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"invarnetx/internal/stats"
 )
@@ -308,40 +309,48 @@ func (c *Cluster) hasLocalBlock(j *Job, n *Node) bool {
 // more than twice their median duration, it has no copy yet, and some other
 // node has a free slot of the right kind.
 func (c *Cluster) speculate() {
+	// A backup copy joins its host's list of its own kind, and a range
+	// reads its slice once, so walking maps then reduces visits exactly the
+	// tasks a snapshot of both lists taken up front would.
 	for _, n := range c.slaves {
-		for _, t := range append(append([]*Task(nil), n.maps...), n.reduces...) {
-			if t.twin != nil || t.cancelled || t.Speculative {
-				continue
-			}
-			durs := t.Job.mapDurations
-			if t.Kind == KindReduce {
-				durs = t.Job.reduceDurations
-			}
-			if len(durs) < 3 {
-				continue
-			}
-			med := medianInt(durs)
-			if c.tick-t.startTick <= 2*med {
-				continue
-			}
-			host := c.backupHost(t)
-			if host == nil {
-				continue
-			}
-			copyTask := newTask(t.Job, t.Kind, t.Spec)
-			copyTask.Speculative = true
-			copyTask.twin = t
-			t.twin = copyTask
-			copyTask.Node = host
-			copyTask.startTick = c.tick
-			if t.Kind == KindMap {
-				host.maps = append(host.maps, copyTask)
-			} else {
-				host.reduces = append(host.reduces, copyTask)
-			}
-			t.Job.running++
+		for _, t := range n.maps {
+			c.speculateTask(t)
+		}
+		for _, t := range n.reduces {
+			c.speculateTask(t)
 		}
 	}
+}
+
+// speculateTask launches a backup copy of t if it is a straggler with a
+// free slot to go to.
+func (c *Cluster) speculateTask(t *Task) {
+	if t.twin != nil || t.cancelled || t.Speculative {
+		return
+	}
+	durs := t.Job.mapDurations
+	if t.Kind == KindReduce {
+		durs = t.Job.reduceDurations
+	}
+	if len(durs) < 3 || c.tick-t.startTick <= 2*durs[len(durs)/2] {
+		return
+	}
+	host := c.backupHost(t)
+	if host == nil {
+		return
+	}
+	copyTask := newTask(t.Job, t.Kind, t.Spec)
+	copyTask.Speculative = true
+	copyTask.twin = t
+	t.twin = copyTask
+	copyTask.Node = host
+	copyTask.startTick = c.tick
+	if t.Kind == KindMap {
+		host.maps = append(host.maps, copyTask)
+	} else {
+		host.reduces = append(host.reduces, copyTask)
+	}
+	t.Job.running++
 }
 
 // backupHost picks a healthy node, different from the straggler's, with a
@@ -361,15 +370,10 @@ func (c *Cluster) backupHost(t *Task) *Node {
 	return nil
 }
 
-// medianInt returns the median of a non-empty int slice.
-func medianInt(xs []int) int {
-	cp := append([]int(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	return cp[len(cp)/2]
+// insertSorted adds v to the ascending slice xs, keeping it ascending.
+func insertSorted(xs []int, v int) []int {
+	i, _ := slices.BinarySearch(xs, v)
+	return slices.Insert(xs, i, v)
 }
 
 // shuffleJitter derives the shuffle-round length (in ticks) for a job from
@@ -748,9 +752,9 @@ func (c *Cluster) stepNode(n *Node, eff *Effects, repairs repairWork, cross cros
 				finishedNow++
 				dur := c.tick - t.startTick
 				if t.Kind == KindMap {
-					t.Job.mapDurations = append(t.Job.mapDurations, dur)
+					t.Job.mapDurations = insertSorted(t.Job.mapDurations, dur)
 				} else {
-					t.Job.reduceDurations = append(t.Job.reduceDurations, dur)
+					t.Job.reduceDurations = insertSorted(t.Job.reduceDurations, dur)
 				}
 				if t.twin != nil && !t.twin.cancelled {
 					// Cancel the losing copy now: it may sit on a frozen

@@ -161,9 +161,9 @@ type Job struct {
 	finished       int
 	total          int
 
-	// Completed-task durations in ticks, per kind, for straggler
-	// detection (a task is a straggler when it has run more than twice
-	// the median completion time of its kind).
+	// Completed-task durations in ticks, per kind and kept ascending, for
+	// straggler detection (a task is a straggler when it has run more than
+	// twice the median completion time of its kind).
 	mapDurations    []int
 	reduceDurations []int
 

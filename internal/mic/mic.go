@@ -24,7 +24,12 @@
 // optimal column partition is a shortest-path problem over clump
 // boundaries. A bin's cost is a sum of cnt·log(tot/cnt) terms with
 // cnt ≤ tot ≤ n, so the kernel looks them up in a process-wide table built
-// on first use, and fills only the DP cells the answer reads (prepared.go).
+// on first use, beside a second table holding a two-row bin's whole cost,
+// the dearest grid's one lookup. It fills each DP's cost table in one
+// inlined pass with the table row and the two histogram rows hoisted, adds
+// a tie group lying in one row to that row in a single step while building
+// clumps, and fills only the DP cells the answer reads (prepared.go). Every
+// score is bit-identical to the direct evaluation.
 //
 // The package exports the measure (MIC) and Batch, the engine behind the
 // invariant layer's pairwise searches: NewBatch prepares every metric of a

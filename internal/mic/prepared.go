@@ -1,8 +1,9 @@
 package mic
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -69,7 +70,7 @@ func prepare(xs []float64) (*Prepared, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 	return newPrepared(xs, order), nil
 }
 
@@ -85,25 +86,25 @@ func prepare(xs []float64) (*Prepared, error) {
 func newPrepared(xs []float64, order []int) *Prepared {
 	n := len(xs)
 	p := &Prepared{vals: xs, n: n, b: budgetFor(n), order: order}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && xs[p.order[j]] == xs[p.order[i]] {
-			j++
+	p.tieEnds = make([]int, 0, n)
+	for i := 1; i < n; i++ {
+		if xs[order[i]] != xs[order[i-1]] {
+			p.tieEnds = append(p.tieEnds, i)
 		}
-		p.tieEnds = append(p.tieEnds, j)
-		i = j
 	}
+	p.tieEnds = append(p.tieEnds, n)
+	// Every row count's assignment and the shared row counters live in one
+	// flat array: one allocation instead of one per row count.
 	maxRows := p.b / 2
 	p.rowOf = make([][]int, maxRows+1)
 	p.hq = make([]float64, maxRows+1)
 	p.rowsOK = make([]bool, maxRows+1)
-	counts := make([]int, maxRows+1)
+	flat := make([]int, (maxRows-1)*n+maxRows)
+	counts := flat[(maxRows-1)*n:]
 	for rows := 2; rows <= maxRows; rows++ {
-		rowOf := make([]int, n)
-		hq, ok := p.equipartition(rows, rowOf, counts[:rows])
+		rowOf := flat[(rows-2)*n : (rows-1)*n : (rows-1)*n]
+		p.hq[rows], p.rowsOK[rows] = p.equipartition(rows, rowOf, counts[:rows])
 		p.rowOf[rows] = rowOf
-		p.hq[rows] = hq
-		p.rowsOK[rows] = ok
 	}
 	return p
 }
@@ -203,38 +204,51 @@ func term(tot, cnt int) float64 {
 // window evaluates term directly, to the same bits.
 const termCap = 512
 
-// The term table: term(tot, cnt) at tot*(tot+1)/2 + cnt. A static array, so
-// it is 1 MiB of address space but no heap, and only the rows a process
-// fills are ever resident (4 KiB at n = 30).
+// The term tables, both indexed tot*(tot+1)/2 + cnt: termTab holds
+// term(tot, cnt), and term2Tab the whole cost of a bin of a two-row grid
+// with cnt of its tot points in row 0 (the rest are in row 1). Static
+// arrays, so each is 1 MiB of address space but no heap, and only the rows
+// a process fills are ever resident (4 KiB each at n = 30).
 var (
 	termMu   sync.Mutex
 	termRows atomic.Int32 // rows tot < termRows are filled and immutable
 	termTab  [(termCap + 1) * (termCap + 2) / 2]float64
+	term2Tab [(termCap + 1) * (termCap + 2) / 2]float64
 )
 
-// termsFor returns the process-wide table of term(tot, cnt) for every
-// cnt ≤ tot ≤ n, or nil when n exceeds termCap. cnt ≤ tot ≤ n admits only
-// (n+1)(n+2)/2 distinct terms while one pair evaluates thousands, so the
-// table is a memo of a pure function of its index: rows are filled under
-// the mutex up to the largest n seen and published through termRows
-// (readers take no lock and touch published rows only), on first use, so a
-// process that never scores a pair never pays for it.
-func termsFor(n int) []float64 {
+// termsFor returns the process-wide tables of term(tot, cnt) and of the
+// two-row bin cost for every cnt ≤ tot ≤ n, or nils when n exceeds termCap.
+// cnt ≤ tot ≤ n admits only (n+1)(n+2)/2 distinct terms while one pair
+// evaluates thousands, so each table is a memo of a pure function of its
+// index: rows are filled under the mutex up to the largest n seen and
+// published through termRows (readers take no lock and touch published rows
+// only), on first use, so a process that never scores a pair never pays for
+// it. A two-row entry adds its two terms to 0 in row order, exactly as
+// the direct evaluation of the bin does, so it holds the same bits.
+func termsFor(n int) (terms, terms2 []float64) {
 	if n > termCap {
-		return nil
+		return nil, nil
 	}
 	if int(termRows.Load()) <= n {
 		termMu.Lock()
 		tot := int(termRows.Load())
 		for ; tot <= n; tot++ {
-			for cnt := 0; cnt <= tot; cnt++ {
-				termTab[tot*(tot+1)/2+cnt] = term(tot, cnt)
+			row := termTab[tot*(tot+1)/2 : (tot+1)*(tot+2)/2]
+			for cnt := range row {
+				row[cnt] = term(tot, cnt)
+			}
+			row2 := term2Tab[tot*(tot+1)/2 : (tot+1)*(tot+2)/2]
+			for cnt := range row2 {
+				var c float64
+				c += row[cnt]
+				c += row[tot-cnt]
+				row2[cnt] = c
 			}
 		}
 		termRows.Store(int32(tot))
 		termMu.Unlock()
 	}
-	return termTab[:]
+	return termTab[:], term2Tab[:]
 }
 
 // computePair evaluates both grid orientations into dense characteristic
@@ -247,12 +261,12 @@ func computePair(px, py *Prepared, sc *scratch) result {
 	sc.char2 = resized(sc.char2, dim*dim)
 	clear(sc.char1)
 	clear(sc.char2)
-	terms := termsFor(px.n)
+	terms, terms2 := termsFor(px.n)
 	// Orientation 1: rows from y, optimise the x axis; orientation 2 the
 	// reverse. The element-wise maximum of both is taken, as in the
 	// reference MINE implementation.
-	charHalfPrepared(px, py, sc, terms, sc.char1, dim)
-	charHalfPrepared(py, px, sc, terms, sc.char2, dim)
+	charHalfPrepared(px, py, sc, terms, terms2, sc.char1, dim)
+	charHalfPrepared(py, px, sc, terms, terms2, sc.char2, dim)
 	for a := 2; a <= b/2; a++ {
 		for r := 2; a*r <= b; r++ {
 			v := sc.char1[r*dim+a]
@@ -286,9 +300,11 @@ func computePair(px, py *Prepared, sc *scratch) result {
 // value stay together, and consecutive groups lying wholly in one and the
 // same row are merged (a boundary strictly inside a single-row run never
 // improves mutual information) — and, as each clump closes, its row of the
-// cumulative histogram. Only group boundaries, membership and row counts are
-// read, so the order of equal values inside colP.order is immaterial.
-func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, dim int) {
+// cumulative histogram. A group lying in one row adds its size to that row
+// in one step; only a group spanning rows is counted point by point. Only
+// group boundaries, membership and row counts are read, so the order of
+// equal values inside colP.order is immaterial.
+func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []float64, dim int) {
 	n, b, order := colP.n, colP.b, colP.order
 	groups := len(colP.tieEnds)
 	sc.ends = resized(sc.ends, groups+1)
@@ -305,9 +321,11 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, d
 		}
 		rowOf := rowP.rowOf[rows]
 		// cum row k+1 is the running histogram of the open clump; closing
-		// the clump freezes it and seeds the next row with a copy.
+		// the clump freezes it and seeds the next row with a copy, made by a
+		// loop because 2–5 ints do not pay for a memmove call.
 		clear(cum[:2*rows])
 		k, openRow, start := 0, -1, 0
+		hist := cum[rows : 2*rows]
 		for _, end := range colP.tieEnds {
 			row := rowOf[order[start]] // the group's row, -1 when it spans several
 			for p := start + 1; p < end; p++ {
@@ -319,11 +337,18 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, d
 			if start > 0 && (row < 0 || row != openRow) {
 				k++
 				ends[k] = start
-				copy(cum[(k+1)*rows:(k+2)*rows], cum[k*rows:(k+1)*rows])
+				next := cum[(k+1)*rows : (k+2)*rows]
+				for r, c := range hist {
+					next[r] = c
+				}
+				hist = next
 			}
-			hist := cum[(k+1)*rows:]
-			for p := start; p < end; p++ {
-				hist[rowOf[order[p]]]++
+			if row >= 0 {
+				hist[row] += end - start
+			} else {
+				for p := start; p < end; p++ {
+					hist[rowOf[order[p]]]++
+				}
 			}
 			openRow, start = row, end
 		}
@@ -340,7 +365,10 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, d
 				if e := ends[i]; float64(e) >= next || i == k {
 					w++
 					ends[w] = e
-					copy(cum[w*rows:(w+1)*rows], cum[i*rows:(i+1)*rows])
+					dst := cum[w*rows : (w+1)*rows]
+					for r, c := range cum[i*rows : (i+1)*rows] {
+						dst[r] = c
+					}
 					next = float64(e) + target
 				}
 			}
@@ -349,60 +377,77 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, out []float64, d
 		if k < 2 {
 			continue
 		}
-		optimizeAxis(ends, cum, k, rows, rowP.hq[rows], n, sc, terms, out[rows*dim:rows*dim+maxCols+1])
+		optimizeAxis(ends, cum, k, rows, rowP.hq[rows], n, sc, terms, terms2, out[rows*dim:rows*dim+maxCols+1])
 	}
 }
 
-// binCost returns the unnormalised conditional-entropy contribution of a
-// column bin covering clumps s..t-1: bs and bt are the offsets of cum rows s
-// and t, tot the bin's point count.
-func binCost(terms []float64, cum []int, bs, bt, rows, tot int) float64 {
-	var c float64
-	if terms == nil {
-		for r := 0; r < rows; r++ {
-			c += term(tot, cum[bt+r]-cum[bs+r])
+// fillCosts sets costTab[t*k1+s] to cost(s, t), the unnormalised
+// conditional-entropy contribution of a column bin covering clumps s..t-1,
+// for 1 <= t <= k and s < t, and prev[t] to cost(0, t). A bin's cost sums,
+// over the rows in row order and starting from 0, the term of its point
+// count and the row's count in it; a two-row bin is one lookup in terms2,
+// which holds that same sum, and with no tables (n > termCap) each term is
+// evaluated directly. With a two-column budget (last == 2) the DP reads
+// only row k, so the other rows fill only column 0.
+func fillCosts(costTab, prev []float64, ends, cum []int, k, rows, last int, terms, terms2 []float64) {
+	k1 := k + 1
+	for t := 1; t <= k; t++ {
+		to := t
+		if last == 2 && t < k {
+			to = 1
 		}
-		return c
+		dst := costTab[t*k1 : t*k1+to]
+		et, ct := ends[t], cum[t*rows:(t+1)*rows]
+		switch {
+		case terms == nil:
+			for s := range dst {
+				tot, cs := et-ends[s], cum[s*rows:(s+1)*rows]
+				var c float64
+				for r, v := range ct {
+					c += term(tot, v-cs[r])
+				}
+				dst[s] = c
+			}
+		case rows == 2:
+			c0 := ct[0]
+			for s := range dst {
+				tot := et - ends[s]
+				dst[s] = terms2[tot*(tot+1)/2+c0-cum[2*s]]
+			}
+		default:
+			for s := range dst {
+				tot, cs := et-ends[s], cum[s*rows:(s+1)*rows]
+				tt := terms[tot*(tot+1)/2:]
+				var c float64
+				for r, v := range ct {
+					c += tt[v-cs[r]]
+				}
+				dst[s] = c
+			}
+		}
+		prev[t] = dst[0]
 	}
-	terms = terms[tot*(tot+1)/2:]
-	for r := 0; r < rows; r++ {
-		c += terms[cum[bt+r]-cum[bs+r]]
-	}
-	return c
 }
 
 // optimizeAxis runs the DP over the k clump boundaries, setting best[l] to
 // the maximal mutual information using at most l columns for every l in
 // [2, len(best)); best[0] and best[1] stay 0. hq is H(Q); n the total point
 // count.
-func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *scratch, terms, best []float64) {
+func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *scratch, terms, terms2, best []float64) {
 	k1 := k + 1
 	last := len(best) - 1 // the deepest level the DP runs: min(maxCols, k)
 	if last > k {
 		last = k
 	}
-	// prev[t] = cost(0, t): clumps[0..t-1] as one column bin.
+	// costTab[t*k1+s] = cost(s, t), precomputed once — the DP below would
+	// otherwise recompute each entry once per column count — and transposed
+	// so the DP's inner loop over s is contiguous; prev[t] = cost(0, t),
+	// clumps[0..t-1] as one column bin.
 	sc.prev = resized(sc.prev, k1)
 	sc.curr = resized(sc.curr, k1)
-	prev, curr := sc.prev, sc.curr
-	for t := 1; t <= k; t++ {
-		prev[t] = binCost(terms, cum, 0, t*rows, rows, ends[t])
-	}
-	// costTab[t*k1+s] = cost(s, t) for 1 <= s < t, precomputed once — the
-	// DP below would otherwise recompute each entry once per column count —
-	// and transposed so the DP's inner loop over s is contiguous. The last
-	// level reads row k only, so a two-column budget needs no other row.
 	sc.costTab = resized(sc.costTab, k1*k1)
-	costTab := sc.costTab
-	t := 2
-	if last == 2 {
-		t = k
-	}
-	for ; t <= k; t++ {
-		for s := 1; s < t; s++ {
-			costTab[t*k1+s] = binCost(terms, cum, s*rows, t*rows, rows, ends[t]-ends[s])
-		}
-	}
+	prev, curr, costTab := sc.prev, sc.curr, sc.costTab
+	fillCosts(costTab, prev, ends, cum, k, rows, last, terms, terms2)
 	// Level l: curr[t] = min total cost partitioning clumps[0..t-1] into
 	// exactly l column bins, finite exactly for t >= l. Level l+1 reads
 	// curr[l..k-1] and the answer reads curr[k], so t starts at l, and at
@@ -413,9 +458,9 @@ func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *scratch, 
 			t = k
 		}
 		for ; t <= k; t++ {
-			m, cost := math.MaxFloat64, costTab[t*k1:]
-			for s := l - 1; s < t; s++ {
-				if v := prev[s] + cost[s]; v < m {
+			m, cost := math.MaxFloat64, costTab[t*k1+l-1:t*k1+t]
+			for i, p := range prev[l-1 : t] {
+				if v := p + cost[i]; v < m {
 					m = v
 				}
 			}
