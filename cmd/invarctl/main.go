@@ -25,6 +25,7 @@ import (
 	"invarnetx/internal/experiments"
 	"invarnetx/internal/faults"
 	"invarnetx/internal/server/client"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/telemetry"
 	"invarnetx/internal/workload"
 )
@@ -350,9 +351,18 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	db := sys.SignatureSnapshot()
-	fmt.Printf("auditing %d signatures\n", db.Len())
-	conflicts := db.Conflicts(*threshold)
+	// Each context's signature base is audited on its own: signatures of
+	// two contexts never compete at diagnosis, so they never conflict.
+	profiles := sys.Profiles()
+	bases := make([]*signature.DB, len(profiles))
+	total := 0
+	var conflicts []signature.Conflict
+	for i, p := range profiles {
+		bases[i] = p.SignatureSnapshot()
+		total += bases[i].Len()
+		conflicts = append(conflicts, bases[i].Conflicts(*threshold)...)
+	}
+	fmt.Printf("auditing %d signatures\n", total)
 	if len(conflicts) == 0 {
 		fmt.Printf("no conflicts at similarity >= %.2f\n", *threshold)
 	} else {
@@ -362,9 +372,11 @@ func cmdAudit(args []string) error {
 		}
 	}
 	fmt.Println("per-problem separability (cohesion - worst external; negative predicts misdiagnosis):")
-	for _, sep := range db.Separabilities() {
-		fmt.Printf("  %-10s margin %+0.2f (cohesion %.2f, worst external %.2f vs %s) [%s@%s]\n",
-			sep.Problem, sep.Margin(), sep.Cohesion, sep.WorstExternal, sep.WorstProblem, sep.Workload, sep.IP)
+	for _, db := range bases {
+		for _, sep := range db.Separabilities() {
+			fmt.Printf("  %-10s margin %+0.2f (cohesion %.2f, worst external %.2f vs %s) [%s@%s]\n",
+				sep.Problem, sep.Margin(), sep.Cohesion, sep.WorstExternal, sep.WorstProblem, sep.Workload, sep.IP)
+		}
 	}
 	return nil
 }

@@ -220,21 +220,11 @@ func (s *System) loadProfile(dir, name string, rep *LoadReport) error {
 }
 
 // restoreProfile installs one decoded profile file whole, or nothing of it:
-// every section must decode and validate, and every signature belong to the
-// file's own scope, before anything is installed. sigs is the file's own
-// database: it is checked once per scope it holds, and into a profile with
-// no signatures yet — every profile of a restore at boot — it is adopted
-// whole.
+// every section must decode and validate before anything is installed. sigs
+// is the file's own signature base, of the file's context (the decoder
+// refuses a signature of any other): into a profile with no signatures yet
+// — every profile of a restore at boot — it is adopted whole.
 func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs *signature.DB, rep *LoadReport) error {
-	scope := loadedCtx(f.Type, f.IP)
-	if err := sigs.Scopes(func(workload, ip string) error {
-		if ctx := loadedCtx(workload, ip); ctx != scope {
-			return fmt.Errorf("signatures of %v do not belong to the file's %v", ctx, scope)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
 	var (
 		d   *detect.Detector
 		set *invariant.Set
@@ -256,7 +246,7 @@ func (s *System) restoreProfile(f *xmlstore.ProfileFile, sigs *signature.DB, rep
 			return err
 		}
 	}
-	p := s.Profile(scope)
+	p := s.Profile(loadedCtx(f.Type, f.IP))
 	if d != nil {
 		p.setDetector(d)
 		rep.Models++

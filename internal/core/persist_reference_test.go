@@ -55,21 +55,25 @@ func referenceLoadFrom(s *System, dir string) (*LoadReport, error) {
 }
 
 // parseSignatures checks f's version and parses its signatures in file
-// order into a database, one DB.Merge each; one malformed tuple rejects them
-// all.
+// order into the signature base of the root's context, one DB.Merge each;
+// one signature naming another context, or one malformed tuple, rejects
+// them all.
 func parseSignatures(f xmlstore.ProfileFile) (*signature.DB, error) {
 	if f.Version < 0 || f.Version > xmlstore.FormatVersion {
 		return nil, fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
 	}
-	var sigs signature.DB
+	sigs := signature.NewDB(f.Type, f.IP, 0)
 	for i, e := range f.Signatures {
+		if e.IP != f.IP || e.Type != f.Type {
+			return nil, fmt.Errorf("signature %d of %s@%s does not belong to the file's %s@%s", i, e.Type, e.IP, f.Type, f.IP)
+		}
 		t, err := signature.ParseTuple(e.Tuple)
 		if err != nil {
 			return nil, fmt.Errorf("signature %d: %w", i, err)
 		}
-		sigs.Merge(signature.Entry{Tuple: t, Problem: e.Problem, IP: e.IP, Workload: e.Type})
+		sigs.Merge(e.Problem, t)
 	}
-	return &sigs, nil
+	return sigs, nil
 }
 
 // TestLoadFromEquivalence restores one saved four-context store — every

@@ -28,7 +28,7 @@ type Profile struct {
 	mu         sync.RWMutex
 	detector   *detect.Detector
 	invariants *invariant.Set
-	sigs       signature.DB
+	sigs       *signature.DB        // the context's signature base
 	training   invariant.TrainStats // summed over every TrainInvariants call
 
 	// lc is the drift-aware invariant lifecycle (nil when disabled): edge
@@ -43,7 +43,7 @@ type Profile struct {
 
 // newProfile builds an empty profile for key under s's configuration.
 func newProfile(s *System, key Context) *Profile {
-	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize)}
+	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize), sigs: signature.NewDB(key.Workload, key.IP, 0)}
 	if s.cfg.Lifecycle {
 		p.lc = &lifecycle{}
 	}
@@ -160,14 +160,15 @@ func (p *Profile) buildSignature(problem string, abnormal *metrics.Trace) (signa
 	return entry, p.mergeSignatures(entry) == 1, nil
 }
 
-// mergeSignatures stores already-built entries under one lock, skipping any
-// whose identical twin is present (a repeated label, an import of an entry
-// already held), and returns how many were added.
+// mergeSignatures stores already-built entries of the profile's context
+// under one lock, skipping any whose identical twin is present (a repeated
+// label, an import of an entry already held), and returns how many were
+// added.
 func (p *Profile) mergeSignatures(es ...signature.Entry) (added int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range es {
-		if p.sigs.Merge(e) {
+		if p.sigs.Merge(e.Problem, e.Tuple) {
 			added++
 		}
 	}
@@ -242,11 +243,8 @@ func (p *Profile) Diagnose(abnormal *metrics.Trace) (*Diagnosis, error) {
 			}
 		}
 	}
-	// The profile is the signature scope: its entries all carry the
-	// profile's own context, and the query names exactly that context (both
-	// fields empty for the zero Context).
 	p.mu.RLock()
-	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, topCauses)
+	ranked, err := p.sigs.Rank(rep.Tuple, rep.Known, topCauses)
 	p.mu.RUnlock()
 	if err != nil {
 		if errors.Is(err, signature.ErrEmpty) {

@@ -55,13 +55,13 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		}
 		return mat
 	}
-	var legacyDB signature.DB
+	legacyDB := signature.NewDB(ctx.Workload, ctx.IP, 0)
 	for _, sw := range []struct {
 		problem string
 		win     *metrics.Trace
 	}{{"fault-a", sigWinA}, {"fault-b", sigWinB}} {
 		raw, _ := denseViolations(set, legacyMatrix(sw.win.Rows), cfg.Epsilon, nil, nil)
-		legacyDB.Add(signature.Entry{Tuple: raw, Problem: sw.problem, IP: ctx.IP, Workload: ctx.Workload})
+		legacyDB.Add(sw.problem, raw)
 	}
 	rawAb, _ := denseViolations(set, legacyMatrix(ab.Rows), cfg.Epsilon, nil, nil)
 	legacyTuple := signature.Tuple(rawAb)
@@ -361,11 +361,11 @@ func TestSignatureSnapshotIsolated(t *testing.T) {
 	if err := s.BuildSignature(ctx, "fault-a", synthTrace(rng.Fork(1), 40, 8, map[int]bool{0: true})); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.SignatureSnapshot()
+	snap := s.Profile(ctx).SignatureSnapshot()
 	if snap.Len() != 1 {
 		t.Fatalf("snapshot holds %d entries, want 1", snap.Len())
 	}
-	snap.Add(signature.Entry{Tuple: make(signature.Tuple, 3), Problem: "bogus"})
+	snap.Add("bogus", make(signature.Tuple, 3))
 	if s.SignatureCount() != 1 {
 		t.Error("mutating the snapshot leaked into the live database")
 	}
@@ -382,7 +382,7 @@ func TestSignatureSnapshotIsolated(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = s.SignatureSnapshot().Len()
+				_ = s.Profile(ctx).SignatureSnapshot().Len()
 			}
 		}(g)
 	}

@@ -59,8 +59,10 @@ type Config struct {
 	// Assoc is the pairwise association measure; mic.MIC by default,
 	// arx.Association for the baseline comparison.
 	Assoc invariant.AssociationFunc
-	// AssocCacheSize bounds each profile's association-matrix cache: 0
-	// selects DefaultAssocCacheSize, negative disables caching.
+	// AssocCacheSize bounds each profile's report cache — finished
+	// ViolationReports keyed by window fingerprint, invariant set and
+	// lifecycle epoch (cache.go): 0 selects DefaultAssocCacheSize, negative
+	// disables caching.
 	AssocCacheSize int
 	// Similarity names the signature similarity measure. Jaccard, its zero
 	// value, is the only one Validate accepts, and diagnosis does not read
@@ -299,20 +301,6 @@ func (s *System) SignatureCount() int {
 		n += p.SignatureCount()
 	}
 	return n
-}
-
-// SignatureSnapshot returns a deep copy of the signature entries of every
-// profile, in deterministic profile order. Unlike the live per-profile
-// databases it is safe to read, match and audit while concurrent
-// BuildSignature calls keep writing.
-func (s *System) SignatureSnapshot() *signature.DB {
-	out := &signature.DB{}
-	for _, p := range s.Profiles() {
-		for _, e := range p.Signatures() {
-			out.Add(e)
-		}
-	}
-	return out
 }
 
 // Diagnosis is the output of cause inference: a ranked cause list plus the

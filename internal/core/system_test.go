@@ -228,6 +228,54 @@ func TestContextScopingSeparatesSignatures(t *testing.T) {
 	}
 }
 
+// TestSignatureBasesKeepContextsApart: each profile's signature base is its
+// own context's. Two contexts trained on the same runs hold sets of one
+// tuple length, and the same fault window labelled fault-a on A and fault-b
+// on B stores one tuple under both; still a diagnosis of A ranks fault-a
+// alone, B's fault-b alone, and A's snapshot answers a query naming B with
+// ErrEmpty.
+func TestSignatureBasesKeepContextsApart(t *testing.T) {
+	ctxA := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	ctxB := Context{Workload: "wordcount", IP: "10.0.0.3"}
+	problems := map[Context]string{ctxA: "fault-a", ctxB: "fault-b"}
+	s := New(DefaultConfig())
+	runs, cpis := normalRuns(613)
+	for ctx := range problems {
+		if err := s.TrainPerformanceModel(ctx, cpis); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TrainInvariants(ctx, runs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	win := synthTrace(stats.NewRNG(614), 40, 8, map[int]bool{0: true, 1: true})
+	for ctx, problem := range problems {
+		if err := s.BuildSignature(ctx, problem, win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := s.Profile(ctxA).Signatures(), s.Profile(ctxB).Signatures()
+	if len(a) != 1 || len(b) != 1 || a[0].Tuple.String() != b[0].Tuple.String() || a[0].Tuple.Ones() == 0 {
+		t.Fatalf("signatures A %v, B %v; want one violated tuple, the same in both", a, b)
+	}
+	for ctx, problem := range problems {
+		diag, err := s.Diagnose(ctx, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diag.Causes) != 1 || diag.Causes[0].Problem != problem || diag.Causes[0].IP != ctx.IP || diag.Causes[0].Workload != ctx.Workload {
+			t.Errorf("diagnosis of %v ranks %+v, want %s alone", ctx, diag.Causes, problem)
+		}
+	}
+	snap := s.Profile(ctxA).SignatureSnapshot()
+	if ms, err := snap.MatchMasked(a[0].Tuple, nil, ctxB.IP, ctxB.Workload, signature.Jaccard, 0); !errors.Is(err, signature.ErrEmpty) {
+		t.Errorf("A's snapshot matched a query naming B: %+v, %v; want ErrEmpty", ms, err)
+	}
+	if ms, err := snap.MatchMasked(a[0].Tuple, nil, ctxA.IP, ctxA.Workload, signature.Jaccard, 0); err != nil || len(ms) != 1 || ms[0].Problem != "fault-a" {
+		t.Errorf("A's snapshot matched %+v, %v for a query naming A; want fault-a", ms, err)
+	}
+}
+
 func TestMonitorIntegration(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
 	s := trainSystem(t, DefaultConfig(), ctx, 609)

@@ -209,13 +209,24 @@ func (r *Runner) RunContrast(w workload.Type, tuplesPerFault int) (*ContrastResu
 	if err != nil {
 		return nil, err
 	}
-	// The contrast of fresh runs is the separability of the signature base
-	// they would make: every observed tuple stored under its fault's name.
-	var db signature.DB
+	// The contrast of fresh runs is the separability of the signature bases
+	// they would make: every observed tuple stored under its fault's name,
+	// in its context's base.
+	bases := make(map[core.Context]*signature.DB)
+	var order []*signature.DB
 	for _, o := range outs {
-		db.Add(signature.Entry{Tuple: o.Diagnosis.Tuple, Problem: o.Scenario.Truth(), IP: o.Context.IP, Workload: o.Context.Workload})
+		db := bases[o.Context]
+		if db == nil {
+			db = signature.NewDB(o.Context.Workload, o.Context.IP, 0)
+			bases[o.Context], order = db, append(order, db)
+		}
+		db.Add(o.Scenario.Truth(), o.Diagnosis.Tuple)
 	}
-	return &ContrastResult{Workload: w, Invariants: set.Len(), Rows: db.Separabilities()}, nil
+	res := &ContrastResult{Workload: w, Invariants: set.Len()}
+	for _, db := range order {
+		res.Rows = append(res.Rows, db.Separabilities()...)
+	}
+	return res, nil
 }
 
 // Print writes the contrast table, worst margins first.

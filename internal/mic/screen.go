@@ -2,14 +2,13 @@ package mic
 
 import "math"
 
-// Prescreen bound: a cheap, conservative lower bound on a pair's MIC,
-// computed in O(n) from each Prepared's sort order, tie runs and
-// equipartitions; this is the only file that knows ranks exist (spearman
-// derives them per call). No product path calls ScreenLow: every trained
-// pair of a diagnosed window is scored exactly. The file stays only because
-// the end-to-end benchmark times the bound against the exact score
-// (bench/layers.go l. 346); the roadmap's exact in-DP early exit deletes
-// both.
+// Screen bound: a cheap, conservative lower bound on a pair's MIC, computed
+// in O(n) from each Prepared's sort order, tie runs and equipartitions; this
+// is the only file that knows ranks exist (spearman derives them per call).
+// No package of the module calls ScreenLow — there is no prescreen: every
+// trained pair of a diagnosed window is scored exactly. Only the end-to-end
+// benchmark times the bound, against the exact score (bench/layers.go
+// l. 346); ROADMAP item 10 deletes this file along with that probe.
 //
 // The bound itself is the mutual information of a both-axes equipartition
 // at a few budget-admissible grid shapes, normalised exactly as the
@@ -36,8 +35,8 @@ const screenRhoGate = 0.25
 
 // ScreenLow returns a conservative lower bound on Score(i, j), or 0 when no
 // cheap certificate exists (degenerate metrics, weak rank correlation).
-// Safe for concurrent use. It satisfies the invariant package's Prescreener
-// interface.
+// Safe for concurrent use. Only bench/layers.go l. 346 calls it, to time
+// the bound against Score.
 func (b *Batch) ScreenLow(i, j int) float64 {
 	px, py := b.prepared[i], b.prepared[j]
 	if px == nil || py == nil {

@@ -16,6 +16,7 @@ import (
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/server"
 	"invarnetx/internal/server/client"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 )
 
@@ -383,8 +384,10 @@ func TestRestartRestoresSignatures(t *testing.T) {
 	}
 
 	// Every signature acknowledged over the wire is present by content.
-	db := srv2.System().SignatureSnapshot()
-	entries := db.Entries()
+	var entries []signature.Entry
+	for _, p := range srv2.System().Profiles() {
+		entries = append(entries, p.Signatures()...)
+	}
 	for _, l := range acked {
 		found := false
 		for _, e := range entries {

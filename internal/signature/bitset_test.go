@@ -53,7 +53,7 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 				// b is the one entry of its bucket, scored by the scan's
 				// own loop and read back from the reducer.
 				one := &DB{}
-				one.Add(Entry{Tuple: b, Problem: "p"})
+				one.Add("p", b)
 				bk := one.order[0].b
 				for _, known := range masks {
 					want, err := MaskedSimilarity(a, b, known)
@@ -75,23 +75,19 @@ func TestBitsetMatchesBoolSimilarity(t *testing.T) {
 
 // TestMatchMaskedBitsetEquivalence: the packed scan must return the exact
 // matches (entries, order, scores) a reference MaskedSimilarity scan would,
-// across masks, MinScore thresholds and stale-length entries.
+// across masks, MinScore thresholds, stale-length entries and queries naming
+// the database's context or another.
 func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2201)
 	const n = 70
 	for _, minScore := range []float64{0, 0.4} {
-		db := &DB{MinScore: minScore}
+		db := &DB{workload: "wc", MinScore: minScore}
 		for i := 0; i < 40; i++ {
 			ln := n
 			if i%9 == 0 {
 				ln = n - 3 // stale entry from an older invariant set
 			}
-			db.Add(Entry{
-				Tuple:    randomTuple(rng, ln, 0.15),
-				Problem:  string(rune('a' + i%5)),
-				IP:       []string{"", "10.0.0.1", "10.0.0.2"}[i%3],
-				Workload: []string{"wc", "tpcds"}[i%2],
-			})
+			db.Add(string(rune('a'+i%5)), randomTuple(rng, ln, 0.15))
 		}
 		for rep := 0; rep < 20; rep++ {
 			tuple := randomTuple(rng, n, []float64{0, 0.1, 0.5}[rep%3])
@@ -100,16 +96,10 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 				known = []bool(randomTuple(rng, n, 0.8))
 			}
 			ip := []string{"", "10.0.0.1"}[rep%2]
-			got, err := db.MatchMasked(tuple, known, ip, "wc", Jaccard, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, "wc", 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("minScore=%v rep=%d: packed scan %+v != reference %+v", minScore, rep, got, want)
+			got, gotErr := db.MatchMasked(tuple, known, ip, "wc", Jaccard, 5)
+			want, wantErr := matchLinear(db.Entries(), db.MinScore, tuple, known, ip, "wc", 5)
+			if gotErr != wantErr || !reflect.DeepEqual(got, want) {
+				t.Errorf("minScore=%v rep=%d: packed scan %+v (%v) != reference %+v (%v)", minScore, rep, got, gotErr, want, wantErr)
 			}
 		}
 		scanned, early := db.ScanStats()
@@ -126,9 +116,9 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 // mask) must resolve every same-length entry without the word loop.
 func TestMatchEarlyExitZeroQuery(t *testing.T) {
 	rng := stats.NewRNG(2202)
-	db := &DB{}
+	db := NewDB("w", "n", 0)
 	for i := 0; i < 25; i++ {
-		db.Add(Entry{Tuple: randomTuple(rng, 64, 0.2), Problem: "p", IP: "n", Workload: "w"})
+		db.Add("p", randomTuple(rng, 64, 0.2))
 	}
 	if _, err := db.Match(make(Tuple, 64), "n", "w", 0); err != nil {
 		t.Fatal(err)
@@ -141,27 +131,26 @@ func TestMatchEarlyExitZeroQuery(t *testing.T) {
 
 // TestScanStatsExact pins the scan counters behind /v1/stats sigScan* and the
 // benchmark's signature.scan_entries_per_query / early_exit_ratio to the
-// exact (scanned, early) tallies of a fixed fixture, for Rank and MatchMasked
-// alike: a stale-length bucket, the zero query, a MinScore floor (which
+// exact (scanned, early) tallies of a fixed fixture — the entries of one
+// context of a fixed labelling history — for Rank and MatchMasked alike: a
+// stale-length bucket, the zero query, a MinScore floor (which
 // filters without resolving anything early: only the stale-length skips
 // count) and a masked query. A kernel change that resolves a different set
 // of entries early moves them.
 func TestScanStatsExact(t *testing.T) {
 	const n = 130 // three words per tuple
-	build := func(minScore float64) *DB {
+	build := func(minScore float64, ip, wl string) *DB {
 		rng := stats.NewRNG(3400)
-		db := &DB{MinScore: minScore}
+		db := &DB{workload: wl, ip: ip, MinScore: minScore}
 		for i := 0; i < 120; i++ {
 			ln := n
 			if i%11 == 0 {
 				ln = n - 4 // stale entry from an older invariant set
 			}
-			db.Add(Entry{
-				Tuple:    randomTuple(rng, ln, []float64{0, 0.05, 0.2, 0.5}[i%4]),
-				Problem:  fmt.Sprintf("p%d", i%7),
-				IP:       []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[i%3],
-				Workload: []string{"wc", "sort"}[i%2],
-			})
+			tuple := randomTuple(rng, ln, []float64{0, 0.05, 0.2, 0.5}[i%4])
+			if []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[i%3] == ip && []string{"wc", "sort"}[i%2] == wl {
+				db.Add(fmt.Sprintf("p%d", i%7), tuple)
+			}
 		}
 		return db
 	}
@@ -177,7 +166,7 @@ func TestScanStatsExact(t *testing.T) {
 		ip, wl         string
 		scanned, early int64
 	}{
-		{"exact scope", 0, query, nil, "10.0.0.1", "wc", 20, 2},
+		{"clean query", 0, query, nil, "10.0.0.1", "wc", 20, 2},
 		{"zero query", 0, zero, nil, "10.0.0.1", "wc", 20, 20},
 		{"zero query, MinScore", 0.3, zero, nil, "10.0.0.2", "sort", 20, 20},
 		{"MinScore pruning", 0.3, query, nil, "10.0.0.2", "sort", 20, 1},
@@ -185,10 +174,10 @@ func TestScanStatsExact(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, rank := range []bool{false, true} {
-			db := build(c.minScore)
+			db := build(c.minScore, c.ip, c.wl)
 			var err error
 			if rank {
-				_, err = db.Rank(c.tuple, c.known, c.ip, c.wl, 3)
+				_, err = db.Rank(c.tuple, c.known, 3)
 			} else {
 				_, err = db.MatchMasked(c.tuple, c.known, c.ip, c.wl, Jaccard, 3)
 			}
@@ -218,19 +207,19 @@ func TestMinScorePruneBoundary(t *testing.T) {
 	for _, ones := range []int{1, 7, 64, 149} {
 		query := prefix(ones)
 		for k := 0; k <= n; k += 7 {
-			var probe DB
-			probe.Add(Entry{Tuple: prefix(k), Problem: "p", IP: "ip", Workload: "wl"})
+			probe := NewDB("wl", "ip", 0)
+			probe.Add("p", prefix(k))
 			ms, err := probe.Match(query, "ip", "wl", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			db := &DB{MinScore: ms[0].Score}
+			db := &DB{workload: "wl", ip: "ip", MinScore: ms[0].Score}
 			for j := 0; j <= n; j++ {
-				db.Add(Entry{Tuple: prefix(j), Problem: fmt.Sprintf("p%d", j%5), IP: "ip", Workload: "wl"})
+				db.Add(fmt.Sprintf("p%d", j%5), prefix(j))
 			}
 			tag := fmt.Sprintf("ones=%d floor=score(prefix %d)=%v", ones, k, db.MinScore)
 			matchBothPaths(t, db, query, nil, "ip", "wl", 0, tag)
-			rankBothPaths(t, db, query, nil, "ip", "wl", 0, tag)
+			rankBothPaths(t, db, query, nil, 0, tag)
 		}
 	}
 }

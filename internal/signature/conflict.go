@@ -20,17 +20,16 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("%s ~ %s (%.2f, %s@%s)", c.A.Problem, c.B.Problem, c.Score, c.A.Workload, c.A.IP)
 }
 
-// Conflicts returns every pair of signatures for *different* problems,
-// within the same operation context, whose similarity meets or exceeds
-// threshold — sorted by descending similarity. Two signatures of the same
+// Conflicts returns every pair of signatures for *different* problems in
+// the database's context whose similarity meets or exceeds threshold —
+// sorted by descending similarity. Two signatures of the same
 // problem are expected to be similar and are not conflicts.
 func (db *DB) Conflicts(threshold float64) []Conflict {
 	var out []Conflict
 	for i, a := range db.order {
 		for _, b := range db.order[i+1:] {
-			// Sharing a bucket is sharing the context and the tuple length:
-			// different contexts never compete at match time, and a stale
-			// tuple from an older invariant set is not comparable.
+			// Sharing a bucket is sharing the tuple length: a stale tuple
+			// from an older invariant set is not comparable.
 			if a.b != b.b || a.b.probs[a.pos] == b.b.probs[b.pos] {
 				continue
 			}
@@ -68,33 +67,28 @@ type Separability struct {
 // Margin returns Cohesion - WorstExternal.
 func (s Separability) Margin() float64 { return s.Cohesion - s.WorstExternal }
 
-// Separabilities computes the per-problem separability report for every
-// (problem, context) group in the database. Like Conflicts, it compares
-// only signatures of one tuple length: a stale tuple left by a retrain
-// enters no mean.
+// Separabilities computes the per-problem separability report of the
+// database's context. Like Conflicts, it compares only signatures of one
+// tuple length: a stale tuple left by a retrain enters no mean.
 func (db *DB) Separabilities() []Separability {
-	type key struct {
-		pid   int32
-		scope scopeKey
-	}
-	groups := make(map[key][]entryRef)
+	groups := make(map[int32][]entryRef)
 	for _, ref := range db.order {
-		k := key{ref.b.probs[ref.pos], ref.b.scope}
-		groups[k] = append(groups[k], ref)
+		pid := ref.b.probs[ref.pos]
+		groups[pid] = append(groups[pid], ref)
 	}
 	var out []Separability
-	for k, members := range groups {
-		s := Separability{Problem: db.problems[k.pid], IP: k.scope.ip, Workload: k.scope.workload, Cohesion: 1}
+	for pid, members := range groups {
+		s := Separability{Problem: db.problems[pid], IP: db.ip, Workload: db.workload, Cohesion: 1}
 		if mean, ok := meanPairScore(members, nil); ok {
 			s.Cohesion = mean
 		}
-		for k2, others := range groups {
-			if k2 == k || k2.scope != k.scope {
+		for other, others := range groups {
+			if other == pid {
 				continue
 			}
 			if mean, ok := meanPairScore(members, others); ok && mean > s.WorstExternal {
 				s.WorstExternal = mean
-				s.WorstProblem = db.problems[k2.pid]
+				s.WorstProblem = db.problems[other]
 			}
 		}
 		out = append(out, s)

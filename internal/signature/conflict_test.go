@@ -5,22 +5,13 @@ import (
 )
 
 func conflictDB() *DB {
-	var db DB
-	add := func(tuple, problem, ip, wl string) {
-		t, err := ParseTuple(tuple)
-		if err != nil {
-			panic(err)
-		}
-		db.Add(Entry{Tuple: t, Problem: problem, IP: ip, Workload: wl})
-	}
+	db := NewDB("wordcount", "10.0.0.2", 0)
 	// net-drop and net-delay nearly identical (the paper's conflict).
-	add("111100", "net-drop", "10.0.0.2", "wordcount")
-	add("111000", "net-delay", "10.0.0.2", "wordcount")
+	db.Add("net-drop", tup("111100"))
+	db.Add("net-delay", tup("111000"))
 	// mem-hog clearly distinct.
-	add("000011", "mem-hog", "10.0.0.2", "wordcount")
-	// Same problems on another node must not cross-report.
-	add("110011", "net-drop", "10.0.0.3", "wordcount")
-	return &db
+	db.Add("mem-hog", tup("000011"))
+	return db
 }
 
 func TestConflictsFindsTheKnownPair(t *testing.T) {
@@ -42,22 +33,35 @@ func TestConflictsFindsTheKnownPair(t *testing.T) {
 	}
 }
 
+// TestConflictsRespectsContextBoundaries: an audit reads one context's
+// database, so the same tuple labelled x on one node and y on another is no
+// conflict, and every row names the context audited.
 func TestConflictsRespectsContextBoundaries(t *testing.T) {
-	var db DB
-	a, _ := ParseTuple("1100")
-	db.Add(Entry{Tuple: a, Problem: "x", IP: "n1", Workload: "w"})
-	db.Add(Entry{Tuple: a, Problem: "y", IP: "n2", Workload: "w"})
-	cs := db.Conflicts(0.1)
-	if len(cs) != 0 {
-		t.Errorf("cross-context conflict reported: %v", cs)
+	n1, n2 := NewDB("w", "n1", 0), NewDB("w", "n2", 0)
+	n1.Add("x", tup("1100"))
+	n2.Add("y", tup("1100"))
+	for _, db := range []*DB{n1, n2} {
+		if cs := db.Conflicts(0.1); len(cs) != 0 {
+			t.Errorf("%s@%s: conflict reported across contexts: %v", db.workload, db.ip, cs)
+		}
+		for _, s := range db.Separabilities() {
+			if s.IP != db.ip || s.Workload != db.workload || s.WorstProblem != "" {
+				t.Errorf("%s@%s: separability row %+v reaches past its context", db.workload, db.ip, s)
+			}
+		}
+	}
+	n1.Add("y", tup("1100"))
+	cs := n1.Conflicts(0.1)
+	if len(cs) != 1 || cs[0].A.IP != "n1" || cs[0].B.IP != "n1" || cs[0].String() != "x ~ y (1.00, w@n1)" {
+		t.Errorf("conflicts within n1 = %v, want x ~ y under w@n1", cs)
 	}
 }
 
 func TestConflictsIgnoresSameProblem(t *testing.T) {
 	var db DB
 	a, _ := ParseTuple("1100")
-	db.Add(Entry{Tuple: a, Problem: "x", IP: "n1", Workload: "w"})
-	db.Add(Entry{Tuple: a, Problem: "x", IP: "n1", Workload: "w"})
+	db.Add("x", a)
+	db.Add("x", a)
 	cs := db.Conflicts(0.1)
 	if len(cs) != 0 {
 		t.Errorf("same-problem pair reported as conflict: %v", cs)
@@ -68,8 +72,8 @@ func TestConflictsSkipsStaleTuples(t *testing.T) {
 	var db DB
 	a, _ := ParseTuple("1100")
 	b, _ := ParseTuple("110")
-	db.Add(Entry{Tuple: a, Problem: "x", IP: "n1", Workload: "w"})
-	db.Add(Entry{Tuple: b, Problem: "y", IP: "n1", Workload: "w"})
+	db.Add("x", a)
+	db.Add("y", b)
 	cs := db.Conflicts(0.0)
 	if len(cs) != 0 {
 		t.Errorf("stale-length pair reported: %v", cs)
@@ -81,9 +85,7 @@ func TestSeparabilities(t *testing.T) {
 	seps := db.Separabilities()
 	byProblem := map[string]Separability{}
 	for _, s := range seps {
-		if s.IP == "10.0.0.2" {
-			byProblem[s.Problem] = s
-		}
+		byProblem[s.Problem] = s
 	}
 	nd := byProblem["net-drop"]
 	mh := byProblem["mem-hog"]
@@ -107,8 +109,8 @@ func TestSeparabilitiesMultipleSignatures(t *testing.T) {
 	var db DB
 	t1, _ := ParseTuple("1100")
 	t2, _ := ParseTuple("1110")
-	db.Add(Entry{Tuple: t1, Problem: "x", IP: "n", Workload: "w"})
-	db.Add(Entry{Tuple: t2, Problem: "x", IP: "n", Workload: "w"})
+	db.Add("x", t1)
+	db.Add("x", t2)
 	seps := db.Separabilities()
 	if len(seps) != 1 {
 		t.Fatalf("seps = %v", seps)
@@ -125,7 +127,7 @@ func TestSeparabilitiesMultipleSignatures(t *testing.T) {
 func TestSeparabilitiesSkipsStaleTuples(t *testing.T) {
 	var db DB
 	add := func(tuple, problem string) {
-		db.Add(Entry{Tuple: tup(tuple), Problem: problem, IP: "n", Workload: "w"})
+		db.Add(problem, tup(tuple))
 	}
 	add("1100", "x")
 	add("110", "x") // stale: the set that made it had three invariants

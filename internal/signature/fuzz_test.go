@@ -21,7 +21,7 @@ func FuzzParseTuple(f *testing.F) {
 	f.Add("01101001011010010110100101101001011010010110100101101001011010010")
 	f.Fuzz(func(t *testing.T, s string) {
 		var text DB
-		added, textErr := text.MergeText("wc", "10.0.0.2", "p", []byte(s))
+		added, textErr := text.MergeText("p", []byte(s))
 		tu, err := ParseTuple(s)
 		if (err == nil) != (textErr == nil) || err != nil && err.Error() != textErr.Error() || added != (err == nil) {
 			t.Fatalf("%q: MergeText = %v, %v; ParseTuple err = %v", s, added, textErr, err)
@@ -36,24 +36,21 @@ func FuzzParseTuple(f *testing.F) {
 			t.Fatalf("Ones out of range for %q", s)
 		}
 		var ref DB
-		e := Entry{Tuple: tu, Problem: "p", IP: "10.0.0.2", Workload: "wc"}
-		ref.Merge(e)
+		ref.Merge("p", tu)
 		if got, want := text.Entries(), ref.Entries(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: MergeText stored %v, Merge %v", s, got, want)
 		}
-		if text.Merge(e) {
+		if text.Merge("p", tu) {
 			t.Fatalf("%q: Merge of the parsed entry did not dedupe against MergeText's", s)
 		}
 	})
 }
 
-// buildRandomDB populates a DB with nEntries random signatures across a
-// small pool of scopes, tuple lengths (including stale lengths) and
-// densities (including all-zero tuples).
+// buildRandomDB populates the database of a context drawn from the test
+// pool with nEntries random signatures across a small pool of tuple lengths
+// (including stale lengths) and densities (including all-zero tuples).
 func buildRandomDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
-	db := &DB{MinScore: minScore}
-	ips := []string{"", "10.0.0.1", "10.0.0.2", "10.0.0.3"}
-	workloads := []string{"wc", "tpcds", "sort"}
+	db := contextDB(rng, minScore)
 	for i := 0; i < nEntries; i++ {
 		ln := tupleLen
 		switch rng.Intn(10) {
@@ -65,12 +62,8 @@ func buildRandomDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB
 			ln = tupleLen + 5
 		}
 		density := []float64{0, 0.05, 0.2, 0.6}[rng.Intn(4)]
-		db.Add(Entry{
-			Tuple:    randomTuple(rng, ln, density),
-			Problem:  string(rune('a' + rng.Intn(6))),
-			IP:       ips[rng.Intn(len(ips))],
-			Workload: workloads[rng.Intn(len(workloads))],
-		})
+		tuple := randomTuple(rng, ln, density)
+		db.Add(string(rune('a'+rng.Intn(6))), tuple)
 	}
 	return db
 }
@@ -88,8 +81,9 @@ func matchBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl stri
 // TestMatchEquivalence pins the retrieval contract: for random databases the
 // packed scan — popcount scoring, the zero-query closed form, the MinScore
 // floor, stale-length skips — returns []Match output byte-identical to the
-// boolean linear reference across nil and random masks, and MinScore/topK
-// sweeps, at tuple lengths inside,
+// boolean linear reference across nil and random masks, queries naming the
+// database's context or another, and MinScore/topK sweeps, at tuple lengths
+// inside,
 // on and just past the one-, two- and three-word strides and beyond them.
 func TestMatchEquivalence(t *testing.T) {
 	rng := stats.NewRNG(2300)
@@ -104,8 +98,7 @@ func TestMatchEquivalence(t *testing.T) {
 					if rep%3 == 2 {
 						known = []bool(randomTuple(rng, tupleLen, 0.8))
 					}
-					ip := []string{"", "10.0.0.1", "10.0.0.9"}[rep%3]
-					wl := []string{"", "wc"}[rep%2]
+					ip, wl := queryContext(rng, db)
 					topK := []int{0, 1, 5, 1000}[rep%4]
 					tag := fmt.Sprintf("len=%d minScore=%v nEntries=%d rep=%d", tupleLen, minScore, nEntries, rep)
 					matchBothPaths(t, db, tuple, known, ip, wl, topK, tag)
@@ -116,8 +109,9 @@ func TestMatchEquivalence(t *testing.T) {
 }
 
 // FuzzMatchEquivalence drives the scan-vs-linear-reference equivalence from
-// arbitrary fuzz inputs: whatever database, MinScore and query the fuzzer
-// concocts, the packed scan must match the reference byte for byte. Tuples
+// arbitrary fuzz inputs: whatever database of one context, MinScore and
+// query the fuzzer concocts — the query's context drawn against the
+// database's — the packed scan must match the reference byte for byte. Tuples
 // run to 320 coordinates, so both strides the word count unrolls (two and
 // three words) and the word loop every other stride runs (one, four and
 // five) are reached.
@@ -137,8 +131,7 @@ func FuzzMatchEquivalence(f *testing.F) {
 		if masked {
 			known = []bool(randomTuple(rng, n, 0.7))
 		}
-		ip := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)]
-		wl := []string{"wc", "tpcds", "sort"}[rng.Intn(3)]
+		ip, wl := queryContext(rng, db)
 		matchBothPaths(t, db, tuple, known, ip, wl, int(topK), "fuzz")
 	})
 }

@@ -45,9 +45,9 @@ func TestMaskedSimilarityMaskLengthMismatch(t *testing.T) {
 }
 
 func TestMatchMasked(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: Tuple{true, true, false}, Problem: "cpu-hog", IP: "a", Workload: "wc"})
-	db.Add(Entry{Tuple: Tuple{false, true, true}, Problem: "mem-hog", IP: "a", Workload: "wc"})
+	db := NewDB("wc", "a", 0)
+	db.Add("cpu-hog", Tuple{true, true, false})
+	db.Add("mem-hog", Tuple{false, true, true})
 	observed := Tuple{true, true, true}
 	// Unmasked: both match with Jaccard 2/3.
 	known := []bool{true, true, false}
@@ -86,8 +86,8 @@ func TestMatchMasked(t *testing.T) {
 // other value names none, and retrieval refuses it rather than scoring
 // with Jaccard under another name.
 func TestMatchMaskedRefusesOtherMeasures(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: Tuple{true, false}, Problem: "cpu-hog", IP: "a", Workload: "wc"})
+	db := NewDB("wc", "a", 0)
+	db.Add("cpu-hog", Tuple{true, false})
 	for _, m := range []Measure{1, 2, -1} {
 		if ms, err := db.MatchMasked(Tuple{true, false}, nil, "a", "wc", m, 0); err == nil {
 			t.Errorf("MatchMasked with %v = %+v, want an error", m, ms)

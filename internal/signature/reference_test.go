@@ -58,7 +58,7 @@ func Similarity(a, b Tuple) (float64, error) {
 }
 
 // matchLinear is the reference retrieval every production path is pinned
-// against: a full scan over a database's Entries() with per-entry scope
+// against: a full scan over a database's Entries() with per-entry context
 // filtering, scored by the boolean MaskedSimilarity walk and ranked by a
 // stable sort — nothing of the packed store, its buckets or the reducers, so
 // the kernel is never checking itself.
@@ -95,9 +95,10 @@ func matchLinear(entries []Entry, minScore float64, tuple Tuple, known []bool, i
 }
 
 // rankReference is the composition Rank replaced: the full ranked match
-// list, one best match per problem, cut to topK.
-func rankReference(db *DB, tuple Tuple, known []bool, ip, workloadType string, topK int) ([]Match, error) {
-	matches, err := db.MatchMasked(tuple, known, ip, workloadType, Jaccard, 0)
+// list of the database's own context, one best match per problem, cut to
+// topK.
+func rankReference(db *DB, tuple Tuple, known []bool, topK int) ([]Match, error) {
+	matches, err := db.MatchMasked(tuple, known, db.ip, db.workload, Jaccard, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -124,18 +125,40 @@ func sameOutcome(t *testing.T, tag string, got []Match, gotErr error, want []Mat
 }
 
 // rankBothPaths pins Rank to rankReference for one query.
-func rankBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, ip, wl string, topK int, tag string) {
+func rankBothPaths(t *testing.T, db *DB, tuple Tuple, known []bool, topK int, tag string) {
 	t.Helper()
-	got, gotErr := db.Rank(tuple, known, ip, wl, topK)
-	want, wantErr := rankReference(db, tuple, known, ip, wl, topK)
+	got, gotErr := db.Rank(tuple, known, topK)
+	want, wantErr := rankReference(db, tuple, known, topK)
 	sameOutcome(t, tag, got, gotErr, want, wantErr)
+}
+
+// The operation contexts test databases and queries are drawn from: the
+// zero context's empty fields among them.
+var (
+	testIPs       = []string{"", "10.0.0.1", "10.0.0.2", "10.0.0.3"}
+	testWorkloads = []string{"", "wc", "tpcds", "sort"}
+)
+
+// contextDB is an empty database of a context drawn from the test pool.
+func contextDB(rng *stats.RNG, minScore float64) *DB {
+	return &DB{workload: testWorkloads[rng.Intn(len(testWorkloads))], ip: testIPs[rng.Intn(len(testIPs))], MinScore: minScore}
+}
+
+// queryContext is the context a query names: mostly the database's own, and
+// one time in four any context of the pool — db's own, by chance, among
+// them.
+func queryContext(rng *stats.RNG, db *DB) (ip, workload string) {
+	if rng.Intn(4) > 0 {
+		return db.ip, db.workload
+	}
+	return testIPs[rng.Intn(len(testIPs))], testWorkloads[rng.Intn(len(testWorkloads))]
 }
 
 // buildTiedDB populates a DB whose scores collide constantly: short tuples
 // drawn from a handful of patterns, stored repeatedly under the same and
-// under different problems, across several scopes and a stale length.
+// under different problems, at the query length and a stale one.
 func buildTiedDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
-	db := &DB{MinScore: minScore}
+	db := contextDB(rng, minScore)
 	patterns := make([]Tuple, 6)
 	for i := range patterns {
 		patterns[i] = randomTuple(rng, tupleLen, []float64{0, 0.2, 0.5}[i%3])
@@ -145,19 +168,14 @@ func buildTiedDB(rng *stats.RNG, nEntries, tupleLen int, minScore float64) *DB {
 		if rng.Intn(8) == 0 {
 			tu = randomTuple(rng, tupleLen+3, 0.3) // stale length
 		}
-		db.Add(Entry{
-			Tuple:    tu,
-			Problem:  fmt.Sprintf("p%02d", rng.Intn(9)),
-			IP:       []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)],
-			Workload: []string{"wc", "sort"}[rng.Intn(2)],
-		})
+		db.Add(fmt.Sprintf("p%02d", rng.Intn(9)), tu)
 	}
 	return db
 }
 
 // TestRankEqualsBestProblemOfMatch pins the one-pass ranking to the
 // composition it replaced — same scores to the bit, same problem order, same
-// representative entry — across masks, thresholds, scopes (an empty field
+// representative entry — across masks, thresholds, contexts (an empty field
 // among them), stale-length buckets, heavy score ties, the all-zero query
 // and every topK regime, at tuple lengths of one to five words.
 func TestRankEqualsBestProblemOfMatch(t *testing.T) {
@@ -183,23 +201,22 @@ func TestRankEqualsBestProblemOfMatch(t *testing.T) {
 							known = make([]bool, tupleLen) // nothing checkable
 						}
 					}
-					ip := []string{"", "10.0.0.1", "10.0.0.2", "10.0.0.9"}[rep%4]
-					wl := []string{"", "wc", "sort"}[(rep/4)%3]
 					topK := []int{0, 1, 5, 1000}[(rep/3)%4]
 					tag := fmt.Sprintf("len=%d minScore=%v rep=%d ip=%q wl=%q topK=%d masked=%v",
-						tupleLen, minScore, rep, ip, wl, topK, known != nil)
-					rankBothPaths(t, db, tuple, known, ip, wl, topK, tag)
+						tupleLen, minScore, rep, db.ip, db.workload, topK, known != nil)
+					rankBothPaths(t, db, tuple, known, topK, tag)
 				}
 			}
 		}
 	}
 	// Error outcomes are the composition's too.
 	db := buildTiedDB(rng, 20, 10, 0)
-	rankBothPaths(t, db, make(Tuple, 10), nil, "nowhere", "wc", 0, "empty scope")
-	rankBothPaths(t, db, make(Tuple, 10), make([]bool, 4), "", "", 0, "bad mask")
-	rankBothPaths(t, &DB{}, make(Tuple, 10), make([]bool, 4), "", "", 0, "bad mask, empty db")
-	if _, err := db.Rank(make(Tuple, 10), nil, "nowhere", "wc", 0); err != ErrEmpty {
-		t.Errorf("Rank on an empty scope: %v, want ErrEmpty", err)
+	empty := &DB{workload: "wc", ip: "10.0.0.1"}
+	rankBothPaths(t, empty, make(Tuple, 10), nil, 0, "empty db")
+	rankBothPaths(t, db, make(Tuple, 10), make([]bool, 4), 0, "bad mask")
+	rankBothPaths(t, empty, make(Tuple, 10), make([]bool, 4), 0, "bad mask, empty db")
+	if _, err := empty.Rank(make(Tuple, 10), nil, 0); err != ErrEmpty {
+		t.Errorf("Rank on an empty database: %v, want ErrEmpty", err)
 	}
 }
 
@@ -226,9 +243,7 @@ func FuzzRankEquivalence(f *testing.F) {
 		if masked {
 			known = []bool(randomTuple(rng, n, 0.7))
 		}
-		ip := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}[rng.Intn(3)]
-		wl := []string{"wc", "tpcds", "sort"}[rng.Intn(3)]
-		rankBothPaths(t, db, tuple, known, ip, wl, int(topK), "fuzz")
+		rankBothPaths(t, db, tuple, known, int(topK), "fuzz")
 	})
 }
 
@@ -264,17 +279,17 @@ func TestEntryFingerprintGolden(t *testing.T) {
 		}
 		// The stored form hashes to the same identity: a round trip through
 		// the packed store dedupes against the original.
-		var db DB
-		db.Add(e)
+		db := NewDB(e.Workload, e.IP, 0)
+		db.Add(e.Problem, e.Tuple)
 		if got := db.Entries()[0].Fingerprint(); got != c.want {
 			t.Errorf("stored Fingerprint(%q, %d coordinates) = %#x, want %#x", c.problem, c.n, got, c.want)
 		}
-		if db.Merge(e) {
+		if db.Merge(e.Problem, e.Tuple) {
 			t.Errorf("Merge(%q, %d coordinates) did not dedupe against the stored entry", c.problem, c.n)
 		}
 		// And so does the tuple as a store file spells it: MergeText hashes
 		// the same bytes.
-		if added, err := db.MergeText(e.Workload, e.IP, e.Problem, []byte(e.Tuple.String())); err != nil || added {
+		if added, err := db.MergeText(e.Problem, []byte(e.Tuple.String())); err != nil || added {
 			t.Errorf("MergeText(%q, %d coordinates) = %v, %v; want a dedupe against the stored entry", c.problem, c.n, added, err)
 		}
 	}
@@ -293,12 +308,12 @@ func TestEntryFingerprintGolden(t *testing.T) {
 func TestMatchResultsDoNotAliasStore(t *testing.T) {
 	rng := stats.NewRNG(1301)
 	for _, minScore := range []float64{0, 0.3} { // unfiltered and MinScore-filtered
-		db := &DB{MinScore: minScore}
+		db := &DB{workload: "w", ip: "n", MinScore: minScore}
 		var stored []Entry
 		for i := 0; i < 12; i++ {
 			e := Entry{Tuple: randomTuple(rng, 70, 0.3), Problem: fmt.Sprintf("p%d", i%4), IP: "n", Workload: "w"}
 			stored = append(stored, e)
-			db.Add(e)
+			db.Add(e.Problem, e.Tuple)
 		}
 		q := stored[3].Tuple
 		fingerprints := func() []uint64 {
@@ -313,7 +328,7 @@ func TestMatchResultsDoNotAliasStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranked, err = db.Rank(q, nil, "n", "w", 0)
+			ranked, err = db.Rank(q, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +358,7 @@ func TestMatchResultsDoNotAliasStore(t *testing.T) {
 			t.Errorf("minScore=%v: fingerprints changed after writing through returned tuples", minScore)
 		}
 		for _, e := range stored {
-			if db.Merge(e) {
+			if db.Merge(e.Problem, e.Tuple) {
 				t.Errorf("minScore=%v: Merge no longer dedupes %s after writing through returned tuples", minScore, e.Problem)
 			}
 		}
@@ -365,14 +380,10 @@ func signatureBenchDB(n, problems int, minScore float64) (*DB, []Tuple) {
 		}
 		return t
 	}
-	db := &DB{MinScore: minScore}
+	db := &DB{workload: "wordcount", ip: "10.0.0.2", MinScore: minScore}
 	for i := 0; i < n; i++ {
-		db.Add(Entry{
-			Tuple:    mkTuple(2 + rng.Intn(20)),
-			Problem:  fmt.Sprintf("fault-%d", i%problems),
-			IP:       "10.0.0.2",
-			Workload: "wordcount",
-		})
+		tuple := mkTuple(2 + rng.Intn(20))
+		db.Add(fmt.Sprintf("fault-%d", i%problems), tuple)
 	}
 	queries := make([]Tuple, 32)
 	for i := range queries {
@@ -383,19 +394,19 @@ func signatureBenchDB(n, problems int, minScore float64) (*DB, []Tuple) {
 
 // TestRankAllocsDoNotScaleWithScope: Rank allocates for the per-problem
 // reducer and the winners it returns — never per scanned entry.
-// The gate that keeps an O(scope) materialisation from coming back.
+// The gate that keeps an O(entries) materialisation from coming back.
 func TestRankAllocsDoNotScaleWithScope(t *testing.T) {
 	allocs := func(n int) float64 {
 		db, queries := signatureBenchDB(n, 200, 0)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := db.Rank(queries[0], nil, "10.0.0.2", "wordcount", 5); err != nil {
+			if _, err := db.Rank(queries[0], nil, 5); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(1000), allocs(20000)
 	if large > small+2 {
-		t.Errorf("Rank allocs/op grew with the scope: %v at n=1000, %v at n=20000", small, large)
+		t.Errorf("Rank allocs/op grew with the database: %v at n=1000, %v at n=20000", small, large)
 	}
 	if small > 16 {
 		t.Errorf("Rank allocs/op = %v at n=1000, want a handful", small)
@@ -427,7 +438,7 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 
 // BenchmarkSignatureMatch measures filtered signature retrieval (MinScore
 // 0.3, top 5) over databases of 100 to 100 000 entries in one context.
-// Every query is one scan of its scope's query-length bucket — each entry
+// Every query is one scan of the query-length bucket — each entry
 // scored by popcount, then filtered at the floor — so time is linear in n. The boolean linear-scan reference is
 // BenchmarkSignatureLinearScan.
 func BenchmarkSignatureMatch(b *testing.B) {
@@ -448,9 +459,9 @@ func BenchmarkSignatureMatch(b *testing.B) {
 
 // BenchmarkSignatureRank measures what a verdict's cause inference costs
 // once the database has grown and nothing is filtered (MinScore 0, the
-// default): every scoped entry is scored by the bucket scan and reduced to
+// default): every entry is scored by the bucket scan and reduced to
 // one winner per problem. Time is linear in n; allocs/op must not be — the
-// per-entry materialisation this replaced allocated and sorted the scope.
+// per-entry materialisation this replaced allocated and sorted the database.
 // The fixture's 190-coordinate tuples are the three-word stride. With the
 // scan taking a bucket a chunk at a time (stride-unrolled counts, the
 // Jaccard closed form, the reducer fixed before the loop) one op is
@@ -465,7 +476,7 @@ func BenchmarkSignatureRank(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := db.Rank(q, nil, "10.0.0.2", "wordcount", 5); err != nil {
+					if _, err := db.Rank(q, nil, 5); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -497,7 +508,7 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		db, queries := signatureBenchDB(n, 200, 0)
 		got := perBatch(db, queries, func(db *DB, q Tuple) error {
-			_, err := db.Rank(q, nil, "10.0.0.2", "wordcount", 5)
+			_, err := db.Rank(q, nil, 5)
 			return err
 		})
 		if want := float64(7 * len(queries)); got != want {
@@ -521,9 +532,9 @@ func TestSignatureRetrievalAllocs(t *testing.T) {
 // context, built with Merge as a restore or an import builds it): the
 // 24-byte packed tuple, three 4-byte columns, a 16-byte locator and the
 // 8-byte fingerprint Merge dedups on, plus slice and map growth slack — and
-// nothing per coordinate or per scope string. A second copy of the tuples or
-// of the scope coming back (the store once held both) fails here. Merging
-// an entry the store already holds allocates nothing.
+// nothing per coordinate or per context string. A second copy of the tuples
+// or of the context coming back (the store once held both) fails here.
+// Merging an entry the store already holds allocates nothing.
 func TestSignatureStoreFootprint(t *testing.T) {
 	src, _ := signatureBenchDB(20000, 200, 0)
 	entries := src.Entries()
@@ -531,9 +542,9 @@ func TestSignatureStoreFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	db := &DB{}
+	db := NewDB("wordcount", "10.0.0.2", 0)
 	for _, e := range entries {
-		db.Merge(e)
+		db.Merge(e.Problem, e.Tuple)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -542,7 +553,8 @@ func TestSignatureStoreFootprint(t *testing.T) {
 	if perEntry > 120 {
 		t.Errorf("%.1f heap bytes per stored signature, want at most 120", perEntry)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { db.Merge(entries[len(entries)/2]) }); allocs != 0 {
+	e := entries[len(entries)/2]
+	if allocs := testing.AllocsPerRun(100, func() { db.Merge(e.Problem, e.Tuple) }); allocs != 0 {
 		t.Errorf("Merge of a stored entry: %v allocs, want 0", allocs)
 	}
 }

@@ -86,9 +86,9 @@ type Entry struct {
 }
 
 // Fingerprint identifies the entry's payload within its operation context:
-// FNV-1a over the problem name and the violation tuple. Two entries with the
-// same (workload, ip, fingerprint) carry the same diagnostic knowledge, which
-// is the merge key Merge dedupes on.
+// FNV-1a over the problem name and the violation tuple. Two entries of one
+// context with the same fingerprint carry the same diagnostic knowledge,
+// which is the merge key Merge dedupes on.
 func (e Entry) Fingerprint() uint64 {
 	var buf [stackWords]uint64
 	return fingerprint(e.Problem, appendPacked(buf[:0], e.Tuple), len(e.Tuple))
@@ -100,11 +100,15 @@ type Match struct {
 	Score float64
 }
 
-// DB is the signature database. The zero value is ready to use. Stored
-// tuples live only in packed form (see store.go); Entry and Match values
-// handed out are unpacked copies the caller owns.
+// DB is the signature base of one operation context: every entry it holds
+// is that context's, and every Entry and Match it hands out carries it. The
+// context is fixed when the database is made (NewDB); the zero value is the
+// ready-to-use base of the zero context, both fields empty. Stored tuples
+// live only in packed form (see store.go); Entry and Match values handed out
+// are unpacked copies the caller owns.
 type DB struct {
 	store
+	workload, ip string
 	// MinScore is the minimum similarity for a match to be reported
 	// (default 0: report everything, ranked).
 	MinScore float64
@@ -123,34 +127,36 @@ func (db *DB) ScanStats() (entries, earlyExits int64) {
 	return db.scanEntries.Load(), db.scanEarlyExits.Load()
 }
 
-// ErrEmpty is returned when matching against an empty database scope.
+// ErrEmpty is returned when matching against a database holding no
+// signature of the queried context.
 var ErrEmpty = errors.New("signature: no signatures for context")
 
-// Add stores a signature. "As more performance problems are diagnosed, the
-// number of items in signature database increases gradually."
-func (db *DB) Add(e Entry) { db.put(e, false) }
+// Add stores the signature of problem. "As more performance problems are
+// diagnosed, the number of items in signature database increases
+// gradually."
+func (db *DB) Add(problem string, tuple Tuple) { db.put(problem, tuple, false) }
 
-// Merge stores a signature unless an identical one — same operation context,
-// same (problem, tuple) fingerprint — is already present, and reports whether
-// the entry was added. This is the idempotent primitive behind wire
-// labelling: a retried POST /v1/signatures must not inflate the database and
-// skew best-match scans.
-func (db *DB) Merge(e Entry) bool { return db.put(e, true) }
+// Merge stores the signature of problem unless an identical one — same
+// (problem, tuple) fingerprint — is already present, and reports whether it
+// was added. This is the idempotent primitive behind wire labelling: a
+// retried POST /v1/signatures must not inflate the database and skew
+// best-match scans.
+func (db *DB) Merge(problem string, tuple Tuple) bool { return db.put(problem, tuple, true) }
 
-// put packs and fingerprints e on the stack and hands it to the store.
-func (db *DB) put(e Entry, unique bool) bool {
+// put packs and fingerprints the tuple on the stack and hands it to the
+// store.
+func (db *DB) put(problem string, tuple Tuple, unique bool) bool {
 	var buf [stackWords]uint64
-	words := appendPacked(buf[:0], e.Tuple)
-	fp := fingerprint(e.Problem, words, len(e.Tuple))
-	return db.add(scopeKey{workload: e.Workload, ip: e.IP}, fp, e.Problem, len(e.Tuple), words, unique)
+	words := appendPacked(buf[:0], tuple)
+	return db.add(fingerprint(problem, words, len(tuple)), problem, len(tuple), words, unique)
 }
 
-// NewDB returns an empty database with room for n entries of one scope and
-// one tuple length: the shape of a profile file's signatures, which a restore
-// counts before it reads them. The zero DB is the same database grown entry
-// by entry.
-func NewDB(n int) *DB {
-	return &DB{store: store{reserve: n, order: make([]entryRef, 0, n)}}
+// NewDB returns the empty signature base of the operation context
+// (workload, ip), with room for n entries of one tuple length: the shape of
+// a profile file's signatures, which a restore counts before it reads them.
+// NewDB("", "", 0) is the zero DB.
+func NewDB(workload, ip string, n int) *DB {
+	return &DB{store: store{reserve: n, order: make([]entryRef, 0, n)}, workload: workload, ip: ip}
 }
 
 // MergeText is Merge of the entry whose tuple is the '0'/'1' text tuple, as
@@ -158,7 +164,7 @@ func NewDB(n int) *DB {
 // byte, packs it and hashes it into the fingerprint, which is Fingerprint's
 // FNV-1a over exactly these bytes. A byte other than '0' or '1' is refused
 // with ParseTuple's error, and nothing is stored.
-func (db *DB) MergeText(workload, ip, problem string, tuple []byte) (bool, error) {
+func (db *DB) MergeText(problem string, tuple []byte) (bool, error) {
 	var buf [stackWords]uint64
 	words := buf[:0]
 	for i := 0; i < len(tuple); i += 64 {
@@ -188,15 +194,16 @@ func (db *DB) MergeText(workload, ip, problem string, tuple []byte) (bool, error
 		words[i>>6] |= uint64(c-'0') << uint(i&63)
 		h = fnvByte(h, c)
 	}
-	return db.add(scopeKey{workload: workload, ip: ip}, h, problem, len(tuple), words, true), nil
+	return db.add(h, problem, len(tuple), words, true), nil
 }
 
 // MergeFrom merges every entry of src into db in src's insertion order, as
-// Merge one entry at a time would, and reports how many were added. Into an
-// empty db — a restore's fresh profile — it adopts src's store whole and
-// leaves src empty: src is already deduplicated, so nothing is copied or
-// hashed again. Otherwise each entry merges from its packed words, never
-// unpacked, and src is unchanged. MinScore and the scan counters stay db's.
+// Merge one entry at a time would, and reports how many were added: they
+// join db's context. Into an empty db — a restore's fresh profile — it
+// adopts src's store whole and leaves src empty: src is already
+// deduplicated, so nothing is copied or hashed again. Otherwise each entry
+// merges from its packed words, never unpacked, and src is unchanged. The
+// context, MinScore and the scan counters stay db's.
 func (db *DB) MergeFrom(src *DB) (added int) {
 	if len(db.order) == 0 {
 		db.store, src.store = src.store.fit(), store{}
@@ -205,48 +212,26 @@ func (db *DB) MergeFrom(src *DB) (added int) {
 	for _, ref := range src.order {
 		b := ref.b
 		problem, words := src.problems[b.probs[ref.pos]], b.tuple(ref.pos)
-		if db.add(b.scope, fingerprint(problem, words, b.n), problem, b.n, words, true) {
+		if db.add(fingerprint(problem, words, b.n), problem, b.n, words, true) {
 			added++
 		}
 	}
 	return added
 }
 
-// Scopes calls fn with the (workload, ip) of every scope holding entries,
-// sorted, and returns the first error fn returns. A restore checks a file's
-// entries against the file's own scope this way, once per scope instead of
-// once per entry.
-func (db *DB) Scopes(fn func(workload, ip string) error) error {
-	keys := make([]scopeKey, 0, len(db.scopes))
-	for k := range db.scopes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].workload != keys[j].workload {
-			return keys[i].workload < keys[j].workload
-		}
-		return keys[i].ip < keys[j].ip
-	})
-	for _, k := range keys {
-		if err := fn(k.workload, k.ip); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Len returns the number of stored signatures.
 func (db *DB) Len() int { return len(db.order) }
 
-// Clone returns a deep copy of the database: entries and MinScore. Callers
-// holding a lock around Clone get a snapshot they can read, match and audit
-// without further synchronisation against writers of the original.
+// Clone returns a deep copy of the database: context, entries and
+// MinScore. Callers holding a lock around Clone get a snapshot they can
+// read, match and audit without further synchronisation against writers of
+// the original.
 func (db *DB) Clone() *DB {
-	out := &DB{MinScore: db.MinScore}
+	out := &DB{workload: db.workload, ip: db.ip, MinScore: db.MinScore}
 	for _, ref := range db.order {
 		b := ref.b
 		problem, words := db.problems[b.probs[ref.pos]], b.tuple(ref.pos)
-		out.add(b.scope, fingerprint(problem, words, b.n), problem, b.n, words, false)
+		out.add(fingerprint(problem, words, b.n), problem, b.n, words, false)
 	}
 	return out
 }
@@ -262,10 +247,10 @@ func (db *DB) Entries() []Entry {
 }
 
 // MatchMasked retrieves the topK stored signatures most similar to tuple
-// within the operation context (ip, workload): exactly the entries stored
-// under those two fields, an empty field matching only an empty field (the
-// zero Context's profile stores and queries under both empty). Results are
-// sorted by descending score, ties broken by problem name for determinism.
+// within the operation context (ip, workloadType). The database holds one
+// context, so a query naming any other — an empty field matches only an
+// empty field — reads no entry and answers ErrEmpty. Results are sorted by
+// descending score, ties broken by problem name for determinism.
 // Under a degraded telemetry window similarity is computed only over the
 // coordinates whose invariants were checkable (known[i] true); a nil mask
 // compares every coordinate. topK <= 0 returns the full ranked list — every
@@ -273,8 +258,8 @@ func (db *DB) Entries() []Entry {
 // benchmark's layer replay read; a verdict only needs Rank. measure must be
 // Jaccard: bench/ names it, and any other value is refused.
 //
-// Retrieval is one scan (see scan): the scope partitions and length buckets
-// of store.go decide which entries are touched, every score comes from
+// Retrieval is one scan (see scan): the length buckets of store.go decide
+// which entries are touched, every score comes from
 // scanBucket's closed form (query.score), and selection runs under one total
 // order (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
@@ -282,8 +267,14 @@ func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, me
 	if measure != Jaccard {
 		return nil, fmt.Errorf("signature: unknown measure %v", measure)
 	}
-	sel := selector{st: &db.store, k: topK}
-	if err := db.scan(tuple, known, ip, workloadType, nil, &sel); err != nil {
+	if ip != db.ip || workloadType != db.workload {
+		if err := checkMask(tuple, known); err != nil {
+			return nil, err
+		}
+		return nil, ErrEmpty
+	}
+	sel := selector{db: db, k: topK}
+	if err := db.scan(tuple, known, nil, &sel); err != nil {
 		return nil, err
 	}
 	return sel.results(), nil
@@ -291,19 +282,20 @@ func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, me
 
 // Rank is the ranked root-cause list of a diagnosis ("a list of root causes
 // which puts the most probable causes in the top"): each distinct problem
-// in scope represented by its best-scoring signature, problems sorted by
+// of the database represented by its best-scoring signature, problems sorted by
 // descending score (ties by name), truncated to topK when topK > 0. It is
-// exactly BestProblem(MatchMasked(…, 0)) cut to topK — same scores, same
+// exactly BestProblem(MatchMasked(…, 0)) in the database's own context cut
+// to topK — same scores, same
 // order, same representative entry (earliest stored among a problem's
 // equal-best signatures) — computed in one pass: the scan feeds a
 // per-problem best-score reducer, so nothing per entry is allocated,
 // sorted or copied and only the winners are materialised.
-func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, topK int) ([]Match, error) {
+func (db *DB) Rank(tuple Tuple, known []bool, topK int) ([]Match, error) {
 	r := newRanker(len(db.problems))
-	if err := db.scan(tuple, known, ip, workloadType, r, nil); err != nil {
+	if err := db.scan(tuple, known, r, nil); err != nil {
 		return nil, err
 	}
-	sel := selector{st: &db.store, k: topK}
+	sel := selector{db: db, k: topK}
 	for pid, w := range r {
 		if w.idx >= 0 {
 			sel.add(w.idx, int32(pid), w.score)
@@ -312,26 +304,30 @@ func (db *DB) Rank(tuple Tuple, known []bool, ip, workloadType string, topK int)
 	return sel.results(), nil
 }
 
-// scan scores the scoped entries against the observed tuple and folds every
-// one at or above MinScore into the reducer the caller fixed: rank (Rank),
-// or sel when it is set (MatchMasked). The query's one scope partition
-// leaves out every other operation context and its length buckets set
-// stale tuples aside; every entry of a query-length bucket is scored
-// (scanBucket).
-func (db *DB) scan(tuple Tuple, known []bool, ip, workloadType string, rank ranker, sel *selector) error {
+// checkMask validates a query's mask once per query, not per entry — and
+// before ErrEmpty, so a bad mask is reported even when no entry is read.
+func checkMask(tuple Tuple, known []bool) error {
 	if known != nil && len(known) != len(tuple) {
-		// Validated once per query, not per entry — and reported even when
-		// the scope matches zero entries.
 		return fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), len(tuple))
+	}
+	return nil
+}
+
+// scan scores the stored entries against the observed tuple and folds every
+// one at or above MinScore into the reducer the caller fixed: rank (Rank),
+// or sel when it is set (MatchMasked). The length buckets set stale tuples
+// aside; every entry of the query-length bucket is scored (scanBucket).
+func (db *DB) scan(tuple Tuple, known []bool, rank ranker, sel *selector) error {
+	if err := checkMask(tuple, known); err != nil {
+		return err
+	}
+	if len(db.order) == 0 {
+		return ErrEmpty
 	}
 	var buf [2 * stackWords]uint64
 	q := newQuery(&buf, tuple, known)
-	sp := db.scopes[scopeKey{workload: workloadType, ip: ip}]
-	if sp == nil || sp.total == 0 {
-		return ErrEmpty
-	}
 	var scanned, early int64
-	for n, b := range sp.byLen {
+	for n, b := range db.byLen {
 		scanned += int64(len(b.ids))
 		if n != q.n {
 			// Stale signatures from an older invariant set: considered and

@@ -59,11 +59,10 @@ func TestMeasureString(t *testing.T) {
 }
 
 func TestDBAddAndMatch(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: tup("1100"), Problem: "cpu-hog", IP: "10.0.0.2", Workload: "wordcount"})
-	db.Add(Entry{Tuple: tup("0011"), Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
-	db.Add(Entry{Tuple: tup("1111"), Problem: "overload", IP: "10.0.0.2", Workload: "tpcds"})
-	if db.Len() != 3 {
+	db := NewDB("wordcount", "10.0.0.2", 0)
+	db.Add("cpu-hog", tup("1100"))
+	db.Add("mem-hog", tup("0011"))
+	if db.Len() != 2 {
 		t.Fatalf("Len = %d", db.Len())
 	}
 	ms, err := db.Match(tup("1100"), "10.0.0.2", "wordcount", 0)
@@ -71,7 +70,7 @@ func TestDBAddAndMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ms) != 2 {
-		t.Fatalf("matches = %d, want 2 (scoped to wordcount)", len(ms))
+		t.Fatalf("matches = %d, want 2", len(ms))
 	}
 	if ms[0].Problem != "cpu-hog" || ms[0].Score != 1 {
 		t.Errorf("best match = %+v", ms[0])
@@ -81,31 +80,45 @@ func TestDBAddAndMatch(t *testing.T) {
 	}
 }
 
+// TestMatchContextScoping: a database is one context's signature base. A
+// query naming another context reads none of its entries, an empty field
+// being a context value, not a wildcard; and every entry and match it hands
+// out, a clone's included, carries its context.
 func TestMatchContextScoping(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: tup("11"), Problem: "a", IP: "10.0.0.2", Workload: "sort"})
-	// Wrong context: no signatures in scope.
-	if _, err := db.Match(tup("11"), "10.0.0.3", "sort", 0); err != ErrEmpty {
-		t.Errorf("err = %v, want ErrEmpty", err)
+	db := NewDB("sort", "10.0.0.2", 0)
+	db.Add("a", tup("11"))
+	for _, other := range [][2]string{{"10.0.0.3", "sort"}, {"10.0.0.2", "wordcount"}, {"", "sort"}, {"", ""}} {
+		if _, err := db.Match(tup("11"), other[0], other[1], 0); err != ErrEmpty {
+			t.Errorf("query naming %s@%s: err = %v, want ErrEmpty", other[1], other[0], err)
+		}
 	}
-	// An empty field is a scope value, not a wildcard: the empty scope
-	// reads its own entries alone.
-	if _, err := db.Match(tup("11"), "", "sort", 0); err != ErrEmpty {
-		t.Errorf("empty ip: err = %v, want ErrEmpty", err)
+	ms, err := db.Match(tup("11"), "10.0.0.2", "sort", 0)
+	if err != nil || len(ms) != 1 || ms[0].IP != "10.0.0.2" || ms[0].Workload != "sort" {
+		t.Errorf("own-context match = %+v, %v; want a under sort@10.0.0.2", ms, err)
 	}
-	db.Add(Entry{Tuple: tup("10"), Problem: "b"})
-	ms, err := db.Match(tup("11"), "", "", 0)
-	if err != nil || len(ms) != 1 || ms[0].Problem != "b" {
-		t.Errorf("empty scope match = %v, %v; want b alone", ms, err)
+	for _, e := range append(db.Entries(), db.Clone().Entries()...) {
+		if e.IP != "10.0.0.2" || e.Workload != "sort" {
+			t.Errorf("entry %+v does not carry the database's context", e)
+		}
+	}
+	// The zero DB is the zero context's: both fields empty.
+	var zero DB
+	zero.Add("b", tup("10"))
+	if _, err := zero.Match(tup("11"), "10.0.0.2", "sort", 0); err != ErrEmpty {
+		t.Errorf("zero DB, query naming sort@10.0.0.2: err = %v, want ErrEmpty", err)
+	}
+	ms, err = zero.Match(tup("11"), "", "", 0)
+	if err != nil || len(ms) != 1 || ms[0].Problem != "b" || ms[0].IP != "" || ms[0].Workload != "" {
+		t.Errorf("zero-context match = %+v, %v; want b alone", ms, err)
 	}
 }
 
 func TestMatchTopK(t *testing.T) {
-	var db DB
+	db := NewDB("w", "x", 0)
 	for i, p := range []string{"a", "b", "c", "d"} {
 		tu := make(Tuple, 4)
 		tu[i] = true
-		db.Add(Entry{Tuple: tu, Problem: p, IP: "x", Workload: "w"})
+		db.Add(p, tu)
 	}
 	ms, err := db.Match(tup("1000"), "x", "w", 2)
 	if err != nil {
@@ -117,9 +130,9 @@ func TestMatchTopK(t *testing.T) {
 }
 
 func TestMatchSkipsStaleTuples(t *testing.T) {
-	var db DB
-	db.Add(Entry{Tuple: tup("101"), Problem: "old", IP: "x", Workload: "w"})
-	db.Add(Entry{Tuple: tup("10"), Problem: "new", IP: "x", Workload: "w"})
+	db := NewDB("w", "x", 0)
+	db.Add("old", tup("101"))
+	db.Add("new", tup("10"))
 	ms, err := db.Match(tup("10"), "x", "w", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +143,9 @@ func TestMatchSkipsStaleTuples(t *testing.T) {
 }
 
 func TestMinScoreFilter(t *testing.T) {
-	db := DB{MinScore: 0.9}
-	db.Add(Entry{Tuple: tup("1100"), Problem: "a", IP: "x", Workload: "w"})
+	db := NewDB("w", "x", 0)
+	db.MinScore = 0.9
+	db.Add("a", tup("1100"))
 	ms, err := db.Match(tup("0011"), "x", "w", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +158,7 @@ func TestMinScoreFilter(t *testing.T) {
 func TestAddCopiesTuple(t *testing.T) {
 	var db DB
 	tu := tup("10")
-	db.Add(Entry{Tuple: tu, Problem: "a", IP: "x", Workload: "w"})
+	db.Add("a", tu)
 	tu[0] = false
 	if got := db.Entries()[0].Tuple; !got[0] {
 		t.Error("DB shares storage with caller's tuple")
@@ -195,47 +209,43 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 }
 
+// TestMergeDedupesByContextAndFingerprint: within one context's database
+// the (problem, tuple) fingerprint is an entry's identity; the same payload
+// in another context's database is that base's own entry.
 func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
-	var db DB
-	e := Entry{Tuple: tup("0110"), Problem: "cpu-hog", IP: "n1", Workload: "wordcount"}
-	if !db.Merge(e) {
+	db := NewDB("wordcount", "n1", 0)
+	if !db.Merge("cpu-hog", tup("0110")) {
 		t.Fatal("first Merge should add")
 	}
-	if db.Merge(e) {
+	if db.Merge("cpu-hog", tup("0110")) {
 		t.Error("identical Merge should dedupe")
 	}
 	if db.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", db.Len())
 	}
-	// Same payload under a different operation context is a distinct entry.
-	other := e
-	other.IP = "n2"
-	if !db.Merge(other) {
-		t.Error("same payload, different context should add")
+	// Same payload in another operation context's base is a distinct entry.
+	other := NewDB("wordcount", "n2", 0)
+	if !other.Merge("cpu-hog", tup("0110")) || other.Len() != 1 || db.Len() != 1 {
+		t.Error("same payload, different context should add to that context alone")
 	}
 	// Different payload under the same context is a distinct entry.
-	diff := e
-	diff.Tuple = tup("1110")
-	if !db.Merge(diff) {
+	if !db.Merge("cpu-hog", tup("1110")) {
 		t.Error("different tuple should add")
 	}
-	diffProblem := e
-	diffProblem.Problem = "mem-hog"
-	if !db.Merge(diffProblem) {
+	if !db.Merge("mem-hog", tup("0110")) {
 		t.Error("different problem should add")
 	}
-	if db.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", db.Len())
+	if db.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", db.Len())
 	}
 }
 
 func TestMergeSurvivesClone(t *testing.T) {
-	var db DB
-	e := Entry{Tuple: tup("0110"), Problem: "cpu-hog", IP: "n1", Workload: "wordcount"}
-	db.Merge(e)
+	db := NewDB("wordcount", "n1", 0)
+	db.Merge("cpu-hog", tup("0110"))
 	// A clone dedupes against the entries it copied.
 	c := db.Clone()
-	if c.Merge(e) {
+	if c.Merge("cpu-hog", tup("0110")) {
 		t.Error("clone should dedupe entries it copied")
 	}
 }

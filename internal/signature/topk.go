@@ -28,7 +28,7 @@ type key struct {
 // Match always promised), then insertion order — so results do not depend
 // on the partition visit order.
 type selector struct {
-	st   *store
+	db   *DB
 	k    int   // bound; <= 0 keeps everything
 	heap []key // k > 0: min-heap with the worst kept candidate at the root
 	all  []key // k <= 0: plain accumulation, sorted at the end
@@ -43,7 +43,7 @@ func (s *selector) compare(a, b key) int {
 		}
 		return 1
 	case a.pid != b.pid: // interned: distinct ids are distinct names
-		if s.st.problems[a.pid] < s.st.problems[b.pid] {
+		if s.db.problems[a.pid] < s.db.problems[b.pid] {
 			return -1
 		}
 		return 1
@@ -135,7 +135,7 @@ func (s *selector) results() []Match {
 	// Every scored entry comes from a query-length bucket, so the results'
 	// tuples share one length and one backing array — capped per match, so
 	// appending to one never reaches its neighbour.
-	n := s.st.order[ranked[0].idx].b.n
+	n := s.db.order[ranked[0].idx].b.n
 	tuples := make([]bool, len(ranked)*n)
 	out := make([]Match, len(ranked))
 	for i, c := range ranked {
@@ -143,7 +143,7 @@ func (s *selector) results() []Match {
 		if n > 0 {
 			t = tuples[i*n : (i+1)*n : (i+1)*n]
 		}
-		out[i] = Match{Entry: s.st.entry(s.st.order[c.idx], t), Score: c.score}
+		out[i] = Match{Entry: s.db.entry(s.db.order[c.idx], t), Score: c.score}
 	}
 	return out
 }

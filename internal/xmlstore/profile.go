@@ -10,12 +10,14 @@ import (
 	"invarnetx/internal/signature"
 )
 
-// LoadProfile reads the profile file at path: its scope and sections, with
-// Signatures left empty, and its signatures merged into a database of their
-// own, in file order. It is the reflection decode of the file into a
-// ProfileFile followed by a tuple parse and a signature.DB.Merge per
-// signature — same schema, same checks, any malformed tuple rejecting the
-// whole file (the tests keep that composition as its reference). The model
+// LoadProfile reads the profile file at path: its context and sections,
+// with Signatures left empty, and its signatures merged, in file order, into
+// the signature base of the context the root's type and ip name. It is the
+// reflection decode of the file into a ProfileFile followed, per signature,
+// by a check that the signature's ip and type are the root's, a tuple parse
+// and a signature.DB.Merge — same schema, same checks, a signature of
+// another context or a malformed tuple rejecting the whole file (the tests
+// keep that composition as its reference). The model
 // and lifecycle sections, read once per file, decode by reflection over the
 // store's scanner; the invariant pairs and the signatures, which repeat tens
 // to thousands of times, in a direct loop over the scanner's tokens, each
@@ -30,7 +32,7 @@ func LoadProfile(path string) (ProfileFile, *signature.DB, error) {
 }
 
 func decodeProfile(data []byte) (ProfileFile, *signature.DB, error) {
-	d := profileDecoder{s: &scanner{buf: data}, sigs: signature.NewDB(bytes.Count(data, []byte("<signature>")))}
+	d := profileDecoder{s: &scanner{buf: data}}
 	if err := d.file(); err != nil {
 		return ProfileFile{}, nil, err
 	}
@@ -48,16 +50,17 @@ func decodeProfile(data []byte) (ProfileFile, *signature.DB, error) {
 type profileDecoder struct {
 	s    *scanner
 	f    ProfileFile
-	sigs *signature.DB
-	n    int    // signatures read
-	text []byte // character data of the scalar element being read
-	// tuple is the text of the current signature's last <tuple>, parsed once
-	// at </signature> as encoding/xml parses a string field's final value.
-	tuple []byte
-	// The last value read of each string: ip and type repeat on every entry
-	// (usually the profile's own) and a problem on every signature labelled
-	// for it, so consecutive entries share one string.
-	last struct{ ip, workloadType, problem string }
+	sigs *signature.DB // the root's context's, made once the root is read
+	n    int           // signatures read
+	text []byte        // character data of the scalar element being read
+	// The text of the current signature's last <tuple>, <ip> and <type>,
+	// read as encoding/xml reads a string field's final value: the tuple is
+	// parsed once at </signature>, and ip and type are compared with the
+	// root's without being made strings.
+	tuple, ip, workloadType []byte
+	// problem is the last problem read: a problem repeats on every
+	// signature labelled for it, so consecutive entries share one string.
+	problem string
 }
 
 func (d *profileDecoder) file() error {
@@ -83,7 +86,7 @@ func (d *profileDecoder) file() error {
 	if err := checkVersion(d.f.Version); err != nil {
 		return err
 	}
-	d.last.ip, d.last.workloadType = d.f.IP, d.f.Type
+	d.sigs = signature.NewDB(d.f.Type, d.f.IP, bytes.Count(d.s.buf, []byte("<signature>")))
 	return d.children(func(name []byte) error {
 		switch string(name) {
 		case "performance-model":
@@ -179,19 +182,21 @@ func parseFloat(b []byte) (float64, error) {
 
 // signature reads one four-tuple and merges it into d.sigs: a repeat of any
 // leaf overwrites it, and the tuple text is parsed once, as the last value.
+// A signature whose ip or type is not the root's belongs to another context
+// and is refused.
 func (d *profileDecoder) signature() error {
-	var problem, ip, workload string
-	d.tuple = d.tuple[:0]
+	var problem string
+	d.tuple, d.ip, d.workloadType = d.tuple[:0], d.ip[:0], d.workloadType[:0]
 	err := d.children(func(name []byte) (err error) {
 		switch string(name) {
 		case "tuple":
 			d.tuple, err = d.characters(d.tuple)
 		case "problem":
-			problem, err = d.scalar(&d.last.problem)
+			problem, err = d.scalar(&d.problem)
 		case "ip":
-			ip, err = d.scalar(&d.last.ip)
+			d.ip, err = d.characters(d.ip)
 		case "type":
-			workload, err = d.scalar(&d.last.workloadType)
+			d.workloadType, err = d.characters(d.workloadType)
 		default:
 			err = d.s.skip()
 		}
@@ -200,7 +205,10 @@ func (d *profileDecoder) signature() error {
 	if err != nil {
 		return err
 	}
-	if _, err := d.sigs.MergeText(workload, ip, problem, d.tuple); err != nil {
+	if string(d.ip) != d.f.IP || string(d.workloadType) != d.f.Type {
+		return fmt.Errorf("xmlstore: signature %d of %s@%s does not belong to the file's %s@%s", d.n, d.workloadType, d.ip, d.f.Type, d.f.IP)
+	}
+	if _, err := d.sigs.MergeText(problem, d.tuple); err != nil {
 		return fmt.Errorf("xmlstore: signature %d: %w", d.n, err)
 	}
 	d.n++

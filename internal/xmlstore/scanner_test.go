@@ -188,12 +188,12 @@ func profileWith(s string, parts int) ProfileFile {
 			Edges: []LifecycleEdge{{I: 0, J: 1, State: s, Obs: 9, Viol: 2, Rate: 0.25, ShadowBase: 0.5}, {I: 2, J: 4, State: "live"}}}
 	}
 	if parts&withSignatures != 0 {
-		var db signature.DB
+		db := signature.NewDB(f.Type, f.IP, 0)
 		for i, tuple := range []string{"01101", "11000", ""} {
 			tu, _ := signature.ParseTuple(tuple)
-			db.Add(signature.Entry{Tuple: tu, Problem: fmt.Sprintf("%s-%d", s, i/2), IP: s, Workload: "wl" + s})
+			db.Add(fmt.Sprintf("%s-%d", s, i/2), tu)
 		}
-		f.Signatures = signaturesOf(&db)
+		f.Signatures = signaturesOf(db)
 	}
 	return f
 }
@@ -219,14 +219,19 @@ func same(a, b any) bool {
 
 // referenceEntries is the reflection-side reference LoadProfile's direct
 // loop is held to: f's version checked and its signatures parsed in file
-// order, any malformed tuple rejecting the whole file. Merged one by one
-// through DB.Merge, they are what the decoded database must hold.
+// order, a signature whose ip or type is not the root's or a malformed tuple
+// rejecting the whole file. Merged one by one through DB.Merge into the
+// signature base of the root's context, they are what the decoded database
+// must hold.
 func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
 	if err := checkVersion(f.Version); err != nil {
 		return nil, err
 	}
 	out := make([]signature.Entry, len(f.Signatures))
 	for i, e := range f.Signatures {
+		if e.IP != f.IP || e.Type != f.Type {
+			return nil, fmt.Errorf("xmlstore: signature %d of %s@%s does not belong to the file's %s@%s", i, e.Type, e.IP, f.Type, f.IP)
+		}
 		t, err := signature.ParseTuple(e.Tuple)
 		if err != nil {
 			return nil, fmt.Errorf("xmlstore: signature %d: %w", i, err)
@@ -241,7 +246,7 @@ func referenceEntries(f ProfileFile) ([]signature.Entry, error) {
 // and the direct profile loop agrees with the reflection decode of the same
 // bytes, on acceptance and on content: the same sections, and a database
 // holding what the reflection decode's signatures give merged one by one
-// through DB.Merge.
+// through DB.Merge into the root's context's signature base.
 func checkAgainstStock(t testing.TB, in []byte) {
 	t.Helper()
 	var f ProfileFile
@@ -263,9 +268,9 @@ func checkAgainstStock(t testing.TB, in []byte) {
 	if err != nil {
 		return
 	}
-	var ref signature.DB
+	ref := signature.NewDB(f.Type, f.IP, 0)
 	for _, e := range parsed {
-		ref.Merge(e)
+		ref.Merge(e.Problem, e.Tuple)
 	}
 	entries, want := db.Entries(), ref.Entries()
 	f.XMLName, f.Signatures = xml.Name{}, nil
@@ -284,10 +289,10 @@ var handEdits = []string{
 	`<profile version="2"></profile>`,
 	`<signature-database version="1"></signature-database>`,
 	// character data concatenates around comments and child elements
-	`<profile><signature><ip>10.<!-- c -->0.<b>no</b>0.2</ip><tuple>01<!-- c -->10<x>1</x></tuple><problem> p </problem></signature></profile>`,
+	`<profile ip="10.0.0.2"><signature><ip>10.<!-- c -->0.<b>no</b>0.2</ip><tuple>01<!-- c -->10<x>1</x></tuple><problem> p </problem></signature></profile>`,
 	// a repeated scalar overwrites, unknown elements are skipped whole
 	`<profile type="a"><type>b</type><extra><signature><tuple>1</tuple></signature></extra>` +
-		`<signature><tuple>0</tuple><tuple>11</tuple><signature><tuple>x</tuple></signature><ip>n</ip><ip></ip></signature>stray</profile>`,
+		`<signature><tuple>0</tuple><tuple>11</tuple><signature><tuple>x</tuple></signature><ip>n</ip><ip></ip><type>a</type></signature>stray</profile>`,
 	`<profile><signature><tuple>01x</tuple></signature></profile>`,
 	`<profile><signature><tuple> 01 </tuple></signature></profile>`,
 	`<profile><signature><problem>a&amp;b` + "\r\n" + `</problem></signature></profile><!-- end -->`,
@@ -342,7 +347,7 @@ func TestProfileLoopMatchesReflection(t *testing.T) {
 	}
 	// And it is not vacuous: the repeated-scalar document decodes, to this,
 	got, db, err := decodeProfile([]byte(handEdits[7]))
-	want := []signature.Entry{{Tuple: signature.Tuple{true, true}}}
+	want := []signature.Entry{{Tuple: signature.Tuple{true, true}, Workload: "a"}}
 	if err != nil || got.IP != "" || got.Type != "a" || !reflect.DeepEqual(db.Entries(), want) {
 		t.Fatalf("decoded (%q, %q) %v, %v; want (\"\", \"a\") %v", got.IP, got.Type, db, err, want)
 	}
@@ -504,17 +509,17 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 // a []bool and packed again, was most of what remained.
 func TestSignatureFileDecodeAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		var db signature.DB
+		db := signature.NewDB("wordcount", "10.0.0.2", 0)
 		rng := stats.NewRNG(int64(n))
 		for i := 0; i < n; i++ {
 			tuple := make(signature.Tuple, 120)
 			for k := range tuple {
 				tuple[k] = rng.Bernoulli(0.2)
 			}
-			db.Add(signature.Entry{Tuple: tuple, Problem: fmt.Sprintf("fault-%d", i), IP: "10.0.0.2", Workload: "wordcount"})
+			db.Add(fmt.Sprintf("fault-%d", i), tuple)
 		}
 		f := profileWith("10.0.0.2", withModel|withInvariants|withLifecycle)
-		f.Type, f.Signatures = "wordcount", signaturesOf(&db)
+		f.Type, f.Signatures = "wordcount", signaturesOf(db)
 		data := saved(t, f)
 		return testing.AllocsPerRun(10, func() {
 			if _, db, err := decodeProfile(data); err != nil || db.Len() != n {

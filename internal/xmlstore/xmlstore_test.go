@@ -237,13 +237,13 @@ func TestInvariantDecodeValidation(t *testing.T) {
 }
 
 func TestSignatureRoundTrip(t *testing.T) {
-	var db signature.DB
+	db := signature.NewDB("wordcount", "10.0.0.2", 0)
 	tu, _ := signature.ParseTuple("01101")
-	db.Add(signature.Entry{Tuple: tu, Problem: "cpu-hog", IP: "10.0.0.2", Workload: "wordcount"})
+	db.Add("cpu-hog", tu)
 	tu2, _ := signature.ParseTuple("11000")
-	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
+	db.Add("mem-hog", tu2)
 
-	_, back, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+	_, back, err := decodeProfile(saved(t, ProfileFile{IP: "10.0.0.2", Type: "wordcount", Signatures: signaturesOf(db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSignatureRoundTrip(t *testing.T) {
 	if len(es) != 2 {
 		t.Fatalf("decoded %d signatures", len(es))
 	}
-	if es[0].Problem != "cpu-hog" || es[0].Tuple.String() != "01101" {
+	if es[0].Problem != "cpu-hog" || es[0].Tuple.String() != "01101" || es[0].IP != "10.0.0.2" || es[0].Workload != "wordcount" {
 		t.Errorf("entry 0 = %+v", es[0])
 	}
 }
@@ -261,17 +261,18 @@ func TestSignatureRoundTrip(t *testing.T) {
 // that database must answer a filtered query (unmasked Jaccard with MinScore
 // > 0) exactly like the database that was persisted.
 func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
-	var db signature.DB
+	db := signature.NewDB("wordcount", "10.0.0.2", 0)
 	tu, _ := signature.ParseTuple("0110100011")
-	db.Add(signature.Entry{Tuple: tu, Problem: "cpu-hog", IP: "10.0.0.2", Workload: "wordcount"})
+	db.Add("cpu-hog", tu)
 	tu2, _ := signature.ParseTuple("1100000000")
-	db.Add(signature.Entry{Tuple: tu2, Problem: "mem-hog", IP: "10.0.0.2", Workload: "wordcount"})
+	db.Add("mem-hog", tu2)
 
-	_, restored, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+	_, restored, err := decodeProfile(saved(t, ProfileFile{IP: "10.0.0.2", Type: "wordcount", Signatures: signaturesOf(db)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2 := &signature.DB{MinScore: 0.5}
+	db2 := signature.NewDB("wordcount", "10.0.0.2", 0)
+	db2.MinScore = 0.5
 	db2.MergeFrom(restored)
 	got, err := db2.MatchMasked(tu, nil, "10.0.0.2", "wordcount", signature.Jaccard, 1)
 	if err != nil {
@@ -286,9 +287,41 @@ func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 }
 
 func TestSignatureDecodeValidation(t *testing.T) {
-	f := ProfileFile{Signatures: []SignatureEntry{{Tuple: "01x", Problem: "p", IP: "i", Type: "t"}}}
+	f := ProfileFile{IP: "i", Type: "t", Signatures: []SignatureEntry{{Tuple: "01x", Problem: "p", IP: "i", Type: "t"}}}
 	if _, _, err := decodeProfile(saved(t, f)); err == nil {
 		t.Error("invalid tuple should fail decode")
+	}
+}
+
+// TestLoadProfileRefusesForeignSignature: a profile file is one context's,
+// the one its root names. A signature naming another context — here the
+// second, on another node — fails the whole file, and the error names both
+// contexts.
+func TestLoadProfileRefusesForeignSignature(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profile-wordcount-10.0.0.2.xml")
+	f := ProfileFile{Version: FormatVersion, IP: "10.0.0.2", Type: "wordcount", Signatures: []SignatureEntry{
+		{Tuple: "0110", Problem: "cpu-hog", IP: "10.0.0.2", Type: "wordcount"},
+		{Tuple: "1100", Problem: "mem-hog", IP: "10.0.0.3", Type: "wordcount"},
+	}}
+	if err := SaveFile(path, f); err != nil {
+		t.Fatal(err)
+	}
+	_, db, err := LoadProfile(path)
+	if err == nil || db != nil {
+		t.Fatalf("LoadProfile = %v, %v; want the file refused", db, err)
+	}
+	for _, ctx := range []string{"wordcount@10.0.0.3", "wordcount@10.0.0.2", "signature 1"} {
+		if !strings.Contains(err.Error(), ctx) {
+			t.Errorf("error %q does not name %s", err, ctx)
+		}
+	}
+	// The same file with the second signature on the root's node loads whole.
+	f.Signatures[1].IP = "10.0.0.2"
+	if err := SaveFile(path, f); err != nil {
+		t.Fatal(err)
+	}
+	if _, db, err := LoadProfile(path); err != nil || db.Len() != 2 {
+		t.Fatalf("LoadProfile of one context's file = %v, %v; want 2 signatures", db, err)
 	}
 }
 
@@ -353,21 +386,16 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 func TestSignatureRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := stats.NewRNG(seed)
-		var db signature.DB
+		db := signature.NewDB("wordcount", "10.0.0.2", 0)
 		n := int(nRaw % 12)
 		for i := 0; i < n; i++ {
 			tu := make(signature.Tuple, 5+rng.Intn(10))
 			for k := range tu {
 				tu[k] = rng.Bernoulli(0.3)
 			}
-			db.Merge(signature.Entry{
-				Tuple:    tu,
-				Problem:  string(rune('a' + i%4)),
-				IP:       "10.0.0.2",
-				Workload: "wordcount",
-			})
+			db.Merge(string(rune('a'+i%4)), tu)
 		}
-		_, back, err := decodeProfile(saved(t, ProfileFile{Signatures: signaturesOf(&db)}))
+		_, back, err := decodeProfile(saved(t, ProfileFile{IP: "10.0.0.2", Type: "wordcount", Signatures: signaturesOf(db)}))
 		if err != nil {
 			return false
 		}
