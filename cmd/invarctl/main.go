@@ -198,7 +198,7 @@ func cmdSignatures(args []string) error {
 		return err
 	}
 	r := runner(*seed)
-	sys, err := openStore(r.Options().Config, *models, " (run `invarctl train` first)")
+	sys, err := openStore(core.DefaultConfig(), *models, " (run `invarctl train` first)")
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func cmdDiagnose(args []string) error {
 		return fmt.Errorf("unknown fault %q (see `invarctl faults`)", *fault)
 	}
 	r := runner(*seed)
-	sys, err := openStore(r.Options().Config, *models, " (run `invarctl train` and `invarctl signatures` first)")
+	sys, err := openStore(core.DefaultConfig(), *models, " (run `invarctl train` and `invarctl signatures` first)")
 	if err != nil {
 		return err
 	}
@@ -374,8 +374,12 @@ func cmdAudit(args []string) error {
 	fmt.Println("per-problem separability (cohesion - worst external; negative predicts misdiagnosis):")
 	for _, db := range bases {
 		for _, sep := range db.Separabilities() {
-			fmt.Printf("  %-10s margin %+0.2f (cohesion %.2f, worst external %.2f vs %s) [%s@%s]\n",
-				sep.Problem, sep.Margin(), sep.Cohesion, sep.WorstExternal, sep.WorstProblem, sep.Workload, sep.IP)
+			worst := fmt.Sprintf("worst external %.2f vs %s", sep.WorstExternal, sep.WorstProblem)
+			if sep.WorstProblem == "" {
+				worst = "no comparable problem"
+			}
+			fmt.Printf("  %-10s margin %+0.2f (cohesion %.2f, %s) [%s@%s]\n",
+				sep.Problem, sep.Margin(), sep.Cohesion, worst, sep.Workload, sep.IP)
 		}
 	}
 	return nil

@@ -92,3 +92,38 @@ func TestAuditStaysInsideEachContext(t *testing.T) {
 		t.Errorf("audit printed %d conflicts and %d separability rows, want A's one net pair and one row per problem of each context (5)", conflicts, rows)
 	}
 }
+
+// TestAuditNamesEveryRival: a problem whose only rival is disjoint from it
+// names that rival at 0.00, and a problem with no comparable rival says so;
+// no separability row ends in an empty name.
+func TestAuditNamesEveryRival(t *testing.T) {
+	dir := t.TempDir()
+	files := []xmlstore.ProfileFile{
+		{Version: xmlstore.FormatVersion, IP: "10.0.0.2", Type: "wordcount", Signatures: []xmlstore.SignatureEntry{
+			{Tuple: "1100", Problem: "cpu-hog", IP: "10.0.0.2", Type: "wordcount"},
+			{Tuple: "0011", Problem: "mem-hog", IP: "10.0.0.2", Type: "wordcount"},
+		}},
+		{Version: xmlstore.FormatVersion, IP: "10.0.0.3", Type: "wordcount", Signatures: []xmlstore.SignatureEntry{
+			{Tuple: "1100", Problem: "disk-hog", IP: "10.0.0.3", Type: "wordcount"},
+		}},
+	}
+	for _, f := range files {
+		if err := xmlstore.SaveFile(filepath.Join(dir, "profile-"+f.Type+"-"+f.IP+".xml"), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := captureStdout(t, func() error { return cmdAudit([]string{"-models", dir}) })
+	t.Logf("audit output:\n%s", out)
+	for _, want := range []string{
+		"cpu-hog    margin +1.00 (cohesion 1.00, worst external 0.00 vs mem-hog) [wordcount@10.0.0.2]",
+		"mem-hog    margin +1.00 (cohesion 1.00, worst external 0.00 vs cpu-hog) [wordcount@10.0.0.2]",
+		"disk-hog   margin +1.00 (cohesion 1.00, no comparable problem) [wordcount@10.0.0.3]",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("audit output lacks %q", want)
+		}
+	}
+	if strings.Contains(out, "vs )") {
+		t.Error("a separability row names an empty rival")
+	}
+}

@@ -9,11 +9,12 @@
 //	invarctl signatures -workload wordcount -models ./models
 //	invarnetd -addr :8080 -models ./models
 //
-// The -smoke flag replaces the serving loop with a self-test: boot on an
-// ephemeral port, train a few synthetic contexts in-process, run the load
-// generator against the live socket, assert /healthz and /v1/stats sanity,
-// and shut down cleanly. Exit status is the verdict; `make smoke` wires it
-// into the check pipeline.
+// The -smoke flag runs a self-test through the same serving loop: train a
+// few synthetic contexts in-process, serve them on an ephemeral port, run
+// the load generator against the live socket, assert /healthz and /v1/stats
+// sanity, then shut the loop down and check the drain and the persisted
+// store. Exit status is the verdict; `make smoke` wires it into the check
+// pipeline.
 package main
 
 import (
@@ -65,8 +66,14 @@ func main() {
 	}
 	cfg.Core.Lifecycle = *lifecycle
 
+	opts := serveOptions{
+		drainBudget:       *drainTimeout,
+		readHeaderTimeout: *readHeaderTimeout,
+		readTimeout:       *readTimeout,
+		idleTimeout:       *idleTimeout,
+	}
 	if *smoke {
-		if err := runSmoke(cfg, *smokeSecs); err != nil {
+		if err := runSmoke(cfg, opts, *smokeSecs); err != nil {
 			log.Fatalf("smoke: FAIL: %v", err)
 		}
 		fmt.Println("smoke: OK")
@@ -87,79 +94,77 @@ func main() {
 		}()
 	}
 
-	opts := serveOptions{
-		addr:              *addr,
-		drainBudget:       *drainTimeout,
-		readHeaderTimeout: *readHeaderTimeout,
-		readTimeout:       *readTimeout,
-		idleTimeout:       *idleTimeout,
+	srv, loadRep, err := server.New(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if err := serve(cfg, opts); err != nil {
+	if loadRep != nil {
+		log.Printf("restored from %s: %s", cfg.StoreDir, loadRep)
+	}
+	// The signal handler is in place before the socket opens, so a signal
+	// that arrives once clients can connect always drains and persists.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := serve(ctx, srv, ln, opts); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// serveOptions carries the listener-level knobs: addresses and the
+// serveOptions carries the listener-level knobs: the drain budget and the
 // connection timeouts that keep a slow or dead peer from pinning server
 // state (slow-loris hardening).
 type serveOptions struct {
-	addr              string
 	drainBudget       time.Duration
 	readHeaderTimeout time.Duration
 	readTimeout       time.Duration
 	idleTimeout       time.Duration
 }
 
-// serve runs the daemon until SIGINT/SIGTERM, then drains and persists.
-func serve(cfg server.Config, opts serveOptions) error {
-	srv, loadRep, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	if loadRep != nil {
-		log.Printf("restored from %s: %s", cfg.StoreDir, loadRep)
-	}
-
+// serve serves srv on ln until ctx is done, then stops the listener, drains
+// the accepted work and persists (server.Shutdown) within opts.drainBudget.
+// A connection the budget cut is reported after the store is persisted.
+func serve(ctx context.Context, srv *server.Server, ln net.Listener, opts serveOptions) error {
 	httpSrv := &http.Server{
-		Addr:              opts.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: opts.readHeaderTimeout,
 		ReadTimeout:       opts.readTimeout,
 		IdleTimeout:       opts.idleTimeout,
 	}
 	errc := make(chan error, 1)
-	go func() {
-		eff := srv.Config()
-		log.Printf("invarnetd listening on %s (workers=%d queue=%d window=%d)",
-			opts.addr, eff.Workers, eff.QueueCap, eff.WindowCap)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	eff := srv.Config()
+	log.Printf("invarnetd listening on %s (workers=%d queue=%d window=%d)",
+		ln.Addr(), eff.Workers, eff.QueueCap, eff.WindowCap)
 	select {
-	case sig := <-sigc:
-		log.Printf("received %s, draining", sig)
+	case <-ctx.Done():
+		log.Print("shutdown requested, draining")
 	case err := <-errc:
 		return err
 	}
 
 	// Shutdown ordering: stop the listener first (no new requests), then
 	// drain the accepted work and persist (server.Shutdown).
-	ctx, cancel := context.WithTimeout(context.Background(), opts.drainBudget)
+	drainCtx, cancel := context.WithTimeout(context.Background(), opts.drainBudget)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("warning: http shutdown: %v", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil {
+	httpErr := httpSrv.Shutdown(drainCtx)
+	if err := srv.Shutdown(drainCtx); err != nil {
 		return err
 	}
-	log.Printf("drained and persisted to %s", cfg.StoreDir)
+	log.Printf("drained and persisted to %s", eff.StoreDir)
+	if httpErr != nil {
+		return fmt.Errorf("http shutdown: %w", httpErr)
+	}
 	return nil
 }
 
-// runSmoke is the -smoke self-test.
-func runSmoke(cfg server.Config, seconds float64) error {
+// runSmoke is the -smoke self-test: it trains a few contexts, serves them
+// through serve on an ephemeral port, drives the load, cancels serve and
+// checks the drain and the persisted store.
+func runSmoke(cfg server.Config, opts serveOptions, seconds float64) error {
 	dir, err := os.MkdirTemp("", "invarnetd-smoke-")
 	if err != nil {
 		return err
@@ -184,8 +189,10 @@ func runSmoke(cfg server.Config, seconds float64) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln)
+	serveCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- serve(serveCtx, srv, ln, opts) }()
 	base := "http://" + ln.Addr().String()
 
 	// Half the load budget each for the JSON surface and the binary frame
@@ -256,13 +263,9 @@ func runSmoke(cfg server.Config, seconds float64) error {
 		return fmt.Errorf("%d streams after the untrained ingests, want %d", after.Streams, st.Streams)
 	}
 
-	ctx, cancel = context.WithTimeout(bg, 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("server shutdown: %w", err)
+	stop()
+	if err := <-served; err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 
 	// Every pending report must have resolved during the drain.

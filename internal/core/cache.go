@@ -159,9 +159,10 @@ func (c *assocCache) stats() CacheStats {
 // scorer picks the pair scorer for one window — the one place the policy
 // lives: one mic.NewBatch preparation when the measure is the stock MIC
 // (per-metric sorting and partitioning hoisted out of the pair loop), else
-// nil, which makes the kernel call Assoc per pair. A preparation error (too
-// few samples, non-finite values, ragged rows) also yields nil; shape errors
-// are then reported by the kernel's own validation.
+// nil, which makes the kernel call Assoc per pair. A degenerate metric (too
+// few samples, non-finite values) is a nil slot of the batch that scores 0,
+// not an error; NewBatch fails only on no rows or ragged rows, which also
+// yields nil, and the kernel's own validation then reports the shape.
 func (p *Profile) scorer(rows [][]float64) invariant.PairScorer {
 	if p.sys.batchMIC {
 		if b, err := mic.NewBatch(rows, mic.DefaultConfig()); err == nil {

@@ -61,7 +61,7 @@ type tuning struct {
 }
 
 // lifecycleTuning is the one tuning every lifecycle runs, the one the drift
-// study (experiments.RunDriftStudy) measures: an edge violating every window
+// study (cmd/experiments -run drift) measures: an edge violating every window
 // quarantines in ~4 windows while one-window fault bursts drain back out,
 // and a shadow score carries an effective memory of about three windows.
 // core's tests swap in faster tunings; nothing else writes it, and every

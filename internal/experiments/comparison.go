@@ -100,7 +100,8 @@ func (c *ComparisonResult) printMetric(w io.Writer, title, paper string, metric 
 		c.Studies[VariantNoContext].average(metric), paper)
 }
 
-// PrintStudy writes a single study's per-fault rows (Figs. 7 and 8).
+// PrintStudy writes a single study's per-fault rows (Figs. 7 and 8) and
+// its averages beside paperNote.
 func PrintStudy(w io.Writer, st *Study, paperNote string) {
 	fmt.Fprintf(w, "Diagnosis study (%s, system=%s)\n", st.Workload, st.System)
 	fmt.Fprintf(w, "  %-10s %9s %9s %9s\n", "fault", "precision", "recall", "detected")
@@ -108,9 +109,12 @@ func PrintStudy(w io.Writer, st *Study, paperNote string) {
 		fmt.Fprintf(w, "  %-10s %9.2f %9.2f %6d/%d\n",
 			row.Fault, row.Counts.Precision(), row.Counts.Recall(), row.Detected, row.Runs)
 	}
-	fmt.Fprintf(w, "  averages: precision %.3f, recall %.3f", st.AveragePrecision(), st.AverageRecall())
-	if paperNote != "" {
-		fmt.Fprintf(w, "  (%s)", paperNote)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  averages: precision %.3f, recall %.3f  (%s)\n", st.AveragePrecision(), st.AverageRecall(), paperNote)
+}
+
+// Print writes the pair's mutual confusion beside the paper's remark on it.
+func (c *ConfusionPair) Print(w io.Writer) {
+	fmt.Fprintf(w, "Signature conflict (%s): %s diagnosed as %s %d/%d; %s as %s %d/%d\n",
+		c.Workload, c.A, c.B, c.AasB, c.Runs, c.B, c.A, c.BasA, c.Runs)
+	fmt.Fprintln(w, `  (paper: "InvarNet-X mistakes Net-drop for Net-delay and vice versa sometimes")`)
 }

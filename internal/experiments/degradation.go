@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"invarnetx/internal/faults"
 	"invarnetx/internal/telemetry"
@@ -36,13 +37,13 @@ type DegradationStudy struct {
 	Points   []DegradationPoint
 }
 
-func (s *DegradationStudy) String() string {
-	out := fmt.Sprintf("telemetry degradation: %s under %s\n", s.Workload, s.Fault)
+// Print writes one line per loss level.
+func (s *DegradationStudy) Print(w io.Writer) {
+	fmt.Fprintf(w, "telemetry degradation: %s under %s\n", s.Workload, s.Fault)
 	for _, p := range s.Points {
-		out += fmt.Sprintf("  drop %4.0f%%: accuracy %.2f, coverage %.2f, confidence %.2f (%d runs)\n",
+		fmt.Fprintf(w, "  drop %4.0f%%: accuracy %.2f, coverage %.2f, confidence %.2f (%d runs)\n",
 			p.DropRate*100, p.Accuracy, p.MeanCoverage, p.MeanConfidence, p.Runs)
 	}
-	return out
 }
 
 // degradationRows generates the study's rows: the usual label runs, and per

@@ -34,7 +34,9 @@ func TestDegradationStudy(t *testing.T) {
 	if lossy.MeanConfidence >= clean.MeanConfidence {
 		t.Fatalf("confidence did not fall with loss: %v >= %v", lossy.MeanConfidence, clean.MeanConfidence)
 	}
-	s := study.String()
+	var out strings.Builder
+	study.Print(&out)
+	s := out.String()
 	if !strings.Contains(s, "drop") || !strings.Contains(s, "accuracy") {
 		t.Fatalf("report = %q", s)
 	}

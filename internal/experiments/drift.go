@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"io"
 
 	"invarnetx/internal/core"
 	"invarnetx/internal/invariant"
@@ -86,21 +86,20 @@ type DriftStudy struct {
 	Lifecycle DriftArm
 }
 
-func (s *DriftStudy) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "drift study (coupling shift at pre/shift boundary):\n")
+// Print writes each arm's per-phase false-positive rate, precision, recall.
+func (s *DriftStudy) Print(w io.Writer) {
+	fmt.Fprintf(w, "drift study (coupling shift at pre/shift boundary):\n")
 	for _, arm := range []*DriftArm{&s.TrainOnce, &s.Lifecycle} {
-		fmt.Fprintf(&b, "  %-10s", arm.Name)
+		fmt.Fprintf(w, "  %-10s", arm.Name)
 		for _, ph := range []*DriftPhaseStats{&arm.Pre, &arm.Shift, &arm.Post} {
-			fmt.Fprintf(&b, "  %s: FP %.2f P %.2f R %.2f", ph.Name, ph.FPRate(), ph.Precision(), ph.Recall())
+			fmt.Fprintf(w, "  %s: FP %.2f P %.2f R %.2f", ph.Name, ph.FPRate(), ph.Precision(), ph.Recall())
 		}
 		if arm.Promotions+int64(arm.PeakQuarantined) > 0 {
-			fmt.Fprintf(&b, "  [quarantined %d, promoted %d, rolled back %d, gen %d]",
+			fmt.Fprintf(w, "  [quarantined %d, promoted %d, rolled back %d, gen %d]",
 				arm.PeakQuarantined, arm.Promotions, arm.Rollbacks, arm.FinalGeneration)
 		}
-		b.WriteByte('\n')
+		fmt.Fprintln(w)
 	}
-	return b.String()
 }
 
 // driftGen synthesises coupled-metric windows: every metric rides one
@@ -137,10 +136,10 @@ type driftWindow struct {
 	phase int // 0 pre, 1 shift, 2 post
 }
 
-// RunDriftStudy trains both arms on the same clean runs, then feeds both
+// runDriftStudy trains both arms on the same clean runs, then feeds both
 // the same drifting window schedule and scores each phase. seed drives the
 // synthetic telemetry.
-func RunDriftStudy(seed int64) (*DriftStudy, error) {
+func runDriftStudy(seed int64) (*DriftStudy, error) {
 	// One shared corpus: training runs and the three-phase schedule.
 	gen := &driftGen{rng: stats.NewRNG(seed).Fork(1), m: driftMetrics, n: driftWindowLen}
 	var trainRuns []*metrics.Trace

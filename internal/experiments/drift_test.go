@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,11 +13,13 @@ import (
 // its pre-drift precision — without ever losing a genuine fault and without
 // a single violation report naming a quarantined pair.
 func TestDriftStudyLifecycleRecovers(t *testing.T) {
-	study, err := RunDriftStudy(1)
+	study, err := runDriftStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", study)
+	var out strings.Builder
+	study.Print(&out)
+	t.Logf("\n%s", out.String())
 
 	to, lc := &study.TrainOnce, &study.Lifecycle
 
@@ -84,15 +87,15 @@ func TestDriftStudyLifecycleRecovers(t *testing.T) {
 // seed must yield the identical trajectory (the experiment is pinned in CI,
 // so flakiness here would poison the acceptance gate).
 func TestDriftStudyDeterministic(t *testing.T) {
-	a, err := RunDriftStudy(7)
+	a, err := runDriftStudy(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDriftStudy(7)
+	b, err := runDriftStudy(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *a != *b {
-		t.Fatalf("same seed, different studies:\n%s\nvs\n%s", a, b)
+		t.Fatalf("same seed, different studies:\n%+v\nvs\n%+v", *a, *b)
 	}
 }

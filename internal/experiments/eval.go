@@ -82,6 +82,7 @@ func (r *Runner) RunDiagnosisStudy(w workload.Type, systemName string) (*Study, 
 // ConfusionPair reports how often two faults were mistaken for each other —
 // the paper's "signature conflict" analysis for Net-drop vs Net-delay.
 type ConfusionPair struct {
+	Workload   workload.Type
 	A, B       faults.Kind
 	AasB, BasA int
 	Runs       int
@@ -96,7 +97,7 @@ func (r *Runner) RunConfusion(w workload.Type, a, b faults.Kind) (*ConfusionPair
 		return nil, err
 	}
 	return &ConfusionPair{
-		A: a, B: b,
+		Workload: w, A: a, B: b,
 		AasB: tally.Confused(string(a), string(b)),
 		BasA: tally.Confused(string(b), string(a)),
 		Runs: tally.Runs(string(a)),

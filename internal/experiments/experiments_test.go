@@ -32,7 +32,7 @@ func tinyOptions() Options {
 
 func TestOptionsDefaults(t *testing.T) {
 	r := NewRunner(Options{})
-	opts := r.Options()
+	opts := r.opts
 	if opts.Slaves != 4 || opts.RunsPerFault != 40 || opts.SignatureRuns != 2 {
 		t.Errorf("defaults not applied: %+v", opts)
 	}
@@ -48,7 +48,7 @@ func TestOptionsDefaults(t *testing.T) {
 // and takes core's defaults for the rest, as a System built from it would —
 // it is not swapped for DefaultConfig because it names no Assoc.
 func TestOptionsKeepAPartialConfig(t *testing.T) {
-	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, Lifecycle: true}}).Options().Config
+	cfg := NewRunner(Options{Config: core.Config{Epsilon: 0.3, Lifecycle: true}}).opts.Config
 	if cfg.Epsilon != 0.3 || !cfg.Lifecycle {
 		t.Errorf("caller's fields replaced: epsilon=%v lifecycle=%v", cfg.Epsilon, cfg.Lifecycle)
 	}

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
-	"invarnetx/internal/faults"
 	"invarnetx/internal/workload"
 )
 
@@ -22,10 +22,12 @@ var tinyComparison = sync.OnceValues(func() (*ComparisonResult, error) {
 	return NewRunner(tinyOptions()).RunComparison(workload.Wordcount)
 })
 
-// renderStudies prints every deterministic study at a reduced scale, in the
-// formats cmd/experiments prints them (Table 1 is excluded: it prints
-// wall-clock durations). The sections are independent, so they render side by
-// side and are written out in order.
+// renderStudies prints the command's catalog at a reduced scale, exactly as
+// cmd/experiments prints it less the timing lines, for two seeds. Table 1 is
+// excluded (it prints wall-clock durations), and so is the Figs. 9/10 entry:
+// that comparison is rendered once, from the shared tinyComparison, with
+// the entry's own PrintPrecision and PrintRecall. The sections are
+// independent, so they render side by side and are written out in order.
 func renderStudies(w io.Writer) error {
 	sections := []func(io.Writer) error{
 		func(w io.Writer) error { return renderSeed(w, 1) },
@@ -61,7 +63,8 @@ func renderStudies(w io.Writer) error {
 	return nil
 }
 
-// renderSeed prints one seed's studies.
+// renderSeed prints one seed's pass over the catalog at the sizing of
+// cmd/experiments -seed <seed> -train 4 -runs 6.
 func renderSeed(w io.Writer, seed int64) error {
 	opts := DefaultOptions()
 	opts.Seed = seed
@@ -69,85 +72,23 @@ func renderSeed(w io.Writer, seed int64) error {
 	opts.TrainRuns = 4
 	r := NewRunner(opts)
 	fmt.Fprintf(w, "=== seed %d ===\n", seed)
-
-	fig2, err := r.RunFig2()
-	if err != nil {
-		return err
-	}
-	fig2.Print(w)
-	for _, wl := range []workload.Type{workload.Wordcount, workload.Sort} {
-		res, err := r.RunFig4(wl, 25)
-		if err != nil {
+	all := func(string) bool { return true }
+	for _, e := range Catalog {
+		if slices.Contains(e.Names, "table1") || slices.Contains(e.Names, "fig9") {
+			continue
+		}
+		if err := e.Run(r, w, all); err != nil {
 			return err
 		}
-		res.Print(w)
 	}
-	for _, wl := range []workload.Type{workload.Wordcount, workload.TPCDS} {
-		res, err := r.RunFig5(wl)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	}
-	for _, wl := range []workload.Type{workload.Wordcount, workload.TPCDS} {
-		res, err := r.RunFig6(wl)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	}
-	fig7, err := r.RunDiagnosisStudy(workload.TPCDS, string(VariantInvarNetX))
-	if err != nil {
-		return err
-	}
-	PrintStudy(w, fig7, "fig7")
-	fig8, err := r.RunDiagnosisStudy(workload.Wordcount, string(VariantInvarNetX))
-	if err != nil {
-		return err
-	}
-	PrintStudy(w, fig8, "fig8")
-	cp, err := r.RunConfusion(workload.Wordcount, faults.NetDrop, faults.NetDelay)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "confusion %s/%s: %d %d of %d\n", cp.A, cp.B, cp.AasB, cp.BasA, cp.Runs)
-	mf, err := r.RunMultiFault(workload.Wordcount, 6)
-	if err != nil {
-		return err
-	}
-	mf.Print(w)
-	gr, err := r.RunSignatureGrowth(workload.Wordcount, 3)
-	if err != nil {
-		return err
-	}
-	gr.Print(w)
-	ct, err := r.RunContrast(workload.Wordcount, 4)
-	if err != nil {
-		return err
-	}
-	ct.Print(w)
-	cs, err := r.RunCrossNodeStudy(workload.Sort)
-	if err != nil {
-		return err
-	}
-	cs.Print(w)
-	dg, err := r.RunDegradationStudy(workload.Wordcount, faults.CPUHog, []float64{0, 0.5, 0.9}, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, dg)
-	ds, err := RunDriftStudy(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, ds)
 	return nil
 }
 
-// TestStudiesGolden is the refactor's proof: the rendered output of every
-// study must match, byte for byte, the file captured before the studies were
-// re-expressed as scenario rows. Regenerate with -update only for a change
-// that is meant to move a number.
+// TestStudiesGolden is the refactor's proof: the catalog cmd/experiments
+// runs must render, byte for byte, the file whose numbers were captured
+// before the studies were re-expressed as scenario rows, under the command's
+// own labels. Regenerate with -update only for a change that is meant to
+// move a number.
 func TestStudiesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every study end to end")

@@ -129,9 +129,6 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{opts: opts}
 }
 
-// Options returns the effective options.
-func (r *Runner) Options() Options { return r.opts }
-
 // RunResult is everything observed during one run.
 type RunResult struct {
 	// Traces maps slave IP to its metric+CPI trace.

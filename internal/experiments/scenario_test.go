@@ -261,7 +261,7 @@ func TestObserveStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hinted.Status != HintsOnly || hinted.AlertTick < r.Options().FaultStart || hinted.Predicted() != "" {
+	if hinted.Status != HintsOnly || hinted.AlertTick < r.opts.FaultStart || hinted.Predicted() != "" {
 		t.Errorf("unlabelled fault: status %s, alert %d, predicted %q", hinted.Status, hinted.AlertTick, hinted.Predicted())
 	}
 	if err := r.Label(sys, r.LabelRows("t", w, faults.CPUHog)); err != nil {

@@ -215,15 +215,6 @@ func (c *Client) Report(ctx context.Context, id string) (*server.Report, error) 
 	return &out, nil
 }
 
-// Signatures lists the signature base.
-func (c *Client) Signatures(ctx context.Context) (*server.SignaturesResponse, error) {
-	var out server.SignaturesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/signatures", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats fetches the server's operational counters.
 func (c *Client) Stats(ctx context.Context) (*server.Stats, error) {
 	var out server.Stats

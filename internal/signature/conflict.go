@@ -1,7 +1,9 @@
 package signature
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -61,44 +63,44 @@ type Separability struct {
 	Workload      string
 	Cohesion      float64 // mean intra-problem similarity (1 with no comparable pair)
 	WorstExternal float64
-	WorstProblem  string
+	// WorstProblem is the rival scoring WorstExternal: the first by name on
+	// a tie, named even at 0; "" when no other problem is comparable.
+	WorstProblem string
 }
 
 // Margin returns Cohesion - WorstExternal.
 func (s Separability) Margin() float64 { return s.Cohesion - s.WorstExternal }
 
 // Separabilities computes the per-problem separability report of the
-// database's context. Like Conflicts, it compares only signatures of one
-// tuple length: a stale tuple left by a retrain enters no mean.
+// database's context, by ascending margin (ties by name). Like Conflicts, it
+// compares only signatures of one tuple length: a stale tuple left by a
+// retrain enters no mean.
 func (db *DB) Separabilities() []Separability {
-	groups := make(map[int32][]entryRef)
+	groups := map[string][]entryRef{}
 	for _, ref := range db.order {
-		pid := ref.b.probs[ref.pos]
-		groups[pid] = append(groups[pid], ref)
+		p := db.problems[ref.b.probs[ref.pos]]
+		groups[p] = append(groups[p], ref)
 	}
+	names := slices.Clone(db.problems) // every interned problem holds an entry
+	sort.Strings(names)
 	var out []Separability
-	for pid, members := range groups {
-		s := Separability{Problem: db.problems[pid], IP: db.ip, Workload: db.workload, Cohesion: 1}
-		if mean, ok := meanPairScore(members, nil); ok {
+	for _, p := range names {
+		s := Separability{Problem: p, IP: db.ip, Workload: db.workload, Cohesion: 1}
+		if mean, ok := meanPairScore(groups[p], nil); ok {
 			s.Cohesion = mean
 		}
-		for other, others := range groups {
-			if other == pid {
+		rival := false
+		for _, other := range names {
+			if other == p {
 				continue
 			}
-			if mean, ok := meanPairScore(members, others); ok && mean > s.WorstExternal {
-				s.WorstExternal = mean
-				s.WorstProblem = db.problems[other]
+			if mean, ok := meanPairScore(groups[p], groups[other]); ok && (!rival || mean > s.WorstExternal) {
+				s.WorstExternal, s.WorstProblem, rival = mean, other, true
 			}
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Margin() != out[b].Margin() {
-			return out[a].Margin() < out[b].Margin()
-		}
-		return out[a].Problem < out[b].Problem
-	})
+	slices.SortStableFunc(out, func(a, b Separability) int { return cmp.Compare(a.Margin(), b.Margin()) })
 	return out
 }
 

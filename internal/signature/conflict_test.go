@@ -157,3 +157,36 @@ func TestSeparabilitiesSkipsStaleTuples(t *testing.T) {
 		t.Errorf("z = %+v, want cohesion 1 and 11/36 vs x", z)
 	}
 }
+
+// TestSeparabilitiesBreakTiesByName: a and its two rivals score the same
+// mean (J(1100, 1000) = J(1100, 0100) = 1/2), so the rival named is the
+// first in name order, on every build and whatever the insertion order.
+func TestSeparabilitiesBreakTiesByName(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		db := NewDB("w", "n", 0)
+		db.Add("c", tup("0100"))
+		db.Add("b", tup("1000"))
+		db.Add("a", tup("1100"))
+		for _, s := range db.Separabilities() {
+			if s.Problem == "a" && (s.WorstProblem != "b" || s.WorstExternal != 0.5) {
+				t.Fatalf("build %d: a's worst external %v vs %q, want 0.5 vs b", i, s.WorstExternal, s.WorstProblem)
+			}
+		}
+	}
+}
+
+// TestSeparabilitiesNameAZeroSimilarityRival: two disjoint problems are
+// comparable — same tuple length — at similarity 0, so each names the
+// other; "" is left for a problem with no comparable rival at all.
+func TestSeparabilitiesNameAZeroSimilarityRival(t *testing.T) {
+	db := NewDB("w", "n", 0)
+	db.Add("x", tup("1100"))
+	db.Add("y", tup("0011"))
+	db.Add("z", tup("110")) // stale length: comparable with nothing
+	want := map[string]string{"x": "y", "y": "x", "z": ""}
+	for _, s := range db.Separabilities() {
+		if s.WorstProblem != want[s.Problem] || s.WorstExternal != 0 {
+			t.Errorf("%s: worst external %v vs %q, want 0 vs %q", s.Problem, s.WorstExternal, s.WorstProblem, want[s.Problem])
+		}
+	}
+}
