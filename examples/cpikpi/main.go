@@ -21,7 +21,6 @@ import (
 // hog is a run-long CPU load of fixed intensity.
 type hog struct{ cores float64 }
 
-func (h *hog) Name() string { return "example-hog" }
 func (h *hog) Apply(tick int, n *invarnetx.Node, eff *invarnetx.ClusterEffects) {
 	eff.Extra.CPU += h.cores
 }

@@ -131,7 +131,7 @@ func TestContentionSlowsJob(t *testing.T) {
 		c := New(4, 6)
 		if hog {
 			for _, n := range c.Slaves() {
-				n.Attach(&perturbFunc{name: "cpu-hog", f: func(tick int, node *Node, eff *Effects) {
+				n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 					eff.Extra.CPU += 12 // well beyond the 8 cores
 				}})
 			}
@@ -151,17 +151,15 @@ func TestContentionSlowsJob(t *testing.T) {
 
 // perturbFunc adapts a closure to the Perturbation interface for tests.
 type perturbFunc struct {
-	name string
-	f    func(tick int, node *Node, eff *Effects)
+	f func(tick int, node *Node, eff *Effects)
 }
 
-func (p *perturbFunc) Name() string                          { return p.name }
 func (p *perturbFunc) Apply(tick int, n *Node, eff *Effects) { p.f(tick, n, eff) }
 
 func TestSuspendFreezesNode(t *testing.T) {
 	c := New(4, 7)
 	victim := c.Slaves()[0]
-	victim.Attach(&perturbFunc{name: "suspend", f: func(tick int, node *Node, eff *Effects) {
+	victim.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 		eff.Suspend = true
 	}})
 	j := c.Submit(testSpec("wc", 8, 2))
@@ -183,7 +181,7 @@ func TestSuspendFreezesNode(t *testing.T) {
 func TestSaturationReporting(t *testing.T) {
 	c := New(1, 8)
 	n := c.Slaves()[0]
-	n.Attach(&perturbFunc{name: "hog", f: func(tick int, node *Node, eff *Effects) {
+	n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 		eff.Extra.CPU += 16
 		eff.Extra.DiskMBps += 300
 	}})
@@ -207,7 +205,7 @@ func TestNoSaturationWithHeadroom(t *testing.T) {
 	// saturation at zero.
 	c := New(1, 9)
 	n := c.Slaves()[0]
-	n.Attach(&perturbFunc{name: "mild", f: func(tick int, node *Node, eff *Effects) {
+	n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 		eff.Extra.CPU += 2.4 // 30% of 8 cores
 	}})
 	c.Step()
@@ -258,7 +256,7 @@ func TestBlockCorruptionAndRepair(t *testing.T) {
 func TestTaskFailureRestarts(t *testing.T) {
 	c := New(4, 12)
 	for _, n := range c.Slaves() {
-		n.Attach(&perturbFunc{name: "npe", f: func(tick int, node *Node, eff *Effects) {
+		n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 			eff.TaskFailureProb = 0.3
 		}})
 	}
@@ -292,7 +290,7 @@ func TestRPCHangStallsScheduling(t *testing.T) {
 		if delay > 0 {
 			for _, n := range c.Slaves() {
 				d := delay
-				n.Attach(&perturbFunc{name: "rpc-hang", f: func(tick int, node *Node, eff *Effects) {
+				n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 					eff.HeartbeatDelaySec = d
 				}})
 			}
@@ -355,7 +353,7 @@ func TestSpeculativeExecutionRescuesStragglers(t *testing.T) {
 		backups := map[*Task]bool{}
 		for i := 0; i < 2000 && !j.Done(); i++ {
 			if !frozen && victim.RunningTasks() > 0 {
-				victim.Attach(&perturbFunc{name: "suspend", f: func(tick int, node *Node, eff *Effects) {
+				victim.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 					eff.Suspend = true
 				}})
 				frozen = true

@@ -210,12 +210,8 @@ func (n *Node) FreeReduceSlots() int { return n.ReduceSlots - len(n.reduces) }
 func (n *Node) RunningTasks() int { return len(n.maps) + len(n.reduces) }
 
 // Perturbation is the hook fault injectors implement. Apply mutates the
-// per-tick Effects for the node before resource accounting. Implementations
-// must be comparable values (use pointer receivers) so Detach can identify
-// them.
+// per-tick Effects for the node before resource accounting.
 type Perturbation interface {
-	// Name identifies the fault for logs and tests.
-	Name() string
 	// Apply mutates eff given the current tick.
 	Apply(tick int, node *Node, eff *Effects)
 }

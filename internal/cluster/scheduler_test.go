@@ -56,12 +56,12 @@ func TestRunningCountConsistency(t *testing.T) {
 	// tasks — across scheduling, completion, failures and speculation.
 	c := New(4, 52)
 	for _, n := range c.Slaves() {
-		n.Attach(&perturbFunc{name: "npe", f: func(tick int, node *Node, eff *Effects) {
+		n.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 			eff.TaskFailureProb = 0.1
 		}})
 	}
 	victim := c.Slaves()[1]
-	victim.Attach(&perturbFunc{name: "suspend", f: func(tick int, node *Node, eff *Effects) {
+	victim.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 		if tick > 5 && tick < 60 {
 			eff.Suspend = true
 		}
@@ -117,7 +117,7 @@ func TestSpeculativeCopyLosesGracefully(t *testing.T) {
 	c := New(4, 54)
 	victim := c.Slaves()[0]
 	stall := true
-	victim.Attach(&perturbFunc{name: "stall", f: func(tick int, node *Node, eff *Effects) {
+	victim.Attach(&perturbFunc{f: func(tick int, node *Node, eff *Effects) {
 		if stall && tick > 4 {
 			eff.ScaleTaskSpeed(0.05)
 		}

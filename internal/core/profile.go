@@ -50,9 +50,6 @@ func newProfile(s *System, key Context) *Profile {
 	return p
 }
 
-// Context returns the profile's operation context.
-func (p *Profile) Context() Context { return p.key }
-
 // TrainPerformanceModel fits the ARIMA CPI model and thresholds from the
 // CPI traces of N normal runs, replacing any model trained before. The
 // detector is the paper's, detect.DefaultConfig.

@@ -411,7 +411,7 @@ func TestProfileRegistry(t *testing.T) {
 		t.Error("lookup must not materialise profiles")
 	}
 	ps := s.Profiles()
-	if len(ps) != 2 || ps[0].Context() != b || ps[1].Context() != a {
+	if len(ps) != 2 || ps[0].key != b || ps[1].key != a {
 		t.Errorf("Profiles() = %v, want sorted [%v %v]", ps, b, a)
 	}
 
@@ -447,7 +447,7 @@ func TestProfileRegistry(t *testing.T) {
 		t.Fatalf("Profiles() holds %d profiles, want %d", len(ps), contexts)
 	}
 	for i := 1; i < len(ps); i++ {
-		prev, cur := ps[i-1].Context(), ps[i].Context()
+		prev, cur := ps[i-1].key, ps[i].key
 		if prev.Workload > cur.Workload || (prev.Workload == cur.Workload && prev.IP >= cur.IP) {
 			t.Errorf("Profiles() not sorted at %d: %v after %v", i, cur, prev)
 		}

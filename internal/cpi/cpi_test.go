@@ -64,7 +64,6 @@ func runJob(t *testing.T, seed int64, attach func(n *cluster.Node)) ([]float64, 
 
 type hog struct{ cpu float64 }
 
-func (h *hog) Name() string { return "hog" }
 func (h *hog) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.Extra.CPU += h.cpu
 }
@@ -146,7 +145,6 @@ func TestSuspendedNodeCPIHigh(t *testing.T) {
 
 type suspender struct{}
 
-func (suspender) Name() string { return "suspend" }
 func (suspender) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.Suspend = true
 }

@@ -33,7 +33,6 @@ type benignDisturbance struct {
 	window faults.Window
 }
 
-func (b *benignDisturbance) Name() string { return "cpu-disturbance-30pct" }
 func (b *benignDisturbance) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	if b.window.Active(tick) {
 		eff.Extra.CPU += 0.3 * n.Caps.CPUCores
@@ -109,7 +108,6 @@ type persistentHog struct {
 	netScale  float64
 }
 
-func (p *persistentHog) Name() string { return "fig4-hog" }
 func (p *persistentHog) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.Extra.CPU += p.cpu
 	eff.Extra.DiskMBps += p.disk

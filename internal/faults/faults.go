@@ -215,9 +215,6 @@ func New(kind Kind, w Window, rng *stats.RNG) (*Injector, error) {
 	return inj, nil
 }
 
-// Name implements cluster.Perturbation.
-func (in *Injector) Name() string { return string(in.kind) }
-
 // Apply implements cluster.Perturbation.
 func (in *Injector) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	if !in.window.Active(tick) {
@@ -480,14 +477,6 @@ func (ci *CrossInjector) Victim() cluster.Perturbation {
 type crossSide struct {
 	ci     *CrossInjector
 	victim bool
-}
-
-// Name implements cluster.Perturbation.
-func (cs *crossSide) Name() string {
-	if cs.victim {
-		return string(cs.ci.kind) + "-victim"
-	}
-	return string(cs.ci.kind)
 }
 
 // Apply implements cluster.Perturbation.

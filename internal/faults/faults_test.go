@@ -249,7 +249,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.kind != NetDrop || inj.window != w || inj.Name() != "net-drop" {
-		t.Errorf("injector: %v %v %v", inj.kind, inj.window, inj.Name())
+	if inj.kind != NetDrop || inj.window != w {
+		t.Errorf("injector: %v %v", inj.kind, inj.window)
 	}
 }

@@ -70,9 +70,6 @@ func (a *Matrix) index(i, j int) int {
 // Get returns the score of pair (i, j); 0 for an unknown pair.
 func (a *Matrix) Get(i, j int) float64 { return a.scores[a.index(i, j)] }
 
-// Set stores the score of pair (i, j).
-func (a *Matrix) Set(i, j int, v float64) { a.scores[a.index(i, j)] = v }
-
 // Known reports whether pair (i, j) carries a computable score.
 func (a *Matrix) Known(i, j int) bool { return a.known == nil || a.known[a.index(i, j)] }
 

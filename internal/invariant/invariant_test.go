@@ -9,6 +9,9 @@ import (
 	"invarnetx/internal/stats"
 )
 
+// set stores the score of pair (i, j).
+func (a *Matrix) set(i, j int, v float64) { a.scores[a.index(i, j)] = v }
+
 func TestMatrixIndexing(t *testing.T) {
 	a := newMatrix(4)
 	if len(a.scores) != 6 {
@@ -18,7 +21,7 @@ func TestMatrixIndexing(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
 			v += 0.1
-			a.Set(i, j, v)
+			a.set(i, j, v)
 		}
 	}
 	if a.Get(0, 1) != 0.1 || math.Abs(a.Get(2, 3)-0.6) > 1e-12 {
@@ -28,9 +31,9 @@ func TestMatrixIndexing(t *testing.T) {
 	if a.Get(1, 0) != a.Get(0, 1) {
 		t.Error("matrix should be symmetric in access")
 	}
-	a.Set(3, 1, 0.9)
+	a.set(3, 1, 0.9)
 	if a.Get(1, 3) != 0.9 {
-		t.Error("Set with swapped indices should store the same cell")
+		t.Error("set with swapped indices should store the same cell")
 	}
 }
 
@@ -85,9 +88,9 @@ func TestSelectAlgorithm1(t *testing.T) {
 	// stable at a low value (stability, not magnitude, is the criterion).
 	mk := func(v01, v02, v12 float64) *Matrix {
 		a := newMatrix(3)
-		a.Set(0, 1, v01)
-		a.Set(0, 2, v02)
-		a.Set(1, 2, v12)
+		a.set(0, 1, v01)
+		a.set(0, 2, v02)
+		a.set(1, 2, v12)
 		return a
 	}
 	runs := []*Matrix{
@@ -125,9 +128,9 @@ func TestSelectAlgorithm1(t *testing.T) {
 func TestSelectKnownObservationsOnly(t *testing.T) {
 	mk := func(v01, v02, v12 float64, unknown ...Pair) *Matrix {
 		a := newMatrix(3)
-		a.Set(0, 1, v01)
-		a.Set(0, 2, v02)
-		a.Set(1, 2, v12)
+		a.set(0, 1, v01)
+		a.set(0, 2, v02)
+		a.set(1, 2, v12)
 		for _, p := range unknown {
 			markUnknown(a, p.I, p.J)
 		}
@@ -186,9 +189,9 @@ func TestViolations(t *testing.T) {
 		{1, 2}: 0.5,
 	})
 	ab := newMatrix(3)
-	ab.Set(0, 1, 0.3) // |0.9-0.3| = 0.6 >= 0.2: violated
-	ab.Set(1, 2, 0.45)
-	ab.Set(0, 2, 0.99) // not an invariant; ignored
+	ab.set(0, 1, 0.3) // |0.9-0.3| = 0.6 >= 0.2: violated
+	ab.set(1, 2, 0.45)
+	ab.set(0, 2, 0.99) // not an invariant; ignored
 	tuple, _, err := violationsMasked(s, ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +208,7 @@ func TestViolationsBoundary(t *testing.T) {
 	// |I - A| == epsilon counts as a violation (>= in the paper).
 	s := NewSet(2, map[Pair]float64{{0, 1}: 0.7})
 	ab := newMatrix(2)
-	ab.Set(0, 1, 0.5)
+	ab.set(0, 1, 0.5)
 	tuple, _, err := violationsMasked(s, ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +275,7 @@ func TestSelectSoundCompleteProperty(t *testing.T) {
 			runs[r] = newMatrix(m)
 			for i := 0; i < m; i++ {
 				for j := i + 1; j < m; j++ {
-					runs[r].Set(i, j, rng.Float64())
+					runs[r].set(i, j, rng.Float64())
 				}
 			}
 		}

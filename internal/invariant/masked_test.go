@@ -243,9 +243,9 @@ func TestViolationsMasked(t *testing.T) {
 	}
 	set := NewSet(3, base)
 	ab := newMatrix(3)
-	ab.Set(0, 1, 0.9) // holds
-	ab.Set(0, 2, 0.1) // violated, but will be marked unknown
-	ab.Set(1, 2, 0.1) // violated
+	ab.set(0, 1, 0.9) // holds
+	ab.set(0, 2, 0.1) // violated, but will be marked unknown
+	ab.set(1, 2, 0.1) // violated
 	markUnknown(ab, 0, 2)
 	tuple, known, err := violationsMasked(set, ab, 0.2)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestViolationsMasked(t *testing.T) {
 
 	// An all-known matrix needs no known slice.
 	full := newMatrix(3)
-	full.Set(1, 2, 0.1)
+	full.set(1, 2, 0.1)
 	tuple2, known2, err := violationsMasked(set, full, 0.2)
 	if err != nil {
 		t.Fatal(err)

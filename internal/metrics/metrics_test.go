@@ -104,7 +104,6 @@ func TestNormalCouplings(t *testing.T) {
 
 type memHog struct{ mb float64 }
 
-func (h *memHog) Name() string { return "mem-hog" }
 func (h *memHog) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.Extra.MemoryMB += h.mb
 	eff.ExtraProcesses++
@@ -129,7 +128,6 @@ func TestMemHogSignature(t *testing.T) {
 
 type netDelay struct{ ms float64 }
 
-func (d *netDelay) Name() string { return "net-delay" }
 func (d *netDelay) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.AddRTTms += d.ms
 	eff.NetCapScale = 0.3

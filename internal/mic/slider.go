@@ -37,39 +37,6 @@ func NewSlider(capacity int, _ Config) *Slider {
 	return &Slider{cap: capacity}
 }
 
-// Len returns the current window length.
-func (s *Slider) Len() int { return len(s.vals) }
-
-// Equal reports whether two sliders hold bit-identical window state —
-// values (NaN gap placeholders compare bitwise, so a masked window can be
-// checked too), validity flags and the maintained order. Equivalence pin
-// for callers that must prove two ingest paths build the same state.
-func (s *Slider) Equal(o *Slider) bool {
-	if len(s.vals) != len(o.vals) || len(s.order) != len(o.order) {
-		return false
-	}
-	for i := range s.vals {
-		if math.Float64bits(s.vals[i]) != math.Float64bits(o.vals[i]) || s.ok[i] != o.ok[i] {
-			return false
-		}
-	}
-	for i := range s.order {
-		if s.order[i] != o.order[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset empties the window, keeping the capacity and backing arrays. Used
-// when a caller rebuilds the slider from authoritative window state instead
-// of replaying the samples it missed.
-func (s *Slider) Reset() {
-	s.vals = s.vals[:0]
-	s.ok = s.ok[:0]
-	s.order = s.order[:0]
-}
-
 // Append pushes the newest sample, evicting the oldest when the window is
 // full. Invalid or non-finite samples are stored (the window keeps its time
 // shape) but excluded from the maintained order.

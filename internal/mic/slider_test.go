@@ -38,7 +38,7 @@ func TestSliderMatchesPrepare(t *testing.T) {
 		}
 		sx.Append(x, true)
 		sy.Append(2*x+rng.Normal(0, 0.3), true)
-		if sx.Len() < minSamples || step%7 != 0 {
+		if len(sx.vals) < minSamples || step%7 != 0 {
 			continue
 		}
 		px, err := sx.Prepared()

@@ -206,15 +206,6 @@ func (c *Client) Diagnose(ctx context.Context, workload, node string, samples []
 	return &out, nil
 }
 
-// Report fetches one report by ID.
-func (c *Client) Report(ctx context.Context, id string) (*server.Report, error) {
-	var out server.Report
-	if err := c.do(ctx, http.MethodGet, "/v1/reports/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats fetches the server's operational counters.
 func (c *Client) Stats(ctx context.Context) (*server.Stats, error) {
 	var out server.Stats

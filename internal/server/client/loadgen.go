@@ -76,7 +76,6 @@ type LoadReport struct {
 	Samples      int64 // samples accepted
 	Diagnoses    int64 // async diagnoses issued
 	DiagnoseShed int64 // diagnose requests refused with 429
-	ReportIDs    []string
 }
 
 // SynthBatch generates one batch of coupled synthetic samples: the leading
@@ -153,7 +152,6 @@ func (b *shedBackoff) reset() { b.consecutive = 0 }
 func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 	cfg = cfg.withDefaults()
 	rep := &LoadReport{}
-	var mu sync.Mutex // ReportIDs; the counters are bumped atomically
 
 	var wg sync.WaitGroup
 	root := stats.NewRNG(cfg.Seed)
@@ -193,13 +191,10 @@ func (c *Client) RunLoad(ctx context.Context, cfg LoadConfig) *LoadReport {
 					atomic.AddInt64(&rep.Errors, 1)
 				}
 				if cfg.DiagnoseEvery > 0 && (b+1)%cfg.DiagnoseEvery == 0 {
-					d, err := c.Diagnose(ctx, workload, node, nil, false)
+					_, err := c.Diagnose(ctx, workload, node, nil, false)
 					switch {
 					case err == nil:
 						atomic.AddInt64(&rep.Diagnoses, 1)
-						mu.Lock()
-						rep.ReportIDs = append(rep.ReportIDs, d.ID)
-						mu.Unlock()
 						bo.reset()
 					case IsShed(err):
 						atomic.AddInt64(&rep.DiagnoseShed, 1)

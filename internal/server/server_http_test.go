@@ -84,6 +84,36 @@ func getProfiles(t *testing.T, hs *httptest.Server) *server.ProfilesResponse {
 	return &out
 }
 
+// getReport reads GET /v1/reports/{id}, an endpoint the typed client has no
+// call for; ok is false on a 404.
+func getReport(t *testing.T, hs *httptest.Server, id string) (r *server.Report, ok bool) {
+	t.Helper()
+	resp, err := hs.Client().Get(hs.URL + "/v1/reports/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, false
+	}
+	var out server.Report
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/reports/%s: status %d, %v", id, resp.StatusCode, err)
+	}
+	return &out, true
+}
+
+// loadReportIDs are the IDs a fresh server can have given rep's diagnose
+// requests: it numbers reports from r-00000001, and a shed request spent its
+// number on a report it then dropped.
+func loadReportIDs(rep *client.LoadReport) []string {
+	ids := make([]string, rep.Diagnoses+rep.DiagnoseShed)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r-%08d", i+1)
+	}
+	return ids
+}
+
 // postSignature labels a signature through POST /v1/signatures, the other
 // endpoint the typed client has no product caller for, and reports whether
 // the daemon acknowledged it.
@@ -150,13 +180,15 @@ func TestConcurrentIngestStreams(t *testing.T) {
 
 	// Every issued report resolves (the queues drain) and is retrievable.
 	deadline := time.Now().Add(30 * time.Second)
-	for _, id := range rep.ReportIDs {
+	var found int64
+	for _, id := range loadReportIDs(rep) {
 		for {
-			r, err := c.Report(context.Background(), id)
-			if err != nil {
-				t.Fatalf("report %s: %v", id, err)
+			r, ok := getReport(t, hs, id)
+			if !ok {
+				break
 			}
 			if r.Status != server.StatusPending {
+				found++
 				break
 			}
 			if time.Now().After(deadline) {
@@ -164,6 +196,9 @@ func TestConcurrentIngestStreams(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	if found != rep.Diagnoses {
+		t.Errorf("%d reports retrievable, want one per issued diagnosis (%d)", found, rep.Diagnoses)
 	}
 
 	st, err := c.Stats(context.Background())
@@ -222,14 +257,19 @@ func TestGracefulShutdownDrainsAcceptedWork(t *testing.T) {
 	}
 
 	// Every accepted diagnose completed and is retrievable.
-	for _, id := range rep.ReportIDs {
-		r, err := c.Report(context.Background(), id)
-		if err != nil {
-			t.Fatalf("report %s after shutdown: %v", id, err)
+	var found int64
+	for _, id := range loadReportIDs(rep) {
+		r, ok := getReport(t, hs, id)
+		if !ok {
+			continue
 		}
+		found++
 		if r.Status == server.StatusPending {
 			t.Errorf("report %s still pending after drain", id)
 		}
+	}
+	if found != rep.Diagnoses {
+		t.Errorf("%d reports retrievable after shutdown, want one per accepted diagnose (%d)", found, rep.Diagnoses)
 	}
 
 	// Every accepted sample landed in its stream's window.

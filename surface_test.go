@@ -1,16 +1,21 @@
 package invarnetx
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"invarnetx/internal/arima"
@@ -20,15 +25,14 @@ import (
 	"invarnetx/internal/server"
 )
 
-// closedPrefix is the guarded part of the module: nothing outside it can
-// import a package under internal/, so an exported name there that no
-// non-test file uses (cmd/, examples/ and bench/ count; invarnetx.go does
+// The closed-package rule guards the module's internal/ packages: nothing
+// outside the module can import them, so an exported name there that no
+// non-test file uses (cmd/, examples/ and bench/ count; the root facade does
 // not — a re-export is not a use) has no possible caller and is surface kept
 // for nobody. An exported function needs more: a caller in another package,
 // where the root facade's wrappers count, since TestFacadeIsTheExamplesAPI
 // ties each of them to an example. A function only its own package calls is
 // an unexported one.
-const closedPrefix = "invarnetx/internal/"
 
 // testOracles are the exported names kept although only tests reference
 // them, each with its reason: an oracle that tests of *other* packages
@@ -40,6 +44,8 @@ var testOracles = map[string]string{
 	"invarnetx/internal/signature.BestProblem":               "reference reduction (best match per problem over MatchMasked's full list) that core and experiments tests hold DB.Rank to",
 	"invarnetx/internal/invariant.ComputeMaskedMatrixScored": "dense masked fill (every pair of a degraded window) that core and experiments tests hold the sparse edge path and pair-major training to",
 	"invarnetx/internal/signature.ParseTuple":                "reference tuple-text parser that the xmlstore and core restore tests hold the direct signature loop and DB.MergeText to",
+	"invarnetx/internal/invariant.Matrix.Get":                "reads the dense oracle's scores: core and experiments tests compare trained and judged pairs against it",
+	"invarnetx/internal/invariant.Matrix.Known":              "reads the dense oracle's mask: core and experiments tests compare unknown pairs against it",
 }
 
 const maxTestOracles = 5
@@ -49,9 +55,9 @@ const maxTestOracles = 5
 // l. <line>". The end-to-end benchmark changes only with the benchmark, so
 // these are shims the product would otherwise delete. The list can only
 // shrink: an entry that gains a product caller or loses its bench/ caller
-// fails the test until it is dropped, a cited line must still reference the
-// name, and the list holds at most maxBenchOnly names, so no new bench-only
-// shim can be added.
+// fails the test until it is dropped, each cited line must hold a resolved
+// reference to the name, and the list holds at most maxBenchOnly names, so
+// no new bench-only shim can be added.
 var benchOnly = map[string]string{
 	"invarnetx/internal/core.System.MergeSignature":       "bench/system.go l. 64 seeds each context with synthetic signatures through it",
 	"invarnetx/internal/invariant.ComputeMatrixScored":    "bench/layers.go l. 467 fills the dense matrices the selection probe selects from",
@@ -68,212 +74,367 @@ var benchOnly = map[string]string{
 
 const maxBenchOnly = 11
 
-// calledByStdlib are method names the standard library calls through its own
-// interfaces (error, fmt.Stringer, errors.Unwrap, http.Handler), so a
-// declaration needs no caller in this module.
-var calledByStdlib = map[string]bool{"Error": true, "String": true, "Unwrap": true, "ServeHTTP": true}
+// module is one tree of packages type-checked from source: every non-test
+// file of every package under its import path, with each identifier's use
+// resolved in info.
+type module struct {
+	path  string
+	dir   string
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  []*types.Package // in the order they were checked
+	files map[*types.Package][]*ast.File
+}
 
-// TestClosedPackagesExportOnlyWhatIsCalled parses every non-test file of the
-// module (and of bench/, a caller in its own module) and fails on an exported
-// function, type or method of an exported type declared under internal/ that
-// nothing references, or that only bench/ references and benchOnly does not
-// list, or on an exported package-level function that no file of another
-// package references (bench/ and invarnetx.go count). Syntax only, so
-// deliberately lenient: a function or type counts as referenced by any bare
-// identifier of its name inside its package or by pkg.Name in a file
-// importing it; a method by any selector of its name anywhere.
-func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
-	type decl struct {
-		key    string // "import/path.Name", or the bare name for a method
-		id     string // "import/path.Name", or "import/path.Type.Name" for a method
-		method bool
-		fn     bool // a package-level function
-		pos    token.Position
-	}
-	// refs are the references to one name: whether a file outside bench/
-	// makes one, and where bench/ makes its own ("bench/<file> l. <line>").
-	type refs struct {
-		product bool
-		bench   []string
-	}
-	var decls []decl
-	fset := token.NewFileSet()
-	named := map[string]*refs{}    // "import/path.Name" referenced as a package-level name
-	called := map[string]*refs{}   // "import/path.Name" referenced from another package, invarnetx.go included
-	selected := map[string]*refs{} // Name selected off some operand
-	note := func(m map[string]*refs, key string, pos token.Pos) {
-		r := m[key]
-		if r == nil {
-			r = &refs{}
-			m[key] = r
-		}
-		at := fset.Position(pos)
-		if dir, _ := filepath.Split(at.Filename); dir != "bench/" {
-			r.product = true
-			return
-		}
-		r.bench = append(r.bench, fmt.Sprintf("%s l. %d", filepath.ToSlash(at.Filename), at.Line))
-	}
+// sourceImporter checks a module's package from its directory and hands
+// everything else (the standard library) to the go/importer source importer.
+// It checks each package once, so every module's files resolve to the same
+// objects.
+type sourceImporter struct {
+	fset    *token.FileSet
+	std     types.Importer
+	modules []*module
+	checked map[string]*types.Package
+}
 
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+func (im *sourceImporter) Import(path string) (*types.Package, error) {
+	if p := im.checked[path]; p != nil {
+		return p, nil
+	}
+	for _, m := range im.modules {
+		if rel, ok := strings.CutPrefix(path, m.path); ok && (rel == "" || rel[0] == '/') {
+			return im.check(m, path, filepath.Join(m.dir, filepath.FromSlash(rel)))
+		}
+	}
+	return im.std.Import(path)
+}
+
+func (im *sourceImporter) check(m *module, path, dir string) (*types.Package, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: im}
+	p, err := conf.Check(path, im.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	im.checked[path] = p
+	m.pkgs = append(m.pkgs, p)
+	m.files[p] = files
+	return p, nil
+}
+
+// loadAll checks every package in m's directory tree, skipping hidden and
+// testdata directories as the go command does.
+func (im *sourceImporter) loadAll(m *module) error {
+	return filepath.WalkDir(m.dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != m.dir && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(m.dir, p)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || filepath.Dir(p) == "bench") {
-				return filepath.SkipDir
-			}
+		path := m.path
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		_, err = im.Import(path)
+		var none *build.NoGoError
+		if errors.As(err, &none) {
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		facade := filepath.Dir(p) == "."
-		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		own := path.Join("invarnetx", filepath.ToSlash(filepath.Dir(p)))
-		imports := map[string]string{}
-		for _, im := range file.Imports {
-			ip := strings.Trim(im.Path.Value, `"`)
-			alias := path.Base(ip)
-			if im.Name != nil {
-				alias = im.Name.Name
+		return err
+	})
+}
+
+var surfaces struct {
+	once               sync.Once
+	invarnetx, fixture *module
+	stdIfaces          []*types.Interface
+	err                error
+}
+
+// loadSurfaces type-checks this module, bench/ included, and the fixture
+// module in testdata/surface, once per test binary.
+func loadSurfaces(t *testing.T) (invarnetx, fixture *module, stdIfaces []*types.Interface) {
+	t.Helper()
+	s := &surfaces
+	s.once.Do(func() {
+		fset := token.NewFileSet()
+		im := &sourceImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), checked: map[string]*types.Package{}}
+		for _, m := range []*module{{path: "invarnetx", dir: "."}, {path: "fixture", dir: filepath.Join("testdata", "surface")}} {
+			m.fset, m.info, m.files = fset, &types.Info{Uses: map[*ast.Ident]types.Object{}}, map[*types.Package][]*ast.File{}
+			im.modules = append(im.modules, m)
+			if s.err = im.loadAll(m); s.err != nil {
+				return
 			}
-			imports[alias] = ip
 		}
-		// Identifiers that are not uses: declared names, receivers, and the
-		// Sel half of a selector (recorded as named or selected instead).
-		notUse := map[*ast.Ident]bool{}
-		for _, d := range file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				notUse[d.Name] = true
-				exported := strings.HasPrefix(own, closedPrefix) && d.Name.IsExported()
-				if d.Recv == nil {
-					if exported {
-						key := own + "." + d.Name.Name
-						decls = append(decls, decl{key: key, id: key, fn: true, pos: fset.Position(d.Pos())})
-					}
-					continue
-				}
-				ast.Inspect(d.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						notUse[id] = true
-						if exported && id.IsExported() {
-							decls = append(decls, decl{key: d.Name.Name, id: own + "." + id.Name + "." + d.Name.Name, method: true, pos: fset.Position(d.Pos())})
+		s.invarnetx, s.fixture = im.modules[0], im.modules[1]
+		// The standard library calls these through its own interfaces, so
+		// a method implementing one needs no caller in the module.
+		s.stdIfaces = []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+		for _, name := range []string{"fmt.Stringer", "net/http.Handler"} {
+			dot := strings.LastIndex(name, ".")
+			p, err := im.Import(name[:dot])
+			if err != nil {
+				s.err = err
+				return
+			}
+			s.stdIfaces = append(s.stdIfaces, p.Scope().Lookup(name[dot+1:]).Type().Underlying().(*types.Interface))
+		}
+	})
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.invarnetx, s.fixture, s.stdIfaces
+}
+
+// usage is what references one declaration.
+type usage struct {
+	product bool     // a non-test file outside bench/ and the facade
+	bench   []string // "bench/<file> l. <line>", each bench/ reference
+	called  bool     // a file of another package, the facade's and bench/'s included
+}
+
+func (u *usage) add(o *usage) {
+	u.product = u.product || o.product
+	u.bench = append(u.bench, o.bench...)
+}
+
+// surfaceErrors applies the closed-package rule to m: its packages under
+// m.path/internal/ are closed, m.path itself is the facade and m.path/bench
+// is bench/. A declaration counts as referenced only through an identifier
+// that resolves to it; a method also through a used method of the same name
+// of an interface its type implements (stdIfaces stand for the standard
+// library's uses). Names only tests reference must be listed in oracles,
+// names only bench/ references in benchOnly, at a cited line that holds a
+// reference.
+func surfaceErrors(m *module, stdIfaces []*types.Interface, oracles, benchOnly map[string]string) []string {
+	uses := map[types.Object]*usage{}
+	for _, p := range m.pkgs {
+		for _, f := range m.files[p] {
+			// A method's receiver names its type, but does not use it.
+			recv := map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil {
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recv[id] = true
 						}
-					}
+						return true
+					})
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || recv[id] {
 					return true
-				})
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						notUse[ts.Name] = true
-						if strings.HasPrefix(own, closedPrefix) && ts.Name.IsExported() {
-							key := own + "." + ts.Name.Name
-							decls = append(decls, decl{key: key, id: key, pos: fset.Position(ts.Pos())})
-						}
-					}
 				}
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if facade { // a call through a facade wrapper, and nothing else
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						note(called, imports[x.Name]+"."+sel.Sel.Name, sel.Sel.Pos())
-					}
+				obj := m.info.Uses[id]
+				if obj == nil || obj.Pkg() == nil {
+					return true
+				}
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				u := uses[obj]
+				if u == nil {
+					u = &usage{}
+					uses[obj] = u
+				}
+				u.called = u.called || obj.Pkg() != p
+				switch at := m.fset.Position(id.Pos()); p.Path() {
+				case m.path: // a facade wrapper: a call, but no use
+				case m.path + "/bench":
+					u.bench = append(u.bench, fmt.Sprintf("%s l. %d", filepath.ToSlash(at.Filename), at.Line))
+				default:
+					u.product = true
 				}
 				return true
+			})
+		}
+	}
+	// Interface methods some file uses, each with its interface.
+	type abstract struct {
+		iface *types.Interface
+		use   *usage
+	}
+	abstracts := map[string][]abstract{}
+	for _, iface := range stdIfaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			abstracts[name] = append(abstracts[name], abstract{iface, &usage{product: true}})
+		}
+	}
+	for obj, u := range uses {
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			rt := fn.Type().(*types.Signature).Recv().Type()
+			if tp, ok := rt.(*types.TypeParam); ok {
+				rt = tp.Constraint()
 			}
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				notUse[n.Sel] = true
-				note(selected, n.Sel.Name, n.Sel.Pos())
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					note(named, imports[x.Name]+"."+n.Sel.Name, n.Sel.Pos())
-					note(called, imports[x.Name]+"."+n.Sel.Name, n.Sel.Pos())
-				}
-			case *ast.Ident:
-				if !notUse[n] {
-					note(named, own+"."+n.Name, n.Pos())
-				}
+			if iface, ok := rt.Underlying().(*types.Interface); ok {
+				abstracts[fn.Name()] = append(abstracts[fn.Name()], abstract{iface, u})
 			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
 	}
 
+	type decl struct {
+		obj types.Object
+		id  string
+		fn  bool
+		use usage
+	}
+	var decls []decl
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.Path(), m.path+"/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			id := p.Path() + "." + name
+			switch obj := obj.(type) {
+			case *types.Func:
+				decls = append(decls, decl{obj: obj, id: id, fn: true})
+			case *types.TypeName:
+				decls = append(decls, decl{obj: obj, id: id})
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				var methods []*types.Func
+				if iface, ok := named.Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						methods = append(methods, iface.ExplicitMethod(i))
+					}
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					methods = append(methods, named.Method(i))
+				}
+				// A pointer's method set holds the value's, and a pointer to
+				// an interface implements nothing, so an interface's own
+				// methods are credited only where they are used.
+				ptr := types.NewPointer(named)
+				for _, fn := range methods {
+					if !fn.Exported() {
+						continue
+					}
+					d := decl{obj: fn, id: id + "." + fn.Name()}
+					for _, a := range abstracts[fn.Name()] {
+						if types.Implements(ptr, a.iface) {
+							d.use.add(a.use)
+						}
+					}
+					decls = append(decls, d)
+				}
+			}
+		}
+	}
+
+	var errs []string
+	orphaned := map[string]bool{}
+	benchKept := map[string][]string{} // bench-only name → its bench/ references
+	for _, d := range decls {
+		if u := uses[d.obj]; u != nil {
+			d.use.add(u)
+			d.use.called = u.called
+		}
+		at := m.fset.Position(d.obj.Pos())
+		switch {
+		case !d.use.product && len(d.use.bench) == 0:
+			orphaned[d.id] = true
+			if oracles[d.id] == "" {
+				errs = append(errs, fmt.Sprintf("%s: %s is exported from a package nothing outside the module can import, and no non-test file references it", at, d.id))
+			}
+		case !d.use.product:
+			benchKept[d.id] = d.use.bench
+			if benchOnly[d.id] == "" {
+				errs = append(errs, fmt.Sprintf("%s: %s (%s) is referenced by no non-test file outside bench/: delete it, or give it a product caller", at, d.id, strings.Join(d.use.bench, ", ")))
+			}
+		case d.fn && !d.use.called:
+			errs = append(errs, fmt.Sprintf("%s: %s is a function only its own package calls: unexport it", at, d.id))
+		}
+	}
+	for name, reason := range benchOnly {
+		at, ok := benchKept[name]
+		if !ok {
+			errs = append(errs, fmt.Sprintf("%s is listed in benchOnly but is no longer an exported name only bench/ references: drop the entry", name))
+			continue
+		}
+		cites := benchCite.FindAllString(reason, -1)
+		if len(cites) == 0 {
+			errs = append(errs, fmt.Sprintf("benchOnly[%q] = %q cites no bench/ line", name, reason))
+		}
+		for _, c := range cites {
+			found := false
+			for _, a := range at {
+				found = found || a == c
+			}
+			if !found {
+				errs = append(errs, fmt.Sprintf("benchOnly[%q] cites %s, which holds no reference to it (its bench/ references: %s)", name, c, strings.Join(at, ", ")))
+			}
+		}
+	}
+	for name, reason := range oracles {
+		if reason == "" {
+			errs = append(errs, fmt.Sprintf("testOracles[%q] gives no reason", name))
+		}
+		if !orphaned[name] {
+			errs = append(errs, fmt.Sprintf("%s is listed in testOracles but is no longer an exported name without a non-test caller: drop the entry", name))
+		}
+	}
+	sort.Strings(errs)
+	return errs
+}
+
+// benchCite matches one cited bench/ line of a benchOnly reason.
+var benchCite = regexp.MustCompile(`bench/\S+\.go l\. \d+`)
+
+// TestClosedPackagesExportOnlyWhatIsCalled type-checks every non-test file of
+// the module (and of bench/, a caller in its own module) and fails on an
+// exported function, type, or method of an exported type or interface,
+// declared under internal/, that no identifier resolves to, or that only
+// bench/ references and benchOnly does not list, or on an exported
+// package-level function that no file of another package references (bench/
+// and invarnetx.go count).
+func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	if len(testOracles) > maxTestOracles {
 		t.Errorf("testOracles holds %d names, at most %d are allowed", len(testOracles), maxTestOracles)
 	}
 	if len(benchOnly) > maxBenchOnly {
 		t.Errorf("benchOnly holds %d names, at most %d are allowed: bench/ may not keep a new shim alive", len(benchOnly), maxBenchOnly)
 	}
-	orphaned := map[string]bool{}
-	benchKept := map[string][]string{} // bench-only name → its bench/ references
-	var orphans, shims, local []string
-	for _, d := range decls {
-		r := named[d.key]
-		if d.method {
-			r = selected[d.key]
-			if calledByStdlib[d.key] {
-				continue
-			}
-		}
-		switch {
-		case r == nil:
-			orphaned[d.id] = true
-			if testOracles[d.id] == "" {
-				orphans = append(orphans, d.pos.String()+": "+d.id)
-			}
-		case !r.product:
-			benchKept[d.id] = r.bench
-			if benchOnly[d.id] == "" {
-				shims = append(shims, fmt.Sprintf("%s: %s (%s)", d.pos, d.id, strings.Join(r.bench, ", ")))
-			}
-		case d.fn && called[d.key] == nil:
-			local = append(local, d.pos.String()+": "+d.id)
-		}
+	m, _, std := loadSurfaces(t)
+	for _, e := range surfaceErrors(m, std, testOracles, benchOnly) {
+		t.Error(e)
 	}
-	sort.Strings(orphans)
-	for _, o := range orphans {
-		t.Errorf("%s is exported from a package nothing outside the module can import, and no non-test file references it", o)
-	}
-	sort.Strings(local)
-	for _, l := range local {
-		t.Errorf("%s is a function only its own package calls: unexport it", l)
-	}
-	sort.Strings(shims)
-	for _, s := range shims {
-		t.Errorf("%s is referenced by no non-test file outside bench/: delete it, or give it a product caller", s)
-	}
-	for name, reason := range benchOnly {
-		at, ok := benchKept[name]
-		if !ok {
-			t.Errorf("%s is listed in benchOnly but is no longer an exported name only bench/ references: drop the entry", name)
-			continue
-		}
-		cited := false
-		for _, a := range at {
-			cited = cited || strings.Contains(reason, a)
-		}
-		if !cited {
-			t.Errorf("benchOnly[%q] = %q cites none of its bench/ references (%s)", name, reason, strings.Join(at, ", "))
-		}
-	}
-	for name, reason := range testOracles {
-		if reason == "" {
-			t.Errorf("testOracles[%q] gives no reason", name)
-		}
-		if !orphaned[name] {
-			t.Errorf("%s is listed in testOracles but is no longer an exported name without a non-test caller: drop the entry", name)
-		}
+}
+
+// TestSurfaceCheckResolvesReferences runs the closed-package rule over the
+// fixture module in testdata/surface, which plants a dead method whose name
+// a type selector shares, a method reached only through a generic
+// constraint, and a String method only fmt calls. Only the dead method may
+// be reported.
+func TestSurfaceCheckResolvesReferences(t *testing.T) {
+	_, fixture, std := loadSurfaces(t)
+	errs := surfaceErrors(fixture, std, nil, nil)
+	if len(errs) != 1 || !strings.Contains(errs[0], " fixture/internal/lib.Client.Report is exported") {
+		t.Errorf("want exactly fixture/internal/lib.Client.Report reported, got %d errors:\n%s", len(errs), strings.Join(errs, "\n"))
 	}
 }
 
