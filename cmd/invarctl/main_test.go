@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -8,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"invarnetx/internal/core"
+	"invarnetx/internal/experiments"
+	"invarnetx/internal/workload"
 	"invarnetx/internal/xmlstore"
 )
 
@@ -125,5 +129,69 @@ func TestAuditNamesEveryRival(t *testing.T) {
 	}
 	if strings.Contains(out, "vs )") {
 		t.Error("a separability row names an empty rival")
+	}
+}
+
+// TestSessionOnOneStore runs the typical session's subcommands on one
+// temporary -models directory: train writes one profile file per node,
+// signatures labels SignatureRuns runs of every fault the workload can
+// suffer, and signatures -stats, profiles, lifecycle and diagnose read that
+// same store.
+func TestSessionOnOneStore(t *testing.T) {
+	dir := t.TempDir()
+	run := func(cmd func([]string) error, args ...string) string {
+		t.Helper()
+		return captureStdout(t, func() error { return cmd(append(args, "-models", dir)) })
+	}
+	store := func() *core.System {
+		t.Helper()
+		sys := core.New(core.DefaultConfig())
+		if rep, err := sys.LoadFrom(dir); err != nil || rep.Partial() {
+			t.Fatalf("loading the store: %v (%v)", err, rep)
+		}
+		return sys
+	}
+	opts := experiments.DefaultOptions()
+	kinds := experiments.FaultKindsFor(workload.Wordcount)
+	wantSigs := len(kinds) * opts.SignatureRuns
+
+	run(cmdTrain)
+	if files, _ := filepath.Glob(filepath.Join(dir, "profile-wordcount-*.xml")); len(files) != opts.Slaves {
+		t.Errorf("train wrote %d profile files, want one per node (%d)", len(files), opts.Slaves)
+	}
+	if n := store().SignatureCount(); n != 0 {
+		t.Errorf("train stored %d signatures, want 0", n)
+	}
+
+	run(cmdSignatures)
+	sys := store()
+	if n := sys.SignatureCount(); n != wantSigs {
+		t.Errorf("signatures stored %d, want %d (%d faults x %d runs)", n, wantSigs, len(kinds), opts.SignatureRuns)
+	}
+	runs := make(map[string]int)
+	for _, p := range sys.Profiles() {
+		for _, e := range p.Signatures() {
+			runs[e.Problem]++
+		}
+	}
+	for _, k := range kinds {
+		if runs[string(k)] != opts.SignatureRuns {
+			t.Errorf("%s has %d signatures, want %d", k, runs[string(k)], opts.SignatureRuns)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		out  string
+		want string
+	}{
+		{"signatures -stats", run(cmdSignatures, "-stats"), fmt.Sprintf(" %d signatures\n", wantSigs)},
+		{"profiles", run(cmdProfiles), fmt.Sprintf("%d profiles:\n", opts.Slaves)},
+		{"lifecycle", run(cmdLifecycle), "gen 1 "},
+		{"diagnose", run(cmdDiagnose, "-fault", "cpu-hog"), "violation tuple: "},
+	} {
+		if !strings.Contains(c.out, c.want) {
+			t.Errorf("%s printed %q, want a line holding %q", c.name, c.out, c.want)
+		}
 	}
 }

@@ -249,6 +249,15 @@ func runSmoke(cfg server.Config, opts serveOptions, seconds float64) error {
 	case st.QueueDepth < 0 || st.QueueDepth > int64(cfg.QueueCap)*int64(lcfg.Streams):
 		return fmt.Errorf("queue depth %d outside [0, %d]", st.QueueDepth, cfg.QueueCap*lcfg.Streams)
 	}
+	// The load generator diagnoses stream windows only: one explicit window,
+	// waited for, takes the samples path of the request decoder.
+	w0, node0 := lcfg.StreamID(0)
+	window := client.SynthBatch(stats.NewRNG(2), client.LoadConfig{Coupled: 2}, 40)
+	if dr, err := c.Diagnose(bg, w0, node0, window, true); err != nil {
+		return fmt.Errorf("diagnose with samples: %w", err)
+	} else if dr.Status != server.StatusDone || dr.Report == nil || dr.Report.Diagnosis == nil {
+		return fmt.Errorf("diagnose with samples: status %q, want a %q report with a diagnosis", dr.Status, server.StatusDone)
+	}
 	// A context never trained is refused on both encodings and opens no stream.
 	untrained := client.SynthBatch(stats.NewRNG(1), lcfg, 4)
 	for _, ingest := range []func(context.Context, string, string, []server.Sample) (*server.IngestResponse, error){c.Ingest, c.IngestFrame} {

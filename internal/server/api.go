@@ -178,8 +178,8 @@ type Health struct {
 // binary frames and in-process callers can; a non-finite value admitted here
 // would poison the MIC preparations and the detector's forecast history, so
 // both ingest paths reject it at admission — validity masks are the only
-// sanctioned gap channel. The JSON ingest decoder applies the shape rules as
-// it reads, with these same errors.
+// sanctioned gap channel. The JSON request decoder applies the shape rules
+// as it reads, with these same errors.
 func validateSamples(samples []Sample) error {
 	if len(samples) == 0 {
 		return errEmptyBatch
@@ -204,10 +204,12 @@ func validateSamples(samples []Sample) error {
 }
 
 // errEmptyBatch, metricCountError and maskLengthError are validateSamples'
-// shape refusals; errNoIdentity refuses a request naming no stream.
+// shape refusals; errNoIdentity refuses a request naming no stream, and
+// errNoLabel a label naming no stream or no problem.
 var (
 	errEmptyBatch = errors.New("server: empty sample batch")
 	errNoIdentity = errors.New("workload and node are required")
+	errNoLabel    = errors.New("workload, node and problem are required")
 )
 
 func metricCountError(sample, got int) error {
@@ -236,7 +238,7 @@ func isFinite(v float64) bool {
 // whose placeholder is zero is stored as NaN; any other placeholder is an
 // outside client's choice, kept as-is and flagged invalid by the mask.
 // Applied once, where samples become columns (ingestBatch.fromSamples and
-// the two ingest decoders).
+// the two request decoders).
 func maskValue(v float64, valid bool) float64 {
 	if !valid && v == 0 {
 		return math.NaN()

@@ -1,6 +1,7 @@
-// JSON ingest decoder: one pass from a POST /v1/ingest body to a pooled
-// ingestBatch, without reflection or per-sample allocation. DESIGN.md
-// ("Columnar admission") states its grammar contract.
+// JSON request decoder: one pass from a POST /v1/ingest, /v1/diagnose or
+// /v1/signatures body to its wire request and a pooled ingestBatch, without
+// reflection or per-sample allocation. DESIGN.md ("Columnar admission")
+// states its grammar contract.
 package server
 
 import (
@@ -13,45 +14,82 @@ import (
 	"invarnetx/internal/metrics"
 )
 
-// The JSON names of IngestRequest's and Sample's fields, by key index.
+// The JSON names of the queued requests' and Sample's fields, by key index.
+// Each request type declares its own subset of requestFields.
 var (
-	requestFields = []string{"workload", "node", "samples"}
+	requestFields = []string{"workload", "node", "samples", "wait", "problem"}
 	sampleFields  = []string{"metrics", "cpi", "valid", "cpiValid"}
 )
 
-// decodeIngestJSON decodes one JSON ingest body into b, applying maskValue,
-// and returns the stream's identity. It accepts what encoding/json
-// (DisallowUnknownFields), the required fields and validateSamples accept,
-// with their errors, but refuses a field set twice in one object where
-// encoding/json merges. FuzzIngestJSON holds it to that reference. b's
-// columns are filled only once the whole body is accounted for.
-func decodeIngestJSON(body []byte, b *ingestBatch) (workload, node string, err error) {
+// Indices into requestFields.
+const (
+	keyWorkload = iota
+	keyNode
+	keySamples
+	keyWait
+	keyProblem
+)
+
+// decodeIngestJSON decodes one JSON body into req — an *IngestRequest,
+// *DiagnoseRequest or *SignatureRequest, whose keys it allows — and its
+// samples into b, applying maskValue. It accepts what encoding/json
+// (DisallowUnknownFields), the request's required fields and, for samples
+// sent, validateSamples accept, with their errors, but refuses a field set
+// twice in one object where encoding/json merges. FuzzIngestJSON holds it to
+// that reference. Samples are required on ingest and optional otherwise
+// (null is absent, [] is an empty batch); b.n is 0 when none were sent. req's
+// Samples field is left alone, and b's columns are filled only once the
+// whole body is accounted for.
+func decodeIngestJSON(body []byte, req any, b *ingestBatch) error {
+	var workload, node, problem *string
+	var wait *bool
+	allowed := uint8(1<<keyWorkload | 1<<keyNode | 1<<keySamples)
+	wantSamples := false // a non-empty batch: required, or sent
+	switch r := req.(type) {
+	case *IngestRequest:
+		workload, node, wantSamples = &r.Workload, &r.Node, true
+	case *DiagnoseRequest:
+		workload, node, wait = &r.Workload, &r.Node, &r.Wait
+		allowed |= 1 << keyWait
+	case *SignatureRequest:
+		workload, node, problem = &r.Workload, &r.Node, &r.Problem
+		allowed |= 1 << keyProblem
+	}
 	d := jsonScanner{buf: body}
 	n := 0
 	var verr error // the first sample validateSamples would refuse
 	var seen uint8
 	for k := 0; d.next('{', '}', k); k++ {
-		switch d.key(requestFields, &seen) {
-		case 0:
-			workload = d.identity()
-		case 1:
-			node = d.identity()
-		case 2:
-			n, verr = d.samples(b)
+		switch d.key(requestFields, allowed, &seen) {
+		case keyWorkload:
+			*workload = d.identity()
+		case keyNode:
+			*node = d.identity()
+		case keySamples:
+			if !d.null() {
+				wantSamples = true
+				n, verr = d.samples(b)
+			}
+		case keyWait:
+			*wait = d.word() == 't'
+		case keyProblem:
+			*problem = d.identity()
 		}
 	}
 	switch {
 	case d.err != nil:
-		return "", "", d.err
-	case workload == "" || node == "":
-		return "", "", errNoIdentity
+		return d.err
+	case problem != nil && (*workload == "" || *node == "" || *problem == ""):
+		return errNoLabel
+	case *workload == "" || *node == "":
+		return errNoIdentity
 	case verr != nil:
-		return "", "", verr
-	case n == 0:
-		return "", "", errEmptyBatch
+		return verr
+	case wantSamples && n == 0:
+		return errEmptyBatch
 	}
 	b.fromRows(n)
-	return workload, node, nil
+	return nil
 }
 
 // samples decodes the samples array row-major into b.rows and b.rowOK and
@@ -82,7 +120,7 @@ func (d *jsonScanner) sample(i int, row []float64, ok []bool) error {
 	nm, nv := 0, -1 // metric count; mask length, -1 while absent
 	var seen uint8
 	for k := 0; d.next('{', '}', k); k++ {
-		switch d.key(sampleFields, &seen) {
+		switch d.key(sampleFields, 1<<len(sampleFields)-1, &seen) {
 		case 0:
 			for ; d.next('[', ']', nm); nm++ {
 				if v := d.float(); nm < metrics.Count {
@@ -166,9 +204,10 @@ func (d *jsonScanner) next(open, close byte, k int) bool {
 }
 
 // key reads a member's key and colon and returns the field it names, matched
-// exactly, then by bytes.EqualFold, as Decode does; -1 after failing on an
-// unknown key (in Decode's words) or a field this object already set (seen).
-func (d *jsonScanner) key(fields []string, seen *uint8) int {
+// exactly, then by bytes.EqualFold, as Decode does; -1 after failing on a
+// key naming no field of allowed (in Decode's words) or a field this object
+// already set (seen).
+func (d *jsonScanner) key(fields []string, allowed uint8, seen *uint8) int {
 	if d.peek() != '"' {
 		d.fail("want an object key")
 		return -1
@@ -180,7 +219,7 @@ func (d *jsonScanner) key(fields []string, seen *uint8) int {
 	}
 	switch {
 	case d.err != nil:
-	case f < 0:
+	case f < 0 || allowed&(1<<f) == 0:
 		d.fail("json: unknown field %q", k)
 	case *seen&(1<<f) != 0:
 		d.fail("repeated key %q", k)

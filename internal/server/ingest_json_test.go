@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,25 +14,55 @@ import (
 	"invarnetx/internal/stats"
 )
 
-// referenceIngest is the JSON ingest path decodeIngestJSON replaced:
-// encoding/json with unknown fields refused, the required fields,
-// validateSamples, fromSamples. decoded reports whether Decode accepted the
-// body, so a refusal after it must match the decoder's word for word.
-func referenceIngest(body []byte) (req IngestRequest, b *ingestBatch, decoded bool, err error) {
+// requestTypes are the wire types of the three queued request bodies, each
+// made fresh per decode.
+var requestTypes = []struct {
+	name string
+	new  func() any
+}{
+	{"ingest", func() any { return new(IngestRequest) }},
+	{"diagnose", func() any { return new(DiagnoseRequest) }},
+	{"label", func() any { return new(SignatureRequest) }},
+}
+
+// referenceRequest is the JSON path decodeIngestJSON replaced, for req's
+// type: encoding/json with unknown fields refused, the handler's required
+// fields, validateSamples on the samples (always on ingest, when sent
+// otherwise) and fromSamples. It moves the samples out of req, leaving the
+// fields the decoder fills, and b is nil when none were sent. decoded
+// reports whether Decode accepted the body, so a refusal after it must match
+// the decoder's word for word.
+func referenceRequest(body []byte, req any) (samples []Sample, b *ingestBatch, decoded bool, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, nil, false, err
+	if err := dec.Decode(req); err != nil {
+		return nil, nil, false, err
 	}
-	if req.Workload == "" || req.Node == "" {
-		return req, nil, true, errNoIdentity
+	required := false
+	switch r := req.(type) {
+	case *IngestRequest:
+		if r.Workload == "" || r.Node == "" {
+			err = errNoIdentity
+		}
+		samples, r.Samples, required = r.Samples, nil, true
+	case *DiagnoseRequest:
+		if r.Workload == "" || r.Node == "" {
+			err = errNoIdentity
+		}
+		samples, r.Samples = r.Samples, nil
+	case *SignatureRequest:
+		if r.Workload == "" || r.Node == "" || r.Problem == "" {
+			err = errNoLabel
+		}
+		samples, r.Samples = r.Samples, nil
 	}
-	if err := validateSamples(req.Samples); err != nil {
-		return req, nil, true, err
+	if err == nil && (samples != nil || required) {
+		if err = validateSamples(samples); err == nil {
+			b = new(ingestBatch)
+			b.fromSamples(samples)
+		}
 	}
-	b = new(ingestBatch)
-	b.fromSamples(req.Samples)
-	return req, b, true, nil
+	return samples, b, true, err
 }
 
 // hasRepeatedKey reports whether some object in body names one key twice,
@@ -83,14 +114,16 @@ func hasRepeatedKey(body []byte) bool {
 }
 
 // compareIngestJSON runs one body through decodeIngestJSON and
-// referenceIngest and reports whether each accepted it, plus any
-// disagreement the contract forbids: a different verdict (a repeated key
-// aside, which the decoder must refuse), a different refusal once Decode
-// accepted, or a different identity, n, column, flag or CPI bit.
-func compareIngestJSON(body []byte) (got, ref bool, diff string) {
+// referenceRequest as the request type newReq makes and reports whether each
+// accepted it, plus any disagreement the contract forbids: a different
+// verdict (a repeated key aside, which the decoder must refuse), a different
+// refusal once Decode accepted, or a different identity, wait flag, problem,
+// n, column, flag or CPI bit.
+func compareIngestJSON(body []byte, newReq func() any) (got, ref bool, diff string) {
 	var b ingestBatch
-	workload, node, err := decodeIngestJSON(body, &b)
-	req, want, decoded, rerr := referenceIngest(body)
+	req, wantReq := newReq(), newReq()
+	err := decodeIngestJSON(body, req, &b)
+	samples, want, decoded, rerr := referenceRequest(body, wantReq)
 	got, ref = err == nil, rerr == nil
 	switch {
 	case hasRepeatedKey(body):
@@ -103,11 +136,15 @@ func compareIngestJSON(body []byte) (got, ref bool, diff string) {
 		if decoded && err.Error() != rerr.Error() {
 			diff = fmt.Sprintf("refused with %q, reference with %q", err, rerr)
 		}
-	case workload != req.Workload || node != req.Node:
-		diff = fmt.Sprintf("identity %q@%q, reference %q@%q", workload, node, req.Workload, req.Node)
+	case !reflect.DeepEqual(req, wantReq):
+		diff = fmt.Sprintf("decoded %+v, reference %+v", req, wantReq)
+	case want == nil:
+		if b.n != 0 {
+			diff = fmt.Sprintf("decoded %d samples from a body that sent none", b.n)
+		}
 	default:
 		if diff = batchDiff(&b, want); diff == "" {
-			diff = sentDiff(&b, req.Samples)
+			diff = sentDiff(&b, samples)
 		}
 	}
 	return got, ref, diff
@@ -252,18 +289,61 @@ var ingestJSONCases = []struct {
 	{"repeated sample key", ingestBody(`{"cpi":1,"metrics":` + jsonArray("1") + `,"cpi":2}`), refuseRepeats},
 }
 
+// identityOnly is a diagnose or label body naming stream "w" on node "n",
+// with more members.
+func identityOnly(more string) string { return `{"workload":"w","node":"n"` + more + `}` }
+
+// controlJSONCases are diagnose and label bodies (and one ingest body
+// holding a diagnose key), by index into requestTypes: the keys each type
+// declares, samples optional but validated when sent, null samples absent.
+var controlJSONCases = []struct {
+	name string
+	kind int
+	body string
+	want int
+}{
+	{"diagnose the window", 1, identityOnly(``), accept},
+	{"diagnose and wait", 1, identityOnly(`,"wait":true`), accept},
+	{"WAIT spelling", 1, identityOnly(`,"WAIT":false`), accept},
+	{"null wait", 1, identityOnly(`,"wait":null`), accept},
+	{"string wait", 1, identityOnly(`,"wait":"true"`), refuse},
+	{"number wait", 1, identityOnly(`,"wait":1`), refuse},
+	{"diagnose samples", 1, identityOnly(`,"samples":[` + plainSample + `,` + maskedSample + `],"wait":true`), accept},
+	{"diagnose null samples", 1, identityOnly(`,"samples":null`), accept},
+	{"diagnose empty samples", 1, identityOnly(`,"samples":[]`), refuse},
+	{"diagnose short vector", 1, identityOnly(`,"samples":[{"metrics":[1,2],"cpi":1}]`), refuse},
+	{"diagnose without node", 1, `{"workload":"w","wait":true}`, refuse},
+	{"diagnose with a problem", 1, identityOnly(`,"problem":"p"`), refuse},
+	{"repeated wait", 1, identityOnly(`,"wait":true,"Wait":false`), refuseRepeats},
+	{"label the window", 2, identityOnly(`,"problem":"cpu-hog"`), accept},
+	{"label samples", 2, identityOnly(`,"problem":"p","samples":[` + maskedSample + `]`), accept},
+	{"label without problem", 2, identityOnly(``), refuse},
+	{"label null problem", 2, identityOnly(`,"problem":null`), refuse},
+	{"label without node but problem", 2, `{"workload":"w","problem":"p"}`, refuse},
+	{"label and wait", 2, identityOnly(`,"problem":"p","wait":true`), refuse},
+	{"repeated problem", 2, identityOnly(`,"problem":"p","problem":"q"`), refuseRepeats},
+	{"ingest and wait", 0, strings.TrimSuffix(ingestBody(plainSample), `}`) + `,"wait":true}`, refuse},
+}
+
 // TestIngestJSONGrammar runs every named case through the decoder and the
 // encoding/json reference and checks the outcome each case names.
 func TestIngestJSONGrammar(t *testing.T) {
-	for _, tc := range ingestJSONCases {
-		got, ref, diff := compareIngestJSON([]byte(tc.body))
+	check := func(name string, kind int, body string, want int) {
+		t.Helper()
+		got, ref, diff := compareIngestJSON([]byte(body), requestTypes[kind].new)
 		if diff != "" {
-			t.Errorf("%s: %s", tc.name, diff)
+			t.Errorf("%s: %s", name, diff)
 		}
-		wantGot, wantRef := tc.want == accept, tc.want != refuse
+		wantGot, wantRef := want == accept, want != refuse
 		if got != wantGot || ref != wantRef {
-			t.Errorf("%s: decoder accepts=%v, reference accepts=%v; want %v, %v", tc.name, got, ref, wantGot, wantRef)
+			t.Errorf("%s: decoder accepts=%v, reference accepts=%v; want %v, %v", name, got, ref, wantGot, wantRef)
 		}
+	}
+	for _, tc := range ingestJSONCases {
+		check(tc.name, 0, tc.body, tc.want)
+	}
+	for _, tc := range controlJSONCases {
+		check(tc.name, tc.kind, tc.body, tc.want)
 	}
 }
 
@@ -288,7 +368,8 @@ func TestIngestJSONDecodeAllocs(t *testing.T) {
 			w.init(60)
 			b := new(ingestBatch)
 			step := func() {
-				if _, _, err := decodeIngestJSON(body, b); err != nil {
+				var req IngestRequest
+				if err := decodeIngestJSON(body, &req, b); err != nil {
 					t.Fatal(err)
 				}
 				w.slide(b)
@@ -316,7 +397,8 @@ func BenchmarkIngestJSONDecode(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := decodeIngestJSON(body, batch); err != nil {
+			var req IngestRequest
+			if err := decodeIngestJSON(body, &req, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -325,7 +407,7 @@ func BenchmarkIngestJSONDecode(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := referenceIngest(body); err != nil {
+			if _, _, _, err := referenceRequest(body, new(IngestRequest)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,8 +39,8 @@ type queue struct {
 // scheduler runs the profile queues on the Go runtime: a queue that gains a
 // task while idle gets its own goroutine, which drains it and exits, so an
 // idle profile costs no goroutine. slots (Config.Workers of them) bounds how
-// many queues, and so how many tasks, run at once; admission control sheds
-// what the slots cannot keep up with.
+// many tasks run at once; admission control sheds what the slots cannot keep
+// up with.
 type scheduler struct {
 	mu     sync.Mutex
 	closed bool
@@ -84,13 +84,14 @@ func (s *scheduler) enqueue(q *queue, t task) error {
 	return nil
 }
 
-// serve drains q in FIFO order and exits once q is empty. It holds a slot
-// for the whole drain, as a worker of a fixed pool would: each profile's
-// tasks stay serialised, and a queue waiting for a slot keeps its tasks
-// (and its bound) until one frees.
+// serve drains q in FIFO order and exits once q is empty. It takes a slot
+// per task, not per drain: a queue whose tasks keep arriving hands its slot
+// to the queues waiting for one (the slot channel serves blocked senders in
+// order) instead of starving them. Only this goroutine pops q, so a task seen
+// before the wait is still first after it; each profile's tasks stay
+// serialised, and a queue waiting for a slot keeps its tasks (and its
+// bound) until one frees.
 func (s *scheduler) serve(q *queue) {
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
 	for {
 		q.mu.Lock()
 		if len(q.tasks) == 0 {
@@ -98,13 +99,17 @@ func (s *scheduler) serve(q *queue) {
 			q.mu.Unlock()
 			return
 		}
+		q.mu.Unlock()
+
+		s.slots <- struct{}{}
+		q.mu.Lock()
 		t := q.tasks[0]
 		copy(q.tasks, q.tasks[1:])
 		q.tasks[len(q.tasks)-1] = nil
 		q.tasks = q.tasks[:len(q.tasks)-1]
 		q.mu.Unlock()
-
 		s.run(t)
+		<-s.slots
 	}
 }
 

@@ -268,75 +268,6 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// shed emits the admission-control refusal.
-func (s *Server) shed(w http.ResponseWriter, what string) {
-	w.Header().Set("Retry-After", retryAfter)
-	writeJSON(w, http.StatusTooManyRequests, apiError{
-		Error: fmt.Sprintf("server: %s queue full, retry after %ss", what, retryAfter),
-	})
-}
-
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.failBody(w, "decoding request", err)
-		return false
-	}
-	return true
-}
-
-// bodyPool recycles request-body buffers for both ingest encodings.
-var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
-// readBody reads the whole request body, at most maxBodyBytes, into a pooled
-// buffer, growing it only as bytes arrive. The caller returns the buffer to
-// bodyPool once it is done with the bytes.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
-	bufp := bodyPool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bufp = buf[:0]
-			bodyPool.Put(bufp)
-			s.failBody(w, "reading request", err)
-			return nil, false
-		}
-	}
-	*bufp = buf // keep the grown buffer for the pool
-	return bufp, true
-}
-
-// failBody answers a body that could not be read or decoded: 413 when it
-// ran past maxBodyBytes, 400 otherwise.
-func (s *Server) failBody(w http.ResponseWriter, what string, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		return
-	}
-	s.fail(w, http.StatusBadRequest, "%s: %v", what, err)
-}
-
-// refuseDraining guards mutating endpoints during shutdown.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, "server is draining")
-		return true
-	}
-	return false
-}
-
 // statusFor maps refusals to HTTP codes: an untrained context is the
 // caller's problem (409 — the request is well-formed but the state it needs
 // does not exist), a draining server is 503, everything else is a 500.
@@ -350,121 +281,138 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// --- Handlers -------------------------------------------------------------
+// bodyPool recycles request-body buffers.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
+// readRequest is the one body path of the queued requests. It refuses while
+// draining (503), reads the whole body, at most maxBodyBytes (413 past it),
+// into a pooled buffer grown only as bytes arrive, and decodes it into req
+// and a pooled batch, refusing it with 400. The batch is nil when the body
+// sent no samples; otherwise it is the caller's, to hand to admit.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, req any) (*ingestBatch, bool) {
+	if s.draining.Load() {
+		s.fail(w, http.StatusServiceUnavailable, "server is draining")
+		return nil, false
 	}
-	bufp, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
+	bufp := bodyPool.Get().(*[]byte)
 	defer bodyPool.Put(bufp)
+	buf := (*bufp)[:0]
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+			*bufp = buf // keep the grown buffer for the pool
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			} else {
+				s.fail(w, http.StatusBadRequest, "reading request: %v", err)
+			}
+			return nil, false
+		}
+	}
 	b := getBatch()
-	workload, node, err := decodeIngest(r.Header.Get("Content-Type"), *bufp, b)
-	if err != nil {
+	if err := decodeRequest(r.Header.Get("Content-Type"), buf, req, b); err != nil {
 		putBatch(b)
 		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
-	s.admitBatch(w, workload, node, b)
+	if b.n == 0 {
+		putBatch(b)
+		return nil, true
+	}
+	return b, true
 }
 
-// decodeIngest decodes one ingest body into b by its Content-Type: a
-// length-prefixed binary frame, or the JSON IngestRequest otherwise. Both
-// decoders fill the pooled batch without per-sample allocation.
-func decodeIngest(contentType string, body []byte, b *ingestBatch) (workload, node string, err error) {
-	if contentType != ContentTypeFrame && !strings.HasPrefix(contentType, ContentTypeFrame+";") {
-		return decodeIngestJSON(body, b)
+// decodeRequest decodes one body into req and b: a length-prefixed binary
+// frame when req is an ingest whose Content-Type names one, JSON otherwise.
+// Both decoders fill the pooled batch without per-sample allocation.
+func decodeRequest(contentType string, body []byte, req any, b *ingestBatch) error {
+	ingest, ok := req.(*IngestRequest)
+	if !ok || contentType != ContentTypeFrame && !strings.HasPrefix(contentType, ContentTypeFrame+";") {
+		return decodeIngestJSON(body, req, b)
 	}
 	frame, err := splitFrame(body)
 	if err != nil {
-		return "", "", err
+		return err
 	}
 	wb, nb, err := decodeFrame(frame, b)
-	return string(wb), string(nb), err
+	ingest.Workload, ingest.Node = string(wb), string(nb)
+	return err
 }
 
-// admit is the admission step both ingest encodings share (JSON and binary
-// frame): enqueue one columnar batch onto its stream's queue and count the
-// outcome, so backpressure and the counters cannot drift apart between
-// encodings. Ownership of b passes here: it returns to the pool after the
-// task applies it, or immediately when admission refuses it (ErrQueueFull =
-// shed, core.ErrNoModel = untrained context, errDraining = draining).
-func (s *Server) admit(workload, node string, b *ingestBatch) (int, error) {
+// admit is the one admission path of the queued requests (ingest, diagnose,
+// label): it finds the stream of (workload, node) and enqueues the task
+// build makes for it, so backpressure and the counters cannot drift apart
+// between them. It answers a refusal itself — 409 for an untrained context
+// (before build runs), 429 + Retry-After counted in shed for a full queue,
+// 503 while draining — and reports whether the task was queued. b, nil when
+// the body sent no samples, is the task's from then on, to return to the
+// pool; a refusal returns it here.
+func (s *Server) admit(w http.ResponseWriter, workload, node string, b *ingestBatch, shed *atomic.Int64, what string, build func(*stream) task) bool {
 	st, err := s.stream(core.Context{Workload: workload, IP: node})
-	if err != nil {
-		putBatch(b)
-		return 0, err
-	}
-	n := b.n // read before enqueue: the task may recycle b at once
-	if err := s.sched.enqueue(st.queue, func() { st.apply(s, b); putBatch(b) }); err != nil {
-		putBatch(b)
-		if errors.Is(err, ErrQueueFull) {
-			s.ctr.ingestShed.Add(1)
+	if err == nil {
+		if err = s.sched.enqueue(st.queue, build(st)); err == nil {
+			return true
 		}
-		return 0, err
+	}
+	if b != nil {
+		putBatch(b)
+	}
+	if errors.Is(err, ErrQueueFull) {
+		shed.Add(1)
+		w.Header().Set("Retry-After", retryAfter)
+		writeJSON(w, http.StatusTooManyRequests, apiError{
+			Error: fmt.Sprintf("server: %s queue full, retry after %ss", what, retryAfter),
+		})
+		return false
+	}
+	s.fail(w, statusFor(err), "%v", err)
+	return false
+}
+
+// --- Handlers -------------------------------------------------------------
+
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	var req IngestRequest
+	b, ok := s.readRequest(w, r, &req)
+	if !ok {
+		return
+	}
+	n := b.n // read before admit: the task may recycle b at once
+	if !s.admit(w, req.Workload, req.Node, b, &s.ctr.ingestShed, "ingest", func(st *stream) task {
+		return func() { st.apply(s, b); putBatch(b) }
+	}) {
+		return
 	}
 	s.ctr.ingestBatches.Add(1)
 	s.ctr.ingestSamples.Add(int64(n))
-	return n, nil
-}
-
-// admitBatch maps an admission outcome onto HTTP: 202, 429, 409 or 503.
-func (s *Server) admitBatch(w http.ResponseWriter, workload, node string, b *ingestBatch) {
-	n, err := s.admit(workload, node, b)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.shed(w, "ingest")
-	case err != nil:
-		s.fail(w, statusFor(err), "%v", err)
-	default:
-		writeJSON(w, http.StatusAccepted, IngestResponse{
-			Accepted:   n,
-			QueueDepth: s.sched.depth.Load(),
-		})
-	}
+	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: n, QueueDepth: s.sched.depth.Load()})
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
 	var req DiagnoseRequest
-	if !s.readJSON(w, r, &req) {
+	b, ok := s.readRequest(w, r, &req)
+	if !ok {
 		return
 	}
-	if req.Workload == "" || req.Node == "" {
-		s.fail(w, http.StatusBadRequest, "%v", errNoIdentity)
-		return
-	}
-	if req.Samples != nil {
-		if err := validateSamples(req.Samples); err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
+	var rep *report
+	if !s.admit(w, req.Workload, req.Node, b, &s.ctr.diagnoseShed, "diagnose", func(st *stream) task {
+		rep = s.store.create(req.Workload, req.Node)
+		s.ctr.reportsPending.Add(1)
+		return func() { s.runDiagnosis(st, rep, b) }
+	}) {
+		if rep != nil { // issued, then refused: withdraw the ID no client saw
+			s.ctr.reportsPending.Add(-1)
+			s.store.remove(rep.r.ID)
 		}
-	}
-	st, err := s.stream(core.Context{Workload: req.Workload, IP: req.Node})
-	if err != nil {
-		s.fail(w, statusFor(err), "%v", err)
-		return
-	}
-	rep := s.store.create(req.Workload, req.Node)
-	s.ctr.reportsPending.Add(1)
-	samples := req.Samples
-	err = s.sched.enqueue(st.queue, func() {
-		s.runDiagnosis(st, rep, samples)
-	})
-	if err != nil {
-		s.ctr.reportsPending.Add(-1)
-		s.store.remove(rep.r.ID)
-		if errors.Is(err, ErrQueueFull) {
-			s.ctr.diagnoseShed.Add(1)
-			s.shed(w, "diagnose")
-			return
-		}
-		s.fail(w, statusFor(err), "%v", err)
 		return
 	}
 	if req.Wait {
@@ -484,7 +432,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 }
 
 // runDiagnosis is the diagnose task body (runs on the profile queue).
-func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
+func (s *Server) runDiagnosis(st *stream, rep *report, b *ingestBatch) {
 	t0 := time.Now()
 	finished := false
 	finish := func(d *Diagnosis, errMsg string) {
@@ -506,7 +454,7 @@ func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 			finish(nil, errTaskPanicked.Error())
 		}
 	}()
-	tr, err := s.traceFor(st, samples)
+	tr, err := s.traceFor(st, b)
 	if err != nil {
 		finish(nil, err.Error())
 		return
@@ -521,11 +469,13 @@ func (s *Server) runDiagnosis(st *stream, rep *report, samples []Sample) {
 	finish(diagnosisWire(st.ctx, diag, invariants), "")
 }
 
-// traceFor materialises the diagnosis window: the explicit samples when
-// given, the stream's current sliding window otherwise.
-func (s *Server) traceFor(st *stream, samples []Sample) (*metrics.Trace, error) {
-	if samples != nil {
-		return TraceFromSamples(st.ctx.Workload, st.ctx.IP, samples)
+// traceFor materialises the diagnosis window: the request's own samples
+// when it sent some (b, returned to the pool here), the stream's current
+// sliding window otherwise.
+func (s *Server) traceFor(st *stream, b *ingestBatch) (*metrics.Trace, error) {
+	if b != nil {
+		defer putBatch(b)
+		return traceFromColumns(st.ctx, b.n, b.n, b.cols, b.valid, b.cpi, b.cpiOK), nil
 	}
 	if st.windowLen() == 0 {
 		return nil, fmt.Errorf("server: no ingested window for %s@%s (ingest first or supply samples)", st.ctx.Workload, st.ctx.IP)
@@ -610,27 +560,9 @@ func (s *Server) handleSignaturesGet(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
 	var req SignatureRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if req.Workload == "" || req.Node == "" || req.Problem == "" {
-		s.fail(w, http.StatusBadRequest, "workload, node and problem are required")
-		return
-	}
-	if req.Samples != nil {
-		if err := validateSamples(req.Samples); err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	ctx := core.Context{Workload: req.Workload, IP: req.Node}
-	st, err := s.stream(ctx)
-	if err != nil {
-		s.fail(w, statusFor(err), "building signature: %v", err)
+	b, ok := s.readRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	type sigResult struct {
@@ -638,26 +570,20 @@ func (s *Server) handleSignaturesPost(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	done := make(chan sigResult, 1)
-	samples := req.Samples
-	err = s.sched.enqueue(st.queue, func() {
-		// Sent from a deferred call, so a panicking build still answers the
-		// handler (with errTaskPanicked, a 500).
-		res := sigResult{err: errTaskPanicked}
-		defer func() { done <- res }()
-		tr, err := s.traceFor(st, samples)
-		if err != nil {
-			res.err = err
-			return
+	if !s.admit(w, req.Workload, req.Node, b, &s.ctr.diagnoseShed, "signature", func(st *stream) task {
+		return func() {
+			// Sent from a deferred call, so a panicking build still answers
+			// the handler (with errTaskPanicked, a 500).
+			res := sigResult{err: errTaskPanicked}
+			defer func() { done <- res }()
+			tr, err := s.traceFor(st, b)
+			if err != nil {
+				res.err = err
+				return
+			}
+			_, res.added, res.err = s.sys.BuildSignatureEntry(st.ctx, req.Problem, tr)
 		}
-		_, res.added, res.err = s.sys.BuildSignatureEntry(ctx, req.Problem, tr)
-	})
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.ctr.diagnoseShed.Add(1)
-			s.shed(w, "signature")
-			return
-		}
-		s.fail(w, statusFor(err), "%v", err)
+	}) {
 		return
 	}
 	// Labelling is rare and must confirm durability-in-memory, so the

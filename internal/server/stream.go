@@ -10,12 +10,13 @@ import (
 	"invarnetx/internal/metrics"
 )
 
-// ingestBatch is the admission-side columnar form of one accepted batch:
+// ingestBatch is the admission-side columnar form of one request's samples:
 // per-metric value columns with the gap semantics already applied (see
-// maskValue), parallel validity flags, and the CPI column. Both ingest paths
-// converge here — decodeIngestJSON and decodeFrame each fill one straight
-// from the request body — so the sliding windows see bit-identical state
-// regardless of encoding.
+// maskValue), parallel validity flags, and the CPI column. Every request's
+// samples converge here — decodeIngestJSON (ingest, diagnose and label
+// bodies) and decodeFrame each fill one straight from the request body — so
+// the sliding windows, and an explicit diagnosis window, see bit-identical
+// state regardless of encoding.
 //
 // Batches are pooled (batchPool) and reused across requests: in the steady
 // state neither decode path allocates per sample.

@@ -74,23 +74,29 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzIngestJSON holds decodeIngestJSON — the other decoder of bytes the
 // daemon did not write — differentially to the encoding/json path it
-// replaced (referenceIngest): whatever arrives, it must never panic, it must
-// accept a body exactly when the reference does, except that a body with a
-// repeated key is refused, and when both accept they must agree on the
-// identity and on every column, flag and CPI bit, which must hold the sent
-// values (valid ones bit for bit, a zero placeholder as NaN, a non-zero one
-// kept). A refusal after Decode succeeded must carry the reference's words.
+// replaced (referenceRequest), reading every body as each of the three
+// queued requests (ingest, diagnose, label): whatever arrives, it must never
+// panic, it must accept a body exactly when the reference does, except that
+// a body with a repeated key is refused, and when both accept they must
+// agree on the identity, wait flag and problem and on every column, flag and
+// CPI bit, which must hold the sent values (valid ones bit for bit, a zero
+// placeholder as NaN, a non-zero one kept), or on no samples at all. A
+// refusal after Decode succeeded must carry the reference's words.
 func FuzzIngestJSON(f *testing.F) {
 	held := maskedSamples(stats.NewRNG(78), 6)
 	held[0].Metrics[1], held[0].CPI = 7.5, 1.25 // non-zero placeholders
 	wide := testSamples(2)
 	wide[1].Metrics = append(wide[1].Metrics, 1)
-	for _, req := range []IngestRequest{
-		{Workload: "wordcount", Node: "10.0.0.2", Samples: testSamples(3)},
-		{Workload: "sort", Node: "10.0.0.3", Samples: maskedSamples(stats.NewRNG(77), 9)},
-		{Workload: "sort", Node: "10.0.0.3", Samples: held},
-		{Workload: "grep", Node: "n", Samples: testSamples(200)},
-		{Workload: "grep", Node: "n", Samples: wide},
+	for _, req := range []any{
+		IngestRequest{Workload: "wordcount", Node: "10.0.0.2", Samples: testSamples(3)},
+		IngestRequest{Workload: "sort", Node: "10.0.0.3", Samples: maskedSamples(stats.NewRNG(77), 9)},
+		IngestRequest{Workload: "sort", Node: "10.0.0.3", Samples: held},
+		IngestRequest{Workload: "grep", Node: "n", Samples: testSamples(200)},
+		IngestRequest{Workload: "grep", Node: "n", Samples: wide},
+		DiagnoseRequest{Workload: "sort", Node: "10.0.0.3", Wait: true},
+		DiagnoseRequest{Workload: "sort", Node: "10.0.0.3", Samples: held, Wait: true},
+		SignatureRequest{Workload: "grep", Node: "n", Problem: "cpu-hog"},
+		SignatureRequest{Workload: "grep", Node: "n", Problem: "mem-hog", Samples: testSamples(4)},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -107,10 +113,15 @@ func FuzzIngestJSON(f *testing.F) {
 	for _, tc := range ingestJSONCases {
 		f.Add([]byte(tc.body))
 	}
+	for _, tc := range controlJSONCases {
+		f.Add([]byte(tc.body))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if _, _, diff := compareIngestJSON(body); diff != "" {
-			t.Fatal(diff)
+		for _, rt := range requestTypes {
+			if _, _, diff := compareIngestJSON(body, rt.new); diff != "" {
+				t.Fatalf("as %s: %s", rt.name, diff)
+			}
 		}
 	})
 }
