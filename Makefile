@@ -21,6 +21,18 @@
 #                        compile-and-run check, not a measurement (10-12 s
 #                        on 2 cores; the 100 000-entry linear signature
 #                        scan is the slowest part)
+#   make bench-record  — run the kernel benchmarks beside the code
+#                        (core's TrainContext and VerdictUncached, mic's
+#                        NewBatch and PairKernel) with -count
+#                        $(RECORD_COUNT), and write BENCH_$(RECORD_ID).json
+#                        at the root: per benchmark the median and
+#                        quartiles of ns/op (and of pairs/op where it is
+#                        reported) under "kernels", with the commit,
+#                        GOMAXPROCS, nproc, the CPU model from
+#                        /proc/cpuinfo and a machine note
+#                        (RECORD_NOTE, or uname and the load average at
+#                        the start); one file per change, so the files
+#                        are the trajectory (~2 min on 2 cores)
 #   make check         — all tiers: test, race, smoke, bench-smoke,
 #                        bench-once
 #   make loc           — non-test Go lines per package (internal/*,
@@ -49,7 +61,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench-smoke bench-once smoke fuzz loc
+.PHONY: build test vet race check bench-smoke bench-once bench-record smoke fuzz loc
 
 build:
 	$(GO) build ./...
@@ -75,6 +87,40 @@ bench-smoke:
 
 bench-once: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+RECORD_ID ?= 53
+RECORD_COUNT ?= 10
+RECORD_NOTE ?=
+
+# The quartiles are the linear-interpolation ones (R's type 7) over the
+# -count runs of each benchmark; a name drops its -GOMAXPROCS suffix, which
+# is recorded once as gomaxprocs.
+bench-record: build
+	@out=BENCH_$(RECORD_ID).json; raw=$$(mktemp); \
+	note='$(RECORD_NOTE)'; [ -n "$$note" ] || note="$$(uname -srm), load average $$(cut -d' ' -f1-3 /proc/loadavg) at the start"; \
+	commit=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
+	git diff --quiet HEAD 2>/dev/null || commit="$$commit-dirty"; \
+	cpu=$$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //'); \
+	$(GO) test -run '^$$' -bench 'TrainContext|VerdictUncached' -count $(RECORD_COUNT) ./internal/core | sed 's/^Benchmark/core.Benchmark/' > $$raw && \
+	$(GO) test -run '^$$' -bench 'NewBatch|PairKernel' -count $(RECORD_COUNT) ./internal/mic | sed 's/^Benchmark/mic.Benchmark/' >> $$raw && \
+	awk -v commit="$$commit" -v nproc="$$(nproc)" -v cpu="$$cpu" -v note="$$note" -v gover="$$($(GO) env GOVERSION)" -v count=$(RECORD_COUNT) ' \
+	function q(key, p,   n, i, j, v, s, pos, lo) { \
+		n = cnt[key]; for (i = 1; i <= n; i++) s[i] = vals[key, i]; \
+		for (i = 2; i <= n; i++) { v = s[i]; for (j = i - 1; j >= 1 && s[j] > v; j--) s[j + 1] = s[j]; s[j + 1] = v } \
+		pos = 1 + (n - 1) * p; lo = int(pos); \
+		return lo >= n ? s[n] : s[lo] + (pos - lo) * (s[lo + 1] - s[lo]) } \
+	function stat(key) { return sprintf("{\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f}", q(key, 0.25), q(key, 0.5), q(key, 0.75)) } \
+	/^(core|mic)\.Benchmark/ { name = $$1; procs = name; sub(/-[0-9]+$$/, "", name); sub(/.*-/, "", procs); \
+		if (!(name in seen)) { seen[name] = 1; order[++names] = name } \
+		for (i = 3; i < NF; i += 2) if ($$(i + 1) == "ns/op" || $$(i + 1) == "pairs/op") { key = name SUBSEP $$(i + 1); vals[key, ++cnt[key]] = $$i } } \
+	END { \
+		if (names == 0) exit 1; \
+		printf "{\n  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"gomaxprocs\": %d,\n  \"nproc\": %d,\n  \"cpu\": \"%s\",\n  \"note\": \"%s\",\n  \"count\": %d,\n  \"kernels\": {\n", commit, gover, procs, nproc, cpu, note, count; \
+		for (k = 1; k <= names; k++) { name = order[k]; \
+			printf "    \"%s\": {\"runs\": %d, \"ns_per_op\": %s", name, cnt[name, "ns/op"], stat(name SUBSEP "ns/op"); \
+			if (cnt[name, "pairs/op"]) printf ", \"pairs_per_op\": %s", stat(name SUBSEP "pairs/op"); \
+			printf "}%s\n", k < names ? "," : "" } \
+		printf "  }\n}\n" }' $$raw > $$out.tmp && mv $$out.tmp $$out && rm -f $$raw && echo "wrote $$out" || { rm -f $$raw $$out.tmp; exit 1; }
 
 # Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 # and, for internal/*: go doc -short ./internal/<pkg> | wc -l
@@ -124,5 +170,5 @@ fuzz: build
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzParseTuple -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s
-	$(GO) test ./internal/mic/ -run '^$$' -fuzz FuzzPairKernelEquivalence -fuzztime 10s
+	$(GO) test ./internal/mic/ -run '^$$' -fuzz FuzzPairKernelEquivalence -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/invariant/ -run '^$$' -fuzz FuzzTrainEquivalence -fuzztime 10s

@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 	"time"
@@ -155,10 +157,17 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
+	kept, stale, err := keepSignatures(sys, *models)
+	if err != nil {
+		return err
+	}
 	if err := sys.SaveTo(*models); err != nil {
 		return err
 	}
 	fmt.Printf("trained %s on %d normal runs; models saved to %s\n", t, len(runs), *models)
+	if kept > 0 {
+		fmt.Printf("kept %d labelled signatures of the retrained contexts; %d of them have a tuple length the new invariant set does not\n", kept, stale)
+	}
 	// One row per trained context, in the snapshot's (workload, node) order.
 	for _, ps := range sys.ProfileStats() {
 		ctx := ps.Context
@@ -180,6 +189,38 @@ func cmdTrain(args []string) error {
 	}
 	printCacheStats(sys)
 	return nil
+}
+
+// keepSignatures merges into the freshly trained sys the signatures the
+// store in dir holds for the contexts sys trained, so that saving sys over
+// the store deletes none of them: a retrain inside the daemon replaces a
+// profile's model and invariants and leaves its signatures alone, and so
+// does this. It returns how many it kept and how many of those have a tuple
+// length the new invariant set does not (they were labelled against the
+// old set). A store that does not exist yet holds none.
+func keepSignatures(sys *core.System, dir string) (kept, stale int, err error) {
+	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil
+	}
+	old, err := openStore(core.DefaultConfig(), dir, "")
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, ps := range sys.ProfileStats() {
+		set, err := sys.Invariants(ps.Context)
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, e := range old.Profile(ps.Context).Signatures() {
+			if sys.MergeSignature(e) {
+				kept++
+				if len(e.Tuple) != set.Len() {
+					stale++
+				}
+			}
+		}
+	}
+	return kept, stale, nil
 }
 
 func cmdSignatures(args []string) error {

@@ -136,7 +136,9 @@ func TestAuditNamesEveryRival(t *testing.T) {
 // temporary -models directory: train writes one profile file per node,
 // signatures labels SignatureRuns runs of every fault the workload can
 // suffer, and signatures -stats, profiles, lifecycle and diagnose read that
-// same store.
+// same store. A second train then saves a fresh system over the store: it
+// must keep every signature the store held for the contexts it retrained,
+// as a retrain inside the daemon does, and say how many it kept.
 func TestSessionOnOneStore(t *testing.T) {
 	dir := t.TempDir()
 	run := func(cmd func([]string) error, args ...string) string {
@@ -155,7 +157,9 @@ func TestSessionOnOneStore(t *testing.T) {
 	kinds := experiments.FaultKindsFor(workload.Wordcount)
 	wantSigs := len(kinds) * opts.SignatureRuns
 
-	run(cmdTrain)
+	if out := run(cmdTrain); strings.Contains(out, "kept ") {
+		t.Errorf("a first train over an empty store reports kept signatures:\n%s", out)
+	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "profile-wordcount-*.xml")); len(files) != opts.Slaves {
 		t.Errorf("train wrote %d profile files, want one per node (%d)", len(files), opts.Slaves)
 	}
@@ -193,5 +197,12 @@ func TestSessionOnOneStore(t *testing.T) {
 		if !strings.Contains(c.out, c.want) {
 			t.Errorf("%s printed %q, want a line holding %q", c.name, c.out, c.want)
 		}
+	}
+
+	if out, want := run(cmdTrain), fmt.Sprintf("kept %d labelled signatures", wantSigs); !strings.Contains(out, want) {
+		t.Errorf("retrain printed %q, want a line holding %q", out, want)
+	}
+	if out := run(cmdSignatures, "-stats"); !strings.Contains(out, fmt.Sprintf(" %d signatures\n", wantSigs)) {
+		t.Errorf("signatures -stats after a retrain printed %q, want %d signatures", out, wantSigs)
 	}
 }

@@ -26,10 +26,14 @@
 // cnt ≤ tot ≤ n, so the kernel looks them up in a process-wide table built
 // on first use, beside a second table holding a two-row bin's whole cost,
 // the dearest grid's one lookup. It fills each DP's cost table in one
-// inlined pass with the table row and the two histogram rows hoisted, adds
-// a tie group lying in one row to that row in a single step while building
-// clumps, and fills only the DP cells the answer reads (prepared.go). Every
-// score is bit-identical to the direct evaluation.
+// inlined pass with the table row and the two histogram rows hoisted (the
+// three- to five-row bins with their rows spelled out), and fills only the
+// DP cells the answer reads (prepared.go). At n = 30 those tables are a few
+// dozen entries, so what costs is deciding, not adding: clump building
+// writes each clump's own counts and prefix-sums them once, and whether a
+// tie group opens a clump, whether a superclump boundary is kept and which
+// DP candidate is smallest are computed values (0/1 flags, builtin min),
+// not branches. Every score is bit-identical to the direct evaluation.
 //
 // The package exports the measure (MIC) and Batch, the engine behind the
 // invariant layer's pairwise searches: NewBatch prepares every metric of a

@@ -165,6 +165,7 @@ type scratch struct {
 	curr    []float64
 	char1   []float64 // dense characteristic half-matrices, stride b/2+1
 	char2   []float64
+	logs    []float64 // logs[m] = log m for 2 <= m <= b/2, the normalisers
 }
 
 // scratchPool serves every entry point that has no caller-owned scratch
@@ -259,6 +260,7 @@ func computePair(px, py *Prepared, sc *scratch) result {
 	dim := b/2 + 1
 	sc.char1 = resized(sc.char1, dim*dim)
 	sc.char2 = resized(sc.char2, dim*dim)
+	sc.logs = resized(sc.logs, dim)
 	clear(sc.char1)
 	clear(sc.char2)
 	terms, terms2 := termsFor(px.n)
@@ -267,13 +269,19 @@ func computePair(px, py *Prepared, sc *scratch) result {
 	// reference MINE implementation.
 	charHalfPrepared(px, py, sc, terms, terms2, sc.char1, dim)
 	charHalfPrepared(py, px, sc, terms, terms2, sc.char2, dim)
+	// An entry (a, r) is normalised by log min(a, r), and min(a, r) <= a <=
+	// b/2: one math.Log per distinct normaliser instead of one per entry.
+	logs := sc.logs
+	for m := 2; m < dim; m++ {
+		logs[m] = math.Log(float64(m))
+	}
 	for a := 2; a <= b/2; a++ {
 		for r := 2; a*r <= b; r++ {
 			v := sc.char1[r*dim+a]
 			if w := sc.char2[a*dim+r]; w > v {
 				v = w
 			}
-			if score := v / math.Log(math.Min(float64(a), float64(r))); score > res.MIC {
+			if score := v / logs[min(a, r)]; score > res.MIC {
 				res.MIC = score
 				res.BestGrid = [2]int{a, r}
 			}
@@ -299,11 +307,20 @@ func computePair(px, py *Prepared, sc *scratch) result {
 // runs any column partition must keep together: points sharing a column
 // value stay together, and consecutive groups lying wholly in one and the
 // same row are merged (a boundary strictly inside a single-row run never
-// improves mutual information) — and, as each clump closes, its row of the
-// cumulative histogram. A group lying in one row adds its size to that row
-// in one step; only a group spanning rows is counted point by point. Only
-// group boundaries, membership and row counts are read, so the order of
-// equal values inside colP.order is immaterial.
+// improves mutual information). So a clump is either a run of groups in
+// one row or one group spanning rows. Each group writes its clump's counts
+// to the clump's own row of cum — a group in one row stores the clump's
+// size so far in that row, a spanning group is counted point by point —
+// and one running sum per row afterwards makes the rows cumulative, so
+// closing a clump copies nothing. Only group boundaries, membership and row
+// counts are read, so the order of equal values inside colP.order is
+// immaterial.
+//
+// At n = 30 a pair's tables are a few dozen entries, so the cost is the
+// data-dependent decisions, not the arithmetic: whether a group opens a
+// clump and whether a superclump boundary is kept are computed as 0/1
+// values that advance an index, and every store is made whichever way the
+// decision goes, so neither is a branch the processor can mispredict.
 func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []float64, dim int) {
 	n, b, order := colP.n, colP.b, colP.order
 	groups := len(colP.tieEnds)
@@ -320,12 +337,12 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []fl
 			continue
 		}
 		rowOf := rowP.rowOf[rows]
-		// cum row k+1 is the running histogram of the open clump; closing
-		// the clump freezes it and seeds the next row with a copy, made by a
-		// loop because 2–5 ints do not pay for a memmove call.
-		clear(cum[:2*rows])
-		k, openRow, start := 0, -1, 0
-		hist := cum[rows : 2*rows]
+		// c is the open clump: its counts go to cum row c+1 and its
+		// exclusive end, the end of its latest group, to ends[c+1]. A group
+		// opens a new clump unless it is the first or it and the open clump
+		// lie in one and the same row.
+		clear(cum[:(groups+1)*rows])
+		c, openRow, start := 0, -1, 0
 		for _, end := range colP.tieEnds {
 			row := rowOf[order[start]] // the group's row, -1 when it spans several
 			for p := start + 1; p < end; p++ {
@@ -334,43 +351,61 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []fl
 					break
 				}
 			}
-			if start > 0 && (row < 0 || row != openRow) {
-				k++
-				ends[k] = start
-				next := cum[(k+1)*rows : (k+2)*rows]
-				for r, c := range hist {
-					next[r] = c
-				}
-				hist = next
+			var later, spans, moved int
+			if start > 0 {
+				later = 1
 			}
+			if row < 0 {
+				spans = 1
+			}
+			if row != openRow {
+				moved = 1
+			}
+			c += later & (spans | moved)
+			ends[c+1] = end
 			if row >= 0 {
-				hist[row] += end - start
+				cum[(c+1)*rows+row] = end - ends[c] // the clump lies in this row
 			} else {
+				hist := cum[(c+1)*rows : (c+2)*rows]
 				for p := start; p < end; p++ {
 					hist[rowOf[order[p]]]++
 				}
 			}
 			openRow, start = row, end
 		}
-		k++
-		ends[k] = n
+		k := c + 1
+		for r := 0; r < rows; r++ {
+			sum := 0
+			for i := rows + r; i <= k*rows+r; i += rows {
+				sum += cum[i]
+				cum[i] = sum
+			}
+		}
 		// Cap the count at superclumpC*maxCols by merging adjacent clumps
 		// into superclumps of roughly equal size, as in MINE's
 		// GetSuperclumpsPartition: keep ~maxClumps boundaries evenly by
-		// point count, compacting ends and cum together.
+		// point count, compacting ends and cum together. Each boundary is
+		// written to the slot after the last kept one, ends[w], and the
+		// slot is claimed only when the boundary is kept: when it lies a
+		// target past the last kept one, or it is the last.
 		if maxClumps := superclumpC * maxCols; k > maxClumps {
 			target := float64(n) / float64(maxClumps)
-			next, w := target, 0
+			w := 0
 			for i := 1; i <= k; i++ {
-				if e := ends[i]; float64(e) >= next || i == k {
-					w++
-					ends[w] = e
-					dst := cum[w*rows : (w+1)*rows]
-					for r, c := range cum[i*rows : (i+1)*rows] {
-						dst[r] = c
-					}
-					next = float64(e) + target
+				e, last := ends[i], ends[w]
+				ends[w+1] = e
+				dst := cum[(w+1)*rows : (w+2)*rows]
+				for r, v := range cum[i*rows : (i+1)*rows] {
+					dst[r] = v
 				}
+				var far, final int
+				if float64(e) >= float64(last)+target {
+					far = 1
+				}
+				if i == k {
+					final = 1
+				}
+				w += far | final
 			}
 			k = w
 		}
@@ -386,9 +421,12 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []fl
 // for 1 <= t <= k and s < t, and prev[t] to cost(0, t). A bin's cost sums,
 // over the rows in row order and starting from 0, the term of its point
 // count and the row's count in it; a two-row bin is one lookup in terms2,
-// which holds that same sum, and with no tables (n > termCap) each term is
-// evaluated directly. With a two-column budget (last == 2) the DP reads
-// only row k, so the other rows fill only column 0.
+// which holds that same sum, the three- to five-row bins have a body of
+// their own with the rows spelled out, and with no tables (n > termCap)
+// each term is evaluated directly. Every term is >= +0 and 0 + x is x, so
+// a fixed-width body that starts from its first term sums to the same bits.
+// With a two-column budget (last == 2) the DP reads only row k, so the other
+// rows fill only column 0.
 func fillCosts(costTab, prev []float64, ends, cum []int, k, rows, last int, terms, terms2 []float64) {
 	k1 := k + 1
 	for t := 1; t <= k; t++ {
@@ -413,6 +451,27 @@ func fillCosts(costTab, prev []float64, ends, cum []int, k, rows, last int, term
 			for s := range dst {
 				tot := et - ends[s]
 				dst[s] = terms2[tot*(tot+1)/2+c0-cum[2*s]]
+			}
+		case rows == 3:
+			c0, c1, c2 := ct[0], ct[1], ct[2]
+			for s := range dst {
+				tot, cs := et-ends[s], cum[3*s:3*s+3]
+				tt := terms[tot*(tot+1)/2:]
+				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]]
+			}
+		case rows == 4:
+			c0, c1, c2, c3 := ct[0], ct[1], ct[2], ct[3]
+			for s := range dst {
+				tot, cs := et-ends[s], cum[4*s:4*s+4]
+				tt := terms[tot*(tot+1)/2:]
+				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]] + tt[c3-cs[3]]
+			}
+		case rows == 5:
+			c0, c1, c2, c3, c4 := ct[0], ct[1], ct[2], ct[3], ct[4]
+			for s := range dst {
+				tot, cs := et-ends[s], cum[5*s:5*s+5]
+				tt := terms[tot*(tot+1)/2:]
+				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]] + tt[c3-cs[3]] + tt[c4-cs[4]]
 			}
 		default:
 			for s := range dst {
@@ -451,20 +510,29 @@ func optimizeAxis(ends, cum []int, k, rows int, hq float64, n int, sc *scratch, 
 	// Level l: curr[t] = min total cost partitioning clumps[0..t-1] into
 	// exactly l column bins, finite exactly for t >= l. Level l+1 reads
 	// curr[l..k-1] and the answer reads curr[k], so t starts at l, and at
-	// the last level only t = k is filled.
+	// the last level only t = k is filled. The minimum is taken with the
+	// builtin min over two interleaved accumulators, not a compare and
+	// branch: every candidate is a sum of costs >= +0 started from +0, so
+	// neither NaN nor -0, where min and < differ, can occur.
 	for l := 2; l <= last; l++ {
 		t := l
 		if l == last {
 			t = k
 		}
 		for ; t <= k; t++ {
-			m, cost := math.MaxFloat64, costTab[t*k1+l-1:t*k1+t]
-			for i, p := range prev[l-1 : t] {
-				if v := p + cost[i]; v < m {
-					m = v
-				}
+			cost := costTab[t*k1+l-1 : t*k1+t]
+			ps := prev[l-1 : t]
+			ps = ps[:len(cost)]
+			m0, m1 := math.MaxFloat64, math.MaxFloat64
+			i := 1
+			for ; i < len(ps); i += 2 {
+				m0 = min(m0, ps[i-1]+cost[i-1])
+				m1 = min(m1, ps[i]+cost[i])
 			}
-			curr[t] = m
+			if i == len(ps) {
+				m0 = min(m0, ps[i-1]+cost[i-1])
+			}
+			curr[t] = min(m0, m1)
 		}
 		mi := hq - curr[k]/float64(n)
 		if mi < 0 {

@@ -59,7 +59,6 @@ const maxTestOracles = 5
 // reference to the name, and the list holds at most maxBenchOnly names, so
 // no new bench-only shim can be added.
 var benchOnly = map[string]string{
-	"invarnetx/internal/core.System.MergeSignature":       "bench/system.go l. 64 seeds each context with synthetic signatures through it",
 	"invarnetx/internal/invariant.ComputeMatrixScored":    "bench/layers.go l. 467 fills the dense matrices the selection probe selects from",
 	"invarnetx/internal/invariant.Select":                 "bench/layers.go l. 477 times selection over matrices scored in full",
 	"invarnetx/internal/invariant.Set.ComputeEdgesScored": "bench/layers.go l. 439 times the clean edge pass over a prepared batch",
@@ -72,7 +71,7 @@ var benchOnly = map[string]string{
 	"invarnetx/internal/signature.Entry.Fingerprint":      "bench/gen.go l. 341 keys the synthetic signature corpus",
 }
 
-const maxBenchOnly = 11
+const maxBenchOnly = 10
 
 // module is one tree of packages type-checked from source: every non-test
 // file of every package under its import path, with each identifier's use
