@@ -32,7 +32,10 @@
 #                        /proc/cpuinfo and a machine note
 #                        (RECORD_NOTE, or uname and the load average at
 #                        the start); one file per change, so the files
-#                        are the trajectory (~2 min on 2 cores)
+#                        are the trajectory: a change that records sets
+#                        RECORD_ID to its own number (~2 min on 2 cores;
+#                        two runs on a shared host can differ by more
+#                        than their IQR: compare records made together)
 #   make check         — all tiers: test, race, smoke, bench-smoke,
 #                        bench-once
 #   make loc           — non-test Go lines per package (internal/*,
