@@ -23,19 +23,20 @@
 #                        scan is the slowest part)
 #   make bench-record  — run the kernel benchmarks beside the code
 #                        (core's TrainContext and VerdictUncached, mic's
-#                        NewBatch and PairKernel) with -count
-#                        $(RECORD_COUNT), and write BENCH_$(RECORD_ID).json
-#                        at the root: per benchmark the median and
-#                        quartiles of ns/op (and of pairs/op where it is
-#                        reported) under "kernels", with the commit,
-#                        GOMAXPROCS, nproc, the CPU model from
-#                        /proc/cpuinfo and a machine note
-#                        (RECORD_NOTE, or uname and the load average at
-#                        the start); one file per change, so the files
-#                        are the trajectory: a change that records sets
-#                        RECORD_ID to its own number (~2 min on 2 cores;
-#                        two runs on a shared host can differ by more
-#                        than their IQR: compare records made together)
+#                        NewBatch and PairKernel) with -count 10, and
+#                        write BENCH_$(RECORD_ID).json at the root: per
+#                        benchmark the median and quartiles of ns/op (and
+#                        of pairs/op where it is reported) under
+#                        "kernels", with the commit, GOMAXPROCS (the
+#                        environment's, else nproc; the benchmarks run
+#                        under it), nproc, the CPU model from
+#                        /proc/cpuinfo and a machine note (uname and the
+#                        load average at the start); one file per change,
+#                        so the files are the trajectory: a change that
+#                        records sets RECORD_ID to its own number (~2 min
+#                        on 2 cores; two runs on a shared host can differ
+#                        by more than their IQR: compare records made
+#                        together)
 #   make check         — all tiers: test, race, smoke, bench-smoke,
 #                        bench-once
 #   make loc           — non-test Go lines per package (internal/*,
@@ -92,35 +93,39 @@ bench-once: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 RECORD_ID ?= 53
-RECORD_COUNT ?= 10
-RECORD_NOTE ?=
 
-# The quartiles are the linear-interpolation ones (R's type 7) over the
-# -count runs of each benchmark; a name drops its -GOMAXPROCS suffix, which
-# is recorded once as gomaxprocs.
+# The quartiles are the linear-interpolation ones (R's type 7) over the 10
+# runs of each benchmark. The benchmarks run under an explicit GOMAXPROCS,
+# so its -N name suffix (absent when it is 1) is known and stripped
+# exactly. Strings reach awk through its environment, which applies no
+# escapes, and are JSON-escaped on the way out.
 bench-record: build
 	@out=BENCH_$(RECORD_ID).json; raw=$$(mktemp); \
-	note='$(RECORD_NOTE)'; [ -n "$$note" ] || note="$$(uname -srm), load average $$(cut -d' ' -f1-3 /proc/loadavg) at the start"; \
-	commit=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
-	git diff --quiet HEAD 2>/dev/null || commit="$$commit-dirty"; \
-	cpu=$$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //'); \
-	$(GO) test -run '^$$' -bench 'TrainContext|VerdictUncached' -count $(RECORD_COUNT) ./internal/core | sed 's/^Benchmark/core.Benchmark/' > $$raw && \
-	$(GO) test -run '^$$' -bench 'NewBatch|PairKernel' -count $(RECORD_COUNT) ./internal/mic | sed 's/^Benchmark/mic.Benchmark/' >> $$raw && \
-	awk -v commit="$$commit" -v nproc="$$(nproc)" -v cpu="$$cpu" -v note="$$note" -v gover="$$($(GO) env GOVERSION)" -v count=$(RECORD_COUNT) ' \
+	procs=$${GOMAXPROCS:-$$(nproc)}; \
+	export NOTE="$$(uname -srm), load average $$(cut -d' ' -f1-3 /proc/loadavg) at the start"; \
+	export COMMIT=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
+	git diff --quiet HEAD 2>/dev/null || COMMIT="$$COMMIT-dirty"; \
+	export CPU="$$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //')"; \
+	export GOVER="$$($(GO) env GOVERSION)"; \
+	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'TrainContext|VerdictUncached' -count 10 ./internal/core | sed 's/^Benchmark/core.Benchmark/' > $$raw && \
+	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'NewBatch|PairKernel' -count 10 ./internal/mic | sed 's/^Benchmark/mic.Benchmark/' >> $$raw && \
+	awk -v procs=$$procs -v nproc="$$(nproc)" ' \
+	function js(s) { gsub(/\\/, "&&", s); gsub(/"/, "\\\"", s); gsub(/[[:cntrl:]]/, " ", s); return s } \
 	function q(key, p,   n, i, j, v, s, pos, lo) { \
 		n = cnt[key]; for (i = 1; i <= n; i++) s[i] = vals[key, i]; \
 		for (i = 2; i <= n; i++) { v = s[i]; for (j = i - 1; j >= 1 && s[j] > v; j--) s[j + 1] = s[j]; s[j + 1] = v } \
 		pos = 1 + (n - 1) * p; lo = int(pos); \
 		return lo >= n ? s[n] : s[lo] + (pos - lo) * (s[lo + 1] - s[lo]) } \
 	function stat(key) { return sprintf("{\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f}", q(key, 0.25), q(key, 0.5), q(key, 0.75)) } \
-	/^(core|mic)\.Benchmark/ { name = $$1; procs = name; sub(/-[0-9]+$$/, "", name); sub(/.*-/, "", procs); \
+	/^(core|mic)\.Benchmark/ { name = $$1; if (procs > 1) sub("-" procs "$$", "", name); \
 		if (!(name in seen)) { seen[name] = 1; order[++names] = name } \
 		for (i = 3; i < NF; i += 2) if ($$(i + 1) == "ns/op" || $$(i + 1) == "pairs/op") { key = name SUBSEP $$(i + 1); vals[key, ++cnt[key]] = $$i } } \
 	END { \
 		if (names == 0) exit 1; \
-		printf "{\n  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"gomaxprocs\": %d,\n  \"nproc\": %d,\n  \"cpu\": \"%s\",\n  \"note\": \"%s\",\n  \"count\": %d,\n  \"kernels\": {\n", commit, gover, procs, nproc, cpu, note, count; \
+		printf "{\n  \"commit\": \"%s\",\n  \"go\": \"%s\",\n  \"gomaxprocs\": %d,\n  \"nproc\": %d,\n  \"cpu\": \"%s\",\n  \"note\": \"%s\",\n  \"count\": 10,\n  \"kernels\": {\n", \
+			js(ENVIRON["COMMIT"]), js(ENVIRON["GOVER"]), procs, nproc, js(ENVIRON["CPU"]), js(ENVIRON["NOTE"]); \
 		for (k = 1; k <= names; k++) { name = order[k]; \
-			printf "    \"%s\": {\"runs\": %d, \"ns_per_op\": %s", name, cnt[name, "ns/op"], stat(name SUBSEP "ns/op"); \
+			printf "    \"%s\": {\"runs\": %d, \"ns_per_op\": %s", js(name), cnt[name, "ns/op"], stat(name SUBSEP "ns/op"); \
 			if (cnt[name, "pairs/op"]) printf ", \"pairs_per_op\": %s", stat(name SUBSEP "pairs/op"); \
 			printf "}%s\n", k < names ? "," : "" } \
 		printf "  }\n}\n" }' $$raw > $$out.tmp && mv $$out.tmp $$out && rm -f $$raw && echo "wrote $$out" || { rm -f $$raw $$out.tmp; exit 1; }

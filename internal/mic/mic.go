@@ -26,9 +26,8 @@
 // cnt ≤ tot ≤ n, so the kernel looks them up in a process-wide table built
 // on first use, beside a second table holding a two-row bin's whole cost,
 // the dearest grid's one lookup. It fills each DP's cost table in one
-// inlined pass with the table row and the two histogram rows hoisted (the
-// three- to five-row bins with their rows spelled out), and fills only the
-// DP cells the answer reads (prepared.go). At n = 30 those tables are a few
+// inlined pass with the table row and the two histogram rows hoisted, and
+// fills only the DP cells the answer reads (prepared.go). At n = 30 those tables are a few
 // dozen entries, so what costs is deciding, not adding: clump building
 // writes each clump's own counts and prefix-sums them once, and whether a
 // tie group opens a clump, whether a superclump boundary is kept and which

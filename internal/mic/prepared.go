@@ -421,12 +421,9 @@ func charHalfPrepared(colP, rowP *Prepared, sc *scratch, terms, terms2, out []fl
 // for 1 <= t <= k and s < t, and prev[t] to cost(0, t). A bin's cost sums,
 // over the rows in row order and starting from 0, the term of its point
 // count and the row's count in it; a two-row bin is one lookup in terms2,
-// which holds that same sum, the three- to five-row bins have a body of
-// their own with the rows spelled out, and with no tables (n > termCap)
-// each term is evaluated directly. Every term is >= +0 and 0 + x is x, so
-// a fixed-width body that starts from its first term sums to the same bits.
-// With a two-column budget (last == 2) the DP reads only row k, so the other
-// rows fill only column 0.
+// which holds that same sum, and with no tables (n > termCap) each term is
+// evaluated directly. With a two-column budget (last == 2) the DP reads
+// only row k, so the other rows fill only column 0.
 func fillCosts(costTab, prev []float64, ends, cum []int, k, rows, last int, terms, terms2 []float64) {
 	k1 := k + 1
 	for t := 1; t <= k; t++ {
@@ -451,27 +448,6 @@ func fillCosts(costTab, prev []float64, ends, cum []int, k, rows, last int, term
 			for s := range dst {
 				tot := et - ends[s]
 				dst[s] = terms2[tot*(tot+1)/2+c0-cum[2*s]]
-			}
-		case rows == 3:
-			c0, c1, c2 := ct[0], ct[1], ct[2]
-			for s := range dst {
-				tot, cs := et-ends[s], cum[3*s:3*s+3]
-				tt := terms[tot*(tot+1)/2:]
-				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]]
-			}
-		case rows == 4:
-			c0, c1, c2, c3 := ct[0], ct[1], ct[2], ct[3]
-			for s := range dst {
-				tot, cs := et-ends[s], cum[4*s:4*s+4]
-				tt := terms[tot*(tot+1)/2:]
-				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]] + tt[c3-cs[3]]
-			}
-		case rows == 5:
-			c0, c1, c2, c3, c4 := ct[0], ct[1], ct[2], ct[3], ct[4]
-			for s := range dst {
-				tot, cs := et-ends[s], cum[5*s:5*s+5]
-				tt := terms[tot*(tot+1)/2:]
-				dst[s] = tt[c0-cs[0]] + tt[c1-cs[1]] + tt[c2-cs[2]] + tt[c3-cs[3]] + tt[c4-cs[4]]
 			}
 		default:
 			for s := range dst {
