@@ -104,7 +104,7 @@ bench-record: build
 	procs=$${GOMAXPROCS:-$$(nproc)}; \
 	export NOTE="$$(uname -srm), load average $$(cut -d' ' -f1-3 /proc/loadavg) at the start"; \
 	export COMMIT=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
-	git diff --quiet HEAD 2>/dev/null || COMMIT="$$COMMIT-dirty"; \
+	git diff --quiet HEAD -- . ':!BENCH_*.json' 2>/dev/null || COMMIT="$$COMMIT-dirty"; \
 	export CPU="$$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //')"; \
 	export GOVER="$$($(GO) env GOVERSION)"; \
 	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'TrainContext|VerdictUncached' -count 10 ./internal/core | sed 's/^Benchmark/core.Benchmark/' > $$raw && \
