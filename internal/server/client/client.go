@@ -69,12 +69,16 @@ func IsShed(err error) bool {
 	return ok && ae.StatusCode == http.StatusTooManyRequests
 }
 
-// do runs one JSON round trip: in encoded as the request body (when
-// non-nil), the response read by send.
+// do runs one JSON round trip: in, a server.IngestRequest or
+// server.DiagnoseRequest, appended as the request body into a pooled buffer
+// (when non-nil), the response read by send.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
+		bufp := bodyPool.Get().(*[]byte)
+		defer putBody(bufp)
+		buf, err := appendRequest((*bufp)[:0], in)
+		*bufp = buf[:0]
 		if err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
@@ -90,12 +94,24 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return c.send(req, out)
 }
 
-// respPool recycles response-body buffers; one grown past maxPooledResp (a
-// large signature listing) is left to the collector.
-var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// respPool recycles response-body buffers and bodyPool request bodies, JSON
+// and frames alike; a buffer grown past maxPooled (a large signature listing,
+// a long batch) is left to the collector.
+var (
+	respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, maxPooled); return &b }}
+)
+
+// putBody hands a request buffer back to bodyPool, unless it grew past
+// maxPooled.
+func putBody(bufp *[]byte) {
+	if cap(*bufp) <= maxPooled {
+		bodyPool.Put(bufp)
+	}
+}
 
 const (
-	maxPooledResp = 64 << 10
+	maxPooled = 64 << 10
 	// maxPresize bounds how much a Content-Length alone can make send
 	// allocate; a longer body still reads whole, growing as bytes arrive.
 	maxPresize = 8 << 20
@@ -127,7 +143,7 @@ func (c *Client) send(req *http.Request, out any) error {
 	if out != nil {
 		err = json.Unmarshal(buf.Bytes(), out)
 	}
-	if buf.Cap() <= maxPooledResp {
+	if buf.Cap() <= maxPooled {
 		respPool.Put(buf)
 	}
 	if err != nil {
@@ -166,16 +182,13 @@ func (c *Client) Ingest(ctx context.Context, workload, node string, samples []se
 	return &out, nil
 }
 
-// frameBufPool recycles encoded-frame buffers across IngestFrame calls.
-var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
 // IngestFrame submits one batch in the compact binary frame encoding
 // (Content-Type application/x-invarnet-frame) — the wire-speed twin of
 // Ingest, decoding server-side without per-sample allocation. The response
 // and the error surface (429 shed, IsShed) are identical to the JSON path.
 func (c *Client) IngestFrame(ctx context.Context, workload, node string, samples []server.Sample) (*server.IngestResponse, error) {
-	bufp := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(bufp)
+	bufp := bodyPool.Get().(*[]byte)
+	defer putBody(bufp)
 	frame, err := server.AppendFrame((*bufp)[:0], workload, node, samples)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding frame: %w", err)

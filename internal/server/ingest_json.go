@@ -269,54 +269,84 @@ func (d *jsonScanner) identity() string {
 	return ""
 }
 
-// float reads a number (null: 0) as Decode does: JSON grammar, then ParseFloat.
+// float reads a number (null: 0) as Decode does: the JSON grammar, then the
+// bits strconv.ParseFloat gives the literal.
 func (d *jsonScanner) float() float64 {
 	if d.null() {
 		return 0
 	}
-	end := numberEnd(d.buf, d.i)
-	if end < 0 {
+	v, end, err := number(d.buf, d.i)
+	switch {
+	case end < 0:
 		d.fail("want a number")
-		return 0
-	}
-	v, err := strconv.ParseFloat(string(d.buf[d.i:end]), 64)
-	if d.i = end; err != nil {
+	case err != nil:
 		d.fail("%v", err)
+	default:
+		d.i = end
 	}
 	return v
 }
 
-// numberEnd returns the end of the JSON number starting at buf[i], or -1
-// when the grammar refuses it: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func numberEnd(buf []byte, i int) int {
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// number reads the JSON number starting at buf[i] in one walk, which checks
+// the grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and accumulates
+// the digits into a mantissa m, and returns its value, its end, and
+// ParseFloat's error; end is -1 when the grammar refuses it. A literal with no
+// exponent, at most 19 significant digits (so m cannot wrap), m below 2^53
+// and k <= 22 fraction digits is m / 10^k: one division of two exactly
+// represented operands, correctly rounded as ParseFloat is, so the same bits
+// (Clinger's fast path, taken to 2^53 where strconv's own stops at 2^52).
+// Any other literal goes to ParseFloat.
+func number(buf []byte, i int) (v float64, end int, err error) {
+	start := i
 	if i < len(buf) && buf[i] == '-' {
 		i++
 	}
-	j := digitsEnd(buf, i)
+	j, m, sig := digits(buf, i, 0, 0)
 	if j == i || buf[i] == '0' && j > i+1 {
-		return -1 // no integer digit, or a leading zero
+		return 0, -1, nil // no integer digit, or a leading zero
 	}
+	k := 0 // fraction digits
 	if j < len(buf) && buf[j] == '.' {
-		if i, j = j+1, digitsEnd(buf, j+1); j == i {
-			return -1
+		f := j + 1
+		if j, m, sig = digits(buf, f, m, sig); j == f {
+			return 0, -1, nil
 		}
+		k = j - f
 	}
 	if j < len(buf) && (buf[j] == 'e' || buf[j] == 'E') {
-		if i = j + 1; i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
-			i++
+		e := j + 1
+		if e < len(buf) && (buf[e] == '+' || buf[e] == '-') {
+			e++
 		}
-		if j = digitsEnd(buf, i); j == i {
-			return -1
+		if j, _, _ = digits(buf, e, 0, 0); j == e {
+			return 0, -1, nil
 		}
+	} else if sig <= 19 && m < 1<<53 && k < len(pow10) {
+		if v = float64(m) / pow10[k]; buf[start] == '-' {
+			v = -v
+		}
+		return v, j, nil
 	}
-	return j
+	v, err = strconv.ParseFloat(string(buf[start:j]), 64)
+	return v, j, err
 }
 
-func digitsEnd(buf []byte, i int) int {
-	for i < len(buf) && '0' <= buf[i] && buf[i] <= '9' {
-		i++
+// digits reads the decimal digits from buf[j] on into the mantissa m, counting
+// in sig those from the first non-zero one on (so m has not wrapped while
+// sig <= 19), and returns their end and the new m and sig.
+func digits(buf []byte, j int, m uint64, sig int) (int, uint64, int) {
+	for ; j < len(buf) && buf[j]-'0' <= 9; j++ {
+		c := uint64(buf[j] - '0')
+		if m|c != 0 {
+			sig++
+		}
+		m = m*10 + c
 	}
-	return i
+	return j, m, sig
 }
 
 // null consumes a null literal if one comes next.

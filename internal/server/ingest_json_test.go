@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -344,6 +345,110 @@ func TestIngestJSONGrammar(t *testing.T) {
 	}
 	for _, tc := range controlJSONCases {
 		check(tc.name, tc.kind, tc.body, tc.want)
+	}
+}
+
+// numberEnd returns the end of the JSON number starting at buf[i], or -1
+// when the grammar refuses it: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+// It and ParseFloat are the pair number replaced, and its reference.
+func numberEnd(buf []byte, i int) int {
+	if i < len(buf) && buf[i] == '-' {
+		i++
+	}
+	j := digitsEnd(buf, i)
+	if j == i || buf[i] == '0' && j > i+1 {
+		return -1 // no integer digit, or a leading zero
+	}
+	if j < len(buf) && buf[j] == '.' {
+		if i, j = j+1, digitsEnd(buf, j+1); j == i {
+			return -1
+		}
+	}
+	if j < len(buf) && (buf[j] == 'e' || buf[j] == 'E') {
+		if i = j + 1; i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			i++
+		}
+		if j = digitsEnd(buf, i); j == i {
+			return -1
+		}
+	}
+	return j
+}
+
+func digitsEnd(buf []byte, i int) int {
+	for i < len(buf) && '0' <= buf[i] && buf[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// numberDiff holds number to numberEnd + ParseFloat on the bytes at buf[0]:
+// the same end, the same refusal, the same error and the same bits.
+func numberDiff(buf []byte) string {
+	v, end, err := number(buf, 0)
+	if want := numberEnd(buf, 0); end != want {
+		return fmt.Sprintf("end %d, reference %d", end, want)
+	}
+	if end < 0 {
+		return ""
+	}
+	want, werr := strconv.ParseFloat(string(buf[:end]), 64)
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		return fmt.Sprintf("error %v, reference %v", err, werr)
+	}
+	if math.Float64bits(v) != math.Float64bits(want) {
+		return fmt.Sprintf("%v (%#x), reference %v (%#x)", v, math.Float64bits(v), want, math.Float64bits(want))
+	}
+	return ""
+}
+
+// numberEdges are the exact path's edges, each followed by a comma: the
+// seeds of FuzzJSONNumber and the rows of TestJSONNumberEdges.
+var numberEdges = []struct {
+	lit     string
+	refused bool
+}{
+	{lit: "9007199254740991"},            // 2^53 - 1: exact
+	{lit: "-9007199254740991"},           // exact, negated
+	{lit: "9007199254740992"},            // 2^53: ParseFloat
+	{lit: "9007199254740993"},            // 2^53 + 1: ParseFloat, rounds to even
+	{lit: "4503599627370497"},            // 2^52 + 1: exact here, not in strconv
+	{lit: "900719925474099.1"},           // 2^53 - 1 with one fraction digit
+	{lit: "0.9007199254740993"},          // 2^53 + 1 over 10^16: ParseFloat
+	{lit: "0.0000000000000000000015"},    // 22 fraction digits: exact
+	{lit: "0.00000000000000000000015"},   // 23: ParseFloat
+	{lit: "1234567890123456789"},         // 19 significant digits
+	{lit: "12345678901234567890"},        // 20
+	{lit: "0.0000012345678901234567890"}, // 20 after leading zeros
+	{lit: "18446744073709551616"},        // 2^64: a 64-bit mantissa wraps to 0
+	{lit: "18446744073709551617"},        // wraps to 1
+	{lit: "1844674407370955161.7"},       // wraps to 1 over 10
+	{lit: "36893488147419103233"},        // 2^65 + 1: wraps to 1
+	{lit: "0"}, {lit: "-0"}, {lit: "-0.0"}, {lit: "0.000"},
+	{lit: "0.0000000000000000000000000001"},   // 28 fraction digits
+	{lit: "-0.00000000000000000000000000001"}, // 29
+	{lit: "0.1"}, {lit: "0.3"}, {lit: "123.456"}, {lit: "1.7976931348623157"},
+	{lit: "1e2"}, {lit: "1E+2"}, {lit: "-2.5e-3"}, {lit: "5e-324"}, {lit: "1e-400"},
+	{lit: "1e400"}, {lit: "-1e400"}, {lit: "123456789012345678901234567890e-10"},
+	{lit: "01", refused: true}, {lit: "-01", refused: true}, {lit: "00", refused: true},
+	{lit: "1.", refused: true}, {lit: ".5", refused: true}, {lit: "+1", refused: true},
+	{lit: "-", refused: true}, {lit: "1e", refused: true}, {lit: "1e+", refused: true},
+	{lit: "-.5", refused: true}, {lit: "NaN", refused: true}, {lit: "", refused: true},
+}
+
+// TestJSONNumberEdges checks number on each edge against numberEnd +
+// ParseFloat and against the grammar verdict the row names.
+func TestJSONNumberEdges(t *testing.T) {
+	for _, tc := range numberEdges {
+		buf := []byte(tc.lit + ",")
+		if diff := numberDiff(buf); diff != "" {
+			t.Errorf("%q: %s", tc.lit, diff)
+		}
+		if _, end, _ := number(buf, 0); (end < 0) != tc.refused {
+			t.Errorf("%q: end %d, want refused=%v", tc.lit, end, tc.refused)
+		} else if !tc.refused && end != len(tc.lit) {
+			t.Errorf("%q: end %d, want %d", tc.lit, end, len(tc.lit))
+		}
 	}
 }
 

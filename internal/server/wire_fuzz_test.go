@@ -125,3 +125,17 @@ func FuzzIngestJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJSONNumber holds the decoder's number scan to the pair it replaced,
+// numberEnd + strconv.ParseFloat, on arbitrary bytes: the same end, the same
+// refusal and the same bits, the exact path's edges among the seeds.
+func FuzzJSONNumber(f *testing.F) {
+	for _, tc := range numberEdges {
+		f.Add([]byte(tc.lit + ","))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		if diff := numberDiff(buf); diff != "" {
+			t.Fatalf("%q: %s", buf, diff)
+		}
+	})
+}
