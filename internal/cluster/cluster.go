@@ -242,8 +242,10 @@ func (c *Cluster) schedule(effects map[int]*Effects) {
 	c.speculate()
 }
 
-// nextPending pops the next schedulable task of the given kind for node n,
-// preferring (for maps) jobs with local healthy block replicas.
+// nextPending pops the next schedulable task of the given kind for node n:
+// the head of the first active job's pending list. A map task placed on a
+// node holding none of its job's healthy blocks reads its input remotely,
+// which inflates its network work.
 func (c *Cluster) nextPending(kind TaskKind, n *Node) *Task {
 	for _, j := range c.active {
 		switch kind {
@@ -252,19 +254,11 @@ func (c *Cluster) nextPending(kind TaskKind, n *Node) *Task {
 			if j.State != JobMapping || len(j.pendingMaps) == 0 {
 				continue
 			}
-			// Locality preference: scan for a task whose job has a healthy
-			// block on this node; fall back to the head.
-			idx := 0
+			t := j.pendingMaps[0]
+			j.pendingMaps = j.pendingMaps[1:]
 			if len(j.blocks) > 0 && !c.hasLocalBlock(j, n) {
-				// Remote read: the task will pull its input over the
-				// network; model by inflating NetIn.
-				t := j.pendingMaps[idx]
-				j.pendingMaps = append(j.pendingMaps[:idx], j.pendingMaps[idx+1:]...)
 				t.netLeft += t.Spec.DiskReadMB * 0.5
-				return t
 			}
-			t := j.pendingMaps[idx]
-			j.pendingMaps = append(j.pendingMaps[:idx], j.pendingMaps[idx+1:]...)
 			return t
 		case KindReduce:
 			j.pendingReduces = dropCancelled(j.pendingReduces)
@@ -388,33 +382,6 @@ func shuffleJitter(seed int64, jobID int) int {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 32
 	return 12 + int(h%5)
-}
-
-// CurrentStage returns the execution stage the cluster is in at the
-// current tick: the active batch job's map/shuffle/reduce stage (batch
-// jobs run FIFO-exclusively, so there is at most one), or — for purely
-// interactive traffic — the query phase with the most running tasks,
-// ties broken lexicographically for determinism. Empty when idle.
-func (c *Cluster) CurrentStage() string {
-	for _, j := range c.active {
-		if !j.Spec.Interactive {
-			return j.StageAt(c.tick)
-		}
-	}
-	best, bestVotes := "", 0
-	for _, j := range c.active {
-		if j.Spec.Phase == "" {
-			continue
-		}
-		votes := j.running + 1 // +1 so a just-submitted query still counts
-		switch {
-		case votes > bestVotes:
-			best, bestVotes = j.Spec.Phase, votes
-		case votes == bestVotes && best != "" && j.Spec.Phase < best:
-			best = j.Spec.Phase
-		}
-	}
-	return best
 }
 
 // repairWork is the per-node extra demand from block re-replication.

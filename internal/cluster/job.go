@@ -135,10 +135,6 @@ type JobSpec struct {
 	// FIFO-exclusively, as Hadoop's default scheduler does (paper §2,
 	// Restrictions).
 	Interactive bool
-	// Phase labels the execution stage of interactive jobs (TPC-DS query
-	// classes: scan, join, aggregate). Batch jobs derive their stage from
-	// the scheduler state instead (map/shuffle/reduce via Job.StageAt).
-	Phase       string
 	MapTasks    []TaskSpec
 	ReduceTasks []TaskSpec
 	// InputMB sizes the HDFS input for block placement.
@@ -195,14 +191,10 @@ func newJob(id int, spec JobSpec, tick int) *Job {
 // Done reports whether the job has completed.
 func (j *Job) Done() bool { return j.State == JobDone }
 
-// StageAt returns the execution stage the job was in at the given tick.
-// Interactive jobs report their declared query phase; batch jobs report
-// "map", "shuffle" or "reduce" from the scheduler timeline. The empty
-// string means the job was not running at that tick.
+// StageAt returns the execution stage the job was in at the given tick:
+// "map", "shuffle" or "reduce" from the scheduler timeline, or "" when the
+// job was not running at that tick.
 func (j *Job) StageAt(tick int) string {
-	if j.Spec.Interactive {
-		return j.Spec.Phase
-	}
 	if j.StartTick < 0 || tick < j.StartTick {
 		return ""
 	}

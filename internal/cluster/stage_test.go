@@ -2,15 +2,15 @@ package cluster
 
 import "testing"
 
-// runStageTimeline runs a batch job to completion and records the cluster
-// stage at every tick.
+// runStageTimeline runs a batch job to completion and records its stage at
+// every tick.
 func runStageTimeline(t *testing.T, seed int64) []string {
 	t.Helper()
 	c := New(4, seed)
 	j := c.Submit(testSpec("sort", 12, 4))
 	var timeline []string
 	if err := c.RunUntilDone(j, 300, func(tick int) {
-		timeline = append(timeline, c.CurrentStage())
+		timeline = append(timeline, j.StageAt(tick))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestStageTimelineCoversMapShuffleReduce(t *testing.T) {
 	j := c.Submit(spec)
 	var timeline []string
 	if err := c.RunUntilDone(j, 400, func(tick int) {
-		timeline = append(timeline, c.CurrentStage())
+		timeline = append(timeline, j.StageAt(tick))
 	}); err != nil {
 		t.Fatal(err)
 	}

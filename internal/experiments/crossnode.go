@@ -193,17 +193,17 @@ func slavePairs(traces map[string]*metrics.Trace) [][2]string {
 // shortest simulated stage (a 12-tick shuffle round).
 const stageWindow = 10
 
-// crossWindows cuts stage-aligned joint windows from two nodes' traces: for
-// every occurrence of the stage (per a's stage marks; both traces come from
-// the same cluster timeline) whose span holds at least stageWindow samples,
-// the first stageWindow ticks of both traces are joined.
-func crossWindows(a, b *metrics.Trace, stage string) ([]*metrics.Trace, error) {
+// crossWindows cuts stage-aligned joint windows from two nodes' traces of
+// one run, whose stage timeline is tl: for every occurrence of the stage
+// whose span holds at least stageWindow samples, the first stageWindow ticks
+// of both traces are joined.
+func crossWindows(a, b *metrics.Trace, tl timeline, stage string) ([]*metrics.Trace, error) {
 	var out []*metrics.Trace
-	for _, w := range a.StageWindows() {
-		if w.Stage != stage || w.Hi-w.Lo < stageWindow {
+	for _, w := range tl {
+		if w.stage != stage || w.hi-w.lo < stageWindow {
 			continue
 		}
-		joint, err := joinSlice(a, b, w.Lo, w.Lo+stageWindow)
+		joint, err := joinSlice(a, b, w.lo, w.lo+stageWindow)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: joining %s windows: %w", stage, err)
 		}
@@ -217,14 +217,14 @@ func crossWindows(a, b *metrics.Trace, stage string) ([]*metrics.Trace, error) {
 // occurrence's first stageWindow samples when tick comes earlier than that,
 // so the window always lies inside the stage. Returns nil when tick falls in
 // no occurrence of the stage long enough to window.
-func crossWindowAt(a, b *metrics.Trace, stage string, tick int) (*metrics.Trace, error) {
-	for _, w := range a.StageWindows() {
-		if w.Stage != stage || tick < w.Lo || tick >= w.Hi || w.Hi-w.Lo < stageWindow {
+func crossWindowAt(a, b *metrics.Trace, tl timeline, stage string, tick int) (*metrics.Trace, error) {
+	for _, w := range tl {
+		if w.stage != stage || tick < w.lo || tick >= w.hi || w.hi-w.lo < stageWindow {
 			continue
 		}
-		// tick < w.Hi and w.Lo+stageWindow <= w.Hi, so the window never
+		// tick < w.hi and w.lo+stageWindow <= w.hi, so the window never
 		// runs past the occurrence's end.
-		lo := max(tick-stageWindow+1, w.Lo)
+		lo := max(tick-stageWindow+1, w.lo)
 		return joinSlice(a, b, lo, lo+stageWindow)
 	}
 	return nil, nil
@@ -247,9 +247,7 @@ func joinSlice(a, b *metrics.Trace, lo, hi int) (*metrics.Trace, error) {
 // crossMetricIdx[i] of a and row K+i the same metric of b (K =
 // len(crossMetricIdx)). Both traces must be equally long; validity masks are
 // kept per side, and a joint mask is materialised when either side carries
-// one. The CPI column is a's (cross profiles train on rows only). Stage marks
-// are a's — joint windows are stage-aligned by construction, so both sides
-// agree.
+// one. The CPI column is a's (cross profiles train on rows only).
 func joinTraces(a, b *metrics.Trace) (*metrics.Trace, error) {
 	if a.Ticks != b.Ticks {
 		return nil, fmt.Errorf("experiments: joining traces of %d and %d ticks", a.Ticks, b.Ticks)
@@ -277,7 +275,6 @@ func joinTraces(a, b *metrics.Trace) (*metrics.Trace, error) {
 			out.CPIValid = joinMask(nil, a.Ticks)
 		}
 	}
-	out.Stages = append([]metrics.StageMark(nil), a.Stages...)
 	return out, nil
 }
 
@@ -339,9 +336,11 @@ func mergeCrossDiagnoses(diags []crossDiagnosis) *spatialVerdict {
 }
 
 // crossDiagnose runs the cross arm for one alert: window every trained pair
-// profile of the alert's stage around the alert tick and merge the per-pair
-// diagnoses. keys is the trained cross-profile set.
-func crossDiagnose(sys *core.System, keys []crossKey, traces map[string]*metrics.Trace, stage string, alertTick int) (*spatialVerdict, error) {
+// profile of the alert's stage (per the run's timeline tl) around the alert
+// tick and merge the per-pair diagnoses. keys is the trained cross-profile
+// set.
+func crossDiagnose(sys *core.System, keys []crossKey, traces map[string]*metrics.Trace, tl timeline, alertTick int) (*spatialVerdict, error) {
+	stage := tl.at(alertTick)
 	var diags []crossDiagnosis
 	for _, key := range keys {
 		if key.stage != stage {
@@ -351,7 +350,7 @@ func crossDiagnose(sys *core.System, keys []crossKey, traces map[string]*metrics
 		if a == nil || b == nil {
 			continue
 		}
-		win, err := crossWindowAt(a, b, stage, alertTick)
+		win, err := crossWindowAt(a, b, tl, stage, alertTick)
 		if err != nil {
 			return nil, err
 		}
@@ -405,7 +404,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			key := newCrossKey(string(w), pair[0], pair[1], stage)
 			var windows []*metrics.Trace
 			for _, res := range trainRuns {
-				ws, err := crossWindows(res.Traces[key.nodeA], res.Traces[key.nodeB], stage)
+				ws, err := crossWindows(res.Traces[key.nodeA], res.Traces[key.nodeB], res.stages, stage)
 				if err != nil {
 					return nil, err
 				}
@@ -450,7 +449,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			continue
 		}
 		res, tick := o.Run, o.AlertTick
-		stage := res.TargetTrace().StageAt(tick)
+		stage := res.stages.at(tick)
 		for _, key := range keys {
 			if key.stage != stage {
 				continue
@@ -463,7 +462,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 				key.nodeA != res.TargetIP && key.nodeB != res.TargetIP {
 				continue
 			}
-			win, err := crossWindowAt(res.Traces[key.nodeA], res.Traces[key.nodeB], stage, tick)
+			win, err := crossWindowAt(res.Traces[key.nodeA], res.Traces[key.nodeB], res.stages, stage, tick)
 			if err != nil {
 				return nil, err
 			}
@@ -518,7 +517,7 @@ func (r *Runner) RunCrossNodeStudy(w workload.Type) (*CrossStudy, error) {
 			row.Alerts++
 
 			// Cross arm: stage-scoped pair profiles, merged verdict.
-			verdict, err := crossDiagnose(sys, keys, res.Traces, res.TargetTrace().StageAt(tick), tick)
+			verdict, err := crossDiagnose(sys, keys, res.Traces, res.stages, tick)
 			if err != nil {
 				return nil, err
 			}

@@ -219,11 +219,10 @@ func TestStreamWindowDiagnosisMatchesExplicit(t *testing.T) {
 			tail := window[len(window)-windowCap:]
 
 			// The window's trace is the trace of its content submitted as
-			// samples (compared printed: masked entries are NaN) — a stream
-			// carries numbers and validity flags, no stage marks.
+			// samples (compared printed: masked entries are NaN).
 			got, want := mustStream(t, srv, ctx).windowTrace(), mustTrace(t, ctx, tail)
-			if len(got.Stages) != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("window trace is not TraceFromSamples of its content (%d stage marks)", len(got.Stages))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Error("window trace is not TraceFromSamples of its content")
 			}
 
 			fromStream := diagnoseWait(t, srv, DiagnoseRequest{Workload: ctx.Workload, Node: ctx.IP})

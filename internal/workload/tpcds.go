@@ -13,7 +13,6 @@ import (
 // relative arrival weight.
 type queryTemplate struct {
 	name    string
-	phase   string // dominant query phase: scan, join or aggregate
 	maps    int
 	reduces int
 	mapSpec cluster.TaskSpec
@@ -23,17 +22,17 @@ type queryTemplate struct {
 
 // tpcdsTemplates models eight queries with varied scan/join/aggregate
 // character: q1–q3 scan-heavy, q4–q6 join-heavy (shuffle), q7–q8
-// aggregation (CPU). The phase label becomes the stage annotation of the
-// submitted job, so stage-scoped invariants train per query class.
+// aggregation (CPU). The character lives only in the footprints: a TPC-DS
+// run has one operation context, and nothing trains per query class.
 var tpcdsTemplates = []queryTemplate{
-	{"q1", "scan", 4, 1, cluster.TaskSpec{CPUWork: 10, DiskReadMB: 48, NetOutMB: 2, MemoryMB: 300, NominalSeconds: 16}, cluster.TaskSpec{CPUWork: 5, DiskWriteMB: 4, NetInMB: 6, MemoryMB: 280, NominalSeconds: 8}, 1.4},
-	{"q2", "scan", 6, 1, cluster.TaskSpec{CPUWork: 12, DiskReadMB: 56, NetOutMB: 3, MemoryMB: 320, NominalSeconds: 18}, cluster.TaskSpec{CPUWork: 6, DiskWriteMB: 6, NetInMB: 10, MemoryMB: 300, NominalSeconds: 10}, 1.2},
-	{"q3", "scan", 3, 1, cluster.TaskSpec{CPUWork: 8, DiskReadMB: 40, NetOutMB: 2, MemoryMB: 260, NominalSeconds: 14}, cluster.TaskSpec{CPUWork: 4, DiskWriteMB: 3, NetInMB: 5, MemoryMB: 240, NominalSeconds: 7}, 1.5},
-	{"q4", "join", 5, 2, cluster.TaskSpec{CPUWork: 9, DiskReadMB: 44, NetOutMB: 24, MemoryMB: 420, NominalSeconds: 20}, cluster.TaskSpec{CPUWork: 8, DiskWriteMB: 16, NetInMB: 36, MemoryMB: 520, NominalSeconds: 16}, 1.0},
-	{"q5", "join", 6, 2, cluster.TaskSpec{CPUWork: 11, DiskReadMB: 52, NetOutMB: 30, MemoryMB: 460, NominalSeconds: 22}, cluster.TaskSpec{CPUWork: 9, DiskWriteMB: 20, NetInMB: 44, MemoryMB: 560, NominalSeconds: 18}, 0.9},
-	{"q6", "join", 4, 2, cluster.TaskSpec{CPUWork: 8, DiskReadMB: 36, NetOutMB: 20, MemoryMB: 400, NominalSeconds: 18}, cluster.TaskSpec{CPUWork: 7, DiskWriteMB: 12, NetInMB: 28, MemoryMB: 480, NominalSeconds: 14}, 1.0},
-	{"q7", "aggregate", 5, 1, cluster.TaskSpec{CPUWork: 26, DiskReadMB: 40, NetOutMB: 6, MemoryMB: 380, NominalSeconds: 24}, cluster.TaskSpec{CPUWork: 16, DiskWriteMB: 6, NetInMB: 12, MemoryMB: 360, NominalSeconds: 14}, 0.8},
-	{"q8", "aggregate", 4, 1, cluster.TaskSpec{CPUWork: 22, DiskReadMB: 36, NetOutMB: 5, MemoryMB: 360, NominalSeconds: 22}, cluster.TaskSpec{CPUWork: 14, DiskWriteMB: 5, NetInMB: 10, MemoryMB: 340, NominalSeconds: 12}, 0.9},
+	{"q1", 4, 1, cluster.TaskSpec{CPUWork: 10, DiskReadMB: 48, NetOutMB: 2, MemoryMB: 300, NominalSeconds: 16}, cluster.TaskSpec{CPUWork: 5, DiskWriteMB: 4, NetInMB: 6, MemoryMB: 280, NominalSeconds: 8}, 1.4},
+	{"q2", 6, 1, cluster.TaskSpec{CPUWork: 12, DiskReadMB: 56, NetOutMB: 3, MemoryMB: 320, NominalSeconds: 18}, cluster.TaskSpec{CPUWork: 6, DiskWriteMB: 6, NetInMB: 10, MemoryMB: 300, NominalSeconds: 10}, 1.2},
+	{"q3", 3, 1, cluster.TaskSpec{CPUWork: 8, DiskReadMB: 40, NetOutMB: 2, MemoryMB: 260, NominalSeconds: 14}, cluster.TaskSpec{CPUWork: 4, DiskWriteMB: 3, NetInMB: 5, MemoryMB: 240, NominalSeconds: 7}, 1.5},
+	{"q4", 5, 2, cluster.TaskSpec{CPUWork: 9, DiskReadMB: 44, NetOutMB: 24, MemoryMB: 420, NominalSeconds: 20}, cluster.TaskSpec{CPUWork: 8, DiskWriteMB: 16, NetInMB: 36, MemoryMB: 520, NominalSeconds: 16}, 1.0},
+	{"q5", 6, 2, cluster.TaskSpec{CPUWork: 11, DiskReadMB: 52, NetOutMB: 30, MemoryMB: 460, NominalSeconds: 22}, cluster.TaskSpec{CPUWork: 9, DiskWriteMB: 20, NetInMB: 44, MemoryMB: 560, NominalSeconds: 18}, 0.9},
+	{"q6", 4, 2, cluster.TaskSpec{CPUWork: 8, DiskReadMB: 36, NetOutMB: 20, MemoryMB: 400, NominalSeconds: 18}, cluster.TaskSpec{CPUWork: 7, DiskWriteMB: 12, NetInMB: 28, MemoryMB: 480, NominalSeconds: 14}, 1.0},
+	{"q7", 5, 1, cluster.TaskSpec{CPUWork: 26, DiskReadMB: 40, NetOutMB: 6, MemoryMB: 380, NominalSeconds: 24}, cluster.TaskSpec{CPUWork: 16, DiskWriteMB: 6, NetInMB: 12, MemoryMB: 360, NominalSeconds: 14}, 0.8},
+	{"q8", 4, 1, cluster.TaskSpec{CPUWork: 22, DiskReadMB: 36, NetOutMB: 5, MemoryMB: 360, NominalSeconds: 22}, cluster.TaskSpec{CPUWork: 14, DiskWriteMB: 5, NetInMB: 10, MemoryMB: 340, NominalSeconds: 12}, 0.9},
 }
 
 // Session drives the interactive TPC-DS mix on a cluster: each tick it
@@ -122,7 +121,6 @@ func (s *Session) instantiate(q queryTemplate) cluster.JobSpec {
 		Name:        fmt.Sprintf("tpcds-%s", q.name),
 		Workload:    string(TPCDS),
 		Interactive: true,
-		Phase:       q.phase,
 		InputMB:     float64(q.maps) * cluster.BlockSizeMB,
 	}
 	for i := 0; i < q.maps; i++ {

@@ -442,6 +442,50 @@ func TestSurfaceCheckResolvesReferences(t *testing.T) {
 	}
 }
 
+// testbed names the packages that simulate the paper's evaluation — the
+// Hadoop cluster and its collectl agent, the CPI sampler, the fault and
+// workload generators, the lossy telemetry path and the studies — which the
+// product's import closure must not reach: the daemon and the library core
+// serve collectl samples and CPI, whatever produced them.
+var testbed = []string{"cluster", "cpi", "faults", "workload", "telemetry", "experiments"}
+
+// TestProductLinksNoTestbed fails when the import closure of cmd/invarnetd or
+// internal/core holds a testbed package, or when internal/metrics, the
+// sample vocabulary every layer shares, imports any package of the module.
+func TestProductLinksNoTestbed(t *testing.T) {
+	m, _, _ := loadSurfaces(t)
+	pkgs := map[string]*types.Package{}
+	for _, p := range m.pkgs {
+		pkgs[p.Path()] = p
+	}
+	for _, root := range []string{"invarnetx/cmd/invarnetd", "invarnetx/internal/core"} {
+		if pkgs[root] == nil {
+			t.Fatalf("%s was not type-checked", root)
+		}
+		closure := map[string]bool{}
+		var walk func(*types.Package)
+		walk = func(p *types.Package) {
+			for _, q := range p.Imports() {
+				if strings.HasPrefix(q.Path(), "invarnetx/") && !closure[q.Path()] {
+					closure[q.Path()] = true
+					walk(q)
+				}
+			}
+		}
+		walk(pkgs[root])
+		for _, name := range testbed {
+			if closure["invarnetx/internal/"+name] {
+				t.Errorf("%s links the testbed package internal/%s", root, name)
+			}
+		}
+	}
+	for _, q := range pkgs["invarnetx/internal/metrics"].Imports() {
+		if strings.HasPrefix(q.Path(), "invarnetx/") {
+			t.Errorf("internal/metrics imports %s: the sample vocabulary imports nothing of the module", q.Path())
+		}
+	}
+}
+
 // facadeExempt names the one declaration group of invarnetx.go kept whole
 // although the examples use only some of it: the five evaluated workloads.
 const facadeExempt = "Wordcount"
