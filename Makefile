@@ -43,7 +43,8 @@
 #   make check         — all tiers: test, race, smoke, bench-smoke,
 #                        bench-once
 #   make loc           — non-test Go lines per package (internal/*,
-#                        server/client, cmd/*, the root package) and a TOTAL
+#                        server/client, cmd/*, examples/*, the root
+#                        package, which holds tests only) and a TOTAL
 #                        row: the one number every simplicity PR quotes in
 #                        CHANGES.md, so before/after figures are comparable;
 #                        beside each internal package, its exported surface:
@@ -135,17 +136,18 @@ bench-record: build
 			printf "}%s\n", k < names ? "," : "" } \
 		printf "  }\n}\n" }' $$raw > $$out.tmp && mv $$out.tmp $$out && rm -f $$raw && echo "wrote $$out" || { rm -f $$raw $$out.tmp; exit 1; }
 
-# Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
-# and, for internal/*: go doc -short ./internal/<pkg> | wc -l
+# Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
+# (0 for a directory with test files only) and, for internal/*:
+# go doc -short ./internal/<pkg> | wc -l
 loc:
-	@total=0; exported=0; printf '%-16s %6s %8s\n' package lines exported; \
-	for d in internal/*/ internal/server/client/ cmd/*/ ./; do \
+	@total=0; exported=0; printf '%-20s %6s %8s\n' package lines exported; \
+	for d in internal/*/ internal/server/client/ cmd/*/ examples/*/ ./; do \
 		p=$${d%/}; p=$${p#internal/}; [ "$$p" = . ] && p=root; \
-		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l); \
 		total=$$((total+n)); e=-; \
 		case $$d in internal/*) e=$$($(GO) doc -short ./$${d%/} | wc -l); exported=$$((exported+e));; esac; \
-		printf '%-16s %6d %8s\n' $$p $$n $$e; \
-	done; printf '%-16s %6d %8d\n' TOTAL $$total $$exported
+		printf '%-20s %6d %8s\n' $$p $$n $$e; \
+	done; printf '%-20s %6d %8d\n' TOTAL $$total $$exported
 
 # Short coverage-guided runs of eleven targets: the two request decoders' (the
 # binary wire frame, and the one-pass JSON decoder of the ingest, diagnose

@@ -234,6 +234,10 @@ func runSmoke(cfg server.Config, opts serveOptions, seconds float64) error {
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
+	// Each stream's queue holds QueueCap tasks besides the one it runs, and
+	// at most Workers (GOMAXPROCS for -workers 0) run at once.
+	eff := srv.Config()
+	maxDepth := eff.QueueCap*lcfg.Streams + min(eff.Workers, lcfg.Streams)
 	switch {
 	case rep.Errors > 0:
 		return fmt.Errorf("%d transport errors during load", rep.Errors)
@@ -246,8 +250,8 @@ func runSmoke(cfg server.Config, opts serveOptions, seconds float64) error {
 	case st.IngestShed < rep.Shed || st.DiagnoseShed < rep.DiagnoseShed:
 		return fmt.Errorf("server counted %d ingest + %d diagnose shed, client %d + %d",
 			st.IngestShed, st.DiagnoseShed, rep.Shed, rep.DiagnoseShed)
-	case st.QueueDepth < 0 || st.QueueDepth > int64(cfg.QueueCap)*int64(lcfg.Streams):
-		return fmt.Errorf("queue depth %d outside [0, %d]", st.QueueDepth, cfg.QueueCap*lcfg.Streams)
+	case st.QueueDepth < 0 || st.QueueDepth > int64(maxDepth):
+		return fmt.Errorf("queue depth %d outside [0, %d]", st.QueueDepth, maxDepth)
 	}
 	// The load generator diagnoses stream windows only: one explicit window,
 	// waited for, takes the samples path of the request decoder.

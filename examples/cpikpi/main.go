@@ -15,13 +15,16 @@ import (
 	"fmt"
 	"log"
 
-	"invarnetx"
+	"invarnetx/internal/cluster"
+	"invarnetx/internal/cpi"
+	"invarnetx/internal/stats"
+	"invarnetx/internal/workload"
 )
 
 // hog is a run-long CPU load of fixed intensity.
 type hog struct{ cores float64 }
 
-func (h *hog) Apply(tick int, n *invarnetx.Node, eff *invarnetx.ClusterEffects) {
+func (h *hog) Apply(tick int, n *cluster.Node, eff *cluster.Effects) {
 	eff.Extra.CPU += h.cores
 }
 
@@ -29,15 +32,15 @@ func main() {
 	// run executes one Wordcount job with the given extra CPU load on
 	// every slave and reports (duration ticks, 95th-percentile CPI).
 	run := func(cores float64, seed int64) (int, float64) {
-		c := invarnetx.NewCluster(4, seed)
+		c := cluster.New(4, seed)
 		if cores > 0 {
 			for _, n := range c.Slaves() {
 				n.Attach(&hog{cores: cores})
 			}
 		}
-		rng := invarnetx.NewRNG(seed + 100)
-		sampler := invarnetx.NewCPISampler(rng.Fork(1))
-		spec := invarnetx.NewBatchJob(invarnetx.Wordcount, invarnetx.WorkloadParams{
+		rng := stats.NewRNG(seed + 100)
+		sampler := cpi.NewSampler(rng.Fork(1))
+		spec := workload.NewJob(workload.Wordcount, workload.Params{
 			InputMB: 6 * 1024, RNG: rng.Fork(2),
 		})
 		job := c.Submit(spec)
@@ -48,7 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		p95, err := invarnetx.CPIRunStatistic(cpis)
+		p95, err := cpi.RunStatistic(cpis)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,8 +16,8 @@ import (
 	"os"
 	"time"
 
-	"invarnetx"
 	"invarnetx/internal/experiments"
+	"invarnetx/internal/workload"
 )
 
 func main() {
@@ -25,15 +25,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	flag.Parse()
 
-	opts := invarnetx.DefaultExperimentOptions()
+	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
 	opts.RunsPerFault = *runs
-	runner := invarnetx.NewExperimentRunner(opts)
+	runner := experiments.NewRunner(opts)
 
 	fmt.Printf("fault study on wordcount: %d runs per fault (%d for signatures)\n",
 		opts.RunsPerFault, opts.SignatureRuns)
 	start := time.Now()
-	study, err := runner.RunDiagnosisStudy(invarnetx.Wordcount, "invarnet-x")
+	study, err := runner.RunDiagnosisStudy(workload.Wordcount, "invarnet-x")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,11 @@ import (
 	"fmt"
 	"log"
 
-	"invarnetx"
+	"invarnetx/internal/core"
+	"invarnetx/internal/experiments"
+	"invarnetx/internal/faults"
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/workload"
 )
 
 func main() {
@@ -21,18 +25,18 @@ func main() {
 	// (one master + four heterogeneous slaves) with the paper's metric
 	// collection: 26 collectl-style metrics plus per-process CPI, every
 	// 10 simulated seconds.
-	opts := invarnetx.DefaultExperimentOptions()
+	opts := experiments.DefaultOptions()
 	opts.TrainRuns = 6
 	opts.InputMB = 8 * 1024 // 8 GB input keeps this example quick
-	runner := invarnetx.NewExperimentRunner(opts)
+	runner := experiments.NewRunner(opts)
 
 	// --- Offline part 1+2: performance models and invariants -----------
 	fmt.Println("training on 6 normal wordcount runs ...")
-	sys, runs, err := runner.TrainSystem(invarnetx.Wordcount)
+	sys, runs, err := runner.TrainSystem(workload.Wordcount)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := invarnetx.Context{Workload: "wordcount", IP: "10.0.0.2"}
+	ctx := core.Context{Workload: "wordcount", IP: "10.0.0.2"}
 	det, err := sys.Detector(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -42,23 +46,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s: CPI model %s, anomaly threshold %.4f\n", ctx, det.Model.Order, det.Upper)
-	fmt.Printf("  %d observable likely invariants among %d metrics\n", inv.Len(), len(invarnetx.MetricNames()))
+	fmt.Printf("  %d observable likely invariants among %d metrics\n", inv.Len(), len(metrics.Names))
 	fmt.Printf("  (a normal run takes ~%d ticks of 10 s)\n\n", runs[0].DurationTicks)
 
 	// --- Offline part 3: signature base --------------------------------
 	fmt.Println("recording the signature of an investigated CPU hog ...")
-	if err := runner.Label(sys, runner.LabelRows("quickstart", invarnetx.Wordcount, "cpu-hog")); err != nil {
+	if err := runner.Label(sys, runner.LabelRows("quickstart", workload.Wordcount, "cpu-hog")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  signature database now holds %d entries\n\n", sys.SignatureCount())
 
 	// --- Online: detect and diagnose a fresh occurrence ----------------
 	fmt.Println("injecting a fresh CPU hog and watching the CPI stream ...")
-	out, err := runner.Observe(sys, invarnetx.Scenario{
+	out, err := runner.Observe(sys, experiments.Scenario{
 		Study:    "quickstart",
-		Workload: invarnetx.Wordcount,
-		Faults:   []invarnetx.FaultKind{"cpu-hog"},
-		Origin:   invarnetx.AlertWindow, // diagnose from the monitor's alert
+		Workload: workload.Wordcount,
+		Faults:   []faults.Kind{"cpu-hog"},
+		Origin:   experiments.Alert, // diagnose from the monitor's alert
 	})
 	if err != nil {
 		log.Fatal(err)

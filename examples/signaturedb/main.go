@@ -13,7 +13,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"invarnetx"
+	"invarnetx/internal/core"
+	"invarnetx/internal/experiments"
+	"invarnetx/internal/faults"
+	"invarnetx/internal/metrics"
+	"invarnetx/internal/workload"
 )
 
 func main() {
@@ -23,29 +27,29 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	opts := invarnetx.DefaultExperimentOptions()
+	opts := experiments.DefaultOptions()
 	opts.TrainRuns = 5
 	opts.InputMB = 8 * 1024
 	opts.SignatureRuns = 1 // one investigated run per problem is enough here
-	runner := invarnetx.NewExperimentRunner(opts)
+	runner := experiments.NewRunner(opts)
 
 	// Train two contexts: wordcount and grep (the same nodes behave
 	// differently under each workload, which is why the paper keys every
 	// model by (workload type, node)).
 	fmt.Println("training wordcount and grep contexts ...")
-	sys, _, err := runner.TrainSystem(invarnetx.Wordcount)
+	sys, _, err := runner.TrainSystem(workload.Wordcount)
 	if err != nil {
 		log.Fatal(err)
 	}
-	grepSys, _, err := runner.TrainSystem(invarnetx.Grep)
+	grepSys, _, err := runner.TrainSystem(workload.Grep)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Record one investigated problem per context.
-	if err := runner.Label(sys, runner.LabelRows("signaturedb", invarnetx.Wordcount, "mem-hog")); err != nil {
+	if err := runner.Label(sys, runner.LabelRows("signaturedb", workload.Wordcount, "mem-hog")); err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Label(grepSys, runner.LabelRows("signaturedb", invarnetx.Grep, "disk-hog")); err != nil {
+	if err := runner.Label(grepSys, runner.LabelRows("signaturedb", workload.Grep, "disk-hog")); err != nil {
 		log.Fatal(err)
 	}
 
@@ -65,7 +69,7 @@ func main() {
 
 	// A fresh process: load and diagnose.
 	fmt.Println("\nreloading into a fresh system ...")
-	fresh := invarnetx.New(invarnetx.DefaultConfig())
+	fresh := core.New(core.DefaultConfig())
 	rep, err := fresh.LoadFrom(dir)
 	if err != nil {
 		log.Fatal(err)
@@ -77,12 +81,12 @@ func main() {
 
 	// A fresh occurrence, diagnosed over its known fault window by the
 	// reloaded system.
-	out, err := runner.Observe(fresh, invarnetx.Scenario{
+	out, err := runner.Observe(fresh, experiments.Scenario{
 		Study:    "signaturedb",
-		Workload: invarnetx.Wordcount,
-		Faults:   []invarnetx.FaultKind{"mem-hog"},
+		Workload: workload.Wordcount,
+		Faults:   []faults.Kind{"mem-hog"},
 		Index:    3,
-		Origin:   invarnetx.OracleWindow,
+		Origin:   experiments.Oracle,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -95,7 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wrong := invarnetx.Context{Workload: "sort", IP: out.Context.IP}
+	wrong := core.Context{Workload: "sort", IP: out.Context.IP}
 	if _, err := fresh.Diagnose(wrong, win); err != nil {
 		fmt.Printf("  diagnosis under the wrong context fails as expected: %v\n", err)
 	} else {
@@ -105,7 +109,7 @@ func main() {
 
 // faultWindow slices the fault window out of the target trace, clamped to
 // the run length (a short job can end inside the window).
-func faultWindow(res *invarnetx.ExperimentRunResult) (*invarnetx.MetricsTrace, error) {
+func faultWindow(res *experiments.RunResult) (*metrics.Trace, error) {
 	tr := res.TargetTrace()
 	end := res.Window.End
 	if end > tr.Len() {

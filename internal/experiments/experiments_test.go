@@ -241,6 +241,71 @@ func TestDiagnosisStudySmall(t *testing.T) {
 	}
 }
 
+// TestMemHogDetectedAndDiagnosed drives the pipeline by hand, outside
+// Label and Observe: train wordcount, label two mem-hog runs' fault windows,
+// then detect a third from its CPI stream and diagnose the window the alert
+// opens as mem-hog.
+func TestMemHogDetectedAndDiagnosed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline")
+	}
+	opts := DefaultOptions()
+	opts.TrainRuns = 4
+	opts.InputMB = 6 * 1024
+	runner := NewRunner(opts)
+	sys, _, err := runner.TrainSystem(workload.Wordcount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := runner.Run(workload.Wordcount, "mem-hog", 100000+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := res.TargetTrace().Slice(res.Window.Start, min(res.Window.End, res.TargetTrace().Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := core.Context{Workload: "wordcount", IP: res.TargetIP}
+		if err := sys.BuildSignature(ctx, "mem-hog", win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := runner.Run(workload.Wordcount, "mem-hog", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.TargetTrace()
+	ctx := core.Context{Workload: "wordcount", IP: res.TargetIP}
+	det, err := sys.Detector(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := det.NewMonitor(tr.CPI[:6])
+	alert := -1
+	for i := 6; i < tr.Len(); i++ {
+		mon.Offer(tr.CPI[i])
+		if mon.Alert() {
+			alert = i
+			break
+		}
+	}
+	if alert < 0 {
+		t.Fatal("mem-hog not detected")
+	}
+	win, err := tr.Slice(alert-2, min(alert-2+30, tr.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag, err := sys.Diagnose(ctx, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diag.RootCause() != "mem-hog" {
+		t.Errorf("diagnosed %q, want mem-hog (causes: %v)", diag.RootCause(), diag.Causes)
+	}
+}
+
 func TestFig2BenignDisturbance(t *testing.T) {
 	r := NewRunner(tinyOptions())
 	res, err := r.RunFig2()

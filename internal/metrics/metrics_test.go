@@ -3,6 +3,9 @@ package metrics
 import "testing"
 
 func TestNamesAndIndex(t *testing.T) {
+	if Count != 26 {
+		t.Errorf("Count = %d, want the paper's 26 metrics", Count)
+	}
 	if len(Names) != Count {
 		t.Fatalf("len(Names) = %d, want %d", len(Names), Count)
 	}

@@ -22,6 +22,22 @@ func TestMICLinear(t *testing.T) {
 	}
 }
 
+// TestMICMonotoneParabola scores y = x² on [0, 1), where it is monotone,
+// at n = 200.
+func TestMICMonotoneParabola(t *testing.T) {
+	rng := stats.NewRNG(1)
+	n := 200
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.Float64()
+		ys[i] = xs[i] * xs[i]
+	}
+	if s := MIC(xs, ys); s < 0.9 {
+		t.Errorf("MIC(parabola) = %v", s)
+	}
+}
+
 func TestMICNonLinearFunctional(t *testing.T) {
 	rng := stats.NewRNG(201)
 	n := 300

@@ -64,7 +64,7 @@ type IngestRequest struct {
 // means droppable.
 type IngestResponse struct {
 	Accepted   int   `json:"accepted"`
-	QueueDepth int64 `json:"queueDepth"`
+	QueueDepth int64 `json:"queueDepth"` // tasks admitted and not yet finished, running ones included
 }
 
 // DiagnoseRequest is one POST /v1/diagnose body. With Samples the supplied

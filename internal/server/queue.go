@@ -46,7 +46,7 @@ type scheduler struct {
 	closed bool
 	slots  chan struct{}
 
-	depth   atomic.Int64   // queued-but-unfinished tasks, for /v1/stats
+	depth   atomic.Int64   // admitted-but-unfinished tasks, running ones included, for /v1/stats
 	pending sync.WaitGroup // accepted tasks not yet executed (drain barrier)
 }
 

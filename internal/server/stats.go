@@ -112,7 +112,7 @@ type Stats struct {
 	Streams       int     `json:"streams"`
 	Profiles      int     `json:"profiles"`
 	Workers       int     `json:"workers"`
-	QueueDepth    int64   `json:"queueDepth"`
+	QueueDepth    int64   `json:"queueDepth"`    // tasks admitted and not yet finished, running ones included
 	QueueCapacity int     `json:"queueCapacity"` // per-profile bound
 
 	IngestBatches int64 `json:"ingestBatches"`

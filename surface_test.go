@@ -27,12 +27,10 @@ import (
 
 // The closed-package rule guards the module's internal/ packages: nothing
 // outside the module can import them, so an exported name there that no
-// non-test file uses (cmd/, examples/ and bench/ count; the root facade does
-// not — a re-export is not a use) has no possible caller and is surface kept
-// for nobody. An exported function needs more: a caller in another package,
-// where the root facade's wrappers count, since TestFacadeIsTheExamplesAPI
-// ties each of them to an example. A function only its own package calls is
-// an unexported one.
+// non-test file uses (cmd/, examples/ and bench/ count) has no possible
+// caller and is surface kept for nobody. An exported function needs more: a
+// non-test caller in another package. A function only its own package calls
+// is an unexported one.
 
 // testOracles are the exported names kept although only tests reference
 // them, each with its reason: an oracle that tests of *other* packages
@@ -208,9 +206,9 @@ func loadSurfaces(t *testing.T) (invarnetx, fixture *module, stdIfaces []*types.
 
 // usage is what references one declaration.
 type usage struct {
-	product bool     // a non-test file outside bench/ and the facade
+	product bool     // a non-test file outside bench/
 	bench   []string // "bench/<file> l. <line>", each bench/ reference
-	called  bool     // a file of another package, the facade's and bench/'s included
+	called  bool     // a file of another package, bench/'s included
 }
 
 func (u *usage) add(o *usage) {
@@ -219,8 +217,7 @@ func (u *usage) add(o *usage) {
 }
 
 // surfaceErrors applies the closed-package rule to m: its packages under
-// m.path/internal/ are closed, m.path itself is the facade and m.path/bench
-// is bench/. A declaration counts as referenced only through an identifier
+// m.path/internal/ are closed and m.path/bench is bench/. A declaration counts as referenced only through an identifier
 // that resolves to it; a method also through a used method of the same name
 // of an interface its type implements (stdIfaces stand for the standard
 // library's uses). Names only tests reference must be listed in oracles,
@@ -260,11 +257,10 @@ func surfaceErrors(m *module, stdIfaces []*types.Interface, oracles, benchOnly m
 					uses[obj] = u
 				}
 				u.called = u.called || obj.Pkg() != p
-				switch at := m.fset.Position(id.Pos()); p.Path() {
-				case m.path: // a facade wrapper: a call, but no use
-				case m.path + "/bench":
+				if p.Path() == m.path+"/bench" {
+					at := m.fset.Position(id.Pos())
 					u.bench = append(u.bench, fmt.Sprintf("%s l. %d", filepath.ToSlash(at.Filename), at.Line))
-				default:
+				} else {
 					u.product = true
 				}
 				return true
@@ -415,7 +411,7 @@ var benchCite = regexp.MustCompile(`bench/\S+\.go l\. \d+`)
 // declared under internal/, that no identifier resolves to, or that only
 // bench/ references and benchOnly does not list, or on an exported
 // package-level function that no file of another package references (bench/
-// and invarnetx.go count).
+// counts).
 func TestClosedPackagesExportOnlyWhatIsCalled(t *testing.T) {
 	if len(testOracles) > maxTestOracles {
 		t.Errorf("testOracles holds %d names, at most %d are allowed", len(testOracles), maxTestOracles)
@@ -482,103 +478,6 @@ func TestProductLinksNoTestbed(t *testing.T) {
 	for _, q := range pkgs["invarnetx/internal/metrics"].Imports() {
 		if strings.HasPrefix(q.Path(), "invarnetx/") {
 			t.Errorf("internal/metrics imports %s: the sample vocabulary imports nothing of the module", q.Path())
-		}
-	}
-}
-
-// facadeExempt names the one declaration group of invarnetx.go kept whole
-// although the examples use only some of it: the five evaluated workloads.
-const facadeExempt = "Wordcount"
-
-// TestFacadeIsTheExamplesAPI fails on an exported name declared in
-// invarnetx.go that neither examples/ nor example_test.go references. A type
-// named in the signature of a referenced function counts as referenced (a
-// caller holds its values), and the group declaring facadeExempt is kept
-// whole. Everything else the module offers stays under internal/, reached
-// through System and ExperimentRunner.
-func TestFacadeIsTheExamplesAPI(t *testing.T) {
-	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "invarnetx.go", nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[string]bool{}
-	files := []string{"example_test.go"}
-	err = filepath.WalkDir("examples", func(p string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasSuffix(p, ".go") {
-			files = append(files, p)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range files {
-		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alias := ""
-		for _, im := range file.Imports {
-			if strings.Trim(im.Path.Value, `"`) == "invarnetx" {
-				alias = "invarnetx"
-				if im.Name != nil {
-					alias = im.Name.Name
-				}
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && alias != "" && x.Name == alias {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	var names []*ast.Ident
-	exempt := map[string]bool{}
-	for _, d := range facade.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			names = append(names, d.Name)
-			if used[d.Name.Name] {
-				ast.Inspect(d.Type, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						used[id.Name] = true
-					}
-					return true
-				})
-			}
-		case *ast.GenDecl:
-			var group []string
-			for _, spec := range d.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					names = append(names, spec.Name)
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						names = append(names, id)
-						group = append(group, id.Name)
-					}
-				}
-			}
-			for _, n := range group {
-				if n == facadeExempt {
-					for _, m := range group {
-						exempt[m] = true
-					}
-				}
-			}
-		}
-	}
-	if !exempt[facadeExempt] {
-		t.Errorf("invarnetx.go declares no group holding %s: update facadeExempt", facadeExempt)
-	}
-	for _, id := range names {
-		if id.IsExported() && !used[id.Name] && !exempt[id.Name] {
-			t.Errorf("%s: invarnetx.%s is referenced by no example", fset.Position(id.Pos()), id.Name)
 		}
 	}
 }
