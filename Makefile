@@ -26,7 +26,9 @@
 #                        NewBatch and PairKernel, the JSON codec's two
 #                        ends: server's IngestJSONDecode/decoder and
 #                        client's AppendRequest/appender, one 24-sample
-#                        body each) with -count 10, and
+#                        body each, and xmlstore's LoadProfile, one
+#                        persist-shaped profile file) ten times,
+#                        round-robin over the kernels, and
 #                        write BENCH_$(RECORD_ID).json at the root: per
 #                        benchmark the median and quartiles of ns/op (and
 #                        of pairs/op where it is reported) under
@@ -96,25 +98,38 @@ bench-smoke:
 bench-once: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-RECORD_ID ?= 54
+RECORD_ID ?= 57
 
-# The quartiles are the linear-interpolation ones (R's type 7) over the 10
-# runs of each benchmark. The benchmarks run under an explicit GOMAXPROCS,
-# so its -N name suffix (absent when it is 1) is known and stripped
-# exactly. Strings reach awk through its environment, which applies no
-# escapes, and are JSON-escaped on the way out.
+# The kernels bench-record runs: package directory, the name's prefix in the
+# record, -bench pattern.
+RECORD_KERNELS = 'internal/core core TrainContext|VerdictUncached' \
+	'internal/mic mic NewBatch|PairKernel' \
+	'internal/server server IngestJSONDecode/decoder' \
+	'internal/server/client client AppendRequest/appender' \
+	'internal/xmlstore xmlstore LoadProfile'
+
+# Each package's test binary is built once; the ten runs then go round-robin
+# over the kernels, each one -test.count 1 from its package's directory, so a
+# load spike on a shared host lands on every row alike instead of on one
+# package's ten. The quartiles are the linear-interpolation ones (R's type
+# 7) over the 10 runs of each benchmark. The benchmarks run under an
+# explicit GOMAXPROCS, so its -N name suffix (absent when it is 1) is known
+# and stripped exactly. Strings reach awk through its environment, which
+# applies no escapes, and are JSON-escaped on the way out.
 bench-record: build
-	@out=BENCH_$(RECORD_ID).json; raw=$$(mktemp); \
+	@out=BENCH_$(RECORD_ID).json; raw=$$(mktemp); bins=$$(mktemp -d); \
 	procs=$${GOMAXPROCS:-$$(nproc)}; \
 	export NOTE="$$(uname -srm), load average $$(cut -d' ' -f1-3 /proc/loadavg) at the start"; \
 	export COMMIT=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
 	git diff --quiet HEAD -- . ':!BENCH_*.json' 2>/dev/null || COMMIT="$$COMMIT-dirty"; \
 	export CPU="$$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //')"; \
 	export GOVER="$$($(GO) env GOVERSION)"; \
-	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'TrainContext|VerdictUncached' -count 10 ./internal/core | sed 's/^Benchmark/core.Benchmark/' > $$raw && \
-	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'NewBatch|PairKernel' -count 10 ./internal/mic | sed 's/^Benchmark/mic.Benchmark/' >> $$raw && \
-	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'IngestJSONDecode/decoder' -count 10 ./internal/server | sed 's/^Benchmark/server.Benchmark/' >> $$raw && \
-	GOMAXPROCS=$$procs $(GO) test -run '^$$' -bench 'AppendRequest/appender' -count 10 ./internal/server/client | sed 's/^Benchmark/client.Benchmark/' >> $$raw && \
+	fail() { rm -rf $$raw $$bins $$out.tmp; exit 1; }; \
+	for k in $(RECORD_KERNELS); do set -- $$k; $(GO) test -c -o $$bins/$$2.test ./$$1 || fail; done; \
+	for run in 1 2 3 4 5 6 7 8 9 10; do for k in $(RECORD_KERNELS); do set -- $$k; \
+		res=$$(cd $$1 && GOMAXPROCS=$$procs $$bins/$$2.test -test.run '^$$' -test.bench "$$3" -test.count 1) || fail; \
+		printf '%s\n' "$$res" | sed "s/^Benchmark/$$2.Benchmark/" >> $$raw; \
+	done; done; \
 	awk -v procs=$$procs -v nproc="$$(nproc)" ' \
 	function js(s) { gsub(/\\/, "&&", s); gsub(/"/, "\\\"", s); gsub(/[[:cntrl:]]/, " ", s); return s } \
 	function q(key, p,   n, i, j, v, s, pos, lo) { \
@@ -123,7 +138,7 @@ bench-record: build
 		pos = 1 + (n - 1) * p; lo = int(pos); \
 		return lo >= n ? s[n] : s[lo] + (pos - lo) * (s[lo + 1] - s[lo]) } \
 	function stat(key) { return sprintf("{\"q1\": %.1f, \"median\": %.1f, \"q3\": %.1f}", q(key, 0.25), q(key, 0.5), q(key, 0.75)) } \
-	/^(core|mic|server|client)\.Benchmark/ { name = $$1; if (procs > 1) sub("-" procs "$$", "", name); \
+	/^(core|mic|server|client|xmlstore)\.Benchmark/ { name = $$1; if (procs > 1) sub("-" procs "$$", "", name); \
 		if (!(name in seen)) { seen[name] = 1; order[++names] = name } \
 		for (i = 3; i < NF; i += 2) if ($$(i + 1) == "ns/op" || $$(i + 1) == "pairs/op") { key = name SUBSEP $$(i + 1); vals[key, ++cnt[key]] = $$i } } \
 	END { \
@@ -134,7 +149,7 @@ bench-record: build
 			printf "    \"%s\": {\"runs\": %d, \"ns_per_op\": %s", js(name), cnt[name, "ns/op"], stat(name SUBSEP "ns/op"); \
 			if (cnt[name, "pairs/op"]) printf ", \"pairs_per_op\": %s", stat(name SUBSEP "pairs/op"); \
 			printf "}%s\n", k < names ? "," : "" } \
-		printf "  }\n}\n" }' $$raw > $$out.tmp && mv $$out.tmp $$out && rm -f $$raw && echo "wrote $$out" || { rm -f $$raw $$out.tmp; exit 1; }
+		printf "  }\n}\n" }' $$raw > $$out.tmp && mv $$out.tmp $$out && rm -rf $$raw $$bins && echo "wrote $$out" || fail
 
 # Per row: find <dir> -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
 # (0 for a directory with test files only) and, for internal/*:
@@ -160,10 +175,13 @@ loc:
 # strconv.ParseFloat it replaced: the same end, refusal and bits; and the
 # client's request appender against json.Marshal: the same bytes, or the
 # same error, for floats drawn from raw bits and names needing escapes), the store
-# reader's (profile files, the scanner, the direct invariants
-# and signature loops and the packed text merge checked against encoding/xml
-# and a DB.Merge per entry into the base of the root's context, a signature
-# naming another context refusing the file), the lifecycle restore's (an
+# reader's (profile files: the scanner, the direct path that reads pairs and
+# signatures spelled as save writes them straight from the bytes, the token
+# loop it hands every other spelling to, and the packed text merge, checked
+# against encoding/xml and a DB.Merge per entry into the base of the root's
+# context, a signature naming another context refusing the file; seeded with
+# canonical files edited at each point where the direct path must hand
+# over), the lifecycle restore's (an
 # arbitrary edge list over a fixed set: refused — a negative shadow tally, or
 # one counting more violations than evaluations, among the seeded refusals —
 # or restored to a state whose re-saved section restores to itself),

@@ -62,7 +62,7 @@ func parseSignatures(f xmlstore.ProfileFile) (*signature.DB, error) {
 	if f.Version < 0 || f.Version > xmlstore.FormatVersion {
 		return nil, fmt.Errorf("%w: %d", xmlstore.ErrVersion, f.Version)
 	}
-	sigs := signature.NewDB(f.Type, f.IP, 0)
+	sigs := signature.NewDB(f.Type, f.IP)
 	for i, e := range f.Signatures {
 		if e.IP != f.IP || e.Type != f.Type {
 			return nil, fmt.Errorf("signature %d of %s@%s does not belong to the file's %s@%s", i, e.Type, e.IP, f.Type, f.IP)

@@ -43,7 +43,7 @@ type Profile struct {
 
 // newProfile builds an empty profile for key under s's configuration.
 func newProfile(s *System, key Context) *Profile {
-	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize), sigs: signature.NewDB(key.Workload, key.IP, 0)}
+	p := &Profile{sys: s, key: key, cache: newAssocCache(s.cfg.AssocCacheSize), sigs: signature.NewDB(key.Workload, key.IP)}
 	if s.cfg.Lifecycle {
 		p.lc = &lifecycle{}
 	}

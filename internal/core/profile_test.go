@@ -55,7 +55,7 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		}
 		return mat
 	}
-	legacyDB := signature.NewDB(ctx.Workload, ctx.IP, 0)
+	legacyDB := signature.NewDB(ctx.Workload, ctx.IP)
 	for _, sw := range []struct {
 		problem string
 		win     *metrics.Trace

@@ -217,7 +217,7 @@ func (r *Runner) RunContrast(w workload.Type, tuplesPerFault int) (*ContrastResu
 	for _, o := range outs {
 		db := bases[o.Context]
 		if db == nil {
-			db = signature.NewDB(o.Context.Workload, o.Context.IP, 0)
+			db = signature.NewDB(o.Context.Workload, o.Context.IP)
 			bases[o.Context], order = db, append(order, db)
 		}
 		db.Add(o.Scenario.Truth(), o.Diagnosis.Tuple)

@@ -116,7 +116,7 @@ func TestMatchMaskedBitsetEquivalence(t *testing.T) {
 // mask) must resolve every same-length entry without the word loop.
 func TestMatchEarlyExitZeroQuery(t *testing.T) {
 	rng := stats.NewRNG(2202)
-	db := NewDB("w", "n", 0)
+	db := NewDB("w", "n")
 	for i := 0; i < 25; i++ {
 		db.Add("p", randomTuple(rng, 64, 0.2))
 	}
@@ -207,7 +207,7 @@ func TestMinScorePruneBoundary(t *testing.T) {
 	for _, ones := range []int{1, 7, 64, 149} {
 		query := prefix(ones)
 		for k := 0; k <= n; k += 7 {
-			probe := NewDB("wl", "ip", 0)
+			probe := NewDB("wl", "ip")
 			probe.Add("p", prefix(k))
 			ms, err := probe.Match(query, "ip", "wl", 0)
 			if err != nil {

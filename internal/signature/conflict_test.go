@@ -5,7 +5,7 @@ import (
 )
 
 func conflictDB() *DB {
-	db := NewDB("wordcount", "10.0.0.2", 0)
+	db := NewDB("wordcount", "10.0.0.2")
 	// net-drop and net-delay nearly identical (the paper's conflict).
 	db.Add("net-drop", tup("111100"))
 	db.Add("net-delay", tup("111000"))
@@ -37,7 +37,7 @@ func TestConflictsFindsTheKnownPair(t *testing.T) {
 // database, so the same tuple labelled x on one node and y on another is no
 // conflict, and every row names the context audited.
 func TestConflictsRespectsContextBoundaries(t *testing.T) {
-	n1, n2 := NewDB("w", "n1", 0), NewDB("w", "n2", 0)
+	n1, n2 := NewDB("w", "n1"), NewDB("w", "n2")
 	n1.Add("x", tup("1100"))
 	n2.Add("y", tup("1100"))
 	for _, db := range []*DB{n1, n2} {
@@ -163,7 +163,7 @@ func TestSeparabilitiesSkipsStaleTuples(t *testing.T) {
 // first in name order, on every build and whatever the insertion order.
 func TestSeparabilitiesBreakTiesByName(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		db := NewDB("w", "n", 0)
+		db := NewDB("w", "n")
 		db.Add("c", tup("0100"))
 		db.Add("b", tup("1000"))
 		db.Add("a", tup("1100"))
@@ -179,7 +179,7 @@ func TestSeparabilitiesBreakTiesByName(t *testing.T) {
 // comparable — same tuple length — at similarity 0, so each names the
 // other; "" is left for a problem with no comparable rival at all.
 func TestSeparabilitiesNameAZeroSimilarityRival(t *testing.T) {
-	db := NewDB("w", "n", 0)
+	db := NewDB("w", "n")
 	db.Add("x", tup("1100"))
 	db.Add("y", tup("0011"))
 	db.Add("z", tup("110")) // stale length: comparable with nothing

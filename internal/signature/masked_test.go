@@ -45,7 +45,7 @@ func TestMaskedSimilarityMaskLengthMismatch(t *testing.T) {
 }
 
 func TestMatchMasked(t *testing.T) {
-	db := NewDB("wc", "a", 0)
+	db := NewDB("wc", "a")
 	db.Add("cpu-hog", Tuple{true, true, false})
 	db.Add("mem-hog", Tuple{false, true, true})
 	observed := Tuple{true, true, true}
@@ -86,7 +86,7 @@ func TestMatchMasked(t *testing.T) {
 // other value names none, and retrieval refuses it rather than scoring
 // with Jaccard under another name.
 func TestMatchMaskedRefusesOtherMeasures(t *testing.T) {
-	db := NewDB("wc", "a", 0)
+	db := NewDB("wc", "a")
 	db.Add("cpu-hog", Tuple{true, false})
 	for _, m := range []Measure{1, 2, -1} {
 		if ms, err := db.MatchMasked(Tuple{true, false}, nil, "a", "wc", m, 0); err == nil {

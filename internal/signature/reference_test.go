@@ -279,7 +279,7 @@ func TestEntryFingerprintGolden(t *testing.T) {
 		}
 		// The stored form hashes to the same identity: a round trip through
 		// the packed store dedupes against the original.
-		db := NewDB(e.Workload, e.IP, 0)
+		db := NewDB(e.Workload, e.IP)
 		db.Add(e.Problem, e.Tuple)
 		if got := db.Entries()[0].Fingerprint(); got != c.want {
 			t.Errorf("stored Fingerprint(%q, %d coordinates) = %#x, want %#x", c.problem, c.n, got, c.want)
@@ -542,7 +542,7 @@ func TestSignatureStoreFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	db := NewDB("wordcount", "10.0.0.2", 0)
+	db := NewDB("wordcount", "10.0.0.2")
 	for _, e := range entries {
 		db.Merge(e.Problem, e.Tuple)
 	}

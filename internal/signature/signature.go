@@ -152,11 +152,9 @@ func (db *DB) put(problem string, tuple Tuple, unique bool) bool {
 }
 
 // NewDB returns the empty signature base of the operation context
-// (workload, ip), with room for n entries of one tuple length: the shape of
-// a profile file's signatures, which a restore counts before it reads them.
-// NewDB("", "", 0) is the zero DB.
-func NewDB(workload, ip string, n int) *DB {
-	return &DB{store: store{reserve: n, order: make([]entryRef, 0, n)}, workload: workload, ip: ip}
+// (workload, ip). NewDB("", "") is the zero DB.
+func NewDB(workload, ip string) *DB {
+	return &DB{workload: workload, ip: ip}
 }
 
 // MergeText is Merge of the entry whose tuple is the '0'/'1' text tuple, as
@@ -200,13 +198,14 @@ func (db *DB) MergeText(problem string, tuple []byte) (bool, error) {
 // MergeFrom merges every entry of src into db in src's insertion order, as
 // Merge one entry at a time would, and reports how many were added: they
 // join db's context. Into an empty db — a restore's fresh profile — it
-// adopts src's store whole and leaves src empty: src is already
-// deduplicated, so nothing is copied or hashed again. Otherwise each entry
+// adopts src's store whole, columns and capacity as src grew them, and
+// leaves src empty: src is already deduplicated, so nothing is copied or
+// hashed again. Otherwise each entry
 // merges from its packed words, never unpacked, and src is unchanged. The
 // context, MinScore and the scan counters stay db's.
 func (db *DB) MergeFrom(src *DB) (added int) {
 	if len(db.order) == 0 {
-		db.store, src.store = src.store.fit(), store{}
+		db.store, src.store = src.store, store{}
 		return len(db.order)
 	}
 	for _, ref := range src.order {

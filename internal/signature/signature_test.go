@@ -59,7 +59,7 @@ func TestMeasureString(t *testing.T) {
 }
 
 func TestDBAddAndMatch(t *testing.T) {
-	db := NewDB("wordcount", "10.0.0.2", 0)
+	db := NewDB("wordcount", "10.0.0.2")
 	db.Add("cpu-hog", tup("1100"))
 	db.Add("mem-hog", tup("0011"))
 	if db.Len() != 2 {
@@ -85,7 +85,7 @@ func TestDBAddAndMatch(t *testing.T) {
 // being a context value, not a wildcard; and every entry and match it hands
 // out, a clone's included, carries its context.
 func TestMatchContextScoping(t *testing.T) {
-	db := NewDB("sort", "10.0.0.2", 0)
+	db := NewDB("sort", "10.0.0.2")
 	db.Add("a", tup("11"))
 	for _, other := range [][2]string{{"10.0.0.3", "sort"}, {"10.0.0.2", "wordcount"}, {"", "sort"}, {"", ""}} {
 		if _, err := db.Match(tup("11"), other[0], other[1], 0); err != ErrEmpty {
@@ -114,7 +114,7 @@ func TestMatchContextScoping(t *testing.T) {
 }
 
 func TestMatchTopK(t *testing.T) {
-	db := NewDB("w", "x", 0)
+	db := NewDB("w", "x")
 	for i, p := range []string{"a", "b", "c", "d"} {
 		tu := make(Tuple, 4)
 		tu[i] = true
@@ -130,7 +130,7 @@ func TestMatchTopK(t *testing.T) {
 }
 
 func TestMatchSkipsStaleTuples(t *testing.T) {
-	db := NewDB("w", "x", 0)
+	db := NewDB("w", "x")
 	db.Add("old", tup("101"))
 	db.Add("new", tup("10"))
 	ms, err := db.Match(tup("10"), "x", "w", 0)
@@ -143,7 +143,7 @@ func TestMatchSkipsStaleTuples(t *testing.T) {
 }
 
 func TestMinScoreFilter(t *testing.T) {
-	db := NewDB("w", "x", 0)
+	db := NewDB("w", "x")
 	db.MinScore = 0.9
 	db.Add("a", tup("1100"))
 	ms, err := db.Match(tup("0011"), "x", "w", 0)
@@ -213,7 +213,7 @@ func TestSimilarityProperties(t *testing.T) {
 // the (problem, tuple) fingerprint is an entry's identity; the same payload
 // in another context's database is that base's own entry.
 func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
-	db := NewDB("wordcount", "n1", 0)
+	db := NewDB("wordcount", "n1")
 	if !db.Merge("cpu-hog", tup("0110")) {
 		t.Fatal("first Merge should add")
 	}
@@ -224,7 +224,7 @@ func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", db.Len())
 	}
 	// Same payload in another operation context's base is a distinct entry.
-	other := NewDB("wordcount", "n2", 0)
+	other := NewDB("wordcount", "n2")
 	if !other.Merge("cpu-hog", tup("0110")) || other.Len() != 1 || db.Len() != 1 {
 		t.Error("same payload, different context should add to that context alone")
 	}
@@ -241,7 +241,7 @@ func TestMergeDedupesByContextAndFingerprint(t *testing.T) {
 }
 
 func TestMergeSurvivesClone(t *testing.T) {
-	db := NewDB("wordcount", "n1", 0)
+	db := NewDB("wordcount", "n1")
 	db.Merge("cpu-hog", tup("0110"))
 	// A clone dedupes against the entries it copied.
 	c := db.Clone()

@@ -1,10 +1,5 @@
 package signature
 
-import (
-	"maps"
-	"slices"
-)
-
 // Flat packed signature store. The paper observes that "the number of items
 // in signature database increases gradually", so the per-diagnosis retrieval
 // cost grows with labelling history unless the scan stays cheap per entry
@@ -77,22 +72,15 @@ type store struct {
 	// per-problem reducer indexes by it.
 	problems []string
 	probID   map[string]int32
-	// reserve is the entry count NewDB sized the store for: order, the dedup
-	// set and the first bucket's columns are made with room for that many.
-	reserve int
 }
 
 // add stores one packed tuple of n coordinates; fp is the entry's
 // fingerprint. With unique set, an entry whose fingerprint the store
 // already holds is left out and add reports false.
 func (st *store) add(fp uint64, problem string, n int, words []uint64, unique bool) bool {
-	var reserve int
-	if len(st.order) == 0 {
-		reserve = st.reserve
-	}
 	if st.byLen == nil {
 		st.byLen = make(map[int]*bucket)
-		st.dedup = make(map[uint64]struct{}, reserve)
+		st.dedup = make(map[uint64]struct{})
 		st.probID = make(map[string]int32)
 	}
 	if _, dup := st.dedup[fp]; dup && unique {
@@ -108,11 +96,6 @@ func (st *store) add(fp uint64, problem string, n int, words []uint64, unique bo
 	b := st.byLen[n]
 	if b == nil {
 		b = &bucket{n: n, stride: (n + 63) / 64}
-		if reserve > 0 {
-			// Not the words: a count taken from a file's markup, times the
-			// stride of one long tuple in it, may be far more than the file.
-			b.ones, b.probs, b.ids = make([]int32, 0, reserve), make([]int32, 0, reserve), make([]int32, 0, reserve)
-		}
 		st.byLen[n] = b
 	}
 	b.words = append(b.words, words...)
@@ -121,27 +104,6 @@ func (st *store) add(fp uint64, problem string, n int, words []uint64, unique bo
 	b.ids = append(b.ids, int32(len(st.order)))
 	st.order = append(st.order, entryRef{b: b, pos: int32(len(b.ids) - 1)})
 	return true
-}
-
-// fit returns st with the room NewDB reserved and the entries left unused —
-// by duplicates, or by entries of a second tuple length — given back, so a
-// store adopted whole holds no more slack than one grown entry by entry. A
-// store that filled its reservation exactly, as a saved profile file does,
-// is returned as it is.
-func (st store) fit() store {
-	if st.reserve == 0 {
-		return st
-	}
-	if len(st.order) < st.reserve {
-		st.order, st.dedup = slices.Clone(st.order), maps.Clone(st.dedup)
-	}
-	if len(st.order) > 0 {
-		if b := st.order[0].b; len(b.ids) < st.reserve {
-			b.ones, b.probs, b.ids = slices.Clone(b.ones), slices.Clone(b.probs), slices.Clone(b.ids)
-		}
-	}
-	st.reserve = 0
-	return st
 }
 
 // entry unpacks the stored entry ref locates, stamped with the database's

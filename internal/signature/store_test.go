@@ -131,11 +131,12 @@ func mergeEach(db, src *DB) (added int) {
 	return added
 }
 
-// textDB fills a database of the context (wc, 10.0.0.2) sized for
-// len(lines) the way a restore does, one MergeText per line "problem tuple".
+// textDB fills a database of the context (wc, 10.0.0.2) the way a restore
+// does, one MergeText per line "problem tuple", its columns grown by append
+// as they go: NewDB reserves nothing.
 func textDB(t *testing.T, lines ...string) *DB {
 	t.Helper()
-	db := NewDB("wc", "10.0.0.2", len(lines))
+	db := NewDB("wc", "10.0.0.2")
 	for _, l := range lines {
 		f := strings.Fields(l)
 		if _, err := db.MergeText(f[0], []byte(f[1])); err != nil {
@@ -179,10 +180,12 @@ func TestMergeFrom(t *testing.T) {
 	}
 }
 
-// TestAdoptedStoreSlack: NewDB reserves room for the count a restore takes
-// from the file's markup; a file whose signatures repeat, or span tuple
-// lengths, uses less of it, and the adopted store must hold no more capacity
-// than the same entries merged one by one into a fresh DB.
+// TestAdoptedStoreSlack: NewDB reserves nothing, so a restore's database
+// grows by append as a fresh profile's would, and MergeFrom adopts it as it
+// is. What remains to check is that adoption adds no slack: for a file whose
+// signatures are distinct, repeat, or span tuple lengths, the adopted store
+// must hold no more capacity than the same entries merged one by one into a
+// fresh DB.
 func TestAdoptedStoreSlack(t *testing.T) {
 	capacity := func(db *DB) (n int) {
 		n = cap(db.order)
@@ -199,7 +202,7 @@ func TestAdoptedStoreSlack(t *testing.T) {
 		mixed = append(mixed, fmt.Sprintf("p%d %s", i%3, tuple[:1+i%4]))
 	}
 	for name, lines := range map[string][]string{"distinct": distinct, "repeated": repeated, "mixed": mixed} {
-		adopted, appended := NewDB("wc", "10.0.0.2", 0), NewDB("wc", "10.0.0.2", 0)
+		adopted, appended := NewDB("wc", "10.0.0.2"), NewDB("wc", "10.0.0.2")
 		adopted.MergeFrom(textDB(t, lines...))
 		mergeEach(appended, textDB(t, lines...))
 		if !reflect.DeepEqual(adopted.Entries(), appended.Entries()) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,7 +189,7 @@ func profileWith(s string, parts int) ProfileFile {
 			Edges: []LifecycleEdge{{I: 0, J: 1, State: s, Obs: 9, Viol: 2, Rate: 0.25, ShadowBase: 0.5}, {I: 2, J: 4, State: "live"}}}
 	}
 	if parts&withSignatures != 0 {
-		db := signature.NewDB(f.Type, f.IP, 0)
+		db := signature.NewDB(f.Type, f.IP)
 		for i, tuple := range []string{"01101", "11000", ""} {
 			tu, _ := signature.ParseTuple(tuple)
 			db.Add(fmt.Sprintf("%s-%d", s, i/2), tu)
@@ -268,7 +269,7 @@ func checkAgainstStock(t testing.TB, in []byte) {
 	if err != nil {
 		return
 	}
-	ref := signature.NewDB(f.Type, f.IP, 0)
+	ref := signature.NewDB(f.Type, f.IP)
 	for _, e := range parsed {
 		ref.Merge(e.Problem, e.Tuple)
 	}
@@ -336,6 +337,103 @@ var handEdits = []string{
 	`<profile><invariants><metrics>3</metrics><pair i="0" j="1" value="0.5">4</pair></invariants></profile>`,
 }
 
+// perturbations are a canonical file — every part, three signatures and two
+// pairs, all as save writes them for a plain context — edited at one point
+// where the direct path must refuse and the token loop take over from the
+// same position. Most edit the second signature or pair, so the direct path
+// reads the elements before it and the token loop the rest.
+func perturbations(t testing.TB) map[string][]byte {
+	t.Helper()
+	canon := saved(t, profileWith("10.0.0.2", withAll))
+	// nth replaces the n-th occurrence (from 1) of old.
+	nth := func(old, new string, n int) []byte {
+		at := 0
+		for ; n > 0; n-- {
+			k := bytes.Index(canon[at:], []byte(old))
+			if k < 0 {
+				t.Fatalf("the canonical file holds fewer occurrences of %q", old)
+			}
+			at += k + len(old)
+		}
+		at -= len(old)
+		return slices.Concat(canon[:at], []byte(new), canon[at+len(old):])
+	}
+	// cut ends the file n bytes into the first occurrence of within.
+	cut := func(within string, n int) []byte {
+		k := bytes.Index(canon, []byte(within))
+		if k < 0 {
+			t.Fatalf("the canonical file holds no %q", within)
+		}
+		return bytes.Clone(canon[:k+n])
+	}
+	const sig2, pair2 = "<tuple>11000</tuple>", `<pair i="2" j="4" value="5e-324">`
+	return map[string][]byte{
+		"entity in problem":      nth("<problem>10.0.0.2-0</problem>", "<problem>10.0.0.2&amp;0</problem>", 2),
+		"crlf in a signature":    nth(sig2+"\n", sig2+"\r\n", 1),
+		"crlf everywhere":        bytes.ReplaceAll(canon, []byte("\n"), []byte("\r\n")),
+		"leaves out of order":    nth("<ip>10.0.0.2</ip>\n    <type>wl10.0.0.2</type>", "<type>wl10.0.0.2</type>\n    <ip>10.0.0.2</ip>", 2),
+		"unknown leaf":           nth("</type>\n  </signature>", "</type>\n    <note>n</note>\n  </signature>", 2),
+		"comment between":        nth(sig2, sig2+"<!-- c -->", 1),
+		"comment in a text":      nth(sig2, "<tuple>110<!-- c -->00</tuple>", 1),
+		"attribute on tuple":     nth(sig2, `<tuple n="1">11000</tuple>`, 1),
+		"self-closing tuple":     nth("<tuple></tuple>", "<tuple/>", 1),
+		"repeated tuple":         nth(sig2, "<tuple>1</tuple>"+sig2, 1),
+		"self-closing signature": nth("<signature>", "<signature/>", 2),
+		"fourth attribute":       nth(pair2, `<pair i="2" j="4" value="5e-324" w="1">`, 1),
+		"attributes reordered":   nth(pair2, `<pair j="4" i="2" value="5e-324">`, 1),
+		"leading zero":           nth(pair2, `<pair i="02" j="4" value="5e-324">`, 1),
+		"signed index":           nth(pair2, `<pair i="+2" j="4" value="5e-324">`, 1),
+		"NaN value":              nth(pair2, `<pair i="2" j="4" value="NaN">`, 1),
+		"space in a value":       nth(pair2, `<pair i="2" j="4" value="5e-324 ">`, 1),
+		"self-closing pair":      nth(pair2+"</pair>", `<pair i="2" j="4" value="5e-324"/>`, 1),
+		"self-closing matrix":    nth("<matrix>", "<matrix/>", 1),
+		"cut in a signature":     cut(sig2, 9),
+		"cut in a pair":          cut(pair2, 20),
+	}
+}
+
+// directReach counts the signatures and pairs of data the direct path
+// takes: each <signature> start tag's content through canonicalSignature,
+// and the pairs in a row after each <matrix> start tag through
+// canonicalPair, as the decoder calls them.
+func directReach(data []byte) (sigs, pairs int) {
+	for rest := data; ; {
+		_, after, found := bytes.Cut(rest, []byte("<signature>"))
+		if !found {
+			break
+		}
+		if _, n := canonicalSignature(after); n > 0 {
+			sigs++
+		}
+		rest = after
+	}
+	for rest := data; ; {
+		_, after, found := bytes.Cut(rest, []byte("<matrix>"))
+		if !found {
+			break
+		}
+		for _, n := canonicalPair(after); n > 0; _, n = canonicalPair(after) {
+			pairs++
+			after = after[n:]
+		}
+		rest = after
+	}
+	return sigs, pairs
+}
+
+// TestDirectPathReach: every signature and pair of a file save writes for a
+// plain context takes the direct path, so a change to save's spelling
+// cannot silently send a restore back through the token loop.
+func TestDirectPathReach(t *testing.T) {
+	for _, doc := range [][]byte{saved(t, profileWith("10.0.0.2", withAll)), persistShaped(t)} {
+		sigs, pairs := directReach(doc)
+		wantSigs, wantPairs := bytes.Count(doc, []byte("<signature>")), bytes.Count(doc, []byte("<pair "))
+		if sigs != wantSigs || pairs != wantPairs || sigs == 0 || pairs == 0 {
+			t.Errorf("the direct path reads %d of %d signatures and %d of %d pairs", sigs, wantSigs, pairs, wantPairs)
+		}
+	}
+}
+
 func TestProfileLoopMatchesReflection(t *testing.T) {
 	for _, doc := range handEdits {
 		checkAgainstStock(t, []byte(doc))
@@ -344,6 +442,15 @@ func TestProfileLoopMatchesReflection(t *testing.T) {
 		for parts := 0; parts <= withAll; parts++ {
 			checkAgainstStock(t, saved(t, profileWith(s, parts)))
 		}
+	}
+	// At each point of perturbations the direct path refuses — it reads
+	// fewer elements than the file holds — and the token loop takes over.
+	for name, doc := range perturbations(t) {
+		sigs, pairs := directReach(doc)
+		if sigs >= bytes.Count(doc, []byte("<signature")) && pairs >= bytes.Count(doc, []byte("<pair")) {
+			t.Errorf("%s: the direct path reads all %d signatures and %d pairs", name, sigs, pairs)
+		}
+		checkAgainstStock(t, doc)
 	}
 	// And it is not vacuous: the repeated-scalar document decodes, to this,
 	got, db, err := decodeProfile([]byte(handEdits[7]))
@@ -386,6 +493,9 @@ func FuzzLoad(f *testing.F) {
 	}
 	for _, doc := range handEdits {
 		f.Add([]byte(doc))
+	}
+	for _, doc := range perturbations(f) {
+		f.Add(doc)
 	}
 	whole := saved(f, profileWith("t", withAll))
 	f.Add(whole[:len(whole)/2])
@@ -502,14 +612,15 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 // TestSignatureFileDecodeAllocs pins the allocation shape of the direct
 // loop on a profile file: per entry, only the problem name when it differs
 // from the entry before — the tuple text packs into the database's columns,
-// which are sized from the file up front — whatever the file's size; per
-// file, a constant, most of it the reflection-decoded sections. Boxing each
+// which grow by append, a few hundredths of an allocation per entry —
+// whatever the file's size; per file, a constant, most
+// of it the reflection-decoded sections. Boxing each
 // of an entry's twenty tokens into xml.Token was ~43 % of the restore
 // profile before the scanner had a by-value next, and the tuple, parsed into
 // a []bool and packed again, was most of what remained.
 func TestSignatureFileDecodeAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		db := signature.NewDB("wordcount", "10.0.0.2", 0)
+		db := signature.NewDB("wordcount", "10.0.0.2")
 		rng := stats.NewRNG(int64(n))
 		for i := 0; i < n; i++ {
 			tuple := make(signature.Tuple, 120)
@@ -561,5 +672,48 @@ func TestInvariantPairDecodeAllocs(t *testing.T) {
 	t.Logf("allocations: %.0f at 90 pairs, %.0f at 900: %.4f per pair", small, large, perPair)
 	if perPair > 0.1 {
 		t.Errorf("allocations per pair = %.4f; want <= 0.1 (the pair list's growth, amortised)", perPair)
+	}
+}
+
+// persistShaped is a profile file shaped like one of the store bench/'s
+// persist workload restores: a model, 130 invariant pairs over 26 metrics
+// and 250 signatures of 130 coordinates labelled with 200 problems. Like
+// that store's, it has no lifecycle section: the daemon's default
+// configuration runs no lifecycle.
+func persistShaped(t testing.TB) []byte {
+	t.Helper()
+	rng := stats.NewRNG(250)
+	base := make(map[invariant.Pair]float64, 130)
+	for len(base) < 130 {
+		if a, b := rng.Intn(26), rng.Intn(26); a != b {
+			base[invariant.Pair{I: min(a, b), J: max(a, b)}] = rng.Float64()
+		}
+	}
+	f := ProfileFile{Version: FormatVersion, IP: "10.0.0.2", Type: "wordcount",
+		Model: EncodeModel(sampleDetector()), Invariants: EncodeInvariants(invariant.NewSet(26, base))}
+	db := signature.NewDB(f.Type, f.IP)
+	for i := 0; i < 250; i++ {
+		density := rng.Uniform(0.05, 0.4)
+		tuple := make(signature.Tuple, 130)
+		for k := range tuple {
+			tuple[k] = rng.Bernoulli(density)
+		}
+		db.Add(fmt.Sprintf("synth-%03d", i%200), tuple)
+	}
+	f.Signatures = signaturesOf(db)
+	return saved(t, f)
+}
+
+// BenchmarkLoadProfile times the decode of one persist-shaped profile file
+// from memory: what LoadProfile costs past os.ReadFile.
+func BenchmarkLoadProfile(b *testing.B) {
+	data := persistShaped(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, db, err := decodeProfile(data); err != nil || db.Len() != 250 {
+			b.Fatalf("decoded %v: %v", db, err)
+		}
 	}
 }

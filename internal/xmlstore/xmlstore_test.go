@@ -237,7 +237,7 @@ func TestInvariantDecodeValidation(t *testing.T) {
 }
 
 func TestSignatureRoundTrip(t *testing.T) {
-	db := signature.NewDB("wordcount", "10.0.0.2", 0)
+	db := signature.NewDB("wordcount", "10.0.0.2")
 	tu, _ := signature.ParseTuple("01101")
 	db.Add("cpu-hog", tu)
 	tu2, _ := signature.ParseTuple("11000")
@@ -261,7 +261,7 @@ func TestSignatureRoundTrip(t *testing.T) {
 // that database must answer a filtered query (unmasked Jaccard with MinScore
 // > 0) exactly like the database that was persisted.
 func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
-	db := signature.NewDB("wordcount", "10.0.0.2", 0)
+	db := signature.NewDB("wordcount", "10.0.0.2")
 	tu, _ := signature.ParseTuple("0110100011")
 	db.Add("cpu-hog", tu)
 	tu2, _ := signature.ParseTuple("1100000000")
@@ -271,7 +271,7 @@ func TestSignatureDecodeRestoresRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2 := signature.NewDB("wordcount", "10.0.0.2", 0)
+	db2 := signature.NewDB("wordcount", "10.0.0.2")
 	db2.MinScore = 0.5
 	db2.MergeFrom(restored)
 	got, err := db2.MatchMasked(tu, nil, "10.0.0.2", "wordcount", signature.Jaccard, 1)
@@ -386,7 +386,7 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 func TestSignatureRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := stats.NewRNG(seed)
-		db := signature.NewDB("wordcount", "10.0.0.2", 0)
+		db := signature.NewDB("wordcount", "10.0.0.2")
 		n := int(nRaw % 12)
 		for i := 0; i < n; i++ {
 			tu := make(signature.Tuple, 5+rng.Intn(10))
