@@ -200,9 +200,9 @@ func (db *DB) MergeText(problem string, tuple []byte) (bool, error) {
 // join db's context. Into an empty db — a restore's fresh profile — it
 // adopts src's store whole, columns and capacity as src grew them, and
 // leaves src empty: src is already deduplicated, so nothing is copied or
-// hashed again. Otherwise each entry
-// merges from its packed words, never unpacked, and src is unchanged. The
-// context, MinScore and the scan counters stay db's.
+// hashed again. Otherwise each entry merges from its packed words, never
+// unpacked, and src is unchanged. The context, MinScore and the scan
+// counters stay db's.
 func (db *DB) MergeFrom(src *DB) (added int) {
 	if len(db.order) == 0 {
 		db.store, src.store = src.store, store{}

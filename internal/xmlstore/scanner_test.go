@@ -478,9 +478,10 @@ func TestProfileLoopMatchesReflection(t *testing.T) {
 
 // FuzzLoad holds every xmlstore read path to the rule for decoders of bytes
 // the program did not write — error, never panic or over-allocate — and the
-// scanner, the direct invariants and signature loops and the packed text
-// merge to their contract with encoding/xml and DB.Merge (see
-// checkAgainstStock).
+// scanner, the direct path and the token loop of the invariants and
+// signatures, and the packed text merge to their contract with encoding/xml
+// and DB.Merge (see checkAgainstStock). The perturbations seed the boundary
+// between the two paths.
 func FuzzLoad(f *testing.F) {
 	for _, s := range hostile {
 		for _, doc := range savedFiles(f, s) {
