@@ -379,16 +379,23 @@ func perturbations(t testing.TB) map[string][]byte {
 		"self-closing tuple":     nth("<tuple></tuple>", "<tuple/>", 1),
 		"repeated tuple":         nth(sig2, "<tuple>1</tuple>"+sig2, 1),
 		"self-closing signature": nth("<signature>", "<signature/>", 2),
-		"fourth attribute":       nth(pair2, `<pair i="2" j="4" value="5e-324" w="1">`, 1),
-		"attributes reordered":   nth(pair2, `<pair j="4" i="2" value="5e-324">`, 1),
-		"leading zero":           nth(pair2, `<pair i="02" j="4" value="5e-324">`, 1),
-		"signed index":           nth(pair2, `<pair i="+2" j="4" value="5e-324">`, 1),
-		"NaN value":              nth(pair2, `<pair i="2" j="4" value="NaN">`, 1),
-		"space in a value":       nth(pair2, `<pair i="2" j="4" value="5e-324 ">`, 1),
-		"self-closing pair":      nth(pair2+"</pair>", `<pair i="2" j="4" value="5e-324"/>`, 1),
-		"self-closing matrix":    nth("<matrix>", "<matrix/>", 1),
-		"cut in a signature":     cut(sig2, 9),
-		"cut in a pair":          cut(pair2, 20),
+		// what follows a self-closing tag is not its content: read as the
+		// content, the leaves below would close the root and end the file
+		"self-closing last signature, root left open": func() []byte {
+			doc := nth("<signature>", "<signature/>", 3)
+			return doc[:bytes.LastIndex(doc, []byte("</signature>"))+len("</signature>")]
+		}(),
+		"fourth attribute":     nth(pair2, `<pair i="2" j="4" value="5e-324" w="1">`, 1),
+		"attributes reordered": nth(pair2, `<pair j="4" i="2" value="5e-324">`, 1),
+		"leading zero":         nth(pair2, `<pair i="02" j="4" value="5e-324">`, 1),
+		"signed index":         nth(pair2, `<pair i="+2" j="4" value="5e-324">`, 1),
+		"NaN value":            nth(pair2, `<pair i="2" j="4" value="NaN">`, 1),
+		"space in a value":     nth(pair2, `<pair i="2" j="4" value="5e-324 ">`, 1),
+		"self-closing pair":    nth(pair2+"</pair>", `<pair i="2" j="4" value="5e-324"/>`, 1),
+		// and the pairs after a self-closing <matrix> are not its pairs
+		"self-closing matrix": bytes.Replace(nth("<matrix>", "<matrix/>", 1), []byte("</matrix>"), nil, 1),
+		"cut in a signature":  cut(sig2, 9),
+		"cut in a pair":       cut(pair2, 20),
 	}
 }
 
