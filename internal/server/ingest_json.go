@@ -6,8 +6,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/big"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -287,66 +291,183 @@ func (d *jsonScanner) float() float64 {
 	return v
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// number reads the JSON number starting at buf[i] in one walk, which checks
-// the grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and accumulates
-// the digits into a mantissa m, and returns its value, its end, and
-// ParseFloat's error; end is -1 when the grammar refuses it. A literal with no
-// exponent, at most 19 significant digits (so m cannot wrap), m below 2^53
-// and k <= 22 fraction digits is m / 10^k: one division of two exactly
-// represented operands, correctly rounded as ParseFloat is, so the same bits
-// (Clinger's fast path, taken to 2^53 where strconv's own stops at 2^52).
-// Any other literal goes to ParseFloat.
+// number reads the JSON number starting at buf[i] and returns its value, its
+// end, and ParseFloat's error; end is -1 when the grammar refuses it.
+// numberWalk converts the literal itself where it can; any other goes to
+// strconv.ParseFloat on the slice the walk delimited.
 func number(buf []byte, i int) (v float64, end int, err error) {
-	start := i
-	if i < len(buf) && buf[i] == '-' {
+	v, end, done := numberWalk(buf, i)
+	if end >= 0 && !done {
+		v, err = strconv.ParseFloat(string(buf[i:end]), 64)
+	}
+	return v, end, err
+}
+
+// numberWalk checks the literal at buf[i] against the JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? in one walk, which
+// accumulates its digits into a mantissa m, counts its k fraction digits and
+// reads its exponent x, and returns its end (-1 when the grammar refuses it).
+// A literal with at most 19 significant digits (so m cannot wrap) and an
+// exponent of at most 4 significant digits (so x is the exponent strconv
+// reads, which stops accumulating past 10 000) goes to eiselLemire at the
+// power x − k; when the step decides, numberWalk returns its value and done.
+// That value is the correctly rounded one, so it has the bits ParseFloat
+// gives the literal.
+func numberWalk(buf []byte, i int) (v float64, end int, done bool) {
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
 		i++
 	}
 	j, m, sig := digits(buf, i, 0, 0)
 	if j == i || buf[i] == '0' && j > i+1 {
-		return 0, -1, nil // no integer digit, or a leading zero
+		return 0, -1, false // no integer digit, or a leading zero
 	}
-	k := 0 // fraction digits
+	q := 0 // the power of ten that scales m: x - k
 	if j < len(buf) && buf[j] == '.' {
 		f := j + 1
 		if j, m, sig = digits(buf, f, m, sig); j == f {
-			return 0, -1, nil
+			return 0, -1, false
 		}
-		k = j - f
+		q = f - j
 	}
 	if j < len(buf) && (buf[j] == 'e' || buf[j] == 'E') {
 		e := j + 1
-		if e < len(buf) && (buf[e] == '+' || buf[e] == '-') {
+		xneg := e < len(buf) && buf[e] == '-'
+		if xneg || e < len(buf) && buf[e] == '+' {
 			e++
 		}
-		if j, _, _ = digits(buf, e, 0, 0); j == e {
-			return 0, -1, nil
+		x, xsig := uint64(0), 0
+		if j, x, xsig = digits(buf, e, 0, 0); j == e {
+			return 0, -1, false
+		} else if xsig > 4 {
+			return 0, j, false
 		}
-	} else if sig <= 19 && m < 1<<53 && k < len(pow10) {
-		if v = float64(m) / pow10[k]; buf[start] == '-' {
-			v = -v
+		if xneg {
+			q -= int(x)
+		} else {
+			q += int(x)
 		}
-		return v, j, nil
 	}
-	v, err = strconv.ParseFloat(string(buf[start:j]), 64)
-	return v, j, err
+	if sig > 19 {
+		return 0, j, false
+	}
+	v, done = eiselLemire(m, q, neg)
+	return v, j, done
 }
 
-// digits reads the decimal digits from buf[j] on into the mantissa m, counting
-// in sig those from the first non-zero one on (so m has not wrapped while
-// sig <= 19), and returns their end and the new m and sig.
+// digits reads the decimal digits from buf[j] on into the mantissa m and
+// returns their end, the new m, and sig plus the count of digits read from
+// the first one that leaves m non-zero (leading zeros count for nothing, so m
+// has not wrapped while sig <= 19). It reads eight bytes at a time while all
+// eight are digits, one 64-bit load, check and multiply per eight, then the
+// rest byte by byte.
 func digits(buf []byte, j int, m uint64, sig int) (int, uint64, int) {
-	for ; j < len(buf) && buf[j]-'0' <= 9; j++ {
-		c := uint64(buf[j] - '0')
-		if m|c != 0 {
-			sig++
+	if m == 0 {
+		for j < len(buf) && buf[j] == '0' {
+			j++
 		}
-		m = m*10 + c
 	}
-	return j, m, sig
+	s := j
+	for ; j+8 <= len(buf); j += 8 {
+		b := binary.LittleEndian.Uint64(buf[j:])
+		// A byte below '0' borrows into its top bit when '0' is subtracted,
+		// one above '9' carries into it when 0x46 is added (or already has
+		// it, which the subtraction keeps); the lowest such byte sees no
+		// carry or borrow from below.
+		if ((b+0x4646464646464646)|(b-0x3030303030303030))&0x8080808080808080 != 0 {
+			break
+		}
+		b -= 0x3030303030303030
+		b = b*10 + b>>8 // two-digit values in bytes 0, 2, 4 and 6
+		b = ((b&0x000000FF000000FF)*(100+1000000<<32) + (b>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		m = m*100000000 + b
+	}
+	for ; j < len(buf) && buf[j]-'0' <= 9; j++ {
+		m = m*10 + uint64(buf[j]-'0')
+	}
+	return j, m, sig + j - s
+}
+
+// The powers of ten eiselLemire takes, both bounds inclusive.
+const (
+	minPow = -348
+	maxPow = 347
+)
+
+// powers holds 10^q for q in [minPow, maxPow] as row q − minPow: the 128-bit
+// mantissa ⌊10^q·2^s⌋, with s the shift that sets bit 127, as its {high,
+// low} words. They are strconv's detailedPowersOfTen, built once here from
+// exact integers.
+var powers [maxPow - minPow + 1][2]uint64
+
+func init() {
+	var row [16]byte
+	ten, one := big.NewInt(10), big.NewInt(1)
+	p, r := big.NewInt(1), new(big.Int)
+	put := func(q int, r *big.Int) {
+		r.FillBytes(row[:])
+		powers[q-minPow] = [2]uint64{binary.BigEndian.Uint64(row[:8]), binary.BigEndian.Uint64(row[8:])}
+	}
+	for q := 0; q <= maxPow; q++ { // p = 10^q, shifted to 128 bits
+		put(q, r.Rsh(r.Lsh(p, 128), uint(p.BitLen())))
+		p.Mul(p, ten)
+	}
+	p.SetInt64(10)
+	for q := -1; q >= minPow; q-- { // p = 10^-q, and 2^s / p has 128 bits
+		put(q, r.Quo(r.Lsh(one, uint(127+p.BitLen())), p))
+		p.Mul(p, ten)
+	}
+}
+
+// eiselLemire returns the float64 nearest m·10^q and true when the
+// Eisel–Lemire step decides it (Lemire, "Number Parsing at a Gigabyte per
+// Second", 2021), and false when the 128-bit product cannot tell which way
+// to round, q is outside powers, or the value is subnormal or out of range.
+// It is strconv's eiselLemire64, which strconv does not export.
+func eiselLemire(m uint64, q int, neg bool) (float64, bool) {
+	var sign uint64
+	if neg {
+		sign = 1 << 63
+	}
+	if m == 0 {
+		return math.Float64frombits(sign), true
+	}
+	if q < minPow || q > maxPow {
+		return 0, false
+	}
+	clz := bits.LeadingZeros64(m)
+	m <<= clz & 63
+	exp := uint64(217706*q>>16+64+1023) - uint64(clz) // 217706/2^16 ≈ log2(10)
+	pow := &powers[q-minPow]
+	hi, lo := bits.Mul64(m, pow[0])
+	if hi&0x1FF == 0x1FF && lo+m < m {
+		// The low word's product may carry into the bits that round.
+		yHi, yLo := bits.Mul64(m, pow[1])
+		wHi, wLo := hi, lo+yHi
+		if wLo < lo {
+			wHi++
+		}
+		if wHi&0x1FF == 0x1FF && wLo+1 == 0 && yLo+m < m {
+			return 0, false
+		}
+		hi, lo = wHi, wLo
+	}
+	msb := hi >> 63
+	mant := hi >> ((msb + 9) & 63) // 54 bits
+	exp -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 {
+		return 0, false // on a halfway point the truncated power cannot round
+	}
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp++
+	}
+	if exp-1 >= 0x7FF-1 {
+		return 0, false // zero or below (subnormal), 0x7FF or above (out of range)
+	}
+	return math.Float64frombits(sign | exp<<52 | mant&(1<<52-1)), true
 }
 
 // null consumes a null literal if one comes next.

@@ -402,38 +402,52 @@ func numberDiff(buf []byte) string {
 	return ""
 }
 
-// numberEdges are the exact path's edges, each followed by a comma: the
-// seeds of FuzzJSONNumber and the rows of TestJSONNumberEdges.
+// numberEdges are the in-house step's edges and its fallbacks' (each
+// followed by a comma): the seeds of FuzzJSONNumber and the rows of
+// TestJSONNumberEdges.
 var numberEdges = []struct {
 	lit     string
 	refused bool
 }{
-	{lit: "9007199254740991"},            // 2^53 - 1: exact
-	{lit: "-9007199254740991"},           // exact, negated
-	{lit: "9007199254740992"},            // 2^53: ParseFloat
-	{lit: "9007199254740993"},            // 2^53 + 1: ParseFloat, rounds to even
-	{lit: "4503599627370497"},            // 2^52 + 1: exact here, not in strconv
+	{lit: "9007199254740991"},            // 2^53 - 1
+	{lit: "-9007199254740991"},           // negated
+	{lit: "9007199254740992"},            // 2^53
+	{lit: "9007199254740993"},            // 2^53 + 1: halfway, ParseFloat rounds to even
+	{lit: "4503599627370497"},            // 2^52 + 1
 	{lit: "900719925474099.1"},           // 2^53 - 1 with one fraction digit
-	{lit: "0.9007199254740993"},          // 2^53 + 1 over 10^16: ParseFloat
-	{lit: "0.0000000000000000000015"},    // 22 fraction digits: exact
-	{lit: "0.00000000000000000000015"},   // 23: ParseFloat
+	{lit: "0.9007199254740993"},          // 2^53 + 1 over 10^16
+	{lit: "0.0000000000000000000015"},    // 22 fraction digits
+	{lit: "0.00000000000000000000015"},   // 23
 	{lit: "1234567890123456789"},         // 19 significant digits
-	{lit: "12345678901234567890"},        // 20
+	{lit: "9999999999999999999"},         // 10^19 - 1: the largest 19-digit mantissa
+	{lit: "12345678901234567890"},        // 20: ParseFloat
 	{lit: "0.0000012345678901234567890"}, // 20 after leading zeros
 	{lit: "18446744073709551616"},        // 2^64: a 64-bit mantissa wraps to 0
 	{lit: "18446744073709551617"},        // wraps to 1
 	{lit: "1844674407370955161.7"},       // wraps to 1 over 10
 	{lit: "36893488147419103233"},        // 2^65 + 1: wraps to 1
-	{lit: "0"}, {lit: "-0"}, {lit: "-0.0"}, {lit: "0.000"},
+	{lit: "0"}, {lit: "-0"}, {lit: "-0.0"}, {lit: "0.000"}, {lit: "-0e5"},
 	{lit: "0.0000000000000000000000000001"},   // 28 fraction digits
 	{lit: "-0.00000000000000000000000000001"}, // 29
 	{lit: "0.1"}, {lit: "0.3"}, {lit: "123.456"}, {lit: "1.7976931348623157"},
 	{lit: "1e2"}, {lit: "1E+2"}, {lit: "-2.5e-3"}, {lit: "5e-324"}, {lit: "1e-400"},
 	{lit: "1e400"}, {lit: "-1e400"}, {lit: "123456789012345678901234567890e-10"},
+	{lit: "1e347"}, {lit: "1e348"}, {lit: "1e-348"}, {lit: "1e-349"}, // the table's ends and past them
+	{lit: "1.7976931348623157e308"},                     // the largest float64
+	{lit: "1.7976931348623159e308"},                     // rounds past it: ParseFloat's range error
+	{lit: "2.2250738585072014e-308"},                    // the smallest normal float64
+	{lit: "4.9e-324"},                                   // the smallest subnormal: ParseFloat
+	{lit: "2.4703282292062328e-324"},                    // just above half of it: ParseFloat
+	{lit: "1E+0010"}, {lit: "1e0000000000000000000001"}, // leading zeros in the exponent
+	{lit: "123456789.01234567"},                           // 17 digits, an eight-byte load across '.'
+	{lit: "12.345678901234567e-100"},                      // 17 digits, an eight-byte load across 'e'
+	{lit: "0." + strings.Repeat("0", 99998) + "1e100000"}, // strconv stops its exponent at 10 000: 0
+	{lit: "0." + strings.Repeat("0", 9998) + "1e10000"},   // a 5-digit exponent: ParseFloat, 10
 	{lit: "01", refused: true}, {lit: "-01", refused: true}, {lit: "00", refused: true},
 	{lit: "1.", refused: true}, {lit: ".5", refused: true}, {lit: "+1", refused: true},
 	{lit: "-", refused: true}, {lit: "1e", refused: true}, {lit: "1e+", refused: true},
 	{lit: "-.5", refused: true}, {lit: "NaN", refused: true}, {lit: "", refused: true},
+	{lit: "00000000.5", refused: true}, {lit: "1.e5", refused: true}, {lit: "12345678e", refused: true},
 }
 
 // TestJSONNumberEdges checks number on each edge against numberEnd +
@@ -452,6 +466,132 @@ func TestJSONNumberEdges(t *testing.T) {
 	}
 }
 
+// TestDigitsEightAtATime holds digits' eight-byte loop to a byte-by-byte
+// one: every byte that is not a digit, at each of the first 16 places of a
+// run of digits, ends the run there with the same mantissa and count.
+func TestDigitsEightAtATime(t *testing.T) {
+	run := []byte("987654321098765432109876")
+	for p := 0; p <= 16; p++ {
+		for c := 0; c < 256; c++ {
+			if '0' <= c && c <= '9' {
+				continue
+			}
+			buf := slices.Clone(run)
+			if p < 16 {
+				buf[p] = byte(c)
+			}
+			want, end := uint64(7), digitsEnd(buf, 0)
+			for _, d := range buf[:end] {
+				want = want*10 + uint64(d-'0')
+			}
+			if j, m, sig := digits(buf, 0, 7, 0); j != end || m != want || sig != end {
+				t.Fatalf("%q: end %d, m %d, sig %d; want %d, %d, %d", buf, j, m, sig, end, want, end)
+			}
+		}
+	}
+}
+
+// TestNumberTableSweep reaches every row of powers, which random fuzzing
+// does not: the mantissas 1, 2^53 ± 1, 10^19 − 1 and eight seeded 17-digit
+// ones, each times 10^q for every q in [minPow, maxPow], are held to
+// numberEnd + ParseFloat, and every row that can give a normal float64 must
+// give one in-house.
+func TestNumberTableSweep(t *testing.T) {
+	rng := stats.NewRNG(59)
+	mants := []uint64{1, 1<<53 - 1, 1<<53 + 1, 1e19 - 1}
+	for range 8 {
+		mants = append(mants, 1e16+uint64(rng.Intn(9e16)))
+	}
+	for q := minPow; q <= maxPow; q++ {
+		normal, inHouse := false, false
+		for _, m := range mants {
+			buf := fmt.Appendf(nil, "%de%d,", m, q)
+			if diff := numberDiff(buf); diff != "" {
+				t.Errorf("%s %s", buf, diff)
+			}
+			ref, _ := strconv.ParseFloat(string(buf[:len(buf)-1]), 64)
+			normal = normal || ref >= 0x1p-1022 && !math.IsInf(ref, 0)
+			_, _, done := numberWalk(buf, 0)
+			inHouse = inHouse || done
+		}
+		if normal && !inHouse {
+			t.Errorf("row 1e%d: no literal finished in-house", q)
+		}
+	}
+}
+
+// significant counts the significant digits of a JSON number literal's
+// mantissa and of its exponent.
+func significant(lit string) (sig, xsig int) {
+	mant, exp, _ := strings.Cut(strings.ToLower(strings.TrimPrefix(lit, "-")), "e")
+	mant = strings.TrimLeft(strings.Replace(mant, ".", "", 1), "0")
+	return len(mant), len(strings.TrimLeft(exp, "+-0"))
+}
+
+// seventeenDigits draws from [0, 1) until a value has a 17-digit shortest
+// form, the commonest kind of simulator literal.
+func seventeenDigits(rng *stats.RNG) float64 {
+	for {
+		v := rng.Uniform(0, 1)
+		if sig, _ := significant(strconv.FormatFloat(v, 'g', -1, 64)); sig == 17 {
+			return v
+		}
+	}
+}
+
+// seventeenDigitSamples returns n samples whose every value has a 17-digit
+// shortest form.
+func seventeenDigitSamples(rng *stats.RNG, n int) []Sample {
+	out := make([]Sample, n)
+	for t := range out {
+		row := make([]float64, metrics.Count)
+		for m := range row {
+			row[m] = seventeenDigits(rng)
+		}
+		out[t] = Sample{Metrics: row, CPI: seventeenDigits(rng)}
+	}
+	return out
+}
+
+// TestNumberReach: every literal of a json.Marshal'd body with at most 19
+// significant digits and an exponent of at most 4 is finished by numberWalk,
+// none handed to ParseFloat.
+func TestNumberReach(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []Sample
+	}{
+		{"coupled", coupledSamples(stats.NewRNG(5), 24, 8, nil, 7)},
+		{"17 digits", seventeenDigitSamples(stats.NewRNG(5), 24)},
+	} {
+		body, err := json.Marshal(IngestRequest{Workload: "wordcount", Node: "10.0.0.2", Samples: tc.samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.UseNumber()
+		n, inHouse := 0, 0
+		for tok, err := dec.Token(); err == nil; tok, err = dec.Token() {
+			lit, ok := tok.(json.Number)
+			if !ok {
+				continue
+			}
+			n++
+			_, end, done := numberWalk([]byte(lit), 0)
+			if sig, xsig := significant(string(lit)); end != len(lit) || !done && sig <= 19 && xsig <= 4 {
+				t.Errorf("%s: %s: end %d, in-house %v", tc.name, lit, end, done)
+			}
+			if done {
+				inHouse++
+			}
+		}
+		if want := len(tc.samples) * (metrics.Count + 1); n < want {
+			t.Errorf("%s: %d literals, want at least %d", tc.name, n, want)
+		}
+		t.Logf("%s: %d of %d literals finished in-house", tc.name, inHouse, n)
+	}
+}
+
 // TestIngestJSONDecodeAllocs mirrors TestIngestBatchPathAllocs for the JSON
 // encoding: a steady-state decode into a recycled batch plus the evicting
 // slide allocates only the two identity strings, with validity masks on the
@@ -463,6 +603,7 @@ func TestIngestJSONDecodeAllocs(t *testing.T) {
 	}{
 		{"clean", testSamples(24)},
 		{"masked", maskedSamples(stats.NewRNG(3), 24)},
+		{"17 digits", seventeenDigitSamples(stats.NewRNG(3), 24)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body, err := json.Marshal(IngestRequest{Workload: "wordcount", Node: "10.0.0.2", Samples: tc.samples})
@@ -517,4 +658,33 @@ func BenchmarkIngestJSONDecode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkJSONNumber times number on one literal per op, over 1 024
+// literals of each kind: short ones with three fraction digits, 17-digit
+// shortest forms, and 25-fraction-digit ones that go to ParseFloat.
+func BenchmarkJSONNumber(b *testing.B) {
+	rng := stats.NewRNG(59)
+	for _, set := range []struct {
+		name string
+		lit  func() string
+	}{
+		{"short", func() string { return strconv.FormatFloat(rng.Uniform(0, 1000), 'f', 3, 64) }},
+		{"shortest17", func() string { return strconv.FormatFloat(seventeenDigits(rng), 'g', -1, 64) }},
+		{"fallback", func() string { return strconv.FormatFloat(rng.Uniform(0, 1), 'f', 25, 64) }},
+	} {
+		var buf []byte
+		var starts [1024]int
+		for i := range starts {
+			starts[i] = len(buf)
+			buf = append(append(buf, set.lit()...), ',')
+		}
+		b.Run(set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := number(buf, starts[i%len(starts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -126,9 +126,10 @@ func FuzzIngestJSON(f *testing.F) {
 	})
 }
 
-// FuzzJSONNumber holds the decoder's number scan to the pair it replaced,
-// numberEnd + strconv.ParseFloat, on arbitrary bytes: the same end, the same
-// refusal and the same bits, the exact path's edges among the seeds.
+// FuzzJSONNumber holds the decoder's number scan and its in-house
+// Eisel-Lemire step to numberEnd + strconv.ParseFloat on arbitrary bytes: the
+// same end, the same refusal and the same bits, the step's edges among the
+// seeds.
 func FuzzJSONNumber(f *testing.F) {
 	for _, tc := range numberEdges {
 		f.Add([]byte(tc.lit + ","))
